@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 import random
 import sys
-import time
 from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
@@ -63,20 +62,11 @@ from repro.sharing.shamir import (
     robust_reconstruct,
 )
 
-from bench_common import FIELD, record_bench
+from bench_common import FIELD, best_of, record_bench
 
 #: The Mersenne prime 2^127 - 1: a >=64-bit modulus outside the numpy
 #: kernel's limb range, where the gmpy2 kernel is the only accelerated path.
 P127 = (1 << 127) - 1
-
-
-def _best_of(callable_, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def measure_reconstruct_speedup(
@@ -102,8 +92,8 @@ def measure_reconstruct_speedup(
     scalar_out = scalar()
     batch_out = batched()
     assert [int(v) for v in batch_out] == [int(v) for v in scalar_out] == secrets
-    scalar_time = _best_of(scalar, repeats)
-    batch_time = _best_of(batched, repeats)
+    scalar_time = best_of(scalar, repeats)
+    batch_time = best_of(batched, repeats)
     return {
         "num_secrets": float(num_secrets),
         "n": float(n),
@@ -140,8 +130,8 @@ def measure_robust_speedup(
     scalar_out = scalar()
     batch_out = batched()
     assert [int(v) for v in batch_out] == [int(v) for v in scalar_out] == secrets
-    scalar_time = _best_of(scalar, repeats)
-    batch_time = _best_of(batched, repeats)
+    scalar_time = best_of(scalar, repeats)
+    batch_time = best_of(batched, repeats)
     return {
         "num_secrets": float(num_secrets),
         "faults": float(faults),
@@ -180,8 +170,8 @@ def measure_oec_speedup(
     scalar_out = scalar()
     batch_out = batched()
     assert [int(v) for v in batch_out] == [int(v) for v in scalar_out] == secrets
-    scalar_time = _best_of(scalar, repeats)
-    batch_time = _best_of(batched, repeats)
+    scalar_time = best_of(scalar, repeats)
+    batch_time = best_of(batched, repeats)
     return {
         "num_values": float(num_values),
         "scalar_s": scalar_time,
@@ -303,11 +293,11 @@ def measure_native_polynomial_speedup(
 
     native_out = decode()
     assert [poly.constant_residue() for poly in native_out] == secrets
-    native_time = _best_of(decode, repeats)
+    native_time = best_of(decode, repeats)
     with _boxed_polynomial_baseline():
         boxed_out = decode()
         assert [poly.constant_residue() for poly in boxed_out] == secrets
-        boxed_time = _best_of(decode, repeats)
+        boxed_time = best_of(decode, repeats)
     return {
         "num_values": float(num_values),
         "n": float(n),
@@ -348,8 +338,8 @@ def measure_bw_fallback_overhead(
 
     assert [poly.constant_residue() for poly in fast()] == secrets
     assert [poly.constant_residue() for poly in fallback()] == secrets
-    fast_time = _best_of(fast, repeats)
-    fallback_time = _best_of(fallback, repeats)
+    fast_time = best_of(fast, repeats)
+    fallback_time = best_of(fallback, repeats)
     return {
         "num_values": float(num_values),
         "n": float(n),
@@ -374,7 +364,7 @@ def _run_under_kernel(kernel: str, setup, measured, repeats: int):
     try:
         state = setup()
         out = measured(state)
-        elapsed = _best_of(lambda: measured(state), repeats)
+        elapsed = best_of(lambda: measured(state), repeats)
         return [int(v) for v in out], elapsed
     finally:
         set_kernel_backend(previous)
@@ -541,10 +531,10 @@ def measure_dispatch_crossover(max_size: int = 4096, repeats: int = 5) -> Dict[s
     while size <= max_size:
         a = [rng.randrange(p) for _ in range(size)]
         b = [rng.randrange(p) for _ in range(size)]
-        int_time = _best_of(lambda: int_kernel.mul(p, a, b), repeats)
+        int_time = best_of(lambda: int_kernel.mul(p, a, b), repeats)
         # Time the full list-input path (conversion + limb mul + unbox):
         # that is the cost the dispatch threshold actually gates on.
-        np_time = _best_of(
+        np_time = best_of(
             lambda: np_kernel._mul61(
                 np_kernel._to_array(p, a), np_kernel._to_array(p, b)
             ).tolist(),

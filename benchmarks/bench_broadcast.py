@@ -6,16 +6,14 @@ fallback delivery in an asynchronous network.
 """
 
 import random
-import time
 
 import pytest
 
 from repro.broadcast.acast import AcastProtocol, PackedFieldVector, acast_time_bound
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
-from repro.field.array import set_batch_enabled
 from repro.sim import AsynchronousNetwork, SynchronousNetwork
 
-from bench_common import FIELD, make_runner, record_bench, summarize
+from bench_common import FIELD, best_of, make_runner, record_bench, summarize
 
 
 def _run_acast(n, t, network, seed=0):
@@ -78,71 +76,41 @@ def test_bc_asynchronous(benchmark, n, t):
     assert stats["honest_outputs"] == n
 
 
-# -- batched payloads: packed field vectors through Acast -----------------------------
+# -- packed field vectors through Acast -----------------------------------------------
 
 
-def _run_vector_acast(n, t, length, batch, seed=3):
-    """Acast a length-``length`` field-element vector with/without packing."""
+def _run_vector_acast(n, t, length, seed=3):
+    """Acast a length-``length`` field-element vector (packed on input)."""
     rng = random.Random(seed)
     vector = tuple(FIELD.random(rng) for _ in range(length))
-    previous = set_batch_enabled(batch)
-    try:
-        runner = make_runner(n, network=SynchronousNetwork(), seed=seed)
-        result = runner.run(
-            lambda party: AcastProtocol(
-                party, "acast", sender=1, faults=t,
-                message=vector if party.id == 1 else None,
-            ),
-            max_time=5_000.0,
-        )
-    finally:
-        set_batch_enabled(previous)
-    outputs = result.honest_outputs()
-    for output in outputs.values():
-        delivered = (
-            output.elements() if isinstance(output, PackedFieldVector) else list(output)
-        )
-        assert delivered == list(vector), "Acast must deliver the sender's vector"
+    runner = make_runner(n, network=SynchronousNetwork(), seed=seed)
+    result = runner.run(
+        lambda party: AcastProtocol(
+            party, "acast", sender=1, faults=t,
+            message=vector if party.id == 1 else None,
+        ),
+        max_time=5_000.0,
+    )
+    for output in result.honest_outputs().values():
+        assert isinstance(output, PackedFieldVector)
+        assert output.elements() == list(vector), "Acast must deliver the sender's vector"
     return result
 
 
-def measure_packed_payload_speedup(n=7, t=2, length=4096, repeats=1):
-    """Wall-time of a long-vector Acast: packed (single digest) vs unpacked."""
-
-    def run_mode(batch):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = _run_vector_acast(n, t, length, batch)
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    packed_time, packed_result = run_mode(True)
-    unpacked_time, unpacked_result = run_mode(False)
-    # Bit accounting must be identical: the packed vector charges exactly the
-    # element bits of its unpacked twin.
-    assert packed_result.metrics.total_bits == unpacked_result.metrics.total_bits
-    assert packed_result.metrics.messages_sent == unpacked_result.metrics.messages_sent
-    return {
-        "n": float(n),
-        "t": float(t),
-        "length": float(length),
-        "unpacked_s": unpacked_time,
-        "packed_s": packed_time,
-        "speedup": unpacked_time / packed_time if packed_time else float("inf"),
-    }
+def measure_packed_payload(n=7, t=2, length=4096, repeats=1):
+    """Best-of-``repeats`` wall time of a long-vector (packed) Acast."""
+    best = best_of(lambda: _run_vector_acast(n, t, length), repeats)
+    return {"n": float(n), "t": float(t), "length": float(length), "packed_s": best}
 
 
-def test_packed_vector_acast_speedup():
-    stats = measure_packed_payload_speedup()
-    record_bench("broadcast", "packed_acast_n7_t2_len4096", stats)
-    assert stats["speedup"] >= 1.5, f"speedup only {stats['speedup']:.2f}x"
+def test_packed_vector_acast():
+    record_bench("broadcast", "packed_acast_n7_t2_len4096", measure_packed_payload())
 
 
 def smoke():
     """Tiny-size rot check used by the bench_smoke tier-1 marker."""
     result = _run_bc(4, 1, SynchronousNetwork())
     assert len(result.honest_outputs()) == 4
-    stats = measure_packed_payload_speedup(n=4, t=1, length=32)
+    stats = measure_packed_payload(n=4, t=1, length=32)
     assert stats["packed_s"] > 0
     return summarize(result)

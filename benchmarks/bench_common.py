@@ -30,6 +30,16 @@ def make_runner(n: int, network: Optional[NetworkModel] = None, seed: int = 0, c
                           corrupt=corrupt or {})
 
 
+def best_of(callable_, repeats: int = 3) -> float:
+    """Best wall time of ``repeats`` calls (the result is the caller's to keep)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        callable_()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def summarize(result) -> Dict[str, float]:
     """Extract the standard measurement row from a protocol run."""
     times = result.honest_output_times()

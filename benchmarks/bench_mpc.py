@@ -78,35 +78,6 @@ def test_mpc_crash_fault_sync(benchmark):
     assert result.outputs == [F(80)]
 
 
-def test_mpc_batch_vs_scalar_field_paths(benchmark):
-    """Batch variant: wall-clock of a full run with the batched field layer
-    on vs the scalar reference paths, with identical protocol outputs."""
-    import time
-
-    n, ts, ta = 4, 1, 0
-    circuit = millionaires_product_circuit(F, n)
-    inputs = {1: 2, 2: 3, 3: 4, 4: 5}
-
-    def run(batch):
-        start = time.perf_counter()
-        result = run_mpc(circuit, inputs, n=n, ts=ts, ta=ta, seed=5, batch=batch)
-        return result, time.perf_counter() - start
-
-    result_batch, batch_s = benchmark.pedantic(
-        lambda: run(True), iterations=1, rounds=1
-    )
-    result_scalar, scalar_s = run(False)
-    benchmark.extra_info.update(
-        {
-            "batch_wall_s": batch_s,
-            "scalar_wall_s": scalar_s,
-            "wall_speedup": scalar_s / batch_s if batch_s else float("inf"),
-            "outputs_match": float(result_batch.outputs == result_scalar.outputs),
-        }
-    )
-    assert result_batch.outputs == result_scalar.outputs
-
-
 def test_mpc_product_async(benchmark):
     n, ts, ta = 4, 1, 0
     circuit = multiplication_circuit(F, n)

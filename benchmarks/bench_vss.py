@@ -4,17 +4,16 @@ Honest-dealer runs in both network types must give every honest party its
 correct share (within T_VSS in the synchronous case); corrupt-dealer runs
 must either give no output or consistent shares of a committed polynomial.
 
-Also measures the batched bivariate pipeline: the dealer's Phase-I
-distribution plus every party's pairwise verification (the field-work core
-of Pi_WPS / Pi_VSS) timed batch-vs-scalar at realistic n, persisted to
-``BENCH_vss.json``.  Run standalone (``python benchmarks/bench_vss.py``)
-for the speedup report at n = 16 and n = 25.
+Also measures the bivariate pipeline: the dealer's Phase-I distribution
+plus every party's pairwise verification (the field-work core of Pi_WPS /
+Pi_VSS) timed at realistic n, persisted to ``BENCH_vss.json``.  Run
+standalone (``python benchmarks/bench_vss.py``) for the wall-time report at
+n = 16 and n = 25.
 """
 
 import os
 import random
 import sys
-import time
 
 import pytest
 
@@ -23,8 +22,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.field.array import batch_enabled, batch_interpolate_at, set_batch_enabled
-from repro.field.polynomial import lagrange_interpolate
+from repro.field.array import batch_interpolate_at
 from repro.sharing.vss import VerifiableSecretSharing, vss_time_bound
 from repro.sharing.wps import (
     WeakPolynomialSharing,
@@ -39,7 +37,9 @@ from repro.sim import (
     SynchronousNetwork,
 )
 
-from bench_common import FIELD, fresh_polynomials, make_runner, record_bench, summarize
+from bench_common import (
+    FIELD, best_of, fresh_polynomials, make_runner, record_bench, summarize,
+)
 
 
 def _run_sharing(cls, n, ts, ta, dealer, polynomials, network, corrupt=None, seed=0):
@@ -63,19 +63,18 @@ def _shares_correct(result, polynomials):
     return True
 
 
-# -- the batched bivariate pipeline, batch vs scalar ---------------------------
+# -- the bivariate dealer + verification pipeline ------------------------------
 
 
 def _dealer_verify_pipeline(n, ts, polynomials, embed_seed):
-    """The field-work core of one Pi_WPS/Pi_VSS instance, mode-agnostic.
+    """The field-work core of one Pi_WPS/Pi_VSS instance.
 
     Runs the dealer's Phase-I embedding + row distribution, every party's
     row-value table (the points it sends and the expected values its
     verdicts compare against), the dealer's full pairwise NOK cross-check
-    grid, and the share reconstruction a party outside W performs.  Which
-    twin (batched / scalar) executes is decided by the global batch switch,
-    exactly as in the protocol classes.  Returns a digest so callers can
-    assert both modes computed identical values.
+    grid, and the share reconstruction a party outside W performs, through
+    the same helpers as the protocol classes.  Returns a digest of what was
+    computed.
     """
     rng = random.Random(embed_seed)
     ids = list(range(1, n + 1))
@@ -85,13 +84,7 @@ def _dealer_verify_pipeline(n, ts, polynomials, embed_seed):
     # Every party evaluates each of its rows at every alpha (send + verify).
     tables = [row_value_table(FIELD, rows, ids) for rows in per_party_rows]
     # The dealer's pairwise expected-value grid for NOK validation.
-    if batch_enabled():
-        grids = [biv.eval_grid(alphas, alphas) for biv in bivariates]
-    else:
-        grids = [
-            [[int(biv.evaluate(FIELD.alpha(j), FIELD.alpha(i))) for i in ids] for j in ids]
-            for biv in bivariates
-        ]
+    grids = [biv.eval_grid(alphas, alphas) for biv in bivariates]
     # Pairwise verdicts: q_i(alpha_j) == q_j(alpha_i) for every pair.
     all_ok = all(
         tables[i - 1][index][j - 1] == tables[j - 1][index][i - 1]
@@ -103,19 +96,13 @@ def _dealer_verify_pipeline(n, ts, polynomials, embed_seed):
     # Reconstruction of one party's secrets from ts + 1 row shares (the
     # Pi_VSS output path for parties outside W).
     support = ids[: ts + 1]
-    if batch_enabled():
-        support_alphas = [int(FIELD.alpha(j)) for j in support]
-        value_rows = [
-            [int(tables[j - 1][index][0]) for j in support]
-            for index in range(len(polynomials))
-        ]
-        secrets = batch_interpolate_at(FIELD, support_alphas, value_rows, 0)
-        secrets = [int(v) for v in secrets]
-    else:
-        secrets = []
-        for index in range(len(polynomials)):
-            points = [(FIELD.alpha(j), tables[j - 1][index][0]) for j in support]
-            secrets.append(int(lagrange_interpolate(FIELD, points).constant_term()))
+    support_alphas = [int(FIELD.alpha(j)) for j in support]
+    value_rows = [
+        [int(tables[j - 1][index][0]) for j in support]
+        for index in range(len(polynomials))
+    ]
+    secrets = batch_interpolate_at(FIELD, support_alphas, value_rows, 0)
+    secrets = [int(v) for v in secrets]
     checksum = sum(
         sum(sum(int(v) for v in values) for values in table) for table in tables
     ) % FIELD.modulus
@@ -128,52 +115,36 @@ def _dealer_verify_pipeline(n, ts, polynomials, embed_seed):
     }
 
 
-def measure_dealer_verify_speedup(n=16, ts=5, num_polynomials=4, seed=23, repeats=3):
-    """Wall-time of the WPS/VSS dealer+verification core, batch vs scalar."""
+def measure_dealer_verify(n=16, ts=5, num_polynomials=4, seed=23, repeats=3):
+    """Best-of-``repeats`` wall time of the WPS/VSS dealer+verification core."""
     polynomials = fresh_polynomials(num_polynomials, ts, seed=seed)
-
-    def run_mode(batch):
-        previous = set_batch_enabled(batch)
-        try:
-            best, digest = float("inf"), None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                digest = _dealer_verify_pipeline(n, ts, polynomials, embed_seed=seed + 1)
-                best = min(best, time.perf_counter() - start)
-            return best, digest
-        finally:
-            set_batch_enabled(previous)
-
-    batch_time, batch_digest = run_mode(True)
-    scalar_time, scalar_digest = run_mode(False)
-    assert batch_digest == scalar_digest, "batch and scalar pipelines disagree"
-    assert batch_digest["all_ok"], "honest-dealer rows must be pairwise consistent"
+    digests = []
+    best = best_of(
+        lambda: digests.append(
+            _dealer_verify_pipeline(n, ts, polynomials, embed_seed=seed + 1)
+        ),
+        repeats,
+    )
+    assert digests[-1]["all_ok"], "honest-dealer rows must be pairwise consistent"
     return {
         "n": float(n),
         "ts": float(ts),
         "num_polynomials": float(num_polynomials),
-        "scalar_s": scalar_time,
-        "batch_s": batch_time,
-        "speedup": scalar_time / batch_time if batch_time else float("inf"),
+        "batch_s": best,
     }
 
 
-def test_dealer_verify_batch_speedup_n16():
-    """Acceptance: >= 5x batch-vs-scalar on the WPS/VSS dealer+verify core at n=16."""
-    stats = measure_dealer_verify_speedup(n=16, ts=5, num_polynomials=4)
-    record_bench("vss", "dealer_verify_n16_ts5_L4", stats)
-    assert stats["speedup"] >= 5.0, f"speedup only {stats['speedup']:.1f}x"
+def test_dealer_verify_n16():
+    record_bench("vss", "dealer_verify_n16_ts5_L4", measure_dealer_verify(n=16, ts=5))
 
 
-def test_dealer_verify_batch_speedup_n25():
-    stats = measure_dealer_verify_speedup(n=25, ts=8, num_polynomials=4)
-    record_bench("vss", "dealer_verify_n25_ts8_L4", stats)
-    assert stats["speedup"] >= 5.0, f"speedup only {stats['speedup']:.1f}x"
+def test_dealer_verify_n25():
+    record_bench("vss", "dealer_verify_n25_ts8_L4", measure_dealer_verify(n=25, ts=8))
 
 
 def smoke():
     """Tiny-size rot check used by the bench_smoke tier-1 marker."""
-    stats = measure_dealer_verify_speedup(n=5, ts=1, num_polynomials=2, repeats=1)
+    stats = measure_dealer_verify(n=5, ts=1, num_polynomials=2, repeats=1)
     assert stats["batch_s"] > 0
     polynomials = fresh_polynomials(1, 1, seed=11)
     result = _run_sharing(
@@ -227,12 +198,10 @@ def test_vss_corrupt_dealer_commitment(benchmark):
 
 if __name__ == "__main__":
     for n, ts in ((16, 5), (25, 8)):
-        stats = measure_dealer_verify_speedup(n=n, ts=ts, num_polynomials=4)
+        stats = measure_dealer_verify(n=n, ts=ts)
         path = record_bench("vss", f"dealer_verify_n{n}_ts{ts}_L4", stats)
         print(
             f"wps/vss dealer+verify (n={n:2d}, ts={ts}, L=4):"
-            f" scalar {stats['scalar_s'] * 1e3:8.2f} ms"
-            f"  batch {stats['batch_s'] * 1e3:8.2f} ms"
-            f"  speedup {stats['speedup']:6.1f}x"
+            f" {stats['batch_s'] * 1e3:8.2f} ms"
         )
     print(f"written to {path}")

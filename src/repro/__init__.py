@@ -22,9 +22,7 @@ from repro.field import (
     FieldElement,
     Polynomial,
     SymmetricBivariatePolynomial,
-    batch_enabled,
     default_field,
-    set_batch_enabled,
 )
 from repro.mpc import run_mpc, MPCResult, CircuitEvaluation
 from repro.sim import (
@@ -42,9 +40,7 @@ __all__ = [
     "FieldElement",
     "Polynomial",
     "SymmetricBivariatePolynomial",
-    "batch_enabled",
     "default_field",
-    "set_batch_enabled",
     "run_mpc",
     "MPCResult",
     "CircuitEvaluation",

@@ -20,10 +20,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit, GateType
-from repro.codes.oec import BatchOnlineErrorCorrector, OnlineErrorCorrector
-from repro.field.array import batch_enabled
+from repro.codes.oec import BatchOnlineErrorCorrector
 from repro.field.gf import FieldElement
-from repro.field.polynomial import Polynomial
 from repro.sharing.shamir import batch_share_at_alphas
 from repro.sim.adversary import Behavior
 from repro.sim.network import AsynchronousNetwork, NetworkModel
@@ -35,9 +33,8 @@ from repro.baselines.dealer import TrustedTripleDealer
 def _normalize_row(values, count: int) -> List[Optional[FieldElement]]:
     """Shape one sender's value list for a batch corrector row.
 
-    Mirrors the scalar receive path: non-field entries contribute no point
-    (None), short rows leave the tail positions waiting, extra positions
-    beyond the expected count are dropped.
+    Non-field entries contribute no point (None), short rows leave the tail
+    positions waiting, extra positions beyond the expected count are dropped.
     """
     row = [v if isinstance(v, FieldElement) else None for v in values[:count]]
     return row + [None] * (count - len(row))
@@ -73,10 +70,8 @@ class AsynchronousMPC(ProtocolInstance):
         self._wire_shares: Dict[int, FieldElement] = {}
         self._input_oec: Dict[int, FieldElement] = {}
         self._expected_inputs: List[int] = []
-        self._opening_oec: Dict[Tuple[int, int], OnlineErrorCorrector] = {}
-        self._opening_batch: Dict[int, BatchOnlineErrorCorrector] = {}
-        self._output_oec: List[OnlineErrorCorrector] = []
-        self._output_batch: Optional[BatchOnlineErrorCorrector] = None
+        self._opening_oec: Dict[int, BatchOnlineErrorCorrector] = {}
+        self._output_oec: Optional[BatchOnlineErrorCorrector] = None
         self._used_triples = 0
         self._current_layer = -1
         # Layers are derived deterministically from the circuit; computing
@@ -102,14 +97,9 @@ class AsynchronousMPC(ProtocolInstance):
             cursor += 1
             if self.me not in self.core_set:
                 continue
-            if batch_enabled():
-                shares = batch_share_at_alphas(self.field, value, self.faults, self.n, self.rng)
-                for j in self.party.all_party_ids():
-                    self.send(j, ("input", gate.index, shares[j - 1]))
-                continue
-            polynomial = Polynomial.random(self.field, self.faults, constant_term=value, rng=self.rng)
+            shares = batch_share_at_alphas(self.field, value, self.faults, self.n, self.rng)
             for j in self.party.all_party_ids():
-                self.send(j, ("input", gate.index, polynomial.evaluate(self.field.alpha(j))))
+                self.send(j, ("input", gate.index, shares[j - 1]))
 
     def _maybe_start_evaluation(self) -> None:
         if self._current_layer >= 0:
@@ -156,16 +146,9 @@ class AsynchronousMPC(ProtocolInstance):
             a_share, b_share, _c = self.triples[self._used_triples + offset]
             masked.append(x_share - a_share)
             masked.append(y_share - b_share)
-        if batch_enabled():
-            # Openings from faster parties may already have arrived (and
-            # created the corrector) before we entered this layer.
-            self._opening_corrector(layer_index)
-        else:
-            for position in range(len(masked)):
-                self._opening_oec.setdefault(
-                    (layer_index, position),
-                    OnlineErrorCorrector(self.field, self.faults, self.faults),
-                )
+        # Openings from faster parties may already have arrived (and
+        # created the corrector) before we entered this layer.
+        self._opening_corrector(layer_index)
         self.send_all(("open", layer_index, masked))
         self._maybe_finish_layer(layer_index)
 
@@ -173,35 +156,24 @@ class AsynchronousMPC(ProtocolInstance):
         """The batch corrector decoding all 2L openings of one layer together."""
         if not isinstance(layer_index, int) or not (0 <= layer_index < len(self._layers)):
             return None
-        corrector = self._opening_batch.get(layer_index)
+        corrector = self._opening_oec.get(layer_index)
         if corrector is None:
             corrector = BatchOnlineErrorCorrector(
                 self.field, 2 * len(self._layers[layer_index]), self.faults, self.faults
             )
-            self._opening_batch[layer_index] = corrector
+            self._opening_oec[layer_index] = corrector
         return corrector
 
     def _maybe_finish_layer(self, layer_index: int) -> None:
         if layer_index != self._current_layer:
             return
-        gates = self._layers[layer_index]
-        if batch_enabled():
-            corrector = self._opening_batch.get(layer_index)
-            if corrector is None or not corrector.done:
-                return
-            secrets = corrector.secrets()
-            openings = lambda position: secrets[position]
-        else:
-            correctors = [
-                self._opening_oec.get((layer_index, position))
-                for position in range(2 * len(gates))
-            ]
-            if not all(corrector is not None and corrector.done for corrector in correctors):
-                return
-            openings = lambda position: correctors[position].secret()
-        for position, gate_index in enumerate(gates):
-            e_value = openings(2 * position)
-            d_value = openings(2 * position + 1)
+        corrector = self._opening_oec.get(layer_index)
+        if corrector is None or not corrector.done:
+            return
+        openings = corrector.secrets()
+        for position, gate_index in enumerate(self._layers[layer_index]):
+            e_value = openings[2 * position]
+            d_value = openings[2 * position + 1]
             a_share, b_share, c_share = self.triples[self._used_triples]
             self._used_triples += 1
             self._wire_shares[gate_index] = (
@@ -211,36 +183,28 @@ class AsynchronousMPC(ProtocolInstance):
 
     # -- output ------------------------------------------------------------------------------------
     def _output_corrector(self) -> BatchOnlineErrorCorrector:
-        if self._output_batch is None:
-            self._output_batch = BatchOnlineErrorCorrector(
+        # Sized from the circuit, not from a sender's list (whose length an
+        # adversary controls).
+        if self._output_oec is None:
+            self._output_oec = BatchOnlineErrorCorrector(
                 self.field, len(self.circuit.outputs), self.faults, self.faults
             )
-        return self._output_batch
+        return self._output_oec
 
     def _begin_output(self) -> None:
         self._evaluate_linear()
         shares = [self._wire_shares.get(w, self.field.zero()) for w in self.circuit.outputs]
-        if batch_enabled():
-            self._output_corrector()
-        elif not self._output_oec:
-            self._output_oec = [
-                OnlineErrorCorrector(self.field, self.faults, self.faults) for _ in shares
-            ]
+        self._output_corrector()
         self.send_all(("output", shares))
         self._maybe_finish_output()
 
     def _maybe_finish_output(self) -> None:
-        if self.has_output:
+        corrector = self._output_oec
+        if self.has_output or corrector is None:
             return
-        if self._output_batch is not None:
-            # A zero-output circuit never produces output (as in scalar mode).
-            if self._output_batch.count and self._output_batch.done:
-                self.set_output(self._output_batch.secrets())
-            return
-        if not self._output_oec:
-            return
-        if all(corrector.done for corrector in self._output_oec):
-            self.set_output([corrector.secret() for corrector in self._output_oec])
+        # A zero-output circuit never produces output.
+        if corrector.count and corrector.done:
+            self.set_output(corrector.secrets())
 
     # -- message handling ------------------------------------------------------------------------------
     def receive(self, sender: int, payload: Any) -> None:
@@ -253,40 +217,17 @@ class AsynchronousMPC(ProtocolInstance):
                 self._maybe_start_evaluation()
         elif kind == "open":
             layer_index, values = payload[1], payload[2]
-            if batch_enabled():
-                corrector = self._opening_corrector(layer_index)
-                if corrector is not None:
-                    corrector.add_row(
-                        self.field.alpha(sender), _normalize_row(values, corrector.count)
-                    )
-            else:
-                for position, value in enumerate(values):
-                    scalar = self._opening_oec.get((layer_index, position))
-                    if scalar is None:
-                        scalar = OnlineErrorCorrector(self.field, self.faults, self.faults)
-                        self._opening_oec[(layer_index, position)] = scalar
-                    if isinstance(value, FieldElement):
-                        scalar.add_point(self.field.alpha(sender), value)
-            self._maybe_finish_layer(layer_index)
-        elif kind == "output":
-            values = payload[1]
-            if batch_enabled():
-                corrector = self._output_corrector()
+            corrector = self._opening_corrector(layer_index)
+            if corrector is not None:
                 corrector.add_row(
                     self.field.alpha(sender), _normalize_row(values, corrector.count)
                 )
-            else:
-                if not self._output_oec:
-                    # Created lazily, but sized from the circuit (not from the
-                    # sender's list, whose length an adversary controls) so
-                    # both twins reconstruct the same number of outputs.
-                    self._output_oec = [
-                        OnlineErrorCorrector(self.field, self.faults, self.faults)
-                        for _ in self.circuit.outputs
-                    ]
-                for scalar, value in zip(self._output_oec, values):
-                    if isinstance(value, FieldElement):
-                        scalar.add_point(self.field.alpha(sender), value)
+            self._maybe_finish_layer(layer_index)
+        elif kind == "output":
+            corrector = self._output_corrector()
+            corrector.add_row(
+                self.field.alpha(sender), _normalize_row(payload[1], corrector.count)
+            )
             self._maybe_finish_output()
 
 

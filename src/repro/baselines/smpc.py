@@ -18,10 +18,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit, GateType
-from repro.codes.reed_solomon import rs_decode, rs_decode_batch
-from repro.field.array import batch_enabled
+from repro.codes.reed_solomon import rs_decode_batch
 from repro.field.gf import FieldElement
-from repro.field.polynomial import Polynomial, interpolate_at
+from repro.field.polynomial import interpolate_at
 from repro.sim.adversary import Behavior
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.party import Party, ProtocolInstance
@@ -80,14 +79,9 @@ class SynchronousMPC(ProtocolInstance):
                 continue
             value = self.my_inputs[cursor] if cursor < len(self.my_inputs) else 0
             cursor += 1
-            if batch_enabled():
-                shares = batch_share_at_alphas(self.field, value, self.faults, self.n, self.rng)
-                for j in self.party.all_party_ids():
-                    self.send(j, ("input", gate.index, shares[j - 1]))
-                continue
-            polynomial = Polynomial.random(self.field, self.faults, constant_term=value, rng=self.rng)
+            shares = batch_share_at_alphas(self.field, value, self.faults, self.n, self.rng)
             for j in self.party.all_party_ids():
-                self.send(j, ("input", gate.index, polynomial.evaluate(self.field.alpha(j))))
+                self.send(j, ("input", gate.index, shares[j - 1]))
 
     def _after_input_round(self) -> None:
         # Whatever did not arrive within Δ is treated as input 0.
@@ -153,16 +147,12 @@ class SynchronousMPC(ProtocolInstance):
     ) -> List[FieldElement]:
         """Robustly open ``count`` positions of one timeout round.
 
-        The batch path groups positions by the set of senders that reported
-        them (normally a single group: every live sender reports every
-        position) and decodes each group through :func:`rs_decode_batch`,
-        so the round costs one cached-matrix product instead of ``count``
-        Gaussian eliminations.
+        Positions are grouped by the set of senders that reported them
+        (normally a single group: every live sender reports every position)
+        and each group is decoded through :func:`rs_decode_batch`, so the
+        round costs one cached-matrix product instead of ``count`` Gaussian
+        eliminations.
         """
-        if not batch_enabled():
-            return [
-                self._reconstruct_opening(received, position) for position in range(count)
-            ]
         per_position: List[List] = []
         groups: Dict[tuple, List[int]] = {}
         for position in range(count):
@@ -184,16 +174,6 @@ class SynchronousMPC(ProtocolInstance):
                 else:
                     openings[position] = self._opening_fallback(per_position[position])
         return openings
-
-    def _reconstruct_opening(self, received: Dict[int, List[FieldElement]], position: int) -> FieldElement:
-        points = []
-        for sender, values in received.items():
-            if position < len(values) and isinstance(values[position], FieldElement):
-                points.append((self.field.alpha(sender), values[position]))
-        decoded = rs_decode(self.field, points, self.faults, self.faults)
-        if decoded is not None:
-            return decoded.constant_term()
-        return self._opening_fallback(points)
 
     def _opening_fallback(self, points: List) -> FieldElement:
         # Synchrony violated (or too many faults): fall back to naive

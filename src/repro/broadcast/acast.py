@@ -5,28 +5,27 @@ protocol guarantees (asynchronously) liveness and validity for an honest S,
 and consistency for a corrupt S; in a synchronous network an honest sender's
 message is output by every honest party within 3*Delta.
 
-Batched payloads
-----------------
+Packed payloads
+---------------
 
 Acast's echo/ready counting keys every received value into dictionaries, so
-broadcasting a long vector of field elements hashes and compares the whole
-vector on every one of the O(n^2) protocol messages.  The batched path wraps
-such vectors into a :class:`PackedFieldVector` -- int residues encoded and
-decoded through :class:`~repro.field.array.FieldArray`, with the digest
+broadcasting a long vector of field elements would hash and compare the
+whole vector on every one of the O(n^2) protocol messages.  Such vectors are
+therefore wrapped into a :class:`PackedFieldVector` -- int residues encoded
+and decoded through :class:`~repro.field.array.FieldArray`, with the digest
 computed once at construction -- so each dict lookup costs a single cached
 hash instead of per-element hashing.  Packing happens transparently in
-:meth:`AcastProtocol.provide_input`/:meth:`AcastProtocol.start` when
-batching is enabled (see :func:`repro.field.array.batch_enabled`); the
+:meth:`AcastProtocol.provide_input`/:meth:`AcastProtocol.start`; the
 delivered output is the packed vector, whose :meth:`PackedFieldVector.elements`
 round-trips to the original boxed elements.  Bit accounting is identical to
-the unpacked vector, so batch and scalar transcripts agree.
+the unpacked vector.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro.field.array import FieldArray, batch_enabled
+from repro.field.array import FieldArray
 from repro.field.gf import GF, FieldElement
 from repro.field.kernels import get_kernel
 from repro.sim.party import Party, ProtocolInstance
@@ -100,14 +99,11 @@ class PackedFieldVector:
 
 
 def maybe_pack_payload(message: Any) -> Any:
-    """Pack a homogeneous vector of field elements when batching is enabled.
+    """Pack a homogeneous vector of field elements.
 
-    Anything that is not a non-empty list/tuple of same-field
-    :class:`FieldElement` values -- or when batching is disabled -- passes
-    through untouched, which keeps the scalar reference transcripts intact.
+    Anything that is not a list/tuple of at least two same-field
+    :class:`FieldElement` values passes through untouched.
     """
-    if not batch_enabled():
-        return message
     if isinstance(message, PackedFieldVector):
         return message
     if (
@@ -127,7 +123,7 @@ class AcastProtocol(ProtocolInstance):
     Every party instantiates the protocol with the same tag; only the party
     whose id equals ``sender`` uses ``message`` (its input).  The output is
     the delivered message (a :class:`PackedFieldVector` when the sender's
-    input was a field-element vector and batching is enabled).
+    input was a field-element vector).
     """
 
     def __init__(

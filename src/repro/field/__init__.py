@@ -5,49 +5,40 @@ interpolation, and symmetric bivariate polynomials -- the algebraic
 objects used by every protocol in the paper (Section 2, "Polynomials
 Over a Field").
 
-Batching architecture (the scalar-twin convention)
---------------------------------------------------
+One protocol path, primitive-level oracles
+------------------------------------------
 
-Every hot algebraic path in the reproduction exists twice:
+Protocol modules compute over plain int residues and nothing else:
+:class:`~repro.field.array.FieldArray` for element-wise vectors, cached
+Lagrange/Vandermonde coefficient matrices (keyed by the interned ``GF``
+identity and the evaluation-point tuple, so the fixed protocol point sets
+-- party alphas, beta extraction points -- are paid for once), and
+:class:`~repro.field.bivariate.BatchSymmetricBivariate` for the WPS/VSS
+dealer's bivariate embedding, whose row distribution and pairwise
+consistency grid are single cached-Vandermonde matrix products.  There is
+no switch and no second implementation inside protocol code.
 
-* a **scalar reference twin** over boxed :class:`FieldElement` /
-  :class:`Polynomial` / :class:`SymmetricBivariatePolynomial` objects.
-  These are the readable, paper-faithful implementations and are never
-  removed or "optimized"; they define correct behaviour.
-* a **batched fast twin** over plain int residues:
-  :class:`~repro.field.array.FieldArray` for element-wise vectors,
-  cached Lagrange/Vandermonde coefficient matrices (keyed by the interned
-  ``GF`` identity and the evaluation-point tuple, so the fixed protocol
-  point sets -- party alphas, beta extraction points -- are paid for
-  once), and :class:`~repro.field.bivariate.BatchSymmetricBivariate` for
-  the WPS/VSS dealer's bivariate embedding, whose row distribution and
-  pairwise consistency grid are single cached-Vandermonde matrix
-  products.
+The boxed :class:`FieldElement` / :class:`Polynomial` /
+:class:`SymmetricBivariatePolynomial` primitives (and
+``rs_decode`` / ``OnlineErrorCorrector`` in :mod:`repro.codes`) are the
+readable, paper-faithful definitions of correct behaviour.  They stay,
+untouched, as *test oracles*: ``tests/test_field_array.py``,
+``tests/test_bivariate_batch.py`` and ``tests/test_codes.py`` check every
+batched primitive against them element-wise and property-based, including
+that primitives which draw randomness (e.g.
+``BatchSymmetricBivariate.random_embedding``) consume the caller's ``rng``
+in exactly the oracle's order.  Whole-protocol transcripts are pinned by
+the golden digests in ``tests/golden/transcript_digests.json``, recorded
+from the boxed scalar protocol path before it was deleted.
 
-Inside the batched twin, the actual residue arithmetic is pluggable
-(:mod:`repro.field.kernels`): the ``"int"`` kernel is the pure-Python
-reference, the ``"numpy"`` kernel stores GF(2**61 - 1) residues in uint64
-arrays and turns the cached-matrix applications into limb-decomposed
-matmuls.  Kernels are *exact* -- identical residues for identical inputs,
-no randomness -- so selecting one (``set_kernel_backend`` /
-``REPRO_FIELD_KERNEL`` / pytest ``--field-kernel``) can never change a
-transcript; ``tests/test_kernel_equivalence.py`` enforces it.
-
-The protocol layers select the twin via the module-level switch
-:func:`~repro.field.array.batch_enabled` /
-:func:`~repro.field.array.set_batch_enabled`.  Two rules keep the twins
-interchangeable:
-
-1. **Value equivalence** -- every fast path must agree element-wise with
-   its scalar twin; ``tests/test_field_array.py`` and
-   ``tests/test_bivariate_batch.py`` check this property-based.
-2. **Randomness equivalence** -- fast paths that draw randomness (e.g.
-   ``BatchSymmetricBivariate.random_embedding``, the baselines' batched
-   input sharing) must consume the caller's ``rng`` in exactly the same
-   order as the scalar twin, so an end-to-end protocol run with one seed
-   is bit-identical in both modes (same messages, same verdicts).  The
-   regression tests toggle ``set_batch_enabled`` around whole protocol
-   runs to prove it.
+The residue arithmetic itself is pluggable (:mod:`repro.field.kernels`):
+the ``"int"`` kernel is the pure-Python reference, the ``"numpy"`` kernel
+stores GF(2**61 - 1) residues in uint64 arrays and turns the cached-matrix
+applications into limb-decomposed matmuls.  Kernels are *exact* --
+identical residues for identical inputs, no randomness -- so selecting one
+(``set_kernel_backend`` / ``REPRO_FIELD_KERNEL`` / pytest
+``--field-kernel``) can never change a transcript;
+``tests/test_kernel_equivalence.py`` enforces it.
 """
 
 from repro.field.gf import GF, FieldElement, DEFAULT_PRIME, default_field
@@ -62,7 +53,6 @@ from repro.field.polynomial import Polynomial, lagrange_interpolate, lagrange_co
 from repro.field.bivariate import BatchSymmetricBivariate, SymmetricBivariatePolynomial
 from repro.field.array import (
     FieldArray,
-    batch_enabled,
     batch_evaluate,
     batch_interpolate,
     batch_interpolate_at,
@@ -70,7 +60,6 @@ from repro.field.array import (
     inverse_vandermonde,
     lagrange_matrix,
     lagrange_row,
-    set_batch_enabled,
     vandermonde_matrix,
 )
 
@@ -86,7 +75,6 @@ __all__ = [
     "BatchSymmetricBivariate",
     "FieldArray",
     "available_kernel_backends",
-    "batch_enabled",
     "batch_evaluate",
     "batch_interpolate",
     "batch_interpolate_at",
@@ -97,7 +85,6 @@ __all__ = [
     "lagrange_matrix",
     "lagrange_row",
     "numpy_available",
-    "set_batch_enabled",
     "set_kernel_backend",
     "vandermonde_matrix",
 ]

@@ -1,4 +1,4 @@
-"""Batched field arithmetic: the fast twin of the scalar ``FieldElement`` API.
+"""Batched field arithmetic: what the protocol layers compute with.
 
 Every hot path in the reproduction (Berlekamp-Welch decoding, OEC, Shamir
 encode/reconstruct, Beaver triple extraction) ultimately performs the same
@@ -22,10 +22,11 @@ pure-Python reference, the ``"numpy"`` kernel turns the cached-matrix
 applications into limb-decomposed ``uint64`` matmuls.  Both are exact, so
 the choice can never change a protocol transcript.
 
-The scalar ``FieldElement``/``Polynomial`` code paths are kept untouched as
-the reference implementation; ``tests/test_field_array.py`` checks that every
-fast path here agrees with its slow twin element-wise on randomized inputs,
-and ``tests/test_kernel_equivalence.py`` does the same across kernels.
+The boxed ``FieldElement``/``Polynomial`` primitives are kept untouched as
+test oracles: ``tests/test_field_array.py`` checks that every function here
+agrees with them element-wise on randomized inputs, and
+``tests/test_kernel_equivalence.py`` does the same across kernels.  Protocol
+modules call this module only; there is no scalar protocol path to select.
 
 Batch API summary::
 
@@ -35,10 +36,6 @@ Batch API summary::
     mat = lagrange_matrix(field, xs, targets)  # cached row stack
     batch_interpolate_at(field, xs, rows, at)  # one dot product per row
     coeffs_rows = batch_interpolate(field, xs, rows)  # cached inverse Vandermonde
-
-A module-level switch (:func:`batch_enabled` / :func:`set_batch_enabled`)
-lets callers fall back to the scalar reference paths end-to-end, which the
-regression tests use to prove batching never changes protocol outputs.
 """
 
 from __future__ import annotations
@@ -57,24 +54,6 @@ from repro.field.kernels import (
 
 IntRow = Tuple[int, ...]
 Matrix = Tuple[IntRow, ...]
-
-# -- global batching switch ---------------------------------------------------
-
-_BATCH_ENABLED = True
-
-
-def batch_enabled() -> bool:
-    """Whether the protocol layers should take the batched fast paths."""
-    return _BATCH_ENABLED
-
-
-def set_batch_enabled(enabled: bool) -> bool:
-    """Toggle the batched fast paths; returns the previous setting."""
-    global _BATCH_ENABLED
-    previous = _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
-    return previous
-
 
 # -- batch inversion ----------------------------------------------------------
 

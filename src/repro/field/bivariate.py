@@ -209,11 +209,10 @@ class BatchSymmetricBivariate:
     Stores the coefficient matrix as plain int residues and computes every
     bulk operation (row extraction for all parties, the full pairwise value
     grid, reconstruction from rows) as a product against the cached
-    Vandermonde matrices from :mod:`repro.field.array`.  The protocol layers
-    pick this class when :func:`repro.field.array.batch_enabled` is on;
-    given the same ``rng`` it consumes randomness exactly like the scalar
-    ``random_embedding``, so batch and scalar protocol runs with one seed
-    produce identical messages and verdicts.
+    Vandermonde matrices from :mod:`repro.field.array`.  This is the class
+    the protocol layers use; given the same ``rng`` it consumes randomness
+    exactly like the scalar ``random_embedding``, which stays as its
+    element-wise test oracle.
     """
 
     __slots__ = ("field", "degree", "coeffs")

@@ -4,20 +4,16 @@ Both Pi_WPS and Pi_VSS have every party maintain an undirected graph G_i over
 the party set, with an edge (P_j, P_k) whenever OK(j, k) and OK(k, j) have
 both been received from the respective broadcasts.
 
-The graph keeps two representations in lockstep: the original per-vertex
-neighbour sets (the scalar reference) and per-vertex *bitmasks* (bit k of
-``mask(j)`` set iff the edge (j, k) is present).  The heavy queries --
-iterated degree pruning, clique checks, star containment -- run on the
-bitmasks when batching is enabled (one ``int.bit_count`` per vertex instead
-of a Python set walk) and on the sets otherwise; both paths return identical
-results, which ``tests/test_graph.py`` asserts over randomized graphs.
+The graph is stored as per-vertex *bitmasks* (bit k of ``mask(j)`` set iff
+the edge (j, k) is present), so the heavy queries -- iterated degree pruning,
+clique checks, star containment -- cost one ``int.bit_count`` or mask test
+per vertex.  ``tests/test_graph.py`` checks them over randomized graphs
+against brute-force oracles that only ever call :meth:`has_edge`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
-
-from repro.field.array import batch_enabled
+from typing import Dict, Iterable, List, Set, Tuple
 
 
 def _iter_mask(mask: int) -> Iterable[int]:
@@ -33,38 +29,31 @@ class ConsistencyGraph:
 
     def __init__(self, n: int):
         self.n = n
-        self._adjacency: Dict[int, Set[int]] = {i: set() for i in range(1, n + 1)}
         self._bits: Dict[int, int] = {i: 0 for i in range(1, n + 1)}
 
     def add_edge(self, a: int, b: int) -> None:
         if a == b:
             return
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
         self._bits[a] |= 1 << b
         self._bits[b] |= 1 << a
 
     def remove_edge(self, a: int, b: int) -> None:
         if a == b:
             return
-        self._adjacency[a].discard(b)
-        self._adjacency[b].discard(a)
         self._bits[a] &= ~(1 << b)
         self._bits[b] &= ~(1 << a)
 
     def remove_vertex_edges(self, vertex: int) -> None:
         """Remove every edge incident to ``vertex`` (the dealer's NOK pruning)."""
-        for neighbor in list(self._adjacency[vertex]):
-            self._adjacency[neighbor].discard(vertex)
+        for neighbor in _iter_mask(self._bits[vertex]):
             self._bits[neighbor] &= ~(1 << vertex)
-        self._adjacency[vertex].clear()
         self._bits[vertex] = 0
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adjacency[a]
+        return bool(self._bits[a] >> b & 1)
 
     def neighbors(self, vertex: int) -> Set[int]:
-        return set(self._adjacency[vertex])
+        return set(_iter_mask(self._bits[vertex]))
 
     def neighbor_mask(self, vertex: int) -> int:
         """Bitmask of the vertex's neighbours (bit k <=> edge to P_k)."""
@@ -79,14 +68,11 @@ class ConsistencyGraph:
         return mask
 
     def degree(self, vertex: int) -> int:
-        return len(self._adjacency[vertex])
+        return self._bits[vertex].bit_count()
 
     def edges(self) -> List[Tuple[int, int]]:
         return [
-            (a, b)
-            for a in self._adjacency
-            for b in self._adjacency[a]
-            if a < b
+            (a, b) for a, mask in self._bits.items() for b in _iter_mask(mask) if a < b
         ]
 
     def vertices(self) -> List[int]:
@@ -94,8 +80,6 @@ class ConsistencyGraph:
 
     def copy(self) -> "ConsistencyGraph":
         clone = ConsistencyGraph(self.n)
-        for a, neighbors in self._adjacency.items():
-            clone._adjacency[a] = set(neighbors)
         clone._bits = dict(self._bits)
         return clone
 
@@ -105,14 +89,11 @@ class ConsistencyGraph:
         keep_mask = self.vertex_mask(keep)
         clone = ConsistencyGraph(self.n)
         for a in keep:
-            clone._adjacency[a] = self._adjacency[a] & keep
             clone._bits[a] = self._bits[a] & keep_mask
         return clone
 
     def degree_within(self, vertex: int, subset: Set[int]) -> int:
-        if batch_enabled():
-            return (self._bits[vertex] & self.vertex_mask(subset)).bit_count()
-        return len(self._adjacency[vertex] & subset)
+        return (self._bits[vertex] & self.vertex_mask(subset)).bit_count()
 
     def iterated_degree_prune(self, threshold: int) -> Set[int]:
         """The paper's W computation.
@@ -125,63 +106,35 @@ class ConsistencyGraph:
         makes the honest parties (of which there may be exactly n - t_s)
         qualify for W.
 
-        The removal order does not matter (pruning to a fixpoint is
-        confluent, the standard k-core argument), so the bitmask fast path
-        below and the scalar set-based twin return the same W.
+        The removal order does not matter: pruning to a fixpoint is
+        confluent (the standard k-core argument).
         """
-        if batch_enabled():
-            bits = self._bits
-            current = 0
-            for v in range(1, self.n + 1):
-                if bits[v].bit_count() + 1 >= threshold:
-                    current |= 1 << v
-            changed = True
-            while changed:
-                changed = False
-                for v in _iter_mask(current):
-                    if (bits[v] & current).bit_count() + 1 < threshold:
-                        current &= ~(1 << v)
-                        changed = True
-            return set(_iter_mask(current))
-        current = {v for v in self.vertices() if self.degree(v) + 1 >= threshold}
+        bits = self._bits
+        current = 0
+        for v in range(1, self.n + 1):
+            if bits[v].bit_count() + 1 >= threshold:
+                current |= 1 << v
         changed = True
         while changed:
             changed = False
-            for vertex in list(current):
-                if len(self._adjacency[vertex] & current) + 1 < threshold:
-                    current.discard(vertex)
+            for v in _iter_mask(current):
+                if (bits[v] & current).bit_count() + 1 < threshold:
+                    current &= ~(1 << v)
                     changed = True
-        return current
+        return set(_iter_mask(current))
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         group = list(vertices)
-        if batch_enabled():
-            # A repeated vertex can never form a clique (no self-loops) --
-            # mirrors the scalar twin's has_edge(v, v) == False below.
-            if len(group) != len(set(group)):
-                return False
-            group_mask = self.vertex_mask(group)
-            return all(
-                group_mask & ~(1 << v) & ~self._bits[v] == 0 for v in group
-            )
-        return all(
-            self.has_edge(a, b) for i, a in enumerate(group) for b in group[i + 1 :]
-        )
+        # A repeated vertex can never form a clique (no self-loops).
+        if len(group) != len(set(group)):
+            return False
+        group_mask = self.vertex_mask(group)
+        return all(group_mask & ~(1 << v) & ~self._bits[v] == 0 for v in group)
 
     def contains_star(self, e_set: Iterable[int], f_set: Iterable[int]) -> bool:
         """Check that every E-vertex is adjacent to every (other) F-vertex."""
-        e_list = set(e_set)
-        f_list = set(f_set)
-        if batch_enabled():
-            f_mask = self.vertex_mask(f_list)
-            return all(
-                f_mask & ~(1 << a) & ~self._bits[a] == 0 for a in e_list
-            )
-        for a in e_list:
-            for b in f_list:
-                if a != b and not self.has_edge(a, b):
-                    return False
-        return True
+        f_mask = self.vertex_mask(f_set)
+        return all(f_mask & ~(1 << a) & ~self._bits[a] == 0 for a in set(e_set))
 
     def __repr__(self) -> str:
         return f"ConsistencyGraph(n={self.n}, edges={len(self.edges())})"

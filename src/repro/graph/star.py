@@ -18,7 +18,6 @@ import itertools
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.field.array import batch_enabled
 from repro.graph.consistency import ConsistencyGraph
 
 
@@ -84,58 +83,30 @@ def find_clique_of_size(graph: ConsistencyGraph, size: int, candidates: Optional
 def _matching_based_star(graph: ConsistencyGraph, n: int, t: int) -> Optional[Star]:
     """The STAR algorithm of [13] on the complement graph.
 
-    The batched path materializes the complement adjacency as per-vertex
-    bitmasks (one mask op per pair instead of a set probe), which is what the
-    per-edge consistency-graph updates of Pi_WPS/Pi_VSS hit on every OK
-    delivery at larger n; the scalar twin below is the reference.  Both
-    construct the same complement-edge set, hence the same matching, the same
-    triangle heads and the same (E, F).
+    The complement adjacency is materialized as per-vertex bitmasks (one
+    mask op per pair instead of a set probe), which is what the per-edge
+    consistency-graph updates of Pi_WPS/Pi_VSS hit on every OK delivery at
+    larger n.
     """
     vertices = graph.vertices()
-    if batch_enabled():
-        comp = {
-            v: ~graph.neighbor_mask(v) & ~(1 << v) for v in vertices
-        }
-        complement_edges = {
-            (a, b)
-            for a in vertices
-            for b in vertices
-            if a < b and comp[a] >> b & 1
-        }
-        matching = maximum_matching(vertices, complement_edges)
-        matched: Set[int] = {v for edge in matching for v in edge}
-        triangle_heads = {
-            v
-            for v in vertices
-            if v not in matched
-            and any(comp[v] >> u & 1 and comp[v] >> w & 1 for u, w in matching)
-        }
-        e_set = {v for v in vertices if v not in matched and v not in triangle_heads}
-        e_mask = ConsistencyGraph.vertex_mask(e_set)
-        f_set = {v for v in vertices if comp[v] & e_mask == 0}
-        if len(e_set) >= n - 2 * t and len(f_set) >= n - t and e_set <= f_set:
-            return Star(frozenset(e_set), frozenset(f_set))
-        return None
+    comp = {v: ~graph.neighbor_mask(v) & ~(1 << v) for v in vertices}
     complement_edges = {
         (a, b)
         for a in vertices
         for b in vertices
-        if a < b and not graph.has_edge(a, b)
+        if a < b and comp[a] >> b & 1
     }
     matching = maximum_matching(vertices, complement_edges)
-    matched = {v for edge in matching for v in edge}
-
-    def comp_adjacent(a: int, b: int) -> bool:
-        return a != b and not graph.has_edge(a, b)
-
+    matched: Set[int] = {v for edge in matching for v in edge}
     triangle_heads = {
         v
         for v in vertices
         if v not in matched
-        and any(comp_adjacent(v, u) and comp_adjacent(v, w) for u, w in matching)
+        and any(comp[v] >> u & 1 and comp[v] >> w & 1 for u, w in matching)
     }
     e_set = {v for v in vertices if v not in matched and v not in triangle_heads}
-    f_set = {v for v in vertices if not any(comp_adjacent(v, c) for c in e_set)}
+    e_mask = ConsistencyGraph.vertex_mask(e_set)
+    f_set = {v for v in vertices if comp[v] & e_mask == 0}
     if len(e_set) >= n - 2 * t and len(f_set) >= n - t and e_set <= f_set:
         return Star(frozenset(e_set), frozenset(f_set))
     return None

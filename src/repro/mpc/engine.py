@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Union
 
 from repro.circuits.circuit import Circuit
-from repro.field.array import set_batch_enabled
 from repro.field.gf import GF, FieldElement
 from repro.mpc.protocol import CircuitEvaluation
 from repro.sim.adversary import Behavior
@@ -151,7 +150,6 @@ def run_mpc(
     corrupt: Optional[Dict[int, Behavior]] = None,
     max_time: Optional[float] = None,
     max_events: Optional[int] = None,
-    batch: Optional[bool] = None,
     shard_size: Union[int, str, None] = None,
     bandwidth_budget: Optional[int] = None,
     offline: str = "tripsh",
@@ -162,9 +160,6 @@ def run_mpc(
 
     ``inputs`` maps party ids to their private input (parties absent from the
     map input 0).  ``corrupt`` attaches Byzantine behaviours to party ids.
-    ``batch`` pins the batched field-arithmetic fast paths on (True) or off
-    (False -- the scalar reference implementation) for the duration of this
-    run; None keeps the process-wide default (batching on).
 
     ``shard_size`` round-shards the triple preprocessing: no single ΠTripSh
     round then carries more than ``shard_size`` triples per dealer, bounding
@@ -218,10 +213,5 @@ def run_mpc(
         circuit, ts, ta, inputs, shard_size, n=n, offline=offline
     )
 
-    previous = set_batch_enabled(batch) if batch is not None else None
-    try:
-        run = runner.run(factory, max_time=max_time, max_events=max_events)
-    finally:
-        if batch is not None:
-            set_batch_enabled(previous)
+    run = runner.run(factory, max_time=max_time, max_events=max_events)
     return MPCResult(run, circuit, runner.field)

@@ -39,7 +39,6 @@ import tempfile
 from dataclasses import dataclass, field as _dc_field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.field.array import batch_enabled, set_batch_enabled
 from repro.field.gf import GF, default_field
 from repro.runtime.api import ExecutionBackend, RunResult
 from repro.runtime.errors import PartyProcessDied
@@ -77,7 +76,6 @@ class JobSpec:
     crash_schedule: Dict[int, Optional[float]] = _dc_field(default_factory=dict)
     faults: Optional[Any] = None
     latency: Optional[LatencyShim] = None
-    batch: Optional[bool] = None
     #: Extra :class:`TcpTransport` keyword arguments (heartbeat interval,
     #: send buffer depth, reconnect budget, ...) applied in every child.
     transport_opts: Dict[str, Any] = _dc_field(default_factory=dict)
@@ -155,8 +153,6 @@ def _merge_metrics(total: SimulationMetrics, part: Dict[str, Any]) -> None:
 
 def run_party(party_id: int, spec: JobSpec) -> None:
     """Entry point of a party process (``python -m repro.launch --party i``)."""
-    if spec.batch is not None:
-        set_batch_enabled(spec.batch)
     asyncio.run(_party_main(party_id, spec))
 
 
@@ -469,7 +465,6 @@ class TcpBackend(ExecutionBackend):
             crash_schedule=self.crash_schedule,
             faults=self.faults,
             latency=self.latency,
-            batch=batch_enabled(),
             transport_opts=self.transport_opts,
         )
         fd, spec_path = tempfile.mkstemp(prefix="repro-job-", suffix=".pkl")

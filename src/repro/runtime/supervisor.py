@@ -51,7 +51,6 @@ import time as _time
 from dataclasses import dataclass, field as _dc_field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.field.array import batch_enabled, set_batch_enabled
 from repro.field.gf import GF, FieldElement, default_field
 from repro.mpc.engine import check_parameters, check_party_ids
 from repro.mpc.protocol import CircuitEvaluation
@@ -103,15 +102,12 @@ class ServiceSpec:
     ready_connect_timeout: float = 20.0
     #: Completed evaluations kept un-retired (instance GC lag).
     retire_lag: int = 2
-    batch: Optional[bool] = None
 
 
 # -- child side (one persistent party process) -------------------------------
 
 def run_service_party(party_id: int, spec: ServiceSpec, resume: bool = False) -> None:
     """Entry point of a service party process (``repro.launch --service``)."""
-    if spec.batch is not None:
-        set_batch_enabled(spec.batch)
     asyncio.run(_service_party_main(party_id, spec, resume))
 
 
@@ -596,7 +592,6 @@ class TcpMpcService:
             latency=self.latency,
             transport_opts=self.transport_opts,
             offline=self.offline,
-            batch=batch_enabled(),
         )
         fd, self._spec_path = tempfile.mkstemp(prefix="repro-svc-", suffix=".pkl")
         with os.fdopen(fd, "wb") as handle_file:

@@ -133,8 +133,8 @@ def batch_share_at_alphas(
 
     The fast twin of ``Polynomial.random(field, degree, constant_term=value,
     rng=rng)`` followed by n Horner evaluations: the coefficients are drawn
-    from ``rng`` in exactly the same order as ``Polynomial.random``, so a
-    protocol switching between the twins stays bit-identical.
+    from ``rng`` in exactly the same order as ``Polynomial.random``, its
+    test oracle.
     """
     p = field.modulus
     coeffs = [rng.randrange(p) for _ in range(degree + 1)]

@@ -15,19 +15,19 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.ba.aba import aba_nominal_time_bound
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
-from repro.field.array import batch_enabled, batch_interpolate_at
-from repro.field.bivariate import SymmetricBivariatePolynomial
+from repro.field.array import batch_interpolate_at
+from repro.field.bivariate import BatchSymmetricBivariate
 from repro.field.gf import FieldElement
-from repro.field.polynomial import Polynomial, lagrange_interpolate
+from repro.field.polynomial import Polynomial
 from repro.graph.consistency import ConsistencyGraph
 from repro.graph.star import find_star, verify_star, Star
 from repro.sharing.wps import (
     NOK_VERDICT,
     OK_VERDICT,
     BivariateSharingMixin,
+    PackedPolynomialRows,
     WeakPolynomialSharing,
     make_bivariates,
-    pack_rows,
     pairwise_nok_conflict,
     rows_for_all_parties,
     unpack_rows,
@@ -76,7 +76,7 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
         self.delta = delta if delta is not None else party.delta
 
         # Dealer-side state.
-        self._bivariates: Optional[List[SymmetricBivariatePolynomial]] = None
+        self._bivariates: Optional[List[BatchSymmetricBivariate]] = None
         self._star2_sent = False
 
         # Receiver-side state.
@@ -211,7 +211,7 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
         self._bivariates = make_bivariates(self.field, self.polynomials, self.rng)
         ids = self.party.all_party_ids()
         for j, rows in zip(ids, rows_for_all_parties(self.field, self._bivariates, ids)):
-            self.send(j, ("polys", pack_rows(self.field, rows)))
+            self.send(j, ("polys", PackedPolynomialRows.pack(self.field, rows)))
 
     # -- message handling ------------------------------------------------------------------
     def receive(self, sender: int, payload: Any) -> None:
@@ -450,21 +450,11 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
         if len(support) < self.ts + 1:
             return
         support = support[: self.ts + 1]
-        if batch_enabled():
-            # One cached Lagrange row at 0 recovers every polynomial's secret.
-            alphas = [int(self.field.alpha(j)) for j in support]
-            value_rows = [
-                [int(self.field(self.wps_shares[j][index])) for j in support]
-                for index in range(self.num_polynomials)
-            ]
-            constants = batch_interpolate_at(self.field, alphas, value_rows, 0)
-            self.set_output([FieldElement(v, self.field) for v in constants])
-            return
-        outputs = []
-        for index in range(self.num_polynomials):
-            points = [
-                (self.field.alpha(j), self.wps_shares[j][index]) for j in support
-            ]
-            row = lagrange_interpolate(self.field, points)
-            outputs.append(row.constant_term())
-        self.set_output(outputs)
+        # One cached Lagrange row at 0 recovers every polynomial's secret.
+        alphas = [int(self.field.alpha(j)) for j in support]
+        value_rows = [
+            [int(self.field(self.wps_shares[j][index])) for j in support]
+            for index in range(self.num_polynomials)
+        ]
+        constants = batch_interpolate_at(self.field, alphas, value_rows, 0)
+        self.set_output([FieldElement(v, self.field) for v in constants])

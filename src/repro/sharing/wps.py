@@ -18,9 +18,9 @@ from repro.ba.aba import aba_nominal_time_bound
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.broadcast.acast import PackedFieldVector
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
-from repro.codes.oec import BatchOnlineErrorCorrector, OnlineErrorCorrector
-from repro.field.array import batch_enabled, batch_evaluate
-from repro.field.bivariate import BatchSymmetricBivariate, SymmetricBivariatePolynomial
+from repro.codes.oec import BatchOnlineErrorCorrector
+from repro.field.array import batch_evaluate
+from repro.field.bivariate import BatchSymmetricBivariate
 from repro.field.gf import FieldElement
 from repro.field.polynomial import Polynomial
 from repro.graph.consistency import ConsistencyGraph
@@ -36,15 +36,14 @@ class PackedPolynomialRows:
     """Dealer row-distribution payload: L univariate rows as one packed vector.
 
     The WPS/VSS dealer's heaviest message is its per-party row distribution
-    (L degree-t_s polynomials).  The batched path concatenates every row's
-    coefficient residues into a single :class:`PackedFieldVector` plus the
-    per-row coefficient counts, so the payload crosses the wire as plain
-    ints (one cached digest, no per-coefficient boxing) and the receiver
-    decodes through ``Polynomial.from_reduced_ints``.  The per-row lengths
-    preserve the exact (trailing-zero-stripped) coefficient lists, so
+    (L degree-t_s polynomials).  Every row's coefficient residues are
+    concatenated into a single :class:`PackedFieldVector` plus the per-row
+    coefficient counts, so the payload crosses the wire as plain ints (one
+    cached digest, no per-coefficient boxing) and the receiver decodes
+    through ``Polynomial.from_reduced_ints``.  The per-row lengths preserve
+    the exact (trailing-zero-stripped) coefficient lists, so
     :meth:`payload_bits` accounts identically to the unpacked list of
-    :class:`Polynomial` objects and batch/scalar transcripts agree bit for
-    bit.
+    :class:`Polynomial` objects.
     """
 
     __slots__ = ("vector", "lengths")
@@ -95,13 +94,6 @@ class PackedPolynomialRows:
         return f"PackedPolynomialRows(rows={len(self.lengths)}, coeffs={len(self.vector)})"
 
 
-def pack_rows(field, rows: List[Polynomial]):
-    """Pack a dealer's row list when batching is on (scalar twin: as-is)."""
-    if batch_enabled():
-        return PackedPolynomialRows.pack(field, rows)
-    return rows
-
-
 def unpack_rows(payload):
     """Decode a row-distribution payload from either wire format.
 
@@ -118,29 +110,20 @@ def unpack_rows(payload):
 
 
 def make_bivariates(field, polynomials, rng):
-    """Embed each polynomial into a random symmetric bivariate (Phase I).
-
-    Picks the int-residue :class:`BatchSymmetricBivariate` when batching is
-    enabled and the boxed scalar twin otherwise; both consume ``rng``
-    identically, so the two modes stay bit-for-bit interchangeable.
-    """
-    cls = BatchSymmetricBivariate if batch_enabled() else SymmetricBivariatePolynomial
-    return [cls.random_embedding(field, poly, rng=rng) for poly in polynomials]
+    """Embed each polynomial into a random symmetric bivariate (Phase I)."""
+    return [
+        BatchSymmetricBivariate.random_embedding(field, poly, rng=rng)
+        for poly in polynomials
+    ]
 
 
 def rows_for_all_parties(field, bivariates, party_ids):
     """Per-party row vectors: ``result[index][k]`` is P_{ids[index]}'s k-th row.
 
-    The batch path extracts all n rows of each bivariate through one cached
-    Vandermonde product instead of n boxed row() loops.
+    All n rows of each bivariate come out of one cached Vandermonde product.
     """
-    if batch_enabled():
-        alphas = [int(field.alpha(j)) for j in party_ids]
-        per_bivariate = [biv.rows_at_all_points(alphas) for biv in bivariates]
-    else:
-        per_bivariate = [
-            [biv.row(field.alpha(j)) for j in party_ids] for biv in bivariates
-        ]
+    alphas = [int(field.alpha(j)) for j in party_ids]
+    per_bivariate = [biv.rows_at_all_points(alphas) for biv in bivariates]
     return [
         [rows[index] for rows in per_bivariate] for index in range(len(party_ids))
     ]
@@ -149,19 +132,16 @@ def rows_for_all_parties(field, bivariates, party_ids):
 def row_value_table(field, rows, party_ids):
     """``table[k][index]`` = rows[k] evaluated at alpha of ``party_ids[index]``.
 
-    One cached-Vandermonde product over all (row, party) pairs in batch
-    mode; the scalar twin is the original per-point Horner loop.
+    One cached-Vandermonde product over all (row, party) pairs.
     """
-    if batch_enabled():
-        alphas = [int(field.alpha(j)) for j in party_ids]
-        coeff_rows = [row.residues for row in rows]
-        table = batch_evaluate(field, coeff_rows, alphas)
-        return [[FieldElement(v, field) for v in values] for values in table]
-    return [[row.evaluate(field.alpha(j)) for j in party_ids] for row in rows]
+    alphas = [int(field.alpha(j)) for j in party_ids]
+    coeff_rows = [row.residues for row in rows]
+    table = batch_evaluate(field, coeff_rows, alphas)
+    return [[FieldElement(v, field) for v in values] for values in table]
 
 
 class BivariateSharingMixin:
-    """Batched-bivariate machinery shared by Pi_WPS and Pi_VSS instances.
+    """Bivariate machinery shared by Pi_WPS and Pi_VSS instances.
 
     Expects the host protocol to maintain ``my_rows``, ``_bivariates``,
     ``_row_values`` and ``_dealer_grids``.
@@ -177,16 +157,13 @@ class BivariateSharingMixin:
         return self._row_values
 
     def _dealer_expected_common_value(self, index: int, j: int, i: int) -> "FieldElement":
-        """Q^(index)(alpha_j, alpha_i) -- via the cached n x n eval_grid in batch mode."""
-        bivariate = self._bivariates[index]
-        if isinstance(bivariate, BatchSymmetricBivariate):
-            grid = self._dealer_grids.get(index)
-            if grid is None:
-                alphas = [int(self.field.alpha(k)) for k in self.party.all_party_ids()]
-                grid = bivariate.eval_grid(alphas, alphas)
-                self._dealer_grids[index] = grid
-            return FieldElement(grid[j - 1][i - 1], self.field)
-        return bivariate.evaluate(self.field.alpha(j), self.field.alpha(i))
+        """Q^(index)(alpha_j, alpha_i) -- via the cached n x n eval_grid."""
+        grid = self._dealer_grids.get(index)
+        if grid is None:
+            alphas = [int(self.field.alpha(k)) for k in self.party.all_party_ids()]
+            grid = self._bivariates[index].eval_grid(alphas, alphas)
+            self._dealer_grids[index] = grid
+        return FieldElement(grid[j - 1][i - 1], self.field)
 
 
 def pairwise_nok_conflict(noks, w_set) -> bool:
@@ -246,7 +223,7 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
         self.delta = delta if delta is not None else party.delta
 
         # Dealer-side state.
-        self._bivariates: Optional[List[SymmetricBivariatePolynomial]] = None
+        self._bivariates: Optional[List[BatchSymmetricBivariate]] = None
         self._star2_sent = False
 
         # Receiver-side state.
@@ -261,8 +238,7 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
         self.accepted_star: Optional[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]] = None
         self._ba: Optional[BestOfBothWorldsBA] = None
         self._ba_output: Optional[int] = None
-        self._oec: Optional[List[OnlineErrorCorrector]] = None
-        self._batch_oec: Optional[BatchOnlineErrorCorrector] = None
+        self._oec: Optional[BatchOnlineErrorCorrector] = None
         self._oec_sources: Optional[Set[int]] = None
         self._pending_star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
         self._row_values: Optional[List[List[FieldElement]]] = None
@@ -352,7 +328,7 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
         self._bivariates = make_bivariates(self.field, self.polynomials, self.rng)
         ids = self.party.all_party_ids()
         for j, rows in zip(ids, rows_for_all_parties(self.field, self._bivariates, ids)):
-            self.send(j, ("polys", pack_rows(self.field, rows)))
+            self.send(j, ("polys", PackedPolynomialRows.pack(self.field, rows)))
 
     # -- message handling -----------------------------------------------------------------
     def receive(self, sender: int, payload: Any) -> None:
@@ -595,17 +571,11 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
 
     # -- OEC on the common points received from F / F' ---------------------------------------------------
     def _start_oec(self, sources: Set[int]) -> None:
-        if self._oec is not None or self._batch_oec is not None:
+        if self._oec is not None:
             return
-        if batch_enabled():
-            self._batch_oec = BatchOnlineErrorCorrector(
-                self.field, self.num_polynomials, self.ts, self.ts
-            )
-        else:
-            self._oec = [
-                OnlineErrorCorrector(self.field, self.ts, self.ts)
-                for _ in range(self.num_polynomials)
-            ]
+        self._oec = BatchOnlineErrorCorrector(
+            self.field, self.num_polynomials, self.ts, self.ts
+        )
         self._oec_sources = sources
         for j in list(self.received_points):
             self._feed_oec(j)
@@ -615,17 +585,6 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
             return
         if source not in self._oec_sources or source not in self.received_points:
             return
-        values = self.received_points[source]
-        if self._batch_oec is not None:
-            done = self._batch_oec.add_row(self.field.alpha(source), values)
-            if done and not self.has_output:
-                self.set_output(self._batch_oec.secrets())
-            return
-        if self._oec is None:
-            return
-        done = True
-        for index, corrector in enumerate(self._oec):
-            corrector.add_point(self.field.alpha(source), values[index])
-            done = done and corrector.done
+        done = self._oec.add_row(self.field.alpha(source), self.received_points[source])
         if done and not self.has_output:
-            self.set_output([corrector.secret() for corrector in self._oec])
+            self.set_output(self._oec.secrets())

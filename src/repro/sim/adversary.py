@@ -118,8 +118,8 @@ class WrongValueBehavior(Behavior):
         if isinstance(value, Polynomial):
             return Polynomial(value.field, [c + self.offset for c in value.coeffs])
         if isinstance(value, PackedFieldVector):
-            # Packed broadcast vectors are perturbed element-wise, like their
-            # unpacked twin, so equivocation attacks bite on both paths.
+            # Packed broadcast vectors are perturbed element-wise, so
+            # equivocation attacks bite on packed payloads too.
             return PackedFieldVector(
                 value.field, (value.as_array() + self.offset).values, _normalized=True
             )
@@ -187,7 +187,7 @@ class RandomDropBehavior(Behavior):
     *injected* ``rng`` (a :class:`random.Random`), never from the
     module-global ``random`` state, so a scenario seeded with
     ``RandomDropBehavior(0.3, random.Random(seed))`` replays identically
-    across runs and across the batch/scalar twin executions.
+    across runs.
     """
 
     def __init__(

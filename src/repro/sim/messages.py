@@ -65,8 +65,8 @@ def payload_bits(payload: Any) -> int:
     if isinstance(payload, dict):
         return sum(payload_bits(k) + payload_bits(v) for k, v in payload.items())
     # Payloads that know their own wire size (e.g. the packed broadcast
-    # vectors) report it; they must account exactly like their unpacked
-    # twin so batch and scalar transcripts stay bit-identical.
+    # vectors) report it; they must account exactly like the unpacked
+    # value they carry, so packing never changes a transcript's bit totals.
     own_bits = getattr(payload, "payload_bits", None)
     if callable(own_bits):
         return own_bits()

@@ -3,26 +3,21 @@
 Several protocols (ΠBeaver, the suspected-triple checks of ΠTripSh, and the
 output phase of ΠCirEval) publicly reconstruct shared values by having every
 party send its shares to everyone and applying OEC(t_s, t_s, P) on the
-received shares.  This instance batches any number of values.
-
-When batching is enabled (the default, see
-:func:`repro.field.array.batch_enabled`) one
+received shares.  This instance batches any number of values: one
 :class:`~repro.codes.oec.BatchOnlineErrorCorrector` decodes all values per
 incoming share vector, amortizing the interpolation matrices across the
 batch, and the outgoing share vectors cross the wire as
 :class:`~repro.broadcast.acast.PackedFieldVector` payloads (int residues,
-decoded back to boxed elements on receive); otherwise the original
-per-value scalar correctors and element lists run as the reference path.
-Both produce identical outputs with identical bit accounting.
+decoded back to boxed elements on receive, with the same bit accounting as
+the element list).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.broadcast.acast import PackedFieldVector, maybe_pack_payload
-from repro.codes.oec import BatchOnlineErrorCorrector, OnlineErrorCorrector
-from repro.field.array import batch_enabled
+from repro.codes.oec import BatchOnlineErrorCorrector
 from repro.field.gf import FieldElement
 from repro.sim.party import Party, ProtocolInstance
 
@@ -47,8 +42,7 @@ class PublicReconstruction(ProtocolInstance):
         self.degree = degree
         self.faults = faults
         self.shares = list(shares) if shares is not None else None
-        self._correctors: Optional[List[OnlineErrorCorrector]] = None
-        self._batch: Optional[BatchOnlineErrorCorrector] = None
+        self._corrector: Optional[BatchOnlineErrorCorrector] = None
         self._begun = False
         self._buffer: Dict[int, Sequence] = {}
 
@@ -68,15 +62,9 @@ class PublicReconstruction(ProtocolInstance):
         if self._begun or self.shares is None:
             return
         self._begun = True
-        if batch_enabled():
-            self._batch = BatchOnlineErrorCorrector(
-                self.field, len(self.shares), self.degree, self.faults
-            )
-        else:
-            self._correctors = [
-                OnlineErrorCorrector(self.field, self.degree, self.faults)
-                for _ in self.shares
-            ]
+        self._corrector = BatchOnlineErrorCorrector(
+            self.field, len(self.shares), self.degree, self.faults
+        )
         self.send_all(("shares", maybe_pack_payload(list(self.shares))))
         for sender, values in list(self._buffer.items()):
             self._absorb(sender, values)
@@ -87,7 +75,7 @@ class PublicReconstruction(ProtocolInstance):
             return
         values = payload[1]
         if isinstance(values, PackedFieldVector):
-            # Receive-side decode of the packed batch path.
+            # Receive-side decode of the packed share vector.
             values = values.elements()
         if not self._begun:
             if sender not in self._buffer:
@@ -96,25 +84,10 @@ class PublicReconstruction(ProtocolInstance):
         self._absorb(sender, values)
 
     def _absorb(self, sender: int, values: Sequence) -> None:
-        assert self.shares is not None
+        assert self.shares is not None and self._corrector is not None
         if len(values) != len(self.shares):
             return
-        alpha = self.field.alpha(sender)
-        if self._batch is not None:
-            row = [
-                value if isinstance(value, FieldElement) else None for value in values
-            ]
-            done = self._batch.add_row(alpha, row)
-            if done and not self.has_output:
-                self.set_output(self._batch.secrets())
-            return
-        assert self._correctors is not None
-        done = True
-        for corrector, value in zip(self._correctors, values):
-            if not isinstance(value, FieldElement):
-                done = done and corrector.done
-                continue
-            corrector.add_point(alpha, value)
-            done = done and corrector.done
+        row = [value if isinstance(value, FieldElement) else None for value in values]
+        done = self._corrector.add_row(self.field.alpha(sender), row)
         if done and not self.has_output:
-            self.set_output([corrector.secret() for corrector in self._correctors])
+            self.set_output(self._corrector.secrets())

@@ -202,8 +202,7 @@ class TripleSharing(ProtocolInstance):
 
         One cached Lagrange matrix per degree evaluates every new point of
         every triple at once (element-wise identical to per-point
-        :func:`extend_shares` calls, which the scalar mode falls back to
-        inside :func:`extend_shares_batch`).
+        :func:`extend_shares` calls).
         """
         ats = [self.field.alpha(j) for j in range(2 * self.ts + 2, self.n + 1)]
         xy_rows, z_rows = self._share_rows()

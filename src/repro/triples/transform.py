@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.field.array import batch_enabled, dot_mod, lagrange_matrix, lagrange_row
+from repro.field.array import dot_mod, lagrange_matrix, lagrange_row
 from repro.field.gf import GF, FieldElement
 from repro.field.kernels import get_kernel
-from repro.field.polynomial import lagrange_coefficients
 from repro.sim.party import Party, ProtocolInstance
 from repro.triples.beaver import BeaverMultiplication
 
@@ -38,16 +37,9 @@ def extend_shares(
     party's share of the value at ``at``.  The coefficient row is memoized on
     ``(field, alphas, at)`` (see :func:`repro.field.array.lagrange_row`), so
     repeated extensions -- every party extends at the same public points --
-    cost one int dot product each.  With batching disabled the scalar
-    Lagrange reference path runs instead.
+    cost one int dot product each.
     """
     alphas = [field.alpha(i) for i in range(1, degree + 2)]
-    if not batch_enabled():
-        coefficients = lagrange_coefficients(field, alphas, at)
-        total = field.zero()
-        for coefficient, share in zip(coefficients, shares[: degree + 1]):
-            total = total + coefficient * share
-        return total
     row = lagrange_row(field, alphas, int(field(at)))
     total = dot_mod(row, [int(s) for s in shares[: degree + 1]], field.modulus)
     return FieldElement(total, field)
@@ -63,14 +55,8 @@ def extend_shares_batch(
 
     ``share_rows[r][i]`` is this party's share of value r at alpha_{i+1};
     the result's entry [r][j] is its share of value r at ``ats[j]``.
-    Element-wise equivalent to nested :func:`extend_shares` calls (and
-    delegates to them when batching is disabled).
+    Element-wise equivalent to nested :func:`extend_shares` calls.
     """
-    if not batch_enabled():
-        return [
-            [extend_shares(field, shares, degree, at) for at in ats]
-            for shares in share_rows
-        ]
     alphas = [field.alpha(i) for i in range(1, degree + 2)]
     matrix = lagrange_matrix(field, alphas, [int(field(at)) for at in ats])
     p = field.modulus

@@ -115,46 +115,21 @@ def test_packed_vector_roundtrip_and_digest():
     assert maybe_pack_payload((1, field(2))) == (1, field(2))
 
 
-def test_packed_vector_scalar_mode_passthrough():
-    from repro.broadcast.acast import maybe_pack_payload
-    from repro.field import default_field
-    from repro.field.array import set_batch_enabled
-
-    field = default_field()
-    elements = tuple(field(v) for v in (1, 2, 3))
-    previous = set_batch_enabled(False)
-    try:
-        assert maybe_pack_payload(elements) is elements
-    finally:
-        set_batch_enabled(previous)
-
-
 def test_acast_delivers_packed_vector_with_identical_bits():
+    from golden import assert_matches_golden
     from repro.broadcast.acast import PackedFieldVector
     from repro.field import default_field
-    from repro.field.array import set_batch_enabled
 
     field = default_field()
     vector = tuple(field(v) for v in range(16))
-
-    def run(batch):
-        previous = set_batch_enabled(batch)
-        try:
-            return _run_acast(4, 1, sender=1, message=vector,
-                              network=SynchronousNetwork())
-        finally:
-            set_batch_enabled(previous)
-
-    batched, scalar = run(True), run(False)
-    assert len(batched.honest_outputs()) == len(scalar.honest_outputs()) == 4
-    for output in batched.honest_outputs().values():
+    result = _run_acast(4, 1, sender=1, message=vector, network=SynchronousNetwork())
+    assert len(result.honest_outputs()) == 4
+    for output in result.honest_outputs().values():
         assert isinstance(output, PackedFieldVector)
         assert output.elements() == list(vector)
-    for output in scalar.honest_outputs().values():
-        assert tuple(output) == vector
-    # The packed path must not change the transcript accounting.
-    assert batched.metrics.messages_sent == scalar.metrics.messages_sent
-    assert batched.metrics.total_bits == scalar.metrics.total_bits
+    # Packing must not change the transcript accounting: the digest was
+    # recorded from a run that broadcast the unpacked element tuple.
+    assert_matches_golden("acast/vector16/n4t1/sync", result)
 
 
 def test_equivocating_sender_with_packed_vectors_stays_consistent():

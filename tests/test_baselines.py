@@ -9,6 +9,8 @@ from repro.field import default_field
 from repro.sim import AsynchronousNetwork, CrashBehavior, SynchronousNetwork
 from repro.sim.network import PartitionedSynchronousNetwork
 
+from golden import assert_matches_golden
+
 F = default_field()
 
 
@@ -118,55 +120,34 @@ def test_ampc_eventual_termination_under_heavy_delays():
     assert len(result.honest_outputs()) == 5
 
 
-# -- batched vs scalar field paths --------------------------------------------------------------
-
-
-def _run_both_modes(run):
-    from repro.field.array import set_batch_enabled
-
-    results = {}
-    for batch in (True, False):
-        previous = set_batch_enabled(batch)
-        try:
-            results[batch] = run()
-        finally:
-            set_batch_enabled(previous)
-    return results[True], results[False]
+# -- pinned transcripts (recorded from the scalar reference path) ------------------------------
 
 
 def test_smpc_batch_and_scalar_runs_identical():
     circuit = multiplication_circuit(F, 4)
     inputs = {1: 2, 2: 3, 3: 4, 4: 5}
-    batch_run, scalar_run = _run_both_modes(
-        lambda: run_synchronous_baseline(circuit, inputs, n=4, faults=1, seed=9)
-    )
-    assert batch_run.honest_outputs() == scalar_run.honest_outputs()
-    assert batch_run.honest_output_times() == scalar_run.honest_output_times()
+    result = run_synchronous_baseline(circuit, inputs, n=4, faults=1, seed=9)
+    assert_matches_golden("smpc/multiplication/n4t1/seed9", result)
 
 
 def test_smpc_batch_and_scalar_garbage_identical_under_violation():
     """Even the failure mode (synchrony violated, fallback interpolation of
-    garbage) must be bit-identical between the twins."""
+    garbage) must stay bit-identical to the pinned reference run."""
     circuit = multiplication_circuit(F, 4)
     inputs = {1: 2, 2: 3, 3: 4, 4: 5}
-    batch_run, scalar_run = _run_both_modes(
-        lambda: run_synchronous_baseline(
-            circuit, inputs, n=4, faults=1, max_time=1_000.0, seed=9,
-            network=PartitionedSynchronousNetwork(
-                delta=1.0, delayed_parties=frozenset({2}), violation_factor=50.0
-            ),
-        )
+    result = run_synchronous_baseline(
+        circuit, inputs, n=4, faults=1, max_time=1_000.0, seed=9,
+        network=PartitionedSynchronousNetwork(
+            delta=1.0, delayed_parties=frozenset({2}), violation_factor=50.0
+        ),
     )
-    assert batch_run.honest_outputs() == scalar_run.honest_outputs()
+    assert_matches_golden("smpc/multiplication/n4t1/seed9/sync_violated", result)
 
 
 def test_ampc_batch_and_scalar_runs_identical():
     circuit = mean_circuit(F, 4)
-    batch_run, scalar_run = _run_both_modes(
-        lambda: run_asynchronous_baseline(
-            circuit, {1: 10, 2: 20, 3: 30, 4: 40}, n=4, faults=1, seed=4,
-            network=AsynchronousNetwork(max_delay=3.0),
-        )
+    result = run_asynchronous_baseline(
+        circuit, {1: 10, 2: 20, 3: 30, 4: 40}, n=4, faults=1, seed=4,
+        network=AsynchronousNetwork(max_delay=3.0),
     )
-    assert batch_run.honest_outputs() == scalar_run.honest_outputs()
-    assert batch_run.honest_output_times() == scalar_run.honest_output_times()
+    assert_matches_golden("ampc/mean/n4t1/seed4", result)

@@ -2,8 +2,9 @@
 
 Property-based equivalence for :class:`~repro.field.bivariate.BatchSymmetricBivariate`
 (mirroring ``tests/test_field_array.py``), its error paths, and whole-protocol
-regressions proving that WPS/VSS runs are bit-identical in batch and scalar
-modes -- including the verdicts published against an adversarial dealer.
+regressions pinning WPS/VSS runs -- including the verdicts published against
+an adversarial dealer -- to golden digests recorded from the scalar
+reference path before protocol code stopped carrying it.
 """
 
 import random
@@ -11,7 +12,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.field.array import set_batch_enabled
 from repro.field.bivariate import BatchSymmetricBivariate, SymmetricBivariatePolynomial
 from repro.field.gf import default_field
 from repro.field.polynomial import Polynomial
@@ -19,6 +19,7 @@ from repro.sharing.vss import VerifiableSecretSharing
 from repro.sharing.wps import WeakPolynomialSharing
 from repro.sim import EquivocatingBehavior, SynchronousNetwork, WrongValueBehavior
 
+from golden import assert_matches_golden
 from protocol_helpers import random_polynomial, run_dealer_protocol
 
 F = default_field()
@@ -127,70 +128,57 @@ def test_trusted_constructor_skips_revalidation():
         SymmetricBivariatePolynomial(F, asymmetric)
 
 
-# -- whole-protocol batch-vs-scalar regressions --------------------------------
+# -- whole-protocol regressions against the pinned scalar reference runs --------
 
 
-def _run_twice(cls, **kwargs):
-    results = {}
-    for batch in (True, False):
-        previous = set_batch_enabled(batch)
-        try:
-            results[batch] = run_dealer_protocol(cls, **kwargs)
-        finally:
-            set_batch_enabled(previous)
-    return results[True], results[False]
-
-
-def _assert_identical_runs(batch_run, scalar_run):
-    assert batch_run.honest_outputs() == scalar_run.honest_outputs()
-    assert batch_run.honest_output_times() == scalar_run.honest_output_times()
-    for pid, instance in batch_run.instances.items():
-        twin = scalar_run.instances[pid]
-        assert instance._verdicts == twin._verdicts
-        assert instance._ba_output == twin._ba_output
-        assert instance.accepted_star == twin.accepted_star
+def _assert_run_matches_golden(cell_id, run):
+    """Outputs and transcript, plus every party's verdicts, BA output and
+    accepted star (the dealer-facing decisions the bivariate layer feeds)."""
+    decisions = {
+        pid: (instance._verdicts, instance._ba_output, instance.accepted_star)
+        for pid, instance in run.instances.items()
+    }
+    assert_matches_golden(cell_id, run, extra=decisions)
 
 
 @pytest.mark.parametrize("cls", [WeakPolynomialSharing, VerifiableSecretSharing])
 def test_honest_dealer_batch_and_scalar_runs_identical(cls):
     poly = random_polynomial(1, 42, seed=1)
-    batch_run, scalar_run = _run_twice(
-        cls, n=4, ts=1, ta=0, dealer=1, polynomials=[poly], seed=3
-    )
-    _assert_identical_runs(batch_run, scalar_run)
-    assert len(batch_run.honest_outputs()) == 4
+    run = run_dealer_protocol(cls, n=4, ts=1, ta=0, dealer=1, polynomials=[poly], seed=3)
+    _assert_run_matches_golden(f"sharing/{cls.__name__}/n4ts1ta0/honest_dealer", run)
+    assert len(run.honest_outputs()) == 4
 
 
 def test_adversarial_dealer_wps_verdicts_identical():
-    """An equivocating dealer must draw exactly the same accept/reject
-    verdicts (and OK/NOK broadcasts) whichever twin computes them."""
+    """An equivocating dealer must draw exactly the pinned accept/reject
+    verdicts (and OK/NOK broadcasts)."""
     poly = random_polynomial(1, 50, seed=14)
     corrupt = {2: EquivocatingBehavior(group_b=[4], tag_predicate=lambda tag: "/points" not in tag)}
-    batch_run, scalar_run = _run_twice(
+    run = run_dealer_protocol(
         WeakPolynomialSharing,
         n=4, ts=1, ta=0, dealer=2, polynomials=[poly],
         corrupt=corrupt, seed=15, max_time=20_000.0,
     )
-    _assert_identical_runs(batch_run, scalar_run)
+    _assert_run_matches_golden("sharing/WeakPolynomialSharing/n4ts1ta0/equivocating_dealer", run)
 
 
 def test_lying_party_wps_outputs_identical():
     poly = random_polynomial(1, 11, seed=6)
-    batch_run, scalar_run = _run_twice(
+    run = run_dealer_protocol(
         WeakPolynomialSharing,
         n=5, ts=1, ta=1, dealer=1, polynomials=[poly],
         corrupt={4: WrongValueBehavior(offset=3)}, seed=7,
     )
-    _assert_identical_runs(batch_run, scalar_run)
-    assert len(batch_run.honest_outputs()) == 4
+    _assert_run_matches_golden("sharing/WeakPolynomialSharing/n5ts1ta1/lying_party", run)
+    assert len(run.honest_outputs()) == 4
 
 
 def test_adversarial_dealer_vss_verdicts_identical():
     poly = random_polynomial(1, 60, seed=5)
     corrupt = {2: EquivocatingBehavior(group_b=[4], tag_predicate=lambda tag: True)}
-    batch_run, scalar_run = _run_twice(
+    run = run_dealer_protocol(
         VerifiableSecretSharing,
         n=4, ts=1, ta=0, dealer=2, polynomials=[poly],
         corrupt=corrupt, seed=5, max_time=300_000.0,
     )
-    _assert_identical_runs(batch_run, scalar_run)
+    _assert_run_matches_golden("sharing/VerifiableSecretSharing/n4ts1ta0/equivocating_dealer", run)

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.codes.reed_solomon import rs_decode, rs_decode_batch
 from repro.field.array import (
     FieldArray,
-    batch_enabled,
     batch_evaluate,
     batch_interpolate,
     batch_interpolate_at,
@@ -26,7 +25,6 @@ from repro.field.array import (
     inverse_vandermonde,
     lagrange_matrix,
     lagrange_row,
-    set_batch_enabled,
     vandermonde_matrix,
 )
 from repro.field.gf import DEFAULT_PRIME, GF, FieldElement, default_field
@@ -325,18 +323,7 @@ def test_gf_interning_still_validates_primality():
         GF(341)
 
 
-# -- batching switch and bench smoke ------------------------------------------
-
-
-def test_batch_toggle_roundtrip():
-    assert batch_enabled()
-    previous = set_batch_enabled(False)
-    try:
-        assert previous is True
-        assert not batch_enabled()
-    finally:
-        set_batch_enabled(True)
-    assert batch_enabled()
+# -- bench smoke --------------------------------------------------------------
 
 
 def test_bench_batch_smoke():

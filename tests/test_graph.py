@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.consistency import ConsistencyGraph
@@ -149,22 +148,9 @@ def test_verify_star_rejects_bad_shapes():
 
 
 # -- edge cases: no-star executions, minimal stars, NOK-heavy graphs ----------------
-#
-# Each case runs on both the bitmask fast path and the scalar twin (the
-# ``graph_mode`` fixture), asserting identical results.
 
 
-@pytest.fixture(params=["batch", "scalar"])
-def graph_mode(request):
-    """Run the test body under the vectorized and the scalar graph paths."""
-    from repro.field.array import set_batch_enabled
-
-    previous = set_batch_enabled(request.param == "batch")
-    yield request.param
-    set_batch_enabled(previous)
-
-
-def test_no_star_in_empty_and_near_empty_graphs(graph_mode):
+def test_no_star_in_empty_and_near_empty_graphs():
     """No-star executions: empty graph, matching-only graph, star-free prune."""
     n, t = 7, 2
     empty = ConsistencyGraph(n)
@@ -179,7 +165,7 @@ def test_no_star_in_empty_and_near_empty_graphs(graph_mode):
     assert sparse.iterated_degree_prune(5) == set()
 
 
-def test_minimal_star_exact_thresholds(graph_mode):
+def test_minimal_star_exact_thresholds():
     """A minimal star: |E| = n - 2t and |F| = n - t exactly, nothing spare."""
     n, t = 7, 2
     e_members = {1, 2, 3}            # n - 2t = 3
@@ -199,7 +185,7 @@ def test_minimal_star_exact_thresholds(graph_mode):
     assert not verify_star(broken, star, t)
 
 
-def test_minimal_ts_plus_one_clique_star(graph_mode):
+def test_minimal_ts_plus_one_clique_star():
     """The smallest interesting case: an exact (t_s+1)-sized clique core at n=4."""
     n, t = 4, 1
     graph = _clique_graph(n, [1, 2, 3])  # n - t = 3 clique, nothing else
@@ -209,7 +195,7 @@ def test_minimal_ts_plus_one_clique_star(graph_mode):
     assert star.e_set <= {1, 2, 3} and len(star.e_set) >= n - 2 * t
 
 
-def test_nok_heavy_graph_prune_and_star(graph_mode):
+def test_nok_heavy_graph_prune_and_star():
     """NOK-heavy executions: dealer pruning strips vertices, W and stars follow."""
     n, t = 7, 2
     graph = _clique_graph(n, range(1, n + 1))
@@ -229,43 +215,63 @@ def test_nok_heavy_graph_prune_and_star(graph_mode):
     assert find_star(graph, t, within=graph.iterated_degree_prune(n - t)) is None
 
 
+def _brute_force_core(graph, vertices, threshold):
+    """The k-core by definition, through ``has_edge`` only: drop any vertex
+    consistent with fewer than ``threshold`` members (itself included)."""
+    current = set(vertices)
+    while True:
+        weak = {
+            v for v in current
+            if 1 + sum(graph.has_edge(v, u) for u in current if u != v) < threshold
+        }
+        if not weak:
+            return current
+        current -= weak
+
+
+def _all_pairs_adjacent(graph, left, right):
+    return all(graph.has_edge(a, b) for a in left for b in right if a != b)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 9), seed=st.integers(0, 2 ** 31))
-def test_property_vectorized_matches_scalar_twin(n, seed):
-    """The bitmask fast path and the scalar twin agree on random graphs."""
-    from repro.field.array import set_batch_enabled
-
+def test_property_bitmask_queries_match_brute_force_oracle(n, seed):
+    """The bitmask queries agree with oracles that only ever ask ``has_edge``."""
     rng = random.Random(seed)
     t = (n - 1) // 3
+    vertices = range(1, n + 1)
     graph = ConsistencyGraph(n)
     density = rng.choice([0.15, 0.5, 0.85])
-    for a, b in itertools.combinations(range(1, n + 1), 2):
+    for a, b in itertools.combinations(vertices, 2):
         if rng.random() < density:
             graph.add_edge(a, b)
     if rng.random() < 0.4:  # NOK pruning happens in real executions
         graph.remove_vertex_edges(rng.randint(1, n))
-    subset = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    subset = set(rng.sample(vertices, rng.randint(1, n)))
 
-    previous = set_batch_enabled(True)
-    try:
-        batch = (
-            graph.iterated_degree_prune(n - t),
-            find_star(graph, t),
-            graph.is_clique(subset),
-            graph.contains_star(subset, set(range(1, n + 1))),
-            graph.degree_within(1, subset),
+    assert graph.iterated_degree_prune(n - t) == _brute_force_core(graph, vertices, n - t)
+    assert graph.is_clique(subset) == _all_pairs_adjacent(graph, subset, subset)
+    assert graph.contains_star(subset, set(vertices)) == _all_pairs_adjacent(
+        graph, subset, vertices
+    )
+    assert graph.degree_within(1, subset) == sum(graph.has_edge(1, u) for u in subset)
+    assert graph.neighbors(1) == {u for u in vertices if graph.has_edge(1, u)}
+    assert sorted(graph.edges()) == [
+        (a, b) for a, b in itertools.combinations(vertices, 2) if graph.has_edge(a, b)
+    ]
+
+    star = find_star(graph, t)
+    if star is None:
+        # AlgStar's contract: it may only fail when no (n - t)-clique exists.
+        assert not any(
+            _all_pairs_adjacent(graph, combo, combo)
+            for combo in itertools.combinations(vertices, n - t)
         )
-        set_batch_enabled(False)
-        scalar = (
-            graph.iterated_degree_prune(n - t),
-            find_star(graph, t),
-            graph.is_clique(subset),
-            graph.contains_star(subset, set(range(1, n + 1))),
-            graph.degree_within(1, subset),
-        )
-    finally:
-        set_batch_enabled(previous)
-    assert batch == scalar
+    else:
+        assert star.e_set <= star.f_set <= set(vertices)
+        assert len(star.e_set) >= n - 2 * t and len(star.f_set) >= n - t
+        assert _all_pairs_adjacent(graph, star.e_set, star.f_set)
+        assert verify_star(graph, star, t)
 
 
 @settings(max_examples=30, deadline=None)

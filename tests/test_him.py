@@ -1,6 +1,6 @@
 """Unit tests for the HIM offline-phase primitives (repro.triples.him).
 
-The protocol-level behaviour (batch/scalar twins, adversarial discard and
+The protocol-level behaviour (golden transcripts, adversarial discard and
 loud abort, sharded message bounds) lives in the scenario matrix
 (test_scenario_matrix.py) and the kernel-equivalence suite; this module
 pins the algebra underneath: hyper-invertibility of the cached matrix,

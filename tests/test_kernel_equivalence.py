@@ -419,11 +419,11 @@ def test_scenario_diagonal_cell_bit_identical_across_kernels():
 
     scenario = Scenario(4, 1, 0, "honest", "sync", None)
     with kernel("int"):
-        reference = run_preprocessing(scenario, batch=True)
+        reference = run_preprocessing(scenario)
     assert len(canonical_outputs(reference)) == scenario.n
     for name in ACCELERATED_KERNELS:
         with kernel(name):
-            fast = run_preprocessing(scenario, batch=True)
+            fast = run_preprocessing(scenario)
         assert canonical_outputs(fast) == canonical_outputs(reference), name
         assert transcript_fingerprint(fast) == transcript_fingerprint(
             reference
@@ -444,9 +444,9 @@ def test_scenario_diagonal_cell_bit_identical_under_gmpy2():
 
     scenario = Scenario(4, 1, 0, "honest", "sync", None)
     with kernel("int"):
-        reference = run_preprocessing(scenario, batch=True)
+        reference = run_preprocessing(scenario)
     with kernel("gmpy2"):
-        fast = run_preprocessing(scenario, batch=True)
+        fast = run_preprocessing(scenario)
     assert canonical_outputs(fast) == canonical_outputs(reference)
     assert transcript_fingerprint(fast) == transcript_fingerprint(reference)
 
@@ -504,11 +504,11 @@ def test_him_scenario_cell_bit_identical_across_kernels():
 
     scenario = Scenario(4, 1, 0, "honest", "sync", None, offline="him")
     with kernel("int"):
-        reference = run_preprocessing(scenario, batch=True)
+        reference = run_preprocessing(scenario)
     assert len(canonical_outputs(reference)) == scenario.n
     for name in ACCELERATED_KERNELS:
         with kernel(name):
-            fast = run_preprocessing(scenario, batch=True)
+            fast = run_preprocessing(scenario)
         assert canonical_outputs(fast) == canonical_outputs(reference), name
         assert transcript_fingerprint(fast) == transcript_fingerprint(
             reference

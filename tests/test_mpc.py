@@ -25,6 +25,8 @@ from repro.sim import (
     WrongValueBehavior,
 )
 
+from golden import assert_matches_golden
+
 F = default_field()
 
 
@@ -95,40 +97,33 @@ def test_sync_multi_output_circuit():
 
 
 def test_batched_run_matches_scalar_reference_run():
-    """Regression: the batched fast paths never change the protocol outputs.
+    """Regression: the run reproduces the pinned scalar reference run.
 
-    The same circuit/seed is run once with batching on and once with the
-    scalar reference paths; outputs, common subsets and message counts must
-    be identical.
+    The golden digest of this circuit/seed was recorded from the scalar
+    reference path before it was deleted; outputs, common subset and the
+    whole transcript fingerprint must still match it.
     """
-    from repro.field.array import batch_enabled
-
     circuit = millionaires_product_circuit(F, 4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
-    assert batch_enabled()  # batching is the default
-    batched = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9, batch=True)
-    scalar = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9, batch=False)
-    assert batch_enabled()  # the run restores the process-wide default
-    assert batched.completed and scalar.completed
-    assert batched.outputs == scalar.outputs == circuit.evaluate(
-        {pid: F(v) for pid, v in inputs.items()}
+    result = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9)
+    assert result.completed
+    assert result.outputs == circuit.evaluate({pid: F(v) for pid, v in inputs.items()})
+    assert_matches_golden(
+        "mpc/millionaires_product/n4ts1ta0/seed9", result, extra=result.common_subset
     )
-    assert batched.common_subset == scalar.common_subset
-    assert batched.metrics.messages_sent == scalar.metrics.messages_sent
 
 
 def test_batched_run_matches_scalar_reference_run_with_byzantine_party():
     circuit = mean_circuit(F, 4)
     inputs = {1: 8, 2: 16, 3: 24, 4: 32}
-    results = {}
-    for label, batch in (("batch", True), ("scalar", False)):
-        results[label] = run_mpc(
-            circuit, inputs, n=4, ts=1, ta=0, seed=10, batch=batch,
-            corrupt={3: WrongValueBehavior(offset=2)},
-        )
-    assert results["batch"].completed and results["scalar"].completed
-    assert results["batch"].outputs == results["scalar"].outputs
-    assert results["batch"].common_subset == results["scalar"].common_subset
+    result = run_mpc(
+        circuit, inputs, n=4, ts=1, ta=0, seed=10,
+        corrupt={3: WrongValueBehavior(offset=2)},
+    )
+    assert result.completed
+    assert_matches_golden(
+        "mpc/mean/n4ts1ta0/seed10/wrong_value_p3", result, extra=result.common_subset
+    )
 
 
 @pytest.mark.slow

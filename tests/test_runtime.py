@@ -49,7 +49,7 @@ FIELD = default_field()
 
 
 def run_preprocessing_on(scenario: Scenario, backend, **backend_options):
-    """One scenario cell on an arbitrary backend (batch paths on)."""
+    """One scenario cell on an arbitrary backend."""
     built = make_backend(
         backend,
         scenario.n,

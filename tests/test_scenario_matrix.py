@@ -1,13 +1,12 @@
-"""The deterministic scenario-matrix harness: one regression gate for every
-batch/scalar twin surface.
+"""The deterministic scenario-matrix harness: one regression gate for the
+whole preprocessing stack.
 
 Sweeps (n, t_s/t_a) x adversary behaviour (honest / crash / equivocating
 dealer / seeded random drop) x synchrony (sync / async fallback) x round
-sharding, runs every cell once with the batched fast paths and once with the
-scalar reference twins, and asserts **bit-identical outputs and unchanged
-transcripts** (message counts and bit totals).  Any future fast path that
-changes a single protocol message or output anywhere in the stack trips this
-grid.
+sharding, runs every cell once and asserts its **outputs and transcript**
+(message counts and bit totals) against the golden digest pinned for that
+cell in ``tests/golden/transcript_digests.json``.  Any change to a single
+protocol message or output anywhere in the stack trips this grid.
 
 The full grid is `tier2` (run it with ``pytest -m tier2``); a representative
 diagonal stays in tier-1 so the gate is always armed.  Every cell is seeded:
@@ -31,7 +30,6 @@ from repro.analysis.metrics import (
     sharded_triple_message_bound,
 )
 from repro.field import default_field
-from repro.field.array import batch_enabled, set_batch_enabled
 from repro.field.polynomial import interpolate_at
 from repro.sim import (
     AsynchronousNetwork,
@@ -43,6 +41,8 @@ from repro.sim import (
 )
 from repro.triples.him import HimExtractionAbort, him_slots
 from repro.triples.preprocessing import Preprocessing, shard_bounds, triples_per_dealer
+
+from golden import assert_matches_golden, digest, transcript_fingerprint  # noqa: F401
 
 FIELD = default_field()
 
@@ -79,8 +79,8 @@ class Scenario:
 
         A synchronous network tolerates t_s corruptions, an asynchronous one
         only t_a -- beyond that the adversary may stall the execution (no
-        liveness), but safety (agreement, and our batch == scalar twin
-        property) must still hold.  The n=4, t_a=0 asynchronous cells with an
+        liveness), but safety (agreement, and the pinned transcript) must
+        still hold.  The n=4, t_a=0 asynchronous cells with an
         active adversary are exactly the out-of-model corner: the protocol
         may not terminate there, and the harness only checks safety.
         """
@@ -98,6 +98,14 @@ class Scenario:
             # "tripsh" cell keeps its exact seed (and hence transcript).
             key = key + (self.offline,)
         return zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF
+
+    @property
+    def cell_id(self) -> str:
+        """This cell's key in the golden digest file."""
+        return (
+            f"preproc/{self.offline}/n{self.n}ts{self.ts}ta{self.ta}/"
+            f"{self.adversary}/{self.network}/shard{self.shard_size}"
+        )
 
     def build_network(self):
         if self.network == "sync":
@@ -145,35 +153,31 @@ def bad_dealer_triples(scenario: Scenario):
     return [((one, one, FIELD(2)), (one, one, one))] * slots
 
 
-def run_preprocessing(scenario: Scenario, batch: bool):
-    previous = set_batch_enabled(batch)
-    try:
-        runner = ProtocolRunner(
-            scenario.n,
-            network=scenario.build_network(),
-            seed=scenario.scenario_seed,
-            corrupt=scenario.build_corrupt(),
+def run_preprocessing(scenario: Scenario):
+    runner = ProtocolRunner(
+        scenario.n,
+        network=scenario.build_network(),
+        seed=scenario.scenario_seed,
+        corrupt=scenario.build_corrupt(),
+    )
+
+    def factory(party):
+        kwargs = {}
+        if scenario.adversary == "bad_triple_dealer" and party.id == 1:
+            kwargs["dealer_triples"] = bad_dealer_triples(scenario)
+        return Preprocessing(
+            party,
+            "preproc",
+            ts=scenario.ts,
+            ta=scenario.ta,
+            num_triples=scenario.num_triples,
+            anchor=0.0,
+            shard_size=scenario.shard_size,
+            mode=scenario.offline,
+            **kwargs,
         )
 
-        def factory(party):
-            kwargs = {}
-            if scenario.adversary == "bad_triple_dealer" and party.id == 1:
-                kwargs["dealer_triples"] = bad_dealer_triples(scenario)
-            return Preprocessing(
-                party,
-                "preproc",
-                ts=scenario.ts,
-                ta=scenario.ta,
-                num_triples=scenario.num_triples,
-                anchor=0.0,
-                shard_size=scenario.shard_size,
-                mode=scenario.offline,
-                **kwargs,
-            )
-
-        return runner.run(factory, max_time=5_000_000.0)
-    finally:
-        set_batch_enabled(previous)
+    return runner.run(factory, max_time=5_000_000.0)
 
 
 def canonical_outputs(result) -> Dict[int, list]:
@@ -181,18 +185,6 @@ def canonical_outputs(result) -> Dict[int, list]:
     return {
         pid: [(int(a), int(b), int(c)) for a, b, c in out]
         for pid, out in result.honest_outputs().items()
-    }
-
-
-def transcript_fingerprint(result) -> Dict[str, float]:
-    metrics = result.metrics
-    return {
-        "messages_sent": metrics.messages_sent,
-        "messages_delivered": metrics.messages_delivered,
-        "honest_bits": metrics.honest_bits,
-        "total_bits": metrics.total_bits,
-        "max_message_bits": metrics.max_message_bits,
-        "bits_by_round": tuple(sorted(metrics.bits_by_round.items())),
     }
 
 
@@ -216,30 +208,24 @@ def triples_are_valid(result, ts: int) -> bool:
     return True
 
 
-def assert_batch_equals_scalar(scenario: Scenario) -> None:
+def assert_cell_matches_golden(scenario: Scenario) -> None:
     """The core scenario-matrix property for one grid cell.
 
-    Batch and scalar must be bit-identical in *every* cell (the twin
-    property is unconditional); completion and triple validity are asserted
-    exactly where the paper guarantees them (see
-    :meth:`Scenario.expects_liveness`).
+    Outputs and transcript must equal the pinned digest in *every* cell;
+    completion and triple validity are asserted exactly where the paper
+    guarantees them (see :meth:`Scenario.expects_liveness`).
     """
-    assert batch_enabled(), "the process-wide default must be restored between cells"
-    batched = run_preprocessing(scenario, batch=True)
-    scalar = run_preprocessing(scenario, batch=False)
-    assert batch_enabled()
-
-    assert canonical_outputs(batched) == canonical_outputs(scalar), scenario
-    assert transcript_fingerprint(batched) == transcript_fingerprint(scalar), scenario
+    result = run_preprocessing(scenario)
+    assert_matches_golden(scenario.cell_id, result)
 
     honest = scenario.n - scenario.corruptions
     if scenario.expects_liveness:
-        assert len(batched.honest_outputs()) == honest, scenario
-        assert triples_are_valid(batched, scenario.ts), scenario
-    elif batched.honest_outputs():
+        assert len(result.honest_outputs()) == honest, scenario
+        assert triples_are_valid(result, scenario.ts), scenario
+    elif result.honest_outputs():
         # Out-of-model cells may stall, but whatever is produced must still
         # be safe: consistent valid triples at every party that finished.
-        assert triples_are_valid(batched, scenario.ts), scenario
+        assert triples_are_valid(result, scenario.ts), scenario
 
 
 # -- tier-1 representative diagonal -------------------------------------------------
@@ -256,7 +242,7 @@ def assert_batch_equals_scalar(scenario: Scenario) -> None:
 )
 def test_scenario_diagonal(scenario):
     """Fast tier-1 subset of the matrix: the gate is always armed."""
-    assert_batch_equals_scalar(scenario)
+    assert_cell_matches_golden(scenario)
 
 
 # -- the full tier2 grid ----------------------------------------------------------
@@ -269,7 +255,7 @@ def test_scenario_diagonal(scenario):
 @pytest.mark.parametrize("shard_size", SHARDS, ids=lambda s: f"shard{s}")
 def test_scenario_matrix(params, adversary, network, shard_size):
     n, ts, ta = params
-    assert_batch_equals_scalar(Scenario(n, ts, ta, adversary, network, shard_size))
+    assert_cell_matches_golden(Scenario(n, ts, ta, adversary, network, shard_size))
 
 
 # -- the HIM offline pipeline: same grid, second mode -------------------------------
@@ -285,9 +271,9 @@ def test_scenario_matrix(params, adversary, network, shard_size):
     ids=lambda s: f"him-{s.n}p-{s.adversary}-{s.network}-shard{s.shard_size}",
 )
 def test_him_scenario_diagonal(scenario):
-    """Tier-1 diagonal for ``offline="him"``: the batch/scalar twin gate is
+    """Tier-1 diagonal for ``offline="him"``: the golden-digest gate is
     armed for the HIM pipeline exactly like for the reference pipeline."""
-    assert_batch_equals_scalar(scenario)
+    assert_cell_matches_golden(scenario)
 
 
 @pytest.mark.tier2
@@ -297,36 +283,33 @@ def test_him_scenario_diagonal(scenario):
 @pytest.mark.parametrize("shard_size", SHARDS, ids=lambda s: f"shard{s}")
 def test_him_scenario_matrix(params, adversary, network, shard_size):
     n, ts, ta = params
-    assert_batch_equals_scalar(
+    assert_cell_matches_golden(
         Scenario(n, ts, ta, adversary, network, shard_size, offline="him")
     )
 
 
 def test_him_bad_dealer_is_discarded_and_extraction_continues():
     """n=5: the sacrifice check publicly catches the rigged dealer; the
-    survivors (2t_s+1 of them) still extract the full triple budget, and the
-    batch/scalar twins agree on every bit of it."""
+    survivors (2t_s+1 of them) still extract the full triple budget, pinned
+    bit for bit by the cell's golden digest."""
     scenario = Scenario(5, 1, 1, "bad_triple_dealer", "sync", None, offline="him")
-    batched = run_preprocessing(scenario, batch=True)
-    scalar = run_preprocessing(scenario, batch=False)
+    result = run_preprocessing(scenario)
 
-    outputs = batched.honest_outputs()
+    outputs = result.honest_outputs()
     assert len(outputs) == 5  # P_1 is protocol-honest, only its triples are rigged
-    assert triples_are_valid(batched, scenario.ts)
-    for instance in batched.instances.values():
+    assert triples_are_valid(result, scenario.ts)
+    for instance in result.instances.values():
         assert instance.discarded_dealers == [1]
-    assert canonical_outputs(batched) == canonical_outputs(scalar)
-    assert transcript_fingerprint(batched) == transcript_fingerprint(scalar)
+    assert_matches_golden(scenario.cell_id, result)
 
 
-@pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
-def test_him_bad_dealer_aborts_loudly_below_survivor_threshold(batch):
+def test_him_bad_dealer_aborts_loudly_below_survivor_threshold():
     """n=4: discarding the rigged dealer leaves 2 < 2t_s+1 survivors, so the
     extraction must abort with the named exception -- never silently emit
     triples from a pool that can no longer guarantee randomness."""
     scenario = Scenario(4, 1, 0, "bad_triple_dealer", "sync", None, offline="him")
     with pytest.raises(HimExtractionAbort) as excinfo:
-        run_preprocessing(scenario, batch=batch)
+        run_preprocessing(scenario)
     assert excinfo.value.discarded == [1]
     assert len(excinfo.value.survivors) == 2
 
@@ -340,8 +323,8 @@ def test_him_sharded_round_payloads_are_bounded():
     scenario_full = Scenario(
         4, 1, 0, "honest", "sync", None, num_triples=3, offline="him"
     )
-    sharded = run_preprocessing(scenario_sharded, batch=True)
-    unsharded = run_preprocessing(scenario_full, batch=True)
+    sharded = run_preprocessing(scenario_sharded)
+    unsharded = run_preprocessing(scenario_full)
 
     slots = him_slots(4, 1, 3)
     assert slots >= 3  # several slots, so shard_size=1 is a real constraint
@@ -372,8 +355,8 @@ def test_sharded_round_payloads_are_bounded():
     """No protocol round carries more than a shard_size-bounded triple payload."""
     scenario_sharded = Scenario(4, 1, 0, "honest", "sync", 1, num_triples=3)
     scenario_full = Scenario(4, 1, 0, "honest", "sync", None, num_triples=3)
-    sharded = run_preprocessing(scenario_sharded, batch=True)
-    unsharded = run_preprocessing(scenario_full, batch=True)
+    sharded = run_preprocessing(scenario_sharded)
+    unsharded = run_preprocessing(scenario_full)
 
     per_dealer = triples_per_dealer(4, 1, 3)
     assert per_dealer >= 3  # the bound is only meaningful for a real bank
@@ -438,7 +421,4 @@ def test_run_mpc_sharded_outputs_match_unsharded():
 def test_random_drop_behavior_is_reproducible_from_seed():
     """Satellite contract: adversarial draws come from the injected rng only."""
     scenario = Scenario(4, 1, 0, "random_drop", "sync", None)
-    first = run_preprocessing(scenario, batch=True)
-    second = run_preprocessing(scenario, batch=True)
-    assert canonical_outputs(first) == canonical_outputs(second)
-    assert transcript_fingerprint(first) == transcript_fingerprint(second)
+    assert digest(run_preprocessing(scenario)) == digest(run_preprocessing(scenario))
