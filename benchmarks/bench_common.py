@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import platform
 import random
+import subprocess
 import time
 from typing import Dict, Mapping, Optional
 
@@ -57,6 +60,32 @@ def bench_json_path(name: str) -> str:
     return os.path.join(_ROOT, f"BENCH_{name}.json")
 
 
+@functools.lru_cache(maxsize=1)
+def _git_sha() -> str:
+    """``git describe`` of the checkout, asked once per benchmark process."""
+    try:
+        described = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=_ROOT, capture_output=True, text=True, check=False, timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return (described.stdout.strip() if described.returncode == 0 else "") or "unknown"
+
+
+def host_fingerprint() -> Dict[str, object]:
+    """What a row's timings depend on besides the code: cores, interpreter, commit.
+
+    ``git_sha`` ends in ``-dirty`` when tracked files differ from the commit
+    (a row recorded while the change it measures is still uncommitted).
+    """
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "git_sha": _git_sha(),
+    }
+
+
 def record_bench(name: str, key: str, payload: Mapping) -> str:
     """Persist one measurement row into BENCH_<name>.json.
 
@@ -64,7 +93,8 @@ def record_bench(name: str, key: str, payload: Mapping) -> str:
     ``"wps_dealer_verify_n16"``) so repeated runs update their own row
     instead of clobbering others.  Existing rows from earlier runs/PRs are
     kept, which is what makes the JSON a perf trajectory rather than a
-    single snapshot.  Returns the file path.
+    single snapshot.  Every row is stamped with :func:`host_fingerprint`.
+    Returns the file path.
     """
     path = bench_json_path(name)
     data: Dict = {}
@@ -78,6 +108,8 @@ def record_bench(name: str, key: str, payload: Mapping) -> str:
     # Every row names the numerical kernel backend it was measured under
     # (rows that compare kernels explicitly set their own value).
     entry.setdefault("kernel", kernel_name())
+    for stamp, value in host_fingerprint().items():
+        entry.setdefault(stamp, value)
     entry["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     data[key] = entry
     with open(path, "w", encoding="utf-8") as handle:

@@ -3,10 +3,11 @@
 Every protocol in the stack is a :class:`~repro.sim.party.ProtocolInstance`
 state machine attached to a :class:`~repro.sim.party.Party`.  The party, in
 turn, talks to its host exclusively through the :class:`PartyRuntime`
-context API defined here -- ``submit_message`` / ``schedule_timer`` /
-``dispatch`` plus the static execution parameters (``n``, ``field``,
-``delta``, ``now``, ``corrupt_parties``).  Protocol classes therefore never
-depend on a concrete event loop: the same unmodified protocol code runs
+context API defined here -- ``submit_message`` / ``fan_out`` /
+``schedule_timer`` / ``dispatch`` plus the static execution parameters
+(``n``, ``field``, ``delta``, ``now``, ``corrupt_parties``).  Protocol
+classes therefore never depend on a concrete event loop: the same
+unmodified protocol code runs
 
 * under :class:`~repro.runtime.sim_backend.SimBackend`, the deterministic
   discrete-event simulator (bit-for-bit the historical behaviour), and
@@ -23,7 +24,11 @@ depend on a concrete event loop: the same unmodified protocol code runs
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+
+# Half of the sim <-> runtime cycle: this module is first imported by
+# ``repro.sim.simulator``, after ``repro.sim`` has loaded ``messages``.
+from repro.sim import messages
 
 
 class Clock:
@@ -107,11 +112,45 @@ class PartyRuntime:
     now: float
     #: the backend rng the per-party rngs are derived from
     rng: Any
+    #: crash-stopped party ids
+    crashed: Set[int]
+    #: Per-party count of crashes so far.  A timer remembers its owner's
+    #: count, so what an earlier incarnation scheduled never fires after a
+    #: revive (see :func:`incarnation_timer`).
+    crash_epochs: Dict[int, int]
+
+    #: ``(payload, message bits)`` while :meth:`fan_out` is sending it.
+    _fan_out_sized: Optional[Tuple[Any, int]] = None
 
     # -- channel and timer primitives --------------------------------------
     def submit_message(self, sender: int, recipient: int, tag: str, payload: Any) -> None:
         """Send over the private channel (the sender's behaviour applies)."""
         raise NotImplementedError
+
+    def fan_out(self, sender: int, tag: str, payload: Any) -> None:
+        """Send ``payload`` to every party, the sender included.
+
+        The payload is measured once; every copy then takes the ordinary
+        :meth:`submit_message` path (behaviour filter, delay draw, send
+        accounting), where :meth:`sized_bits` hands the measurement to the
+        ``Message`` being built.  A copy the sender's behaviour rewrites is
+        a new ``Message`` and measures its own payload.
+        """
+        self._fan_out_sized = (payload, messages.message_bits(payload))
+        try:
+            for recipient in range(1, self.n + 1):
+                self.submit_message(sender, recipient, tag, payload)
+        finally:
+            # The measurement dies with the call: the same (mutable) object
+            # sent again later is measured again.
+            self._fan_out_sized = None
+
+    def sized_bits(self, payload: Any) -> Optional[int]:
+        """The fan-out's measurement if ``payload`` is the object it measured."""
+        sized = self._fan_out_sized
+        if sized is not None and sized[0] is payload:
+            return sized[1]
+        return None
 
     def schedule_timer(self, time: float, callback: Callable[[], None], owner: int = 0) -> None:
         """Run ``callback`` at absolute local time ``time``."""
@@ -134,13 +173,48 @@ def account_dispatch(runtime, message) -> float:
     if message.sender == message.recipient:
         # Self-delivery is local: immediate-ish and free of charge.
         return 1e-9
-    delay = max(runtime.network.delay(message, runtime.rng), 1e-9)
+    delay = runtime.network.delay(message, runtime.rng)
+    if delay < 1e-9:
+        delay = 1e-9
     delta = runtime.network.delta
     round_index = int(runtime.now / delta) if delta > 0 else 0
     runtime.metrics.record_send(
         message, message.sender in runtime.corrupt_parties, round_index
     )
     return delay
+
+
+class IncarnationTimer:
+    """A timer callback bound to the incarnation of the party that set it.
+
+    Crash-stop means the party performs no local step from the crash on,
+    revived or not: calling this does nothing while ``owner`` is crashed or
+    once it has crashed since the timer was set.  Both runtimes schedule
+    their owned timers through :func:`incarnation_timer`, so a stale timer
+    cannot fire on one and not on the other.  (A class with slots, not a
+    closure: thousands are pending at a time.)
+    """
+
+    __slots__ = ("runtime", "callback", "owner", "epoch")
+
+    def __init__(self, runtime: PartyRuntime, callback: Callable[[], None], owner: int):
+        self.runtime = runtime
+        self.callback = callback
+        self.owner = owner
+        self.epoch = runtime.crash_epochs.get(owner, 0)
+
+    def __call__(self) -> None:
+        runtime, owner = self.runtime, self.owner
+        if owner not in runtime.crashed and runtime.crash_epochs.get(owner, 0) == self.epoch:
+            self.callback()
+
+
+def incarnation_timer(
+    runtime: PartyRuntime, callback: Callable[[], None], owner: int
+) -> Callable[[], None]:
+    """What a runtime queues for ``callback``; ``owner`` 0 is the system,
+    whose timers fire whoever has crashed."""
+    return IncarnationTimer(runtime, callback, owner) if owner else callback
 
 
 class RunResult:
@@ -246,8 +320,12 @@ class ExecutionBackend:
                 return True
             if not wait_for_all_honest:
                 return False
-            return all(
-                instances[pid].has_output for pid in self.honest_party_ids()
-            )
+            # Evaluated before every event.  The corrupt set is read each
+            # time because crash_party/revive_party change it mid-run.
+            corrupt = self.corrupt_parties
+            for pid, instance in instances.items():
+                if not instance.has_output and pid not in corrupt:
+                    return False
+            return True
 
         return done

@@ -50,6 +50,7 @@ from repro.runtime.api import (
     RunResult,
     VirtualClock,
     account_dispatch,
+    incarnation_timer,
 )
 from repro.runtime.transport import InProcessTransport, Transport
 from repro.sim.messages import Message
@@ -111,6 +112,7 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         self._event_heap: List[tuple] = []
         self._counter = itertools.count()
         self._events_processed = 0
+        self.crash_epochs: Dict[int, int] = {}
         #: (time, callback) timers registered before the loop exists (real clock).
         self._deferred_timers: List[Tuple[float, Callable[[], None]]] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -134,6 +136,10 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
     def now(self) -> float:
         return self.clock.now()
 
+    @property
+    def crashed(self) -> Set[int]:
+        return self.transport.crashed
+
     def set_behavior(self, party_id: int, behavior) -> None:
         self.corrupt_parties.add(party_id)
         self.parties[party_id].behavior = behavior
@@ -143,7 +149,7 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         if sender in self.transport.crashed:
             return
         sender_party = self.parties[sender]
-        message = Message(sender, recipient, tag, payload, self.now)
+        message = Message(sender, recipient, tag, payload, self.now, self.sized_bits(payload))
         for msg in sender_party.behavior.filter_send(sender_party, message):
             self.dispatch(msg)
 
@@ -172,6 +178,7 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
             self._spawn_delivery(message, delay)
 
     def schedule_timer(self, time: float, callback: Callable[[], None], owner: int = 0) -> None:
+        callback = incarnation_timer(self, callback, owner)
         if self._virtual:
             heapq.heappush(
                 self._event_heap,
@@ -211,6 +218,7 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
 
     def _crash(self, party_id: int) -> None:
         self.corrupt_parties.add(party_id)
+        self.crash_epochs[party_id] = self.crash_epochs.get(party_id, 0) + 1
         self.transport.crash(party_id)
 
     def revive_party(self, party_id: int) -> Party:

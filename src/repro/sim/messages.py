@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Optional
 
 from repro.field.gf import FieldElement
 from repro.field.polynomial import Polynomial
@@ -16,24 +16,39 @@ class Message:
 
     ``tag`` is the hierarchical protocol-instance address (e.g.
     ``"acs/vss[3]/wps[2]/ba"``); ``payload`` is an arbitrary picklable value
-    whose communication cost is measured by :func:`payload_bits`.
+    whose communication cost is measured by :func:`payload_bits`.  ``bits``
+    is the message's size when the caller has already measured this very
+    payload (the copies of one fan-out); otherwise it is measured here.
     """
 
     __slots__ = ("sender", "recipient", "tag", "payload", "send_time", "bits")
 
-    def __init__(self, sender: int, recipient: int, tag: str, payload: Any, send_time: float):
+    def __init__(
+        self,
+        sender: int,
+        recipient: int,
+        tag: str,
+        payload: Any,
+        send_time: float,
+        bits: Optional[int] = None,
+    ):
         self.sender = sender
         self.recipient = recipient
         self.tag = tag
         self.payload = payload
         self.send_time = send_time
-        self.bits = HEADER_BITS + payload_bits(payload)
+        self.bits = message_bits(payload) if bits is None else bits
 
     def __repr__(self) -> str:
         return (
             f"Message({self.sender}->{self.recipient}, tag={self.tag!r}, "
             f"payload={self.payload!r})"
         )
+
+
+def message_bits(payload: Any) -> int:
+    """Size on the wire of a message carrying ``payload``: header + payload."""
+    return HEADER_BITS + payload_bits(payload)
 
 
 def payload_bits(payload: Any) -> int:
@@ -43,6 +58,20 @@ def payload_bits(payload: Any) -> int:
     strings 8 bits per character; containers are summed recursively.  This is
     the accounting unit used for all communication-complexity experiments.
     """
+    if type(payload) is tuple:
+        # Nearly every payload is a flat tuple of ints and strs (or one
+        # nested in another): add those up without recursing or walking the
+        # isinstance chain.  Exact types only, so a bool still costs 1 bit.
+        total = 0
+        for item in payload:
+            kind = type(item)
+            if kind is int:
+                total += 64
+            elif kind is str:
+                total += 8 * len(item)
+            else:
+                total += payload_bits(item)
+        return total
     if payload is None:
         return 1
     if isinstance(payload, FieldElement):

@@ -78,8 +78,7 @@ class Party:
 
     def send_all(self, tag: str, payload: Any) -> None:
         """Send ``payload`` to every party (including self)."""
-        for recipient in self.all_party_ids():
-            self.send(recipient, tag, payload)
+        self.runtime.fan_out(self.id, tag, payload)
 
     # -- timers ------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:

@@ -8,7 +8,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.field.gf import GF, default_field
-from repro.runtime.api import PartyRuntime, account_dispatch
+from repro.runtime.api import PartyRuntime, account_dispatch, incarnation_timer
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.party import Party
@@ -39,22 +39,21 @@ class SimulationMetrics:
     def record_send(
         self, message: Message, sender_corrupt: bool, round_index: Optional[int] = None
     ) -> None:
+        bits = message.bits
         self.messages_sent += 1
-        self.total_bits += message.bits
+        self.total_bits += bits
         if not sender_corrupt:
-            self.honest_bits += message.bits
-        prefix = message.tag.split("/", 1)[0]
-        self.bits_by_tag_prefix[prefix] = self.bits_by_tag_prefix.get(prefix, 0) + message.bits
-        if message.bits > self.max_message_bits:
-            self.max_message_bits = message.bits
-        if message.bits > self.max_message_bits_by_tag_prefix.get(prefix, 0):
-            self.max_message_bits_by_tag_prefix[prefix] = message.bits
+            self.honest_bits += bits
+        prefix = message.tag.partition("/")[0]
+        self.bits_by_tag_prefix[prefix] = self.bits_by_tag_prefix.get(prefix, 0) + bits
+        if bits > self.max_message_bits:
+            self.max_message_bits = bits
+        if bits > self.max_message_bits_by_tag_prefix.get(prefix, 0):
+            self.max_message_bits_by_tag_prefix[prefix] = bits
         if round_index is not None:
-            self.bits_by_round[round_index] = (
-                self.bits_by_round.get(round_index, 0) + message.bits
-            )
-            if message.bits > self.max_message_bits_by_round.get(round_index, 0):
-                self.max_message_bits_by_round[round_index] = message.bits
+            self.bits_by_round[round_index] = self.bits_by_round.get(round_index, 0) + bits
+            if bits > self.max_message_bits_by_round.get(round_index, 0):
+                self.max_message_bits_by_round[round_index] = bits
 
     def record_delivery(self) -> None:
         self.messages_delivered += 1
@@ -66,6 +65,17 @@ class Simulator(PartyRuntime):
     Events are message deliveries and local timers.  Parties share a global
     simulated clock (the paper's synchronous model assumes synchronised
     clocks; in the asynchronous model only message delays change).
+
+    A heap entry is ``(time, priority, seq, item)``.  Messages have priority
+    0 and timers priority 1, so at equal timestamps deliveries are processed
+    before timers: a timer that "evaluates at time T" sees every message
+    that arrived "within time T", matching the paper's inclusive timing
+    statements.  A timer's item is its callback; a message entry's item is
+    the ``Message``, or -- for the copies of one fan-out that are due at the
+    same instant (all of them on a synchronous network without jitter) -- the
+    list of those messages, last first, which :meth:`step` drains one
+    delivery per call.  The delivery order is the one a heap entry per
+    message gives, because nothing can sort between two such copies.
 
     The simulator is one implementation of the
     :class:`~repro.runtime.api.PartyRuntime` context API; protocols only see
@@ -90,11 +100,14 @@ class Simulator(PartyRuntime):
         self.metrics = SimulationMetrics()
         self._event_heap: List[tuple] = []
         self._counter = itertools.count()
+        #: True inside :meth:`fan_out`, where ``_run`` collects the copies
+        #: dispatched so far that are due at one instant and not yet on the
+        #: heap, as ``[time, seq, message, ...]``.
+        self._fanning_out = False
+        self._run: Optional[list] = None
         #: Crash-stopped party ids (see :meth:`crash_party`).
         self.crashed: Set[int] = set()
-        #: Per-party timer epoch; bumped on crash so that timers scheduled by
-        #: an earlier incarnation of the party never fire after a revive.
-        self._party_epoch: Dict[int, int] = {i: 0 for i in range(1, n + 1)}
+        self.crash_epochs: Dict[int, int] = {}
         self.parties: Dict[int, Party] = {i: Party(i, self) for i in range(1, n + 1)}
         self._events_processed = 0
 
@@ -114,39 +127,61 @@ class Simulator(PartyRuntime):
         if sender in self.crashed:
             return
         sender_party = self.parties[sender]
-        message = Message(sender, recipient, tag, payload, self.now)
-        outgoing = sender_party.behavior.filter_send(sender_party, message)
-        for msg in outgoing:
+        message = Message(sender, recipient, tag, payload, self.now, self.sized_bits(payload))
+        for msg in sender_party.behavior.filter_send(sender_party, message):
             self.dispatch(msg)
+
+    def fan_out(self, sender: int, tag: str, payload: Any) -> None:
+        """Send to every party; copies due at the same instant share a heap entry."""
+        self._fanning_out = True
+        try:
+            super().fan_out(sender, tag, payload)
+        finally:
+            self._fanning_out = False
+            self._queue_run()
 
     def dispatch(self, message: Message) -> None:
         """Put an already-filtered message on the wire (delays drawn here)."""
         deliver_at = self.now + account_dispatch(self, message)
-        # Messages get priority 0 so that, at equal timestamps, deliveries are
-        # processed before timers: a timer that "evaluates at time T" sees
-        # every message that arrived "within time T", matching the paper's
-        # inclusive timing statements.
-        heapq.heappush(
-            self._event_heap,
-            (deliver_at, 0, next(self._counter), "message", message),
-        )
+        remote = message.sender != message.recipient
+        run = self._run
+        if run is not None and run[0] == deliver_at:
+            if remote:
+                run.append(message)
+                return
+            # A self-delivery due at the run's instant sorts after the run's
+            # members so far and before any later copy.
+            self._queue_run()
+        elif remote and self._fanning_out:
+            # The run keeps the place in the order its first member takes now.
+            self._queue_run()
+            self._run = [deliver_at, next(self._counter), message]
+            return
+        # A message of its own: sent outside a fan-out, or a self-delivery
+        # (local, free, due 1e-9 from now: it leaves a run for later open).
+        heapq.heappush(self._event_heap, (deliver_at, 0, next(self._counter), message))
 
-    #: Historical name for :meth:`dispatch` (pre-runtime-refactor callers).
-    _dispatch = dispatch
+    def _queue_run(self) -> None:
+        """Put the open run of fan-out copies, if any, on the heap."""
+        run = self._run
+        if run is None:
+            return
+        self._run = None
+        if len(run) == 3:
+            item = run[2]
+        else:
+            item = run[:1:-1]  # the members, last first: step() pops from the end
+        heapq.heappush(self._event_heap, (run[0], 0, run[1], item))
 
     def schedule_timer(self, time: float, callback: Callable[[], None], owner: int = 0) -> None:
-        # Timers carry their owner and the owner's epoch at scheduling time:
-        # when the owner crashes the epoch is bumped, so every timer the old
-        # incarnation registered becomes inert (crash-stop means the party
-        # performs no local steps from the crash on, revived or not).
+        now = self.now
         heapq.heappush(
             self._event_heap,
             (
-                max(time, self.now),
+                time if time > now else now,
                 1,
                 next(self._counter),
-                "timer",
-                (callback, owner, self._party_epoch.get(owner, 0)),
+                incarnation_timer(self, callback, owner),
             ),
         )
 
@@ -163,7 +198,7 @@ class Simulator(PartyRuntime):
             return
         self.crashed.add(party_id)
         self.corrupt_parties.add(party_id)
-        self._party_epoch[party_id] = self._party_epoch.get(party_id, 0) + 1
+        self.crash_epochs[party_id] = self.crash_epochs.get(party_id, 0) + 1
 
     def revive_party(self, party_id: int) -> Party:
         """Bring a crashed party back with a blank in-memory state.
@@ -183,23 +218,29 @@ class Simulator(PartyRuntime):
     # -- execution -----------------------------------------------------------
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        if not self._event_heap:
+        heap = self._event_heap
+        if not heap:
             return False
-        time, _priority, _seq, kind, item = heapq.heappop(self._event_heap)
-        self.now = max(self.now, time)
+        time, is_timer, _seq, item = heap[0]
+        if time > self.now:
+            self.now = time
         self._events_processed += 1
-        if kind == "message":
-            if item.recipient in self.crashed:
-                return True  # held for a crashed endpoint: discarded
-            self.metrics.record_delivery()
-            self.parties[item.recipient].deliver(item.sender, item.tag, item.payload)
+        if is_timer:
+            heapq.heappop(heap)
+            item()
+            return True
+        if type(item) is list:
+            # Copies of one fan-out: one per call, the entry goes with the last.
+            message = item.pop()
+            if not item:
+                heapq.heappop(heap)
         else:
-            callback, owner, epoch = item
-            if owner and (
-                owner in self.crashed or epoch != self._party_epoch.get(owner, 0)
-            ):
-                return True  # timer owned by a crashed/pre-crash incarnation
-            callback()
+            heapq.heappop(heap)
+            message = item
+        if message.recipient in self.crashed:
+            return True  # held for a crashed endpoint: discarded
+        self.metrics.record_delivery()
+        self.parties[message.recipient].deliver(message.sender, message.tag, message.payload)
         return True
 
     def run(
@@ -209,10 +250,11 @@ class Simulator(PartyRuntime):
         max_events: Optional[int] = None,
     ) -> None:
         """Run until the predicate holds, the queue drains, or a limit hits."""
-        while self._event_heap:
+        heap = self._event_heap
+        while heap:
             if until is not None and until():
                 return
-            if max_time is not None and self._event_heap[0][0] > max_time:
+            if max_time is not None and heap[0][0] > max_time:
                 return
             if max_events is not None and self._events_processed >= max_events:
                 return
@@ -221,10 +263,3 @@ class Simulator(PartyRuntime):
     @property
     def events_processed(self) -> int:
         return self._events_processed
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._event_heap)
-
-    def honest_party_ids(self) -> List[int]:
-        return [i for i in range(1, self.n + 1) if i not in self.corrupt_parties]

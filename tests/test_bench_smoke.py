@@ -37,3 +37,19 @@ def test_bench_smoke(module_name):
     )
     result = module.smoke()
     assert result is not None
+
+
+def test_record_bench_stamps_the_host_fingerprint(tmp_path, monkeypatch):
+    """Every ledger row says which cores, interpreter and commit produced it."""
+    import json
+
+    bench_common = importlib.import_module("bench_common")
+    sha = bench_common.host_fingerprint()["git_sha"]
+    monkeypatch.setattr(bench_common, "bench_json_path", lambda name: str(tmp_path / name))
+    path = bench_common.record_bench("ledger", "row", {"wall_s": 1.0, "cpu_count": 7})
+    with open(path, encoding="utf-8") as handle:
+        row = json.load(handle)["row"]
+    assert row["wall_s"] == 1.0
+    assert row["cpu_count"] == 7  # a row's own value wins
+    assert row["python"].count(".") == 2
+    assert row["git_sha"] == sha and sha

@@ -151,6 +151,45 @@ def test_crash_party_mid_protocol():
     assert triples_are_valid(result, 1)
 
 
+def test_stale_timer_of_a_crashed_incarnation_is_inert_on_both_backends():
+    """crash -> revive -> a timer the old incarnation set: it must not fire.
+
+    Every party sets a timer for t=5 that sends to all.  Party 2 crashes at
+    t=1 and is revived (blank) at t=2; the discarded incarnation's timer
+    would otherwise send under the reborn party's id.
+    """
+    from repro.sim.party import ProtocolInstance
+
+    def run(backend_name):
+        backend = make_backend(backend_name, 4, network=SynchronousNetwork(), seed=3)
+        fired, delivered = [], []
+
+        class LateSender(ProtocolInstance):
+            def start(self):
+                self.schedule_at(5.0, self.fire)
+
+            def fire(self):
+                fired.append((self.now, self.me))
+                self.send_all(("late", self.me))
+
+            def receive(self, sender, payload):
+                delivered.append((self.now, self.me, sender, payload))
+
+        backend.crash_party(2, at_time=1.0)
+        runtime = backend.parties[1].runtime
+        runtime.schedule_timer(2.0, lambda: backend.revive_party(2))
+        backend.run(
+            lambda party: LateSender(party, "late"), wait_for_all_honest=False, max_time=20.0
+        )
+        return fired, delivered
+
+    sim_fired, sim_delivered = run("sim")
+    assert sim_fired == [(5.0, 1), (5.0, 3), (5.0, 4)]
+    assert not [entry for entry in sim_delivered if entry[2] == 2]
+    assert len(sim_delivered) == 3 * 3  # the reborn party 2 has no endpoint: buffered
+    assert run("asyncio") == (sim_fired, sim_delivered)
+
+
 def test_duplicated_deliveries_are_idempotent():
     """Duplicating every delivery must not change any honest output."""
     scenario = Scenario(4, 1, 0, "honest", "sync", None)

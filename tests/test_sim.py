@@ -1,11 +1,16 @@
 """Tests for the discrete-event simulator, network models and adversary behaviours."""
 
+import heapq
 import random
 
 import pytest
 
+from repro.broadcast.bc import BroadcastProtocol
 from repro.field import Polynomial, default_field
+from repro.runtime.api import account_dispatch, incarnation_timer
+from repro.sim import messages as messages_module
 from repro.sim.adversary import (
+    Behavior,
     CompositeBehavior,
     CrashBehavior,
     DelayBehavior,
@@ -14,16 +19,17 @@ from repro.sim.adversary import (
     SilentBehavior,
     WrongValueBehavior,
 )
-from repro.sim.messages import Message, payload_bits
+from repro.sim.messages import HEADER_BITS, Message, payload_bits
 from repro.sim.network import (
     AdversarialAsynchronousNetwork,
     AsynchronousNetwork,
+    NetworkModel,
     PartitionedSynchronousNetwork,
     SynchronousNetwork,
 )
-from repro.sim.party import ProtocolInstance
+from repro.sim.party import Party, ProtocolInstance
 from repro.sim.runner import ProtocolRunner
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationMetrics, Simulator
 
 F = default_field()
 
@@ -314,3 +320,321 @@ def test_composite_behavior_chains():
     result = runner.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
     assert result.output_of(1) == F(2)
     assert not behavior.drop_incoming(None, 1, "t", None)
+
+
+# -- message fabric: equivalence with a one-entry-per-message scheduler ---------------------
+
+
+class ReferenceSimulator(Simulator):
+    """The oracle: every copy sized on its own and pushed as its own heap
+    entry under the ``(deliver_at, priority, seq)`` key, popped when delivered."""
+
+    def fan_out(self, sender, tag, payload):
+        for recipient in range(1, self.n + 1):
+            self.submit_message(sender, recipient, tag, payload)
+
+    def dispatch(self, message):
+        deliver_at = self.now + account_dispatch(self, message)
+        heapq.heappush(self._event_heap, (deliver_at, 0, next(self._counter), message))
+
+    def schedule_timer(self, time, callback, owner=0):
+        fire = incarnation_timer(self, callback, owner)
+        heapq.heappush(self._event_heap, (max(time, self.now), 1, next(self._counter), fire))
+
+    def step(self):
+        if not self._event_heap:
+            return False
+        time, priority, _seq, item = heapq.heappop(self._event_heap)
+        self.now = max(self.now, time)
+        self._events_processed += 1
+        if priority:
+            item()
+        elif item.recipient not in self.crashed:
+            self.metrics.record_delivery()
+            self.parties[item.recipient].deliver(item.sender, item.tag, item.payload)
+        return True
+
+
+class InstantNetwork(NetworkModel):
+    """Zero delay: every copy is due at the instant of the sender's self-delivery."""
+
+    def delay(self, message, rng):
+        return 0.0
+
+
+class Chatter(ProtocolInstance):
+    """A seeded random mix of send / send_all / timers; logs what it is delivered."""
+
+    def __init__(self, party, tag, log, actions):
+        super().__init__(party, tag)
+        self.log = log
+        self.actions = actions
+
+    def start(self):
+        self.act()
+        self.act()
+
+    def act(self):
+        if self.actions <= 0:
+            return
+        self.actions -= 1
+        roll = self.rng.random()
+        if roll < 0.45:
+            self.send_all(("all", self.me, self.rng.randrange(1000)))
+        elif roll < 0.75:
+            self.send(self.rng.randrange(1, self.n + 1), ("one", "x" * self.rng.randrange(6)))
+        else:
+            # 1.0 is Delta: the timer falls on the instant deliveries are due.
+            # It sends whatever is left of the budget: on a network without
+            # delay that is after everything else due at its instant.
+            self.schedule_after(
+                self.rng.choice((0.0, 0.5, 1.0)), lambda: self.send_all(("timer", self.me))
+            )
+
+    def receive(self, sender, payload):
+        self.log.append((self.now, self.me, sender, self.tag, payload))
+        self.act()
+
+
+def chatter_run(
+    simulator_class, network, seed, n=4, corrupt=None, start_at=0.0, actions=12, **run_options
+):
+    sim = simulator_class(n, network=network, seed=seed)
+    sim.now = start_at
+    for party_id, behavior in (corrupt or {}).items():
+        sim.set_behavior(party_id, behavior)
+    log = []
+    for party in sim.parties.values():
+        for tag in ("a/x", "b"):
+            Chatter(party, tag, log, actions=actions)
+    for party in sim.parties.values():
+        for instance in party.instances.values():
+            instance.start()
+    sim.run(**run_options)
+    return sim, log
+
+
+def assert_same_run(sim, log, reference, reference_log):
+    assert log == reference_log
+    assert sim.events_processed == reference.events_processed
+    assert sim.now == reference.now
+    assert vars(sim.metrics) == vars(reference.metrics)
+
+
+FABRIC_NETWORKS = {
+    "sync": lambda: SynchronousNetwork(),
+    "sync-jitter": lambda: SynchronousNetwork(jitter=0.5),
+    "async": lambda: AsynchronousNetwork(),
+    "fast-slow": lambda: AdversarialAsynchronousNetwork(slow_parties=frozenset({2}), slow_delay=3.0),
+    "instant": lambda: InstantNetwork(),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("network", sorted(FABRIC_NETWORKS))
+def test_fabric_matches_reference_scheduler(network, seed):
+    sim, log = chatter_run(Simulator, FABRIC_NETWORKS[network](), seed)
+    reference, reference_log = chatter_run(ReferenceSimulator, FABRIC_NETWORKS[network](), seed)
+    assert len(log) > 100
+    assert_same_run(sim, log, reference, reference_log)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fabric_matches_reference_when_the_clock_absorbs_the_minimum_delay(seed):
+    """At 2**40 the 1e-9 floor vanishes in rounding: a copy is due at the very
+    instant it is sent, when the entry that instant's copies joined is gone."""
+    options = dict(start_at=2.0 ** 40, actions=40)
+    sim, log = chatter_run(Simulator, InstantNetwork(), seed, **options)
+    reference, reference_log = chatter_run(ReferenceSimulator, InstantNetwork(), seed, **options)
+    assert len(log) > 300
+    assert_same_run(sim, log, reference, reference_log)
+
+
+def test_fabric_groups_equal_time_copies_only():
+    """Grouping follows the drawn delivery times, whatever the network's type."""
+
+    def grouped_entries(network):
+        sim, _ = chatter_run(Simulator, network, 0, max_events=0)
+        return [entry for entry in sim._event_heap if type(entry[3]) is list]
+
+    assert grouped_entries(SynchronousNetwork())
+    assert grouped_entries(AdversarialAsynchronousNetwork(slow_parties=frozenset({2})))
+    assert not grouped_entries(SynchronousNetwork(jitter=0.5))
+    assert not grouped_entries(AsynchronousNetwork())
+
+
+def test_fabric_stops_and_resumes_inside_a_fan_out():
+    """max_events and until hold between two copies of one fan-out."""
+
+    def total_events():
+        return chatter_run(ReferenceSimulator, SynchronousNetwork(), 3)[0].events_processed
+
+    for limit in range(total_events() + 1):
+        sim, log = chatter_run(Simulator, SynchronousNetwork(), 3, max_events=limit)
+        reference, reference_log = chatter_run(
+            ReferenceSimulator, SynchronousNetwork(), 3, max_events=limit
+        )
+        assert sim.events_processed == limit
+        assert_same_run(sim, log, reference, reference_log)
+        if limit % 25 == 0:  # resuming from every point is quadratic: sample
+            sim.run()
+            reference.run()
+            assert_same_run(sim, log, reference, reference_log)
+
+    # An ``until`` that flips after the first copy of the first fan-out.
+    stopped = []
+    for simulator_class in (Simulator, ReferenceSimulator):
+        sim = simulator_class(4, network=SynchronousNetwork())
+        log = []
+        for party in sim.parties.values():
+            Chatter(party, "a/x", log, actions=0)
+        sim.parties[1].send_all("a/x", ("all", 1, 0))
+        sim.run(until=lambda: any(recipient != 1 for _, recipient, *_ in log))
+        assert [(entry[0], entry[1]) for entry in log] == [(1e-9, 1), (1.0, 2)]
+        stopped.append((sim, list(log)))
+        sim.run()
+        assert [entry[1] for entry in log] == [1, 2, 3, 4]
+        stopped.append((sim, log))
+    assert_same_run(*stopped[0], *stopped[2])
+    assert_same_run(*stopped[1], *stopped[3])
+
+
+def test_fabric_recipient_crashed_between_copies_loses_only_its_copy():
+    runs = []
+    for simulator_class in (Simulator, ReferenceSimulator):
+        sim = simulator_class(4, network=SynchronousNetwork())
+        log = []
+
+        class CrashNext(Chatter):
+            def receive(self, sender, payload):
+                super().receive(sender, payload)
+                if self.me == 2:
+                    sim.crash_party(3)
+
+        for party in sim.parties.values():
+            CrashNext(party, "a/x", log, actions=0)
+        sim.parties[1].send_all("a/x", ("all", 1, 0))
+        sim.run()
+        assert [entry[1] for entry in log] == [1, 2, 4]
+        assert sim.events_processed == 4
+        assert sim.metrics.messages_delivered == 3
+        runs.append((sim, log))
+    assert_same_run(*runs[0], *runs[1])
+
+
+class Duplicating(Behavior):
+    """Sends every copy twice, the second time with a longer payload, and
+    chases it with a message of its own sent from inside the filter."""
+
+    def filter_send(self, party, message):
+        if message.payload[0] == "chase":
+            return [message]
+        party.send(message.recipient, message.tag, ("chase", "x" * 40))
+        longer = Message(
+            message.sender, message.recipient, message.tag,
+            message.payload + ("again",), message.send_time,
+        )
+        return [message, longer]
+
+
+@pytest.mark.parametrize(
+    "behavior",
+    [WrongValueBehavior(target_recipients=[3]), Duplicating()],
+    ids=["wrong-value", "duplicating"],
+)
+def test_fabric_sizes_rewritten_copies_from_their_own_payload(behavior, monkeypatch):
+    sent = []
+    record_send = SimulationMetrics.record_send
+
+    def recording(metrics, message, *args, **kwargs):
+        sent.append(message)
+        return record_send(metrics, message, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationMetrics, "record_send", recording)
+    sim, log = chatter_run(Simulator, SynchronousNetwork(), 5, corrupt={2: behavior})
+    rewritten = [m for m in sent if m.sender == 2 and m.payload[-1] == "again"]
+    assert rewritten or not isinstance(behavior, Duplicating)
+    for message in sent:
+        assert message.bits == HEADER_BITS + payload_bits(message.payload)
+    reference, reference_log = chatter_run(
+        ReferenceSimulator, SynchronousNetwork(), 5, corrupt={2: behavior}
+    )
+    assert_same_run(sim, log, reference, reference_log)
+
+
+def test_wrong_value_behavior_rewrites_one_copy_of_a_fan_out():
+    sim = Simulator(4, network=SynchronousNetwork())
+    sim.set_behavior(2, WrongValueBehavior(target_recipients=[3], offset=2))
+    log = []
+    for party in sim.parties.values():
+        Chatter(party, "a/x", log, actions=0)
+    sim.parties[2].send_all("a/x", ("v", F(10)))
+    sim.run()
+    assert {entry[1]: entry[4][1] for entry in log} == {1: F(10), 2: F(10), 3: F(12), 4: F(10)}
+
+
+def test_fabric_resizes_a_payload_mutated_between_sends():
+    runs = []
+    for simulator_class in (Simulator, ReferenceSimulator):
+        sim = simulator_class(3, network=SynchronousNetwork())
+        log = []
+        for party in sim.parties.values():
+            Chatter(party, "a/x", log, actions=0)
+        payload = [1, 2]
+        sim.parties[1].send_all("a/x", payload)
+        first = sim.metrics.total_bits
+        payload.append(3)
+        sim.parties[1].send_all("a/x", payload)
+        second = sim.metrics.total_bits
+        payload.append(4)
+        sim.parties[1].send(2, "a/x", payload)
+        assert first == 2 * (HEADER_BITS + 2 * 64)
+        assert second - first == 2 * (HEADER_BITS + 3 * 64)
+        assert sim.metrics.total_bits - second == HEADER_BITS + 4 * 64
+        sim.run()
+        runs.append((sim, log))
+    assert_same_run(*runs[0], *runs[1])
+
+
+def test_fan_out_sizes_once_and_records_every_copy(monkeypatch):
+    """The saving and the tracer's contract, as counts on an n=4 broadcast.
+
+    ``payload_bits`` is wrapped the way ``benchmarks/e2e/tracer.py`` wraps it
+    (the module global, outermost calls only) and ``record_send`` through
+    the class attribute: one sizing per ``send``/``send_all`` call, and one
+    ``record_send`` per message that leaves its sender.
+    """
+    counts = {"send": 0, "send_all": 0, "sized": 0, "recorded": 0, "depth": 0}
+    inner_bits = messages_module.payload_bits
+
+    def counting_bits(payload):
+        counts["sized"] += counts["depth"] == 0
+        counts["depth"] += 1
+        try:
+            return inner_bits(payload)
+        finally:
+            counts["depth"] -= 1
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(messages_module, "payload_bits", counting_bits)
+    monkeypatch.setattr(Party, "send", counting("send", Party.send))
+    monkeypatch.setattr(Party, "send_all", counting("send_all", Party.send_all))
+    monkeypatch.setattr(
+        SimulationMetrics, "record_send", counting("recorded", SimulationMetrics.record_send)
+    )
+    n = 4
+    runner = ProtocolRunner(n, network=SynchronousNetwork(), seed=0)
+    result = runner.run(lambda party: BroadcastProtocol(
+        party, "bc", sender=1, faults=1, message=("msg", 9) if party.id == 1 else None,
+        anchor=0.0,
+    ))
+    assert len(result.honest_outputs()) == n
+    assert counts["send_all"] > 0
+    assert counts["sized"] == counts["send"] + counts["send_all"]
+    assert counts["recorded"] == result.metrics.messages_sent
+    assert counts["recorded"] == (n - 1) * counts["send_all"] + counts["send"]
