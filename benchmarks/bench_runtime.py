@@ -7,7 +7,9 @@ wall-clock and event-throughput rows to ``BENCH_runtime.json`` via
 * ``acast_n16`` -- a 16-party Acast of a 256-element field vector, the
   n=16 throughput row the runtime refactor is gated on (sim, asyncio with
   the deterministic virtual clock, and asyncio with the real clock);
-* ``mpc_n4`` -- a full ΠCirEval multiplication on both backends;
+* ``mpc_n4`` -- a full ΠCirEval multiplication on both backends, with the
+  cyclic collector's share of each run (``gc_collections``,
+  ``gc_full_collections``, ``gc_pause_s``, counted through ``gc.callbacks``);
 * ``multiacast_n32_multiprocess`` -- the same n=32 MultiAcast run
   single-process (all parties as coroutines in one loop, real clock) and
   multi-process (``backend="tcp"``: one OS process per party, every frame
@@ -30,8 +32,10 @@ vs by-reference in-process delivery) or the ``n`` interpreter startups
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import time
-from typing import Dict
+from typing import Dict, Iterator
 
 from bench_common import FIELD, record_bench
 from repro.broadcast.acast import AcastProtocol
@@ -68,20 +72,45 @@ def _run_acast_on(backend: str, n: int, length: int, seed: int = 0, **options) -
     }
 
 
+@contextlib.contextmanager
+def collector_counts() -> Iterator[Dict[str, float]]:
+    """Count the collector's passes, and the wall they take, while the block runs."""
+    counts = {"gc_collections": 0.0, "gc_full_collections": 0.0, "gc_pause_s": 0.0}
+    started = 0.0
+
+    def watch(phase: str, info: Dict[str, int]) -> None:
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            counts["gc_pause_s"] += time.perf_counter() - started
+            counts["gc_collections"] += 1
+            counts["gc_full_collections"] += info["generation"] == 2
+
+    gc.callbacks.append(watch)
+    try:
+        yield counts
+    finally:
+        gc.callbacks.remove(watch)
+
+
 def _run_mpc_on(backend: str, n: int, seed: int = 0, **options) -> Dict[str, float]:
     circuit = multiplication_circuit(FIELD, n)
     inputs = {pid: pid + 1 for pid in range(1, n + 1)}
     expected = circuit.evaluate({pid: FIELD(v) for pid, v in inputs.items()})
-    start = time.perf_counter()
-    result = run_mpc(circuit, inputs, n=n, ts=(n - 1) // 3 if n > 3 else 1, ta=0,
-                     seed=seed, backend=backend, **options)
-    wall = time.perf_counter() - start
+    gc.collect()  # each arm starts from a clean heap, like a one-shot caller
+    with collector_counts() as collector:
+        start = time.perf_counter()
+        result = run_mpc(circuit, inputs, n=n, ts=(n - 1) // 3 if n > 3 else 1, ta=0,
+                         seed=seed, backend=backend, **options)
+        wall = time.perf_counter() - start
     assert result.outputs == expected, f"{backend}: wrong MPC output"
     delivered = result.metrics.messages_delivered
     return {
         "wall_s": wall,
         "messages_delivered": float(delivered),
         "messages_per_s": delivered / wall if wall else float("inf"),
+        **collector,
     }
 
 
@@ -110,6 +139,7 @@ def bench_mpc_n4() -> Dict[str, Dict[str, float]]:
     for name, row in rows.items():
         for key, value in row.items():
             payload[f"{name}_{key}"] = value
+    payload["asyncio_virtual_vs_sim_wall"] = rows["asyncio_virtual"]["wall_s"] / rows["sim"]["wall_s"]
     record_bench("runtime", "mpc_n4_multiplication", payload)
     return rows
 
@@ -190,7 +220,9 @@ def main() -> None:
     print("runtime throughput: MPC n=4 ...")
     for name, row in bench_mpc_n4().items():
         print(f"  {name:16s} wall {row['wall_s']*1000:8.1f} ms   "
-              f"{row['messages_per_s']:10.0f} msg/s")
+              f"{row['messages_per_s']:10.0f} msg/s   "
+              f"gc {row['gc_collections']:.0f} passes, {row['gc_full_collections']:.0f} full, "
+              f"{row['gc_pause_s']:.2f} s")
     print("runtime throughput: MultiAcast n=32 single- vs multi-process ...")
     for name, row in bench_multiprocess_n32().items():
         print(f"  {name:20s} wall {row['wall_s']*1000:8.1f} ms   "

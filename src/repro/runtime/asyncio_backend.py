@@ -11,11 +11,12 @@ same unmodified protocol classes run here because they only ever talk to the
 Two clock modes:
 
 * ``clock="virtual"`` (default) -- simulated time advanced by a central
-  scheduler that pops a delay-ordered event heap.  Fully deterministic: a
+  scheduler that drains the simulator's own
+  :class:`~repro.runtime.event_queue.EventQueue`.  Fully deterministic: a
   seeded run replays bit-for-bit (same outputs, same
-  :class:`SimulationMetrics`), and because the heap discipline, rng
-  derivations and delay draws match the simulator's exactly, a
-  virtual-clock run reproduces the simulator's outputs.  Since the driver
+  :class:`SimulationMetrics`, same event count), and because the queue, rng
+  derivations and delay draws are the simulator's, a virtual-clock run
+  reproduces the simulator's outputs.  Since the driver
   totally orders execution anyway, deliveries are handled *inline*: the
   scheduler pops each transport-enqueued pair straight off the inbox and
   invokes the party handler directly, skipping the per-message queue
@@ -36,9 +37,7 @@ reordered deliveries) are configured on the injected transport.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import inspect
-import itertools
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -52,6 +51,7 @@ from repro.runtime.api import (
     account_dispatch,
     incarnation_timer,
 )
+from repro.runtime.event_queue import MESSAGE, TIMER, EventQueue, full_collections_deferred
 from repro.runtime.transport import InProcessTransport, Transport
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel, SynchronousNetwork
@@ -109,8 +109,7 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
                 "transport (use clock='real' with socket transports)"
             )
 
-        self._event_heap: List[tuple] = []
-        self._counter = itertools.count()
+        self._queue = EventQueue()
         self._events_processed = 0
         self.crash_epochs: Dict[int, int] = {}
         #: (time, callback) timers registered before the loop exists (real clock).
@@ -139,6 +138,10 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
     @property
     def crashed(self) -> Set[int]:
         return self.transport.crashed
+
+    @property
+    def events_processed(self) -> int:
+        return self._events_processed
 
     def set_behavior(self, party_id: int, behavior) -> None:
         self.corrupt_parties.add(party_id)
@@ -170,20 +173,14 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
                 message.sender, message.recipient, message.send_time
             )
         if self._virtual:
-            heapq.heappush(
-                self._event_heap,
-                (self.now + delay, 0, next(self._counter), "message", message),
-            )
+            self._queue.push(self.now + delay, MESSAGE, message)
         else:
             self._spawn_delivery(message, delay)
 
     def schedule_timer(self, time: float, callback: Callable[[], None], owner: int = 0) -> None:
         callback = incarnation_timer(self, callback, owner)
         if self._virtual:
-            heapq.heappush(
-                self._event_heap,
-                (max(time, self.now), 1, next(self._counter), "timer", callback),
-            )
+            self._queue.push(max(time, self.now), TIMER, callback)
             return
         if self._loop is None:
             self._deferred_timers.append((time, callback))
@@ -335,7 +332,7 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         recipient's inbox (the transport just enqueued it; inboxes are
         always drained between events, so FIFO order matches the returned
         pairs) and invokes the party handler inline: same delivery order,
-        same metrics and event counts, same first-failure discipline.
+        same metrics, same first-failure discipline.
         """
         for message, handled in pairs:
             self.metrics.record_delivery()
@@ -357,7 +354,6 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
                 self._failure = exc
             finally:
                 handled.set()
-                self._events_processed += 1
 
     async def _run_virtual(
         self,
@@ -365,37 +361,42 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         max_time: Optional[float],
         max_events: Optional[int],
     ) -> None:
-        """Deterministic scheduler: pop the event heap, handle events inline.
+        """Deterministic scheduler: drain the event queue, handle events inline.
 
-        The heap discipline (delivery time, messages-before-timers priority,
-        submission counter) is the simulator's, and each delivered message is
-        fully handled before the next event pops, so the execution is totally
-        ordered and seed-reproducible.
+        The queue is the simulator's, an event is counted when the queue
+        hands it out (whatever the transport then makes of it: a recipient
+        that has crashed, a fault that drops or doubles the delivery), and
+        each delivered message is fully handled before the next event is
+        taken, so the execution is totally ordered, seed-reproducible and
+        stops at the simulator's ``max_events`` points.  Like
+        ``Simulator.run`` the loop holds off full collections.
         """
-        heap = self._event_heap
-        while heap:
-            if self._failure is not None:
-                raise self._failure
-            if done():
-                return
-            if max_time is not None and heap[0][0] > max_time:
-                return
-            if max_events is not None and self._events_processed >= max_events:
-                return
-            time, _priority, _seq, kind, item = heapq.heappop(heap)
-            self.clock.advance_to(time)
-            if kind == "message":
-                self._handle_inline(self.transport.deliver(item))
-            else:
+        queue = self._queue
+        pending = queue.keys
+        with full_collections_deferred():
+            while pending:
+                if self._failure is not None:
+                    raise self._failure
+                if done():
+                    return
+                if max_time is not None and pending[0][0] > max_time:
+                    return
+                if max_events is not None and self._events_processed >= max_events:
+                    return
+                time, is_timer, item = queue.pop()
                 self._events_processed += 1
-                try:
-                    item()
-                except Exception as exc:
-                    self._failure = exc
-            if not heap:
-                # Quiescing: release any reorder-held messages so a fault
-                # cannot strand the tail of an otherwise-live execution.
-                self._handle_inline(self.transport.flush_reordered())
+                self.clock.advance_to(time)
+                if is_timer:
+                    try:
+                        item()
+                    except Exception as exc:
+                        self._failure = exc
+                else:
+                    self._handle_inline(self.transport.deliver(item))
+                if not pending:
+                    # Quiescing: release any reorder-held messages so a fault
+                    # cannot strand the tail of an otherwise-live execution.
+                    self._handle_inline(self.transport.flush_reordered())
 
     async def _run_real(
         self,

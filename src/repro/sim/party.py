@@ -83,7 +83,7 @@ class Party:
     # -- timers ------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute simulated (local) time ``time``."""
-        self.runtime.schedule_timer(max(time, self.now), callback, owner=self.id)
+        self.runtime.schedule_timer(time, callback, owner=self.id)
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         self.schedule_at(self.now + delay, callback)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.field.gf import GF, default_field
 from repro.runtime.api import PartyRuntime, account_dispatch, incarnation_timer
+from repro.runtime.event_queue import MESSAGE, TIMER, EventQueue, full_collections_deferred
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.party import Party
@@ -60,27 +59,29 @@ class SimulationMetrics:
 
 
 class Simulator(PartyRuntime):
-    """Priority-queue discrete-event simulator.
+    """Discrete-event simulator: one scheduler slot per simulated instant.
 
     Events are message deliveries and local timers.  Parties share a global
     simulated clock (the paper's synchronous model assumes synchronised
     clocks; in the asynchronous model only message delays change).
 
-    A heap entry is ``(time, priority, seq, item)``.  Messages have priority
-    0 and timers priority 1, so at equal timestamps deliveries are processed
-    before timers: a timer that "evaluates at time T" sees every message
-    that arrived "within time T", matching the paper's inclusive timing
-    statements.  A timer's item is its callback; a message entry's item is
-    the ``Message``, or -- for the copies of one fan-out that are due at the
-    same instant (all of them on a synchronous network without jitter) -- the
-    list of those messages, last first, which :meth:`step` drains one
-    delivery per call.  The delivery order is the one a heap entry per
-    message gives, because nothing can sort between two such copies.
+    Events wait in an :class:`~repro.runtime.event_queue.EventQueue` under
+    the key ``(time, priority)``, deliveries before timers at one timestamp
+    and first queued, first served within a key.  The drawn delivery times
+    alone decide what shares a key: on a synchronous network without jitter
+    a whole tick -- every party's copies, self-deliveries and round timers --
+    costs the heap two or three keys; where every delay is drawn apart each
+    event is queued bare under a key of its own.  :meth:`step` handles one
+    event per call and looks the next one up afresh, so ``until``,
+    ``max_events`` and a crash take effect between any two events of an
+    instant.  :meth:`run` loops with the collector's full passes held off
+    (:func:`~repro.runtime.event_queue.full_collections_deferred`).
 
     The simulator is one implementation of the
     :class:`~repro.runtime.api.PartyRuntime` context API; protocols only see
     that interface, so the same code also runs under the concurrent
-    :class:`~repro.runtime.asyncio_backend.AsyncioBackend`.
+    :class:`~repro.runtime.asyncio_backend.AsyncioBackend`, whose
+    virtual-clock loop drains the same queue class.
     """
 
     def __init__(
@@ -98,13 +99,7 @@ class Simulator(PartyRuntime):
         self.corrupt_parties: Set[int] = set(corrupt_parties or set())
         self.now = 0.0
         self.metrics = SimulationMetrics()
-        self._event_heap: List[tuple] = []
-        self._counter = itertools.count()
-        #: True inside :meth:`fan_out`, where ``_run`` collects the copies
-        #: dispatched so far that are due at one instant and not yet on the
-        #: heap, as ``[time, seq, message, ...]``.
-        self._fanning_out = False
-        self._run: Optional[list] = None
+        self._queue = EventQueue()
         #: Crash-stopped party ids (see :meth:`crash_party`).
         self.crashed: Set[int] = set()
         self.crash_epochs: Dict[int, int] = {}
@@ -131,58 +126,14 @@ class Simulator(PartyRuntime):
         for msg in sender_party.behavior.filter_send(sender_party, message):
             self.dispatch(msg)
 
-    def fan_out(self, sender: int, tag: str, payload: Any) -> None:
-        """Send to every party; copies due at the same instant share a heap entry."""
-        self._fanning_out = True
-        try:
-            super().fan_out(sender, tag, payload)
-        finally:
-            self._fanning_out = False
-            self._queue_run()
-
     def dispatch(self, message: Message) -> None:
         """Put an already-filtered message on the wire (delays drawn here)."""
-        deliver_at = self.now + account_dispatch(self, message)
-        remote = message.sender != message.recipient
-        run = self._run
-        if run is not None and run[0] == deliver_at:
-            if remote:
-                run.append(message)
-                return
-            # A self-delivery due at the run's instant sorts after the run's
-            # members so far and before any later copy.
-            self._queue_run()
-        elif remote and self._fanning_out:
-            # The run keeps the place in the order its first member takes now.
-            self._queue_run()
-            self._run = [deliver_at, next(self._counter), message]
-            return
-        # A message of its own: sent outside a fan-out, or a self-delivery
-        # (local, free, due 1e-9 from now: it leaves a run for later open).
-        heapq.heappush(self._event_heap, (deliver_at, 0, next(self._counter), message))
-
-    def _queue_run(self) -> None:
-        """Put the open run of fan-out copies, if any, on the heap."""
-        run = self._run
-        if run is None:
-            return
-        self._run = None
-        if len(run) == 3:
-            item = run[2]
-        else:
-            item = run[:1:-1]  # the members, last first: step() pops from the end
-        heapq.heappush(self._event_heap, (run[0], 0, run[1], item))
+        self._queue.push(self.now + account_dispatch(self, message), MESSAGE, message)
 
     def schedule_timer(self, time: float, callback: Callable[[], None], owner: int = 0) -> None:
         now = self.now
-        heapq.heappush(
-            self._event_heap,
-            (
-                time if time > now else now,
-                1,
-                next(self._counter),
-                incarnation_timer(self, callback, owner),
-            ),
+        self._queue.push(
+            time if time > now else now, TIMER, incarnation_timer(self, callback, owner)
         )
 
     # -- crash faults --------------------------------------------------------
@@ -218,29 +169,18 @@ class Simulator(PartyRuntime):
     # -- execution -----------------------------------------------------------
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        heap = self._event_heap
-        if not heap:
+        queue = self._queue
+        if not queue.keys:
             return False
-        time, is_timer, _seq, item = heap[0]
+        time, is_timer, item = queue.pop()
         if time > self.now:
             self.now = time
         self._events_processed += 1
         if is_timer:
-            heapq.heappop(heap)
             item()
-            return True
-        if type(item) is list:
-            # Copies of one fan-out: one per call, the entry goes with the last.
-            message = item.pop()
-            if not item:
-                heapq.heappop(heap)
-        else:
-            heapq.heappop(heap)
-            message = item
-        if message.recipient in self.crashed:
-            return True  # held for a crashed endpoint: discarded
-        self.metrics.record_delivery()
-        self.parties[message.recipient].deliver(message.sender, message.tag, message.payload)
+        elif item.recipient not in self.crashed:  # else discarded with its endpoint
+            self.metrics.record_delivery()
+            self.parties[item.recipient].deliver(item.sender, item.tag, item.payload)
         return True
 
     def run(
@@ -250,15 +190,16 @@ class Simulator(PartyRuntime):
         max_events: Optional[int] = None,
     ) -> None:
         """Run until the predicate holds, the queue drains, or a limit hits."""
-        heap = self._event_heap
-        while heap:
-            if until is not None and until():
-                return
-            if max_time is not None and heap[0][0] > max_time:
-                return
-            if max_events is not None and self._events_processed >= max_events:
-                return
-            self.step()
+        pending = self._queue.keys
+        with full_collections_deferred():
+            while pending:
+                if until is not None and until():
+                    return
+                if max_time is not None and pending[0][0] > max_time:
+                    return
+                if max_events is not None and self._events_processed >= max_events:
+                    return
+                self.step()
 
     @property
     def events_processed(self) -> int:

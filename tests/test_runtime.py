@@ -20,11 +20,13 @@ The acceptance bar for the runtime refactor:
 from __future__ import annotations
 
 import ast
+import gc
 import pathlib
 import random
 
 import pytest
 
+from repro.broadcast.acast import AcastProtocol
 from repro.circuits import multiplication_circuit
 from repro.field import default_field
 from repro.mpc import run_mpc
@@ -35,7 +37,10 @@ from repro.runtime import (
     TransportFaults,
     make_backend,
 )
+from repro.service import MpcService, ServiceConfig
 from repro.sim import SynchronousNetwork
+from repro.sim.party import ProtocolInstance
+from repro.sim.simulator import Simulator
 from repro.triples.preprocessing import Preprocessing, auto_shard_size, triples_per_dealer
 
 from test_scenario_matrix import (
@@ -158,8 +163,6 @@ def test_stale_timer_of_a_crashed_incarnation_is_inert_on_both_backends():
     t=1 and is revived (blank) at t=2; the discarded incarnation's timer
     would otherwise send under the reborn party's id.
     """
-    from repro.sim.party import ProtocolInstance
-
     def run(backend_name):
         backend = make_backend(backend_name, 4, network=SynchronousNetwork(), seed=3)
         fired, delivered = [], []
@@ -245,8 +248,6 @@ def test_asyncio_virtual_clock_is_seed_reproducible():
 
 def test_asyncio_backend_propagates_protocol_exceptions():
     """A handler that raises must fail run() like the sim backend does."""
-    from repro.sim.party import ProtocolInstance
-
     class Exploding(ProtocolInstance):
         def start(self):
             if self.me == 1:
@@ -259,6 +260,181 @@ def test_asyncio_backend_propagates_protocol_exceptions():
         backend = make_backend(backend_name, 3, network=SynchronousNetwork(), seed=0)
         with pytest.raises(RuntimeError, match="handler blew up"):
             backend.run(lambda party: Exploding(party, "x"), max_time=50.0)
+
+
+class EchoChatter(ProtocolInstance):
+    """Every party sends to all, and answers what it hears while its budget lasts."""
+
+    def __init__(self, party, tag, log):
+        super().__init__(party, tag)
+        self.log = log
+        self.budget = 5
+
+    def start(self):
+        self.send_all(("hello", self.me))
+        self.schedule_after(1.0, self.start_again)
+
+    def start_again(self):
+        self.send_all(("again", self.me))
+
+    def receive(self, sender, payload):
+        self.log.append((self.now, self.me, sender, payload))
+        if self.budget and sender != self.me:
+            self.budget -= 1
+            self.send(sender, ("echo", self.me, self.budget))
+
+
+def run_echo_chatter(backend_name, max_events=None):
+    backend = make_backend(backend_name, 4, network=SynchronousNetwork(), seed=5)
+    backend.crash_party(2, at_time=1.5)
+    log = []
+    result = backend.run(
+        lambda party: EchoChatter(party, "echo", log),
+        wait_for_all_honest=False, max_events=max_events,
+    )
+    metrics = result.metrics
+    counts = (metrics.messages_sent, metrics.messages_delivered, metrics.honest_bits)
+    return result.simulator.events_processed, counts, log
+
+
+def test_a_delivery_lost_to_a_crash_is_one_event_on_both_backends():
+    """What is queued for a crashed party is handed out and discarded: it
+    counts as an event, not as a delivery, under either scheduler."""
+    events, counts, log = run_echo_chatter("sim")
+    sent, delivered, _bits = counts
+    lost = [entry for entry in log if entry[1] == 2 and entry[0] > 1.5]
+    assert not lost and delivered < sent + 8  # 8 self-deliveries are not sends
+    assert events > delivered + 4 + 1  # the timers, the crash, and the lost ones
+    assert run_echo_chatter("asyncio") == (events, counts, log)
+
+
+def test_max_events_stops_both_backends_at_the_same_point():
+    total = run_echo_chatter("sim")[0]
+    for limit in range(0, total + 2, 3):
+        sim = run_echo_chatter("sim", max_events=limit)
+        assert sim[0] == min(limit, total)
+        assert run_echo_chatter("asyncio", max_events=limit) == sim, limit
+
+
+# -- the collector around the simulated-time loops ---------------------------
+
+
+class Hoarder(ProtocolInstance):
+    """Two parties bounce one message; each delivery keeps 200 more containers
+    alive, the kind of heap that has the collector schedule full passes."""
+
+    def __init__(self, party, tag):
+        super().__init__(party, tag)
+        self.kept = []
+
+    def start(self):
+        if self.me == 1:
+            self.send(2, 0)
+
+    def receive(self, sender, payload):
+        self.kept.append([[payload] for _ in range(200)])
+        self.send(sender, payload + 1)
+
+
+@pytest.mark.parametrize("backend_name", ["sim", "asyncio"])
+def test_no_full_collection_while_a_simulated_time_loop_runs(backend_name):
+    """Seen from ``gc.callbacks``: young passes go on inside the loop, the
+    oldest generation waits until it has returned."""
+    backend = make_backend(backend_name, 2, network=SynchronousNetwork(), seed=0)
+    in_loop = False
+    passes = {"young": 0, "full": 0, "full_after": 0}
+
+    def watch(phase, info):
+        if phase == "start":
+            if in_loop:
+                passes["full" if info["generation"] == 2 else "young"] += 1
+            elif info["generation"] == 2:
+                passes["full_after"] += 1
+
+    def enough():
+        # Called by the loop before each event; the loop returns on True.
+        nonlocal in_loop
+        in_loop = len(backend.parties[1].instances["hoard"].kept) < 3000
+        return not in_loop
+
+    gc.collect()
+    before = gc.get_threshold()
+    gc.callbacks.append(watch)
+    try:
+        backend.run(lambda party: Hoarder(party, "hoard"), extra_predicate=enough)
+        assert gc.get_threshold() == before
+        spare = [[index] for index in range(10 * before[0])]  # a few young passes' worth
+    finally:
+        gc.callbacks.remove(watch)
+    assert len(spare) and passes["young"] > 100
+    assert passes["full"] == 0
+    assert passes["full_after"] >= 1  # put off, not cancelled
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_threshold()
+
+
+MPC_CIRCUIT = multiplication_circuit(FIELD, 4)
+MPC_INPUTS = {1: 3, 2: 5, 3: 7, 4: 11}
+
+
+@pytest.mark.parametrize("backend_name", ["sim", "asyncio"])
+def test_run_mpc_leaves_the_collector_as_it_found_it(backend_name, monkeypatch):
+    before = collector_state()
+    result = run_mpc(MPC_CIRCUIT, MPC_INPUTS, n=4, ts=1, ta=0, seed=2, backend=backend_name)
+    assert result.completed and collector_state() == before
+
+    stopped = run_mpc(
+        MPC_CIRCUIT, MPC_INPUTS, n=4, ts=1, ta=0, seed=2, backend=backend_name, max_events=3000
+    )
+    assert not stopped.completed and collector_state() == before
+
+    # The caller's own settings, whatever they are, are what comes back.
+    gc.set_threshold(901, 7, 5)
+    gc.disable()
+    try:
+        run_mpc(
+            MPC_CIRCUIT, MPC_INPUTS, n=4, ts=1, ta=0, seed=2, backend=backend_name,
+            max_events=3000,
+        )
+        assert collector_state() == (False, (901, 7, 5))
+    finally:
+        gc.enable()
+        gc.set_threshold(*before[1])
+
+    def exploding(self, sender, payload):
+        raise RuntimeError("handler blew up")
+
+    monkeypatch.setattr(AcastProtocol, "receive", exploding)
+    with pytest.raises(RuntimeError, match="handler blew up"):
+        run_mpc(MPC_CIRCUIT, MPC_INPUTS, n=4, ts=1, ta=0, seed=2, backend=backend_name)
+    assert collector_state() == before
+
+
+def test_nested_simulator_runs_restore_to_the_enclosing_state():
+    """A handler that drives another simulator: the inner loop's exit must
+    not end the outer loop's deferral."""
+    before = collector_state()
+    seen = []
+    inner = Simulator(2)
+    inner.schedule_timer(1.0, lambda: seen.append(("inner", gc.get_threshold())))
+    outer = Simulator(2)
+    outer.schedule_timer(1.0, inner.run)
+    outer.schedule_timer(2.0, lambda: seen.append(("outer", gc.get_threshold())))
+    outer.run()
+    assert [where for where, _ in seen] == ["inner", "outer"]
+    assert seen[0][1] == seen[1][1] != before[1]
+    assert collector_state() == before
+
+
+def test_service_evaluations_leave_the_collector_as_they_found_it():
+    before = collector_state()
+    service = MpcService(4, 1, 0, config=ServiceConfig(low_watermark=2, high_watermark=6), seed=4)
+    for _ in range(2):
+        service.evaluate(MPC_CIRCUIT, MPC_INPUTS)
+        assert collector_state() == before
+    service.close()
 
 
 # -- adaptive sharding --------------------------------------------------------
@@ -328,6 +504,29 @@ def test_no_protocol_module_imports_the_simulator():
                 ):
                     offenders.append(str(relative))
     assert not offenders, f"protocol modules importing the Simulator: {offenders}"
+
+
+def test_both_simulated_time_loops_take_their_queue_from_one_module():
+    """One scheduler, two front ends: ``sim/simulator.py`` and
+    ``runtime/asyncio_backend.py`` import the same ``EventQueue`` and neither
+    keeps a heap of its own."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    sources = {}
+    for relative in ("sim/simulator.py", "runtime/asyncio_backend.py"):
+        tree = ast.parse((src / relative).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                if any(alias.name == "EventQueue" for alias in node.names):
+                    sources[relative] = node.module
+        assert not {"heapq", "itertools"} & imported, relative
+    assert sources == {
+        "sim/simulator.py": "repro.runtime.event_queue",
+        "runtime/asyncio_backend.py": "repro.runtime.event_queue",
+    }
 
 
 # -- the sync-mode real-clock schedulability bound ----------------------------

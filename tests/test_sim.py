@@ -1,14 +1,18 @@
 """Tests for the discrete-event simulator, network models and adversary behaviours."""
 
+import collections
 import heapq
+import itertools
 import random
 
 import pytest
 
 from repro.broadcast.bc import BroadcastProtocol
 from repro.field import Polynomial, default_field
+from repro.runtime import event_queue
 from repro.runtime.api import account_dispatch, incarnation_timer
 from repro.sim import messages as messages_module
+from repro.sim import simulator as simulator_module
 from repro.sim.adversary import (
     Behavior,
     CompositeBehavior,
@@ -329,6 +333,11 @@ class ReferenceSimulator(Simulator):
     """The oracle: every copy sized on its own and pushed as its own heap
     entry under the ``(deliver_at, priority, seq)`` key, popped when delivered."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._event_heap = []
+        self._counter = itertools.count()
+
     def fan_out(self, sender, tag, payload):
         for recipient in range(1, self.n + 1):
             self.submit_message(sender, recipient, tag, payload)
@@ -353,6 +362,16 @@ class ReferenceSimulator(Simulator):
             self.metrics.record_delivery()
             self.parties[item.recipient].deliver(item.sender, item.tag, item.payload)
         return True
+
+    def run(self, until=None, max_time=None, max_events=None):
+        while self._event_heap:
+            if until is not None and until():
+                return
+            if max_time is not None and self._event_heap[0][0] > max_time:
+                return
+            if max_events is not None and self._events_processed >= max_events:
+                return
+            self.step()
 
 
 class InstantNetwork(NetworkModel):
@@ -450,17 +469,121 @@ def test_fabric_matches_reference_when_the_clock_absorbs_the_minimum_delay(seed)
     assert_same_run(sim, log, reference, reference_log)
 
 
-def test_fabric_groups_equal_time_copies_only():
-    """Grouping follows the drawn delivery times, whatever the network's type."""
+class Lockstep(ProtocolInstance):
+    """Phase-king shaped: every party sends to all at each tick of Delta, so
+    the copies of all senders, and all their round timers, share an instant."""
 
-    def grouped_entries(network):
-        sim, _ = chatter_run(Simulator, network, 0, max_events=0)
-        return [entry for entry in sim._event_heap if type(entry[3]) is list]
+    def __init__(self, party, tag, log, rounds):
+        super().__init__(party, tag)
+        self.log = log
+        self.rounds = rounds
 
-    assert grouped_entries(SynchronousNetwork())
-    assert grouped_entries(AdversarialAsynchronousNetwork(slow_parties=frozenset({2})))
-    assert not grouped_entries(SynchronousNetwork(jitter=0.5))
-    assert not grouped_entries(AsynchronousNetwork())
+    def start(self):
+        self.send_all(("round", self.rounds, self.me))
+        if self.rounds:
+            self.rounds -= 1
+            self.schedule_after(self.party.delta, self.start)
+
+    def receive(self, sender, payload):
+        self.log.append((self.now, self.me, sender, self.tag, payload))
+        if payload[1] % 2 and sender == self.me:
+            self.send(self.rng.randrange(1, self.n + 1), ("reply", self.me))
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 37, 80, 81, 209])
+def test_fabric_matches_reference_when_senders_and_timers_share_an_instant(limit):
+    runs = []
+    for simulator_class in (Simulator, ReferenceSimulator):
+        sim = simulator_class(4, network=SynchronousNetwork(), seed=7)
+        log = []
+        for party in sim.parties.values():
+            for tag in ("a/x", "b"):
+                Lockstep(party, tag, log, rounds=4).start()
+        if simulator_class is Simulator:
+            # Eight fan-outs of four senders and their eight timers: one
+            # instant each for the self-deliveries, the copies and the timers.
+            assert sorted(sim._queue.keys) == [(1e-9, 0), (1.0, 0), (1.0, 1)]
+        sim.run(max_events=limit)
+        runs.append((sim, log))
+    assert runs[0][0].events_processed == (210 if limit is None else limit)
+    assert_same_run(*runs[0], *runs[1])
+
+
+class CountingQueue(event_queue.EventQueue):
+    """Counts the events pushed under each key, per time the key was queued."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = []  # one count per key queued, in the order first queued
+        self._open = {}  # key -> its index in ``pushed`` while it is queued
+
+    def push(self, time, priority, event):
+        key = (time, priority)
+        if key not in self._slots:
+            self._open[key] = len(self.pushed)
+            self.pushed.append(0)
+        self.pushed[self._open[key]] += 1
+        super().push(time, priority, event)
+
+
+def broadcast_queue_counts(network, monkeypatch):
+    """Run an n=4 broadcast; what the queue pushed, heaped and allocated."""
+    counts = {"heap_pushes": 0, "heap_high_water": 0, "containers": 0}
+
+    def counting_heappush(heap, key):
+        heapq.heappush(heap, key)
+        counts["heap_pushes"] += 1
+        counts["heap_high_water"] = max(counts["heap_high_water"], len(heap))
+
+    class CountingDeque(collections.deque):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts["containers"] += 1
+
+    monkeypatch.setattr(event_queue, "heappush", counting_heappush)
+    monkeypatch.setattr(event_queue, "deque", CountingDeque)
+    monkeypatch.setattr(simulator_module, "EventQueue", CountingQueue)
+    runner = ProtocolRunner(4, network=network, seed=0)
+    result = runner.run(lambda party: BroadcastProtocol(
+        party, "bc", sender=1, faults=1, message=("msg", 9) if party.id == 1 else None,
+        anchor=0.0,
+    ), wait_for_all_honest=False)
+    assert len(result.honest_outputs()) == 4
+    assert not runner.simulator._queue.keys  # ran until nothing was left
+    counts["pushed"] = runner.simulator._queue.pushed
+    assert sum(counts["pushed"]) == runner.simulator.events_processed
+    return counts
+
+
+@pytest.mark.parametrize(
+    "network, pending_instants",
+    [
+        (SynchronousNetwork(), 8),
+        (AdversarialAsynchronousNetwork(slow_parties=frozenset({2})), 16),
+    ],
+    ids=["sync", "fast-slow"],
+)
+def test_fabric_heap_holds_one_entry_per_instant(network, pending_instants, monkeypatch):
+    """Where delays are fixed, whatever the network's type, the heap sees the
+    distinct instants (a handful pending at a time), not the 140 events."""
+    counts = broadcast_queue_counts(network, monkeypatch)
+    assert counts["heap_pushes"] == len(counts["pushed"])
+    assert sum(counts["pushed"]) > 3 * counts["heap_pushes"]
+    assert counts["heap_high_water"] <= pending_instants
+    assert counts["containers"] == sum(1 for events in counts["pushed"] if events > 1)
+
+
+@pytest.mark.parametrize(
+    "network", [AsynchronousNetwork(), SynchronousNetwork(jitter=0.5)], ids=["async", "jitter"]
+)
+def test_fabric_allocates_no_container_for_a_key_with_one_event(network, monkeypatch):
+    """Slots form from the drawn delivery times alone: delays drawn apart
+    leave one bare event per key; what still shares one is the parties' timers
+    for one anchored time-out and a handler's several self-deliveries."""
+    counts = broadcast_queue_counts(network, monkeypatch)
+    assert counts["heap_pushes"] == len(counts["pushed"])
+    assert counts["containers"] == sum(1 for events in counts["pushed"] if events > 1)
+    assert counts["containers"] < len(counts["pushed"]) / 4
 
 
 def test_fabric_stops_and_resumes_inside_a_fan_out():
