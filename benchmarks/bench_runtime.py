@@ -9,7 +9,10 @@ wall-clock and event-throughput rows to ``BENCH_runtime.json`` via
   the deterministic virtual clock, and asyncio with the real clock);
 * ``mpc_n4`` -- a full ΠCirEval multiplication on both backends, with the
   cyclic collector's share of each run (``gc_collections``,
-  ``gc_full_collections``, ``gc_pause_s``, counted through ``gc.callbacks``);
+  ``gc_full_collections``, ``gc_pause_s``, counted through ``gc.callbacks``),
+  and a ``tcp`` arm: the same evaluation as four OS processes over localhost
+  sockets (wall, the children's CPU seconds, and the data-frame ledger --
+  frames, framed messages, messages per frame);
 * ``multiacast_n32_multiprocess`` -- the same n=32 MultiAcast run
   single-process (all parties as coroutines in one loop, real clock) and
   multi-process (``backend="tcp"``: one OS process per party, every frame
@@ -34,6 +37,8 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import os
+import resource
 import time
 from typing import Dict, Iterator
 
@@ -42,6 +47,7 @@ from repro.broadcast.acast import AcastProtocol
 from repro.circuits import multiplication_circuit
 from repro.mpc import run_mpc
 from repro.runtime import make_backend
+from repro.runtime.launcher import TcpBackend
 from repro.sim import SynchronousNetwork
 
 
@@ -114,6 +120,32 @@ def _run_mpc_on(backend: str, n: int, seed: int = 0, **options) -> Dict[str, flo
     }
 
 
+def _run_mpc_on_tcp(n: int, seed: int = 0, time_scale: float = 0.05,
+                    **options) -> Dict[str, float]:
+    """The MPC arm as n party processes: wall, children CPU, frame ledger.
+
+    ``time_scale`` 0.05 is the e2e suite's ``tcp_n4_tripsh`` setting: the
+    wall is the protocol's rounds on the real clock, the CPU is what the
+    fabric costs.
+    """
+    backend = TcpBackend(n, seed=seed, time_scale=time_scale)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    row = _run_mpc_on(backend, n, seed, **options)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    # The collector counted was the launcher's, not the parties'.
+    row = {key: value for key, value in row.items() if not key.startswith("gc_")}
+    row.update({
+        "time_scale": time_scale,
+        "startup_s": backend.startup_seconds or 0.0,
+        "children_cpu_s": (after.ru_utime - before.ru_utime)
+                          + (after.ru_stime - before.ru_stime),
+        "frames_sent": float(backend.frames_sent),
+        "messages_framed": float(backend.messages_framed),
+        "messages_per_frame": backend.messages_framed / backend.frames_sent,
+    })
+    return row
+
+
 def bench_acast_n16() -> Dict[str, Dict[str, float]]:
     n, length = 16, 256
     rows = {
@@ -134,6 +166,7 @@ def bench_mpc_n4() -> Dict[str, Dict[str, float]]:
     rows = {
         "sim": _run_mpc_on("sim", 4),
         "asyncio_virtual": _run_mpc_on("asyncio", 4),
+        "tcp": _run_mpc_on_tcp(4),
     }
     payload: Dict[str, float] = {"n": 4.0}
     for name, row in rows.items():
@@ -146,9 +179,6 @@ def bench_mpc_n4() -> Dict[str, Dict[str, float]]:
 
 def bench_multiprocess_n32() -> Dict[str, Dict[str, float]]:
     """n=32 MultiAcast: one asyncio loop vs one OS process per party."""
-    import os
-
-    from repro.runtime.launcher import TcpBackend
     from repro.runtime.programs import MultiAcastFactory
 
     n, length, time_scale = 32, 4, 0.002
@@ -194,6 +224,8 @@ def bench_multiprocess_n32() -> Dict[str, Dict[str, float]]:
         "tcp_steady_wall_s": tcp_steady,
         "tcp_steady_vs_single_wall": tcp_steady / single_wall,
         "tcp_vs_single_wall": tcp_wall / single_wall,
+        "tcp_frames_sent": float(tcp_backend.frames_sent),
+        "tcp_messages_framed": float(tcp_backend.messages_framed),
     }
     for name, row in rows.items():
         for key, value in row.items():
@@ -209,6 +241,9 @@ def smoke():
         "asyncio_virtual": _run_acast_on("asyncio", 4, 8),
     }
     assert rows["sim"]["messages_delivered"] == rows["asyncio_virtual"]["messages_delivered"]
+    tcp = rows["tcp"] = _run_mpc_on_tcp(4, time_scale=0.02, offline="him")
+    assert 1 <= tcp["frames_sent"] <= tcp["messages_framed"]
+    assert tcp["children_cpu_s"] > 0
     return rows
 
 
@@ -219,6 +254,12 @@ def main() -> None:
               f"{row['messages_per_s']:10.0f} msg/s")
     print("runtime throughput: MPC n=4 ...")
     for name, row in bench_mpc_n4().items():
+        if name == "tcp":
+            print(f"  {name:16s} wall {row['wall_s']*1000:8.1f} ms   "
+                  f"children {row['children_cpu_s']:.2f} CPU-s   "
+                  f"{row['frames_sent']:.0f} frames / {row['messages_framed']:.0f} "
+                  f"messages ({row['messages_per_frame']:.1f} per frame)")
+            continue
         print(f"  {name:16s} wall {row['wall_s']*1000:8.1f} ms   "
               f"{row['messages_per_s']:10.0f} msg/s   "
               f"gc {row['gc_collections']:.0f} passes, {row['gc_full_collections']:.0f} full, "

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import pickle
+import socket
 import time
 from typing import Any, Dict, Optional
 
@@ -64,6 +65,9 @@ def main(argv=None) -> int:
     parser.add_argument("--resume", action="store_true",
                         help="internal: restore the service party from its "
                              "latest on-disk snapshot before rejoining")
+    parser.add_argument("--listen-fd", type=int, default=None,
+                        help="internal: inherited descriptor of the party's "
+                             "bound roster socket")
     parser.add_argument("--program", choices=["acast", "multiacast", "mpc-mult"],
                         default=None, help="host mode: the workload to run")
     parser.add_argument("--n", type=int, default=4, help="number of parties")
@@ -90,14 +94,18 @@ def main(argv=None) -> int:
             parser.error("--party requires --spec")
         with open(args.spec, "rb") as handle:
             spec = pickle.load(handle)
+        listener = None
+        if args.listen_fd is not None:
+            listener = socket.socket(fileno=args.listen_fd)
         if args.service:
             from repro.runtime.supervisor import run_service_party
 
-            run_service_party(args.party, spec, resume=args.resume)
+            run_service_party(args.party, spec, resume=args.resume,
+                              listener=listener)
         else:
             from repro.runtime.launcher import run_party
 
-            run_party(args.party, spec)
+            run_party(args.party, spec, listener=listener)
         return 0
 
     if args.program is None:

@@ -23,10 +23,14 @@ Two clock modes:
   wakeup / task switch / handled-event round trip that used to make the
   virtual clock ~2.4x the discrete-event simulator's wall time (the party
   receive coroutines only run under the real clock).
-* ``clock="real"`` -- message delays become genuine ``asyncio.sleep`` calls
+* ``clock="real"`` -- message delays become genuine loop timers
   (``time_scale`` real seconds per simulated unit) and the party coroutines
   interleave freely, so executions exercise true concurrency and measure
   wall-clock throughput; like a real network, ordering is not reproducible.
+  The unit of the fabric is the *envelope*: what one loop iteration
+  dispatches with one drawn delay shares one timer and reaches the transport
+  as one ``deliver_many`` call (see :meth:`AsyncioBackend._spawn_delivery`),
+  which a socket transport turns into one frame per channel.
 
 Byzantine :class:`~repro.sim.adversary.Behavior` hooks and the bit-accounting
 :class:`~repro.sim.simulator.SimulationMetrics` work identically to the sim
@@ -115,7 +119,10 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         #: (time, callback) timers registered before the loop exists (real clock).
         self._deferred_timers: List[Tuple[float, Callable[[], None]]] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Timers plus dispatched-but-unflushed messages (real clock).
         self._pending = 0
+        #: drawn delay -> envelope still taking this loop iteration's sends.
+        self._open_envelopes: Dict[float, List[Message]] = {}
         #: First exception raised by a protocol handler (re-raised by run()).
         self._failure: Optional[BaseException] = None
 
@@ -256,6 +263,8 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         extra_predicate: Optional[Callable[[], bool]],
     ) -> Dict[int, Any]:
         self._loop = asyncio.get_running_loop()
+        # An envelope a previous run's loop never sealed has no timer here.
+        self._open_envelopes.clear()
         already_crashed = set(self.transport.crashed)
         opened = self.transport.open(list(self.parties))
         if inspect.isawaitable(opened):
@@ -407,8 +416,8 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         """Wall-clock driver: poll for completion, detect quiescence.
 
         Polling (rather than a per-event wake signal) keeps the hot path of
-        a run -- hundreds of thousands of ``call_later`` deliveries -- free
-        of driver synchronization; the ~5ms completion-detection latency is
+        a run -- hundreds of thousands of dispatched messages -- free of
+        driver synchronization; the ~5ms completion-detection latency is
         noise against any real execution.
         """
         assert self._loop is not None
@@ -440,13 +449,32 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
             await asyncio.sleep(0.005)
 
     def _spawn_delivery(self, message: Message, delay: float) -> None:
-        """Real clock: deliver to the transport after the drawn real delay."""
+        """Real clock: join the envelope open for this delay, or open one.
+
+        What one loop iteration dispatches with one drawn delay travels
+        together: the first message opens the envelope and sets its timer,
+        the rest ride along, and a ``call_soon`` seals every open envelope
+        when the iteration ends.  The timer is the first entry's, so no
+        message reaches the transport later than its own timer would have
+        taken it, and envelopes of one delay flush in the order they were
+        opened -- per-channel FIFO, as with a timer per message.
+        """
         assert self._loop is not None
         self._pending += 1
+        envelope = self._open_envelopes.get(delay)
+        if envelope is not None:
+            envelope.append(message)
+            return
+        if not self._open_envelopes:
+            # Queued ahead of any envelope timer below, so an envelope is
+            # always sealed before it is flushed.
+            self._loop.call_soon(self._open_envelopes.clear)
+        envelope = self._open_envelopes[delay] = [message]
+        self._loop.call_later(
+            delay * self.clock.time_scale, self._flush_envelope, envelope
+        )
 
-        def _deliver() -> None:
-            self._pending -= 1
-            for _pair in self.transport.deliver(message):
-                self.metrics.record_delivery()
-
-        self._loop.call_later(delay * self.clock.time_scale, _deliver)
+    def _flush_envelope(self, envelope: List[Message]) -> None:
+        self._pending -= len(envelope)
+        for _pair in self.transport.deliver_many(envelope):
+            self.metrics.record_delivery()

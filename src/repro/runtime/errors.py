@@ -78,6 +78,18 @@ class ChannelBrokenError(TransportError):
         )
 
 
+class WireDecodeError(TransportError, ValueError):
+    """Bytes read from a peer socket do not decode to what the codec wrote.
+
+    Everything a peer controls is covered: an envelope ``count`` or entry
+    length larger than the bytes that follow it, a residue ``count`` larger
+    than its array, trailing bytes, an envelope mixing channels or landing
+    at the wrong listener, and any failure inside an entry's own decode.
+    Also a ``ValueError``, which is what these sites raised before they
+    were typed.
+    """
+
+
 class PartyProcessDied(TransportError):
     """A party's OS process exited without reporting (launcher watchdog).
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import os
 import pickle
+import socket
 import subprocess
 import sys
 import tempfile
@@ -151,12 +152,20 @@ def _merge_metrics(total: SimulationMetrics, part: Dict[str, Any]) -> None:
 
 # -- child side (one party process) -----------------------------------------
 
-def run_party(party_id: int, spec: JobSpec) -> None:
-    """Entry point of a party process (``python -m repro.launch --party i``)."""
-    asyncio.run(_party_main(party_id, spec))
+def run_party(
+    party_id: int, spec: JobSpec, listener: Optional[socket.socket] = None
+) -> None:
+    """Entry point of a party process (``python -m repro.launch --party i``).
+
+    ``listener`` is the party's roster port, already bound by the launcher
+    and inherited; without one the party binds its roster address itself.
+    """
+    asyncio.run(_party_main(party_id, spec, listener))
 
 
-async def _party_main(party_id: int, spec: JobSpec) -> None:
+async def _party_main(
+    party_id: int, spec: JobSpec, listener: Optional[socket.socket]
+) -> None:
     transport_opts = dict(spec.transport_opts)
     transport_opts.setdefault("reconnect_seed", spec.seed ^ party_id)
     transport = TcpTransport(
@@ -166,6 +175,8 @@ async def _party_main(party_id: int, spec: JobSpec) -> None:
         latency=spec.latency,
         **transport_opts,
     )
+    if listener is not None:
+        transport.adopt_listener(party_id, listener)
     backend = TcpPartyBackend(
         spec.n,
         local_party=party_id,
@@ -257,6 +268,8 @@ async def _party_main(party_id: int, spec: JobSpec) -> None:
         "party": party_id,
         "error": repr(failure) if failure is not None else None,
         "metrics": _metrics_dict(backend.metrics),
+        "frames_sent": transport.frames_sent,
+        "messages_framed": transport.messages_framed,
     })
     ctrl_task.cancel()
     await asyncio.gather(ctrl_task, return_exceptions=True)
@@ -291,21 +304,57 @@ async def _dial(
 
 # -- launcher side -----------------------------------------------------------
 
-def free_roster(n: int, host: str = "127.0.0.1") -> Dict[int, Tuple[str, int]]:
-    """Pick one free localhost port per party (bind port 0, read it back)."""
-    import socket
+def reserve_roster(
+    n: int, host: str = "127.0.0.1"
+) -> Tuple[Dict[int, Tuple[str, int]], Dict[int, socket.socket]]:
+    """Bind one ephemeral port per party and keep it: (roster, listeners).
 
+    The sockets are bound exclusively (no ``SO_REUSEADDR``) and not yet
+    listening; each party process inherits its own and listens on it, so
+    between the roster being published and the party serving it the port
+    can be given to nobody else -- not to a sibling's outbound connection,
+    not to another process's bind.  The caller closes the sockets.
+    """
     roster: Dict[int, Tuple[str, int]] = {}
-    sockets = []
+    listeners: Dict[int, socket.socket] = {}
     for party_id in range(1, n + 1):
         sock = socket.socket()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, 0))
-        sockets.append(sock)
+        listeners[party_id] = sock
         roster[party_id] = (host, sock.getsockname()[1])
-    for sock in sockets:
+    return roster, listeners
+
+
+def free_roster(n: int, host: str = "127.0.0.1") -> Dict[int, Tuple[str, int]]:
+    """Pick one free localhost port per party and release it again.
+
+    For callers that bind the addresses themselves (a roster passed to
+    :class:`TcpBackend` or :class:`TcpTransport`); until they do, the ports
+    are anybody's.  The launchers use :func:`reserve_roster` instead.
+    """
+    roster, listeners = reserve_roster(n, host)
+    for sock in listeners.values():
         sock.close()
     return roster
+
+
+def spawn_party_process(
+    python: str, args: List[str], listener: Optional[socket.socket] = None
+) -> subprocess.Popen:
+    """Start ``python -m repro.launch *args`` as a party process.
+
+    The child imports the same code as the parent (and unpickles factories
+    defined in test/bench modules), so it gets the parent's import path;
+    ``listener`` is inherited under its own descriptor number.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    argv = [python, "-m", "repro.launch", *args]
+    pass_fds: Tuple[int, ...] = ()
+    if listener is not None:
+        argv += ["--listen-fd", str(listener.fileno())]
+        pass_fds = (listener.fileno(),)
+    return subprocess.Popen(argv, env=env, pass_fds=pass_fds)
 
 
 class RemoteInstance:
@@ -376,6 +425,10 @@ class TcpBackend(ExecutionBackend):
         #: (interpreter + import cost x n, serialized on few-core hosts);
         #: benchmarks report it separately from the steady-state run time.
         self.startup_seconds: Optional[float] = None
+        #: Data frames the party processes of the latest run put a wire seq
+        #: on, and the logical messages those frames carried.
+        self.frames_sent = 0
+        self.messages_framed = 0
         #: No in-process parties -- they live in the child processes.
         self.parties: Dict[int, Any] = {}
 
@@ -417,7 +470,11 @@ class TcpBackend(ExecutionBackend):
 
     async def _launch(self, factory, max_time) -> Dict[int, Any]:
         loop = asyncio.get_running_loop()
-        roster = dict(self.roster) if self.roster else free_roster(self.n, self.host)
+        listeners: Dict[int, socket.socket] = {}
+        if self.roster:
+            roster = dict(self.roster)
+        else:
+            roster, listeners = reserve_roster(self.n, self.host)
         expected = [pid for pid in range(1, self.n + 1)
                     if pid not in self.corrupt_parties]
         hellos: set = set()
@@ -470,18 +527,14 @@ class TcpBackend(ExecutionBackend):
         fd, spec_path = tempfile.mkstemp(prefix="repro-job-", suffix=".pkl")
         with os.fdopen(fd, "wb") as handle_file:
             pickle.dump(spec, handle_file, protocol=pickle.HIGHEST_PROTOCOL)
-        env = dict(os.environ)
-        # Children must import the same code (and unpickle factories defined
-        # in test/bench modules), so they inherit the parent's import path.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         procs: Dict[int, subprocess.Popen] = {}
         try:
             spawn_started = loop.time()
             for party_id in range(1, self.n + 1):
-                procs[party_id] = subprocess.Popen(
-                    [self.python, "-m", "repro.launch",
-                     "--party", str(party_id), "--spec", spec_path],
-                    env=env,
+                procs[party_id] = spawn_party_process(
+                    self.python,
+                    ["--party", str(party_id), "--spec", spec_path],
+                    listeners.get(party_id),
                 )
 
             def check_children() -> None:
@@ -547,6 +600,8 @@ class TcpBackend(ExecutionBackend):
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait()
+            for sock in listeners.values():
+                sock.close()
             server.close()
             await server.wait_closed()
             try:
@@ -555,8 +610,11 @@ class TcpBackend(ExecutionBackend):
                 pass
 
         self.metrics = SimulationMetrics()
+        self.frames_sent = self.messages_framed = 0
         for done_msg in dones.values():
             _merge_metrics(self.metrics, done_msg["metrics"])
+            self.frames_sent += done_msg["frames_sent"]
+            self.messages_framed += done_msg["messages_framed"]
         return {
             pid: RemoteInstance(pid, outputs.get(pid))
             for pid in range(1, self.n + 1)

@@ -43,6 +43,7 @@ import asyncio
 import os
 import pickle
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -61,7 +62,8 @@ from repro.runtime.launcher import (
     _dial,
     _merge_metrics,
     _metrics_dict,
-    free_roster,
+    reserve_roster,
+    spawn_party_process,
 )
 from repro.runtime.tcp_transport import LatencyShim, TcpTransport
 from repro.runtime.wire import decode_payload, encode_payload, frame, read_frame
@@ -106,12 +108,19 @@ class ServiceSpec:
 
 # -- child side (one persistent party process) -------------------------------
 
-def run_service_party(party_id: int, spec: ServiceSpec, resume: bool = False) -> None:
+def run_service_party(
+    party_id: int,
+    spec: ServiceSpec,
+    resume: bool = False,
+    listener: Optional[socket.socket] = None,
+) -> None:
     """Entry point of a service party process (``repro.launch --service``)."""
-    asyncio.run(_service_party_main(party_id, spec, resume))
+    asyncio.run(_service_party_main(party_id, spec, resume, listener))
 
 
-async def _service_party_main(party_id: int, spec: ServiceSpec, resume: bool) -> None:
+async def _service_party_main(
+    party_id: int, spec: ServiceSpec, resume: bool, listener: Optional[socket.socket]
+) -> None:
     transport_opts = dict(spec.transport_opts)
     transport_opts.setdefault("reconnect_seed", spec.seed ^ party_id)
     # Service channels must ride out a peer's restart (interpreter start on
@@ -123,7 +132,8 @@ async def _service_party_main(party_id: int, spec: ServiceSpec, resume: bool) ->
     # A peer's crash-restart outage lasts seconds while an in-flight
     # evaluation keeps generating frames at full tilt; the replay buffer
     # must absorb that window (an overflow kills this process -- which the
-    # supervisor also heals, but needlessly).
+    # supervisor also heals, but needlessly).  The bound counts frames, and
+    # a frame is an envelope of ~100 messages in a synchronous round.
     transport_opts.setdefault("send_buffer_frames", 1 << 17)
     transport = TcpTransport(
         roster=dict(spec.roster),
@@ -131,6 +141,8 @@ async def _service_party_main(party_id: int, spec: ServiceSpec, resume: bool) ->
         latency=spec.latency,
         **transport_opts,
     )
+    if listener is not None:
+        transport.adopt_listener(party_id, listener)
     backend = TcpPartyBackend(
         spec.n,
         local_party=party_id,
@@ -471,6 +483,7 @@ class TcpMpcService:
         self.recoveries: List[RecoveryReport] = []
         self.metrics = SimulationMetrics()
         self.roster: Dict[int, Tuple[str, int]] = {}
+        self._listeners: Dict[int, socket.socket] = {}
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -548,7 +561,9 @@ class TcpMpcService:
     async def _start(self) -> None:
         loop = asyncio.get_running_loop()
         os.makedirs(self.snapshot_dir, exist_ok=True)
-        self.roster = free_roster(self.n, self.host)
+        # Kept bound for the service's life: a restarted party inherits the
+        # same socket, so its port cannot be lost while it is down.
+        self.roster, self._listeners = reserve_roster(self.n, self.host)
 
         async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
             try:
@@ -614,15 +629,12 @@ class TcpMpcService:
         self._monitor_task = loop.create_task(self._monitor())
 
     def _spawn(self, party_id: int, resume: bool) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        argv = [
-            self.python, "-m", "repro.launch", "--service",
-            "--party", str(party_id), "--spec", self._spec_path,
-        ]
+        args = ["--service", "--party", str(party_id), "--spec", self._spec_path]
         if resume:
-            argv.append("--resume")
-        self._procs[party_id] = subprocess.Popen(argv, env=env)
+            args.append("--resume")
+        self._procs[party_id] = spawn_party_process(
+            self.python, args, self._listeners.get(party_id)
+        )
 
     def _dead_unclaimed(self) -> Dict[int, Optional[int]]:
         """Dead children no recovery task has claimed yet (monitor lag).
@@ -903,6 +915,9 @@ class TcpMpcService:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+        for sock in self._listeners.values():
+            sock.close()
+        self._listeners = {}
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

@@ -2,9 +2,45 @@
 
 The socket-shaped :class:`~repro.runtime.transport.Transport` interface was
 built so this class could slot in without touching protocol or backend code:
-``deliver`` writes a :mod:`~repro.runtime.wire` frame to the recipient's
-listener instead of an ``asyncio.Queue``, and everything else -- the party
-receive loops, crash-stop, fault injection, metrics -- behaves identically.
+``deliver_many`` writes :mod:`~repro.runtime.wire` frames to the recipients'
+listeners instead of filling ``asyncio.Queue`` inboxes, and everything else
+-- the party receive loops, crash-stop, fault injection, metrics -- behaves
+identically.
+
+The envelope is the unit of the wire
+------------------------------------
+
+The real-clock backend hands over *envelopes*: the messages one loop
+iteration dispatched with one drawn delay, in emission order, flushed when
+the **first** entry's delay has elapsed (so no entry is later than a timer
+of its own would have made it, and envelopes of one delay flush in the order
+they were opened).  ``deliver_many`` runs the per-message rules of the
+:mod:`~repro.runtime.transport` contract over the envelope in that order --
+crash, self-delivery, one fault decision and one ``seq`` per logical
+non-self message, hold release -- and what they let through leaves as **one
+data frame per channel**::
+
+    frame := length:u32  "D"  wire-seq:u64  count:u32  entry * count
+    entry := length:u32  encode_message(message)
+
+A payload object that goes to several recipients in one flush (a
+``send_all``) is encoded once.  ``deliver(m)`` is ``deliver_many((m,))``: a
+frame with ``count == 1``, the same bytes.  The receiver bounds ``count``
+and every length by the bytes left before it allocates, requires one
+``(sender, recipient)`` channel per envelope and that recipient to be the
+listener's party, dedupes and acknowledges the frame as a whole, and then
+puts one ``(message, handled)`` item per logical message on the inbox --
+nothing above the transport sees envelopes.  With a :class:`LatencyShim`
+every message still draws its own delay; the entries of one channel that
+drew the same delay share a frame.
+
+Wire seqs, ``ack_every`` and ``send_buffer_frames`` therefore count
+*frames*, not messages: in a synchronous n=4 evaluation a frame carries
+~100 messages (one party's whole round to one peer), so an ``ack_every`` of
+16 acknowledges every ~1,600 messages and a buffer of 8,192 frames rides
+out a far longer outage than it did when each message was its own frame.
+:attr:`TcpTransport.frames_sent` / :attr:`TcpTransport.messages_framed` are
+the ledger.
 
 One transport instance serves the *local* parties of its process:
 
@@ -23,12 +59,13 @@ Self-healing channel layer
 
 A dropped connection is no longer frame loss.  Every data frame carries a
 per-channel wire sequence number and stays in a bounded send buffer until
-the receiver acknowledges it; when a connection breaks, the channel redials
-with exponential backoff plus deterministic jitter and replays everything
-unacknowledged.  The receiver deduplicates by sequence number, so replay is
-exactly-once end to end (a *fault-injected* duplicate is two distinct
-sequence numbers and still delivers twice, as the fault contract requires).
-The failure modes are typed (:mod:`repro.runtime.errors`):
+the receiver acknowledges it (the writer sends from a cursor into that
+buffer, so a wake costs the frames it writes, not the frames unacked); when
+a connection breaks, the channel redials with exponential backoff plus
+deterministic jitter and replays everything unacknowledged.  The receiver
+deduplicates by sequence number, so replay is exactly-once end to end (a
+*fault-injected* duplicate is two entries and still delivers twice, as the
+fault contract requires).  The failure modes are typed (:mod:`repro.runtime.errors`):
 
 * a frame that cannot be flushed within ``send_timeout`` raises
   :class:`SendTimeoutError` (the channel then tears down and retries);
@@ -51,10 +88,10 @@ from the same ``decide`` interface (use :class:`FaultSchedule` or a
 :class:`~repro.faults.plan.FaultPlan` for decisions that replay identically
 against :class:`InProcessTransport`).
 
-``latency`` injects per-channel artificial delay before the socket write, so
-localhost runs emulate WAN round-trip times (:class:`LatencyShim`); dials
-and reconnects draw their own shim delay, so the *recovery* path is WAN-
-emulated too.  The transport requires the real clock -- socket deliveries
+``latency`` injects per-channel artificial delay before the frame is given
+its wire seq, so localhost runs emulate WAN round-trip times
+(:class:`LatencyShim`); dials and reconnects draw their own shim delay, so
+the *recovery* path is WAN-emulated too.  The transport requires the real clock -- socket deliveries
 cannot be enqueued synchronously, which the virtual-clock inline dispatcher
 relies on.
 """
@@ -65,6 +102,7 @@ import asyncio
 import hashlib
 import itertools
 import os
+import socket
 import struct
 import sys
 from collections import OrderedDict
@@ -75,6 +113,7 @@ from repro.runtime.errors import (
     SendBufferOverflowError,
     SendTimeoutError,
     TransportError,
+    WireDecodeError,
 )
 from repro.runtime.transport import (
     DROP,
@@ -83,11 +122,17 @@ from repro.runtime.transport import (
     Transport,
     fault_decision,
 )
-from repro.runtime.wire import decode_message, encode_message, frame, read_frame
+from repro.runtime.wire import (
+    decode_envelope,
+    encode_entry,
+    encode_envelope,
+    frame,
+    read_frame,
+)
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
-#: Channel frame kinds: data (seq-numbered message), heartbeat, ack, and the
+#: Channel frame kinds: data (seq-numbered envelope), heartbeat, ack, and the
 #: per-connection incarnation preamble (see ``TcpTransport.incarnation``).
 _KIND_DATA, _KIND_HEARTBEAT, _KIND_ACK, _KIND_INCARNATION = b"D", b"H", b"A", b"I"
 
@@ -203,6 +248,8 @@ class TcpTransport(Transport):
         )
         #: Per-frame drain timeout (None = wait forever, TCP's own timeouts).
         self.send_timeout = send_timeout
+        #: Replay-buffer bound and ack cadence, both in *frames*; a frame is
+        #: an envelope (~100 messages in a synchronous n=4 evaluation).
         self.send_buffer_frames = send_buffer_frames
         self.max_reconnect_attempts = max_reconnect_attempts
         self.reconnect_base = reconnect_base
@@ -240,6 +287,12 @@ class TcpTransport(Transport):
         #: total reconnect dials that followed a successful connection (the
         #: self-healing activity counter benchmarks and tests read).
         self.reconnects = 0
+        #: Data frames given a wire seq, and the logical messages in them
+        #: (replays of a frame are not counted again).
+        self.frames_sent = 0
+        self.messages_framed = 0
+        #: local party -> bound socket handed over by :meth:`adopt_listener`.
+        self._listeners: Dict[int, socket.socket] = {}
         self._local: Set[int] = set()
         self._has_remote = False
         self._inflight = 0
@@ -269,15 +322,33 @@ class TcpTransport(Transport):
         self._last_heard = {}
         self.broken_channels = {}
         self.reconnects = 0
+        self.frames_sent = 0
+        self.messages_framed = 0
         self._inflight = 0
         for pid in sorted(self._local):
-            host, port = self.roster.get(pid, (self.host, 0))
-            server = await asyncio.start_server(
-                self._make_handler(pid), host=host, port=port
-            )
+            listener = self._listeners.pop(pid, None)
+            if listener is not None:
+                server = await asyncio.start_server(
+                    self._make_handler(pid), sock=listener
+                )
+            else:
+                host, port = self.roster.get(pid, (self.host, 0))
+                server = await asyncio.start_server(
+                    self._make_handler(pid), host=host, port=port
+                )
             if pid not in self.roster:
                 self.roster[pid] = server.sockets[0].getsockname()[:2]
             self._servers[pid] = server
+
+    def adopt_listener(self, party_id: int, listener: socket.socket) -> None:
+        """Serve ``party_id`` on an already-bound socket (before ``open``).
+
+        A launcher that picked the port keeps it bound and hands the socket
+        down, so nothing else can be given the port between the roster
+        being published and this process listening on it.  Without one,
+        ``open`` binds the party's roster address itself.
+        """
+        self._listeners[party_id] = listener
 
     def inbox(self, party_id: int) -> asyncio.Queue:
         return self._inboxes[party_id]
@@ -386,35 +457,45 @@ class TcpTransport(Transport):
                         continue
                     if kind != _KIND_DATA:
                         continue  # unknown kind: ignore (forward compat)
+                    if len(body) < 9:
+                        raise WireDecodeError("data frame shorter than its wire seq")
                     wseq = _U64.unpack_from(body, 1)[0]
-                    message = decode_message(body[9:])
-                    if message.recipient != pid:
-                        raise ValueError(
-                            f"misrouted frame: {message.sender}->"
-                            f"{message.recipient} arrived at P{pid}'s listener"
+                    messages = decode_envelope(body, 9)
+                    # One channel per envelope (decode_envelope's check), so
+                    # the first entry speaks for every entry's routing.
+                    sender = messages[0].sender
+                    if messages[0].recipient != pid:
+                        raise WireDecodeError(
+                            f"misrouted frame: {sender}->"
+                            f"{messages[0].recipient} arrived at P{pid}'s listener"
                         )
-                    channel = (message.sender, pid)
+                    channel = (sender, pid)
                     self._last_heard[channel] = self._loop.time()
                     if wseq <= self._recv_wseq.get(channel, 0):
-                        # Replayed frame whose original landed: exactly-once
-                        # dedupe (fault-injected duplicates carry fresh
-                        # seqs and still deliver twice).  Re-ack the high-
-                        # water mark so the replaying sender prunes.
+                        # Replayed frame whose original landed: the whole
+                        # envelope is dropped, exactly-once (fault-injected
+                        # duplicates are two entries and still deliver
+                        # twice).  Re-ack the high-water mark so the
+                        # replaying sender prunes.
                         writer.write(frame(
                             _KIND_ACK + _U64.pack(self._recv_wseq[channel])
                         ))
                         continue
                     self._recv_wseq[channel] = wseq
                     if not self._has_remote:
-                        self._inflight -= 1
+                        self._inflight -= len(messages)
                     if wseq % self.ack_every == 0:
                         writer.write(frame(_KIND_ACK + _U64.pack(wseq)))
-                    if message.recipient in self._crashed:
+                    if pid in self._crashed:
                         continue
-                    handled = asyncio.Event()
-                    self._inboxes[pid].put_nowait((message, handled))
-                    if self.on_delivery is not None:
-                        self.on_delivery()
+                    # One inbox item per logical message: the party loop and
+                    # everything that drains an inbox see no envelopes.
+                    inbox = self._inboxes[pid]
+                    on_delivery = self.on_delivery
+                    for message in messages:
+                        inbox.put_nowait((message, asyncio.Event()))
+                        if on_delivery is not None:
+                            on_delivery()
             except (asyncio.IncompleteReadError, ConnectionError):
                 pass  # peer closed (reconnect or teardown) -- drain ends
             except asyncio.CancelledError:
@@ -428,43 +509,65 @@ class TcpTransport(Transport):
 
     # -- send path ----------------------------------------------------------
     def deliver(self, message) -> List[Tuple[object, asyncio.Event]]:
-        recipient = message.recipient
-        if recipient in self._crashed or self._closed:
+        return self.deliver_many((message,))
+
+    def deliver_many(self, messages: Sequence) -> List[Tuple[object, asyncio.Event]]:
+        """Apply the per-message rules in order, then one frame per channel.
+
+        Crash, self-delivery, fault decision (one ``seq`` per logical
+        non-self message) and hold release run message by message exactly as
+        the :mod:`~repro.runtime.transport` contract words them; what they
+        let through is staged per channel and committed when the loop ends.
+        """
+        if self._closed:
             return []
-        # In-flight messages from a crashed sender are still delivered (the
-        # transport.py module contract).
-        if message.sender == recipient:
-            # Self-delivery stays local (it is free and immediate on every
-            # backend); it still releases a held message for this recipient.
-            pair = self._enqueue_local(message)
-            self._release_held(recipient)
-            return [pair]
         delivered: List[Tuple[object, asyncio.Event]] = []
+        staged: Dict[Tuple[Tuple[int, int], float], List[bytes]] = {}
+        #: id(payload) -> encoding, for this call only: a fan-out's shared
+        #: payload is encoded once, and nothing outlives the flush to be
+        #: served stale after the object is mutated.
+        memo: Dict[int, bytes] = {}
         faults = self.faults
-        if faults is not None:
-            seq = self._next_seq(message.sender, recipient)
-            decision = fault_decision(
-                faults, message, seq, can_hold=recipient not in self._held
-            )
-            if decision == HOLD:
-                self._held[recipient] = message
-                return delivered
-            if decision != DROP:
-                self._transmit(message)
-                if decision == DUPLICATE:
-                    self._transmit(message)
-            self._release_held(recipient)
-            return delivered
-        self._transmit(message)
-        self._release_held(recipient)
+        held = self._held
+        for message in messages:
+            recipient = message.recipient
+            if recipient in self._crashed:
+                continue
+            # In-flight messages from a crashed sender are still delivered
+            # (the transport.py module contract).
+            if message.sender == recipient:
+                # Self-delivery stays local (it is free and immediate on
+                # every backend); it still releases a held message.
+                delivered.append(self._enqueue_local(message))
+            elif faults is None:
+                self._stage(message, staged, memo)
+            else:
+                seq = self._next_seq(message.sender, recipient)
+                decision = fault_decision(
+                    faults, message, seq, can_hold=recipient not in held
+                )
+                if decision == HOLD:
+                    held[recipient] = message
+                    continue
+                if decision != DROP:
+                    self._stage(message, staged, memo)
+                    if decision == DUPLICATE:
+                        self._stage(message, staged, memo)
+            if held:
+                released = held.pop(recipient, None)
+                if released is not None:
+                    self._stage(released, staged, memo)
+        self._commit_staged(staged)
         return delivered
 
     def flush_reordered(self) -> List[Tuple[object, asyncio.Event]]:
         held, self._held = self._held, {}
+        staged: Dict[Tuple[Tuple[int, int], float], List[bytes]] = {}
+        memo: Dict[int, bytes] = {}
         for recipient in sorted(held):
-            if recipient in self._crashed:
-                continue
-            self._transmit(held[recipient])
+            if recipient not in self._crashed:
+                self._stage(held[recipient], staged, memo)
+        self._commit_staged(staged)
         return []
 
     def _enqueue_local(self, message) -> Tuple[object, asyncio.Event]:
@@ -478,28 +581,33 @@ class TcpTransport(Transport):
         self._seq[key] = seq + 1
         return seq
 
-    def _release_held(self, recipient: int) -> None:
-        held = self._held.pop(recipient, None)
-        if held is not None:
-            self._transmit(held)
-
-    def _transmit(self, message) -> None:
-        """Frame the message and schedule its socket write (plus latency)."""
+    def _stage(self, message, staged, memo) -> None:
+        """Encode one transmission into its (channel, shim delay) group."""
         key = (message.sender, message.recipient)
         if not self._has_remote:
             self._inflight += 1
-        body = encode_message(message)
+        delay = 0.0
         if self.latency is not None:
             lat_seq = self._lat_seq.get(key, 0)
             self._lat_seq[key] = lat_seq + 1
             delay = self.latency.delay(message.sender, message.recipient, lat_seq)
-            if delay > 0:
-                self._loop.call_later(delay, self._commit_frame, key, body)
-                return
-        self._commit_frame(key, body)
+        entry = encode_entry(message, memo)
+        group = staged.get((key, delay))
+        if group is None:
+            staged[(key, delay)] = [entry]
+        else:
+            group.append(entry)
 
-    def _commit_frame(self, key: Tuple[int, int], body: bytes) -> None:
-        """Sequence-number the frame into the channel's replay buffer."""
+    def _commit_staged(self, staged) -> None:
+        """One frame per (channel, shim delay) group, after that delay."""
+        for (key, delay), entries in staged.items():
+            if delay > 0:
+                self._loop.call_later(delay, self._commit_frame, key, entries)
+            else:
+                self._commit_frame(key, entries)
+
+    def _commit_frame(self, key: Tuple[int, int], entries: List[bytes]) -> None:
+        """Sequence-number one envelope into the channel's replay buffer."""
         if self._closed:
             return
         state = self._channel_states.get(key)
@@ -526,7 +634,11 @@ class TcpTransport(Transport):
             raise error
         wseq = state.next_wseq
         state.next_wseq += 1
-        state.pending[wseq] = frame(_KIND_DATA + _U64.pack(wseq) + body)
+        state.pending[wseq] = frame(
+            _KIND_DATA + _U64.pack(wseq) + encode_envelope(entries)
+        )
+        self.frames_sent += 1
+        self.messages_framed += len(entries)
         state.event.set()
 
     # -- the self-healing channel writer ------------------------------------
@@ -648,25 +760,26 @@ class TcpTransport(Transport):
                         + _U64.pack(self.incarnation)
                     ))
                     # Replay everything unacknowledged, then pump new frames.
+                    # The buffer holds the contiguous seqs [first unacked,
+                    # next_wseq), so the writer indexes from its cursor and
+                    # a wake costs what it writes, not what is unacked.
                     cursor = next(iter(state.pending), state.next_wseq)
                     while True:
-                        wrote = False
-                        for wseq, payload in list(state.pending.items()):
-                            if wseq >= cursor:
-                                if writer.transport.is_closing():
-                                    # The peer dropped us mid-replay; stop
-                                    # queueing into a dead socket (asyncio
-                                    # warns per write) and redial.
-                                    raise ConnectionResetError(
-                                        "peer closed during replay"
-                                    )
-                                writer.write(payload)
-                                cursor = wseq + 1
-                                wrote = True
+                        wrote = cursor < state.next_wseq
+                        while cursor < state.next_wseq:
+                            if writer.transport.is_closing():
+                                # The peer dropped us mid-replay; stop
+                                # queueing into a dead socket (asyncio
+                                # warns per write) and redial.
+                                raise ConnectionResetError(
+                                    "peer closed during replay"
+                                )
+                            writer.write(state.pending[cursor])
+                            cursor += 1
                         if wrote:
                             await self._drain(key, writer)
                         state.event.clear()
-                        if state.pending and next(reversed(state.pending)) >= cursor:
+                        if cursor < state.next_wseq:
                             continue  # a frame raced the clear
                         if self.heartbeat_interval > 0:
                             try:

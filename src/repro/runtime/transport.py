@@ -210,6 +210,19 @@ class Transport:
         several -- duplication, a released held message)."""
         raise NotImplementedError
 
+    def deliver_many(self, messages: Sequence) -> List[Tuple[object, asyncio.Event]]:
+        """Hand over an envelope: messages due together, in emission order.
+
+        Exactly ``deliver`` on each in turn -- every fault decision, crash
+        rule and hold release is per logical message.  The real-clock
+        backend flushes through here so a socket transport can move what
+        shares a channel as one frame.
+        """
+        delivered: List[Tuple[object, asyncio.Event]] = []
+        for message in messages:
+            delivered.extend(self.deliver(message))
+        return delivered
+
     def crash(self, party_id: int) -> None:
         """Crash-stop a party's endpoint: no further deliveries to it.
 

@@ -2,9 +2,22 @@
 
 The TCP transport moves protocol messages between party processes as
 *frames*: a 4-byte big-endian length prefix followed by a typed binary body.
-The codec is tag-dispatched and self-describing -- every value is one tag
-byte plus tag-specific data -- and covers the whole payload zoo the
-protocols put on the wire:
+A data frame's body carries an *envelope* -- everything one channel has to
+move in one flush::
+
+    envelope := count:u32  entry * count        (count >= 1)
+    entry    := length:u32  encode_message(message)
+
+All entries of an envelope share one ``(sender, recipient)`` channel.
+:func:`encode_entry` writes an entry and encodes a payload object that
+recurs within one flush (a ``send_all`` fan-out) once; :func:`decode_envelope`
+bounds ``count`` and every length by the bytes that follow *before* it
+allocates or unpacks, and turns every way a peer's bytes can be wrong into
+one :class:`~repro.runtime.errors.WireDecodeError`.
+
+The per-message codec is tag-dispatched and self-describing -- every value
+is one tag byte plus tag-specific data -- and covers the whole payload zoo
+the protocols put on the wire:
 
 * the scalar primitives (``None``, bools, ints of any magnitude, floats,
   strings, bytes) and the containers (tuple/list/set/frozenset/dict),
@@ -32,11 +45,12 @@ from __future__ import annotations
 import asyncio
 import pickle
 import struct
-from typing import Any, List
+from typing import Any, Dict, List, Sequence
 
 from repro.broadcast.acast import PackedFieldVector
 from repro.field.gf import GF, FieldElement
 from repro.field.polynomial import Polynomial
+from repro.runtime.errors import WireDecodeError
 from repro.sharing.wps import PackedPolynomialRows
 from repro.sim.messages import Message
 
@@ -47,6 +61,11 @@ MAX_FRAME_BYTES = 1 << 30
 _U32 = struct.Struct(">I")
 _HEADER = struct.Struct(">iid")  # sender, recipient, send_time
 _F64 = struct.Struct(">d")
+#: An envelope entry up to its tag: entry length, routing header, tag length.
+_ENTRY_HEAD = struct.Struct(">IiidI")
+#: The smallest entry a peer can honestly send: its length field, the
+#: routing header, an empty tag's length and a one-byte payload.
+_MIN_ENTRY_BYTES = _ENTRY_HEAD.size + 1
 
 
 def _w_uint(buf: bytearray, value: int) -> None:
@@ -97,6 +116,14 @@ def _r_residues(data: bytes, pos: int) -> tuple:
     pos += 4
     packed = data[pos]
     pos += 1
+    # The count is the peer's: check it against the bytes actually present
+    # (8 per packed residue, at least 2 per boxed one) before sizing a
+    # struct format or a list from it.
+    if count * (8 if packed else 2) > len(data) - pos:
+        raise WireDecodeError(
+            f"residue vector claims {count} entries with "
+            f"{len(data) - pos} bytes left"
+        )
     if packed:
         values = struct.unpack_from(f"<{count}Q", data, pos)
         pos += 8 * count
@@ -242,7 +269,7 @@ def _decode(data: bytes, pos: int) -> tuple:
         (length,) = _U32.unpack_from(data, pos)
         pos += 4
         return pickle.loads(data[pos:pos + length]), pos + length
-    raise ValueError(f"unknown wire tag {tag!r} at offset {pos - 1}")
+    raise WireDecodeError(f"unknown wire tag {tag!r} at offset {pos - 1}")
 
 
 def encode_payload(obj: Any) -> bytes:
@@ -256,7 +283,9 @@ def decode_payload(data: bytes) -> Any:
     """Decode a payload produced by :func:`encode_payload`."""
     obj, pos = _decode(data, 0)
     if pos != len(data):
-        raise ValueError(f"trailing garbage after payload ({len(data) - pos} bytes)")
+        raise WireDecodeError(
+            f"trailing garbage after payload ({len(data) - pos} bytes)"
+        )
     return obj
 
 
@@ -286,8 +315,82 @@ def decode_message(data: bytes) -> Message:
     pos += length
     payload, pos = _decode(data, pos)
     if pos != len(data):
-        raise ValueError(f"trailing garbage after message ({len(data) - pos} bytes)")
+        raise WireDecodeError(
+            f"trailing garbage after message ({len(data) - pos} bytes)"
+        )
     return Message(sender, recipient, tag, payload, send_time)
+
+
+def encode_entry(message: Message, memo: Dict[int, bytes]) -> bytes:
+    """One envelope entry: :func:`encode_message` output behind its length.
+
+    ``memo`` maps ``id(payload)`` to that payload's encoding, so the object a
+    ``send_all`` hands to every recipient is encoded once per flush.  The
+    caller owns it and must drop it with the flush: it is only sound while
+    the messages it saw are alive and no handler has run in between.
+    """
+    payload = message.payload
+    encoded = memo.get(id(payload))
+    if encoded is None:
+        encoded = memo[id(payload)] = encode_payload(payload)
+    tag = message.tag.encode("utf-8")
+    return _ENTRY_HEAD.pack(
+        _HEADER.size + 4 + len(tag) + len(encoded),
+        message.sender, message.recipient, message.send_time, len(tag),
+    ) + tag + encoded
+
+
+def encode_envelope(entries: Sequence[bytes]) -> bytes:
+    """Join one channel's :func:`encode_entry` outputs behind their count."""
+    return _U32.pack(len(entries)) + b"".join(entries)
+
+
+def decode_envelope(data: bytes, offset: int = 0) -> List[Message]:
+    """Decode the envelope at ``data[offset:]``: its messages, emission order.
+
+    Returns at least one message, all of one ``(sender, recipient)`` channel,
+    or raises :class:`WireDecodeError` -- for a count or length that
+    overruns the buffer (checked before anything is sized from it), an
+    entry that does not decode, a second channel, or trailing bytes.
+    """
+    end = len(data)
+    if end - offset < 4:
+        raise WireDecodeError("envelope is shorter than its count field")
+    (count,) = _U32.unpack_from(data, offset)
+    pos = offset + 4
+    if count < 1 or count * _MIN_ENTRY_BYTES > end - pos:
+        raise WireDecodeError(
+            f"envelope claims {count} entries with {end - pos} bytes left"
+        )
+    messages: List[Message] = []
+    for index in range(count):
+        if end - pos < 4:
+            raise WireDecodeError(f"envelope ends before entry {index}")
+        (length,) = _U32.unpack_from(data, pos)
+        pos += 4
+        if length > end - pos:
+            raise WireDecodeError(
+                f"entry {index} claims {length} bytes with {end - pos} left"
+            )
+        try:
+            message = decode_message(data[pos:pos + length])
+        except WireDecodeError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - peer bytes: struct, index,
+            # unicode and whatever the pickle fallback raises, as one type
+            raise WireDecodeError(f"entry {index} does not decode: {exc!r}") from exc
+        pos += length
+        messages.append(message)
+    if pos != end:
+        raise WireDecodeError(f"trailing garbage after envelope ({end - pos} bytes)")
+    channel = (messages[0].sender, messages[0].recipient)
+    for message in messages:
+        if (message.sender, message.recipient) != channel:
+            raise WireDecodeError(
+                f"envelope of channel {channel} carries an entry for "
+                f"{(message.sender, message.recipient)}"
+            )
+    return messages
 
 
 def frame(body: bytes) -> bytes:

@@ -316,6 +316,102 @@ def test_max_events_stops_both_backends_at_the_same_point():
         assert run_echo_chatter("asyncio", max_events=limit) == sim, limit
 
 
+# -- envelopes on the real clock ----------------------------------------------
+
+
+class RoundBursts(ProtocolInstance):
+    """Three timer-driven rounds; each sends numbered bursts on every channel."""
+
+    ROUNDS, BURST = 3, 4
+
+    def __init__(self, party, tag, emitted, received):
+        super().__init__(party, tag)
+        self.emitted = emitted
+        self.received = received
+        self.round = 0
+
+    def start(self):
+        for index in range(self.BURST):
+            for recipient in range(1, self.n + 1):
+                payload = (self.round, index)
+                self.emitted.setdefault((self.me, recipient), []).append(payload)
+                self.send(recipient, payload)
+        payload = (self.round, "all")
+        for recipient in range(1, self.n + 1):
+            self.emitted.setdefault((self.me, recipient), []).append(payload)
+        self.send_all(payload)
+        self.round += 1
+        if self.round < self.ROUNDS:
+            self.schedule_after(2.0, self.start)
+
+    def receive(self, sender, payload):
+        self.received.setdefault((sender, self.me), []).append(payload)
+
+
+class RecordingTransport(InProcessTransport):
+    """Keeps every envelope the backend flushes, as handed over."""
+
+    def __init__(self):
+        super().__init__()
+        self.envelopes = []
+
+    def deliver_many(self, messages):
+        self.envelopes.append(list(messages))
+        return super().deliver_many(messages)
+
+
+def test_real_clock_flushes_envelopes_and_every_channel_stays_fifo():
+    """One loop iteration's sends with one drawn delay are one
+    ``deliver_many``; per-channel delivery order is emission order within an
+    envelope and across all of them; the logical counts are the simulator's."""
+    emitted, received = {}, {}
+    transport = RecordingTransport()
+    backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=3, clock="real",
+                             time_scale=0.002, transport=transport)
+    result = backend.run(lambda party: RoundBursts(party, "bursts", emitted, received),
+                         wait_for_all_honest=False, max_time=1_000.0)
+    assert received == emitted
+
+    envelopes = transport.envelopes
+    messages = 4 * 4 * RoundBursts.ROUNDS * (RoundBursts.BURST + 1)
+    assert sum(len(envelope) for envelope in envelopes) == messages
+    assert all(envelopes) and 3 <= len(envelopes) < messages // 4
+    for envelope in envelopes:
+        # One drawn delay per envelope: self-deliveries (1e-9) never share
+        # one with copies that cross the network (Delta).
+        assert len({message.sender == message.recipient for message in envelope}) == 1
+    # Flush order is emission order on every channel.
+    flushed = {}
+    for envelope in envelopes:
+        for message in envelope:
+            flushed.setdefault((message.sender, message.recipient), []).append(message.payload)
+    assert flushed == emitted
+
+    sim_emitted, sim_received = {}, {}
+    sim = make_backend("sim", 4, network=SynchronousNetwork(), seed=3).run(
+        lambda party: RoundBursts(party, "bursts", sim_emitted, sim_received),
+        wait_for_all_honest=False,
+    )
+    assert sim_received == received
+    assert (result.metrics.messages_sent, result.metrics.messages_delivered,
+            result.metrics.honest_bits) == (
+        sim.metrics.messages_sent, sim.metrics.messages_delivered,
+        sim.metrics.honest_bits)
+    assert backend.events_processed == sim.simulator.events_processed
+
+
+def test_transport_deliver_many_is_deliver_in_order():
+    """The base implementation: the per-message loop, pairs concatenated."""
+    from repro.sim.messages import Message
+
+    transport = InProcessTransport()
+    transport.open([1, 2])
+    messages = [Message(1, 2, "t", index, 0.0) for index in range(5)]
+    pairs = transport.deliver_many(messages)
+    assert [message for message, _handled in pairs] == messages
+    assert transport.inbox(2).qsize() == 5
+
+
 # -- the collector around the simulated-time loops ---------------------------
 
 
