@@ -19,7 +19,6 @@ from repro.circuits import mean_circuit, multiplication_circuit
 from repro.field import default_field
 from repro.mpc import run_mpc
 from repro.sim import AdversarialAsynchronousNetwork, AsynchronousNetwork, SynchronousNetwork
-from repro.sim.network import PartitionedSynchronousNetwork
 
 F = default_field()
 
@@ -28,7 +27,9 @@ INPUTS4 = {1: 2, 2: 3, 3: 4, 4: 5}
 
 def test_smpc_garbage_under_async_schedule(benchmark):
     circuit = multiplication_circuit(F, 4)
-    network = PartitionedSynchronousNetwork(delayed_parties=frozenset({3}), violation_factor=40.0)
+    # Synchronous except that party 3's outgoing messages take 40 Delta.
+    network = AdversarialAsynchronousNetwork(slow_parties=frozenset({3}), slow_delay=40.0,
+                                             fast_delay=1.0, slow_senders_only=True)
 
     result = benchmark.pedantic(
         lambda: run_synchronous_baseline(circuit, INPUTS4, n=4, faults=1, network=network,

@@ -19,8 +19,12 @@ from repro.baselines import run_asynchronous_baseline, run_synchronous_baseline
 from repro.circuits import mean_circuit
 from repro.field import default_field
 from repro.mpc import run_mpc
-from repro.sim import AsynchronousNetwork, CrashBehavior, SynchronousNetwork
-from repro.sim.network import PartitionedSynchronousNetwork
+from repro.sim import (
+    AdversarialAsynchronousNetwork,
+    AsynchronousNetwork,
+    CrashBehavior,
+    SynchronousNetwork,
+)
 
 F = default_field()
 
@@ -102,8 +106,9 @@ def test_smpc_baseline_works_in_sync_only(benchmark):
 
     def run_both():
         sync_run = run_synchronous_baseline(circuit, inputs, n=4, faults=1)
-        bad_net = PartitionedSynchronousNetwork(delayed_parties=frozenset({2}),
-                                                violation_factor=50.0)
+        # Synchronous except that party 2's outgoing messages take 50 Delta.
+        bad_net = AdversarialAsynchronousNetwork(slow_parties=frozenset({2}), slow_delay=50.0,
+                                                 fast_delay=1.0, slow_senders_only=True)
         async_run = run_synchronous_baseline(circuit, inputs, n=4, faults=1, network=bad_net,
                                              max_time=1_000.0)
         return sync_run, async_run

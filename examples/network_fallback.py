@@ -26,7 +26,6 @@ from repro import default_field, run_mpc
 from repro.baselines import run_synchronous_baseline
 from repro.circuits import multiplication_circuit
 from repro.sim import AdversarialAsynchronousNetwork
-from repro.sim.network import PartitionedSynchronousNetwork
 
 
 def main() -> None:
@@ -40,8 +39,9 @@ def main() -> None:
     print(f"inputs: {inputs}, true product = {int(expected)}\n")
 
     print("[1/3] classical synchronous MPC baseline (trusts Delta)")
-    bad_network = PartitionedSynchronousNetwork(delayed_parties=frozenset({3}),
-                                                violation_factor=40.0)
+    # Synchronous except that party 3's outgoing messages take 40 Delta.
+    bad_network = AdversarialAsynchronousNetwork(slow_parties=frozenset({3}), slow_delay=40.0,
+                                                 fast_delay=1.0, slow_senders_only=True)
     baseline = run_synchronous_baseline(circuit, inputs, n=n, faults=1, network=bad_network,
                                         max_time=2_000.0)
     outputs = baseline.honest_outputs()

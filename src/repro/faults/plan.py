@@ -4,16 +4,19 @@ A :class:`FaultPlan` bundles every kind of fault the runtime can inject --
 network partitions (symmetric groups or asymmetric directed blocks, with a
 heal point), per-link loss/corruption/duplication/reorder schedules, per-link
 extra latency, per-party clock skew, and process kill/restart schedules --
-into a single object that plugs in wherever PR 6's
-:class:`~repro.runtime.transport.FaultSchedule` did (``transport.faults``).
+into a single object.  It is the only fault injector the runtime has:
+``InProcessTransport(faults=plan)``, ``TcpTransport(faults=plan)`` and
+``TcpBackend(faults=plan)`` take nothing else.  The transports call
+:meth:`FaultPlan.decide` once per non-self handoff; the asyncio backend calls
+:meth:`FaultPlan.extra_delay` once per non-self dispatch.
 
 Replay discipline
 -----------------
 
-Per-message decisions extend the ``FaultSchedule`` hash discipline: the
-decision for message ``seq`` on channel ``sender -> recipient`` is a pure
-function of ``sha256(f"{seed}:{sender}:{recipient}:{seq}")``, where ``seq``
-is the per-channel handoff number both transports assign identically.  Two
+Per-message decisions are order-independent: the decision for message
+``seq`` on channel ``sender -> recipient`` is a pure function of
+``sha256(f"plan:{seed}:{sender}:{recipient}:{seq}")``, where ``seq`` is the
+per-channel handoff number both transports assign identically.  Two
 transports fed the same message sequence per channel therefore fault the
 *same* messages regardless of global interleaving -- which is why a chaos
 failure seen over :class:`~repro.runtime.tcp_transport.TcpTransport`
@@ -99,10 +102,10 @@ class LinkFault:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"LinkFault.{name} must be in [0, 1], got {p}")
-        if self.drop + self.corrupt + self.reorder > 1.0:
+        if self.drop + self.corrupt + self.reorder + self.duplicate > 1.0:
             raise ValueError(
-                "drop + corrupt + reorder must not exceed 1 (they partition "
-                "one hash draw)"
+                "drop + corrupt + reorder + duplicate must not exceed 1 (they "
+                "partition one shared hash draw; duplicate takes its upper tail)"
             )
 
     def matches(self, sender: int, recipient: int) -> bool:
@@ -168,15 +171,14 @@ class Partition:
 
 @dataclass(frozen=True)
 class LinkLatency:
-    """Extra delivery delay on matching links (seconds of simulated time).
+    """Extra delivery delay on matching links (units of simulated time).
 
     ``base`` is added to every matching message's network delay; ``jitter``
     adds a deterministic per-message hash draw in ``[0, jitter)``.  Applied
     by the backend at dispatch time, so it works identically under the
     virtual clock (delays are simulated) and the real clock/TCP (delays are
-    slept) -- unlike the socket-level
-    :class:`~repro.runtime.tcp_transport.LatencyShim`, which is real-seconds
-    WAN emulation below the clock abstraction.
+    slept, x ``time_scale`` real seconds per unit).  This is the WAN
+    emulation: one rule per slow link, first match wins.
     """
 
     sender: Optional[int] = None
@@ -221,14 +223,9 @@ class ProcessFault:
 class FaultPlan:
     """The unified declarative fault plane (see module docstring).
 
-    Drop-in ``transport.faults`` object: ``decide`` returns the canonical
-    decision strings of :mod:`repro.runtime.transport`.  The richer context
-    (message send times for time-windowed rules) flows in because the
-    transports check :attr:`wants_send_time`.
+    The ``transport.faults`` object: ``decide`` returns the canonical
+    decision strings of :mod:`repro.runtime.transport`.
     """
-
-    #: Transports pass ``send_time=...`` to :meth:`decide` when they see this.
-    wants_send_time = True
 
     def __init__(
         self,

@@ -111,19 +111,23 @@ def main(argv=None) -> int:
     if args.program is None:
         parser.error("either --program (host mode) or --party/--spec is required")
 
+    from repro.faults.plan import FaultPlan, LinkLatency
     from repro.runtime.launcher import DEFAULT_TIME_SCALE, TcpBackend
-    from repro.runtime.tcp_transport import LatencyShim
 
-    latency = None
+    time_scale = DEFAULT_TIME_SCALE if args.time_scale is None else args.time_scale
+    plan = None
     if args.latency_ms or args.jitter_ms:
-        latency = LatencyShim(base=args.latency_ms / 1000.0,
-                              jitter=args.jitter_ms / 1000.0, seed=args.seed)
+        # The flags are real milliseconds; a LinkLatency rule is in simulated
+        # units, which the real clock sleeps x time_scale.
+        plan = FaultPlan(seed=args.seed, latencies=[LinkLatency(
+            base=args.latency_ms / 1000.0 / time_scale,
+            jitter=args.jitter_ms / 1000.0 / time_scale,
+        )])
     backend_options: Dict[str, Any] = {
         "roster": _load_roster(args.roster),
         "host": args.host,
-        "time_scale": (DEFAULT_TIME_SCALE if args.time_scale is None
-                       else args.time_scale),
-        "latency": latency,
+        "time_scale": time_scale,
+        "faults": plan,
     }
     n = args.n
     faults = (n - 1) // 3

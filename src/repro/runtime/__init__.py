@@ -34,22 +34,16 @@ from repro.runtime.errors import (
     SendTimeoutError,
     TransportError,
 )
-from repro.runtime.transport import (
-    FaultSchedule,
-    InProcessTransport,
-    Transport,
-    TransportFaults,
-)
+from repro.runtime.transport import InProcessTransport, Transport
 
-# TcpTransport/LatencyShim stay lazy alongside the backends: their wire codec
-# imports the broadcast/sharing payload types, which import repro.sim, which
-# imports this package.
+# TcpTransport stays lazy alongside the backends: its wire codec imports the
+# broadcast/sharing payload types, which import repro.sim, which imports this
+# package.
 _LAZY_BACKENDS = {
     "SimBackend": "repro.runtime.sim_backend",
     "AsyncioBackend": "repro.runtime.asyncio_backend",
     "TcpBackend": "repro.runtime.launcher",
     "TcpTransport": "repro.runtime.tcp_transport",
-    "LatencyShim": "repro.runtime.tcp_transport",
     "TcpMpcService": "repro.runtime.supervisor",
     "ServiceSpec": "repro.runtime.supervisor",
 }
@@ -122,13 +116,10 @@ __all__ = [
     "RunResult",
     "Transport",
     "InProcessTransport",
-    "TransportFaults",
-    "FaultSchedule",
     "SimBackend",
     "AsyncioBackend",
     "TcpBackend",
     "TcpTransport",
-    "LatencyShim",
     "TcpMpcService",
     "ServiceSpec",
     "TransportError",

@@ -34,8 +34,9 @@ Two clock modes:
 
 Byzantine :class:`~repro.sim.adversary.Behavior` hooks and the bit-accounting
 :class:`~repro.sim.simulator.SimulationMetrics` work identically to the sim
-backend; transport-level faults (crash-stop endpoints, duplicated and
-reordered deliveries) are configured on the injected transport.
+backend; network faults are one :class:`~repro.faults.plan.FaultPlan` on the
+injected transport (``faults=``): the transport asks it for drop / duplicate
+/ reorder decisions, ``dispatch`` here asks it for extra link latency.
 """
 
 from __future__ import annotations
@@ -170,12 +171,8 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         # the delay is either heap-scheduled or slept -- makes the same plan
         # behave identically under the virtual clock, the real clock, and
         # the TCP transport (whose children run this same dispatch path).
-        faults = getattr(self.transport, "faults", None)
-        if (
-            faults is not None
-            and message.sender != message.recipient
-            and hasattr(faults, "extra_delay")
-        ):
+        faults = self.transport.faults
+        if faults is not None and message.sender != message.recipient:
             delay += faults.extra_delay(
                 message.sender, message.recipient, message.send_time
             )

@@ -11,8 +11,8 @@ TcpTransport` sockets -- driven from a single call site:
   repro.launch --party i`` process per party, and collects outputs and
   metrics over a control channel.
 * :func:`run_party` is the child entry point: it rebuilds the execution
-  environment from the spec (field, network, factory, faults, latency,
-  crash schedule), runs a real-clock :class:`TcpPartyBackend` hosting just
+  environment from the spec (field, network, factory, fault plan, crash
+  schedule), runs a real-clock :class:`TcpPartyBackend` hosting just
   its own party, reports the root instance's output to the launcher, and
   exits on the launcher's stop barrier.
 
@@ -42,9 +42,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.field.gf import GF, default_field
 from repro.runtime.api import ExecutionBackend, RunResult
+from repro.faults.plan import FaultPlan
 from repro.runtime.errors import PartyProcessDied
 from repro.runtime.asyncio_backend import AsyncioBackend
-from repro.runtime.tcp_transport import LatencyShim, TcpTransport
+from repro.runtime.tcp_transport import TcpTransport
 from repro.runtime.wire import decode_payload, encode_payload, frame, read_frame
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.simulator import SimulationMetrics
@@ -75,8 +76,7 @@ class JobSpec:
     max_time: Optional[float] = None
     corrupt: Dict[int, Any] = _dc_field(default_factory=dict)
     crash_schedule: Dict[int, Optional[float]] = _dc_field(default_factory=dict)
-    faults: Optional[Any] = None
-    latency: Optional[LatencyShim] = None
+    faults: Optional[FaultPlan] = None
     #: Extra :class:`TcpTransport` keyword arguments (heartbeat interval,
     #: send buffer depth, reconnect budget, ...) applied in every child.
     transport_opts: Dict[str, Any] = _dc_field(default_factory=dict)
@@ -172,7 +172,6 @@ async def _party_main(
         roster=dict(spec.roster),
         local_parties=[party_id],
         faults=spec.faults,
-        latency=spec.latency,
         **transport_opts,
     )
     if listener is not None:
@@ -190,23 +189,11 @@ async def _party_main(
     for crashed, at_time in spec.crash_schedule.items():
         backend.crash_party(crashed, at_time)
 
-    # Control traffic crosses the same emulated WAN as the data frames:
-    # the dial retries and every control send draw a shim delay (channel
-    # "party -> 0", the launcher's pseudo-id).
-    reader, writer = await _dial(
-        *spec.control, timeout=15.0, latency=spec.latency, channel=(party_id, 0)
-    )
+    reader, writer = await _dial(*spec.control, timeout=15.0)
     lock = asyncio.Lock()
-    ctl_seq = 0
 
     async def send(obj: Dict[str, Any]) -> None:
-        nonlocal ctl_seq
         async with lock:
-            if spec.latency is not None:
-                delay = spec.latency.control_delay(party_id, 0, ctl_seq)
-                ctl_seq += 1
-                if delay > 0:
-                    await asyncio.sleep(delay)
             writer.write(frame(encode_payload(obj)))
             await writer.drain()
 
@@ -278,22 +265,10 @@ async def _party_main(
         raise failure
 
 
-async def _dial(
-    host: str,
-    port: int,
-    timeout: float,
-    latency: Optional[LatencyShim] = None,
-    channel: Tuple[int, int] = (0, 0),
-):
+async def _dial(host: str, port: int, timeout: float):
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
-    dials = 0
     while True:
-        if latency is not None:
-            delay = latency.control_delay(channel[0], channel[1], dials)
-            if delay > 0:
-                await asyncio.sleep(delay)
-        dials += 1
         try:
             return await asyncio.open_connection(host, port)
         except OSError:
@@ -397,8 +372,7 @@ class TcpBackend(ExecutionBackend):
         roster: Optional[Dict[int, Tuple[str, int]]] = None,
         host: str = "127.0.0.1",
         time_scale: float = DEFAULT_TIME_SCALE,
-        latency: Optional[LatencyShim] = None,
-        faults: Optional[Any] = None,
+        faults: Optional[FaultPlan] = None,
         python: Optional[str] = None,
         startup_timeout: float = 30.0,
         run_timeout: float = 600.0,
@@ -414,7 +388,6 @@ class TcpBackend(ExecutionBackend):
         self.roster = dict(roster) if roster else None
         self.host = host
         self.time_scale = time_scale
-        self.latency = latency
         self.faults = faults
         self.python = python or sys.executable
         self.startup_timeout = startup_timeout
@@ -521,7 +494,6 @@ class TcpBackend(ExecutionBackend):
             corrupt=self.corrupt_spec,
             crash_schedule=self.crash_schedule,
             faults=self.faults,
-            latency=self.latency,
             transport_opts=self.transport_opts,
         )
         fd, spec_path = tempfile.mkstemp(prefix="repro-job-", suffix=".pkl")

@@ -65,7 +65,7 @@ from repro.runtime.launcher import (
     reserve_roster,
     spawn_party_process,
 )
-from repro.runtime.tcp_transport import LatencyShim, TcpTransport
+from repro.runtime.tcp_transport import TcpTransport
 from repro.runtime.wire import decode_payload, encode_payload, frame, read_frame
 from repro.service.checkpoint import CheckpointStore, PartySnapshot, ServiceSnapshot
 from repro.service.service import EvalResult, RecoveryReport, RejoinProtocol
@@ -89,7 +89,8 @@ class ServiceSpec:
     control: Tuple[str, int]
     snapshot_dir: str
     time_scale: float = DEFAULT_TIME_SCALE
-    latency: Optional[LatencyShim] = None
+    #: Extra :class:`TcpTransport` keyword arguments for every child; a
+    #: network :class:`~repro.faults.plan.FaultPlan` goes here as ``faults``.
     transport_opts: Dict[str, Any] = _dc_field(default_factory=dict)
     #: Offline pipeline for per-evaluation preprocessing.
     offline: str = "tripsh"
@@ -138,7 +139,6 @@ async def _service_party_main(
     transport = TcpTransport(
         roster=dict(spec.roster),
         local_parties=[party_id],
-        latency=spec.latency,
         **transport_opts,
     )
     if listener is not None:
@@ -181,20 +181,11 @@ async def _service_party_main(
     backend._deferred_timers = []
     recv_task = asyncio.create_task(backend._party_loop(party))
 
-    reader, writer = await _dial(
-        *spec.control, timeout=30.0, latency=spec.latency, channel=(party_id, 0)
-    )
+    reader, writer = await _dial(*spec.control, timeout=30.0)
     lock = asyncio.Lock()
-    ctl_seq = 0
 
     async def send(obj: Dict[str, Any]) -> None:
-        nonlocal ctl_seq
         async with lock:
-            if spec.latency is not None:
-                delay = spec.latency.control_delay(party_id, 0, ctl_seq)
-                ctl_seq += 1
-                if delay > 0:
-                    await asyncio.sleep(delay)
             writer.write(frame(encode_payload(obj)))
             await writer.drain()
 
@@ -447,7 +438,6 @@ class TcpMpcService:
         snapshot_dir: Optional[str] = None,
         host: str = "127.0.0.1",
         time_scale: float = DEFAULT_TIME_SCALE,
-        latency: Optional[LatencyShim] = None,
         transport_opts: Optional[Dict[str, Any]] = None,
         offline: str = "tripsh",
         python: Optional[str] = None,
@@ -468,7 +458,6 @@ class TcpMpcService:
         self.snapshot_dir = snapshot_dir or tempfile.mkdtemp(prefix="repro-svc-")
         self.host = host
         self.time_scale = time_scale
-        self.latency = latency
         self.transport_opts = dict(transport_opts or {})
         self.offline = offline
         self.python = python or sys.executable
@@ -604,7 +593,6 @@ class TcpMpcService:
             control=control,
             snapshot_dir=self.snapshot_dir,
             time_scale=self.time_scale,
-            latency=self.latency,
             transport_opts=self.transport_opts,
             offline=self.offline,
         )

@@ -30,9 +30,7 @@ and every length by the bytes left before it allocates, requires one
 ``(sender, recipient)`` channel per envelope and that recipient to be the
 listener's party, dedupes and acknowledges the frame as a whole, and then
 puts one ``(message, handled)`` item per logical message on the inbox --
-nothing above the transport sees envelopes.  With a :class:`LatencyShim`
-every message still draws its own delay; the entries of one channel that
-drew the same delay share a frame.
+nothing above the transport sees envelopes.
 
 Wire seqs, ``ack_every`` and ``send_buffer_frames`` therefore count
 *frames*, not messages: in a synchronous n=4 evaluation a frame carries
@@ -83,17 +81,17 @@ a supervisor polls.
 
 Delivery semantics are the :mod:`repro.runtime.transport` contract: crash
 stops future sends/receives but in-flight traffic lands; a reorder hold is
-released on the next delivery attempt to the same recipient; faults draw
-from the same ``decide`` interface (use :class:`FaultSchedule` or a
-:class:`~repro.faults.plan.FaultPlan` for decisions that replay identically
-against :class:`InProcessTransport`).
+released on the next delivery attempt to the same recipient; ``faults`` is
+the same :class:`~repro.faults.plan.FaultPlan` an
+:class:`~repro.runtime.transport.InProcessTransport` takes and is asked the
+same ``decide(sender, recipient, seq, ...)``, so one ``(spec, seed)`` faults
+the same messages on both.  WAN emulation is the plan's ``LinkLatency``
+rules, which the backend adds to the message delay at dispatch -- above the
+transport, so nothing here sleeps on a frame; connection dials and
+control-channel sends are not delayed.
 
-``latency`` injects per-channel artificial delay before the frame is given
-its wire seq, so localhost runs emulate WAN round-trip times
-(:class:`LatencyShim`); dials and reconnects draw their own shim delay, so
-the *recovery* path is WAN-emulated too.  The transport requires the real clock -- socket deliveries
-cannot be enqueued synchronously, which the virtual-clock inline dispatcher
-relies on.
+The transport requires the real clock -- socket deliveries cannot be
+enqueued synchronously, which the virtual-clock inline dispatcher relies on.
 """
 
 from __future__ import annotations
@@ -101,10 +99,10 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import itertools
+import logging
 import os
 import socket
 import struct
-import sys
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -115,13 +113,7 @@ from repro.runtime.errors import (
     TransportError,
     WireDecodeError,
 )
-from repro.runtime.transport import (
-    DROP,
-    DUPLICATE,
-    HOLD,
-    Transport,
-    fault_decision,
-)
+from repro.runtime.transport import DROP, DUPLICATE, HOLD, Transport
 from repro.runtime.wire import (
     decode_envelope,
     encode_entry,
@@ -140,61 +132,14 @@ _KIND_DATA, _KIND_HEARTBEAT, _KIND_ACK, _KIND_INCARNATION = b"D", b"H", b"A", b"
 #: OS pid it yields an incarnation id unique across process restarts.
 _incarnation_counter = itertools.count(1)
 
-
-class LatencyShim:
-    """Deterministic per-channel latency injection for localhost runs.
-
-    Every frame on channel ``sender -> recipient`` is delayed ``base`` real
-    seconds plus a jitter drawn as a pure hash of ``(seed, sender,
-    recipient, seq)`` -- deterministic per message, so two runs over the
-    same message sequence emulate the same WAN.  An optional ``pairs``
-    override maps specific ``(sender, recipient)`` channels to their own
-    base latency (e.g. to emulate geo-distributed clusters with slow
-    transatlantic pairs).
-
-    :meth:`control_delay` is the same draw under a different hash salt for
-    the *non-frame* traffic -- connection dials, reconnects, and control-
-    channel sends -- so WAN emulation covers the recovery paths too without
-    correlating with the data-frame jitter sequence.
-    """
-
-    def __init__(
-        self,
-        base: float = 0.0,
-        jitter: float = 0.0,
-        seed: int = 0,
-        pairs: Optional[Dict[Tuple[int, int], float]] = None,
-    ):
-        if base < 0 or jitter < 0:
-            raise ValueError("latency base and jitter must be non-negative")
-        self.base = base
-        self.jitter = jitter
-        self.seed = seed
-        self.pairs = dict(pairs or {})
-
-    def _delay(self, salt: str, sender: int, recipient: int, seq: int) -> float:
-        base = self.pairs.get((sender, recipient), self.base)
-        if not self.jitter:
-            return base
-        digest = hashlib.sha256(
-            f"{salt}:{self.seed}:{sender}:{recipient}:{seq}".encode()
-        ).digest()
-        draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return base + self.jitter * draw
-
-    def delay(self, sender: int, recipient: int, seq: int) -> float:
-        return self._delay("lat", sender, recipient, seq)
-
-    def control_delay(self, sender: int, recipient: int, seq: int) -> float:
-        """Shim delay for dials/reconnects/control frames (salt ``ctl``)."""
-        return self._delay("ctl", sender, recipient, seq)
+_log = logging.getLogger("repro.runtime.tcp")
 
 
 class _ChannelState:
     """Sender-side state of one self-healing outbound channel."""
 
     __slots__ = (
-        "pending", "next_wseq", "acked", "event", "attempts", "dials",
+        "pending", "next_wseq", "acked", "event", "attempts",
         "ever_connected", "connected",
     )
 
@@ -205,7 +150,6 @@ class _ChannelState:
         self.acked = 0
         self.event = asyncio.Event()
         self.attempts = 0  # consecutive failed dials since last success
-        self.dials = 0  # total dial attempts (latency-shim sequence)
         self.ever_connected = False
         self.connected = False
 
@@ -220,7 +164,6 @@ class TcpTransport(Transport):
         roster: Optional[Dict[int, Tuple[str, int]]] = None,
         local_parties: Optional[Sequence[int]] = None,
         faults=None,
-        latency: Optional[LatencyShim] = None,
         host: str = "127.0.0.1",
         connect_timeout: float = 15.0,
         heartbeat_interval: float = 0.0,
@@ -236,7 +179,6 @@ class TcpTransport(Transport):
         self.roster: Dict[int, Tuple[str, int]] = dict(roster or {})
         self.local_parties = set(local_parties) if local_parties is not None else None
         self.faults = faults
-        self.latency = latency
         self.host = host
         self.connect_timeout = connect_timeout
         #: Idle seconds between heartbeats per channel (0 disables them).
@@ -271,8 +213,6 @@ class TcpTransport(Transport):
         self._crashed: Set[int] = set()
         self._held: Dict[int, object] = {}
         self._seq: Dict[Tuple[int, int], int] = {}
-        #: per-channel latency sequence (counts transmitted frames).
-        self._lat_seq: Dict[Tuple[int, int], int] = {}
         self._servers: Dict[int, asyncio.base_events.Server] = {}
         self._channel_states: Dict[Tuple[int, int], _ChannelState] = {}
         self._writer_tasks: Dict[Tuple[int, int], asyncio.Task] = {}
@@ -315,7 +255,6 @@ class TcpTransport(Transport):
         self._inboxes = {pid: asyncio.Queue() for pid in self._local}
         self._held = {}
         self._seq = {}
-        self._lat_seq = {}
         self._channel_states = {}
         self._recv_wseq = {}
         self._recv_incarnation = {}
@@ -522,7 +461,7 @@ class TcpTransport(Transport):
         if self._closed:
             return []
         delivered: List[Tuple[object, asyncio.Event]] = []
-        staged: Dict[Tuple[Tuple[int, int], float], List[bytes]] = {}
+        staged: Dict[Tuple[int, int], List[bytes]] = {}
         #: id(payload) -> encoding, for this call only: a fan-out's shared
         #: payload is encoded once, and nothing outlives the flush to be
         #: served stale after the object is mutated.
@@ -543,8 +482,12 @@ class TcpTransport(Transport):
                 self._stage(message, staged, memo)
             else:
                 seq = self._next_seq(message.sender, recipient)
-                decision = fault_decision(
-                    faults, message, seq, can_hold=recipient not in held
+                decision = faults.decide(
+                    message.sender,
+                    recipient,
+                    seq,
+                    can_hold=recipient not in held,
+                    send_time=message.send_time,
                 )
                 if decision == HOLD:
                     held[recipient] = message
@@ -562,7 +505,7 @@ class TcpTransport(Transport):
 
     def flush_reordered(self) -> List[Tuple[object, asyncio.Event]]:
         held, self._held = self._held, {}
-        staged: Dict[Tuple[Tuple[int, int], float], List[bytes]] = {}
+        staged: Dict[Tuple[int, int], List[bytes]] = {}
         memo: Dict[int, bytes] = {}
         for recipient in sorted(held):
             if recipient not in self._crashed:
@@ -582,29 +525,21 @@ class TcpTransport(Transport):
         return seq
 
     def _stage(self, message, staged, memo) -> None:
-        """Encode one transmission into its (channel, shim delay) group."""
+        """Encode one transmission into its channel's group."""
         key = (message.sender, message.recipient)
         if not self._has_remote:
             self._inflight += 1
-        delay = 0.0
-        if self.latency is not None:
-            lat_seq = self._lat_seq.get(key, 0)
-            self._lat_seq[key] = lat_seq + 1
-            delay = self.latency.delay(message.sender, message.recipient, lat_seq)
         entry = encode_entry(message, memo)
-        group = staged.get((key, delay))
+        group = staged.get(key)
         if group is None:
-            staged[(key, delay)] = [entry]
+            staged[key] = [entry]
         else:
             group.append(entry)
 
     def _commit_staged(self, staged) -> None:
-        """One frame per (channel, shim delay) group, after that delay."""
-        for (key, delay), entries in staged.items():
-            if delay > 0:
-                self._loop.call_later(delay, self._commit_frame, key, entries)
-            else:
-                self._commit_frame(key, entries)
+        """One frame per channel, in the order the channels were first staged."""
+        for key, entries in staged.items():
+            self._commit_frame(key, entries)
 
     def _commit_frame(self, key: Tuple[int, int], entries: List[bytes]) -> None:
         """Sequence-number one envelope into the channel's replay buffer."""
@@ -697,7 +632,7 @@ class TcpTransport(Transport):
             # peer that exited after the stop barrier).  The supervisor owns
             # the response; unacknowledged frames to it are lost exactly
             # like packets to a dead host.
-            print(f"[tcp-transport] {error}", file=sys.stderr)
+            _log.warning("%s", error)
         elif self._error is None:
             self._error = error
 
@@ -711,16 +646,6 @@ class TcpTransport(Transport):
         try:
             while not self._closed:
                 host, port = self.roster[recipient]
-                if self.latency is not None:
-                    # Route dials (first connect *and* reconnects) through
-                    # the WAN shim: connection setup crosses the same
-                    # emulated network the frames do.
-                    dial_delay = self.latency.control_delay(
-                        sender, recipient, state.dials
-                    )
-                    if dial_delay > 0:
-                        await asyncio.sleep(dial_delay)
-                state.dials += 1
                 try:
                     reader, writer = await asyncio.open_connection(host, port)
                 except OSError as exc:
@@ -814,10 +739,7 @@ class TcpTransport(Transport):
             pass
         except Exception as exc:  # noqa: BLE001 - surface via quiescent()
             if self._has_remote:
-                print(
-                    f"[tcp-transport] channel P{sender}->P{recipient} failed: {exc!r}",
-                    file=sys.stderr,
-                )
+                _log.warning("channel P%d->P%d failed: %r", sender, recipient, exc)
             elif self._error is None:
                 self._error = exc
         finally:

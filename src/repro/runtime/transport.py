@@ -9,12 +9,17 @@ with per-party queues -- so the real-socket
 :class:`~repro.runtime.tcp_transport.TcpTransport` replaces the in-process
 queue pairs without touching any protocol or backend logic.
 
-Transport-level faults (crash-stop of a party's endpoint, duplicated and
-reordered deliveries) live here too: they model the *network's* misbehaviour
-as opposed to the Byzantine :class:`~repro.sim.adversary.Behavior` hooks,
-which model a corrupt party's.  All random draws come from an injected
-``random.Random`` (or, for cross-transport replay, from the order-independent
-:class:`FaultSchedule`), so faulty executions replay from their seed.
+Transport-level faults (crash-stop of a party's endpoint, lost, duplicated
+and reordered deliveries) are enforced here too: they model the *network's*
+misbehaviour as opposed to the Byzantine :class:`~repro.sim.adversary.Behavior`
+hooks, which model a corrupt party's.  The one injector is a
+:class:`~repro.faults.plan.FaultPlan` passed as ``faults=``: for every
+non-self handoff the transport numbers the message on its ``(sender,
+recipient)`` channel and asks ``faults.decide(sender, recipient, seq,
+can_hold=, send_time=)`` for one of the four decisions below.  The plan's
+answer is a pure hash of ``(seed, sender, recipient, seq)``, so two transports
+fed the same per-channel sequence fault the same messages however the global
+delivery order interleaves.
 
 Fault-delivery semantics (the contract both transports enforce):
 
@@ -42,140 +47,15 @@ Fault-delivery semantics (the contract both transports enforce):
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+
+if TYPE_CHECKING:  # plan.py imports the decision strings below
+    from repro.faults.plan import FaultPlan
 
 #: Fault decisions returned by ``decide``: deliver the message, deliver it
 #: twice, park it until the next delivery attempt to the recipient, or lose
 #: it.  Plain strings keep the decision log printable and comparable.
 DELIVER, DUPLICATE, HOLD, DROP = "deliver", "duplicate", "hold", "drop"
-
-
-def fault_decision(faults, message, seq: int, can_hold: bool) -> str:
-    """Draw one fault decision, passing message context when wanted.
-
-    Time-windowed fault models (:class:`~repro.faults.plan.FaultPlan`) set
-    ``wants_send_time`` and receive the message's send time alongside the
-    channel/seq key; the classic models keep their original signature.  Both
-    transports route every decision through here so the interface cannot
-    drift between them.
-    """
-    if getattr(faults, "wants_send_time", False):
-        return faults.decide(
-            message.sender,
-            message.recipient,
-            seq,
-            can_hold=can_hold,
-            send_time=message.send_time,
-        )
-    return faults.decide(message.sender, message.recipient, seq, can_hold=can_hold)
-
-
-class TransportFaults:
-    """Seeded-rng fault model applied at every non-self handoff.
-
-    Decisions are drawn from the injected ``random.Random`` in handoff
-    order, so a replay needs the same seed *and* the same delivery order --
-    exact under the deterministic virtual clock, best-effort under a real
-    clock or real sockets.  For order-independent replay across transports
-    use :class:`FaultSchedule`.
-    """
-
-    def __init__(
-        self,
-        rng: random.Random,
-        duplicate_probability: float = 0.0,
-        reorder_probability: float = 0.0,
-        drop_probability: float = 0.0,
-    ):
-        for name, p in (
-            ("duplicate_probability", duplicate_probability),
-            ("reorder_probability", reorder_probability),
-            ("drop_probability", drop_probability),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not isinstance(rng, random.Random):
-            raise TypeError(
-                "TransportFaults requires an injected random.Random instance "
-                "(module-global random would make faulty runs unreproducible)"
-            )
-        self.rng = rng
-        self.duplicate_probability = duplicate_probability
-        self.reorder_probability = reorder_probability
-        self.drop_probability = drop_probability
-
-    def decide(self, sender: int, recipient: int, seq: int, can_hold: bool) -> str:
-        """One fault decision; draw order is drop, then hold, then duplicate.
-
-        A drop consumes no further draws and a held message is never also
-        duplicated, so the rng sequence is a pure function of the decision
-        path (seeded replays reproduce it exactly).
-        """
-        if self.drop_probability and self.rng.random() < self.drop_probability:
-            return DROP
-        if (
-            self.reorder_probability
-            and can_hold
-            and self.rng.random() < self.reorder_probability
-        ):
-            return HOLD
-        if self.duplicate_probability and self.rng.random() < self.duplicate_probability:
-            return DUPLICATE
-        return DELIVER
-
-
-class FaultSchedule:
-    """Order-independent fault decisions keyed by (sender, recipient, seq).
-
-    Each channel's messages are numbered at the transport handoff; the
-    decision for message ``seq`` on channel ``sender -> recipient`` is a pure
-    hash of ``(seed, sender, recipient, seq)``.  Two transports fed the same
-    message sequence per channel therefore fault the *same* messages no
-    matter how the global delivery order interleaves -- the property the
-    in-process vs TCP replay-equivalence tests are built on.  Every decision
-    is appended to :attr:`log` as ``(decision, sender, recipient, seq)``.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        duplicate_probability: float = 0.0,
-        reorder_probability: float = 0.0,
-        drop_probability: float = 0.0,
-    ):
-        for name, p in (
-            ("duplicate_probability", duplicate_probability),
-            ("reorder_probability", reorder_probability),
-            ("drop_probability", drop_probability),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        self.seed = seed
-        self.duplicate_probability = duplicate_probability
-        self.reorder_probability = reorder_probability
-        self.drop_probability = drop_probability
-        self.log: List[Tuple[str, int, int, int]] = []
-
-    def _draw(self, sender: int, recipient: int, seq: int) -> float:
-        digest = hashlib.sha256(
-            f"{self.seed}:{sender}:{recipient}:{seq}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-    def decide(self, sender: int, recipient: int, seq: int, can_hold: bool) -> str:
-        draw = self._draw(sender, recipient, seq)
-        if draw < self.drop_probability:
-            decision = DROP
-        elif can_hold and draw < self.drop_probability + self.reorder_probability:
-            decision = HOLD
-        elif draw > 1.0 - self.duplicate_probability:
-            decision = DUPLICATE
-        else:
-            decision = DELIVER
-        self.log.append((decision, sender, recipient, seq))
-        return decision
 
 
 class Transport:
@@ -190,6 +70,9 @@ class Transport:
     #: returned by :meth:`deliver`.  The asyncio backend points it at its
     #: metrics recorder so socket-side deliveries are counted exactly once.
     on_delivery = None
+
+    #: The injected :class:`~repro.faults.plan.FaultPlan`, if any.
+    faults: Optional[FaultPlan] = None
 
     def open(self, party_ids: Sequence[int]) -> None:
         """Create the endpoint for every party (called inside the loop).
@@ -254,7 +137,7 @@ class Transport:
 
         The in-process transport enqueues synchronously, so it is always
         quiescent between ``deliver`` calls; socket transports report frames
-        queued, latency-held, or written but not yet parsed.
+        queued or written but not yet parsed.
         """
         return True
 
@@ -273,12 +156,11 @@ class InProcessTransport(Transport):
     the inbox and handles it inline (execution is totally ordered anyway,
     so the queue round trip would only add per-message wakeup churn).
 
-    ``faults`` is a :class:`TransportFaults` (seeded rng) or a
-    :class:`FaultSchedule` (order-independent); the crash/reorder delivery
-    semantics are the module-docstring contract.
+    ``faults`` is a :class:`~repro.faults.plan.FaultPlan`; the crash/reorder
+    delivery semantics are the module-docstring contract.
     """
 
-    def __init__(self, faults: Optional[TransportFaults] = None):
+    def __init__(self, faults: Optional[FaultPlan] = None):
         self.faults = faults
         self._inboxes: Dict[int, asyncio.Queue] = {}
         self._crashed: Set[int] = set()
@@ -352,8 +234,12 @@ class InProcessTransport(Transport):
         faults = self.faults
         if faults is not None and message.sender != recipient:
             seq = self._next_seq(message.sender, recipient)
-            decision = fault_decision(
-                faults, message, seq, can_hold=recipient not in self._held
+            decision = faults.decide(
+                message.sender,
+                recipient,
+                seq,
+                can_hold=recipient not in self._held,
+                send_time=message.send_time,
             )
             if decision == HOLD:
                 # Park it; it jumps the queue behind the next delivery

@@ -88,7 +88,10 @@ class AdversarialAsynchronousNetwork(AsynchronousNetwork):
     ``slow_delay`` (still finite, so eventual delivery holds); everything
     else is fast.  This models the worst-case scheduler the paper assumes
     (e.g. delaying a single honest party's messages to break a synchronous
-    protocol run in an asynchronous network).
+    protocol run in an asynchronous network).  With ``slow_senders_only``,
+    ``fast_delay=delta`` and ``slow_delay`` a multiple of Delta it is the
+    synchronous network whose Delta bound is violated for the slow parties'
+    outgoing messages only (the baseline-failure experiment E8).
     """
 
     def __init__(
@@ -111,24 +114,3 @@ class AdversarialAsynchronousNetwork(AsynchronousNetwork):
         if not self.slow_senders_only and message.recipient in self.slow_parties:
             return self.slow_delay
         return self.fast_delay
-
-
-class PartitionedSynchronousNetwork(SynchronousNetwork):
-    """A *faulty* synchronous network that violates the Delta bound.
-
-    Used in the baseline-failure experiment (E8): a protocol that assumes
-    synchrony is run while messages from ``delayed_parties`` exceed Delta.
-    """
-
-    is_synchronous = False
-
-    def __init__(self, delta: float = 1.0, delayed_parties: Optional[frozenset] = None,
-                 violation_factor: float = 50.0):
-        super().__init__(delta)
-        self.delayed_parties = frozenset(delayed_parties or ())
-        self.violation_factor = violation_factor
-
-    def delay(self, message: Message, rng: random.Random) -> float:
-        if message.sender in self.delayed_parties:
-            return self.delta * self.violation_factor
-        return self.delta

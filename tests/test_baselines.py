@@ -6,12 +6,24 @@ from repro.baselines import run_asynchronous_baseline, run_synchronous_baseline
 from repro.baselines.dealer import TrustedTripleDealer
 from repro.circuits import mean_circuit, multiplication_circuit
 from repro.field import default_field
-from repro.sim import AsynchronousNetwork, CrashBehavior, SynchronousNetwork
-from repro.sim.network import PartitionedSynchronousNetwork
+from repro.sim import (
+    AdversarialAsynchronousNetwork,
+    AsynchronousNetwork,
+    CrashBehavior,
+    SynchronousNetwork,
+)
 
 from golden import assert_matches_golden
 
 F = default_field()
+
+
+def _delta_violated_for(party):
+    """Synchronous, except that ``party``'s outgoing messages take 50 Delta."""
+    return AdversarialAsynchronousNetwork(
+        slow_parties=frozenset({party}), slow_delay=50.0, fast_delay=1.0,
+        slow_senders_only=True,
+    )
 
 
 def test_trusted_dealer_produces_multiplication_triples():
@@ -64,8 +76,7 @@ def test_smpc_breaks_when_synchrony_violated():
     baseline compute a wrong (or inconsistent) output."""
     circuit = multiplication_circuit(F, 4)
     inputs = {1: 2, 2: 3, 3: 4, 4: 5}
-    network = PartitionedSynchronousNetwork(delta=1.0, delayed_parties=frozenset({2}),
-                                            violation_factor=50.0)
+    network = _delta_violated_for(2)
     result = run_synchronous_baseline(circuit, inputs, n=4, faults=1, network=network,
                                       max_time=1_000.0)
     expected = circuit.evaluate({i: F(v) for i, v in inputs.items()})
@@ -137,9 +148,7 @@ def test_smpc_batch_and_scalar_garbage_identical_under_violation():
     inputs = {1: 2, 2: 3, 3: 4, 4: 5}
     result = run_synchronous_baseline(
         circuit, inputs, n=4, faults=1, max_time=1_000.0, seed=9,
-        network=PartitionedSynchronousNetwork(
-            delta=1.0, delayed_parties=frozenset({2}), violation_factor=50.0
-        ),
+        network=_delta_violated_for(2),
     )
     assert_matches_golden("smpc/multiplication/n4t1/seed9/sync_violated", result)
 

@@ -65,9 +65,11 @@ def test_link_fault_probability_validation():
         LinkFault(drop=1.2)
     with pytest.raises(ValueError, match="exceed 1"):
         LinkFault(drop=0.5, corrupt=0.4, reorder=0.2)
-    # duplicate draws from the opposite end of the hash interval, so it may
-    # coexist with a full drop+corrupt+reorder budget.
-    LinkFault(drop=0.5, corrupt=0.3, reorder=0.2, duplicate=0.9)
+    # duplicate takes the upper tail of the same draw: past a total of 1 the
+    # lower three would shadow it (drop=0.5 left 0.5 of the asked-for 0.8).
+    with pytest.raises(ValueError, match="shared hash draw"):
+        LinkFault(drop=0.5, duplicate=0.8)
+    LinkFault(drop=0.4, corrupt=0.3, reorder=0.2, duplicate=0.1)
 
 
 def test_partition_rejects_overlapping_groups():
@@ -226,7 +228,7 @@ def test_loses_messages_flags_delivery_violations_only():
 
 def test_breaks_synchrony_flags_latency_and_skew_only():
     assert not FaultPlan(
-        link_faults=[LinkFault(duplicate=0.5, reorder=0.5, drop=0.2)],
+        link_faults=[LinkFault(duplicate=0.4, reorder=0.4, drop=0.2)],
         partitions=[Partition(groups=({1}, {2}))],
     ).breaks_synchrony()
     assert FaultPlan(latencies=[LinkLatency(base=0.1)]).breaks_synchrony()

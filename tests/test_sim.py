@@ -28,7 +28,6 @@ from repro.sim.network import (
     AdversarialAsynchronousNetwork,
     AsynchronousNetwork,
     NetworkModel,
-    PartitionedSynchronousNetwork,
     SynchronousNetwork,
 )
 from repro.sim.party import Party, ProtocolInstance
@@ -132,7 +131,10 @@ def test_adversarial_asynchronous_network_targets_parties():
 
 
 def test_partitioned_synchronous_network_violates_delta():
-    net = PartitionedSynchronousNetwork(delta=1.0, delayed_parties=frozenset({1}), violation_factor=10)
+    net = AdversarialAsynchronousNetwork(
+        delta=1.0, slow_parties=frozenset({1}), slow_delay=10.0, fast_delay=1.0,
+        slow_senders_only=True,
+    )
     rng = random.Random(0)
     assert net.delay(Message(1, 2, "t", 1, 0.0), rng) == 10.0
     assert net.delay(Message(2, 1, "t", 1, 0.0), rng) == 1.0

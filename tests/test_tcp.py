@@ -8,7 +8,7 @@ Layers under test:
 * single-process TCP (all parties in one :class:`AsyncioBackend`, every
   non-self message over a real localhost socket) produces the same outputs
   and send metrics as the sim backend -- the wire-parity mode;
-* the order-independent :class:`FaultSchedule` faults the *same* messages
+* one seeded :class:`~repro.faults.FaultPlan` faults the *same* messages
   under :class:`InProcessTransport` and :class:`TcpTransport` (seeded
   fault-replay equivalence);
 * the multi-process harness (:class:`TcpBackend` + ``python -m
@@ -34,16 +34,12 @@ from repro.field import GF, default_field
 from repro.field.polynomial import Polynomial
 from repro.mpc import run_mpc
 from repro.circuits import multiplication_circuit
-from repro.runtime import (
-    AsyncioBackend,
-    FaultSchedule,
-    InProcessTransport,
-    make_backend,
-)
+from repro.faults import FaultPlan, LinkFault, LinkLatency
+from repro.runtime import AsyncioBackend, InProcessTransport, make_backend
 from repro.runtime.launcher import TcpBackend, free_roster
 from repro.runtime.programs import AcastFactory, MultiAcastFactory
 from repro.runtime.errors import WireDecodeError
-from repro.runtime.tcp_transport import LatencyShim, TcpTransport
+from repro.runtime.tcp_transport import TcpTransport
 from repro.runtime.wire import (
     decode_envelope,
     decode_message,
@@ -159,25 +155,14 @@ def test_decoded_field_is_interned():
     assert element.field is FIELD
 
 
-# -- latency shim ------------------------------------------------------------
-
-def test_latency_shim_deterministic_with_pair_overrides():
-    shim = LatencyShim(base=0.01, jitter=0.005, seed=3, pairs={(1, 2): 0.05})
-    assert shim.delay(1, 2, 0) >= 0.05
-    assert shim.delay(2, 1, 0) >= 0.01
-    assert shim.delay(3, 4, 7) == shim.delay(3, 4, 7)
-    assert shim.delay(3, 4, 7) != shim.delay(3, 4, 8)
-    with pytest.raises(ValueError):
-        LatencyShim(base=-0.1)
-
-
 # -- single-process TCP: wire parity with the in-process backends ------------
 
-def run_acast_on(backend, n=4, seed=3, length=5, **options):
+def run_acast_on(backend, n=4, seed=3, length=5, until_quiescent=False, **options):
     built = make_backend(backend, n, seed=seed, **options)
     factory = AcastFactory(sender=1, faults=(n - 1) // 3,
                            message=list(range(length)))
-    return built.run(factory, max_time=100_000.0)
+    return built.run(factory, max_time=100_000.0,
+                     wait_for_all_honest=not until_quiescent)
 
 
 def test_tcp_requires_real_clock():
@@ -209,16 +194,18 @@ def test_single_process_tcp_acast_matches_sim_n16():
 
 @pytest.mark.tcp
 def test_single_process_tcp_with_latency_still_agrees():
-    base = 0.02
+    base, time_scale = 0.02, 0.001  # real seconds; LinkLatency is in Delta units
+    plan = FaultPlan(1, latencies=[
+        LinkLatency(base=base / time_scale, jitter=0.01 / time_scale)])
     started = time.monotonic()
     tcp = run_acast_on(
-        "asyncio", clock="real", time_scale=0.001,
-        transport=TcpTransport(latency=LatencyShim(base=base, jitter=0.01, seed=1)),
+        "asyncio", clock="real", time_scale=time_scale,
+        transport=TcpTransport(faults=plan),
     )
     elapsed = time.monotonic() - started
     assert tcp.honest_outputs() == run_acast_on("sim").honest_outputs()
     # propose -> echo -> ready is at least two dependent socket hops, each
-    # delayed by the shim, so the wall time shows the injected WAN latency.
+    # delayed by the rule, so the wall time shows the injected WAN latency.
     assert elapsed >= 2 * base
 
 
@@ -226,20 +213,31 @@ def test_single_process_tcp_with_latency_still_agrees():
 
 @pytest.mark.tcp
 def test_fault_schedule_replays_identically_over_tcp():
-    probabilities = dict(duplicate_probability=0.15, reorder_probability=0.15)
-    in_process = FaultSchedule(11, **probabilities)
-    over_tcp = FaultSchedule(11, **probabilities)
-    run_a = run_acast_on(
-        "asyncio", transport=InProcessTransport(faults=in_process))
-    run_b = run_acast_on(
-        "asyncio", clock="real", time_scale=0.001,
-        transport=TcpTransport(faults=over_tcp))
-    assert run_a.honest_outputs() == run_b.honest_outputs()
-    # Same per-channel handoff numbering on both transports => the hash
-    # schedule faulted exactly the same messages, regardless of how the
-    # global delivery order interleaved.
-    assert sorted(in_process.log) == sorted(over_tcp.log)
-    assert any(decision != "deliver" for decision, *_ in in_process.log)
+    """One ``(spec, seed)`` faults the same ``(sender, recipient, seq)`` on
+    both transports, with and without a latency rule stretching the links.
+
+    Both runs go on to quiescence, so every message of the broadcast is
+    handed off on both and the logs are comparable in full; the global
+    delivery order differs, the per-channel numbering does not.
+    """
+    link_faults = [LinkFault(duplicate=0.15, reorder=0.15)]
+    slow_sender = [LinkLatency(sender=1, base=20.0, jitter=10.0)]
+    for latencies in ((), slow_sender):
+        in_process = FaultPlan(11, link_faults=link_faults, latencies=latencies)
+        over_tcp = in_process.fresh()
+        run_a = run_acast_on(
+            "asyncio", until_quiescent=True,
+            transport=InProcessTransport(faults=in_process))
+        run_b = run_acast_on(
+            "asyncio", until_quiescent=True, clock="real", time_scale=0.001,
+            transport=TcpTransport(faults=over_tcp))
+        assert run_a.honest_outputs() == run_b.honest_outputs()
+        assert len(run_a.honest_outputs()) == 4
+        # Equal as multisets of (cause, sender, recipient, seq), hence
+        # channel by channel.
+        assert sorted(in_process.log) == sorted(over_tcp.log)
+        assert {cause for cause, *_ in in_process.log} == \
+            {"deliver", "duplicate", "hold"}
 
 
 # -- multi-process launcher --------------------------------------------------
@@ -296,12 +294,12 @@ def test_job_spec_pickles():
         n=4, seed=0, field_modulus=FIELD.modulus, network=None,
         factory=AcastFactory(sender=1, faults=1, message=[1, 2]),
         roster={1: ("127.0.0.1", 7001)}, control=("127.0.0.1", 7000),
-        latency=LatencyShim(base=0.01), faults=FaultSchedule(3),
+        faults=FaultPlan(3, latencies=[LinkLatency(base=0.5)]),
     )
     clone = pickle.loads(pickle.dumps(spec))
     assert clone.factory.message == [1, 2]
-    assert clone.latency.base == 0.01
     assert clone.faults.seed == 3
+    assert clone.faults.latencies[0].base == 0.5
 
 
 def test_tcp_backend_rejects_unsupported_run_options():
@@ -356,8 +354,9 @@ def test_tier2_multiprocess_multiacast_n7_with_latency():
     n = 7
     factory = MultiAcastFactory(faults=2, length=4)
     sim = make_backend("sim", n, seed=9).run(factory, max_time=100_000.0)
-    tcp = TcpBackend(n, seed=9, latency=LatencyShim(base=0.005, jitter=0.002,
-                                                    seed=9))
+    # 5 ms + up to 2 ms of jitter per hop at the backend's 20 ms per Delta.
+    tcp = TcpBackend(n, seed=9, faults=FaultPlan(
+        9, latencies=[LinkLatency(base=0.25, jitter=0.1)]))
     run = tcp.run(factory, max_time=100_000.0)
     assert run.honest_outputs() == sim.honest_outputs()
     assert len(run.honest_outputs()) == n
@@ -548,7 +547,7 @@ class _ScriptedFaults:
         self.script = script
         self.log = []
 
-    def decide(self, sender, recipient, seq, can_hold):
+    def decide(self, sender, recipient, seq, can_hold, send_time=0.0):
         decision = self.script.get(seq, "deliver") if (sender, recipient) == (1, 2) \
             else "deliver"
         if decision == "hold" and not can_hold:
@@ -595,14 +594,13 @@ def test_faults_are_decided_per_logical_message_inside_one_envelope():
 
 @pytest.mark.tcp
 def test_seeded_fault_schedule_gives_one_log_on_both_transports_per_envelope():
-    probabilities = dict(duplicate_probability=0.2, reorder_probability=0.2,
-                         drop_probability=0.1)
+    rule = LinkFault(duplicate=0.2, reorder=0.2, drop=0.1)
     envelopes = [
         [_msg(1, 2 + index % 2, (round_index, index)) for index in range(40)]
         for round_index in range(3)
     ]
 
-    in_faults = FaultSchedule(21, **probabilities)
+    in_faults = FaultPlan(21, link_faults=[rule])
     in_process = InProcessTransport(faults=in_faults)
     in_process.open([1, 2, 3])
     in_got = {2: [], 3: []}
@@ -612,7 +610,7 @@ def test_seeded_fault_schedule_gives_one_log_on_both_transports_per_envelope():
     for message, _ in in_process.flush_reordered():
         in_got[message.recipient].append(message.payload)
 
-    tcp_faults = FaultSchedule(21, **probabilities)
+    tcp_faults = in_faults.fresh()
 
     async def over_tcp():
         transport = TcpTransport(faults=tcp_faults)
@@ -627,6 +625,8 @@ def test_seeded_fault_schedule_gives_one_log_on_both_transports_per_envelope():
         return got
 
     assert asyncio.run(over_tcp()) == in_got
+    # One ordered log, not just equal multisets: a single sender hands both
+    # transports the same global sequence.
     assert tcp_faults.log == in_faults.log
     assert {decision for decision, *_ in in_faults.log} == \
         {"deliver", "duplicate", "hold", "drop"}

@@ -17,13 +17,12 @@ Wire testing the transports exposed three bugs, each pinned here:
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.runtime import AsyncioBackend, InProcessTransport, TransportFaults
+from repro.faults import FaultPlan, LinkFault
+from repro.runtime import AsyncioBackend, InProcessTransport
 from repro.runtime.api import RealClock, VirtualClock
-from repro.runtime.transport import DELIVER, DROP, DUPLICATE, HOLD, FaultSchedule
+from repro.runtime.transport import DELIVER, DROP, DUPLICATE, HOLD
 from repro.sim.messages import Message
 
 from test_scenario_matrix import Scenario, canonical_outputs
@@ -37,7 +36,7 @@ class ScriptedFaults:
         self.script = list(script)
         self.log = []
 
-    def decide(self, sender, recipient, seq, can_hold):
+    def decide(self, sender, recipient, seq, can_hold, send_time=0.0):
         decision = self.script.pop(0) if self.script else DELIVER
         if decision == HOLD and not can_hold:
             decision = DELIVER
@@ -132,36 +131,10 @@ def test_held_message_for_crashed_recipient_is_discarded():
     assert inbox_payloads(transport, 2) == []
 
 
-# -- the schedule / rng fault models ----------------------------------------
-
-def test_fault_schedule_is_order_independent_and_logged():
-    a = FaultSchedule(7, duplicate_probability=0.2, reorder_probability=0.2,
-                      drop_probability=0.2)
-    b = FaultSchedule(7, duplicate_probability=0.2, reorder_probability=0.2,
-                      drop_probability=0.2)
-    keys = [(1, 2, 0), (1, 2, 1), (2, 1, 0), (3, 1, 0), (1, 3, 4)]
-    forward = [a.decide(s, r, q, can_hold=True) for s, r, q in keys]
-    backward = [b.decide(s, r, q, can_hold=True) for s, r, q in reversed(keys)]
-    assert forward == list(reversed(backward))
-    assert a.log == [(d, s, r, q) for d, (s, r, q) in zip(forward, keys)]
-    assert set(forward) > {DELIVER}  # the windows actually fire at these probs
-
-
-def test_fault_schedule_respects_can_hold():
-    schedule = FaultSchedule(0, reorder_probability=1.0)
-    assert schedule.decide(1, 2, 0, can_hold=True) == HOLD
-    assert schedule.decide(1, 2, 1, can_hold=False) == DELIVER
-
-
-def test_transport_faults_requires_injected_rng():
-    with pytest.raises(TypeError):
-        TransportFaults(None, drop_probability=0.1)
-
-
 # -- end-to-end: total reordering keeps liveness and outputs -----------------
 
 def test_preprocessing_survives_total_reordering():
-    """reorder_probability=1.0 holds every other message on every channel;
+    """``reorder=1.0`` holds every other message on every channel;
     before the release-on-every-attempt fix, a self-delivery or crash could
     strand a held message and wedge the run."""
     scenario = Scenario(4, 1, 0, "honest", "sync", None)
@@ -170,7 +143,7 @@ def test_preprocessing_survives_total_reordering():
         scenario,
         "asyncio",
         transport=InProcessTransport(
-            faults=TransportFaults(random.Random(5), reorder_probability=1.0)
+            faults=FaultPlan(5, link_faults=[LinkFault(reorder=1.0)])
         ),
     )
     assert faulty.all_honest_done()
