@@ -1,36 +1,55 @@
 """E5 -- Communication-complexity scaling (Lemma 4.7, Thm 4.8/4.16, Lemma 5.1).
 
-Measures the bits sent by honest parties for ΠBC, ΠWPS and ΠVSS as n grows
-and fits the growth exponent, to be compared with the paper's asymptotics
-(O(n²ℓ), O(n⁴ log|F|), O(n⁵ log|F|) respectively).  Absolute constants are
-not expected to match the paper (our ΠBGP differs); the *shape* is.
+Measures the bits sent by honest parties *and* the number of messages for
+ΠBC, ΠWPS and ΠVSS as n grows and fits the growth exponents, to be compared
+with the paper's asymptotics (O(n²ℓ), O(n⁴ log|F|), O(n⁵ log|F|)
+respectively, :mod:`repro.analysis.complexity`).  Absolute constants are not
+expected to match the paper (our ΠBGP differs); the *shape* is.
+
+``python benchmarks/bench_communication.py`` persists one ``scaling_<label>``
+row per protocol to ``BENCH_communication.json`` and asserts the tolerances;
+the same rows measured at the commit before the verdict-vector ΠBC are kept
+beside them as ``scaling_<label>@parent_e6099bc``.
 """
+
+import json
+import os
 
 import pytest
 
-from repro.analysis import fit_power_law
+from repro.analysis import bc_bits, fit_power_law, vss_bits, wps_bits
 from repro.broadcast.bc import BroadcastProtocol
 from repro.sharing.vss import VerifiableSecretSharing
 from repro.sharing.wps import WeakPolynomialSharing
 from repro.sim import SynchronousNetwork
 
-from bench_common import fresh_polynomials, make_runner
+from bench_common import FIELD, bench_json_path, fresh_polynomials, make_runner, record_bench
 
 #: (n, ts) pairs used for the scaling sweep; ta = 0 keeps runs comparable.
 SWEEP = [(4, 1), (5, 1), (7, 2)]
 
+#: A fitted bits exponent may exceed the paper's by this much (three small n,
+#: with t stepping from 1 to 2 inside the sweep) before the shape is wrong.
+EXPONENT_TOLERANCE = 1.5
 
-def _bits_for_bc(n, t):
+#: Rows of the per-pair ``ok[i,j]`` ΠBC protocol, measured with this file at
+#: that commit's ``src/``; the verdict vector must cut a factor ~n of messages.
+PARENT_SUFFIX = "@parent_e6099bc"
+MESSAGE_EXPONENT_DROP = 0.5
+
+
+def _counts_for_bc(n, t):
     runner = make_runner(n, network=SynchronousNetwork(), seed=1)
     runner.run(
         lambda party: BroadcastProtocol(party, "bc", sender=1, faults=t,
                                         message="m" * 8 if party.id == 1 else None, anchor=0.0),
         max_time=5_000.0,
     )
-    return runner.simulator.metrics.honest_bits
+    metrics = runner.simulator.metrics
+    return metrics.honest_bits, metrics.messages_sent
 
 
-def _bits_for_sharing(cls, n, t):
+def _counts_for_sharing(cls, n, t):
     polynomials = fresh_polynomials(1, t, seed=3)
     runner = make_runner(n, network=SynchronousNetwork(), seed=1)
     runner.run(
@@ -38,39 +57,74 @@ def _bits_for_sharing(cls, n, t):
                           polynomials=polynomials if party.id == 1 else None, anchor=0.0),
         max_time=300_000.0,
     )
-    return runner.simulator.metrics.honest_bits
+    metrics = runner.simulator.metrics
+    return metrics.honest_bits, metrics.messages_sent
 
 
-@pytest.mark.parametrize(
-    "label,measure,paper_exponent",
-    [
-        ("bc", _bits_for_bc, 2.0),
-        ("wps", lambda n, t: _bits_for_sharing(WeakPolynomialSharing, n, t), 4.0),
-        ("vss", lambda n, t: _bits_for_sharing(VerifiableSecretSharing, n, t), 5.0),
-    ],
-    ids=["bc-n2", "wps-n4", "vss-n5"],
-)
-def test_communication_scaling(benchmark, label, measure, paper_exponent):
-    def sweep():
-        return {n: measure(n, t) for n, t in SWEEP}
+#: label -> (measure(n, t) -> (honest bits, messages), the paper's leading
+#: term as a function of n, the paper's asymptotic exponent).
+PROTOCOLS = {
+    "bc": (_counts_for_bc, lambda n: bc_bits(n, 64), 2.0),
+    "wps": (lambda n, t: _counts_for_sharing(WeakPolynomialSharing, n, t),
+            lambda n: wps_bits(n, 1, FIELD.element_bits()), 4.0),
+    "vss": (lambda n, t: _counts_for_sharing(VerifiableSecretSharing, n, t),
+            lambda n: vss_bits(n, 1, FIELD.element_bits()), 5.0),
+}
 
-    bits_by_n = benchmark.pedantic(sweep, iterations=1, rounds=1)
-    ns = sorted(bits_by_n)
-    exponent, constant = fit_power_law(ns, [bits_by_n[n] for n in ns])
-    benchmark.extra_info.update(
-        {
-            "bits_by_n": {str(k): v for k, v in bits_by_n.items()},
-            "fitted_exponent": exponent,
-            "paper_exponent": paper_exponent,
-        }
-    )
-    # The measured exponent should be in the right ballpark: clearly
-    # super-linear, and not wildly above the paper's asymptotic exponent.
-    assert 1.5 <= exponent <= paper_exponent + 1.5
+
+def measure_scaling(label, sweep=SWEEP):
+    """One ledger row: bits and messages by n, fitted and paper exponents."""
+    measure, paper_bits, paper_exponent = PROTOCOLS[label]
+    counts = {n: measure(n, t) for n, t in sweep}
+    ns = sorted(counts)
+    row = {
+        "sweep": [list(pair) for pair in sweep],
+        "bits_by_n": {str(n): counts[n][0] for n in ns},
+        "messages_by_n": {str(n): counts[n][1] for n in ns},
+        "fitted_bits_exponent": fit_power_law(ns, [counts[n][0] for n in ns])[0],
+        "fitted_messages_exponent": fit_power_law(ns, [counts[n][1] for n in ns])[0],
+        "paper_exponent": paper_exponent,
+        "paper_formula_exponent": fit_power_law(ns, [paper_bits(n) for n in ns])[0],
+    }
+    # Clearly super-linear, and not wildly above the paper's asymptotics.
+    assert 1.5 <= row["fitted_bits_exponent"] <= paper_exponent + EXPONENT_TOLERANCE, row
+    return row
+
+
+@pytest.mark.parametrize("label", ["bc", "wps", "vss"], ids=["bc-n2", "wps-n4", "vss-n5"])
+def test_communication_scaling(benchmark, label):
+    row = benchmark.pedantic(lambda: measure_scaling(label), iterations=1, rounds=1)
+    benchmark.extra_info.update(row)
 
 
 def smoke():
     """Tiny-size rot check used by the bench_smoke tier-1 marker."""
-    bits = _bits_for_bc(4, 1)
-    assert bits > 0
-    return {"bc_bits_n4": bits}
+    bc = measure_scaling("bc", sweep=SWEEP[:2])
+    bits, messages = PROTOCOLS["wps"][0](4, 1)
+    assert bits > 0 and 0 < messages < 1440  # 1440 with one ΠBC per ordered pair
+    return {"bc_bits_n4": bc["bits_by_n"]["4"], "wps_messages_n4": messages}
+
+
+def main(suffix: str = "") -> None:
+    parents = {}
+    if os.path.exists(bench_json_path("communication")):
+        with open(bench_json_path("communication"), encoding="utf-8") as handle:
+            parents = json.load(handle)
+    for label in PROTOCOLS:
+        row = measure_scaling(label)
+        parent = parents.get(f"scaling_{label}{PARENT_SUFFIX}")
+        if parent is not None and label != "bc" and not suffix:
+            drop = parent["fitted_messages_exponent"] - row["fitted_messages_exponent"]
+            assert drop >= MESSAGE_EXPONENT_DROP, (label, drop)
+            row["messages_exponent_drop_vs_parent"] = drop
+        record_bench("communication", f"scaling_{label}{suffix}", row)
+        print(f"{label:4s} bits ~ n^{row['fitted_bits_exponent']:.2f} "
+              f"(paper n^{row['paper_exponent']:.0f}, its formula on this sweep "
+              f"n^{row['paper_formula_exponent']:.2f}), messages ~ "
+              f"n^{row['fitted_messages_exponent']:.2f}   {row['messages_by_n']}")
+
+
+if __name__ == "__main__":
+    import sys
+
+    main(*sys.argv[1:2])

@@ -1,11 +1,14 @@
 """Golden transcript digests: the pinned reference for whole-protocol runs.
 
-``transcript_digests.json`` next to this file holds one sha256 per pinned
-cell (scenario-matrix cells, ``run_mpc`` runs, baseline and sharing runs).
-A digest covers the honest outputs and the transcript fingerprint of one
-seeded run, with every field value reduced to a plain int, so any change to
-a single protocol message or output anywhere in the stack changes it.  The
-file's header states which commit and which code path produced it.
+``transcript_digests.json`` next to this file holds two sha256 digests per
+pinned cell (scenario-matrix cells, ``run_mpc`` runs, baseline and sharing
+runs) of one seeded run, with every field value reduced to a plain int:
+``outputs`` covers the honest outputs and the cell's ``extra`` state
+(common subsets, verdict maps, BA outputs, accepted stars), ``transcript``
+the message/bit fingerprint.  Any change to a single protocol message moves
+``transcript``; a change that is meant to keep what the parties compute
+must leave every ``outputs`` digest byte-identical.  The file's header
+states which commit and which code path produced it.
 
 Tests call :func:`assert_matches_golden`.  Regeneration is explicit and
 loud -- ``python -m tests.golden --write`` from the repository root, which
@@ -43,8 +46,8 @@ PINNED_MODULES = (
 #: Header note naming the code path that produces the digests.
 PRODUCED_BY = "the single protocol path"
 
-#: cell id -> digest while ``--write`` is recording; None in every test run.
-_recording: Optional[Dict[str, str]] = None
+#: cell id -> digests while ``--write`` is recording; None in every test run.
+_recording: Optional[Dict[str, Dict[str, str]]] = None
 
 
 def canonical(value: Any) -> Any:
@@ -77,24 +80,30 @@ def transcript_fingerprint(result: Any) -> Dict[str, Any]:
     }
 
 
-def digest(result: Any, extra: Any = None) -> str:
-    """sha256 over the honest outputs and transcript fingerprint of a run.
-
-    ``result`` is a ``RunResult`` or an ``MPCResult``; ``extra`` is any
-    further per-cell state the test wants pinned (common subset, verdicts).
-    """
-    run = getattr(result, "run", result)
-    payload = {
-        "outputs": canonical(run.honest_outputs()),
-        "transcript": canonical(transcript_fingerprint(run)),
-        "extra": canonical(extra),
-    }
+def _sha256(payload: Any) -> str:
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
+def digest(result: Any, extra: Any = None) -> Dict[str, str]:
+    """The ``outputs`` and ``transcript`` sha256 digests of a run.
+
+    ``result`` is a ``RunResult`` or an ``MPCResult``; ``extra`` is any
+    further per-cell state the test wants pinned (common subset, verdicts)
+    and belongs to the ``outputs`` half.
+    """
+    run = getattr(result, "run", result)
+    return {
+        "outputs": _sha256({
+            "outputs": canonical(run.honest_outputs()),
+            "extra": canonical(extra),
+        }),
+        "transcript": _sha256(canonical(transcript_fingerprint(run))),
+    }
+
+
 def assert_matches_golden(cell_id: str, result: Any, extra: Any = None) -> None:
-    """Assert that this run's digest equals the one pinned for ``cell_id``."""
+    """Assert that both of this run's digests equal those pinned for ``cell_id``."""
     actual = digest(result, extra)
     if _recording is not None:
         previous = _recording.setdefault(cell_id, actual)
@@ -109,12 +118,14 @@ def assert_matches_golden(cell_id: str, result: Any, extra: Any = None) -> None:
         f"golden cell {cell_id!r} is missing from {GOLDEN_FILE} (this run: "
         f"{actual}); regenerate explicitly with `python -m tests.golden --write`"
     )
-    assert actual == expected, (
-        f"golden cell {cell_id!r} changed: pinned {expected}, this run {actual}"
+    moved = [half for half in ("outputs", "transcript") if actual[half] != expected[half]]
+    assert not moved, (
+        f"golden cell {cell_id!r} changed in {' and '.join(moved)}: "
+        f"pinned {expected}, this run {actual}"
     )
 
 
-def write_golden(cells: Dict[str, str]) -> None:
+def write_golden(cells: Dict[str, Dict[str, str]]) -> None:
     commit = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=_REPO_ROOT, check=True,
         capture_output=True, text=True,
