@@ -3,11 +3,73 @@
 The dealer D embeds each of its L degree-t_s polynomials into a random
 (t_s, t_s)-degree symmetric bivariate polynomial and hands every party its
 univariate row.  Parties run pair-wise consistency checks whose results are
-made public through ΠBC; the dealer looks for a "special" (n, t_s)-star
-(W, E, F) in the resulting consistency graph, the parties agree through ΠBA
-on whether one was accepted in time, and otherwise fall back to the
-asynchronous-style (n, t_a)-star path.  The output of party P_i is its
-vector of wps-shares [q^(1)(alpha_i), ..., q^(L)(alpha_i)].
+made public; the dealer looks for a "special" (n, t_s)-star (W, E, F) in the
+resulting consistency graph, the parties agree through ΠBA on whether one
+was accepted in time, and otherwise fall back to the asynchronous-style
+(n, t_a)-star path.  The output of party P_i is its vector of wps-shares
+[q^(1)(alpha_i), ..., q^(L)(alpha_i)].
+
+Phase III as built: the verdict vector
+--------------------------------------
+
+Fig 3 (and Fig 4 for ΠVSS, which shares :class:`BivariateSharingMixin`)
+publishes every OK/NOK through its own ΠBC, n(n-1) of them at one anchor.
+Here P_i publishes all the verdicts it has determined by the ok anchor as
+**one** ΠBC ``ok[i]`` whose value is an n-tuple (entry j: ``None`` for "no
+verdict yet", ``("OK",)`` or ``("NOK", index, value)``), sent at that anchor
+even if empty.  A verdict P_i determines later (late points or rows, the
+asynchronous fallback) goes out at the next multiple of Δ on the per-pair
+**Acast** ``ok[i,j]`` -- no SBA, because a ΠBC input given after the anchor
+can only ever be delivered through the fallback mode, which *is* the Acast
+output.  Receivers take entries from the vector first and look at a late
+``ok[i,j]`` only once P_i's vector has been delivered (either mode) and
+lacks entry j.  The snapshot at 2Δ + T_BC and the dealer's star search read
+the regular-mode outputs of the n vector ΠBCs only.
+
+Why Theorem 4.8 (Lemmas 4.2-4.7) and Theorem 4.16 (Lemmas 4.9-4.15) still
+hold, as a reduction to the per-pair protocol.  Call the *effective*
+outcome of (i, j) at an honest party the vector's entry j, with the vector
+ΠBC's mode and delivery time, if the entry is present; otherwise the late
+Acast's output, in fallback mode, at the later of its own delivery and the
+vector's.  The proofs use the ok[i,j] ΠBCs only through (1)-(3), and (4)
+says the adversary gains nothing:
+
+1. Honest P_i, synchronous network: every verdict determined by the anchor
+   is an entry of the vector, and the vector is regular-mode delivered to
+   every honest party at anchor + T_BC (ΠBC t_s-validity, Theorem 3.5,
+   applied to the vector as the broadcast value).  This is what Lemmas 4.2
+   and 4.9 (honest dealer: the honest parties form a clique in every honest
+   snapshot, so (W, E, F) is found and accepted) rest on.
+2. Honest P_i, any network: every verdict is eventually delivered to every
+   honest party -- entries by ΠBC t_a-validity through the fallback mode,
+   late verdicts by Acast validity (Lemma 2.4), and the vector they wait
+   for always arrives.  Lemmas 4.3 and 4.10 (asynchronous correctness: the
+   honest clique eventually appears, so (E', F') is found) need only this.
+3. Corrupt P_i: all honest parties that obtain a verdict for (i, j) obtain
+   the same one -- the vector by ΠBC consistency, the late value by Acast
+   consistency, and which of the two counts by the vector-first rule, which
+   is a function of the (common) vector.  In a synchronous network
+   regular-mode delivery of the vector is all-or-none at anchor + T_BC and
+   fallback deliveries of vector and Acast lie within 2Δ of each other at
+   different honest parties (Theorem 3.5, Lemma 2.4).  These are the
+   per-pair facts behind weak/strong commitment (Lemmas 4.4-4.6 and
+   4.12-4.14): honest parties hold equal snapshots at 2Δ + T_BC and their
+   graphs converge to one graph.
+4. Every corrupt behaviour here maps to one of the per-pair protocol with
+   the same effective outcomes: present entries are per-pair ΠBC inputs
+   given on time, absent entries with a late Acast are per-pair inputs given
+   late (delivered in fallback mode only), a withheld or malformed vector is
+   P_i giving no per-pair input at all (its Acasts are then never looked
+   at), and an Acast contradicting a present entry is ignored like a second
+   input to one ΠBC.  Privacy is untouched: a vector reveals exactly the
+   verdicts the per-pair broadcasts reveal.
+
+All payloads from other parties pass one total parser
+(:meth:`BivariateSharingMixin._parse_verdict`, ``_vector_entries``,
+``_parse_star``): a verdict is ``("OK",)`` or ``("NOK", index in range(L),
+element of this field)``, a star payload a tuple of the right arity of
+party-id sets; anything else is "absent", a vector of the wrong length or
+type the empty vector.
 """
 
 from __future__ import annotations
@@ -16,7 +78,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ba.aba import aba_nominal_time_bound
 from repro.ba.bobw import BestOfBothWorldsBA
-from repro.broadcast.acast import PackedFieldVector
+from repro.broadcast.acast import AcastProtocol, PackedFieldVector
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 from repro.codes.oec import BatchOnlineErrorCorrector
 from repro.field.array import batch_evaluate
@@ -140,32 +202,6 @@ def row_value_table(field, rows, party_ids):
     return [[FieldElement(v, field) for v in values] for values in table]
 
 
-class BivariateSharingMixin:
-    """Bivariate machinery shared by Pi_WPS and Pi_VSS instances.
-
-    Expects the host protocol to maintain ``my_rows``, ``_bivariates``,
-    ``_row_values`` and ``_dealer_grids``.
-    """
-
-    def _my_row_values(self) -> List[List["FieldElement"]]:
-        """My rows evaluated at every party's alpha, computed once per instance."""
-        if self._row_values is None:
-            assert self.my_rows is not None
-            self._row_values = row_value_table(
-                self.field, self.my_rows, self.party.all_party_ids()
-            )
-        return self._row_values
-
-    def _dealer_expected_common_value(self, index: int, j: int, i: int) -> "FieldElement":
-        """Q^(index)(alpha_j, alpha_i) -- via the cached n x n eval_grid."""
-        grid = self._dealer_grids.get(index)
-        if grid is None:
-            alphas = [int(self.field.alpha(k)) for k in self.party.all_party_ids()]
-            grid = self._bivariates[index].eval_grid(alphas, alphas)
-            self._dealer_grids[index] = grid
-        return FieldElement(grid[j - 1][i - 1], self.field)
-
-
 def pairwise_nok_conflict(noks, w_set) -> bool:
     """Whether two parties in W published NOKs claiming different common values.
 
@@ -184,6 +220,12 @@ def pairwise_nok_conflict(noks, w_set) -> bool:
     return False
 
 
+def mutually_ok(verdicts, i: int, j: int) -> bool:
+    """Whether P_i and P_j each published OK for the other (an edge)."""
+    other = verdicts.get((j, i))
+    return other is not None and other[0] == OK_VERDICT == verdicts[(i, j)][0]
+
+
 def wps_time_bound(n: int, ts: int, delta: float) -> float:
     """T_WPS = 2Δ + 2·T_BC + T_BA (nominal, used for composition anchors)."""
     t_bc = bc_time_bound(n, ts, delta)
@@ -191,14 +233,17 @@ def wps_time_bound(n: int, ts: int, delta: float) -> float:
     return 2.0 * delta + 2.0 * t_bc + t_ba + 8 * epsilon(delta)
 
 
-class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
-    """One ΠWPS instance.
+class BivariateSharingMixin:
+    """What ΠWPS and ΠVSS share: Phase I, and Phases III-V on the verdicts.
 
     Every party constructs the instance with the same ``tag``, ``dealer``,
     ``num_polynomials`` and ``anchor``; only the dealer supplies
-    ``polynomials`` (possibly later, via :meth:`provide_input`).  The output
-    is the list of L wps-shares, or remains unset if the (corrupt) dealer
-    never completes the protocol.
+    ``polynomials`` (possibly later, via ``provide_input``).  The host
+    protocol adds its Phase II and supplies ``time_bound``, ``_ok_anchor``
+    (the common local time at which verdict vectors are published),
+    ``_evidence`` (j -> the values P_j's row is checked against: its common
+    points in ΠWPS, its wps-shares in ΠVSS) and ``_recover_from(sources)``
+    (the output computation of a party outside W / F').
     """
 
     def __init__(
@@ -224,13 +269,15 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
 
         # Dealer-side state.
         self._bivariates: Optional[List[BatchSymmetricBivariate]] = None
+        self._dealer_grids: Dict[int, List[List[int]]] = {}
         self._star2_sent = False
 
         # Receiver-side state.
         self.my_rows: Optional[List[Polynomial]] = None
-        self.received_points: Dict[int, List] = {}
-        self._points_sent = False
-        self._ok_broadcast_done: Set[int] = set()
+        self._row_values: Optional[List[List[FieldElement]]] = None
+        self._vector_sent = False
+        self._published: Set[int] = set()
+        self._vectors_seen: Set[int] = set()
         self._verdicts: Dict[Tuple[int, int], Any] = {}
         self.graph = ConsistencyGraph(self.n)
         self._snapshot_graph: Optional[ConsistencyGraph] = None
@@ -238,25 +285,348 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
         self.accepted_star: Optional[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]] = None
         self._ba: Optional[BestOfBothWorldsBA] = None
         self._ba_output: Optional[int] = None
-        self._oec: Optional[BatchOnlineErrorCorrector] = None
-        self._oec_sources: Optional[Set[int]] = None
         self._pending_star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
-        self._row_values: Optional[List[List[FieldElement]]] = None
-        self._dealer_grids: Dict[int, List[List[int]]] = {}
 
-        # Broadcast endpoints (created in start()).
-        self._ok_bc: Dict[Tuple[int, int], BroadcastProtocol] = {}
+        # Broadcast endpoints (created in _start_broadcasts()).
+        self._ok_bc: Dict[int, BroadcastProtocol] = {}
+        self._late_ok: Dict[Tuple[int, int], AcastProtocol] = {}
         self._star_bc: Optional[BroadcastProtocol] = None
         self._star2_bc: Optional[BroadcastProtocol] = None
 
-    # -- timing helpers ----------------------------------------------------------
     @property
     def t_bc(self) -> float:
         return bc_time_bound(self.n, self.ts, self.delta)
 
+    def _start_broadcasts(self) -> None:
+        """Spawn and start the Phase III-V endpoints and their evaluation timers."""
+        eps = epsilon(self.delta)
+        ok_anchor = self._ok_anchor
+        ids = self.party.all_party_ids()
+        for i in ids:
+            # P_i's verdict vector, and its per-pair Acasts for late verdicts.
+            bc = self._ok_bc[i] = self.spawn(
+                BroadcastProtocol, f"ok[{i}]", sender=i, faults=self.ts,
+                anchor=ok_anchor, delta=self.delta,
+            )
+            bc.on_delivery(lambda vector, i=i: self._record_vector(i, vector))
+            for j in ids:
+                if j != i:
+                    late = self._late_ok[(i, j)] = self.spawn(
+                        AcastProtocol, f"ok[{i},{j}]", sender=i, faults=self.ts
+                    )
+                    late.on_output(lambda value, i=i, j=j: self._record_late_verdict(i, j, value))
+        # Dealer's (W, E, F) broadcast, and (E', F') for the (n, t_a)-star path.
+        self._star_bc = self.spawn(
+            BroadcastProtocol, "star", sender=self.dealer, faults=self.ts,
+            anchor=ok_anchor + self.t_bc + 2 * eps, delta=self.delta,
+        )
+        self._star2_bc = self.spawn(
+            BroadcastProtocol, "star2", sender=self.dealer, faults=self.ts,
+            anchor=self.anchor + self.time_bound, delta=self.delta,
+        )
+        for endpoint in (*self._ok_bc.values(), *self._late_ok.values(),
+                         self._star_bc, self._star2_bc):
+            endpoint.start()
+        # Queued here, so it runs before any timer a delivery at the ok anchor
+        # queues, and after every such delivery (messages precede timers).
+        self.schedule_at(ok_anchor, self._publish_vector)
+        if self.me == self.dealer:
+            self.schedule_at(ok_anchor + self.t_bc + 2 * eps, self._dealer_find_star)
+        self.schedule_at(ok_anchor + self.t_bc + 3 * eps, self._take_snapshot)
+        self.schedule_at(ok_anchor + 2.0 * self.t_bc + 4 * eps, self._accept_and_vote)
+
+    # -- Phase I: dealer distributes rows ----------------------------------------------
+    def _dealer_distribute(self) -> None:
+        if self._bivariates is not None or self.polynomials is None:
+            return
+        self._bivariates = make_bivariates(self.field, self.polynomials, self.rng)
+        ids = self.party.all_party_ids()
+        for j, rows in zip(ids, rows_for_all_parties(self.field, self._bivariates, ids)):
+            self.send(j, ("polys", PackedPolynomialRows.pack(self.field, rows)))
+
+    def _valid_rows(self, rows: Any) -> bool:
+        if not isinstance(rows, list) or len(rows) != self.num_polynomials:
+            return False
+        return all(isinstance(row, Polynomial) and row.degree <= self.ts for row in rows)
+
+    def _my_row_values(self) -> List[List["FieldElement"]]:
+        """My rows evaluated at every party's alpha, computed once per instance."""
+        if self._row_values is None:
+            assert self.my_rows is not None
+            self._row_values = row_value_table(
+                self.field, self.my_rows, self.party.all_party_ids()
+            )
+        return self._row_values
+
+    def _dealer_expected_common_value(self, index: int, j: int, i: int) -> "FieldElement":
+        """Q^(index)(alpha_j, alpha_i) -- via the cached n x n eval_grid."""
+        grid = self._dealer_grids.get(index)
+        if grid is None:
+            alphas = [int(self.field.alpha(k)) for k in self.party.all_party_ids()]
+            grid = self._bivariates[index].eval_grid(alphas, alphas)
+            self._dealer_grids[index] = grid
+        return FieldElement(grid[j - 1][i - 1], self.field)
+
+    # -- Phase III: publish pair-wise consistency results ---------------------------------------
+    def _verdict_on(self, j: int) -> Tuple:
+        """OK, or NOK with the first index where P_j's evidence leaves my rows."""
+        values = self._evidence[j]
+        table = self._my_row_values()
+        for index in range(self.num_polynomials):
+            expected = table[index][j - 1]
+            if index >= len(values) or values[index] != expected:
+                return (NOK_VERDICT, index, expected)
+        return (OK_VERDICT,)
+
+    def _unpublished(self) -> List[int]:
+        """The parties I can judge now and have not yet; marks them published."""
+        if self.my_rows is None:
+            return []
+        fresh = [j for j in self._evidence if j != self.me and j not in self._published]
+        self._published.update(fresh)
+        return fresh
+
+    def _publish_vector(self) -> None:
+        """At the ok anchor: every verdict determined so far rides one ΠBC."""
+        entries: List[Any] = [None] * self.n
+        for j in self._unpublished():
+            entries[j - 1] = self._verdict_on(j)
+        self._vector_sent = True
+        self._ok_bc[self.me].provide_input(tuple(entries))
+
+    def _publish_late_verdicts(self) -> None:
+        """New evidence or rows: past the anchor, verdicts go out by Acast alone."""
+        if not self._vector_sent:
+            return
+        when = next_multiple_of_delta(self.now, self.delta)
+        for j in self._unpublished():
+            self.schedule_at(when, lambda j=j: self._late_ok[(self.me, j)].provide_input(
+                self._verdict_on(j)))
+
+    # -- the trust boundary: one total parser for what other parties publish -------------------
+    def _parse_verdict(self, value: Any) -> Optional[Tuple]:
+        if not isinstance(value, tuple):
+            return None
+        if value == (OK_VERDICT,):
+            return value
+        if (
+            len(value) == 3 and value[0] == NOK_VERDICT
+            and type(value[1]) is int and 0 <= value[1] < self.num_polynomials
+            and isinstance(value[2], FieldElement)
+            and value[2].field.modulus == self.field.modulus
+        ):
+            return value
+        return None
+
+    def _vector_entries(self, i: int, vector: Any) -> Dict[Tuple[int, int], Tuple]:
+        """``(i, j) -> verdict`` for the well-formed entries of P_i's vector."""
+        if not isinstance(vector, tuple) or len(vector) != self.n:
+            return {}
+        entries = {}
+        for j, value in enumerate(vector, 1):
+            verdict = self._parse_verdict(value)
+            if verdict is not None and j != i:
+                entries[(i, j)] = verdict
+        return entries
+
+    def _parse_star(self, candidate: Any, arity: int) -> Optional[Tuple[FrozenSet[int], ...]]:
+        """A dealer's (W, E, F) or (E', F') as frozensets of party ids, or None."""
+        if not isinstance(candidate, tuple) or len(candidate) != arity:
+            return None
+        if not all(
+            isinstance(part, (set, frozenset))
+            and all(type(v) is int and 1 <= v <= self.n for v in part)
+            for part in candidate
+        ):
+            return None
+        return tuple(frozenset(part) for part in candidate)
+
+    # -- consistency graph maintenance --------------------------------------------------------
+    def _record_vector(self, i: int, vector: Any) -> None:
+        """P_i's vector is delivered: its entries, then the late verdicts it lacks."""
+        self._vectors_seen.add(i)
+        for (_, j), verdict in self._vector_entries(i, vector).items():
+            self._record_verdict(i, j, verdict)
+        for j in self.party.all_party_ids():
+            if j != i and self._late_ok[(i, j)].has_output:
+                self._record_late_verdict(i, j, self._late_ok[(i, j)].output)
+
+    def _record_late_verdict(self, i: int, j: int, value: Any) -> None:
+        verdict = self._parse_verdict(value)
+        if verdict is not None and i in self._vectors_seen:
+            self._record_verdict(i, j, verdict)
+
+    def _record_verdict(self, i: int, j: int, verdict: Tuple) -> None:
+        if (i, j) in self._verdicts:
+            return
+        self._verdicts[(i, j)] = verdict
+        if mutually_ok(self._verdicts, i, j):
+            self.graph.add_edge(i, j)
+            self._on_graph_update()
+
+    def _on_graph_update(self) -> None:
+        if self._ba_output == 1:
+            if self.me == self.dealer:
+                self._dealer_try_star2()
+            if self._pending_star2 is not None:
+                self._try_adopt_star2(self._pending_star2)
+
+    # -- snapshots at the phase boundaries --------------------------------------------------------
+    def _regular_snapshot(self) -> Tuple[ConsistencyGraph, Dict[Tuple[int, int], Tuple]]:
+        """Consistency graph and verdicts of the vectors delivered in regular mode."""
+        verdicts: Dict[Tuple[int, int], Tuple] = {}
+        for i, bc in self._ok_bc.items():
+            verdicts.update(self._vector_entries(i, bc.output_via_regular_mode()))
+        graph = ConsistencyGraph(self.n)
+        for i, j in verdicts:
+            if mutually_ok(verdicts, i, j):
+                graph.add_edge(i, j)
+        return graph, verdicts
+
+    def _take_snapshot(self) -> None:
+        """Record the regular-mode consistency graph/NOKs at the ok anchor + T_BC."""
+        self._snapshot_graph, verdicts = self._regular_snapshot()
+        self._snapshot_noks = {
+            pair: verdict for pair, verdict in verdicts.items() if verdict[0] == NOK_VERDICT
+        }
+
+    # -- Phase IV: dealer computes (W, E, F) --------------------------------------------------------
+    def _dealer_find_star(self) -> None:
+        if self._bivariates is None:
+            return
+        graph, verdicts = self._regular_snapshot()
+        # Remove parties whose regular-mode NOK reports a wrong common value.
+        for (i, j), verdict in verdicts.items():
+            if verdict[0] == NOK_VERDICT and verdict[2] != self._dealer_expected_common_value(
+                verdict[1], j, i
+            ):
+                graph.remove_vertex_edges(i)
+        w_set = graph.iterated_degree_prune(self.n - self.ts)
+        if not w_set:
+            return
+        star = find_star(graph, self.ts, within=w_set)
+        if star is None:
+            return
+        self._star_bc.provide_input((frozenset(w_set), star.e_set, star.f_set))
+
+    # -- acceptance check and ΠBA ------------------------------------------------------------------
+    def _accept_and_vote(self) -> None:
+        candidate = self._parse_star(self._star_bc.output_via_regular_mode(), 3)
+        accepted = (
+            candidate is not None
+            and self._snapshot_graph is not None
+            and self._validate_star_triplet(candidate, self._snapshot_graph, self._snapshot_noks)
+        )
+        if accepted:
+            self.accepted_star = candidate
+        self._ba = self.spawn(
+            BestOfBothWorldsBA,
+            "ba",
+            faults=self.ts,
+            value=0 if accepted else 1,
+            anchor=self.now,
+            delta=self.delta,
+        )
+        self._ba.on_output(self._handle_ba_output)
+        self._ba.start()
+
+    def _validate_star_triplet(
+        self,
+        candidate: Tuple[FrozenSet[int], ...],
+        graph: ConsistencyGraph,
+        noks: Dict[Tuple[int, int], Any],
+    ) -> bool:
+        w_set, e_set, f_set = candidate
+        if not (e_set <= f_set <= w_set):
+            return False
+        if len(w_set) < self.n - self.ts:
+            return False
+        # No conflicting NOK pair inside W.
+        if pairwise_nok_conflict(noks, w_set):
+            return False
+        # Degree conditions.
+        for j in w_set:
+            # A party is always consistent with itself, hence the +1 (the
+            # honest parties may number exactly n - t_s).
+            if graph.degree(j) + 1 < self.n - self.ts:
+                return False
+            if graph.degree_within(j, set(w_set)) + 1 < self.n - self.ts:
+                return False
+        # (E, F) must be an (n, t_s)-star of the induced subgraph G_i[W].
+        return verify_star(graph, Star(e_set, f_set), self.ts, within=set(w_set))
+
+    def _handle_ba_output(self, value: int) -> None:
+        self._ba_output = value
+        if value == 0:
+            self._star_bc.on_delivery(self._compute_output_via_w)
+        else:
+            if self.me == self.dealer:
+                self._dealer_try_star2()
+            self._star2_bc.on_delivery(self._try_adopt_star2)
+
+    # -- output through the (W, E, F) path -----------------------------------------------------------
+    def _compute_output_via_w(self, candidate: Any) -> None:
+        candidate = self._parse_star(candidate, 3)
+        if self.has_output or self._ba_output != 0 or candidate is None:
+            return
+        w_set, _e_set, f_set = candidate
+        if self.me in w_set and self.my_rows is not None:
+            self.set_output([row.constant_term() for row in self.my_rows])
+            return
+        self._recover_from(set(f_set))
+
+    # -- output through the (E', F') fallback path ------------------------------------------------------
+    def _dealer_try_star2(self) -> None:
+        if self._star2_sent or self.me != self.dealer:
+            return
+        star = find_star(self.graph, self.ta)
+        if star is None:
+            return
+        self._star2_sent = True
+        self._star2_bc.provide_input((star.e_set, star.f_set))
+
+    def _try_adopt_star2(self, candidate: Any) -> None:
+        candidate = self._parse_star(candidate, 2)
+        if self.has_output or self._ba_output != 1 or candidate is None:
+            return
+        e_set, f_set = candidate
+        if not verify_star(self.graph, Star(e_set, f_set), self.ta):
+            # Not yet a star in our own graph: retry on each graph update.
+            self._pending_star2 = candidate
+            return
+        self._pending_star2 = None
+        if self.me in f_set and self.my_rows is not None:
+            self.set_output([row.constant_term() for row in self.my_rows])
+            return
+        self._recover_from(set(f_set))
+
+
+class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
+    """One ΠWPS instance (constructor: see :class:`BivariateSharingMixin`).
+
+    The output is the list of L wps-shares, or remains unset if the (corrupt)
+    dealer never completes the protocol.
+    """
+
+    def __init__(self, party: Party, tag: str, *args, **kwargs):
+        super().__init__(party, tag, *args, **kwargs)
+        self.received_points: Dict[int, List] = {}
+        self._points_sent = False
+        self._oec: Optional[BatchOnlineErrorCorrector] = None
+        self._oec_sources: Optional[Set[int]] = None
+
+    # -- timing helpers ----------------------------------------------------------
     @property
     def time_bound(self) -> float:
         return wps_time_bound(self.n, self.ts, self.delta)
+
+    @property
+    def _ok_anchor(self) -> float:
+        return self.anchor + 2.0 * self.delta
+
+    @property
+    def _evidence(self) -> Dict[int, List]:
+        return self.received_points
 
     # -- input ---------------------------------------------------------------------
     def provide_input(self, polynomials: List[Polynomial]) -> None:
@@ -269,66 +639,9 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
     def start(self) -> None:
         if self.anchor is None:
             self.anchor = self.now
-        eps = epsilon(self.delta)
-        # Broadcast endpoints for every ordered pair's OK/NOK message.
-        for i in self.party.all_party_ids():
-            for j in self.party.all_party_ids():
-                if i == j:
-                    continue
-                bc = self.spawn(
-                    BroadcastProtocol,
-                    f"ok[{i},{j}]",
-                    sender=i,
-                    faults=self.ts,
-                    anchor=self.anchor + 2.0 * self.delta,
-                    delta=self.delta,
-                )
-                self._ok_bc[(i, j)] = bc
-                bc.on_delivery(lambda verdict, i=i, j=j: self._record_verdict(i, j, verdict))
-        # Dealer's (W, E, F) broadcast.
-        self._star_bc = self.spawn(
-            BroadcastProtocol,
-            "star",
-            sender=self.dealer,
-            faults=self.ts,
-            anchor=self.anchor + 2.0 * self.delta + self.t_bc + 2 * eps,
-            delta=self.delta,
-        )
-        # Dealer's (E', F') broadcast for the fallback (n, t_a)-star path.
-        self._star2_bc = self.spawn(
-            BroadcastProtocol,
-            "star2",
-            sender=self.dealer,
-            faults=self.ts,
-            anchor=self.anchor + self.time_bound,
-            delta=self.delta,
-        )
-        for bc in self._ok_bc.values():
-            bc.start()
-        self._star_bc.start()
-        self._star2_bc.start()
-
-        if self.me == self.dealer and self.polynomials is not None:
-            self._dealer_distribute()
+        self._start_broadcasts()
         if self.me == self.dealer:
-            self.schedule_at(
-                self.anchor + 2.0 * self.delta + self.t_bc + 2 * eps, self._dealer_find_star
-            )
-        self.schedule_at(
-            self.anchor + 2.0 * self.delta + self.t_bc + 3 * eps, self._take_snapshot
-        )
-        self.schedule_at(
-            self.anchor + 2.0 * self.delta + 2.0 * self.t_bc + 4 * eps, self._accept_and_vote
-        )
-
-    # -- Phase I: dealer distributes rows ----------------------------------------------
-    def _dealer_distribute(self) -> None:
-        if self._bivariates is not None or self.polynomials is None:
-            return
-        self._bivariates = make_bivariates(self.field, self.polynomials, self.rng)
-        ids = self.party.all_party_ids()
-        for j, rows in zip(ids, rows_for_all_parties(self.field, self._bivariates, ids)):
-            self.send(j, ("polys", PackedPolynomialRows.pack(self.field, rows)))
+            self._dealer_distribute()
 
     # -- message handling -----------------------------------------------------------------
     def receive(self, sender: int, payload: Any) -> None:
@@ -338,18 +651,13 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
             if self._valid_rows(rows):
                 self.my_rows = rows
                 self._schedule_point_sending()
-                self._schedule_ok_broadcasts()
+                self._publish_late_verdicts()
         elif kind == "points":
             values = payload[1]
             if sender not in self.received_points and len(values) == self.num_polynomials:
                 self.received_points[sender] = list(values)
-                self._schedule_ok_broadcasts()
+                self._publish_late_verdicts()
                 self._feed_oec(sender)
-
-    def _valid_rows(self, rows: Any) -> bool:
-        if not isinstance(rows, list) or len(rows) != self.num_polynomials:
-            return False
-        return all(isinstance(row, Polynomial) and row.degree <= self.ts for row in rows)
 
     # -- Phase II: pair-wise point exchange ---------------------------------------------------
     def _schedule_point_sending(self) -> None:
@@ -368,209 +676,8 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
             values = [row_values[j - 1] for row_values in table]
             self.send(j, ("points", values))
 
-    # -- Phase III: publish pair-wise consistency results ---------------------------------------
-    def _schedule_ok_broadcasts(self) -> None:
-        if self.my_rows is None:
-            return
-        for j, values in self.received_points.items():
-            if j in self._ok_broadcast_done or j == self.me:
-                continue
-            self._ok_broadcast_done.add(j)
-            when = next_multiple_of_delta(self.now, self.delta)
-            self.schedule_at(when, lambda j=j: self._broadcast_verdict(j))
-
-    def _broadcast_verdict(self, j: int) -> None:
-        assert self.my_rows is not None
-        values = self.received_points[j]
-        table = self._my_row_values()
-        verdict: Any = (OK_VERDICT,)
-        for index in range(len(self.my_rows)):
-            expected = table[index][j - 1]
-            if values[index] != expected:
-                verdict = (NOK_VERDICT, index, expected)
-                break
-        self._ok_bc[(self.me, j)].provide_input(verdict)
-
-    # -- consistency graph maintenance --------------------------------------------------------
-    def _record_verdict(self, i: int, j: int, verdict: Any) -> None:
-        if not isinstance(verdict, tuple) or not verdict:
-            return
-        if (i, j) in self._verdicts:
-            return
-        self._verdicts[(i, j)] = verdict
-        if verdict[0] == OK_VERDICT:
-            other = self._verdicts.get((j, i))
-            if other is not None and other[0] == OK_VERDICT:
-                self.graph.add_edge(i, j)
-                self._on_graph_update()
-
-    def _on_graph_update(self) -> None:
-        if self._ba_output == 1:
-            if self.me == self.dealer:
-                self._dealer_try_star2()
-            if self._pending_star2 is not None:
-                self._try_adopt_star2(self._pending_star2)
-
-    # -- snapshots at the phase boundaries --------------------------------------------------------
-    def _regular_verdicts(self) -> Dict[Tuple[int, int], Any]:
-        verdicts = {}
-        for pair, bc in self._ok_bc.items():
-            value = bc.output_via_regular_mode()
-            if isinstance(value, tuple) and value:
-                verdicts[pair] = value
-        return verdicts
-
-    def _take_snapshot(self) -> None:
-        """Record the regular-mode consistency graph/NOKs at time 2Δ + T_BC."""
-        verdicts = self._regular_verdicts()
-        graph = ConsistencyGraph(self.n)
-        for (i, j), verdict in verdicts.items():
-            if verdict[0] == OK_VERDICT:
-                other = verdicts.get((j, i))
-                if other is not None and other[0] == OK_VERDICT:
-                    graph.add_edge(i, j)
-        self._snapshot_graph = graph
-        self._snapshot_noks = {
-            pair: verdict for pair, verdict in verdicts.items() if verdict[0] == NOK_VERDICT
-        }
-
-    # -- Phase IV: dealer computes (W, E, F) --------------------------------------------------------
-    def _dealer_find_star(self) -> None:
-        if self._bivariates is None:
-            return
-        verdicts = self._regular_verdicts()
-        graph = ConsistencyGraph(self.n)
-        for (i, j), verdict in verdicts.items():
-            if verdict[0] == OK_VERDICT:
-                other = verdicts.get((j, i))
-                if other is not None and other[0] == OK_VERDICT:
-                    graph.add_edge(i, j)
-        # Remove parties whose regular-mode NOK reports a wrong common value.
-        for (i, j), verdict in verdicts.items():
-            if verdict[0] != NOK_VERDICT:
-                continue
-            index, claimed = verdict[1], verdict[2]
-            if not isinstance(index, int) or not (0 <= index < self.num_polynomials):
-                graph.remove_vertex_edges(i)
-                continue
-            if claimed != self._dealer_expected_common_value(index, j, i):
-                graph.remove_vertex_edges(i)
-        w_set = graph.iterated_degree_prune(self.n - self.ts)
-        if not w_set:
-            return
-        star = find_star(graph, self.ts, within=w_set)
-        if star is None:
-            return
-        payload = (frozenset(w_set), star.e_set, star.f_set)
-        self._star_bc.provide_input(payload)
-
-    # -- acceptance check and ΠBA ------------------------------------------------------------------
-    def _accept_and_vote(self) -> None:
-        candidate = self._star_bc.output_via_regular_mode()
-        accepted = False
-        if candidate is not None and self._snapshot_graph is not None:
-            accepted = self._validate_star_triplet(candidate, self._snapshot_graph, self._snapshot_noks)
-        if accepted:
-            self.accepted_star = candidate
-        self._ba = self.spawn(
-            BestOfBothWorldsBA,
-            "ba",
-            faults=self.ts,
-            value=0 if accepted else 1,
-            anchor=self.now,
-            delta=self.delta,
-        )
-        self._ba.on_output(self._handle_ba_output)
-        self._ba.start()
-
-    def _validate_star_triplet(
-        self,
-        candidate: Any,
-        graph: ConsistencyGraph,
-        noks: Dict[Tuple[int, int], Any],
-    ) -> bool:
-        if not isinstance(candidate, tuple) or len(candidate) != 3:
-            return False
-        w_set, e_set, f_set = candidate
-        try:
-            w_set = frozenset(int(v) for v in w_set)
-            e_set = frozenset(int(v) for v in e_set)
-            f_set = frozenset(int(v) for v in f_set)
-        except (TypeError, ValueError):
-            return False
-        all_ids = set(self.party.all_party_ids())
-        if not (e_set <= f_set <= w_set <= all_ids):
-            return False
-        if len(w_set) < self.n - self.ts:
-            return False
-        # No conflicting NOK pair inside W.
-        if pairwise_nok_conflict(noks, w_set):
-            return False
-        # Degree conditions.
-        for j in w_set:
-            # A party is always consistent with itself, hence the +1 (the
-            # honest parties may number exactly n - t_s).
-            if graph.degree(j) + 1 < self.n - self.ts:
-                return False
-            if graph.degree_within(j, set(w_set)) + 1 < self.n - self.ts:
-                return False
-        # (E, F) must be an (n, t_s)-star of the induced subgraph G_i[W].
-        star = Star(e_set, f_set)
-        return verify_star(graph, star, self.ts, within=set(w_set))
-
-    def _handle_ba_output(self, value: int) -> None:
-        self._ba_output = value
-        if value == 0:
-            self._star_bc.on_delivery(self._compute_output_via_w)
-        else:
-            if self.me == self.dealer:
-                self._dealer_try_star2()
-            self._star2_bc.on_delivery(self._try_adopt_star2)
-
-    # -- output through the (W, E, F) path -----------------------------------------------------------
-    def _compute_output_via_w(self, candidate: Any) -> None:
-        if self.has_output or self._ba_output != 0:
-            return
-        if not isinstance(candidate, tuple) or len(candidate) != 3:
-            return
-        w_set, _e_set, f_set = candidate
-        w_set = set(int(v) for v in w_set)
-        f_set = set(int(v) for v in f_set)
-        if self.me in w_set and self.my_rows is not None:
-            self.set_output([row.constant_term() for row in self.my_rows])
-            return
-        self._start_oec(f_set)
-
-    # -- output through the (E', F') fallback path ------------------------------------------------------
-    def _dealer_try_star2(self) -> None:
-        if self._star2_sent or self.me != self.dealer:
-            return
-        star = find_star(self.graph, self.ta)
-        if star is None:
-            return
-        self._star2_sent = True
-        self._star2_bc.provide_input((star.e_set, star.f_set))
-
-    def _try_adopt_star2(self, candidate: Any) -> None:
-        if self.has_output or self._ba_output != 1:
-            return
-        if not isinstance(candidate, tuple) or len(candidate) != 2:
-            return
-        e_set = frozenset(int(v) for v in candidate[0])
-        f_set = frozenset(int(v) for v in candidate[1])
-        star = Star(e_set, f_set)
-        if not verify_star(self.graph, star, self.ta):
-            # Not yet a star in our own graph: retry on each graph update.
-            self._pending_star2 = (e_set, f_set)
-            return
-        self._pending_star2 = None
-        if self.me in f_set and self.my_rows is not None:
-            self.set_output([row.constant_term() for row in self.my_rows])
-            return
-        self._start_oec(set(f_set))
-
     # -- OEC on the common points received from F / F' ---------------------------------------------------
-    def _start_oec(self, sources: Set[int]) -> None:
+    def _recover_from(self, sources: Set[int]) -> None:
         if self._oec is not None:
             return
         self._oec = BatchOnlineErrorCorrector(

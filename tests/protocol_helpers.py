@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+import re
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.field import Polynomial, default_field
 from repro.sim import ProtocolRunner, SynchronousNetwork
 from repro.sim.adversary import Behavior
+from repro.sim.messages import Message
 from repro.sim.network import NetworkModel
 
 FIELD = default_field()
@@ -15,6 +17,48 @@ FIELD = default_field()
 
 def random_polynomial(degree: int, secret: int, seed: int = 0) -> Polynomial:
     return Polynomial.random(FIELD, degree, constant_term=secret, rng=random.Random(seed))
+
+
+class RewriteBehavior(Behavior):
+    """A corrupt party that runs the honest code but edits what it sends, by tag.
+
+    ``rules`` maps a tag regex to ``edit(tag, payload) -> [(tag, payload), ...]``:
+    the first rule that ``fullmatch``es an outgoing message's tag decides what
+    its recipient gets instead -- nothing (a drop), a rewritten payload, or
+    extra messages on other tags (an input the honest code would never give).
+    """
+
+    def __init__(self, rules: Dict[str, Callable[[str, tuple], List[Tuple[str, tuple]]]]):
+        self.rules = [(re.compile(pattern), edit) for pattern, edit in rules.items()]
+
+    def filter_send(self, party, message):
+        for pattern, edit in self.rules:
+            if pattern.fullmatch(message.tag):
+                return [
+                    Message(message.sender, message.recipient, tag, payload, message.send_time)
+                    for tag, payload in edit(message.tag, message.payload)
+                ]
+        return [message]
+
+
+def acast_input(value_of: Callable[[object], object]):
+    """A :class:`RewriteBehavior` edit replacing the sender's Acast input."""
+    def edit(tag, payload):
+        return [(tag, ("init", value_of(payload[1])) if payload[0] == "init" else payload)]
+    return edit
+
+
+def malformed_nok(value):
+    """``("NOK",)`` in place of a verdict, or of every entry of a verdict vector."""
+    return ("NOK",) if isinstance(value[0], str) else tuple(("NOK",) for _ in value)
+
+
+def garbage_star2_dealer() -> RewriteBehavior:
+    """A dealer that withholds (W, E, F) and broadcasts ``(5, 7)`` as (E', F')."""
+    return RewriteBehavior({
+        "prot/star/acast": lambda tag, payload: [],
+        "prot/star2/acast": acast_input(lambda value: (5, 7)),
+    })
 
 
 def run_dealer_protocol(
@@ -29,8 +73,13 @@ def run_dealer_protocol(
     seed: int = 0,
     max_time: Optional[float] = 50_000.0,
     num_polynomials: Optional[int] = None,
+    wait_for_all_honest: bool = True,
 ):
-    """Run a dealer-based sharing protocol (ΠWPS or ΠVSS) at every party."""
+    """Run a dealer-based sharing protocol (ΠWPS or ΠVSS) at every party.
+
+    ``wait_for_all_honest=False`` runs on past the outputs, until no message
+    is in flight (or ``max_time``).
+    """
     runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
                             corrupt=corrupt or {})
     count = num_polynomials if num_polynomials is not None else (
@@ -49,7 +98,7 @@ def run_dealer_protocol(
             anchor=0.0,
         )
 
-    return runner.run(factory, max_time=max_time)
+    return runner.run(factory, max_time=max_time, wait_for_all_honest=wait_for_all_honest)
 
 
 def shares_match_polynomials(result, polynomials: List[Polynomial]) -> bool:

@@ -15,7 +15,11 @@ from repro.sim import (
 
 from protocol_helpers import (
     FIELD,
+    RewriteBehavior,
+    acast_input,
+    garbage_star2_dealer,
     honest_outputs_consistent,
+    malformed_nok,
     random_polynomial,
     run_dealer_protocol,
     shares_match_polynomials,
@@ -138,6 +142,28 @@ def test_corrupt_dealer_strong_commitment_async():
                       network=AsynchronousNetwork(max_delay=4.0), corrupt=corrupt,
                       seed=19, max_time=200_000.0)
     assert honest_outputs_consistent(result, ts=1)
+
+
+def test_malformed_nok_from_corrupt_party_is_no_verdict():
+    """``("NOK",)`` without index and value, in ΠVSS and in every ΠWPS under
+    it: absent, not something the honest dealers' star searches may index into."""
+    poly = random_polynomial(1, 41, seed=22)
+    corrupt = {4: RewriteBehavior(
+        {r"prot/(wps\[\d\]/)?ok\[4(,\d)?\](/acast)?": acast_input(malformed_nok)}
+    )}
+    result = _run_vss(n=4, ts=1, ta=0, dealer=1, polynomials=[poly], corrupt=corrupt)
+    assert len(result.honest_outputs()) == 3
+    assert shares_match_polynomials(result, [poly])
+    assert all((4, j) not in result.instances[1]._verdicts for j in (1, 2, 3))
+
+
+def test_garbage_star2_from_corrupt_dealer_is_no_star():
+    poly = random_polynomial(1, 43, seed=23)
+    result = _run_vss(n=4, ts=1, ta=0, dealer=2, polynomials=[poly],
+                      corrupt={2: garbage_star2_dealer()}, max_time=60_000.0)
+    assert all(instance._ba_output == 1 for instance in result.instances.values())
+    assert honest_outputs_consistent(result, ts=1)
+    assert result.honest_outputs() == {}
 
 
 def test_vss_shares_enable_robust_reconstruction():

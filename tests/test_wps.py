@@ -15,7 +15,11 @@ from repro.sim import (
 
 from protocol_helpers import (
     FIELD,
+    RewriteBehavior,
+    acast_input,
+    garbage_star2_dealer,
     honest_outputs_consistent,
+    malformed_nok,
     random_polynomial,
     run_dealer_protocol,
     shares_match_polynomials,
@@ -129,6 +133,28 @@ def test_corrupt_dealer_strong_commitment_async():
                       seed=17, max_time=60_000.0)
     # If any honest party output, the outputs are consistent shares.
     assert honest_outputs_consistent(result, ts=1)
+
+
+def test_malformed_nok_from_corrupt_party_is_no_verdict():
+    """``("NOK",)`` without index and value is absent, not something the honest
+    dealer's star search (or anyone's NOK-conflict check) may index into."""
+    poly = random_polynomial(1, 77, seed=21)
+    corrupt = {4: RewriteBehavior({r"prot/ok\[4(,\d)?\](/acast)?": acast_input(malformed_nok)})}
+    result = _run_wps(n=4, ts=1, ta=0, dealer=1, polynomials=[poly], corrupt=corrupt)
+    assert len(result.honest_outputs()) == 3
+    assert shares_match_polynomials(result, [poly])
+    assert all((4, j) not in result.instances[1]._verdicts for j in (1, 2, 3))
+
+
+def test_garbage_star2_from_corrupt_dealer_is_no_star():
+    """A ``star2`` value that is not a pair of party-id sets is ignored by
+    every honest party (as ``_validate_star_triplet`` always did for ``star``)."""
+    poly = random_polynomial(1, 78, seed=22)
+    result = _run_wps(n=4, ts=1, ta=0, dealer=2, polynomials=[poly],
+                      corrupt={2: garbage_star2_dealer()}, max_time=20_000.0)
+    assert all(instance._ba_output == 1 for instance in result.instances.values())
+    assert honest_outputs_consistent(result, ts=1)
+    assert result.honest_outputs() == {}
 
 
 def test_wps_n7_ts2_honest_dealer():
