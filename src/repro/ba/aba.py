@@ -10,7 +10,7 @@ Lemma 3.3:
 * guaranteed liveness when all honest inputs agree (the bad value can never
   enter ``bin_values``, so the estimate is fixed and the first coin match
   decides -- expected two rounds; the paper's ΠABA decides in a *fixed*
-  number of rounds here, a difference documented in DESIGN.md).
+  number of rounds here; see "Deviations from the paper" in README.md).
 
 A Bracha-style termination gadget (FINAL messages) lets parties stop
 participating once 2t+1 parties have reported a decision, bounding the
@@ -200,8 +200,8 @@ class BrachaABA(ProtocolInstance):
         (unanimous 0 decides in round 1, unanimous 1 in round 2) and cannot
         affect validity or agreement, which never depend on the coin values.
         From round 3 on the unpredictable ideal coin keeps almost-sure
-        liveness for mixed inputs.  Recorded as part of the common-coin
-        substitution in DESIGN.md.
+        liveness for mixed inputs.  Listed with the common-coin substitution
+        under "Deviations from the paper" in README.md.
         """
         if round_index == 1:
             return 0

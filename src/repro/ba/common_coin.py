@@ -5,7 +5,7 @@ randomness from shunning-AVSS-based common coins.  The paper uses ΠABA
 strictly as a black box (Lemma 3.3), so we substitute an ideal coin: every
 party querying ``coin(instance_tag, round)`` receives the same uniformly
 random bit, derived from a seed the (static) adversary does not know.  The
-substitution is documented in DESIGN.md.
+substitution is listed under "Deviations from the paper" in README.md.
 """
 
 from __future__ import annotations

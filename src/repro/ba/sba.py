@@ -8,7 +8,7 @@ output *something* by local time T_BGP (guaranteed liveness only).
 
 We implement the classical (non-recursive) multi-valued phase-king protocol,
 which provides exactly that interface with T_BGP = 3 * (t + 1) * Delta.  The
-substitution is recorded in DESIGN.md.
+substitution is listed under "Deviations from the paper" in README.md.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ baselines consume Beaver triples from this idealized trusted dealer, so the
 experiments compare the *online* behaviour -- timeout-driven versus
 event-driven progress, sharing degree, and which inputs are included --
 which is where the paper's qualitative claims live.  The substitution is
-recorded in DESIGN.md.
+listed under "Deviations from the paper" in README.md.
 """
 
 from __future__ import annotations

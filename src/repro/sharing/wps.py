@@ -378,7 +378,7 @@ class BivariateSharingMixin:
                 return (NOK_VERDICT, index, expected)
         return (OK_VERDICT,)
 
-    def _unpublished(self) -> List[int]:
+    def _take_unpublished(self) -> List[int]:
         """The parties I can judge now and have not yet; marks them published."""
         if self.my_rows is None:
             return []
@@ -389,7 +389,7 @@ class BivariateSharingMixin:
     def _publish_vector(self) -> None:
         """At the ok anchor: every verdict determined so far rides one ΠBC."""
         entries: List[Any] = [None] * self.n
-        for j in self._unpublished():
+        for j in self._take_unpublished():
             entries[j - 1] = self._verdict_on(j)
         self._vector_sent = True
         self._ok_bc[self.me].provide_input(tuple(entries))
@@ -399,7 +399,7 @@ class BivariateSharingMixin:
         if not self._vector_sent:
             return
         when = next_multiple_of_delta(self.now, self.delta)
-        for j in self._unpublished():
+        for j in self._take_unpublished():
             self.schedule_at(when, lambda j=j: self._late_ok[(self.me, j)].provide_input(
                 self._verdict_on(j)))
 

@@ -44,7 +44,12 @@ PINNED_MODULES = (
 )
 
 #: Header note naming the code path that produces the digests.
-PRODUCED_BY = "the single protocol path"
+PRODUCED_BY = (
+    "the single protocol path with the verdict-vector Phase III of PiWPS/PiVSS: "
+    "all 76 outputs digests are byte-identical to those recorded at e6099bc "
+    "(one PiBC per ordered pair), every transcript digest of a cell that runs "
+    "PiWPS/PiVSS moved"
+)
 
 #: cell id -> digests while ``--write`` is recording; None in every test run.
 _recording: Optional[Dict[str, Dict[str, str]]] = None
