@@ -452,8 +452,9 @@ class BivariateSharingMixin:
                 self._record_late_verdict(i, j, self._late_ok[(i, j)].output)
 
     def _record_late_verdict(self, i: int, j: int, value: Any) -> None:
-        verdict = self._parse_verdict(value)
-        if verdict is not None and i in self._vectors_seen:
+        """Vector first: a late ``ok[i,j]`` waits for P_i's vector (see _record_vector)."""
+        verdict = self._parse_verdict(value) if i in self._vectors_seen else None
+        if verdict is not None:
             self._record_verdict(i, j, verdict)
 
     def _record_verdict(self, i: int, j: int, verdict: Tuple) -> None:

@@ -152,8 +152,8 @@ def test_late_verdict_in_synchrony_travels_by_acast(cls, n, ts, ta):
     honest graph afterwards."""
     corrupt = {n: DelayBehavior(5.0, tag_predicate=lambda tag: tag == "prot")}
     poly = random_polynomial(ts, 10, seed=35)
-    result = run_dealer_protocol(WeakPolynomialSharing, n=n, ts=ts, ta=ta, dealer=1,
-                                 polynomials=[poly], corrupt=corrupt)
+    result = run_dealer_protocol(cls, n=n, ts=ts, ta=ta, dealer=1, polynomials=[poly],
+                                 corrupt=corrupt)
     assert len(result.honest_outputs()) == n - 1
     assert shares_match_polynomials(result, [poly])
     for instance in _honest(result):
