@@ -1,15 +1,18 @@
 """E5 -- Communication-complexity scaling (Lemma 4.7, Thm 4.8/4.16, Lemma 5.1).
 
 Measures the bits sent by honest parties *and* the number of messages for
-ΠBC, ΠWPS and ΠVSS as n grows and fits the growth exponents, to be compared
-with the paper's asymptotics (O(n²ℓ), O(n⁴ log|F|), O(n⁵ log|F|)
-respectively, :mod:`repro.analysis.complexity`).  Absolute constants are not
-expected to match the paper (our ΠBGP differs); the *shape* is.
+ΠBC, ΠWPS, ΠVSS and ΠACS as n grows and fits the growth exponents, to be
+compared with the paper's asymptotics (O(n²ℓ), O(n⁴ log|F|), O(n⁵ log|F|),
+O(n⁶ log|F|) respectively, :mod:`repro.analysis.complexity`).  Absolute
+constants are not expected to match the paper (our ΠBGP differs); the
+*shape* is.
 
 ``python benchmarks/bench_communication.py`` persists one ``scaling_<label>``
-row per protocol to ``BENCH_communication.json`` and asserts the tolerances;
-the same rows measured at the commit before the verdict-vector ΠBC are kept
-beside them as ``scaling_<label>@parent_e6099bc``.
+row per protocol to ``BENCH_communication.json`` and asserts the tolerances.
+Rows measured with this file at an earlier commit's ``src/`` are kept beside
+them (:data:`PARENT_ROWS`): ΠWPS/ΠVSS before the verdict-vector ΠBC as
+``@parent_e6099bc``, ΠACS before the vote-vector ΠBA bank as
+``@parent_6fb28d1``.
 """
 
 import json
@@ -17,7 +20,8 @@ import os
 
 import pytest
 
-from repro.analysis import bc_bits, fit_power_law, vss_bits, wps_bits
+from repro.acs.acs import AgreementOnCommonSubset
+from repro.analysis import acs_bits, bc_bits, fit_power_law, vss_bits, wps_bits
 from repro.broadcast.bc import BroadcastProtocol
 from repro.sharing.vss import VerifiableSecretSharing
 from repro.sharing.wps import WeakPolynomialSharing
@@ -32,10 +36,15 @@ SWEEP = [(4, 1), (5, 1), (7, 2)]
 #: with t stepping from 1 to 2 inside the sweep) before the shape is wrong.
 EXPONENT_TOLERANCE = 1.5
 
-#: Rows of the per-pair ``ok[i,j]`` ΠBC protocol, measured with this file at
-#: that commit's ``src/``; the verdict vector must cut a factor ~n of messages.
-PARENT_SUFFIX = "@parent_e6099bc"
-MESSAGE_EXPONENT_DROP = 0.5
+#: label -> (suffix of the row measured with this file at that commit's
+#: ``src/``, by how much the fitted message exponent must lie below it).  The
+#: verdict vector cut a factor ~n of ΠWPS/ΠVSS messages; the vote-vector bank
+#: cuts ΠACS's vote ΠBCs from ~n³ to ~n² per party, next to ~n³ verdict ones.
+PARENT_ROWS = {
+    "wps": ("@parent_e6099bc", 0.5),
+    "vss": ("@parent_e6099bc", 0.5),
+    "acs": ("@parent_6fb28d1", 0.0),
+}
 
 
 def _counts_for_bc(n, t):
@@ -61,6 +70,18 @@ def _counts_for_sharing(cls, n, t):
     return metrics.honest_bits, metrics.messages_sent
 
 
+def _counts_for_acs(n, t):
+    polynomials = {pid: fresh_polynomials(1, t, seed=3 + pid) for pid in range(1, n + 1)}
+    runner = make_runner(n, network=SynchronousNetwork(), seed=1)
+    runner.run(
+        lambda party: AgreementOnCommonSubset(party, "acs", ts=t, ta=0, num_polynomials=1,
+                                              polynomials=polynomials[party.id], anchor=0.0),
+        max_time=300_000.0,
+    )
+    metrics = runner.simulator.metrics
+    return metrics.honest_bits, metrics.messages_sent
+
+
 #: label -> (measure(n, t) -> (honest bits, messages), the paper's leading
 #: term as a function of n, the paper's asymptotic exponent).
 PROTOCOLS = {
@@ -69,6 +90,7 @@ PROTOCOLS = {
             lambda n: wps_bits(n, 1, FIELD.element_bits()), 4.0),
     "vss": (lambda n, t: _counts_for_sharing(VerifiableSecretSharing, n, t),
             lambda n: vss_bits(n, 1, FIELD.element_bits()), 5.0),
+    "acs": (_counts_for_acs, lambda n: acs_bits(n, 1, FIELD.element_bits()), 6.0),
 }
 
 
@@ -112,10 +134,13 @@ def main(suffix: str = "") -> None:
             parents = json.load(handle)
     for label in PROTOCOLS:
         row = measure_scaling(label)
-        parent = parents.get(f"scaling_{label}{PARENT_SUFFIX}")
-        if parent is not None and label != "bc" and not suffix:
+        parent_suffix, least_drop = PARENT_ROWS.get(label, ("", 0.0))
+        parent = parents.get(f"scaling_{label}{parent_suffix}")
+        if parent is not None and parent_suffix and not suffix:
             drop = parent["fitted_messages_exponent"] - row["fitted_messages_exponent"]
-            assert drop >= MESSAGE_EXPONENT_DROP, (label, drop)
+            assert drop >= least_drop, (label, drop)
+            assert all(row["messages_by_n"][n] < parent["messages_by_n"][n]
+                       for n in row["messages_by_n"]), (label, row["messages_by_n"])
             row["messages_exponent_drop_vs_parent"] = drop
         record_bench("communication", f"scaling_{label}{suffix}", row)
         print(f"{label:4s} bits ~ n^{row['fitted_bits_exponent']:.2f} "

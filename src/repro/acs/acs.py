@@ -1,7 +1,8 @@
 """ΠACS: agreement on a common subset of dealers (Fig 5 / Lemma 5.1).
 
 Every party acts as a ΠVSS dealer for its own L degree-t_s polynomials; a
-bank of n ΠBA instances then decides which dealers' sharings completed, and
+bank of n ΠBA instances (:class:`~repro.ba.bobw.CommonSubsetBA`, which also
+holds Fig 5's voting rule) then decides which dealers' sharings completed, and
 the parties output a common subset CS of at least n - t_s dealers such that
 every honest party (eventually) holds its shares of every CS-member's
 polynomials.  In a synchronous network all honest dealers end up in CS --
@@ -11,10 +12,10 @@ dropped.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.ba.aba import aba_nominal_time_bound
-from repro.ba.bobw import BestOfBothWorldsBA
+from repro.ba.bobw import BestOfBothWorldsBA, CommonSubsetBA
 from repro.broadcast.bc import bc_time_bound
 from repro.field.polynomial import Polynomial
 from repro.sharing.vss import VerifiableSecretSharing, vss_time_bound
@@ -62,11 +63,8 @@ class AgreementOnCommonSubset(ProtocolInstance):
         self.truncate_to = truncate_to
 
         self.vss: Dict[int, VerifiableSecretSharing] = {}
-        self._ba: Dict[int, BestOfBothWorldsBA] = {}
-        self._ba_inputs_given: Set[int] = set()
-        self._ba_outputs: Dict[int, int] = {}
+        self._ba: Optional[CommonSubsetBA] = None
         self._vss_done: Set[int] = set()
-        self._after_wait = False
         self.common_subset: Optional[List[int]] = None
 
     # -- timing --------------------------------------------------------------
@@ -84,7 +82,19 @@ class AgreementOnCommonSubset(ProtocolInstance):
     def start(self) -> None:
         if self.anchor is None:
             self.anchor = self.now
-        eps = epsilon(self.delta)
+        # Two banks: the ΠBAs inside the n ΠVSS instances (slot j - 1 is that of
+        # dealer P_j's), and the n ΠBAs that decide the common subset.
+        vss_ba = self.spawn(
+            BestOfBothWorldsBA, "vss_ba", faults=self.ts, delta=self.delta, slots=self.n,
+            anchor=VerifiableSecretSharing.vote_anchor_at(
+                self.anchor, self.n, self.ts, self.delta
+            ),
+        )
+        self._ba = self.spawn(
+            CommonSubsetBA, "ba", faults=self.ts, delta=self.delta,
+            anchor=self.anchor + self.t_vss + epsilon(self.delta),
+        )
+        self._ba.on_output(lambda _decisions: self._maybe_finish())
         for j in self.party.all_party_ids():
             vss = self.spawn(
                 VerifiableSecretSharing,
@@ -96,61 +106,27 @@ class AgreementOnCommonSubset(ProtocolInstance):
                 polynomials=self.polynomials if j == self.me else None,
                 anchor=self.anchor,
                 delta=self.delta,
+                ba=vss_ba.slots[j - 1],
             )
             self.vss[j] = vss
             vss.on_output(lambda _shares, j=j: self._vss_completed(j))
-        for j in self.party.all_party_ids():
-            ba = self.spawn(
-                BestOfBothWorldsBA,
-                f"ba[{j}]",
-                faults=self.ts,
-                anchor=self.anchor + self.t_vss + eps,
-                delta=self.delta,
-            )
-            self._ba[j] = ba
-            ba.on_output(lambda value, j=j: self._ba_completed(j, value))
         for vss in self.vss.values():
             vss.start()
-        for ba in self._ba.values():
-            ba.start()
-        self.schedule_at(self.anchor + self.t_vss + eps, self._after_vss_wait)
+        vss_ba.start()
+        self._ba.start()
 
-    # -- phase II: vote on each dealer ------------------------------------------------
+    # -- phase II: vote on each dealer (the votes are CommonSubsetBA's) -----------------
     def _vss_completed(self, dealer: int) -> None:
         self._vss_done.add(dealer)
-        if self._after_wait:
-            self._vote(dealer, 1)
-        self._maybe_finish()
-
-    def _after_vss_wait(self) -> None:
-        self._after_wait = True
-        for dealer in list(self._vss_done):
-            self._vote(dealer, 1)
-
-    def _vote(self, dealer: int, value: int) -> None:
-        if dealer in self._ba_inputs_given:
-            return
-        self._ba_inputs_given.add(dealer)
-        self._ba[dealer].provide_input(value)
-
-    def _ba_completed(self, dealer: int, value: int) -> None:
-        self._ba_outputs[dealer] = value
-        positives = sum(1 for v in self._ba_outputs.values() if v == 1)
-        if positives >= self.n - self.ts:
-            # Vote 0 in every instance we have not yet provided an input to.
-            for j in self.party.all_party_ids():
-                if j not in self._ba_inputs_given:
-                    self._vote(j, 0)
+        self._ba.candidate_completed(dealer)
         self._maybe_finish()
 
     # -- output -------------------------------------------------------------------------
     def _maybe_finish(self) -> None:
-        if self.has_output:
-            return
-        if len(self._ba_outputs) < self.n:
+        if self.has_output or not self._ba.has_output:
             return
         if self.common_subset is None:
-            accepted = sorted(j for j, v in self._ba_outputs.items() if v == 1)
+            accepted = self._ba.accepted()
             if self.truncate_to is not None:
                 accepted = accepted[: self.truncate_to]
             self.common_subset = accepted

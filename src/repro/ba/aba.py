@@ -134,16 +134,20 @@ class BrachaABA(ProtocolInstance):
 
     # -- message handling -----------------------------------------------------------
     def receive(self, sender: int, payload: Any) -> None:
-        if self._halted:
+        """Total on what a peer may send: anything but ``("final", bit)`` or
+        ``("bval" | "aux", round in 1..MAX_ROUNDS, bit)`` is absent."""
+        if self._halted or type(payload) is not tuple:
             return
-        kind = payload[0]
-        if kind == "final":
+        if len(payload) == 2 and payload[0] == "final":
             self._handle_final(sender, payload[1])
             return
-        round_index = payload[1]
+        if len(payload) != 3:
+            return
+        kind, round_index, value = payload
+        if type(round_index) is not int or not 0 < round_index <= MAX_ROUNDS:
+            return
         state = self._state(round_index)
         if kind == "bval":
-            value = payload[2]
             if value not in (0, 1) or sender in state.bval_senders[value]:
                 return
             state.bval_senders[value].add(sender)
@@ -154,7 +158,6 @@ class BrachaABA(ProtocolInstance):
                     state.bin_values.add(value)
                     self._maybe_send_aux(round_index)
         elif kind == "aux":
-            value = payload[2]
             if value in (0, 1) and sender not in state.aux:
                 state.aux[sender] = value
         self._evaluate_round(round_index)

@@ -9,6 +9,12 @@ output *something* by local time T_BGP (guaranteed liveness only).
 We implement the classical (non-recursive) multi-valued phase-king protocol,
 which provides exactly that interface with T_BGP = 3 * (t + 1) * Delta.  The
 substitution is listed under "Deviations from the paper" in README.md.
+
+What other parties send passes one total parser: a payload that is not a
+``(round, value)`` pair, or whose round is not one of this instance's own
+3(t+1), is absent (:meth:`PhaseKingSBA.receive`); a value nobody could tally
+because it is unhashable is absent where the tally is taken
+(:func:`_tally`, and the king's in :meth:`PhaseKingSBA._end_round_three`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,17 @@ DEFAULT_VALUE = None
 def sba_time_bound(n: int, t: int, delta: float) -> float:
     """T_BGP for our phase-king instantiation: 3 rounds per phase, t+1 phases."""
     return 3.0 * (t + 1) * delta
+
+
+def _tally(values) -> Dict[Any, int]:
+    """How often each value occurs; one that cannot be a key counts for nothing."""
+    counts: Dict[Any, int] = {}
+    for value in values:
+        try:
+            counts[value] = counts.get(value, 0) + 1
+        except TypeError:
+            continue
+    return counts
 
 
 class PhaseKingSBA(ProtocolInstance):
@@ -90,7 +107,12 @@ class PhaseKingSBA(ProtocolInstance):
         return self._round_inbox.get(round_index, {})
 
     def receive(self, sender: int, payload: Any) -> None:
-        round_index, value = payload
+        try:
+            round_index, value = payload
+        except (TypeError, ValueError):
+            return
+        if type(round_index) is not int or not 0 < round_index <= 3 * self.total_phases:
+            return
         inbox = self._round_inbox.setdefault(round_index, {})
         if sender not in inbox:
             inbox[sender] = value
@@ -98,11 +120,8 @@ class PhaseKingSBA(ProtocolInstance):
     # -- per-phase logic -------------------------------------------------------
     def _end_round_one(self, phase: int) -> None:
         received = self._received(self._round_index(phase, 1))
-        counts: Dict[Any, int] = {}
-        for value in received.values():
-            counts[value] = counts.get(value, 0) + 1
         preference = NO_PREFERENCE
-        for value, count in counts.items():
+        for value, count in _tally(received.values()).items():
             if count >= self.n - self.faults:
                 preference = value
                 break
@@ -112,15 +131,12 @@ class PhaseKingSBA(ProtocolInstance):
 
     def _end_round_two(self, phase: int) -> None:
         received = self._received(self._round_index(phase, 2))
-        counts: Dict[Any, int] = {}
-        for value in received.values():
-            if value == NO_PREFERENCE:
-                continue
-            counts[value] = counts.get(value, 0) + 1
         self._candidate = NO_PREFERENCE
         self._strong = False
         best_count = 0
-        for value, count in counts.items():
+        for value, count in _tally(received.values()).items():
+            if value == NO_PREFERENCE:
+                continue
             if count >= self.faults + 1 and count > best_count:
                 self._candidate = value
                 best_count = count
@@ -139,6 +155,10 @@ class PhaseKingSBA(ProtocolInstance):
     def _end_round_three(self, phase: int) -> None:
         received = self._received(self._round_index(phase, 3))
         king_value = received.get(self._king_for(phase), DEFAULT_VALUE)
+        try:
+            hash(king_value)
+        except TypeError:
+            king_value = DEFAULT_VALUE
         if king_value == NO_PREFERENCE:
             king_value = DEFAULT_VALUE
         if self._strong and self._candidate != NO_PREFERENCE:

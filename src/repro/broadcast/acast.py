@@ -169,27 +169,37 @@ class AcastProtocol(ProtocolInstance):
             self.send_all((_INIT, self.message))
 
     def receive(self, sender: int, payload: Any) -> None:
-        kind, value = payload
-        if kind == _INIT:
+        """Total on what a peer may send: a payload that is not a ``(kind,
+        value)`` pair, or whose value nobody can tally (unhashable), is absent."""
+        try:
+            kind, value = payload
+            if kind == _INIT:
+                hash(value)
+                voters = None
+            elif kind == _ECHO:
+                voters = self._echo_counts.setdefault(value, set())
+            elif kind == _READY:
+                voters = self._ready_counts.setdefault(value, set())
+            else:
+                return
+        except (TypeError, ValueError):
+            return
+        if voters is None:
             if sender != self.sender or self._echoed:
                 return
             self._echoed = True
             self.send_all((_ECHO, value))
-        elif kind == _ECHO:
-            voters = self._echo_counts.setdefault(value, set())
-            if sender in voters:
-                return
-            voters.add(sender)
+            return
+        if sender in voters:
+            return
+        voters.add(sender)
+        if kind == _ECHO:
             if len(voters) >= self._echo_threshold and not self._readied:
                 self._readied = True
                 self.send_all((_READY, value))
-        elif kind == _READY:
-            voters = self._ready_counts.setdefault(value, set())
-            if sender in voters:
-                return
-            voters.add(sender)
-            if len(voters) >= self._ready_amplify_threshold and not self._readied:
-                self._readied = True
-                self.send_all((_READY, value))
-            if len(voters) >= self._ready_output_threshold and not self.has_output:
-                self.set_output(value)
+            return
+        if len(voters) >= self._ready_amplify_threshold and not self._readied:
+            self._readied = True
+            self.send_all((_READY, value))
+        if len(voters) >= self._ready_output_threshold and not self.has_output:
+            self.set_output(value)

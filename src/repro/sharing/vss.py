@@ -12,7 +12,8 @@ anchor (Δ + T_WPS) as one n-entry ΠBC ``ok[i]`` and any later one by the
 per-pair Acast ``ok[i,j]``; Phases III-V are
 :class:`~repro.sharing.wps.BivariateSharingMixin`'s, one implementation for
 both protocols, and the argument that Theorem 4.16 survives the verdict
-vector is in the :mod:`repro.sharing.wps` module docstring.
+vector is in the :mod:`repro.sharing.wps` module docstring.  The ΠBAs of the
+n ΠWPS instances are the n slots of one :mod:`repro.ba.bobw` bank ``wps_ba``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set
 
 from repro.ba.aba import aba_nominal_time_bound
+from repro.ba.bobw import BestOfBothWorldsBA
 from repro.broadcast.bc import bc_time_bound
 from repro.field.array import batch_interpolate_at
 from repro.field.gf import FieldElement
@@ -61,16 +63,12 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
 
     # -- timing helpers -------------------------------------------------------------
     @property
-    def t_wps(self) -> float:
-        return wps_time_bound(self.n, self.ts, self.delta)
-
-    @property
     def time_bound(self) -> float:
         return vss_time_bound(self.n, self.ts, self.delta)
 
-    @property
-    def _ok_anchor(self) -> float:
-        return self.anchor + self.delta + self.t_wps
+    @staticmethod
+    def ok_anchor_at(anchor: float, n: int, ts: int, delta: float) -> float:
+        return anchor + delta + wps_time_bound(n, ts, delta)
 
     @property
     def _evidence(self) -> Dict[int, List]:
@@ -100,7 +98,14 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
     def start(self) -> None:
         if self.anchor is None:
             self.anchor = self.now
-        # One ΠWPS instance per party (each party re-shares its own row).
+        # One ΠWPS instance per party (each party re-shares its own row), their
+        # n ΠBAs one bank: slot j - 1 is the ΠBA of P_j's ΠWPS.
+        wps_ba = self.spawn(
+            BestOfBothWorldsBA, "wps_ba", faults=self.ts, delta=self.delta, slots=self.n,
+            anchor=WeakPolynomialSharing.vote_anchor_at(
+                self.anchor + self.delta, self.n, self.ts, self.delta
+            ),
+        )
         for j in self.party.all_party_ids():
             wps = self.spawn(
                 WeakPolynomialSharing,
@@ -111,11 +116,13 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
                 num_polynomials=self.num_polynomials,
                 anchor=self.anchor + self.delta,
                 delta=self.delta,
+                ba=wps_ba.slots[j - 1],
             )
             self._wps[j] = wps
             wps.on_output(lambda shares, j=j: self._record_wps_shares(j, shares))
         for wps in self._wps.values():
             wps.start()
+        wps_ba.start()
         self._start_broadcasts()
         if self.me == self.dealer:
             self._distribute_at_anchor()

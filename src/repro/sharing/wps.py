@@ -64,6 +64,20 @@ says the adversary gains nothing:
    input to one ΠBC.  Privacy is untouched: a vector reveals exactly the
    verdicts the per-pair broadcasts reveal.
 
+``star2`` -- the dealer's (E', F') for the (n, t_a)-star path -- rides a
+bare Acast, not a ΠBC: it is only ever sent after ΠBA output 1 and consumed
+on delivery in whichever mode comes first, and for that Lemmas 4.3/4.10
+(honest dealer: every honest party eventually receives (E', F')) use Acast
+validity, the commitment Lemmas 4.4-4.6/4.12-4.14 (corrupt dealer: all
+honest parties receive the same pair, within 2Δ of each other in synchrony)
+Acast consistency (Lemma 2.4); no lemma reads a regular-mode output of this
+broadcast.
+
+The ΠBA of a sharing is one slot of a :class:`~repro.ba.bobw.BestOfBothWorldsBA`
+bank, shared with its siblings where something spawns n sharings at one
+anchor (the ΠWPS instances of a ΠVSS, the ΠVSS instances of a ΠACS); the
+argument for Theorem 3.6 is in the :mod:`repro.ba.bobw` docstring.
+
 All payloads from other parties pass one total parser
 (:meth:`BivariateSharingMixin._parse_verdict`, ``_vector_entries``,
 ``_parse_star``): a verdict is ``("OK",)`` or ``("NOK", index in range(L),
@@ -77,7 +91,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ba.aba import aba_nominal_time_bound
-from repro.ba.bobw import BestOfBothWorldsBA
+from repro.ba.bobw import BASlot, BestOfBothWorldsBA
 from repro.broadcast.acast import AcastProtocol, PackedFieldVector
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 from repro.codes.oec import BatchOnlineErrorCorrector
@@ -238,12 +252,15 @@ class BivariateSharingMixin:
 
     Every party constructs the instance with the same ``tag``, ``dealer``,
     ``num_polynomials`` and ``anchor``; only the dealer supplies
-    ``polynomials`` (possibly later, via ``provide_input``).  The host
-    protocol adds its Phase II and supplies ``time_bound``, ``_ok_anchor``
-    (the common local time at which verdict vectors are published),
-    ``_evidence`` (j -> the values P_j's row is checked against: its common
-    points in ΠWPS, its wps-shares in ΠVSS) and ``_recover_from(sources)``
-    (the output computation of a party outside W / F').
+    ``polynomials`` (possibly later, via ``provide_input``).  ``ba`` is the
+    slot this sharing votes in when whoever spawned it and its siblings
+    banks their ΠBAs (anchored at :meth:`vote_anchor_at`); a sharing run on
+    its own makes a 1-slot bank.  The host protocol adds its Phase II and
+    supplies ``time_bound``, ``ok_anchor_at`` (the common local time at
+    which verdict vectors are published), ``_evidence`` (j -> the values
+    P_j's row is checked against: its common points in ΠWPS, its wps-shares
+    in ΠVSS) and ``_recover_from(sources)`` (the output computation of a
+    party outside W / F').
     """
 
     def __init__(
@@ -257,6 +274,7 @@ class BivariateSharingMixin:
         polynomials: Optional[List[Polynomial]] = None,
         anchor: Optional[float] = None,
         delta: Optional[float] = None,
+        ba: Optional[BASlot] = None,
     ):
         super().__init__(party, tag)
         self.dealer = dealer
@@ -283,7 +301,7 @@ class BivariateSharingMixin:
         self._snapshot_graph: Optional[ConsistencyGraph] = None
         self._snapshot_noks: Dict[Tuple[int, int], Any] = {}
         self.accepted_star: Optional[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]] = None
-        self._ba: Optional[BestOfBothWorldsBA] = None
+        self._ba = ba
         self._ba_output: Optional[int] = None
         self._pending_star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
 
@@ -291,16 +309,23 @@ class BivariateSharingMixin:
         self._ok_bc: Dict[int, BroadcastProtocol] = {}
         self._late_ok: Dict[Tuple[int, int], AcastProtocol] = {}
         self._star_bc: Optional[BroadcastProtocol] = None
-        self._star2_bc: Optional[BroadcastProtocol] = None
+        self._star2: Optional[AcastProtocol] = None
 
     @property
     def t_bc(self) -> float:
         return bc_time_bound(self.n, self.ts, self.delta)
 
+    @classmethod
+    def vote_anchor_at(cls, anchor: float, n: int, ts: int, delta: float) -> float:
+        """When a sharing anchored at ``anchor`` votes in its ΠBA: both rounds of
+        ΠBC (verdict vectors, then the dealer's star) have decided."""
+        ok_anchor = cls.ok_anchor_at(anchor, n, ts, delta)
+        return ok_anchor + 2.0 * bc_time_bound(n, ts, delta) + 4 * epsilon(delta)
+
     def _start_broadcasts(self) -> None:
         """Spawn and start the Phase III-V endpoints and their evaluation timers."""
         eps = epsilon(self.delta)
-        ok_anchor = self._ok_anchor
+        ok_anchor = self.ok_anchor_at(self.anchor, self.n, self.ts, self.delta)
         ids = self.party.all_party_ids()
         for i in ids:
             # P_i's verdict vector, and its per-pair Acasts for late verdicts.
@@ -320,20 +345,25 @@ class BivariateSharingMixin:
             BroadcastProtocol, "star", sender=self.dealer, faults=self.ts,
             anchor=ok_anchor + self.t_bc + 2 * eps, delta=self.delta,
         )
-        self._star2_bc = self.spawn(
-            BroadcastProtocol, "star2", sender=self.dealer, faults=self.ts,
-            anchor=self.anchor + self.time_bound, delta=self.delta,
-        )
+        self._star2 = self.spawn(AcastProtocol, "star2", sender=self.dealer, faults=self.ts)
         for endpoint in (*self._ok_bc.values(), *self._late_ok.values(),
-                         self._star_bc, self._star2_bc):
+                         self._star_bc, self._star2):
             endpoint.start()
+        if self._ba is None:
+            bank = self.spawn(
+                BestOfBothWorldsBA, "ba", faults=self.ts, delta=self.delta,
+                anchor=self.vote_anchor_at(self.anchor, self.n, self.ts, self.delta),
+            )
+            bank.start()
+            self._ba = bank.slots[0]
+        self._ba.at_anchor(self._accept_and_vote)
+        self._ba.on_output(self._handle_ba_output)
         # Queued here, so it runs before any timer a delivery at the ok anchor
         # queues, and after every such delivery (messages precede timers).
         self.schedule_at(ok_anchor, self._publish_vector)
         if self.me == self.dealer:
             self.schedule_at(ok_anchor + self.t_bc + 2 * eps, self._dealer_find_star)
         self.schedule_at(ok_anchor + self.t_bc + 3 * eps, self._take_snapshot)
-        self.schedule_at(ok_anchor + 2.0 * self.t_bc + 4 * eps, self._accept_and_vote)
 
     # -- Phase I: dealer distributes rows ----------------------------------------------
     def _dealer_distribute(self) -> None:
@@ -520,16 +550,7 @@ class BivariateSharingMixin:
         )
         if accepted:
             self.accepted_star = candidate
-        self._ba = self.spawn(
-            BestOfBothWorldsBA,
-            "ba",
-            faults=self.ts,
-            value=0 if accepted else 1,
-            anchor=self.now,
-            delta=self.delta,
-        )
-        self._ba.on_output(self._handle_ba_output)
-        self._ba.start()
+        self._ba.provide_input(0 if accepted else 1)
 
     def _validate_star_triplet(
         self,
@@ -563,7 +584,7 @@ class BivariateSharingMixin:
         else:
             if self.me == self.dealer:
                 self._dealer_try_star2()
-            self._star2_bc.on_delivery(self._try_adopt_star2)
+            self._star2.on_output(self._try_adopt_star2)
 
     # -- output through the (W, E, F) path -----------------------------------------------------------
     def _compute_output_via_w(self, candidate: Any) -> None:
@@ -584,7 +605,7 @@ class BivariateSharingMixin:
         if star is None:
             return
         self._star2_sent = True
-        self._star2_bc.provide_input((star.e_set, star.f_set))
+        self._star2.provide_input((star.e_set, star.f_set))
 
     def _try_adopt_star2(self, candidate: Any) -> None:
         candidate = self._parse_star(candidate, 2)
@@ -621,9 +642,9 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
     def time_bound(self) -> float:
         return wps_time_bound(self.n, self.ts, self.delta)
 
-    @property
-    def _ok_anchor(self) -> float:
-        return self.anchor + 2.0 * self.delta
+    @staticmethod
+    def ok_anchor_at(anchor: float, n: int, ts: int, delta: float) -> float:
+        return anchor + 2.0 * delta
 
     @property
     def _evidence(self) -> Dict[int, List]:

@@ -1,7 +1,8 @@
 """ΠPreProcessing: the best-of-both-worlds preprocessing phase (Fig 10 / Thm 6.5).
 
 Every party acts as a ΠTripSh dealer so that L multiplication triples are
-shared on its behalf; a bank of n ΠBA instances fixes a common subset CS of
+shared on its behalf; a bank of n ΠBA instances
+(:class:`~repro.ba.bobw.CommonSubsetBA`) fixes a common subset CS of
 exactly n - t_s triple providers; and L instances of ΠTripExt squeeze out
 c_M random t_s-shared multiplication triples that no party (and hence no
 adversary) knows.
@@ -36,7 +37,7 @@ import math
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.ba.aba import aba_nominal_time_bound
-from repro.ba.bobw import BestOfBothWorldsBA
+from repro.ba.bobw import CommonSubsetBA
 from repro.broadcast.bc import bc_time_bound
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon, next_multiple_of_delta
@@ -215,13 +216,7 @@ class Preprocessing(ProtocolInstance):
         self._tripsh_outputs: Dict[int, Dict[int, List[TripleShares]]] = {}
         #: dealer -> number of shards delivered (survives the streaming pops).
         self._shards_received: Dict[int, int] = {}
-        #: Dealers whose every shard completed, in completion order (the
-        #: voting order of the unsharded original).
-        self._dealers_complete: List[int] = []
-        self._ba: Dict[int, BestOfBothWorldsBA] = {}
-        self._ba_inputs_given: set = set()
-        self._ba_outputs: Dict[int, int] = {}
-        self._after_wait = False
+        self._ba: Optional[CommonSubsetBA] = None
         self.common_subset: Optional[List[int]] = None
         self._extracted_shards: Set[int] = set()
         self._extraction_outputs: Dict[int, List[TripleShares]] = {}
@@ -266,21 +261,14 @@ class Preprocessing(ProtocolInstance):
                     lambda out, j=j, s=s: self._tripsh_completed(j, s, out)
                 )
         t_all_shards = self._round_offset(self.num_shards - 1) + t_tripsh + eps
-        for j in self.party.all_party_ids():
-            ba = self.spawn(
-                BestOfBothWorldsBA,
-                f"ba[{j}]",
-                faults=self.ts,
-                anchor=self.anchor + t_all_shards,
-                delta=self.delta,
-            )
-            self._ba[j] = ba
-            ba.on_output(lambda value, j=j: self._ba_completed(j, value))
+        self._ba = self.spawn(
+            CommonSubsetBA, "ba", faults=self.ts, delta=self.delta,
+            anchor=self.anchor + t_all_shards,
+        )
+        self._ba.on_output(lambda _decisions: self._maybe_extract())
         for tripsh in self._tripsh.values():
             tripsh.start()
-        for ba in self._ba.values():
-            ba.start()
-        self.schedule_at(self.anchor + t_all_shards, self._after_tripsh_wait)
+        self._ba.start()
 
     # -- phase II: agree on the triple providers ----------------------------------------
     def _tripsh_completed(
@@ -292,40 +280,15 @@ class Preprocessing(ProtocolInstance):
             self._tripsh_outputs.setdefault(dealer, {})[shard] = output
         self._shards_received[dealer] = self._shards_received.get(dealer, 0) + 1
         if self._shards_received[dealer] == self.num_shards:
-            self._dealers_complete.append(dealer)
-            if self._after_wait:
-                self._vote(dealer, 1)
-        self._maybe_extract()
-
-    def _after_tripsh_wait(self) -> None:
-        self._after_wait = True
-        for dealer in list(self._dealers_complete):
-            self._vote(dealer, 1)
-
-    def _vote(self, dealer: int, value: int) -> None:
-        if dealer in self._ba_inputs_given:
-            return
-        self._ba_inputs_given.add(dealer)
-        self._ba[dealer].provide_input(value)
-
-    def _ba_completed(self, dealer: int, value: int) -> None:
-        self._ba_outputs[dealer] = value
-        positives = sum(1 for v in self._ba_outputs.values() if v == 1)
-        if positives >= self.n - self.ts:
-            for j in self.party.all_party_ids():
-                if j not in self._ba_inputs_given:
-                    self._vote(j, 0)
+            self._ba.candidate_completed(dealer)
         self._maybe_extract()
 
     # -- phase III: streaming per-shard extraction --------------------------------------
     def _maybe_extract(self) -> None:
-        if self.has_output:
-            return
-        if len(self._ba_outputs) < self.n:
+        if self.has_output or not self._ba.has_output:
             return
         if self.common_subset is None:
-            accepted = sorted(j for j, v in self._ba_outputs.items() if v == 1)
-            self.common_subset = accepted[: self.n - self.ts]
+            self.common_subset = self._ba.accepted()[: self.n - self.ts]
             # Streaming: non-CS dealers' banks will never be consulted.
             for dealer in list(self._tripsh_outputs):
                 if dealer not in self.common_subset:

@@ -45,10 +45,12 @@ PINNED_MODULES = (
 
 #: Header note naming the code path that produces the digests.
 PRODUCED_BY = (
-    "the single protocol path with the verdict-vector Phase III of PiWPS/PiVSS: "
-    "all 76 outputs digests are byte-identical to those recorded at e6099bc "
-    "(one PiBC per ordered pair), every transcript digest of a cell that runs "
-    "PiWPS/PiVSS moved"
+    "the single protocol path with the verdict-vector Phase III of PiWPS/PiVSS, "
+    "every PiBA a slot of a bank whose votes ride one PiBC per party, and star2 "
+    "on a bare Acast: all 76 outputs digests are byte-identical to those "
+    "recorded at e6099bc (one PiBC per ordered pair) and at 6fb28d1 (one PiBC "
+    "per PiBA and voter), the 70 transcript digests of the cells that run "
+    "PiVSS moved"
 )
 
 #: cell id -> digests while ``--write`` is recording; None in every test run.

@@ -57,7 +57,7 @@ def garbage_star2_dealer() -> RewriteBehavior:
     """A dealer that withholds (W, E, F) and broadcasts ``(5, 7)`` as (E', F')."""
     return RewriteBehavior({
         "prot/star/acast": lambda tag, payload: [],
-        "prot/star2/acast": acast_input(lambda value: (5, 7)),
+        "prot/star2": acast_input(lambda value: (5, 7)),
     })
 
 

@@ -7,6 +7,7 @@ few seconds of wall time; the circuits and party counts are kept small.
 
 import pytest
 
+from repro.broadcast.bc import BroadcastProtocol
 from repro.circuits import (
     inner_product_circuit,
     mean_circuit,
@@ -51,6 +52,16 @@ def test_sync_product_all_honest():
     # The time bound of Theorem 7.1 (with our sub-protocol constants) holds.
     bound = cir_eval_time_bound(4, 1, circuit.multiplicative_depth, 1.0)
     assert max(result.output_times.values()) <= bound
+    # The message budget, so that a structural regression fails here and not
+    # only in benchmarks/e2e (sync_n4_tripsh is this run).  Per party: 120
+    # sharings x (n verdict vectors + star) + 39 ΠBA banks x n vote vectors;
+    # it was 1,296 ΠBCs and 111,060 messages with one ΠBC per (ΠBA, voter)
+    # and a ``star2`` ΠBC per sharing.
+    assert result.metrics.messages_sent == 70_560
+    assert result.metrics.honest_bits == 22_732_008
+    for party in result.run.backend.parties.values():
+        broadcasts = [e for e in party.instances.values() if type(e) is BroadcastProtocol]
+        assert len(broadcasts) == 120 * 5 + 39 * 4
 
 
 def test_sync_linear_circuit_no_multiplications():
