@@ -47,39 +47,32 @@ PARENT_ROWS = {
 }
 
 
-def _counts_for_bc(n, t):
+def _counts(n, factory):
+    """(honest bits, messages) of one synchronous run of ``factory`` at every party."""
     runner = make_runner(n, network=SynchronousNetwork(), seed=1)
-    runner.run(
-        lambda party: BroadcastProtocol(party, "bc", sender=1, faults=t,
-                                        message="m" * 8 if party.id == 1 else None, anchor=0.0),
-        max_time=5_000.0,
-    )
+    runner.run(factory, max_time=300_000.0)
     metrics = runner.simulator.metrics
     return metrics.honest_bits, metrics.messages_sent
+
+
+def _counts_for_bc(n, t):
+    return _counts(n, lambda party: BroadcastProtocol(
+        party, "bc", sender=1, faults=t, message="m" * 8 if party.id == 1 else None,
+        anchor=0.0))
 
 
 def _counts_for_sharing(cls, n, t):
     polynomials = fresh_polynomials(1, t, seed=3)
-    runner = make_runner(n, network=SynchronousNetwork(), seed=1)
-    runner.run(
-        lambda party: cls(party, "share", dealer=1, ts=t, ta=0, num_polynomials=1,
-                          polynomials=polynomials if party.id == 1 else None, anchor=0.0),
-        max_time=300_000.0,
-    )
-    metrics = runner.simulator.metrics
-    return metrics.honest_bits, metrics.messages_sent
+    return _counts(n, lambda party: cls(
+        party, "share", dealer=1, ts=t, ta=0, num_polynomials=1,
+        polynomials=polynomials if party.id == 1 else None, anchor=0.0))
 
 
 def _counts_for_acs(n, t):
     polynomials = {pid: fresh_polynomials(1, t, seed=3 + pid) for pid in range(1, n + 1)}
-    runner = make_runner(n, network=SynchronousNetwork(), seed=1)
-    runner.run(
-        lambda party: AgreementOnCommonSubset(party, "acs", ts=t, ta=0, num_polynomials=1,
-                                              polynomials=polynomials[party.id], anchor=0.0),
-        max_time=300_000.0,
-    )
-    metrics = runner.simulator.metrics
-    return metrics.honest_bits, metrics.messages_sent
+    return _counts(n, lambda party: AgreementOnCommonSubset(
+        party, "acs", ts=t, ta=0, num_polynomials=1, polynomials=polynomials[party.id],
+        anchor=0.0))
 
 
 #: label -> (measure(n, t) -> (honest bits, messages), the paper's leading

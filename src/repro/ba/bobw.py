@@ -141,7 +141,6 @@ class BestOfBothWorldsBA(ProtocolInstance):
             self.slots[0].vote = int(value)
         self._bc: Dict[int, BroadcastProtocol] = {}
         self._at_anchor: List[Callable[[], None]] = []
-        self._published = False
 
     # -- input -----------------------------------------------------------------
     def provide_input(self, value: int, slot: int = 0) -> None:
@@ -174,7 +173,6 @@ class BestOfBothWorldsBA(ProtocolInstance):
         """The anchor: the votes due now are cast, then all of them ride one ΠBC."""
         for callback in self._at_anchor:
             callback()
-        self._published = True
         self._bc[self.me].provide_input(tuple(slot.vote for slot in self.slots))
 
     def _parse_vector(self, vector: Any) -> Tuple[Optional[int], ...]:

@@ -70,6 +70,7 @@ class PhaseKingSBA(ProtocolInstance):
         self.delta = delta if delta is not None else party.delta
         self.value = value
         self._round_inbox: Dict[int, Dict[int, Any]] = {}
+        self._last_round = 3 * (faults + 1)
         self._phase = 1
         self._strong = False
         self._candidate: Any = NO_PREFERENCE
@@ -111,7 +112,7 @@ class PhaseKingSBA(ProtocolInstance):
             round_index, value = payload
         except (TypeError, ValueError):
             return
-        if type(round_index) is not int or not 0 < round_index <= 3 * self.total_phases:
+        if type(round_index) is not int or not 0 < round_index <= self._last_round:
             return
         inbox = self._round_inbox.setdefault(round_index, {})
         if sender not in inbox:

@@ -173,22 +173,24 @@ class AcastProtocol(ProtocolInstance):
         value)`` pair, or whose value nobody can tally (unhashable), is absent."""
         try:
             kind, value = payload
-            if kind == _INIT:
-                hash(value)
-                voters = None
-            elif kind == _ECHO:
-                voters = self._echo_counts.setdefault(value, set())
-            elif kind == _READY:
-                voters = self._ready_counts.setdefault(value, set())
-            else:
-                return
         except (TypeError, ValueError):
             return
-        if voters is None:
+        if kind == _INIT:
             if sender != self.sender or self._echoed:
+                return
+            try:
+                hash(value)
+            except TypeError:
                 return
             self._echoed = True
             self.send_all((_ECHO, value))
+            return
+        if kind != _ECHO and kind != _READY:
+            return
+        counts = self._echo_counts if kind == _ECHO else self._ready_counts
+        try:
+            voters = counts.setdefault(value, set())
+        except TypeError:
             return
         if sender in voters:
             return
