@@ -71,7 +71,7 @@ def measure_bank(slots, n=4, t=1):
     def factory(party):
         bank = BestOfBothWorldsBA(party, "ba", faults=t, anchor=0.0, slots=slots)
         for index in range(slots):
-            bank.provide_input(1, slot=index)
+            bank.slots[index].provide_input(1)
         return bank
 
     result = runner.run(factory, max_time=100_000.0)

@@ -50,7 +50,7 @@ broadcast in slot j (``None``, or no vector, = ⊥).
 4. The vector must hold every vote its party has *at the anchor*, on every
    backend: a real clock gives timers due at one instant no order, so
    whoever votes at the anchor does so from inside the bank's own anchor
-   timer (:meth:`BASlot.at_anchor`), which publishes afterwards.
+   timer (:meth:`BestOfBothWorldsBA.at_anchor`), which publishes afterwards.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class BASlot:
 
     def provide_input(self, value: int) -> None:
         self.bank._cast(self, int(value))
-
-    def at_anchor(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at the bank's anchor, before the vector goes out."""
-        self.bank._at_anchor.append(callback)
 
     def on_output(self, callback: Callable[[int], None]) -> None:
         if self.has_output:
@@ -143,8 +139,12 @@ class BestOfBothWorldsBA(ProtocolInstance):
         self._at_anchor: List[Callable[[], None]] = []
 
     # -- input -----------------------------------------------------------------
-    def provide_input(self, value: int, slot: int = 0) -> None:
-        self.slots[slot].provide_input(value)
+    def provide_input(self, value: int) -> None:
+        self.slots[0].provide_input(value)
+
+    def at_anchor(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at the anchor, before the vote vector goes out."""
+        self._at_anchor.append(callback)
 
     def _cast(self, slot: BASlot, value: int) -> None:
         if slot.vote is not None:
@@ -236,7 +236,7 @@ class CommonSubsetBA(BestOfBothWorldsBA):
         #: Completed candidates in completion order (the voting order).
         self._completed: List[int] = []
         self._waited = False
-        self._at_anchor.append(self._after_wait)
+        self.at_anchor(self._after_wait)
         for slot in self.slots:
             slot.on_output(self._vote_zero_once_enough)
 

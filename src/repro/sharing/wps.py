@@ -71,7 +71,16 @@ on delivery in whichever mode comes first, and for that Lemmas 4.3/4.10
 validity, the commitment Lemmas 4.4-4.6/4.12-4.14 (corrupt dealer: all
 honest parties receive the same pair, within 2Δ of each other in synchrony)
 Acast consistency (Lemma 2.4); no lemma reads a regular-mode output of this
-broadcast.
+broadcast.  What the ΠBC also gave is kept: a delivery is acted on no
+earlier than anchor + T + T_BC (T this sharing's time bound, the ΠBC's
+regular-mode time; :meth:`BivariateSharingMixin._star2_delivered`), so a
+sharing on this path outputs exactly when it did.  ΠVSS Phase III leans on
+that: the ok anchor of a ΠVSS is its ΠWPS children's anchor + T_WPS, so a
+child on the ``star2`` path outputs after it at *every* honest party and
+the verdicts on its wps-shares travel on the late ``ok[i,j]`` Acasts
+everywhere -- never in the vector at one honest party and late at another,
+a split that would be sound (fact 3 above) but is decided by a wall-clock
+race under a real clock.
 
 The ΠBA of a sharing is one slot of a :class:`~repro.ba.bobw.BestOfBothWorldsBA`
 bank, shared with its siblings where something spawns n sharings at one
@@ -356,7 +365,7 @@ class BivariateSharingMixin:
             )
             bank.start()
             self._ba = bank.slots[0]
-        self._ba.at_anchor(self._accept_and_vote)
+        self._ba.bank.at_anchor(self._accept_and_vote)
         self._ba.on_output(self._handle_ba_output)
         # Queued here, so it runs before any timer a delivery at the ok anchor
         # queues, and after every such delivery (messages precede timers).
@@ -584,7 +593,7 @@ class BivariateSharingMixin:
         else:
             if self.me == self.dealer:
                 self._dealer_try_star2()
-            self._star2.on_output(self._try_adopt_star2)
+            self._star2.on_output(self._star2_delivered)
 
     # -- output through the (W, E, F) path -----------------------------------------------------------
     def _compute_output_via_w(self, candidate: Any) -> None:
@@ -606,6 +615,14 @@ class BivariateSharingMixin:
             return
         self._star2_sent = True
         self._star2.provide_input((star.e_set, star.f_set))
+
+    def _star2_delivered(self, candidate: Any) -> None:
+        """Hold an early (E', F') until the ΠBC it replaced would have delivered."""
+        due = self.anchor + self.time_bound + self.t_bc
+        if self.now < due:
+            self.schedule_at(due, lambda: self._try_adopt_star2(candidate))
+        else:
+            self._try_adopt_star2(candidate)
 
     def _try_adopt_star2(self, candidate: Any) -> None:
         candidate = self._parse_star(candidate, 2)

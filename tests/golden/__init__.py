@@ -47,7 +47,8 @@ PINNED_MODULES = (
 PRODUCED_BY = (
     "the single protocol path with the verdict-vector Phase III of PiWPS/PiVSS, "
     "every PiBA a slot of a bank whose votes ride one PiBC per party, and star2 "
-    "on a bare Acast: all 76 outputs digests are byte-identical to those "
+    "on a bare Acast whose delivery is acted on no earlier than the PiBC it "
+    "replaced delivered: all 76 outputs digests are byte-identical to those "
     "recorded at e6099bc (one PiBC per ordered pair) and at 6fb28d1 (one PiBC "
     "per PiBA and voter), the 70 transcript digests of the cells that run "
     "PiVSS moved"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-import re
 import time
 from collections import OrderedDict
 
@@ -873,7 +872,7 @@ def test_a_squatter_cannot_take_a_roster_port_between_selection_and_spawn(monkey
 # -- parity and the frame ledger on whole evaluations ---------------------------
 
 @pytest.mark.tcp(timeout=240)
-def test_mpc_over_tcp_envelopes_matches_the_per_message_fabric(monkeypatch):
+def test_mpc_over_tcp_envelopes_matches_the_per_message_fabric():
     """An n=4 ``him`` evaluation, three ways: the simulator, the real clock
     over per-message in-process queues, and the real clock over TCP
     envelopes.  Outputs agree everywhere; the two real-clock fabrics send
@@ -881,31 +880,8 @@ def test_mpc_over_tcp_envelopes_matches_the_per_message_fabric(monkeypatch):
     construction -- under any real clock a sharing's regular-mode deadline
     passes while its verdicts are still in flight, so the ``star2``
     fallback runs where the simulator takes ``star`` -- which is why the
-    per-message fabric, not the simulator, is the reference for counts).
-    The late per-pair verdict Acasts ``ok[i,j]`` are left out of the
-    comparison: since ``star2`` is a bare Acast a ΠWPS on that path outputs
-    a few Δ before its ΠVSS's ok anchor, and whether the ΠVSS verdicts then
-    make the vector or travel late is a wall-clock race each fabric runs on
-    its own."""
+    per-message fabric, not the simulator, is the reference for counts)."""
     from repro.mpc.engine import CircuitEvaluationFactory
-    from repro.sim.simulator import SimulationMetrics
-
-    late = {}
-    record_send = SimulationMetrics.record_send
-
-    def counting_record_send(metrics, message, *args, **kwargs):
-        if re.search(r"/ok\[\d+,\d+\]$", message.tag):
-            late[id(metrics)] = late.get(id(metrics), 0) + 1
-        return record_send(metrics, message, *args, **kwargs)
-
-    monkeypatch.setattr(SimulationMetrics, "record_send", counting_record_send)
-
-    def counts(result):
-        """(sent, delivered) without the late verdict Acasts: each of their
-        fan-outs is 3 counted sends and 4 deliveries (the sender's own)."""
-        metrics = result.metrics
-        late_sent = late.get(id(metrics), 0)
-        return metrics.messages_sent - late_sent, metrics.messages_delivered - late_sent * 4 // 3
 
     circuit = multiplication_circuit(FIELD, n_parties=4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
@@ -930,7 +906,8 @@ def test_mpc_over_tcp_envelopes_matches_the_per_message_fabric(monkeypatch):
 
     assert tcp.honest_outputs() == queues.honest_outputs() == sim.honest_outputs()
     assert len(tcp.honest_outputs()) == 4
-    assert counts(tcp) == counts(queues)
+    assert tcp.metrics.messages_sent == queues.metrics.messages_sent
+    assert tcp.metrics.messages_delivered == queues.metrics.messages_delivered
     # Every counted send is an entry of exactly one frame, no frame is empty.
     assert min(frame_sizes) >= 1
     assert sum(frame_sizes) == transport.messages_framed == tcp.metrics.messages_sent

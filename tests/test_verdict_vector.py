@@ -13,7 +13,7 @@ import re
 import pytest
 
 from repro.broadcast.acast import AcastProtocol
-from repro.broadcast.bc import BroadcastProtocol
+from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 from repro.runtime.wire import decode_message, encode_message
 from repro.sharing.vss import VerifiableSecretSharing, vss_time_bound
 from repro.sharing.wps import BivariateSharingMixin, WeakPolynomialSharing, wps_time_bound
@@ -183,6 +183,38 @@ def test_asynchronous_network_honest_dealer_every_pair_becomes_an_edge(cls, n, t
         assert len(instance._vectors_seen) == n
         assert len(instance.graph.edges()) == n * (n - 1) // 2
         assert any(late.has_output for late in instance._late_ok.values())
+
+
+# -- star2 inside a ΠVSS ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,ts,ta", [(4, 1, 0), (5, 1, 1)])
+def test_star2_path_wps_inside_a_vss_outputs_after_the_ok_anchor_everywhere(n, ts, ta):
+    """P_n withholds the (W, E, F) of its own ΠWPS and is honest otherwise, so
+    ``wps[n]`` decides 1 and takes the ``star2`` path inside P_1's ΠVSS.  The
+    bare Acast delivers (E', F') 3Δ after it is sent, well before the ΠBC it
+    replaced would have; it is acted on at that ΠBC's regular-mode time all
+    the same, so ``wps[n]`` outputs at one instant at every honest party, after
+    the ΠVSS's ok anchor: every honest verdict on P_n misses the vectors and
+    travels on ``ok[i,n]`` everywhere -- no verdict rides the vector at one
+    honest party and a late Acast at another."""
+    corrupt = {n: RewriteBehavior({rf"prot/wps\[{n}\]/star/acast": lambda tag, payload: []})}
+    poly = random_polynomial(ts, 12, seed=38)
+    result = run_dealer_protocol(VerifiableSecretSharing, n=n, ts=ts, ta=ta, dealer=1,
+                                 polynomials=[poly], corrupt=corrupt)
+    assert len(result.honest_outputs()) == n - 1
+    assert shares_match_polynomials(result, [poly])
+    t_bc = bc_time_bound(n, ts, 1.0)
+    ok_anchor = VerifiableSecretSharing.ok_anchor_at(0.0, n, ts, 1.0)
+    for vss in _honest(result):
+        wps = vss._wps[n]
+        assert wps._ba_output == 1 and wps.accepted_star is None
+        assert wps._star2.output_time < ok_anchor
+        assert wps.output_time == pytest.approx(ok_anchor + t_bc)
+        for i in range(1, n):
+            assert vss._ok_bc[i].output_via_regular_mode()[n - 1] is None
+            assert vss._late_ok[(i, n)].output == OK
+            assert vss._verdicts[(i, n)] == OK
 
 
 # -- the wire ----------------------------------------------------------------------------------

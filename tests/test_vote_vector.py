@@ -50,10 +50,10 @@ def _run_bank(n, t, votes, slots=1, network=None, corrupt=None, seed=0, late=Non
         bank = BestOfBothWorldsBA(party, "ba", faults=t, anchor=0.0, slots=slots)
         for index, vote in enumerate(mine or ()):
             if vote is not None:
-                bank.provide_input(vote, slot=index)
+                bank.slots[index].provide_input(vote)
         if late and party.id in late:
             when, index, vote = late[party.id]
-            party.schedule_at(when, lambda: bank.provide_input(vote, slot=index))
+            party.schedule_at(when, lambda: bank.slots[index].provide_input(vote))
         if probe:
             party.schedule_at(probe[0], lambda: probe[1](party, bank))
         return bank
@@ -346,8 +346,7 @@ def _inject(tag_pattern, forged):
     return {4: RewriteBehavior({tag_pattern: edit})}
 
 
-#: ``ba/aba`` where the fix is checked against the per-BA protocol's tags.
-ABA_TAG = r"ba/aba(\[0\])?"
+ABA_TAG = r"ba/aba\[0\]"
 
 
 @pytest.mark.parametrize("tag,forged", [
