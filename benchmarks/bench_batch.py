@@ -14,14 +14,12 @@ committee, where matrix work dominates the boxing overhead shared by both
 kernels) -- and ``dispatch_calibration`` records the measured list-input
 crossover behind the kernel's profile-driven runtime dispatch.
 
-Three further row families cover this layer's remaining acceptance
+Two further row families cover this layer's remaining acceptance
 criteria: ``native_polynomial_*`` measures kernel-native coefficient
 storage against the historical eager-boxing Polynomial on the
-rs_decode_batch fallback (>= 2x), ``bw_fallback_t_corruptions`` bounds the
-worst-case Berlekamp-Welch fallback against the base-window fast path at
-exactly t leading-window corruptions (<= 2x), and the ``gmpy2_*`` rows
-repeat the kernel comparison over GF(2^127 - 1) where gmpy2 is the only
-accelerated backend (>= 3x over int; skipped when gmpy2 is missing).
+rs_decode_batch fallback (>= 2x), and ``bw_fallback_t_corruptions`` bounds
+the worst-case Berlekamp-Welch fallback against the base-window fast path at
+exactly t leading-window corruptions (<= 2x).
 
 Run standalone (``python benchmarks/bench_batch.py``) for a quick report, or
 through pytest (``python -m pytest benchmarks/bench_batch.py``) for the
@@ -49,7 +47,6 @@ from repro.codes.reed_solomon import rs_decode_batch
 from repro.field.gf import GF, FieldElement
 from repro.field.kernels import (
     DISPATCH_THRESHOLDS,
-    gmpy2_available,
     numpy_available,
     set_kernel_backend,
 )
@@ -63,11 +60,6 @@ from repro.sharing.shamir import (
 )
 
 from bench_common import FIELD, best_of, record_bench
-
-#: The Mersenne prime 2^127 - 1: a >=64-bit modulus outside the numpy
-#: kernel's limb range, where the gmpy2 kernel is the only accelerated path.
-P127 = (1 << 127) - 1
-
 
 def measure_reconstruct_speedup(
     num_secrets: int = 256, n: int = 16, degree: int = 5, seed: int = 7, repeats: int = 3
@@ -446,69 +438,6 @@ def measure_kernel_oec_speedup(
     return stats
 
 
-# -- gmpy2 kernel vs the int-residue kernel at a >=64-bit modulus --------------
-#
-# The numpy kernel's limb decomposition tops out at 61-bit moduli; above
-# that the gmpy2 kernel (GMP mpz arithmetic) is the only accelerated path.
-# These rows repeat the kernel comparison over GF(2^127 - 1), where the
-# batched layer would otherwise fall back to pure-Python big-int residues.
-# Both measures skip (and the pytest rows skip cleanly) when gmpy2 is not
-# installed.
-
-
-def measure_gmpy2_reconstruct_speedup(
-    num_secrets: int = 1024, n: int = 64, degree: int = 21, seed: int = 37,
-    repeats: int = 5,
-) -> Dict[str, float]:
-    """batch_reconstruct over GF(2^127 - 1): gmpy2 kernel vs int kernel."""
-    field = GF(P127)
-
-    def setup():
-        rng = random.Random(seed)
-        secrets = [rng.randrange(field.modulus) for _ in range(num_secrets)]
-        return batch_share(field, secrets, degree, n, rng=rng)
-
-    def measured(shares):
-        return batch_reconstruct(field, shares, degree)
-
-    stats = _measure_kernel_pair(setup, measured, repeats, accel="gmpy2")
-    stats.update(
-        num_secrets=float(num_secrets),
-        n=float(n),
-        degree=float(degree),
-        modulus_bits=float(P127.bit_length()),
-    )
-    return stats
-
-
-def measure_gmpy2_oec_speedup(
-    num_values: int = 256, n: int = 64, degree: int = 21, faults: int = 21,
-    seed: int = 41, repeats: int = 5,
-) -> Dict[str, float]:
-    """Batch OEC decode over GF(2^127 - 1): gmpy2 kernel vs int kernel."""
-    field = GF(P127)
-
-    def setup():
-        rng = random.Random(seed)
-        secrets = [rng.randrange(field.modulus) for _ in range(num_values)]
-        return batch_share(field, secrets, degree, n, rng=rng)
-
-    def measured(shares):
-        corrector = BatchOnlineErrorCorrector(field, num_values, degree, faults)
-        for i in range(1, n + 1):
-            corrector.add_row(field.alpha(i), shares[i])
-        return corrector.secrets()
-
-    stats = _measure_kernel_pair(setup, measured, repeats, accel="gmpy2")
-    stats.update(
-        num_values=float(num_values),
-        n=float(n),
-        faults=float(faults),
-        modulus_bits=float(P127.bit_length()),
-    )
-    return stats
-
-
 def measure_dispatch_crossover(max_size: int = 4096, repeats: int = 5) -> Dict[str, float]:
     """Measured list-input crossover for element-wise multiplication.
 
@@ -591,34 +520,6 @@ def test_bw_fallback_within_2x_of_fast_path():
         stats = measure_bw_fallback_overhead(repeats=9)
     record_bench("batch", "bw_fallback_t_corruptions", stats)
     assert stats["overhead"] <= 2.0, f"overhead {stats['overhead']:.2f}x"
-
-
-def test_gmpy2_reconstruct_is_3x_faster():
-    """Acceptance: gmpy2 kernel >= 3x the int kernel on batch_reconstruct
-    over a >=64-bit modulus."""
-    if not gmpy2_available():
-        import pytest
-
-        pytest.skip("gmpy2 kernel unavailable")
-    stats = measure_gmpy2_reconstruct_speedup()
-    if stats["speedup"] < 3.0:
-        stats = measure_gmpy2_reconstruct_speedup(repeats=9)
-    record_bench("batch", "gmpy2_reconstruct_1024_n64_t21", stats)
-    assert stats["speedup"] >= 3.0, f"speedup only {stats['speedup']:.1f}x"
-
-
-def test_gmpy2_oec_is_3x_faster():
-    """Acceptance: gmpy2 kernel >= 3x the int kernel on batch OEC decoding
-    over a >=64-bit modulus."""
-    if not gmpy2_available():
-        import pytest
-
-        pytest.skip("gmpy2 kernel unavailable")
-    stats = measure_gmpy2_oec_speedup()
-    if stats["speedup"] < 3.0:
-        stats = measure_gmpy2_oec_speedup(repeats=9)
-    record_bench("batch", "gmpy2_oec_256_n64_t21", stats)
-    assert stats["speedup"] >= 3.0, f"speedup only {stats['speedup']:.1f}x"
 
 
 def test_kernel_reconstruct_is_5x_faster():
@@ -729,17 +630,3 @@ if __name__ == "__main__":
             f"{calibration['measured_mul_crossover']:.0f} elements "
             f"(threshold in force: {calibration['threshold_elementwise']:.0f})"
         )
-    if gmpy2_available():
-        for key, name, fn in (
-            ("gmpy2_reconstruct_1024_n64_t21", "gmpy2_reconstruct  (1024 secrets, n=64, t=21, p=2^127-1)", measure_gmpy2_reconstruct_speedup),
-            ("gmpy2_oec_256_n64_t21", "gmpy2_oec          ( 256 values,  n=64, t=21, p=2^127-1)", measure_gmpy2_oec_speedup),
-        ):
-            stats = fn()
-            record_bench("batch", key, stats)
-            print(
-                f"{name}: int {stats['int_s'] * 1e3:8.2f} ms"
-                f"  gmpy2 {stats['gmpy2_s'] * 1e3:8.2f} ms"
-                f"  speedup {stats['speedup']:6.1f}x"
-            )
-    else:
-        print("gmpy2 rows: skipped (gmpy2 not installed)")

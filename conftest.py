@@ -27,11 +27,11 @@ def pytest_addoption(parser):
         "--field-kernel",
         action="store",
         default=None,
-        choices=("int", "numpy", "gmpy2"),
+        choices=("int", "numpy"),
         help="Run the whole suite under one numerical field kernel backend "
         "(default: auto-select numpy when importable). Every kernel is "
         "exact, so the suite must pass identically under any of them; "
-        "selecting an uninstalled backend (e.g. gmpy2) fails fast.",
+        "selecting an uninstalled backend fails fast.",
     )
 
 
@@ -45,7 +45,7 @@ def pytest_configure(config):
         try:
             set_kernel_backend(requested)
         except ValueError as exc:
-            # e.g. --field-kernel=gmpy2 on a machine without gmpy2: fail
+            # e.g. --field-kernel=numpy on a machine without numpy: fail
             # fast with a clean message instead of an INTERNALERROR dump.
             raise pytest.UsageError(str(exc))
     config.addinivalue_line("markers", "slow: long-running test")

@@ -7,12 +7,10 @@ editable install path, so everything lives in this single legacy-friendly
 file.
 
 The core package is pure Python with zero hard dependencies -- the int
-field kernel is always available.  The accelerated kernels are optional
-extras:
+field kernel is always available.  The accelerated kernel is an optional
+extra:
 
     pip install -e ".[numpy]"   # uint64 limb-split kernel (moduli < 2^62)
-    pip install -e ".[gmpy2]"   # GMP mpz kernel (arbitrary/large moduli)
-    pip install -e ".[fast]"    # both accelerated kernels
 """
 
 from setuptools import find_packages, setup
@@ -30,7 +28,5 @@ setup(
     install_requires=[],
     extras_require={
         "numpy": ["numpy>=1.24"],
-        "gmpy2": ["gmpy2>=2.1"],
-        "fast": ["numpy>=1.24", "gmpy2>=2.1"],
     },
 )

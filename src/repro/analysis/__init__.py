@@ -16,7 +16,9 @@ from repro.analysis.metrics import (
     per_round_bits,
     max_round_bits,
     max_message_bits,
+    bundle_message_bound,
     sharded_triple_message_bound,
+    sibling_sharings,
 )
 
 __all__ = [
@@ -33,5 +35,7 @@ __all__ = [
     "per_round_bits",
     "max_round_bits",
     "max_message_bits",
+    "bundle_message_bound",
     "sharded_triple_message_bound",
+    "sibling_sharings",
 ]

@@ -101,3 +101,33 @@ def sharded_triple_message_bound(
         raise ValueError(f"unknown offline mode {offline!r}")
     slack = header_bits + 8 * 16
     return polynomials * (ts + 1) * element_bits + slack
+
+
+def sibling_sharings(n: int, offline: str = "tripsh", inputs: bool = True) -> int:
+    """How many ΠVSS instances one round of an evaluation anchors at one instant.
+
+    ``"tripsh"``: every dealer's ΠTripSh runs a ΠACS (n ΠVSS) and one ΠVSS of
+    its own; ``"him"``: one ΠACS per round.  ``inputs`` adds the input ΠACS of
+    ΠCirEval, which starts with the first round.
+    """
+    per_round = n * (n + 1) if offline == "tripsh" else n
+    return per_round + (n if inputs else 0)
+
+
+def bundle_message_bound(
+    n: int, ts: int, sharings: int, element_bits: int, header_bits: int = 64
+) -> int:
+    """Upper bound on any message carrying an honest sender's broadcast bundle.
+
+    All ΠBCs one party owes at one instant ride one bundle
+    (:mod:`repro.broadcast.bc`), whose size depends on n and on ``sharings``,
+    the number of sibling ΠVSS anchored together (:func:`sibling_sharings`),
+    not on L or ``shard_size``.  The two heaviest: the verdict vectors of the
+    n ΠWPS under each ΠVSS (n entries of 16 bits, at most t_s of them a NOK
+    with index and value), and the (W, E, F) of the ΠWPS the party deals in
+    each ΠVSS (three sets of at most n ids, 64 bits per id).  The Acast kind
+    or phase-king round number in front costs at most 64 bits more.
+    """
+    verdicts = sharings * n * ((n - ts) * 16 + ts * (24 + 64 + element_bits))
+    stars = sharings * 3 * n * 64
+    return max(verdicts, stars) + header_bits + 64

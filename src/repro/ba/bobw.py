@@ -49,8 +49,11 @@ broadcast in slot j (``None``, or no vector, = ⊥).
    entry that is not ``None``/0/1 as ``None`` (:meth:`_parse_vector`).
 4. The vector must hold every vote its party has *at the anchor*, on every
    backend: a real clock gives timers due at one instant no order, so
-   whoever votes at the anchor does so from inside the bank's own anchor
-   timer (:meth:`BestOfBothWorldsBA.at_anchor`), which publishes afterwards.
+   whoever votes at the anchor registers with the bank
+   (:meth:`BestOfBothWorldsBA.at_anchor`), which has no timer of its own:
+   it casts those votes and hands over the vector from inside the anchor
+   timer of the carrier its ΠBC rides
+   (:meth:`~repro.broadcast.bc.BroadcastProtocol.at_anchor`).
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class BestOfBothWorldsBA(ProtocolInstance):
         for bc in self._bc.values():
             bc.start()
         t_bc = bc_time_bound(self.n, self.faults, self.delta)
-        self.schedule_at(self.anchor, self._publish_vector)
+        self._bc[self.me].at_anchor(self._publish_vector)
         self.schedule_at(self.anchor + t_bc + epsilon(self.delta), self._start_abas)
 
     def _publish_vector(self) -> None:

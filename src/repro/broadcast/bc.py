@@ -6,21 +6,75 @@ Acast output (or ⊥) into an instance of the phase-king SBA; at time
 output, and ⊥ otherwise.  Parties that output ⊥ in regular mode later switch
 to the Acast value through the fallback mode (needed by the VSS layer).
 
-⊥ is represented by ``None``.
+⊥ is represented by ``None``.  A field-element vector is packed once into a
+:class:`~repro.broadcast.acast.PackedFieldVector` (one cached digest for the
+echo/ready counting and the SBA tallies); the output is then the packed
+vector, and ``output.elements()`` recovers the boxed elements.
 
-Long field-element vectors take the batched payload path of
-:mod:`repro.broadcast.acast`: the sender's input is packed once into a
-:class:`~repro.broadcast.acast.PackedFieldVector` (int residues, one cached
-digest), and the packed value flows through the Acast echo/ready counting,
-the phase-king SBA's per-round tallies and the regular/fallback-mode
-comparison below without ever re-hashing individual elements.  The ΠBC
-output is then the packed vector; ``output.elements()`` recovers the boxed
-elements.
+As built: one run of Fig 1 per sender per instant
+-------------------------------------------------
+
+The protocols above start their ΠBCs in large sibling groups at a handful
+of commonly known anchors.  Fig 1 is therefore run once per (sender, anchor,
+faults, Δ) at each party, by a :class:`BroadcastCarrier` whose value is the
+*bundle*: the tuple of the inputs of every logical :class:`BroadcastProtocol`
+of that sender anchored at that instant, in the order of their tags (``None``
+= "no input by the anchor"), sent at the anchor even if all ``None``.  A
+logical ΠBC is an entry of its carrier: it gets its regular-mode output at
+anchor + T_BC and its fallback output when the carrier's Acast delivers,
+exactly when its own Fig 1 run would have handed them out.  An input given
+after the bundle went out (Fig 1's late sender) travels on that entry's own
+bare Acast and is read *bundle first*: only once the bundle has been
+delivered, in either mode, and lacks the entry.
+
+The carrier's tag is ``<root>/bc@<ticks>[<sender>]``: ``root`` the first
+component of the logical tags, ``ticks`` the anchor's distance from the root
+instance's anchor in units of ε(Δ) -- anchors are sums of multiples of Δ and
+ε, so this is an exact integer every party computes alike without reading a
+clock.  The entries are the endpoints started before the carrier's anchor
+timer fires; starting one later raises :class:`CarrierError`.
+
+Why each logical ΠBC still meets Theorem 3.5 and Lemma 2.4, as a reduction
+to k separate runs of Fig 1.  The carrier *is* Fig 1, run in full on the
+bundle, so Theorem 3.5 holds for the bundle as the broadcast value; call
+entry e of the delivered bundle, with the bundle's mode and time, the
+*effective* broadcast of logical ΠBC e -- or, if that entry is ``None``, the
+output of e's late Acast in fallback mode, at the later of its delivery and
+the bundle's.
+
+1. Honest sender, synchronous network.  The bundle holds every input the
+   sender had at the anchor (whoever gives one *at* the anchor does so from
+   inside the carrier's own anchor timer, :meth:`BroadcastProtocol.at_anchor`,
+   so no backend can order the two the other way), and is regular-mode
+   delivered to every honest party at anchor + T_BC (t-validity of the
+   carrier): so is each entry -- t-liveness and t-validity of e.
+2. Honest sender, any network.  Every honest party's regular-mode bundle is
+   the sender's or ⊥, and the sender's bundle is eventually delivered in
+   fallback mode (weak and fallback validity of the carrier): entry by entry
+   the same statements for e.  A late input is delivered by Acast validity
+   (Lemma 2.4) after a bundle that always arrives and has ``None`` at e.
+3. Corrupt sender.  Honest parties that obtain a bundle obtain the same one,
+   all of them at anchor + T_BC if any does so in regular mode in synchrony,
+   and within 2Δ of each other in fallback mode (t-consistency and fallback
+   consistency of the carrier; Lemma 2.4's spread): hence the same entry e
+   with the same guarantees.  Where e is ``None`` the late Acast's
+   consistency gives one common value, again within 2Δ, and whether it
+   counts is a function of the common bundle.
+4. The adversary gains nothing: a present entry is an input to ΠBC e given
+   on time, a ``None`` entry with a late Acast one given late (fallback mode
+   only), a ``None`` entry alone no input, a withheld bundle no input to any
+   of the k (late Acasts are then never read), a bundle that is not a tuple
+   of the agreed length the all-``None`` bundle (:meth:`BroadcastCarrier._parse`),
+   an unhashable one dropped by Acast and SBA like any unhashable value, and
+   a late Acast contradicting a present entry is ignored like a second input
+   to one ΠBC.  All-or-none delivery of k inputs is a behaviour k separate
+   ΠBCs allow.  Each entry still passes its consumer's own total parser.
+   Privacy: a bundle reveals exactly what the k broadcasts reveal.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.ba.sba import PhaseKingSBA, sba_time_bound
 from repro.broadcast.acast import AcastProtocol, maybe_pack_payload
@@ -38,15 +92,100 @@ def bc_time_bound(n: int, t: int, delta: float) -> float:
     return 3.0 * delta + sba_time_bound(n, t, delta) + 2 * epsilon(delta)
 
 
+def carrier_tag(root: str, offset: float, sender: int, delta: float) -> str:
+    """Tag of ``sender``'s carrier anchored ``offset`` after the ``root`` instance."""
+    return f"{root}/bc@{round(offset / epsilon(delta))}[{sender}]"
+
+
+class CarrierError(RuntimeError):
+    """A logical ΠBC cannot join the carrier of its (sender, anchor)."""
+
+
+class BroadcastCarrier(ProtocolInstance):
+    """Fig 1, once, for every ΠBC of ``sender`` anchored at ``anchor``."""
+
+    def __init__(self, party: Party, tag: str, sender: int, faults: int,
+                 anchor: float, delta: float):
+        super().__init__(party, tag)
+        self.sender = sender
+        self.faults = faults
+        self.anchor = anchor
+        self.delta = delta
+        #: The logical endpoints; positional (by tag) once :attr:`frozen`.
+        self.entries: List[BroadcastProtocol] = []
+        self.frozen = False
+        #: The bundle as delivered, in either mode, entry per endpoint.
+        self.bundle: Optional[Tuple] = None
+        self._at_anchor: List[Callable[[], None]] = []
+        self._acast: AcastProtocol = self.spawn(
+            AcastProtocol, "acast", sender=sender, faults=faults
+        )
+        self._sba: Optional[PhaseKingSBA] = None
+
+    def start(self) -> None:
+        t_bc = bc_time_bound(self.n, self.faults, self.delta)
+        self.schedule_at(self.anchor, self._publish)
+        self.schedule_at(self.anchor + 3.0 * self.delta + epsilon(self.delta), self._start_sba)
+        self.schedule_at(self.anchor + t_bc, self._decide_regular)
+        self._acast.on_output(self._maybe_fallback)
+
+    def _publish(self) -> None:
+        """The anchor: inputs due now are given, then all of them ride one Acast."""
+        for callback in self._at_anchor:
+            callback()
+        self.entries.sort(key=lambda endpoint: endpoint.tag)
+        self.frozen = True
+        if self.me == self.sender:
+            # Set, not provide_input: a bundle is never packed as one vector.
+            self._acast.message = tuple(endpoint.message for endpoint in self.entries)
+            self._acast.start()
+
+    def _parse(self, bundle: Any) -> Tuple:
+        """The trust boundary: a tuple of the frozen length, or the empty bundle."""
+        if type(bundle) is tuple and len(bundle) == len(self.entries):
+            return bundle
+        return (None,) * len(self.entries)
+
+    def _start_sba(self) -> None:
+        self._sba = self.spawn(
+            PhaseKingSBA, "sba", faults=self.faults, delta=self.delta,
+            value=self._acast.output if self._acast.has_output else None,
+        )
+        self._sba.start()
+
+    def _decide_regular(self) -> None:
+        acast_value = self._acast.output if self._acast.has_output else None
+        sba_value = self._sba.output if (self._sba and self._sba.has_output) else None
+        regular = acast_value if acast_value is not None and sba_value == acast_value else None
+        self.set_output(regular)
+        decided = self._parse(regular)  # ⊥ hands every entry ⊥, like the empty bundle
+        if regular is not None:
+            self.bundle = decided
+        for endpoint, entry in zip(self.entries, decided):
+            endpoint._decide(entry)
+        # The Acast may already have delivered (fallback applies immediately).
+        if regular is None and self._acast.has_output:
+            self._maybe_fallback(self._acast.output)
+
+    def _maybe_fallback(self, acast_value: Any) -> None:
+        """Fallback mode: a ⊥ regular output switches to the Acast value."""
+        if not self.has_output or self.bundle is not None or acast_value is None:
+            return
+        self.bundle = self._parse(acast_value)
+        self.update_output(acast_value)
+        for endpoint, entry in zip(self.entries, self.bundle):
+            endpoint._fallback(entry)
+
+
 class BroadcastProtocol(ProtocolInstance):
-    """One ΠBC instance with a designated sender.
+    """One logical ΠBC with a designated sender, an entry of its carrier.
 
     ``anchor`` is the commonly-known local time at which the instance starts
-    counting (all its internal time-outs are relative to it); the enclosing
-    protocol fixes it so that every honest party uses the same anchor.  The
-    sender supplies its message at construction or later via
-    :meth:`provide_input` (a late input simply means the regular mode will
-    yield ⊥ and delivery happens through the fallback mode).
+    counting (all its time-outs are relative to it); the enclosing protocol
+    fixes it so that every honest party uses the same anchor.  The sender
+    supplies its message at construction or via :meth:`provide_input`, by
+    the anchor at the latest (a later input means the regular mode yields ⊥
+    and delivery happens through the fallback mode, after the bundle's).
     """
 
     def __init__(
@@ -64,16 +203,13 @@ class BroadcastProtocol(ProtocolInstance):
         self.faults = faults
         self.delta = delta if delta is not None else party.delta
         self.anchor = anchor
-        # Packed here as well as in provide_input, so self.message holds the
-        # same representation on both input paths (the one the Acast and SBA
-        # key on).
         self.message = maybe_pack_payload(message) if message is not None else None
         self.regular_output: Any = None
         self.regular_decided = False
-        self._acast: AcastProtocol = self.spawn(
-            AcastProtocol, "acast", sender=sender, faults=faults, message=self.message
+        self._carrier: Optional[BroadcastCarrier] = None
+        self._late: AcastProtocol = self.spawn(
+            AcastProtocol, "acast", sender=sender, faults=faults
         )
-        self._sba: Optional[PhaseKingSBA] = None
 
     # -- timing -------------------------------------------------------------
     @property
@@ -82,59 +218,56 @@ class BroadcastProtocol(ProtocolInstance):
 
     # -- input ---------------------------------------------------------------
     def provide_input(self, message: Any) -> None:
-        """Sender-side: supply the message (possibly after start).
-
-        Field-element vectors are packed here (batched path) so the same
-        packed object is what the Acast, the SBA and the mode comparison in
-        :meth:`_decide_regular` all key on.
-        """
+        """Sender-side: supply the message (field-element vectors are packed)."""
         self.message = maybe_pack_payload(message)
-        if self.me == self.sender:
-            self._acast.provide_input(self.message)
+        if self.me == self.sender and self._carrier is not None and self._carrier.frozen:
+            self._late.provide_input(self.message)
+
+    def at_anchor(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at the anchor, before the bundle goes out (after
+        :meth:`start`): how an input determined *at* the anchor is given."""
+        self._carrier._at_anchor.append(callback)
 
     # -- protocol --------------------------------------------------------------
     def start(self) -> None:
         if self.anchor is None:
             self.anchor = self.now
-        self._acast.start()
-        eps = epsilon(self.delta)
-        self.schedule_at(self.anchor + 3.0 * self.delta + eps, self._start_sba)
-        self.schedule_at(self.anchor + self.time_bound, self._decide_regular)
-        self._acast.on_output(self._maybe_fallback)
+        root = self.tag.partition("/")[0]
+        origin = getattr(self.party.get_instance(root), "anchor", None)
+        if origin is None:
+            raise CarrierError(f"{self.tag}: root instance {root!r} has no anchor")
+        tag = carrier_tag(root, self.anchor - origin, self.sender, self.delta)
+        carrier = self.party.get_instance(tag)
+        if carrier is None:
+            carrier = BroadcastCarrier(
+                self.party, tag, self.sender, self.faults, self.anchor, self.delta
+            )
+            carrier.start()
+        if carrier.frozen or (carrier.faults, carrier.delta) != (self.faults, self.delta):
+            raise CarrierError(f"{self.tag} cannot join {carrier!r} (started late, or other t/Δ)")
+        carrier.entries.append(self)
+        self._carrier = carrier
+        self._late.on_output(self._read_late)
 
-    def _start_sba(self) -> None:
-        sba_input = self._acast.output if self._acast.has_output else None
-        self._sba = self.spawn(
-            PhaseKingSBA,
-            "sba",
-            faults=self.faults,
-            value=sba_input,
-            delta=self.delta,
-        )
-        self._sba.start()
-
-    def _decide_regular(self) -> None:
-        acast_value = self._acast.output if self._acast.has_output else None
-        sba_value = self._sba.output if (self._sba and self._sba.has_output) else None
-        if acast_value is not None and sba_value == acast_value:
-            self.regular_output = acast_value
-        else:
-            self.regular_output = None
+    def _decide(self, entry: Any) -> None:
+        """anchor + T_BC: my entry of the regular-mode bundle (None = ⊥)."""
+        self.regular_output = entry
         self.regular_decided = True
-        self.set_output(self.regular_output)
-        # The Acast may already have delivered (fallback applies immediately).
-        if self.regular_output is None and self._acast.has_output:
-            self._maybe_fallback(self._acast.output)
+        self.set_output(entry)
+        if entry is None:
+            self._read_late()
 
-    def _maybe_fallback(self, acast_value: Any) -> None:
-        """Fallback mode: a ⊥ regular output switches to the Acast value."""
-        if not self.regular_decided:
-            return
-        if self.regular_output is not None:
-            return
-        if acast_value is None:
-            return
-        self.update_output(acast_value)
+    def _fallback(self, entry: Any) -> None:
+        """The bundle is delivered in fallback mode."""
+        if entry is not None:
+            self.update_output(entry)
+        else:
+            self._read_late()
+
+    def _read_late(self, _value: Any = None) -> None:
+        """Bundle first: a late input counts once the bundle is in and lacks it."""
+        if self._carrier.bundle is not None and self.output is None and self._late.output is not None:
+            self.update_output(self._late.output)
 
     # -- queries used by enclosing protocols -----------------------------------
     def output_via_regular_mode(self) -> Any:

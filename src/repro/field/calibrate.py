@@ -1,11 +1,10 @@
 """Dispatch-threshold calibration: ``python -m repro.field.calibrate``.
 
-The accelerated kernels self-dispatch per call: list inputs below the size
-crossovers in :data:`repro.field.kernels.DISPATCH_THRESHOLDS` (numpy) /
-:data:`repro.field.kernels.GMPY2_DISPATCH_THRESHOLDS` (gmpy2) run the int
+The numpy kernel self-dispatches per call: list inputs below the size
+crossovers in :data:`repro.field.kernels.DISPATCH_THRESHOLDS` run the int
 reference path instead.  The shipped values were measured on the dev
 container; this module re-measures the crossovers on the *local* machine
-for every installed kernel and persists them to
+and persists them to
 ``DISPATCH_CALIBRATION.json`` at the repo root (next to
 ``BENCH_batch.json``), where
 :func:`repro.field.kernels.load_dispatch_calibration` picks them up at the
@@ -34,13 +33,10 @@ from typing import Callable, Dict, List, Optional
 
 from repro.field.kernels import (
     DISPATCH_THRESHOLDS,
-    GMPY2_DISPATCH_THRESHOLDS,
     M61,
-    Gmpy2Kernel,
     IntKernel,
     NumpyKernel,
     _calibration_path,
-    gmpy2_available,
     numpy_available,
 )
 
@@ -52,10 +48,6 @@ _LADDERS: Dict[str, List[int]] = {
     "inverse": [16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
     "matmul_ops": [64, 128, 256, 512, 1024, 2048, 4096, 8192],
 }
-
-#: A >=64-bit modulus for gmpy2 calibration (the Mersenne prime 2^127 - 1).
-P127 = (1 << 127) - 1
-
 
 def _det_values(p: int, count: int, seed: int = 1) -> List[int]:
     """Deterministic nonzero residues (no randomness: calibration must not
@@ -125,14 +117,9 @@ def _calibrate_kernel(kernel, p: int, smoke: bool) -> Dict[str, int]:
         name: (ladder[::2] if smoke else ladder)
         for name, ladder in _LADDERS.items()
     }
-    if isinstance(kernel, Gmpy2Kernel):
-        table = GMPY2_DISPATCH_THRESHOLDS
-        keys = ("elementwise", "inverse", "matmul_ops")
-    else:
-        table = DISPATCH_THRESHOLDS
-        keys = ("elementwise", "inverse", "matmul_ops")
+    table = DISPATCH_THRESHOLDS
     saved = dict(table)
-    for key in keys:
+    for key in ("elementwise", "inverse", "matmul_ops"):
         table[key] = 1
     try:
         results: Dict[str, int] = {}
@@ -178,11 +165,10 @@ def _calibrate_kernel(kernel, p: int, smoke: bool) -> Dict[str, int]:
         results["matmul_ops"] = _measure_crossover(
             ladders["matmul_ops"], matmul, matmul_ref, repeats
         )
-        if "matrix_elems" in table:
-            # Matrix storage follows the same conversion-overhead tradeoff
-            # as element-wise work: below the elementwise crossover, keeping
-            # list storage is cheaper than building an array.
-            results["matrix_elems"] = results["elementwise"]
+        # Matrix storage follows the same conversion-overhead tradeoff as
+        # element-wise work: below the elementwise crossover, keeping list
+        # storage is cheaper than building an array.
+        results["matrix_elems"] = results["elementwise"]
         return results
     finally:
         table.update(saved)
@@ -198,7 +184,7 @@ def calibrate(
     skipped (recorded in meta) rather than failing -- calibration must run
     on any machine the repo lands on.
     """
-    wanted = kernels if kernels is not None else ["numpy", "gmpy2"]
+    wanted = kernels if kernels is not None else ["numpy"]
     thresholds: Dict[str, Dict[str, int]] = {}
     skipped: List[str] = []
     for name in wanted:
@@ -207,11 +193,6 @@ def calibrate(
                 skipped.append(name)
                 continue
             thresholds[name] = _calibrate_kernel(NumpyKernel(), M61, smoke)
-        elif name == "gmpy2":
-            if not gmpy2_available():
-                skipped.append(name)
-                continue
-            thresholds[name] = _calibrate_kernel(Gmpy2Kernel(), P127, smoke)
         else:
             raise ValueError(f"unknown calibratable kernel {name!r}")
     return {
@@ -236,8 +217,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernels",
-        default="numpy,gmpy2",
-        help="comma-separated kernels to calibrate (default: numpy,gmpy2)",
+        default="numpy",
+        help="comma-separated kernels to calibrate (default: numpy)",
     )
     parser.add_argument(
         "--output",

@@ -18,21 +18,12 @@ primitives.  This module makes that set pluggable:
   recombine with Mersenne rotations; batch inversion is Montgomery's trick
   with the prefix/suffix products computed as vectorized scans.  Small
   moduli (p < 2**26) take direct ``% p`` paths; any other modulus falls
-  back per call -- to the gmpy2 kernel for moduli of 64 bits or more when
-  gmpy2 is installed, else to the int kernel.
-* ``"gmpy2"`` -- GMP big-int (``mpz``) arithmetic for the moduli the numpy
-  limb tricks cannot cover (anything at or above 64 bits).  Vectors cross
-  the interface as plain Python int lists (so payloads and FieldElements
-  can never pick up a foreign scalar type); each op converts its operands
-  to ``mpz`` at the boundary -- a cheap limb copy next to the multi-limb
-  multiplications it buys -- and converts the results back.  Registered
-  only when ``import gmpy2`` succeeds; the registry degrades gracefully
-  (reports it unavailable) otherwise.
+  back per call to the int kernel.
 
 The active kernel is selected at import time: ``numpy`` when importable,
-else ``gmpy2`` when importable, else ``int``, overridable with the
-``REPRO_FIELD_KERNEL`` environment variable (``int`` / ``numpy`` /
-``gmpy2`` / ``auto``) or at runtime via :func:`set_kernel_backend`.  Every
+else ``int``, overridable with the ``REPRO_FIELD_KERNEL`` environment
+variable (``int`` / ``numpy`` / ``auto``) or at runtime via
+:func:`set_kernel_backend`.  Every
 kernel op is *exact* -- all backends return identical residues for
 identical inputs, and none consumes randomness -- so switching kernels can
 never change a protocol transcript; ``tests/test_kernel_equivalence.py``
@@ -47,10 +38,7 @@ numpy kernel therefore self-dispatches per call: list inputs below the
 measured crossover sizes in :data:`DISPATCH_THRESHOLDS` run the int
 reference path, while inputs that are already ``uint64`` arrays (the
 native :class:`~repro.field.array.FieldArray` storage) stay vectorized
-unconditionally.  The gmpy2 kernel self-dispatches the same way against
-:data:`GMPY2_DISPATCH_THRESHOLDS` (mpz boundary conversion loses on tiny
-vectors and on sub-64-bit moduli, where Python's small-int arithmetic is
-already single-limb).  The shipped defaults are dev-container
+unconditionally.  The shipped defaults are dev-container
 measurements; ``python -m repro.field.calibrate`` re-measures the
 crossovers on the local machine and persists them to
 ``DISPATCH_CALIBRATION.json`` (next to ``BENCH_batch.json``), which
@@ -68,18 +56,14 @@ __all__ = [
     "FieldKernel",
     "IntKernel",
     "NumpyKernel",
-    "Gmpy2Kernel",
     "LruCache",
     "available_kernel_backends",
     "get_kernel",
     "kernel_name",
     "numpy_available",
-    "gmpy2_available",
     "set_kernel_backend",
     "load_dispatch_calibration",
     "DISPATCH_THRESHOLDS",
-    "GMPY2_DISPATCH_THRESHOLDS",
-    "GMPY2_MIN_MODULUS_BITS",
 ]
 
 #: The Mersenne prime the optimized numpy paths are specialized for.
@@ -99,22 +83,6 @@ DISPATCH_THRESHOLDS: Dict[str, int] = {
     "inverse": 2048,      # batch-inversion length (python Montgomery is strong)
     "matmul_ops": 384,    # rows * len(matrix) * contraction scalar mults
     "matrix_elems": 256,  # matrix cells below which list storage stays cheaper
-}
-
-#: Smallest modulus bit length the gmpy2 kernel accelerates.  Below 64 bits
-#: every residue is a single machine word and Python's small-int arithmetic
-#: beats the mpz boundary conversion; at >= 64 bits products span multiple
-#: limbs and GMP wins.
-GMPY2_MIN_MODULUS_BITS = 64
-
-#: The gmpy2 kernel's own list-input crossovers (same keys/semantics as
-#: DISPATCH_THRESHOLDS minus matrix storage, which stays plain lists).
-#: Conversion to mpz is one limb copy, so the crossovers sit far lower than
-#: numpy's ufunc-launch-dominated ones.
-GMPY2_DISPATCH_THRESHOLDS: Dict[str, int] = {
-    "elementwise": 32,    # mul vector length
-    "inverse": 32,        # batch-inversion length
-    "matmul_ops": 64,     # rows * len(matrix) * contraction scalar mults
 }
 
 
@@ -413,189 +381,19 @@ class IntKernel(FieldKernel):
         ]
 
 
-class Gmpy2Kernel(IntKernel):
-    """GMP ``mpz`` arithmetic for the moduli the numpy limb tricks can't cover.
-
-    Inherits the int kernel's structure ops (conversions, transpose, add/
-    sub -- single-limb-dominated work where mpz conversion costs more than
-    it saves) and overrides the multiplication-heavy ops: element-wise mul,
-    Montgomery batch inversion (one ``gmpy2.invert`` plus mpz scans), dot,
-    and the matrix products behind batch interpolate/evaluate (``rowmat``,
-    ``rows_dot``, ``mat_rows``, ``mat_vecs``).  Native vectors are plain
-    Python int lists -- mpz lives only *inside* an op, with boundary
-    conversions each way -- so no foreign scalar type can ever leak into a
-    FieldElement or a wire payload, and every vector this kernel returns is
-    a valid input to any other kernel.
-
-    Each overridden op self-dispatches: moduli below
-    :data:`GMPY2_MIN_MODULUS_BITS` bits and inputs below the
-    :data:`GMPY2_DISPATCH_THRESHOLDS` crossovers run the inherited int
-    reference path.  Both paths are exact, so the dispatch is invisible to
-    protocol transcripts.
-
-    ``module`` defaults to ``import gmpy2`` (ImportError propagates to the
-    registry, which then reports the backend unavailable); tests inject an
-    int-semantics stand-in to exercise the mpz code paths without the
-    library.
-    """
-
-    name = "gmpy2"
-
-    def __init__(self, module=None):
-        if module is None:
-            import gmpy2 as module
-        self._g = module
-        self._mpz = module.mpz
-        #: mpz conversions of the interned cached coefficient matrices
-        #: (tuples of tuples from repro.field.array), keyed by the tuple
-        #: itself -- same memoization the numpy kernel applies to its limb
-        #: decompositions.
-        self._mpz_cache = LruCache(512)
-
-    def _fast(self, p: int, work: int, kind: str) -> bool:
-        return (
-            p.bit_length() >= GMPY2_MIN_MODULUS_BITS
-            and work >= GMPY2_DISPATCH_THRESHOLDS[kind]
-        )
-
-    def _mpz_matrix(self, matrix):
-        """mpz rows of a matrix operand, memoizing interned tuple matrices."""
-        mpz = self._mpz
-        if isinstance(matrix, tuple) and all(
-            isinstance(row, tuple) for row in matrix
-        ):
-            cached = self._mpz_cache.get(matrix)
-            if cached is not None:
-                return cached
-            rows = [[mpz(v) for v in row] for row in matrix]
-            self._mpz_cache.put(matrix, rows)
-            return rows
-        return [[mpz(v) for v in _py_seq(row)] for row in _py_seq(matrix)]
-
-    # -- element-wise ------------------------------------------------------
-    def mul(self, p, a, rhs):
-        a = _py_seq(a)
-        if not self._fast(p, len(a), "elementwise"):
-            return super().mul(p, a, rhs)
-        mpz = self._mpz
-        mp = mpz(p)
-        if isinstance(rhs, int):
-            y = mpz(rhs)
-            return [int(mpz(x) * y % mp) for x in a]
-        return [int(mpz(x) * mpz(y) % mp) for x, y in zip(a, _py_seq(rhs))]
-
-    def batch_inverse(self, p, values):
-        """Montgomery's scan with mpz products and one ``gmpy2.invert``."""
-        values = _py_seq(values)
-        if not self._fast(p, len(values), "inverse"):
-            return super().batch_inverse(p, values)
-        mpz = self._mpz
-        mp = mpz(p)
-        reduced = [mpz(v) % mp for v in values]
-        prefix = [None] * len(reduced)
-        acc = mpz(1)
-        for index, value in enumerate(reduced):
-            if not value:
-                raise ZeroDivisionError("zero has no multiplicative inverse")
-            acc = acc * value % mp
-            prefix[index] = acc
-        inv = self._g.invert(acc, mp)
-        out: IntVec = [0] * len(reduced)
-        for index in range(len(reduced) - 1, 0, -1):
-            out[index] = int(prefix[index - 1] * inv % mp)
-            inv = inv * reduced[index] % mp
-        out[0] = int(inv)
-        return out
-
-    # -- reductions / products --------------------------------------------
-    def dot(self, p, a, b):
-        a = _py_seq(a)
-        b = _py_seq(b)
-        if not self._fast(p, len(a), "matmul_ops"):
-            return super().dot(p, a, b)
-        mpz = self._mpz
-        return int(sum(map(_mul, map(mpz, a), map(mpz, b))) % p)
-
-    def rowmat(self, p, row, vectors):
-        vecs = [_py_seq(v) for v in vectors]
-        count = len(vecs[0]) if vecs else 0
-        if not self._fast(p, len(vecs) * max(count, 1), "matmul_ops"):
-            return super().rowmat(p, row, vecs)
-        mpz = self._mpz
-        coeffs = [mpz(c) for c in _py_seq(row)]
-        stack = [[mpz(v) for v in vec] for vec in vecs]
-        return [
-            int(sum(coeff * vec[k] for coeff, vec in zip(coeffs, stack)) % p)
-            for k in range(count)
-        ]
-
-    def rows_dot(self, p, rows, row):
-        rows_seq = _py_seq(rows)
-        row = _py_seq(row)
-        if not self._fast(p, len(rows_seq) * max(len(row), 1), "matmul_ops"):
-            return super().rows_dot(p, rows_seq, row)
-        mpz = self._mpz
-        row_m = [mpz(v) for v in row]
-        return [
-            int(sum(map(_mul, map(mpz, _py_seq(r)), row_m)) % p)
-            for r in rows_seq
-        ]
-
-    def mat_rows(self, p, matrix, rows, native=False):
-        matrix_seq = matrix if isinstance(matrix, tuple) else _py_seq(matrix)
-        rows_seq = _py_seq(rows)
-        try:
-            work = (
-                len(rows_seq)
-                * len(matrix_seq)
-                * (len(matrix_seq[0]) if len(matrix_seq) else 1)
-            )
-        except TypeError:
-            work = 0
-        if not self._fast(p, work, "matmul_ops"):
-            return super().mat_rows(p, matrix_seq, rows_seq)
-        mpz = self._mpz
-        m_rows = self._mpz_matrix(matrix_seq)
-        out = []
-        for r in rows_seq:
-            r_m = [mpz(v) for v in _py_seq(r)]
-            out.append([int(sum(map(_mul, m_row, r_m)) % p) for m_row in m_rows])
-        return out
-
-    def mat_vecs(self, p, matrix, vectors):
-        vecs = [_py_seq(v) for v in vectors]
-        count = len(vecs[0]) if vecs else 0
-        matrix_seq = matrix if isinstance(matrix, tuple) else _py_seq(matrix)
-        work = len(matrix_seq) * len(vecs) * max(count, 1)
-        if not self._fast(p, work, "matmul_ops"):
-            return super().mat_vecs(p, matrix_seq, vecs)
-        mpz = self._mpz
-        m_rows = self._mpz_matrix(matrix_seq)
-        stack = [[mpz(v) for v in vec] for vec in vecs]
-        return [
-            [
-                int(sum(coeff * vec[k] for coeff, vec in zip(m_row, stack)) % p)
-                for k in range(count)
-            ]
-            for m_row in m_rows
-        ]
-
-
 class NumpyKernel(FieldKernel):
     """Residues of GF(2**61 - 1) in uint64 arrays; exact limb-split arithmetic.
 
     Falls back per call for inputs it cannot accelerate: unsupported
     moduli, vectors below the dispatch crossovers, values outside uint64
-    range, or ragged/boxed inputs.  Unsupported moduli at or above 64 bits
-    route to the gmpy2 kernel when installed; everything else falls back to
-    the int reference.
+    range, or ragged/boxed inputs.
     """
 
     name = "numpy"
 
     def _ref(self, p: int) -> FieldKernel:
         """The fallback kernel for inputs this backend cannot accelerate."""
-        return _fallback_kernel(p)
+        return _INT_KERNEL
 
     def __init__(self):
         import numpy
@@ -1082,8 +880,6 @@ class NumpyKernel(FieldKernel):
 _INT_KERNEL = IntKernel()
 _NUMPY_KERNEL: Optional[NumpyKernel] = None
 _NUMPY_FAILED = False
-_GMPY2_KERNEL: Optional[Gmpy2Kernel] = None
-_GMPY2_FAILED = False
 
 
 def numpy_available() -> bool:
@@ -1101,42 +897,11 @@ def numpy_available() -> bool:
     return True
 
 
-def gmpy2_available() -> bool:
-    """Whether the gmpy2 kernel can be constructed in this process."""
-    global _GMPY2_KERNEL, _GMPY2_FAILED
-    if _GMPY2_KERNEL is not None:
-        return True
-    if _GMPY2_FAILED:
-        return False
-    try:
-        _GMPY2_KERNEL = Gmpy2Kernel()
-    except ImportError:
-        _GMPY2_FAILED = True
-        return False
-    return True
-
-
 def available_kernel_backends() -> Tuple[str, ...]:
     backends = ["int"]
     if numpy_available():
         backends.append("numpy")
-    if gmpy2_available():
-        backends.append("gmpy2")
     return tuple(backends)
-
-
-def _fallback_kernel(p: int) -> FieldKernel:
-    """The reference kernel for work another backend cannot accelerate.
-
-    Moduli of :data:`GMPY2_MIN_MODULUS_BITS` bits or more route to the
-    gmpy2 kernel when installed (this is how big-modulus fields get
-    accelerated even while numpy is the active backend); everything else
-    runs the pure-int ground truth.  Exactness makes the routing invisible
-    to transcripts.
-    """
-    if p.bit_length() >= GMPY2_MIN_MODULUS_BITS and gmpy2_available():
-        return _GMPY2_KERNEL  # type: ignore[return-value]
-    return _INT_KERNEL
 
 
 def _resolve(name: str) -> FieldKernel:
@@ -1146,13 +911,7 @@ def _resolve(name: str) -> FieldKernel:
         if not numpy_available():
             raise ValueError("numpy kernel requested but numpy is not importable")
         return _NUMPY_KERNEL  # type: ignore[return-value]
-    if name == "gmpy2":
-        if not gmpy2_available():
-            raise ValueError("gmpy2 kernel requested but gmpy2 is not importable")
-        return _GMPY2_KERNEL  # type: ignore[return-value]
-    raise ValueError(
-        f"unknown field kernel {name!r} (use 'int', 'numpy', or 'gmpy2')"
-    )
+    raise ValueError(f"unknown field kernel {name!r} (use 'int' or 'numpy')")
 
 
 def _default_kernel() -> FieldKernel:
@@ -1160,8 +919,6 @@ def _default_kernel() -> FieldKernel:
     if requested in ("", "auto"):
         if numpy_available():
             return _NUMPY_KERNEL  # type: ignore[return-value]
-        if gmpy2_available():
-            return _GMPY2_KERNEL  # type: ignore[return-value]
         return _INT_KERNEL
     return _resolve(requested)
 
@@ -1181,9 +938,9 @@ def load_dispatch_calibration(path: Optional[str] = None) -> bool:
 
     Reads the JSON written by ``python -m repro.field.calibrate`` (per-kernel
     threshold tables) and overwrites the known keys of
-    :data:`DISPATCH_THRESHOLDS` / :data:`GMPY2_DISPATCH_THRESHOLDS`.  A
-    missing, unreadable, or malformed file leaves the shipped defaults in
-    place -- calibration can only tune dispatch, never break import.
+    :data:`DISPATCH_THRESHOLDS`.  A missing, unreadable, or malformed file
+    leaves the shipped defaults in place -- calibration can only tune
+    dispatch, never break import.
     """
     target = path or _calibration_path()
     try:
@@ -1194,14 +951,11 @@ def load_dispatch_calibration(path: Optional[str] = None) -> bool:
     if not isinstance(data, dict):
         return False
     applied = False
-    tables = {"numpy": DISPATCH_THRESHOLDS, "gmpy2": GMPY2_DISPATCH_THRESHOLDS}
-    for kernel_key, table in tables.items():
-        entries = data.get("thresholds", {}).get(kernel_key)
-        if not isinstance(entries, dict):
-            continue
+    entries = data.get("thresholds", {}).get("numpy")
+    if isinstance(entries, dict):
         for name, value in entries.items():
-            if name in table and isinstance(value, int) and value > 0:
-                table[name] = value
+            if name in DISPATCH_THRESHOLDS and isinstance(value, int) and value > 0:
+                DISPATCH_THRESHOLDS[name] = value
                 applied = True
     return applied
 
@@ -1221,7 +975,7 @@ def kernel_name() -> str:
 
 
 def set_kernel_backend(name: str) -> str:
-    """Select the active kernel ('int' / 'numpy' / 'gmpy2'); returns the previous name.
+    """Select the active kernel ('int' / 'numpy'); returns the previous name.
 
     Kernels are exact and stateless with respect to protocol execution, so
     switching mid-process can never change results -- only speed.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Union
 
+from repro.analysis.metrics import bundle_message_bound, sibling_sharings
 from repro.circuits.circuit import Circuit
 from repro.field.gf import GF, FieldElement
 from repro.mpc.protocol import CircuitEvaluation
@@ -167,7 +168,9 @@ def run_mpc(
     (sequential) sharing rounds.  None (the default) keeps the single
     unsharded round; ``"auto"`` picks the largest shard whose
     :func:`~repro.analysis.metrics.sharded_triple_message_bound` fits the
-    per-round ``bandwidth_budget`` (in bits).  The circuit outputs are
+    per-round ``bandwidth_budget`` (in bits), which must not be below the
+    size of a broadcast bundle
+    (:func:`~repro.analysis.metrics.bundle_message_bound`).  The circuit outputs are
     independent of the sharding (the triples are random masks), so any
     ``shard_size`` yields the same result values.
 
@@ -198,11 +201,18 @@ def run_mpc(
             raise ValueError('shard_size="auto" requires a bandwidth_budget (bits)')
         # runner.field covers every source of the field, including one baked
         # into a prebuilt backend instance.
+        element_bits = runner.field.element_bits()
+        floor = bundle_message_bound(n, ts, sibling_sharings(n, offline), element_bits)
+        if bandwidth_budget < floor:
+            raise ValueError(
+                f"bandwidth_budget {bandwidth_budget} is below the {floor}-bit broadcast-"
+                f"bundle floor at n={n}, which no shard_size lowers (bundle_message_bound)"
+            )
         shard_size = auto_shard_size(
             n,
             ts,
             max(1, circuit.multiplication_count),
-            runner.field.element_bits(),
+            element_bits,
             bandwidth_budget,
             offline=offline,
         )

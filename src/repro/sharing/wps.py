@@ -85,7 +85,11 @@ race under a real clock.
 The ΠBA of a sharing is one slot of a :class:`~repro.ba.bobw.BestOfBothWorldsBA`
 bank, shared with its siblings where something spawns n sharings at one
 anchor (the ΠWPS instances of a ΠVSS, the ΠVSS instances of a ΠACS); the
-argument for Theorem 3.6 is in the :mod:`repro.ba.bobw` docstring.
+argument for Theorem 3.6 is in the :mod:`repro.ba.bobw` docstring.  Every
+ΠBC named here is a logical one: the vectors, stars and vote vectors a party
+owes at one instant ride one run of Fig 1 (:mod:`repro.broadcast.bc`, where
+the argument for Theorem 3.5 is), so whoever publishes *at* an anchor does so
+through :meth:`~repro.broadcast.bc.BroadcastProtocol.at_anchor`.
 
 All payloads from other parties pass one total parser
 (:meth:`BivariateSharingMixin._parse_verdict`, ``_vector_entries``,
@@ -367,11 +371,12 @@ class BivariateSharingMixin:
             self._ba = bank.slots[0]
         self._ba.bank.at_anchor(self._accept_and_vote)
         self._ba.on_output(self._handle_ba_output)
-        # Queued here, so it runs before any timer a delivery at the ok anchor
-        # queues, and after every such delivery (messages precede timers).
-        self.schedule_at(ok_anchor, self._publish_vector)
+        # Inside the carriers' anchor timers, queued by the first ΠBC started for
+        # that instant: after every delivery of the instant (messages precede
+        # timers) and before any timer such a delivery queues.
+        self._ok_bc[self.me].at_anchor(self._publish_vector)
         if self.me == self.dealer:
-            self.schedule_at(ok_anchor + self.t_bc + 2 * eps, self._dealer_find_star)
+            self._star_bc.at_anchor(self._dealer_find_star)
         self.schedule_at(ok_anchor + self.t_bc + 3 * eps, self._take_snapshot)
 
     # -- Phase I: dealer distributes rows ----------------------------------------------

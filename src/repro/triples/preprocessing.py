@@ -16,10 +16,15 @@ instance per dealer (at most ``shard_size`` triples), anchored one
 T_TripSh after the previous round -- the dealer row distribution defers to
 that anchor (see ``VerifiableSecretSharing._distribute_at_anchor``) -- so
 no protocol round ever carries more than a ``shard_size``-bounded triple
-payload: the heaviest message drops from O(L·t_s²) to O(shard_size·t_s²)
-field elements in *every* round (see
+payload: the heaviest *triple-sharing* message drops from O(L·t_s²) to
+O(shard_size·t_s²) field elements in *every* round (see
 :func:`repro.analysis.metrics.sharded_triple_message_bound` and the
 per-round accounting in :class:`repro.sim.simulator.SimulationMetrics`).
+The heaviest message overall is the larger of that and a broadcast bundle
+(:func:`repro.analysis.metrics.bundle_message_bound`), which grows with n and
+the number of sibling ΠVSS per instant and which no ``shard_size`` lowers:
+at n = 4 with ``shard_size=1``, 18,560 bits (the ``star`` bundle of the 24
+ΠWPS a party deals at one instant) against 1,290 for the triple payload.
 The price is ~``num_shards``× latency and more aggregate control traffic
 (each round runs its own ΠACS/ΠBC banks): sharding bounds the per-round
 payload burst, not the total bandwidth.  Extraction proceeds per shard:

@@ -46,12 +46,13 @@ PINNED_MODULES = (
 #: Header note naming the code path that produces the digests.
 PRODUCED_BY = (
     "the single protocol path with the verdict-vector Phase III of PiWPS/PiVSS, "
-    "every PiBA a slot of a bank whose votes ride one PiBC per party, and star2 "
-    "on a bare Acast whose delivery is acted on no earlier than the PiBC it "
-    "replaced delivered: all 76 outputs digests are byte-identical to those "
-    "recorded at e6099bc (one PiBC per ordered pair) and at 6fb28d1 (one PiBC "
-    "per PiBA and voter), the 70 transcript digests of the cells that run "
-    "PiVSS moved"
+    "every PiBA a slot of a bank whose votes ride one PiBC per party, star2 on "
+    "a bare Acast, and every logical PiBC an entry of the broadcast carrier of "
+    "its (sender, anchor instant) -- one run of Fig 1 per sender per instant: "
+    "all 76 outputs digests are byte-identical to those recorded at e6099bc "
+    "(one PiBC per ordered pair), 6fb28d1 (one PiBC per PiBA and voter) and "
+    "2a4941f (one run of Fig 1 per logical PiBC), the 70 transcript digests of "
+    "the cells that run PiVSS moved, the other 6 did not"
 )
 
 #: cell id -> digests while ``--write`` is recording; None in every test run.

@@ -6,6 +6,7 @@ import random
 import re
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.broadcast.bc import BroadcastCarrier, carrier_tag
 from repro.field import Polynomial, default_field
 from repro.sim import ProtocolRunner, SynchronousNetwork
 from repro.sim.adversary import Behavior
@@ -20,25 +21,65 @@ def random_polynomial(degree: int, secret: int, seed: int = 0) -> Polynomial:
 
 
 class RewriteBehavior(Behavior):
-    """A corrupt party that runs the honest code but edits what it sends, by tag.
+    """A corrupt party that runs the honest code but edits what it sends.
 
     ``rules`` maps a tag regex to ``edit(tag, payload) -> [(tag, payload), ...]``:
     the first rule that ``fullmatch``es an outgoing message's tag decides what
     its recipient gets instead -- nothing (a drop), a rewritten payload, or
     extra messages on other tags (an input the honest code would never give).
+
+    ``entries`` addresses what the party *broadcasts*.  The inputs of all the
+    ΠBCs it starts for one anchor leave it as one bundle on the carrier's Acast
+    (``repro.broadcast.bc``), so a broadcast is the entry of a logical ΠBC, not
+    a tag on the wire: ``entries`` maps a regex on logical ΠBC tags to
+    ``edit(value) -> value``, applied to that entry of the bundle the party
+    sends (``None`` blanks it: that ΠBC is given no input; the rest of the
+    bundle goes out as the honest code made it).  Withholding a broadcast is
+    withholding its whole bundle: a ``rules`` drop on :func:`bundle_tag`.
     """
 
-    def __init__(self, rules: Dict[str, Callable[[str, tuple], List[Tuple[str, tuple]]]]):
-        self.rules = [(re.compile(pattern), edit) for pattern, edit in rules.items()]
+    def __init__(self, rules: Optional[Dict[str, Callable]] = None,
+                 entries: Optional[Dict[str, Callable]] = None):
+        self.rules = [(re.compile(p), edit) for p, edit in (rules or {}).items()]
+        self.entries = [(re.compile(p), edit) for p, edit in (entries or {}).items()]
 
     def filter_send(self, party, message):
+        sent = [(message.tag, message.payload)]
         for pattern, edit in self.rules:
             if pattern.fullmatch(message.tag):
-                return [
-                    Message(message.sender, message.recipient, tag, payload, message.send_time)
-                    for tag, payload in edit(message.tag, message.payload)
-                ]
-        return [message]
+                sent = edit(message.tag, message.payload)
+                break
+        return [
+            Message(message.sender, message.recipient, tag, self._edit_entries(party, tag, payload),
+                    message.send_time)
+            for tag, payload in sent
+        ]
+
+    def _edit_entries(self, party, tag, payload):
+        carrier = party.instances.get(tag.rpartition("/")[0])
+        if not (self.entries and isinstance(carrier, BroadcastCarrier)
+                and tag.endswith("/acast") and payload[0] == "init"):
+            return payload
+        bundle = list(payload[1])
+        for index, endpoint in enumerate(carrier.entries):
+            for pattern, edit in self.entries:
+                if pattern.fullmatch(endpoint.tag):
+                    bundle[index] = edit(bundle[index])
+                    break
+        return ("init", tuple(bundle))
+
+
+def bundle_tag(root: str, anchor: float, sender: int, kind: str = "acast") -> str:
+    """Regex for the tag ``sender``'s bundle anchored at ``anchor`` travels on
+    (root instance anchored at 0, Δ = 1); ``kind="sba"`` is its phase-king."""
+    return re.escape(f"{carrier_tag(root, anchor, sender, 1.0)}/{kind}")
+
+
+def silent_in(prefix: str) -> RewriteBehavior:
+    """A party that takes no part in anything under the tag ``prefix``: it
+    sends nothing on those tags and gives the ΠBCs there no input."""
+    under = re.escape(prefix) + ".*"
+    return RewriteBehavior({under: lambda tag, payload: []}, entries={under: lambda value: None})
 
 
 def acast_input(value_of: Callable[[object], object]):
@@ -56,9 +97,8 @@ def malformed_nok(value):
 def garbage_star2_dealer() -> RewriteBehavior:
     """A dealer that withholds (W, E, F) and broadcasts ``(5, 7)`` as (E', F')."""
     return RewriteBehavior({
-        "prot/star/acast": lambda tag, payload: [],
         "prot/star2": acast_input(lambda value: (5, 7)),
-    })
+    }, entries={"prot/star": lambda value: None})
 
 
 def run_dealer_protocol(

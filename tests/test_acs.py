@@ -8,12 +8,11 @@ from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
     ProtocolRunner,
-    SilentBehavior,
     SynchronousNetwork,
     WrongValueBehavior,
 )
 
-from protocol_helpers import FIELD, random_polynomial
+from protocol_helpers import FIELD, random_polynomial, silent_in
 
 
 def _run_acs(n, ts, ta, secrets, network=None, corrupt=None, seed=0, max_time=200_000.0,
@@ -77,7 +76,7 @@ def test_sync_crashed_dealer_excluded_but_honest_included():
 
 def test_sync_silent_dealer_excluded():
     secrets = {i: i for i in range(1, 5)}
-    corrupt = {2: SilentBehavior(lambda tag: "/vss[2]/" in tag)}
+    corrupt = {2: silent_in("acs/vss[2]/")}
     result, polys = _run_acs(4, 1, 0, secrets, corrupt=corrupt, seed=2)
     outputs = result.honest_outputs()
     # Party 2 is the (corrupt) silent dealer, so only the three honest parties report.

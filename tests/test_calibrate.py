@@ -19,7 +19,6 @@ import pytest
 from repro.field import kernels
 from repro.field.kernels import (
     DISPATCH_THRESHOLDS,
-    GMPY2_DISPATCH_THRESHOLDS,
     load_dispatch_calibration,
 )
 
@@ -37,15 +36,13 @@ def _subprocess_env(calibration_path):
 
 @pytest.fixture()
 def _restore_thresholds():
-    """Snapshot both dispatch tables; undo any mutation after the test."""
-    saved = (dict(DISPATCH_THRESHOLDS), dict(GMPY2_DISPATCH_THRESHOLDS))
+    """Snapshot the dispatch table; undo any mutation after the test."""
+    saved = dict(DISPATCH_THRESHOLDS)
     try:
         yield
     finally:
         DISPATCH_THRESHOLDS.clear()
-        DISPATCH_THRESHOLDS.update(saved[0])
-        GMPY2_DISPATCH_THRESHOLDS.clear()
-        GMPY2_DISPATCH_THRESHOLDS.update(saved[1])
+        DISPATCH_THRESHOLDS.update(saved)
 
 
 def test_load_applies_known_keys_only(tmp_path, _restore_thresholds):
@@ -56,7 +53,6 @@ def test_load_applies_known_keys_only(tmp_path, _restore_thresholds):
                 "matmul_ops": 9,
                 "no_such_knob": 123,
             },
-            "gmpy2": {"inverse": 11},
             "cupy": {"elementwise": 5},
         },
         "meta": {"smoke": True},
@@ -67,7 +63,6 @@ def test_load_applies_known_keys_only(tmp_path, _restore_thresholds):
     assert DISPATCH_THRESHOLDS["elementwise"] == 7
     assert DISPATCH_THRESHOLDS["matmul_ops"] == 9
     assert "no_such_knob" not in DISPATCH_THRESHOLDS
-    assert GMPY2_DISPATCH_THRESHOLDS["inverse"] == 11
 
 
 @pytest.mark.parametrize(

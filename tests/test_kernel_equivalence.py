@@ -1,9 +1,8 @@
 """Accelerated-kernel vs int-kernel equivalence: the exact-twin contract.
 
 The pluggable numerical kernel backends (:mod:`repro.field.kernels`) must be
-*exact*: for identical inputs, the ``"numpy"`` uint64 limb-split backend,
-the ``"gmpy2"`` GMP backend (when installed), and the ``"int"`` pure-Python
-reference return identical residues through every FieldArray op and every
+*exact*: for identical inputs, the ``"numpy"`` uint64 limb-split backend
+and the ``"int"`` pure-Python reference return identical residues through every FieldArray op and every
 cached-matrix path, including edge residues (0, 1, p-1) and unreduced
 inputs (values >= p).  On top of the property-based checks, one
 scenario-matrix diagonal cell runs end to end under every installed kernel
@@ -11,10 +10,7 @@ and must produce bit-identical outputs and transcripts -- switching kernels
 can never change what a protocol says, only how fast it says it.
 
 The whole module is skipped when numpy is not importable (the int kernel is
-then the only backend and equivalence is vacuous); the gmpy2 column joins
-:data:`ACCELERATED_KERNELS` automatically when gmpy2 imports, and
-``tests/test_gmpy2_kernel.py`` covers the gmpy2 op layer via an injected
-stand-in module even where gmpy2 is absent.
+then the only backend and equivalence is vacuous).
 """
 
 import random
@@ -37,7 +33,6 @@ from repro.field.bivariate import BatchSymmetricBivariate
 from repro.field.kernels import (
     DISPATCH_THRESHOLDS,
     available_kernel_backends,
-    gmpy2_available,
     kernel_name,
     numpy_available,
     set_kernel_backend,
@@ -67,11 +62,9 @@ SIZES = [1, 3, DISPATCH_THRESHOLDS["elementwise"] - 1,
 
 
 #: Every installed accelerated backend; the equivalence properties run
-#: against all of them (numpy always under the module skipif; gmpy2 joins
-#: automatically when importable -- its sub-64-bit dispatch at the default
-#: field must be just as invisible as the numpy limb paths).
+#: against all of them (numpy always under the module skipif).
 ACCELERATED_KERNELS = [
-    name for name in ("numpy", "gmpy2") if name in available_kernel_backends()
+    name for name in ("numpy",) if name in available_kernel_backends()
 ]
 
 
@@ -369,8 +362,7 @@ def test_packed_field_vector_normalization_matches_across_kernels():
 
 def test_kernel_registry_roundtrip():
     available = set(available_kernel_backends())
-    assert {"int", "numpy"} <= available
-    assert ("gmpy2" in available) == gmpy2_available()
+    assert {"int", "numpy"} == available
     original = kernel_name()
     previous = set_kernel_backend("int")
     try:
@@ -378,12 +370,6 @@ def test_kernel_registry_roundtrip():
         assert kernel_name() == "int"
         assert set_kernel_backend("numpy") == "int"
         assert kernel_name() == "numpy"
-        if gmpy2_available():
-            assert set_kernel_backend("gmpy2") == "numpy"
-            assert kernel_name() == "gmpy2"
-        else:
-            with pytest.raises(ValueError):
-                set_kernel_backend("gmpy2")
         with pytest.raises(ValueError):
             set_kernel_backend("cupy")
     finally:
@@ -428,27 +414,6 @@ def test_scenario_diagonal_cell_bit_identical_across_kernels():
         assert transcript_fingerprint(fast) == transcript_fingerprint(
             reference
         ), name
-
-
-@pytest.mark.skipif(not gmpy2_available(), reason="gmpy2 kernel unavailable")
-def test_scenario_diagonal_cell_bit_identical_under_gmpy2():
-    """The same ΠPreProcessing cell pinned to the gmpy2 backend, so CI on a
-    gmpy2-equipped machine shows the third-kernel cell explicitly (and a
-    machine without gmpy2 shows a clean skip instead of silence)."""
-    from test_scenario_matrix import (
-        Scenario,
-        canonical_outputs,
-        run_preprocessing,
-        transcript_fingerprint,
-    )
-
-    scenario = Scenario(4, 1, 0, "honest", "sync", None)
-    with kernel("int"):
-        reference = run_preprocessing(scenario)
-    with kernel("gmpy2"):
-        fast = run_preprocessing(scenario)
-    assert canonical_outputs(fast) == canonical_outputs(reference)
-    assert transcript_fingerprint(fast) == transcript_fingerprint(reference)
 
 
 # -- the HIM offline pipeline across kernels -----------------------------------

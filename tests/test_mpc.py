@@ -7,7 +7,7 @@ few seconds of wall time; the circuits and party counts are kept small.
 
 import pytest
 
-from repro.broadcast.bc import BroadcastProtocol
+from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol
 from repro.circuits import (
     inner_product_circuit,
     mean_circuit,
@@ -41,7 +41,13 @@ def test_check_parameters():
         check_parameters(5, 1, 2)  # would need ta <= ts
 
 
-def test_sync_product_all_honest():
+def test_sync_product_all_honest(monkeypatch):
+    # Every ΠBC of the evaluation joins its carrier in CircuitEvaluation.start()'s
+    # synchronous cascade, before any message is delivered.
+    delivered_at_start = []
+    start = BroadcastProtocol.start
+    monkeypatch.setattr(BroadcastProtocol, "start", lambda bc: (
+        delivered_at_start.append(bc.party.runtime.metrics.messages_delivered), start(bc))[1])
     circuit = multiplication_circuit(F, 4)
     result = run_mpc(circuit, {1: 3, 2: 5, 3: 7, 4: 11}, n=4, ts=1, ta=0, seed=1)
     assert result.completed
@@ -54,14 +60,27 @@ def test_sync_product_all_honest():
     assert max(result.output_times.values()) <= bound
     # The message budget, so that a structural regression fails here and not
     # only in benchmarks/e2e (sync_n4_tripsh is this run).  Per party: 120
-    # sharings x (n verdict vectors + star) + 39 ΠBA banks x n vote vectors;
-    # it was 1,296 ΠBCs and 111,060 messages with one ΠBC per (ΠBA, voter)
-    # and a ``star2`` ΠBC per sharing.
-    assert result.metrics.messages_sent == 70_560
-    assert result.metrics.honest_bits == 22_732_008
+    # sharings x (n verdict vectors + star) + 39 ΠBA banks x n vote vectors
+    # = 756 logical ΠBCs, riding 32 carriers (8 anchor instants x 4 senders),
+    # each one run of Fig 1 = 81 messages (27 Acast + 54 phase-king); the
+    # rest is ΠABA and point-to-point.  It was 70,560 messages / 22,732,008
+    # bits with one run of Fig 1 per logical ΠBC.
+    assert result.metrics.messages_sent == 11_916 == 81 * 32 + 9_324
+    assert result.metrics.honest_bits == 15_781_608
+    assert max(result.output_times.values()) == pytest.approx(145.052)
+    assert delivered_at_start == [0] * (4 * 756)
     for party in result.run.backend.parties.values():
         broadcasts = [e for e in party.instances.values() if type(e) is BroadcastProtocol]
         assert len(broadcasts) == 120 * 5 + 39 * 4
+        carriers = [e for e in party.instances.values() if type(e) is BroadcastCarrier]
+        assert sorted({round(c.anchor, 3) for c in carriers}) == [
+            3.0, 12.004, 21.008, 42.014, 51.018, 60.022, 81.029, 127.049]
+        assert len(carriers) == 32 and sum(len(c.entries) for c in carriers) == 756
+        # No input missed its bundle (the three publishers at an anchor really
+        # go through at_anchor) and nobody took the late path.
+        assert all(c.output is not None and None not in c.bundle for c in carriers)
+        assert not any(bc._late.message is not None or bc._late.has_output
+                       for bc in broadcasts)
 
 
 def test_sync_linear_circuit_no_multiplications():

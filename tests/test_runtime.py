@@ -552,19 +552,30 @@ def test_auto_shard_size_picks_largest_fitting_shard():
 
 
 def test_run_mpc_auto_shard_respects_bandwidth_budget():
-    from repro.analysis.metrics import sharded_triple_message_bound
+    from repro.analysis.metrics import (
+        bundle_message_bound,
+        sharded_triple_message_bound,
+        sibling_sharings,
+    )
     from repro.circuits import millionaires_product_circuit
 
     circuit = millionaires_product_circuit(FIELD, 4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
     expected = circuit.evaluate({pid: FIELD(v) for pid, v in inputs.items()})
-    budget = sharded_triple_message_bound(1, 1, FIELD.element_bits())
+    # Two terms: the shard's triple payload, and the broadcast bundle, whose
+    # size no shard_size lowers and which is the floor of any budget.
+    shard_bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
+    floor = bundle_message_bound(4, 1, sibling_sharings(4), FIELD.element_bits())
+    budget = max(shard_bound, floor)
     result = run_mpc(
         circuit, inputs, n=4, ts=1, ta=0, seed=9,
         shard_size="auto", bandwidth_budget=budget,
     )
     assert result.completed and result.outputs == expected
-    assert result.metrics.max_message_bits <= budget
+    assert shard_bound < result.metrics.max_message_bits <= budget
+    with pytest.raises(ValueError, match=f"{floor}-bit broadcast-bundle floor"):
+        run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9,
+                shard_size="auto", bandwidth_budget=floor - 1)
     with pytest.raises(ValueError):
         run_mpc(circuit, inputs, n=4, ts=1, ta=0, shard_size="auto")
     with pytest.raises(ValueError):
@@ -687,7 +698,7 @@ def test_missed_regular_mode_deadlines_stall_crash_sync_only(monkeypatch):
     by test_asyncio_backend_matches_sim_backend_on_diagonal.
     """
     from repro.ba.sba import PhaseKingSBA
-    from repro.broadcast.bc import BroadcastProtocol
+    from repro.broadcast.bc import BroadcastCarrier
 
     def overrun_start_sba(self):
         # The timer fires "late" (after the clock ran ahead of computation),
@@ -697,7 +708,7 @@ def test_missed_regular_mode_deadlines_stall_crash_sync_only(monkeypatch):
         )
         self._sba.start()
 
-    monkeypatch.setattr(BroadcastProtocol, "_start_sba", overrun_start_sba)
+    monkeypatch.setattr(BroadcastCarrier, "_start_sba", overrun_start_sba)
 
     honest = run_preprocessing_on(DIAGONAL[0], "sim")
     assert honest.all_honest_done(), (

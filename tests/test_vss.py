@@ -149,7 +149,8 @@ def test_malformed_nok_from_corrupt_party_is_no_verdict():
     it: absent, not something the honest dealers' star searches may index into."""
     poly = random_polynomial(1, 41, seed=22)
     corrupt = {4: RewriteBehavior(
-        {r"prot/(wps\[\d\]/)?ok\[4(,\d)?\](/acast)?": acast_input(malformed_nok)}
+        {r"prot/(wps\[\d\]/)?ok\[4,\d\]": acast_input(malformed_nok)},
+        entries={r"prot/(wps\[\d\]/)?ok\[4\]": malformed_nok},
     )}
     result = _run_vss(n=4, ts=1, ta=0, dealer=1, polynomials=[poly], corrupt=corrupt)
     assert len(result.honest_outputs()) == 3

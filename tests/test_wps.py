@@ -139,7 +139,8 @@ def test_malformed_nok_from_corrupt_party_is_no_verdict():
     """``("NOK",)`` without index and value is absent, not something the honest
     dealer's star search (or anyone's NOK-conflict check) may index into."""
     poly = random_polynomial(1, 77, seed=21)
-    corrupt = {4: RewriteBehavior({r"prot/ok\[4(,\d)?\](/acast)?": acast_input(malformed_nok)})}
+    corrupt = {4: RewriteBehavior({r"prot/ok\[4,\d\]": acast_input(malformed_nok)},
+                                  entries={r"prot/ok\[4\]": malformed_nok})}
     result = _run_wps(n=4, ts=1, ta=0, dealer=1, polynomials=[poly], corrupt=corrupt)
     assert len(result.honest_outputs()) == 3
     assert shares_match_polynomials(result, [poly])
