@@ -51,8 +51,10 @@ PRODUCED_BY = (
     "its (sender, anchor instant) -- one run of Fig 1 per sender per instant: "
     "all 76 outputs digests are byte-identical to those recorded at e6099bc "
     "(one PiBC per ordered pair), 6fb28d1 (one PiBC per PiBA and voter) and "
-    "2a4941f (one run of Fig 1 per logical PiBC), the 70 transcript digests of "
-    "the cells that run PiVSS moved, the other 6 did not"
+    "2a4941f (one run of Fig 1 per logical PiBC); the 69 transcript digests of "
+    "the cells that run a PiVSS moved, the other 7 did not (Acast, ampc, the two "
+    "smpc cells, and the three lone-PiWPS cells, whose 2n+1 PiBCs have no "
+    "sibling to share a carrier with)"
 )
 
 #: cell id -> digests while ``--write`` is recording; None in every test run.
