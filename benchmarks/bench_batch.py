@@ -44,7 +44,7 @@ if _SRC not in sys.path:
 
 from repro.codes.oec import BatchOnlineErrorCorrector, OnlineErrorCorrector
 from repro.codes.reed_solomon import rs_decode_batch
-from repro.field.gf import GF, FieldElement
+from repro.field.gf import FieldElement
 from repro.field.kernels import (
     DISPATCH_THRESHOLDS,
     numpy_available,
@@ -362,22 +362,16 @@ def _run_under_kernel(kernel: str, setup, measured, repeats: int):
         set_kernel_backend(previous)
 
 
-def _measure_kernel_pair(
-    setup, measured, repeats: int, accel: str = "numpy"
-) -> Dict[str, float]:
+def _measure_kernel_speedup(setup, measured, repeats: int) -> Dict[str, float]:
     int_out, int_time = _run_under_kernel("int", setup, measured, repeats)
-    accel_out, accel_time = _run_under_kernel(accel, setup, measured, repeats)
-    assert int_out == accel_out, "kernels disagree -- they must be exact twins"
+    numpy_out, numpy_time = _run_under_kernel("numpy", setup, measured, repeats)
+    assert int_out == numpy_out, "kernels disagree -- they must be exact twins"
     return {
         "int_s": int_time,
-        f"{accel}_s": accel_time,
-        "speedup": int_time / accel_time if accel_time else float("inf"),
-        "kernel": f"{accel}-vs-int",
+        "numpy_s": numpy_time,
+        "speedup": int_time / numpy_time if numpy_time else float("inf"),
+        "kernel": "numpy-vs-int",
     }
-
-
-def _measure_kernel_speedup(setup, measured, repeats: int) -> Dict[str, float]:
-    return _measure_kernel_pair(setup, measured, repeats, accel="numpy")
 
 
 def measure_kernel_reconstruct_speedup(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.broadcast.bc import BroadcastCarrier, carrier_tag
 from repro.field import Polynomial, default_field
@@ -69,10 +69,10 @@ class RewriteBehavior(Behavior):
         return ("init", tuple(bundle))
 
 
-def bundle_tag(root: str, anchor: float, sender: int, kind: str = "acast") -> str:
-    """Regex for the tag ``sender``'s bundle anchored at ``anchor`` travels on
-    (root instance anchored at 0, Δ = 1); ``kind="sba"`` is its phase-king."""
-    return re.escape(f"{carrier_tag(root, anchor, sender, 1.0)}/{kind}")
+def bundle_tag(root: str, anchor: float, sender: int) -> str:
+    """Regex for the tag ``sender``'s bundle anchored at ``anchor`` is Acast on
+    (root instance anchored at 0, Δ = 1)."""
+    return re.escape(carrier_tag(root, anchor, sender, 1.0) + "/acast")
 
 
 def silent_in(prefix: str) -> RewriteBehavior:

@@ -27,7 +27,6 @@ from repro.sim.messages import Message
 
 from protocol_helpers import (
     RewriteBehavior,
-    acast_input,
     random_polynomial,
     run_dealer_protocol,
     shares_match_polynomials,
