@@ -25,7 +25,8 @@ anchor + T_BC and its fallback output when the carrier's Acast delivers,
 exactly when its own Fig 1 run would have handed them out.  An input given
 after the bundle went out (Fig 1's late sender) travels on that entry's own
 bare Acast and is read *bundle first*: only once the bundle has been
-delivered, in either mode, and lacks the entry.
+delivered, in either mode, and lacks the entry.  That Acast is built by the late
+input or the first message for it: an absent endpoint is one with no output.
 
 The carrier's tag is ``<root>/bc@<ticks>[<sender>]``: ``root`` the first
 component of the logical tags, ``ticks`` the anchor's distance from the root
@@ -207,9 +208,7 @@ class BroadcastProtocol(ProtocolInstance):
         self.regular_output: Any = None
         self.regular_decided = False
         self._carrier: Optional[BroadcastCarrier] = None
-        self._late: AcastProtocol = self.spawn(
-            AcastProtocol, "acast", sender=sender, faults=faults
-        )
+        self._late: Optional[AcastProtocol] = None  # built by demand_child()
 
     # -- timing -------------------------------------------------------------
     @property
@@ -221,7 +220,16 @@ class BroadcastProtocol(ProtocolInstance):
         """Sender-side: supply the message (field-element vectors are packed)."""
         self.message = maybe_pack_payload(message)
         if self.me == self.sender and self._carrier is not None and self._carrier.frozen:
-            self._late.provide_input(self.message)
+            self.demand_child("acast").provide_input(self.message)
+
+    def demand_child(self, name: str) -> Optional[AcastProtocol]:
+        if name != "acast" or self._carrier is None:
+            return None
+        if self._late is None:
+            self._late = self.spawn(AcastProtocol, "acast", sender=self.sender, faults=self.faults)
+            self._late.on_output(self._read_late)
+            self._late.start()
+        return self._late
 
     def at_anchor(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the anchor, before the bundle goes out (after
@@ -247,7 +255,7 @@ class BroadcastProtocol(ProtocolInstance):
             raise CarrierError(f"{self.tag} cannot join {carrier!r} (started late, or other t/Δ)")
         carrier.entries.append(self)
         self._carrier = carrier
-        self._late.on_output(self._read_late)
+        self.demand_buffered(("acast",))
 
     def _decide(self, entry: Any) -> None:
         """anchor + T_BC: my entry of the regular-mode bundle (None = ⊥)."""
@@ -266,18 +274,14 @@ class BroadcastProtocol(ProtocolInstance):
 
     def _read_late(self, _value: Any = None) -> None:
         """Bundle first: a late input counts once the bundle is in and lacks it."""
-        if self._carrier.bundle is not None and self.output is None and self._late.output is not None:
-            self.update_output(self._late.output)
+        late = self._late.output if self._late is not None else None
+        if self._carrier.bundle is not None and self.output is None and late is not None:
+            self.update_output(late)
 
     # -- queries used by enclosing protocols -----------------------------------
     def output_via_regular_mode(self) -> Any:
         """The regular-mode output (None if ⊥ or not yet decided)."""
         return self.regular_output if self.regular_decided else None
-
-    @property
-    def fallback_output(self) -> Any:
-        """Current output, whether obtained through regular or fallback mode."""
-        return self.output
 
     def on_delivery(self, callback) -> None:
         """Invoke ``callback(value)`` once a non-⊥ value is delivered.

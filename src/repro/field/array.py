@@ -97,12 +97,6 @@ _CACHES: Dict[str, LruCache] = {
 }
 
 
-def clear_caches() -> None:
-    """Drop every cached coefficient matrix (mainly for tests/benchmarks)."""
-    for cache in _CACHES.values():
-        cache.clear()
-
-
 def cache_stats() -> Dict[str, int]:
     """Sizes and LRU eviction counters of the coefficient-matrix caches."""
     stats: Dict[str, int] = {}

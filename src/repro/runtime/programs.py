@@ -12,11 +12,10 @@ something to parallelize.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.broadcast.acast import AcastProtocol
 from repro.sim.party import Party, ProtocolInstance
-from repro.triples.preprocessing import Preprocessing
 
 
 class AcastFactory:
@@ -85,30 +84,3 @@ class MultiAcastFactory:
             party.field(party.id * 1000 + index) for index in range(self.length)
         ]
         return MultiAcast(party, "multiacast", faults=self.faults, my_message=message)
-
-
-class PreprocessingFactory:
-    """The offline phase: ΠTripSh triple generation at every party."""
-
-    def __init__(
-        self,
-        ts: int,
-        ta: int,
-        num_triples: int,
-        shard_size: Optional[int] = None,
-    ):
-        self.ts = ts
-        self.ta = ta
-        self.num_triples = num_triples
-        self.shard_size = shard_size
-
-    def __call__(self, party: Party) -> ProtocolInstance:
-        return Preprocessing(
-            party,
-            "preproc",
-            ts=self.ts,
-            ta=self.ta,
-            num_triples=self.num_triples,
-            anchor=0.0,
-            shard_size=self.shard_size,
-        )

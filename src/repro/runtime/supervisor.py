@@ -40,6 +40,7 @@ channel latency.
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import pickle
 import re
@@ -71,6 +72,8 @@ from repro.service.checkpoint import CheckpointStore, PartySnapshot, ServiceSnap
 from repro.service.service import EvalResult, RecoveryReport, RejoinProtocol
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.simulator import SimulationMetrics
+
+_log = logging.getLogger("repro.runtime.supervisor")
 
 _EVAL_TAG = re.compile(r"^eval\[(\d+)\]")
 
@@ -116,6 +119,8 @@ def run_service_party(
     listener: Optional[socket.socket] = None,
 ) -> None:
     """Entry point of a service party process (``repro.launch --service``)."""
+    if os.environ.get("REPRO_SVC_DEBUG"):
+        logging.basicConfig(level=logging.DEBUG)
     asyncio.run(_service_party_main(party_id, spec, resume, listener))
 
 
@@ -225,10 +230,7 @@ async def _service_party_main(
             m = _EVAL_TAG.match(tag)
             return bool(m) and int(m.group(1)) < cut
 
-        for tag in [t for t in party.instances if stale(t)]:
-            del party.instances[tag]
-        for tag in [t for t in party._buffered if stale(t)]:
-            del party._buffered[tag]
+        party.retire(stale)
 
     pending: Dict[Tuple[int, int], Tuple[Any, Dict[int, Any]]] = {}
     stop = asyncio.Event()
@@ -315,8 +317,7 @@ async def _service_party_main(
             # chatter stops being interpreted.
             tag = f"eval[{msg['eval_id']}]a{msg['attempt']}"
             pending.pop((msg["eval_id"], msg["attempt"]), None)
-            party.instances.pop(tag, None)
-            party._buffered.pop(tag, None)
+            party.retire(tag.__eq__)
         elif kind == "record":
             # Durable-commit barrier: append every result we have not seen
             # (the supervisor replays the full outbox, so a rejoiner catches
@@ -365,8 +366,6 @@ async def _service_party_main(
             failure.append(exc)
         stop.set()
 
-    debug = bool(os.environ.get("REPRO_SVC_DEBUG"))
-
     async def watchdog() -> None:
         """Surface transport/handler failures instead of running on dead."""
         ticks = 0
@@ -377,13 +376,10 @@ async def _service_party_main(
                 stop.set()
                 return
             ticks += 1
-            if debug and ticks % 10 == 0:
-                print(
-                    f"[svc {party_id}] instances={sorted(party.instances)} "
-                    f"buffered={sorted(party._buffered)} "
-                    f"reconnects={transport.reconnects} "
-                    f"broken={transport.broken_channels}",
-                    file=sys.stderr, flush=True,
+            if ticks % 10 == 0:
+                _log.debug(
+                    "party %d: %d instances, %d buffered tags, reconnects=%s broken=%s",
+                    party_id, *party.load(), transport.reconnects, transport.broken_channels,
                 )
             await asyncio.sleep(0.2)
 

@@ -22,7 +22,6 @@ Two version axes:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -145,16 +144,6 @@ def _freeze(state: Any) -> Any:
     if state is None or isinstance(state, (int, float, str)):
         return state
     raise TypeError(f"rng state component {type(state).__name__} is not wire-encodable")
-
-
-def capture_rng(rng: random.Random) -> Tuple:
-    return rng.getstate()
-
-
-def restore_rng(rng: random.Random, state: Tuple) -> None:
-    # getstate()'s inner entries decode as tuples; setstate requires the
-    # internal state vector itself to be a tuple, which _freeze preserved.
-    rng.setstate(state)
 
 
 class CheckpointStore:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 import time as _time
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit
@@ -529,10 +529,7 @@ class MpcService:
             return False
 
         for party in self.sim.parties.values():
-            for tag in [t for t in party.instances if stale(t)]:
-                del party.instances[tag]
-            for tag in [t for t in party._buffered if stale(t)]:
-                del party._buffered[tag]
+            party.retire(stale)
 
     # -- checkpoint / restore -------------------------------------------------
     def checkpoint(self) -> int:

@@ -101,6 +101,7 @@ type the empty vector.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ba.aba import aba_nominal_time_bound
@@ -253,6 +254,13 @@ def mutually_ok(verdicts, i: int, j: int) -> bool:
     return other is not None and other[0] == OK_VERDICT == verdicts[(i, j)][0]
 
 
+@lru_cache(maxsize=None)
+def late_verdict_names(n: int) -> Dict[str, Tuple[int, int]]:
+    """Canonical name -> (i, j), i != j, of a sharing's late-verdict Acasts, in tag order."""
+    ids = range(1, n + 1)
+    return {f"ok[{i},{j}]": (i, j) for i in ids for j in ids if i != j}
+
+
 def wps_time_bound(n: int, ts: int, delta: float) -> float:
     """T_WPS = 2Δ + 2·T_BC + T_BA (nominal, used for composition anchors)."""
     t_bc = bc_time_bound(n, ts, delta)
@@ -318,7 +326,8 @@ class BivariateSharingMixin:
         self._ba_output: Optional[int] = None
         self._pending_star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
 
-        # Broadcast endpoints (created in _start_broadcasts()).
+        # Broadcast endpoints (created in _start_broadcasts(); the bare Acasts
+        # of the late paths by demand_child(), each on first use).
         self._ok_bc: Dict[int, BroadcastProtocol] = {}
         self._late_ok: Dict[Tuple[int, int], AcastProtocol] = {}
         self._star_bc: Optional[BroadcastProtocol] = None
@@ -339,29 +348,20 @@ class BivariateSharingMixin:
         """Spawn and start the Phase III-V endpoints and their evaluation timers."""
         eps = epsilon(self.delta)
         ok_anchor = self.ok_anchor_at(self.anchor, self.n, self.ts, self.delta)
-        ids = self.party.all_party_ids()
-        for i in ids:
-            # P_i's verdict vector, and its per-pair Acasts for late verdicts.
+        for i in self.party.all_party_ids():  # P_i's verdict vector
             bc = self._ok_bc[i] = self.spawn(
                 BroadcastProtocol, f"ok[{i}]", sender=i, faults=self.ts,
                 anchor=ok_anchor, delta=self.delta,
             )
             bc.on_delivery(lambda vector, i=i: self._record_vector(i, vector))
-            for j in ids:
-                if j != i:
-                    late = self._late_ok[(i, j)] = self.spawn(
-                        AcastProtocol, f"ok[{i},{j}]", sender=i, faults=self.ts
-                    )
-                    late.on_output(lambda value, i=i, j=j: self._record_late_verdict(i, j, value))
-        # Dealer's (W, E, F) broadcast, and (E', F') for the (n, t_a)-star path.
+        # Dealer's (W, E, F) broadcast.
         self._star_bc = self.spawn(
             BroadcastProtocol, "star", sender=self.dealer, faults=self.ts,
             anchor=ok_anchor + self.t_bc + 2 * eps, delta=self.delta,
         )
-        self._star2 = self.spawn(AcastProtocol, "star2", sender=self.dealer, faults=self.ts)
-        for endpoint in (*self._ok_bc.values(), *self._late_ok.values(),
-                         self._star_bc, self._star2):
+        for endpoint in (*self._ok_bc.values(), self._star_bc):
             endpoint.start()
+        self.demand_buffered((*late_verdict_names(self.n), "star2"))
         if self._ba is None:
             bank = self.spawn(
                 BestOfBothWorldsBA, "ba", faults=self.ts, delta=self.delta,
@@ -378,6 +378,26 @@ class BivariateSharingMixin:
         if self.me == self.dealer:
             self._star_bc.at_anchor(self._dealer_find_star)
         self.schedule_at(ok_anchor + self.t_bc + 3 * eps, self._take_snapshot)
+
+    def demand_child(self, name: str) -> Optional[AcastProtocol]:
+        """The bare Acasts of the late paths -- P_i's late verdict on P_j
+        ``ok[i,j]``, the dealer's (E', F') ``star2`` -- exist from the first
+        input or message that needs them, once the broadcasts have started."""
+        pair = late_verdict_names(self.n).get(name)
+        if not self._ok_bc or (pair is None and name != "star2"):
+            return None
+        late = self._late_ok.get(pair) if pair else self._star2
+        if late is None:
+            sender = pair[0] if pair else self.dealer
+            late = self.spawn(AcastProtocol, name, sender=sender, faults=self.ts)
+            if pair:
+                self._late_ok[pair] = late
+                late.on_output(lambda value: self._record_late_verdict(*pair, value))
+            else:
+                self._star2 = late
+                late.on_output(self._star2_delivered)
+            late.start()
+        return late
 
     # -- Phase I: dealer distributes rows ----------------------------------------------
     def _dealer_distribute(self) -> None:
@@ -444,8 +464,8 @@ class BivariateSharingMixin:
             return
         when = next_multiple_of_delta(self.now, self.delta)
         for j in self._take_unpublished():
-            self.schedule_at(when, lambda j=j: self._late_ok[(self.me, j)].provide_input(
-                self._verdict_on(j)))
+            self.schedule_at(when, lambda j=j: self.demand_child(
+                f"ok[{self.me},{j}]").provide_input(self._verdict_on(j)))
 
     # -- the trust boundary: one total parser for what other parties publish -------------------
     def _parse_verdict(self, value: Any) -> Optional[Tuple]:
@@ -492,11 +512,13 @@ class BivariateSharingMixin:
         for (_, j), verdict in self._vector_entries(i, vector).items():
             self._record_verdict(i, j, verdict)
         for j in self.party.all_party_ids():
-            if j != i and self._late_ok[(i, j)].has_output:
-                self._record_late_verdict(i, j, self._late_ok[(i, j)].output)
+            late = self._late_ok.get((i, j))
+            if late is not None and late.has_output:
+                self._record_late_verdict(i, j, late.output)
 
     def _record_late_verdict(self, i: int, j: int, value: Any) -> None:
-        """Vector first: a late ``ok[i,j]`` waits for P_i's vector (see _record_vector)."""
+        """Vector first: a late ``ok[i,j]`` waits for P_i's vector (see
+        _record_vector), where an absent endpoint is one with no output."""
         verdict = self._parse_verdict(value) if i in self._vectors_seen else None
         if verdict is not None:
             self._record_verdict(i, j, verdict)
@@ -598,7 +620,8 @@ class BivariateSharingMixin:
         else:
             if self.me == self.dealer:
                 self._dealer_try_star2()
-            self._star2.on_output(self._star2_delivered)
+            if self._star2 is not None and self._star2.has_output:
+                self._star2_delivered(self._star2.output)
 
     # -- output through the (W, E, F) path -----------------------------------------------------------
     def _compute_output_via_w(self, candidate: Any) -> None:
@@ -619,10 +642,13 @@ class BivariateSharingMixin:
         if star is None:
             return
         self._star2_sent = True
-        self._star2.provide_input((star.e_set, star.f_set))
+        self.demand_child("star2").provide_input((star.e_set, star.f_set))
 
     def _star2_delivered(self, candidate: Any) -> None:
-        """Hold an early (E', F') until the ΠBC it replaced would have delivered."""
+        """Hold an early (E', F') until the ΠBC it replaced would have delivered
+        (and until ΠBA has said 1: _handle_ba_output comes back for it)."""
+        if self._ba_output != 1:
+            return
         due = self.anchor + self.time_bound + self.t_bc
         if self.now < due:
             self.schedule_at(due, lambda: self._try_adopt_star2(candidate))

@@ -16,7 +16,7 @@ concurrent :class:`~repro.runtime.asyncio_backend.AsyncioBackend`.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.api import PartyRuntime
@@ -43,17 +43,8 @@ class Party:
 
     # -- identity ----------------------------------------------------------
     @property
-    def simulator(self) -> "PartyRuntime":
-        """Historical alias for :attr:`runtime` (any backend, not only sim)."""
-        return self.runtime
-
-    @property
     def n(self) -> int:
         return self.runtime.n
-
-    @property
-    def is_corrupt(self) -> bool:
-        return self.id in self.runtime.corrupt_parties
 
     @property
     def now(self) -> float:
@@ -106,19 +97,35 @@ class Party:
     def get_instance(self, tag: str) -> Optional["ProtocolInstance"]:
         return self.instances.get(tag)
 
+    def retire(self, stale: Callable[[str], bool]) -> None:
+        """Forget every instance, and every buffered message, whose tag is ``stale``."""
+        for table in (self.instances, self._buffered):
+            for tag in [t for t in table if stale(t)]:
+                del table[tag]
+
+    def load(self) -> Tuple[int, int]:
+        """(instances held, tags with buffered messages): what a long-lived host watches."""
+        return len(self.instances), len(self._buffered)
+
     def deliver(self, sender: int, tag: str, payload: Any) -> None:
         """Deliver an incoming message to the instance addressed by ``tag``.
 
         Messages for instances that do not exist yet are buffered and
         replayed on registration (parties may create sub-protocol endpoints
-        at different local times).
+        at different local times), unless the registered parent builds that
+        child on first use (:meth:`ProtocolInstance.demand_child`) right now.
         """
         if self.behavior.drop_incoming(self, sender, tag, payload):
             return
         instance = self.instances.get(tag)
         if instance is None:
-            self._buffered.setdefault(tag, []).append((sender, payload))
-            return
+            parent_tag, _, name = tag.rpartition("/")
+            parent = self.instances.get(parent_tag)
+            if parent is not None:
+                instance = parent.demand_child(name)
+            if instance is None:
+                self._buffered.setdefault(tag, []).append((sender, payload))
+                return
         instance.receive(sender, payload)
 
     def __repr__(self) -> str:
@@ -183,6 +190,21 @@ class ProtocolInstance:
     def spawn(self, cls, name: str, *args, **kwargs) -> "ProtocolInstance":
         """Create a child protocol instance under this instance's tag."""
         return cls(self.party, self.subtag(name), *args, **kwargs)
+
+    def demand_child(self, name: str) -> Optional["ProtocolInstance"]:
+        """A message came for ``subtag(name)``, which does not exist.  An owner of
+        children built on first use returns that child -- started, hooked up, its
+        tag exactly that -- or ``None`` for a name it would never build, or cannot
+        build yet (the message is buffered; :meth:`demand_buffered` picks it up)."""
+        return None
+
+    def demand_buffered(self, names: Iterable[str]) -> None:
+        """From now on :meth:`demand_child` builds ``names``: build those with
+        messages already waiting (they are replayed as on any registration)."""
+        buffered = self.party._buffered
+        for name in names if buffered else ():
+            if self.subtag(name) in buffered:
+                self.demand_child(name)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:

@@ -7,6 +7,7 @@ few seconds of wall time; the circuits and party counts are kept small.
 
 import pytest
 
+from repro.broadcast.acast import AcastProtocol
 from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol
 from repro.circuits import (
     inner_product_circuit,
@@ -77,10 +78,15 @@ def test_sync_product_all_honest(monkeypatch):
             3.0, 12.004, 21.008, 42.014, 51.018, 60.022, 81.029, 127.049]
         assert len(carriers) == 32 and sum(len(c.entries) for c in carriers) == 756
         # No input missed its bundle (the three publishers at an anchor really
-        # go through at_anchor) and nobody took the late path.
+        # go through at_anchor) and nobody took the late path, so the carriers'
+        # Acasts are the only ones: the late-path ones (12 ok[i,j] + star2 per
+        # sharing, one per logical ΠBC) are built on first use.  Built up front
+        # they made it 2,348 Acasts and 3,547 instances per party.
         assert all(c.output is not None and None not in c.bundle for c in carriers)
-        assert not any(bc._late.message is not None or bc._late.has_output
-                       for bc in broadcasts)
+        assert not any(bc._late is not None for bc in broadcasts)
+        acasts = [e for e in party.instances.values() if type(e) is AcastProtocol]
+        assert len(acasts) == 32 and {a.tag for a in acasts} == {c.tag + "/acast" for c in carriers}
+    assert sum(len(p.instances) for p in result.run.backend.parties.values()) == 4_924
 
 
 def test_sync_linear_circuit_no_multiplications():
