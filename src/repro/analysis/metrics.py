@@ -127,6 +127,10 @@ def bundle_message_bound(
     with index and value), and the (W, E, F) of the ΠWPS the party deals in
     each ΠVSS (three sets of at most n ids, 64 bits per id).  The Acast kind
     or phase-king round number in front costs at most 64 bits more.
+
+    It also bounds a ΠABA vector (:class:`repro.ba.aba.AbaCarrier`): 64 bits per
+    slot launched at one instant, at most the n slots of each of the ``sharings``
+    ``wps_ba`` banks -- a third of ``stars``, whatever L and ``shard_size``.
     """
     verdicts = sharings * n * ((n - ts) * 16 + ts * (24 + 64 + element_bits))
     stars = sharings * 3 * n * 64

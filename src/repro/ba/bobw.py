@@ -13,9 +13,10 @@ groups at one commonly known anchor.  :class:`BestOfBothWorldsBA` is such a
 group, a *bank* of k >= 1 slots: party P_i publishes its votes for all k
 slots as **one** ΠBC ``bc[i]`` whose value is a k-tuple (entry j: ``None``
 for "no vote in slot j yet", else the bit), sent at the anchor even if
-empty, and slot j runs its own ΠABA ``aba[j]``, taking its input at T_BC
-from entry j of the regular-mode vectors exactly as Fig 2 does from the
-regular-mode bits.  k = 1 is Fig 2 verbatim.  A vote cast after the vector
+empty, and slot j runs its own ΠABA ``aba[j]`` (one vector per step with all
+launched at that instant, :class:`~repro.ba.aba.AbaCarrier`), taking its input
+at T_BC from entry j of the regular-mode vectors exactly as Fig 2 does from
+the regular-mode bits.  k = 1 is Fig 2 verbatim.  A vote cast after the vector
 went out is not broadcast at all: Fig 2 reads the vote ΠBCs through their
 regular mode only, which promises nothing for an input given after the
 anchor, so such a vote only becomes the slot's own ΠABA input.
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.ba.aba import BrachaABA, aba_nominal_time_bound
+from repro.ba.aba import AbaCarrier, aba_carrier, aba_nominal_time_bound
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon
@@ -139,6 +140,7 @@ class BestOfBothWorldsBA(ProtocolInstance):
         if value is not None:
             self.slots[0].vote = int(value)
         self._bc: Dict[int, BroadcastProtocol] = {}
+        self._abas: Optional[AbaCarrier] = None  # of every ΠABA launched at anchor + T_BC
         self._at_anchor: List[Callable[[], None]] = []
 
     # -- input -----------------------------------------------------------------
@@ -170,7 +172,10 @@ class BestOfBothWorldsBA(ProtocolInstance):
             bc.start()
         t_bc = bc_time_bound(self.n, self.faults, self.delta)
         self._bc[self.me].at_anchor(self._publish_vector)
-        self.schedule_at(self.anchor + t_bc + epsilon(self.delta), self._start_abas)
+        self._abas = aba_carrier(
+            self.party, self.tag, self.anchor + t_bc + epsilon(self.delta), self.delta
+        )
+        self._abas.join([self.subtag(f"aba[{slot.index}]") for slot in self.slots], self._start_abas)
 
     def _publish_vector(self) -> None:
         """The anchor: the votes due now are cast, then all of them ride one ΠBC."""
@@ -204,13 +209,11 @@ class BestOfBothWorldsBA(ProtocolInstance):
                 # a default 0 would violate validity -- all honest parties
                 # could end up deciding 0 for every dealer and the common
                 # subset would come out empty.  Defer until the vote is cast;
-                # early ABA messages are buffered by the party until then.
+                # early ABA messages wait in the carrier until then.
                 slot._awaiting_vote = True
 
     def _launch_aba(self, slot: BASlot, my_input: int) -> None:
-        aba = self.spawn(BrachaABA, f"aba[{slot.index}]", faults=self.faults, value=my_input)
-        aba.on_output(slot._decide)
-        aba.start()
+        self._abas.launch(self.subtag(f"aba[{slot.index}]"), self.faults, my_input, slot._decide)
 
     def _slot_decided(self) -> None:
         if all(slot.has_output for slot in self.slots):

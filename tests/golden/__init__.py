@@ -12,8 +12,10 @@ states which commit and which code path produced it.
 
 Tests call :func:`assert_matches_golden`.  Regeneration is explicit and
 loud -- ``python -m tests.golden --write`` from the repository root, which
-refuses to run on a dirty ``src/`` and re-runs every pinned test -- never a
-side effect of an environment variable or a pytest flag.
+refuses to run on a dirty ``src/``, re-runs every pinned test, says which
+cells moved in which half against the file it replaces and refuses to write
+if any ``outputs`` half would move -- never a side effect of an environment
+variable or a pytest flag.
 """
 
 from __future__ import annotations
@@ -156,6 +158,30 @@ def write_golden(cells: Dict[str, Dict[str, str]]) -> None:
         handle.write("\n")
 
 
+def replace_golden(cells: Dict[str, Dict[str, str]]) -> int:
+    """Write ``cells`` over the golden file, saying which cells pinned in both
+    moved in which half -- unless an ``outputs`` half would move (exit 1)."""
+    previous = {}
+    if os.path.exists(GOLDEN_FILE):
+        with open(GOLDEN_FILE, encoding="utf-8") as handle:
+            previous = json.load(handle)["cells"]
+    moved = {
+        half: sorted(cell for cell in previous.keys() & cells.keys()
+                     if previous[cell][half] != cells[cell][half])
+        for half in ("outputs", "transcript")
+    }
+    print(f"outputs moved: {len(moved['outputs'])}, transcript moved: {len(moved['transcript'])}")
+    for half, ids in moved.items():
+        for cell in ids:
+            print(f"  {half}: {cell}")
+    if moved["outputs"]:
+        print("what the parties compute changed; golden file left untouched")
+        return 1
+    write_golden(cells)
+    print(f"wrote {len(cells)} cells to {GOLDEN_FILE}")
+    return 0
+
+
 def main(argv=None) -> int:
     """``python -m tests.golden --write``: re-record every pinned cell."""
     global _recording
@@ -179,6 +205,4 @@ def main(argv=None) -> int:
     if status != 0 or not _recording:
         print(f"pinned tests did not pass (pytest exit {status}); golden file left untouched")
         return 1
-    write_golden(_recording)
-    print(f"wrote {len(_recording)} cells to {GOLDEN_FILE}")
-    return 0
+    return replace_golden(_recording)

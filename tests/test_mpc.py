@@ -7,6 +7,7 @@ few seconds of wall time; the circuits and party counts are kept small.
 
 import pytest
 
+from repro.ba.aba import AbaCarrier
 from repro.broadcast.acast import AcastProtocol
 from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol
 from repro.circuits import (
@@ -64,10 +65,12 @@ def test_sync_product_all_honest(monkeypatch):
     # sharings x (n verdict vectors + star) + 39 ΠBA banks x n vote vectors
     # = 756 logical ΠBCs, riding 32 carriers (8 anchor instants x 4 senders),
     # each one run of Fig 1 = 81 messages (27 Acast + 54 phase-king); the
-    # rest is ΠABA and point-to-point.  It was 70,560 messages / 22,732,008
-    # bits with one run of Fig 1 per logical ΠBC.
-    assert result.metrics.messages_sent == 11_916 == 81 * 32 + 9_324
-    assert result.metrics.honest_bits == 15_781_608
+    # rest is point-to-point (1,836) and ΠABA: the 144 slots per party launch
+    # at 4 instants and speak in 20 vectors, each to 3 peers.  It was 11,916 /
+    # 15,781,608 bits with 13 messages per slot per party, and 70,560 /
+    # 22,732,008 with one run of Fig 1 per logical ΠBC on top.
+    assert result.metrics.messages_sent == 4_668 == 81 * 32 + 1_836 + 20 * 3 * 4
+    assert result.metrics.honest_bits == 14_731_560
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert delivered_at_start == [0] * (4 * 756)
     for party in result.run.backend.parties.values():
@@ -86,7 +89,11 @@ def test_sync_product_all_honest(monkeypatch):
         assert not any(bc._late is not None for bc in broadcasts)
         acasts = [e for e in party.instances.values() if type(e) is AcastProtocol]
         assert len(acasts) == 32 and {a.tag for a in acasts} == {c.tag + "/acast" for c in carriers}
-    assert sum(len(p.instances) for p in result.run.backend.parties.values()) == 4_924
+        abas = [e for e in party.instances.values() if type(e) is AbaCarrier]
+        assert sorted((c.tag, len(c._slots)) for c in abas) == [
+            ("mpc/aba@136052", 4), ("mpc/aba@30011", 96), ("mpc/aba@69025", 24),
+            ("mpc/aba@90032", 20)]
+    assert sum(len(p.instances) for p in result.run.backend.parties.values()) == 4_924 + 16
 
 
 def test_sync_linear_circuit_no_multiplications():

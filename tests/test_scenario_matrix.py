@@ -184,13 +184,14 @@ def run_preprocessing(scenario: Scenario):
 
 
 def heaviest_messages(run):
-    """``run()``'s result, its largest message on a broadcast carrier's tags
-    (a bundle, ``repro.broadcast.bc``) and its largest on any other tag."""
+    """``run()``'s result, its largest message on a carrier's tags (a broadcast
+    bundle, ``repro.broadcast.bc``, or a ΠABA vector, ``repro.ba.aba``: sized by n
+    and the siblings per instant) and its largest on any other tag."""
     heaviest = {True: 0, False: 0}
     record = SimulationMetrics.record_send
 
     def recording(metrics, message, *args, **kwargs):
-        on_carrier = "/bc@" in message.tag
+        on_carrier = "/bc@" in message.tag or "/aba@" in message.tag
         heaviest[on_carrier] = max(heaviest[on_carrier], message.bits)
         return record(metrics, message, *args, **kwargs)
 
@@ -460,3 +461,32 @@ def test_random_drop_behavior_is_reproducible_from_seed():
     """Satellite contract: adversarial draws come from the injected rng only."""
     scenario = Scenario(4, 1, 0, "random_drop", "sync", None)
     assert digest(run_preprocessing(scenario)) == digest(run_preprocessing(scenario))
+
+
+def test_golden_write_names_the_cells_that_moved_and_refuses_an_outputs_move(
+    tmp_path, monkeypatch, capsys
+):
+    """``--write`` against the file it replaces: a transcript half may move (it is
+    named), an ``outputs`` half may not (exit 1, file untouched)."""
+    import json
+
+    import golden
+
+    target = tmp_path / "digests.json"
+    monkeypatch.setattr(golden, "GOLDEN_FILE", str(target))
+    cells = {"a": {"outputs": "o1", "transcript": "t1"}, "b": {"outputs": "o2", "transcript": "t2"}}
+    assert golden.replace_golden(cells) == 0  # nothing to compare with
+    assert "outputs moved: 0, transcript moved: 0" in capsys.readouterr().out
+
+    messages_changed = {"a": {"outputs": "o1", "transcript": "t9"}, "b": cells["b"],
+                        "c": {"outputs": "o3", "transcript": "t3"}}
+    assert golden.replace_golden(messages_changed) == 0
+    said = capsys.readouterr().out
+    assert "outputs moved: 0, transcript moved: 1" in said and "  transcript: a\n" in said
+    assert json.loads(target.read_text())["cells"] == messages_changed
+
+    decisions_changed = {**messages_changed, "b": {"outputs": "o9", "transcript": "t2"}}
+    assert golden.replace_golden(decisions_changed) == 1
+    said = capsys.readouterr().out
+    assert "outputs moved: 1, transcript moved: 0" in said and "  outputs: b\n" in said
+    assert json.loads(target.read_text())["cells"] == messages_changed

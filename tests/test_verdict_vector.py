@@ -93,12 +93,14 @@ def test_vss_n4_transcript_size_is_pinned():
     4,164 / 1,015,578 with one vote ΠBC per (ΠBA, voter) and 2,976 / 872,514 with
     one run of Fig 1 per vector (33 per party); now 81 messages per carrier, 21
     of them: 4 senders x (ΠWPS ok, ΠWPS star, ``wps_ba``, ΠVSS ok, ``ba``) + the
-    one dealer's ΠVSS star."""
+    one dealer's ΠVSS star.  The rest was 303 (2,004 / 757,314 in all) while the
+    five ΠABA slots sent 13 messages each per party; the four of ``wps_ba`` now
+    share their vectors (``repro.ba.aba``)."""
     poly = random_polynomial(1, 6, seed=32)
     result = run_dealer_protocol(VerifiableSecretSharing, n=4, ts=1, ta=0, dealer=1,
                                  polynomials=[poly])
-    assert result.metrics.messages_sent == 2_004 == 81 * 21 + 303
-    assert result.metrics.honest_bits == 757_314
+    assert result.metrics.messages_sent == 1_860 == 81 * 21 + 159
+    assert result.metrics.honest_bits == 736_578
     carriers = [e for e in result.instances[1].party.instances.values()
                 if type(e) is BroadcastCarrier]
     assert len(carriers) == 21 and sum(len(c.entries) for c in carriers) == 33
