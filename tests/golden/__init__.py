@@ -49,14 +49,16 @@ PINNED_MODULES = (
 PRODUCED_BY = (
     "the single protocol path with the verdict-vector Phase III of PiWPS/PiVSS, "
     "every PiBA a slot of a bank whose votes ride one PiBC per party, star2 on "
-    "a bare Acast, and every logical PiBC an entry of the broadcast carrier of "
-    "its (sender, anchor instant) -- one run of Fig 1 per sender per instant: "
+    "a bare Acast, every logical PiBC an entry of the broadcast carrier of its "
+    "(sender, anchor instant), and the PiABAs of the slots launched at one "
+    "instant speaking in one vector per step (the AbaCarrier of repro.ba.aba): "
     "all 76 outputs digests are byte-identical to those recorded at e6099bc "
-    "(one PiBC per ordered pair), 6fb28d1 (one PiBC per PiBA and voter) and "
-    "2a4941f (one run of Fig 1 per logical PiBC); the 69 transcript digests of "
-    "the cells that run a PiVSS moved, the other 7 did not (Acast, ampc, the two "
-    "smpc cells, and the three lone-PiWPS cells, whose 2n+1 PiBCs have no "
-    "sibling to share a carrier with)"
+    "(one PiBC per ordered pair), 6fb28d1 (one PiBC per PiBA and voter), "
+    "2a4941f (one run of Fig 1 per logical PiBC) and b8ff26b (one PiABA message "
+    "per slot per step); the 69 transcript digests of the cells that run a "
+    "PiVSS moved -- its n wps_ba slots share their vectors -- the other 7 did "
+    "not (Acast, ampc, the two smpc cells, and the three lone-PiWPS cells, "
+    "whose one-slot bank sends what it sent)"
 )
 
 #: cell id -> digests while ``--write`` is recording; None in every test run.
