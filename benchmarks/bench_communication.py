@@ -11,8 +11,10 @@ constants are not expected to match the paper (our ΠBGP differs); the
 row per protocol to ``BENCH_communication.json`` and asserts the tolerances.
 Rows measured with this file at an earlier commit's ``src/`` are kept beside
 them: all four with one run of Fig 1 per logical ΠBC as ``@parent_2a4941f``
-(:data:`PARENT_ROWS`; the broadcast carriers of ``repro.broadcast.bc`` came
-after it), ΠWPS/ΠVSS before the verdict-vector ΠBC as ``@parent_e6099bc``.
+(the broadcast carriers of ``repro.broadcast.bc`` came after it), all four
+with one ΠABA message per slot per step as ``@parent_b8ff26b`` (the ΠABA
+carriers of ``repro.ba.aba`` came after it; :data:`PARENT_ROWS`), ΠWPS/ΠVSS
+before the verdict-vector ΠBC as ``@parent_e6099bc``.
 """
 
 import json
@@ -38,15 +40,17 @@ EXPONENT_TOLERANCE = 1.5
 
 #: label -> (suffix of the row measured with this file at that commit's
 #: ``src/``, by how much the fitted message exponent must lie below it).  A
-#: lone ΠBC is a one-entry carrier and costs what it did; in a sharing the n
-#: verdict vectors, the star and the n vote vectors per sibling become one
-#: run of Fig 1 per sender and instant, a factor ~n of the ΠBC messages of
-#: ΠVSS and ~n² of ΠACS's.
+#: lone ΠBC and a lone ΠWPS (a one-slot bank) cost what they did; the n
+#: ``wps_ba`` slots of a ΠVSS, and the n of each of a ΠACS's n ΠVSS with its
+#: own 2n, now share one ΠABA vector per step (against ``@parent_2a4941f`` the
+#: drops were 0.5: n verdict vectors, star and n vote vectors per sibling
+#: became one run of Fig 1 per sender and instant).  ΠVSS sends 7-8% less at
+#: every n of the sweep, which moves a three-point fit by ±0.01 either way.
 PARENT_ROWS = {
-    "bc": ("@parent_2a4941f", 0.0),
-    "wps": ("@parent_2a4941f", 0.0),
-    "vss": ("@parent_2a4941f", 0.5),
-    "acs": ("@parent_2a4941f", 0.5),
+    "bc": ("@parent_b8ff26b", 0.0),
+    "wps": ("@parent_b8ff26b", 0.0),
+    "vss": ("@parent_b8ff26b", -0.05),
+    "acs": ("@parent_b8ff26b", 0.1),
 }
 
 
@@ -135,9 +139,12 @@ def main(suffix: str = "") -> None:
         if parent is not None and parent_suffix and not suffix:
             drop = parent["fitted_messages_exponent"] - row["fitted_messages_exponent"]
             assert drop >= least_drop, (label, drop)
-            assert row["fitted_bits_exponent"] <= parent["fitted_bits_exponent"] + 1e-9, label
-            assert all(row["messages_by_n"][n] <= parent["messages_by_n"][n]
-                       for n in row["messages_by_n"]), (label, row["messages_by_n"])
+            # Bits are compared n by n, not by the fit: taking out a lower-order
+            # term (ΠABA's bits are ~n⁴ of ΠACS's ~n^5.5) lowers every point and
+            # *raises* the exponent fitted through three small n.
+            for counts in ("messages_by_n", "bits_by_n"):
+                assert all(row[counts][n] <= parent[counts][n] for n in row[counts]), (
+                    label, row[counts])
             row["messages_exponent_drop_vs_parent"] = drop
         record_bench("communication", f"scaling_{label}{suffix}", row)
         print(f"{label:4s} bits ~ n^{row['fitted_bits_exponent']:.2f} "

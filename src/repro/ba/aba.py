@@ -268,7 +268,6 @@ class AbaCarrier(ProtocolInstance):
         #: Slot tags; sorted, hence positional, once the launch timer has fired.
         self._tags: List[str] = []
         self._position: Optional[Dict[str, int]] = None
-        self._slots: List[Optional[BrachaABA]] = []
         self._early: List[Tuple[int, Any]] = []
         #: position of a slot not launched yet -> the logical messages waiting for it.
         self._waiting: Dict[int, List[tuple]] = {}
@@ -285,9 +284,9 @@ class AbaCarrier(ProtocolInstance):
     def _launch(self) -> None:
         self._tags.sort()
         self._position = {tag: index for index, tag in enumerate(self._tags)}
-        self._slots = [None] * len(self._tags)
         self._active += 1
-        for launcher in self._launchers:
+        launchers, self._launchers = self._launchers, []
+        for launcher in launchers:
             launcher()
         early, self._early = self._early, []
         for sender, payload in early:
@@ -299,7 +298,6 @@ class AbaCarrier(ProtocolInstance):
         index = self._position[tag]
         slot = BrachaABA(self.party, tag, faults, value, emit=partial(self._say, index))
         slot.on_output(on_output)
-        self._slots[index] = slot
         self._active += 1
         slot.start()
         for message in self._waiting.pop(index, ()):
@@ -312,14 +310,15 @@ class AbaCarrier(ProtocolInstance):
             self._early.append((sender, payload))
             return
         parsed = _parse(payload)
-        if not parsed or type(parsed[2]) is not tuple or len(parsed[2]) != len(self._slots):
+        if not parsed or type(parsed[2]) is not tuple or len(parsed[2]) != len(self._tags):
             return
         kind, round_index, vector = parsed
+        launched = self.party.instances  # a slot is held by its tag alone: no cycle with it
         self._active += 1
         for index, bit in enumerate(vector):
             if bit is None:
                 continue
-            slot = self._slots[index]
+            slot = launched.get(self._tags[index])
             if slot is not None:
                 slot.handle(sender, kind, round_index, bit)
             else:
@@ -333,7 +332,7 @@ class AbaCarrier(ProtocolInstance):
         if vector is None or vector[index] is not None:
             if vector is not None:
                 self._flush()  # this slot's second word in one step: the first goes first
-            vector = self._pending[step] = [None] * len(self._slots)
+            vector = self._pending[step] = [None] * len(self._tags)
         vector[index] = message[-1]
         if not self._active:
             self._flush()

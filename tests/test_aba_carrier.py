@@ -23,12 +23,12 @@ from repro.sim.party import ProtocolInstance
 from repro.sim.simulator import SimulationMetrics
 
 from protocol_helpers import RewriteBehavior
-from test_vote_vector import FIG2_AT_PARENT, _run_bank
+from test_vote_vector import FIG2_AT_PARENT, _inject, _run_bank
 
 N, T = 4, 1
 T_BC = bc_time_bound(N, T, 1.0)
 #: A bank anchored at 0 under a root anchored at 0 launches at T_BC + ε: 9.003 Δ.
-LAUNCH = "aba@9003"
+LAUNCH = f"aba@{round((T_BC + 0.001) / 0.001)}"
 
 
 def _recording_sends(run):
@@ -72,7 +72,7 @@ def test_a_lone_bank_is_a_one_slot_carrier_and_outputs_what_fig_2_did(
     for pid in expected:
         (carrier,) = _carriers(result.instances[pid].party)
         assert carrier.tag == f"ba/aba@{ticks}" and carrier._tags == ["ba/aba[0]"]
-        assert carrier._slots == [result.instances[pid].party.instances["ba/aba[0]"]]
+        assert type(result.instances[pid].party.instances["ba/aba[0]"]) is BrachaABA
     # The slot keeps its tag (the coin's key) and sends nothing under it.
     aba_tags = {tag for sender, tag, _ in sent if sender in expected and "/aba" in tag}
     assert aba_tags == {f"ba/aba@{ticks}"}
@@ -124,9 +124,8 @@ def test_two_banks_at_one_anchor_share_one_carrier_and_one_fan_out_per_step():
         assert (shared.tag, alone.tag) == (f"root/{LAUNCH}", "root/aba@11503")
         assert shared._tags == ["root/x/aba[0]", "root/x/aba[1]", "root/y/aba[0]"]
         assert alone._tags == ["root/z/aba[0]"]
-        assert all(type(slot) is BrachaABA and slot.tag == tag
-                   for carrier in (shared, alone)
-                   for slot, tag in zip(carrier._slots, carrier._tags))
+        assert all(type(root.party.instances[tag]) is BrachaABA
+                   for carrier in (shared, alone) for tag in carrier._tags)
         # Unanimous votes in synchrony: the three slots move in lockstep, so every
         # step is one full vector, sent once -- not one message per slot.
         steps = _fan_outs(sent, pid, shared.tag)
@@ -209,23 +208,10 @@ def test_a_late_vote_launches_its_slot_and_sends_a_sparse_vector():
 # -- Byzantine vectors -----------------------------------------------------------------------
 
 
-def _ahead_of_its_first(tag_pattern, forged):
-    """P_4 runs the honest code and sends every payload of ``forged`` ahead of its
-    first message on a tag matching ``tag_pattern``, to every recipient."""
-    done = set()
-
-    def edit(tag, payload):
-        extra = [] if tag in done else [(tag, f) for f in forged]
-        done.add(tag)
-        return extra + [(tag, payload)]
-
-    return {4: RewriteBehavior({tag_pattern: edit})}
-
-
 def _three_slots(forged):
     """Slots 0 and 1 are voted on (1 and 0); nobody ever votes in slot 2."""
     result = _run_bank(4, 1, {pid: [1, 0] for pid in range(1, 5)}, slots=3, max_time=200.0,
-                       corrupt=_ahead_of_its_first(r"ba/aba@\d+", forged))
+                       corrupt=_inject(r"ba/aba@\d+", *forged))
     return {pid: ([slot.output for slot in bank.slots], len(bank.party.instances))
             for pid, bank in result.instances.items() if pid != 4}, result
 

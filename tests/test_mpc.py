@@ -90,7 +90,7 @@ def test_sync_product_all_honest(monkeypatch):
         acasts = [e for e in party.instances.values() if type(e) is AcastProtocol]
         assert len(acasts) == 32 and {a.tag for a in acasts} == {c.tag + "/acast" for c in carriers}
         abas = [e for e in party.instances.values() if type(e) is AbaCarrier]
-        assert sorted((c.tag, len(c._slots)) for c in abas) == [
+        assert sorted((c.tag, len(c._tags)) for c in abas) == [
             ("mpc/aba@136052", 4), ("mpc/aba@30011", 96), ("mpc/aba@69025", 24),
             ("mpc/aba@90032", 20)]
     assert sum(len(p.instances) for p in result.run.backend.parties.values()) == 4_924 + 16

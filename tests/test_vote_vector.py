@@ -333,13 +333,13 @@ def test_real_clock_vss_publishes_no_empty_vote_vector():
 # -- Byzantine bytes on the vote path: PhaseKingSBA, BrachaABA, AcastProtocol are total ------------
 
 
-def _inject(tag_pattern, forged):
-    """P_4 runs the honest code and sends ``forged`` ahead of its first message
-    on a tag matching ``tag_pattern``, to every recipient."""
+def _inject(tag_pattern, *forged):
+    """P_4 runs the honest code and sends the ``forged`` payloads ahead of its
+    first message on a tag matching ``tag_pattern``, to every recipient."""
     done = set()
 
     def edit(tag, payload):
-        extra = [] if tag in done else [(tag, forged)]
+        extra = [] if tag in done else [(tag, each) for each in forged]
         done.add(tag)
         return extra + [(tag, payload)]
 
