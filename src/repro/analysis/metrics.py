@@ -117,21 +117,24 @@ def sibling_sharings(n: int, offline: str = "tripsh", inputs: bool = True) -> in
 def bundle_message_bound(
     n: int, ts: int, sharings: int, element_bits: int, header_bits: int = 64
 ) -> int:
-    """Upper bound on any message carrying an honest sender's broadcast bundle.
+    """Upper bound on any message an honest party sends on a carrier's tags.
 
     All ΠBCs one party owes at one instant ride one bundle
     (:mod:`repro.broadcast.bc`), whose size depends on n and on ``sharings``,
     the number of sibling ΠVSS anchored together (:func:`sibling_sharings`),
-    not on L or ``shard_size``.  The two heaviest: the verdict vectors of the
-    n ΠWPS under each ΠVSS (n entries of 16 bits, at most t_s of them a NOK
-    with index and value), and the (W, E, F) of the ΠWPS the party deals in
-    each ΠVSS (three sets of at most n ids, 64 bits per id).  The Acast kind
-    or phase-king round number in front costs at most 64 bits more.
+    not on L or ``shard_size``.  By the bundle's price list the two heaviest
+    are the verdict vectors of the n ΠWPS under each ΠVSS (2 bits a slot, at
+    most t_s of the n a NOK with its 64-bit index and its value) and the
+    (W, E, F) of the ΠWPS the party deals in each ΠVSS (three n-bit sets);
+    the Acast kind or phase-king round number in front costs at most 64 bits.
 
-    It also bounds a ΠABA vector (:class:`repro.ba.aba.AbaCarrier`): 64 bits per
-    slot launched at one instant, at most the n slots of each of the ``sharings``
-    ``wps_ba`` banks -- a third of ``stars``, whatever L and ``shard_size``.
+    The third term is a ΠABA vector (:class:`repro.ba.aba.AbaCarrier`): 64 bits
+    per slot launched at one instant, at most the n slots of each of the
+    ``sharings`` ``wps_ba`` banks, behind a step name and a round number (96
+    bits).  With no NOK to report it is the heaviest of the three -- 6,304
+    bits at n = 4 -- and so the heaviest message of an honest run.
     """
-    verdicts = sharings * n * ((n - ts) * 16 + ts * (24 + 64 + element_bits))
-    stars = sharings * 3 * n * 64
-    return max(verdicts, stars) + header_bits + 64
+    verdicts = sharings * n * (2 * n + ts * (64 + element_bits)) + 64
+    stars = sharings * 3 * n + 64
+    aba_vector = sharings * n * 64 + 96
+    return max(verdicts, stars, aba_vector) + header_bits

@@ -6,7 +6,7 @@ from repro.broadcast.acast import (
     acast_time_bound,
     maybe_pack_payload,
 )
-from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
+from repro.broadcast.bc import BroadcastProtocol, Bundle, bc_time_bound
 
 __all__ = [
     "AcastProtocol",
@@ -14,5 +14,6 @@ __all__ = [
     "acast_time_bound",
     "maybe_pack_payload",
     "BroadcastProtocol",
+    "Bundle",
     "bc_time_bound",
 ]

@@ -17,7 +17,7 @@ As built: one run of Fig 1 per sender per instant
 The protocols above start their ΠBCs in large sibling groups at a handful
 of commonly known anchors.  Fig 1 is therefore run once per (sender, anchor,
 faults, Δ) at each party, by a :class:`BroadcastCarrier` whose value is the
-*bundle*: the tuple of the inputs of every logical :class:`BroadcastProtocol`
+*bundle*: a :class:`Bundle` of the inputs of every logical :class:`BroadcastProtocol`
 of that sender anchored at that instant, in the order of their tags (``None``
 = "no input by the anchor"), sent at the anchor even if all ``None``.  A
 logical ΠBC is an entry of its carrier: it gets its regular-mode output at
@@ -64,13 +64,37 @@ the bundle's.
 4. The adversary gains nothing: a present entry is an input to ΠBC e given
    on time, a ``None`` entry with a late Acast one given late (fallback mode
    only), a ``None`` entry alone no input, a withheld bundle no input to any
-   of the k (late Acasts are then never read), a bundle that is not a tuple
-   of the agreed length the all-``None`` bundle (:meth:`BroadcastCarrier._parse`),
-   an unhashable one dropped by Acast and SBA like any unhashable value, and
-   a late Acast contradicting a present entry is ignored like a second input
-   to one ΠBC.  All-or-none delivery of k inputs is a behaviour k separate
-   ΠBCs allow.  Each entry still passes its consumer's own total parser.
+   of the k (late Acasts are then never read), a value that is not a
+   :class:`Bundle` of the agreed length -- a plain tuple of that length
+   included -- the all-``None`` bundle (:meth:`BroadcastCarrier._parse`),
+   one with an unhashable entry dropped by Acast and SBA like any unhashable
+   value, and a late Acast contradicting a present entry is ignored like a
+   second input to one ΠBC.  All-or-none delivery of k inputs is a behaviour
+   k separate ΠBCs allow.  Each entry still passes its consumer's own total
+   parser, as the Python value the sender put in: the type prices and encodes
+   entries by their shape and never rejects or rewrites one.
    Privacy: a bundle reveals exactly what the k broadcasts reveal.
+
+What a bundle costs
+-------------------
+
+The paper prices a ΠBC by the length ℓ of what is broadcast, and what rides
+a bundle is a few bits an entry.  :meth:`Bundle.payload_bits` is that price,
+entry by entry (:func:`entry_kind` names the line):
+
+==========================================================  =======================
+an absent entry (``None``)                                  1 bit
+a vector over {``None``, 0, 1} (a bank's votes)             2 bits per slot
+a vector of ``None`` / OK / NOK verdicts                    2 bits per slot, plus
+                                                            64 + log|F| per NOK
+a tuple of sets of party ids in 1..n (a dealer's W, E, F)   n bits per set
+anything else                                               ``payload_bits(entry)``
+==========================================================  =======================
+
+:mod:`repro.runtime.wire` encodes a bundle as exactly those bitmaps, so the
+bits counted are the bytes a TCP run moves.  Price, digest and encoding are
+each computed once per object: the 81 copies Fig 1 makes of a bundle at
+n = 4 (Acast's 27, phase-king's 54) share them.
 """
 
 from __future__ import annotations
@@ -79,6 +103,8 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.ba.sba import PhaseKingSBA, sba_time_bound
 from repro.broadcast.acast import AcastProtocol, maybe_pack_payload
+from repro.field.gf import FieldElement
+from repro.sim.messages import payload_bits
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon
 
@@ -100,6 +126,110 @@ def carrier_tag(root: str, offset: float, sender: int, delta: float) -> str:
 
 class CarrierError(RuntimeError):
     """A logical ΠBC cannot join the carrier of its (sender, anchor)."""
+
+
+#: The lines of the price list; also the entry tags of the wire encoding.
+ABSENT, VOTES, VERDICTS, STAR, OTHER = range(5)
+
+#: A compact vector has at most this many slots (one length byte on the wire).
+MAX_SLOTS = 255
+
+
+def _is_verdict_vector(entry: Tuple) -> bool:
+    """``None`` / ``("OK",)`` / ``("NOK", index, element)`` slots (the verdicts
+    of :mod:`repro.sharing.wps`), the elements of one field, index a u32."""
+    modulus = None
+    for slot in entry:
+        if slot is None:
+            continue
+        if type(slot) is not tuple or not slot or type(slot[0]) is not str:
+            return False
+        if slot == ("OK",):
+            continue
+        if not (len(slot) == 3 and slot[0] == "NOK" and type(slot[1]) is int
+                and 0 <= slot[1] < 1 << 32 and type(slot[2]) is FieldElement):
+            return False
+        if modulus is None:
+            modulus = slot[2].field.modulus
+        elif slot[2].field.modulus != modulus:
+            return False
+    return True
+
+
+def entry_kind(entry: Any, n: int) -> int:
+    """The line of the price list ``entry`` falls on: its shape, exact types
+    only (a ``bool`` is not a vote, a ``set`` is not a ``frozenset``)."""
+    if entry is None:
+        return ABSENT
+    if type(entry) is not tuple or len(entry) > MAX_SLOTS:
+        return OTHER
+    if all(slot is None or (type(slot) is int and 0 <= slot <= 1) for slot in entry):
+        return VOTES
+    if _is_verdict_vector(entry):
+        return VERDICTS
+    if all(type(part) is frozenset
+           and all(type(pid) is int and 1 <= pid <= n for pid in part) for part in entry):
+        return STAR
+    return OTHER
+
+
+def _entry_bits(entry: Any, n: int) -> int:
+    kind = entry_kind(entry, n)
+    if kind == ABSENT:
+        return 1
+    if kind == VOTES:
+        return 2 * len(entry)
+    if kind == VERDICTS:
+        return 2 * len(entry) + sum(
+            64 + slot[2].field.element_bits() for slot in entry if slot and len(slot) == 3)
+    if kind == STAR:
+        return n * len(entry)
+    return payload_bits(entry)
+
+
+class Bundle:
+    """What a :class:`BroadcastCarrier` broadcasts: the entries, as a value.
+
+    ``entries`` are the Python values the logical ΠBCs were given, untouched;
+    ``n`` is the number of parties (the width of a party-id bitmap).  Hash,
+    bit size and wire encoding are each computed on first use and kept, so
+    Acast's and phase-king's tallies, :func:`~repro.sim.messages.payload_bits`
+    and the TCP transport pay for one object once however often it is sent.
+    A bundle with an unhashable entry is unhashable (``hash`` raises
+    ``TypeError``, every time), like the tuple it replaces.
+    """
+
+    __slots__ = ("entries", "n", "_digest", "_bits", "wire")
+
+    def __init__(self, entries: Tuple, n: int, wire: Optional[bytes] = None):
+        self.entries = tuple(entries)
+        self.n = n
+        self._digest: Optional[int] = None
+        self._bits: Optional[int] = None
+        #: The encoding, owned by :mod:`repro.runtime.wire`: set by the first
+        #: encode, or by the decoder to the slice this object was read from.
+        self.wire = wire
+
+    def payload_bits(self) -> int:
+        """The price list of the module docstring, summed over the entries."""
+        if self._bits is None:
+            self._bits = sum(_entry_bits(entry, self.n) for entry in self.entries)
+        return self._bits
+
+    def __hash__(self) -> int:
+        if self._digest is None:
+            self._digest = hash((self.n, self.entries))
+        return self._digest
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Bundle:
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"Bundle({len(self.entries)} entries, n={self.n})"
 
 
 class BroadcastCarrier(ProtocolInstance):
@@ -138,13 +268,15 @@ class BroadcastCarrier(ProtocolInstance):
         self.frozen = True
         if self.me == self.sender:
             # Set, not provide_input: a bundle is never packed as one vector.
-            self._acast.message = tuple(endpoint.message for endpoint in self.entries)
+            self._acast.message = Bundle(
+                tuple(endpoint.message for endpoint in self.entries), self.n)
             self._acast.start()
 
     def _parse(self, bundle: Any) -> Tuple:
-        """The trust boundary: a tuple of the frozen length, or the empty bundle."""
-        if type(bundle) is tuple and len(bundle) == len(self.entries):
-            return bundle
+        """The trust boundary: the entries of a :class:`Bundle` of the frozen
+        length, or those of the empty bundle."""
+        if type(bundle) is Bundle and len(bundle.entries) == len(self.entries):
+            return bundle.entries
         return (None,) * len(self.entries)
 
     def _start_sba(self) -> None:

@@ -169,7 +169,7 @@ def run_mpc(
     unsharded round; ``"auto"`` picks the largest shard whose
     :func:`~repro.analysis.metrics.sharded_triple_message_bound` fits the
     per-round ``bandwidth_budget`` (in bits), which must not be below the
-    size of a broadcast bundle
+    size of a carrier's message, a broadcast bundle or a ΠABA vector
     (:func:`~repro.analysis.metrics.bundle_message_bound`).  The circuit outputs are
     independent of the sharding (the triples are random masks), so any
     ``shard_size`` yields the same result values.
@@ -205,8 +205,9 @@ def run_mpc(
         floor = bundle_message_bound(n, ts, sibling_sharings(n, offline), element_bits)
         if bandwidth_budget < floor:
             raise ValueError(
-                f"bandwidth_budget {bandwidth_budget} is below the {floor}-bit broadcast-"
-                f"bundle floor at n={n}, which no shard_size lowers (bundle_message_bound)"
+                f"bandwidth_budget {bandwidth_budget} is below the {floor}-bit floor of a "
+                f"broadcast bundle or ΠABA vector at n={n}, which no shard_size lowers "
+                f"(bundle_message_bound)"
             )
         shard_size = auto_shard_size(
             n,

@@ -30,10 +30,15 @@ the protocols put on the wire:
   eight bytes per residue, no per-element boxing on either side; decoding
   re-interns the field through ``GF(modulus)``, so receivers share the
   process-wide cached-matrix field instance,
+* a broadcast :class:`~repro.broadcast.bc.Bundle`, as the bitmaps its price
+  list counts (:func:`_bundle_bytes`): built once per object and kept on it,
+  so the ~9 fan-outs a party makes of one bundle encode it once; the decoder
+  keeps the slice it read as the new object's encoding,
 * a pickle fallback for anything else (e.g. payloads forged by Byzantine
   :class:`~repro.sim.adversary.Behavior` hooks).  Frames are only ever
   exchanged between processes spawned by the same launcher from the same
-  code base, which is the standing trust assumption for pickle here.
+  code base, which is the standing trust assumption for pickle here.  Nothing
+inside a bundle is ever unpickled.
 
 The codec is accounting-transparent: decoding reconstructs payloads whose
 :func:`~repro.sim.messages.payload_bits` equals the sender's, so the
@@ -48,6 +53,7 @@ import struct
 from typing import Any, Dict, List, Sequence
 
 from repro.broadcast.acast import PackedFieldVector
+from repro.broadcast.bc import ABSENT, OTHER, STAR, VERDICTS, VOTES, Bundle, entry_kind
 from repro.field.gf import GF, FieldElement
 from repro.field.polynomial import Polynomial
 from repro.runtime.errors import WireDecodeError
@@ -136,6 +142,143 @@ def _r_residues(data: bytes, pos: int) -> tuple:
     return modulus, values, pos
 
 
+def _bundle_bytes(bundle: Bundle) -> bytes:
+    """``bundle``'s encoding, built on first use and kept on the object::
+
+        bundle := 'B'  n:u8  count:u32  entry * count
+        entry  := ABSENT
+                | VOTES     k:u8  two bits a slot: 0 none, 1 vote 0, 2 vote 1
+                | VERDICTS  k:u8  two bits a slot: 0 none, 1 OK, 2 NOK
+                            [modulus:int  (index:u32 residue) per NOK, if any]
+                | STAR      k:u8  n bits a set: bit (id - 1) of set s at s*n
+                | OTHER     value, in the general codec
+
+    (:func:`~repro.broadcast.bc.entry_kind` picks the line, as it does for
+    the bit count.)  ``n`` outside 1..255 has no encoding: ValueError.
+    """
+    if bundle.wire is not None:
+        return bundle.wire
+    n = bundle.n
+    if not 0 < n < 256:
+        raise ValueError(f"a bundle among {n} parties has no wire encoding")
+    buf = bytearray((ord("B"), n))
+    _w_uint(buf, len(bundle.entries))
+    for entry in bundle.entries:
+        kind = entry_kind(entry, n)
+        buf.append(kind)
+        if kind == ABSENT:
+            continue
+        if kind == OTHER:
+            _encode(buf, entry)
+            continue
+        buf.append(len(entry))
+        bits = 0
+        noks = []
+        if kind == STAR:
+            width = n
+            for index, part in enumerate(entry):
+                for pid in part:
+                    bits |= 1 << (index * n + pid - 1)
+        else:
+            width = 2
+            for index, slot in enumerate(entry):
+                if slot is None:
+                    continue
+                if kind == VOTES:
+                    code = slot + 1
+                elif len(slot) == 1:
+                    code = 1
+                else:
+                    code = 2
+                    noks.append(slot)
+                bits |= code << (2 * index)
+        buf += bits.to_bytes((len(entry) * width + 7) // 8, "little")
+        if noks:
+            modulus = noks[0][2].field.modulus
+            _w_int(buf, modulus)
+            for _, index, element in noks:
+                buf += _U32.pack(index)
+                buf += element.value.to_bytes((modulus.bit_length() + 7) // 8, "little")
+    bundle.wire = bytes(buf)
+    return bundle.wire
+
+
+def _r_bitmap(data: bytes, pos: int, bits: int) -> tuple:
+    size = (bits + 7) // 8
+    if size > len(data) - pos:
+        raise WireDecodeError(f"a {bits}-bit map with {len(data) - pos} bytes left")
+    return int.from_bytes(data[pos:pos + size], "little"), pos + size
+
+
+def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
+    kind = data[pos]
+    pos += 1
+    if kind == ABSENT:
+        return None, pos
+    if kind == OTHER:
+        return _decode(data, pos, unpickle=False)
+    if kind not in (VOTES, VERDICTS, STAR):
+        raise WireDecodeError(f"unknown bundle entry kind {kind}")
+    slots = data[pos]
+    pos += 1
+    if kind == STAR:
+        bits, pos = _r_bitmap(data, pos, slots * n)
+        return tuple(
+            frozenset(pid for pid in range(1, n + 1) if bits >> (s * n + pid - 1) & 1)
+            for s in range(slots)
+        ), pos
+    bits, pos = _r_bitmap(data, pos, 2 * slots)
+    codes = [bits >> (2 * index) & 3 for index in range(slots)]
+    if 3 in codes:
+        raise WireDecodeError("slot code 3 in a bundle vector")
+    if kind == VOTES:
+        return tuple(None if code == 0 else code - 1 for code in codes), pos
+    field = width = None
+    if 2 in codes:
+        modulus, pos = _r_int(data, pos)
+        if modulus < 2:
+            raise WireDecodeError(f"NOK values over the modulus {modulus}")
+        width = (modulus.bit_length() + 7) // 8
+        if codes.count(2) * (4 + width) > len(data) - pos:
+            raise WireDecodeError("bundle ends inside a verdict vector's NOKs")
+        field = GF(modulus, check_prime=False)
+    verdicts: List[Any] = []
+    for code in codes:
+        if code == 2:
+            (index,) = _U32.unpack_from(data, pos)
+            residue = int.from_bytes(data[pos + 4:pos + 4 + width], "little")
+            pos += 4 + width
+            if residue >= field.modulus:
+                raise WireDecodeError("NOK value is not a residue of its modulus")
+            verdicts.append(("NOK", index, FieldElement(residue, field)))
+        else:
+            verdicts.append(("OK",) if code else None)
+    return tuple(verdicts), pos
+
+
+def _r_bundle(data: bytes, start: int) -> tuple:
+    """Decode the bundle whose ``'B'`` is at ``data[start]``.  Peer bytes: the
+    entry count and every vector length are checked against the bytes left
+    before anything is sized from them, and whatever else is wrong with them
+    (struct, index, unicode, recursion) leaves as one WireDecodeError."""
+    try:
+        n = data[start + 1]
+        (count,) = _U32.unpack_from(data, start + 2)
+        pos = start + 6
+        if n == 0 or count > len(data) - pos:
+            raise WireDecodeError(
+                f"bundle of n={n} claims {count} entries with {len(data) - pos} bytes left")
+        entries = []
+        for _ in range(count):
+            entry, pos = _r_bundle_entry(data, pos, n)
+            entries.append(entry)
+    except WireDecodeError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - see the docstring
+        raise WireDecodeError(f"bundle does not decode: {exc!r}") from exc
+    return Bundle(tuple(entries), n, wire=bytes(data[start:pos])), pos
+
+
 def _encode(buf: bytearray, obj: Any) -> None:
     if obj is None:
         buf += b"N"
@@ -184,6 +327,8 @@ def _encode(buf: bytearray, obj: Any) -> None:
     elif isinstance(obj, PackedFieldVector):
         buf += b"V"
         _w_residues(buf, obj.field.modulus, obj.values)
+    elif type(obj) is Bundle:
+        buf += _bundle_bytes(obj)
     elif isinstance(obj, PackedPolynomialRows):
         buf += b"R"
         _w_residues(buf, obj.vector.field.modulus, obj.vector.values)
@@ -197,7 +342,7 @@ def _encode(buf: bytearray, obj: Any) -> None:
         buf += raw
 
 
-def _decode(data: bytes, pos: int) -> tuple:
+def _decode(data: bytes, pos: int, unpickle: bool = True) -> tuple:
     tag = data[pos:pos + 1]
     pos += 1
     if tag == b"N":
@@ -224,7 +369,7 @@ def _decode(data: bytes, pos: int) -> tuple:
         pos += 4
         items = []
         for _ in range(count):
-            item, pos = _decode(data, pos)
+            item, pos = _decode(data, pos, unpickle)
             items.append(item)
         if tag == b"t":
             return tuple(items), pos
@@ -238,8 +383,8 @@ def _decode(data: bytes, pos: int) -> tuple:
         pos += 4
         out = {}
         for _ in range(count):
-            key, pos = _decode(data, pos)
-            value, pos = _decode(data, pos)
+            key, pos = _decode(data, pos, unpickle)
+            value, pos = _decode(data, pos, unpickle)
             out[key] = value
         return out, pos
     if tag == b"E":
@@ -265,7 +410,9 @@ def _decode(data: bytes, pos: int) -> tuple:
             lengths.append(length)
         vector = PackedFieldVector(field, values, _normalized=True)
         return PackedPolynomialRows(vector, tuple(lengths)), pos
-    if tag == b"p":
+    if tag == b"B":
+        return _r_bundle(data, pos - 1)
+    if tag == b"p" and unpickle:
         (length,) = _U32.unpack_from(data, pos)
         pos += 4
         return pickle.loads(data[pos:pos + length]), pos + length

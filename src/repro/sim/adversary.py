@@ -111,6 +111,7 @@ class WrongValueBehavior(Behavior):
     def _perturb(self, value: Any) -> Any:
         # Imported lazily: the broadcast/sharing packages depend on sim.party.
         from repro.broadcast.acast import PackedFieldVector
+        from repro.broadcast.bc import Bundle
         from repro.sharing.wps import PackedPolynomialRows
 
         if isinstance(value, FieldElement):
@@ -129,6 +130,9 @@ class WrongValueBehavior(Behavior):
             return PackedPolynomialRows(
                 self._perturb(value.vector), value.lengths
             )
+        if isinstance(value, Bundle):
+            # Entry by entry, like the tuple it was: a NOK's value is perturbed.
+            return Bundle(self._perturb(value.entries), value.n)
         if isinstance(value, tuple):
             return tuple(self._perturb(v) for v in value)
         if isinstance(value, list):

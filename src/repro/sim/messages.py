@@ -93,9 +93,11 @@ def payload_bits(payload: Any) -> int:
         return sum(payload_bits(item) for item in payload)
     if isinstance(payload, dict):
         return sum(payload_bits(k) + payload_bits(v) for k, v in payload.items())
-    # Payloads that know their own wire size (e.g. the packed broadcast
-    # vectors) report it; they must account exactly like the unpacked
-    # value they carry, so packing never changes a transcript's bit totals.
+    # Payloads that know their own size report it.  PackedFieldVector and
+    # PackedPolynomialRows are a faster representation of a value and account
+    # exactly like the unpacked list, so packing never changes a transcript's
+    # bit totals; a broadcast Bundle is a denser *encoding* and deliberately
+    # does not: it reports what its bitmaps cost (repro.broadcast.bc).
     own_bits = getattr(payload, "payload_bits", None)
     if callable(own_bits):
         return own_bits()

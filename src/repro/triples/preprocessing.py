@@ -20,11 +20,13 @@ payload: the heaviest *triple-sharing* message drops from O(L·t_s²) to
 O(shard_size·t_s²) field elements in *every* round (see
 :func:`repro.analysis.metrics.sharded_triple_message_bound` and the
 per-round accounting in :class:`repro.sim.simulator.SimulationMetrics`).
-The heaviest message overall is the larger of that and a broadcast bundle
+The heaviest message overall is the larger of that and a carrier's message,
+a broadcast bundle or a ΠABA vector
 (:func:`repro.analysis.metrics.bundle_message_bound`), which grows with n and
 the number of sibling ΠVSS per instant and which no ``shard_size`` lowers:
-at n = 4 with ``shard_size=1``, 18,560 bits (the ``star`` bundle of the 24
-ΠWPS a party deals at one instant) against 1,290 for the triple payload.
+at n = 4 with ``shard_size=1``, 6,304 bits (the ΠABA vector of the 96
+``wps_ba`` slots a party launches at one instant; the heaviest bundle, its
+96 verdict vectors, is 896) against 1,290 for the triple payload.
 The price is ~``num_shards``× latency and more aggregate control traffic
 (each round runs its own ΠACS/ΠBC banks): sharding bounds the per-round
 payload burst, not the total bandwidth.  Extraction proceeds per shard:

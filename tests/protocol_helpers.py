@@ -6,7 +6,7 @@ import random
 import re
 from typing import Callable, Dict, List, Optional
 
-from repro.broadcast.bc import BroadcastCarrier, carrier_tag
+from repro.broadcast.bc import BroadcastCarrier, Bundle, carrier_tag
 from repro.field import Polynomial, default_field
 from repro.sim import ProtocolRunner, SynchronousNetwork
 from repro.sim.adversary import Behavior
@@ -60,13 +60,13 @@ class RewriteBehavior(Behavior):
         if not (self.entries and isinstance(carrier, BroadcastCarrier)
                 and tag.endswith("/acast") and payload[0] == "init"):
             return payload
-        bundle = list(payload[1])
+        bundle = list(payload[1].entries)
         for index, endpoint in enumerate(carrier.entries):
             for pattern, edit in self.entries:
                 if pattern.fullmatch(endpoint.tag):
                     bundle[index] = edit(bundle[index])
                     break
-        return ("init", tuple(bundle))
+        return ("init", Bundle(bundle, payload[1].n))
 
 
 def bundle_tag(root: str, anchor: float, sender: int) -> str:
@@ -80,6 +80,12 @@ def silent_in(prefix: str) -> RewriteBehavior:
     sends nothing on those tags and gives the ΠBCs there no input."""
     under = re.escape(prefix) + ".*"
     return RewriteBehavior({under: lambda tag, payload: []}, entries={under: lambda value: None})
+
+
+def bundle_entries(edit: Callable[[tuple], object]):
+    """``value_of`` for :func:`acast_input` on a carrier's Acast: the sender's
+    :class:`Bundle` with its entries replaced by ``edit(entries)``."""
+    return lambda bundle: Bundle(edit(bundle.entries), bundle.n)
 
 
 def acast_input(value_of: Callable[[object], object]):

@@ -19,6 +19,7 @@ from repro.broadcast.acast import AcastProtocol, PackedFieldVector
 from repro.broadcast.bc import (
     BroadcastCarrier,
     BroadcastProtocol,
+    Bundle,
     CarrierError,
     bc_time_bound,
     carrier_tag,
@@ -42,6 +43,7 @@ from protocol_helpers import (
     FIELD,
     RewriteBehavior,
     acast_input,
+    bundle_entries,
     honest_outputs_consistent,
     random_polynomial,
     run_dealer_protocol,
@@ -294,12 +296,14 @@ def _bundle(edit):
 
 
 @pytest.mark.parametrize("edit,delivered", [
-    pytest.param(lambda bundle: bundle[:-1], True, id="wrong-length"),
-    pytest.param(lambda bundle: bundle + ("extra",), True, id="too-long"),
-    pytest.param(lambda bundle: list(bundle), False, id="a-list-is-unhashable"),
+    pytest.param(bundle_entries(lambda entries: entries[:-1]), True, id="wrong-length"),
+    pytest.param(bundle_entries(lambda entries: entries + ("extra",)), True, id="too-long"),
+    pytest.param(lambda bundle: list(bundle.entries), False, id="a-list-is-unhashable"),
     pytest.param(lambda bundle: 5, True, id="not-a-tuple"),
     pytest.param(lambda bundle: "ab", True, id="a-string-of-the-right-length"),
-    pytest.param(lambda bundle: (bundle[0], [1, 2]), False, id="unhashable-entry"),
+    pytest.param(lambda bundle: bundle.entries, True, id="a-plain-tuple-of-the-right-length"),
+    pytest.param(bundle_entries(lambda entries: (entries[0], [1, 2])), False,
+                 id="unhashable-entry"),
 ])
 def test_malformed_bundle_is_the_empty_bundle_and_an_unhashable_one_is_dropped(edit, delivered):
     """A tag-level rewrite of the carrier's own Acast is the whole bundle malformed."""
@@ -371,13 +375,23 @@ def test_bundle_delivered_only_in_fallback_mode_hands_out_every_entry_then():
 #: What a corrupt P_4 does to *all* the bundles it sends in a ΠVSS (as a
 #: non-dealer, then as the dealer); the n = 4 cell's guarantees must hold.
 EVERY_BUNDLE = r"prot/bc@\d+\[4\]/acast"
+
+
+def _every_bundle(edit):
+    return RewriteBehavior({EVERY_BUNDLE: acast_input(bundle_entries(edit))})
+
+
 BUNDLE_ATTACKS = [
-    pytest.param(RewriteBehavior({EVERY_BUNDLE: acast_input(lambda b: b[:-1])}), id="wrong-length"),
+    pytest.param(_every_bundle(lambda e: e[:-1]), id="wrong-length"),
     pytest.param(RewriteBehavior({EVERY_BUNDLE: acast_input(lambda b: 7)}), id="not-a-tuple"),
-    pytest.param(RewriteBehavior({EVERY_BUNDLE: acast_input(lambda b: tuple(7 for _ in b))}),
-                 id="entries-of-the-wrong-type"),
-    pytest.param(RewriteBehavior({EVERY_BUNDLE: acast_input(lambda b: tuple([1] for _ in b))}),
-                 id="unhashable-entries"),
+    pytest.param(RewriteBehavior({EVERY_BUNDLE: acast_input(lambda b: b.entries)}),
+                 id="plain-tuple"),
+    pytest.param(_every_bundle(lambda e: tuple(7 for _ in e)), id="entries-of-the-wrong-type"),
+    pytest.param(_every_bundle(lambda e: tuple([1] for _ in e)), id="unhashable-entries"),
+    pytest.param(_every_bundle(lambda e: tuple(Bundle(e, 4) for _ in e)),
+                 id="a-bundle-in-every-entry"),
+    pytest.param(_every_bundle(lambda e: tuple((frozenset({1, 9}), frozenset({True})) for _ in e)),
+                 id="id-sets-out-of-range"),
     pytest.param(RewriteBehavior({EVERY_BUNDLE: lambda tag, payload: []}), id="withheld"),
     pytest.param(DelayBehavior(20.0, tag_predicate=lambda tag: "/bc@" in tag
                                and tag.endswith("[4]/acast")), id="fallback-mode-only"),
@@ -422,7 +436,7 @@ def test_real_clock_vss_no_honest_bundle_misses_an_input_due_at_the_anchor():
                 if type(c) is BroadcastCarrier and c.sender == pid]
         assert len(mine) == 5 + (pid == 1)
         sent = {e.tag: value for carrier in mine
-                for e, value in zip(carrier.entries, carrier._acast.message)}
+                for e, value in zip(carrier.entries, carrier._acast.message.entries)}
         due = {tag: value for tag, value in sent.items() if not tag.endswith("/star")}
         # ok[pid] in the ΠVSS and its 4 ΠWPS, bc[pid] in wps_ba and ba.
         assert len(due) == 5 + 2 and None not in due.values(), sent
@@ -440,7 +454,7 @@ def test_bundle_crosses_the_wire_without_pickle(monkeypatch):
 
     monkeypatch.setattr(pickle, "dumps", no_pickle)
     ok = ("OK",)
-    bundle = (
+    bundle = Bundle((
         (None, ok, ("NOK", 2, FIELD(12345)), ok),           # a verdict vector with a NOK
         (None, None, None, None),                            # an empty one
         (1, None, 0, 1),                                     # a vote vector
@@ -448,7 +462,7 @@ def test_bundle_crosses_the_wire_without_pickle(monkeypatch):
         PackedFieldVector.pack(FIELD, [FIELD(7), FIELD(8), FIELD(9)]),
         None,                                                # no input by the anchor
         None,
-    )
+    ), 4)
     for tag, payload in (("mpc/bc@12004[2]/acast", ("echo", bundle)),
                          ("mpc/bc@12004[2]/sba", (4, bundle))):
         message = Message(2, 3, tag, payload, 12.004)

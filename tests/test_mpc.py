@@ -68,9 +68,13 @@ def test_sync_product_all_honest(monkeypatch):
     # rest is point-to-point (1,836) and ΠABA: the 144 slots per party launch
     # at 4 instants and speak in 20 vectors, each to 3 peers.  It was 11,916 /
     # 15,781,608 bits with 13 messages per slot per party, and 70,560 /
-    # 22,732,008 with one run of Fig 1 per logical ΠBC on top.
+    # 22,732,008 with one run of Fig 1 per logical ΠBC on top.  The bits: a
+    # sender's 8 bundles cost 1,608 bits by the price list of ``Bundle`` (38,136
+    # as plain tuples: 14,731,560 in all), each sent 81 times; the heaviest
+    # message is now the ΠABA vector of the 96 slots launched at 30.011 Δ.
     assert result.metrics.messages_sent == 4_668 == 81 * 32 + 1_836 + 20 * 3 * 4
-    assert result.metrics.honest_bits == 14_731_560
+    assert result.metrics.honest_bits == 2_896_488 == 14_731_560 - 81 * 4 * (38_136 - 1_608)
+    assert result.metrics.max_message_bits == 6_304 == 96 * 64 + 160
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert delivered_at_start == [0] * (4 * 756)
     for party in result.run.backend.parties.values():

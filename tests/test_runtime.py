@@ -562,8 +562,9 @@ def test_run_mpc_auto_shard_respects_bandwidth_budget():
     circuit = millionaires_product_circuit(FIELD, 4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
     expected = circuit.evaluate({pid: FIELD(v) for pid, v in inputs.items()})
-    # Two terms: the shard's triple payload, and the broadcast bundle, whose
-    # size no shard_size lowers and which is the floor of any budget.
+    # Two terms: the shard's triple payload, and a carrier's message (a
+    # broadcast bundle or a ΠABA vector), whose size no shard_size lowers and
+    # which is the floor of any budget.
     shard_bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
     floor = bundle_message_bound(4, 1, sibling_sharings(4), FIELD.element_bits())
     budget = max(shard_bound, floor)
@@ -573,7 +574,7 @@ def test_run_mpc_auto_shard_respects_bandwidth_budget():
     )
     assert result.completed and result.outputs == expected
     assert shard_bound < result.metrics.max_message_bits <= budget
-    with pytest.raises(ValueError, match=f"{floor}-bit broadcast-bundle floor"):
+    with pytest.raises(ValueError, match=f"{floor}-bit floor of a broadcast bundle or ΠABA vector"):
         run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9,
                 shard_size="auto", bandwidth_budget=floor - 1)
     with pytest.raises(ValueError):

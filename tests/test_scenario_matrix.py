@@ -338,7 +338,8 @@ def test_him_bad_dealer_aborts_loudly_below_survivor_threshold():
 def test_him_sharded_round_payloads_are_bounded():
     """Satellite contract, HIM edition: the offline-mode-aware bound holds
     for every sharded round's triple payload and really binds (the unsharded
-    run exceeds it); a bundle's size is the second term, the same either way."""
+    run exceeds it); the size of a carrier's message (a bundle, a ΠABA vector)
+    is the second term, the same either way."""
     scenario_sharded = Scenario(
         4, 1, 0, "honest", "sync", 1, num_triples=3, offline="him"
     )
@@ -380,7 +381,8 @@ def test_him_sharded_round_payloads_are_bounded():
 
 def test_sharded_round_payloads_are_bounded():
     """No protocol round carries more than a shard_size-bounded triple payload,
-    nor any message heavier than the larger of that and a broadcast bundle."""
+    nor any message heavier than the larger of that and a carrier's message
+    (a broadcast bundle or, heavier when nobody reports a NOK, a ΠABA vector)."""
     scenario_sharded = Scenario(4, 1, 0, "honest", "sync", 1, num_triples=3)
     scenario_full = Scenario(4, 1, 0, "honest", "sync", None, num_triples=3)
     sharded, sharded_bundle, sharded_payload = heaviest_messages(
@@ -401,9 +403,10 @@ def test_sharded_round_payloads_are_bounded():
     # ...and the bound really binds: the unsharded run exceeds it (while
     # respecting its own L-sized bound).
     assert bound < unsharded_payload <= full_bound
-    # The second term: a bundle's size depends on n and the sibling sharings
-    # per instant, not on L or shard_size, and is the heaviest message here.
-    assert 0 < sharded_bundle == unsharded_bundle <= bundle_bound
+    # The second term: what a carrier sends depends on n and the sibling
+    # sharings per instant, not on L or shard_size, and is the heaviest
+    # message here (the ΠABA vector of the 80 ``wps_ba`` slots: 64 bits each).
+    assert 0 < sharded_bundle == unsharded_bundle == 80 * 64 + 160 <= bundle_bound
     assert max_message_bits(sharded.metrics) == sharded_bundle > bound
 
     # Round-level accounting: *no* protocol round of the sharded run carries
@@ -451,7 +454,9 @@ def test_run_mpc_sharded_outputs_match_unsharded():
     assert sharded_payload < unsharded_payload
     bundle_bound = bundle_message_bound(4, 1, sibling_sharings(4), FIELD.element_bits())
     shard_bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
-    assert sharded.metrics.max_message_bits <= max(shard_bound, bundle_bound)
+    assert sharded.metrics.max_message_bits == 6_304 <= max(shard_bound, bundle_bound)
+    # One n = 7, t_s = 2 evaluation measured 28,384 (its ΠABA vector).
+    assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 28_384
     per_dealer = triples_per_dealer(4, 1, circuit.multiplication_count)
     assert unsharded.metrics.max_message_bits <= max(
         sharded_triple_message_bound(per_dealer, 1, FIELD.element_bits()), bundle_bound)
