@@ -3,17 +3,33 @@
 Reproduces the paper's claims about ΠACast and ΠBC: liveness/validity within
 the stated time bounds in a synchronous network, O(n² ℓ) communication, and
 fallback delivery in an asynchronous network.
+
+The pytest run also persists to ``BENCH_broadcast.json`` the long-vector Acast
+timing and one ``bundle_n<n>`` row per n in 4, 5, 7: what the bundles of one
+synchronous ΠACS are charged (``Bundle.payload_bits``) next to the bytes
+``repro.runtime.wire`` encodes them in, and what the same entries cost as
+plain tuples.
 """
 
 import random
 
 import pytest
 
+from repro.acs.acs import AgreementOnCommonSubset
 from repro.broadcast.acast import AcastProtocol, PackedFieldVector, acast_time_bound
-from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
+from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol, bc_time_bound
+from repro.runtime.wire import encode_payload
 from repro.sim import AsynchronousNetwork, SynchronousNetwork
+from repro.sim.messages import payload_bits
 
-from bench_common import FIELD, best_of, make_runner, record_bench, summarize
+from bench_common import (
+    FIELD,
+    best_of,
+    fresh_polynomials,
+    make_runner,
+    record_bench,
+    summarize,
+)
 
 
 def _run_acast(n, t, network, seed=0):
@@ -107,10 +123,49 @@ def test_packed_vector_acast():
     record_bench("broadcast", "packed_acast_n7_t2_len4096", measure_packed_payload())
 
 
+# -- a bundle's nominal bits next to its encoded bytes ---------------------------------
+
+
+def measure_bundles(n, t):
+    """One ledger row: every bundle sent in one synchronous ΠACS, as charged and as encoded."""
+    polynomials = {pid: fresh_polynomials(1, t, seed=3 + pid) for pid in range(1, n + 1)}
+    result = make_runner(n, network=SynchronousNetwork(), seed=1).run(
+        lambda party: AgreementOnCommonSubset(
+            party, "acs", ts=t, ta=0, num_polynomials=1, polynomials=polynomials[party.id],
+            anchor=0.0),
+        max_time=300_000.0)
+    bundles = [carrier._acast.message for root in result.instances.values()
+               for carrier in root.party.instances.values()
+               if type(carrier) is BroadcastCarrier and carrier.sender == root.me]
+    heaviest = max(bundles, key=payload_bits)
+    row = {
+        "n": float(n), "t": float(t),
+        "bundles": float(len(bundles)),
+        "entries": float(sum(len(bundle.entries) for bundle in bundles)),
+        "nominal_bits": float(sum(payload_bits(bundle) for bundle in bundles)),
+        "encoded_bytes": float(sum(len(encode_payload(bundle)) for bundle in bundles)),
+        "plain_tuple_bits": float(sum(payload_bits(bundle.entries) for bundle in bundles)),
+        "heaviest_nominal_bits": float(payload_bits(heaviest)),
+        "heaviest_encoded_bytes": float(len(encode_payload(heaviest))),
+        "honest_bits": float(result.metrics.honest_bits),
+    }
+    # The accounting is the encoding: a kind byte, a length byte and a byte of
+    # rounding per entry, six bytes of header per bundle.
+    assert 8 * row["encoded_bytes"] <= (
+        row["nominal_bits"] + 32 * row["entries"] + 64 * row["bundles"]), row
+    return row
+
+
+@pytest.mark.parametrize("n,t", [(4, 1), (5, 1), (7, 2)])
+def test_bundle_nominal_bits_next_to_encoded_bytes(n, t):
+    record_bench("broadcast", f"bundle_n{n}", measure_bundles(n, t))
+
+
 def smoke():
     """Tiny-size rot check used by the bench_smoke tier-1 marker."""
     result = _run_bc(4, 1, SynchronousNetwork())
     assert len(result.honest_outputs()) == 4
+    assert measure_bundles(4, 1)["nominal_bits"] > 0
     stats = measure_packed_payload(n=4, t=1, length=32)
     assert stats["packed_s"] > 0
     return summarize(result)

@@ -13,8 +13,10 @@ Rows measured with this file at an earlier commit's ``src/`` are kept beside
 them: all four with one run of Fig 1 per logical ΠBC as ``@parent_2a4941f``
 (the broadcast carriers of ``repro.broadcast.bc`` came after it), all four
 with one ΠABA message per slot per step as ``@parent_b8ff26b`` (the ΠABA
-carriers of ``repro.ba.aba`` came after it; :data:`PARENT_ROWS`), ΠWPS/ΠVSS
-before the verdict-vector ΠBC as ``@parent_e6099bc``.
+carriers of ``repro.ba.aba`` came after it), all four with a bundle priced as
+the plain tuple it was as ``@parent_a4b1a25`` (``repro.broadcast.bc.Bundle``
+came after it; :data:`PARENT_ROWS`), ΠWPS/ΠVSS before the verdict-vector ΠBC
+as ``@parent_e6099bc``.
 """
 
 import json
@@ -38,20 +40,13 @@ SWEEP = [(4, 1), (5, 1), (7, 2)]
 #: with t stepping from 1 to 2 inside the sweep) before the shape is wrong.
 EXPONENT_TOLERANCE = 1.5
 
-#: label -> (suffix of the row measured with this file at that commit's
-#: ``src/``, by how much the fitted message exponent must lie below it).  A
-#: lone ΠBC and a lone ΠWPS (a one-slot bank) cost what they did; the n
-#: ``wps_ba`` slots of a ΠVSS, and the n of each of a ΠACS's n ΠVSS with its
-#: own 2n, now share one ΠABA vector per step (against ``@parent_2a4941f`` the
-#: drops were 0.5: n verdict vectors, star and n vote vectors per sibling
-#: became one run of Fig 1 per sender and instant).  ΠVSS sends 7-8% less at
-#: every n of the sweep, which moves a three-point fit by ±0.01 either way.
-PARENT_ROWS = {
-    "bc": ("@parent_b8ff26b", 0.0),
-    "wps": ("@parent_b8ff26b", 0.0),
-    "vss": ("@parent_b8ff26b", -0.05),
-    "acs": ("@parent_b8ff26b", 0.1),
-}
+#: label -> suffix of the row measured with this file at that commit's
+#: ``src/``.  A bundle priced as bitmaps is the same messages carrying fewer
+#: bits: against ``@parent_a4b1a25`` the message counts must be equal and the
+#: bits not higher at any n of the sweep.  (Against ``@parent_b8ff26b`` the
+#: ΠABA vectors took 7-8% of ΠVSS's messages, against ``@parent_2a4941f`` the
+#: carriers half an exponent.)
+PARENT_ROWS = {label: "@parent_a4b1a25" for label in ("bc", "wps", "vss", "acs")}
 
 
 def _counts(n, factory):
@@ -134,18 +129,15 @@ def main(suffix: str = "") -> None:
             parents = json.load(handle)
     for label in PROTOCOLS:
         row = measure_scaling(label)
-        parent_suffix, least_drop = PARENT_ROWS.get(label, ("", 0.0))
-        parent = parents.get(f"scaling_{label}{parent_suffix}")
-        if parent is not None and parent_suffix and not suffix:
-            drop = parent["fitted_messages_exponent"] - row["fitted_messages_exponent"]
-            assert drop >= least_drop, (label, drop)
-            # Bits are compared n by n, not by the fit: taking out a lower-order
-            # term (ΠABA's bits are ~n⁴ of ΠACS's ~n^5.5) lowers every point and
-            # *raises* the exponent fitted through three small n.
-            for counts in ("messages_by_n", "bits_by_n"):
-                assert all(row[counts][n] <= parent[counts][n] for n in row[counts]), (
-                    label, row[counts])
-            row["messages_exponent_drop_vs_parent"] = drop
+        parent = parents.get(f"scaling_{label}{PARENT_ROWS[label]}")
+        if parent is not None and not suffix:
+            # Bits are compared n by n, not by the fit: lowering every point by
+            # a lower-order term *raises* the exponent fitted through three small n.
+            assert row["messages_by_n"] == parent["messages_by_n"], (label, row["messages_by_n"])
+            assert all(row["bits_by_n"][n] <= parent["bits_by_n"][n] for n in row["bits_by_n"]), (
+                label, row["bits_by_n"])
+            row["bits_vs_parent_by_n"] = {
+                n: row["bits_by_n"][n] / parent["bits_by_n"][n] for n in row["bits_by_n"]}
         record_bench("communication", f"scaling_{label}{suffix}", row)
         print(f"{label:4s} bits ~ n^{row['fitted_bits_exponent']:.2f} "
               f"(paper n^{row['paper_exponent']:.0f}, its formula on this sweep "
