@@ -134,19 +134,23 @@ ABSENT, VOTES, VERDICTS, STAR, OTHER = range(5)
 #: A compact vector has at most this many slots (one length byte on the wire).
 MAX_SLOTS = 255
 
+#: The verdicts of :mod:`repro.sharing.wps` (which imports this module), by shape.
+OK_SLOT = ("OK",)
+NOK = "NOK"
+
 
 def _is_verdict_vector(entry: Tuple) -> bool:
-    """``None`` / ``("OK",)`` / ``("NOK", index, element)`` slots (the verdicts
-    of :mod:`repro.sharing.wps`), the elements of one field, index a u32."""
+    """``None`` / ``("OK",)`` / ``("NOK", index, element)`` slots, the elements
+    of one field, index a u32."""
     modulus = None
     for slot in entry:
         if slot is None:
             continue
         if type(slot) is not tuple or not slot or type(slot[0]) is not str:
             return False
-        if slot == ("OK",):
+        if slot == OK_SLOT:
             continue
-        if not (len(slot) == 3 and slot[0] == "NOK" and type(slot[1]) is int
+        if not (len(slot) == 3 and slot[0] == NOK and type(slot[1]) is int
                 and 0 <= slot[1] < 1 << 32 and type(slot[2]) is FieldElement):
             return False
         if modulus is None:

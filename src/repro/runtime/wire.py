@@ -37,8 +37,8 @@ the protocols put on the wire:
 * a pickle fallback for anything else (e.g. payloads forged by Byzantine
   :class:`~repro.sim.adversary.Behavior` hooks).  Frames are only ever
   exchanged between processes spawned by the same launcher from the same
-  code base, which is the standing trust assumption for pickle here.  Nothing
-inside a bundle is ever unpickled.
+  code base, which is the standing trust assumption for pickle here.
+  Nothing inside a bundle is ever unpickled.
 
 The codec is accounting-transparent: decoding reconstructs payloads whose
 :func:`~repro.sim.messages.payload_bits` equals the sender's, so the
@@ -53,7 +53,17 @@ import struct
 from typing import Any, Dict, List, Sequence
 
 from repro.broadcast.acast import PackedFieldVector
-from repro.broadcast.bc import ABSENT, OTHER, STAR, VERDICTS, VOTES, Bundle, entry_kind
+from repro.broadcast.bc import (
+    ABSENT,
+    NOK,
+    OK_SLOT,
+    OTHER,
+    STAR,
+    VERDICTS,
+    VOTES,
+    Bundle,
+    entry_kind,
+)
 from repro.field.gf import GF, FieldElement
 from repro.field.polynomial import Polynomial
 from repro.runtime.errors import WireDecodeError
@@ -233,26 +243,26 @@ def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
         raise WireDecodeError("slot code 3 in a bundle vector")
     if kind == VOTES:
         return tuple(None if code == 0 else code - 1 for code in codes), pos
-    field = width = None
+    field = size = None
     if 2 in codes:
         modulus, pos = _r_int(data, pos)
         if modulus < 2:
             raise WireDecodeError(f"NOK values over the modulus {modulus}")
-        width = (modulus.bit_length() + 7) // 8
-        if codes.count(2) * (4 + width) > len(data) - pos:
+        size = (modulus.bit_length() + 7) // 8
+        if codes.count(2) * (4 + size) > len(data) - pos:
             raise WireDecodeError("bundle ends inside a verdict vector's NOKs")
         field = GF(modulus, check_prime=False)
     verdicts: List[Any] = []
     for code in codes:
         if code == 2:
             (index,) = _U32.unpack_from(data, pos)
-            residue = int.from_bytes(data[pos + 4:pos + 4 + width], "little")
-            pos += 4 + width
+            residue = int.from_bytes(data[pos + 4:pos + 4 + size], "little")
+            pos += 4 + size
             if residue >= field.modulus:
                 raise WireDecodeError("NOK value is not a residue of its modulus")
-            verdicts.append(("NOK", index, FieldElement(residue, field)))
+            verdicts.append((NOK, index, FieldElement(residue, field)))
         else:
-            verdicts.append(("OK",) if code else None)
+            verdicts.append(OK_SLOT if code else None)
     return tuple(verdicts), pos
 
 
