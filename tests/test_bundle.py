@@ -33,6 +33,8 @@ from repro.sharing.wps import NOK_VERDICT, OK_VERDICT, PackedPolynomialRows
 from repro.sim import AsynchronousNetwork
 from repro.sim.messages import payload_bits
 
+from test_tcp import mutated
+
 FIELD = default_field()
 BITS = FIELD.element_bits()
 OK = (OK_VERDICT,)
@@ -297,19 +299,7 @@ _SEED_BUNDLES = [
 def _bundle_shaped_bytes(draw):
     if draw(st.booleans()):
         return b"B" + draw(st.binary(max_size=64))
-    blob = bytearray(draw(st.sampled_from(_SEED_BUNDLES)))
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(blob)))
-        kind = draw(st.sampled_from(["flip", "cut", "insert", "truncate"]))
-        if kind == "flip" and at < len(blob):
-            blob[at] ^= draw(st.integers(1, 255))
-        elif kind == "cut":
-            del blob[at:at + draw(st.integers(1, 8))]
-        elif kind == "insert":
-            blob[at:at] = draw(st.binary(min_size=1, max_size=8))
-        else:
-            del blob[at:]
-    return b"B" + bytes(blob[1:])
+    return b"B" + mutated(draw, draw(st.sampled_from(_SEED_BUNDLES)))[1:]
 
 
 @given(blob=_bundle_shaped_bytes())

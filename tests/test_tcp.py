@@ -448,9 +448,9 @@ _FUZZ_SEEDS = [
 ]
 
 
-@st.composite
-def _mutated_envelopes(draw):
-    blob = bytearray(draw(st.sampled_from(_FUZZ_SEEDS)))
+def mutated(draw, blob: bytes) -> bytes:
+    """``blob`` after one to four flips, cuts, inserts, u32 overwrites or truncations."""
+    blob = bytearray(blob)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(blob)))
         kind = draw(st.sampled_from(["flip", "cut", "insert", "u32", "truncate"]))
@@ -466,6 +466,11 @@ def _mutated_envelopes(draw):
         else:
             del blob[at:]
     return bytes(blob)
+
+
+@st.composite
+def _mutated_envelopes(draw):
+    return mutated(draw, draw(st.sampled_from(_FUZZ_SEEDS)))
 
 
 @given(blob=st.one_of(st.binary(max_size=256), _mutated_envelopes()))
