@@ -6,26 +6,18 @@ must be at least 5x faster than 256 scalar ``reconstruct_secret`` calls, with
 identical results.  Also records the robust (error-corrected) batch path and
 batch Beaver-style OEC decoding.
 
-On top of the batch-vs-scalar rows, the ``kernel_*`` rows compare the two
-numerical kernel backends inside the batched layer -- the uint64
-limb-decomposed numpy kernel must be at least 5x the pure-Python int-residue
-kernel on the batch-reconstruct and OEC rows (measured at a 64-party
-committee, where matrix work dominates the boxing overhead shared by both
-kernels) -- and ``dispatch_calibration`` records the measured list-input
-crossover behind the kernel's profile-driven runtime dispatch.
-
 Two further row families cover this layer's remaining acceptance
-criteria: ``native_polynomial_*`` measures kernel-native coefficient
-storage against the historical eager-boxing Polynomial on the
-rs_decode_batch fallback (>= 2x), and ``bw_fallback_t_corruptions`` bounds
-the worst-case Berlekamp-Welch fallback against the base-window fast path at
-exactly t leading-window corruptions (<= 2x).
+criteria: ``native_polynomial_*`` measures residue coefficient storage
+against the historical eager-boxing Polynomial on the rs_decode_batch
+fallback (>= 2x), and ``bw_fallback_t_corruptions`` bounds the worst-case
+Berlekamp-Welch fallback against the base-window fast path at exactly t
+leading-window corruptions (<= 2x).
 
 Run standalone (``python benchmarks/bench_batch.py``) for a quick report, or
 through pytest (``python -m pytest benchmarks/bench_batch.py``) for the
 assertions; ``tests/test_field_array.py`` runs a scaled-down smoke of the
-same code so tier-1 keeps it green, and ``smoke()`` re-asserts the 5x
-kernel criterion under the ``bench_smoke`` marker.
+same code so tier-1 keeps it green, and ``smoke()`` re-asserts the
+fallback criterion under the ``bench_smoke`` marker.
 """
 
 from __future__ import annotations
@@ -45,11 +37,6 @@ if _SRC not in sys.path:
 from repro.codes.oec import BatchOnlineErrorCorrector, OnlineErrorCorrector
 from repro.codes.reed_solomon import rs_decode_batch
 from repro.field.gf import FieldElement
-from repro.field.kernels import (
-    DISPATCH_THRESHOLDS,
-    numpy_available,
-    set_kernel_backend,
-)
 from repro.field.polynomial import Polynomial
 from repro.sharing.shamir import (
     batch_reconstruct,
@@ -172,9 +159,9 @@ def measure_oec_speedup(
     }
 
 
-# -- native Polynomial storage vs the boxed-coefficient baseline ---------------
+# -- residue Polynomial storage vs the boxed-coefficient baseline --------------
 #
-# The native rows measure what kernel-native coefficient storage buys on the
+# The native rows measure what residue coefficient storage buys on the
 # rs_decode_batch fallback path (the regime where thousands of candidate
 # polynomials are constructed per call).  The baseline re-installs the
 # historical behavior -- every constructed polynomial eagerly boxes one
@@ -186,16 +173,16 @@ def measure_oec_speedup(
 def _boxed_polynomial_baseline():
     """Patch Polynomial's trusted constructors back to eager boxing.
 
-    Replicates the pre-native implementation: ``from_reduced_ints`` built a
+    Replicates the pre-residue implementation: ``from_reduced_ints`` built a
     boxed FieldElement per coefficient up front and ``evaluate`` ran boxed
-    Horner.  Results are identical (the boxed and native forms hold the
+    Horner.  Results are identical (the boxed and residue forms hold the
     same residues); only construction and evaluation cost differs.
     """
-    orig_native = Polynomial.from_native.__func__
-    orig_rows = Polynomial.from_native_rows.__func__
+    orig_ints = Polynomial.from_reduced_ints.__func__
+    orig_rows = Polynomial.from_reduced_rows.__func__
 
-    def boxed_from_native(field, values):
-        vals = values.tolist() if hasattr(values, "tolist") else list(values)
+    def boxed_from_ints(field, values):
+        vals = list(values)
         while len(vals) > 1 and vals[-1] == 0:
             vals.pop()
         new = FieldElement.__new__
@@ -207,15 +194,12 @@ def _boxed_polynomial_baseline():
             boxed.append(element)
         poly = object.__new__(Polynomial)
         poly.field = field
-        poly._native = vals
-        poly._ints = vals
+        poly.residues = vals
         poly._boxed = boxed
         return poly
 
     def boxed_rows(field, matrix):
-        if not isinstance(matrix, list):
-            matrix = matrix.tolist()
-        return [boxed_from_native(field, row) for row in matrix]
+        return [boxed_from_ints(field, row) for row in matrix]
 
     def boxed_eval_int(self, x):
         field = self.field
@@ -226,16 +210,14 @@ def _boxed_polynomial_baseline():
         return acc.value
 
     saved_eval = Polynomial.eval_int
-    Polynomial.from_native = staticmethod(boxed_from_native)
-    Polynomial.from_reduced_ints = staticmethod(boxed_from_native)
-    Polynomial.from_native_rows = staticmethod(boxed_rows)
+    Polynomial.from_reduced_ints = staticmethod(boxed_from_ints)
+    Polynomial.from_reduced_rows = staticmethod(boxed_rows)
     Polynomial.eval_int = boxed_eval_int
     try:
         yield
     finally:
-        Polynomial.from_native = classmethod(orig_native)
-        Polynomial.from_reduced_ints = classmethod(orig_native)
-        Polynomial.from_native_rows = classmethod(orig_rows)
+        Polynomial.from_reduced_ints = classmethod(orig_ints)
+        Polynomial.from_reduced_rows = classmethod(orig_rows)
         Polynomial.eval_int = saved_eval
 
 
@@ -269,12 +251,12 @@ def measure_native_polynomial_speedup(
     num_values: int = 8192, n: int = 13, degree: int = 10, faults: int = 1,
     seed: int = 29, repeats: int = 5,
 ) -> Dict[str, float]:
-    """rs_decode_batch fallback: native coefficient storage vs eager boxing.
+    """rs_decode_batch fallback: residue coefficient storage vs eager boxing.
 
     Every codeword is corrupted inside the leading window, so all
     ``num_values`` rows take the fallback path and construct their decoded
-    polynomial from a kernel matrix product.  ``speedup`` is
-    boxed-baseline time over native time on the identical decode.
+    polynomial from a matrix product.  ``speedup`` is boxed-baseline time
+    over residue-storage time on the identical decode.
     """
     xs, rows, secrets = _rs_codeword_rows(
         num_values, n, degree, faults, seed, corrupt=True
@@ -343,139 +325,6 @@ def measure_bw_fallback_overhead(
     }
 
 
-# -- numpy kernel vs the int-residue reference kernel --------------------------
-#
-# Same batched code path, measured once per kernel backend.  Inputs are
-# regenerated under each kernel from the same seed (identical values, but
-# kernel-native storage), and outputs are asserted element-wise equal --
-# the kernels are exact twins, only speed may differ.
-
-
-def _run_under_kernel(kernel: str, setup, measured, repeats: int):
-    previous = set_kernel_backend(kernel)
-    try:
-        state = setup()
-        out = measured(state)
-        elapsed = best_of(lambda: measured(state), repeats)
-        return [int(v) for v in out], elapsed
-    finally:
-        set_kernel_backend(previous)
-
-
-def _measure_kernel_speedup(setup, measured, repeats: int) -> Dict[str, float]:
-    int_out, int_time = _run_under_kernel("int", setup, measured, repeats)
-    numpy_out, numpy_time = _run_under_kernel("numpy", setup, measured, repeats)
-    assert int_out == numpy_out, "kernels disagree -- they must be exact twins"
-    return {
-        "int_s": int_time,
-        "numpy_s": numpy_time,
-        "speedup": int_time / numpy_time if numpy_time else float("inf"),
-        "kernel": "numpy-vs-int",
-    }
-
-
-def measure_kernel_reconstruct_speedup(
-    num_secrets: int = 1024, n: int = 64, degree: int = 21, seed: int = 17,
-    repeats: int = 5,
-) -> Dict[str, float]:
-    """batch_reconstruct under the numpy kernel vs the int-residue kernel.
-
-    Measured at a production-scale committee (n=64, t=21): the kernel rows
-    exist to show what the uint64 matmul path buys where matrix work
-    dominates, and a 64-party reconstruction is the regime the ROADMAP's
-    scale goal actually cares about.
-    """
-
-    def setup():
-        rng = random.Random(seed)
-        secrets = [rng.randrange(FIELD.modulus) for _ in range(num_secrets)]
-        return batch_share(FIELD, secrets, degree, n, rng=rng)
-
-    def measured(shares):
-        return batch_reconstruct(FIELD, shares, degree)
-
-    stats = _measure_kernel_speedup(setup, measured, repeats)
-    stats.update(num_secrets=float(num_secrets), n=float(n), degree=float(degree))
-    return stats
-
-
-def measure_kernel_oec_speedup(
-    num_values: int = 256, n: int = 64, degree: int = 21, faults: int = 21,
-    seed: int = 19, repeats: int = 5,
-) -> Dict[str, float]:
-    """Batch OEC decode under the numpy kernel vs the int-residue kernel.
-
-    Measures the fault-free batched candidate-window decode (the
-    kernel-dependent matrix path): the corrector accepts as soon as the
-    first ``degree + faults + 1`` honest rows agree.  Incremental OEC
-    cannot exercise *actual* corruption purely through that pass -- any
-    corrupt row arriving before the acceptance threshold forces per-column
-    scalar Berlekamp-Welch retries, which are identical under either
-    kernel and would only dilute the comparison (the corrupted decode path
-    is covered by the robust_reconstruct rows, where all rows are present
-    at once).  ``faults`` still sizes the decode threshold.
-    """
-
-    def setup():
-        rng = random.Random(seed)
-        secrets = [rng.randrange(FIELD.modulus) for _ in range(num_values)]
-        return batch_share(FIELD, secrets, degree, n, rng=rng)
-
-    def measured(shares):
-        corrector = BatchOnlineErrorCorrector(FIELD, num_values, degree, faults)
-        for i in range(1, n + 1):
-            corrector.add_row(FIELD.alpha(i), shares[i])
-        return corrector.secrets()
-
-    stats = _measure_kernel_speedup(setup, measured, repeats)
-    stats.update(num_values=float(num_values), n=float(n), faults=float(faults))
-    return stats
-
-
-def measure_dispatch_crossover(max_size: int = 4096, repeats: int = 5) -> Dict[str, float]:
-    """Measured list-input crossover for element-wise multiplication.
-
-    The profile behind the numpy kernel's runtime dispatch: the smallest
-    vector length (powers of two) at which a *single* numpy element-wise
-    multiplication -- list conversion + limb mul + unboxing back to ints --
-    beats the int path, recorded next to the threshold in force so drift is
-    visible across PRs.  The threshold in force sits below this single-op
-    crossover on purpose: FieldArray chains stay in uint64 between ops, so
-    one conversion is amortized over the whole chain.
-    """
-    from repro.field.kernels import get_kernel, IntKernel, NumpyKernel
-
-    rng = random.Random(23)
-    int_kernel = IntKernel()
-    np_kernel = NumpyKernel()
-    p = FIELD.modulus
-    crossover = float("nan")
-    size = 16
-    while size <= max_size:
-        a = [rng.randrange(p) for _ in range(size)]
-        b = [rng.randrange(p) for _ in range(size)]
-        int_time = best_of(lambda: int_kernel.mul(p, a, b), repeats)
-        # Time the full list-input path (conversion + limb mul + unbox):
-        # that is the cost the dispatch threshold actually gates on.
-        np_time = best_of(
-            lambda: np_kernel._mul61(
-                np_kernel._to_array(p, a), np_kernel._to_array(p, b)
-            ).tolist(),
-            repeats,
-        )
-        if np_time < int_time:
-            crossover = float(size)
-            break
-        size *= 2
-    return {
-        "measured_mul_crossover": crossover,
-        "threshold_elementwise": float(DISPATCH_THRESHOLDS["elementwise"]),
-        "threshold_matmul_ops": float(DISPATCH_THRESHOLDS["matmul_ops"]),
-        "threshold_inverse": float(DISPATCH_THRESHOLDS["inverse"]),
-        "kernel": "numpy-vs-int",
-    }
-
-
 def test_batch_reconstruct_is_5x_faster():
     """Acceptance: 256 secrets at n=16, t=5, batch >= 5x faster than scalar."""
     stats = measure_reconstruct_speedup(num_secrets=256, n=16, degree=5)
@@ -516,55 +365,19 @@ def test_bw_fallback_within_2x_of_fast_path():
     assert stats["overhead"] <= 2.0, f"overhead {stats['overhead']:.2f}x"
 
 
-def test_kernel_reconstruct_is_5x_faster():
-    """Acceptance: numpy kernel >= 5x the int kernel on batch_reconstruct."""
-    if not numpy_available():
-        import pytest
-
-        pytest.skip("numpy kernel unavailable")
-    stats = measure_kernel_reconstruct_speedup()
-    record_bench("batch", "kernel_reconstruct_1024_n64_t21", stats)
-    assert stats["speedup"] >= 5.0, f"speedup only {stats['speedup']:.1f}x"
-
-
-def test_kernel_oec_is_5x_faster():
-    """Acceptance: numpy kernel >= 5x the int kernel on batch OEC decoding."""
-    if not numpy_available():
-        import pytest
-
-        pytest.skip("numpy kernel unavailable")
-    stats = measure_kernel_oec_speedup()
-    record_bench("batch", "kernel_oec_256_n64_t21", stats)
-    assert stats["speedup"] >= 5.0, f"speedup only {stats['speedup']:.1f}x"
-
-
 def smoke():
     """Tiny-size rot check used by the bench_smoke tier-1 marker.
 
-    Also carries the kernel acceptance criterion: the numpy kernel must be
-    at least 5x the int-residue kernel on the batch-reconstruct and OEC
-    rows.  A below-threshold first measurement is re-measured once with
-    more repeats before failing (best-of timing on a loaded machine can
-    catch an unlucky numpy run; a real regression fails both passes).
-    Unlike the bench tier, the smoke only asserts -- it does not rewrite
-    BENCH_batch.json on every tier-1 run.
+    Also carries the fallback criterion: the worst-case Berlekamp-Welch
+    fallback costs at most 2x the base-window fast path.  An
+    above-threshold first measurement is re-measured once with more repeats
+    before failing (best-of timing on a loaded machine can catch an unlucky
+    run; a real regression fails both passes).  Unlike the bench tier, the
+    smoke only asserts -- it does not rewrite BENCH_batch.json on every
+    tier-1 run.
     """
     stats = measure_reconstruct_speedup(num_secrets=16, n=8, degree=2, repeats=1)
     assert stats["batch_s"] > 0
-    if numpy_available():
-        checks = {
-            "kernel_reconstruct": measure_kernel_reconstruct_speedup,
-            "kernel_oec": measure_kernel_oec_speedup,
-        }
-        for name, measure in checks.items():
-            row = measure(repeats=2)
-            if row["speedup"] < 5.0:
-                row = measure(repeats=5)
-            assert row["speedup"] >= 5.0, (
-                f"{name}: numpy kernel only {row['speedup']:.1f}x over the "
-                "int kernel"
-            )
-            stats[f"{name}_speedup"] = row["speedup"]
     fallback = measure_bw_fallback_overhead(repeats=2)
     if fallback["overhead"] > 2.0:
         fallback = measure_bw_fallback_overhead(repeats=5)
@@ -605,22 +418,3 @@ if __name__ == "__main__":
         f"  fallback {bw['fallback_s'] * 1e3:8.2f} ms"
         f"  overhead {bw['overhead']:6.2f}x"
     )
-    if numpy_available():
-        for key, name, fn in (
-            ("kernel_reconstruct_1024_n64_t21", "kernel_reconstruct (1024 secrets, n=64, t=21)", measure_kernel_reconstruct_speedup),
-            ("kernel_oec_256_n64_t21", "kernel_oec         ( 256 values,  n=64, t=21)", measure_kernel_oec_speedup),
-        ):
-            stats = fn()
-            record_bench("batch", key, stats)
-            print(
-                f"{name}: int {stats['int_s'] * 1e3:8.2f} ms"
-                f"  numpy {stats['numpy_s'] * 1e3:8.2f} ms"
-                f"  speedup {stats['speedup']:6.1f}x"
-            )
-        calibration = measure_dispatch_crossover()
-        record_bench("batch", "dispatch_calibration", calibration)
-        print(
-            "dispatch calibration: elementwise-mul crossover "
-            f"{calibration['measured_mul_crossover']:.0f} elements "
-            f"(threshold in force: {calibration['threshold_elementwise']:.0f})"
-        )

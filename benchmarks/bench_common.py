@@ -12,7 +12,6 @@ import time
 from typing import Dict, Mapping, Optional
 
 from repro.field import Polynomial, default_field
-from repro.field.kernels import kernel_name
 from repro.sim import ProtocolRunner, SynchronousNetwork
 from repro.sim.network import NetworkModel
 
@@ -105,9 +104,6 @@ def record_bench(name: str, key: str, payload: Mapping) -> str:
         except (ValueError, OSError):
             data = {}
     entry = {k: v for k, v in payload.items()}
-    # Every row names the numerical kernel backend it was measured under
-    # (rows that compare kernels explicitly set their own value).
-    entry.setdefault("kernel", kernel_name())
     for stamp, value in host_fingerprint().items():
         entry.setdefault(stamp, value)
     entry["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")

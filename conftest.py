@@ -22,32 +22,7 @@ if os.path.isdir(_BENCH) and _BENCH not in sys.path:
     sys.path.append(_BENCH)
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--field-kernel",
-        action="store",
-        default=None,
-        choices=("int", "numpy"),
-        help="Run the whole suite under one numerical field kernel backend "
-        "(default: auto-select numpy when importable). Every kernel is "
-        "exact, so the suite must pass identically under any of them; "
-        "selecting an uninstalled backend fails fast.",
-    )
-
-
 def pytest_configure(config):
-    requested = config.getoption("--field-kernel")
-    if requested:
-        import pytest
-
-        from repro.field.kernels import set_kernel_backend
-
-        try:
-            set_kernel_backend(requested)
-        except ValueError as exc:
-            # e.g. --field-kernel=numpy on a machine without numpy: fail
-            # fast with a clean message instead of an INTERNALERROR dump.
-            raise pytest.UsageError(str(exc))
     config.addinivalue_line("markers", "slow: long-running test")
     config.addinivalue_line(
         "markers",
@@ -79,12 +54,6 @@ def pytest_configure(config):
         "tests/conftest.py timeout fixture gives each a hard per-test "
         "wall-clock cap so a wedged socket can never hang tier-1 "
         "(override with @pytest.mark.tcp(timeout=N))",
-    )
-    config.addinivalue_line(
-        "markers",
-        "calibrate: runs the dispatch-threshold calibration CLI (smoke mode) "
-        "in a subprocess; covered by the tests/conftest.py wall-clock cap "
-        "(override with @pytest.mark.calibrate(timeout=N))",
     )
     config.addinivalue_line(
         "markers",

@@ -6,11 +6,7 @@ PEP 660 editable wheels) is unavailable and pip falls back to the legacy
 editable install path, so everything lives in this single legacy-friendly
 file.
 
-The core package is pure Python with zero hard dependencies -- the int
-field kernel is always available.  The accelerated kernel is an optional
-extra:
-
-    pip install -e ".[numpy]"   # uint64 limb-split kernel (moduli < 2^62)
+The package is pure Python with zero dependencies.
 """
 
 from setuptools import find_packages, setup
@@ -26,7 +22,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=[],
-    extras_require={
-        "numpy": ["numpy>=1.24"],
-    },
 )

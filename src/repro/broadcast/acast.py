@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.field.array import FieldArray
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import get_kernel
+from repro.field.kernels import normalize
 from repro.sim.party import Party, ProtocolInstance
 
 _INIT = "init"
@@ -52,15 +52,7 @@ class PackedFieldVector:
 
     def __init__(self, field: GF, values: Sequence, _normalized: bool = False):
         self.field = field
-        if _normalized:
-            self.values = tuple(values)
-        else:
-            # Vectorized residue reduction under the numpy kernel (long
-            # payload vectors are the whole point of packing).
-            kernel = get_kernel()
-            self.values = tuple(
-                kernel.to_list(kernel.normalize(field.modulus, values))
-            )
+        self.values = tuple(values if _normalized else normalize(field.modulus, values))
         self._digest = hash((field.modulus, self.values))
 
     @classmethod

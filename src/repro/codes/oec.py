@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.codes.reed_solomon import rs_decode, rs_decode_batch
 from repro.field.array import FieldArray
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import get_kernel
 from repro.field.polynomial import Polynomial
 
 
@@ -133,11 +132,8 @@ class BatchOnlineErrorCorrector:
         row = self._rows.get(x_val)
         if row is None:
             if isinstance(values, FieldArray):
-                # Already-reduced residues, no Nones: keep the kernel-native
-                # storage (a uint64 row under the numpy backend) -- never
-                # mutated, since merge writes only fill None slots.
-                data = values.native
-                self._rows[x_val] = data if not isinstance(data, list) else values.tolist()
+                # Already-reduced residues, no Nones.
+                self._rows[x_val] = values.tolist()
             else:
                 normalized = [None if v is None else int(v) % p for v in values]
                 self._has_gaps = self._has_gaps or any(v is None for v in normalized)
@@ -167,9 +163,9 @@ class BatchOnlineErrorCorrector:
         if not self._has_gaps:
             # Gap-free batches (every sender reported every value, the
             # common case): all undecoded columns share the full sender
-            # set, so the per-column grouping scan and the Python
-            # column-by-column transpose both collapse to one kernel
-            # transpose of the stored rows.
+            # set, so the per-column grouping scan and the
+            # column-by-column transpose both collapse to one transpose of
+            # the stored rows.
             groups[tuple(self._order)] = undecoded
         else:
             # Group undecoded columns by the set of senders that reported
@@ -182,16 +178,10 @@ class BatchOnlineErrorCorrector:
                 if len(xs) < threshold:
                     continue
                 groups.setdefault(xs, []).append(column)
-        kernel = get_kernel()
-        p = self.field.modulus
         for xs, columns in groups.items():
             if not self._has_gaps:
-                matrix = kernel.transpose(p, [self._rows[x] for x in xs])
-                rows = (
-                    matrix
-                    if len(columns) == self.count
-                    else kernel.take_rows(matrix, columns)
-                )
+                matrix = list(zip(*(self._rows[x] for x in xs)))
+                rows = matrix if len(columns) == self.count else [matrix[c] for c in columns]
             else:
                 rows = [[self._rows[x][column] for x in xs] for column in columns]
             decoded = rs_decode_batch(self.field, xs, rows, self.degree, self.max_faults)

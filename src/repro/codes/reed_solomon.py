@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.field.array import inverse_vandermonde, lagrange_matrix
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import get_kernel
+from repro.field.kernels import mat_rows, mismatch_counts, mul, normalize, sub
 from repro.field.polynomial import Polynomial
 
 
@@ -25,13 +25,12 @@ def _solve_linear_system(
 
     Returns one solution of ``matrix @ x = rhs`` (free variables set to 0),
     or None if the system is inconsistent.  Rows live as plain residue
-    vectors and the row eliminations run through the kernel's element-wise
-    ops -- no FieldElement boxing, which used to dominate the decode
-    fallback.  Pivot selection (first nonzero entry, column order) is
-    unchanged, so the solutions are bit-identical to the boxed original.
+    vectors and the row eliminations are element-wise list ops -- no
+    FieldElement boxing, which used to dominate the decode fallback.  Pivot
+    selection (first nonzero entry, column order) is unchanged, so the
+    solutions are bit-identical to the boxed original.
     """
     p = field.modulus
-    kernel = get_kernel()
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     aug = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
@@ -47,13 +46,11 @@ def _solve_linear_system(
             continue
         aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
         inv = pow(aug[row][col], p - 2, p)
-        aug[row] = kernel.to_list(kernel.mul(p, aug[row], inv))
+        aug[row] = mul(p, aug[row], inv)
         for other in range(rows):
             if other != row and aug[other][col] != 0:
                 factor = aug[other][col]
-                aug[other] = kernel.to_list(
-                    kernel.sub(p, aug[other], kernel.mul(p, aug[row], factor))
-                )
+                aug[other] = sub(p, aug[other], mul(p, aug[row], factor))
         pivot_cols.append(col)
         row += 1
         if row == rows:
@@ -173,13 +170,12 @@ def rs_decode_batch(
 ) -> List[Optional[Polynomial]]:
     """Decode many codewords that share the same evaluation points.
 
-    ``rows[k]`` holds the received values of codeword k over ``xs`` (ints,
-    FieldElements, or -- under the numpy kernel -- a ready ``uint64``
-    matrix).  Fast path: the candidate polynomial through the first
-    ``degree + 1`` points is computed for *all* rows at once against one
-    cached Lagrange matrix (a single kernel matrix product plus a
-    vectorized mismatch count, no Gaussian elimination) and accepted per
-    row iff it meets exactly the :func:`rs_decode` acceptance condition --
+    ``rows[k]`` holds the received values of codeword k over ``xs`` (ints
+    or FieldElements).  Fast path: the candidate polynomial through the
+    first ``degree + 1`` points is computed for *all* rows at once against
+    one cached Lagrange matrix (a single matrix product plus a mismatch
+    count, no Gaussian elimination) and accepted per row iff it meets
+    exactly the :func:`rs_decode` acceptance condition --
     at most ``max_errors`` mismatches and at least
     ``degree + max_errors + 1`` agreeing points.  Rows whose leading points
     are corrupted fall back to the scalar Berlekamp-Welch reference path --
@@ -193,7 +189,6 @@ def rs_decode_batch(
     ``degree + 1`` honest agreeing points) holds.
     """
     p = field.modulus
-    kernel = get_kernel()
     xs_int = tuple(int(x) % p for x in xs)
     results: List[Optional[Polynomial]] = [None] * len(rows)
     n_points = len(xs_int)
@@ -202,23 +197,18 @@ def rs_decode_batch(
 
     # Batched base-window candidate pass: every row shares the same window,
     # so prediction and coefficient extraction are two matrix products
-    # against cached matrices (limb-decomposed uint64 matmuls under the
-    # numpy kernel, the historical per-row dot products under "int").  The
-    # candidate interpolates its window points *exactly*, so mismatches can
-    # only occur at the complement positions -- prediction runs against the
-    # ``n - (degree + 1)`` non-window columns only, shrinking the dominant
-    # matmul by a factor of ``n / 2 * max_errors``-ish.
-    matrix = kernel.as_matrix(p, rows)
-    base_window = tuple(range(degree + 1))
-    base_xs = tuple(xs_int[i] for i in base_window)
-    complement = tuple(range(degree + 1, n_points))
-    heads = kernel.take_columns(matrix, base_window)
-    if complement:
-        comp_xs = tuple(xs_int[i] for i in complement)
-        eval_matrix = lagrange_matrix(field, base_xs, comp_xs)
-        predicted = kernel.mat_rows(p, eval_matrix, heads, native=True)
-        tail = kernel.take_columns(matrix, complement)
-        mismatch = kernel.mismatch_counts(predicted, tail)
+    # against cached matrices.  The candidate interpolates its window
+    # points *exactly*, so mismatches can only occur at the complement
+    # positions -- prediction runs against the ``n - (degree + 1)``
+    # non-window columns only, shrinking the dominant product by a factor
+    # of ``n / 2 * max_errors``-ish.
+    matrix = [normalize(p, row) for row in rows]
+    heads = [row[: degree + 1] for row in matrix]
+    base_xs = xs_int[: degree + 1]
+    if n_points > degree + 1:
+        eval_matrix = lagrange_matrix(field, base_xs, xs_int[degree + 1:])
+        predicted = mat_rows(p, eval_matrix, heads)
+        mismatch = mismatch_counts(predicted, (row[degree + 1:] for row in matrix))
     else:
         mismatch = [0] * len(rows)
     accepted = [
@@ -228,12 +218,8 @@ def rs_decode_batch(
     ]
     if accepted:
         coeff_matrix = inverse_vandermonde(field, base_xs)
-        coeff_rows = kernel.mat_rows(
-            p, coeff_matrix, kernel.take_rows(heads, accepted), native=True
-        )
-        for index, poly in zip(
-            accepted, Polynomial.from_native_rows(field, coeff_rows)
-        ):
+        coeff_rows = mat_rows(p, coeff_matrix, [heads[index] for index in accepted])
+        for index, poly in zip(accepted, Polynomial.from_reduced_rows(field, coeff_rows)):
             results[index] = poly
     if len(accepted) == len(results):
         return results
@@ -242,26 +228,24 @@ def rs_decode_batch(
         """Try one learned window against every still-undecoded row at once.
 
         The same two cached matrix products as the base-window pass, just
-        restricted to ``pending`` rows -- column-batched on the kernel
-        backend instead of the historical per-row scalar dot products.
-        Acceptance re-verifies the exact :func:`rs_decode` condition per
-        row, so accepted rows match what the scalar path would return.
+        restricted to ``pending`` rows -- column-batched instead of the
+        historical per-row scalar dot products.  Acceptance re-verifies the
+        exact :func:`rs_decode` condition per row, so accepted rows match
+        what the scalar path would return.
         """
         window_xs = tuple(xs_int[i] for i in window)
         window_set = set(window)
         win_complement = tuple(
             i for i in range(n_points) if i not in window_set
         )
-        sub = kernel.take_rows(matrix, pending)
-        sub_heads = kernel.take_columns(sub, window)
+        sub_rows = [matrix[index] for index in pending]
+        sub_heads = [[row[i] for i in window] for row in sub_rows]
         if win_complement:
             comp_xs = tuple(xs_int[i] for i in win_complement)
             window_eval = lagrange_matrix(field, window_xs, comp_xs)
-            sub_predicted = kernel.mat_rows(
-                p, window_eval, sub_heads, native=True
-            )
-            sub_tail = kernel.take_columns(sub, win_complement)
-            sub_mismatch = kernel.mismatch_counts(sub_predicted, sub_tail)
+            sub_predicted = mat_rows(p, window_eval, sub_heads)
+            sub_tail = ([row[i] for i in win_complement] for row in sub_rows)
+            sub_mismatch = mismatch_counts(sub_predicted, sub_tail)
         else:
             sub_mismatch = [0] * len(pending)
         hits = [
@@ -272,10 +256,8 @@ def rs_decode_batch(
         if not hits:
             return
         window_coeff = inverse_vandermonde(field, window_xs)
-        hit_coeffs = kernel.mat_rows(
-            p, window_coeff, kernel.take_rows(sub_heads, hits), native=True
-        )
-        for k, poly in zip(hits, Polynomial.from_native_rows(field, hit_coeffs)):
+        hit_coeffs = mat_rows(p, window_coeff, [sub_heads[k] for k in hits])
+        for k, poly in zip(hits, Polynomial.from_reduced_rows(field, hit_coeffs)):
             results[pending[k]] = poly
 
     undecided = [index for index in range(len(results)) if results[index] is None]
@@ -285,7 +267,7 @@ def rs_decode_batch(
         cursor += 1
         if results[index] is not None:
             continue
-        values = kernel.matrix_row(matrix, index)
+        values = matrix[index]
         poly = rs_decode(field, list(zip(xs_int, values)), degree, max_errors)
         results[index] = poly
         if poly is None:

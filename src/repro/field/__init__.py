@@ -31,24 +31,13 @@ in exactly the oracle's order.  Whole-protocol transcripts are pinned by
 the golden digests in ``tests/golden/transcript_digests.json``, recorded
 from the boxed scalar protocol path before it was deleted.
 
-The residue arithmetic itself is pluggable (:mod:`repro.field.kernels`):
-the ``"int"`` kernel is the pure-Python reference, the ``"numpy"`` kernel
-stores GF(2**61 - 1) residues in uint64 arrays and turns the cached-matrix
-applications into limb-decomposed matmuls.  Kernels are *exact* --
-identical residues for identical inputs, no randomness -- so selecting one
-(``set_kernel_backend`` / ``REPRO_FIELD_KERNEL`` / pytest
-``--field-kernel``) can never change a transcript;
-``tests/test_kernel_equivalence.py`` enforces it.
+The residue arithmetic underneath is one set of plain functions over lists
+of Python ints (:mod:`repro.field.kernels`), with no second backend and no
+size-based dispatch: the protocols apply matrices of about n x n to vectors
+of tens of residues, where array libraries buy nothing and cost an import.
 """
 
 from repro.field.gf import GF, FieldElement, DEFAULT_PRIME, default_field
-from repro.field.kernels import (
-    available_kernel_backends,
-    get_kernel,
-    kernel_name,
-    numpy_available,
-    set_kernel_backend,
-)
 from repro.field.polynomial import Polynomial, lagrange_interpolate, lagrange_coefficients
 from repro.field.bivariate import BatchSymmetricBivariate, SymmetricBivariatePolynomial
 from repro.field.array import (
@@ -74,17 +63,12 @@ __all__ = [
     "SymmetricBivariatePolynomial",
     "BatchSymmetricBivariate",
     "FieldArray",
-    "available_kernel_backends",
     "batch_evaluate",
     "batch_interpolate",
     "batch_interpolate_at",
     "batch_inverse",
-    "get_kernel",
     "inverse_vandermonde",
-    "kernel_name",
     "lagrange_matrix",
     "lagrange_row",
-    "numpy_available",
-    "set_kernel_backend",
     "vandermonde_matrix",
 ]

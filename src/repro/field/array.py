@@ -6,9 +6,8 @@ handful of field operations over *many* values at once.  Doing that one
 boxed :class:`~repro.field.gf.FieldElement` at a time dominates the runtime,
 so this module provides:
 
-* :class:`FieldArray` -- element-wise add/sub/mul/inv over a vector of
-  residues, stored either as plain Python ints or (under the numpy kernel)
-  as a ``uint64`` array, with a single modular reduction per op;
+* :class:`FieldArray` -- element-wise add/sub/mul/inv over a list of int
+  residues, with a single modular reduction per op;
 * :func:`batch_inverse` -- Montgomery's trick: k inversions for the price of
   one modular exponentiation plus 3(k-1) multiplications;
 * cached Lagrange rows / matrices and (inverse) Vandermonde matrices keyed by
@@ -16,17 +15,13 @@ so this module provides:
   set (the overwhelmingly common case: party alphas and beta extraction
   points never change) costs one dot product per value.
 
-The actual residue arithmetic is delegated to the pluggable numerical
-kernel backend (:mod:`repro.field.kernels`): the ``"int"`` kernel is the
-pure-Python reference, the ``"numpy"`` kernel turns the cached-matrix
-applications into limb-decomposed ``uint64`` matmuls.  Both are exact, so
-the choice can never change a protocol transcript.
+The residue arithmetic itself is the plain functions of
+:mod:`repro.field.kernels`.
 
 The boxed ``FieldElement``/``Polynomial`` primitives are kept untouched as
 test oracles: ``tests/test_field_array.py`` checks that every function here
-agrees with them element-wise on randomized inputs, and
-``tests/test_kernel_equivalence.py`` does the same across kernels.  Protocol
-modules call this module only; there is no scalar protocol path to select.
+agrees with them element-wise on randomized inputs.  Protocol modules call
+this module only; there is no scalar protocol path to select.
 
 Batch API summary::
 
@@ -41,16 +36,11 @@ Batch API summary::
 from __future__ import annotations
 
 import random
-from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.field import kernels
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import (
-    LruCache,
-    get_kernel,
-    kernel_name,
-    set_kernel_backend,
-)
+from repro.field.kernels import LruCache
 
 IntRow = Tuple[int, ...]
 Matrix = Tuple[IntRow, ...]
@@ -62,12 +52,9 @@ def batch_inverse(field: GF, values: Sequence[int]) -> List[int]:
     """Montgomery's trick: invert every residue with a single exponentiation.
 
     Raises ZeroDivisionError if any value is zero mod p (matching the scalar
-    ``FieldElement.inverse`` behaviour).  Routed through the active kernel;
-    the numpy backend computes the prefix/suffix products as vectorized
-    scans for long inputs.
+    ``FieldElement.inverse`` behaviour).
     """
-    kernel = get_kernel()
-    return kernel.to_list(kernel.batch_inverse(field.modulus, values))
+    return kernels.batch_inverse(field.modulus, values)
 
 
 # -- cached interpolation machinery -------------------------------------------
@@ -272,24 +259,11 @@ def him_matrix(field: GF, inputs: int, outputs: int) -> Matrix:
     return _HIM_CACHE.put(key, matrix)
 
 
-def dot_mod(row: Sequence[int], values: Sequence[int], modulus: int) -> int:
-    """Inner product with a single trailing reduction.
-
-    ``sum(map(mul, ...))`` beats the equivalent generator expression by
-    ~30% on the short (degree+1)-length rows these hot loops chew through.
-    This is the scalar reference primitive; bulk applications go through
-    the kernel's matrix ops instead.
-    """
-    return sum(map(mul, row, values)) % modulus
-
-
 def batch_interpolate_at(
     field: GF, xs: Sequence, rows: Sequence[Sequence[int]], at
 ) -> List[int]:
     """Evaluate, for every row of values over ``xs``, its interpolant at ``at``."""
-    row = lagrange_row(field, xs, at)
-    kernel = get_kernel()
-    return kernel.to_list(kernel.rows_dot(field.modulus, rows, row))
+    return kernels.rows_dot(field.modulus, rows, lagrange_row(field, xs, at))
 
 
 def batch_interpolate(
@@ -297,7 +271,7 @@ def batch_interpolate(
 ) -> List[List[int]]:
     """Coefficient lists (low -> high) of the interpolants of many value rows."""
     matrix = inverse_vandermonde(field, xs)
-    return get_kernel().mat_rows(field.modulus, matrix, rows)
+    return kernels.mat_rows(field.modulus, matrix, rows)
 
 
 def batch_evaluate(
@@ -313,7 +287,7 @@ def batch_evaluate(
         list(coeffs) + [0] * (width - len(coeffs)) if len(coeffs) < width else list(coeffs)
         for coeffs in coeff_rows
     ]
-    return get_kernel().mat_rows(field.modulus, matrix, padded)
+    return kernels.mat_rows(field.modulus, matrix, padded)
 
 
 # -- the array type -----------------------------------------------------------
@@ -327,79 +301,52 @@ class FieldArray:
     Element-wise arithmetic with a single modular reduction per slot; scalars
     (ints or :class:`FieldElement`) broadcast.  Mixing arrays over different
     fields or of different lengths raises ValueError, mirroring the scalar
-    API's refusal to mix fields.
-
-    Storage is kernel-native: a plain list of Python ints under the int
-    kernel, a ``uint64`` numpy array under the numpy kernel (so chains of
-    batched ops never round-trip through Python objects).  The public
-    :attr:`values` view is always a list of Python ints, materialized
-    lazily -- numpy scalars never escape into payloads or boxed elements.
+    API's refusal to mix fields.  :attr:`values` is the list of residues
+    itself, never copied by the arithmetic.
     """
 
-    __slots__ = ("field", "_data", "_list")
+    __slots__ = ("field", "values")
 
     def __init__(self, field: GF, values: Iterable, _normalized: bool = False):
         self.field = field
-        if _normalized:
-            data = list(values)
-            self._data = data
-            self._list = data
-        else:
-            self._set_data(get_kernel().normalize(field.modulus, values))
-
-    def _set_data(self, data) -> None:
-        if isinstance(data, list):
-            self._data = data
-            self._list = data
-        else:
-            self._data = data
-            self._list = None
+        self.values: List[int] = (
+            list(values) if _normalized else kernels.normalize(field.modulus, values)
+        )
 
     @classmethod
-    def _wrap(cls, field: GF, data) -> "FieldArray":
+    def _wrap(cls, field: GF, values: List[int]) -> "FieldArray":
+        """Adopt an already-reduced residue list without copying it."""
         array = cls.__new__(cls)
         array.field = field
-        array._set_data(data)
+        array.values = values
         return array
-
-    @property
-    def values(self) -> List[int]:
-        """The residues as a list of Python ints (lazily materialized)."""
-        if self._list is None:
-            self._list = self._data.tolist()
-        return self._list
-
-    @property
-    def native(self):
-        """The kernel-native storage (list of ints or uint64 ndarray)."""
-        return self._data
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def zeros(cls, field: GF, count: int) -> "FieldArray":
-        return cls(field, [0] * count, _normalized=True)
+        return cls._wrap(field, [0] * count)
 
     @classmethod
     def from_elements(cls, field: GF, elements: Sequence[FieldElement]) -> "FieldArray":
-        return cls(field, [e.value for e in elements], _normalized=True)
+        return cls._wrap(field, [e.value for e in elements])
 
     @classmethod
     def random(cls, field: GF, count: int, rng: Optional[random.Random] = None) -> "FieldArray":
         rng = rng or random
         p = field.modulus
-        return cls(field, [rng.randrange(p) for _ in range(count)], _normalized=True)
+        return cls._wrap(field, [rng.randrange(p) for _ in range(count)])
 
     # -- coercion ---------------------------------------------------------
     def _coerce(self, other: ArrayLike):
-        """The other operand as a scalar int or residue sequence of matching
-        length (kernel-native forms pass through untouched)."""
+        """The other operand as a scalar int or a residue list of matching
+        length, or None if it is neither."""
         p = self.field.modulus
         if isinstance(other, FieldArray):
             if other.field.modulus != p:
                 raise ValueError("cannot mix arrays over different fields")
             if len(other) != len(self):
                 raise ValueError("length mismatch in FieldArray arithmetic")
-            return other._data
+            return other.values
         if isinstance(other, FieldElement):
             if other.field.modulus != p:
                 raise ValueError("cannot mix elements of different fields")
@@ -409,7 +356,7 @@ class FieldArray:
         if isinstance(other, (list, tuple)):
             if len(other) != len(self):
                 raise ValueError("length mismatch in FieldArray arithmetic")
-            return get_kernel().normalize(p, other)
+            return kernels.normalize(p, other)
         return None
 
     # -- arithmetic -------------------------------------------------------
@@ -417,9 +364,7 @@ class FieldArray:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FieldArray._wrap(
-            self.field, get_kernel().add(self.field.modulus, self._data, rhs)
-        )
+        return FieldArray._wrap(self.field, kernels.add(self.field.modulus, self.values, rhs))
 
     __radd__ = __add__
 
@@ -427,51 +372,42 @@ class FieldArray:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FieldArray._wrap(
-            self.field, get_kernel().sub(self.field.modulus, self._data, rhs)
-        )
+        return FieldArray._wrap(self.field, kernels.sub(self.field.modulus, self.values, rhs))
 
     def __rsub__(self, other: ArrayLike) -> "FieldArray":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FieldArray._wrap(
-            self.field, get_kernel().rsub(self.field.modulus, self._data, rhs)
-        )
+        return FieldArray._wrap(self.field, kernels.rsub(self.field.modulus, self.values, rhs))
 
     def __mul__(self, other: ArrayLike) -> "FieldArray":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FieldArray._wrap(
-            self.field, get_kernel().mul(self.field.modulus, self._data, rhs)
-        )
+        return FieldArray._wrap(self.field, kernels.mul(self.field.modulus, self.values, rhs))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FieldArray":
-        return FieldArray._wrap(
-            self.field, get_kernel().neg(self.field.modulus, self._data)
-        )
+        return FieldArray._wrap(self.field, kernels.neg(self.field.modulus, self.values))
 
     def __truediv__(self, other: ArrayLike) -> "FieldArray":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        kernel = get_kernel()
         p = self.field.modulus
         if isinstance(rhs, int):
             if rhs == 0:
                 raise ZeroDivisionError("zero has no multiplicative inverse")
             inv = pow(rhs, p - 2, p)
         else:
-            inv = kernel.batch_inverse(p, rhs)
-        return FieldArray._wrap(self.field, kernel.mul(p, self._data, inv))
+            inv = kernels.batch_inverse(p, rhs)
+        return FieldArray._wrap(self.field, kernels.mul(p, self.values, inv))
 
     def inverse(self) -> "FieldArray":
         """Element-wise multiplicative inverse via Montgomery's trick."""
         return FieldArray._wrap(
-            self.field, get_kernel().batch_inverse(self.field.modulus, self._data)
+            self.field, kernels.batch_inverse(self.field.modulus, self.values)
         )
 
     def dot(self, other: ArrayLike) -> FieldElement:
@@ -480,18 +416,15 @@ class FieldArray:
             raise TypeError("cannot take dot product with this operand")
         p = self.field.modulus
         if isinstance(rhs, int):
-            total = get_kernel().vec_sum(p, self._data) * rhs % p
-            return FieldElement(total, self.field)
-        return FieldElement(get_kernel().dot(p, self._data, rhs), self.field)
+            return FieldElement(kernels.vec_sum(p, self.values) * rhs % p, self.field)
+        return FieldElement(kernels.dot(p, self.values, rhs), self.field)
 
     def sum(self) -> FieldElement:
-        return FieldElement(
-            get_kernel().vec_sum(self.field.modulus, self._data), self.field
-        )
+        return FieldElement(kernels.vec_sum(self.field.modulus, self.values), self.field)
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.values)
 
     def __iter__(self):
         field = self.field
@@ -499,9 +432,7 @@ class FieldArray:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            if self._list is not None:
-                return FieldArray(self.field, self._list[index], _normalized=True)
-            return FieldArray._wrap(self.field, self._data[index])
+            return FieldArray._wrap(self.field, self.values[index])
         return FieldElement(self.values[index], self.field)
 
     def to_elements(self) -> List[FieldElement]:
@@ -522,7 +453,7 @@ class FieldArray:
                 rhs = self._coerce(other)
             except ValueError:
                 return False
-            return get_kernel().to_list(rhs) == self.values
+            return rhs == self.values
         return NotImplemented
 
     def __hash__(self) -> int:

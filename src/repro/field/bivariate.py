@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.field.array import batch_interpolate, vandermonde_matrix
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import get_kernel
+from repro.field.kernels import mat_rows
 from repro.field.polynomial import Polynomial, lagrange_interpolate
 
 
@@ -330,35 +330,33 @@ class BatchSymmetricBivariate:
         """All row polynomials F(x, y_k) in one cached-Vandermonde product.
 
         This is the dealer's whole Phase-I distribution (one row per party)
-        computed as ``V(ys) @ C`` through the active numerical kernel: one
-        limb-decomposed uint64 matmul under the numpy backend, one int dot
-        product per coefficient under the reference backend -- instead of a
-        boxed Horner loop per (party, coefficient).
+        computed as ``V(ys) @ C``: one int dot product per coefficient
+        instead of a boxed Horner loop per (party, coefficient).
         """
         field = self.field
         v_matrix = vandermonde_matrix(field, ys, self.degree)
-        rows = get_kernel().mat_rows(field.modulus, self.coeffs, v_matrix, native=True)
-        return Polynomial.from_native_rows(field, rows)
+        return Polynomial.from_reduced_rows(
+            field, mat_rows(field.modulus, self.coeffs, v_matrix)
+        )
 
     def eval_grid(self, xs: Sequence, ys: Sequence) -> List[List[int]]:
         """The full value table ``grid[a][b] = Q(xs[a], ys[b])`` in one shot.
 
         Computed as ``V(xs) @ C @ V(ys)^T`` against cached Vandermonde
         matrices -- the dealer's pairwise NOK cross-check over all (j, i)
-        pairs costs two kernel matrix products instead of n^2 bivariate
-        Horner evaluations.
+        pairs costs two matrix products instead of n^2 bivariate Horner
+        evaluations.
         """
-        kernel = get_kernel()
         p = self.field.modulus
         v_xs = vandermonde_matrix(self.field, xs, self.degree)
         v_ys = vandermonde_matrix(self.field, ys, self.degree)
         # half[b][i] = sum_j C[i][j] * ys[b]^j  (C is symmetric).
-        half = kernel.mat_rows(p, self.coeffs, v_ys, native=True)
-        return kernel.mat_rows(p, half, v_xs)
+        half = mat_rows(p, self.coeffs, v_ys)
+        return mat_rows(p, half, v_xs)
 
     def zero_row(self) -> Polynomial:
         """Q(0, y): the dealer's embedded univariate polynomial."""
-        return Polynomial.from_native(self.field, list(self.coeffs[0]))
+        return Polynomial.from_reduced_ints(self.field, list(self.coeffs[0]))
 
     def secret(self) -> FieldElement:
         """F(0, 0), the shared secret."""

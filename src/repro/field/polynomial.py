@@ -4,19 +4,15 @@ Shamir sharing, OEC and the triple protocols all manipulate d-degree
 univariate polynomials; this module provides construction, evaluation,
 arithmetic and Lagrange interpolation for them.
 
-Coefficient storage is *kernel-native* (mirroring
-:class:`~repro.field.array.FieldArray`): a :class:`Polynomial` holds its
-coefficients as reduced residues in whatever form the active numerical
-kernel produced them -- a plain list of Python ints, or a ``uint64`` numpy
-row sliced straight out of a kernel matrix product.  The decode-side hot
-paths (``rs_decode_batch`` candidate construction, batch OEC, bivariate row
+A :class:`Polynomial` holds its coefficients as one list of reduced int
+residues, :attr:`Polynomial.residues`.  The decode-side hot paths
+(``rs_decode_batch`` candidate construction, batch OEC, bivariate row
 extraction, packed row payloads) construct polynomials through
-:meth:`Polynomial.from_native` / :meth:`Polynomial.from_reduced_ints` and
-read them back through :attr:`Polynomial.residues`, so they never
-materialize a boxed :class:`~repro.field.gf.FieldElement` per coefficient.
-The historical boxed view, :attr:`Polynomial.coeffs`, is a lazily-built
-property -- same elements as always, paid for only by callers that actually
-index into it.
+:meth:`Polynomial.from_reduced_ints` / :meth:`Polynomial.from_reduced_rows`
+and read them back through ``residues``, so they never materialize a boxed
+:class:`~repro.field.gf.FieldElement` per coefficient.  The historical boxed
+view, :attr:`Polynomial.coeffs`, is a lazily-built property -- same elements
+as always, paid for only by callers that actually index into it.
 """
 
 from __future__ import annotations
@@ -27,42 +23,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.field.gf import GF, FieldElement
 
 
-def _strip_trailing_zeros(values):
-    """Trailing-zero-stripped residue vector (kernel-native form preserved).
+def _strip_trailing_zeros(values: List[int]) -> List[int]:
+    """``values`` without trailing zeros, ``[0]`` for the zero polynomial.
 
-    Never boxes and never copies a list that needs no stripping; ndarray
-    inputs are trimmed with a slice (a view -- cheap) so uint64 rows from a
-    kernel matrix product stay native.
+    Never boxes and never copies a list that needs no stripping.
     """
-    if isinstance(values, tuple):
-        values = list(values)
-    if isinstance(values, list):
-        if values and values[-1] == 0:
-            end = len(values)
-            while end > 1 and values[end - 1] == 0:
-                end -= 1
-            return values[:end]
-        return values
-    # Kernel-native array (uint64 row): find the last nonzero entry without
-    # round-tripping through Python ints.
-    length = len(values)
-    if length > 1 and values[length - 1] == 0:
-        nonzero = values.nonzero()[0]
-        end = int(nonzero[-1]) + 1 if len(nonzero) else 1
+    if values and values[-1] == 0:
+        end = len(values)
+        while end > 1 and values[end - 1] == 0:
+            end -= 1
         return values[:end]
-    return values
+    return values or [0]
 
 
 class Polynomial:
     """A univariate polynomial over GF(p), stored as reduced residues.
 
     ``coeffs[k]`` is the (boxed) coefficient of x**k; :attr:`residues` is
-    the same data as plain Python ints and :attr:`native` is the raw
-    kernel-native storage.  Trailing zero coefficients are stripped, except
-    that the zero polynomial keeps a single zero coefficient.
+    the same data as plain Python ints.  Trailing zero coefficients are
+    stripped, except that the zero polynomial keeps a single zero
+    coefficient.
     """
 
-    __slots__ = ("field", "_native", "_ints", "_boxed")
+    __slots__ = ("field", "residues", "_boxed")
 
     def __init__(self, field: GF, coeffs: Sequence):
         self.field = field
@@ -79,71 +62,50 @@ class Polynomial:
                 append(c.value)
             else:
                 append(int(c) % p)
-        self._native = _strip_trailing_zeros(values) or [0]
-        self._ints = self._native
+        self.residues = _strip_trailing_zeros(values)
         self._boxed = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def from_native(cls, field: GF, values) -> "Polynomial":
-        """Trusted fast constructor from kernel-native reduced residues.
+    def from_reduced_ints(cls, field: GF, values: Sequence[int]) -> "Polynomial":
+        """Trusted fast constructor from already-reduced residues.
 
-        ``values`` is a list of already-reduced Python ints or a uint64
-        kernel row (e.g. one row of a ``mat_rows(..., native=True)``
-        product); the caller guarantees ``0 <= v < p``.  Trailing-zero
-        stripping still applies, so the result is indistinguishable from
-        ``Polynomial(field, values)``.  No coefficient is ever boxed -- the
-        boxed view materializes lazily if someone touches ``.coeffs``.
+        The caller guarantees ``0 <= v < p``; a list is adopted without a
+        copy.  Trailing-zero stripping still applies, so the result is
+        indistinguishable from ``Polynomial(field, values)``.  No coefficient
+        is ever boxed -- the boxed view materializes lazily if someone
+        touches ``.coeffs``.
         """
         poly = object.__new__(cls)
         poly.field = field
-        native = _strip_trailing_zeros(values)
-        if isinstance(native, list):
-            poly._native = native or [0]
-            poly._ints = poly._native
-        else:
-            poly._native = native if len(native) else [0]
-            poly._ints = None
+        poly.residues = _strip_trailing_zeros(
+            values if isinstance(values, list) else list(values)
+        )
         poly._boxed = None
         return poly
 
-    #: Historical name for the trusted residue constructor; the internal
-    #: default everywhere the caller already holds reduced residues.
-    from_reduced_ints = from_native
-
     @classmethod
-    def from_native_rows(cls, field: GF, matrix) -> List["Polynomial"]:
-        """One polynomial per row of a kernel matrix product (batch form).
+    def from_reduced_rows(cls, field: GF, matrix: Sequence[List[int]]) -> List["Polynomial"]:
+        """One polynomial per row of a residue matrix (batch form).
 
-        Faster than mapping :meth:`from_native` over the rows: a uint64
-        kernel matrix converts to Python ints in a single C-level
-        ``tolist`` call and the per-row trailing-zero check is a plain int
-        comparison, so batched decoders pay no per-row numpy scalar
-        overhead.  Semantically identical to
-        ``[Polynomial.from_native(field, row) for row in matrix]``.
+        Semantically identical to
+        ``[Polynomial.from_reduced_ints(field, row) for row in matrix]``,
+        without the per-row method call.
         """
-        if not isinstance(matrix, list):
-            matrix = matrix.tolist()
         polys = []
         append = polys.append
         new = object.__new__
         for row in matrix:
-            if row and row[-1] == 0:
-                end = len(row)
-                while end > 1 and row[end - 1] == 0:
-                    end -= 1
-                row = row[:end]
             poly = new(cls)
             poly.field = field
-            poly._native = row or [0]
-            poly._ints = poly._native
+            poly.residues = _strip_trailing_zeros(row)
             poly._boxed = None
             append(poly)
         return polys
 
     @classmethod
     def zero(cls, field: GF) -> "Polynomial":
-        return cls.from_native(field, [0])
+        return cls.from_reduced_ints(field, [0])
 
     @classmethod
     def constant(cls, field: GF, value) -> "Polynomial":
@@ -169,21 +131,9 @@ class Polynomial:
         coeffs = [rng.randrange(p) for _ in range(degree + 1)]
         if constant_term is not None:
             coeffs[0] = int(field(constant_term))
-        return cls.from_native(field, coeffs)
+        return cls.from_reduced_ints(field, coeffs)
 
-    # -- storage views -----------------------------------------------------
-    @property
-    def native(self):
-        """The kernel-native coefficient storage (int list or uint64 row)."""
-        return self._native
-
-    @property
-    def residues(self) -> List[int]:
-        """Coefficients as a list of Python ints (lazily materialized)."""
-        if self._ints is None:
-            self._ints = self._native.tolist()
-        return self._ints
-
+    # -- boxed view --------------------------------------------------------
     @property
     def coeffs(self) -> List[FieldElement]:
         """The boxed coefficient list (lazily materialized, then cached)."""
@@ -204,17 +154,17 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Degree of the polynomial (0 for constants, including zero)."""
-        return len(self._native) - 1
+        return len(self.residues) - 1
 
     def is_zero(self) -> bool:
-        return len(self._native) == 1 and int(self._native[0]) == 0
+        return len(self.residues) == 1 and self.residues[0] == 0
 
     def constant_term(self) -> FieldElement:
-        return FieldElement(int(self._native[0]), self.field)
+        return FieldElement(self.residues[0], self.field)
 
     def constant_residue(self) -> int:
         """f(0) as a plain int residue (no boxing)."""
-        return int(self._native[0])
+        return self.residues[0]
 
     def _x_residue(self, x) -> int:
         if isinstance(x, FieldElement):
@@ -250,29 +200,29 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         p = self.field.modulus
-        length = max(len(self._native), len(other._native))
-        return Polynomial.from_native(
+        length = max(len(self.residues), len(other.residues))
+        return Polynomial.from_reduced_ints(
             self.field,
             [(a + b) % p for a, b in zip(self._padded(length), other._padded(length))],
         )
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         p = self.field.modulus
-        length = max(len(self._native), len(other._native))
-        return Polynomial.from_native(
+        length = max(len(self.residues), len(other.residues))
+        return Polynomial.from_reduced_ints(
             self.field,
             [(a - b) % p for a, b in zip(self._padded(length), other._padded(length))],
         )
 
     def __neg__(self) -> "Polynomial":
         p = self.field.modulus
-        return Polynomial.from_native(self.field, [(-c) % p for c in self.residues])
+        return Polynomial.from_reduced_ints(self.field, [(-c) % p for c in self.residues])
 
     def __mul__(self, other) -> "Polynomial":
         p = self.field.modulus
         if isinstance(other, (int, FieldElement)):
             scalar = self._x_residue(other)
-            return Polynomial.from_native(
+            return Polynomial.from_reduced_ints(
                 self.field, [c * scalar % p for c in self.residues]
             )
         a_coeffs = self.residues
@@ -283,7 +233,7 @@ class Polynomial:
                 continue
             for j, b in enumerate(b_coeffs):
                 result[i + j] = (result[i + j] + a * b) % p
-        return Polynomial.from_native(self.field, result)
+        return Polynomial.from_reduced_ints(self.field, result)
 
     __rmul__ = __mul__
 
@@ -304,8 +254,8 @@ class Polynomial:
             for k, dcoeff in enumerate(div_coeffs):
                 remainder[shift + k] = (remainder[shift + k] - factor * dcoeff) % p
         return (
-            Polynomial.from_native(self.field, quotient),
-            Polynomial.from_native(self.field, remainder),
+            Polynomial.from_reduced_ints(self.field, quotient),
+            Polynomial.from_reduced_ints(self.field, remainder),
         )
 
     def __floordiv__(self, divisor: "Polynomial") -> "Polynomial":

@@ -127,7 +127,15 @@ def _w_residues(buf: bytearray, modulus: int, values) -> None:
 
 
 def _r_residues(data: bytes, pos: int) -> tuple:
+    """A residue vector as ``(modulus, values, pos)``.
+
+    The values go into trusted constructors (``_normalized=True``,
+    :meth:`~repro.field.polynomial.Polynomial.from_reduced_ints`), so a
+    modulus below 2 or a value outside ``[0, modulus)`` is rejected here.
+    """
     modulus, pos = _r_int(data, pos)
+    if modulus < 2:
+        raise WireDecodeError(f"residue vector over the modulus {modulus}")
     (count,) = _U32.unpack_from(data, pos)
     pos += 4
     packed = data[pos]
@@ -149,6 +157,8 @@ def _r_residues(data: bytes, pos: int) -> tuple:
             value, pos = _r_int(data, pos)
             out.append(value)
         values = tuple(out)
+    if values and (min(values) < 0 or max(values) >= modulus):
+        raise WireDecodeError("residue vector holds a value outside its field")
     return modulus, values, pos
 
 
@@ -404,7 +414,7 @@ def _decode(data: bytes, pos: int, unpickle: bool = True) -> tuple:
     if tag == b"P":
         modulus, values, pos = _r_residues(data, pos)
         field = GF(modulus, check_prime=False)
-        return Polynomial.from_reduced_ints(field, list(values)), pos
+        return Polynomial.from_reduced_ints(field, values), pos
     if tag == b"V":
         modulus, values, pos = _r_residues(data, pos)
         field = GF(modulus, check_prime=False)

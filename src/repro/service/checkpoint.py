@@ -6,7 +6,7 @@ disk to survive a crash -- the party's rng state, its reservoir shares
 (packed as flat field residues, the codec's ``V`` tag: eight bytes per
 residue, no per-element boxing) and the stream watermarks.  Everything goes
 through :mod:`repro.runtime.wire`, so snapshots are exactly as compact and
-kernel/transport-agnostic as protocol messages: no pickle, no boxed field
+transport-agnostic as protocol messages: no pickle, no boxed field
 elements, re-interned fields on decode.
 
 Two version axes:

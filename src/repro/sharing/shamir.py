@@ -21,9 +21,9 @@ import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.codes.reed_solomon import rs_decode, rs_decode_batch
-from repro.field.array import FieldArray, dot_mod, lagrange_row, vandermonde_matrix
+from repro.field.array import FieldArray, lagrange_row, vandermonde_matrix
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import get_kernel
+from repro.field.kernels import dot, mat_rows, normalize, rowmat
 from repro.field.polynomial import Polynomial, interpolate_at, lagrange_interpolate
 
 
@@ -141,7 +141,7 @@ def batch_share_at_alphas(
     coeffs[0] = int(field(value))
     alphas = [int(field.alpha(j)) for j in range(1, n + 1)]
     matrix = vandermonde_matrix(field, alphas, degree)
-    return [FieldElement(dot_mod(v_row, coeffs, p), field) for v_row in matrix]
+    return [FieldElement(dot(p, v_row, coeffs), field) for v_row in matrix]
 
 
 def batch_share(
@@ -167,14 +167,17 @@ def batch_share(
     ]
     alphas = [int(field.alpha(i)) for i in range(1, n + 1)]
     matrix = vandermonde_matrix(field, alphas, degree)
-    # product[party][secret] = <coeffs of secret, Vandermonde row of party>;
-    # under the numpy kernel this is one limb-decomposed matmul and each
-    # party's share vector stays a uint64 row (no per-share boxing).
-    product = get_kernel().mat_rows(p, coeff_rows, matrix, native=True)
-    shares: Dict[int, FieldArray] = {}
-    for party_index in range(1, n + 1):
-        shares[party_index] = FieldArray._wrap(field, product[party_index - 1])
-    return shares
+    # product[party][secret] = <coeffs of secret, Vandermonde row of party>.
+    product = mat_rows(p, coeff_rows, matrix)
+    return {i: FieldArray._wrap(field, product[i - 1]) for i in range(1, n + 1)}
+
+
+def _residue_vectors(p: int, items: Sequence[Tuple[int, Sequence]]) -> List[List[int]]:
+    """The share vectors of ``items`` as residue lists (FieldArrays as is)."""
+    return [
+        vector.values if isinstance(vector, FieldArray) else normalize(p, vector)
+        for _, vector in items
+    ]
 
 
 def batch_reconstruct(
@@ -189,9 +192,7 @@ def batch_reconstruct(
     :func:`reconstruct_secret`, the first ``degree + 1`` parties in mapping
     order are used and every share is assumed correct.  Returns the secrets
     as a :class:`FieldArray` (element-wise equal to the historical list of
-    :class:`FieldElement`; iterate or index to box on demand) so the numpy
-    kernel's row-times-matrix product never round-trips through boxed
-    elements.
+    :class:`FieldElement`; iterate or index to box on demand).
     """
     items = list(shares.items())
     if len(items) < degree + 1:
@@ -203,12 +204,7 @@ def batch_reconstruct(
     p = field.modulus
     alphas = [int(field.alpha(i)) for i, _ in items]
     row = lagrange_row(field, alphas, 0)
-    kernel = get_kernel()
-    vectors = [
-        vector.native if isinstance(vector, FieldArray) else kernel.normalize(p, vector)
-        for _, vector in items
-    ]
-    return FieldArray._wrap(field, kernel.rowmat(p, list(row), vectors))
+    return FieldArray._wrap(field, rowmat(p, row, _residue_vectors(p, items)))
 
 
 def batch_robust_reconstruct(
@@ -235,12 +231,7 @@ def batch_robust_reconstruct(
         raise ValueError("all parties must contribute equally long share vectors")
     p = field.modulus
     alphas = [int(field.alpha(i)) for i, _ in items]
-    kernel = get_kernel()
-    vectors = [
-        vector.native if isinstance(vector, FieldArray) else kernel.normalize(p, vector)
-        for _, vector in items
-    ]
-    rows = kernel.transpose(p, vectors)
+    rows = list(zip(*_residue_vectors(p, items)))
     decoded = rs_decode_batch(field, alphas, rows, degree, max_faults)
     failed = [index for index, poly in enumerate(decoded) if poly is None]
     if failed:

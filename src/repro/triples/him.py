@@ -13,8 +13,8 @@ implements the hyper-invertible-matrix alternative, wired as
    sharings every honest party (eventually) holds.
 2. **Extract challenges** -- the cached hyper-invertible matrix
    (:func:`repro.field.array.him_matrix`, a Lagrange evaluation-point-change
-   matrix) is applied share-wise across the dealer axis in one kernel
-   product (:meth:`repro.field.kernels.FieldKernel.mat_vecs`): |CS| aligned
+   matrix) is applied share-wise across the dealer axis in one matrix
+   product (:func:`repro.field.kernels.mat_vecs`): |CS| aligned
    r-share vectors in, |CS| - t_s verified-random share vectors out.  Each
    extracted sharing mixes at least one honest dealer's uniform input that
    was fixed (VSS-bound) before anything is opened, so the first extracted
@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.acs.acs import AgreementOnCommonSubset, acs_time_bound
 from repro.field.array import him_matrix
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import get_kernel
+from repro.field.kernels import mat_vecs
 from repro.field.polynomial import Polynomial
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon, next_multiple_of_delta
@@ -137,13 +137,12 @@ def extract_random_shares(
     ``share_rows[i][k]`` is this party's share of dealer i's k-th secret (int
     residues or FieldElements).  Row j of the result holds this party's
     shares of the j-th extracted sharing across the whole slot batch -- the
-    matrix is applied once per batch on the kernel backend (limb-decomposed
-    under the numpy kernel), not once per slot.
+    matrix is applied once per batch, not once per slot.
     """
     p = field.modulus
     matrix = him_matrix(field, len(share_rows), outputs)
     rows = [[int(v) % p for v in row] for row in share_rows]
-    return get_kernel().mat_vecs(p, matrix, rows)
+    return mat_vecs(p, matrix, rows)
 
 
 # Imported late to avoid a cycle: preprocessing dispatches to this module.

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.field.array import dot_mod, lagrange_matrix, lagrange_row
+from repro.field.array import lagrange_matrix, lagrange_row
 from repro.field.gf import GF, FieldElement
-from repro.field.kernels import get_kernel
+from repro.field.kernels import dot, mat_rows
 from repro.sim.party import Party, ProtocolInstance
 from repro.triples.beaver import BeaverMultiplication
 
@@ -41,7 +41,7 @@ def extend_shares(
     """
     alphas = [field.alpha(i) for i in range(1, degree + 2)]
     row = lagrange_row(field, alphas, int(field(at)))
-    total = dot_mod(row, [int(s) for s in shares[: degree + 1]], field.modulus)
+    total = dot(field.modulus, row, [int(s) for s in shares[: degree + 1]])
     return FieldElement(total, field)
 
 
@@ -61,7 +61,7 @@ def extend_shares_batch(
     matrix = lagrange_matrix(field, alphas, [int(field(at)) for at in ats])
     p = field.modulus
     heads = [[int(s) for s in shares[: degree + 1]] for shares in share_rows]
-    table = get_kernel().mat_rows(p, matrix, heads)
+    table = mat_rows(p, matrix, heads)
     return [[FieldElement(v, field) for v in row] for row in table]
 
 

@@ -36,27 +36,25 @@ def small_field() -> GF:
 
 @pytest.fixture(autouse=True)
 def _tcp_test_timeout(request):
-    """Hard wall-clock cap for ``tcp``/``service``/``calibrate``/``chaos`` tests.
+    """Hard wall-clock cap for ``tcp``/``service``/``chaos`` tests.
 
     Socket tests must never hang the tier-1 run (a lost stop frame or a
     wedged child process would otherwise block pytest forever, since there
     is no pytest-timeout plugin in this environment), the long-lived
     service tests drive open-ended streams (refill loops, rejoin retries)
-    where a bug could spin instead of fail, and the calibration smoke test
-    spawns a measuring subprocess whose runtime scales with machine noise.
-    SIGALRM fires in the main thread, interrupting even a blocked
+    where a bug could spin instead of fail, and the chaos tests kill and
+    restart processes.  SIGALRM fires in the main thread, interrupting even a blocked
     ``asyncio.run`` or ``subprocess.run``.
     """
     marker = (
         request.node.get_closest_marker("tcp")
         or request.node.get_closest_marker("service")
-        or request.node.get_closest_marker("calibrate")
         or request.node.get_closest_marker("chaos")
     )
     if marker is None or not hasattr(signal, "SIGALRM"):
         yield
         return
-    defaults = {"tcp": 120, "service": 300, "calibrate": 300, "chaos": 600}
+    defaults = {"tcp": 120, "service": 300, "chaos": 600}
     default_seconds = defaults[marker.name]
     seconds = int(marker.kwargs.get("timeout", default_seconds))
 

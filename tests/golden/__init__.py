@@ -30,7 +30,6 @@ from typing import Any, Dict, Optional
 
 from repro.broadcast.acast import PackedFieldVector
 from repro.field.gf import FieldElement
-from repro.field.kernels import kernel_name
 
 _TESTS_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _REPO_ROOT = os.path.dirname(_TESTS_DIR)
@@ -150,7 +149,6 @@ def write_golden(cells: Dict[str, Dict[str, str]]) -> None:
             "commit": commit,
             "produced_by": PRODUCED_BY,
             "python": platform.python_version(),
-            "field_kernel": kernel_name(),
             "cells": len(cells),
         },
         "cells": dict(sorted(cells.items())),

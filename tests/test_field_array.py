@@ -8,11 +8,14 @@ implementation on randomized inputs.
 """
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.codes.reed_solomon import rs_decode, rs_decode_batch
 from repro.field.array import (
@@ -22,12 +25,14 @@ from repro.field.array import (
     batch_interpolate_at,
     batch_inverse,
     cache_stats,
+    him_matrix,
     inverse_vandermonde,
     lagrange_matrix,
     lagrange_row,
     vandermonde_matrix,
 )
 from repro.field.gf import DEFAULT_PRIME, GF, FieldElement, default_field
+from repro.field.kernels import LruCache, mat_vecs
 from repro.field.polynomial import (
     Polynomial,
     interpolate_at,
@@ -43,6 +48,14 @@ from repro.sharing.shamir import (
 from repro.triples.transform import extend_shares, extend_shares_batch
 
 F = default_field()
+P = F.modulus
+
+#: Unreduced representatives every op must reduce: p, p + 1, 2p - 1 and a
+#: 63-bit value.
+UNREDUCED = [P, P + 1, 2 * P - 1, (1 << 63) - 7]
+#: The default Mersenne field, a small prime and a 61-bit prime that is not
+#: a Mersenne prime.
+FIELDS = [F, GF(257), GF((1 << 61) - 31)]
 
 residues = st.integers(0, F.modulus - 1)
 residue_lists = st.lists(residues, min_size=1, max_size=32)
@@ -53,6 +66,7 @@ residue_lists = st.lists(residues, min_size=1, max_size=32)
 
 @settings(max_examples=50, deadline=None)
 @given(values=residue_lists, other=residues)
+@example(values=UNREDUCED, other=UNREDUCED[-1])
 def test_property_elementwise_ops_match_scalar(values, other):
     array = FieldArray(F, values)
     scalar = [F(v) for v in values]
@@ -63,23 +77,27 @@ def test_property_elementwise_ops_match_scalar(values, other):
     assert (-array).to_elements() == [-v for v in scalar]
     assert (rhs + array).to_elements() == [rhs + v for v in scalar]
     assert (rhs - array).to_elements() == [rhs - v for v in scalar]
+    assert array.sum() == sum(scalar, F.zero())
+    assert array.dot(rhs) == sum((v * rhs for v in scalar), F.zero())
 
 
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2 ** 31), size=st.integers(1, 24))
-def test_property_array_array_ops_match_scalar(seed, size):
+@given(seed=st.integers(0, 2 ** 31), size=st.integers(1, 24), field=st.sampled_from(FIELDS))
+def test_property_array_array_ops_match_scalar(seed, size, field):
     rng = random.Random(seed)
-    a = FieldArray.random(F, size, rng)
-    b = FieldArray.random(F, size, rng)
+    a = FieldArray.random(field, size, rng)
+    b = FieldArray(field, [rng.randrange(1, field.modulus) for _ in range(size)])
     sa, sb = a.to_elements(), b.to_elements()
     assert (a + b).to_elements() == [x + y for x, y in zip(sa, sb)]
     assert (a - b).to_elements() == [x - y for x, y in zip(sa, sb)]
     assert (a * b).to_elements() == [x * y for x, y in zip(sa, sb)]
-    assert a.dot(b) == sum((x * y for x, y in zip(sa, sb)), F.zero())
+    assert (a / b).to_elements() == [x / y for x, y in zip(sa, sb)]
+    assert a.dot(b) == sum((x * y for x, y in zip(sa, sb)), field.zero())
 
 
 @settings(max_examples=50, deadline=None)
 @given(values=st.lists(st.integers(1, F.modulus - 1), min_size=1, max_size=32))
+@example(values=UNREDUCED[1:])
 def test_property_batch_inverse_matches_scalar(values):
     expected = [F(v).inverse().value for v in values]
     assert batch_inverse(F, values) == expected
@@ -174,9 +192,27 @@ def test_vandermonde_and_inverse_are_inverse_maps():
     assert inverse_vandermonde(F, xs) is inverse_vandermonde(F, tuple(xs))
 
 
-def test_lru_cache_evicts_oldest_and_counts():
-    from repro.field.kernels import LruCache
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), inputs=st.integers(2, 8), count=st.integers(1, 40))
+def test_property_him_extraction_matches_naive_sum(seed, inputs, count):
+    """``mat_vecs`` against a cached ``him_matrix`` is the naive sum of
+    products, with edge and unreduced residues mixed in."""
+    rng = random.Random(seed)
+    outputs = rng.randint(1, inputs)
+    edges = [0, 1, P - 1] + UNREDUCED
+    vectors = [
+        [rng.choice(edges + [rng.randrange(P)]) for _ in range(count)]
+        for _ in range(inputs)
+    ]
+    matrix = him_matrix(F, inputs, outputs)
+    expected = [
+        [sum(m * (v % P) for m, v in zip(m_row, column)) % P for column in zip(*vectors)]
+        for m_row in matrix
+    ]
+    assert mat_vecs(P, matrix, vectors) == expected
 
+
+def test_lru_cache_evicts_oldest_and_counts():
     cache = LruCache(3)
     for key in "abc":
         cache.put(key, key.upper())
@@ -321,6 +357,31 @@ def test_gf_interning_still_validates_primality():
     assert GF(341, check_prime=False).modulus == 341  # 341 = 11 * 31
     with pytest.raises(ValueError):
         GF(341)
+
+
+# -- no array library ----------------------------------------------------------
+
+
+def test_run_mpc_does_not_import_numpy():
+    """The field layer is plain ints: importing ``repro`` and running one
+    n = 4 evaluation must not pull numpy in (its import costs start-up time
+    and resident memory on every run)."""
+    script = (
+        "import sys\n"
+        "from repro import default_field, run_mpc\n"
+        "from repro.circuits import multiplication_circuit\n"
+        "result = run_mpc(multiplication_circuit(default_field(), 4),\n"
+        "                 {1: 3, 2: 5, 3: 7, 4: 11}, n=4, ts=1, ta=0)\n"
+        "assert [int(v) for v in result.outputs] == [1155]\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # -- bench smoke --------------------------------------------------------------

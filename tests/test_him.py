@@ -2,10 +2,10 @@
 
 The protocol-level behaviour (golden transcripts, adversarial discard and
 loud abort, sharded message bounds) lives in the scenario matrix
-(test_scenario_matrix.py) and the kernel-equivalence suite; this module
-pins the algebra underneath: hyper-invertibility of the cached matrix,
-linearity of the share-wise extraction, the yield arithmetic, and the
-run_mpc wiring of the ``offline`` knob.
+(test_scenario_matrix.py); this module pins the algebra underneath:
+hyper-invertibility of the cached matrix, linearity of the share-wise
+extraction, the yield arithmetic, and the run_mpc wiring of the
+``offline`` knob.
 """
 
 from __future__ import annotations

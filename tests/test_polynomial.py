@@ -149,14 +149,13 @@ def test_property_interpolation_roundtrip(degree, seed):
     assert lagrange_interpolate(F, points) == poly
 
 
-# -- kernel-native coefficient storage -----------------------------------------
+# -- residue storage -------------------------------------------------------------
 
 
 def test_native_storage_boxes_lazily():
     poly = Polynomial(F, [3, 1, 4])
     assert poly._boxed is None  # no FieldElement built yet
     assert poly.residues == [3, 1, 4]
-    assert poly.native == [3, 1, 4]
     assert poly._boxed is None  # residue reads must not box
     boxed = poly.coeffs
     assert boxed == [F(3), F(1), F(4)]
@@ -165,37 +164,19 @@ def test_native_storage_boxes_lazily():
 
 def test_from_native_list_and_tuple_strip_trailing_zeros():
     for values in ([7, 0, 5, 0, 0], (7, 0, 5, 0, 0)):
-        poly = Polynomial.from_native(F, values)
+        poly = Polynomial.from_reduced_ints(F, values)
         assert poly.residues == [7, 0, 5]
         assert poly == Polynomial(F, [7, 0, 5])
-    assert Polynomial.from_native(F, [0, 0, 0]).is_zero()
-    assert Polynomial.from_native(F, []).is_zero()
-
-
-def test_from_native_accepts_kernel_rows():
-    np = pytest.importorskip("numpy")
-    row = np.array([2, 9, 0, 0], dtype=np.uint64)
-    poly = Polynomial.from_native(F, row)
-    # Residues materialize lazily from the native row and match the
-    # equivalent list-backed polynomial in every observable way.
-    assert poly.residues == [2, 9]
-    assert poly == Polynomial(F, [2, 9])
-    assert poly.eval_int(3) == (2 + 9 * 3) % F.modulus
-    zero_row = np.zeros(4, dtype=np.uint64)
-    assert Polynomial.from_native(F, zero_row).is_zero()
+    assert Polynomial.from_reduced_ints(F, [0, 0, 0]).is_zero()
+    assert Polynomial.from_reduced_ints(F, []).is_zero()
 
 
 def test_from_native_rows_matches_per_row_constructor():
     matrix = [[1, 2, 0], [0, 0, 0], [5, 0, 7], [4, 0, 0]]
-    batch = Polynomial.from_native_rows(F, matrix)
-    singles = [Polynomial.from_native(F, list(row)) for row in matrix]
+    singles = [Polynomial.from_reduced_ints(F, list(row)) for row in matrix]
+    batch = Polynomial.from_reduced_rows(F, matrix)
     assert batch == singles
     assert [p.residues for p in batch] == [[1, 2], [0], [5, 0, 7], [4]]
-    np = pytest.importorskip("numpy")
-    nd_batch = Polynomial.from_native_rows(
-        F, np.array(matrix, dtype=np.uint64)
-    )
-    assert nd_batch == singles
 
 
 def test_init_same_field_fast_path_and_foreign_field_rejection():

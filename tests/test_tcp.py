@@ -440,6 +440,32 @@ def test_residue_count_is_checked_against_the_bytes_that_follow():
         decode_payload(forged)
 
 
+def test_residues_outside_the_field_are_rejected():
+    """``_r_residues`` feeds trusted constructors (``_normalized=True``,
+    ``Polynomial.from_reduced_ints``): a modulus below 2 or a value outside
+    ``[0, modulus)`` is a ``WireDecodeError``, in the packed u64 form and in
+    the boxed per-int form alike."""
+    p = FIELD.modulus
+    for honest in (encode_payload(PackedFieldVector(FIELD, [1, 2, 3])),
+                   encode_payload(Polynomial(FIELD, [1, 2, 3]))):
+        # The last eight bytes are the last residue, little-endian.
+        for last in (2 ** 64 - 1, p):
+            with pytest.raises(WireDecodeError, match="outside its field"):
+                decode_payload(honest[:-8] + last.to_bytes(8, "little"))
+        # Tag, then the modulus as a length byte and eight bytes.
+        for modulus in (b"\x01", b"\x00", b"\xfb"):
+            with pytest.raises(WireDecodeError, match="over the modulus"):
+                decode_payload(honest[:1] + b"\x01" + modulus + honest[10:])
+        assert decode_payload(honest[:-8] + (p - 1).to_bytes(8, "little"))
+    big = GF(2 ** 89 - 1, check_prime=False)
+    boxed = encode_payload(PackedFieldVector(big, [5, 6]))
+    assert boxed.endswith(b"\x01\x06")  # the last residue: length byte, value
+    for forged_last in (b"\x01\xff",  # -1
+                        b"\x0c" + big.modulus.to_bytes(12, "little", signed=True)):
+        with pytest.raises(WireDecodeError, match="outside its field"):
+            decode_payload(boxed[:-2] + forged_last)
+
+
 _FUZZ_SEEDS = [
     _envelope_bytes([_msg(1, 2, payload, tag=f"fuzz/{index}")
                      for index, payload in enumerate(CODEC_PAYLOADS)]),
