@@ -128,13 +128,12 @@ def bundle_message_bound(
     (W, E, F) of the ΠWPS the party deals in each ΠVSS (three n-bit sets);
     the Acast kind or phase-king round number in front costs at most 64 bits.
 
-    The third term is a ΠABA vector (:class:`repro.ba.aba.AbaCarrier`): 64 bits
-    per slot launched at one instant, at most the n slots of each of the
-    ``sharings`` ``wps_ba`` banks, behind a step name and a round number (96
-    bits).  With no NOK to report it is the heaviest of the three -- 6,304
-    bits at n = 4 -- and so the heaviest message of an honest run.
+    A late carrier's entries are no heavier.  The third term is a ΠABA vector
+    (:class:`repro.ba.aba.AbaCarrier`): 2 bits per slot launched at one
+    instant, at most the n slots of each of the ``sharings`` ``wps_ba`` banks,
+    behind a step name and a round number (96 bits).
     """
     verdicts = sharings * n * (2 * n + ts * (64 + element_bits)) + 64
     stars = sharings * 3 * n + 64
-    aba_vector = sharings * n * 64 + 96
+    aba_vector = sharings * n * 2 + 96
     return max(verdicts, stars, aba_vector) + header_bits

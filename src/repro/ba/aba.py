@@ -30,9 +30,11 @@ launching then, in the order of their tags ``<bank>/aba[j]``.  Each slot is a
 machines emit during one activation of the carrier (its launch timer, a
 delivery, a late vote) leaves as one fan-out per step -- ``("bval", r, v)``,
 ``("aux", r, v)``, ``("final", v)``, ``v`` a K-tuple holding the bit of every
-slot that speaks in that step and ``None`` elsewhere -- and a receiver hands
-entry j to slot j as the logical message ``(kind, r, bit)`` of that sender.
-Lemma 3.3 holds slot by slot, as a reduction to K separate ΠABAs:
+slot that speaks in that step and ``None`` elsewhere, sent as a
+:class:`~repro.broadcast.acast.Bundle` of runs of at most 255 slots (2 bits a
+slot, priced and on the wire) -- and a receiver hands entry j to slot j as
+the logical message ``(kind, r, bit)`` of that sender.  Lemma 3.3 holds slot
+by slot, as a reduction to K separate ΠABAs:
 
 1. Per slot it is a run of the same ΠABA.  The entries j of an honest
    sender's vectors are, over the run, exactly the logical messages its slot-j
@@ -45,10 +47,10 @@ Lemma 3.3 holds slot by slot, as a reduction to K separate ΠABAs:
    the :mod:`repro.ba.bobw` docstring) uses.
 2. A corrupt sender gains nothing.  Any vector is, entry by entry, a set of
    logical messages it could have sent on K instances; a payload that is not
-   ``(kind, [round,] K-tuple)`` of the frozen length is nothing sent in any
-   slot, an entry that is not ``None`` or the ``int`` 0/1 nothing in that slot
-   alone (:meth:`BrachaABA.handle`); repeats are suppressed per slot as ever,
-   and one vector triggers at most K slot activations, sharing their replies.
+   ``(kind, [round,] v)`` with the runs of ``v`` making K slots is nothing
+   sent in any slot, an entry that is not ``None`` or the ``int`` 0/1 nothing
+   in that slot alone (:meth:`BrachaABA.handle`); repeats are suppressed per
+   slot as ever, and one vector triggers at most K slot activations.
 3. Same instants.  The carrier's one timer is the banks' launch timer.  A
    vector that comes before it (a real clock, a peer's clock ahead) is held
    until the positions are frozen, an entry for a slot not launched here yet
@@ -63,6 +65,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ba.common_coin import CommonCoin
+from repro.broadcast.acast import MAX_SLOTS, Bundle
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon
 
@@ -305,14 +308,16 @@ class AbaCarrier(ProtocolInstance):
         self._end_activation()
 
     def receive(self, sender: int, payload: Any) -> None:
-        """Total on what a peer may send: ``(kind, [round,] K-tuple)`` or nothing."""
+        """Total on what a peer may send: ``(kind, [round,] votes)`` or nothing."""
         if self._position is None:
             self._early.append((sender, payload))
             return
         parsed = _parse(payload)
-        if not parsed or type(parsed[2]) is not tuple or len(parsed[2]) != len(self._tags):
+        runs = parsed[2].entries if parsed and type(parsed[2]) is Bundle else ()
+        vector = sum(runs, ()) if all(type(run) is tuple for run in runs) else ()
+        if len(vector) != len(self._tags):
             return
-        kind, round_index, vector = parsed
+        kind, round_index, _ = parsed
         launched = self.party.instances  # a slot is held by its tag alone: no cycle with it
         self._active += 1
         for index, bit in enumerate(vector):
@@ -345,4 +350,5 @@ class AbaCarrier(ProtocolInstance):
     def _flush(self) -> None:
         pending, self._pending = self._pending, {}
         for step, vector in pending.items():
-            self.send_all(step + (tuple(vector),))
+            runs = tuple(tuple(vector[i:i + MAX_SLOTS]) for i in range(0, len(vector), MAX_SLOTS))
+            self.send_all(step + (Bundle(runs, self.n),))

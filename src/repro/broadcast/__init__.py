@@ -2,11 +2,12 @@
 
 from repro.broadcast.acast import (
     AcastProtocol,
+    Bundle,
     PackedFieldVector,
     acast_time_bound,
     maybe_pack_payload,
 )
-from repro.broadcast.bc import BroadcastProtocol, Bundle, bc_time_bound
+from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 
 __all__ = [
     "AcastProtocol",

@@ -5,29 +5,42 @@ protocol guarantees (asynchronously) liveness and validity for an honest S,
 and consistency for a corrupt S; in a synchronous network an honest sender's
 message is output by every honest party within 3*Delta.
 
-Packed payloads
----------------
+Packed payloads and bundles
+---------------------------
 
 Acast's echo/ready counting keys every received value into dictionaries, so
-broadcasting a long vector of field elements would hash and compare the
-whole vector on every one of the O(n^2) protocol messages.  Such vectors are
-therefore wrapped into a :class:`PackedFieldVector` -- int residues encoded
-and decoded through :class:`~repro.field.array.FieldArray`, with the digest
-computed once at construction -- so each dict lookup costs a single cached
-hash instead of per-element hashing.  Packing happens transparently in
-:meth:`AcastProtocol.provide_input`/:meth:`AcastProtocol.start`; the
-delivered output is the packed vector, whose :meth:`PackedFieldVector.elements`
-round-trips to the original boxed elements.  Bit accounting is identical to
-the unpacked vector.
+a long vector of field elements is wrapped into a :class:`PackedFieldVector`
+(int residues, digest computed once) by :meth:`AcastProtocol.provide_input`
+and :meth:`AcastProtocol.start`; ``elements()`` recovers the boxed elements,
+and the bits are counted as for the unpacked vector.
+
+The carriers of :mod:`repro.broadcast.bc` and :mod:`repro.ba.aba` send a
+:class:`Bundle`: positional entries as one value, hashed, priced and encoded
+once per object.  The paper prices a ΠBC by the length ℓ of what is
+broadcast, and :meth:`Bundle.payload_bits` prices each entry by its shape
+(:func:`entry_kind` names the line):
+
+==========================================================  =======================
+an absent entry (``None``)                                  1 bit
+a vector over {``None``, 0, 1} (a bank's votes)             2 bits per slot
+a vector of ``None`` / OK / NOK verdicts                    2 bits per slot, plus
+                                                            64 + log|F| per NOK
+a tuple of sets of party ids in 1..n (a dealer's W, E, F)   n bits per set
+anything else                                               ``payload_bits(entry)``
+==========================================================  =======================
+
+:mod:`repro.runtime.wire` encodes a bundle as exactly those bitmaps, so the
+bits counted are the bytes a TCP run moves.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.field.array import FieldArray
 from repro.field.gf import GF, FieldElement
 from repro.field.kernels import normalize
+from repro.sim.messages import payload_bits
 from repro.sim.party import Party, ProtocolInstance
 
 _INIT = "init"
@@ -107,6 +120,114 @@ def maybe_pack_payload(message: Any) -> Any:
         if all(v.field.modulus == field.modulus for v in message):
             return PackedFieldVector.pack(field, message)
     return message
+
+
+#: The lines of the price list; also the entry tags of the wire encoding.
+ABSENT, VOTES, VERDICTS, STAR, OTHER = range(5)
+
+#: A compact vector has at most this many slots (one length byte on the wire).
+MAX_SLOTS = 255
+
+#: The verdicts of :mod:`repro.sharing.wps` (which imports this module), by shape.
+OK_SLOT = ("OK",)
+NOK = "NOK"
+
+
+def _is_verdict_vector(entry: Tuple) -> bool:
+    """``None`` / ``("OK",)`` / ``("NOK", index, element)`` slots, the elements
+    of one field, index a u32."""
+    modulus = None
+    for slot in entry:
+        if slot is None:
+            continue
+        if type(slot) is not tuple or not slot or type(slot[0]) is not str:
+            return False
+        if slot == OK_SLOT:
+            continue
+        if not (len(slot) == 3 and slot[0] == NOK and type(slot[1]) is int
+                and 0 <= slot[1] < 1 << 32 and type(slot[2]) is FieldElement):
+            return False
+        if modulus is None:
+            modulus = slot[2].field.modulus
+        elif slot[2].field.modulus != modulus:
+            return False
+    return True
+
+
+def entry_kind(entry: Any, n: int) -> int:
+    """The line of the price list ``entry`` falls on: its shape, exact types
+    only (a ``bool`` is not a vote, a ``set`` is not a ``frozenset``)."""
+    if entry is None:
+        return ABSENT
+    if type(entry) is not tuple or len(entry) > MAX_SLOTS:
+        return OTHER
+    if all(slot is None or (type(slot) is int and 0 <= slot <= 1) for slot in entry):
+        return VOTES
+    if _is_verdict_vector(entry):
+        return VERDICTS
+    if all(type(part) is frozenset
+           and all(type(pid) is int and 1 <= pid <= n for pid in part) for part in entry):
+        return STAR
+    return OTHER
+
+
+def _entry_bits(entry: Any, n: int) -> int:
+    kind = entry_kind(entry, n)
+    if kind == ABSENT:
+        return 1
+    if kind == VOTES:
+        return 2 * len(entry)
+    if kind == VERDICTS:
+        return 2 * len(entry) + sum(
+            64 + slot[2].field.element_bits() for slot in entry if slot and len(slot) == 3)
+    if kind == STAR:
+        return n * len(entry)
+    return payload_bits(entry)
+
+
+class Bundle:
+    """What a carrier sends: the entries, as a value.
+
+    ``entries`` are the Python values its ΠBCs (or slots) were given, untouched;
+    ``n`` is the number of parties (the width of a party-id bitmap).  Hash,
+    bit size and wire encoding are each computed on first use and kept, so
+    Acast's and phase-king's tallies, :func:`~repro.sim.messages.payload_bits`
+    and the TCP transport pay for one object once however often it is sent.
+    A bundle with an unhashable entry is unhashable (``hash`` raises
+    ``TypeError``, every time), like the tuple it replaces.
+    """
+
+    __slots__ = ("entries", "n", "_digest", "_bits", "wire")
+
+    def __init__(self, entries: Tuple, n: int, wire: Optional[bytes] = None):
+        self.entries = tuple(entries)
+        self.n = n
+        self._digest: Optional[int] = None
+        self._bits: Optional[int] = None
+        #: The encoding, owned by :mod:`repro.runtime.wire`: set by the first
+        #: encode, or by the decoder to the slice this object was read from.
+        self.wire = wire
+
+    def payload_bits(self) -> int:
+        """The price list of the module docstring, summed over the entries."""
+        if self._bits is None:
+            self._bits = sum(_entry_bits(entry, self.n) for entry in self.entries)
+        return self._bits
+
+    def __hash__(self) -> int:
+        if self._digest is None:
+            self._digest = hash((self.n, self.entries))
+        return self._digest
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Bundle:
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"Bundle({len(self.entries)} entries, n={self.n})"
 
 
 class AcastProtocol(ProtocolInstance):

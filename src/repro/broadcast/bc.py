@@ -17,94 +17,91 @@ As built: one run of Fig 1 per sender per instant
 The protocols above start their ΠBCs in large sibling groups at a handful
 of commonly known anchors.  Fig 1 is therefore run once per (sender, anchor,
 faults, Δ) at each party, by a :class:`BroadcastCarrier` whose value is the
-*bundle*: a :class:`Bundle` of the inputs of every logical :class:`BroadcastProtocol`
-of that sender anchored at that instant, in the order of their tags (``None``
-= "no input by the anchor"), sent at the anchor even if all ``None``.  A
-logical ΠBC is an entry of its carrier: it gets its regular-mode output at
-anchor + T_BC and its fallback output when the carrier's Acast delivers,
-exactly when its own Fig 1 run would have handed them out.  An input given
-after the bundle went out (Fig 1's late sender) travels on that entry's own
-bare Acast and is read *bundle first*: only once the bundle has been
-delivered, in either mode, and lacks the entry.  That Acast is built by the late
-input or the first message for it: an absent endpoint is one with no output.
+*bundle* (:class:`~repro.broadcast.acast.Bundle`, priced there): the inputs of
+every logical :class:`BroadcastProtocol` of that sender anchored at that
+instant, in the order of their tags (``None`` = "no input by the anchor"),
+sent at the anchor even if all ``None``.  A logical ΠBC is an entry of its
+carrier: it gets its regular-mode output at anchor + T_BC and its fallback
+output when the carrier's Acast delivers, exactly when its own Fig 1 run
+would have.  The carrier's tag is ``<root>/bc@<ticks>[<sender>]``: ``root``
+the first component of the logical tags, ``ticks`` the anchor's distance from
+the root instance's anchor in units of ε(Δ), an exact integer every party
+computes alike without reading a clock.  The entries are the endpoints
+started before the carrier's anchor timer fires; a later one raises
+:class:`CarrierError`.
 
-The carrier's tag is ``<root>/bc@<ticks>[<sender>]``: ``root`` the first
-component of the logical tags, ``ticks`` the anchor's distance from the root
-instance's anchor in units of ε(Δ) -- anchors are sums of multiples of Δ and
-ε, so this is an exact integer every party computes alike without reading a
-clock.  The entries are the endpoints started before the carrier's anchor
-timer fires; starting one later raises :class:`CarrierError`.
+After the anchor of a carrier C, what its sender gives C's ΠBCs rides the
+*late carriers*, Acasts ``<C>/late[k]`` it numbers k = 0, 1, ...: a late
+input (Fig 1's late sender, read *bundle first*: once the bundle is in and
+lacks the entry), or what an owner addresses to the entry instead
+(:meth:`BroadcastProtocol.on_late`: :mod:`repro.sharing.wps` sends late
+verdicts as slots of its vector's entry, (E', F') on its ``star``).  What is
+given for one instant goes out from one timer of C as one bundle in C's
+entry order -- positional, no tag strings, ``None`` where nothing is late.
+A receiver builds ``late[k]`` once C froze and only below C's width n·|C|
+(each honest late carrier holds an (entry, slot) never given before; an
+entry has at most n slots), hands ``late[k]`` on only after
+``late[0..k-1]``, and per (entry, slot) takes the first value.
+
+Call an (entry, slot) a *name*: what the per-pair design ran one Acast for
+(``ok[i,j]``, ``star2``, a late input).  First-in-sequence-order per name is
+one Acast per name: each ``late[k]`` has one value at every honest party and
+reaches all if it reaches one (Lemma 2.4, Bracha's totality), so all hand on
+the same sequence and take the same first value for a name, once, within 2Δ
+of each other in synchrony (the last of a common prefix of deliveries, each
+within 2Δ).  An honest sender gives a name once and numbers without gaps, so
+its names arrive (Acast validity), in synchrony within 3Δ of their flush.  A
+corrupt sender's options are a subset of its per-name ones: names sharing a
+carrier arrive together (a schedule the adversary could impose anyway); two
+values for a name are one, the first; a withheld carrier silences its names
+and every later carrier's (no input given); a malformed one -- not a
+:class:`Bundle` of C's length, a plain tuple included -- is all-absent, an
+ill-shaped entry absent, and the sequence goes on; a ``k`` past the width
+builds nothing.  Only C's sender can fill in C's ΠBCs: its late Acasts take
+its ``init`` alone.
 
 Why each logical ΠBC still meets Theorem 3.5 and Lemma 2.4, as a reduction
 to k separate runs of Fig 1.  The carrier *is* Fig 1, run in full on the
 bundle, so Theorem 3.5 holds for the bundle as the broadcast value; call
 entry e of the delivered bundle, with the bundle's mode and time, the
-*effective* broadcast of logical ΠBC e -- or, if that entry is ``None``, the
-output of e's late Acast in fallback mode, at the later of its delivery and
-the bundle's.
+*effective* broadcast of logical ΠBC e -- or, if that entry is ``None``, e's
+late input (its name's Acast, above), in fallback mode, at the later of its
+hand-off and the bundle's.
 
 1. Honest sender, synchronous network.  The bundle holds every input the
    sender had at the anchor (whoever gives one *at* the anchor does so from
-   inside the carrier's own anchor timer, :meth:`BroadcastProtocol.at_anchor`,
-   so no backend can order the two the other way), and is regular-mode
-   delivered to every honest party at anchor + T_BC (t-validity of the
-   carrier): so is each entry -- t-liveness and t-validity of e.
+   inside the carrier's anchor timer, :meth:`BroadcastProtocol.at_anchor`),
+   and is regular-mode delivered to every honest party at anchor + T_BC
+   (t-validity of the carrier): so is each entry -- t-liveness and validity.
 2. Honest sender, any network.  Every honest party's regular-mode bundle is
    the sender's or ⊥, and the sender's bundle is eventually delivered in
    fallback mode (weak and fallback validity of the carrier): entry by entry
-   the same statements for e.  A late input is delivered by Acast validity
-   (Lemma 2.4) after a bundle that always arrives and has ``None`` at e.
+   the same for e, and a late input follows a bundle with ``None`` at e.
 3. Corrupt sender.  Honest parties that obtain a bundle obtain the same one,
-   all of them at anchor + T_BC if any does so in regular mode in synchrony,
-   and within 2Δ of each other in fallback mode (t-consistency and fallback
-   consistency of the carrier; Lemma 2.4's spread): hence the same entry e
-   with the same guarantees.  Where e is ``None`` the late Acast's
-   consistency gives one common value, again within 2Δ, and whether it
-   counts is a function of the common bundle.
+   all at anchor + T_BC if any does in regular mode in synchrony, within 2Δ
+   of each other in fallback mode (t- and fallback consistency; Lemma 2.4's
+   spread): hence the same entry e; where it is ``None``, the same late input
+   (above), counted or not as a function of the common bundle.
 4. The adversary gains nothing: a present entry is an input to ΠBC e given
-   on time, a ``None`` entry with a late Acast one given late (fallback mode
+   on time, a ``None`` entry with a late input one given late (fallback mode
    only), a ``None`` entry alone no input, a withheld bundle no input to any
-   of the k (late Acasts are then never read), a value that is not a
-   :class:`Bundle` of the agreed length -- a plain tuple of that length
-   included -- the all-``None`` bundle (:meth:`BroadcastCarrier._parse`),
-   one with an unhashable entry dropped by Acast and SBA like any unhashable
-   value, and a late Acast contradicting a present entry is ignored like a
-   second input to one ΠBC.  All-or-none delivery of k inputs is a behaviour
-   k separate ΠBCs allow.  Each entry still passes its consumer's own total
-   parser, as the Python value the sender put in: the type prices and encodes
-   entries by their shape and never rejects or rewrites one.
-   Privacy: a bundle reveals exactly what the k broadcasts reveal.
-
-What a bundle costs
--------------------
-
-The paper prices a ΠBC by the length ℓ of what is broadcast, and what rides
-a bundle is a few bits an entry.  :meth:`Bundle.payload_bits` is that price,
-entry by entry (:func:`entry_kind` names the line):
-
-==========================================================  =======================
-an absent entry (``None``)                                  1 bit
-a vector over {``None``, 0, 1} (a bank's votes)             2 bits per slot
-a vector of ``None`` / OK / NOK verdicts                    2 bits per slot, plus
-                                                            64 + log|F| per NOK
-a tuple of sets of party ids in 1..n (a dealer's W, E, F)   n bits per set
-anything else                                               ``payload_bits(entry)``
-==========================================================  =======================
-
-:mod:`repro.runtime.wire` encodes a bundle as exactly those bitmaps, so the
-bits counted are the bytes a TCP run moves.  Price, digest and encoding are
-each computed once per object: the 81 copies Fig 1 makes of a bundle at
-n = 4 (Acast's 27, phase-king's 54) share them.
+   of the k (late inputs are then never read), a value that is not a
+   :class:`Bundle` of the agreed length the all-``None`` bundle
+   (:meth:`BroadcastCarrier._parse`), one with an unhashable entry dropped
+   by Acast and SBA like any unhashable value, and a late input contradicting
+   a present entry is ignored like a second input to one ΠBC.  All-or-none
+   delivery of k inputs is a behaviour k separate ΠBCs allow.  Each entry
+   still passes its consumer's own total parser.  Privacy: a bundle reveals
+   what the k broadcasts reveal.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+import re
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ba.sba import PhaseKingSBA, sba_time_bound
-from repro.broadcast.acast import AcastProtocol, maybe_pack_payload
-from repro.field.gf import FieldElement
-from repro.sim.messages import payload_bits
+from repro.broadcast.acast import AcastProtocol, Bundle, maybe_pack_payload
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon
 
@@ -124,120 +121,17 @@ def carrier_tag(root: str, offset: float, sender: int, delta: float) -> str:
     return f"{root}/bc@{round(offset / epsilon(delta))}[{sender}]"
 
 
+#: The name of a late carrier, ``late[k]`` with k in plain decimal.
+_LATE_NAME = re.compile(r"late\[(0|[1-9][0-9]*)\]")
+
+
 class CarrierError(RuntimeError):
     """A logical ΠBC cannot join the carrier of its (sender, anchor)."""
 
 
-#: The lines of the price list; also the entry tags of the wire encoding.
-ABSENT, VOTES, VERDICTS, STAR, OTHER = range(5)
-
-#: A compact vector has at most this many slots (one length byte on the wire).
-MAX_SLOTS = 255
-
-#: The verdicts of :mod:`repro.sharing.wps` (which imports this module), by shape.
-OK_SLOT = ("OK",)
-NOK = "NOK"
-
-
-def _is_verdict_vector(entry: Tuple) -> bool:
-    """``None`` / ``("OK",)`` / ``("NOK", index, element)`` slots, the elements
-    of one field, index a u32."""
-    modulus = None
-    for slot in entry:
-        if slot is None:
-            continue
-        if type(slot) is not tuple or not slot or type(slot[0]) is not str:
-            return False
-        if slot == OK_SLOT:
-            continue
-        if not (len(slot) == 3 and slot[0] == NOK and type(slot[1]) is int
-                and 0 <= slot[1] < 1 << 32 and type(slot[2]) is FieldElement):
-            return False
-        if modulus is None:
-            modulus = slot[2].field.modulus
-        elif slot[2].field.modulus != modulus:
-            return False
-    return True
-
-
-def entry_kind(entry: Any, n: int) -> int:
-    """The line of the price list ``entry`` falls on: its shape, exact types
-    only (a ``bool`` is not a vote, a ``set`` is not a ``frozenset``)."""
-    if entry is None:
-        return ABSENT
-    if type(entry) is not tuple or len(entry) > MAX_SLOTS:
-        return OTHER
-    if all(slot is None or (type(slot) is int and 0 <= slot <= 1) for slot in entry):
-        return VOTES
-    if _is_verdict_vector(entry):
-        return VERDICTS
-    if all(type(part) is frozenset
-           and all(type(pid) is int and 1 <= pid <= n for pid in part) for part in entry):
-        return STAR
-    return OTHER
-
-
-def _entry_bits(entry: Any, n: int) -> int:
-    kind = entry_kind(entry, n)
-    if kind == ABSENT:
-        return 1
-    if kind == VOTES:
-        return 2 * len(entry)
-    if kind == VERDICTS:
-        return 2 * len(entry) + sum(
-            64 + slot[2].field.element_bits() for slot in entry if slot and len(slot) == 3)
-    if kind == STAR:
-        return n * len(entry)
-    return payload_bits(entry)
-
-
-class Bundle:
-    """What a :class:`BroadcastCarrier` broadcasts: the entries, as a value.
-
-    ``entries`` are the Python values the logical ΠBCs were given, untouched;
-    ``n`` is the number of parties (the width of a party-id bitmap).  Hash,
-    bit size and wire encoding are each computed on first use and kept, so
-    Acast's and phase-king's tallies, :func:`~repro.sim.messages.payload_bits`
-    and the TCP transport pay for one object once however often it is sent.
-    A bundle with an unhashable entry is unhashable (``hash`` raises
-    ``TypeError``, every time), like the tuple it replaces.
-    """
-
-    __slots__ = ("entries", "n", "_digest", "_bits", "wire")
-
-    def __init__(self, entries: Tuple, n: int, wire: Optional[bytes] = None):
-        self.entries = tuple(entries)
-        self.n = n
-        self._digest: Optional[int] = None
-        self._bits: Optional[int] = None
-        #: The encoding, owned by :mod:`repro.runtime.wire`: set by the first
-        #: encode, or by the decoder to the slice this object was read from.
-        self.wire = wire
-
-    def payload_bits(self) -> int:
-        """The price list of the module docstring, summed over the entries."""
-        if self._bits is None:
-            self._bits = sum(_entry_bits(entry, self.n) for entry in self.entries)
-        return self._bits
-
-    def __hash__(self) -> int:
-        if self._digest is None:
-            self._digest = hash((self.n, self.entries))
-        return self._digest
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Bundle:
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"Bundle({len(self.entries)} entries, n={self.n})"
-
-
 class BroadcastCarrier(ProtocolInstance):
-    """Fig 1, once, for every ΠBC of ``sender`` anchored at ``anchor``."""
+    """Fig 1, once, for every ΠBC of ``sender`` anchored at ``anchor``; and the
+    numbered late carriers ``late[k]`` for what those ΠBCs are given afterwards."""
 
     def __init__(self, party: Party, tag: str, sender: int, faults: int,
                  anchor: float, delta: float):
@@ -256,6 +150,13 @@ class BroadcastCarrier(ProtocolInstance):
             AcastProtocol, "acast", sender=sender, faults=faults
         )
         self._sba: Optional[PhaseKingSBA] = None
+        #: Sender: flush instant -> position -> entry; (position, slot)s given.
+        self._late_out: Dict[float, Dict[int, Any]] = {}
+        self._late_given: Set[Tuple[int, Optional[int]]] = set()
+        self._late_sent = 0
+        #: Receiver: late[k]'s value until late[0..k-1] are handed on.
+        self._late_in: Dict[int, Any] = {}
+        self._late_next = 0
 
     def start(self) -> None:
         t_bc = bc_time_bound(self.n, self.faults, self.delta)
@@ -275,6 +176,57 @@ class BroadcastCarrier(ProtocolInstance):
             self._acast.message = Bundle(
                 tuple(endpoint.message for endpoint in self.entries), self.n)
             self._acast.start()
+        self.demand_buffered(f"late[{k}]" for k in range(self.late_width))
+
+    # -- the late carriers (module docstring) -------------------------------------
+    @property
+    def late_width(self) -> int:
+        return self.n * len(self.entries)
+
+    def give_late(self, endpoint: "BroadcastProtocol", value: Any, slot: Optional[int],
+                  at: float) -> None:
+        """Sender: ``value`` is ``endpoint``'s entry -- or slot ``slot`` (1..n) of
+        it, an n-tuple -- of the late carrier flushed at ``at``, if the first."""
+        position = self.entries.index(endpoint)
+        if (position, slot) in self._late_given:
+            return
+        self._late_given.add((position, slot))
+        if at not in self._late_out:
+            self._late_out[at] = {}
+            self.schedule_at(at, lambda: self._flush_late(at))
+        pending = self._late_out[at]
+        if slot is not None:
+            value = tuple(value if j == slot else v for j, v in
+                          enumerate(pending.get(position, (None,) * self.n), 1))
+        pending[position] = value
+
+    def _flush_late(self, at: float) -> None:
+        pending = self._late_out.pop(at)
+        name = f"late[{self._late_sent}]"
+        self._late_sent += 1
+        late = self.party.get_instance(self.subtag(name)) or self.demand_child(name)
+        late.provide_input(Bundle(tuple(map(pending.get, range(len(self.entries)))), self.n))
+
+    def demand_child(self, name: str) -> Optional[AcastProtocol]:
+        """``late[k]``: once frozen, k in plain decimal and below the width."""
+        match = _LATE_NAME.fullmatch(name)
+        if not (self.frozen and match and int(match[1]) < self.late_width):
+            return None
+        k = int(match[1])
+        late = self.spawn(AcastProtocol, name, sender=self.sender, faults=self.faults)
+        late.on_output(lambda value: self._late_delivered(k, value))
+        late.start()
+        return late
+
+    def _late_delivered(self, k: int, value: Any) -> None:
+        """In sequence order: late[k] is handed on once late[0..k-1] have been."""
+        self._late_in[k] = value
+        while self._late_next in self._late_in:
+            entries = self._parse(self._late_in.pop(self._late_next))
+            self._late_next += 1
+            for endpoint, entry in zip(self.entries, entries):
+                if entry is not None:
+                    endpoint._on_late(entry)
 
     def _parse(self, bundle: Any) -> Tuple:
         """The trust boundary: the entries of a :class:`Bundle` of the frozen
@@ -344,28 +296,28 @@ class BroadcastProtocol(ProtocolInstance):
         self.regular_output: Any = None
         self.regular_decided = False
         self._carrier: Optional[BroadcastCarrier] = None
-        self._late: Optional[AcastProtocol] = None  # built by demand_child()
-
-    # -- timing -------------------------------------------------------------
-    @property
-    def time_bound(self) -> float:
-        return bc_time_bound(self.n, self.faults, self.delta)
+        #: My entries of the late carriers, in sequence order: a late input unless
+        #: the owner says otherwise (:meth:`on_late`).
+        self._on_late: Callable[[Any], None] = self._late_input
+        self.late_input: Any = None
 
     # -- input ---------------------------------------------------------------
     def provide_input(self, message: Any) -> None:
         """Sender-side: supply the message (field-element vectors are packed)."""
         self.message = maybe_pack_payload(message)
         if self.me == self.sender and self._carrier is not None and self._carrier.frozen:
-            self.demand_child("acast").provide_input(self.message)
+            self.give_late(self.message)
 
-    def demand_child(self, name: str) -> Optional[AcastProtocol]:
-        if name != "acast" or self._carrier is None:
-            return None
-        if self._late is None:
-            self._late = self.spawn(AcastProtocol, "acast", sender=self.sender, faults=self.faults)
-            self._late.on_output(self._read_late)
-            self._late.start()
-        return self._late
+    def give_late(self, value: Any, slot: Optional[int] = None,
+                  at: Optional[float] = None) -> None:
+        """Sender-side, after the anchor: ``value`` (slot ``slot`` of an n-slot
+        entry, or whole) rides the late carrier flushed at ``at`` (default: now)."""
+        self._carrier.give_late(self, value, slot, self.now if at is None else at)
+
+    def on_late(self, callback: Callable[[Any], None]) -> None:
+        """Hand my entries of the late carriers, in sequence order, to
+        ``callback`` instead of reading them as a late input."""
+        self._on_late = callback
 
     def at_anchor(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the anchor, before the bundle goes out (after
@@ -391,7 +343,6 @@ class BroadcastProtocol(ProtocolInstance):
             raise CarrierError(f"{self.tag} cannot join {carrier!r} (started late, or other t/Δ)")
         carrier.entries.append(self)
         self._carrier = carrier
-        self.demand_buffered(("acast",))
 
     def _decide(self, entry: Any) -> None:
         """anchor + T_BC: my entry of the regular-mode bundle (None = ⊥)."""
@@ -399,20 +350,21 @@ class BroadcastProtocol(ProtocolInstance):
         self.regular_decided = True
         self.set_output(entry)
         if entry is None:
-            self._read_late()
+            self._late_input()
 
     def _fallback(self, entry: Any) -> None:
         """The bundle is delivered in fallback mode."""
         if entry is not None:
             self.update_output(entry)
         else:
-            self._read_late()
+            self._late_input()
 
-    def _read_late(self, _value: Any = None) -> None:
-        """Bundle first: a late input counts once the bundle is in and lacks it."""
-        late = self._late.output if self._late is not None else None
-        if self._carrier.bundle is not None and self.output is None and late is not None:
-            self.update_output(late)
+    def _late_input(self, value: Any = None) -> None:
+        """Bundle first: the first late input counts once the bundle is in and lacks it."""
+        if self.late_input is None:
+            self.late_input = value
+        if self._carrier.bundle is not None and self.output is None and self.late_input is not None:
+            self.update_output(self.late_input)
 
     # -- queries used by enclosing protocols -----------------------------------
     def output_via_regular_mode(self) -> Any:

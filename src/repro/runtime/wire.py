@@ -30,7 +30,7 @@ the protocols put on the wire:
   eight bytes per residue, no per-element boxing on either side; decoding
   re-interns the field through ``GF(modulus)``, so receivers share the
   process-wide cached-matrix field instance,
-* a broadcast :class:`~repro.broadcast.bc.Bundle`, as the bitmaps its price
+* a broadcast :class:`~repro.broadcast.acast.Bundle`, as the bitmaps its price
   list counts (:func:`_bundle_bytes`): built once per object and kept on it,
   so the ~9 fan-outs a party makes of one bundle encode it once; the decoder
   keeps the slice it read as the new object's encoding,
@@ -52,8 +52,7 @@ import pickle
 import struct
 from typing import Any, Dict, List, Sequence
 
-from repro.broadcast.acast import PackedFieldVector
-from repro.broadcast.bc import (
+from repro.broadcast.acast import (
     ABSENT,
     NOK,
     OK_SLOT,
@@ -62,6 +61,7 @@ from repro.broadcast.bc import (
     VERDICTS,
     VOTES,
     Bundle,
+    PackedFieldVector,
     entry_kind,
 )
 from repro.field.gf import GF, FieldElement
@@ -173,7 +173,7 @@ def _bundle_bytes(bundle: Bundle) -> bytes:
                 | STAR      k:u8  n bits a set: bit (id - 1) of set s at s*n
                 | OTHER     value, in the general codec
 
-    (:func:`~repro.broadcast.bc.entry_kind` picks the line, as it does for
+    (:func:`~repro.broadcast.acast.entry_kind` picks the line, as it does for
     the bit count.)  ``n`` outside 1..255 has no encoding: ValueError.
     """
     if bundle.wire is not None:

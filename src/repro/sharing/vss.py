@@ -8,8 +8,8 @@ compares, and they are also what lets parties *outside* W reconstruct their
 row (fixing the shortcoming that makes ΠWPS only a weak primitive).
 
 Phase III as built: P_i publishes the verdicts it has determined by the ok
-anchor (Δ + T_WPS) as one n-entry ΠBC ``ok[i]`` and any later one by the
-per-pair Acast ``ok[i,j]``; Phases III-V are
+anchor (Δ + T_WPS) as one n-entry ΠBC ``ok[i]`` and any later one as a slot
+of that ΠBC's entry of a late carrier; Phases III-V are
 :class:`~repro.sharing.wps.BivariateSharingMixin`'s, one implementation for
 both protocols, and the argument that Theorem 4.16 survives the verdict
 vector is in the :mod:`repro.sharing.wps` module docstring.  The ΠBAs of the

@@ -18,68 +18,62 @@ Here P_i publishes all the verdicts it has determined by the ok anchor as
 **one** ΠBC ``ok[i]`` whose value is an n-tuple (entry j: ``None`` for "no
 verdict yet", ``("OK",)`` or ``("NOK", index, value)``), sent at that anchor
 even if empty.  A verdict P_i determines later (late points or rows, the
-asynchronous fallback) goes out at the next multiple of Δ on the per-pair
-**Acast** ``ok[i,j]`` -- no SBA, because a ΠBC input given after the anchor
-can only ever be delivered through the fallback mode, which *is* the Acast
-output.  Receivers take entries from the vector first and look at a late
-``ok[i,j]`` only once P_i's vector has been delivered (either mode) and
-lacks entry j.  The snapshot at 2Δ + T_BC and the dealer's star search read
-the regular-mode outputs of the n vector ΠBCs only.
+asynchronous fallback) is slot j of ``ok[i]``'s entry of P_i's late carrier
+flushed at the next multiple of Δ (:mod:`repro.broadcast.bc`: one numbered
+Acast for all P_i gives late then, every sibling sharing's included) -- no
+SBA, because a ΠBC input given after the anchor can only ever be delivered
+through the fallback mode, which *is* the Acast output.  Receivers take
+entries from the vector first and look at a late verdict on P_j only once
+P_i's vector has been delivered (either mode) and lacks entry j.  The
+snapshot at 2Δ + T_BC and the dealer's star search read the regular-mode
+outputs of the n vector ΠBCs only.
 
 Why Theorem 4.8 (Lemmas 4.2-4.7) and Theorem 4.16 (Lemmas 4.9-4.15) still
-hold, as a reduction to the per-pair protocol.  Call the *effective*
-outcome of (i, j) at an honest party the vector's entry j, with the vector
-ΠBC's mode and delivery time, if the entry is present; otherwise the late
-Acast's output, in fallback mode, at the later of its own delivery and the
-vector's.  The proofs use the ok[i,j] ΠBCs only through (1)-(3), and (4)
-says the adversary gains nothing:
+hold, as a reduction to the per-pair protocol.  Per slot, the first late
+verdict in the late carriers' sequence order is what a per-pair Acast
+``ok[i,j]`` would have output, and when (:mod:`repro.broadcast.bc`); call it
+the late Acast.  The *effective* outcome of (i, j) at an honest party is the
+vector's entry j, with the vector ΠBC's mode and delivery time, if present;
+otherwise the late Acast's output, in fallback mode, at the later of its
+hand-off and the vector's delivery.  The proofs use the ok[i,j] ΠBCs only
+through (1)-(3), and (4) says the adversary gains nothing:
 
 1. Honest P_i, synchronous network: every verdict determined by the anchor
-   is an entry of the vector, and the vector is regular-mode delivered to
-   every honest party at anchor + T_BC (ΠBC t_s-validity, Theorem 3.5,
-   applied to the vector as the broadcast value).  This is what Lemmas 4.2
-   and 4.9 (honest dealer: the honest parties form a clique in every honest
-   snapshot, so (W, E, F) is found and accepted) rest on.
-2. Honest P_i, any network: every verdict is eventually delivered to every
-   honest party -- entries by ΠBC t_a-validity through the fallback mode,
-   late verdicts by Acast validity (Lemma 2.4), and the vector they wait
-   for always arrives.  Lemmas 4.3 and 4.10 (asynchronous correctness: the
-   honest clique eventually appears, so (E', F') is found) need only this.
-3. Corrupt P_i: all honest parties that obtain a verdict for (i, j) obtain
-   the same one -- the vector by ΠBC consistency, the late value by Acast
-   consistency, and which of the two counts by the vector-first rule, which
-   is a function of the (common) vector.  In a synchronous network
-   regular-mode delivery of the vector is all-or-none at anchor + T_BC and
-   fallback deliveries of vector and Acast lie within 2Δ of each other at
-   different honest parties (Theorem 3.5, Lemma 2.4).  These are the
-   per-pair facts behind weak/strong commitment (Lemmas 4.4-4.6 and
-   4.12-4.14): honest parties hold equal snapshots at 2Δ + T_BC and their
-   graphs converge to one graph.
-4. Every corrupt behaviour here maps to one of the per-pair protocol with
-   the same effective outcomes: present entries are per-pair ΠBC inputs
-   given on time, absent entries with a late Acast are per-pair inputs given
-   late (delivered in fallback mode only), a withheld or malformed vector is
-   P_i giving no per-pair input at all (its Acasts are then never looked
-   at), and an Acast contradicting a present entry is ignored like a second
-   input to one ΠBC.  Privacy is untouched: a vector reveals exactly the
-   verdicts the per-pair broadcasts reveal.
+   is an entry of the vector, regular-mode delivered to every honest party
+   at anchor + T_BC (ΠBC t_s-validity, Theorem 3.5, with the vector as the
+   broadcast value): what Lemmas 4.2 and 4.9 (honest dealer: the honest
+   parties form a clique in every honest snapshot) rest on.
+2. Honest P_i, any network: every verdict reaches every honest party --
+   entries by ΠBC t_a-validity, late verdicts by Acast validity (Lemma 2.4)
+   after a vector that always arrives.  Lemmas 4.3 and 4.10 (the honest
+   clique eventually appears, so (E', F') is found) need only this.
+3. Corrupt P_i: honest parties that obtain a verdict for (i, j) obtain the
+   same one -- by ΠBC and Acast consistency, and the vector-first rule is a
+   function of the common vector.  In synchrony regular-mode delivery of the
+   vector is all-or-none at anchor + T_BC, and fallback deliveries and
+   hand-offs lie within 2Δ of each other (Theorem 3.5, Lemma 2.4): the facts
+   behind weak/strong commitment (Lemmas 4.4-4.6 and 4.12-4.14).
+4. Each corrupt behaviour maps to a per-pair one with the same effective
+   outcomes: present entries are inputs given on time, absent ones with a
+   late verdict inputs given late, a withheld or malformed vector no input
+   at all (its late verdicts are never looked at), a late verdict against a
+   present entry a second input to one ΠBC, and any use of the late
+   carriers a per-pair Acast given one value or none.  A vector reveals
+   exactly the verdicts the per-pair broadcasts reveal.
 
-``star2`` -- the dealer's (E', F') for the (n, t_a)-star path -- rides a
-bare Acast, not a ΠBC: it is only ever sent after ΠBA output 1 and consumed
-on delivery in whichever mode comes first, and for that Lemmas 4.3/4.10
-(honest dealer: every honest party eventually receives (E', F')) use Acast
-validity, the commitment Lemmas 4.4-4.6/4.12-4.14 (corrupt dealer: all
-honest parties receive the same pair, within 2Δ of each other in synchrony)
-Acast consistency (Lemma 2.4); no lemma reads a regular-mode output of this
-broadcast.  What the ΠBC also gave is kept: a delivery is acted on no
-earlier than anchor + T + T_BC (T this sharing's time bound, the ΠBC's
-regular-mode time; :meth:`BivariateSharingMixin._star2_delivered`), so a
-sharing on this path outputs exactly when it did.  ΠVSS Phase III leans on
-that: the ok anchor of a ΠVSS is its ΠWPS children's anchor + T_WPS, so a
-child on the ``star2`` path outputs after it at *every* honest party and
-the verdicts on its wps-shares travel on the late ``ok[i,j]`` Acasts
-everywhere -- never in the vector at one honest party and late at another,
-a split that would be sound (fact 3 above) but is decided by a wall-clock
+``star2`` -- the dealer's (E', F') for the (n, t_a)-star path -- is not a
+ΠBC: it is sent after ΠBA output 1 and consumed on delivery in either mode;
+Lemmas 4.3/4.10 use its Acast's validity, the commitment lemmas its
+consistency (Lemma 2.4), and none a regular-mode output.  It rides the
+dealer's late carriers as the entry of its ``star`` ΠBC, the first
+well-formed one counting.  What the ΠBC also gave is kept: a delivery is
+acted on no earlier than anchor + T + T_BC (T this sharing's time bound;
+:meth:`BivariateSharingMixin._star2_delivered`), so a sharing on this path
+outputs exactly when it did.  ΠVSS Phase III leans on that: its ok anchor is
+its ΠWPS children's anchor + T_WPS, so a child on the ``star2`` path outputs
+after it at *every* honest party and the verdicts on its wps-shares travel
+late everywhere -- never in the vector at one honest party and late at
+another, a split that would be sound (fact 3) but decided by a wall-clock
 race under a real clock.
 
 The ΠBA of a sharing is one slot of a :class:`~repro.ba.bobw.BestOfBothWorldsBA`
@@ -96,17 +90,16 @@ All payloads from other parties pass one total parser
 ``_parse_star``): a verdict is ``("OK",)`` or ``("NOK", index in range(L),
 element of this field)``, a star payload a tuple of the right arity of
 party-id sets; anything else is "absent", a vector of the wrong length or
-type the empty vector.
+type -- a late carrier's entry included -- the empty vector.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ba.aba import aba_nominal_time_bound
 from repro.ba.bobw import BASlot, BestOfBothWorldsBA
-from repro.broadcast.acast import AcastProtocol, PackedFieldVector
+from repro.broadcast.acast import PackedFieldVector
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 from repro.codes.oec import BatchOnlineErrorCorrector
 from repro.field.array import batch_evaluate
@@ -254,13 +247,6 @@ def mutually_ok(verdicts, i: int, j: int) -> bool:
     return other is not None and other[0] == OK_VERDICT == verdicts[(i, j)][0]
 
 
-@lru_cache(maxsize=None)
-def late_verdict_names(n: int) -> Dict[str, Tuple[int, int]]:
-    """Canonical name -> (i, j), i != j, of a sharing's late-verdict Acasts, in tag order."""
-    ids = range(1, n + 1)
-    return {f"ok[{i},{j}]": (i, j) for i in ids for j in ids if i != j}
-
-
 def wps_time_bound(n: int, ts: int, delta: float) -> float:
     """T_WPS = 2Δ + 2·T_BC + T_BA (nominal, used for composition anchors)."""
     t_bc = bc_time_bound(n, ts, delta)
@@ -324,14 +310,15 @@ class BivariateSharingMixin:
         self.accepted_star: Optional[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]] = None
         self._ba = ba
         self._ba_output: Optional[int] = None
-        self._pending_star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
+        self._star2_waits = False  # (E', F') is due but not yet a star of my graph
 
-        # Broadcast endpoints (created in _start_broadcasts(); the bare Acasts
-        # of the late paths by demand_child(), each on first use).
+        # Broadcast endpoints (created in _start_broadcasts()), and what their
+        # late carriers delivered: i -> j -> P_i's late verdict on P_j, the first
+        # well-formed one in sequence order; the dealer's first (E', F').
         self._ok_bc: Dict[int, BroadcastProtocol] = {}
-        self._late_ok: Dict[Tuple[int, int], AcastProtocol] = {}
         self._star_bc: Optional[BroadcastProtocol] = None
-        self._star2: Optional[AcastProtocol] = None
+        self._late_verdicts: Dict[int, Dict[int, Tuple]] = {}
+        self._star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
 
     @property
     def t_bc(self) -> float:
@@ -354,14 +341,15 @@ class BivariateSharingMixin:
                 anchor=ok_anchor, delta=self.delta,
             )
             bc.on_delivery(lambda vector, i=i: self._record_vector(i, vector))
-        # Dealer's (W, E, F) broadcast.
+            bc.on_late(lambda entry, i=i: self._record_late_verdicts(i, entry))
+        # Dealer's (W, E, F) broadcast; its late entry is (E', F').
         self._star_bc = self.spawn(
             BroadcastProtocol, "star", sender=self.dealer, faults=self.ts,
             anchor=ok_anchor + self.t_bc + 2 * eps, delta=self.delta,
         )
+        self._star_bc.on_late(self._star2_arrived)
         for endpoint in (*self._ok_bc.values(), self._star_bc):
             endpoint.start()
-        self.demand_buffered((*late_verdict_names(self.n), "star2"))
         if self._ba is None:
             bank = self.spawn(
                 BestOfBothWorldsBA, "ba", faults=self.ts, delta=self.delta,
@@ -378,26 +366,6 @@ class BivariateSharingMixin:
         if self.me == self.dealer:
             self._star_bc.at_anchor(self._dealer_find_star)
         self.schedule_at(ok_anchor + self.t_bc + 3 * eps, self._take_snapshot)
-
-    def demand_child(self, name: str) -> Optional[AcastProtocol]:
-        """The bare Acasts of the late paths -- P_i's late verdict on P_j
-        ``ok[i,j]``, the dealer's (E', F') ``star2`` -- exist from the first
-        input or message that needs them, once the broadcasts have started."""
-        pair = late_verdict_names(self.n).get(name)
-        if not self._ok_bc or (pair is None and name != "star2"):
-            return None
-        late = self._late_ok.get(pair) if pair else self._star2
-        if late is None:
-            sender = pair[0] if pair else self.dealer
-            late = self.spawn(AcastProtocol, name, sender=sender, faults=self.ts)
-            if pair:
-                self._late_ok[pair] = late
-                late.on_output(lambda value: self._record_late_verdict(*pair, value))
-            else:
-                self._star2 = late
-                late.on_output(self._star2_delivered)
-            late.start()
-        return late
 
     # -- Phase I: dealer distributes rows ----------------------------------------------
     def _dealer_distribute(self) -> None:
@@ -459,13 +427,13 @@ class BivariateSharingMixin:
         self._ok_bc[self.me].provide_input(tuple(entries))
 
     def _publish_late_verdicts(self) -> None:
-        """New evidence or rows: past the anchor, verdicts go out by Acast alone."""
+        """New evidence or rows: past the anchor, a verdict is slot j of my
+        vector's entry of the late carrier flushed at the next multiple of Δ."""
         if not self._vector_sent:
             return
         when = next_multiple_of_delta(self.now, self.delta)
         for j in self._take_unpublished():
-            self.schedule_at(when, lambda j=j: self.demand_child(
-                f"ok[{self.me},{j}]").provide_input(self._verdict_on(j)))
+            self._ok_bc[self.me].give_late(self._verdict_on(j), slot=j, at=when)
 
     # -- the trust boundary: one total parser for what other parties publish -------------------
     def _parse_verdict(self, value: Any) -> Optional[Tuple]:
@@ -511,17 +479,20 @@ class BivariateSharingMixin:
         self._vectors_seen.add(i)
         for (_, j), verdict in self._vector_entries(i, vector).items():
             self._record_verdict(i, j, verdict)
-        for j in self.party.all_party_ids():
-            late = self._late_ok.get((i, j))
-            if late is not None and late.has_output:
-                self._record_late_verdict(i, j, late.output)
+        late = self._late_verdicts.get(i, {})
+        for j in sorted(late):
+            self._record_verdict(i, j, late[j])
 
-    def _record_late_verdict(self, i: int, j: int, value: Any) -> None:
-        """Vector first: a late ``ok[i,j]`` waits for P_i's vector (see
-        _record_vector), where an absent endpoint is one with no output."""
-        verdict = self._parse_verdict(value) if i in self._vectors_seen else None
-        if verdict is not None:
-            self._record_verdict(i, j, verdict)
+    def _record_late_verdicts(self, i: int, entry: Any) -> None:
+        """P_i's entry of a late carrier, a partial verdict vector: per slot the
+        first well-formed verdict in sequence order counts, and waits for P_i's
+        vector (vector first: see _record_vector)."""
+        late = self._late_verdicts.setdefault(i, {})
+        for (_, j), verdict in self._vector_entries(i, entry).items():
+            if j not in late:
+                late[j] = verdict
+                if i in self._vectors_seen:
+                    self._record_verdict(i, j, verdict)
 
     def _record_verdict(self, i: int, j: int, verdict: Tuple) -> None:
         if (i, j) in self._verdicts:
@@ -535,8 +506,8 @@ class BivariateSharingMixin:
         if self._ba_output == 1:
             if self.me == self.dealer:
                 self._dealer_try_star2()
-            if self._pending_star2 is not None:
-                self._try_adopt_star2(self._pending_star2)
+            if self._star2_waits:
+                self._try_adopt_star2()
 
     # -- snapshots at the phase boundaries --------------------------------------------------------
     def _regular_snapshot(self) -> Tuple[ConsistencyGraph, Dict[Tuple[int, int], Tuple]]:
@@ -620,8 +591,7 @@ class BivariateSharingMixin:
         else:
             if self.me == self.dealer:
                 self._dealer_try_star2()
-            if self._star2 is not None and self._star2.has_output:
-                self._star2_delivered(self._star2.output)
+            self._star2_delivered()
 
     # -- output through the (W, E, F) path -----------------------------------------------------------
     def _compute_output_via_w(self, candidate: Any) -> None:
@@ -642,29 +612,33 @@ class BivariateSharingMixin:
         if star is None:
             return
         self._star2_sent = True
-        self.demand_child("star2").provide_input((star.e_set, star.f_set))
+        self._star_bc.give_late((star.e_set, star.f_set))
 
-    def _star2_delivered(self, candidate: Any) -> None:
+    def _star2_arrived(self, entry: Any) -> None:
+        """The dealer's entry of a late carrier: the first well-formed one counts."""
+        if self._star2 is None:
+            self._star2 = self._parse_star(entry, 2)
+            self._star2_delivered()
+
+    def _star2_delivered(self) -> None:
         """Hold an early (E', F') until the ΠBC it replaced would have delivered
         (and until ΠBA has said 1: _handle_ba_output comes back for it)."""
-        if self._ba_output != 1:
+        if self._ba_output != 1 or self._star2 is None:
             return
         due = self.anchor + self.time_bound + self.t_bc
         if self.now < due:
-            self.schedule_at(due, lambda: self._try_adopt_star2(candidate))
+            self.schedule_at(due, self._try_adopt_star2)
         else:
-            self._try_adopt_star2(candidate)
+            self._try_adopt_star2()
 
-    def _try_adopt_star2(self, candidate: Any) -> None:
-        candidate = self._parse_star(candidate, 2)
-        if self.has_output or self._ba_output != 1 or candidate is None:
+    def _try_adopt_star2(self) -> None:
+        if self.has_output:
             return
-        e_set, f_set = candidate
-        if not verify_star(self.graph, Star(e_set, f_set), self.ta):
-            # Not yet a star in our own graph: retry on each graph update.
-            self._pending_star2 = candidate
+        e_set, f_set = self._star2
+        # Not yet a star in our own graph: retry on each graph update.
+        self._star2_waits = not verify_star(self.graph, Star(e_set, f_set), self.ta)
+        if self._star2_waits:
             return
-        self._pending_star2 = None
         if self.me in f_set and self.my_rows is not None:
             self.set_output([row.constant_term() for row in self.my_rows])
             return

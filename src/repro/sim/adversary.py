@@ -110,8 +110,7 @@ class WrongValueBehavior(Behavior):
 
     def _perturb(self, value: Any) -> Any:
         # Imported lazily: the broadcast/sharing packages depend on sim.party.
-        from repro.broadcast.acast import PackedFieldVector
-        from repro.broadcast.bc import Bundle
+        from repro.broadcast.acast import Bundle, PackedFieldVector
         from repro.sharing.wps import PackedPolynomialRows
 
         if isinstance(value, FieldElement):

@@ -24,9 +24,9 @@ The heaviest message overall is the larger of that and a carrier's message,
 a broadcast bundle or a ΠABA vector
 (:func:`repro.analysis.metrics.bundle_message_bound`), which grows with n and
 the number of sibling ΠVSS per instant and which no ``shard_size`` lowers:
-at n = 4 with ``shard_size=1``, 6,304 bits (the ΠABA vector of the 96
-``wps_ba`` slots a party launches at one instant; the heaviest bundle, its
-96 verdict vectors, is 896) against 1,290 for the triple payload.
+at n = 4 with ``shard_size=1``, 896 bits (the bundle of the 96 verdict
+vectors a party publishes at one instant) against 1,202 for the triple
+payload.
 The price is ~``num_shards``× latency and more aggregate control traffic
 (each round runs its own ΠACS/ΠBC banks): sharding bounds the per-round
 payload burst, not the total bandwidth.  Extraction proceeds per shard:

@@ -47,17 +47,18 @@ PINNED_MODULES = (
 #: Header note naming the code path that produces the digests.
 PRODUCED_BY = (
     "the single protocol path with the verdict-vector Phase III of PiWPS/PiVSS, "
-    "every PiBA a slot of a bank whose votes ride one PiBC per party, star2 on "
-    "a bare Acast, every logical PiBC an entry of the broadcast carrier of its "
-    "(sender, anchor instant), and the PiABAs of the slots launched at one "
-    "instant speaking in one vector per step (the AbaCarrier of repro.ba.aba): "
-    "all 76 outputs digests are byte-identical to those recorded at e6099bc "
-    "(one PiBC per ordered pair), 6fb28d1 (one PiBC per PiBA and voter), "
-    "2a4941f (one run of Fig 1 per logical PiBC) and b8ff26b (one PiABA message "
-    "per slot per step); the 69 transcript digests of the cells that run a "
-    "PiVSS moved -- its n wps_ba slots share their vectors -- the other 7 did "
-    "not (Acast, ampc, the two smpc cells, and the three lone-PiWPS cells, "
-    "whose one-slot bank sends what it sent)"
+    "every PiBA a slot of a bank whose votes ride one PiBC per party, every "
+    "logical PiBC an entry of the broadcast carrier of its (sender, anchor "
+    "instant), what a sender gives late (verdicts, star2, a late PiBC input) on "
+    "the numbered late carriers of that broadcast carrier, one per flush instant, "
+    "and the PiABAs of the slots launched at one instant speaking in one vector "
+    "per step (the AbaCarrier of repro.ba.aba), priced on the bundle's vote line: "
+    "all 76 outputs digests are byte-identical to those recorded at e6099bc (one "
+    "PiBC per ordered pair), 6fb28d1 (one PiBC per PiBA and voter), 2a4941f (one "
+    "run of Fig 1 per logical PiBC), b8ff26b (one PiABA message per slot per "
+    "step) and 15b8279 (one Acast per late verdict, star2 and late input, and a "
+    "PiABA slot priced at 64 bits); the transcript digests of every cell that "
+    "runs a PiBA moved, those of the Acast, ampc and two smpc cells did not"
 )
 
 #: cell id -> digests while ``--write`` is recording; None in every test run.

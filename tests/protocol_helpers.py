@@ -36,12 +36,18 @@ class RewriteBehavior(Behavior):
     sends (``None`` blanks it: that ΠBC is given no input; the rest of the
     bundle goes out as the honest code made it).  Withholding a broadcast is
     withholding its whole bundle: a ``rules`` drop on :func:`bundle_tag`.
+    ``late`` does the same to what the party gives late: the present entries of
+    the bundles on its late carriers ``<carrier>/late[k]`` (a late input, a
+    partial verdict vector, a dealer's (E', F')); an edit to ``None`` there
+    gives nothing late.
     """
 
     def __init__(self, rules: Optional[Dict[str, Callable]] = None,
-                 entries: Optional[Dict[str, Callable]] = None):
+                 entries: Optional[Dict[str, Callable]] = None,
+                 late: Optional[Dict[str, Callable]] = None):
         self.rules = [(re.compile(p), edit) for p, edit in (rules or {}).items()]
         self.entries = [(re.compile(p), edit) for p, edit in (entries or {}).items()]
+        self.late = [(re.compile(p), edit) for p, edit in (late or {}).items()]
 
     def filter_send(self, party, message):
         sent = [(message.tag, message.payload)]
@@ -56,14 +62,16 @@ class RewriteBehavior(Behavior):
         ]
 
     def _edit_entries(self, party, tag, payload):
-        carrier = party.instances.get(tag.rpartition("/")[0])
-        if not (self.entries and isinstance(carrier, BroadcastCarrier)
-                and tag.endswith("/acast") and payload[0] == "init"):
+        parent, _, name = tag.rpartition("/")
+        carrier = party.instances.get(parent)
+        rules = self.entries if name == "acast" else self.late
+        if not (rules and isinstance(carrier, BroadcastCarrier) and payload[0] == "init"
+                and type(payload[1]) is Bundle):
             return payload
         bundle = list(payload[1].entries)
         for index, endpoint in enumerate(carrier.entries):
-            for pattern, edit in self.entries:
-                if pattern.fullmatch(endpoint.tag):
+            for pattern, edit in rules:
+                if pattern.fullmatch(endpoint.tag) and (rules is self.entries or bundle[index]):
                     bundle[index] = edit(bundle[index])
                     break
         return ("init", Bundle(bundle, payload[1].n))
@@ -75,11 +83,17 @@ def bundle_tag(root: str, anchor: float, sender: int) -> str:
     return re.escape(carrier_tag(root, anchor, sender, 1.0) + "/acast")
 
 
+def late_tag(root: str, anchor: float, sender: int, k: int) -> str:
+    """The tag of late carrier ``k`` of that carrier (root anchored at 0, Δ = 1)."""
+    return carrier_tag(root, anchor, sender, 1.0) + f"/late[{k}]"
+
+
 def silent_in(prefix: str) -> RewriteBehavior:
     """A party that takes no part in anything under the tag ``prefix``: it
     sends nothing on those tags and gives the ΠBCs there no input."""
     under = re.escape(prefix) + ".*"
-    return RewriteBehavior({under: lambda tag, payload: []}, entries={under: lambda value: None})
+    return RewriteBehavior({under: lambda tag, payload: []}, entries={under: lambda value: None},
+                           late={under: lambda value: None})
 
 
 def bundle_entries(edit: Callable[[tuple], object]):
@@ -102,9 +116,8 @@ def malformed_nok(value):
 
 def garbage_star2_dealer() -> RewriteBehavior:
     """A dealer that withholds (W, E, F) and broadcasts ``(5, 7)`` as (E', F')."""
-    return RewriteBehavior({
-        "prot/star2": acast_input(lambda value: (5, 7)),
-    }, entries={"prot/star": lambda value: None})
+    return RewriteBehavior(entries={"prot/star": lambda value: None},
+                           late={"prot/star": lambda value: (5, 7)})
 
 
 def run_dealer_protocol(

@@ -6,7 +6,8 @@ instant (vote anchor + T_BC + ε).  These tests pin the carrier's identity and
 membership, the reduction entry by entry (each slot's entries are its own
 machine's messages, each once), the deferred launch of a late vote, the total
 parser of the vector, the hold before the positions are frozen, the wire
-format, and that a bit keeps its type whatever a peer sends.
+format (a vote vector is a ``Bundle`` of its runs of up to 255 slots, each on
+the 2-bit-a-slot line), and that a bit keeps its type whatever a peer sends.
 """
 
 import pickle
@@ -15,6 +16,7 @@ import pytest
 
 from repro.ba.aba import MAX_ROUNDS, AbaCarrier, BrachaABA
 from repro.ba.bobw import BestOfBothWorldsBA
+from repro.broadcast.acast import Bundle
 from repro.broadcast.bc import bc_time_bound
 from repro.runtime.wire import decode_message, encode_message
 from repro.sim import AsynchronousNetwork, ProtocolRunner, SynchronousNetwork
@@ -29,6 +31,16 @@ N, T = 4, 1
 T_BC = bc_time_bound(N, T, 1.0)
 #: A bank anchored at 0 under a root anchored at 0 launches at T_BC + ε: 9.003 Δ.
 LAUNCH = f"aba@{round((T_BC + 0.001) / 0.001)}"
+
+
+def _votes(payload):
+    """The K-tuple a carrier's ``(kind, [round,] votes)`` payload carries."""
+    return sum(payload[-1].entries, ())
+
+
+def _v(vector):
+    """``vector`` as a peer puts it on the wire: a bundle of (here one) run."""
+    return Bundle((vector,), N)
 
 
 def _recording_sends(run):
@@ -131,8 +143,8 @@ def test_two_banks_at_one_anchor_share_one_carrier_and_one_fan_out_per_step():
         steps = _fan_outs(sent, pid, shared.tag)
         assert [step[:-1] for step in steps] == [
             ("bval", 1), ("aux", 1), ("bval", 2), ("aux", 2), ("final",), ("bval", 3)]
-        assert all(step[-1] == (1, 1, 1) for step in steps)
-        assert [step[-1] for step in _fan_outs(sent, pid, alone.tag)] == [(1,)] * 6
+        assert all(_votes(step) == (1, 1, 1) for step in steps)
+        assert [_votes(step) for step in _fan_outs(sent, pid, alone.tag)] == [(1,)] * 6
     on_carriers = sum(1 for _, tag, _ in sent if "/aba" in tag)
     assert on_carriers == 2 * 6 * N * (N - 1)  # two carriers, not four slots
 
@@ -168,8 +180,9 @@ def test_entry_j_of_a_senders_vectors_is_what_its_slot_j_machine_emits(network, 
     for pid in outputs:
         carried = {index: [] for index in range(3)}
         for payload in _fan_outs(sent, pid, tag):
-            assert len(payload[-1]) == 3 and any(bit is not None for bit in payload[-1])
-            for index, bit in enumerate(payload[-1]):
+            vector = _votes(payload)
+            assert len(vector) == 3 and any(bit is not None for bit in vector)
+            for index, bit in enumerate(vector):
                 if bit is not None:
                     carried[index].append(payload[:-1] + (bit,))
         for index, messages in carried.items():
@@ -200,9 +213,9 @@ def test_a_late_vote_launches_its_slot_and_sends_a_sparse_vector():
     assert seen[4][0] == [1] and not seen[4][2]
     assert sorted(seen[4][1][:3]) == [1, 2, 3] and set(seen[4][1]) == {1, 2, 3}
     for pid in range(1, 5):
-        slot_1 = [p for p in _fan_outs(sent, pid, f"ba/{LAUNCH}") if p[-1][1] is not None]
-        assert slot_1[0] == ("bval", 1, (None, 1))  # slot 0 decided long ago: sparse
-        assert all(p[-1][0] is None for p in slot_1)
+        slot_1 = [p for p in _fan_outs(sent, pid, f"ba/{LAUNCH}") if _votes(p)[1] is not None]
+        assert slot_1[0] == ("bval", 1, _v((None, 1)))  # slot 0 decided long ago: sparse
+        assert all(_votes(p)[0] is None for p in slot_1)
 
 
 # -- Byzantine vectors -----------------------------------------------------------------------
@@ -219,17 +232,26 @@ def _three_slots(forged):
 BYZANTINE_VECTORS = [
     pytest.param([5], id="not-a-tuple"),
     pytest.param([("bval", 1, [1, 0, 1]), ("final", 1), ("aux", 1, None)], id="vector-not-a-tuple"),
-    pytest.param([("bval", 1, (1, 0)), ("aux", 1, (1, 0, 1, 0)), ("final", ())], id="wrong-length"),
-    pytest.param([("echo", 1, (0, 1, 0)), (7, 1, (0, 1, 0)), ("final", 1, (0, 1, 0)),
-                  ("bval", (0, 1, 0))], id="unknown-kind"),
-    pytest.param([("bval", 0, (0, 1, 0)), ("aux", MAX_ROUNDS + 1, (0, 1, 0)),
-                  ("bval", "1", (0, 1, 0)), ("aux", True, (0, 1, 0)), ("bval", [1], (0, 1, 0)),
-                  ("bval", 1.0, (0, 1, 0))], id="round-outside-the-schedule"),
-    pytest.param([("bval", 1, (2, 2, 2)), ("aux", 1, (1.0, 1.0, 1.0)),
-                  ("final", (True, True, True)), ("bval", 2, ([1], [0], "1")),
-                  ("final", (0.0, 1.0, -1))], id="entries-that-are-no-bits"),
-    pytest.param([(kind, r, (None, None, bit)) for r in range(1, 41) for kind in ("bval", "aux")
-                  for bit in (0, 1)] + [("final", (None, None, 1))] * 5,
+    pytest.param([("bval", 1, (1, 0, 1)), ("aux", 1, (0, 1, 0)), ("final", (1, 1, 1))],
+                 id="a-plain-tuple-is-not-a-vote-vector"),
+    pytest.param([("bval", 1, Bundle(((1, 0, 1), (1, 0, 1)), N)), ("bval", 1, Bundle((), N)),
+                  ("aux", 1, Bundle(((1, 0, 1),), N).entries), ("final", Bundle((None,), N)),
+                  ("bval", 1, Bundle(((1,), 0, (1,)), N))],
+                 id="runs-that-make-no-vector-of-the-frozen-length"),
+    pytest.param([("bval", 1, _v((1, 0))), ("aux", 1, _v((1, 0, 1, 0))), ("final", _v(()))],
+                 id="wrong-length"),
+    pytest.param([("echo", 1, _v((0, 1, 0))), (7, 1, _v((0, 1, 0))), ("final", 1, _v((0, 1, 0))),
+                  ("bval", _v((0, 1, 0)))], id="unknown-kind"),
+    pytest.param([("bval", 0, _v((0, 1, 0))), ("aux", MAX_ROUNDS + 1, _v((0, 1, 0))),
+                  ("bval", "1", _v((0, 1, 0))), ("aux", True, _v((0, 1, 0))),
+                  ("bval", [1], _v((0, 1, 0))), ("bval", 1.0, _v((0, 1, 0)))],
+                 id="round-outside-the-schedule"),
+    pytest.param([("bval", 1, _v((2, 2, 2))), ("aux", 1, _v((1.0, 1.0, 1.0))),
+                  ("final", _v((True, True, True))), ("bval", 2, _v(([1], [0], "1"))),
+                  ("final", _v((0.0, 1.0, -1)))], id="entries-that-are-no-bits"),
+    pytest.param([(kind, r, _v((None, None, bit))) for r in range(1, 41)
+                  for kind in ("bval", "aux") for bit in (0, 1)]
+                 + [("final", _v((None, None, 1)))] * 5,
                  id="flood-for-a-slot-never-launched"),
 ]
 
@@ -255,7 +277,7 @@ def test_a_peer_that_still_speaks_per_slot_is_heard_and_answered_on_the_carrier(
     what an honest slot says in reply leaves on the carrier at once."""
     def per_slot(tag, payload):
         return [(f"ba/aba[{index}]", payload[:-1] + (bit,))
-                for index, bit in enumerate(payload[-1]) if bit is not None]
+                for index, bit in enumerate(_votes(payload)) if bit is not None]
 
     votes = {pid: [1, 0] for pid in range(1, 5)}
     result, sent = _recording_sends(lambda: _run_bank(
@@ -273,7 +295,7 @@ def test_a_peer_that_still_speaks_per_slot_is_heard_and_answered_on_the_carrier(
 def test_a_vector_delivered_before_the_launch_timer_is_held_until_the_launch():
     """P_4 sends BVAL(1, 0) at time 0, nine Δ before anyone launches (a peer whose
     clock runs ahead): it waits in the carrier, and counts once the slot exists."""
-    early = ("bval", 1, (0,))
+    early = ("bval", 1, _v((0,)))
     seen = {}
 
     def send_early(tag, payload):
@@ -306,9 +328,14 @@ def test_aba_vectors_cross_the_wire_without_pickle(monkeypatch):
         raise AssertionError("a ΠABA vector took the pickle fallback")
 
     monkeypatch.setattr(pickle, "dumps", no_pickle)
-    for payload, bits in ((("bval", 2, (1, None, 0, None)), 32 + 64 + 2 * 64 + 2),
-                          (("aux", 17, (None, 1)), 24 + 64 + 64 + 1),
-                          (("final", (0, 0, None)), 40 + 2 * 64 + 1)):
+    # 2 bits a slot, on the vote line of the bundle's price list: 64 a slot
+    # while the vector was a plain tuple of ints.
+    for payload, bits in ((("bval", 2, _v((1, None, 0, None))), 32 + 64 + 2 * 4),
+                          (("aux", 17, _v((None, 1))), 24 + 64 + 2 * 2),
+                          (("final", _v((0, 0, None))), 40 + 2 * 3),
+                          # Past one length byte of slots: two runs, still 2 bits a slot.
+                          (("bval", 1, Bundle(((1,) * 255, (0, None) * 30), N)),
+                           32 + 64 + 2 * 315)):
         message = Message(2, 3, "eval[3]/aba@30011", payload, 31.011)
         decoded = decode_message(encode_message(message))
         assert decoded.payload == payload
@@ -323,7 +350,7 @@ def test_a_peers_float_bits_never_become_an_estimate_or_an_output():
     FINAL values, and this run's honest outputs were ``{2: 1, 3: 1, 4: 1.0}``
     (seeds 0, 4, 5: all three ``1.0``)."""
     def floats(tag, payload):
-        return [(tag, payload[:-1] + (tuple(float(bit) for bit in payload[-1]),))]
+        return [(tag, payload[:-1] + (_v(tuple(float(bit) for bit in _votes(payload))),))]
 
     for seed in (0, 1, 4, 5):
         result = _run_bank(4, 1, {pid: 1 for pid in range(1, 5)}, seed=seed,

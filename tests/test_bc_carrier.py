@@ -238,8 +238,9 @@ def test_on_delivery_fires_per_entry_for_regular_and_fallback():
 
 @pytest.mark.parametrize("when", [0.5, 4.0, 30.0])
 def test_late_input_is_delivered_in_fallback_mode_only_and_only_after_the_bundle(when):
-    """``b`` gets its input after the bundle went out: it rides b's own bare
-    Acast and counts once the bundle is in (regular mode at T_BC) and lacks it."""
+    """``b`` gets its input after the bundle went out: it rides the carrier's
+    first late carrier and counts once the bundle is in (regular mode at T_BC)
+    and lacks it."""
     runner = ProtocolRunner(N, network=SynchronousNetwork())
     roots = {pid: Broadcasts(party, "root", 1, {"a": (0.0, "on time"), "b": (0.0, None)})
              for pid, party in runner.parties.items()}
@@ -333,31 +334,37 @@ def test_blank_entry_is_no_input_to_that_broadcast_only():
         assert root.bc["b"].regular_output == "other"
 
 
+LATE_0 = "root/bc@0[1]/late[0]"
+
+
 def test_bundle_withheld_means_no_entry_and_its_late_acasts_are_never_read():
-    """P_1 never sends its bundle but Acasts a value on a's late path: delivered
-    by the Acast, never looked at -- as with a withheld verdict vector."""
+    """P_1 never sends its bundle but gives a a value on its first late carrier:
+    delivered by that Acast, never looked at -- as with a withheld verdict vector."""
     def withhold_and_acast(tag, payload):
-        return [("root/a/acast", ("init", "sneaked"))] if payload[0] == "init" else []
+        late = Bundle(("sneaked", None), N)
+        return [(LATE_0, ("init", late))] if payload[0] == "init" else []
 
     result = _run(TWO, corrupt={1: RewriteBehavior({r"root/bc@0\[1\]/acast": withhold_and_acast})},
                   wait_for_all=False, max_time=200.0)
     for pid in (2, 3, 4):
         root = result.instances[pid]
-        assert root.party.instances["root/a/acast"].output == "sneaked"
+        assert root.party.instances[LATE_0].output.entries == ("sneaked", None)
+        assert root.bc["a"].late_input == "sneaked"
         assert root.party.instances["root/bc@0[1]"].bundle is None
         assert all(bc.regular_decided and bc.output is None for bc in root.bc.values())
 
 
 def test_late_acast_contradicting_a_present_entry_is_ignored():
     def also_acast(tag, payload):
-        extra = [("root/a/acast", ("init", "contradiction"))] if payload[0] == "init" else []
+        late = Bundle(("contradiction", None), N)
+        extra = [(LATE_0, ("init", late))] if payload[0] == "init" else []
         return [(tag, payload)] + extra
 
     result = _run(TWO, corrupt={1: RewriteBehavior({r"root/bc@0\[1\]/acast": also_acast})},
                   wait_for_all=False, max_time=200.0)
     for pid in (2, 3, 4):
         root = result.instances[pid]
-        assert root.party.instances["root/a/acast"].output == "contradiction"
+        assert root.bc["a"].late_input == "contradiction"
         assert root.bc["a"].output == root.bc["a"].regular_output == ("msg", 9)
 
 
@@ -440,8 +447,9 @@ def test_real_clock_vss_no_honest_bundle_misses_an_input_due_at_the_anchor():
         due = {tag: value for tag, value in sent.items() if not tag.endswith("/star")}
         # ok[pid] in the ΠVSS and its 4 ΠWPS, bc[pid] in wps_ba and ba.
         assert len(due) == 5 + 2 and None not in due.values(), sent
-        # No input missed its bundle, so no late-input Acast was ever built.
-        assert not any(type(e) is BroadcastProtocol and e._late is not None
+        # No input missed its bundle, so no ΠBC was ever given a late input (its
+        # late carriers, if any, carry verdicts a real clock made late).
+        assert not any(type(e) is BroadcastProtocol and e.late_input is not None
                        for e in instance.party.instances.values())
 
 

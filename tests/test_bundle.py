@@ -1,6 +1,6 @@
-"""The carrier's value as a type: ``repro.broadcast.bc.Bundle``.
+"""The carriers' value as a type: ``repro.broadcast.acast.Bundle``.
 
-What a bundle costs (the price list of ``repro.broadcast.bc``), what it is
+What a bundle costs (the price list of ``repro.broadcast.acast``), what it is
 to Acast's and phase-king's tallies (one cached digest, identity first),
 its wire encoding (``repro.runtime.wire``: the bitmaps the price list
 counts) and the decoder as a trust boundary.  The carrier's own parser and
@@ -12,17 +12,17 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.broadcast.acast import PackedFieldVector
-from repro.broadcast.bc import (
+from repro.broadcast.acast import (
     ABSENT,
     OTHER,
     STAR,
     VERDICTS,
     VOTES,
-    BroadcastCarrier,
     Bundle,
+    PackedFieldVector,
     entry_kind,
 )
+from repro.broadcast.bc import BroadcastCarrier
 from repro.circuits import multiplication_circuit
 from repro.field import GF, default_field
 from repro.field.gf import FieldElement
@@ -87,7 +87,7 @@ def test_a_bundle_is_the_sum_of_its_entries_and_measured_once(monkeypatch):
     bundle = Bundle(entries, 4)
     assert payload_bits(bundle) == (8 + 64 + BITS) + 8 + 12 + 1 + 8
     assert payload_bits(("echo", bundle)) == 32 + payload_bits(bundle)
-    monkeypatch.setattr("repro.broadcast.bc.entry_kind", None)  # a second pricing would raise
+    monkeypatch.setattr("repro.broadcast.acast.entry_kind", None)  # a second pricing would raise
     assert bundle.payload_bits() == payload_bits(bundle)
 
 
@@ -331,6 +331,7 @@ def test_bundle_decoder_yields_a_bundle_or_a_wire_decode_error(blob):
 
 
 def _bundles_sent(monkeypatch, **run):
+    """The bundles the parties' carriers sent, then those their late carriers sent."""
     sent = []
     publish = BroadcastCarrier._publish
 
@@ -344,25 +345,33 @@ def _bundles_sent(monkeypatch, **run):
     result = run_mpc(multiplication_circuit(FIELD, n), {pid: pid + 2 for pid in range(1, n + 1)},
                      **run)
     assert result.completed
-    return sent
+    late = [instance.message for party in result.run.backend.parties.values()
+            for tag, instance in party.instances.items()
+            if "/late[" in tag and instance.sender == party.id]
+    return sent, late
 
 
 @pytest.mark.parametrize("run,carriers,expected", [
-    pytest.param(dict(n=4, ts=1, ta=0, seed=1), 32, {VOTES, VERDICTS, STAR}, id="sync-n4-tripsh"),
-    # No dealer has found a star by the anchor of its ΠBC: it goes out as ``star2``.
+    pytest.param(dict(n=4, ts=1, ta=0, seed=1), (32, 0), ({VOTES, VERDICTS, STAR}, set()),
+                 id="sync-n4-tripsh"),
+    # No dealer has found a star by the anchor of its ΠBC: it goes out late as
+    # ``star2``, with most verdicts.
     pytest.param(dict(n=5, ts=1, ta=1, seed=7, offline="him",
-                      network=AsynchronousNetwork(max_delay=3.0)), 35, {ABSENT, VOTES, VERDICTS},
+                      network=AsynchronousNetwork(max_delay=3.0)),
+                 (35, 41), ({ABSENT, VOTES, VERDICTS}, {ABSENT, VERDICTS, STAR}),
                  id="async-n5-him"),
 ])
 def test_every_bundle_of_an_evaluation_costs_on_the_wire_what_it_is_charged(
         monkeypatch, run, carriers, expected):
     """What ``payload_bits`` counts for a bundle is what ``runtime.wire`` ships:
-    within a kind byte, a length byte and a byte of rounding per entry."""
-    sent = _bundles_sent(monkeypatch, **run)
+    within a kind byte, a length byte and a byte of rounding per entry -- the
+    carriers' bundles and the late carriers' alike."""
     n = run["n"]
-    assert len(sent) == carriers and all(type(b) is Bundle and b.n == n for b in sent)
-    kinds = set()
-    for bundle in sent:
-        assert_round_trips(bundle)
-        kinds.update(entry_kind(entry, n) for entry in bundle.entries)
-    assert kinds == expected  # nothing an honest party broadcasts falls off the price list
+    for bundles, count, kinds_expected in zip(_bundles_sent(monkeypatch, **run), carriers,
+                                              expected):
+        assert len(bundles) == count and all(type(b) is Bundle and b.n == n for b in bundles)
+        kinds = set()
+        for bundle in bundles:
+            assert_round_trips(bundle)
+            kinds.update(entry_kind(entry, n) for entry in bundle.entries)
+        assert kinds == kinds_expected  # nothing an honest party broadcasts is off the list

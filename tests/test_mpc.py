@@ -5,6 +5,8 @@ Beaver evaluation, output reconstruction, termination), so each test costs a
 few seconds of wall time; the circuits and party counts are kept small.
 """
 
+import re
+
 import pytest
 
 from repro.ba.aba import AbaCarrier
@@ -27,6 +29,7 @@ from repro.sim import (
     SynchronousNetwork,
     WrongValueBehavior,
 )
+from repro.sim.simulator import SimulationMetrics
 
 from golden import assert_matches_golden
 
@@ -70,11 +73,14 @@ def test_sync_product_all_honest(monkeypatch):
     # 15,781,608 bits with 13 messages per slot per party, and 70,560 /
     # 22,732,008 with one run of Fig 1 per logical ΠBC on top.  The bits: a
     # sender's 8 bundles cost 1,608 bits by the price list of ``Bundle`` (38,136
-    # as plain tuples: 14,731,560 in all), each sent 81 times; the heaviest
-    # message is now the ΠABA vector of the 96 slots launched at 30.011 Δ.
+    # as plain tuples: 14,731,560 in all), each sent 81 times, and the 240 ΠABA
+    # vectors' 7,488 slots 2 bits each on its vote line (64 as plain ints:
+    # 2,896,488 in all, and the 96-slot vector was the heaviest message at
+    # 96 * 64 + 160).  The heaviest is now a dealer's 27 rows of 2 coefficients.
     assert result.metrics.messages_sent == 4_668 == 81 * 32 + 1_836 + 20 * 3 * 4
-    assert result.metrics.honest_bits == 2_896_488 == 14_731_560 - 81 * 4 * (38_136 - 1_608)
-    assert result.metrics.max_message_bits == 6_304 == 96 * 64 + 160
+    assert result.metrics.honest_bits == 2_432_232 == (
+        14_731_560 - 81 * 4 * (38_136 - 1_608) - (64 - 2) * 7_488)
+    assert result.metrics.max_message_bits == 3_398 == 64 + 8 * len("polys") + 54 * 61
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert delivered_at_start == [0] * (4 * 756)
     for party in result.run.backend.parties.values():
@@ -86,11 +92,11 @@ def test_sync_product_all_honest(monkeypatch):
         assert len(carriers) == 32 and sum(len(c.entries) for c in carriers) == 756
         # No input missed its bundle (the three publishers at an anchor really
         # go through at_anchor) and nobody took the late path, so the carriers'
-        # Acasts are the only ones: the late-path ones (12 ok[i,j] + star2 per
-        # sharing, one per logical ΠBC) are built on first use.  Built up front
-        # they made it 2,348 Acasts and 3,547 instances per party.
+        # Acasts are the only ones: the late carriers are built on first use.
+        # With the per-pair late Acasts built up front it was 2,348 Acasts and
+        # 3,547 instances per party.
         assert all(c.output is not None and None not in c.bundle for c in carriers)
-        assert not any(bc._late is not None for bc in broadcasts)
+        assert not any(LATE.search(tag) for tag in party.instances)
         acasts = [e for e in party.instances.values() if type(e) is AcastProtocol]
         assert len(acasts) == 32 and {a.tag for a in acasts} == {c.tag + "/acast" for c in carriers}
         abas = [e for e in party.instances.values() if type(e) is AbaCarrier]
@@ -98,6 +104,45 @@ def test_sync_product_all_honest(monkeypatch):
             ("mpc/aba@136052", 4), ("mpc/aba@30011", 96), ("mpc/aba@69025", 24),
             ("mpc/aba@90032", 20)]
     assert sum(len(p.instances) for p in result.run.backend.parties.values()) == 4_924 + 16
+
+
+#: The tag of a late carrier, ``<carrier>/late[k]``.
+LATE = re.compile(r"/late\[\d+\]$")
+
+
+def test_async_product_him_late_carriers(monkeypatch):
+    """The asynchronous twin (``async_n5_him`` at seed 7): most verdicts and every
+    ``star2`` miss their anchors.  Before the late carriers each of those 820
+    was its own Acast, 44 messages at n = 5 (36,080 of 42,584 messages); now
+    what a sender gives late for one carrier at one instant is one numbered
+    Acast: 41 of them, carrying 493 entries (a partial verdict vector or an
+    (E', F')) and the same 820 slots."""
+    on_late = {True: 0, False: 0}
+    record = SimulationMetrics.record_send
+
+    def recording(metrics, message, *args, **kwargs):
+        on_late[bool(LATE.search(message.tag))] += 1
+        return record(metrics, message, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationMetrics, "record_send", recording)
+    circuit = multiplication_circuit(F, 5)
+    inputs = {1: 695_425_565, 2: 2_035_525_363, 3: 323_946_140, 4: 847_877_000,
+              5: 1_397_871_145}
+    result = run_mpc(circuit, inputs, n=5, ts=1, ta=1, offline="him", seed=7,
+                     network=AsynchronousNetwork(max_delay=3.0))
+    assert result.completed and result.agreed and result.common_subset == [1, 2, 3, 4, 5]
+    assert result.outputs == circuit.evaluate({pid: F(v) for pid, v in inputs.items()})
+    acast = (5 - 1) + 2 * 5 * (5 - 1)  # init, then every party's echo and ready
+    for party in result.run.backend.parties.values():
+        late = [e for tag, e in party.instances.items() if LATE.search(tag)]
+        assert len(late) == 41 and all(type(e) is AcastProtocol for e in late)
+        entries = [entry for e in late for entry in e.output.entries if entry is not None]
+        assert len(entries) == 493
+        assert sum(1 if type(entry[0]) is frozenset else sum(s is not None for s in entry)
+                   for entry in entries) == 820
+    assert on_late[True] == 44 * 41 == acast * 41
+    assert result.metrics.messages_sent == 8_248 == on_late[False] + 44 * 41
+    assert result.metrics.honest_bits == 3_024_360
 
 
 def test_sync_linear_circuit_no_multiplications():

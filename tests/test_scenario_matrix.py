@@ -382,7 +382,7 @@ def test_him_sharded_round_payloads_are_bounded():
 def test_sharded_round_payloads_are_bounded():
     """No protocol round carries more than a shard_size-bounded triple payload,
     nor any message heavier than the larger of that and a carrier's message
-    (a broadcast bundle or, heavier when nobody reports a NOK, a ΠABA vector)."""
+    (a broadcast bundle or a ΠABA vector)."""
     scenario_sharded = Scenario(4, 1, 0, "honest", "sync", 1, num_triples=3)
     scenario_full = Scenario(4, 1, 0, "honest", "sync", None, num_triples=3)
     sharded, sharded_bundle, sharded_payload = heaviest_messages(
@@ -404,10 +404,13 @@ def test_sharded_round_payloads_are_bounded():
     # respecting its own L-sized bound).
     assert bound < unsharded_payload <= full_bound
     # The second term: what a carrier sends depends on n and the sibling
-    # sharings per instant, not on L or shard_size, and is the heaviest
-    # message here (the ΠABA vector of the 80 ``wps_ba`` slots: 64 bits each).
-    assert 0 < sharded_bundle == unsharded_bundle == 80 * 64 + 160 <= bundle_bound
-    assert max_message_bits(sharded.metrics) == sharded_bundle > bound
+    # sharings per instant, not on L or shard_size.  Here it is the phase-king
+    # copy of the bundle of 80 ``wps`` verdict vectors, 2 bits a slot, behind a
+    # round number; the ΠABA vector of the 80 ``wps_ba`` slots was heavier
+    # (80 * 64 + 160) while a slot cost 64 bits, and is 80 * 2 + 160 on the
+    # vote line.  So the shard's payload is the heaviest message.
+    assert 0 < sharded_bundle == unsharded_bundle == 64 + 64 + 80 * 4 * 2 <= bundle_bound
+    assert max_message_bits(sharded.metrics) == sharded_payload > sharded_bundle
 
     # Round-level accounting: *no* protocol round of the sharded run carries
     # a message above the two-term bound.
@@ -454,9 +457,13 @@ def test_run_mpc_sharded_outputs_match_unsharded():
     assert sharded_payload < unsharded_payload
     bundle_bound = bundle_message_bound(4, 1, sibling_sharings(4), FIELD.element_bits())
     shard_bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
-    assert sharded.metrics.max_message_bits == 6_304 <= max(shard_bound, bundle_bound)
-    # One n = 7, t_s = 2 evaluation measured 28,384 (its ΠABA vector).
-    assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 28_384
+    # A dealer's 9 rows of 2 coefficients: the carriers send less (6,304 bits,
+    # a ΠABA vector, while its slots cost 64 bits each).
+    assert sharded.metrics.max_message_bits == sharded_payload == 64 + 40 + 18 * 61
+    assert sharded_payload <= max(shard_bound, bundle_bound)
+    # One n = 7, t_s = 2 evaluation measured 6,302 on a carrier (a verdict
+    # bundle; 28,384 for its 441-slot ΠABA vector at 64 bits a slot).
+    assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 6_302
     per_dealer = triples_per_dealer(4, 1, circuit.multiplication_count)
     assert unsharded.metrics.max_message_bits <= max(
         sharded_triple_message_bound(per_dealer, 1, FIELD.element_bits()), bundle_bound)

@@ -16,7 +16,6 @@ from repro.sim import (
 from protocol_helpers import (
     FIELD,
     RewriteBehavior,
-    acast_input,
     garbage_star2_dealer,
     honest_outputs_consistent,
     malformed_nok,
@@ -148,10 +147,8 @@ def test_malformed_nok_from_corrupt_party_is_no_verdict():
     """``("NOK",)`` without index and value, in ΠVSS and in every ΠWPS under
     it: absent, not something the honest dealers' star searches may index into."""
     poly = random_polynomial(1, 41, seed=22)
-    corrupt = {4: RewriteBehavior(
-        {r"prot/(wps\[\d\]/)?ok\[4,\d\]": acast_input(malformed_nok)},
-        entries={r"prot/(wps\[\d\]/)?ok\[4\]": malformed_nok},
-    )}
+    mine = r"prot/(wps\[\d\]/)?ok\[4\]"
+    corrupt = {4: RewriteBehavior(entries={mine: malformed_nok}, late={mine: malformed_nok})}
     result = _run_vss(n=4, ts=1, ta=0, dealer=1, polynomials=[poly], corrupt=corrupt)
     assert len(result.honest_outputs()) == 3
     assert shares_match_polynomials(result, [poly])
