@@ -5,22 +5,29 @@ the stated time bounds in a synchronous network, O(n² ℓ) communication, and
 fallback delivery in an asynchronous network.
 
 The pytest run also persists to ``BENCH_broadcast.json`` the long-vector Acast
-timing and one ``bundle_n<n>`` row per n in 4, 5, 7: what the bundles of one
+timing, one ``bundle_n<n>`` row per n in 4, 5, 7: what the bundles of one
 synchronous ΠACS are charged (``Bundle.payload_bits``) next to the bytes
 ``repro.runtime.wire`` encodes them in, and what the same entries cost as
-plain tuples.
+plain tuples; and ``late_path_async_n5_him``: what the late carriers of one
+``async_n5_him`` evaluation carry and send.  Its ``@parent_15b8279`` row was
+measured with the same fields at that commit, where every late verdict,
+``star2`` and late ΠBC input was its own Acast (a carrier of one entry).
 """
 
 import random
+import re
 
 import pytest
 
 from repro.acs.acs import AgreementOnCommonSubset
+from repro.circuits import multiplication_circuit
+from repro.mpc import run_mpc
 from repro.broadcast.acast import AcastProtocol, PackedFieldVector, acast_time_bound
 from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol, bc_time_bound
 from repro.runtime.wire import encode_payload
 from repro.sim import AsynchronousNetwork, SynchronousNetwork
 from repro.sim.messages import payload_bits
+from repro.sim.simulator import SimulationMetrics
 
 from bench_common import (
     FIELD,
@@ -159,6 +166,59 @@ def measure_bundles(n, t):
 @pytest.mark.parametrize("n,t", [(4, 1), (5, 1), (7, 2)])
 def test_bundle_nominal_bits_next_to_encoded_bytes(n, t):
     record_bench("broadcast", f"bundle_n{n}", measure_bundles(n, t))
+
+
+# -- the late path of an asynchronous evaluation -----------------------------------------
+
+
+LATE_TAG = re.compile(r"/late\[\d+\]$")
+
+
+def measure_late_path(n=5, seed=7):
+    """One ledger row: the late carriers of one evaluation of the ``async_n5_him``
+    workload (its circuit, inputs and network at ``seed``): how many, what they
+    carry (entries; slots = verdicts and (E', F')s), and what they send."""
+    rng = random.Random(seed)
+    inputs = {pid: rng.randrange(1, 2 ** 31) for pid in range(1, n + 1)}
+    late = {"messages": 0, "bits": 0}
+    record = SimulationMetrics.record_send
+
+    def recording(metrics, message, sender_corrupt, *args, **kwargs):
+        if LATE_TAG.search(message.tag):
+            late["messages"] += 1
+            late["bits"] += 0 if sender_corrupt else message.bits
+        return record(metrics, message, sender_corrupt, *args, **kwargs)
+
+    SimulationMetrics.record_send = recording
+    try:
+        result = run_mpc(multiplication_circuit(FIELD, n), inputs, n=n, ts=1, ta=1,
+                         offline="him", network=AsynchronousNetwork(max_delay=3.0), seed=seed)
+    finally:
+        SimulationMetrics.record_send = record
+    carriers = [e for tag, e in result.run.backend.parties[1].instances.items()
+                if LATE_TAG.search(tag)]
+    entries = [entry for carrier in carriers for entry in carrier.output.entries
+               if entry is not None]
+    return {
+        "n": float(n), "seed": float(seed),
+        "messages": float(result.metrics.messages_sent),
+        "honest_bits": float(result.metrics.honest_bits),
+        "late_carriers": float(len(carriers)),
+        "late_entries": float(len(entries)),
+        "late_slots": float(sum(1 if type(entry[0]) is frozenset
+                                else sum(slot is not None for slot in entry)
+                                for entry in entries)),
+        "late_messages": float(late["messages"]),
+        "late_honest_bits": float(late["bits"]),
+        "rounds": max(result.output_times.values()),
+    }
+
+
+def test_late_path_async_n5_him():
+    row = measure_late_path()
+    # Every late carrier is one Acast: n - 1 inits, n (n - 1) echoes and readies.
+    assert row["late_messages"] == row["late_carriers"] * (4 + 2 * 5 * 4)
+    record_bench("broadcast", "late_path_async_n5_him", row)
 
 
 def smoke():

@@ -14,9 +14,11 @@ them: all four with one run of Fig 1 per logical ΠBC as ``@parent_2a4941f``
 (the broadcast carriers of ``repro.broadcast.bc`` came after it), all four
 with one ΠABA message per slot per step as ``@parent_b8ff26b`` (the ΠABA
 carriers of ``repro.ba.aba`` came after it), all four with a bundle priced as
-the plain tuple it was as ``@parent_a4b1a25`` (``repro.broadcast.bc.Bundle``
-came after it; :data:`PARENT_ROWS`), ΠWPS/ΠVSS before the verdict-vector ΠBC
-as ``@parent_e6099bc``.
+the plain tuple it was as ``@parent_a4b1a25`` (``repro.broadcast.acast.Bundle``
+came after it), all four with a ΠABA slot priced at 64 bits as
+``@parent_15b8279`` (the vote vectors on the bundle's vote line came after it;
+:data:`PARENT_ROWS`), ΠWPS/ΠVSS before the verdict-vector ΠBC as
+``@parent_e6099bc``.
 """
 
 import json
@@ -41,12 +43,13 @@ SWEEP = [(4, 1), (5, 1), (7, 2)]
 EXPONENT_TOLERANCE = 1.5
 
 #: label -> suffix of the row measured with this file at that commit's
-#: ``src/``.  A bundle priced as bitmaps is the same messages carrying fewer
-#: bits: against ``@parent_a4b1a25`` the message counts must be equal and the
-#: bits not higher at any n of the sweep.  (Against ``@parent_b8ff26b`` the
-#: ΠABA vectors took 7-8% of ΠVSS's messages, against ``@parent_2a4941f`` the
+#: ``src/``.  A ΠABA vote vector priced at 2 bits a slot is the same messages
+#: carrying fewer bits, and a synchronous sweep takes no late path: against
+#: ``@parent_15b8279`` the message counts must be equal and the bits not
+#: higher at any n of the sweep.  (Against ``@parent_b8ff26b`` the ΠABA
+#: vectors took 7-8% of ΠVSS's messages, against ``@parent_2a4941f`` the
 #: carriers half an exponent.)
-PARENT_ROWS = {label: "@parent_a4b1a25" for label in ("bc", "wps", "vss", "acs")}
+PARENT_ROWS = {label: "@parent_15b8279" for label in ("bc", "wps", "vss", "acs")}
 
 
 def _counts(n, factory):
