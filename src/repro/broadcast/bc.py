@@ -133,6 +133,15 @@ class BroadcastCarrier(ProtocolInstance):
     """Fig 1, once, for every ΠBC of ``sender`` anchored at ``anchor``; and the
     numbered late carriers ``late[k]`` for what those ΠBCs are given afterwards."""
 
+    #: The late path's state, set on the carriers that take it.  Sender: flush
+    #: instant -> position -> entry, the (position, slot)s given, how many went
+    #: out.  Receiver: late[k]'s value until late[0..k-1] are handed on.
+    _late_out: Optional[Dict[float, Dict[int, Any]]] = None
+    _late_given: Optional[Set[Tuple[int, Optional[int]]]] = None
+    _late_sent = 0
+    _late_in: Optional[Dict[int, Any]] = None
+    _late_next = 0
+
     def __init__(self, party: Party, tag: str, sender: int, faults: int,
                  anchor: float, delta: float):
         super().__init__(party, tag)
@@ -150,13 +159,6 @@ class BroadcastCarrier(ProtocolInstance):
             AcastProtocol, "acast", sender=sender, faults=faults
         )
         self._sba: Optional[PhaseKingSBA] = None
-        #: Sender: flush instant -> position -> entry; (position, slot)s given.
-        self._late_out: Dict[float, Dict[int, Any]] = {}
-        self._late_given: Set[Tuple[int, Optional[int]]] = set()
-        self._late_sent = 0
-        #: Receiver: late[k]'s value until late[0..k-1] are handed on.
-        self._late_in: Dict[int, Any] = {}
-        self._late_next = 0
 
     def start(self) -> None:
         t_bc = bc_time_bound(self.n, self.faults, self.delta)
@@ -188,6 +190,8 @@ class BroadcastCarrier(ProtocolInstance):
         """Sender: ``value`` is ``endpoint``'s entry -- or slot ``slot`` (1..n) of
         it, an n-tuple -- of the late carrier flushed at ``at``, if the first."""
         position = self.entries.index(endpoint)
+        if self._late_out is None:
+            self._late_out, self._late_given = {}, set()
         if (position, slot) in self._late_given:
             return
         self._late_given.add((position, slot))
@@ -220,13 +224,14 @@ class BroadcastCarrier(ProtocolInstance):
 
     def _late_delivered(self, k: int, value: Any) -> None:
         """In sequence order: late[k] is handed on once late[0..k-1] have been."""
+        self._late_in = self._late_in or {}
         self._late_in[k] = value
         while self._late_next in self._late_in:
             entries = self._parse(self._late_in.pop(self._late_next))
             self._late_next += 1
             for endpoint, entry in zip(self.entries, entries):
                 if entry is not None:
-                    endpoint._on_late(entry)
+                    (endpoint._on_late or endpoint._late_input)(entry)
 
     def _parse(self, bundle: Any) -> Tuple:
         """The trust boundary: the entries of a :class:`Bundle` of the frozen
@@ -277,6 +282,11 @@ class BroadcastProtocol(ProtocolInstance):
     and delivery happens through the fallback mode, after the bundle's).
     """
 
+    #: Where my entries of the late carriers go, in sequence order, if not to
+    #: :meth:`_late_input` (:meth:`on_late`); the first late input.
+    _on_late: Optional[Callable[[Any], None]] = None
+    late_input: Any = None
+
     def __init__(
         self,
         party: Party,
@@ -296,10 +306,6 @@ class BroadcastProtocol(ProtocolInstance):
         self.regular_output: Any = None
         self.regular_decided = False
         self._carrier: Optional[BroadcastCarrier] = None
-        #: My entries of the late carriers, in sequence order: a late input unless
-        #: the owner says otherwise (:meth:`on_late`).
-        self._on_late: Callable[[Any], None] = self._late_input
-        self.late_input: Any = None
 
     # -- input ---------------------------------------------------------------
     def provide_input(self, message: Any) -> None:
