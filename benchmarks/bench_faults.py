@@ -57,7 +57,7 @@ async def _reconnect_scenario(backlog: int) -> Dict[str, float]:
     warm = max(50, backlog)
     started = time.perf_counter()
     for index in range(warm):
-        sender.deliver(_msg(index))
+        sender.send([(_msg(index), 0.0)])
     await _take(receiver.inbox(2), warm)
     steady_wall = time.perf_counter() - started
     state = sender._channel_states[(1, 2)]
@@ -67,7 +67,7 @@ async def _reconnect_scenario(backlog: int) -> Dict[str, float]:
     receiver.close()
     await asyncio.sleep(0.15)  # next heartbeat discovers the dead endpoint
     for index in range(backlog):
-        sender.deliver(_msg(("outage", index)))
+        sender.send([(_msg(("outage", index)), 0.0)])
 
     healed = TcpTransport(roster=dict(roster), local_parties=[2])
     restart_started = time.perf_counter()

@@ -171,7 +171,8 @@ def entry_kind(entry: Any, n: int) -> int:
     return OTHER
 
 
-def _entry_bits(entry: Any, n: int) -> int:
+def entry_bits(entry: Any, n: int) -> int:
+    """What one entry of a bundle among ``n`` parties costs (the price list)."""
     kind = entry_kind(entry, n)
     if kind == ABSENT:
         return 1
@@ -199,11 +200,13 @@ class Bundle:
 
     __slots__ = ("entries", "n", "_digest", "_bits", "wire")
 
-    def __init__(self, entries: Tuple, n: int, wire: Optional[bytes] = None):
+    def __init__(self, entries: Tuple, n: int, wire: Optional[bytes] = None,
+                 bits: Optional[int] = None):
         self.entries = tuple(entries)
         self.n = n
         self._digest: Optional[int] = None
-        self._bits: Optional[int] = None
+        #: The price, if the caller knew it (the decoder reads each line).
+        self._bits = bits
         #: The encoding, owned by :mod:`repro.runtime.wire`: set by the first
         #: encode, or by the decoder to the slice this object was read from.
         self.wire = wire
@@ -211,7 +214,7 @@ class Bundle:
     def payload_bits(self) -> int:
         """The price list of the module docstring, summed over the entries."""
         if self._bits is None:
-            self._bits = sum(_entry_bits(entry, self.n) for entry in self.entries)
+            self._bits = sum(entry_bits(entry, self.n) for entry in self.entries)
         return self._bits
 
     def __hash__(self) -> int:

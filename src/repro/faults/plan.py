@@ -29,9 +29,9 @@ Rules can be windowed two ways:
   handoff number -- exact on *every* transport and clock, and the only kind
   the cross-transport replay-equivalence test uses;
 * **time windows** (``from_time`` / ``until_time`` / ``heal_at``) key off the
-  message's send time -- deterministic under the virtual clock, best-effort
-  wall-clock emulation over real sockets (send times are then genuine clock
-  readings).
+  message's send time, which is nominal on every clock and transport (the
+  instant the sending activation was due), so they fire on the same
+  messages there too.
 
 Every decision is appended to :attr:`FaultPlan.log` as ``(cause, sender,
 recipient, seq)``; ``cause`` names the rule class that fired (``partition``
@@ -175,10 +175,11 @@ class LinkLatency:
 
     ``base`` is added to every matching message's network delay; ``jitter``
     adds a deterministic per-message hash draw in ``[0, jitter)``.  Applied
-    by the backend at dispatch time, so it works identically under the
-    virtual clock (delays are simulated) and the real clock/TCP (delays are
-    slept, x ``time_scale`` real seconds per unit).  This is the WAN
-    emulation: one rule per slow link, first match wins.
+    by the backend at dispatch time, to the nominal instant the message is
+    due, so it works identically under the virtual clock and the real
+    clock/TCP (where that instant is paced at ``time_scale`` real seconds
+    per unit).  This is the WAN emulation: one rule per slow link, first
+    match wins.
     """
 
     sender: Optional[int] = None

@@ -117,8 +117,8 @@ def main(argv=None) -> int:
     time_scale = DEFAULT_TIME_SCALE if args.time_scale is None else args.time_scale
     plan = None
     if args.latency_ms or args.jitter_ms:
-        # The flags are real milliseconds; a LinkLatency rule is in simulated
-        # units, which the real clock sleeps x time_scale.
+        # The flags are real milliseconds; a LinkLatency rule is in nominal
+        # units, which the real clock paces at time_scale seconds each.
         plan = FaultPlan(seed=args.seed, latencies=[LinkLatency(
             base=args.latency_ms / 1000.0 / time_scale,
             jitter=args.jitter_ms / 1000.0 / time_scale,

@@ -182,8 +182,8 @@ def run_mpc(
     random Beaver triples, so the circuit outputs are mode-independent.
 
     ``backend`` selects the execution runtime: ``"sim"`` (the deterministic
-    discrete-event simulator, the default), ``"asyncio"`` (concurrent
-    coroutine parties over an in-process transport), or ``"tcp"`` (one OS
+    discrete-event simulator, the default), ``"asyncio"`` (the same event
+    queue on an asyncio loop, over a transport), or ``"tcp"`` (one OS
     process per party over real sockets, spawned and collected by
     :class:`~repro.runtime.launcher.TcpBackend`); ``backend_options`` are
     forwarded to the backend constructor (e.g. ``clock="real"`` or

@@ -6,9 +6,10 @@ API; this package provides the interface (`api`), the delivery fabric
 
 * :class:`SimBackend` -- the deterministic discrete-event simulator
   (bit-identical to the historical behaviour), and
-* :class:`AsyncioBackend` -- concurrent coroutine parties over an
-  in-process :class:`Transport`, with a virtual (deterministic) or real
-  (wall-clock) clock.
+* :class:`AsyncioBackend` -- the simulator's event queue on an asyncio
+  loop, over an in-process or socket :class:`Transport`, with a virtual
+  (deterministic) clock or a real one that paces nominal time by the wall
+  clock.
 
 Exports resolve lazily: ``repro.sim.simulator`` imports ``repro.runtime.api``
 while the backends import ``repro.sim``, and the lazy indirection keeps that
@@ -30,6 +31,7 @@ from repro.runtime.api import (
 from repro.runtime.errors import (
     ChannelBrokenError,
     PartyProcessDied,
+    ScheduleMiss,
     SendBufferOverflowError,
     SendTimeoutError,
     TransportError,
@@ -127,6 +129,7 @@ __all__ = [
     "SendBufferOverflowError",
     "ChannelBrokenError",
     "PartyProcessDied",
+    "ScheduleMiss",
     "BACKEND_NAMES",
     "make_backend",
 ]

@@ -11,10 +11,8 @@ unmodified protocol code runs
 
 * under :class:`~repro.runtime.sim_backend.SimBackend`, the deterministic
   discrete-event simulator (bit-for-bit the historical behaviour), and
-* under :class:`~repro.runtime.asyncio_backend.AsyncioBackend`, where each
-  party is an independent coroutine consuming an inbox queue over a
-  :class:`~repro.runtime.transport.Transport` (in-process queue pairs today,
-  socket-shaped so a TCP transport can slot in without protocol changes).
+* under :class:`~repro.runtime.asyncio_backend.AsyncioBackend`, the same
+  event queue on an asyncio loop, over in-process queues or TCP sockets.
 
 :class:`ExecutionBackend` is the driver interface the harnesses
 (`ProtocolRunner`, ``run_mpc``, the benchmarks) program against, and
@@ -32,19 +30,8 @@ from repro.sim import messages
 
 
 class Clock:
-    """Source of the party-local time used by protocol timers."""
-
-    def now(self) -> float:
-        raise NotImplementedError
-
-
-class VirtualClock(Clock):
-    """Simulated time, advanced explicitly by the event scheduler.
-
-    Deterministic: two runs with the same seed see the same timestamps, so
-    an :class:`~repro.runtime.asyncio_backend.AsyncioBackend` run under a
-    virtual clock is reproducible from its seed alone.
-    """
+    """Nominal time: the instant the event being handled was due, whatever
+    the host's clock says (the scheduler advances it event by event)."""
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -56,32 +43,41 @@ class VirtualClock(Clock):
         if time > self._now:
             self._now = time
 
+
+class VirtualClock(Clock):
+    """Nominal time and nothing else: the scheduler never waits, and a
+    seeded run is reproducible from its seed alone."""
+
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now})"
 
 
 class RealClock(Clock):
-    """Wall-clock time mapped onto simulated units.
-
-    One simulated time unit (e.g. one Delta) lasts ``time_scale`` real
-    seconds; delays are slept for real, so concurrency interleavings are
-    genuine (and, like a real network, not seed-reproducible).
-    """
+    """Nominal time paced by the host's monotonic clock: the scheduler hands
+    out an event due at ``t`` at ``epoch + t * time_scale`` of
+    ``time.monotonic()`` (asyncio's loop clock; system-wide, so processes on
+    one host can share an epoch), and ``now`` stays nominal."""
 
     def __init__(self, time_scale: float = 0.001):
+        super().__init__()
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.time_scale = time_scale
-        self._start: Optional[float] = None
+        self.epoch: Optional[float] = None
 
-    def start(self) -> None:
-        if self._start is None:
-            self._start = _time.monotonic()
+    def start(self, epoch: Optional[float] = None) -> None:
+        """Pin the epoch; by default the current ``now`` is due at once."""
+        if epoch is None:
+            epoch = _time.monotonic() - self._now * self.time_scale
+        self.epoch = epoch
 
-    def now(self) -> float:
-        if self._start is None:
-            return 0.0
-        return (_time.monotonic() - self._start) / self.time_scale
+    def elapsed(self) -> float:
+        """The nominal instant the wall clock has reached."""
+        return (_time.monotonic() - self.epoch) / self.time_scale
+
+    def wall(self, time: float) -> float:
+        """The ``time.monotonic()`` instant nominal ``time`` is due at."""
+        return self.epoch + time * self.time_scale
 
     def __repr__(self) -> str:
         return f"RealClock(time_scale={self.time_scale})"

@@ -1,49 +1,56 @@
-"""AsyncioBackend: every party is a coroutine consuming an inbox queue.
+"""AsyncioBackend: the parties of a run on an asyncio loop, one scheduler.
 
-Unlike the discrete-event :class:`~repro.runtime.sim_backend.SimBackend`
-(one event loop stepping all parties), this backend gives each party an
-independent receive loop reading ``(message, handled)`` pairs from its
-:class:`~repro.runtime.transport.Transport` inbox -- the HoneyBadgerMPC-style
-deployment shape, with in-process queue pairs standing in for sockets.  The
-same unmodified protocol classes run here because they only ever talk to the
-:class:`~repro.runtime.api.PartyRuntime` context API.
+The parties hand deliveries through a :class:`~repro.runtime.transport.
+Transport` -- in-process queue pairs, or the sockets of :class:`~repro.
+runtime.tcp_transport.TcpTransport` (one process for all parties, or one per
+party under :mod:`repro.runtime.launcher`) -- and talk only to the
+:class:`~repro.runtime.api.PartyRuntime` API, so the protocols run unmodified.
 
-Two clock modes:
+**One scheduler, optionally paced.**  Every clock drives the same loop
+(:meth:`AsyncioBackend.drive`) over the simulator's own
+:class:`~repro.runtime.event_queue.EventQueue`: at one instant deliveries go
+before timers, the rest in push order, and each event is handled inline and
+completely before the next.  ``now``, ``send_time``, timers and
+``output_time`` are *nominal*: the instant the event was due.  On
+``clock="virtual"`` (default) the loop never waits, and a seeded run
+reproduces the simulator's outputs, metrics and event count.  On
+``clock="real", time_scale=s`` it waits for the wall instant ``epoch + t*s``
+before it hands out an event due at ``t`` (:class:`~repro.runtime.api.
+RealClock`): over the in-process transport that *is* the virtual run, slowed
+to wall time -- a late handler delays what follows, but its sends are still
+due Δ after the instant it was due at, so lag reorders nothing.
 
-* ``clock="virtual"`` (default) -- simulated time advanced by a central
-  scheduler that drains the simulator's own
-  :class:`~repro.runtime.event_queue.EventQueue`.  Fully deterministic: a
-  seeded run replays bit-for-bit (same outputs, same
-  :class:`SimulationMetrics`, same event count), and because the queue, rng
-  derivations and delay draws are the simulator's, a virtual-clock run
-  reproduces the simulator's outputs.  Since the driver
-  totally orders execution anyway, deliveries are handled *inline*: the
-  scheduler pops each transport-enqueued pair straight off the inbox and
-  invokes the party handler directly, skipping the per-message queue
-  wakeup / task switch / handled-event round trip that used to make the
-  virtual clock ~2.4x the discrete-event simulator's wall time (the party
-  receive coroutines only run under the real clock).
-* ``clock="real"`` -- message delays become genuine loop timers
-  (``time_scale`` real seconds per simulated unit) and the party coroutines
-  interleave freely, so executions exercise true concurrency and measure
-  wall-clock throughput; like a real network, ordering is not reproducible.
-  The unit of the fabric is the *envelope*: what one loop iteration
-  dispatches with one drawn delay shares one timer and reaches the transport
-  as one ``deliver_many`` call (see :meth:`AsyncioBackend._spawn_delivery`),
-  which a socket transport turns into one frame per channel.
+**Sockets and schedule misses.**  On a socket transport a message to another
+party leaves when it is sent: what the process sends at one instant goes to
+:meth:`Transport.send` as one envelope of ``(message, due)`` pairs (``due =
+now + delay``, plus a fault plan's extra latency) once the scheduler moves
+past the instant, and the receiving scheduler queues each arrival at
+``due``.  An arrival whose ``(due, delivery)`` key sorts before the event
+being served -- ``due`` is past, or it is the instant being served and its
+timers have begun -- is a **schedule miss**: it is handled at ``now``, exactly
+an asynchronous delivery, which the protocols are built to survive; it is
+recorded (:attr:`schedule_misses`, a :class:`~repro.runtime.errors.
+ScheduleMiss` each) and logged, never dropped.  Within one process lag never
+causes a miss: the frames to the process's own parties land
+(:meth:`Transport.in_flight`) before anything more is handed out.  Across
+processes a hop misses only if the sender's lag plus the socket's latency
+exceed Δ·s.
 
-Byzantine :class:`~repro.sim.adversary.Behavior` hooks and the bit-accounting
-:class:`~repro.sim.simulator.SimulationMetrics` work identically to the sim
-backend; network faults are one :class:`~repro.faults.plan.FaultPlan` on the
-injected transport (``faults=``): the transport asks it for drop / duplicate
-/ reorder decisions, ``dispatch`` here asks it for extra link latency.
+Byzantine :class:`~repro.sim.adversary.Behavior` hooks and the accounting of
+:class:`~repro.sim.simulator.SimulationMetrics` are the sim backend's;
+network faults are one :class:`~repro.faults.plan.FaultPlan` on the
+transport, which asks it for drop / duplicate / reorder decisions, while
+``dispatch`` asks it for extra link latency.
 """
 
 from __future__ import annotations
 
 import asyncio
 import inspect
+import logging
+import math
 import random
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.field.gf import GF, default_field
@@ -56,6 +63,7 @@ from repro.runtime.api import (
     account_dispatch,
     incarnation_timer,
 )
+from repro.runtime.errors import ScheduleMiss
 from repro.runtime.event_queue import MESSAGE, TIMER, EventQueue, full_collections_deferred
 from repro.runtime.transport import InProcessTransport, Transport
 from repro.sim.messages import Message
@@ -63,9 +71,20 @@ from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.party import Party
 from repro.sim.simulator import SimulationMetrics
 
+_log = logging.getLogger("repro.runtime.asyncio")
+
+#: Wall seconds the scheduler waits at most while its queue is empty and a
+#: socket may still bring work: how soon it notices a transport error.
+_IDLE_POLL_S = 0.05
+
+
+def _resolve(waiter: asyncio.Future, woken: bool) -> None:
+    if not waiter.done():
+        waiter.set_result(woken)
+
 
 class AsyncioBackend(ExecutionBackend, PartyRuntime):
-    """Concurrent party-runtime backend over an in-process transport."""
+    """Party-runtime backend on an asyncio loop, over a transport."""
 
     def __init__(
         self,
@@ -100,15 +119,15 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
                 )
             self.clock = clock
         else:
-            # The two driver loops are written against exactly these clock
-            # disciplines (heap stepping vs time_scale sleeps); an arbitrary
-            # Clock subclass would crash mid-run on a missing time_scale.
+            # The scheduler paces exactly these two; another would crash it.
             raise ValueError(
                 f"unknown clock {clock!r} (use 'virtual', 'real', or a "
                 "VirtualClock/RealClock instance)"
             )
         self._virtual = isinstance(self.clock, VirtualClock)
-        if self._virtual and not self.transport.synchronous_delivery:
+        #: Socket transports put messages on the wire when sent, not when due.
+        self._wire = not self.transport.synchronous_delivery
+        if self._virtual and self._wire:
             raise ValueError(
                 "the virtual clock requires a synchronously-enqueuing "
                 "transport (use clock='real' with socket transports)"
@@ -116,14 +135,19 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
 
         self._queue = EventQueue()
         self._events_processed = 0
+        #: Whether the event being served is a timer (the schedule-miss rule).
+        self._serving_timer = False
+        #: What the instant being served sends over the wire, as ``(message,
+        #: due)`` pairs: one envelope, sent when the instant is over.
+        self._outbox: List[Tuple[Message, float]] = []
+        #: The scheduler's wait, if it is waiting, and the nominal instant
+        #: work must be due before to cut it short.
+        self._waiter: Optional[asyncio.Future] = None
+        self._waiting_for = math.inf
         self.crash_epochs: Dict[int, int] = {}
-        #: (time, callback) timers registered before the loop exists (real clock).
-        self._deferred_timers: List[Tuple[float, Callable[[], None]]] = []
+        #: Arrivals handed out after the instant they were due (sockets only).
+        self.schedule_misses: List[ScheduleMiss] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: Timers plus dispatched-but-unflushed messages (real clock).
-        self._pending = 0
-        #: drawn delay -> envelope still taking this loop iteration's sends.
-        self._open_envelopes: Dict[float, List[Message]] = {}
         #: First exception raised by a protocol handler (re-raised by run()).
         self._failure: Optional[BaseException] = None
 
@@ -167,42 +191,23 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
     def dispatch(self, message: Message) -> None:
         delay = account_dispatch(self, message)
         # A fault plan can stretch delivery (per-link latency schedules,
-        # sender clock skew).  Applying it here -- in simulated time, before
-        # the delay is either heap-scheduled or slept -- makes the same plan
-        # behave identically under the virtual clock, the real clock, and
-        # the TCP transport (whose children run this same dispatch path).
+        # sender clock skew).  Applying it here, to the nominal due instant,
+        # makes the same plan behave identically on every clock and
+        # transport (the TCP party processes run this same dispatch path).
         faults = self.transport.faults
         if faults is not None and message.sender != message.recipient:
             delay += faults.extra_delay(
                 message.sender, message.recipient, message.send_time
             )
-        if self._virtual:
-            self._queue.push(self.now + delay, MESSAGE, message)
+        if self._wire and message.sender != message.recipient:
+            self._outbox.append((message, self.now + delay))
         else:
-            self._spawn_delivery(message, delay)
+            self._queue.push(self.now + delay, MESSAGE, message)
 
     def schedule_timer(self, time: float, callback: Callable[[], None], owner: int = 0) -> None:
-        callback = incarnation_timer(self, callback, owner)
-        if self._virtual:
-            self._queue.push(max(time, self.now), TIMER, callback)
-            return
-        if self._loop is None:
-            self._deferred_timers.append((time, callback))
-            return
-        self._pending += 1
-
-        def _fire() -> None:
-            self._pending -= 1
-            self._events_processed += 1
-            try:
-                if self._failure is None:
-                    callback()
-            except Exception as exc:
-                self._failure = exc
-
-        self._loop.call_later(
-            max(time - self.now, 0.0) * self.clock.time_scale, _fire
-        )
+        time = max(time, self.now)
+        self._queue.push(time, TIMER, incarnation_timer(self, callback, owner))
+        self._wake(time)
 
     # -- transport faults ---------------------------------------------------
     def crash_party(self, party_id: int, at_time: Optional[float] = None) -> None:
@@ -225,10 +230,10 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
     def revive_party(self, party_id: int) -> Party:
         """Re-open a crashed party's endpoint with a blank-state Party.
 
-        The fresh incarnation keeps the same inbox queue (its receive loop,
-        if any, holds a reference), which the transport drains of any
-        deliveries that raced the crash.  Rejoin logic restores protocol
-        state from a snapshot; nothing lost while down comes back.
+        The fresh incarnation keeps the same inbox queue, which the
+        transport drains of any deliveries that raced the crash.  Rejoin
+        logic restores protocol state from a snapshot; nothing lost while
+        down comes back.
         """
         self.transport.revive(party_id)
         self.corrupt_parties.discard(party_id)
@@ -251,6 +256,18 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         )
         return RunResult(self, instances)
 
+    async def open(self) -> None:
+        """Open the transport's endpoints in the running loop (``_main``
+        does, unless a party process did so to listen before reporting in)."""
+        self._loop = asyncio.get_running_loop()
+        already_crashed = set(self.transport.crashed)
+        opened = self.transport.open(list(self.parties))
+        if inspect.isawaitable(opened):
+            await opened
+        self.transport.on_arrival = self._arrive
+        for party_id in already_crashed:
+            self.transport.crash(party_id)
+
     async def _main(
         self,
         factory: Callable[[Any], Any],
@@ -258,98 +275,158 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
         max_events: Optional[int],
         wait_for_all_honest: bool,
         extra_predicate: Optional[Callable[[], bool]],
+        epoch: Optional[float] = None,
     ) -> Dict[int, Any]:
-        self._loop = asyncio.get_running_loop()
-        # An envelope a previous run's loop never sealed has no timer here.
-        self._open_envelopes.clear()
-        already_crashed = set(self.transport.crashed)
-        opened = self.transport.open(list(self.parties))
-        if inspect.isawaitable(opened):
-            await opened
-        # Socket transports enqueue from their reader tasks, outside the
-        # pairs deliver() returns; they report those through this hook so
-        # every local delivery is counted exactly once.
-        self.transport.on_delivery = self.metrics.record_delivery
-        for party_id in already_crashed:
-            self.transport.crash(party_id)
-        if isinstance(self.clock, RealClock):
-            self.clock.start()
-        for time, callback in self._deferred_timers:
-            self.schedule_timer(time, callback)
-        self._deferred_timers = []
-
-        # Virtual-clock runs handle deliveries inline in the scheduler (see
-        # _run_virtual); the per-party receive loops exist for the real
-        # clock, where parties genuinely interleave.
-        receive_loops = (
-            []
-            if self._virtual
-            else [
-                asyncio.ensure_future(self._party_loop(party))
-                for party in self.parties.values()
-            ]
-        )
+        """One run; ``epoch`` is the wall instant of nominal 0 on the real
+        clock (default: once every party has started, the current ``now``
+        is due at once)."""
+        if self._loop is None:
+            await self.open()
         try:
             instances = self._instantiate(factory)
             done = self._done_predicate(instances, wait_for_all_honest, extra_predicate)
-            if self._virtual:
-                await self._run_virtual(done, max_time, max_events)
-            else:
-                await self._run_real(done, max_time, max_events)
-            if self._failure is not None:
-                # A handler failed right before the driver drained/quiesced.
-                raise self._failure
+            if not self._virtual:
+                self.clock.start(epoch)
+            # Like Simulator.run, a run holds off full collections.
+            with full_collections_deferred():
+                await self.drive(done, max_time, max_events)
         finally:
-            for task in receive_loops:
-                task.cancel()
-            await asyncio.gather(*receive_loops, return_exceptions=True)
             self.transport.close()
             self._loop = None
         return instances
 
-    async def _party_loop(self, party: Party) -> None:
-        """One party's receive loop: drain the inbox, handle, acknowledge.
-
-        A protocol handler that raises must fail the whole run the way the
-        sim backend does (the exception propagates out of ``run``), so the
-        first failure is recorded for the driver to re-raise; the loop keeps
-        consuming so in-flight ``handled`` events still fire.
-        """
-        inbox = self.transport.inbox(party.id)
-        while True:
-            message, handled = await inbox.get()
-            try:
-                if self._failure is None:
-                    party.deliver(message.sender, message.tag, message.payload)
-            except Exception as exc:
-                self._failure = exc
-            finally:
-                handled.set()
+    async def drive(
+        self,
+        done: Callable[[], bool],
+        max_time: Optional[float] = None,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """The scheduler: hand out the queue's events until ``done()``, or
+        until nothing is queued (or due by ``max_time``) and the transport
+        carries nothing more.  An event counts when it is handed out, whatever
+        the transport makes of it, so runs stop at the simulator's
+        ``max_events`` points."""
+        queue = self._queue
+        pending = queue.keys
+        clock = self.clock
+        transport = self.transport
+        paced = not self._virtual
+        missed = len(self.schedule_misses)
+        try:
+            while True:
+                if self._failure is not None:
+                    raise self._failure
+                if done():
+                    return
+                if max_events is not None and self._events_processed >= max_events:
+                    return
+                if self._outbox and (not pending or pending[0][0] > clock.now()):
+                    # The instant is over: what it sent leaves.
+                    envelope, self._outbox = self._outbox, []
+                    transport.send(envelope)
+                if not pending or (max_time is not None and pending[0][0] > max_time):
+                    if transport.quiescent():
+                        return
+                    # A socket may still bring work due before max_time.
+                    now = self._loop.time()
+                    until = now + _IDLE_POLL_S
+                    if max_time is not None:
+                        deadline = clock.wall(max_time)
+                        if now >= deadline:
+                            return
+                        until = min(until, deadline)
+                    await self._sleep(until, math.inf)
+                    continue
+                if paced:
+                    due = pending[0][0]
+                    if due > clock.now() and await self._sleep(clock.wall(due), due):
+                        continue  # something due sooner came in
+                    if transport.in_flight():
+                        # This process's own frames land before anything
+                        # more is handed out: lag never makes them late.
+                        await self._sleep(self._loop.time() + _IDLE_POLL_S, math.inf)
+                        continue
+                time, is_timer, item = queue.pop()
                 self._events_processed += 1
+                self._serving_timer = is_timer
+                clock.advance_to(time)
+                if type(item) is Message:
+                    self._handle_inline(transport.deliver(item))
+                else:
+                    try:
+                        item()
+                    except Exception as exc:
+                        self._failure = exc
+                if not pending and transport.quiescent():
+                    # Quiescing: release any reorder-held messages so a
+                    # fault cannot strand the tail of an otherwise-live
+                    # execution.
+                    self._handle_inline(transport.flush_reordered())
+        finally:
+            if len(self.schedule_misses) > missed:
+                worst = max(self.schedule_misses[missed:], key=lambda miss: miss.lag)
+                _log.warning(
+                    "%d schedule misses (handled late, as asynchronous "
+                    "deliveries); the worst: %s",
+                    len(self.schedule_misses) - missed, worst,
+                )
+
+    async def _sleep(self, when: float, below: float) -> bool:
+        """Wait for loop time ``when``: True if work due before nominal
+        ``below`` came in first.  Already late, it only yields, so the
+        sockets and the other tasks run."""
+        loop = self._loop
+        if when <= loop.time():
+            await asyncio.sleep(0)
+            return False
+        waiter = self._waiter = loop.create_future()
+        self._waiting_for = below
+        timer = loop.call_at(when, _resolve, waiter, False)
+        try:
+            return await waiter
+        finally:
+            timer.cancel()
+            self._waiter = None
+            self._waiting_for = math.inf
+
+    def _wake(self, time: float) -> None:
+        """Cut the scheduler's wait short for work due at ``time``."""
+        if self._waiter is not None and time < self._waiting_for:
+            _resolve(self._waiter, True)
+
+    def _arrive(self, message: Message, due: float) -> None:
+        """A message off the wire: queued at ``due``, or at ``now`` -- a
+        schedule miss -- if its key sorts before the event being served."""
+        now = self.clock.now()
+        if due < now or (due == now and self._serving_timer):
+            self.schedule_misses.append(
+                ScheduleMiss(message.recipient, message.sender, message.tag, due, now)
+            )
+            due = now
+        self._queue.push(due, MESSAGE, partial(self._hand_over, message))
+        self._wake(due)
+
+    def _hand_over(self, message: Message) -> None:
+        """Deliver an arrival that is due; its transport rules ran at the sender."""
+        if message.recipient in self.transport.crashed:
+            return
+        self.metrics.record_delivery()
+        self.parties[message.recipient].deliver(message.sender, message.tag, message.payload)
 
     def _handle_inline(self, pairs) -> None:
-        """Handle transport-enqueued pairs synchronously (virtual clock only).
-
-        The virtual-clock driver fully orders execution -- each popped event
-        is completely handled before the next pops -- so routing every
-        delivery through a party coroutine (queue put, getter wakeup, task
-        switch, handled-event wait, switch back) added nothing but
-        per-message churn.  The driver pops each pair straight back off the
-        recipient's inbox (the transport just enqueued it; inboxes are
-        always drained between events, so FIFO order matches the returned
-        pairs) and invokes the party handler inline: same delivery order,
-        same metrics, same first-failure discipline.
-        """
+        """Handle the pairs the transport just enqueued, inline: each is
+        popped straight back off its inbox (drained between events, so FIFO
+        order matches the pairs)."""
         for message, handled in pairs:
             self.metrics.record_delivery()
             queued = self.transport.inbox(message.recipient).get_nowait()
             if queued[1] is not handled:
                 # A transport that defers/batches enqueues breaks the
-                # drained-between-events FIFO invariant this fast path
-                # relies on; fail loudly instead of double-delivering.
+                # drained-between-events FIFO invariant this relies on; fail
+                # loudly instead of double-delivering.
                 raise RuntimeError(
-                    "virtual-clock inline dispatch requires the transport to "
-                    "enqueue delivered pairs synchronously and in order"
+                    "inline dispatch requires the transport to enqueue "
+                    "delivered pairs synchronously and in order"
                 )
             try:
                 if self._failure is None:
@@ -360,118 +437,3 @@ class AsyncioBackend(ExecutionBackend, PartyRuntime):
                 self._failure = exc
             finally:
                 handled.set()
-
-    async def _run_virtual(
-        self,
-        done: Callable[[], bool],
-        max_time: Optional[float],
-        max_events: Optional[int],
-    ) -> None:
-        """Deterministic scheduler: drain the event queue, handle events inline.
-
-        The queue is the simulator's, an event is counted when the queue
-        hands it out (whatever the transport then makes of it: a recipient
-        that has crashed, a fault that drops or doubles the delivery), and
-        each delivered message is fully handled before the next event is
-        taken, so the execution is totally ordered, seed-reproducible and
-        stops at the simulator's ``max_events`` points.  Like
-        ``Simulator.run`` the loop holds off full collections.
-        """
-        queue = self._queue
-        pending = queue.keys
-        with full_collections_deferred():
-            while pending:
-                if self._failure is not None:
-                    raise self._failure
-                if done():
-                    return
-                if max_time is not None and pending[0][0] > max_time:
-                    return
-                if max_events is not None and self._events_processed >= max_events:
-                    return
-                time, is_timer, item = queue.pop()
-                self._events_processed += 1
-                self.clock.advance_to(time)
-                if is_timer:
-                    try:
-                        item()
-                    except Exception as exc:
-                        self._failure = exc
-                else:
-                    self._handle_inline(self.transport.deliver(item))
-                if not pending:
-                    # Quiescing: release any reorder-held messages so a fault
-                    # cannot strand the tail of an otherwise-live execution.
-                    self._handle_inline(self.transport.flush_reordered())
-
-    async def _run_real(
-        self,
-        done: Callable[[], bool],
-        max_time: Optional[float],
-        max_events: Optional[int],
-    ) -> None:
-        """Wall-clock driver: poll for completion, detect quiescence.
-
-        Polling (rather than a per-event wake signal) keeps the hot path of
-        a run -- hundreds of thousands of dispatched messages -- free of
-        driver synchronization; the ~5ms completion-detection latency is
-        noise against any real execution.
-        """
-        assert self._loop is not None
-        deadline = None
-        if max_time is not None:
-            deadline = self._loop.time() + max_time * self.clock.time_scale
-        while True:
-            if self._failure is not None:
-                raise self._failure
-            if done():
-                return
-            if max_events is not None and self._events_processed >= max_events:
-                return
-            if (
-                self._pending == 0
-                and self.transport.quiescent()
-                and all(self.transport.inbox(pid).empty() for pid in self.parties)
-            ):
-                released = self.transport.flush_reordered()
-                for _pair in released:
-                    self.metrics.record_delivery()
-                if not released and self.transport.quiescent():
-                    return  # quiescent: nothing in flight, nothing queued
-                # A socket transport's flush puts held frames back on the
-                # wire (returning no local pairs); its quiescent() flips
-                # false until they land, so the loop keeps driving.
-            if deadline is not None and self._loop.time() >= deadline:
-                return
-            await asyncio.sleep(0.005)
-
-    def _spawn_delivery(self, message: Message, delay: float) -> None:
-        """Real clock: join the envelope open for this delay, or open one.
-
-        What one loop iteration dispatches with one drawn delay travels
-        together: the first message opens the envelope and sets its timer,
-        the rest ride along, and a ``call_soon`` seals every open envelope
-        when the iteration ends.  The timer is the first entry's, so no
-        message reaches the transport later than its own timer would have
-        taken it, and envelopes of one delay flush in the order they were
-        opened -- per-channel FIFO, as with a timer per message.
-        """
-        assert self._loop is not None
-        self._pending += 1
-        envelope = self._open_envelopes.get(delay)
-        if envelope is not None:
-            envelope.append(message)
-            return
-        if not self._open_envelopes:
-            # Queued ahead of any envelope timer below, so an envelope is
-            # always sealed before it is flushed.
-            self._loop.call_soon(self._open_envelopes.clear)
-        envelope = self._open_envelopes[delay] = [message]
-        self._loop.call_later(
-            delay * self.clock.time_scale, self._flush_envelope, envelope
-        )
-
-    def _flush_envelope(self, envelope: List[Message]) -> None:
-        self._pending -= len(envelope)
-        for _pair in self.transport.deliver_many(envelope):
-            self.metrics.record_delivery()

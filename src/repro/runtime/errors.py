@@ -8,11 +8,36 @@ launcher watchdog, the chaos campaign, the TCP service supervisor) react
 differently to each.  Stringly-typed ``RuntimeError``s forced them to parse
 messages; these classes carry the channel/party identity as attributes
 instead, mirroring :mod:`repro.service.errors` for the service layer.
+:class:`ScheduleMiss` is a record, not raised: a late delivery, handled.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
+
+
+@dataclass(frozen=True)
+class ScheduleMiss:
+    """A message handled after the instant it was due (real clock, sockets).
+
+    The receiving scheduler had already served ``due`` -- the sender's lag
+    plus the socket's latency exceeded a Δ of wall time, or a reorder fault
+    held the message -- so it was handled at ``handled_at``, its nominal now:
+    an asynchronous delivery, recorded on ``AsyncioBackend.schedule_misses``
+    (merged into ``TcpBackend.schedule_misses``) and logged, never dropped.
+    """
+
+    party: int
+    sender: int
+    tag: str
+    due: float
+    handled_at: float
+
+    @property
+    def lag(self) -> float:
+        """How late, in nominal time units (Δ = 1 by default)."""
+        return self.handled_at - self.due
 
 
 class TransportError(RuntimeError):

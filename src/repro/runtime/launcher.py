@@ -12,9 +12,17 @@ TcpTransport` sockets -- driven from a single call site:
   metrics over a control channel.
 * :func:`run_party` is the child entry point: it rebuilds the execution
   environment from the spec (field, network, factory, fault plan, crash
-  schedule), runs a real-clock :class:`TcpPartyBackend` hosting just
-  its own party, reports the root instance's output to the launcher, and
-  exits on the launcher's stop barrier.
+  schedule), opens its listener, reports in, and on the launcher's **go
+  barrier** runs a real-clock :class:`TcpPartyBackend` hosting just its own
+  party; it reports the root instance's output to the launcher and exits on
+  the launcher's stop barrier.
+
+The go barrier hands every child one epoch, a ``time.monotonic()`` instant
+:data:`GO_LEAD_S` ahead at which nominal 0 is due: ``CLOCK_MONOTONIC`` is
+system-wide, so the parties of one host share one nominal clock.  A hop that
+arrives after its due instant was served is a schedule miss
+(:mod:`repro.runtime.asyncio_backend`), merged into
+:attr:`TcpBackend.schedule_misses`.
 
 The control channel is a TCP connection per child using the same
 length-prefixed :mod:`~repro.runtime.wire` frames as the transport itself;
@@ -37,23 +45,28 @@ import socket
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field as _dc_field
+import time as _time
+from dataclasses import astuple, dataclass, field as _dc_field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.field.gf import GF, default_field
 from repro.runtime.api import ExecutionBackend, RunResult
 from repro.faults.plan import FaultPlan
-from repro.runtime.errors import PartyProcessDied
+from repro.runtime.errors import PartyProcessDied, ScheduleMiss
 from repro.runtime.asyncio_backend import AsyncioBackend
 from repro.runtime.tcp_transport import TcpTransport
 from repro.runtime.wire import decode_payload, encode_payload, frame, read_frame
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.simulator import SimulationMetrics
 
-#: Default real seconds per simulated time unit for multi-process runs --
-#: roomier than the in-process real-clock default (0.001) because localhost
-#: socket hops and process scheduling add genuine latency.
+#: Default real seconds per nominal time unit for multi-process runs --
+#: roomier than the in-process default (0.001): a hop misses its instant when
+#: the sender's lag plus the socket's latency exceed a Δ of wall time.
 DEFAULT_TIME_SCALE = 0.02
+
+#: Wall seconds between the go barrier and the epoch it hands out: the
+#: control-channel hop and each child's start-up work fit before nominal 0.
+GO_LEAD_S = 0.1
 
 
 @dataclass
@@ -88,8 +101,8 @@ class TcpPartyBackend(AsyncioBackend):
     All n :class:`~repro.sim.party.Party` objects are still constructed (in
     party order, so the per-party rng derivation from the backend seed is
     identical to every other backend), but only the local party gets a
-    receive loop, a transport endpoint, and a protocol instance; its peers
-    live in other processes behind the roster.
+    transport endpoint and a protocol instance; its peers live in other
+    processes behind the roster.
     """
 
     def __init__(self, n: int, local_party: int, **kwargs: Any):
@@ -99,17 +112,17 @@ class TcpPartyBackend(AsyncioBackend):
         #: what the driver loops iterate, restricted to the local one.
         self.all_parties = self.parties
         self.parties = {local_party: self.all_parties[local_party]}
-        self.root_instances: Optional[Dict[int, Any]] = None
 
     def set_behavior(self, party_id: int, behavior) -> None:
         self.corrupt_parties.add(party_id)
         parties = getattr(self, "all_parties", None) or self.parties
         parties[party_id].behavior = behavior
 
-    def _instantiate(self, factory: Callable[[Any], Any]) -> Dict[int, Any]:
-        instances = super()._instantiate(factory)
-        self.root_instances = instances
-        return instances
+    def inject(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` as an event at the instant the wall clock has
+        reached: how what comes in from outside the run (a control command)
+        enters nominal time."""
+        self.schedule_timer(self.clock.elapsed(), callback)
 
 
 def _metrics_dict(metrics: SimulationMetrics) -> Dict[str, Any]:
@@ -188,68 +201,55 @@ async def _party_main(
     )
     for crashed, at_time in spec.crash_schedule.items():
         backend.crash_party(crashed, at_time)
+    # Listening before reporting in: once the go comes, every peer can dial.
+    await backend.open()
 
     reader, writer = await _dial(*spec.control, timeout=15.0)
-    lock = asyncio.Lock()
 
     async def send(obj: Dict[str, Any]) -> None:
-        async with lock:
-            writer.write(frame(encode_payload(obj)))
-            await writer.drain()
+        writer.write(frame(encode_payload(obj)))
+        await writer.drain()
+
+    async def command() -> Dict[str, Any]:
+        try:
+            return decode_payload(await read_frame(reader))
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return {"type": "stop"}  # launcher went away: treat as stop
 
     await send({"type": "hello", "party": party_id})
+    go = await command()  # the go barrier: every party process gets one epoch
     stop = asyncio.Event()
 
     async def control_reader() -> None:
-        try:
-            while True:
-                msg = decode_payload(await read_frame(reader))
-                if msg.get("type") == "stop":
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # launcher went away: treat as stop
-        stop.set()
+        while (await command()).get("type") != "stop":
+            pass
+        backend.inject(stop.set)
 
-    reported = False
-
-    async def report_output() -> None:
-        nonlocal reported
-        if reported or backend.root_instances is None:
-            return
-        root = backend.root_instances[party_id]
-        if not root.has_output:
-            return
-        reported = True
-        await send({
+    def reporting(party: Any) -> Any:
+        root = spec.factory(party)
+        # Written whole from the handler; the "done" report drains it.
+        root.on_output(lambda output: writer.write(frame(encode_payload({
             "type": "output",
             "party": party_id,
-            "output": root.output,
+            "output": output,
             "time": root.output_time,
             "common_subset": getattr(root, "common_subset", None),
-        })
-
-    async def reporter() -> None:
-        while not reported and not stop.is_set():
-            await report_output()
-            await asyncio.sleep(0.005)
+        }))))
+        return root
 
     ctrl_task = asyncio.create_task(control_reader())
-    reporter_task = asyncio.create_task(reporter())
     failure: Optional[BaseException] = None
     try:
         await backend._main(
-            spec.factory,
+            reporting,
             max_time=spec.max_time,
             max_events=None,
             wait_for_all_honest=False,
             extra_predicate=stop.is_set,
+            epoch=go.get("epoch"),
         )
     except Exception as exc:  # noqa: BLE001 - shipped to the launcher
         failure = exc
-    reporter_task.cancel()
-    await asyncio.gather(reporter_task, return_exceptions=True)
-    if failure is None:
-        await report_output()  # output that landed right at the stop barrier
     await send({
         "type": "done",
         "party": party_id,
@@ -257,6 +257,7 @@ async def _party_main(
         "metrics": _metrics_dict(backend.metrics),
         "frames_sent": transport.frames_sent,
         "messages_framed": transport.messages_framed,
+        "schedule_misses": [astuple(miss) for miss in backend.schedule_misses],
     })
     ctrl_task.cancel()
     await asyncio.gather(ctrl_task, return_exceptions=True)
@@ -402,6 +403,8 @@ class TcpBackend(ExecutionBackend):
         #: on, and the logical messages those frames carried.
         self.frames_sent = 0
         self.messages_framed = 0
+        #: Every party process's schedule misses in the latest run.
+        self.schedule_misses: List[ScheduleMiss] = []
         #: No in-process parties -- they live in the child processes.
         self.parties: Dict[int, Any] = {}
 
@@ -538,6 +541,10 @@ class TcpBackend(ExecutionBackend):
                     )
                 await asyncio.sleep(0.02)
             self.startup_seconds = loop.time() - spawn_started
+            # The go barrier: one epoch on the host's monotonic clock.
+            go = frame(encode_payload({"type": "go", "epoch": _time.monotonic() + GO_LEAD_S}))
+            for writer in writers.values():
+                writer.write(go)
 
             deadline = loop.time() + self.run_timeout
             while not all_reported.is_set():
@@ -583,10 +590,14 @@ class TcpBackend(ExecutionBackend):
 
         self.metrics = SimulationMetrics()
         self.frames_sent = self.messages_framed = 0
+        self.schedule_misses = []
         for done_msg in dones.values():
             _merge_metrics(self.metrics, done_msg["metrics"])
             self.frames_sent += done_msg["frames_sent"]
             self.messages_framed += done_msg["messages_framed"]
+            self.schedule_misses += [
+                ScheduleMiss(*fields) for fields in done_msg["schedule_misses"]
+            ]
         return {
             pid: RemoteInstance(pid, outputs.get(pid))
             for pid in range(1, self.n + 1)

@@ -28,13 +28,16 @@ cancels), so an attempt interrupted by a process death can be abandoned and
 re-run after recovery with a fresh tag -- the recorded output values are
 bit-identical to an uninterrupted run's, which the chaos tests assert.
 
-Per-evaluation anchors are *local*: each child anchors the evaluation at
-``its own now + go_slack`` when the ``go`` command arrives.  Children start
-(and restart) at different wall instants, so their clocks carry arbitrary
-mutual offsets; a shared numeric anchor (or rounding to local Δ multiples)
-would desynchronize the parties' wall-clock round boundaries, while
-broadcast-triggered local anchors keep them aligned to within control-
-channel latency.
+The service has **one epoch**: the supervisor stamps a ``time.monotonic()``
+instant into the spec before it spawns anyone, and every child -- a restarted
+one too, which joins at the instant the wall clock has reached -- paces its
+nominal clock from it (``CLOCK_MONOTONIC`` is system-wide, and the supervisor
+spawns every child on its own host).  So the per-evaluation anchor is one
+number: the ``go`` command carries the service's nominal now plus
+``go_slack``, and every party's round boundaries fall on the same nominal
+instants whenever it was started.  A control command enters a child's
+nominal time as an event at the instant the wall clock has reached
+(:meth:`~repro.runtime.launcher.TcpPartyBackend.inject`).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import tempfile
 import threading
 import time as _time
 from dataclasses import dataclass, field as _dc_field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.field.gf import GF, FieldElement, default_field
@@ -91,13 +95,15 @@ class ServiceSpec:
     roster: Dict[int, Tuple[str, int]]
     control: Tuple[str, int]
     snapshot_dir: str
+    #: ``time.monotonic()`` at the service's nominal 0, for every child.
+    clock_epoch: float
     time_scale: float = DEFAULT_TIME_SCALE
     #: Extra :class:`TcpTransport` keyword arguments for every child; a
     #: network :class:`~repro.faults.plan.FaultPlan` goes here as ``faults``.
     transport_opts: Dict[str, Any] = _dc_field(default_factory=dict)
     #: Offline pipeline for per-evaluation preprocessing.
     offline: str = "tripsh"
-    #: Simulated-time slack between receiving ``go`` and the local anchor.
+    #: Nominal slack between the supervisor's ``go`` and the anchor it names.
     go_slack: float = 5.0
     rejoin_max_attempts: int = 8
     rejoin_backoff_deltas: float = 3.0
@@ -139,7 +145,7 @@ async def _service_party_main(
     # evaluation keeps generating frames at full tilt; the replay buffer
     # must absorb that window (an overflow kills this process -- which the
     # supervisor also heals, but needlessly).  The bound counts frames, and
-    # a frame is an envelope of ~100 messages in a synchronous round.
+    # a frame is one channel's share of what one instant sent.
     transport_opts.setdefault("send_buffer_frames", 1 << 17)
     transport = TcpTransport(
         roster=dict(spec.roster),
@@ -174,17 +180,13 @@ async def _service_party_main(
         results = [(eid, list(res)) for eid, res in snapshot.results]
         eval_seq = snapshot.eval_seq
 
-    # Replicate AsyncioBackend._main's environment setup without its run
-    # driver: the service party lives until told to stop, not until a root
-    # instance outputs.
-    backend._loop = asyncio.get_running_loop()
-    await transport.open([party_id])
-    transport.on_delivery = backend.metrics.record_delivery
-    backend.clock.start()
-    for at_time, callback in backend._deferred_timers:
-        backend.schedule_timer(at_time, callback)
-    backend._deferred_timers = []
-    recv_task = asyncio.create_task(backend._party_loop(party))
+    # The service's epoch, joined where the wall clock has got to; the
+    # scheduler drives until told to stop, not until a root outputs.
+    await backend.open()
+    backend.clock.start(spec.clock_epoch)
+    backend.clock.advance_to(backend.clock.elapsed())
+    stop = asyncio.Event()
+    driver = asyncio.create_task(backend.drive(stop.is_set))
 
     reader, writer = await _dial(*spec.control, timeout=30.0)
     lock = asyncio.Lock()
@@ -233,13 +235,11 @@ async def _service_party_main(
         party.retire(stale)
 
     pending: Dict[Tuple[int, int], Tuple[Any, Dict[int, Any]]] = {}
-    stop = asyncio.Event()
 
     def handle_command(msg: Dict[str, Any]) -> None:
         nonlocal eval_seq
         kind = msg.get("type")
-        if os.environ.get("REPRO_SVC_DEBUG"):
-            print(f"[svc {party_id}] cmd={kind}", file=sys.stderr, flush=True)
+        _log.debug("party %d: %s at %.3f", party_id, kind, backend.now)
         if kind == "eval":
             key = (msg["eval_id"], msg["attempt"])
             pending[key] = pickle.loads(msg["job"])
@@ -283,18 +283,13 @@ async def _service_party_main(
                 ts=spec.ts,
                 ta=spec.ta,
                 my_inputs=my_inputs,
-                anchor=backend.now + spec.go_slack,
+                anchor=msg["anchor"],
                 delta=backend.delta,
                 offline=spec.offline,
             )
             def _report(_out, inst=instance, key=key):
-                if os.environ.get("REPRO_SVC_DEBUG"):
-                    print(
-                        f"[svc {party_id}] output eval[{key[0]}]a{key[1]} "
-                        f"subset={inst.common_subset} out={[int(v) for v in inst.output]} "
-                        f"time={inst.output_time}",
-                        file=sys.stderr, flush=True,
-                    )
+                _log.debug("party %d: %s output at %.3f, subset %s", party_id,
+                           tag, inst.output_time, inst.common_subset)
                 post({
                     "type": "output",
                     "party": party_id,
@@ -304,12 +299,6 @@ async def _service_party_main(
                     "time": inst.output_time,
                 })
             instance.on_output(_report)
-            if os.environ.get("REPRO_SVC_DEBUG"):
-                print(
-                    f"[svc {party_id}] go eval[{key[0]}]a{key[1]} "
-                    f"now={backend.now:.2f} anchor={backend.now + spec.go_slack:.2f}",
-                    file=sys.stderr, flush=True,
-                )
             instance.start()
         elif kind == "abandon":
             # The attempt is doomed (a peer's process died); drop our
@@ -356,39 +345,27 @@ async def _service_party_main(
     failure: List[BaseException] = []
 
     async def command_loop() -> None:
+        """Each command enters nominal time as an event at the wall instant."""
         try:
-            while not stop.is_set():
+            while True:
                 msg = decode_payload(await read_frame(reader))
-                handle_command(msg)
+                backend.inject(partial(handle_command, msg))
+                if msg.get("type") == "stop":
+                    return
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # supervisor went away: treat as stop
         except Exception as exc:  # noqa: BLE001 - shipped to the supervisor
             failure.append(exc)
-        stop.set()
-
-    async def watchdog() -> None:
-        """Surface transport/handler failures instead of running on dead."""
-        ticks = 0
-        while not stop.is_set():
-            error = transport._error or backend._failure
-            if error is not None:
-                failure.append(error)
-                stop.set()
-                return
-            ticks += 1
-            if ticks % 10 == 0:
-                _log.debug(
-                    "party %d: %d instances, %d buffered tags, reconnects=%s broken=%s",
-                    party_id, *party.load(), transport.reconnects, transport.broken_channels,
-                )
-            await asyncio.sleep(0.2)
+        backend.inject(stop.set)
 
     cmd_task = asyncio.create_task(command_loop())
-    wd_task = asyncio.create_task(watchdog())
-    await stop.wait()
-    for task in (cmd_task, wd_task, recv_task):
-        task.cancel()
-    await asyncio.gather(cmd_task, wd_task, recv_task, return_exceptions=True)
+    try:
+        # Handler and transport failures end the scheduler, raised.
+        await driver
+    except Exception as exc:  # noqa: BLE001 - shipped to the supervisor
+        failure.append(exc)
+    cmd_task.cancel()
+    await asyncio.gather(cmd_task, return_exceptions=True)
     try:
         await send({
             "type": "done",
@@ -489,6 +466,7 @@ class TcpMpcService:
         self._rejoin_seq = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._monitor_task: Optional[asyncio.Task] = None
+        self._spec: Optional[ServiceSpec] = None
         self._spec_path: Optional[str] = None
         self._closing = False
 
@@ -578,7 +556,7 @@ class TcpMpcService:
 
         self._server = await asyncio.start_server(handle, host=self.host, port=0)
         control = self._server.sockets[0].getsockname()[:2]
-        spec = ServiceSpec(
+        self._spec = ServiceSpec(
             n=self.n,
             ts=self.ts,
             ta=self.ta,
@@ -588,13 +566,14 @@ class TcpMpcService:
             roster=self.roster,
             control=control,
             snapshot_dir=self.snapshot_dir,
+            clock_epoch=_time.monotonic(),
             time_scale=self.time_scale,
             transport_opts=self.transport_opts,
             offline=self.offline,
         )
         fd, self._spec_path = tempfile.mkstemp(prefix="repro-svc-", suffix=".pkl")
         with os.fdopen(fd, "wb") as handle_file:
-            pickle.dump(spec, handle_file, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(self._spec, handle_file, protocol=pickle.HIGHEST_PROTOCOL)
 
         for party_id in range(1, self.n + 1):
             self._spawn(party_id, resume=False)
@@ -817,8 +796,13 @@ class TcpMpcService:
                 lambda: len(self._ready[key]) >= self.n, self.eval_timeout, epoch
             ):
                 continue
+            # One anchor for every party, go_slack ahead of the instant the
+            # service's shared clock has reached.
+            spec = self._spec
+            now = (_time.monotonic() - spec.clock_epoch) / spec.time_scale
             await self._broadcast({
                 "type": "go", "eval_id": eval_id, "attempt": attempt,
+                "anchor": now + spec.go_slack,
             })
             if not await self._await_attempt(
                 lambda: len(self._outputs[key]) >= self.n, self.eval_timeout, epoch

@@ -1,42 +1,27 @@
 """TcpTransport: self-healing point-to-point channels over real TCP sockets.
 
-The socket-shaped :class:`~repro.runtime.transport.Transport` interface was
-built so this class could slot in without touching protocol or backend code:
-``deliver_many`` writes :mod:`~repro.runtime.wire` frames to the recipients'
-listeners instead of filling ``asyncio.Queue`` inboxes, and everything else
--- the party receive loops, crash-stop, fault injection, metrics -- behaves
-identically.
-
 The envelope is the unit of the wire
 ------------------------------------
 
-The real-clock backend hands over *envelopes*: the messages one loop
-iteration dispatched with one drawn delay, in emission order, flushed when
-the **first** entry's delay has elapsed (so no entry is later than a timer
-of its own would have made it, and envelopes of one delay flush in the order
-they were opened).  ``deliver_many`` runs the per-message rules of the
-:mod:`~repro.runtime.transport` contract over the envelope in that order --
-crash, self-delivery, one fault decision and one ``seq`` per logical
-non-self message, hold release -- and what they let through leaves as **one
-data frame per channel**::
+A message leaves when it is sent, not when it is due: the backend's
+scheduler hands over what its parties send at one nominal instant as one
+*envelope* of ``(message, due)`` pairs.  ``send`` runs the per-message rules
+of the :mod:`~repro.runtime.transport` contract over it in emission order --
+crash, one fault decision and one ``seq`` per logical message, hold release
+-- and what they let through leaves as **one data frame per channel**::
 
     frame := length:u32  "D"  wire-seq:u64  count:u32  entry * count
-    entry := length:u32  encode_message(message)
 
-A payload object that goes to several recipients in one flush (a
-``send_all``) is encoded once.  ``deliver(m)`` is ``deliver_many((m,))``: a
-frame with ``count == 1``, the same bytes.  The receiver bounds ``count``
-and every length by the bytes left before it allocates, requires one
-``(sender, recipient)`` channel per envelope and that recipient to be the
-listener's party, dedupes and acknowledges the frame as a whole, and then
-puts one ``(message, handled)`` item per logical message on the inbox --
-nothing above the transport sees envelopes.
-
-Wire seqs, ``ack_every`` and ``send_buffer_frames`` therefore count
-*frames*, not messages: in a synchronous n=4 evaluation a frame carries
-~100 messages (one party's whole round to one peer), so an ``ack_every`` of
-16 acknowledges every ~1,600 messages and a buffer of 8,192 frames rides
-out a far longer outage than it did when each message was its own frame.
+(``entry`` is :mod:`~repro.runtime.wire`'s, ``due`` in its header.)  A
+payload object that goes to several recipients in one envelope is encoded
+once.  The receiver bounds ``count`` and every length by the bytes left
+before it allocates, requires one ``(sender, recipient)`` channel per
+envelope and that recipient to be the listener's party, dedupes and
+acknowledges the frame as a whole, and hands each logical message to
+``on_arrival(message, due)`` (the backend queues it at ``due``) or, with no
+hook, to the recipient's inbox.  Self-deliveries never touch a socket: the
+scheduler hands them to :meth:`TcpTransport.deliver` when they are due.
+Wire seqs, ``ack_every`` and ``send_buffer_frames`` count *frames*;
 :attr:`TcpTransport.frames_sent` / :attr:`TcpTransport.messages_framed` are
 the ledger.
 
@@ -86,12 +71,8 @@ the same :class:`~repro.faults.plan.FaultPlan` an
 :class:`~repro.runtime.transport.InProcessTransport` takes and is asked the
 same ``decide(sender, recipient, seq, ...)``, so one ``(spec, seed)`` faults
 the same messages on both.  WAN emulation is the plan's ``LinkLatency``
-rules, which the backend adds to the message delay at dispatch -- above the
-transport, so nothing here sleeps on a frame; connection dials and
-control-channel sends are not delayed.
-
-The transport requires the real clock -- socket deliveries cannot be
-enqueued synchronously, which the virtual-clock inline dispatcher relies on.
+rules, which the backend adds to an entry's ``due`` at dispatch, so nothing
+here sleeps on a frame.  The transport requires the real clock.
 """
 
 from __future__ import annotations
@@ -191,7 +172,7 @@ class TcpTransport(Transport):
         #: Per-frame drain timeout (None = wait forever, TCP's own timeouts).
         self.send_timeout = send_timeout
         #: Replay-buffer bound and ack cadence, both in *frames*; a frame is
-        #: an envelope (~100 messages in a synchronous n=4 evaluation).
+        #: one channel's share of what one nominal instant sent.
         self.send_buffer_frames = send_buffer_frames
         self.max_reconnect_attempts = max_reconnect_attempts
         self.reconnect_base = reconnect_base
@@ -306,6 +287,12 @@ class TcpTransport(Transport):
         # With remote peers this process cannot observe global in-flight
         # traffic; the launcher's stop barrier governs exit instead.
         return not self._has_remote and self._inflight == 0
+
+    def in_flight(self) -> int:
+        if self._error is not None:
+            raise self._error
+        # Counted only when every party is local (see _stage).
+        return self._inflight
 
     def prime_channel(self, sender: int, recipient: int) -> None:
         """Start the outbound channel's writer without queueing a data frame.
@@ -427,14 +414,11 @@ class TcpTransport(Transport):
                         writer.write(frame(_KIND_ACK + _U64.pack(wseq)))
                     if pid in self._crashed:
                         continue
-                    # One inbox item per logical message: the party loop and
-                    # everything that drains an inbox see no envelopes.
-                    inbox = self._inboxes[pid]
-                    on_delivery = self.on_delivery
+                    # One arrival per logical message, at the due instant the
+                    # entry carries: nothing above the transport sees envelopes.
+                    arrive = self.on_arrival or (lambda m, _due: self._enqueue_local(m))
                     for message in messages:
-                        inbox.put_nowait((message, asyncio.Event()))
-                        if on_delivery is not None:
-                            on_delivery()
+                        arrive(message, message.send_time)
             except (asyncio.IncompleteReadError, ConnectionError):
                 pass  # peer closed (reconnect or teardown) -- drain ends
             except asyncio.CancelledError:
@@ -447,20 +431,17 @@ class TcpTransport(Transport):
         return handle
 
     # -- send path ----------------------------------------------------------
-    def deliver(self, message) -> List[Tuple[object, asyncio.Event]]:
-        return self.deliver_many((message,))
-
-    def deliver_many(self, messages: Sequence) -> List[Tuple[object, asyncio.Event]]:
+    def send(self, envelope: Sequence[Tuple[object, float]]) -> None:
         """Apply the per-message rules in order, then one frame per channel.
 
-        Crash, self-delivery, fault decision (one ``seq`` per logical
-        non-self message) and hold release run message by message exactly as
-        the :mod:`~repro.runtime.transport` contract words them; what they
-        let through is staged per channel and committed when the loop ends.
+        Crash, fault decision (one ``seq`` per logical message) and hold
+        release run message by message exactly as the
+        :mod:`~repro.runtime.transport` contract words them; what they let
+        through is staged per channel, each entry with its ``due``, and
+        committed when the loop ends.
         """
         if self._closed:
-            return []
-        delivered: List[Tuple[object, asyncio.Event]] = []
+            return
         staged: Dict[Tuple[int, int], List[bytes]] = {}
         #: id(payload) -> encoding, for this call only: a fan-out's shared
         #: payload is encoded once, and nothing outlives the flush to be
@@ -468,18 +449,14 @@ class TcpTransport(Transport):
         memo: Dict[int, bytes] = {}
         faults = self.faults
         held = self._held
-        for message in messages:
+        for message, due in envelope:
             recipient = message.recipient
             if recipient in self._crashed:
                 continue
             # In-flight messages from a crashed sender are still delivered
             # (the transport.py module contract).
-            if message.sender == recipient:
-                # Self-delivery stays local (it is free and immediate on
-                # every backend); it still releases a held message.
-                delivered.append(self._enqueue_local(message))
-            elif faults is None:
-                self._stage(message, staged, memo)
+            if faults is None:
+                self._stage(message, due, staged, memo)
             else:
                 seq = self._next_seq(message.sender, recipient)
                 decision = faults.decide(
@@ -490,28 +467,43 @@ class TcpTransport(Transport):
                     send_time=message.send_time,
                 )
                 if decision == HOLD:
-                    held[recipient] = message
+                    held[recipient] = (message, due)
                     continue
                 if decision != DROP:
-                    self._stage(message, staged, memo)
+                    self._stage(message, due, staged, memo)
                     if decision == DUPLICATE:
-                        self._stage(message, staged, memo)
+                        self._stage(message, due, staged, memo)
             if held:
                 released = held.pop(recipient, None)
                 if released is not None:
-                    self._stage(released, staged, memo)
+                    self._stage(*released, staged, memo)
         self._commit_staged(staged)
-        return delivered
+
+    def deliver(self, message) -> List[Tuple[object, asyncio.Event]]:
+        """A self-delivery that is due: onto the party's inbox (it is local,
+        free and immediate on every backend); it still releases a message
+        held for that party, onto the wire with its own ``due``."""
+        recipient = message.recipient
+        if self._closed or recipient in self._crashed:
+            return []
+        pair = self._enqueue_local(message)
+        released = self._held.pop(recipient, None)
+        if released is not None:
+            self._release((released,))
+        return [pair]
 
     def flush_reordered(self) -> List[Tuple[object, asyncio.Event]]:
         held, self._held = self._held, {}
+        self._release(held[r] for r in sorted(held) if r not in self._crashed)
+        return []
+
+    def _release(self, held) -> None:
+        """Put held ``(message, due)`` pairs on the wire: decided already."""
         staged: Dict[Tuple[int, int], List[bytes]] = {}
         memo: Dict[int, bytes] = {}
-        for recipient in sorted(held):
-            if recipient not in self._crashed:
-                self._stage(held[recipient], staged, memo)
+        for message, due in held:
+            self._stage(message, due, staged, memo)
         self._commit_staged(staged)
-        return []
 
     def _enqueue_local(self, message) -> Tuple[object, asyncio.Event]:
         handled = asyncio.Event()
@@ -524,12 +516,12 @@ class TcpTransport(Transport):
         self._seq[key] = seq + 1
         return seq
 
-    def _stage(self, message, staged, memo) -> None:
+    def _stage(self, message, due: float, staged, memo) -> None:
         """Encode one transmission into its channel's group."""
         key = (message.sender, message.recipient)
         if not self._has_remote:
             self._inflight += 1
-        entry = encode_entry(message, memo)
+        entry = encode_entry(message, due, memo)
         group = staged.get(key)
         if group is None:
             staged[key] = [entry]

@@ -1,13 +1,13 @@
 """Transports: the delivery fabric of the asyncio party runtime.
 
-A :class:`Transport` owns one inbox per party and moves already-delayed
-messages into them; *when* a message is handed to the transport is the
-backend's decision (the virtual-clock scheduler delivers at the popped event
-time, the real clock after a genuine ``asyncio.sleep``).  The interface is
-deliberately socket-shaped -- ``open`` / ``deliver`` / ``crash`` / ``close``
-with per-party queues -- so the real-socket
+A :class:`Transport` owns one inbox per party and moves messages that are
+due into them (the backend's scheduler hands one over at its nominal
+instant).  The interface is socket-shaped -- ``open`` / ``deliver`` /
+``crash`` / ``close`` with per-party queues -- so the real-socket
 :class:`~repro.runtime.tcp_transport.TcpTransport` replaces the in-process
-queue pairs without touching any protocol or backend logic.
+queue pairs without touching protocol logic; a socket puts a message on the
+wire when it is sent (``send``, with its ``due``), and the receiving side
+hands it to ``on_arrival`` for its scheduler to queue at ``due``.
 
 Transport-level faults (crash-stop of a party's endpoint, lost, duplicated
 and reordered deliveries) are enforced here too: they model the *network's*
@@ -61,15 +61,13 @@ DELIVER, DUPLICATE, HOLD, DROP = "deliver", "duplicate", "hold", "drop"
 class Transport:
     """Base transport: per-party inboxes plus endpoint lifecycle."""
 
-    #: Whether :meth:`deliver` enqueues synchronously (required by the
-    #: virtual-clock inline dispatcher; real sockets cannot promise it).
+    #: Whether every message goes through :meth:`deliver` at its due instant
+    #: (in-process; the virtual clock requires it), not :meth:`send` (sockets).
     synchronous_delivery = True
 
-    #: Optional hook called (with no arguments) each time a message is
-    #: enqueued into a local inbox *asynchronously* -- i.e. outside the pairs
-    #: returned by :meth:`deliver`.  The asyncio backend points it at its
-    #: metrics recorder so socket-side deliveries are counted exactly once.
-    on_delivery = None
+    #: Socket transports: ``on_arrival(message, due)`` takes what comes off
+    #: the wire (the backend's scheduler); left ``None``, the inbox does.
+    on_arrival = None
 
     #: The injected :class:`~repro.faults.plan.FaultPlan`, if any.
     faults: Optional[FaultPlan] = None
@@ -83,28 +81,20 @@ class Transport:
         raise NotImplementedError
 
     def inbox(self, party_id: int):
-        """The queue the party's receive loop consumes."""
+        """The party's queue of ``(message, handled)`` pairs."""
         raise NotImplementedError
 
     def deliver(self, message) -> List[Tuple[object, asyncio.Event]]:
-        """Hand a message to the transport; returns the (message,
+        """Hand over a message that is due now; returns the (message,
         handled-event) pairs enqueued synchronously (possibly none -- a
-        crashed endpoint, a fault, or a socket write still in flight -- or
-        several -- duplication, a released held message)."""
+        crashed endpoint or a fault -- or several -- duplication, a released
+        held message).  Socket transports take only self-deliveries here."""
         raise NotImplementedError
 
-    def deliver_many(self, messages: Sequence) -> List[Tuple[object, asyncio.Event]]:
-        """Hand over an envelope: messages due together, in emission order.
-
-        Exactly ``deliver`` on each in turn -- every fault decision, crash
-        rule and hold release is per logical message.  The real-clock
-        backend flushes through here so a socket transport can move what
-        shares a channel as one frame.
-        """
-        delivered: List[Tuple[object, asyncio.Event]] = []
-        for message in messages:
-            delivered.extend(self.deliver(message))
-        return delivered
+    def send(self, envelope: Sequence[Tuple[object, float]]) -> None:
+        """Put ``(message, due)`` pairs on the wire now, in emission order
+        (socket transports: those with ``synchronous_delivery`` False)."""
+        raise NotImplementedError
 
     def crash(self, party_id: int) -> None:
         """Crash-stop a party's endpoint: no further deliveries to it.
@@ -133,13 +123,19 @@ class Transport:
         return []
 
     def quiescent(self) -> bool:
-        """Whether no delivery is in flight inside the transport itself.
+        """Whether nothing more can come in: no delivery is in flight inside
+        the transport itself, and no peer process could still send.
 
         The in-process transport enqueues synchronously, so it is always
         quiescent between ``deliver`` calls; socket transports report frames
         queued or written but not yet parsed.
         """
         return True
+
+    def in_flight(self) -> int:
+        """Messages this transport is carrying to its own process's parties
+        (a socket transport serving every party: frames not yet read back)."""
+        return 0
 
     def close(self) -> None:
         """Tear down every endpoint."""
@@ -150,11 +146,9 @@ class InProcessTransport(Transport):
 
     The production-shaped default for :class:`AsyncioBackend`.  Each inbox
     item is ``(message, handled)`` where ``handled`` is an ``asyncio.Event``
-    set once the message has been processed.  Under the real clock the
-    per-party receive loops consume the inboxes concurrently; the
-    virtual-clock scheduler instead pops each just-enqueued pair back off
-    the inbox and handles it inline (execution is totally ordered anyway,
-    so the queue round trip would only add per-message wakeup churn).
+    set once the message has been processed.  The backend's scheduler pops
+    each just-enqueued pair back off the inbox and handles it inline, on
+    either clock: execution is totally ordered by nominal time.
 
     ``faults`` is a :class:`~repro.faults.plan.FaultPlan`; the crash/reorder
     delivery semantics are the module-docstring contract.
@@ -194,8 +188,7 @@ class InProcessTransport(Transport):
             raise ValueError(f"party {party_id} is not crashed")
         self._crashed.discard(party_id)
         # Drain anything enqueued before the crash was processed: the party
-        # was down, so those deliveries are lost.  The handled events still
-        # fire so no sender-side wait can deadlock on a discarded message.
+        # was down, so those deliveries are lost.
         inbox = self._inboxes.get(party_id)
         while inbox is not None and not inbox.empty():
             _message, handled = inbox.get_nowait()

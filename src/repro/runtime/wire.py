@@ -6,9 +6,11 @@ A data frame's body carries an *envelope* -- everything one channel has to
 move in one flush::
 
     envelope := count:u32  entry * count        (count >= 1)
-    entry    := length:u32  encode_message(message)
+    entry    := length:u32  sender:i32  recipient:i32  due:f64
+                tag-length:u32  tag  payload
 
-All entries of an envelope share one ``(sender, recipient)`` channel.
+All entries of an envelope share one ``(sender, recipient)`` channel; ``due``
+is the finite nominal instant the entry is to be handed over.
 :func:`encode_entry` writes an entry and encodes a payload object that
 recurs within one flush (a ``send_all`` fan-out) once; :func:`decode_envelope`
 bounds ``count`` and every length by the bytes that follow *before* it
@@ -50,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import struct
+from math import isfinite
 from typing import Any, Dict, List, Sequence
 
 from repro.broadcast.acast import (
@@ -62,6 +65,7 @@ from repro.broadcast.acast import (
     VOTES,
     Bundle,
     PackedFieldVector,
+    entry_bits,
     entry_kind,
 )
 from repro.field.gf import GF, FieldElement
@@ -75,7 +79,7 @@ from repro.sim.messages import Message
 MAX_FRAME_BYTES = 1 << 30
 
 _U32 = struct.Struct(">I")
-_HEADER = struct.Struct(">iid")  # sender, recipient, send_time
+_HEADER = struct.Struct(">iid")  # sender, recipient, due
 _F64 = struct.Struct(">d")
 #: An envelope entry up to its tag: entry length, routing header, tag length.
 _ENTRY_HEAD = struct.Struct(">IiidI")
@@ -231,12 +235,14 @@ def _r_bitmap(data: bytes, pos: int, bits: int) -> tuple:
 
 
 def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
+    """One entry as ``(value, pos, price)``: the line it was read from prices it."""
     kind = data[pos]
     pos += 1
     if kind == ABSENT:
-        return None, pos
+        return None, pos, 1
     if kind == OTHER:
-        return _decode(data, pos, unpickle=False)
+        value, pos = _decode(data, pos, unpickle=False)
+        return value, pos, entry_bits(value, n)
     if kind not in (VOTES, VERDICTS, STAR):
         raise WireDecodeError(f"unknown bundle entry kind {kind}")
     slots = data[pos]
@@ -246,20 +252,21 @@ def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
         return tuple(
             frozenset(pid for pid in range(1, n + 1) if bits >> (s * n + pid - 1) & 1)
             for s in range(slots)
-        ), pos
+        ), pos, n * slots
     bits, pos = _r_bitmap(data, pos, 2 * slots)
     codes = [bits >> (2 * index) & 3 for index in range(slots)]
     if 3 in codes:
         raise WireDecodeError("slot code 3 in a bundle vector")
     if kind == VOTES:
-        return tuple(None if code == 0 else code - 1 for code in codes), pos
+        return tuple(None if code == 0 else code - 1 for code in codes), pos, 2 * slots
     field = size = None
-    if 2 in codes:
+    noks = codes.count(2)
+    if noks:
         modulus, pos = _r_int(data, pos)
         if modulus < 2:
             raise WireDecodeError(f"NOK values over the modulus {modulus}")
         size = (modulus.bit_length() + 7) // 8
-        if codes.count(2) * (4 + size) > len(data) - pos:
+        if noks * (4 + size) > len(data) - pos:
             raise WireDecodeError("bundle ends inside a verdict vector's NOKs")
         field = GF(modulus, check_prime=False)
     verdicts: List[Any] = []
@@ -273,14 +280,16 @@ def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
             verdicts.append((NOK, index, FieldElement(residue, field)))
         else:
             verdicts.append(OK_SLOT if code else None)
-    return tuple(verdicts), pos
+    price = 2 * slots + (noks * (64 + field.element_bits()) if noks else 0)
+    return tuple(verdicts), pos, price
 
 
 def _r_bundle(data: bytes, start: int) -> tuple:
-    """Decode the bundle whose ``'B'`` is at ``data[start]``.  Peer bytes: the
-    entry count and every vector length are checked against the bytes left
-    before anything is sized from them, and whatever else is wrong with them
-    (struct, index, unicode, recursion) leaves as one WireDecodeError."""
+    """Decode the bundle whose ``'B'`` is at ``data[start]``, priced as it is
+    read.  Peer bytes: the entry count and every vector length are checked
+    against the bytes left before anything is sized from them, and whatever
+    else is wrong with them (struct, index, unicode, recursion) leaves as one
+    WireDecodeError."""
     try:
         n = data[start + 1]
         (count,) = _U32.unpack_from(data, start + 2)
@@ -288,15 +297,16 @@ def _r_bundle(data: bytes, start: int) -> tuple:
         if n == 0 or count > len(data) - pos:
             raise WireDecodeError(
                 f"bundle of n={n} claims {count} entries with {len(data) - pos} bytes left")
-        entries = []
+        entries, price = [], 0
         for _ in range(count):
-            entry, pos = _r_bundle_entry(data, pos, n)
+            entry, pos, bits = _r_bundle_entry(data, pos, n)
             entries.append(entry)
+            price += bits
     except WireDecodeError:
         raise
     except Exception as exc:  # noqa: BLE001 - see the docstring
         raise WireDecodeError(f"bundle does not decode: {exc!r}") from exc
-    return Bundle(tuple(entries), n, wire=bytes(data[start:pos])), pos
+    return Bundle(tuple(entries), n, wire=bytes(data[start:pos]), bits=price), pos
 
 
 def _encode(buf: bytearray, obj: Any) -> None:
@@ -470,11 +480,14 @@ def encode_message(message: Message) -> bytes:
 def decode_message(data: bytes) -> Message:
     """Decode :func:`encode_message` output back to an equivalent Message.
 
-    The receiver-side Message recomputes ``bits`` from the decoded payload;
-    the codec preserves ``payload_bits`` exactly, so sender- and
-    receiver-side accounting agree.
+    Off a socket the header's time is the entry's due instant (it comes back
+    as ``send_time``); one that is not finite has no place in a scheduler's
+    order and is a ``WireDecodeError``.  The codec preserves
+    ``payload_bits``, so sender- and receiver-side accounting agree.
     """
-    sender, recipient, send_time = _HEADER.unpack_from(data, 0)
+    sender, recipient, time = _HEADER.unpack_from(data, 0)
+    if not isfinite(time):
+        raise WireDecodeError(f"message time {time!r} is not finite")
     pos = _HEADER.size
     (length,) = _U32.unpack_from(data, pos)
     pos += 4
@@ -485,11 +498,12 @@ def decode_message(data: bytes) -> Message:
         raise WireDecodeError(
             f"trailing garbage after message ({len(data) - pos} bytes)"
         )
-    return Message(sender, recipient, tag, payload, send_time)
+    return Message(sender, recipient, tag, payload, time)
 
 
-def encode_entry(message: Message, memo: Dict[int, bytes]) -> bytes:
-    """One envelope entry: :func:`encode_message` output behind its length.
+def encode_entry(message: Message, due: float, memo: Dict[int, bytes]) -> bytes:
+    """One envelope entry: :func:`encode_message` output behind its length,
+    with ``due`` as the header's time.
 
     ``memo`` maps ``id(payload)`` to that payload's encoding, so the object a
     ``send_all`` hands to every recipient is encoded once per flush.  The
@@ -503,7 +517,7 @@ def encode_entry(message: Message, memo: Dict[int, bytes]) -> bytes:
     tag = message.tag.encode("utf-8")
     return _ENTRY_HEAD.pack(
         _HEADER.size + 4 + len(tag) + len(encoded),
-        message.sender, message.recipient, message.send_time, len(tag),
+        message.sender, message.recipient, due, len(tag),
     ) + tag + encoded
 
 
@@ -516,9 +530,11 @@ def decode_envelope(data: bytes, offset: int = 0) -> List[Message]:
     """Decode the envelope at ``data[offset:]``: its messages, emission order.
 
     Returns at least one message, all of one ``(sender, recipient)`` channel,
-    or raises :class:`WireDecodeError` -- for a count or length that
-    overruns the buffer (checked before anything is sized from it), an
-    entry that does not decode, a second channel, or trailing bytes.
+    each carrying its entry's ``due`` as ``send_time``, or raises
+    :class:`WireDecodeError` -- for a count or length that overruns the
+    buffer (checked before anything is sized from it), an entry that does
+    not decode (a ``due`` that is not finite included), a second channel, or
+    trailing bytes.
     """
     end = len(data)
     if end - offset < 4:

@@ -318,7 +318,8 @@ def test_bundle_decoder_yields_a_bundle_or_a_wire_decode_error(blob):
     assert sum(len(e) for e in bundle.entries if type(e) is tuple) <= 8 * len(blob)
     assert sum(len(part) for e in bundle.entries if entry_kind(e, bundle.n) == STAR
                for part in e) <= 8 * len(blob)
-    assert bundle.payload_bits() >= 0
+    # Priced as it was read, at the price list's price.
+    assert bundle.payload_bits() == Bundle(bundle.entries, bundle.n).payload_bits() >= 0
     try:
         hash(bundle)
     except TypeError:

@@ -77,7 +77,7 @@ def test_reconnect_with_backoff_loses_no_frames():
         )
         await sender.open([1, 2])
         for index in range(10):
-            sender.deliver(_msg(1, 2, index))
+            sender.send([(_msg(1, 2, index), 0.0)])
         before = await _take(receiver.inbox(2), 10)
         assert [m.payload for m in before] == list(range(10))
         # Wait until every frame is acked (ack_every=1), so the replay
@@ -90,7 +90,7 @@ def test_reconnect_with_backoff_loses_no_frames():
         # the backoff/redial loop.
         await asyncio.sleep(0.15)
         for index in range(10, 15):
-            sender.deliver(_msg(1, 2, index))
+            sender.send([(_msg(1, 2, index), 0.0)])
 
         healed = TcpTransport(roster=dict(roster), local_parties=[2])
         await healed.open([1, 2])
@@ -122,7 +122,7 @@ def test_restarted_sender_incarnation_resets_dedupe():
         first = TcpTransport(roster=dict(roster), local_parties=[1], ack_every=1)
         await first.open([1, 2])
         for index in range(5):
-            first.deliver(_msg(1, 2, ("first", index)))
+            first.send([(_msg(1, 2, ("first", index)), 0.0)])
         got = await _take(receiver.inbox(2), 5)
         assert [m.payload for m in got] == [("first", i) for i in range(5)]
         first.close()
@@ -131,7 +131,7 @@ def test_restarted_sender_incarnation_resets_dedupe():
         assert reborn.incarnation != first.incarnation
         await reborn.open([1, 2])
         for index in range(5):
-            reborn.deliver(_msg(1, 2, ("reborn", index)))
+            reborn.send([(_msg(1, 2, ("reborn", index)), 0.0)])
         late = await _take(receiver.inbox(2), 5)
         assert [m.payload for m in late] == [("reborn", i) for i in range(5)]
         reborn.close()

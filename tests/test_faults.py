@@ -295,7 +295,7 @@ def test_partition_plan_replays_identically_across_transports():
         transport = TcpTransport(faults=tcp_plan)
         await transport.open([1, 2, 3])
         for message in _scripted_messages():
-            transport.deliver(message)
+            transport.send([(message, 0.0)])
         loop = asyncio.get_running_loop()
         deadline = loop.time() + 60.0
         while not transport.quiescent():

@@ -37,6 +37,7 @@ from repro.runtime import (
     SimBackend,
     make_backend,
 )
+from repro.runtime.tcp_transport import TcpTransport
 from repro.service import MpcService, ServiceConfig
 from repro.sim import SynchronousNetwork
 from repro.sim.party import ProtocolInstance
@@ -46,6 +47,7 @@ from repro.triples.preprocessing import Preprocessing, auto_shard_size, triples_
 from test_scenario_matrix import (
     Scenario,
     canonical_outputs,
+    digest,
     transcript_fingerprint,
     triples_are_valid,
 )
@@ -113,25 +115,24 @@ def test_run_mpc_backend_knob_end_to_end():
 
 
 def test_asyncio_real_clock_completes_correctly():
-    """The wall-clock mode really runs: agreed, correct, positive elapsed time.
-
-    Real-clock scheduling is genuinely nondeterministic, so (exactly like
-    the asynchronous-network MPC tests) correctness is judged against the
-    effective inputs of the agreed common subset: a party whose sharing
-    lost a wall-clock race lawfully contributes the default 0.
-    """
+    """The real clock paces the simulator's own queue: the run is the
+    simulated one, slowed to wall time -- the same outputs, the same
+    transcript, the same events, the same nominal output instant -- whatever
+    the host's lag (at 0.2 ms per Δ every handler runs late)."""
     circuit = multiplication_circuit(FIELD, 4)
     inputs = {1: 2, 2: 3, 3: 4, 4: 5}
+    sim = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=3)
     result = run_mpc(
         circuit, inputs, n=4, ts=1, ta=0, seed=3,
         backend="asyncio", clock="real", time_scale=0.0002,
     )
     assert result.completed and result.agreed
-    included = result.common_subset or []
-    effective = {pid: (inputs[pid] if pid in included else 0) for pid in inputs}
-    expected = circuit.evaluate({pid: FIELD(v) for pid, v in effective.items()})
-    assert result.outputs == expected
-    assert all(t > 0 for t in result.output_times.values())
+    assert result.outputs == sim.outputs == circuit.evaluate(
+        {pid: FIELD(v) for pid, v in inputs.items()})
+    assert digest(result, result.common_subset) == digest(sim, sim.common_subset)
+    assert result.run.simulator.events_processed == sim.run.simulator.events_processed == 7964
+    assert max(result.output_times.values()) == pytest.approx(145.052)
+    assert result.run.backend.schedule_misses == []
 
 
 # -- transport faults ---------------------------------------------------------
@@ -347,22 +348,24 @@ class RoundBursts(ProtocolInstance):
         self.received.setdefault((sender, self.me), []).append(payload)
 
 
-class RecordingTransport(InProcessTransport):
-    """Keeps every envelope the backend flushes, as handed over."""
+class RecordingTransport(TcpTransport):
+    """Keeps every envelope the backend sends, as handed over."""
 
     def __init__(self):
         super().__init__()
         self.envelopes = []
 
-    def deliver_many(self, messages):
-        self.envelopes.append(list(messages))
-        return super().deliver_many(messages)
+    def send(self, envelope):
+        self.envelopes.append(list(envelope))
+        super().send(envelope)
 
 
+@pytest.mark.tcp
 def test_real_clock_flushes_envelopes_and_every_channel_stays_fifo():
-    """One loop iteration's sends with one drawn delay are one
-    ``deliver_many``; per-channel delivery order is emission order within an
-    envelope and across all of them; the logical counts are the simulator's."""
+    """Over a socket, what a process sends at one nominal instant leaves as
+    one envelope, each entry with its due instant, one frame per channel;
+    per-channel delivery order is emission order within an envelope and
+    across all of them; the logical counts and events are the simulator's."""
     emitted, received = {}, {}
     transport = RecordingTransport()
     backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=3, clock="real",
@@ -371,20 +374,24 @@ def test_real_clock_flushes_envelopes_and_every_channel_stays_fifo():
                          wait_for_all_honest=False, max_time=1_000.0)
     assert received == emitted
 
+    # One envelope per round (the four parties' bursts are due at one
+    # instant), self-deliveries never on the wire.
     envelopes = transport.envelopes
-    messages = 4 * 4 * RoundBursts.ROUNDS * (RoundBursts.BURST + 1)
-    assert sum(len(envelope) for envelope in envelopes) == messages
-    assert all(envelopes) and 3 <= len(envelopes) < messages // 4
-    for envelope in envelopes:
-        # One drawn delay per envelope: self-deliveries (1e-9) never share
-        # one with copies that cross the network (Delta).
-        assert len({message.sender == message.recipient for message in envelope}) == 1
+    assert len(envelopes) == RoundBursts.ROUNDS
+    assert sum(len(envelope) for envelope in envelopes) == \
+        4 * 3 * RoundBursts.ROUNDS * (RoundBursts.BURST + 1)
+    for index, envelope in enumerate(envelopes):
+        assert {message.send_time for message, _ in envelope} == {2.0 * index}
+        assert {due for _, due in envelope} == {2.0 * index + 1.0}
+        assert all(message.sender != message.recipient for message, _ in envelope)
+    assert transport.frames_sent == 12 * RoundBursts.ROUNDS
     # Flush order is emission order on every channel.
     flushed = {}
     for envelope in envelopes:
-        for message in envelope:
+        for message, _ in envelope:
             flushed.setdefault((message.sender, message.recipient), []).append(message.payload)
-    assert flushed == emitted
+    assert flushed == {channel: payloads for channel, payloads in emitted.items()
+                       if channel[0] != channel[1]}
 
     sim_emitted, sim_received = {}, {}
     sim = make_backend("sim", 4, network=SynchronousNetwork(), seed=3).run(
@@ -397,18 +404,7 @@ def test_real_clock_flushes_envelopes_and_every_channel_stays_fifo():
         sim.metrics.messages_sent, sim.metrics.messages_delivered,
         sim.metrics.honest_bits)
     assert backend.events_processed == sim.simulator.events_processed
-
-
-def test_transport_deliver_many_is_deliver_in_order():
-    """The base implementation: the per-message loop, pairs concatenated."""
-    from repro.sim.messages import Message
-
-    transport = InProcessTransport()
-    transport.open([1, 2])
-    messages = [Message(1, 2, "t", index, 0.0) for index in range(5)]
-    pairs = transport.deliver_many(messages)
-    assert [message for message, _handled in pairs] == messages
-    assert transport.inbox(2).qsize() == 5
+    assert backend.schedule_misses == []
 
 
 # -- the collector around the simulated-time loops ---------------------------
