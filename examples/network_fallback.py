@@ -68,12 +68,12 @@ def main() -> None:
     start = time.perf_counter()
     on_asyncio = run_mpc(
         circuit, inputs, n=n, ts=1, ta=0, seed=7,
-        backend="asyncio", clock="real", time_scale=0.0002,
+        backend="asyncio", time_scale=0.0002,
     )
     asyncio_wall = time.perf_counter() - start
-    # Real-clock scheduling is nondeterministic: a party can lawfully miss
-    # the input cut and contribute 0, so each run is judged against its own
-    # agreed effective inputs (both runs normally include everyone).
+    # The asyncio backend is the simulator paced by the wall clock, so both
+    # runs take one path; each is still judged against its own agreed
+    # effective inputs, as any run must be.
     def correct(result):
         included = result.common_subset or []
         eff = {pid: (inputs[pid] if pid in included else 0) for pid in inputs}
@@ -83,7 +83,7 @@ def main() -> None:
 
     print(f"  sim backend (discrete events)   : output {int(on_sim.outputs[0])}, "
           f"wall {sim_wall * 1000:7.1f} ms")
-    print(f"  asyncio backend (real clock)    : output {int(on_asyncio.outputs[0])}, "
+    print(f"  asyncio backend (paced)         : output {int(on_asyncio.outputs[0])}, "
           f"wall {asyncio_wall * 1000:7.1f} ms")
     print(f"  backends agree: {correct(on_sim) and correct(on_asyncio)}")
 

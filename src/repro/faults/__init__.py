@@ -2,17 +2,17 @@
 
 :class:`FaultPlan` is the one representation of every injectable fault --
 partitions, per-link loss/corruption/latency schedules, clock skew, process
-kill/restart -- usable as ``transport.faults`` on both
-:class:`~repro.runtime.transport.InProcessTransport` and
-:class:`~repro.runtime.tcp_transport.TcpTransport` with order-independent
-hash-keyed decisions (chaos failures replay bit-identically on the
-simulator).  :mod:`repro.faults.campaign` samples plans from a seed and
-checks runs against the paper's guarantee table, dumping a replayable
-artifact on any violation.
+kill/restart -- passed as ``faults=`` to the scheduler on every backend,
+whose :class:`FaultGate` applies it with order-independent hash-keyed
+decisions (chaos failures replay bit-identically on the simulator).
+:mod:`repro.faults.campaign` samples plans from a seed and checks runs
+against the paper's guarantee table, dumping a replayable artifact on any
+violation.
 """
 
 from repro.faults.plan import (
     CORRUPTED,
+    FaultGate,
     FaultPlan,
     LinkFault,
     LinkLatency,
@@ -30,6 +30,7 @@ from repro.faults.campaign import (
 
 __all__ = [
     "FaultPlan",
+    "FaultGate",
     "LinkFault",
     "LinkLatency",
     "Partition",

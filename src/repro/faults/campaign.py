@@ -2,7 +2,7 @@
 
 A campaign samples :class:`~repro.faults.plan.FaultPlan`s from a seed, runs
 the reference MPC workload (the all-party multiplication circuit) under each
-plan on the deterministic virtual-clock asyncio backend, and checks the run
+plan on the deterministic simulator, and checks the run
 against the paper's guarantee matrix:
 
 * **Safety always.**  If the run completes, every honest party must agree
@@ -19,7 +19,7 @@ against the paper's guarantee matrix:
   (:meth:`FaultPlan.breaks_synchrony`), which lawfully degrades a
   synchronous run to the paper's asynchronous guarantees (the best-of-
   both fallback paths).  Message-losing plans void the liveness guarantee
-  entirely (the transport contract); the run may stall, but never emit
+  entirely (the delivery contract); the run may stall, but never emit
   wrong outputs.
 * **Typed, loud abort beyond the threshold.**  More kills than the model
   tolerates is outside the paper's guarantees: a stalled run is reported as
@@ -190,8 +190,7 @@ def run_case(
     from repro.field.gf import default_field
     from repro.mpc.engine import run_mpc
     from repro.mpc.protocol import cir_eval_time_bound
-    from repro.runtime.asyncio_backend import AsyncioBackend
-    from repro.runtime.transport import InProcessTransport
+    from repro.runtime.sim_backend import SimBackend
     from repro.sim.network import AsynchronousNetwork, SynchronousNetwork
 
     plan = plan.fresh()
@@ -199,14 +198,7 @@ def run_case(
     circuit = multiplication_circuit(field, n_parties=n)
     inputs = {pid: pid + 2 for pid in range(1, n + 1)}
     network = SynchronousNetwork() if synchronous else AsynchronousNetwork()
-    backend = AsyncioBackend(
-        n,
-        network=network,
-        field=field,
-        seed=seed,
-        clock="virtual",
-        transport=InProcessTransport(faults=plan),
-    )
+    backend = SimBackend(n, network=network, field=field, seed=seed, faults=plan)
     killed = []
     for pf in plan.process_faults:
         killed.append(pf.party)

@@ -4,11 +4,12 @@ A :class:`FaultPlan` bundles every kind of fault the runtime can inject --
 network partitions (symmetric groups or asymmetric directed blocks, with a
 heal point), per-link loss/corruption/duplication/reorder schedules, per-link
 extra latency, per-party clock skew, and process kill/restart schedules --
-into a single object.  It is the only fault injector the runtime has:
-``InProcessTransport(faults=plan)``, ``TcpTransport(faults=plan)`` and
-``TcpBackend(faults=plan)`` take nothing else.  The transports call
-:meth:`FaultPlan.decide` once per non-self handoff; the asyncio backend calls
-:meth:`FaultPlan.extra_delay` once per non-self dispatch.
+into a single object.  It is the only fault injector the runtime has: the
+scheduler takes it as ``faults=`` (``SimBackend``, ``AsyncioBackend`` and
+``TcpBackend`` alike).  The scheduler adds :meth:`FaultPlan.extra_delay` to
+every non-self dispatch, and its :class:`FaultGate` -- the one
+implementation of the delivery contract below -- asks
+:meth:`FaultPlan.decide` once per non-self message it hands out.
 
 Replay discipline
 -----------------
@@ -16,28 +17,53 @@ Replay discipline
 Per-message decisions are order-independent: the decision for message
 ``seq`` on channel ``sender -> recipient`` is a pure function of
 ``sha256(f"plan:{seed}:{sender}:{recipient}:{seq}")``, where ``seq`` is the
-per-channel handoff number both transports assign identically.  Two
-transports fed the same message sequence per channel therefore fault the
-*same* messages regardless of global interleaving -- which is why a chaos
-failure seen over :class:`~repro.runtime.tcp_transport.TcpTransport`
-reproduces bit-identically on the in-process virtual-clock simulator from
-``(plan spec, seed)`` alone.
+per-channel number the gate assigns in hand-out order.  Two runs that hand
+out the same message sequence per channel therefore fault the *same*
+messages regardless of global interleaving -- which is why a chaos failure
+seen over sockets reproduces bit-identically on the simulator from ``(plan
+spec, seed)`` alone.
 
 Rules can be windowed two ways:
 
 * **seq windows** (``from_seq`` / ``until_seq``) key off the per-channel
-  handoff number -- exact on *every* transport and clock, and the only kind
-  the cross-transport replay-equivalence test uses;
+  number -- exact on every backend, and the only kind the cross-fabric
+  replay-equivalence tests use;
 * **time windows** (``from_time`` / ``until_time`` / ``heal_at``) key off the
-  message's send time, which is nominal on every clock and transport (the
-  instant the sending activation was due), so they fire on the same
-  messages there too.
+  message's send time, which is nominal on every backend (the instant the
+  sending activation was due), so they fire on the same messages there too.
 
 Every decision is appended to :attr:`FaultPlan.log` as ``(cause, sender,
 recipient, seq)``; ``cause`` names the rule class that fired (``partition``
 and ``corrupt`` both *deliver nothing* -- a partitioned frame never arrives,
 a corrupted frame fails its integrity check and is discarded -- but the log
 distinguishes them for post-mortems).
+
+The delivery contract
+---------------------
+
+Network faults model the *network's* misbehaviour, as opposed to the
+Byzantine :class:`~repro.sim.adversary.Behavior` hooks, which model a
+corrupt party's.  :class:`FaultGate` applies them where a message is handed
+out: at its due instant in one process, or when an instant's envelope goes
+on the wire over sockets (the receiving side then only queues it).
+
+* **Crash-stop.**  A crashed party neither sends nor receives *from the
+  crash on*: the scheduler blocks its sends at submission and the gate lets
+  nothing through to it.  A message the sender handed over **before** its
+  crash is in flight and is still delivered -- a real network does not
+  recall packets -- on every path: regular delivery, the release of a held
+  message, and :meth:`FaultGate.flush`.  A message held *for* a crashed
+  party is discarded.
+* **Reordering (adjacent swap).**  A ``hold`` decision parks the message
+  until the **next hand-out to the same recipient** -- whatever that is.
+  The held message is released behind a delivered message, after a dropped
+  one, and behind a self-delivery alike, so a hold can never silently
+  become an unbounded one; at most one message per recipient is held at a
+  time, and what is still held when the queue drains is released then.
+* **Duplication.**  The duplicate is handed out right behind the original
+  (protocols must be idempotent).
+* **Drops** lose the message outright; dropping honest messages violates
+  eventual delivery, so tests using drops must not expect liveness.
 """
 
 from __future__ import annotations
@@ -45,12 +71,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.runtime.transport import DELIVER, DROP, DUPLICATE, HOLD
+#: Fault decisions returned by ``decide``: deliver the message, deliver it
+#: twice, park it until the next hand-out to the recipient, or lose it.
+#: Plain strings keep the decision log printable and comparable.
+DELIVER, DUPLICATE, HOLD, DROP = "deliver", "duplicate", "hold", "drop"
 
-#: Detailed decision causes recorded in the plan log (the transport only
-#: ever sees the four canonical decision strings).
+#: Detailed decision causes recorded in the plan log (the gate only ever
+#: sees the four canonical decision strings).
 PARTITIONED, CORRUPTED = "partition", "corrupt"
 
 
@@ -175,10 +204,10 @@ class LinkLatency:
 
     ``base`` is added to every matching message's network delay; ``jitter``
     adds a deterministic per-message hash draw in ``[0, jitter)``.  Applied
-    by the backend at dispatch time, to the nominal instant the message is
-    due, so it works identically under the virtual clock and the real
-    clock/TCP (where that instant is paced at ``time_scale`` real seconds
-    per unit).  This is the WAN emulation: one rule per slow link, first
+    by the scheduler at dispatch time, to the nominal instant the message is
+    due, so it works identically on the simulator and on the paced backends
+    (where that instant is paced at ``time_scale`` real seconds per unit).
+    This is the WAN emulation: one rule per slow link, first
     match wins.
     """
 
@@ -205,7 +234,7 @@ class LinkLatency:
 class ProcessFault:
     """Kill (and optionally restart) a party's OS process.
 
-    Interpreted by the supervising layer, not the transport: the TCP
+    Interpreted by the supervising layer, not the gate: the TCP
     service supervisor SIGKILLs the party process ``kill_after`` real
     seconds into the evaluation stream and -- when ``restart`` -- respawns
     it from its latest snapshot after ``restart_after`` further seconds;
@@ -224,8 +253,7 @@ class ProcessFault:
 class FaultPlan:
     """The unified declarative fault plane (see module docstring).
 
-    The ``transport.faults`` object: ``decide`` returns the canonical
-    decision strings of :mod:`repro.runtime.transport`.
+    ``decide`` returns one of the four canonical decision strings above.
     """
 
     def __init__(
@@ -254,10 +282,10 @@ class FaultPlan:
         #: causes being deliver/duplicate/hold/drop/partition/corrupt.
         self.log: List[Tuple[str, int, int, int]] = []
         #: Per-channel dispatch counter for latency draws (independent of
-        #: the transport's handoff seq, which is drawn at delivery handoff).
+        #: the gate's seq, which is drawn at hand-out).
         self._lat_seq: Dict[Tuple[int, int], int] = {}
 
-    # -- the transport-facing decision interface ----------------------------
+    # -- the gate-facing decision interface ---------------------------------
     def decide(
         self,
         sender: int,
@@ -420,3 +448,69 @@ class FaultPlan:
             f"{len(self.clock_skews)} skewed clock(s), "
             f"{len(self.process_faults)} process fault(s))"
         )
+
+
+class FaultGate:
+    """The delivery contract of the module docstring, written once.
+
+    The scheduler owns one per :class:`FaultPlan` and hands every message
+    through :meth:`admit` where it is handed out; ``crashed`` is the
+    scheduler's own set of crash-stopped parties.
+    """
+
+    __slots__ = ("plan", "crashed", "_held", "_seq")
+
+    def __init__(self, plan: FaultPlan, crashed: Set[int]):
+        self.plan = plan
+        self.crashed = crashed
+        #: recipient -> the item a hold decision parked for it.
+        self._held: Dict[int, Any] = {}
+        #: (sender, recipient) -> next per-channel number (the plan's seq).
+        self._seq: Dict[Tuple[int, int], int] = {}
+
+    def admit(self, message, item: Any = None) -> List[Any]:
+        """What handing ``message`` out lets through, in order.
+
+        ``item`` (default: the message) is what stands for it in the answer:
+        nothing, it once, or it twice, then whatever a hold parked for the
+        same recipient.  A self-delivery is never faulted, but it is a
+        hand-out to its recipient and releases that recipient's hold.
+        """
+        sender, recipient = message.sender, message.recipient
+        if recipient in self.crashed:
+            return []
+        if item is None:
+            item = message
+        held = self._held
+        if sender == recipient:
+            passed = [item]
+        else:
+            key = (sender, recipient)
+            seq = self._seq.get(key, 0)
+            self._seq[key] = seq + 1
+            decision = self.plan.decide(
+                sender, recipient, seq,
+                can_hold=recipient not in held, send_time=message.send_time,
+            )
+            if decision == HOLD:
+                held[recipient] = item
+                return []
+            if decision == DROP:
+                passed = []
+            elif decision == DUPLICATE:
+                passed = [item, item]
+            else:
+                passed = [item]
+        released = held.pop(recipient, None)
+        if released is not None:
+            passed.append(released)
+        return passed
+
+    def flush(self) -> List[Any]:
+        """Release every held item (the queue drained), in recipient order."""
+        held, self._held = self._held, {}
+        return [held[recipient] for recipient in sorted(held)]
+
+    def crash(self, party_id: int) -> None:
+        """A crashed party receives nothing from the crash on, a hold included."""
+        self._held.pop(party_id, None)

@@ -182,12 +182,12 @@ def run_mpc(
     random Beaver triples, so the circuit outputs are mode-independent.
 
     ``backend`` selects the execution runtime: ``"sim"`` (the deterministic
-    discrete-event simulator, the default), ``"asyncio"`` (the same event
-    queue on an asyncio loop, over a transport), or ``"tcp"`` (one OS
-    process per party over real sockets, spawned and collected by
+    discrete-event simulator, the default), ``"asyncio"`` (the same
+    simulator paced by the wall clock, optionally over sockets), or ``"tcp"``
+    (one OS process per party over real sockets, spawned and collected by
     :class:`~repro.runtime.launcher.TcpBackend`); ``backend_options`` are
-    forwarded to the backend constructor (e.g. ``clock="real"`` or
-    ``roster=...``).
+    forwarded to the backend constructor (e.g. ``time_scale=...``,
+    ``faults=...`` or ``roster=...``).
     """
     check_parameters(n, ts, ta)
     check_party_ids("inputs", inputs, n)

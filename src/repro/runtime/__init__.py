@@ -1,15 +1,15 @@
 """Pluggable execution runtimes for the protocol stack.
 
 Protocols talk only to the :class:`~repro.runtime.api.PartyRuntime` context
-API; this package provides the interface (`api`), the delivery fabric
-(`transport`) and the two shipped backends:
+API, which one scheduler implements: the discrete-event
+:class:`~repro.sim.simulator.Simulator`.  This package provides the
+interface (`api`) and the backends that drive it:
 
 * :class:`SimBackend` -- the deterministic discrete-event simulator
   (bit-identical to the historical behaviour), and
-* :class:`AsyncioBackend` -- the simulator's event queue on an asyncio
-  loop, over an in-process or socket :class:`Transport`, with a virtual
-  (deterministic) clock or a real one that paces nominal time by the wall
-  clock.
+* :class:`AsyncioBackend` -- the same simulator on an asyncio loop, paced by
+  the wall clock, optionally over the sockets of a :class:`TcpTransport`
+  (:class:`TcpBackend` runs one such process per party).
 
 Exports resolve lazily: ``repro.sim.simulator`` imports ``repro.runtime.api``
 while the backends import ``repro.sim``, and the lazy indirection keeps that
@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Union
 
-from repro.runtime.api import (
-    Clock,
-    ExecutionBackend,
-    PartyRuntime,
-    RealClock,
-    RunResult,
-    VirtualClock,
-)
+from repro.runtime.api import ExecutionBackend, PartyRuntime, RealClock, RunResult
 from repro.runtime.errors import (
     ChannelBrokenError,
     PartyProcessDied,
@@ -36,7 +29,6 @@ from repro.runtime.errors import (
     SendTimeoutError,
     TransportError,
 )
-from repro.runtime.transport import InProcessTransport, Transport
 
 # TcpTransport stays lazy alongside the backends: its wire codec imports the
 # broadcast/sharing payload types, which import repro.sim, which imports this
@@ -110,14 +102,10 @@ def make_backend(
 
 
 __all__ = [
-    "Clock",
-    "VirtualClock",
     "RealClock",
     "PartyRuntime",
     "ExecutionBackend",
     "RunResult",
-    "Transport",
-    "InProcessTransport",
     "SimBackend",
     "AsyncioBackend",
     "TcpBackend",

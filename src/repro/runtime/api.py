@@ -12,7 +12,8 @@ unmodified protocol code runs
 * under :class:`~repro.runtime.sim_backend.SimBackend`, the deterministic
   discrete-event simulator (bit-for-bit the historical behaviour), and
 * under :class:`~repro.runtime.asyncio_backend.AsyncioBackend`, the same
-  event queue on an asyncio loop, over in-process queues or TCP sockets.
+  simulator on an asyncio loop, paced by the wall clock, optionally over
+  TCP sockets.
 
 :class:`ExecutionBackend` is the driver interface the harnesses
 (`ProtocolRunner`, ``run_mpc``, the benchmarks) program against, and
@@ -29,46 +30,22 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.sim import messages
 
 
-class Clock:
-    """Nominal time: the instant the event being handled was due, whatever
-    the host's clock says (the scheduler advances it event by event)."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, time: float) -> None:
-        if time > self._now:
-            self._now = time
-
-
-class VirtualClock(Clock):
-    """Nominal time and nothing else: the scheduler never waits, and a
-    seeded run is reproducible from its seed alone."""
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now})"
-
-
-class RealClock(Clock):
-    """Nominal time paced by the host's monotonic clock: the scheduler hands
-    out an event due at ``t`` at ``epoch + t * time_scale`` of
-    ``time.monotonic()`` (asyncio's loop clock; system-wide, so processes on
-    one host can share an epoch), and ``now`` stays nominal."""
+class RealClock:
+    """The wall clock that paces nominal time: the scheduler hands out an
+    event due at ``t`` at ``epoch + t * time_scale`` of ``time.monotonic()``
+    (asyncio's loop clock; system-wide, so processes on one host can share
+    an epoch).  The scheduler's ``now`` stays nominal."""
 
     def __init__(self, time_scale: float = 0.001):
-        super().__init__()
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.time_scale = time_scale
         self.epoch: Optional[float] = None
 
-    def start(self, epoch: Optional[float] = None) -> None:
-        """Pin the epoch; by default the current ``now`` is due at once."""
+    def start(self, epoch: Optional[float] = None, now: float = 0.0) -> None:
+        """Pin the epoch; by default nominal ``now`` is due at once."""
         if epoch is None:
-            epoch = _time.monotonic() - self._now * self.time_scale
+            epoch = _time.monotonic() - now * self.time_scale
         self.epoch = epoch
 
     def elapsed(self) -> float:
@@ -86,9 +63,9 @@ class RealClock(Clock):
 class PartyRuntime:
     """The party-context API: everything a :class:`Party` may ask its host.
 
-    Concrete runtimes (the discrete-event :class:`~repro.sim.simulator.Simulator`
-    and the :class:`~repro.runtime.asyncio_backend.AsyncioBackend`) implement
-    this interface; protocol code reaches it only through the ``Party``
+    The :class:`~repro.sim.simulator.Simulator` implements this interface
+    (the :class:`~repro.runtime.asyncio_backend.AsyncioBackend` is a paced
+    simulator); protocol code reaches it only through the ``Party``
     conveniences (``send`` / ``send_all`` / ``schedule_at`` / ``now`` /
     ``delta``), never through a concrete class.
     """
@@ -114,6 +91,8 @@ class PartyRuntime:
     #: count, so what an earlier incarnation scheduled never fires after a
     #: revive (see :func:`incarnation_timer`).
     crash_epochs: Dict[int, int]
+    #: the :class:`~repro.faults.plan.FaultPlan` of the run, if any
+    faults: Any
 
     #: ``(payload, message bits)`` while :meth:`fan_out` is sending it.
     _fan_out_sized: Optional[Tuple[Any, int]] = None
@@ -160,11 +139,12 @@ class PartyRuntime:
 def account_dispatch(runtime, message) -> float:
     """Draw a message's delivery delay and record its send metrics.
 
-    The single accounting path shared by every runtime (the discrete-event
-    simulator and the asyncio backend call exactly this), so the
-    bit-accounting contract -- self-delivery local and free, delays drawn
-    from the runtime rng at dispatch, sends bucketed into Delta-rounds --
-    cannot silently diverge between backends.  Returns the delay.
+    The single accounting path of the scheduler, so the bit-accounting
+    contract -- self-delivery local and free, delays drawn from the runtime
+    rng at dispatch, sends bucketed into Delta-rounds -- holds on every
+    backend.  A fault plan's extra latency (per-link schedules, sender clock
+    skew) stretches the delay here, on the nominal due instant.  Returns the
+    delay.
     """
     if message.sender == message.recipient:
         # Self-delivery is local: immediate-ish and free of charge.
@@ -177,6 +157,9 @@ def account_dispatch(runtime, message) -> float:
     runtime.metrics.record_send(
         message, message.sender in runtime.corrupt_parties, round_index
     )
+    faults = runtime.faults
+    if faults is not None:
+        delay += faults.extra_delay(message.sender, message.recipient, message.send_time)
     return delay
 
 
@@ -185,10 +168,9 @@ class IncarnationTimer:
 
     Crash-stop means the party performs no local step from the crash on,
     revived or not: calling this does nothing while ``owner`` is crashed or
-    once it has crashed since the timer was set.  Both runtimes schedule
-    their owned timers through :func:`incarnation_timer`, so a stale timer
-    cannot fire on one and not on the other.  (A class with slots, not a
-    closure: thousands are pending at a time.)
+    once it has crashed since the timer was set.  The scheduler queues its
+    owned timers through :func:`incarnation_timer`.  (A class with slots,
+    not a closure: thousands are pending at a time.)
     """
 
     __slots__ = ("runtime", "callback", "owner", "epoch")
@@ -208,7 +190,7 @@ class IncarnationTimer:
 def incarnation_timer(
     runtime: PartyRuntime, callback: Callable[[], None], owner: int
 ) -> Callable[[], None]:
-    """What a runtime queues for ``callback``; ``owner`` 0 is the system,
+    """What the scheduler queues for ``callback``; ``owner`` 0 is the system,
     whose timers fire whoever has crashed."""
     return IncarnationTimer(runtime, callback, owner) if owner else callback
 

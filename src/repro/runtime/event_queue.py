@@ -1,10 +1,10 @@
-"""The scheduler queue of the simulated-time runtimes: one slot per instant.
+"""The scheduler's queue: one slot per simulated instant.
 
-Shared, with the collector setting of the loops that drain it, by the
-discrete-event :class:`~repro.sim.simulator.Simulator` and the virtual-clock
-loop of :class:`~repro.runtime.asyncio_backend.AsyncioBackend`, so the two
-cannot order or count events differently.  Standard library only: this module
-sits below both halves of the ``repro.sim`` <-> ``repro.runtime`` cycle.
+The :class:`~repro.sim.simulator.Simulator` -- the one scheduler, which the
+:class:`~repro.runtime.asyncio_backend.AsyncioBackend` paces by the wall
+clock -- keeps its events here and drains them with the collector setting
+below.  Standard library only: this module sits below both halves of the
+``repro.sim`` <-> ``repro.runtime`` cycle.
 """
 
 from __future__ import annotations

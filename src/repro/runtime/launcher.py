@@ -106,7 +106,7 @@ class TcpPartyBackend(AsyncioBackend):
     """
 
     def __init__(self, n: int, local_party: int, **kwargs: Any):
-        super().__init__(n, clock="real", **kwargs)
+        super().__init__(n, **kwargs)
         self.local_party = local_party
         #: the full party table (rng-derivation order); ``parties`` below is
         #: what the driver loops iterate, restricted to the local one.
@@ -122,7 +122,9 @@ class TcpPartyBackend(AsyncioBackend):
         """Run ``callback`` as an event at the instant the wall clock has
         reached: how what comes in from outside the run (a control command)
         enters nominal time."""
-        self.schedule_timer(self.clock.elapsed(), callback)
+        time = self.clock.elapsed()
+        self.schedule_timer(time, callback)
+        self._wake(time)
 
 
 def _metrics_dict(metrics: SimulationMetrics) -> Dict[str, Any]:
@@ -184,7 +186,6 @@ async def _party_main(
     transport = TcpTransport(
         roster=dict(spec.roster),
         local_parties=[party_id],
-        faults=spec.faults,
         **transport_opts,
     )
     if listener is not None:
@@ -198,6 +199,7 @@ async def _party_main(
         corrupt=spec.corrupt,
         time_scale=spec.time_scale,
         transport=transport,
+        faults=spec.faults,
     )
     for crashed, at_time in spec.crash_schedule.items():
         backend.crash_party(crashed, at_time)

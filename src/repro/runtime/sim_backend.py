@@ -6,13 +6,15 @@ bit-for-bit identical to the pre-runtime-refactor behaviour: same rng draw
 order (party rngs seeded in party order from the backend rng, network delays
 drawn at dispatch), same event ordering, same
 :class:`~repro.sim.simulator.SimulationMetrics` -- the scenario-matrix
-regression grid runs through it unchanged.
+regression grid runs through it unchanged.  ``faults=`` puts a
+:class:`~repro.faults.plan.FaultPlan` on the simulator itself.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Set
 
+from repro.faults.plan import FaultPlan
 from repro.field.gf import GF, default_field
 from repro.runtime.api import ExecutionBackend, RunResult
 from repro.sim.network import NetworkModel, SynchronousNetwork
@@ -29,6 +31,7 @@ class SimBackend(ExecutionBackend):
         field: Optional[GF] = None,
         seed: int = 0,
         corrupt: Optional[Dict[int, Any]] = None,
+        faults: Optional[FaultPlan] = None,
     ):
         self.simulator = Simulator(
             n,
@@ -36,6 +39,7 @@ class SimBackend(ExecutionBackend):
             field=field or default_field(),
             seed=seed,
             corrupt_parties=set(corrupt or {}),
+            faults=faults,
         )
         for party_id, behavior in (corrupt or {}).items():
             self.simulator.set_behavior(party_id, behavior)
@@ -69,18 +73,8 @@ class SimBackend(ExecutionBackend):
         self.simulator.set_behavior(party_id, behavior)
 
     def crash_party(self, party_id: int, at_time: Optional[float] = None) -> None:
-        """Crash-stop a party immediately or at a simulated time.
-
-        Same surface as :meth:`AsyncioBackend.crash_party`; the scheduled
-        variant uses a system-owned timer so it fires regardless of which
-        parties are alive when the time comes.
-        """
-        if at_time is None:
-            self.simulator.crash_party(party_id)
-        else:
-            self.simulator.schedule_timer(
-                at_time, lambda: self.simulator.crash_party(party_id)
-            )
+        """Crash-stop a party immediately or at a simulated time."""
+        self.simulator.crash_party(party_id, at_time)
 
     def revive_party(self, party_id: int):
         """Replace a crashed party with a fresh (blank-state) incarnation."""

@@ -99,7 +99,8 @@ class ServiceSpec:
     clock_epoch: float
     time_scale: float = DEFAULT_TIME_SCALE
     #: Extra :class:`TcpTransport` keyword arguments for every child; a
-    #: network :class:`~repro.faults.plan.FaultPlan` goes here as ``faults``.
+    #: network :class:`~repro.faults.plan.FaultPlan` goes here as ``faults``
+    #: (the child hands it to its party backend).
     transport_opts: Dict[str, Any] = _dc_field(default_factory=dict)
     #: Offline pipeline for per-evaluation preprocessing.
     offline: str = "tripsh"
@@ -134,6 +135,7 @@ async def _service_party_main(
     party_id: int, spec: ServiceSpec, resume: bool, listener: Optional[socket.socket]
 ) -> None:
     transport_opts = dict(spec.transport_opts)
+    faults = transport_opts.pop("faults", None)
     transport_opts.setdefault("reconnect_seed", spec.seed ^ party_id)
     # Service channels must ride out a peer's restart (interpreter start on
     # a busy host takes seconds), and heartbeats both prune idle replay
@@ -162,6 +164,7 @@ async def _service_party_main(
         seed=spec.seed,
         time_scale=spec.time_scale,
         transport=transport,
+        faults=faults,
     )
     party = backend.parties[party_id]
 
@@ -184,7 +187,7 @@ async def _service_party_main(
     # scheduler drives until told to stop, not until a root outputs.
     await backend.open()
     backend.clock.start(spec.clock_epoch)
-    backend.clock.advance_to(backend.clock.elapsed())
+    backend.now = max(backend.now, backend.clock.elapsed())
     stop = asyncio.Event()
     driver = asyncio.create_task(backend.drive(stop.is_set))
 

@@ -5,10 +5,9 @@ The envelope is the unit of the wire
 
 A message leaves when it is sent, not when it is due: the backend's
 scheduler hands over what its parties send at one nominal instant as one
-*envelope* of ``(message, due)`` pairs.  ``send`` runs the per-message rules
-of the :mod:`~repro.runtime.transport` contract over it in emission order --
-crash, one fault decision and one ``seq`` per logical message, hold release
--- and what they let through leaves as **one data frame per channel**::
+*envelope* of ``(message, due)`` pairs, which its fault gate has already
+run over (:mod:`repro.faults.plan`).  ``send`` frames it as **one data frame
+per channel**::
 
     frame := length:u32  "D"  wire-seq:u64  count:u32  entry * count
 
@@ -18,19 +17,17 @@ once.  The receiver bounds ``count`` and every length by the bytes left
 before it allocates, requires one ``(sender, recipient)`` channel per
 envelope and that recipient to be the listener's party, dedupes and
 acknowledges the frame as a whole, and hands each logical message to
-``on_arrival(message, due)`` (the backend queues it at ``due``) or, with no
-hook, to the recipient's inbox.  Self-deliveries never touch a socket: the
-scheduler hands them to :meth:`TcpTransport.deliver` when they are due.
-Wire seqs, ``ack_every`` and ``send_buffer_frames`` count *frames*;
-:attr:`TcpTransport.frames_sent` / :attr:`TcpTransport.messages_framed` are
-the ledger.
+``on_arrival(message, due)`` (the backend queues it at ``due``).
+Self-deliveries never touch a socket.  Wire seqs, ``ack_every`` and
+``send_buffer_frames`` count *frames*; :attr:`TcpTransport.frames_sent` /
+:attr:`TcpTransport.messages_framed` are the ledger.
 
 One transport instance serves the *local* parties of its process:
 
-* **Single process** (``AsyncioBackend(transport=TcpTransport(),
-  clock="real")``): every party is local, each gets its own listener on an
-  ephemeral localhost port, and every non-self message still crosses a real
-  socket -- the wire-parity testing mode.
+* **Single process** (``AsyncioBackend(transport=TcpTransport())``): every
+  party is local, each gets its own listener on an ephemeral localhost
+  port, and every non-self message still crosses a real socket -- the
+  wire-parity testing mode.
 * **Multi process** (one OS process per party, spawned by
   :mod:`repro.runtime.launcher`): ``local_parties`` is a singleton, the
   ``roster`` maps every party id to its published ``(host, port)`` endpoint,
@@ -64,15 +61,10 @@ fault contract requires).  The failure modes are typed (:mod:`repro.runtime.erro
 tracks per-peer last-heard times; :meth:`suspected` is the failure detector
 a supervisor polls.
 
-Delivery semantics are the :mod:`repro.runtime.transport` contract: crash
-stops future sends/receives but in-flight traffic lands; a reorder hold is
-released on the next delivery attempt to the same recipient; ``faults`` is
-the same :class:`~repro.faults.plan.FaultPlan` an
-:class:`~repro.runtime.transport.InProcessTransport` takes and is asked the
-same ``decide(sender, recipient, seq, ...)``, so one ``(spec, seed)`` faults
-the same messages on both.  WAN emulation is the plan's ``LinkLatency``
-rules, which the backend adds to an entry's ``due`` at dispatch, so nothing
-here sleeps on a frame.  The transport requires the real clock.
+The transport keeps no fault state: crash-stop, drops, duplicates and
+holds are the scheduler's gate, and WAN emulation is a fault plan's
+``LinkLatency`` rules, which the scheduler adds to an entry's ``due`` at
+dispatch, so nothing here sleeps on a frame.
 """
 
 from __future__ import annotations
@@ -85,7 +77,7 @@ import os
 import socket
 import struct
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime.errors import (
     ChannelBrokenError,
@@ -94,7 +86,6 @@ from repro.runtime.errors import (
     TransportError,
     WireDecodeError,
 )
-from repro.runtime.transport import DROP, DUPLICATE, HOLD, Transport
 from repro.runtime.wire import (
     decode_envelope,
     encode_entry,
@@ -135,16 +126,13 @@ class _ChannelState:
         self.connected = False
 
 
-class TcpTransport(Transport):
+class TcpTransport:
     """Real-socket transport; see the module docstring for the two modes."""
-
-    synchronous_delivery = False
 
     def __init__(
         self,
         roster: Optional[Dict[int, Tuple[str, int]]] = None,
         local_parties: Optional[Sequence[int]] = None,
-        faults=None,
         host: str = "127.0.0.1",
         connect_timeout: float = 15.0,
         heartbeat_interval: float = 0.0,
@@ -159,7 +147,9 @@ class TcpTransport(Transport):
     ):
         self.roster: Dict[int, Tuple[str, int]] = dict(roster or {})
         self.local_parties = set(local_parties) if local_parties is not None else None
-        self.faults = faults
+        #: ``on_arrival(message, due)`` takes what comes off the wire (the
+        #: backend's scheduler); set before the first frame arrives.
+        self.on_arrival: Optional[Callable[[object, float], None]] = None
         self.host = host
         self.connect_timeout = connect_timeout
         #: Idle seconds between heartbeats per channel (0 disables them).
@@ -190,10 +180,6 @@ class TcpTransport(Transport):
             | (next(_incarnation_counter) & 0xFFFFFF)
         )
 
-        self._inboxes: Dict[int, asyncio.Queue] = {}
-        self._crashed: Set[int] = set()
-        self._held: Dict[int, object] = {}
-        self._seq: Dict[Tuple[int, int], int] = {}
         self._servers: Dict[int, asyncio.base_events.Server] = {}
         self._channel_states: Dict[Tuple[int, int], _ChannelState] = {}
         self._writer_tasks: Dict[Tuple[int, int], asyncio.Task] = {}
@@ -233,9 +219,6 @@ class TcpTransport(Transport):
             missing = [pid for pid in all_ids if pid not in self.roster]
             if missing:
                 raise ValueError(f"roster missing endpoints for parties {missing}")
-        self._inboxes = {pid: asyncio.Queue() for pid in self._local}
-        self._held = {}
-        self._seq = {}
         self._channel_states = {}
         self._recv_wseq = {}
         self._recv_incarnation = {}
@@ -270,18 +253,9 @@ class TcpTransport(Transport):
         """
         self._listeners[party_id] = listener
 
-    def inbox(self, party_id: int) -> asyncio.Queue:
-        return self._inboxes[party_id]
-
-    @property
-    def crashed(self) -> Set[int]:
-        return self._crashed
-
-    def crash(self, party_id: int) -> None:
-        self._crashed.add(party_id)
-        self._held.pop(party_id, None)
-
     def quiescent(self) -> bool:
+        """Whether nothing more can come in: no frame this process sent to
+        its own parties is unread, and no peer process could still send."""
         if self._error is not None:
             raise self._error
         # With remote peers this process cannot observe global in-flight
@@ -289,6 +263,8 @@ class TcpTransport(Transport):
         return not self._has_remote and self._inflight == 0
 
     def in_flight(self) -> int:
+        """Messages on their way to this process's own parties (counted only
+        when every party is local)."""
         if self._error is not None:
             raise self._error
         # Counted only when every party is local (see _stage).
@@ -297,13 +273,13 @@ class TcpTransport(Transport):
     def prime_channel(self, sender: int, recipient: int) -> None:
         """Start the outbound channel's writer without queueing a data frame.
 
-        Channels normally dial lazily on the first :meth:`deliver`; the
+        Channels normally dial lazily on the first frame; the
         supervisor's eval-ready barrier primes them instead, so the dial
         (and any crash-restart backoff still in flight) is spent *before*
         a round-sensitive protocol starts pushing frames into a channel
         that is mid-heal.
         """
-        if self._closed or recipient in self._local or recipient in self._crashed:
+        if self._closed or recipient in self._local:
             return
         key = (sender, recipient)
         if key not in self._channel_states:
@@ -315,7 +291,7 @@ class TcpTransport(Transport):
     def channels_connected(self, sender: int, recipients: Sequence[int]) -> bool:
         """True iff the outbound channel to every remote recipient is live."""
         for recipient in recipients:
-            if recipient in self._local or recipient in self._crashed:
+            if recipient in self._local:
                 continue
             state = self._channel_states.get((sender, recipient))
             if state is None or not state.connected:
@@ -331,8 +307,6 @@ class TcpTransport(Transport):
         self._servers = {}
         self._writer_tasks = {}
         self._channel_states = {}
-        self._inboxes = {}
-        self._held = {}
 
     # -- failure detection ---------------------------------------------------
     def suspected(self, timeout: Optional[float] = None) -> Set[int]:
@@ -412,13 +386,10 @@ class TcpTransport(Transport):
                         self._inflight -= len(messages)
                     if wseq % self.ack_every == 0:
                         writer.write(frame(_KIND_ACK + _U64.pack(wseq)))
-                    if pid in self._crashed:
-                        continue
                     # One arrival per logical message, at the due instant the
                     # entry carries: nothing above the transport sees envelopes.
-                    arrive = self.on_arrival or (lambda m, _due: self._enqueue_local(m))
                     for message in messages:
-                        arrive(message, message.send_time)
+                        self.on_arrival(message, message.send_time)
             except (asyncio.IncompleteReadError, ConnectionError):
                 pass  # peer closed (reconnect or teardown) -- drain ends
             except asyncio.CancelledError:
@@ -432,14 +403,8 @@ class TcpTransport(Transport):
 
     # -- send path ----------------------------------------------------------
     def send(self, envelope: Sequence[Tuple[object, float]]) -> None:
-        """Apply the per-message rules in order, then one frame per channel.
-
-        Crash, fault decision (one ``seq`` per logical message) and hold
-        release run message by message exactly as the
-        :mod:`~repro.runtime.transport` contract words them; what they let
-        through is staged per channel, each entry with its ``due``, and
-        committed when the loop ends.
-        """
+        """Put ``(message, due)`` pairs on the wire now: each encoded into its
+        channel's group in order, then one frame per channel."""
         if self._closed:
             return
         staged: Dict[Tuple[int, int], List[bytes]] = {}
@@ -447,74 +412,10 @@ class TcpTransport(Transport):
         #: payload is encoded once, and nothing outlives the flush to be
         #: served stale after the object is mutated.
         memo: Dict[int, bytes] = {}
-        faults = self.faults
-        held = self._held
         for message, due in envelope:
-            recipient = message.recipient
-            if recipient in self._crashed:
-                continue
-            # In-flight messages from a crashed sender are still delivered
-            # (the transport.py module contract).
-            if faults is None:
-                self._stage(message, due, staged, memo)
-            else:
-                seq = self._next_seq(message.sender, recipient)
-                decision = faults.decide(
-                    message.sender,
-                    recipient,
-                    seq,
-                    can_hold=recipient not in held,
-                    send_time=message.send_time,
-                )
-                if decision == HOLD:
-                    held[recipient] = (message, due)
-                    continue
-                if decision != DROP:
-                    self._stage(message, due, staged, memo)
-                    if decision == DUPLICATE:
-                        self._stage(message, due, staged, memo)
-            if held:
-                released = held.pop(recipient, None)
-                if released is not None:
-                    self._stage(*released, staged, memo)
-        self._commit_staged(staged)
-
-    def deliver(self, message) -> List[Tuple[object, asyncio.Event]]:
-        """A self-delivery that is due: onto the party's inbox (it is local,
-        free and immediate on every backend); it still releases a message
-        held for that party, onto the wire with its own ``due``."""
-        recipient = message.recipient
-        if self._closed or recipient in self._crashed:
-            return []
-        pair = self._enqueue_local(message)
-        released = self._held.pop(recipient, None)
-        if released is not None:
-            self._release((released,))
-        return [pair]
-
-    def flush_reordered(self) -> List[Tuple[object, asyncio.Event]]:
-        held, self._held = self._held, {}
-        self._release(held[r] for r in sorted(held) if r not in self._crashed)
-        return []
-
-    def _release(self, held) -> None:
-        """Put held ``(message, due)`` pairs on the wire: decided already."""
-        staged: Dict[Tuple[int, int], List[bytes]] = {}
-        memo: Dict[int, bytes] = {}
-        for message, due in held:
             self._stage(message, due, staged, memo)
-        self._commit_staged(staged)
-
-    def _enqueue_local(self, message) -> Tuple[object, asyncio.Event]:
-        handled = asyncio.Event()
-        self._inboxes[message.recipient].put_nowait((message, handled))
-        return (message, handled)
-
-    def _next_seq(self, sender: int, recipient: int) -> int:
-        key = (sender, recipient)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        return seq
+        for key, entries in staged.items():
+            self._commit_frame(key, entries)
 
     def _stage(self, message, due: float, staged, memo) -> None:
         """Encode one transmission into its channel's group."""
@@ -527,11 +428,6 @@ class TcpTransport(Transport):
             staged[key] = [entry]
         else:
             group.append(entry)
-
-    def _commit_staged(self, staged) -> None:
-        """One frame per channel, in the order the channels were first staged."""
-        for key, entries in staged.items():
-            self._commit_frame(key, entries)
 
     def _commit_frame(self, key: Tuple[int, int], entries: List[bytes]) -> None:
         """Sequence-number one envelope into the channel's replay buffer."""

@@ -35,12 +35,13 @@ the protocols put on the wire:
 * a broadcast :class:`~repro.broadcast.acast.Bundle`, as the bitmaps its price
   list counts (:func:`_bundle_bytes`): built once per object and kept on it,
   so the ~9 fan-outs a party makes of one bundle encode it once; the decoder
-  keeps the slice it read as the new object's encoding,
-* a pickle fallback for anything else (e.g. payloads forged by Byzantine
-  :class:`~repro.sim.adversary.Behavior` hooks).  Frames are only ever
-  exchanged between processes spawned by the same launcher from the same
-  code base, which is the standing trust assumption for pickle here.
-  Nothing inside a bundle is ever unpickled.
+  keeps the slice it read as the new object's encoding.
+
+Nothing else crosses the wire: encoding a value of any other type raises
+``TypeError`` naming it, at the sender.  A receiver therefore builds only
+the types above from a peer's bytes and never runs code a frame names -- it
+trusts no peer, Byzantine or not, with more than a malformed value of one of
+these types, which the protocols must reject anyway.
 
 The codec is accounting-transparent: decoding reconstructs payloads whose
 :func:`~repro.sim.messages.payload_bits` equals the sender's, so the
@@ -50,7 +51,6 @@ per-party communication metrics agree with the in-process backends.
 from __future__ import annotations
 
 import asyncio
-import pickle
 import struct
 from math import isfinite
 from typing import Any, Dict, List, Sequence
@@ -241,7 +241,7 @@ def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
     if kind == ABSENT:
         return None, pos, 1
     if kind == OTHER:
-        value, pos = _decode(data, pos, unpickle=False)
+        value, pos = _decode(data, pos)
         return value, pos, entry_bits(value, n)
     if kind not in (VOTES, VERDICTS, STAR):
         raise WireDecodeError(f"unknown bundle entry kind {kind}")
@@ -366,13 +366,10 @@ def _encode(buf: bytearray, obj: Any) -> None:
         for length in obj.lengths:
             _w_int(buf, length)
     else:
-        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        buf += b"p"
-        _w_uint(buf, len(raw))
-        buf += raw
+        raise TypeError(f"no wire encoding for {type(obj).__name__} values")
 
 
-def _decode(data: bytes, pos: int, unpickle: bool = True) -> tuple:
+def _decode(data: bytes, pos: int) -> tuple:
     tag = data[pos:pos + 1]
     pos += 1
     if tag == b"N":
@@ -399,7 +396,7 @@ def _decode(data: bytes, pos: int, unpickle: bool = True) -> tuple:
         pos += 4
         items = []
         for _ in range(count):
-            item, pos = _decode(data, pos, unpickle)
+            item, pos = _decode(data, pos)
             items.append(item)
         if tag == b"t":
             return tuple(items), pos
@@ -413,8 +410,8 @@ def _decode(data: bytes, pos: int, unpickle: bool = True) -> tuple:
         pos += 4
         out = {}
         for _ in range(count):
-            key, pos = _decode(data, pos, unpickle)
-            value, pos = _decode(data, pos, unpickle)
+            key, pos = _decode(data, pos)
+            value, pos = _decode(data, pos)
             out[key] = value
         return out, pos
     if tag == b"E":
@@ -442,10 +439,6 @@ def _decode(data: bytes, pos: int, unpickle: bool = True) -> tuple:
         return PackedPolynomialRows(vector, tuple(lengths)), pos
     if tag == b"B":
         return _r_bundle(data, pos - 1)
-    if tag == b"p" and unpickle:
-        (length,) = _U32.unpack_from(data, pos)
-        pos += 4
-        return pickle.loads(data[pos:pos + length]), pos + length
     raise WireDecodeError(f"unknown wire tag {tag!r} at offset {pos - 1}")
 
 
@@ -560,7 +553,7 @@ def decode_envelope(data: bytes, offset: int = 0) -> List[Message]:
         except WireDecodeError:
             raise
         except Exception as exc:  # noqa: BLE001 - peer bytes: struct, index,
-            # unicode and whatever the pickle fallback raises, as one type
+            # unicode and constructor errors, as one type
             raise WireDecodeError(f"entry {index} does not decode: {exc!r}") from exc
         pos += length
         messages.append(message)

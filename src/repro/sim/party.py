@@ -8,9 +8,10 @@ by hierarchical tags so that sub-protocol composition mirrors the paper's
 
 A party is execution-backend agnostic: everything it needs from its host --
 channels, timers, the clock, the static execution parameters -- goes through
-the :class:`~repro.runtime.api.PartyRuntime` context API, implemented both
-by the discrete-event :class:`~repro.sim.simulator.Simulator` and by the
-concurrent :class:`~repro.runtime.asyncio_backend.AsyncioBackend`.
+the :class:`~repro.runtime.api.PartyRuntime` context API, implemented by
+the discrete-event :class:`~repro.sim.simulator.Simulator` -- the one
+scheduler, which the :class:`~repro.runtime.asyncio_backend.AsyncioBackend`
+paces by the wall clock.
 """
 
 from __future__ import annotations

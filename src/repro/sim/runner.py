@@ -3,8 +3,8 @@
 :class:`ProtocolRunner` is a thin facade over the pluggable execution
 backends in :mod:`repro.runtime`: ``backend="sim"`` (the default) builds the
 deterministic discrete-event :class:`~repro.runtime.sim_backend.SimBackend`,
-``backend="asyncio"`` the concurrent
-:class:`~repro.runtime.asyncio_backend.AsyncioBackend`; an
+``backend="asyncio"`` the :class:`~repro.runtime.asyncio_backend.
+AsyncioBackend`, the same simulator paced by the wall clock; an
 :class:`~repro.runtime.api.ExecutionBackend` subclass or instance is used
 directly.  :class:`RunResult` lives in :mod:`repro.runtime.api` and is
 re-exported here for the historical import path.
@@ -32,7 +32,8 @@ class ProtocolRunner:
     that party; corrupt parties get their behaviour attached before
     instantiation so dealer-style attacks already apply to the first
     messages.  ``backend_options`` are forwarded to the backend constructor
-    (e.g. ``clock="real"`` or ``transport=...`` for the asyncio backend).
+    (e.g. ``faults=...``, or ``time_scale=...`` / ``transport=...`` for the
+    asyncio backend).
     """
 
     def __init__(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, Optional, Set
 
+from repro.faults.plan import FaultGate, FaultPlan
 from repro.field.gf import GF, default_field
 from repro.runtime.api import PartyRuntime, account_dispatch, incarnation_timer
 from repro.runtime.event_queue import MESSAGE, TIMER, EventQueue, full_collections_deferred
@@ -77,11 +78,14 @@ class Simulator(PartyRuntime):
     instant.  :meth:`run` loops with the collector's full passes held off
     (:func:`~repro.runtime.event_queue.full_collections_deferred`).
 
-    The simulator is one implementation of the
-    :class:`~repro.runtime.api.PartyRuntime` context API; protocols only see
-    that interface, so the same code also runs under the concurrent
-    :class:`~repro.runtime.asyncio_backend.AsyncioBackend`, whose
-    virtual-clock loop drains the same queue class.
+    ``faults`` is a :class:`~repro.faults.plan.FaultPlan`: its extra latency
+    is added at dispatch, and its :class:`~repro.faults.plan.FaultGate`
+    applies the delivery contract as each message is handed out.
+
+    This is the only scheduler: the
+    :class:`~repro.runtime.asyncio_backend.AsyncioBackend` is this class
+    paced by the wall clock, optionally over sockets.  Protocols see only
+    the :class:`~repro.runtime.api.PartyRuntime` interface.
     """
 
     def __init__(
@@ -91,6 +95,7 @@ class Simulator(PartyRuntime):
         field: Optional[GF] = None,
         seed: int = 0,
         corrupt_parties: Optional[Set[int]] = None,
+        faults: Optional[FaultPlan] = None,
     ):
         self.n = n
         self.network = network or SynchronousNetwork()
@@ -103,6 +108,8 @@ class Simulator(PartyRuntime):
         #: Crash-stopped party ids (see :meth:`crash_party`).
         self.crashed: Set[int] = set()
         self.crash_epochs: Dict[int, int] = {}
+        self.faults = faults
+        self._gate = None if faults is None else FaultGate(faults, self.crashed)
         self.parties: Dict[int, Party] = {i: Party(i, self) for i in range(1, n + 1)}
         self._events_processed = 0
 
@@ -137,19 +144,25 @@ class Simulator(PartyRuntime):
         )
 
     # -- crash faults --------------------------------------------------------
-    def crash_party(self, party_id: int) -> None:
-        """Crash-stop a party: no sends, no deliveries, no timers from now on.
+    def crash_party(self, party_id: int, at_time: Optional[float] = None) -> None:
+        """Crash-stop a party (now, or by a system timer at ``at_time``):
+        no sends, no deliveries, no timers from then on.
 
-        Matches the transport-layer fault contract: messages already on the
-        wire *from* the crashed sender are still delivered; messages held
-        *for* it are discarded at their delivery time.  Crash faults count as
-        corruptions, so run predicates stop waiting for the party's output.
+        The fault contract's crash rules (:mod:`repro.faults.plan`): messages
+        already on the wire *from* the crashed sender are still delivered;
+        nothing is handed out *to* it.  Crash faults count as corruptions, so
+        run predicates stop waiting for the party's output.
         """
+        if at_time is not None:
+            self.schedule_timer(at_time, lambda: self.crash_party(party_id))
+            return
         if party_id in self.crashed:
             return
         self.crashed.add(party_id)
         self.corrupt_parties.add(party_id)
         self.crash_epochs[party_id] = self.crash_epochs.get(party_id, 0) + 1
+        if self._gate is not None:
+            self._gate.crash(party_id)
 
     def revive_party(self, party_id: int) -> Party:
         """Bring a crashed party back with a blank in-memory state.
@@ -176,12 +189,30 @@ class Simulator(PartyRuntime):
         if time > self.now:
             self.now = time
         self._events_processed += 1
-        if is_timer:
+        if self._gate is not None:
+            self._gated_step(is_timer, item)
+        elif is_timer:
             item()
         elif item.recipient not in self.crashed:  # else discarded with its endpoint
             self.metrics.record_delivery()
             self.parties[item.recipient].deliver(item.sender, item.tag, item.payload)
         return True
+
+    def _gated_step(self, is_timer: bool, item: Any) -> None:
+        """:meth:`step` under a fault plan: the gate hands each message out,
+        and what it still holds goes once the queue has drained."""
+        if is_timer:
+            item()
+        else:
+            for message in self._gate.admit(item):
+                self._deliver(message)
+        if not self._queue.keys:
+            for message in self._gate.flush():
+                self._deliver(message)
+
+    def _deliver(self, message: Message) -> None:
+        self.metrics.record_delivery()
+        self.parties[message.recipient].deliver(message.sender, message.tag, message.payload)
 
     def run(
         self,

@@ -428,7 +428,7 @@ def test_real_clock_vss_no_honest_bundle_misses_an_input_due_at_the_anchor():
     does so from inside the carrier's anchor timer, so on a real clock too
     they are in the bundle (a star is due only if the dealer found one)."""
     poly = random_polynomial(1, 9, seed=52)
-    backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=6, clock="real",
+    backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=6,
                              time_scale=0.004)
     result = backend.run(
         lambda party: VerifiableSecretSharing(

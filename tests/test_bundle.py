@@ -284,8 +284,9 @@ def test_malformed_bundle_bytes_are_a_wire_decode_error(blob):
         decode_payload(blob)
 
 
-def test_a_pickle_outside_a_bundle_is_still_opened():
-    assert decode_payload(b"p" + (4).to_bytes(4, "big") + b"\x80\x04N.") is None
+def test_a_pickle_is_never_opened_outside_a_bundle_either():
+    with pytest.raises(WireDecodeError, match="unknown wire tag"):
+        decode_payload(b"p" + (4).to_bytes(4, "big") + b"\x80\x04N.")
 
 
 _SEED_BUNDLES = [

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections import defaultdict
 
 import pytest
 
@@ -40,12 +41,16 @@ def _msg(sender, recipient, payload):
     return Message(sender, recipient, "chaos", payload, 0.0)
 
 
+def arrivals(transport):
+    """Per-party queues of what comes off a bare transport's wire (a backend
+    hooks its scheduler in here)."""
+    queues = defaultdict(asyncio.Queue)
+    transport.on_arrival = lambda message, _due: queues[message.recipient].put_nowait(message)
+    return queues
+
+
 async def _take(queue, count, timeout=30.0):
-    out = []
-    for _ in range(count):
-        message, _handled = await asyncio.wait_for(queue.get(), timeout)
-        out.append(message)
-    return out
+    return [await asyncio.wait_for(queue.get(), timeout) for _ in range(count)]
 
 
 async def _until(predicate, timeout=30.0, what="condition"):
@@ -69,6 +74,7 @@ def test_reconnect_with_backoff_loses_no_frames():
 
     async def scenario():
         receiver = TcpTransport(roster=dict(roster), local_parties=[2])
+        received = arrivals(receiver)
         await receiver.open([1, 2])
         sender = TcpTransport(
             roster=dict(roster), local_parties=[1],
@@ -78,7 +84,7 @@ def test_reconnect_with_backoff_loses_no_frames():
         await sender.open([1, 2])
         for index in range(10):
             sender.send([(_msg(1, 2, index), 0.0)])
-        before = await _take(receiver.inbox(2), 10)
+        before = await _take(received[2], 10)
         assert [m.payload for m in before] == list(range(10))
         # Wait until every frame is acked (ack_every=1), so the replay
         # after the heal carries exactly the outage-era frames.
@@ -93,10 +99,11 @@ def test_reconnect_with_backoff_loses_no_frames():
             sender.send([(_msg(1, 2, index), 0.0)])
 
         healed = TcpTransport(roster=dict(roster), local_parties=[2])
+        healed_received = arrivals(healed)
         await healed.open([1, 2])
-        after = await _take(healed.inbox(2), 5)
+        after = await _take(healed_received[2], 5)
         assert [m.payload for m in after] == list(range(10, 15))
-        assert healed.inbox(2).empty()  # exactly once, no stray replays
+        assert healed_received[2].empty()  # exactly once, no stray replays
         assert sender.reconnects >= 1, "the outage must register as healing"
         assert not sender.broken_channels
         assert sender._error is None
@@ -118,12 +125,13 @@ def test_restarted_sender_incarnation_resets_dedupe():
 
     async def scenario():
         receiver = TcpTransport(roster=dict(roster), local_parties=[2])
+        received = arrivals(receiver)
         await receiver.open([1, 2])
         first = TcpTransport(roster=dict(roster), local_parties=[1], ack_every=1)
         await first.open([1, 2])
         for index in range(5):
             first.send([(_msg(1, 2, ("first", index)), 0.0)])
-        got = await _take(receiver.inbox(2), 5)
+        got = await _take(received[2], 5)
         assert [m.payload for m in got] == [("first", i) for i in range(5)]
         first.close()
 
@@ -132,7 +140,7 @@ def test_restarted_sender_incarnation_resets_dedupe():
         await reborn.open([1, 2])
         for index in range(5):
             reborn.send([(_msg(1, 2, ("reborn", index)), 0.0)])
-        late = await _take(receiver.inbox(2), 5)
+        late = await _take(received[2], 5)
         assert [m.payload for m in late] == [("reborn", i) for i in range(5)]
         reborn.close()
         receiver.close()

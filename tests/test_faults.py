@@ -7,10 +7,10 @@ Three layers under test:
   fault rules, corrupt-vs-drop cause logging, latency/skew extra delay,
   and the canonical spec/hash/fresh round trip that makes a plan
   replayable from its JSON artifact alone.
-* **Cross-transport replay equivalence** -- the same seeded plan, fed the
-  same per-channel message sequences, makes identical decisions on
-  :class:`InProcessTransport` and :class:`TcpTransport` (checked both by
-  driving the transports directly with a scripted message stream and by
+* **Cross-fabric replay equivalence** -- the same seeded plan, fed the
+  same per-channel message sequences, makes identical decisions on the
+  simulator and over :class:`TcpTransport` sockets, where the scheduler's
+  gate runs at send (checked both with a scripted message stream and by
   running the Acast workload end to end over real sockets).
 * **Campaigns** -- :func:`run_case` against the guarantee table (safety
   always; liveness for delivery-preserving plans within the kill
@@ -25,7 +25,6 @@ tier2.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 
@@ -52,10 +51,10 @@ from repro.faults.campaign import (
     main as campaign_main,
     repro_command,
 )
-from repro.runtime import InProcessTransport
+from repro.faults.plan import DELIVER, DROP, DUPLICATE, HOLD
+from repro.runtime import AsyncioBackend, SimBackend
 from repro.runtime.tcp_transport import TcpTransport
-from repro.runtime.transport import DELIVER, DROP, DUPLICATE, HOLD
-from repro.sim.messages import Message
+from repro.sim.party import ProtocolInstance
 
 
 # -- rule validation ---------------------------------------------------------
@@ -247,16 +246,26 @@ def test_sample_plan_is_seed_deterministic():
         assert all(1 <= pid <= 4 for pid in plan.killed_parties())
 
 
-# -- cross-transport replay equivalence --------------------------------------
+# -- cross-fabric replay equivalence -----------------------------------------
 
-def _scripted_messages():
-    """A fixed interleaved stream over every channel of a 3-party roster."""
-    pairs = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
-    return [
-        Message(s, r, "chaos", (s, r, seq), 0.0)
-        for seq in range(10)
-        for (s, r) in pairs
-    ]
+class _ScriptedStream(ProtocolInstance):
+    """A fixed interleaved stream over every channel of a 3-party roster:
+    ten rounds, each one message per ordered pair, all sent at once."""
+
+    PAIRS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+
+    def __init__(self, party, tag, got):
+        super().__init__(party, tag)
+        self.got = got
+
+    def start(self):
+        for seq in range(10):
+            for sender, recipient in self.PAIRS:
+                if sender == self.me:
+                    self.send(recipient, (sender, recipient, seq))
+
+    def receive(self, sender, payload):
+        self.got.setdefault(self.me, []).append(payload)
 
 
 def _partition_plan() -> FaultPlan:
@@ -267,45 +276,25 @@ def _partition_plan() -> FaultPlan:
     )
 
 
-def _drain_payloads(transport, pid):
-    queue = transport.inbox(pid)
-    out = []
-    while not queue.empty():
-        message, _handled = queue.get_nowait()
-        out.append(message.payload)
-    return out
+def _stream_on(backend):
+    got = {}
+    backend.run(lambda party: _ScriptedStream(party, "chaos", got),
+                wait_for_all_honest=False, max_time=100.0)
+    return got
 
 
 @pytest.mark.tcp
 def test_partition_plan_replays_identically_across_transports():
     """Same plan + same per-channel message sequence => same decisions and
-    the same delivered set, whether frames cross an asyncio.Queue or a real
-    localhost socket.  Seq-windowed partitions are exact on both, so the
-    heal point lands on the identical message."""
+    the same delivered set, whether the gate runs at hand-out on the
+    simulator or at send over a real localhost socket.  Seq-windowed
+    partitions are exact on both, so the heal point lands on the identical
+    message."""
     in_plan = _partition_plan()
-    in_process = InProcessTransport(faults=in_plan)
-    in_process.open([1, 2, 3])
-    for message in _scripted_messages():
-        in_process.deliver(message)
-    in_got = {pid: _drain_payloads(in_process, pid) for pid in (1, 2, 3)}
-
+    in_got = _stream_on(SimBackend(3, seed=1, faults=in_plan))
     tcp_plan = _partition_plan()
-
-    async def over_tcp():
-        transport = TcpTransport(faults=tcp_plan)
-        await transport.open([1, 2, 3])
-        for message in _scripted_messages():
-            transport.send([(message, 0.0)])
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + 60.0
-        while not transport.quiescent():
-            assert loop.time() < deadline, "TCP deliveries did not settle"
-            await asyncio.sleep(0.01)
-        got = {pid: _drain_payloads(transport, pid) for pid in (1, 2, 3)}
-        transport.close()
-        return got
-
-    tcp_got = asyncio.run(over_tcp())
+    tcp_got = _stream_on(AsyncioBackend(3, seed=1, time_scale=0.001,
+                                        transport=TcpTransport(), faults=tcp_plan))
 
     assert sorted(in_plan.log) == sorted(tcp_plan.log)
     for pid in (1, 2, 3):
@@ -322,17 +311,17 @@ def test_partition_plan_replays_identically_across_transports():
 
 @pytest.mark.tcp
 def test_fault_plan_replays_identically_over_tcp_acast():
-    """End-to-end cross-transport determinism on a live protocol: the same
-    seeded delivery-preserving plan faults exactly the same messages under
-    the virtual-clock in-process run and the real-socket run."""
+    """End-to-end cross-fabric determinism on a live protocol: the same
+    seeded delivery-preserving plan faults exactly the same messages on the
+    simulator and over real sockets."""
     from test_tcp import run_acast_on
 
     in_plan = FaultPlan(seed=11,
                         link_faults=[LinkFault(duplicate=0.15, reorder=0.15)])
     tcp_plan = in_plan.fresh()
-    run_a = run_acast_on("asyncio", transport=InProcessTransport(faults=in_plan))
-    run_b = run_acast_on("asyncio", clock="real", time_scale=0.001,
-                         transport=TcpTransport(faults=tcp_plan))
+    run_a = run_acast_on("sim", faults=in_plan)
+    run_b = run_acast_on("asyncio", time_scale=0.001, transport=TcpTransport(),
+                         faults=tcp_plan)
     assert run_a.honest_outputs() == run_b.honest_outputs()
     # Hash-keyed decisions are a pure function of (seed, channel, seq), so
     # every message both runs sent was faulted identically.  The run *ends*
@@ -346,6 +335,68 @@ def test_fault_plan_replays_identically_over_tcp_acast():
     assert len(common) >= 0.9 * max(len(a), len(b))
     assert {k: a[k] for k in common} == {k: b[k] for k in common}
     assert any(a[key] != DELIVER for key in common)
+
+
+# -- the move pinned: one plan, one run, on either backend --------------------
+
+#: Plans A, B and C: outputs, output instants, sent / delivered messages,
+#: honest bits, events and decisions, as recorded when the fault gate still
+#: lived in an in-process transport under a virtual-clock asyncio loop.
+PINNED_PLANS = {
+    "A": (lambda: FaultPlan(seed=1, link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
+          True, ([360], {145.052}, 4926, 6680, 2480853, 8320, 4922)),
+    "B": (lambda: FaultPlan(seed=11, link_faults=[
+              LinkFault(duplicate=0.15, reorder=0.15, drop=0.05)]),
+          False, (None, set(), 9066, 12573, 2952501, 14019, 9066)),
+    "C": (lambda: FaultPlan(seed=3, process_faults=[
+              ProcessFault(party=4, restart=False, sim_time=5.0)],
+              link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
+          True, ([0], {149.052}, 4077, 4578, 2159433, 6998, 3257)),
+}
+
+
+def _pinned_run(backend_name, plan, synchronous):
+    """``run_case``'s setup: the n=4 product, inputs ``pid + 2``, seed 0."""
+    from repro.circuits import multiplication_circuit
+    from repro.field import default_field
+    from repro.mpc import run_mpc
+    from repro.mpc.protocol import cir_eval_time_bound
+    from repro.runtime import make_backend
+    from repro.sim import AsynchronousNetwork, SynchronousNetwork
+
+    field = default_field()
+    circuit = multiplication_circuit(field, n_parties=4)
+    network = SynchronousNetwork() if synchronous else AsynchronousNetwork()
+    pace = {"time_scale": 0.0002} if backend_name == "asyncio" else {}
+    backend = make_backend(backend_name, 4, network=network, field=field, faults=plan, **pace)
+    for pf in plan.process_faults:
+        backend.crash_party(pf.party, at_time=pf.sim_time)
+    max_time = 8.0 * cir_eval_time_bound(4, 1, circuit.multiplicative_depth, network.delta) + 50
+    return run_mpc(circuit, {pid: pid + 2 for pid in range(1, 5)}, n=4, ts=1, ta=0,
+                   seed=0, max_time=max_time, backend=backend)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_a_plan_runs_the_same_on_the_simulator_and_the_paced_backend(name):
+    make_plan, synchronous, expected = PINNED_PLANS[name]
+    logs = []
+    for backend_name in ("sim", "asyncio"):
+        plan = make_plan()
+        result = _pinned_run(backend_name, plan, synchronous)
+        metrics = result.metrics
+        outputs = [int(v) for v in result.outputs] if result.outputs else None
+        assert (
+            outputs,
+            {round(time, 3) for time in result.output_times.values()},
+            metrics.messages_sent,
+            metrics.messages_delivered,
+            metrics.honest_bits,
+            result.run.simulator.events_processed,
+            len(plan.log),
+        ) == expected, backend_name
+        logs.append(plan.log)
+    assert logs[0] == logs[1]
 
 
 # -- campaigns vs the guarantee table ----------------------------------------

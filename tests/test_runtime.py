@@ -1,18 +1,18 @@
-"""The pluggable execution runtime: backend parity, transport faults,
+"""The pluggable execution runtime: backend parity, network faults,
 reproducibility, and the protocols-never-touch-the-Simulator contract.
 
-The acceptance bar for the runtime refactor:
+The acceptance bar for the runtime:
 
 * ``SimBackend`` is the historical simulator bit for bit (the scenario
   matrix in ``test_scenario_matrix.py`` runs through it unchanged).
-* ``AsyncioBackend`` under the virtual clock runs the scenario-matrix
-  diagonal (honest + crash, sync + async network) with honest outputs equal
-  to the sim backend's -- in fact the whole transcript fingerprint matches,
-  because the virtual-clock scheduler reproduces the simulator's event
-  ordering and rng draw discipline exactly.
-* Transport-level faults (crash-stop endpoints, duplicated and reordered
-  deliveries) exercise the queue fabric without protocol changes.
-* A seeded virtual-clock run replays identically.
+* ``AsyncioBackend`` is that simulator paced by the wall clock: it runs the
+  scenario-matrix diagonal (honest + crash, sync + async network) with the
+  simulator's honest outputs and transcript fingerprint, because it is the
+  same scheduler -- one ``step``, one event ordering, one rng discipline.
+* Network faults (crash-stop endpoints, duplicated and reordered
+  deliveries) go through the scheduler's one fault gate without protocol
+  changes.
+* A seeded run replays identically.
 * No protocol module imports the Simulator: protocols depend only on the
   :class:`~repro.runtime.api.PartyRuntime` context API.
 """
@@ -31,12 +31,7 @@ from repro.circuits import multiplication_circuit
 from repro.faults import FaultPlan, LinkFault
 from repro.field import default_field
 from repro.mpc import run_mpc
-from repro.runtime import (
-    AsyncioBackend,
-    InProcessTransport,
-    SimBackend,
-    make_backend,
-)
+from repro.runtime import AsyncioBackend, SimBackend, make_backend
 from repro.runtime.tcp_transport import TcpTransport
 from repro.service import MpcService, ServiceConfig
 from repro.sim import SynchronousNetwork
@@ -124,7 +119,7 @@ def test_asyncio_real_clock_completes_correctly():
     sim = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=3)
     result = run_mpc(
         circuit, inputs, n=4, ts=1, ta=0, seed=3,
-        backend="asyncio", clock="real", time_scale=0.0002,
+        backend="asyncio", time_scale=0.0002,
     )
     assert result.completed and result.agreed
     assert result.outputs == sim.outputs == circuit.evaluate(
@@ -135,11 +130,11 @@ def test_asyncio_real_clock_completes_correctly():
     assert result.run.backend.schedule_misses == []
 
 
-# -- transport faults ---------------------------------------------------------
+# -- network faults -----------------------------------------------------------
 
 
 def test_crash_party_mid_protocol():
-    """A transport-level crash-stop mid-run: the survivors still finish."""
+    """A crash-stop mid-run: the survivors still finish."""
     scenario = Scenario(4, 1, 0, "honest", "sync", None)
     backend = AsyncioBackend(
         4, network=scenario.build_network(), seed=scenario.scenario_seed
@@ -199,11 +194,7 @@ def test_duplicated_deliveries_are_idempotent():
     scenario = Scenario(4, 1, 0, "honest", "sync", None)
     clean = run_preprocessing_on(scenario, "asyncio")
     noisy = run_preprocessing_on(
-        scenario,
-        "asyncio",
-        transport=InProcessTransport(
-            faults=FaultPlan(7, link_faults=[LinkFault(duplicate=1.0)])
-        ),
+        scenario, "asyncio", faults=FaultPlan(7, link_faults=[LinkFault(duplicate=1.0)])
     )
     assert canonical_outputs(noisy) == canonical_outputs(clean)
     # Duplication is pure waste: same sends, strictly more handling.
@@ -211,14 +202,10 @@ def test_duplicated_deliveries_are_idempotent():
 
 
 def test_reordered_deliveries_still_terminate_with_valid_triples():
-    """Adjacent-swap reordering at the transport: async-safe protocols cope."""
+    """Adjacent-swap reordering at hand-out: async-safe protocols cope."""
     scenario = Scenario(4, 1, 0, "honest", "sync", None)
     result = run_preprocessing_on(
-        scenario,
-        "asyncio",
-        transport=InProcessTransport(
-            faults=FaultPlan(13, link_faults=[LinkFault(reorder=0.4)])
-        ),
+        scenario, "asyncio", faults=FaultPlan(13, link_faults=[LinkFault(reorder=0.4)])
     )
     outputs = result.honest_outputs()
     assert len(outputs) == 4
@@ -233,11 +220,9 @@ def test_asyncio_virtual_clock_is_seed_reproducible():
         return run_preprocessing_on(
             scenario,
             "asyncio",
-            transport=InProcessTransport(
-                faults=FaultPlan(
-                    scenario.scenario_seed,
-                    link_faults=[LinkFault(duplicate=0.2, reorder=0.2)],
-                )
+            faults=FaultPlan(
+                scenario.scenario_seed,
+                link_faults=[LinkFault(duplicate=0.2, reorder=0.2)],
             ),
         )
 
@@ -368,7 +353,7 @@ def test_real_clock_flushes_envelopes_and_every_channel_stays_fifo():
     across all of them; the logical counts and events are the simulator's."""
     emitted, received = {}, {}
     transport = RecordingTransport()
-    backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=3, clock="real",
+    backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=3,
                              time_scale=0.002, transport=transport)
     result = backend.run(lambda party: RoundBursts(party, "bursts", emitted, received),
                          wait_for_all_honest=False, max_time=1_000.0)
@@ -430,8 +415,10 @@ class Hoarder(ProtocolInstance):
 @pytest.mark.parametrize("backend_name", ["sim", "asyncio"])
 def test_no_full_collection_while_a_simulated_time_loop_runs(backend_name):
     """Seen from ``gc.callbacks``: young passes go on inside the loop, the
-    oldest generation waits until it has returned."""
-    backend = make_backend(backend_name, 2, network=SynchronousNetwork(), seed=0)
+    oldest generation waits until it has returned.  (Each bounce is an
+    instant of its own: the paced run goes at a microsecond per Δ.)"""
+    pace = {"time_scale": 1e-6} if backend_name == "asyncio" else {}
+    backend = make_backend(backend_name, 2, network=SynchronousNetwork(), seed=0, **pace)
     in_loop = False
     passes = {"young": 0, "full": 0, "full_after": 0}
 
@@ -609,37 +596,32 @@ def test_no_protocol_module_imports_the_simulator():
     assert not offenders, f"protocol modules importing the Simulator: {offenders}"
 
 
-def test_both_simulated_time_loops_take_their_queue_from_one_module():
-    """One scheduler, two front ends: ``sim/simulator.py`` and
-    ``runtime/asyncio_backend.py`` import the same ``EventQueue`` and neither
-    keeps a heap of its own."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-    sources = {}
-    for relative in ("sim/simulator.py", "runtime/asyncio_backend.py"):
-        tree = ast.parse((src / relative).read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-                if any(alias.name == "EventQueue" for alias in node.names):
-                    sources[relative] = node.module
-        assert not {"heapq", "itertools"} & imported, relative
-    assert sources == {
-        "sim/simulator.py": "repro.runtime.event_queue",
-        "runtime/asyncio_backend.py": "repro.runtime.event_queue",
-    }
+def test_the_simulator_is_the_only_scheduler():
+    """One scheduler: only ``sim/simulator.py`` builds an ``EventQueue``, and
+    ``AsyncioBackend`` is a ``Simulator`` that defines none of
+    ``submit_message``, ``step``, ``crash_party`` or ``revive_party`` -- it
+    inherits them and only paces them."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    queue_sites = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EventQueue":
+                queue_sites.append(str(path.relative_to(src)))
+    assert queue_sites == ["repro/sim/simulator.py"]
+    assert issubclass(AsyncioBackend, Simulator)
+    for name in ("submit_message", "step", "crash_party", "revive_party"):
+        assert name not in vars(AsyncioBackend), name
 
 
 def test_fault_plan_is_the_only_fault_injector():
-    """One mechanism: only ``FaultPlan`` defines ``decide``, and ``runtime/``
-    spells no other injector's name and no ``latency`` identifier -- not as a
-    definition, import, parameter, dataclass field, attribute or export."""
+    """One mechanism: only ``FaultPlan`` defines ``decide``, exactly one
+    function asks it (the gate), and ``runtime/`` spells no other injector's
+    name and no ``latency`` identifier -- not as a definition, import,
+    parameter, dataclass field, attribute or export."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     # Spelt in halves so a repo-wide grep for the deleted names stays empty.
     banned = re.compile(r"latency|\w*Faults|Fault" r"Schedule|Latency" r"Shim")
-    deciders, offenders = [], []
+    deciders, askers, offenders = [], [], []
     for path in sorted((src / "repro").rglob("*.py")):
         relative = str(path.relative_to(src))
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
@@ -648,6 +630,15 @@ def test_fault_plan_is_the_only_fault_injector():
             for node in nodes
             if isinstance(node, ast.ClassDef)
             and any(getattr(item, "name", None) == "decide" for item in node.body)
+        ]
+        askers += [
+            f"{relative}:{node.name}"
+            for node in nodes
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "decide"
+                for call in ast.walk(node)
+            )
         ]
         if not relative.startswith("repro/runtime/"):
             continue
@@ -661,6 +652,7 @@ def test_fault_plan_is_the_only_fault_injector():
                 if isinstance(name, str) and banned.fullmatch(name)
             ]
     assert deciders == ["repro/faults/plan.py:FaultPlan"]
+    assert askers == ["repro/faults/plan.py:admit"]
     assert not offenders
 
 
@@ -691,8 +683,8 @@ def test_missed_regular_mode_deadlines_stall_crash_sync_only(monkeypatch):
       breaks the n-clique the t_a=0 fallback requires, which is the reason
       that one cell (and only that one) hangs under a real clock.
 
-    Backend parity for the crash+sync cell under *virtual* time is covered
-    by test_asyncio_backend_matches_sim_backend_on_diagonal.
+    Backend parity for the crash+sync cell on the in-process paced run is
+    covered by test_asyncio_backend_matches_sim_backend_on_diagonal.
     """
     from repro.ba.sba import PhaseKingSBA
     from repro.broadcast.bc import BroadcastCarrier

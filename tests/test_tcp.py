@@ -8,9 +8,9 @@ Layers under test:
 * single-process TCP (all parties in one :class:`AsyncioBackend`, every
   non-self message over a real localhost socket) produces the same outputs
   and send metrics as the sim backend -- the wire-parity mode;
-* one seeded :class:`~repro.faults.FaultPlan` faults the *same* messages
-  under :class:`InProcessTransport` and :class:`TcpTransport` (seeded
-  fault-replay equivalence);
+* one seeded :class:`~repro.faults.FaultPlan` faults the *same* messages on
+  the simulator and over :class:`TcpTransport` (seeded fault-replay
+  equivalence: one gate, run where a message is handed out);
 * the multi-process harness (:class:`TcpBackend` + ``python -m
   repro.launch``) runs one OS process per party and reassembles outputs and
   metrics at the launcher.
@@ -22,6 +22,7 @@ SIGALRM per-test timeout so a wedged socket can never hang tier-1.
 from __future__ import annotations
 
 import asyncio
+import fractions
 import pickle
 import time
 from collections import OrderedDict
@@ -36,7 +37,7 @@ from repro.field.polynomial import Polynomial
 from repro.mpc import run_mpc
 from repro.circuits import multiplication_circuit
 from repro.faults import FaultPlan, LinkFault, LinkLatency
-from repro.runtime import AsyncioBackend, InProcessTransport, make_backend
+from repro.runtime import AsyncioBackend, make_backend
 from repro.runtime.launcher import TcpBackend, TcpPartyBackend, free_roster
 from repro.runtime.programs import AcastFactory, MultiAcastFactory
 from repro.runtime.errors import ScheduleMiss, WireDecodeError
@@ -58,7 +59,7 @@ from repro.sim.messages import Message, payload_bits
 from repro.sim.party import ProtocolInstance
 from repro.sim.simulator import SimulationMetrics
 
-from test_chaos_tcp import _until
+from test_chaos_tcp import _take, _until, arrivals
 
 FIELD = default_field()
 
@@ -114,13 +115,13 @@ def test_codec_roundtrip_large_modulus():
     assert decoded.field.modulus == big.modulus
 
 
-def test_codec_pickle_fallback_for_unknown_types():
-    # Anything without a tag of its own (e.g. a payload forged by a
-    # Byzantine behavior hook) rides the pickle fallback.
-    import fractions
-
-    forged = fractions.Fraction(22, 7)
-    assert decode_payload(encode_payload(forged)) == forged
+def test_codec_rejects_untagged_types_at_the_sender():
+    # Nothing without a tag of its own crosses the wire: the sender learns
+    # which type it tried to send, and no receiver ever unpickles.
+    with pytest.raises(TypeError, match="Fraction"):
+        encode_payload(fractions.Fraction(22, 7))
+    with pytest.raises(TypeError, match="Fraction"):
+        encode_payload(("nested", [fractions.Fraction(1, 3)]))
 
 
 def test_codec_rejects_trailing_garbage():
@@ -168,16 +169,10 @@ def run_acast_on(backend, n=4, seed=3, length=5, until_quiescent=False, **option
                      wait_for_all_honest=not until_quiescent)
 
 
-def test_tcp_requires_real_clock():
-    with pytest.raises(ValueError, match="virtual clock"):
-        AsyncioBackend(4, transport=TcpTransport())
-
-
 @pytest.mark.tcp
 def test_single_process_tcp_acast_matches_sim():
     sim = run_acast_on("sim")
-    tcp = run_acast_on("asyncio", clock="real", time_scale=0.001,
-                       transport=TcpTransport())
+    tcp = run_acast_on("asyncio", time_scale=0.001, transport=TcpTransport())
     assert tcp.honest_outputs() == sim.honest_outputs()
     assert tcp.metrics.messages_sent == sim.metrics.messages_sent
     assert tcp.metrics.total_bits == sim.metrics.total_bits
@@ -187,8 +182,8 @@ def test_single_process_tcp_acast_matches_sim():
 @pytest.mark.tcp
 def test_single_process_tcp_acast_matches_sim_n16():
     sim = run_acast_on("sim", n=16, length=8)
-    tcp = run_acast_on("asyncio", n=16, length=8, clock="real",
-                       time_scale=0.001, transport=TcpTransport())
+    tcp = run_acast_on("asyncio", n=16, length=8, time_scale=0.001,
+                       transport=TcpTransport())
     assert tcp.honest_outputs() == sim.honest_outputs()
     assert len(tcp.honest_outputs()) == 16
     assert tcp.metrics.messages_sent == sim.metrics.messages_sent
@@ -202,8 +197,7 @@ def test_single_process_tcp_with_latency_still_agrees():
         LinkLatency(base=base / time_scale, jitter=0.01 / time_scale)])
     started = time.monotonic()
     tcp = run_acast_on(
-        "asyncio", clock="real", time_scale=time_scale,
-        transport=TcpTransport(faults=plan),
+        "asyncio", time_scale=time_scale, transport=TcpTransport(), faults=plan,
     )
     elapsed = time.monotonic() - started
     assert tcp.honest_outputs() == run_acast_on("sim").honest_outputs()
@@ -212,12 +206,13 @@ def test_single_process_tcp_with_latency_still_agrees():
     assert elapsed >= 2 * base
 
 
-# -- seeded fault-replay equivalence across transports -----------------------
+# -- seeded fault-replay equivalence across fabrics ---------------------------
 
 @pytest.mark.tcp
 def test_fault_schedule_replays_identically_over_tcp():
     """One ``(spec, seed)`` faults the same ``(sender, recipient, seq)`` on
-    both transports, with and without a latency rule stretching the links.
+    the simulator and over sockets, with and without a latency rule
+    stretching the links.
 
     Both runs go on to quiescence, so every message of the broadcast is
     handed off on both and the logs are comparable in full; the global
@@ -228,12 +223,10 @@ def test_fault_schedule_replays_identically_over_tcp():
     for latencies in ((), slow_sender):
         in_process = FaultPlan(11, link_faults=link_faults, latencies=latencies)
         over_tcp = in_process.fresh()
-        run_a = run_acast_on(
-            "asyncio", until_quiescent=True,
-            transport=InProcessTransport(faults=in_process))
+        run_a = run_acast_on("sim", until_quiescent=True, faults=in_process)
         run_b = run_acast_on(
-            "asyncio", until_quiescent=True, clock="real", time_scale=0.001,
-            transport=TcpTransport(faults=over_tcp))
+            "asyncio", until_quiescent=True, time_scale=0.001,
+            transport=TcpTransport(), faults=over_tcp)
         assert run_a.honest_outputs() == run_b.honest_outputs()
         assert len(run_a.honest_outputs()) == 4
         # Equal as multisets of (cause, sender, recipient, seq), hence
@@ -333,16 +326,16 @@ def test_tier2_preprocessing_grid_over_tcp(scenario_index):
     mode yields ⊥ everywhere, and the BA falls back to the star2 path that
     at t_a=0 needs a full n-clique -- which the crashed party breaks,
     stalling the run.  Honest cells pass because the clique is intact; async
-    cells pass because they take no synchronous deadlines; the virtual-clock
-    grid in test_runtime.py covers the cell itself because virtual time
-    cannot run ahead of computation.  Not a transport property."""
+    cells pass because they take no synchronous deadlines; the in-process
+    grid in test_runtime.py covers the cell itself because one process
+    hands every event out at its nominal instant.  Not a transport
+    property."""
     from test_runtime import DIAGONAL, run_preprocessing_on
     from test_scenario_matrix import triples_are_valid
 
     scenario = DIAGONAL[scenario_index]
     tcp = run_preprocessing_on(
-        scenario, "asyncio", clock="real", time_scale=0.001,
-        transport=TcpTransport(),
+        scenario, "asyncio", time_scale=0.001, transport=TcpTransport(),
     )
     # Real-clock scheduling is nondeterministic (so no bit-for-bit sim
     # comparison, exactly like the in-process real-clock tests): the
@@ -581,11 +574,8 @@ def test_envelope_decoder_yields_messages_or_a_wire_decode_error(blob):
 
 # -- envelopes: the transport --------------------------------------------------
 
-async def _take(queue, count, timeout=30.0):
-    return [
-        (await asyncio.wait_for(queue.get(), timeout))[0].payload
-        for _ in range(count)
-    ]
+async def _take_payloads(queue, count):
+    return [message.payload for message in await _take(queue, count)]
 
 
 @pytest.mark.tcp
@@ -616,6 +606,7 @@ def test_a_one_message_envelope_is_one_frame_carrying_its_due_byte_for_byte():
 def test_channel_order_is_emission_order_within_and_across_envelopes():
     async def scenario():
         transport = TcpTransport()
+        received = arrivals(transport)
         await transport.open([1, 2, 3])
         sent = {2: [], 3: []}
         for envelope_index in range(4):
@@ -626,10 +617,10 @@ def test_channel_order_is_emission_order_within_and_across_envelopes():
                 sent[recipient].append(payload)
                 envelope.append(_msg(1, recipient, payload))
             transport.send(_wire(envelope))
-        got = {pid: await _take(transport.inbox(pid), len(sent[pid])) for pid in (2, 3)}
+        got = {pid: await _take_payloads(received[pid], len(sent[pid])) for pid in (2, 3)}
         assert got == sent
         await _until(transport.quiescent, what="the in-flight count to settle")
-        assert transport.inbox(2).empty() and transport.inbox(3).empty()
+        assert received[2].empty() and received[3].empty()
         # One frame per channel per envelope, every message in exactly one.
         assert transport.frames_sent == 2 * 4
         assert transport.messages_framed == 100
@@ -639,7 +630,8 @@ def test_channel_order_is_emission_order_within_and_across_envelopes():
 
 
 class _ScriptedFaults:
-    """Decisions by handoff seq on channel 1->2; everything else delivers."""
+    """Decisions by channel seq on 1->2; everything else delivers, nothing
+    is late."""
 
     def __init__(self, script):
         self.script = script
@@ -653,39 +645,78 @@ class _ScriptedFaults:
         self.log.append((decision, sender, recipient, seq))
         return decision
 
+    def extra_delay(self, sender, recipient, send_time):
+        return 0.0
+
+
+class _Rounds(ProtocolInstance):
+    """P1 sends each round's ``(recipient, payload)`` list at one instant,
+    2 Δ apart; every party logs what it receives, in order."""
+
+    def __init__(self, party, tag, rounds, log):
+        super().__init__(party, tag)
+        self.rounds = rounds
+        self.log = log
+        self.index = 0
+
+    def start(self):
+        if self.me != 1:
+            return
+        for recipient, payload in self.rounds[self.index]:
+            self.send(recipient, payload)
+        self.index += 1
+        if self.index < len(self.rounds):
+            self.schedule_after(2.0, self.start)
+
+    def receive(self, sender, payload):
+        self.log.setdefault(self.me, []).append(payload)
+
+
+class _WireRecorder(TcpTransport):
+    """Keeps each recipient's payloads in the order they went on the wire."""
+
+    def __init__(self):
+        super().__init__()
+        self.wire = {}
+
+    def send(self, envelope):
+        for message, _due in envelope:
+            self.wire.setdefault(message.recipient, []).append(message.payload)
+        super().send(envelope)
+
+
+def _run_rounds(rounds, faults, transport=None):
+    """The rounds on the simulator, or over ``transport`` (one process)."""
+    if transport is None:
+        backend = make_backend("sim", 3, seed=1, faults=faults)
+    else:
+        backend = AsyncioBackend(3, seed=1, time_scale=0.001, transport=transport,
+                                 faults=faults)
+    log = {}
+    backend.run(lambda party: _Rounds(party, "rounds", rounds, log),
+                wait_for_all_honest=False, max_time=1_000.0)
+    return log
+
 
 @pytest.mark.tcp
 def test_faults_are_decided_per_logical_message_inside_one_envelope():
     """HOLD is released behind the next entry for that recipient, DUPLICATE
-    is two entries, DROP is none -- and the log is InProcessTransport's."""
+    is two entries, DROP is none, a hold still open when the run quiesces
+    goes last -- and the log is the simulator's."""
     script = {0: "hold", 2: "duplicate", 3: "drop", 5: "hold"}
-    envelope = [_msg(1, 2, index) for index in range(6)] + [_msg(1, 3, "other")]
-    expected = [1, 0, 2, 2, 4]  # 5 stays held until the flush
+    rounds = [[(2, index) for index in range(6)] + [(3, "other")]]
+    expected = {2: [1, 0, 2, 2, 4, 5], 3: ["other"]}
 
     in_faults = _ScriptedFaults(script)
-    in_process = InProcessTransport(faults=in_faults)
-    in_process.open([1, 2, 3])
-    pairs = [pair for message in envelope for pair in in_process.deliver(message)]
-    assert [m.payload for m, _ in pairs if m.recipient == 2] == expected
+    assert _run_rounds(rounds, in_faults) == expected
 
     tcp_faults = _ScriptedFaults(script)
-
-    async def over_tcp():
-        transport = TcpTransport(faults=tcp_faults)
-        await transport.open([1, 2, 3])
-        transport.send(_wire(envelope))
-        assert await _take(transport.inbox(2), 5) == expected
-        assert await _take(transport.inbox(3), 1) == ["other"]
-        # One frame per channel; the duplicate and the released hold are
-        # entries of the same frame as their neighbours.
-        assert (transport.frames_sent, transport.messages_framed) == (2, 6)
-        transport.flush_reordered()
-        assert await _take(transport.inbox(2), 1) == [5]
-        await _until(transport.quiescent)
-        assert transport.inbox(2).empty()
-        transport.close()
-
-    asyncio.run(over_tcp())
+    transport = TcpTransport()
+    assert _run_rounds(rounds, tcp_faults, transport) == expected
+    # One frame per channel for the envelope -- the duplicate and the
+    # released hold are entries of the same frame as their neighbours --
+    # and one more for the hold released at quiescence.
+    assert (transport.frames_sent, transport.messages_framed) == (3, 7)
     assert tcp_faults.log == in_faults.log
     assert [seq for _, s, r, seq in tcp_faults.log if (s, r) == (1, 2)] == list(range(6))
 
@@ -693,39 +724,24 @@ def test_faults_are_decided_per_logical_message_inside_one_envelope():
 @pytest.mark.tcp
 def test_seeded_fault_schedule_gives_one_log_on_both_transports_per_envelope():
     rule = LinkFault(duplicate=0.2, reorder=0.2, drop=0.1)
-    envelopes = [
-        [_msg(1, 2 + index % 2, (round_index, index)) for index in range(40)]
+    rounds = [
+        [(2 + index % 2, (round_index, index)) for index in range(40)]
         for round_index in range(3)
     ]
 
     in_faults = FaultPlan(21, link_faults=[rule])
-    in_process = InProcessTransport(faults=in_faults)
-    in_process.open([1, 2, 3])
-    in_got = {2: [], 3: []}
-    for envelope in envelopes:
-        for message in envelope:
-            for delivered, _ in in_process.deliver(message):
-                in_got[delivered.recipient].append(delivered.payload)
-    for message, _ in in_process.flush_reordered():
-        in_got[message.recipient].append(message.payload)
-
+    in_got = _run_rounds(rounds, in_faults)
     tcp_faults = in_faults.fresh()
-
-    async def over_tcp():
-        transport = TcpTransport(faults=tcp_faults)
-        await transport.open([1, 2, 3])
-        for envelope in envelopes:
-            transport.send(_wire(envelope))
-        transport.flush_reordered()
-        got = {pid: await _take(transport.inbox(pid), len(in_got[pid])) for pid in (2, 3)}
-        await _until(transport.quiescent)
-        assert transport.inbox(2).empty() and transport.inbox(3).empty()
-        transport.close()
-        return got
-
-    assert asyncio.run(over_tcp()) == in_got
+    transport = _WireRecorder()
+    tcp_got = _run_rounds(rounds, tcp_faults, transport)
+    # What goes on the wire, channel by channel, is what the simulator hands
+    # out.  A released hold keeps its own due, so the receiver may hand it
+    # out ahead of the entry that released it: compare what lands as sets.
+    assert transport.wire == in_got
+    assert {pid: sorted(got) for pid, got in tcp_got.items()} == \
+        {pid: sorted(got) for pid, got in in_got.items()}
     # One ordered log, not just equal multisets: a single sender hands both
-    # transports the same global sequence.
+    # fabrics the same global sequence.
     assert tcp_faults.log == in_faults.log
     assert {decision for decision, *_ in in_faults.log} == \
         {"deliver", "duplicate", "hold", "drop"}
@@ -756,8 +772,7 @@ class _CrashingSender(ProtocolInstance):
 @pytest.mark.tcp
 def test_an_open_envelope_outlives_its_sender_and_skips_crashed_recipients():
     transport = TcpTransport()
-    backend = AsyncioBackend(4, seed=1, clock="real", time_scale=0.001,
-                             transport=transport)
+    backend = AsyncioBackend(4, seed=1, time_scale=0.001, transport=transport)
     log = []
     backend.run(lambda party: _CrashingSender(party, "crash", log),
                 wait_for_all_honest=False, max_time=1_000.0)
@@ -791,6 +806,7 @@ def test_reconnect_replays_unacked_envelopes_once_and_drops_landed_ones_whole(mo
 
     async def scenario():
         receiver = TcpTransport(roster=dict(roster), local_parties=[2])
+        received = arrivals(receiver)
         await receiver.open([1, 2])
         sender = TcpTransport(
             roster=dict(roster), local_parties=[1],
@@ -799,7 +815,7 @@ def test_reconnect_replays_unacked_envelopes_once_and_drops_landed_ones_whole(mo
         await sender.open([1, 2])
         for index in range(3):
             sender.send(_wire(envelope(index)))
-        landed = await _take(receiver.inbox(2), 12)
+        landed = await _take_payloads(received[2], 12)
         assert landed == [(i, e) for i in range(3) for e in range(4)]
         state = sender._channel_states[(1, 2)]
         assert list(state.pending) == [1, 2, 3]  # one wire seq per envelope
@@ -807,11 +823,11 @@ def test_reconnect_replays_unacked_envelopes_once_and_drops_landed_ones_whole(mo
         connections[-1].transport.abort()
         for index in range(3, 6):
             sender.send(_wire(envelope(index)))
-        replayed = await _take(receiver.inbox(2), 12)
+        replayed = await _take_payloads(received[2], 12)
         assert replayed == [(i, e) for i in range(3, 6) for e in range(4)]
         # The re-ack of the landed high-water mark prunes exactly those.
         await _until(lambda: list(state.pending) == [4, 5, 6], what="the re-ack")
-        assert receiver.inbox(2).empty()  # the landed envelopes stayed dropped
+        assert received[2].empty()  # the landed envelopes stayed dropped
         assert receiver._recv_wseq[(1, 2)] == 6
         assert sender.reconnects == 1
         assert (sender.frames_sent, sender.messages_framed) == (6, 24)
@@ -828,6 +844,7 @@ def test_a_misrouted_envelope_is_a_typed_error_on_the_receiver():
 
     async def scenario():
         receiver = TcpTransport(roster=dict(roster), local_parties=[2])
+        received = arrivals(receiver)
         await receiver.open([1, 2])
         _, writer = await asyncio.open_connection(*roster[2])
         wrong = _envelope_bytes([_msg(1, 3, "not for P2")])
@@ -836,7 +853,7 @@ def test_a_misrouted_envelope_is_a_typed_error_on_the_receiver():
         await _until(lambda: receiver._error is not None, what="the decode error")
         assert isinstance(receiver._error, WireDecodeError)
         assert "misrouted" in str(receiver._error)
-        assert receiver.inbox(2).empty()
+        assert received[2].empty()
         writer.close()
         receiver.close()
 
@@ -1002,9 +1019,9 @@ def test_a_squatter_cannot_take_a_roster_port_between_selection_and_spawn(monkey
 
 @pytest.mark.tcp(timeout=240)
 def test_mpc_over_tcp_envelopes_matches_the_per_message_fabric():
-    """An n=4 ``him`` evaluation, three ways: the simulator, the real clock
-    over per-message in-process queues, and the real clock over TCP
-    envelopes in one process.  Every message carries its nominal due
+    """An n=4 ``him`` evaluation, three ways: the simulator, the simulator
+    paced by the wall clock, and the paced simulator over TCP envelopes in
+    one process.  Every message carries its nominal due
     instant, so all three take the simulator's path: the same outputs, the
     same messages and bits, no late carrier anywhere (one would be the
     fallback a real clock used to force, every run)."""
@@ -1016,10 +1033,10 @@ def test_mpc_over_tcp_envelopes_matches_the_per_message_fabric():
     sim = make_backend("sim", 4, seed=2).run(factory, max_time=10_000.0)
 
     def real(transport):
-        return make_backend("asyncio", 4, seed=2, clock="real", time_scale=0.002,
+        return make_backend("asyncio", 4, seed=2, time_scale=0.002,
                             transport=transport).run(factory, max_time=10_000.0)
 
-    queues = real(InProcessTransport())
+    queues = real(None)
     transport = TcpTransport()
     frame_sizes = []
     commit = transport._commit_frame
@@ -1056,7 +1073,7 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
     sim = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=1)
     transport = TcpTransport()
-    backend = AsyncioBackend(4, seed=1, clock="real", time_scale=0.0005, transport=transport)
+    backend = AsyncioBackend(4, seed=1, time_scale=0.0005, transport=transport)
     tcp = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=1, backend=backend)
     assert backend.schedule_misses == []
     assert tcp.outputs == sim.outputs and tcp.common_subset == [1, 2, 3, 4]

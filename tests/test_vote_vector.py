@@ -314,7 +314,7 @@ def test_real_clock_vss_publishes_no_empty_vote_vector():
     """Every ΠWPS votes at the bank's anchor, from the bank's own anchor timer:
     each honest party's vectors carry all n (and its own ΠVSS's one) votes."""
     poly = random_polynomial(1, 9, seed=51)
-    backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=5, clock="real",
+    backend = AsyncioBackend(4, network=SynchronousNetwork(), seed=5,
                              time_scale=0.004)
     result = backend.run(
         lambda party: VerifiableSecretSharing(
