@@ -142,6 +142,8 @@ def _run_mpc_on_tcp(n: int, seed: int = 0, time_scale: float = 0.05,
         "frames_sent": float(backend.frames_sent),
         "messages_framed": float(backend.messages_framed),
         "messages_per_frame": backend.messages_framed / backend.frames_sent,
+        "bundles_decoded": float(backend.bundles_decoded),
+        "bundle_memo_hits": float(backend.bundle_memo_hits),
     })
     return row
 
@@ -247,6 +249,7 @@ def smoke():
     tcp = rows["tcp"] = _run_mpc_on_tcp(4, time_scale=0.02, offline="him")
     assert 1 <= tcp["frames_sent"] <= tcp["messages_framed"]
     assert tcp["children_cpu_s"] > 0
+    assert 0 < tcp["bundle_memo_hits"] < tcp["bundles_decoded"]
     return rows
 
 
@@ -261,7 +264,9 @@ def main() -> None:
             print(f"  {name:16s} wall {row['wall_s']*1000:8.1f} ms   "
                   f"children {row['children_cpu_s']:.2f} CPU-s   "
                   f"{row['frames_sent']:.0f} frames / {row['messages_framed']:.0f} "
-                  f"messages ({row['messages_per_frame']:.1f} per frame)")
+                  f"messages ({row['messages_per_frame']:.1f} per frame), "
+                  f"{row['bundle_memo_hits']:.0f} of {row['bundles_decoded']:.0f} "
+                  f"bundles from the memo")
             continue
         print(f"  {name:16s} wall {row['wall_s']*1000:8.1f} ms   "
               f"{row['messages_per_s']:10.0f} msg/s   "

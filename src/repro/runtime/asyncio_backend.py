@@ -155,6 +155,7 @@ class AsyncioBackend(Simulator, ExecutionBackend):
         self._loop = asyncio.get_running_loop()
         if self.transport is not None:
             self.transport.on_arrival = self._arrive
+            self.transport.modulus = self.field.modulus
             await self.transport.open(list(self.parties))
 
     async def _main(

@@ -259,6 +259,8 @@ async def _party_main(
         "metrics": _metrics_dict(backend.metrics),
         "frames_sent": transport.frames_sent,
         "messages_framed": transport.messages_framed,
+        "bundles_decoded": transport.bundles_decoded,
+        "bundle_memo_hits": transport.bundle_memo_hits,
         "schedule_misses": [astuple(miss) for miss in backend.schedule_misses],
     })
     ctrl_task.cancel()
@@ -405,6 +407,10 @@ class TcpBackend(ExecutionBackend):
         #: on, and the logical messages those frames carried.
         self.frames_sent = 0
         self.messages_framed = 0
+        #: Bundle values the party processes of the latest run decoded, and
+        #: those their decode memos served unparsed.
+        self.bundles_decoded = 0
+        self.bundle_memo_hits = 0
         #: Every party process's schedule misses in the latest run.
         self.schedule_misses: List[ScheduleMiss] = []
         #: No in-process parties -- they live in the child processes.
@@ -592,11 +598,14 @@ class TcpBackend(ExecutionBackend):
 
         self.metrics = SimulationMetrics()
         self.frames_sent = self.messages_framed = 0
+        self.bundles_decoded = self.bundle_memo_hits = 0
         self.schedule_misses = []
         for done_msg in dones.values():
             _merge_metrics(self.metrics, done_msg["metrics"])
             self.frames_sent += done_msg["frames_sent"]
             self.messages_framed += done_msg["messages_framed"]
+            self.bundles_decoded += done_msg["bundles_decoded"]
+            self.bundle_memo_hits += done_msg["bundle_memo_hits"]
             self.schedule_misses += [
                 ScheduleMiss(*fields) for fields in done_msg["schedule_misses"]
             ]

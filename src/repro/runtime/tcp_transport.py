@@ -17,7 +17,11 @@ once.  The receiver bounds ``count`` and every length by the bytes left
 before it allocates, requires one ``(sender, recipient)`` channel per
 envelope and that recipient to be the listener's party, dedupes and
 acknowledges the frame as a whole, and hands each logical message to
-``on_arrival(message, due)`` (the backend queues it at ``due``).
+``on_arrival(message, due)`` (the backend queues it at ``due``).  It decodes
+through one :class:`~repro.runtime.wire.DecodeMemo` per ``open``: a residue
+over any modulus but :attr:`TcpTransport.modulus` (the backend's field) is a
+``WireDecodeError``, and each distinct bundle line is parsed once
+(:attr:`TcpTransport.bundles_decoded` / :attr:`TcpTransport.bundle_memo_hits`).
 Self-deliveries never touch a socket.  Wire seqs, ``ack_every`` and
 ``send_buffer_frames`` count *frames*; :attr:`TcpTransport.frames_sent` /
 :attr:`TcpTransport.messages_framed` are the ledger.
@@ -87,6 +91,7 @@ from repro.runtime.errors import (
     WireDecodeError,
 )
 from repro.runtime.wire import (
+    DecodeMemo,
     decode_envelope,
     encode_entry,
     encode_envelope,
@@ -150,6 +155,10 @@ class TcpTransport:
         #: ``on_arrival(message, due)`` takes what comes off the wire (the
         #: backend's scheduler); set before the first frame arrives.
         self.on_arrival: Optional[Callable[[object, float], None]] = None
+        #: The session field's modulus (the backend's, set with
+        #: ``on_arrival``): a residue off the wire over any other is a
+        #: ``WireDecodeError``.  None takes any.
+        self.modulus: Optional[int] = None
         self.host = host
         self.connect_timeout = connect_timeout
         #: Idle seconds between heartbeats per channel (0 disables them).
@@ -198,6 +207,9 @@ class TcpTransport:
         #: (replays of a frame are not counted again).
         self.frames_sent = 0
         self.messages_framed = 0
+        #: What the receive path decodes through, one per ``open``: the
+        #: session modulus and the bundle memo (:mod:`repro.runtime.wire`).
+        self._memo = DecodeMemo()
         #: local party -> bound socket handed over by :meth:`adopt_listener`.
         self._listeners: Dict[int, socket.socket] = {}
         self._local: Set[int] = set()
@@ -227,6 +239,7 @@ class TcpTransport:
         self.reconnects = 0
         self.frames_sent = 0
         self.messages_framed = 0
+        self._memo = DecodeMemo(self.modulus)
         self._inflight = 0
         for pid in sorted(self._local):
             listener = self._listeners.pop(pid, None)
@@ -242,6 +255,16 @@ class TcpTransport:
             if pid not in self.roster:
                 self.roster[pid] = server.sockets[0].getsockname()[:2]
             self._servers[pid] = server
+
+    @property
+    def bundles_decoded(self) -> int:
+        """Bundle values read off the wire since ``open``."""
+        return self._memo.decoded
+
+    @property
+    def bundle_memo_hits(self) -> int:
+        """Of :attr:`bundles_decoded`, those the memo served unparsed."""
+        return self._memo.hits
 
     def adopt_listener(self, party_id: int, listener: socket.socket) -> None:
         """Serve ``party_id`` on an already-bound socket (before ``open``).
@@ -360,7 +383,7 @@ class TcpTransport:
                     if len(body) < 9:
                         raise WireDecodeError("data frame shorter than its wire seq")
                     wseq = _U64.unpack_from(body, 1)[0]
-                    messages = decode_envelope(body, 9)
+                    messages = decode_envelope(body, 9, self._memo)
                     # One channel per envelope (decode_envelope's check), so
                     # the first entry speaks for every entry's routing.
                     sender = messages[0].sender

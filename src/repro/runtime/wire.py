@@ -32,16 +32,40 @@ the protocols put on the wire:
   eight bytes per residue, no per-element boxing on either side; decoding
   re-interns the field through ``GF(modulus)``, so receivers share the
   process-wide cached-matrix field instance,
+* a non-empty ``list`` of field elements of one field (tag ``L``, ΠWPS's
+  ``("points", [...])``): the same residue vector, boxed again on decode --
+  one modulus for the list instead of one per element,
 * a broadcast :class:`~repro.broadcast.acast.Bundle`, as the bitmaps its price
-  list counts (:func:`_bundle_bytes`): built once per object and kept on it,
-  so the ~9 fan-outs a party makes of one bundle encode it once; the decoder
-  keeps the slice it read as the new object's encoding.
+  list counts, behind the line's byte length (:func:`_bundle_bytes`)::
+
+      bundle := 'B'  length:u32  n:u8  count:u32  entry * count
+
+  built once per object and kept on it, so the ~9 fan-outs a party makes of
+  one bundle encode it once; the decoder keeps the line it read as the new
+  object's encoding.
 
 Nothing else crosses the wire: encoding a value of any other type raises
 ``TypeError`` naming it, at the sender.  A receiver therefore builds only
 the types above from a peer's bytes and never runs code a frame names -- it
 trusts no peer, Byzantine or not, with more than a malformed value of one of
 these types, which the protocols must reject anyway.
+
+A socket receiver decodes through a :class:`DecodeMemo`, one per transport.
+Fig 1 moves one bundle many times (a SEND, n ECHOs and n READYs, then a
+phase-king vote per round), so a party process receives byte-identical
+bundle lines again and again; the memo maps a line's **exact bytes** to the
+``Bundle`` it decoded to, and a copy hands back that object without parsing.
+A peer therefore cannot poison it -- other bytes are another key -- only
+evict lines, which costs a re-parse: it is bounded by :data:`MEMO_BUNDLES`
+lines and :data:`MEMO_BYTES` bytes, oldest out first.  Messages then share
+one decoded ``Bundle``, as they share one object in the simulator's
+``send_all``; a bundle is immutable apart from its idempotent caches, and
+one that does not hash (it holds a mutable container) is decoded fresh each
+time.  The memo also carries the session field's modulus: a residue over any
+other (``E``, ``P``, ``V``, ``R``, ``L``, a NOK line) is a
+``WireDecodeError``, checked before a bundle is memoized, so a hit needs no
+check.  Called without a memo (the control channels, checkpoints) the codec
+parses every value and takes any modulus.
 
 The codec is accounting-transparent: decoding reconstructs payloads whose
 :func:`~repro.sim.messages.payload_bits` equals the sender's, so the
@@ -52,8 +76,9 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from collections import OrderedDict
 from math import isfinite
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.broadcast.acast import (
     ABSENT,
@@ -86,6 +111,52 @@ _ENTRY_HEAD = struct.Struct(">IiidI")
 #: The smallest entry a peer can honestly send: its length field, the
 #: routing header, an empty tag's length and a one-byte payload.
 _MIN_ENTRY_BYTES = _ENTRY_HEAD.size + 1
+#: A bundle line up to its entries: 'B', its length, n, the entry count.
+_BUNDLE_HEAD = 10
+
+#: The bound of a :class:`DecodeMemo`.  A party process of an n = 4 product
+#: evaluation decodes ~109 distinct bundle lines of ~80 bytes each, so this
+#: holds about nine evaluations' worth; a longer line is never kept.
+MEMO_BUNDLES = 1024
+MEMO_BYTES = 1 << 17
+
+
+class DecodeMemo:
+    """One receiving session's decode state (see the module docstring): the
+    session field's ``modulus`` (None: any) and a bounded memo from a bundle
+    line's exact bytes to the :class:`Bundle` it decoded to."""
+
+    __slots__ = ("modulus", "bundles", "size", "decoded", "hits")
+
+    def __init__(self, modulus: Optional[int] = None):
+        self.modulus = modulus
+        #: line -> bundle, oldest first; ``size`` is the lines' total bytes.
+        self.bundles: "OrderedDict[bytes, Bundle]" = OrderedDict()
+        self.size = 0
+        #: Bundle values decoded through this memo, and how many were hits.
+        self.decoded = 0
+        self.hits = 0
+
+    def keep(self, line: bytes, bundle: Bundle) -> None:
+        """Memoize ``bundle`` under ``line``, evicting the oldest lines
+        until both bounds hold."""
+        if len(line) > MEMO_BYTES:
+            return
+        bundles = self.bundles
+        while len(bundles) >= MEMO_BUNDLES or self.size + len(line) > MEMO_BYTES:
+            old, _ = bundles.popitem(last=False)
+            self.size -= len(old)
+        bundles[line] = bundle
+        self.size += len(line)
+
+
+def _field(modulus: int, memo: Optional[DecodeMemo]) -> GF:
+    """The field of residues read over ``modulus``: with a session modulus,
+    any other is a ``WireDecodeError``."""
+    if memo is not None and memo.modulus is not None and modulus != memo.modulus:
+        raise WireDecodeError(
+            f"a residue over the modulus {modulus} in a session over {memo.modulus}")
+    return GF(modulus, check_prime=False)
 
 
 def _w_uint(buf: bytearray, value: int) -> None:
@@ -130,16 +201,18 @@ def _w_residues(buf: bytearray, modulus: int, values) -> None:
             _w_int(buf, value)
 
 
-def _r_residues(data: bytes, pos: int) -> tuple:
-    """A residue vector as ``(modulus, values, pos)``.
+def _r_residues(data: bytes, pos: int, memo: Optional[DecodeMemo]) -> tuple:
+    """A residue vector as ``(field, values, pos)``.
 
     The values go into trusted constructors (``_normalized=True``,
     :meth:`~repro.field.polynomial.Polynomial.from_reduced_ints`), so a
-    modulus below 2 or a value outside ``[0, modulus)`` is rejected here.
+    modulus below 2 (or not the session's) or a value outside
+    ``[0, modulus)`` is rejected here.
     """
     modulus, pos = _r_int(data, pos)
     if modulus < 2:
         raise WireDecodeError(f"residue vector over the modulus {modulus}")
+    field = _field(modulus, memo)
     (count,) = _U32.unpack_from(data, pos)
     pos += 4
     packed = data[pos]
@@ -163,13 +236,13 @@ def _r_residues(data: bytes, pos: int) -> tuple:
         values = tuple(out)
     if values and (min(values) < 0 or max(values) >= modulus):
         raise WireDecodeError("residue vector holds a value outside its field")
-    return modulus, values, pos
+    return field, values, pos
 
 
 def _bundle_bytes(bundle: Bundle) -> bytes:
     """``bundle``'s encoding, built on first use and kept on the object::
 
-        bundle := 'B'  n:u8  count:u32  entry * count
+        bundle := 'B'  length:u32  n:u8  count:u32  entry * count
         entry  := ABSENT
                 | VOTES     k:u8  two bits a slot: 0 none, 1 vote 0, 2 vote 1
                 | VERDICTS  k:u8  two bits a slot: 0 none, 1 OK, 2 NOK
@@ -178,14 +251,16 @@ def _bundle_bytes(bundle: Bundle) -> bytes:
                 | OTHER     value, in the general codec
 
     (:func:`~repro.broadcast.acast.entry_kind` picks the line, as it does for
-    the bit count.)  ``n`` outside 1..255 has no encoding: ValueError.
+    the bit count; ``length`` counts the bytes after it.)  ``n`` outside
+    1..255 has no encoding: ValueError.
     """
     if bundle.wire is not None:
         return bundle.wire
     n = bundle.n
     if not 0 < n < 256:
         raise ValueError(f"a bundle among {n} parties has no wire encoding")
-    buf = bytearray((ord("B"), n))
+    buf = bytearray(b"B\0\0\0\0")
+    buf.append(n)
     _w_uint(buf, len(bundle.entries))
     for entry in bundle.entries:
         kind = entry_kind(entry, n)
@@ -223,6 +298,7 @@ def _bundle_bytes(bundle: Bundle) -> bytes:
             for _, index, element in noks:
                 buf += _U32.pack(index)
                 buf += element.value.to_bytes((modulus.bit_length() + 7) // 8, "little")
+    _U32.pack_into(buf, 1, len(buf) - 5)
     bundle.wire = bytes(buf)
     return bundle.wire
 
@@ -234,14 +310,14 @@ def _r_bitmap(data: bytes, pos: int, bits: int) -> tuple:
     return int.from_bytes(data[pos:pos + size], "little"), pos + size
 
 
-def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
+def _r_bundle_entry(data: bytes, pos: int, n: int, memo: Optional[DecodeMemo]) -> tuple:
     """One entry as ``(value, pos, price)``: the line it was read from prices it."""
     kind = data[pos]
     pos += 1
     if kind == ABSENT:
         return None, pos, 1
     if kind == OTHER:
-        value, pos = _decode(data, pos)
+        value, pos = _decode(data, pos, memo)
         return value, pos, entry_bits(value, n)
     if kind not in (VOTES, VERDICTS, STAR):
         raise WireDecodeError(f"unknown bundle entry kind {kind}")
@@ -265,10 +341,10 @@ def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
         modulus, pos = _r_int(data, pos)
         if modulus < 2:
             raise WireDecodeError(f"NOK values over the modulus {modulus}")
+        field = _field(modulus, memo)
         size = (modulus.bit_length() + 7) // 8
         if noks * (4 + size) > len(data) - pos:
             raise WireDecodeError("bundle ends inside a verdict vector's NOKs")
-        field = GF(modulus, check_prime=False)
     verdicts: List[Any] = []
     for code in codes:
         if code == 2:
@@ -284,29 +360,61 @@ def _r_bundle_entry(data: bytes, pos: int, n: int) -> tuple:
     return tuple(verdicts), pos, price
 
 
-def _r_bundle(data: bytes, start: int) -> tuple:
-    """Decode the bundle whose ``'B'`` is at ``data[start]``, priced as it is
-    read.  Peer bytes: the entry count and every vector length are checked
-    against the bytes left before anything is sized from them, and whatever
-    else is wrong with them (struct, index, unicode, recursion) leaves as one
-    WireDecodeError."""
+def _r_bundle(data: bytes, start: int, memo: Optional[DecodeMemo]) -> tuple:
+    """Decode the bundle line whose ``'B'`` is at ``data[start]``, priced as
+    it is read -- or, if ``memo`` holds these exact bytes, hand back the
+    bundle they decoded to.  Peer bytes: the line's length, the entry count
+    and every vector length are checked against the bytes left before
+    anything is sized from them, the entries must end exactly at the length,
+    and whatever else is wrong with them (struct, index, unicode, recursion)
+    leaves as one WireDecodeError."""
     try:
-        n = data[start + 1]
-        (count,) = _U32.unpack_from(data, start + 2)
-        pos = start + 6
-        if n == 0 or count > len(data) - pos:
+        (length,) = _U32.unpack_from(data, start + 1)
+        end = start + 5 + length
+        if end > len(data):
             raise WireDecodeError(
-                f"bundle of n={n} claims {count} entries with {len(data) - pos} bytes left")
+                f"bundle claims {length} bytes with {len(data) - start - 5} left")
+        line = bytes(data[start:end])
+        if memo is not None:
+            memo.decoded += 1
+            bundle = memo.bundles.get(line)
+            if bundle is not None:
+                memo.hits += 1
+                return bundle, end
+        n = line[5]
+        (count,) = _U32.unpack_from(line, 6)
+        pos = _BUNDLE_HEAD
+        if n == 0 or count > len(line) - pos:
+            raise WireDecodeError(
+                f"bundle of n={n} claims {count} entries with {len(line) - pos} bytes left")
         entries, price = [], 0
         for _ in range(count):
-            entry, pos, bits = _r_bundle_entry(data, pos, n)
+            entry, pos, bits = _r_bundle_entry(line, pos, n, memo)
             entries.append(entry)
             price += bits
+        if pos != len(line):
+            raise WireDecodeError(
+                f"bundle entries end at byte {pos} of a {len(line)}-byte line")
     except WireDecodeError:
         raise
     except Exception as exc:  # noqa: BLE001 - see the docstring
         raise WireDecodeError(f"bundle does not decode: {exc!r}") from exc
-    return Bundle(tuple(entries), n, wire=bytes(data[start:pos]), bits=price), pos
+    bundle = Bundle(tuple(entries), n, wire=line, bits=price)
+    if memo is not None:
+        try:
+            hash(bundle)
+        except TypeError:
+            return bundle, end  # a mutable entry: never shared
+        memo.keep(line, bundle)
+    return bundle, end
+
+
+def _of_one_field(items: list) -> bool:
+    """Whether ``items`` are all field elements of one field object."""
+    if not isinstance(items[0], FieldElement):
+        return False
+    field = items[0].field
+    return all(isinstance(item, FieldElement) and item.field is field for item in items)
 
 
 def _encode(buf: bytearray, obj: Any) -> None:
@@ -331,6 +439,9 @@ def _encode(buf: bytearray, obj: Any) -> None:
         buf += b"y"
         _w_uint(buf, len(obj))
         buf += obj
+    elif type(obj) is list and obj and _of_one_field(obj):
+        buf += b"L"
+        _w_residues(buf, obj[0].field.modulus, [element.value for element in obj])
     elif type(obj) is tuple or type(obj) is list:
         buf += b"t" if type(obj) is tuple else b"l"
         _w_uint(buf, len(obj))
@@ -369,7 +480,7 @@ def _encode(buf: bytearray, obj: Any) -> None:
         raise TypeError(f"no wire encoding for {type(obj).__name__} values")
 
 
-def _decode(data: bytes, pos: int) -> tuple:
+def _decode(data: bytes, pos: int, memo: Optional[DecodeMemo]) -> tuple:
     tag = data[pos:pos + 1]
     pos += 1
     if tag == b"N":
@@ -396,7 +507,7 @@ def _decode(data: bytes, pos: int) -> tuple:
         pos += 4
         items = []
         for _ in range(count):
-            item, pos = _decode(data, pos)
+            item, pos = _decode(data, pos, memo)
             items.append(item)
         if tag == b"t":
             return tuple(items), pos
@@ -410,25 +521,25 @@ def _decode(data: bytes, pos: int) -> tuple:
         pos += 4
         out = {}
         for _ in range(count):
-            key, pos = _decode(data, pos)
-            value, pos = _decode(data, pos)
+            key, pos = _decode(data, pos, memo)
+            value, pos = _decode(data, pos, memo)
             out[key] = value
         return out, pos
     if tag == b"E":
         modulus, pos = _r_int(data, pos)
         value, pos = _r_int(data, pos)
-        return FieldElement(value, GF(modulus, check_prime=False)), pos
+        return FieldElement(value, _field(modulus, memo)), pos
+    if tag == b"L":
+        field, values, pos = _r_residues(data, pos, memo)
+        return [FieldElement(value, field) for value in values], pos
     if tag == b"P":
-        modulus, values, pos = _r_residues(data, pos)
-        field = GF(modulus, check_prime=False)
+        field, values, pos = _r_residues(data, pos, memo)
         return Polynomial.from_reduced_ints(field, values), pos
     if tag == b"V":
-        modulus, values, pos = _r_residues(data, pos)
-        field = GF(modulus, check_prime=False)
+        field, values, pos = _r_residues(data, pos, memo)
         return PackedFieldVector(field, values, _normalized=True), pos
     if tag == b"R":
-        modulus, values, pos = _r_residues(data, pos)
-        field = GF(modulus, check_prime=False)
+        field, values, pos = _r_residues(data, pos, memo)
         (count,) = _U32.unpack_from(data, pos)
         pos += 4
         lengths = []
@@ -438,7 +549,7 @@ def _decode(data: bytes, pos: int) -> tuple:
         vector = PackedFieldVector(field, values, _normalized=True)
         return PackedPolynomialRows(vector, tuple(lengths)), pos
     if tag == b"B":
-        return _r_bundle(data, pos - 1)
+        return _r_bundle(data, pos - 1, memo)
     raise WireDecodeError(f"unknown wire tag {tag!r} at offset {pos - 1}")
 
 
@@ -449,9 +560,10 @@ def encode_payload(obj: Any) -> bytes:
     return bytes(buf)
 
 
-def decode_payload(data: bytes) -> Any:
-    """Decode a payload produced by :func:`encode_payload`."""
-    obj, pos = _decode(data, 0)
+def decode_payload(data: bytes, memo: Optional[DecodeMemo] = None) -> Any:
+    """Decode a payload produced by :func:`encode_payload` (through ``memo``
+    if given: see :class:`DecodeMemo`)."""
+    obj, pos = _decode(data, 0, memo)
     if pos != len(data):
         raise WireDecodeError(
             f"trailing garbage after payload ({len(data) - pos} bytes)"
@@ -470,8 +582,9 @@ def encode_message(message: Message) -> bytes:
     return bytes(buf)
 
 
-def decode_message(data: bytes) -> Message:
-    """Decode :func:`encode_message` output back to an equivalent Message.
+def decode_message(data: bytes, memo: Optional[DecodeMemo] = None) -> Message:
+    """Decode :func:`encode_message` output back to an equivalent Message
+    (through ``memo`` if given).
 
     Off a socket the header's time is the entry's due instant (it comes back
     as ``send_time``); one that is not finite has no place in a scheduler's
@@ -486,7 +599,7 @@ def decode_message(data: bytes) -> Message:
     pos += 4
     tag = data[pos:pos + length].decode("utf-8")
     pos += length
-    payload, pos = _decode(data, pos)
+    payload, pos = _decode(data, pos, memo)
     if pos != len(data):
         raise WireDecodeError(
             f"trailing garbage after message ({len(data) - pos} bytes)"
@@ -519,8 +632,10 @@ def encode_envelope(entries: Sequence[bytes]) -> bytes:
     return _U32.pack(len(entries)) + b"".join(entries)
 
 
-def decode_envelope(data: bytes, offset: int = 0) -> List[Message]:
-    """Decode the envelope at ``data[offset:]``: its messages, emission order.
+def decode_envelope(data: bytes, offset: int = 0,
+                    memo: Optional[DecodeMemo] = None) -> List[Message]:
+    """Decode the envelope at ``data[offset:]``: its messages, emission order
+    (a socket receiver passes its session's ``memo``).
 
     Returns at least one message, all of one ``(sender, recipient)`` channel,
     each carrying its entry's ``due`` as ``send_time``, or raises
@@ -549,7 +664,7 @@ def decode_envelope(data: bytes, offset: int = 0) -> List[Message]:
                 f"entry {index} claims {length} bytes with {end - pos} left"
             )
         try:
-            message = decode_message(data[pos:pos + length])
+            message = decode_message(data[pos:pos + length], memo)
         except WireDecodeError:
             raise
         except Exception as exc:  # noqa: BLE001 - peer bytes: struct, index,

@@ -28,7 +28,8 @@ from repro.field import GF, default_field
 from repro.field.gf import FieldElement
 from repro.mpc import run_mpc
 from repro.runtime.errors import WireDecodeError
-from repro.runtime.wire import decode_payload, encode_payload
+from repro.runtime import wire
+from repro.runtime.wire import MEMO_BUNDLES, MEMO_BYTES, DecodeMemo, decode_payload, encode_payload
 from repro.sharing.wps import NOK_VERDICT, OK_VERDICT, PackedPolynomialRows
 from repro.sim import AsynchronousNetwork
 from repro.sim.messages import payload_bits
@@ -193,9 +194,10 @@ def test_every_line_of_the_price_list_crosses_the_wire_at_its_price():
         (),
     ), 4)
     blob = assert_round_trips(bundle)
-    # 'B', n, count; then kind, slots, bitmap per entry (the NOKs: modulus, index + value each).
-    assert blob[:6] == b"B\x04" + (6).to_bytes(4, "big")
-    assert blob[6:] == (
+    # 'B', the line's length, n, count; then kind, slots, bitmap per entry (the NOKs: modulus,
+    # index + value each).
+    assert blob[:10] == b"B" + (len(blob) - 5).to_bytes(4, "big") + b"\x04" + (6).to_bytes(4, "big")
+    assert blob[10:] == (
         bytes([ABSENT])
         + bytes([VOTES, 4, 0b10_01_00_10])
         + bytes([VERDICTS, 4, 0b01_01_01_00])
@@ -242,14 +244,32 @@ def test_a_party_count_outside_one_byte_has_no_encoding(n):
 # -- the decoder is a trust boundary --------------------------------------------------------------
 
 
-def _bundle_bytes(n, *entries, count=None):
+def _bundle_bytes(n, *entries, count=None, length=None):
+    """A bundle line: 'B', its length (by default the bytes that follow it), n, the count."""
     count = len(entries) if count is None else count
-    return b"B" + bytes([n]) + count.to_bytes(4, "big") + b"".join(entries)
+    body = bytes([n]) + count.to_bytes(4, "big") + b"".join(entries)
+    length = len(body) if length is None else length
+    return b"B" + length.to_bytes(4, "big") + body
+
+
+def _nested_bundles(depth):
+    """A bundle whose one entry is a bundle, ``depth`` levels down."""
+    blob = _bundle_bytes(4, bytes([ABSENT]))
+    for _ in range(depth):
+        blob = _bundle_bytes(4, bytes([OTHER]) + blob)
+    return blob
 
 
 @pytest.mark.parametrize("blob", [
     pytest.param(b"B", id="no-header"),
-    pytest.param(b"B\x04\x00\x00", id="half-a-count"),
+    pytest.param(b"B\x00\x00", id="half-a-length"),
+    pytest.param(_bundle_bytes(4, bytes([ABSENT]), length=100), id="a-length-past-the-frame"),
+    pytest.param(_bundle_bytes(4, bytes([ABSENT]), length=7) + b"N",
+                 id="a-length-past-the-entries"),
+    pytest.param(_bundle_bytes(4, bytes([VOTES, 4, 0]), length=7), id="a-length-inside-an-entry"),
+    pytest.param(_bundle_bytes(4, bytes([OTHER]) + b"s" + (4).to_bytes(4, "big") + b"ab"),
+                 id="an-entry-that-reads-past-the-length"),
+    pytest.param(b"B" + (3).to_bytes(4, "big") + b"\x04\x00\x00", id="half-a-count"),
     pytest.param(_bundle_bytes(4, count=2 ** 32 - 1), id="four-billion-entries-in-six-bytes"),
     pytest.param(_bundle_bytes(4, bytes([ABSENT]), count=2), id="one-entry-short"),
     pytest.param(_bundle_bytes(0, bytes([STAR, 255])), id="255-id-sets-among-no-parties"),
@@ -276,12 +296,13 @@ def _bundle_bytes(n, *entries, count=None):
     pytest.param(_bundle_bytes(4, bytes([OTHER]) + b"s" + (1).to_bytes(4, "big") + b"\xff"),
                  id="bad-utf8"),
     pytest.param(_bundle_bytes(4, bytes([ABSENT])) + b"N", id="trailing-bytes"),
-    pytest.param((b"B\x04" + (1).to_bytes(4, "big") + bytes([OTHER])) * 3_000,
-                 id="bundles-nested-past-the-recursion-limit"),
+    pytest.param(_nested_bundles(3_000), id="bundles-nested-past-the-recursion-limit"),
 ])
 def test_malformed_bundle_bytes_are_a_wire_decode_error(blob):
     with pytest.raises(WireDecodeError):
         decode_payload(blob)
+    with pytest.raises(WireDecodeError):  # nor is anything memoized on the way
+        decode_payload(blob, DecodeMemo(FIELD.modulus))
 
 
 def test_a_pickle_is_never_opened_outside_a_bundle_either():
@@ -303,17 +324,28 @@ def _bundle_shaped_bytes(draw):
     return b"B" + mutated(draw, draw(st.sampled_from(_SEED_BUNDLES)))[1:]
 
 
+#: One memo for every example of the fuzz below, as one socket receiver keeps one.
+_FUZZ_MEMO = DecodeMemo()
+
+
 @given(blob=_bundle_shaped_bytes())
 @settings(max_examples=600, deadline=None)
 def test_bundle_decoder_yields_a_bundle_or_a_wire_decode_error(blob):
     """Arbitrary and mutated bytes behind the tag: a ``Bundle`` that holds no
     more than the frame could (a slot is two bits; an id, and an id set, at
     least one) and is priced, re-encoded and tallied without an exception --
-    or ``WireDecodeError``."""
+    or ``WireDecodeError``.  Through a memo shared by every example, the
+    same bytes decode to what they decode to without one."""
     try:
         bundle = decode_payload(blob)
     except WireDecodeError:
+        with pytest.raises(WireDecodeError):
+            decode_payload(blob, _FUZZ_MEMO)
         return
+    memoized = decode_payload(blob, _FUZZ_MEMO)
+    assert _exact(memoized) == _exact(bundle) and memoized.wire == bundle.wire
+    assert memoized.payload_bits() == bundle.payload_bits()
+    assert len(_FUZZ_MEMO.bundles) <= MEMO_BUNDLES and _FUZZ_MEMO.size <= MEMO_BYTES
     assert type(bundle) is Bundle and bundle.wire == blob == encode_payload(bundle)
     assert len(bundle.entries) <= len(blob)
     assert sum(len(e) for e in bundle.entries if type(e) is tuple) <= 8 * len(blob)
@@ -327,6 +359,78 @@ def test_bundle_decoder_yields_a_bundle_or_a_wire_decode_error(blob):
         pass
     again = decode_payload(encode_payload(Bundle(bundle.entries, bundle.n)))
     assert again == bundle and _exact(again) == _exact(bundle)
+
+
+# -- the decode memo: each distinct line is parsed once per receiver ------------------------------
+
+
+def _votes(index):
+    """A bundle of one vote vector, distinct per ``index`` < 3 ** 12."""
+    return Bundle((tuple((None, 0, 1)[index // 3 ** slot % 3] for slot in range(12)),), 4)
+
+
+def test_a_repeated_bundle_decodes_to_the_identical_object():
+    bundle = Bundle(((None, OK, NOK, OK), (1, None, 0, 1), (EVERYONE,) * 3, None), 4)
+    memo = DecodeMemo(FIELD.modulus)
+    copies = [decode_payload(encode_payload((kind, bundle)), memo)[1]
+              for kind in ("send", "echo", "ready", "ready")]
+    assert all(copy is copies[0] for copy in copies) and copies[0] == bundle
+    assert _exact(copies[0]) == _exact(bundle) and copies[0].wire == bundle.wire
+    assert (memo.decoded, memo.hits, len(memo.bundles)) == (4, 3, 1)
+    # Without a memo every copy is its own object, as before.
+    fresh = decode_payload(encode_payload(bundle))
+    assert fresh == bundle and fresh is not decode_payload(encode_payload(bundle))
+
+
+def test_a_hit_parses_no_entry(monkeypatch):
+    memo = DecodeMemo(FIELD.modulus)
+    blob = encode_payload(Bundle(((None, OK, NOK, OK), (EVERYONE,) * 3), 4))
+    first = decode_payload(blob, memo)
+
+    def parsed(*args):
+        raise AssertionError("a memo hit parsed an entry")
+
+    monkeypatch.setattr(wire, "_r_bundle_entry", parsed)
+    assert decode_payload(blob, memo) is first
+    assert decode_payload(b"t" + (2).to_bytes(4, "big") + blob + blob, memo) == (first, first)
+    assert (memo.decoded, memo.hits) == (4, 3)
+
+
+def test_a_one_byte_mutation_misses():
+    memo = DecodeMemo(FIELD.modulus)
+    blob = encode_payload(_votes(5))
+    first = decode_payload(blob, memo)
+    mutated_blob = blob[:-1] + bytes([blob[-1] ^ 0b01])  # the last slot's vote
+    second = decode_payload(mutated_blob, memo)
+    assert second is not first and second != first and second == decode_payload(mutated_blob)
+    assert (memo.hits, len(memo.bundles)) == (0, 2)
+
+
+def test_a_flood_of_distinct_bundles_keeps_the_memo_within_its_bound():
+    memo = DecodeMemo(FIELD.modulus)
+    for index in range(MEMO_BUNDLES + 300):
+        decode_payload(encode_payload(_votes(index)), memo)
+    assert len(memo.bundles) == MEMO_BUNDLES and memo.hits == 0
+    assert memo.size == sum(len(line) for line in memo.bundles) <= MEMO_BYTES
+    # Oldest out first: the newest lines still hit, the first ones re-parse.
+    assert decode_payload(encode_payload(_votes(MEMO_BUNDLES + 299)), memo) is \
+        memo.bundles[encode_payload(_votes(MEMO_BUNDLES + 299))]
+    assert encode_payload(_votes(0)) not in memo.bundles
+    # Long lines are held to the byte bound; one longer than it is never kept.
+    for index in range(40):
+        decode_payload(encode_payload(Bundle(("x" * 5_000, index), 4)), memo)
+    assert memo.size == sum(len(line) for line in memo.bundles) <= MEMO_BYTES
+    huge = encode_payload(Bundle(("x" * MEMO_BYTES,), 4))
+    assert decode_payload(huge, memo) == decode_payload(huge)
+    assert huge not in memo.bundles and memo.size <= MEMO_BYTES
+
+
+def test_a_bundle_holding_a_mutable_container_is_decoded_fresh_every_time():
+    memo = DecodeMemo(FIELD.modulus)
+    blob = encode_payload(Bundle(([1, 2], None), 4))
+    first, second = decode_payload(blob, memo), decode_payload(blob, memo)
+    assert first == second and first is not second and first.entries[0] is not second.entries[0]
+    assert (memo.decoded, memo.hits, len(memo.bundles)) == (2, 0, 0)
 
 
 # -- the accounting is the encoding ------------------------------------------------------------------

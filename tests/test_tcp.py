@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broadcast.acast import Bundle, PackedFieldVector
 from repro.field import GF, default_field
+from repro.field.gf import FieldElement
 from repro.field.polynomial import Polynomial
 from repro.mpc import run_mpc
 from repro.circuits import multiplication_circuit
@@ -43,6 +44,7 @@ from repro.runtime.programs import AcastFactory, MultiAcastFactory
 from repro.runtime.errors import ScheduleMiss, WireDecodeError
 from repro.runtime.tcp_transport import TcpTransport
 from repro.runtime.wire import (
+    DecodeMemo,
     decode_envelope,
     decode_message,
     decode_payload,
@@ -53,7 +55,7 @@ from repro.runtime.wire import (
     frame,
     read_frame,
 )
-from repro.sharing.wps import PackedPolynomialRows
+from repro.sharing.wps import NOK_VERDICT, PackedPolynomialRows
 from repro.sim import AsynchronousNetwork
 from repro.sim.messages import Message, payload_bits
 from repro.sim.party import ProtocolInstance
@@ -157,6 +159,57 @@ def test_frame_roundtrip_over_stream():
 def test_decoded_field_is_interned():
     element = decode_payload(encode_payload(FIELD(5)))
     assert element.field is FIELD
+
+
+def test_a_list_of_field_elements_is_one_residue_vector():
+    """ΠWPS's ``("points", [...])``: tag, one modulus, a count and eight bytes
+    a residue -- not a tag and a modulus per element -- boxed again on decode,
+    and a fresh list on every decode (a receiver keeps and may extend it)."""
+    points = [FIELD(5), FIELD(0), FIELD(FIELD.modulus - 1)]
+    assert len(encode_payload(points)) == 1 + (1 + 8) + 4 + 1 + 8 * len(points)
+    blob = encode_payload(("points", points))
+    memo = DecodeMemo(FIELD.modulus)
+    first, second = decode_payload(blob), decode_payload(blob, memo)
+    for decoded in (first, second):
+        assert decoded == ("points", points) and type(decoded[1]) is list
+        assert all(type(e) is FieldElement and e.field is FIELD for e in decoded[1])
+        assert payload_bits(decoded) == payload_bits(("points", points))
+    assert decode_payload(blob, memo)[1] is not second[1]
+    wide = GF(2 ** 127 - 1)
+    assert decode_payload(encode_payload([wide(2 ** 100), wide(3)])) == [wide(2 ** 100), wide(3)]
+    # Anything but a non-empty list of one field's elements keeps the general form.
+    for other in ([], [FIELD(1), 2], [FIELD(1), GF(257)(1)], (FIELD(1), FIELD(2))):
+        blob = encode_payload(other)
+        assert blob[:1] in (b"l", b"t") and decode_payload(blob) == other
+
+
+#: A field the sessions below are not over.
+FOREIGN = GF(257)
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(FOREIGN(3), id="E"),
+    pytest.param(Polynomial(FOREIGN, [1, 2]), id="P"),
+    pytest.param(PackedFieldVector(FOREIGN, [1, 2]), id="V"),
+    pytest.param(PackedPolynomialRows.pack(FOREIGN, [Polynomial(FOREIGN, [1, 2])]), id="R"),
+    pytest.param([FOREIGN(1), FOREIGN(2)], id="L"),
+    pytest.param(Bundle(((None, (NOK_VERDICT, 1, FOREIGN(5))),), 4), id="a-NOK-line"),
+    pytest.param(Bundle((None, (FOREIGN(4), 1)), 4), id="inside-a-bundle"),
+])
+def test_a_residue_over_another_modulus_is_rejected_by_a_session(payload):
+    """A socket receiver's session is over one field: every residue-carrying
+    value over another modulus is a ``WireDecodeError``, and a bundle holding
+    one is not memoized.  Without a session modulus -- the control channels
+    and checkpoints decode without a memo -- it is a value like any other."""
+    blob = _envelope_bytes([_msg(1, 2, ("x", payload))])
+    session = DecodeMemo(FIELD.modulus)
+    with pytest.raises(WireDecodeError, match=f"modulus 257 in a session over {FIELD.modulus}"):
+        decode_envelope(blob, memo=session)
+    assert not session.bundles
+    for memo in (None, DecodeMemo()):
+        (message,) = decode_envelope(blob, memo=memo)
+        assert encode_message(message) == encode_message(_msg(1, 2, ("x", payload)))
+    assert decode_payload(encode_payload(payload)) == payload
 
 
 # -- single-process TCP: wire parity with the in-process backends ------------
@@ -511,6 +564,9 @@ NON_FINITE_DUES = [float("nan"), float("inf"), float("-inf")]
 _FUZZ_SEEDS = [
     _envelope_bytes([_msg(1, 2, payload, tag=f"fuzz/{index}")
                      for index, payload in enumerate(CODEC_PAYLOADS)]),
+    _envelope_bytes([_msg(1, 2, (kind, Bundle(((None, 0, 1, 1), None, (FIELD(3),)), 4)))
+                     for kind in ("echo", "ready", "vote")]
+                    + [_msg(1, 2, ("points", [FIELD(7), FIELD(8)]))]),
     _envelope_bytes([_msg(3, 1, PackedFieldVector(FIELD, list(range(40))))] * 3),
     _envelope_bytes([_msg(2, 4, None)]),
     _envelope_bytes([_msg(2, 4, "a", send_time=due) for due in PAST_DUES]),
@@ -558,15 +614,25 @@ def _mutated_envelopes(draw):
     return mutated(draw, draw(st.sampled_from(_FUZZ_SEEDS)))
 
 
+#: One memo for every example of the fuzz below, as one socket receiver keeps one.
+_FUZZ_MEMO = DecodeMemo()
+
+
 @given(blob=st.one_of(st.binary(max_size=256), _mutated_envelopes()))
 @settings(max_examples=400, deadline=None)
 def test_envelope_decoder_yields_messages_or_a_wire_decode_error(blob):
     """Arbitrary and mutated bytes: a value or ``WireDecodeError``, nothing
-    else -- no ``struct.error``, no ``IndexError``, no absurd allocation."""
+    else -- no ``struct.error``, no ``IndexError``, no absurd allocation.
+    Through a memo shared by every example, the same bytes decode to what
+    they decode to without one."""
     try:
         messages = decode_envelope(blob)
     except WireDecodeError:
+        with pytest.raises(WireDecodeError):
+            decode_envelope(blob, memo=_FUZZ_MEMO)
         return
+    memoized = decode_envelope(blob, memo=_FUZZ_MEMO)
+    assert [encode_message(m) for m in memoized] == [encode_message(m) for m in messages]
     assert messages and all(isinstance(message, Message) for message in messages)
     assert len({(message.sender, message.recipient) for message in messages}) == 1
     assert all(isfinite(message.send_time) for message in messages)
@@ -861,6 +927,30 @@ def test_a_misrouted_envelope_is_a_typed_error_on_the_receiver():
 
 
 @pytest.mark.tcp
+def test_a_frame_over_another_field_is_a_typed_error_at_a_backend_socket():
+    """The backend hands its field's modulus to its transport as it opens
+    it; a frame carrying a residue over another is then a typed error."""
+    roster = free_roster(2)
+
+    async def scenario():
+        receiver = TcpTransport(roster=dict(roster), local_parties=[2])
+        assert receiver.modulus is None
+        await TcpPartyBackend(2, local_party=2, transport=receiver).open()
+        assert receiver.modulus == FIELD.modulus
+        _, writer = await asyncio.open_connection(*roster[2])
+        writer.write(frame(b"D" + (1).to_bytes(8, "big")
+                           + _envelope_bytes([_msg(1, 2, ("points", [FOREIGN(1)]))])))
+        await writer.drain()
+        await _until(lambda: receiver._error is not None, what="the decode error")
+        assert isinstance(receiver._error, WireDecodeError)
+        assert "modulus 257" in str(receiver._error)
+        writer.close()
+        receiver.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.tcp
 def test_a_past_due_from_a_corrupt_peer_is_an_attributed_miss():
     """An entry due before the instant its receiver has served is handled at
     once, as an asynchronous delivery, and recorded as the receiver's
@@ -1081,6 +1171,10 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
         (sim.metrics.messages_sent, sim.metrics.honest_bits) == (4668, 2432232)
     assert max(tcp.output_times.values()) == pytest.approx(145.052)
     assert (transport.frames_sent, transport.messages_framed) == (1152, 4668)
+    # One session over the run's field: its 2,832 bundle values are 17
+    # distinct lines, each parsed once.
+    assert transport.modulus == FIELD.modulus
+    assert (transport.bundles_decoded, transport.bundle_memo_hits) == (2832, 2815)
 
 
 @pytest.mark.tcp(timeout=120)
@@ -1123,6 +1217,7 @@ def test_multiprocess_evaluation_frames_carry_several_messages_each():
     assert tcp.outputs == [FIELD(3 * 5 * 7 * 11)]
     assert backend.messages_framed == tcp.metrics.messages_sent
     assert 1 <= backend.frames_sent <= backend.messages_framed // 2
+    assert 0 < backend.bundle_memo_hits < backend.bundles_decoded
     if not backend.schedule_misses:  # a loaded host may make a child late
         assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == (4668, 2432232)
         assert (backend.frames_sent, max(tcp.output_times.values())) == \
