@@ -67,12 +67,28 @@ class Circuit:
         self.outputs = list(outputs)
         self._validate()
 
+    def rows(self) -> List[Tuple[str, Tuple[int, ...], object, Optional[int]]]:
+        """The gates as plain rows ``(kind value, input wires, constant,
+        owner)`` in wire order: with :attr:`outputs`, what the wire codec
+        carries of a circuit (:meth:`from_rows` rebuilds it)."""
+        return [(gate.kind.value, gate.inputs, gate.constant, gate.owner) for gate in self.gates]
+
+    @classmethod
+    def from_rows(cls, field: GF, rows: Sequence, outputs: Sequence[int]) -> "Circuit":
+        """The circuit of :meth:`rows`; an unknown kind, a malformed row or a
+        wire that is not an earlier gate's raises ``ValueError``."""
+        gates = [
+            Gate(index, GateType(kind), inputs, constant, owner)
+            for index, (kind, inputs, constant, owner) in enumerate(rows)
+        ]
+        return cls(field, gates, outputs)
+
     # -- structure -------------------------------------------------------------------
     def _validate(self) -> None:
         for gate in self.gates:
             for wire in gate.inputs:
-                if wire >= gate.index:
-                    raise ValueError(f"gate {gate.index} references later wire {wire}")
+                if not 0 <= wire < gate.index:
+                    raise ValueError(f"gate {gate.index} references wire {wire}, not an earlier one")
         for wire in self.outputs:
             if not 0 <= wire < len(self.gates):
                 raise ValueError(f"output wire {wire} out of range")

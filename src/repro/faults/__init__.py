@@ -2,7 +2,7 @@
 
 :class:`FaultPlan` is the one representation of every injectable fault --
 partitions, per-link loss/corruption/latency schedules, clock skew, process
-kill/restart -- passed as ``faults=`` to the scheduler on every backend,
+kill -- passed as ``faults=`` to the scheduler on every backend,
 whose :class:`FaultGate` applies it with order-independent hash-keyed
 decisions (chaos failures replay bit-identically on the simulator).
 :mod:`repro.faults.campaign` samples plans from a seed and checks runs

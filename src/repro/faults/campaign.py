@@ -145,11 +145,7 @@ def sample_plan(
         victims = rng.sample(range(1, n + 1), min(kills, n))
         for victim in victims:
             process_faults.append(
-                ProcessFault(
-                    party=victim,
-                    restart=False,
-                    sim_time=round(rng.uniform(0.0, 20.0), 3),
-                )
+                ProcessFault(party=victim, sim_time=round(rng.uniform(0.0, 20.0), 3))
             )
     return FaultPlan(
         seed=seed,

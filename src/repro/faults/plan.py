@@ -3,7 +3,7 @@
 A :class:`FaultPlan` bundles every kind of fault the runtime can inject --
 network partitions (symmetric groups or asymmetric directed blocks, with a
 heal point), per-link loss/corruption/duplication/reorder schedules, per-link
-extra latency, per-party clock skew, and process kill/restart schedules --
+extra latency, per-party clock skew, and process kill schedules --
 into a single object.  It is the only fault injector the runtime has: the
 scheduler takes it as ``faults=`` (``SimBackend``, ``AsyncioBackend`` and
 ``TcpBackend`` alike).  The scheduler adds :meth:`FaultPlan.extra_delay` to
@@ -232,21 +232,15 @@ class LinkLatency:
 
 @dataclass(frozen=True)
 class ProcessFault:
-    """Kill (and optionally restart) a party's OS process.
+    """Kill a party's process at simulated time ``sim_time``.
 
-    Interpreted by the supervising layer, not the gate: the TCP
-    service supervisor SIGKILLs the party process ``kill_after`` real
-    seconds into the evaluation stream and -- when ``restart`` -- respawns
-    it from its latest snapshot after ``restart_after`` further seconds;
-    the chaos campaign maps a kill onto ``backend.crash_party`` at the
-    equivalent simulated time (crash-stop is the simulator's process
-    death).  ``sim_time`` carries that simulated-clock kill time.
+    Interpreted by the campaign, not the gate: the chaos campaign maps a
+    kill onto ``backend.crash_party`` at ``sim_time`` (crash-stop is the
+    simulator's process death).  Killing a real party process is
+    :meth:`~repro.runtime.supervisor.TcpMpcService.kill_party`'s job.
     """
 
     party: int
-    kill_after: float = 0.0
-    restart: bool = True
-    restart_after: float = 0.0
     sim_time: Optional[float] = None
 
 

@@ -6,9 +6,9 @@ Two modes:
   one OS process per party on this machine, printing outputs and metrics as
   JSON.  Pass ``--roster roster.json`` (``{"1": ["10.0.0.1", 7001], ...}``)
   to place parties on fixed endpoints instead of ephemeral localhost ports.
-* **Child mode** (``--party i --spec job.pkl``): internal -- the launcher
-  spawns these; each runs one party of a pickled
-  :class:`~repro.runtime.launcher.JobSpec`.
+* **Child mode** (``--party i --spec spec.pkl``): internal -- a
+  :class:`~repro.runtime.launcher.PartyPool` spawns these; each runs one
+  party of the pickled spec, a job or a service party by the spec's type.
 
 Examples::
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import socket
 import time
 from typing import Any, Dict, Optional
@@ -56,12 +55,9 @@ def main(argv=None) -> int:
         description="Run a protocol with one OS process per party over TCP.",
     )
     parser.add_argument("--party", type=int, default=None,
-                        help="internal: run one party of a pickled JobSpec")
+                        help="internal: run one party of a pickled spec")
     parser.add_argument("--spec", default=None,
-                        help="internal: path to the pickled JobSpec")
-    parser.add_argument("--service", action="store_true",
-                        help="internal: the spec is a ServiceSpec; run a "
-                             "persistent supervised service party")
+                        help="internal: path to the pickled spec")
     parser.add_argument("--resume", action="store_true",
                         help="internal: restore the service party from its "
                              "latest on-disk snapshot before rejoining")
@@ -92,20 +88,10 @@ def main(argv=None) -> int:
     if args.party is not None:
         if args.spec is None:
             parser.error("--party requires --spec")
-        with open(args.spec, "rb") as handle:
-            spec = pickle.load(handle)
-        listener = None
-        if args.listen_fd is not None:
-            listener = socket.socket(fileno=args.listen_fd)
-        if args.service:
-            from repro.runtime.supervisor import run_service_party
+        from repro.runtime.launcher import run_party
 
-            run_service_party(args.party, spec, resume=args.resume,
-                              listener=listener)
-        else:
-            from repro.runtime.launcher import run_party
-
-            run_party(args.party, spec, listener=listener)
+        listener = None if args.listen_fd is None else socket.socket(fileno=args.listen_fd)
+        run_party(args.party, args.spec, listener=listener, resume=args.resume)
         return 0
 
     if args.program is None:

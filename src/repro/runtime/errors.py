@@ -4,7 +4,7 @@ The delivery fabric can fail in structurally different ways -- a frame that
 cannot be flushed within its timeout, a replay buffer that overflows because
 the peer stayed unreachable, a channel whose reconnect budget ran out, a
 party process that died without being scheduled to -- and callers (the
-launcher watchdog, the chaos campaign, the TCP service supervisor) react
+party pool, the chaos campaign, the TCP service supervisor) react
 differently to each.  Stringly-typed ``RuntimeError``s forced them to parse
 messages; these classes carry the channel/party identity as attributes
 instead, mirroring :mod:`repro.service.errors` for the service layer.
@@ -116,14 +116,13 @@ class WireDecodeError(TransportError, ValueError):
 
 
 class PartyProcessDied(TransportError):
-    """A party's OS process exited without reporting (launcher watchdog).
+    """A party's OS process exited without reporting (the party pool).
 
     ``exit_codes`` maps the dead party ids to their process return codes.
-    ``scheduled`` lists the subset whose party had a *deliberate* crash
-    scheduled (``crash_party`` / a fault plan's process faults) -- their
-    death may be part of the experiment; ``unexpected`` lists the rest,
-    which a supervisor should restart (or surface).  The old watchdog
-    conflated the two in one generic ``RuntimeError``.
+    ``scheduled`` lists the subset whose death was *deliberate* (a
+    ``crash_party`` schedule, a ``kill_party``) -- it may be part of the
+    experiment; ``unexpected`` lists the rest, which a supervisor should
+    restart (or surface).
     """
 
     def __init__(

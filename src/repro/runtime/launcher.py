@@ -1,44 +1,41 @@
-"""Multi-process run harness: one OS process per party over TCP sockets.
+"""Multi-process runs: one OS process per party over TCP sockets.
 
 The deployment shape of a real MPC run -- n independent processes, each
 hosting one party, talking over :class:`~repro.runtime.tcp_transport.
-TcpTransport` sockets -- driven from a single call site:
+TcpTransport` sockets -- behind one pool:
 
-* :class:`TcpBackend` is the :class:`~repro.runtime.api.ExecutionBackend`
-  the harnesses see (``run_mpc(backend="tcp", ...)``, ``make_backend("tcp",
-  ...)``).  Its ``run`` picks a localhost roster (or takes one for genuinely
-  distributed hosts), pickles a :class:`JobSpec`, spawns one ``python -m
-  repro.launch --party i`` process per party, and collects outputs and
-  metrics over a control channel.
-* :func:`run_party` is the child entry point: it rebuilds the execution
-  environment from the spec (field, network, factory, fault plan, crash
-  schedule), opens its listener, reports in, and on the launcher's **go
-  barrier** runs a real-clock :class:`TcpPartyBackend` hosting just its own
-  party; it reports the root instance's output to the launcher and exits on
-  the launcher's stop barrier.
+* :class:`PartyPool` is the parent side every multi-process driver shares:
+  it reserves the roster, serves the control channel, writes the spec file,
+  spawns one ``python -m repro.launch --party i`` process per party, waits
+  for their hellos, tells scheduled from unexpected deaths, and tears the
+  processes down, merging what they report when they are done.
+* :class:`PartySession` is the child side: it builds the party's transport
+  and :class:`TcpPartyBackend`, opens them, dials the control channel, says
+  hello, turns each command into an event, and sends one ``done`` report.
+  What the process runs in between -- its *program* -- comes from the
+  spec's type: a :class:`JobSpec` runs one protocol to its output, a
+  :class:`~repro.runtime.supervisor.ServiceSpec` a persistent service party.
+* :class:`TcpBackend` is the pool plus one job: the
+  :class:`~repro.runtime.api.ExecutionBackend` of ``run_mpc(backend="tcp")``.
 
-The go barrier hands every child one epoch, a ``time.monotonic()`` instant
-:data:`GO_LEAD_S` ahead at which nominal 0 is due: ``CLOCK_MONOTONIC`` is
-system-wide, so the parties of one host share one nominal clock.  A hop that
-arrives after its due instant was served is a schedule miss
-(:mod:`repro.runtime.asyncio_backend`), merged into
+A job's go barrier hands every child one epoch, a ``time.monotonic()``
+instant :data:`GO_LEAD_S` ahead at which nominal 0 is due:
+``CLOCK_MONOTONIC`` is system-wide, so the parties of one host share one
+nominal clock.  A hop that arrives after its due instant was served is a
+schedule miss (:mod:`repro.runtime.asyncio_backend`), merged into
 :attr:`TcpBackend.schedule_misses`.
 
-The control channel is a TCP connection per child using the same
+The control channel is a TCP connection per child carrying the same
 length-prefixed :mod:`~repro.runtime.wire` frames as the transport itself;
-outputs cross it as typed payloads (packed field vectors included), so the
-launcher-side :class:`~repro.runtime.api.RunResult` carries the same values
-an in-process backend would have produced.
-
-Everything in the spec must pickle, which is why the standard protocol
-factories live as top-level classes in :mod:`repro.runtime.programs` and
-:class:`~repro.mpc.engine.CircuitEvaluationFactory` (closures cannot cross
-the process boundary).
+reports and commands cross it as typed payloads (packed field vectors
+included), so the parent-side :class:`~repro.runtime.api.RunResult` carries
+the same values an in-process backend would have produced.
 """
 
 from __future__ import annotations
 
 import asyncio
+import operator
 import os
 import pickle
 import socket
@@ -47,7 +44,7 @@ import sys
 import tempfile
 import time as _time
 from dataclasses import astuple, dataclass, field as _dc_field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.field.gf import GF, default_field
 from repro.runtime.api import ExecutionBackend, RunResult
@@ -68,31 +65,60 @@ DEFAULT_TIME_SCALE = 0.02
 #: control-channel hop and each child's start-up work fit before nominal 0.
 GO_LEAD_S = 0.1
 
+#: Wall seconds between two looks at the children (reports and deaths).
+POLL_S = 0.02
 
-@dataclass
-class JobSpec:
-    """Everything a party process needs to run its share of the job.
+#: Wall seconds a child keeps dialling the control channel.
+CONTROL_DIAL_S = 30.0
 
-    Pickled once by the launcher and loaded by every child; all fields must
-    survive pickling (factories are top-level classes, fields travel as
-    their modulus).
+#: Wall seconds the teardown waits for the stopped children's ``done``.
+STOP_WAIT_S = 10.0
+
+#: The transport counters every ``done`` report carries and the pool sums.
+_COUNTERS = ("frames_sent", "messages_framed", "bundles_decoded", "bundle_memo_hits")
+
+
+@dataclass(kw_only=True)
+class PartySpec:
+    """What every party process of a pool is given (pickled to the spec file).
+
+    The pool fills in ``roster`` and ``control``; a subclass adds what its
+    program needs and names the program (:meth:`program`).
     """
 
     n: int
     seed: int
     field_modulus: int
-    network: Optional[NetworkModel]
-    factory: Callable[[Any], Any]
-    roster: Dict[int, Tuple[str, int]]
-    control: Tuple[str, int]
+    network: Optional[NetworkModel] = None
     time_scale: float = DEFAULT_TIME_SCALE
+    faults: Optional[FaultPlan] = None
+    roster: Dict[int, Tuple[str, int]] = _dc_field(default_factory=dict)
+    control: Tuple[str, int] = ("", 0)
+
+    #: :class:`TcpTransport` keyword arguments of this program's channels.
+    transport_options: ClassVar[Dict[str, Any]] = {}
+
+    def program(self, session: "PartySession", resume: bool) -> Any:
+        """What a party process of this spec runs: an object with ``hello()``
+        (extra hello fields), ``handle(command)`` and ``async run()``."""
+        raise NotImplementedError
+
+
+@dataclass(kw_only=True)
+class JobSpec(PartySpec):
+    """One protocol run: the root instance ``factory`` builds at each party.
+
+    All fields must pickle (factories are top-level classes, such as those
+    of :mod:`repro.runtime.programs`; a field travels as its modulus).
+    """
+
+    factory: Callable[[Any], Any]
     max_time: Optional[float] = None
     corrupt: Dict[int, Any] = _dc_field(default_factory=dict)
     crash_schedule: Dict[int, Optional[float]] = _dc_field(default_factory=dict)
-    faults: Optional[FaultPlan] = None
-    #: Extra :class:`TcpTransport` keyword arguments (heartbeat interval,
-    #: send buffer depth, reconnect budget, ...) applied in every child.
-    transport_opts: Dict[str, Any] = _dc_field(default_factory=dict)
+
+    def program(self, session: "PartySession", resume: bool) -> "_Job":
+        return _Job(session, self)
 
 
 class TcpPartyBackend(AsyncioBackend):
@@ -107,7 +133,6 @@ class TcpPartyBackend(AsyncioBackend):
 
     def __init__(self, n: int, local_party: int, **kwargs: Any):
         super().__init__(n, **kwargs)
-        self.local_party = local_party
         #: the full party table (rng-derivation order); ``parties`` below is
         #: what the driver loops iterate, restricted to the local one.
         self.all_parties = self.parties
@@ -115,8 +140,7 @@ class TcpPartyBackend(AsyncioBackend):
 
     def set_behavior(self, party_id: int, behavior) -> None:
         self.corrupt_parties.add(party_id)
-        parties = getattr(self, "all_parties", None) or self.parties
-        parties[party_id].behavior = behavior
+        self.all_parties[party_id].behavior = behavior
 
     def inject(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` as an event at the instant the wall clock has
@@ -128,146 +152,183 @@ class TcpPartyBackend(AsyncioBackend):
 
 
 def _metrics_dict(metrics: SimulationMetrics) -> Dict[str, Any]:
-    return {
-        "messages_sent": metrics.messages_sent,
-        "messages_delivered": metrics.messages_delivered,
-        "honest_bits": metrics.honest_bits,
-        "total_bits": metrics.total_bits,
-        "bits_by_tag_prefix": dict(metrics.bits_by_tag_prefix),
-        "bits_by_round": dict(metrics.bits_by_round),
-        "max_message_bits": metrics.max_message_bits,
-        "max_message_bits_by_tag_prefix": dict(metrics.max_message_bits_by_tag_prefix),
-        "max_message_bits_by_round": dict(metrics.max_message_bits_by_round),
-    }
+    """A party process's counters as a ``done`` report carries them."""
+    return {name: dict(value) if isinstance(value, dict) else value
+            for name, value in vars(metrics).items()}
 
 
 def _merge_metrics(total: SimulationMetrics, part: Dict[str, Any]) -> None:
-    """Fold one party process's counters into the launcher-side aggregate.
+    """Fold one party process's counters into the parent-side aggregate.
 
     Sends are counted in the sender's process and deliveries in the
     recipient's, so summing across processes counts each exactly once; the
-    max-message trackers take the max.
+    max-message trackers take the max (per tag prefix and round alike).
     """
-    total.messages_sent += part["messages_sent"]
-    total.messages_delivered += part["messages_delivered"]
-    total.honest_bits += part["honest_bits"]
-    total.total_bits += part["total_bits"]
-    for key, bits in part["bits_by_tag_prefix"].items():
-        total.bits_by_tag_prefix[key] = total.bits_by_tag_prefix.get(key, 0) + bits
-    for key, bits in part["bits_by_round"].items():
-        total.bits_by_round[key] = total.bits_by_round.get(key, 0) + bits
-    total.max_message_bits = max(total.max_message_bits, part["max_message_bits"])
-    for key, bits in part["max_message_bits_by_tag_prefix"].items():
-        if bits > total.max_message_bits_by_tag_prefix.get(key, 0):
-            total.max_message_bits_by_tag_prefix[key] = bits
-    for key, bits in part["max_message_bits_by_round"].items():
-        if bits > total.max_message_bits_by_round.get(key, 0):
-            total.max_message_bits_by_round[key] = bits
+    for name, value in part.items():
+        merge = max if name.startswith("max_") else operator.add
+        mine = getattr(total, name)
+        if isinstance(value, dict):
+            for key, bits in value.items():
+                mine[key] = merge(mine.get(key, 0), bits)
+        else:
+            setattr(total, name, merge(mine, value))
 
 
 # -- child side (one party process) -----------------------------------------
 
-def run_party(
-    party_id: int, spec: JobSpec, listener: Optional[socket.socket] = None
-) -> None:
+def run_party(party_id: int, spec_path: str,
+              listener: Optional[socket.socket] = None, resume: bool = False) -> None:
     """Entry point of a party process (``python -m repro.launch --party i``).
 
-    ``listener`` is the party's roster port, already bound by the launcher
-    and inherited; without one the party binds its roster address itself.
+    ``listener`` is the party's roster port, already bound by the pool and
+    inherited; without one the party binds its roster address itself.
+    ``resume`` restarts a service party from its latest snapshot.
     """
-    asyncio.run(_party_main(party_id, spec, listener))
+    with open(spec_path, "rb") as handle:
+        spec = pickle.load(handle)  # written by PartyPool.start (see there)
+    asyncio.run(PartySession(party_id, spec, listener).run(resume))
 
 
-async def _party_main(
-    party_id: int, spec: JobSpec, listener: Optional[socket.socket]
-) -> None:
-    transport_opts = dict(spec.transport_opts)
-    transport_opts.setdefault("reconnect_seed", spec.seed ^ party_id)
-    transport = TcpTransport(
-        roster=dict(spec.roster),
-        local_parties=[party_id],
-        **transport_opts,
-    )
-    if listener is not None:
-        transport.adopt_listener(party_id, listener)
-    backend = TcpPartyBackend(
-        spec.n,
-        local_party=party_id,
-        network=spec.network,
-        field=GF(spec.field_modulus, check_prime=False),
-        seed=spec.seed,
-        corrupt=spec.corrupt,
-        time_scale=spec.time_scale,
-        transport=transport,
-        faults=spec.faults,
-    )
-    for crashed, at_time in spec.crash_schedule.items():
-        backend.crash_party(crashed, at_time)
-    # Listening before reporting in: once the go comes, every peer can dial.
-    await backend.open()
+class PartySession:
+    """One party process: its transport, its backend and its control channel."""
 
-    reader, writer = await _dial(*spec.control, timeout=15.0)
-
-    async def send(obj: Dict[str, Any]) -> None:
-        writer.write(frame(encode_payload(obj)))
-        await writer.drain()
-
-    async def command() -> Dict[str, Any]:
-        try:
-            return decode_payload(await read_frame(reader))
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return {"type": "stop"}  # launcher went away: treat as stop
-
-    await send({"type": "hello", "party": party_id})
-    go = await command()  # the go barrier: every party process gets one epoch
-    stop = asyncio.Event()
-
-    async def control_reader() -> None:
-        while (await command()).get("type") != "stop":
-            pass
-        backend.inject(stop.set)
-
-    def reporting(party: Any) -> Any:
-        root = spec.factory(party)
-        # Written whole from the handler; the "done" report drains it.
-        root.on_output(lambda output: writer.write(frame(encode_payload({
-            "type": "output",
-            "party": party_id,
-            "output": output,
-            "time": root.output_time,
-            "common_subset": getattr(root, "common_subset", None),
-        }))))
-        return root
-
-    ctrl_task = asyncio.create_task(control_reader())
-    failure: Optional[BaseException] = None
-    try:
-        await backend._main(
-            reporting,
-            max_time=spec.max_time,
-            max_events=None,
-            wait_for_all_honest=False,
-            extra_predicate=stop.is_set,
-            epoch=go.get("epoch"),
+    def __init__(self, party_id: int, spec: PartySpec, listener: Optional[socket.socket]):
+        self.party_id = party_id
+        self.spec = spec
+        self.transport = TcpTransport(
+            roster=dict(spec.roster),
+            local_parties=[party_id],
+            reconnect_seed=spec.seed ^ party_id,
+            **spec.transport_options,
         )
-    except Exception as exc:  # noqa: BLE001 - shipped to the launcher
-        failure = exc
-    await send({
-        "type": "done",
-        "party": party_id,
-        "error": repr(failure) if failure is not None else None,
-        "metrics": _metrics_dict(backend.metrics),
-        "frames_sent": transport.frames_sent,
-        "messages_framed": transport.messages_framed,
-        "bundles_decoded": transport.bundles_decoded,
-        "bundle_memo_hits": transport.bundle_memo_hits,
-        "schedule_misses": [astuple(miss) for miss in backend.schedule_misses],
-    })
-    ctrl_task.cancel()
-    await asyncio.gather(ctrl_task, return_exceptions=True)
-    writer.close()
-    if failure is not None:
-        raise failure
+        if listener is not None:
+            self.transport.adopt_listener(party_id, listener)
+        self.backend = TcpPartyBackend(
+            spec.n,
+            local_party=party_id,
+            network=spec.network,
+            field=GF(spec.field_modulus, check_prime=False),
+            seed=spec.seed,
+            time_scale=spec.time_scale,
+            transport=self.transport,
+            faults=spec.faults,
+        )
+        #: Set by the pool's stop command, or by the pool going away.
+        self.stop = asyncio.Event()
+        self._writer: Optional[asyncio.StreamWriter] = None
+
+    def report(self, kind: str, **fields: Any) -> None:
+        """Send the pool one report (written whole; ``run`` drains the last)."""
+        body = {"type": kind, "party": self.party_id, **fields}
+        self._writer.write(frame(encode_payload(body)))
+
+    async def run(self, resume: bool) -> None:
+        program = self.spec.program(self, resume)
+        backend, transport = self.backend, self.transport
+        # Listening before reporting in: once the go comes, every peer can dial.
+        await backend.open()
+        reader, self._writer = await _dial(*self.spec.control, timeout=CONTROL_DIAL_S)
+        self.report("hello", **program.hello())
+        commands = asyncio.create_task(self._commands(reader, program))
+        failure: Optional[BaseException] = None
+        try:
+            # Handler and transport failures end the program, raised.
+            await program.run()
+        except Exception as exc:  # noqa: BLE001 - shipped to the pool
+            failure = exc
+        commands.cancel()
+        (outcome,) = await asyncio.gather(commands, return_exceptions=True)
+        if failure is None and isinstance(outcome, Exception):
+            failure = outcome
+        self.report(
+            "done",
+            error=repr(failure) if failure is not None else None,
+            metrics=_metrics_dict(backend.metrics),
+            schedule_misses=[astuple(miss) for miss in backend.schedule_misses],
+            **{key: getattr(transport, key) for key in _COUNTERS},
+        )
+        try:
+            await self._writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        transport.close()
+        self._writer.close()
+        if failure is not None:
+            raise failure
+
+    async def _commands(self, reader: asyncio.StreamReader, program: Any) -> None:
+        try:
+            while True:
+                command = decode_payload(await read_frame(reader))
+                self._enter(program, command)
+                if command["type"] == "stop":
+                    return
+        except (asyncio.IncompleteReadError, ConnectionError):
+            self._enter(program, {"type": "stop"})  # the pool went away
+        except Exception:
+            self._enter(program, {"type": "stop"})  # what does not decode fails the party
+            raise
+
+    def _enter(self, program: Any, command: Dict[str, Any]) -> None:
+        """A command enters nominal time as an event at the instant the wall
+        clock has reached; before the clock starts (a job's go names its
+        epoch) it is handled at once."""
+
+        def handle() -> None:
+            if command["type"] == "stop":
+                self.stop.set()
+            program.handle(command)
+
+        if self.backend.clock.epoch is None:
+            handle()
+        else:
+            self.backend.inject(handle)
+
+
+class _Job:
+    """A :class:`JobSpec` party: at the go barrier's epoch its root instance
+    starts, its output is reported, and it runs until the stop."""
+
+    def __init__(self, session: PartySession, spec: JobSpec):
+        self.session = session
+        self.spec = spec
+        backend = session.backend
+        for party_id, behavior in spec.corrupt.items():
+            backend.set_behavior(party_id, behavior)
+        for crashed, at_time in spec.crash_schedule.items():
+            backend.crash_party(crashed, at_time)
+        self.go = asyncio.Event()
+        self.epoch: Optional[float] = None
+
+    def hello(self) -> Dict[str, Any]:
+        return {}
+
+    def handle(self, command: Dict[str, Any]) -> None:
+        if not self.go.is_set():  # the go barrier, or a stop before it
+            self.epoch = command.get("epoch")
+            self.go.set()
+
+    async def run(self) -> None:
+        await self.go.wait()
+        if self.epoch is not None:
+            await self.session.backend._main(
+                self._root,
+                max_time=self.spec.max_time,
+                max_events=None,
+                wait_for_all_honest=False,
+                extra_predicate=self.session.stop.is_set,
+                epoch=self.epoch,
+            )
+
+    def _root(self, party: Any) -> Any:
+        root = self.spec.factory(party)
+        root.on_output(lambda output: self.session.report(
+            "output",
+            output=output,
+            time=root.output_time,
+            common_subset=getattr(root, "common_subset", None),
+        ))
+        return root
 
 
 async def _dial(host: str, port: int, timeout: float):
@@ -282,7 +343,7 @@ async def _dial(host: str, port: int, timeout: float):
             await asyncio.sleep(0.05)
 
 
-# -- launcher side -----------------------------------------------------------
+# -- parent side --------------------------------------------------------------
 
 def reserve_roster(
     n: int, host: str = "127.0.0.1"
@@ -310,31 +371,232 @@ def free_roster(n: int, host: str = "127.0.0.1") -> Dict[int, Tuple[str, int]]:
 
     For callers that bind the addresses themselves (a roster passed to
     :class:`TcpBackend` or :class:`TcpTransport`); until they do, the ports
-    are anybody's.  The launchers use :func:`reserve_roster` instead.
+    are anybody's.  The pool uses :func:`reserve_roster` instead.
     """
-    roster, listeners = reserve_roster(n, host)
-    for sock in listeners.values():
+    sockets = [socket.socket() for _ in range(n)]
+    for sock in sockets:  # all bound at once, so the ports are distinct
+        sock.bind((host, 0))
+    roster = {pid: (host, sock.getsockname()[1]) for pid, sock in enumerate(sockets, 1)}
+    for sock in sockets:
         sock.close()
     return roster
 
 
 def spawn_party_process(
-    python: str, args: List[str], listener: Optional[socket.socket] = None
+    args: List[str], listener: Optional[socket.socket] = None
 ) -> subprocess.Popen:
     """Start ``python -m repro.launch *args`` as a party process.
 
-    The child imports the same code as the parent (and unpickles factories
-    defined in test/bench modules), so it gets the parent's import path;
-    ``listener`` is inherited under its own descriptor number.
+    The child runs the parent's interpreter and imports the same code (and
+    unpickles factories defined in test/bench modules), so it gets the
+    parent's import path; ``listener`` is inherited under its own
+    descriptor number.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    argv = [python, "-m", "repro.launch", *args]
+    argv = [sys.executable, "-m", "repro.launch", *args]
     pass_fds: Tuple[int, ...] = ()
     if listener is not None:
         argv += ["--listen-fd", str(listener.fileno())]
         pass_fds = (listener.fileno(),)
     return subprocess.Popen(argv, env=env, pass_fds=pass_fds)
+
+
+class PartyPool:
+    """The parent side of n party processes running one spec.
+
+    ``start`` reserves the roster (unless one is given), serves the control
+    channel, writes the spec file, spawns every party and waits for their
+    hellos; ``send`` / ``broadcast`` carry commands, ``wait`` polls for a
+    driver's condition while watching the children, ``spawn`` restarts one,
+    and ``close`` tears everything down.  The control server records each
+    child's ``hello`` and ``done`` itself and hands every other report to
+    ``on_report``.
+
+    **Trust boundary.**  The spec file is the one pickle of a multi-process
+    run: the pool creates it with ``tempfile.mkstemp`` (readable by its
+    owner only) and passes its path to the children it spawns on its own
+    host, which unpickle it (:func:`run_party`) -- parent to child, trusted
+    as the parent is.  Nothing read from a socket is unpickled: peers and
+    the control channel speak the :mod:`~repro.runtime.wire` codec only.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        host: str,
+        on_report: Callable[[Dict[str, Any]], None],
+        roster: Optional[Dict[int, Tuple[str, int]]] = None,
+    ):
+        self.n = n
+        self.host = host
+        self.roster = dict(roster) if roster else None
+        self.on_report = on_report
+        #: Parties whose death is part of the experiment (a scheduled crash,
+        #: a deliberate kill): :meth:`check` does not raise for them alone.
+        self.scheduled: Set[int] = set()
+        self.procs: Dict[int, subprocess.Popen] = {}
+        self.hellos: Dict[int, Dict[str, Any]] = {}
+        self.dones: Dict[int, Dict[str, Any]] = {}
+        #: Wall seconds from the first spawn to the last hello of ``start``
+        #: (interpreter + import cost x n, serialized on few-core hosts).
+        self.startup_seconds: Optional[float] = None
+        #: What ``close`` merged from the ``done`` reports.
+        self.metrics = SimulationMetrics()
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
+        self.schedule_misses: List[ScheduleMiss] = []
+        self._writers: Dict[int, asyncio.StreamWriter] = {}
+        self._listeners: Dict[int, socket.socket] = {}
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._spec_path: Optional[str] = None
+
+    async def start(self, spec: PartySpec, timeout: float) -> None:
+        if self.roster is None:
+            # Kept bound until close: a party -- a restarted one too --
+            # inherits its socket, so its port cannot be lost while it is down.
+            self.roster, self._listeners = reserve_roster(self.n, self.host)
+        self._server = await asyncio.start_server(self._serve, host=self.host, port=0)
+        spec.roster = self.roster
+        spec.control = self._server.sockets[0].getsockname()[:2]
+        fd, self._spec_path = tempfile.mkstemp(prefix="repro-spec-", suffix=".pkl")
+        with os.fdopen(fd, "wb") as handle:
+            pickle.dump(spec, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        started = _time.monotonic()
+        for party_id in range(1, self.n + 1):
+            self.spawn(party_id)
+        await self.wait_hellos(range(1, self.n + 1), timeout)
+        self.startup_seconds = _time.monotonic() - started
+
+    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        try:
+            while True:
+                report = decode_payload(await read_frame(reader))
+                kind, party_id = report["type"], report["party"]
+                if kind == "hello":
+                    self._writers[party_id] = writer
+                    self.hellos[party_id] = report
+                elif kind == "done":
+                    self.dones[party_id] = report
+                else:
+                    self.on_report(report)
+        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
+            pass  # the child exited (death detection watches it), or teardown
+
+    def spawn(self, party_id: int, resume: bool = False) -> None:
+        """Start party ``party_id``'s process (``resume``: a service party
+        restored from its latest snapshot), forgetting its last one's hello
+        and ``done``."""
+        self.hellos.pop(party_id, None)
+        self.dones.pop(party_id, None)
+        writer = self._writers.pop(party_id, None)
+        if writer is not None:  # the last incarnation's control connection
+            writer.close()
+        args = ["--party", str(party_id), "--spec", self._spec_path]
+        if resume:
+            args.append("--resume")
+        self.procs[party_id] = spawn_party_process(args, self._listeners.get(party_id))
+
+    def dead(self) -> Dict[int, Optional[int]]:
+        """The children that exited without a clean ``done``: party -> exit code."""
+        return {
+            pid: proc.returncode
+            for pid, proc in self.procs.items()
+            if proc.poll() is not None
+            and (pid not in self.dones or self.dones[pid]["error"])
+        }
+
+    def check(self, parties: Optional[Iterable[int]] = None) -> None:
+        """Raise for a child among ``parties`` (default: every one) that
+        reported a failure, or that died and was not scheduled to: a
+        deliberately crashed party's process may exit early -- that is the
+        experiment -- but any other death is fatal and typed."""
+        parties = set(self.procs if parties is None else parties)
+        for pid in sorted(parties & set(self.dones)):
+            if self.dones[pid]["error"]:
+                raise RuntimeError(f"party process {pid} failed: {self.dones[pid]['error']}")
+        dead = {pid: code for pid, code in self.dead().items() if pid in parties}
+        if set(dead) - self.scheduled:
+            raise PartyProcessDied(dead, scheduled=sorted(set(dead) & self.scheduled))
+
+    async def wait(
+        self,
+        condition: Callable[[], bool],
+        timeout: float,
+        describe: Callable[[], str],
+        parties: Optional[Iterable[int]] = None,
+    ) -> None:
+        """Poll until ``condition()``, checking ``parties`` (default: every
+        child) each time; ``TimeoutError(describe())`` after ``timeout`` s."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while not condition():
+            self.check(parties)
+            if loop.time() > deadline:
+                raise TimeoutError(describe())
+            await asyncio.sleep(POLL_S)
+
+    async def wait_hellos(self, parties: Sequence[int], timeout: float) -> None:
+        missing = lambda: [pid for pid in parties if pid not in self.hellos]  # noqa: E731
+        await self.wait(
+            lambda: not missing(),
+            timeout,
+            lambda: f"party process(es) {missing()} did not report in within {timeout}s",
+            parties,
+        )
+
+    async def send(self, party_id: int, command: Dict[str, Any]) -> None:
+        writer = self._writers.get(party_id)
+        if writer is None:
+            return
+        try:
+            writer.write(frame(encode_payload(command)))
+            await writer.drain()
+        except (ConnectionError, OSError):
+            pass  # a dead child: death detection owns the response
+
+    async def broadcast(self, command: Dict[str, Any]) -> None:
+        for party_id in sorted(self._writers):
+            await self.send(party_id, command)
+
+    async def close(self) -> None:
+        """Stop the children, then terminate, then kill what is left; close
+        the listeners, the server and the spec file; merge the ``done``
+        reports into :attr:`metrics`, :attr:`counters` and
+        :attr:`schedule_misses`."""
+        stopped = sorted(self._writers)
+        await self.broadcast({"type": "stop"})
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + STOP_WAIT_S
+        while loop.time() < deadline and any(
+            pid not in self.dones and self.procs[pid].poll() is None for pid in stopped
+        ):
+            await asyncio.sleep(POLL_S)
+        for writer in self._writers.values():
+            writer.close()
+        for proc in self.procs.values():
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in self.procs.values():
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        for sock in self._listeners.values():
+            sock.close()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        if self._spec_path is not None:
+            try:
+                os.unlink(self._spec_path)
+            except OSError:
+                pass
+        for done in self.dones.values():
+            _merge_metrics(self.metrics, done["metrics"])
+            for key in _COUNTERS:
+                self.counters[key] += done[key]
+            self.schedule_misses += [ScheduleMiss(*miss) for miss in done["schedule_misses"]]
 
 
 class RemoteInstance:
@@ -359,11 +621,11 @@ class RemoteInstance:
 class TcpBackend(ExecutionBackend):
     """Execution backend that runs every party in its own OS process.
 
-    ``run`` spawns ``n`` child processes (``python -m repro.launch``), waits
-    until every expected party has reported its root output over the control
-    channel, broadcasts the stop barrier, and aggregates the per-process
-    :class:`SimulationMetrics` into one launcher-side view.  Without a
-    ``roster`` the parties get ephemeral localhost ports; pass one (and run
+    ``run`` starts a :class:`PartyPool` of ``n`` party processes, hands them
+    the go barrier's epoch, waits until every expected party has reported
+    its root output, stops them, and aggregates the per-process
+    :class:`SimulationMetrics` into one parent-side view.  Without a
+    ``roster`` the parties get reserved localhost ports; pass one (and run
     the launch CLI per host) for genuinely distributed deployments.
     """
 
@@ -378,10 +640,8 @@ class TcpBackend(ExecutionBackend):
         host: str = "127.0.0.1",
         time_scale: float = DEFAULT_TIME_SCALE,
         faults: Optional[FaultPlan] = None,
-        python: Optional[str] = None,
         startup_timeout: float = 30.0,
         run_timeout: float = 600.0,
-        transport_opts: Optional[Dict[str, Any]] = None,
     ):
         self.n = n
         self.network = network or SynchronousNetwork()
@@ -394,13 +654,10 @@ class TcpBackend(ExecutionBackend):
         self.host = host
         self.time_scale = time_scale
         self.faults = faults
-        self.python = python or sys.executable
         self.startup_timeout = startup_timeout
         self.run_timeout = run_timeout
-        self.transport_opts: Dict[str, Any] = dict(transport_opts or {})
         self.crash_schedule: Dict[int, Optional[float]] = {}
-        #: Wall seconds from first spawn to the last hello of the latest run
-        #: (interpreter + import cost x n, serialized on few-core hosts);
+        #: Wall seconds from first spawn to the last hello of the latest run;
         #: benchmarks report it separately from the steady-state run time.
         self.startup_seconds: Optional[float] = None
         #: Data frames the party processes of the latest run put a wire seq
@@ -449,166 +706,50 @@ class TcpBackend(ExecutionBackend):
                 "the tcp backend's stop barrier is all-honest-outputs; "
                 "wait_for_all_honest=False is not supported"
             )
-        instances = asyncio.run(self._launch(factory, max_time))
-        return RunResult(self, instances)
+        return RunResult(self, asyncio.run(self._launch(factory, max_time)))
 
     async def _launch(self, factory, max_time) -> Dict[int, Any]:
-        loop = asyncio.get_running_loop()
-        listeners: Dict[int, socket.socket] = {}
-        if self.roster:
-            roster = dict(self.roster)
-        else:
-            roster, listeners = reserve_roster(self.n, self.host)
         expected = [pid for pid in range(1, self.n + 1)
                     if pid not in self.corrupt_parties]
-        hellos: set = set()
         outputs: Dict[int, Dict[str, Any]] = {}
-        dones: Dict[int, Dict[str, Any]] = {}
-        all_reported = asyncio.Event()
-        if not expected:
-            all_reported.set()
-        writers: Dict[int, asyncio.StreamWriter] = {}
-
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            party_id = None
-            try:
-                while True:
-                    msg = decode_payload(await read_frame(reader))
-                    kind = msg.get("type")
-                    if kind == "hello":
-                        party_id = msg["party"]
-                        writers[party_id] = writer
-                        hellos.add(party_id)
-                    elif kind == "output":
-                        outputs[msg["party"]] = msg
-                        if all(pid in outputs for pid in expected):
-                            all_reported.set()
-                    elif kind == "done":
-                        dones[msg["party"]] = msg
-            except (asyncio.IncompleteReadError, ConnectionError):
-                pass  # child exited; liveness is watched via the processes
-            except asyncio.CancelledError:
-                pass  # loop teardown cancels handlers still draining
-
-        server = await asyncio.start_server(handle, host=self.host, port=0)
-        control = server.sockets[0].getsockname()[:2]
+        missing = lambda: sorted(set(expected) - set(outputs))  # noqa: E731
+        pool = PartyPool(
+            self.n, self.host,
+            on_report=lambda report: outputs.__setitem__(report["party"], report),
+            roster=self.roster,
+        )
+        pool.scheduled = set(self.crash_schedule)
         spec = JobSpec(
             n=self.n,
             seed=self.seed,
             field_modulus=self.field.modulus,
             network=self.network,
-            factory=factory,
-            roster=roster,
-            control=control,
             time_scale=self.time_scale,
+            faults=self.faults,
+            factory=factory,
             max_time=max_time,
             corrupt=self.corrupt_spec,
             crash_schedule=self.crash_schedule,
-            faults=self.faults,
-            transport_opts=self.transport_opts,
         )
-        fd, spec_path = tempfile.mkstemp(prefix="repro-job-", suffix=".pkl")
-        with os.fdopen(fd, "wb") as handle_file:
-            pickle.dump(spec, handle_file, protocol=pickle.HIGHEST_PROTOCOL)
-        procs: Dict[int, subprocess.Popen] = {}
         try:
-            spawn_started = loop.time()
-            for party_id in range(1, self.n + 1):
-                procs[party_id] = spawn_party_process(
-                    self.python,
-                    ["--party", str(party_id), "--spec", spec_path],
-                    listeners.get(party_id),
-                )
-
-            def check_children() -> None:
-                for pid, done_msg in dones.items():
-                    if done_msg.get("error"):
-                        raise RuntimeError(
-                            f"party process {pid} failed: {done_msg['error']}"
-                        )
-                dead = {
-                    pid: procs[pid].returncode
-                    for pid, proc in procs.items()
-                    if proc.poll() is not None and pid not in dones
-                }
-                scheduled = sorted(set(dead) & set(self.crash_schedule))
-                # A deliberately-crashed party's process may exit early;
-                # that is the experiment, not a failure.  Any *other* death
-                # is fatal and typed, so harnesses can tell the two apart.
-                if set(dead) - set(scheduled):
-                    raise PartyProcessDied(dead, scheduled=scheduled)
-
-            deadline = loop.time() + self.startup_timeout
-            while len(hellos) < self.n:
-                check_children()
-                if loop.time() > deadline:
-                    missing = sorted(set(range(1, self.n + 1)) - hellos)
-                    raise TimeoutError(
-                        f"party process(es) {missing} did not report in within "
-                        f"{self.startup_timeout}s"
-                    )
-                await asyncio.sleep(0.02)
-            self.startup_seconds = loop.time() - spawn_started
+            await pool.start(spec, self.startup_timeout)
+            self.startup_seconds = pool.startup_seconds
             # The go barrier: one epoch on the host's monotonic clock.
-            go = frame(encode_payload({"type": "go", "epoch": _time.monotonic() + GO_LEAD_S}))
-            for writer in writers.values():
-                writer.write(go)
-
-            deadline = loop.time() + self.run_timeout
-            while not all_reported.is_set():
-                check_children()
-                if loop.time() > deadline:
-                    missing = sorted(set(expected) - set(outputs))
-                    raise TimeoutError(
-                        f"timed out after {self.run_timeout}s waiting for "
-                        f"outputs from parties {missing}"
-                    )
-                await asyncio.sleep(0.02)
-
-            # Stop barrier: every expected output is in; children drain,
-            # report their metrics, and exit.
-            stop = frame(encode_payload({"type": "stop"}))
-            for writer in writers.values():
-                writer.write(stop)
-            deadline = loop.time() + self.startup_timeout
-            while len(dones) < self.n and loop.time() < deadline:
-                if all(proc.poll() is not None for proc in procs.values()):
-                    break
-                await asyncio.sleep(0.02)
+            await pool.broadcast({"type": "go", "epoch": _time.monotonic() + GO_LEAD_S})
+            await pool.wait(
+                lambda: not missing(),
+                self.run_timeout,
+                lambda: f"timed out after {self.run_timeout}s waiting for "
+                        f"outputs from parties {missing()}",
+            )
         finally:
-            for writer in writers.values():
-                writer.close()
-            for proc in procs.values():
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs.values():
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-            for sock in listeners.values():
-                sock.close()
-            server.close()
-            await server.wait_closed()
-            try:
-                os.unlink(spec_path)
-            except OSError:
-                pass
-
-        self.metrics = SimulationMetrics()
-        self.frames_sent = self.messages_framed = 0
-        self.bundles_decoded = self.bundle_memo_hits = 0
-        self.schedule_misses = []
-        for done_msg in dones.values():
-            _merge_metrics(self.metrics, done_msg["metrics"])
-            self.frames_sent += done_msg["frames_sent"]
-            self.messages_framed += done_msg["messages_framed"]
-            self.bundles_decoded += done_msg["bundles_decoded"]
-            self.bundle_memo_hits += done_msg["bundle_memo_hits"]
-            self.schedule_misses += [
-                ScheduleMiss(*fields) for fields in done_msg["schedule_misses"]
-            ]
+            # The stop barrier: every expected output is in (or the run
+            # failed); children drain, report their metrics, and exit.
+            await pool.close()
+        self.metrics = pool.metrics
+        self.schedule_misses = pool.schedule_misses
+        for key, value in pool.counters.items():
+            setattr(self, key, value)
         return {
             pid: RemoteInstance(pid, outputs.get(pid))
             for pid in range(1, self.n + 1)

@@ -81,7 +81,7 @@ import os
 import socket
 import struct
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime.errors import (
     ChannelBrokenError,
@@ -244,14 +244,11 @@ class TcpTransport:
         for pid in sorted(self._local):
             listener = self._listeners.pop(pid, None)
             if listener is not None:
-                server = await asyncio.start_server(
-                    self._make_handler(pid), sock=listener
-                )
+                where: Dict[str, Any] = {"sock": listener}
             else:
                 host, port = self.roster.get(pid, (self.host, 0))
-                server = await asyncio.start_server(
-                    self._make_handler(pid), host=host, port=port
-                )
+                where = {"host": host, "port": port}
+            server = await asyncio.start_server(self._make_handler(pid), **where)
             if pid not in self.roster:
                 self.roster[pid] = server.sockets[0].getsockname()[:2]
             self._servers[pid] = server

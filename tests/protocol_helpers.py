@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
 from typing import Callable, Dict, List, Optional
 
+from repro.broadcast.acast import AcastProtocol
 from repro.broadcast.bc import BroadcastCarrier, Bundle, carrier_tag
 from repro.field import Polynomial, default_field
 from repro.sim import ProtocolRunner, SynchronousNetwork
@@ -195,3 +197,39 @@ def honest_outputs_consistent(result, ts: int) -> bool:
             if outputs[pid][index] != poly.evaluate(FIELD.alpha(pid)):
                 return False
     return True
+
+
+# -- party processes that fail: top-level, so a job spec can carry them ------
+
+def _acast(cls, party):
+    message = [party.field(v) for v in (1, 2, 3)] if party.id == 1 else None
+    return cls(party, "acast", sender=1, faults=1, message=message)
+
+
+class ExitingFactory:
+    """Acast from party 1; ``party``'s process exits with ``code`` as its
+    root instance is built (a party process that dies mid-run)."""
+
+    def __init__(self, party: int, code: int):
+        self.party = party
+        self.code = code
+
+    def __call__(self, party):
+        if party.id == self.party:
+            os._exit(self.code)
+        return _acast(AcastProtocol, party)
+
+
+class _RaisingAcast(AcastProtocol):
+    def receive(self, sender, payload):
+        raise RuntimeError(f"party {self.party.id} refuses a message from {sender}")
+
+
+class RaisingFactory:
+    """Acast from party 1; ``party``'s handler raises on its first message."""
+
+    def __init__(self, party: int):
+        self.party = party
+
+    def __call__(self, party):
+        return _acast(_RaisingAcast if party.id == self.party else AcastProtocol, party)

@@ -158,3 +158,35 @@ def test_property_product_circuit_matches_python(values):
         expected *= v
     outputs = circuit.evaluate({i + 1: F(v) for i, v in enumerate(values)})
     assert outputs == [F(expected)]
+
+
+def test_circuit_rows_cross_the_wire_codec_and_evaluate_alike():
+    """A circuit goes to a service party as rows on the wire codec (no
+    pickle): every gate kind and a field-element constant come back whole."""
+    from repro.runtime.wire import decode_payload, encode_payload
+
+    builder = CircuitBuilder(F)
+    x, y = builder.input(owner=1), builder.input(owner=2)
+    product = builder.mul(builder.add(x, y), builder.sub(x, y))
+    scaled = builder.constant_add(builder.constant_mul(product, F(7)), 5)
+    circuit = builder.build([scaled, product])
+    decoded = decode_payload(encode_payload(
+        {"gates": circuit.rows(), "outputs": circuit.outputs}
+    ))
+    clone = Circuit.from_rows(F, decoded["gates"], decoded["outputs"])
+    assert {gate.kind for gate in clone.gates} == set(GateType)
+    assert clone.gates[-2].constant == F(7)
+    inputs = {1: F(9), 2: F(4)}
+    assert clone.evaluate(inputs) == circuit.evaluate(inputs) == [F(13 * 5 * 7 + 5), F(65)]
+
+
+@pytest.mark.parametrize("rows", [
+    [("input", (), None, 1), ("add", (0, 1), None, None)],    # its own wire
+    [("input", (), None, 1), ("add", (0, 2), None, None)],    # a later wire
+    [("input", (), None, 1), ("add", (0, -1), None, None)],   # no wire at all
+    [("input", (), None, 1), ("xor", (0, 0), None, None)],    # an unknown kind
+    [("input", (), None)],                                    # a short row
+], ids=["own-wire", "forward-wire", "negative-wire", "unknown-kind", "short-row"])
+def test_circuit_rows_are_validated_when_rebuilt(rows):
+    with pytest.raises(ValueError):
+        Circuit.from_rows(F, rows, [0])

@@ -193,7 +193,7 @@ def _kitchen_sink_plan() -> FaultPlan:
         ],
         latencies=[LinkLatency(recipient=2, base=0.1, jitter=0.05)],
         clock_skews={3: 0.25},
-        process_faults=[ProcessFault(party=4, kill_after=1.5, restart=True)],
+        process_faults=[ProcessFault(party=4, sim_time=1.5)],
     )
 
 
@@ -349,7 +349,7 @@ PINNED_PLANS = {
               LinkFault(duplicate=0.15, reorder=0.15, drop=0.05)]),
           False, (None, set(), 9066, 12573, 2952501, 14019, 9066)),
     "C": (lambda: FaultPlan(seed=3, process_faults=[
-              ProcessFault(party=4, restart=False, sim_time=5.0)],
+              ProcessFault(party=4, sim_time=5.0)],
               link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
           True, ([0], {149.052}, 4077, 4578, 2159433, 6998, 3257)),
 }
@@ -415,7 +415,7 @@ def test_run_case_benign_plan_completes_with_reference_outputs():
 def test_run_case_tolerates_within_threshold_crash():
     plan = FaultPlan(
         seed=3,
-        process_faults=[ProcessFault(party=4, restart=False, sim_time=5.0)],
+        process_faults=[ProcessFault(party=4, sim_time=5.0)],
     )
     record = run_case(plan, n=4, ts=1, ta=0)
     assert record["outcome"] == OK
@@ -427,8 +427,8 @@ def test_run_case_over_threshold_kills_raise_typed_abort():
     plan = FaultPlan(
         seed=4,
         process_faults=[
-            ProcessFault(party=3, restart=False, sim_time=0.0),
-            ProcessFault(party=4, restart=False, sim_time=0.0),
+            ProcessFault(party=3, sim_time=0.0),
+            ProcessFault(party=4, sim_time=0.0),
         ],
     )
     with pytest.raises(ThresholdExceededAbort) as excinfo:

@@ -613,6 +613,40 @@ def test_the_simulator_is_the_only_scheduler():
         assert name not in vars(AsyncioBackend), name
 
 
+def test_the_party_pool_is_the_only_multiprocess_driver():
+    """One pool: under ``runtime/`` each party-process chore has one call
+    site, in ``PartyPool`` -- spawning, reserving the roster, serving control
+    (``TcpTransport``'s peer listener is the other server), writing the spec
+    file (the one pickle, read back only by ``run_party``) and merging the
+    children's metrics."""
+    runtime = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime"
+    chores = ("spawn_party_process", "reserve_roster", "asyncio.start_server",
+              "tempfile.mkstemp", "_merge_metrics", "pickle.dump", "pickle.load")
+    sites = {chore: [] for chore in chores}
+
+    def visit(node, file, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in sites:
+            sites[ast.unparse(node.func)].append(f"{file}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, scope)
+
+    for path in sorted(runtime.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
+    assert sites == {
+        "spawn_party_process": ["launcher.py:PartyPool.spawn"],
+        "reserve_roster": ["launcher.py:PartyPool.start"],
+        "asyncio.start_server": ["launcher.py:PartyPool.start",
+                                 "tcp_transport.py:TcpTransport.open"],
+        "tempfile.mkstemp": ["launcher.py:PartyPool.start"],
+        "_merge_metrics": ["launcher.py:PartyPool.close"],
+        "pickle.dump": ["launcher.py:PartyPool.start"],
+        "pickle.load": ["launcher.py:run_party"],
+    }
+    assert "pickle" not in (runtime / "supervisor.py").read_text(encoding="utf-8")
+
+
 def test_fault_plan_is_the_only_fault_injector():
     """One mechanism: only ``FaultPlan`` defines ``decide``, exactly one
     function asks it (the gate), and ``runtime/`` spells no other injector's

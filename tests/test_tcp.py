@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import fractions
+import os
 import pickle
 import time
 from collections import OrderedDict
@@ -39,9 +40,10 @@ from repro.mpc import run_mpc
 from repro.circuits import multiplication_circuit
 from repro.faults import FaultPlan, LinkFault, LinkLatency
 from repro.runtime import AsyncioBackend, make_backend
-from repro.runtime.launcher import TcpBackend, TcpPartyBackend, free_roster
+from repro.runtime.launcher import JobSpec, TcpBackend, TcpPartyBackend, free_roster
 from repro.runtime.programs import AcastFactory, MultiAcastFactory
-from repro.runtime.errors import ScheduleMiss, WireDecodeError
+from repro.runtime.errors import PartyProcessDied, ScheduleMiss, WireDecodeError
+from repro.runtime.supervisor import ServiceSpec
 from repro.runtime.tcp_transport import TcpTransport
 from repro.runtime.wire import (
     DecodeMemo,
@@ -61,6 +63,7 @@ from repro.sim.messages import Message, payload_bits
 from repro.sim.party import ProtocolInstance
 from repro.sim.simulator import SimulationMetrics
 
+from protocol_helpers import ExitingFactory, RaisingFactory
 from test_chaos_tcp import _take, _until, arrivals
 
 FIELD = default_field()
@@ -336,19 +339,28 @@ def test_run_mpc_over_tcp_backend():
     assert tcp.common_subset == [1, 2, 3, 4]
 
 
-def test_job_spec_pickles():
-    from repro.runtime.launcher import JobSpec
-
-    spec = JobSpec(
-        n=4, seed=0, field_modulus=FIELD.modulus, network=None,
-        factory=AcastFactory(sender=1, faults=1, message=[1, 2]),
-        roster={1: ("127.0.0.1", 7001)}, control=("127.0.0.1", 7000),
-        faults=FaultPlan(3, latencies=[LinkLatency(base=0.5)]),
-    )
+@pytest.mark.parametrize("spec", [
+    JobSpec(n=4, seed=0, field_modulus=FIELD.modulus,
+            factory=AcastFactory(sender=1, faults=1, message=[1, 2])),
+    ServiceSpec(n=4, seed=0, field_modulus=FIELD.modulus,
+                ts=1, ta=0, snapshot_dir="snapshots", clock_epoch=12.5),
+], ids=lambda spec: type(spec).__name__)
+def test_job_spec_pickles(spec):
+    """Both spec kinds cross the spec file whole, the fault plan in its one
+    ``faults`` field; the type names the child's program."""
+    spec.roster = {1: ("127.0.0.1", 7001)}
+    spec.control = ("127.0.0.1", 7000)
+    spec.faults = FaultPlan(3, latencies=[LinkLatency(base=0.5)])
     clone = pickle.loads(pickle.dumps(spec))
-    assert clone.factory.message == [1, 2]
+    assert type(clone) is type(spec)
+    assert clone.roster == spec.roster and clone.control == spec.control
     assert clone.faults.seed == 3
     assert clone.faults.latencies[0].base == 0.5
+    if isinstance(spec, JobSpec):
+        assert clone.factory.message == [1, 2]
+    else:
+        assert (clone.ts, clone.ta, clone.clock_epoch) == (1, 0, 12.5)
+        assert clone.transport_options["heartbeat_interval"] == 0.5
 
 
 def test_tcp_backend_rejects_unsupported_run_options():
@@ -357,6 +369,43 @@ def test_tcp_backend_rejects_unsupported_run_options():
         backend.run(AcastFactory(1, 1, [1]), max_events=10)
     with pytest.raises(ValueError, match="extra_predicate"):
         backend.run(AcastFactory(1, 1, [1]), extra_predicate=lambda: True)
+
+
+def _party_children():
+    """This process's live ``repro.launch`` children."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as handle:
+                parent = int(handle.read().rsplit(b")", 1)[1].split()[1])
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                command = handle.read()
+        except OSError:  # exited while we looked
+            continue
+        if parent == os.getpid() and b"repro.launch" in command:
+            found.append(int(pid))
+    return found
+
+
+@pytest.mark.tcp
+def test_a_party_process_that_dies_is_a_typed_unexpected_death():
+    """Party 2's process exits mid-run: the pool raises PartyProcessDied
+    naming it as an unexpected death with its exit code, and tears every
+    other party process down."""
+    backend = TcpBackend(4, seed=3)
+    with pytest.raises(PartyProcessDied) as raised:
+        backend.run(ExitingFactory(party=2, code=3), max_time=100_000.0)
+    assert raised.value.unexpected == [2]
+    assert raised.value.exit_codes[2] == 3
+    assert _party_children() == []
+
+
+@pytest.mark.tcp
+def test_a_handler_that_raises_fails_the_run_naming_its_party():
+    backend = TcpBackend(4, seed=3)
+    with pytest.raises(RuntimeError, match=r"^party process 2 failed: RuntimeError\('party 2 refuses"):
+        backend.run(RaisingFactory(party=2), max_time=100_000.0)
+    assert _party_children() == []
 
 
 # -- tier-2: the full grid over real sockets ---------------------------------
