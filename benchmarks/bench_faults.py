@@ -13,8 +13,8 @@ Records to ``BENCH_faults.json`` via :func:`bench_common.record_bench`:
   the wall cost of the interrupted evaluation vs the uninterrupted one.
 
 ``smoke()`` runs the reconnect scenario at a tiny backlog so tier-1 keeps
-this module from rotting; the supervisor rows (full interpreter spawns,
-tens of seconds each) only run from ``main()``.
+this module from rotting; the supervisor rows (party processes over real
+sockets, tens of seconds each) only run from ``main()``.
 """
 
 from __future__ import annotations

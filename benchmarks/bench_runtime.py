@@ -28,8 +28,9 @@ comparison is hardware-bound: the point of one-process-per-party is escaping
 the GIL, so with k usable cores the 32 parties' protocol CPU spreads k ways
 while the single-process loop serializes all of it.  On a single-core
 container there is no parallelism to recoup the wire costs (codec + syscalls
-vs by-reference in-process delivery) or the ``n`` interpreter startups
-(``startup_s`` is reported separately), so the tcp wall can only lag there
+vs by-reference in-process delivery) or the start-up -- one launcher
+interpreter and a fork per party, ``startup_s`` reported separately -- so
+the tcp wall can only lag there
 -- read the ``tcp_steady_vs_single_wall`` ratio together with ``cpu_count``.
 """
 
@@ -132,7 +133,7 @@ def _run_mpc_on_tcp(n: int, seed: int = 0, time_scale: float = 0.05,
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     row = _run_mpc_on(backend, n, seed, **options)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    # The collector counted was the launcher's, not the parties'.
+    # The collector counted was this process's, not the parties'.
     row = {key: value for key, value in row.items() if not key.startswith("gc_")}
     row.update({
         "time_scale": time_scale,

@@ -6,9 +6,10 @@ Two modes:
   one OS process per party on this machine, printing outputs and metrics as
   JSON.  Pass ``--roster roster.json`` (``{"1": ["10.0.0.1", 7001], ...}``)
   to place parties on fixed endpoints instead of ephemeral localhost ports.
-* **Child mode** (``--party i --spec spec.pkl``): internal -- a
-  :class:`~repro.runtime.launcher.PartyPool` spawns these; each runs one
-  party of the pickled spec, a job or a service party by the spec's type.
+* **Launcher mode** (``--spec spec.pkl``): internal -- a
+  :class:`~repro.runtime.launcher.PartyPool` starts one; it unpickles the
+  spec once and forks one party process per party the pool asks for, each
+  running a job or a service party by the spec's type.
 
 Examples::
 
@@ -54,16 +55,12 @@ def main(argv=None) -> int:
         prog="python -m repro.launch",
         description="Run a protocol with one OS process per party over TCP.",
     )
-    parser.add_argument("--party", type=int, default=None,
-                        help="internal: run one party of a pickled spec")
     parser.add_argument("--spec", default=None,
-                        help="internal: path to the pickled spec")
-    parser.add_argument("--resume", action="store_true",
-                        help="internal: restore the service party from its "
-                             "latest on-disk snapshot before rejoining")
-    parser.add_argument("--listen-fd", type=int, default=None,
-                        help="internal: inherited descriptor of the party's "
-                             "bound roster socket")
+                        help="internal: path to the pickled spec of a pool "
+                             "whose party processes this launcher forks")
+    parser.add_argument("--listen-fds", default=None,
+                        help="internal: inherited descriptors of the parties' "
+                             "bound roster sockets, in party order")
     parser.add_argument("--program", choices=["acast", "multiacast", "mpc-mult"],
                         default=None, help="host mode: the workload to run")
     parser.add_argument("--n", type=int, default=4, help="number of parties")
@@ -85,17 +82,16 @@ def main(argv=None) -> int:
                         help="simulated-time cap per party process")
     args = parser.parse_args(argv)
 
-    if args.party is not None:
-        if args.spec is None:
-            parser.error("--party requires --spec")
-        from repro.runtime.launcher import run_party
+    if args.spec is not None:
+        from repro.runtime.launcher import run_launcher
 
-        listener = None if args.listen_fd is None else socket.socket(fileno=args.listen_fd)
-        run_party(args.party, args.spec, listener=listener, resume=args.resume)
+        fds = args.listen_fds.split(",") if args.listen_fds else []
+        run_launcher(args.spec, {pid: socket.socket(fileno=int(fd))
+                                 for pid, fd in enumerate(fds, 1)})
         return 0
 
     if args.program is None:
-        parser.error("either --program (host mode) or --party/--spec is required")
+        parser.error("either --program (host mode) or --spec is required")
 
     from repro.faults.plan import FaultPlan, LinkLatency
     from repro.runtime.launcher import DEFAULT_TIME_SCALE, TcpBackend

@@ -6,10 +6,15 @@ TcpTransport` sockets -- behind one pool:
 
 * :class:`PartyPool` is the parent side every multi-process driver shares:
   it reserves the roster, serves the control channel, writes the spec file,
-  spawns one ``python -m repro.launch --party i`` process per party, waits
-  for their hellos, tells scheduled from unexpected deaths, and tears the
-  processes down, merging what they report when they are done.
-* :class:`PartySession` is the child side: it builds the party's transport
+  starts one launcher process, has it fork one party process per party,
+  waits for their hellos, tells scheduled from unexpected deaths, and tears
+  the processes down, merging what they report when they are done.
+* :class:`Launcher` is the one ``python -m repro.launch --spec`` process of
+  a pool: it imports the stack and unpickles the spec once, forks a party
+  process per ``spawn`` command (a service restart too), reaps each one and
+  reports its exit.  The process tree is pool -> launcher -> parties, and
+  party i runs on CPU i - 1 (mod k) of the k CPUs the launcher may use.
+* :class:`PartySession` is the party side: it builds the party's transport
   and :class:`TcpPartyBackend`, opens them, dials the control channel, says
   hello, turns each command into an event, and sends one ``done`` report.
   What the process runs in between -- its *program* -- comes from the
@@ -18,14 +23,14 @@ TcpTransport` sockets -- behind one pool:
 * :class:`TcpBackend` is the pool plus one job: the
   :class:`~repro.runtime.api.ExecutionBackend` of ``run_mpc(backend="tcp")``.
 
-A job's go barrier hands every child one epoch, a ``time.monotonic()``
+A job's go barrier hands every party one epoch, a ``time.monotonic()``
 instant :data:`GO_LEAD_S` ahead at which nominal 0 is due:
 ``CLOCK_MONOTONIC`` is system-wide, so the parties of one host share one
 nominal clock.  A hop that arrives after its due instant was served is a
 schedule miss (:mod:`repro.runtime.asyncio_backend`), merged into
 :attr:`TcpBackend.schedule_misses`.
 
-The control channel is a TCP connection per child carrying the same
+The control channel is a TCP connection per process carrying the same
 length-prefixed :mod:`~repro.runtime.wire` frames as the transport itself;
 reports and commands cross it as typed payloads (packed field vectors
 included), so the parent-side :class:`~repro.runtime.api.RunResult` carries
@@ -35,16 +40,22 @@ the same values an in-process backend would have produced.
 from __future__ import annotations
 
 import asyncio
+import gc
 import operator
 import os
 import pickle
+import resource
+import select
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time as _time
+import traceback
 from dataclasses import astuple, dataclass, field as _dc_field
-from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, NoReturn, Optional, Sequence, Set, Tuple
 
 from repro.field.gf import GF, default_field
 from repro.runtime.api import ExecutionBackend, RunResult
@@ -62,16 +73,17 @@ from repro.sim.simulator import SimulationMetrics
 DEFAULT_TIME_SCALE = 0.02
 
 #: Wall seconds between the go barrier and the epoch it hands out: the
-#: control-channel hop and each child's start-up work fit before nominal 0.
+#: control-channel hop and each party's start-up work fit before nominal 0.
 GO_LEAD_S = 0.1
 
-#: Wall seconds between two looks at the children (reports and deaths).
+#: Wall seconds between two looks at the parties (reports and deaths).
 POLL_S = 0.02
 
-#: Wall seconds a child keeps dialling the control channel.
+#: Wall seconds a party keeps dialling the control channel.
 CONTROL_DIAL_S = 30.0
 
-#: Wall seconds the teardown waits for the stopped children's ``done``.
+#: Wall seconds each teardown step waits: for the stopped parties to exit,
+#: for the terminated ones, for the launcher.
 STOP_WAIT_S = 10.0
 
 #: The transport counters every ``done`` report carries and the pool sums.
@@ -174,20 +186,135 @@ def _merge_metrics(total: SimulationMetrics, part: Dict[str, Any]) -> None:
             setattr(total, name, merge(mine, value))
 
 
-# -- child side (one party process) -----------------------------------------
+# -- launcher side (one process per pool) -------------------------------------
 
-def run_party(party_id: int, spec_path: str,
-              listener: Optional[socket.socket] = None, resume: bool = False) -> None:
-    """Entry point of a party process (``python -m repro.launch --party i``).
+def run_launcher(spec_path: str, listeners: Dict[int, socket.socket]) -> None:
+    """Entry point of a pool's launcher (``python -m repro.launch --spec``).
 
-    ``listener`` is the party's roster port, already bound by the pool and
-    inherited; without one the party binds its roster address itself.
-    ``resume`` restarts a service party from its latest snapshot.
+    ``listeners`` are the parties' roster ports, bound by the pool and
+    inherited (party id -> socket); without them each party binds its
+    roster address itself.
     """
+    gc.disable()  # no collector holes in the pages the forks share
     with open(spec_path, "rb") as handle:
         spec = pickle.load(handle)  # written by PartyPool.start (see there)
-    asyncio.run(PartySession(party_id, spec, listener).run(resume))
+    Launcher(spec, listeners).serve()
 
+
+class Launcher:
+    """The process that forks a pool's party processes and reaps them.
+
+    One thread and no event loop: a fork copies the imported stack and the
+    unpickled spec, nothing that runs.  The launcher dials the pool's
+    control server, reports in (``launcher``), and then takes ``spawn``,
+    ``signal`` and ``stop`` commands, reporting ``forked`` (the party's OS
+    pid) and ``exit`` (its return code, negative for a signal).  It exits
+    once the pool said stop, or went away, and every party it forked is
+    reaped -- so each party's CPU reaches the pool's ``RUSAGE_CHILDREN``.
+    """
+
+    def __init__(self, spec: PartySpec, listeners: Dict[int, socket.socket]):
+        self.spec = spec
+        self.listeners = listeners
+        self.control = socket.create_connection(spec.control)
+        #: The live party processes: OS pid -> party id.
+        self.children: Dict[int, int] = {}
+        #: A pipe nobody writes: each party holds the read end, only this
+        #: process the write end, so a party sees EOF when its launcher dies.
+        self.lifeline = os.pipe()
+
+    def report(self, kind: str, **fields: Any) -> None:
+        try:
+            self.control.sendall(frame(encode_payload({"type": kind, **fields})))
+        except OSError:
+            pass  # the pool went away; the parties are still reaped
+
+    def serve(self) -> None:
+        self.report("launcher")
+        serving = True
+        while serving or self.children:
+            if not serving:
+                _time.sleep(POLL_S)
+            elif select.select([self.control], [], [], POLL_S)[0]:
+                command = _recv_frame(self.control)
+                serving = command is not None and self.handle(decode_payload(command))
+            self.reap()
+
+    def handle(self, command: Dict[str, Any]) -> bool:
+        """Carry out one command; False once the pool said stop."""
+        kind = command["type"]
+        if kind == "spawn":
+            self.fork(command["party"], command["resume"])
+        elif kind == "signal":
+            for pid, party_id in self.children.items():
+                if party_id == command["party"]:
+                    os.kill(pid, command["signal"])
+        return kind != "stop"
+
+    def reap(self) -> None:
+        while self.children:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+            if not pid:
+                return
+            party_id = self.children.pop(pid)
+            self.report("exit", party=party_id, code=os.waitstatus_to_exitcode(status))
+
+    def fork(self, party_id: int, resume: bool) -> None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        gc.freeze()  # what the launcher holds stays out of the parties' collections
+        pid = os.fork()
+        if pid == 0:
+            self._party(party_id, resume)
+        self.children[pid] = party_id
+        self.report("forked", party=party_id, pid=pid)
+
+    def _party(self, party_id: int, resume: bool) -> NoReturn:
+        """The forked party process: drop the launcher's ends, bind to the
+        party's CPU, run its :class:`PartySession`, and exit."""
+        code = 1
+        try:
+            gc.enable()
+            self.control.close()
+            lifeline, held = self.lifeline
+            os.close(held)
+            threading.Thread(target=_die_with_launcher, args=(lifeline,), daemon=True).start()
+            for other, sock in self.listeners.items():
+                if other != party_id:
+                    sock.close()
+            if hasattr(os, "sched_setaffinity"):
+                cpus = sorted(os.sched_getaffinity(0))
+                os.sched_setaffinity(0, [cpus[(party_id - 1) % len(cpus)]])
+            session = PartySession(party_id, self.spec, self.listeners.get(party_id))
+            asyncio.run(session.run(resume))
+            code = 0
+        except BaseException:  # noqa: BLE001 - printed, and the exit code says it
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+
+
+def _die_with_launcher(lifeline: int) -> None:
+    """A party's watch on its launcher: nobody can reap an orphan, so
+    nothing of its CPU would be accounted -- it exits at once."""
+    os.read(lifeline, 1)
+    os._exit(1)
+
+
+def _recv_frame(sock: socket.socket) -> Optional[bytes]:
+    """One length-prefixed frame off a blocking socket; None at EOF."""
+    try:
+        header = sock.recv(4, socket.MSG_WAITALL)
+        if len(header) == 4:
+            return sock.recv(int.from_bytes(header, "big"), socket.MSG_WAITALL)
+    except OSError:
+        pass
+    return None
+
+
+# -- party side (one party process) -------------------------------------------
 
 class PartySession:
     """One party process: its transport, its backend and its control channel."""
@@ -245,6 +372,7 @@ class PartySession:
             error=repr(failure) if failure is not None else None,
             metrics=_metrics_dict(backend.metrics),
             schedule_misses=[astuple(miss) for miss in backend.schedule_misses],
+            cpu_s=sum(resource.getrusage(resource.RUSAGE_SELF)[:2]),  # user + system
             **{key: getattr(transport, key) for key in _COUNTERS},
         )
         try:
@@ -382,43 +510,58 @@ def free_roster(n: int, host: str = "127.0.0.1") -> Dict[int, Tuple[str, int]]:
     return roster
 
 
-def spawn_party_process(
-    args: List[str], listener: Optional[socket.socket] = None
-) -> subprocess.Popen:
-    """Start ``python -m repro.launch *args`` as a party process.
+class PartyProcess:
+    """A forked party process as the pool sees it.
 
-    The child runs the parent's interpreter and imports the same code (and
-    unpickles factories defined in test/bench modules), so it gets the
-    parent's import path; ``listener`` is inherited under its own
-    descriptor number.
+    The launcher reports its ``pid`` and its ``returncode`` (negative for a
+    signal, as :class:`subprocess.Popen` has it); ``terminate`` and
+    ``kill`` go through the launcher, which signals only a party it has not
+    reaped.  A party whose launcher is gone before it reported the party's
+    exit died with it: it gets the launcher's return code.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    argv = [sys.executable, "-m", "repro.launch", *args]
-    pass_fds: Tuple[int, ...] = ()
-    if listener is not None:
-        argv += ["--listen-fd", str(listener.fileno())]
-        pass_fds = (listener.fileno(),)
-    return subprocess.Popen(argv, env=env, pass_fds=pass_fds)
+
+    def __init__(self, pool: "PartyPool", party_id: int):
+        self.pool = pool
+        self.party_id = party_id
+        self.pid: Optional[int] = None
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None and self.pool.launcher_gone():
+            self.returncode = self.pool.launcher.returncode
+        return self.returncode
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def _signal(self, signum: int) -> None:
+        if self.poll() is None:
+            self.pool.command_launcher({"type": "signal", "party": self.party_id,
+                                        "signal": int(signum)})
 
 
 class PartyPool:
     """The parent side of n party processes running one spec.
 
     ``start`` reserves the roster (unless one is given), serves the control
-    channel, writes the spec file, spawns every party and waits for their
-    hellos; ``send`` / ``broadcast`` carry commands, ``wait`` polls for a
-    driver's condition while watching the children, ``spawn`` restarts one,
-    and ``close`` tears everything down.  The control server records each
-    child's ``hello`` and ``done`` itself and hands every other report to
+    channel, writes the spec file, starts the :class:`Launcher`, has it fork
+    every party and waits for their hellos; ``send`` / ``broadcast`` carry
+    commands, ``wait`` polls for a driver's condition while watching the
+    parties, ``spawn`` restarts one, and ``close`` tears everything down.
+    The control server records the launcher's reports and each party's
+    ``hello`` and ``done`` itself and hands every other report to
     ``on_report``.
 
     **Trust boundary.**  The spec file is the one pickle of a multi-process
     run: the pool creates it with ``tempfile.mkstemp`` (readable by its
-    owner only) and passes its path to the children it spawns on its own
-    host, which unpickle it (:func:`run_party`) -- parent to child, trusted
-    as the parent is.  Nothing read from a socket is unpickled: peers and
-    the control channel speak the :mod:`~repro.runtime.wire` codec only.
+    owner only) and passes its path to the launcher it starts on its own
+    host, which unpickles it once (:func:`run_launcher`) before it forks the
+    parties -- parent to child, trusted as the parent is.  Nothing read from
+    a socket is unpickled: peers and the control channel speak the
+    :mod:`~repro.runtime.wire` codec only.
     """
 
     def __init__(
@@ -435,17 +578,26 @@ class PartyPool:
         #: Parties whose death is part of the experiment (a scheduled crash,
         #: a deliberate kill): :meth:`check` does not raise for them alone.
         self.scheduled: Set[int] = set()
-        self.procs: Dict[int, subprocess.Popen] = {}
+        self.launcher: Optional[subprocess.Popen] = None
+        self.procs: Dict[int, PartyProcess] = {}
         self.hellos: Dict[int, Dict[str, Any]] = {}
         self.dones: Dict[int, Dict[str, Any]] = {}
-        #: Wall seconds from the first spawn to the last hello of ``start``
-        #: (interpreter + import cost x n, serialized on few-core hosts).
+        #: Wall seconds from starting the launcher to the last hello of
+        #: ``start`` (one interpreter start and import, then a fork per party).
         self.startup_seconds: Optional[float] = None
-        #: What ``close`` merged from the ``done`` reports.
+        #: What ``close`` merged from the ``done`` reports: counters, misses,
+        #: and the CPU seconds the parties reported (``RUSAGE_SELF`` each).
         self.metrics = SimulationMetrics()
         self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
         self.schedule_misses: List[ScheduleMiss] = []
+        self.children_cpu_s = 0.0
         self._writers: Dict[int, asyncio.StreamWriter] = {}
+        #: The party control connections not closed yet.
+        self._open: Set[asyncio.StreamWriter] = set()
+        self._launcher_writer: Optional[asyncio.StreamWriter] = None
+        self._launcher_eof = False
+        #: Commands written before the launcher reported in.
+        self._queued: List[bytes] = []
         self._listeners: Dict[int, socket.socket] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._spec_path: Optional[str] = None
@@ -462,42 +614,78 @@ class PartyPool:
         with os.fdopen(fd, "wb") as handle:
             pickle.dump(spec, handle, protocol=pickle.HIGHEST_PROTOCOL)
         started = _time.monotonic()
+        # The launcher runs the parent's interpreter and imports the same
+        # code (and unpickles factories defined in test/bench modules), so it
+        # gets the parent's import path; the listeners keep their numbers.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        argv = [sys.executable, "-m", "repro.launch", "--spec", self._spec_path]
+        fds = [self._listeners[pid].fileno() for pid in sorted(self._listeners)]
+        if fds:
+            argv += ["--listen-fds", ",".join(map(str, fds))]
+        self.launcher = subprocess.Popen(argv, env=env, pass_fds=fds)
         for party_id in range(1, self.n + 1):
             self.spawn(party_id)
         await self.wait_hellos(range(1, self.n + 1), timeout)
         self.startup_seconds = _time.monotonic() - started
 
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        launcher = False
         try:
             while True:
                 report = decode_payload(await read_frame(reader))
-                kind, party_id = report["type"], report["party"]
-                if kind == "hello":
-                    self._writers[party_id] = writer
-                    self.hellos[party_id] = report
+                kind = report["type"]
+                if kind == "launcher":
+                    launcher = True
+                    self._launcher_writer = writer
+                    for command in self._queued:
+                        writer.write(command)
+                    self._queued = []
+                elif kind == "forked":
+                    self.procs[report["party"]].pid = report["pid"]
+                elif kind == "exit":
+                    self.procs[report["party"]].returncode = report["code"]
+                elif kind == "hello":
+                    self._writers[report["party"]] = writer
+                    self._open.add(writer)
+                    self.hellos[report["party"]] = report
                 elif kind == "done":
-                    self.dones[party_id] = report
+                    self.dones[report["party"]] = report
                 else:
                     self.on_report(report)
         except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
-            pass  # the child exited (death detection watches it), or teardown
+            pass  # the process exited (death detection watches it), or teardown
+        finally:
+            self._open.discard(writer)
+            self._launcher_eof = self._launcher_eof or launcher
+
+    def launcher_gone(self) -> bool:
+        """Whether the launcher exited and every report it sent was read."""
+        return self.launcher is not None and self.launcher.poll() is not None and (
+            self._launcher_eof or self._launcher_writer is None)
+
+    def command_launcher(self, command: Dict[str, Any]) -> None:
+        """Send the launcher a command, queued until it has reported in."""
+        data = frame(encode_payload(command))
+        if self._launcher_writer is None:
+            self._queued.append(data)
+        elif not self._launcher_writer.is_closing():
+            self._launcher_writer.write(data)
 
     def spawn(self, party_id: int, resume: bool = False) -> None:
-        """Start party ``party_id``'s process (``resume``: a service party
-        restored from its latest snapshot), forgetting its last one's hello
-        and ``done``."""
+        """Have the launcher fork party ``party_id``'s process (``resume``: a
+        service party restored from its latest snapshot), forgetting its last
+        one's hello and ``done``."""
         self.hellos.pop(party_id, None)
         self.dones.pop(party_id, None)
         writer = self._writers.pop(party_id, None)
         if writer is not None:  # the last incarnation's control connection
             writer.close()
-        args = ["--party", str(party_id), "--spec", self._spec_path]
-        if resume:
-            args.append("--resume")
-        self.procs[party_id] = spawn_party_process(args, self._listeners.get(party_id))
+        self.procs[party_id] = PartyProcess(self, party_id)
+        self.command_launcher({"type": "spawn", "party": party_id, "resume": resume})
 
     def dead(self) -> Dict[int, Optional[int]]:
-        """The children that exited without a clean ``done``: party -> exit code."""
+        """The parties that exited without a clean ``done``: party -> exit code."""
         return {
             pid: proc.returncode
             for pid, proc in self.procs.items()
@@ -506,7 +694,7 @@ class PartyPool:
         }
 
     def check(self, parties: Optional[Iterable[int]] = None) -> None:
-        """Raise for a child among ``parties`` (default: every one) that
+        """Raise for a party among ``parties`` (default: every one) that
         reported a failure, or that died and was not scheduled to: a
         deliberately crashed party's process may exit early -- that is the
         experiment -- but any other death is fatal and typed."""
@@ -526,7 +714,7 @@ class PartyPool:
         parties: Optional[Iterable[int]] = None,
     ) -> None:
         """Poll until ``condition()``, checking ``parties`` (default: every
-        child) each time; ``TimeoutError(describe())`` after ``timeout`` s."""
+        party) each time; ``TimeoutError(describe())`` after ``timeout`` s."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while not condition():
@@ -552,36 +740,46 @@ class PartyPool:
             writer.write(frame(encode_payload(command)))
             await writer.drain()
         except (ConnectionError, OSError):
-            pass  # a dead child: death detection owns the response
+            pass  # a dead party: death detection owns the response
 
     async def broadcast(self, command: Dict[str, Any]) -> None:
         for party_id in sorted(self._writers):
             await self.send(party_id, command)
 
     async def close(self) -> None:
-        """Stop the children, then terminate, then kill what is left; close
-        the listeners, the server and the spec file; merge the ``done``
-        reports into :attr:`metrics`, :attr:`counters` and
-        :attr:`schedule_misses`."""
-        stopped = sorted(self._writers)
-        await self.broadcast({"type": "stop"})
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + STOP_WAIT_S
-        while loop.time() < deadline and any(
-            pid not in self.dones and self.procs[pid].poll() is None for pid in stopped
-        ):
-            await asyncio.sleep(POLL_S)
-        for writer in self._writers.values():
-            writer.close()
-        for proc in self.procs.values():
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.procs.values():
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        """Stop the parties, then terminate, then kill what is left; wait
+        for the launcher, which exits once it reaped every party; close the
+        listeners, the server and the spec file; merge the ``done`` reports
+        into :attr:`metrics`, :attr:`counters`, :attr:`schedule_misses` and
+        :attr:`children_cpu_s`.
+
+        Nothing outlives ``close``, and the launcher is not killed while it
+        can still reap a party (only one that does not exit by itself is),
+        so every party's CPU reaches the caller's ``RUSAGE_CHILDREN``.
+        """
+        if not self.launcher_gone():
+            await self.broadcast({"type": "stop"})
+        procs = list(self.procs.values())
+        exited = lambda: all(proc.poll() is not None for proc in procs)  # noqa: E731
+        await _until(exited, STOP_WAIT_S)
+        for stop in (PartyProcess.terminate, PartyProcess.kill):
+            for proc in procs:
+                stop(proc)
+            await _until(exited, STOP_WAIT_S)
+        if self.launcher is not None:
+            self.command_launcher({"type": "stop"})
+            await _until(lambda: self.launcher.poll() is not None, STOP_WAIT_S)
+            if self.launcher.poll() is None:
+                self.launcher.kill()
+                self.launcher.wait()
+            # A party's control connection closes as its process goes; the
+            # parties lost with their launcher got no stop and go only by
+            # the lifeline, so for them too a closed connection is an exit.
+            writers = [self._writers.get(proc.party_id) for proc in procs]
+            await _until(lambda: not self._open.intersection(writers), STOP_WAIT_S)
+        for writer in (*self._writers.values(), self._launcher_writer):
+            if writer is not None:
+                writer.close()
         for sock in self._listeners.values():
             sock.close()
         if self._server is not None:
@@ -597,6 +795,15 @@ class PartyPool:
             for key in _COUNTERS:
                 self.counters[key] += done[key]
             self.schedule_misses += [ScheduleMiss(*miss) for miss in done["schedule_misses"]]
+            self.children_cpu_s += done["cpu_s"]
+
+
+async def _until(condition: Callable[[], bool], timeout: float) -> None:
+    """Poll ``condition`` for up to ``timeout`` wall seconds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not condition() and loop.time() < deadline:
+        await asyncio.sleep(POLL_S)
 
 
 class RemoteInstance:
@@ -625,8 +832,8 @@ class TcpBackend(ExecutionBackend):
     the go barrier's epoch, waits until every expected party has reported
     its root output, stops them, and aggregates the per-process
     :class:`SimulationMetrics` into one parent-side view.  Without a
-    ``roster`` the parties get reserved localhost ports; pass one (and run
-    the launch CLI per host) for genuinely distributed deployments.
+    ``roster`` the parties get reserved localhost ports; pass one to put
+    them on fixed endpoints.
     """
 
     def __init__(
@@ -657,9 +864,13 @@ class TcpBackend(ExecutionBackend):
         self.startup_timeout = startup_timeout
         self.run_timeout = run_timeout
         self.crash_schedule: Dict[int, Optional[float]] = {}
-        #: Wall seconds from first spawn to the last hello of the latest run;
-        #: benchmarks report it separately from the steady-state run time.
+        #: Wall seconds from starting the launcher to the last hello of the
+        #: latest run; benchmarks report it apart from the steady-state time.
         self.startup_seconds: Optional[float] = None
+        #: CPU seconds the party processes of the latest run reported in
+        #: their ``done`` (each its own ``RUSAGE_SELF``); the caller's
+        #: ``RUSAGE_CHILDREN`` grows by at least this much across ``run``.
+        self.children_cpu_s = 0.0
         #: Data frames the party processes of the latest run put a wire seq
         #: on, and the logical messages those frames carried.
         self.frames_sent = 0
@@ -670,7 +881,7 @@ class TcpBackend(ExecutionBackend):
         self.bundle_memo_hits = 0
         #: Every party process's schedule misses in the latest run.
         self.schedule_misses: List[ScheduleMiss] = []
-        #: No in-process parties -- they live in the child processes.
+        #: No in-process parties -- they live in the party processes.
         self.parties: Dict[int, Any] = {}
 
     def set_behavior(self, party_id: int, behavior) -> None:
@@ -744,10 +955,11 @@ class TcpBackend(ExecutionBackend):
             )
         finally:
             # The stop barrier: every expected output is in (or the run
-            # failed); children drain, report their metrics, and exit.
+            # failed); parties drain, report their metrics, and exit.
             await pool.close()
         self.metrics = pool.metrics
         self.schedule_misses = pool.schedule_misses
+        self.children_cpu_s = pool.children_cpu_s
         for key, value in pool.counters.items():
             setattr(self, key, value)
         return {

@@ -10,8 +10,8 @@ respawning it.  Both sides ride the :mod:`~repro.runtime.launcher` pool:
   :class:`~repro.runtime.launcher.PartyPool` of one service party process
   per party, a stream of circuit evaluations driven over the control
   channel, and a monitor task that detects child death (deliberate
-  :meth:`~TcpMpcService.kill_party` or unexpected exit), respawns the
-  process with ``--resume``, drives the existing
+  :meth:`~TcpMpcService.kill_party` or unexpected exit), has the pool's
+  launcher fork it again to resume from its snapshot, drives the existing
   :class:`~repro.service.service.RejoinProtocol` over TCP to readmit it,
   replays the results it missed, and re-issues any evaluation the death
   interrupted.  Every recovery is recorded as a
@@ -21,7 +21,7 @@ respawning it.  Both sides ride the :mod:`~repro.runtime.launcher` pool:
   taking eval/go/abandon/record/rejoin commands and checkpointing its
   durable state (rng, results watermark) through
   :class:`~repro.service.checkpoint.CheckpointStore` after every recorded
-  result -- the snapshot a ``--resume`` restart restores.  An ``eval``
+  result -- the snapshot a resumed restart restores.  An ``eval``
   carries its circuit as rows of the wire codec (:meth:`~repro.circuits.
   circuit.Circuit.rows`).
 
@@ -98,11 +98,10 @@ class ServiceSpec(PartySpec):
     #: ``time.monotonic()`` at the service's nominal 0, for every child.
     clock_epoch: float
 
-    # Channels ride out a peer's restart (an interpreter start on a busy
-    # host takes seconds); heartbeats prune idle replay buffers and feed the
-    # failure detector.  The replay buffer (in frames: a channel's share of
-    # one instant) absorbs what an in-flight evaluation sends during the
-    # outage -- an overflow kills this process, needlessly.
+    # Channels ride out a peer's restart; heartbeats prune idle replay
+    # buffers and feed the failure detector.  The replay buffer (in frames:
+    # a channel's share of one instant) absorbs what an in-flight evaluation
+    # sends during the outage -- an overflow kills this process, needlessly.
     transport_options: ClassVar[Dict[str, Any]] = {
         "heartbeat_interval": 0.5,
         "max_reconnect_attempts": 240,
@@ -286,11 +285,12 @@ class TcpMpcService:
 
     ``kill_party`` SIGKILLs a child mid-stream; the monitor treats that
     exactly like any *unexpected* child death (the distinction is recorded,
-    not acted on differently -- self-healing is the point): it respawns the
-    process with ``--resume``, waits for the restored hello, drives the
-    RejoinProtocol handshake over TCP against the survivors, replays the
-    results log, and bumps the roster epoch so an interrupted evaluation is
-    abandoned and re-issued under a fresh attempt tag.
+    not acted on differently -- self-healing is the point): it has the
+    party forked again to resume from its snapshot, waits for the restored
+    hello, drives the RejoinProtocol handshake over TCP against the
+    survivors, replays the results log, and bumps the roster epoch so an
+    interrupted evaluation is abandoned and re-issued under a fresh attempt
+    tag.
     """
 
     def __init__(
@@ -605,8 +605,8 @@ class TcpMpcService:
         if proc is not None and proc.poll() is None:
             self._pool.scheduled.add(party_id)
             proc.kill()
-            # Wait for the OS to reap it so the death is visible (and the
-            # monitor can claim it) the moment kill_party returns.
+            # Wait for the launcher to reap it so the death is visible (and
+            # the monitor can claim it) the moment kill_party returns.
             while proc.poll() is None:
                 await asyncio.sleep(0.01)
 

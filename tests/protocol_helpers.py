@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import time
 from typing import Callable, Dict, List, Optional
 
 from repro.broadcast.acast import AcastProtocol
@@ -233,3 +234,17 @@ class RaisingFactory:
 
     def __call__(self, party):
         return _acast(_RaisingAcast if party.id == self.party else AcastProtocol, party)
+
+
+class SpinningFactory:
+    """Acast from party 1, after every party process spent ``seconds`` of
+    its own CPU building its root (work the caller's CPU accounting must see)."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def __call__(self, party):
+        start = time.process_time()
+        while time.process_time() - start < self.seconds:
+            pass
+        return _acast(AcastProtocol, party)

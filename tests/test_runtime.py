@@ -615,12 +615,13 @@ def test_the_simulator_is_the_only_scheduler():
 
 def test_the_party_pool_is_the_only_multiprocess_driver():
     """One pool: under ``runtime/`` each party-process chore has one call
-    site, in ``PartyPool`` -- spawning, reserving the roster, serving control
-    (``TcpTransport``'s peer listener is the other server), writing the spec
-    file (the one pickle, read back only by ``run_party``) and merging the
-    children's metrics."""
+    site -- starting the one launcher process, reserving the roster, serving
+    control (``TcpTransport``'s peer listener is the other server), writing
+    the spec file (the one pickle) and merging the parties' metrics in
+    ``PartyPool``; forking a party, and reading the spec back once, in the
+    launcher.  There is one spawn path: no process per party is exec'd."""
     runtime = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime"
-    chores = ("spawn_party_process", "reserve_roster", "asyncio.start_server",
+    chores = ("subprocess.Popen", "os.fork", "reserve_roster", "asyncio.start_server",
               "tempfile.mkstemp", "_merge_metrics", "pickle.dump", "pickle.load")
     sites = {chore: [] for chore in chores}
 
@@ -632,19 +633,22 @@ def test_the_party_pool_is_the_only_multiprocess_driver():
         for child in ast.iter_child_nodes(node):
             visit(child, file, scope)
 
-    for path in sorted(runtime.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(runtime.glob("*.py"))}
+    for name, text in sources.items():
+        visit(ast.parse(text), name, ())
     assert sites == {
-        "spawn_party_process": ["launcher.py:PartyPool.spawn"],
+        "subprocess.Popen": ["launcher.py:PartyPool.start"],
+        "os.fork": ["launcher.py:Launcher.fork"],
         "reserve_roster": ["launcher.py:PartyPool.start"],
         "asyncio.start_server": ["launcher.py:PartyPool.start",
                                  "tcp_transport.py:TcpTransport.open"],
         "tempfile.mkstemp": ["launcher.py:PartyPool.start"],
         "_merge_metrics": ["launcher.py:PartyPool.close"],
         "pickle.dump": ["launcher.py:PartyPool.start"],
-        "pickle.load": ["launcher.py:run_party"],
+        "pickle.load": ["launcher.py:run_launcher"],
     }
-    assert "pickle" not in (runtime / "supervisor.py").read_text(encoding="utf-8")
+    assert not [name for name, text in sources.items() if "spawn_party_process" in text]
+    assert "pickle" not in sources["supervisor.py"]
 
 
 def test_fault_plan_is_the_only_fault_injector():

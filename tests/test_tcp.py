@@ -11,9 +11,9 @@ Layers under test:
 * one seeded :class:`~repro.faults.FaultPlan` faults the *same* messages on
   the simulator and over :class:`TcpTransport` (seeded fault-replay
   equivalence: one gate, run where a message is handed out);
-* the multi-process harness (:class:`TcpBackend` + ``python -m
-  repro.launch``) runs one OS process per party and reassembles outputs and
-  metrics at the launcher.
+* the multi-process harness (:class:`TcpBackend` + the ``python -m
+  repro.launch`` launcher, which forks one OS process per party)
+  reassembles outputs and metrics in the calling process.
 
 Everything socket-touching is ``tcp``-marked: tests/conftest.py arms a
 SIGALRM per-test timeout so a wedged socket can never hang tier-1.
@@ -25,6 +25,9 @@ import asyncio
 import fractions
 import os
 import pickle
+import resource
+import signal
+import threading
 import time
 from collections import OrderedDict
 from math import isfinite
@@ -40,7 +43,7 @@ from repro.mpc import run_mpc
 from repro.circuits import multiplication_circuit
 from repro.faults import FaultPlan, LinkFault, LinkLatency
 from repro.runtime import AsyncioBackend, make_backend
-from repro.runtime.launcher import JobSpec, TcpBackend, TcpPartyBackend, free_roster
+from repro.runtime.launcher import STOP_WAIT_S, JobSpec, TcpBackend, TcpPartyBackend, free_roster
 from repro.runtime.programs import AcastFactory, MultiAcastFactory
 from repro.runtime.errors import PartyProcessDied, ScheduleMiss, WireDecodeError
 from repro.runtime.supervisor import ServiceSpec
@@ -63,7 +66,7 @@ from repro.sim.messages import Message, payload_bits
 from repro.sim.party import ProtocolInstance
 from repro.sim.simulator import SimulationMetrics
 
-from protocol_helpers import ExitingFactory, RaisingFactory
+from protocol_helpers import ExitingFactory, RaisingFactory, SpinningFactory
 from test_chaos_tcp import _take, _until, arrivals
 
 FIELD = default_field()
@@ -371,20 +374,29 @@ def test_tcp_backend_rejects_unsupported_run_options():
         backend.run(AcastFactory(1, 1, [1]), extra_predicate=lambda: True)
 
 
-def _party_children():
-    """This process's live ``repro.launch`` children."""
-    found = []
+def _launch_processes():
+    """This process group's live ``repro.launch`` processes: pid -> parent.
+
+    The launcher is a child of this process and the parties are its forks,
+    so they are matched by process group, which an orphan keeps when it is
+    re-parented."""
+    found = {}
     for pid in filter(str.isdigit, os.listdir("/proc")):
         try:
             with open(f"/proc/{pid}/stat", "rb") as handle:
-                parent = int(handle.read().rsplit(b")", 1)[1].split()[1])
+                fields = handle.read().rsplit(b")", 1)[1].split()
             with open(f"/proc/{pid}/cmdline", "rb") as handle:
                 command = handle.read()
         except OSError:  # exited while we looked
             continue
-        if parent == os.getpid() and b"repro.launch" in command:
-            found.append(int(pid))
+        if int(fields[2]) == os.getpgrp() and b"repro.launch" in command:
+            found[int(pid)] = int(fields[1])
     return found
+
+
+def _party_children():
+    """The live ``repro.launch`` processes of this process group."""
+    return sorted(_launch_processes())
 
 
 @pytest.mark.tcp
@@ -405,6 +417,60 @@ def test_a_handler_that_raises_fails_the_run_naming_its_party():
     backend = TcpBackend(4, seed=3)
     with pytest.raises(RuntimeError, match=r"^party process 2 failed: RuntimeError\('party 2 refuses"):
         backend.run(RaisingFactory(party=2), max_time=100_000.0)
+    assert _party_children() == []
+
+
+@pytest.mark.tcp
+def test_a_launcher_that_dies_is_every_party_dying_and_leaves_nothing():
+    """SIGKILL the launcher once it forked the four parties (party 1 is
+    crashed, so nobody outputs and the run is still waiting): the run raises
+    PartyProcessDied naming every party, none reported done, and no process
+    of the launcher's is left -- the orphaned parties exit on their own, at
+    once."""
+    backend = TcpBackend(4, seed=3, run_timeout=60.0)
+    backend.crash_party(1)
+    killed = []
+
+    def kill_the_launcher():
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            found = _launch_processes()
+            launchers = [pid for pid, parent in found.items() if parent == os.getpid()]
+            if len(launchers) == 1 and len(found) == 5:
+                os.kill(launchers[0], signal.SIGKILL)
+                killed.append(time.monotonic())
+                return
+            time.sleep(0.02)
+
+    killer = threading.Thread(target=kill_the_launcher)
+    killer.start()
+    with pytest.raises(PartyProcessDied) as raised:
+        backend.run(AcastFactory(sender=1, faults=1, message=[1, 2]), max_time=100_000.0)
+    killer.join()
+    # The orphans went by themselves: the teardown did not wait them out.
+    assert killed and time.monotonic() - killed[0] < STOP_WAIT_S
+    assert sorted(raised.value.exit_codes) == [1, 2, 3, 4]
+    assert raised.value.unexpected == [2, 3, 4] and raised.value.scheduled == [1]
+    assert set(raised.value.exit_codes.values()) == {-signal.SIGKILL}
+    assert _party_children() == []
+
+
+@pytest.mark.tcp
+def test_the_callers_cpu_accounting_sees_every_party_process():
+    """Each party reports its own CPU in its ``done``; the caller's
+    ``RUSAGE_CHILDREN`` grows by at least their sum across ``run`` -- the
+    launcher reaped every party before the pool reaped the launcher."""
+    def children_cpu():
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    backend = TcpBackend(4, seed=3)
+    before = children_cpu()
+    run = backend.run(SpinningFactory(0.25), max_time=100_000.0)
+    grew = children_cpu() - before
+    assert len(run.honest_outputs()) == 4
+    assert backend.children_cpu_s >= 4 * 0.25
+    assert grew >= backend.children_cpu_s
     assert _party_children() == []
 
 
