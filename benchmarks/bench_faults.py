@@ -9,8 +9,9 @@ Records to ``BENCH_faults.json`` via :func:`bench_common.record_bench`:
   delivery rate for scale;
 * ``supervisor_recovery_n<N>`` -- SIGKILL one party of a multi-process
   :class:`~repro.runtime.supervisor.TcpMpcService` mid-evaluation; records
-  the RecoveryReport (restart-from-snapshot + rejoin handshake times) and
-  the wall cost of the interrupted evaluation vs the uninterrupted one.
+  the RecoveryReport (restart-from-snapshot + rejoin handshake times), the
+  wall cost of the interrupted evaluation vs the uninterrupted one, and the
+  schedule misses the party processes report over the whole run.
 
 ``smoke()`` runs the reconnect scenario at a tiny backlog so tier-1 keeps
 this module from rotting; the supervisor rows (party processes over real
@@ -141,6 +142,9 @@ def bench_supervisor_recovery(n: int = 4, ts: int = 1, ta: int = 0,
         }
     finally:
         svc.close()
+    # Children past a Δ boundary on a loaded host; counted after close,
+    # when the pool has gathered every child's report.
+    payload["schedule_misses"] = float(len(svc.schedule_misses))
     record_bench("faults", f"supervisor_recovery_n{n}", payload)
     return payload
 
@@ -170,7 +174,8 @@ def main() -> None:
         print(f"  warm eval {row['warm_eval_wall_s']:6.1f} s   "
               f"interrupted {row['interrupted_eval_wall_s']:6.1f} s   "
               f"recovery {row['recovery_wall_s']:5.2f} s "
-              f"({row['rejoin_attempts']:.0f} rejoin attempts)")
+              f"({row['rejoin_attempts']:.0f} rejoin attempts)   "
+              f"schedule misses {row['schedule_misses']:.0f}")
 
 
 if __name__ == "__main__":

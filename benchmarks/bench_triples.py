@@ -8,14 +8,10 @@ Recorded rows (BENCH_triples.json):
 
 * ``dealer_pipeline_n16_ts5_cm64`` -- wall time of the ΠTripSh dealer-side
   pipeline.
-* ``shard_round_bound_n4_ts1_cm3`` -- max single-message size with and
-  without round sharding, against the analytic bound.
 * ``him_extract_n64`` -- dealer-side sharing work per output triple of the
   HIM offline phase (7 polynomials per slot) against the per-dealer ΠTripSh
   pipeline (3·(2t_s+1) polynomials per triple) at n=64, t_s=21, c_M=64.
-  Total dealer work is shard-independent (sharding only splits the same
-  polynomials across rounds), so the row stands for the sharded pipeline at
-  any shard size.  Acceptance: >= 3x triples/sec.
+  Acceptance: >= 3x triples/sec.
 * ``him_refine_n64`` -- same comparison with each pipeline's post-sharing
   refinement math appended: the HIM challenge-extraction product plus every
   dealer-slot's sigma/tau/zeta sacrifice arithmetic, versus ΠTripTrans /
@@ -26,11 +22,6 @@ import random
 
 import pytest
 
-from repro.analysis.metrics import (
-    bundle_message_bound,
-    sharded_triple_message_bound,
-    sibling_sharings,
-)
 from repro.field.polynomial import Polynomial, interpolate_at
 from repro.sharing.wps import make_bivariates, rows_for_all_parties
 from repro.sim import AsynchronousNetwork, SynchronousNetwork, WrongValueBehavior
@@ -249,9 +240,7 @@ def measure_him_speedup(n=64, ts=21, c_m=64, seed=41, repeats=1, refine=False):
     Both pipelines run their dealer-side sharing work for the same c_M
     target (batching enabled for both -- this is a pipeline-vs-pipeline
     comparison, not batch-vs-scalar); with ``refine=True`` each also runs
-    its post-sharing refinement math.  Dealer-side totals are independent
-    of round sharding (a shard splits the same work across rounds), so the
-    ratio holds for the sharded pipeline at every shard size.
+    its post-sharing refinement math.
     """
     per_dealer = triples_per_dealer(n, ts, c_m)
     slots = him_slots(n, ts, c_m)
@@ -288,7 +277,7 @@ def measure_him_speedup(n=64, ts=21, c_m=64, seed=41, repeats=1, refine=False):
 
 
 def test_him_extract_beats_per_dealer_pipeline_n64():
-    """Acceptance: >= 3x triples/sec over the (sharded or not) per-dealer
+    """Acceptance: >= 3x triples/sec over the per-dealer
     pipeline's sharing stage at n=64, t_s=21, c_M=64."""
     stats = measure_him_speedup(n=64, ts=21, c_m=64, refine=False)
     record_bench("triples", "him_extract_n64", stats)
@@ -300,50 +289,6 @@ def test_him_refine_beats_per_dealer_pipeline_n64():
     stats = measure_him_speedup(n=64, ts=21, c_m=64, refine=True)
     record_bench("triples", "him_refine_n64", stats)
     assert stats["speedup"] >= 3.0, f"speedup only {stats['speedup']:.1f}x"
-
-
-# -- round sharding: bounded per-round triple payloads --------------------------------
-
-
-def _run_preprocessing(shard_size, n=4, ts=1, ta=0, c_m=3, seed=5):
-    runner = make_runner(n, network=SynchronousNetwork(), seed=seed)
-    return runner.run(
-        lambda party: Preprocessing(party, "preproc", ts=ts, ta=ta, num_triples=c_m,
-                                    anchor=0.0, shard_size=shard_size),
-        max_time=5_000_000.0,
-    )
-
-
-def measure_sharding_round_bound(n=4, ts=1, ta=0, c_m=3, shard_size=1, seed=5):
-    """Max single-message size with and without round sharding, plus the bound."""
-    sharded = _run_preprocessing(shard_size, n=n, ts=ts, ta=ta, c_m=c_m, seed=seed)
-    unsharded = _run_preprocessing(None, n=n, ts=ts, ta=ta, c_m=c_m, seed=seed)
-    assert _triples_valid(sharded, ts) and _triples_valid(unsharded, ts)
-    per_dealer = triples_per_dealer(n, ts, c_m)
-    return {
-        "n": float(n),
-        "ts": float(ts),
-        "c_m": float(c_m),
-        "per_dealer": float(per_dealer),
-        "shard_size": float(shard_size),
-        "bound_bits": float(sharded_triple_message_bound(shard_size, ts, FIELD.element_bits())),
-        # A broadcast bundle does not shrink with the shard (repro.broadcast.bc).
-        "bundle_bound_bits": float(bundle_message_bound(
-            n, ts, sibling_sharings(n, "tripsh", inputs=False), FIELD.element_bits())),
-        "sharded_max_message_bits": float(sharded.metrics.max_message_bits),
-        "unsharded_max_message_bits": float(unsharded.metrics.max_message_bits),
-        "sharded_sim_time": max(sharded.honest_output_times().values()),
-        "unsharded_sim_time": max(unsharded.honest_output_times().values()),
-        "sharded_total_bits": float(sharded.metrics.total_bits),
-        "unsharded_total_bits": float(unsharded.metrics.total_bits),
-    }
-
-
-def test_sharded_preprocessing_bounds_round_payloads():
-    stats = measure_sharding_round_bound()
-    record_bench("triples", "shard_round_bound_n4_ts1_cm3", stats)
-    assert stats["sharded_max_message_bits"] <= max(stats["bound_bits"], stats["bundle_bound_bits"])
-    assert stats["unsharded_max_message_bits"] > stats["bound_bits"]
 
 
 def smoke():

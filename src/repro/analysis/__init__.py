@@ -17,7 +17,6 @@ from repro.analysis.metrics import (
     max_round_bits,
     max_message_bits,
     bundle_message_bound,
-    sharded_triple_message_bound,
     sibling_sharings,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "max_round_bits",
     "max_message_bits",
     "bundle_message_bound",
-    "sharded_triple_message_bound",
     "sibling_sharings",
 ]

@@ -38,12 +38,7 @@ def communication_summary(metrics) -> Dict[str, float]:
     }
 
 
-# -- per-round message-size accounting ----------------------------------------
-#
-# The round-sharded preprocessing (ΠPreProcessing with ``shard_size`` set)
-# bounds how many triple payloads any single protocol round carries; these
-# helpers turn the simulator's raw counters into the quantities the sharding
-# contract is stated in.
+# -- per-round and per-message size accounting ---------------------------------
 
 
 def per_round_bits(metrics) -> Dict[int, int]:
@@ -64,54 +59,15 @@ def max_message_bits(metrics, tag_prefix: Optional[str] = None) -> int:
     return getattr(metrics, "max_message_bits_by_tag_prefix", {}).get(tag_prefix, 0)
 
 
-def sharded_triple_message_bound(
-    shard_size: int,
-    ts: int,
-    element_bits: int,
-    header_bits: int = 64,
-    offline: str = "tripsh",
-) -> int:
-    """Upper bound on any single triple-sharing message under round sharding.
-
-    The bound is offline-mode-aware, because the two pipelines put different
-    payloads behind one ``shard_size`` knob:
-
-    - ``"tripsh"``: a ΠTripSh shard of ``shard_size`` triples makes its
-      dealer VSS-distribute ``shard_size * 3 * (2*ts + 1)`` degree-t_s
-      polynomials.
-    - ``"him"``: an HIM round of ``shard_size`` *slots* makes each dealer
-      ACS-share ``shard_size * POLYNOMIALS_PER_SLOT`` polynomials (two
-      unverified triples + one extraction input per slot); the later
-      reconstruction waves carry at most ``2 * (n - ts) * shard_size``
-      elements per message, which the dealing message dominates for every
-      admissible ``n <= 3*ts + 1 + ta``.
-
-    The heaviest message of either pipeline is the dealer row-distribution
-    message (one degree-t_s row, i.e. ``ts + 1`` coefficients, per
-    polynomial).  The slack term covers the message header, the payload-kind
-    marker string and per-container accounting overhead.
-    """
-    if offline == "him":
-        from repro.triples.him import POLYNOMIALS_PER_SLOT
-
-        polynomials = shard_size * POLYNOMIALS_PER_SLOT
-    elif offline == "tripsh":
-        polynomials = shard_size * 3 * (2 * ts + 1)
-    else:
-        raise ValueError(f"unknown offline mode {offline!r}")
-    slack = header_bits + 8 * 16
-    return polynomials * (ts + 1) * element_bits + slack
-
-
 def sibling_sharings(n: int, offline: str = "tripsh", inputs: bool = True) -> int:
-    """How many ΠVSS instances one round of an evaluation anchors at one instant.
+    """How many ΠVSS instances an evaluation's preprocessing anchors at one instant.
 
     ``"tripsh"``: every dealer's ΠTripSh runs a ΠACS (n ΠVSS) and one ΠVSS of
-    its own; ``"him"``: one ΠACS per round.  ``inputs`` adds the input ΠACS of
-    ΠCirEval, which starts with the first round.
+    its own; ``"him"``: one ΠACS.  ``inputs`` adds the input ΠACS of
+    ΠCirEval, which starts with the preprocessing.
     """
-    per_round = n * (n + 1) if offline == "tripsh" else n
-    return per_round + (n if inputs else 0)
+    preprocessing = n * (n + 1) if offline == "tripsh" else n
+    return preprocessing + (n if inputs else 0)
 
 
 def bundle_message_bound(
@@ -122,7 +78,7 @@ def bundle_message_bound(
     All ΠBCs one party owes at one instant ride one bundle
     (:mod:`repro.broadcast.bc`), whose size depends on n and on ``sharings``,
     the number of sibling ΠVSS anchored together (:func:`sibling_sharings`),
-    not on L or ``shard_size``.  By the bundle's price list the two heaviest
+    not on L.  By the bundle's price list the two heaviest
     are the verdict vectors of the n ΠWPS under each ΠVSS (2 bits a slot, at
     most t_s of the n a NOK with its 64-bit index and its value) and the
     (W, E, F) of the ΠWPS the party deals in each ΠVSS (three n-bit sets);

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Union
 
-from repro.analysis.metrics import bundle_message_bound, sibling_sharings
 from repro.circuits.circuit import Circuit
 from repro.field.gf import GF, FieldElement
 from repro.mpc.protocol import CircuitEvaluation
 from repro.sim.adversary import Behavior
 from repro.sim.network import NetworkModel
 from repro.sim.runner import ProtocolRunner, RunResult
-from repro.triples.preprocessing import auto_shard_size
 
 
 class MPCResult:
@@ -108,7 +106,6 @@ class CircuitEvaluationFactory:
         ts: int,
         ta: int,
         inputs: Dict[int, Any],
-        shard_size: Optional[int] = None,
         n: Optional[int] = None,
         offline: str = "tripsh",
     ):
@@ -116,7 +113,6 @@ class CircuitEvaluationFactory:
         self.ts = ts
         self.ta = ta
         self.inputs = dict(inputs)
-        self.shard_size = shard_size
         self.offline = offline
         if n is not None:
             check_party_ids("inputs", self.inputs, n)
@@ -134,7 +130,6 @@ class CircuitEvaluationFactory:
             ta=self.ta,
             my_inputs=my_inputs,
             anchor=0.0,
-            shard_size=self.shard_size,
             offline=self.offline,
         )
 
@@ -151,8 +146,6 @@ def run_mpc(
     corrupt: Optional[Dict[int, Behavior]] = None,
     max_time: Optional[float] = None,
     max_events: Optional[int] = None,
-    shard_size: Union[int, str, None] = None,
-    bandwidth_budget: Optional[int] = None,
     offline: str = "tripsh",
     backend: Union[str, type, Any] = "sim",
     **backend_options: Any,
@@ -162,22 +155,10 @@ def run_mpc(
     ``inputs`` maps party ids to their private input (parties absent from the
     map input 0).  ``corrupt`` attaches Byzantine behaviours to party ids.
 
-    ``shard_size`` round-shards the triple preprocessing: no single ΠTripSh
-    round then carries more than ``shard_size`` triples per dealer, bounding
-    the per-round message size of triple-heavy circuits at the cost of more
-    (sequential) sharing rounds.  None (the default) keeps the single
-    unsharded round; ``"auto"`` picks the largest shard whose
-    :func:`~repro.analysis.metrics.sharded_triple_message_bound` fits the
-    per-round ``bandwidth_budget`` (in bits), which must not be below the
-    size of a carrier's message, a broadcast bundle or a ΠABA vector
-    (:func:`~repro.analysis.metrics.bundle_message_bound`).  The circuit outputs are
-    independent of the sharding (the triples are random masks), so any
-    ``shard_size`` yields the same result values.
-
     ``offline`` selects the triple-preprocessing pipeline: ``"tripsh"`` (the
     per-dealer ΠTripSh reference, the default) or ``"him"`` (the
     hyper-invertible-matrix batch pipeline of :mod:`repro.triples.him` --
-    one ACS per round instead of n VSS banks, sacrifice-check refinement,
+    one ACS instead of n VSS banks, sacrifice-check refinement,
     loud abort on detected dealer corruption).  Both produce uniformly
     random Beaver triples, so the circuit outputs are mode-independent.
 
@@ -196,33 +177,7 @@ def run_mpc(
     # None through keeps already-built backend instances usable here.
     runner = ProtocolRunner(n, network=network, field=field, seed=seed,
                             corrupt=corrupt, backend=backend, **backend_options)
-    if shard_size == "auto":
-        if bandwidth_budget is None:
-            raise ValueError('shard_size="auto" requires a bandwidth_budget (bits)')
-        # runner.field covers every source of the field, including one baked
-        # into a prebuilt backend instance.
-        element_bits = runner.field.element_bits()
-        floor = bundle_message_bound(n, ts, sibling_sharings(n, offline), element_bits)
-        if bandwidth_budget < floor:
-            raise ValueError(
-                f"bandwidth_budget {bandwidth_budget} is below the {floor}-bit floor of a "
-                f"broadcast bundle or ΠABA vector at n={n}, which no shard_size lowers "
-                f"(bundle_message_bound)"
-            )
-        shard_size = auto_shard_size(
-            n,
-            ts,
-            max(1, circuit.multiplication_count),
-            element_bits,
-            bandwidth_budget,
-            offline=offline,
-        )
-    elif bandwidth_budget is not None:
-        raise ValueError('bandwidth_budget is only meaningful with shard_size="auto"')
-
-    factory = CircuitEvaluationFactory(
-        circuit, ts, ta, inputs, shard_size, n=n, offline=offline
-    )
+    factory = CircuitEvaluationFactory(circuit, ts, ta, inputs, n=n, offline=offline)
 
     run = runner.run(factory, max_time=max_time, max_events=max_events)
     return MPCResult(run, circuit, runner.field)

@@ -34,7 +34,6 @@ def cir_eval_time_bound(
     ts: int,
     multiplicative_depth: int,
     delta: float,
-    shard_size: Optional[int] = None,
     c_m: int = 1,
     offline: str = "tripsh",
 ) -> float:
@@ -42,17 +41,14 @@ def cir_eval_time_bound(
 
     The paper's closed form is (120n + D_M + 6k - 20)·Δ for its specific
     sub-protocol constants; with our instantiations the bound is
-    max(T_ACS, T_TripGen) + (D_M + 2)·Δ.  With round sharding the
-    preprocessing term grows to one T_TripSh per shard round, so callers
-    bounding a sharded run must pass the same ``shard_size`` (and the
-    circuit's multiplication count ``c_m``) they gave ``run_mpc``.
+    max(T_ACS, T_TripGen) + (D_M + 2)·Δ.  ``c_m`` is accepted for callers
+    that pass the circuit's multiplication count; the bound does not depend
+    on it.
     """
     return (
         max(
             acs_time_bound(n, ts, delta),
-            preprocessing_time_bound(
-                n, ts, delta, shard_size=shard_size, c_m=c_m, offline=offline
-            ),
+            preprocessing_time_bound(n, ts, delta, c_m=c_m, offline=offline),
         )
         + (multiplicative_depth + 2.0) * delta
         + 8 * epsilon(delta)
@@ -77,7 +73,6 @@ class CircuitEvaluation(ProtocolInstance):
         my_inputs: Optional[List] = None,
         anchor: Optional[float] = None,
         delta: Optional[float] = None,
-        shard_size: Optional[int] = None,
         triples: Optional[List[Tuple]] = None,
         offline: str = "tripsh",
     ):
@@ -88,8 +83,6 @@ class CircuitEvaluation(ProtocolInstance):
         self.my_inputs = list(my_inputs) if my_inputs is not None else []
         self.anchor = anchor
         self.delta = delta if delta is not None else party.delta
-        #: Bound on triples per ΠTripSh round (None = unsharded preprocessing).
-        self.shard_size = shard_size
         #: Offline pipeline for the preprocessing sub-protocol (see
         #: :data:`repro.triples.preprocessing.OFFLINE_MODES`).
         self.offline = offline
@@ -162,7 +155,6 @@ class CircuitEvaluation(ProtocolInstance):
                 num_triples=max(1, self.circuit.multiplication_count),
                 anchor=self.anchor,
                 delta=self.delta,
-                shard_size=self.shard_size,
                 mode=self.offline,
             )
             self._preprocessing.on_output(self._record_triples)

@@ -58,6 +58,7 @@ from repro.circuits.circuit import Circuit
 from repro.field.gf import GF, FieldElement, default_field
 from repro.mpc.engine import check_parameters, check_party_ids
 from repro.mpc.protocol import CircuitEvaluation
+from repro.runtime.errors import ScheduleMiss
 from repro.runtime.launcher import DEFAULT_TIME_SCALE, PartyPool, PartySession, PartySpec
 from repro.service.checkpoint import CheckpointStore, PartySnapshot, ServiceSnapshot
 from repro.service.service import EvalResult, RecoveryReport, RejoinProtocol
@@ -319,6 +320,8 @@ class TcpMpcService:
         self.results: List[EvalResult] = []
         self.recoveries: List[RecoveryReport] = []
         self.metrics = SimulationMetrics()
+        #: The children's schedule misses, collected at :meth:`close`.
+        self.schedule_misses: List[ScheduleMiss] = []
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -619,3 +622,4 @@ class TcpMpcService:
         if self._pool is not None:
             await self._pool.close()
             self.metrics = self._pool.metrics
+            self.schedule_misses = self._pool.schedule_misses

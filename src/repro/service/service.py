@@ -6,7 +6,7 @@ across a *stream* of circuit evaluations, instead of the one-shot
 sustainable:
 
 * **Reservoir preprocessing** -- Beaver triples are circuit-independent, so
-  the service generates them in the background with the round-sharded
+  the service generates them in the background with
   ΠPreProcessing and banks them in a :class:`TripleReservoir` kept between a
   low and a high watermark.  Evaluations then run with ``triples=...``
   supplied, skipping per-evaluation preprocessing entirely; the
@@ -76,8 +76,6 @@ class ServiceConfig:
     low_watermark: int = 8
     #: Refill rounds target this level.
     high_watermark: int = 32
-    #: ΠTripSh round sharding for refill rounds (None = unsharded).
-    shard_size: Optional[int] = None
     #: Offline pipeline for background refill rounds: "tripsh" (per-dealer
     #: reference) or "him" (hyper-invertible-matrix batch extraction; see
     #: :mod:`repro.triples.him`).
@@ -431,7 +429,6 @@ class MpcService:
                 num_triples=max(1, target),
                 anchor=anchor,
                 delta=self.delta,
-                shard_size=self.config.shard_size,
                 mode=self.config.offline,
             )
             instances[pid].on_output(
@@ -475,8 +472,7 @@ class MpcService:
             return
         target = max(inst.num_triples for inst in self._inflight.values())
         bound = preprocessing_time_bound(
-            self.n, self.ts, self.delta, shard_size=self.config.shard_size,
-            c_m=target, offline=self.config.offline,
+            self.n, self.ts, self.delta, c_m=target, offline=self.config.offline,
         )
         self.sim.run(
             until=self._inflight_done,
@@ -490,8 +486,7 @@ class MpcService:
         assert self._inflight is not None
         target = max(inst.num_triples for inst in self._inflight.values())
         bound = preprocessing_time_bound(
-            self.n, self.ts, self.delta, shard_size=self.config.shard_size,
-            c_m=target, offline=self.config.offline,
+            self.n, self.ts, self.delta, c_m=target, offline=self.config.offline,
         )
         self.sim.run(
             until=self._inflight_done,

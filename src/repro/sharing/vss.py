@@ -83,11 +83,11 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
     def _distribute_at_anchor(self) -> None:
         """Distribute now, or at the anchor if it lies strictly in the future.
 
-        Instances anchored at their creation time (every pre-sharding flow)
-        keep the original synchronous call; the round-sharded preprocessing
-        anchors later shards in the future, and deferring the heavy row
-        distribution to that anchor is what actually staggers the per-round
-        wire traffic.
+        A one-shot ``run_mpc`` anchors every ΠVSS at its creation time, so the
+        rows go out at once.  :class:`~repro.service.MpcService` anchors each
+        refill round and evaluation at the next point of the Δ grid, which
+        usually lies ahead of the clock; the rows then wait for that anchor,
+        so they leave on the grid the dealing's deadlines are computed from.
         """
         if self.anchor > self.now:
             self.schedule_at(self.anchor, self._dealer_distribute)

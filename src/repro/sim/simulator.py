@@ -21,8 +21,7 @@ class SimulationMetrics:
     (self-delivery is free), which is the unit the paper's complexity
     statements use.  ``bits_by_round`` buckets sent bits into synchronous
     rounds (send time divided by Delta) and ``max_message_bits`` tracks the
-    largest single message, which is what the round-sharded preprocessing
-    bounds.
+    largest single message.
     """
 
     def __init__(self) -> None:
@@ -34,7 +33,6 @@ class SimulationMetrics:
         self.bits_by_round: Dict[int, int] = {}
         self.max_message_bits = 0
         self.max_message_bits_by_tag_prefix: Dict[str, int] = {}
-        self.max_message_bits_by_round: Dict[int, int] = {}
 
     def record_send(
         self, message: Message, sender_corrupt: bool, round_index: Optional[int] = None
@@ -52,8 +50,6 @@ class SimulationMetrics:
             self.max_message_bits_by_tag_prefix[prefix] = bits
         if round_index is not None:
             self.bits_by_round[round_index] = self.bits_by_round.get(round_index, 0) + bits
-            if bits > self.max_message_bits_by_round.get(round_index, 0):
-                self.max_message_bits_by_round[round_index] = bits
 
     def record_delivery(self) -> None:
         self.messages_delivered += 1

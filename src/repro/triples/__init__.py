@@ -13,7 +13,6 @@ from repro.triples.preprocessing import (
     preprocessing_time_bound,
     triples_per_dealer,
     extraction_yield,
-    shard_bounds,
 )
 from repro.triples.him import (
     HimExtractionAbort,
@@ -37,7 +36,6 @@ __all__ = [
     "preprocessing_time_bound",
     "triples_per_dealer",
     "extraction_yield",
-    "shard_bounds",
     "HimExtractionAbort",
     "HimPreprocessing",
     "extract_random_shares",

@@ -5,7 +5,7 @@ own supervised Beaver verification) per batch of n-t_s triples.  This module
 implements the hyper-invertible-matrix alternative, wired as
 ``Preprocessing(mode="him")`` / ``run_mpc(offline="him")``:
 
-1. **Share** -- every party acts as a dealer in *one* ΠACS per round,
+1. **Share** -- every party acts as a dealer in *one* ΠACS,
    contributing per slot two unverified multiplication triples -- a
    candidate (a, b, c) and a sacrifice (u, v, w) -- plus one random
    extraction input r (:data:`POLYNOMIALS_PER_SLOT` degree-t_s polynomials
@@ -43,11 +43,6 @@ than degrading silently; a deployment excludes them and retries.  The
 per-dealer pipeline instead absorbs cheaters with default sharings, which
 is why it remains the equivalence-tested reference mode.
 
-Round sharding mirrors the reference pipeline: with ``shard_size`` set the
-slots are split into Δ-grid-aligned rounds of at most ``shard_size`` slots,
-each with its own ACS, bounding the heaviest message per
-:func:`repro.analysis.metrics.sharded_triple_message_bound` with
-``offline="him"``.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ from repro.field.gf import GF, FieldElement
 from repro.field.kernels import mat_vecs
 from repro.field.polynomial import Polynomial
 from repro.sim.party import Party, ProtocolInstance
-from repro.timing import epsilon, next_multiple_of_delta
+from repro.timing import epsilon
 from repro.triples.extraction import TripleExtraction
 from repro.triples.reconstruction import PublicReconstruction
 from repro.triples.sharing import random_multiplication_triple
@@ -104,28 +99,15 @@ def him_slots(n: int, ts: int, c_m: int) -> int:
     return max(1, math.ceil(c_m / him_extraction_yield(n, ts)))
 
 
-def him_round_time_bound(n: int, ts: int, delta: float) -> float:
-    """T_HIM-round = T_ACS + 8Δ (nominal, for composition anchors).
+def him_preprocessing_time_bound(n: int, ts: int, delta: float) -> float:
+    """Nominal completion bound of one HIM preprocessing instance: T_ACS + 8Δ.
 
-    After the ACS the round runs four strictly-sequential reconstruction
+    After the ACS the instance runs four strictly-sequential reconstruction
     waves (challenges, sigma/tau, zeta, and the extraction's Beaver round),
     each reactive and completing within ~Δ of its inputs.
     """
-    return acs_time_bound(n, ts, delta) + 8.0 * delta + 16 * epsilon(delta)
-
-
-def him_preprocessing_time_bound(
-    n: int, ts: int, delta: float, shard_size: Optional[int] = None, c_m: int = 1
-) -> float:
-    """Nominal completion bound of one HIM preprocessing instance."""
-    from repro.triples.preprocessing import shard_bounds
-
-    rounds = len(shard_bounds(him_slots(n, ts, c_m), shard_size))
-    t_round = him_round_time_bound(n, ts, delta)
-    last_offset = (
-        0.0 if rounds == 1 else next_multiple_of_delta((rounds - 1) * t_round, delta)
-    )
-    return last_offset + t_round + 8 * epsilon(delta)
+    eps = epsilon(delta)
+    return acs_time_bound(n, ts, delta) + 8.0 * delta + 16 * eps + 8 * eps
 
 
 def extract_random_shares(
@@ -146,7 +128,7 @@ def extract_random_shares(
 
 
 # Imported late to avoid a cycle: preprocessing dispatches to this module.
-from repro.triples.preprocessing import Preprocessing, shard_bounds  # noqa: E402
+from repro.triples.preprocessing import Preprocessing  # noqa: E402
 
 
 class HimPreprocessing(Preprocessing):
@@ -173,7 +155,6 @@ class HimPreprocessing(Preprocessing):
         num_triples: int = 1,
         anchor: Optional[float] = None,
         delta: Optional[float] = None,
-        shard_size: Optional[int] = None,
         mode: str = "him",
         dealer_triples: Optional[Sequence[Tuple[Tuple, Tuple]]] = None,
     ):
@@ -187,56 +168,39 @@ class HimPreprocessing(Preprocessing):
         self.anchor = anchor
         self.delta = delta if delta is not None else party.delta
         self.slots = him_slots(self.n, ts, num_triples)
-        #: Sharding unit parity with the reference pipeline: ``shard_size``
-        #: bounds slots per round here, triples per dealer there.
-        self.per_dealer = self.slots
-        self.shard_size = shard_size
-        self._shard_bounds = shard_bounds(self.slots, shard_size)
-        self.num_shards = len(self._shard_bounds)
         self._dealer_triples = dealer_triples
 
-        #: Round index -> in-flight refinement state.
-        self._rounds: Dict[int, Dict[str, Any]] = {}
-        #: CS of round 0, for introspection parity with the reference mode.
+        #: CS fixed by the ΠACS; the sacrifice checks judge exactly these dealers.
         self.common_subset: Optional[List[int]] = None
-        #: Dealers publicly caught by the sacrifice checks, across rounds.
+        #: dealer -> this party's shares of that dealer's ACS bank.
+        self._shares: Dict[int, List[FieldElement]] = {}
+        self._rhos: List[FieldElement] = []
+        #: Dealers publicly caught by the sacrifice checks.
         self.discarded_dealers: List[int] = []
         self._extraction_outputs: Dict[int, List[TripleShares]] = {}
 
-    # -- lifecycle -----------------------------------------------------------------
-    def _round_offset(self, shard: int) -> float:
-        """Δ-grid-aligned start offset of sharding round ``shard`` (each round
-        is a pure time-translate, so the offset must be a multiple of Δ)."""
-        if shard == 0:
-            return 0.0
-        return next_multiple_of_delta(
-            shard * him_round_time_bound(self.n, self.ts, self.delta), self.delta
-        )
-
+    # -- phase 1: share -------------------------------------------------------------
     def start(self) -> None:
         if self.anchor is None:
             self.anchor = self.now
-        for s, (lo, hi) in enumerate(self._shard_bounds):
-            acs = self.spawn(
-                AgreementOnCommonSubset,
-                f"acs[{s}]",
-                ts=self.ts,
-                ta=self.ta,
-                num_polynomials=POLYNOMIALS_PER_SLOT * (hi - lo),
-                polynomials=self._round_polynomials(lo, hi),
-                anchor=self.anchor + self._round_offset(s),
-                delta=self.delta,
-                truncate_to=self.n - self.ts,
-            )
-            acs.on_output(
-                lambda result, s=s, lo=lo, hi=hi: self._acs_completed(s, lo, hi, result)
-            )
-            acs.start()
+        acs = self.spawn(
+            AgreementOnCommonSubset,
+            "acs",
+            ts=self.ts,
+            ta=self.ta,
+            num_polynomials=POLYNOMIALS_PER_SLOT * self.slots,
+            polynomials=self._dealt_polynomials(),
+            anchor=self.anchor,
+            delta=self.delta,
+            truncate_to=self.n - self.ts,
+        )
+        acs.on_output(self._acs_completed)
+        acs.start()
 
-    def _round_polynomials(self, lo: int, hi: int) -> List[Polynomial]:
-        """This dealer's ACS input bank for slots [lo, hi)."""
+    def _dealt_polynomials(self) -> List[Polynomial]:
+        """This dealer's ACS input bank, :data:`POLYNOMIALS_PER_SLOT` per slot."""
         values: List[FieldElement] = []
-        for k in range(lo, hi):
+        for k in range(self.slots):
             if self._dealer_triples is not None:
                 candidate, sacrifice = self._dealer_triples[k]
             else:
@@ -251,118 +215,91 @@ class HimPreprocessing(Preprocessing):
         ]
 
     # -- phase 2: challenge extraction ---------------------------------------------
-    def _acs_completed(self, s: int, lo: int, hi: int, result: Any) -> None:
+    def _acs_completed(self, result: Any) -> None:
         subset, shares = result
-        subset = list(subset)
-        if s == 0 and self.common_subset is None:
-            self.common_subset = list(subset)
-        if not subset:
+        self.common_subset = list(subset)
+        if not self.common_subset:
             # Outside the threat model (e.g. async with > t_a corruptions):
             # nothing sound to extract from, mirroring the reference mode.
             return
-        count = hi - lo
-        state = {"lo": lo, "subset": subset, "shares": shares, "count": count}
-        self._rounds[s] = state
+        self._shares = shares
         r_rows = [
-            [shares[j][POLYNOMIALS_PER_SLOT * k + 6] for k in range(count)]
-            for j in subset
+            [shares[j][POLYNOMIALS_PER_SLOT * k + 6] for k in range(self.slots)]
+            for j in self.common_subset
         ]
         extracted = extract_random_shares(
-            self.field, r_rows, max(1, len(subset) - self.ts)
+            self.field, r_rows, max(1, len(self.common_subset) - self.ts)
         )
         challenge_shares = [FieldElement(v, self.field) for v in extracted[0]]
+        self._reconstruct("chal", challenge_shares, self._challenges_ready)
+
+    def _reconstruct(self, tag: str, shares: List[FieldElement], then) -> None:
         recon = self.spawn(
-            PublicReconstruction,
-            f"chal[{s}]",
-            degree=self.ts,
-            faults=self.ts,
-            shares=challenge_shares,
+            PublicReconstruction, tag, degree=self.ts, faults=self.ts, shares=shares
         )
-        recon.on_output(lambda rhos, s=s: self._challenges_ready(s, rhos))
+        recon.on_output(then)
         recon.start()
 
-    def _slot_bank(self, state: Dict[str, Any], dealer: int, k: int) -> Sequence:
+    def _slot_bank(self, dealer: int, k: int) -> Sequence:
         base = POLYNOMIALS_PER_SLOT * k
-        return state["shares"][dealer][base : base + 6]
+        return self._shares[dealer][base : base + 6]
 
     # -- phase 3: batched sacrifice checks -----------------------------------------
-    def _challenges_ready(self, s: int, rhos: List[FieldElement]) -> None:
-        state = self._rounds[s]
-        state["rhos"] = rhos
+    def _challenges_ready(self, rhos: List[FieldElement]) -> None:
+        self._rhos = rhos
         opening: List[FieldElement] = []
-        for j in state["subset"]:
-            for k in range(state["count"]):
-                a, b, _c, u, v, _w = self._slot_bank(state, j, k)
+        for j in self.common_subset:
+            for k in range(self.slots):
+                a, b, _c, u, v, _w = self._slot_bank(j, k)
                 opening.append(rhos[k] * a - u)  # sigma
                 opening.append(b - v)  # tau
-        recon = self.spawn(
-            PublicReconstruction,
-            f"open[{s}]",
-            degree=self.ts,
-            faults=self.ts,
-            shares=opening,
-        )
-        recon.on_output(lambda values, s=s: self._sacrifice_opened(s, values))
-        recon.start()
+        self._reconstruct("open", opening, self._sacrifice_opened)
 
-    def _sacrifice_opened(self, s: int, opened: List[FieldElement]) -> None:
-        state = self._rounds[s]
-        rhos = state["rhos"]
+    def _sacrifice_opened(self, opened: List[FieldElement]) -> None:
+        rhos = self._rhos
         zeta_shares: List[FieldElement] = []
         cursor = 0
-        for j in state["subset"]:
-            for k in range(state["count"]):
+        for j in self.common_subset:
+            for k in range(self.slots):
                 sigma, tau = opened[cursor], opened[cursor + 1]
                 cursor += 2
-                _a, _b, c, u, v, w = self._slot_bank(state, j, k)
+                _a, _b, c, u, v, w = self._slot_bank(j, k)
                 # sigma*tau is public: subtracting it from every share shifts
                 # the shared secret by exactly that constant.
                 zeta_shares.append(
                     rhos[k] * c - w - sigma * v - tau * u - sigma * tau
                 )
-        recon = self.spawn(
-            PublicReconstruction,
-            f"zeta[{s}]",
-            degree=self.ts,
-            faults=self.ts,
-            shares=zeta_shares,
-        )
-        recon.on_output(lambda values, s=s: self._zetas_opened(s, values))
-        recon.start()
+        self._reconstruct("zeta", zeta_shares, self._zetas_opened)
 
     # -- phase 4: discard + wash ----------------------------------------------------
-    def _zetas_opened(self, s: int, zetas: List[FieldElement]) -> None:
-        state = self._rounds.pop(s)
+    def _zetas_opened(self, zetas: List[FieldElement]) -> None:
         zero = self.field.zero()
         bad: List[int] = []
         cursor = 0
-        for j in state["subset"]:
-            dealer_zetas = zetas[cursor : cursor + state["count"]]
-            cursor += state["count"]
+        for j in self.common_subset:
+            dealer_zetas = zetas[cursor : cursor + self.slots]
+            cursor += self.slots
             if any(z != zero for z in dealer_zetas):
                 bad.append(j)
-        for j in bad:
-            if j not in self.discarded_dealers:
-                self.discarded_dealers.append(j)
-        survivors = [j for j in state["subset"] if j not in bad]
+        self.discarded_dealers.extend(bad)
+        survivors = [j for j in self.common_subset if j not in bad]
         required = 2 * self.ts + 1
         if len(survivors) < required:
             raise HimExtractionAbort(
                 self.tag,
                 self.discarded_dealers,
                 survivors,
-                f"fewer than {required} dealers survive round {s}",
+                f"fewer than {required} dealers survive",
             )
         d = (len(survivors) - 1) // 2
         providers = survivors[: 2 * d + 1]
-        for k in range(state["count"]):
-            index = state["lo"] + k
-            triples = [tuple(self._slot_bank(state, j, k)[:3]) for j in providers]
+        for k in range(self.slots):
+            triples = [tuple(self._slot_bank(j, k)[:3]) for j in providers]
             extraction = self.spawn(
-                TripleExtraction, f"ext[{index}]", ts=self.ts, d=d, triples=triples
+                TripleExtraction, f"ext[{k}]", ts=self.ts, d=d, triples=triples
             )
             extraction.on_output(
-                lambda out, index=index: self._extraction_completed(index, out)
+                lambda out, k=k: self._extraction_completed(k, out)
             )
             extraction.start()
 

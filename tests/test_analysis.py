@@ -86,21 +86,7 @@ def test_per_round_message_accounting():
     assert max_message_bits(metrics, "preproc") == big.bits
     assert max_message_bits(metrics, "other") == other.bits
     assert max_message_bits(metrics, "absent") == 0
-    assert metrics.max_message_bits_by_round == {0: small.bits, 1: big.bits}
 
     summary = communication_summary(metrics)
     assert summary["max_message_bits"] == big.bits
     assert summary["max_round_bits"] == big.bits + other.bits
-
-
-def test_sharded_triple_message_bound_formula():
-    from repro.analysis import sharded_triple_message_bound
-
-    # One triple, ts=1: 9 degree-1 polynomials of 2 coefficients each.
-    bound = sharded_triple_message_bound(1, 1, 61)
-    assert bound == 9 * 2 * 61 + 64 + 128
-    # The bound is linear in the shard size (plus the constant slack).
-    assert (
-        sharded_triple_message_bound(4, 1, 61) - sharded_triple_message_bound(2, 1, 61)
-        == 2 * 9 * 2 * 61
-    )

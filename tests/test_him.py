@@ -1,7 +1,7 @@
 """Unit tests for the HIM offline-phase primitives (repro.triples.him).
 
 The protocol-level behaviour (golden transcripts, adversarial discard and
-loud abort, sharded message bounds) lives in the scenario matrix
+loud abort, message bounds) lives in the scenario matrix
 (test_scenario_matrix.py); this module pins the algebra underneath:
 hyper-invertibility of the cached matrix, linearity of the share-wise
 extraction, the yield arithmetic, and the run_mpc wiring of the
@@ -23,7 +23,6 @@ from repro.triples import (
     Preprocessing,
     extract_random_shares,
     him_extraction_yield,
-    him_preprocessing_time_bound,
     him_slots,
 )
 from repro.triples.preprocessing import check_offline_mode
@@ -126,19 +125,11 @@ def test_him_yield_and_slot_arithmetic():
     assert him_slots(10, 2, 1) == 1
 
 
-def test_him_time_bound_grows_with_sharding():
-    base = him_preprocessing_time_bound(4, 1, 1.0, shard_size=None, c_m=3)
-    sharded = him_preprocessing_time_bound(4, 1, 1.0, shard_size=1, c_m=3)
-    assert sharded > base > 0
-
-
 def test_offline_mode_dispatch_and_validation():
     assert set(OFFLINE_MODES) == {"tripsh", "him"}
     assert check_offline_mode("him") == "him"
     with pytest.raises(ValueError):
         check_offline_mode("bgw")
-    with pytest.raises(ValueError):
-        him_preprocessing_time_bound(4, 1, 1.0, shard_size=0)
 
 
 def test_preprocessing_mode_him_constructs_him_subclass():

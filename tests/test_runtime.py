@@ -37,7 +37,7 @@ from repro.service import MpcService, ServiceConfig
 from repro.sim import SynchronousNetwork
 from repro.sim.party import ProtocolInstance
 from repro.sim.simulator import Simulator
-from repro.triples.preprocessing import Preprocessing, auto_shard_size, triples_per_dealer
+from repro.triples.preprocessing import Preprocessing
 
 from test_scenario_matrix import (
     Scenario,
@@ -68,7 +68,6 @@ def run_preprocessing_on(scenario: Scenario, backend, **backend_options):
             ta=scenario.ta,
             num_triples=scenario.num_triples,
             anchor=0.0,
-            shard_size=scenario.shard_size,
         ),
         max_time=5_000_000.0,
     )
@@ -79,10 +78,10 @@ def run_preprocessing_on(scenario: Scenario, backend, **backend_options):
 #: so one crash stays within t_a and liveness holds; the honest+async cell
 #: runs at n=4 (zero corruptions are within any t_a).
 DIAGONAL = [
-    Scenario(4, 1, 0, "honest", "sync", None),
-    Scenario(4, 1, 0, "crash", "sync", None),
-    Scenario(4, 1, 0, "honest", "async", None),
-    Scenario(5, 1, 1, "crash", "async", None),
+    Scenario(4, 1, 0, "honest", "sync"),
+    Scenario(4, 1, 0, "crash", "sync"),
+    Scenario(4, 1, 0, "honest", "async"),
+    Scenario(5, 1, 1, "crash", "async"),
 ]
 
 
@@ -135,7 +134,7 @@ def test_asyncio_real_clock_completes_correctly():
 
 def test_crash_party_mid_protocol():
     """A crash-stop mid-run: the survivors still finish."""
-    scenario = Scenario(4, 1, 0, "honest", "sync", None)
+    scenario = Scenario(4, 1, 0, "honest", "sync")
     backend = AsyncioBackend(
         4, network=scenario.build_network(), seed=scenario.scenario_seed
     )
@@ -191,7 +190,7 @@ def test_stale_timer_of_a_crashed_incarnation_is_inert_on_both_backends():
 
 def test_duplicated_deliveries_are_idempotent():
     """Duplicating every delivery must not change any honest output."""
-    scenario = Scenario(4, 1, 0, "honest", "sync", None)
+    scenario = Scenario(4, 1, 0, "honest", "sync")
     clean = run_preprocessing_on(scenario, "asyncio")
     noisy = run_preprocessing_on(
         scenario, "asyncio", faults=FaultPlan(7, link_faults=[LinkFault(duplicate=1.0)])
@@ -203,7 +202,7 @@ def test_duplicated_deliveries_are_idempotent():
 
 def test_reordered_deliveries_still_terminate_with_valid_triples():
     """Adjacent-swap reordering at hand-out: async-safe protocols cope."""
-    scenario = Scenario(4, 1, 0, "honest", "sync", None)
+    scenario = Scenario(4, 1, 0, "honest", "sync")
     result = run_preprocessing_on(
         scenario, "asyncio", faults=FaultPlan(13, link_faults=[LinkFault(reorder=0.4)])
     )
@@ -214,7 +213,7 @@ def test_reordered_deliveries_still_terminate_with_valid_triples():
 
 def test_asyncio_virtual_clock_is_seed_reproducible():
     """Same seed, same transcript -- including under transport faults."""
-    scenario = Scenario(4, 1, 0, "random_drop", "async", None)
+    scenario = Scenario(4, 1, 0, "random_drop", "async")
 
     def once():
         return run_preprocessing_on(
@@ -513,57 +512,6 @@ def test_service_evaluations_leave_the_collector_as_they_found_it():
         service.evaluate(MPC_CIRCUIT, MPC_INPUTS)
         assert collector_state() == before
     service.close()
-
-
-# -- adaptive sharding --------------------------------------------------------
-
-
-def test_auto_shard_size_picks_largest_fitting_shard():
-    from repro.analysis.metrics import sharded_triple_message_bound
-
-    n, ts, c_m = 4, 1, 3
-    bits = FIELD.element_bits()
-    per_dealer = triples_per_dealer(n, ts, c_m)
-    assert per_dealer >= 3
-    # A budget big enough for everything: stay unsharded.
-    assert auto_shard_size(n, ts, c_m, bits, sharded_triple_message_bound(per_dealer, ts, bits)) is None
-    # A budget that fits exactly two triples per round.
-    two = sharded_triple_message_bound(2, ts, bits)
-    assert auto_shard_size(n, ts, c_m, bits, two) == 2
-    # A budget nothing fits: clamp to the minimum shard of one.
-    assert auto_shard_size(n, ts, c_m, bits, 1) == 1
-
-
-def test_run_mpc_auto_shard_respects_bandwidth_budget():
-    from repro.analysis.metrics import (
-        bundle_message_bound,
-        sharded_triple_message_bound,
-        sibling_sharings,
-    )
-    from repro.circuits import millionaires_product_circuit
-
-    circuit = millionaires_product_circuit(FIELD, 4)
-    inputs = {1: 3, 2: 5, 3: 7, 4: 11}
-    expected = circuit.evaluate({pid: FIELD(v) for pid, v in inputs.items()})
-    # Two terms: the shard's triple payload, and a carrier's message (a
-    # broadcast bundle or a ΠABA vector), whose size no shard_size lowers and
-    # which is the floor of any budget.
-    shard_bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
-    floor = bundle_message_bound(4, 1, sibling_sharings(4), FIELD.element_bits())
-    budget = max(shard_bound, floor)
-    result = run_mpc(
-        circuit, inputs, n=4, ts=1, ta=0, seed=9,
-        shard_size="auto", bandwidth_budget=budget,
-    )
-    assert result.completed and result.outputs == expected
-    assert shard_bound < result.metrics.max_message_bits <= budget
-    with pytest.raises(ValueError, match=f"{floor}-bit floor of a broadcast bundle or ΠABA vector"):
-        run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9,
-                shard_size="auto", bandwidth_budget=floor - 1)
-    with pytest.raises(ValueError):
-        run_mpc(circuit, inputs, n=4, ts=1, ta=0, shard_size="auto")
-    with pytest.raises(ValueError):
-        run_mpc(circuit, inputs, n=4, ts=1, ta=0, bandwidth_budget=budget)
 
 
 # -- the decoupling contract --------------------------------------------------

@@ -2,8 +2,8 @@
 whole preprocessing stack.
 
 Sweeps (n, t_s/t_a) x adversary behaviour (honest / crash / equivocating
-dealer / seeded random drop) x synchrony (sync / async fallback) x round
-sharding, runs every cell once and asserts its **outputs and transcript**
+dealer / seeded random drop) x synchrony (sync / async fallback) x offline
+pipeline, runs every cell once and asserts its **outputs and transcript**
 (message counts and bit totals) against the golden digest pinned for that
 cell in ``tests/golden/transcript_digests.json``.  Any change to a single
 protocol message or output anywhere in the stack trips this grid.
@@ -20,17 +20,11 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
-from repro.analysis.metrics import (
-    bundle_message_bound,
-    max_message_bits,
-    per_round_bits,
-    sharded_triple_message_bound,
-    sibling_sharings,
-)
+from repro.analysis.metrics import bundle_message_bound, sibling_sharings
 from repro.field import default_field
 from repro.field.polynomial import interpolate_at
 from repro.sim.simulator import SimulationMetrics
@@ -42,8 +36,8 @@ from repro.sim import (
     RandomDropBehavior,
     SynchronousNetwork,
 )
-from repro.triples.him import HimExtractionAbort, him_slots
-from repro.triples.preprocessing import Preprocessing, shard_bounds, triples_per_dealer
+from repro.triples.him import POLYNOMIALS_PER_SLOT, HimExtractionAbort, him_slots
+from repro.triples.preprocessing import Preprocessing, triples_per_dealer
 
 from golden import assert_matches_golden, digest, transcript_fingerprint  # noqa: F401
 
@@ -56,8 +50,6 @@ ADVERSARIES = ["honest", "crash", "equivocating_dealer", "random_drop"]
 
 NETWORKS = ["sync", "async"]
 
-SHARDS = [None, 1]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -66,7 +58,6 @@ class Scenario:
     ta: int
     adversary: str
     network: str
-    shard_size: Optional[int]
     num_triples: int = 2
     seed: int = 0
     #: Offline pipeline under test ("tripsh" reference or "him" batch).
@@ -94,8 +85,10 @@ class Scenario:
     def scenario_seed(self) -> int:
         """One deterministic seed per grid cell (stable across processes,
         unlike builtin ``hash`` on strings)."""
+        # The literal 0 stands where the round-sharding knob used to be, so
+        # every cell keeps the seed (and hence the transcript) it was pinned with.
         key = (self.n, self.ts, self.ta, self.adversary, self.network,
-               self.shard_size or 0, self.num_triples, self.seed)
+               0, self.num_triples, self.seed)
         if self.offline != "tripsh":
             # Appended only for non-default modes so every historical
             # "tripsh" cell keeps its exact seed (and hence transcript).
@@ -107,7 +100,7 @@ class Scenario:
         """This cell's key in the golden digest file."""
         return (
             f"preproc/{self.offline}/n{self.n}ts{self.ts}ta{self.ta}/"
-            f"{self.adversary}/{self.network}/shard{self.shard_size}"
+            f"{self.adversary}/{self.network}"
         )
 
     def build_network(self):
@@ -175,7 +168,6 @@ def run_preprocessing(scenario: Scenario):
             ta=scenario.ta,
             num_triples=scenario.num_triples,
             anchor=0.0,
-            shard_size=scenario.shard_size,
             mode=scenario.offline,
             **kwargs,
         )
@@ -255,11 +247,11 @@ def assert_cell_matches_golden(scenario: Scenario) -> None:
 @pytest.mark.parametrize(
     "scenario",
     [
-        Scenario(4, 1, 0, "honest", "sync", None),
-        Scenario(4, 1, 0, "crash", "sync", 1),
-        Scenario(5, 1, 1, "equivocating_dealer", "async", None),
+        Scenario(4, 1, 0, "honest", "sync"),
+        Scenario(4, 1, 0, "crash", "sync"),
+        Scenario(5, 1, 1, "equivocating_dealer", "async"),
     ],
-    ids=lambda s: f"{s.n}p-{s.adversary}-{s.network}-shard{s.shard_size}",
+    ids=lambda s: f"{s.n}p-{s.adversary}-{s.network}",
 )
 def test_scenario_diagonal(scenario):
     """Fast tier-1 subset of the matrix: the gate is always armed."""
@@ -273,10 +265,9 @@ def test_scenario_diagonal(scenario):
 @pytest.mark.parametrize("params", PARAM_SETS, ids=lambda p: f"n{p[0]}ts{p[1]}ta{p[2]}")
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 @pytest.mark.parametrize("network", NETWORKS)
-@pytest.mark.parametrize("shard_size", SHARDS, ids=lambda s: f"shard{s}")
-def test_scenario_matrix(params, adversary, network, shard_size):
+def test_scenario_matrix(params, adversary, network):
     n, ts, ta = params
-    assert_cell_matches_golden(Scenario(n, ts, ta, adversary, network, shard_size))
+    assert_cell_matches_golden(Scenario(n, ts, ta, adversary, network))
 
 
 # -- the HIM offline pipeline: same grid, second mode -------------------------------
@@ -285,11 +276,11 @@ def test_scenario_matrix(params, adversary, network, shard_size):
 @pytest.mark.parametrize(
     "scenario",
     [
-        Scenario(4, 1, 0, "honest", "sync", None, offline="him"),
-        Scenario(4, 1, 0, "crash", "sync", 1, offline="him"),
-        Scenario(5, 1, 1, "equivocating_dealer", "async", None, offline="him"),
+        Scenario(4, 1, 0, "honest", "sync", offline="him"),
+        Scenario(4, 1, 0, "crash", "sync", offline="him"),
+        Scenario(5, 1, 1, "equivocating_dealer", "async", offline="him"),
     ],
-    ids=lambda s: f"him-{s.n}p-{s.adversary}-{s.network}-shard{s.shard_size}",
+    ids=lambda s: f"him-{s.n}p-{s.adversary}-{s.network}",
 )
 def test_him_scenario_diagonal(scenario):
     """Tier-1 diagonal for ``offline="him"``: the golden-digest gate is
@@ -301,19 +292,16 @@ def test_him_scenario_diagonal(scenario):
 @pytest.mark.parametrize("params", PARAM_SETS, ids=lambda p: f"n{p[0]}ts{p[1]}ta{p[2]}")
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 @pytest.mark.parametrize("network", NETWORKS)
-@pytest.mark.parametrize("shard_size", SHARDS, ids=lambda s: f"shard{s}")
-def test_him_scenario_matrix(params, adversary, network, shard_size):
+def test_him_scenario_matrix(params, adversary, network):
     n, ts, ta = params
-    assert_cell_matches_golden(
-        Scenario(n, ts, ta, adversary, network, shard_size, offline="him")
-    )
+    assert_cell_matches_golden(Scenario(n, ts, ta, adversary, network, offline="him"))
 
 
 def test_him_bad_dealer_is_discarded_and_extraction_continues():
     """n=5: the sacrifice check publicly catches the rigged dealer; the
     survivors (2t_s+1 of them) still extract the full triple budget, pinned
     bit for bit by the cell's golden digest."""
-    scenario = Scenario(5, 1, 1, "bad_triple_dealer", "sync", None, offline="him")
+    scenario = Scenario(5, 1, 1, "bad_triple_dealer", "sync", offline="him")
     result = run_preprocessing(scenario)
 
     outputs = result.honest_outputs()
@@ -328,150 +316,48 @@ def test_him_bad_dealer_aborts_loudly_below_survivor_threshold():
     """n=4: discarding the rigged dealer leaves 2 < 2t_s+1 survivors, so the
     extraction must abort with the named exception -- never silently emit
     triples from a pool that can no longer guarantee randomness."""
-    scenario = Scenario(4, 1, 0, "bad_triple_dealer", "sync", None, offline="him")
+    scenario = Scenario(4, 1, 0, "bad_triple_dealer", "sync", offline="him")
     with pytest.raises(HimExtractionAbort) as excinfo:
         run_preprocessing(scenario)
     assert excinfo.value.discarded == [1]
     assert len(excinfo.value.survivors) == 2
 
 
-def test_him_sharded_round_payloads_are_bounded():
-    """Satellite contract, HIM edition: the offline-mode-aware bound holds
-    for every sharded round's triple payload and really binds (the unsharded
-    run exceeds it); the size of a carrier's message (a bundle, a ΠABA vector)
-    is the second term, the same either way."""
-    scenario_sharded = Scenario(
-        4, 1, 0, "honest", "sync", 1, num_triples=3, offline="him"
-    )
-    scenario_full = Scenario(
-        4, 1, 0, "honest", "sync", None, num_triples=3, offline="him"
-    )
-    sharded, sharded_bundle, sharded_payload = heaviest_messages(
-        lambda: run_preprocessing(scenario_sharded))
-    unsharded, unsharded_bundle, unsharded_payload = heaviest_messages(
-        lambda: run_preprocessing(scenario_full))
+def dealer_row_bound(polynomials: int, ts: int, header_bits: int = 64) -> int:
+    """Bits of a dealer's row message in a ΠVSS of ``polynomials``
+    degree-t_s polynomials: ``ts + 1`` coefficients per row, plus the header
+    and the payload-kind marker."""
+    return polynomials * (ts + 1) * FIELD.element_bits() + header_bits + 8 * 16
 
-    slots = him_slots(4, 1, 3)
-    assert slots >= 3  # several slots, so shard_size=1 is a real constraint
-    bound = sharded_triple_message_bound(1, 1, FIELD.element_bits(), offline="him")
-    full_bound = sharded_triple_message_bound(
-        slots, 1, FIELD.element_bits(), offline="him"
-    )
+
+@pytest.mark.parametrize("offline", ["tripsh", "him"])
+def test_heaviest_messages_are_bounded(offline):
+    """The heaviest message is a dealer's rows, bounded by the size of the
+    dealt bank; whatever a carrier sends (a broadcast bundle or a ΠABA
+    vector) is bounded by :func:`bundle_message_bound`, which depends on n
+    and the sibling sharings per instant, not on the bank."""
+    scenario = Scenario(4, 1, 0, "honest", "sync", num_triples=3, offline=offline)
+    result, bundle, payload = heaviest_messages(lambda: run_preprocessing(scenario))
+    if offline == "tripsh":
+        per_dealer = triples_per_dealer(4, 1, 3)
+        assert per_dealer >= 3  # a real bank: several triples per dealer
+        polynomials = per_dealer * 3 * (2 * 1 + 1)
+    else:
+        polynomials = him_slots(4, 1, 3) * POLYNOMIALS_PER_SLOT
     bundle_bound = bundle_message_bound(
-        4, 1, sibling_sharings(4, "him", inputs=False), FIELD.element_bits())
-
-    assert sharded_payload <= bound
-    assert bound < unsharded_payload <= full_bound
-    assert 0 < sharded_bundle == unsharded_bundle <= bundle_bound
-    assert max_message_bits(sharded.metrics) <= max(bound, bundle_bound)
-    assert sharded.metrics.max_message_bits_by_round
-    assert all(
-        heaviest <= max(bound, bundle_bound)
-        for heaviest in sharded.metrics.max_message_bits_by_round.values()
-    )
-
-    # Sharding must not change what is produced: same triple count, still valid.
-    assert triples_are_valid(sharded, 1) and triples_are_valid(unsharded, 1)
-    counts = {len(out) for out in sharded.honest_outputs().values()}
-    assert counts == {len(next(iter(unsharded.honest_outputs().values())))}
-
-
-# -- sharding-specific contracts ----------------------------------------------------
-
-
-def test_sharded_round_payloads_are_bounded():
-    """No protocol round carries more than a shard_size-bounded triple payload,
-    nor any message heavier than the larger of that and a carrier's message
-    (a broadcast bundle or a ΠABA vector)."""
-    scenario_sharded = Scenario(4, 1, 0, "honest", "sync", 1, num_triples=3)
-    scenario_full = Scenario(4, 1, 0, "honest", "sync", None, num_triples=3)
-    sharded, sharded_bundle, sharded_payload = heaviest_messages(
-        lambda: run_preprocessing(scenario_sharded))
-    unsharded, unsharded_bundle, unsharded_payload = heaviest_messages(
-        lambda: run_preprocessing(scenario_full))
-
-    per_dealer = triples_per_dealer(4, 1, 3)
-    assert per_dealer >= 3  # the bound is only meaningful for a real bank
-    bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
-    full_bound = sharded_triple_message_bound(per_dealer, 1, FIELD.element_bits())
-    bundle_bound = bundle_message_bound(
-        4, 1, sibling_sharings(4, "tripsh", inputs=False), FIELD.element_bits())
-
-    # The sharded run's heaviest triple-sharing message is bounded by the
-    # shard, not by L...
-    assert sharded_payload <= bound
-    # ...and the bound really binds: the unsharded run exceeds it (while
-    # respecting its own L-sized bound).
-    assert bound < unsharded_payload <= full_bound
-    # The second term: what a carrier sends depends on n and the sibling
-    # sharings per instant, not on L or shard_size.  Here it is the phase-king
-    # copy of the bundle of 80 ``wps`` verdict vectors, 2 bits a slot, behind a
-    # round number; the ΠABA vector of the 80 ``wps_ba`` slots was heavier
-    # (80 * 64 + 160) while a slot cost 64 bits, and is 80 * 2 + 160 on the
-    # vote line.  So the shard's payload is the heaviest message.
-    assert 0 < sharded_bundle == unsharded_bundle == 64 + 64 + 80 * 4 * 2 <= bundle_bound
-    assert max_message_bits(sharded.metrics) == sharded_payload > sharded_bundle
-
-    # Round-level accounting: *no* protocol round of the sharded run carries
-    # a message above the two-term bound.
-    assert sharded.metrics.max_message_bits_by_round
-    assert all(
-        heaviest <= max(bound, bundle_bound)
-        for heaviest in sharded.metrics.max_message_bits_by_round.values()
-    )
-    assert sum(per_round_bits(sharded.metrics).values()) == sharded.metrics.total_bits
-    # Grid-aligned staggering: sharding must not make any single round
-    # heavier in total than the unsharded execution's heaviest round.
-    from repro.analysis.metrics import max_round_bits
-
-    assert max_round_bits(sharded.metrics) <= max_round_bits(unsharded.metrics)
-
-    # Sharding must not change what is produced: same triple count, still valid.
-    assert triples_are_valid(sharded, 1) and triples_are_valid(unsharded, 1)
-    counts = {len(out) for out in sharded.honest_outputs().values()}
-    assert counts == {len(next(iter(unsharded.honest_outputs().values())))}
-
-
-def test_shard_bounds_partition():
-    assert shard_bounds(5, None) == [(0, 5)]
-    assert shard_bounds(5, 2) == [(0, 2), (2, 4), (4, 5)]
-    assert shard_bounds(1, 4) == [(0, 1)]
-    with pytest.raises(ValueError):
-        shard_bounds(3, 0)
-
-
-def test_run_mpc_sharded_outputs_match_unsharded():
-    """The shard_size knob is output-invariant end to end through run_mpc."""
-    from repro.circuits import millionaires_product_circuit
-    from repro.mpc import run_mpc
-
-    circuit = millionaires_product_circuit(FIELD, 4)
-    inputs = {1: 3, 2: 5, 3: 7, 4: 11}
-    expected = circuit.evaluate({pid: FIELD(v) for pid, v in inputs.items()})
-    unsharded, _, unsharded_payload = heaviest_messages(
-        lambda: run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9))
-    sharded, _, sharded_payload = heaviest_messages(
-        lambda: run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=9, shard_size=1))
-    assert unsharded.completed and sharded.completed
-    assert unsharded.outputs == sharded.outputs == expected
-    assert sharded_payload < unsharded_payload
-    bundle_bound = bundle_message_bound(4, 1, sibling_sharings(4), FIELD.element_bits())
-    shard_bound = sharded_triple_message_bound(1, 1, FIELD.element_bits())
-    # A dealer's 9 rows of 2 coefficients: the carriers send less (6,304 bits,
-    # a ΠABA vector, while its slots cost 64 bits each).
-    assert sharded.metrics.max_message_bits == sharded_payload == 64 + 40 + 18 * 61
-    assert sharded_payload <= max(shard_bound, bundle_bound)
-    # One n = 7, t_s = 2 evaluation measured 6,302 on a carrier (a verdict
-    # bundle; 28,384 for its 441-slot ΠABA vector at 64 bits a slot).
+        4, 1, sibling_sharings(4, offline, inputs=False), FIELD.element_bits())
+    assert 0 < bundle <= bundle_bound
+    # One n = 7, t_s = 2 evaluation measured 6,302 bits on a carrier (a
+    # verdict bundle).
     assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 6_302
-    per_dealer = triples_per_dealer(4, 1, circuit.multiplication_count)
-    assert unsharded.metrics.max_message_bits <= max(
-        sharded_triple_message_bound(per_dealer, 1, FIELD.element_bits()), bundle_bound)
+    assert bundle < payload <= dealer_row_bound(polynomials, 1)
+    assert result.metrics.max_message_bits == payload
+    assert triples_are_valid(result, 1)
 
 
 def test_random_drop_behavior_is_reproducible_from_seed():
     """Satellite contract: adversarial draws come from the injected rng only."""
-    scenario = Scenario(4, 1, 0, "random_drop", "sync", None)
+    scenario = Scenario(4, 1, 0, "random_drop", "sync")
     assert digest(run_preprocessing(scenario)) == digest(run_preprocessing(scenario))
 
 

@@ -247,31 +247,26 @@ class TestCrashRejoin:
         rejoin, its late output discarded by the deposit guard, reservoir
         heads still aligned -- and the service must then refill and evaluate
         cleanly with HIM triples."""
+        from repro.circuits import mean_circuit
         from repro.triples import HimPreprocessing
 
-        # shard_size=1 splits the HIM refill into many sequential extraction
-        # rounds, guaranteeing the round is still mid-extraction when the
-        # crashes land (an unsharded HIM round is fast enough to finish
-        # inside the evaluation window).
-        # The settle pass waits up to stall_margin x the (sharded, so long)
-        # nominal HIM bound before writing the round off; the rejoin deadline
-        # must outlast that wait or the handshake times out spuriously.
-        cfg = small_config(
-            low_watermark=8,
-            high_watermark=10,
-            offline="him",
-            shard_size=1,
-            rejoin_deadline=500_000.0,
-        )
+        # The second evaluation kicks the background HIM refill at its own
+        # anchor.  A product evaluation ends at the instant the refill's
+        # extraction does, so crashes after it would land on a finished
+        # round; the linear mean circuit has no Beaver rounds and returns
+        # while the refill is between its sacrifice openings and its
+        # extraction, so the crashes land inside the round.
+        cfg = small_config(low_watermark=8, high_watermark=10, offline="him")
         svc = MpcService(4, 1, 0, config=cfg, seed=14)
         svc.evaluate(product_circuit(), INPUTS)
         svc.checkpoint()
-        degraded_before = svc.evaluate(product_circuit(), INPUTS)
+        degraded_before = svc.evaluate(mean_circuit(FIELD, 4), INPUTS)
         assert not degraded_before.degraded
         assert svc._inflight is not None  # background HIM refill in flight
         assert all(
             isinstance(inst, HimPreprocessing) for inst in svc._inflight.values()
         )
+        assert not any(inst.has_output for inst in svc._inflight.values())
         abandoned_round = svc._inflight_round
         svc.crash_party(3)
         svc.crash_party(4)  # 2 > t_s: the in-flight HIM round can never finish

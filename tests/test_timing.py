@@ -60,22 +60,3 @@ def test_cir_eval_time_bound_grows_with_depth():
     shallow = cir_eval_time_bound(4, 1, 1, 1.0)
     deep = cir_eval_time_bound(4, 1, 10, 1.0)
     assert deep - shallow == pytest.approx(9.0, abs=0.01)
-
-
-def test_sharded_time_bounds_scale_with_round_count():
-    from repro.triples.preprocessing import shard_bounds, triples_per_dealer
-    from repro.triples.sharing import triple_sharing_time_bound as t_tripsh
-
-    # c_m=3 at n=4/ts=1 means a 3-triple bank: shard_size=1 gives 3 rounds.
-    rounds = len(shard_bounds(triples_per_dealer(4, 1, 3), 1))
-    assert rounds == 3
-    unsharded = preprocessing_time_bound(4, 1, 1.0, shard_size=None, c_m=3)
-    sharded = preprocessing_time_bound(4, 1, 1.0, shard_size=1, c_m=3)
-    assert sharded > unsharded
-    assert sharded - unsharded == pytest.approx(
-        (rounds - 1) * t_tripsh(4, 1, 1.0), rel=0.01
-    )
-    # The sharded bound propagates into the circuit-evaluation bound.
-    assert cir_eval_time_bound(4, 1, 1, 1.0, shard_size=1, c_m=3) > cir_eval_time_bound(
-        4, 1, 1, 1.0
-    )

@@ -116,7 +116,7 @@ def test_preprocessing_survives_total_reordering():
     """``reorder=1.0`` holds every other message on every channel; before
     the release-on-every-hand-out fix, a self-delivery or crash could strand
     a held message and wedge the run."""
-    scenario = Scenario(4, 1, 0, "honest", "sync", None)
+    scenario = Scenario(4, 1, 0, "honest", "sync")
     baseline = run_preprocessing_on(scenario, "sim")
     faulty = run_preprocessing_on(
         scenario, "sim", faults=FaultPlan(5, link_faults=[LinkFault(reorder=1.0)])
