@@ -12,7 +12,7 @@ import time
 from typing import Dict, Mapping, Optional
 
 from repro.field import Polynomial, default_field
-from repro.sim import ProtocolRunner, SynchronousNetwork
+from repro.sim import Simulator, SynchronousNetwork
 from repro.sim.network import NetworkModel
 
 FIELD = default_field()
@@ -28,8 +28,8 @@ def fresh_polynomials(count: int, degree: int, seed: int):
 
 
 def make_runner(n: int, network: Optional[NetworkModel] = None, seed: int = 0, corrupt=None):
-    return ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                          corrupt=corrupt or {})
+    return Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                     corrupt=corrupt or {})
 
 
 def best_of(callable_, repeats: int = 3) -> float:

@@ -56,7 +56,7 @@ def _counts(n, factory):
     """(honest bits, messages) of one synchronous run of ``factory`` at every party."""
     runner = make_runner(n, network=SynchronousNetwork(), seed=1)
     runner.run(factory, max_time=300_000.0)
-    metrics = runner.simulator.metrics
+    metrics = runner.metrics
     return metrics.honest_bits, metrics.messages_sent
 
 

@@ -43,7 +43,7 @@ def _stream(service: MpcService, circuit, evaluations: int) -> Dict[str, float]:
         "evals_per_s": evaluations / wall if wall else float("inf"),
         "sim_time": service.now,
         "triples_produced": float(service.reservoir.produced),
-        "messages_sent": float(service.sim.metrics.messages_sent),
+        "messages_sent": float(service.backend.metrics.messages_sent),
     }
 
 

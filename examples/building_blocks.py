@@ -18,12 +18,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import ProtocolRunner, SynchronousNetwork, default_field
+from repro import SynchronousNetwork, default_field
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.field import Polynomial
 from repro.field.polynomial import interpolate_at
 from repro.sharing.shamir import robust_reconstruct
 from repro.sharing.vss import VerifiableSecretSharing
+from repro.sim import Simulator
 from repro.triples.preprocessing import Preprocessing
 
 
@@ -31,8 +32,8 @@ def demo_vss(field) -> None:
     print("[1/3] ΠVSS: dealer P1 shares the secret 20240614")
     secret = 20240614
     polynomial = Polynomial.random(field, 1, constant_term=secret, rng=random.Random(42))
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=1)
-    result = runner.run(
+    sim = Simulator(4, network=SynchronousNetwork(), seed=1)
+    result = sim.run(
         lambda party: VerifiableSecretSharing(
             party, "vss", dealer=1, ts=1, ta=0, num_polynomials=1,
             polynomials=[polynomial] if party.id == 1 else None, anchor=0.0,
@@ -47,9 +48,9 @@ def demo_vss(field) -> None:
 
 def demo_ba(field) -> None:
     print("[2/3] ΠBA: parties disagree (inputs 1,1,0,0) but must decide one bit")
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=2)
+    sim = Simulator(4, network=SynchronousNetwork(), seed=2)
     inputs = {1: 1, 2: 1, 3: 0, 4: 0}
-    result = runner.run(
+    result = sim.run(
         lambda party: BestOfBothWorldsBA(party, "ba", faults=1, value=inputs[party.id],
                                          anchor=0.0),
         max_time=100_000.0,
@@ -61,8 +62,8 @@ def demo_ba(field) -> None:
 
 def demo_preprocessing(field) -> None:
     print("[3/3] ΠPreProcessing: generate one shared Beaver triple nobody knows")
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=3)
-    result = runner.run(
+    sim = Simulator(4, network=SynchronousNetwork(), seed=3)
+    result = sim.run(
         lambda party: Preprocessing(party, "preproc", ts=1, ta=0, num_triples=1, anchor=0.0),
         max_time=800_000.0,
     )

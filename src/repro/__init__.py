@@ -26,7 +26,6 @@ from repro.field import (
 )
 from repro.mpc import run_mpc, MPCResult, CircuitEvaluation
 from repro.sim import (
-    ProtocolRunner,
     SynchronousNetwork,
     AsynchronousNetwork,
     AdversarialAsynchronousNetwork,
@@ -44,7 +43,6 @@ __all__ = [
     "run_mpc",
     "MPCResult",
     "CircuitEvaluation",
-    "ProtocolRunner",
     "SynchronousNetwork",
     "AsynchronousNetwork",
     "AdversarialAsynchronousNetwork",

@@ -1,8 +1,9 @@
 """Byzantine agreement: synchronous (phase-king), asynchronous (randomized),
 and the paper's best-of-both-worlds combination ΠBA.
 
-``BestOfBothWorldsBA`` is exposed lazily to avoid an import cycle with
-:mod:`repro.broadcast` (ΠBC uses the phase-king SBA, and ΠBA uses ΠBC).
+``BestOfBothWorldsBA`` lives in :mod:`repro.ba.bobw` and is imported from
+there: ΠBC uses the phase-king SBA and ΠBA uses ΠBC, so this package does
+not load it.
 """
 
 from repro.ba.sba import PhaseKingSBA, sba_time_bound
@@ -16,16 +17,4 @@ __all__ = [
     "BrachaABA",
     "aba_unanimous_time_bound",
     "aba_nominal_time_bound",
-    "BestOfBothWorldsBA",
-    "ba_time_bound",
 ]
-
-_LAZY = {"BestOfBothWorldsBA", "ba_time_bound"}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from repro.ba import bobw
-
-        return getattr(bobw, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

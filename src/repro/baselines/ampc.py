@@ -23,10 +23,11 @@ from repro.circuits.circuit import Circuit, GateType
 from repro.codes.oec import BatchOnlineErrorCorrector
 from repro.field.gf import FieldElement
 from repro.sharing.shamir import batch_share_at_alphas
+from repro.runtime import make_backend
 from repro.sim.adversary import Behavior
+from repro.sim.api import RunResult
 from repro.sim.network import AsynchronousNetwork, NetworkModel
 from repro.sim.party import Party, ProtocolInstance
-from repro.sim.runner import ProtocolRunner, RunResult
 from repro.baselines.dealer import TrustedTripleDealer
 
 
@@ -242,8 +243,8 @@ def run_asynchronous_baseline(
     max_time: Optional[float] = None,
 ) -> RunResult:
     """Run the asynchronous baseline end-to-end and return the raw run result."""
-    runner = ProtocolRunner(n, network=network or AsynchronousNetwork(), seed=seed, corrupt=corrupt)
-    dealer = TrustedTripleDealer(runner.field, n, degree=faults, seed=seed + 31)
+    backend = make_backend("sim", n, network=network or AsynchronousNetwork(), seed=seed, corrupt=corrupt)
+    dealer = TrustedTripleDealer(backend.field, n, degree=faults, seed=seed + 31)
     views = dealer.triple_shares_for(max(1, circuit.multiplication_count))
     core_set = list(range(1, n - faults + 1))
 
@@ -260,4 +261,4 @@ def run_asynchronous_baseline(
             triples=views[party.id],
         )
 
-    return runner.run(factory, max_time=max_time)
+    return backend.run(factory, max_time=max_time)

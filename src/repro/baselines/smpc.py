@@ -21,11 +21,12 @@ from repro.circuits.circuit import Circuit, GateType
 from repro.codes.reed_solomon import rs_decode_batch
 from repro.field.gf import FieldElement
 from repro.field.polynomial import interpolate_at
+from repro.runtime import make_backend
 from repro.sim.adversary import Behavior
+from repro.sim.api import RunResult
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.party import Party, ProtocolInstance
 from repro.sharing.shamir import batch_share_at_alphas
-from repro.sim.runner import ProtocolRunner, RunResult
 from repro.baselines.dealer import TrustedTripleDealer
 
 
@@ -223,8 +224,8 @@ def run_synchronous_baseline(
     max_time: Optional[float] = None,
 ) -> RunResult:
     """Run the synchronous baseline end-to-end and return the raw run result."""
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed, corrupt=corrupt)
-    dealer = TrustedTripleDealer(runner.field, n, degree=faults, seed=seed + 17)
+    backend = make_backend("sim", n, network=network or SynchronousNetwork(), seed=seed, corrupt=corrupt)
+    dealer = TrustedTripleDealer(backend.field, n, degree=faults, seed=seed + 17)
     views = dealer.triple_shares_for(max(1, circuit.multiplication_count))
 
     def factory(party):
@@ -239,4 +240,4 @@ def run_synchronous_baseline(
             triples=views[party.id],
         )
 
-    return runner.run(factory, max_time=max_time)
+    return backend.run(factory, max_time=max_time)

@@ -186,7 +186,7 @@ def run_case(
     from repro.field.gf import default_field
     from repro.mpc.engine import run_mpc
     from repro.mpc.protocol import cir_eval_time_bound
-    from repro.runtime.sim_backend import SimBackend
+    from repro.runtime import make_backend
     from repro.sim.network import AsynchronousNetwork, SynchronousNetwork
 
     plan = plan.fresh()
@@ -194,7 +194,7 @@ def run_case(
     circuit = multiplication_circuit(field, n_parties=n)
     inputs = {pid: pid + 2 for pid in range(1, n + 1)}
     network = SynchronousNetwork() if synchronous else AsynchronousNetwork()
-    backend = SimBackend(n, network=network, field=field, seed=seed, faults=plan)
+    backend = make_backend("sim", n, network=network, field=field, seed=seed, faults=plan)
     killed = []
     for pf in plan.process_faults:
         killed.append(pf.party)

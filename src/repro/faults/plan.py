@@ -5,7 +5,7 @@ network partitions (symmetric groups or asymmetric directed blocks, with a
 heal point), per-link loss/corruption/duplication/reorder schedules, per-link
 extra latency, per-party clock skew, and process kill schedules --
 into a single object.  It is the only fault injector the runtime has: the
-scheduler takes it as ``faults=`` (``SimBackend``, ``AsyncioBackend`` and
+scheduler takes it as ``faults=`` (the ``Simulator``, ``AsyncioBackend`` and
 ``TcpBackend`` alike).  The scheduler adds :meth:`FaultPlan.extra_delay` to
 every non-self dispatch, and its :class:`FaultGate` -- the one
 implementation of the delivery contract below -- asks

@@ -18,9 +18,10 @@ from typing import Any, Dict, List, Optional, Union
 from repro.circuits.circuit import Circuit
 from repro.field.gf import GF, FieldElement
 from repro.mpc.protocol import CircuitEvaluation
+from repro.runtime import make_backend
 from repro.sim.adversary import Behavior
+from repro.sim.api import ExecutionBackend, RunResult
 from repro.sim.network import NetworkModel
-from repro.sim.runner import ProtocolRunner, RunResult
 
 
 class MPCResult:
@@ -147,7 +148,7 @@ def run_mpc(
     max_time: Optional[float] = None,
     max_events: Optional[int] = None,
     offline: str = "tripsh",
-    backend: Union[str, type, Any] = "sim",
+    backend: Union[str, ExecutionBackend] = "sim",
     **backend_options: Any,
 ) -> MPCResult:
     """Run ΠCirEval end-to-end and return the result.
@@ -166,18 +167,18 @@ def run_mpc(
     discrete-event simulator, the default), ``"asyncio"`` (the same
     simulator paced by the wall clock, optionally over sockets), or ``"tcp"``
     (one OS process per party over real sockets, spawned and collected by
-    :class:`~repro.runtime.launcher.TcpBackend`); ``backend_options`` are
-    forwarded to the backend constructor (e.g. ``time_scale=...``,
-    ``faults=...`` or ``roster=...``).
+    :class:`~repro.runtime.launcher.TcpBackend`), or an already-built
+    backend; ``backend_options`` are forwarded to the backend constructor
+    (e.g. ``time_scale=...``, ``faults=...`` or ``roster=...``).
     """
     check_parameters(n, ts, ta)
     check_party_ids("inputs", inputs, n)
     check_party_ids("corrupt", corrupt or {}, n)
     # The backends default an absent network to SynchronousNetwork; passing
     # None through keeps already-built backend instances usable here.
-    runner = ProtocolRunner(n, network=network, field=field, seed=seed,
-                            corrupt=corrupt, backend=backend, **backend_options)
+    built = make_backend(backend, n, network=network, field=field, seed=seed,
+                         corrupt=corrupt, **backend_options)
     factory = CircuitEvaluationFactory(circuit, ts, ta, inputs, n=n, offline=offline)
 
-    run = runner.run(factory, max_time=max_time, max_events=max_events)
-    return MPCResult(run, circuit, runner.field)
+    run = built.run(factory, max_time=max_time, max_events=max_events)
+    return MPCResult(run, circuit, built.field)

@@ -4,8 +4,8 @@
 its queue, :meth:`~repro.sim.simulator.Simulator.step`, timers, crash and
 revive, metrics, rng, party seeding and fault gate -- plus what wall time
 and sockets need.  It hands out an event due at nominal ``t`` no earlier
-than the wall instant ``epoch + t * time_scale`` (:class:`~repro.runtime.
-api.RealClock`), and it can carry what its parties send one another over the
+than the wall instant ``epoch + t * time_scale`` (:class:`RealClock`), and
+it can carry what its parties send one another over the
 sockets of a :class:`~repro.runtime.tcp_transport.TcpTransport` (one process
 for all parties, or one per party under :mod:`repro.runtime.launcher`).
 ``now``, ``send_time``, timers and ``output_time`` stay nominal: with no
@@ -35,13 +35,15 @@ from __future__ import annotations
 import asyncio
 import logging
 import math
+import time as _time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.field.gf import GF
-from repro.runtime.api import ExecutionBackend, RealClock, RunResult, account_dispatch
 from repro.runtime.errors import ScheduleMiss
-from repro.runtime.event_queue import MESSAGE, TIMER, full_collections_deferred
+from repro.sim.adversary import Behavior
+from repro.sim.api import RunResult, account_dispatch
+from repro.sim.event_queue import MESSAGE, TIMER, full_collections_deferred
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel
 from repro.sim.simulator import Simulator
@@ -61,7 +63,37 @@ def _resolve(waiter: asyncio.Future, woken: bool) -> None:
         waiter.set_result(woken)
 
 
-class AsyncioBackend(Simulator, ExecutionBackend):
+class RealClock:
+    """The wall clock that paces nominal time: the scheduler hands out an
+    event due at ``t`` at ``epoch + t * time_scale`` of ``time.monotonic()``
+    (asyncio's loop clock; system-wide, so processes on one host can share
+    an epoch).  The scheduler's ``now`` stays nominal."""
+
+    def __init__(self, time_scale: float = 0.001):
+        if time_scale <= 0:
+            raise ValueError("time_scale must be positive")
+        self.time_scale = time_scale
+        self.epoch: Optional[float] = None
+
+    def start(self, epoch: Optional[float] = None, now: float = 0.0) -> None:
+        """Pin the epoch; by default nominal ``now`` is due at once."""
+        if epoch is None:
+            epoch = _time.monotonic() - now * self.time_scale
+        self.epoch = epoch
+
+    def elapsed(self) -> float:
+        """The nominal instant the wall clock has reached."""
+        return (_time.monotonic() - self.epoch) / self.time_scale
+
+    def wall(self, time: float) -> float:
+        """The ``time.monotonic()`` instant nominal ``time`` is due at."""
+        return self.epoch + time * self.time_scale
+
+    def __repr__(self) -> str:
+        return f"RealClock(time_scale={self.time_scale})"
+
+
+class AsyncioBackend(Simulator):
     """The simulator paced by the wall clock, optionally over sockets."""
 
     def __init__(
@@ -70,17 +102,14 @@ class AsyncioBackend(Simulator, ExecutionBackend):
         network: Optional[NetworkModel] = None,
         field: Optional[GF] = None,
         seed: int = 0,
-        corrupt: Optional[Dict[int, Any]] = None,
+        corrupt: Optional[Dict[int, Behavior]] = None,
         time_scale: float = 0.001,
         transport: Optional[TcpTransport] = None,
         faults: Optional[FaultPlan] = None,
     ):
         super().__init__(
-            n, network=network, field=field, seed=seed,
-            corrupt_parties=set(corrupt or {}), faults=faults,
+            n, network=network, field=field, seed=seed, corrupt=corrupt, faults=faults,
         )
-        for party_id, behavior in (corrupt or {}).items():
-            self.set_behavior(party_id, behavior)
         self.clock = RealClock(time_scale)
         self.transport = transport
         #: Whether the event being served is a timer (the schedule-miss rule).
@@ -175,7 +204,7 @@ class AsyncioBackend(Simulator, ExecutionBackend):
             instances = self._instantiate(factory)
             done = self._done_predicate(instances, wait_for_all_honest, extra_predicate)
             self.clock.start(epoch, self.now)
-            # Like Simulator.run, a run holds off full collections.
+            # Like Simulator.run_until, a run holds off full collections.
             with full_collections_deferred():
                 await self.drive(done, max_time, max_events)
         finally:

@@ -21,7 +21,7 @@ TcpTransport` sockets -- behind one pool:
   spec's type: a :class:`JobSpec` runs one protocol to its output, a
   :class:`~repro.runtime.supervisor.ServiceSpec` a persistent service party.
 * :class:`TcpBackend` is the pool plus one job: the
-  :class:`~repro.runtime.api.ExecutionBackend` of ``run_mpc(backend="tcp")``.
+  :class:`~repro.sim.api.ExecutionBackend` of ``run_mpc(backend="tcp")``.
 
 A job's go barrier hands every party one epoch, a ``time.monotonic()``
 instant :data:`GO_LEAD_S` ahead at which nominal 0 is due:
@@ -33,7 +33,7 @@ schedule miss (:mod:`repro.runtime.asyncio_backend`), merged into
 The control channel is a TCP connection per process carrying the same
 length-prefixed :mod:`~repro.runtime.wire` frames as the transport itself;
 reports and commands cross it as typed payloads (packed field vectors
-included), so the parent-side :class:`~repro.runtime.api.RunResult` carries
+included), so the parent-side :class:`~repro.sim.api.RunResult` carries
 the same values an in-process backend would have produced.
 """
 
@@ -58,12 +58,12 @@ from dataclasses import astuple, dataclass, field as _dc_field
 from typing import Any, Callable, ClassVar, Dict, Iterable, List, NoReturn, Optional, Sequence, Set, Tuple
 
 from repro.field.gf import GF, default_field
-from repro.runtime.api import ExecutionBackend, RunResult
 from repro.faults.plan import FaultPlan
 from repro.runtime.errors import PartyProcessDied, ScheduleMiss
 from repro.runtime.asyncio_backend import AsyncioBackend
 from repro.runtime.tcp_transport import TcpTransport
 from repro.runtime.wire import decode_payload, encode_payload, frame, read_frame
+from repro.sim.api import ExecutionBackend, RunResult
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.simulator import SimulationMetrics
 
@@ -809,7 +809,7 @@ async def _until(condition: Callable[[], bool], timeout: float) -> None:
 class RemoteInstance:
     """Stand-in for a remote party's root protocol instance.
 
-    Carries exactly the surface :class:`~repro.runtime.api.RunResult` and
+    Carries exactly the surface :class:`~repro.sim.api.RunResult` and
     the harnesses read back: output / has_output / output_time plus the
     ``common_subset`` attribute the MPC result inspects.
     """

@@ -47,7 +47,7 @@ from repro.circuits.circuit import Circuit
 from repro.field.gf import GF, FieldElement
 from repro.mpc.engine import check_parameters, check_party_ids
 from repro.mpc.protocol import CircuitEvaluation, cir_eval_time_bound
-from repro.runtime.sim_backend import SimBackend
+from repro.runtime import make_backend
 from repro.service.checkpoint import (
     CheckpointStore,
     PartySnapshot,
@@ -212,8 +212,7 @@ class MpcService:
         self.ts = ts
         self.ta = ta
         self.config = config or ServiceConfig()
-        self.backend = SimBackend(n, network=network, field=field, seed=seed)
-        self.sim = self.backend.simulator
+        self.backend = make_backend("sim", n, network=network, field=field, seed=seed)
         self.store = store or CheckpointStore()
         self.reservoir = TripleReservoir(
             range(1, n + 1),
@@ -236,22 +235,22 @@ class MpcService:
     # -- basic state ---------------------------------------------------------
     @property
     def field(self) -> GF:
-        return self.sim.field
+        return self.backend.field
 
     @property
     def delta(self) -> float:
-        return self.sim.delta
+        return self.backend.delta
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        return self.backend.now
 
     def live_parties(self) -> List[int]:
-        return [pid for pid in range(1, self.n + 1) if pid not in self.sim.crashed]
+        return [pid for pid in range(1, self.n + 1) if pid not in self.backend.crashed]
 
     @property
     def crashed_parties(self) -> List[int]:
-        return sorted(self.sim.crashed)
+        return sorted(self.backend.crashed)
 
     @property
     def pending(self) -> int:
@@ -297,7 +296,7 @@ class MpcService:
             completed.append(result)
             if (
                 self.config.checkpoint_every
-                and not self.sim.crashed
+                and not self.backend.crashed
                 and self._eval_seq % self.config.checkpoint_every == 0
             ):
                 self.checkpoint()
@@ -313,7 +312,7 @@ class MpcService:
 
     # -- one evaluation -------------------------------------------------------
     def _run_eval(self, eval_id: int, circuit: Circuit, inputs: Dict[int, Any]) -> EvalResult:
-        crashed = set(self.sim.crashed)
+        crashed = set(self.backend.crashed)
         if crashed and not self.config.allow_degraded:
             raise PartyCrashedError(crashed, f"evaluate eval[{eval_id}]")
         if len(crashed) > self.ts:
@@ -326,10 +325,10 @@ class MpcService:
         taken = self.reservoir.take(live, need)
 
         tag = f"eval[{eval_id}]"
-        anchor = next_multiple_of_delta(self.sim.now, self.delta)
+        anchor = next_multiple_of_delta(self.backend.now, self.delta)
         instances: Dict[int, CircuitEvaluation] = {}
         for pid in live:
-            party = self.sim.parties[pid]
+            party = self.backend.parties[pid]
             value = inputs.get(pid, 0)
             my_inputs = list(value) if isinstance(value, (list, tuple)) else [value]
             instances[pid] = CircuitEvaluation(
@@ -350,22 +349,22 @@ class MpcService:
             return all(
                 instances[pid].has_output
                 for pid in instances
-                if pid not in self.sim.crashed
+                if pid not in self.backend.crashed
             )
 
         bound = cir_eval_time_bound(
             self.n, self.ts, circuit.multiplicative_depth, self.delta,
             c_m=max(1, need),
         )
-        self.sim.run(until=done, max_time=anchor + self.config.stall_margin * bound)
+        self.backend.run_until(until=done, max_time=anchor + self.config.stall_margin * bound)
         if not done():
             raise PartyCrashedError(
-                self.sim.crashed or set(),
+                self.backend.crashed or set(),
                 f"complete eval[{eval_id}] (stalled past {self.config.stall_margin}x "
                 "its nominal time bound)",
             )
 
-        survivors = [pid for pid in instances if pid not in self.sim.crashed]
+        survivors = [pid for pid in instances if pid not in self.backend.crashed]
         outputs = {pid: [int(v) for v in instances[pid].output] for pid in survivors}
         distinct = {tuple(vals) for vals in outputs.values()}
         if len(distinct) != 1:
@@ -376,7 +375,7 @@ class MpcService:
             outputs=list(first.output),
             degraded=bool(crashed) or len(survivors) < len(instances),
             parties=tuple(survivors),
-            sim_time=self.sim.now,
+            sim_time=self.backend.now,
         )
         self.results.append(result)
         self._eval_seq = eval_id + 1
@@ -409,7 +408,7 @@ class MpcService:
                 )
 
     def _spawn_round(self, target: int, live: List[int]) -> None:
-        if len(self.sim.crashed) > self.ts:
+        if len(self.backend.crashed) > self.ts:
             raise ReservoirDrainedError(
                 target, self.reservoir.available(live),
                 reason=f"parties {self.crashed_parties} crashed; cannot preprocess",
@@ -418,11 +417,11 @@ class MpcService:
         self._preproc_round += 1
         base = self.reservoir.begin_round()
         tag = f"svc-preproc[{round_index}]"
-        anchor = next_multiple_of_delta(self.sim.now, self.delta)
+        anchor = next_multiple_of_delta(self.backend.now, self.delta)
         instances: Dict[int, Preprocessing] = {}
         for pid in live:
             instances[pid] = Preprocessing(
-                self.sim.parties[pid],
+                self.backend.parties[pid],
                 tag,
                 ts=self.ts,
                 ta=self.ta,
@@ -454,7 +453,7 @@ class MpcService:
         return all(
             inst.has_output
             for pid, inst in self._inflight.items()
-            if pid not in self.sim.crashed
+            if pid not in self.backend.crashed
         )
 
     def _reap_inflight(self) -> None:
@@ -474,9 +473,9 @@ class MpcService:
         bound = preprocessing_time_bound(
             self.n, self.ts, self.delta, c_m=target, offline=self.config.offline,
         )
-        self.sim.run(
+        self.backend.run_until(
             until=self._inflight_done,
-            max_time=self.sim.now + self.config.stall_margin * bound,
+            max_time=self.backend.now + self.config.stall_margin * bound,
         )
         if not self._inflight_done():
             self._abandoned_rounds.add(self._inflight_round)
@@ -488,9 +487,9 @@ class MpcService:
         bound = preprocessing_time_bound(
             self.n, self.ts, self.delta, c_m=target, offline=self.config.offline,
         )
-        self.sim.run(
+        self.backend.run_until(
             until=self._inflight_done,
-            max_time=self.sim.now + self.config.stall_margin * bound,
+            max_time=self.backend.now + self.config.stall_margin * bound,
         )
         if not self._inflight_done():
             raise ReservoirDrainedError(
@@ -523,7 +522,7 @@ class MpcService:
                 return int(m.group(1)) < preproc_cut
             return False
 
-        for party in self.sim.parties.values():
+        for party in self.backend.parties.values():
             party.retire(stale)
 
     # -- checkpoint / restore -------------------------------------------------
@@ -536,16 +535,16 @@ class MpcService:
         in-flight message or pending timer is lost, so a restored service
         continues bit-identically to the uninterrupted one.
         """
-        if self.sim.crashed:
-            raise PartyCrashedError(self.sim.crashed, "checkpoint")
-        self.sim.run()  # drain to quiescence (finite: no perpetual timers)
+        if self.backend.crashed:
+            raise PartyCrashedError(self.backend.crashed, "checkpoint")
+        self.backend.run_until()  # drain to quiescence (finite: no perpetual timers)
         self._reap_inflight()
         parties: Dict[int, PartySnapshot] = {}
         for pid in range(1, self.n + 1):
             first_seq, triples = self.reservoir.snapshot_party(pid)
             parties[pid] = PartySnapshot(
                 party_id=pid,
-                rng_state=self.sim.parties[pid].rng.getstate(),
+                rng_state=self.backend.parties[pid].rng.getstate(),
                 reservoir_first_seq=first_seq,
                 reservoir_triples=triples,
             )
@@ -554,12 +553,12 @@ class MpcService:
             ts=self.ts,
             ta=self.ta,
             field_modulus=self.field.modulus,
-            now=self.sim.now,
+            now=self.backend.now,
             eval_seq=self._eval_seq,
             preproc_round=self._preproc_round,
             consumed=self.reservoir.consumed,
             produced=self.reservoir.produced,
-            backend_rng_state=self.sim.rng.getstate(),
+            backend_rng_state=self.backend.rng.getstate(),
             results=[(r.eval_id, r.output_values) for r in self.results],
             parties=parties,
         )
@@ -590,15 +589,15 @@ class MpcService:
             config=config,
             store=store,
         )
-        service.sim.rng.setstate(snapshot.backend_rng_state)
-        service.sim.now = snapshot.now
+        service.backend.rng.setstate(snapshot.backend_rng_state)
+        service.backend.now = snapshot.now
         service._eval_seq = snapshot.eval_seq
         service._next_submit = snapshot.eval_seq
         service._preproc_round = snapshot.preproc_round
         service.reservoir.consumed = snapshot.consumed
         service.reservoir.produced = snapshot.produced
         for pid, party_snap in snapshot.parties.items():
-            service.sim.parties[pid].rng.setstate(party_snap.rng_state)
+            service.backend.parties[pid].rng.setstate(party_snap.rng_state)
             service.reservoir.restore_party(
                 pid, party_snap.reservoir_first_seq, party_snap.reservoir_triples
             )
@@ -626,13 +625,13 @@ class MpcService:
             raise ValueError(f"no party {party_id} (parties are numbered 1..{self.n})")
 
         def _crash() -> None:
-            self.sim.crash_party(party_id)
+            self.backend.crash_party(party_id)
             self.reservoir.clear_party(party_id)
 
         if at_time is None:
             _crash()
         else:
-            self.sim.schedule_timer(max(at_time, self.sim.now), _crash)
+            self.backend.schedule_timer(max(at_time, self.backend.now), _crash)
 
     def rejoin_party(self, party_id: int, version: Optional[int] = None) -> RecoveryReport:
         """Bring a crashed party back from the latest (or given) snapshot.
@@ -645,10 +644,10 @@ class MpcService:
         and raises :class:`RejoinTimeoutError` -- the service degrades
         rather than admitting a half-joined member.
         """
-        if party_id not in self.sim.crashed:
+        if party_id not in self.backend.crashed:
             raise ValueError(f"party {party_id} is not crashed")
         wall_start = _time.monotonic()
-        sim_start = self.sim.now
+        sim_start = self.backend.now
         # A refill round still in flight keeps completing among the
         # survivors; let it land now (its deposits are then dropped by the
         # truncation below) or abandon it, so no deposit with a pre-crash
@@ -657,7 +656,7 @@ class MpcService:
         self._settle_inflight()
         snapshot = self.store.load(version)
         snapshot_version = version if version is not None else self.store.latest_version
-        party = self.sim.revive_party(party_id)
+        party = self.backend.revive_party(party_id)
         party.rng.setstate(snapshot.parties[party_id].rng_state)
 
         quorum = self.config.rejoin_quorum
@@ -668,7 +667,7 @@ class MpcService:
         joiner: Optional[RejoinProtocol] = None
         for pid in self.live_parties():
             instance = RejoinProtocol(
-                self.sim.parties[pid],
+                self.backend.parties[pid],
                 handshake_tag,
                 rejoiner=party_id,
                 quorum=quorum,
@@ -680,14 +679,14 @@ class MpcService:
                 joiner = instance
         assert joiner is not None
         for pid in self.live_parties():
-            self.sim.parties[pid].instances[handshake_tag].start()
+            self.backend.parties[pid].instances[handshake_tag].start()
 
         deadline = sim_start + self.config.rejoin_deadline
-        self.sim.run(until=lambda: joiner.has_output, max_time=deadline)
+        self.backend.run_until(until=lambda: joiner.has_output, max_time=deadline)
         if not joiner.has_output:
             # Re-crash: a party that cannot prove itself live to a quorum
             # stays out (its epoch bump silences the handshake's timers).
-            self.sim.crash_party(party_id)
+            self.backend.crash_party(party_id)
             self.reservoir.clear_party(party_id)
             raise RejoinTimeoutError(
                 party_id, joiner.attempts, self.config.rejoin_deadline
@@ -703,7 +702,7 @@ class MpcService:
             party_id=party_id,
             snapshot_version=snapshot_version or 0,
             attempts=joiner.attempts,
-            sim_recovery_time=self.sim.now - sim_start,
+            sim_recovery_time=self.backend.now - sim_start,
             wall_recovery_time=_time.monotonic() - wall_start,
             triples_discarded=discarded,
             replayed_results=len(replayed),

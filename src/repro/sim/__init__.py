@@ -1,10 +1,12 @@
-"""Discrete-event simulation substrate.
+"""Discrete-event simulation substrate: the execution core.
 
 Implements the paper's communication model: n parties connected by pairwise
 private authenticated channels, running either over a synchronous network
 (every message delivered within a publicly-known bound Delta) or an
 asynchronous network (arbitrary but finite, adversary-scheduled delays),
-with a static Byzantine adversary.
+with a static Byzantine adversary.  :class:`Simulator` is the one scheduler
+and the ``"sim"`` execution backend; :mod:`repro.runtime` builds on it and
+this package imports nothing from there.
 """
 
 from repro.sim.messages import Message, payload_bits
@@ -26,7 +28,7 @@ from repro.sim.adversary import (
     DelayBehavior,
     RandomDropBehavior,
 )
-from repro.sim.runner import ProtocolRunner, RunResult
+from repro.sim.api import RunResult
 
 __all__ = [
     "Message",
@@ -47,6 +49,5 @@ __all__ = [
     "WrongValueBehavior",
     "DelayBehavior",
     "RandomDropBehavior",
-    "ProtocolRunner",
     "RunResult",
 ]

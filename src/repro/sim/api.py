@@ -1,4 +1,4 @@
-"""The pluggable execution runtime: what a protocol needs from its host.
+"""What a protocol needs from its host, and what a harness drives.
 
 Every protocol in the stack is a :class:`~repro.sim.party.ProtocolInstance`
 state machine attached to a :class:`~repro.sim.party.Party`.  The party, in
@@ -7,57 +7,21 @@ context API defined here -- ``submit_message`` / ``fan_out`` /
 ``schedule_timer`` / ``dispatch`` plus the static execution parameters
 (``n``, ``field``, ``delta``, ``now``, ``corrupt_parties``).  Protocol
 classes therefore never depend on a concrete event loop: the same
-unmodified protocol code runs
-
-* under :class:`~repro.runtime.sim_backend.SimBackend`, the deterministic
-  discrete-event simulator (bit-for-bit the historical behaviour), and
-* under :class:`~repro.runtime.asyncio_backend.AsyncioBackend`, the same
-  simulator on an asyncio loop, paced by the wall clock, optionally over
-  TCP sockets.
+unmodified protocol code runs on the one scheduler,
+:class:`~repro.sim.simulator.Simulator`, whether it runs as fast as it can
+or paced by the wall clock and over sockets
+(:class:`~repro.runtime.asyncio_backend.AsyncioBackend`).
 
 :class:`ExecutionBackend` is the driver interface the harnesses
-(`ProtocolRunner`, ``run_mpc``, the benchmarks) program against, and
+(``run_mpc``, the service, the benchmarks) program against, and
 :class:`RunResult` the backend-agnostic outcome object they all return.
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-# Half of the sim <-> runtime cycle: this module is first imported by
-# ``repro.sim.simulator``, after ``repro.sim`` has loaded ``messages``.
 from repro.sim import messages
-
-
-class RealClock:
-    """The wall clock that paces nominal time: the scheduler hands out an
-    event due at ``t`` at ``epoch + t * time_scale`` of ``time.monotonic()``
-    (asyncio's loop clock; system-wide, so processes on one host can share
-    an epoch).  The scheduler's ``now`` stays nominal."""
-
-    def __init__(self, time_scale: float = 0.001):
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        self.time_scale = time_scale
-        self.epoch: Optional[float] = None
-
-    def start(self, epoch: Optional[float] = None, now: float = 0.0) -> None:
-        """Pin the epoch; by default nominal ``now`` is due at once."""
-        if epoch is None:
-            epoch = _time.monotonic() - now * self.time_scale
-        self.epoch = epoch
-
-    def elapsed(self) -> float:
-        """The nominal instant the wall clock has reached."""
-        return (_time.monotonic() - self.epoch) / self.time_scale
-
-    def wall(self, time: float) -> float:
-        """The ``time.monotonic()`` instant nominal ``time`` is due at."""
-        return self.epoch + time * self.time_scale
-
-    def __repr__(self) -> str:
-        return f"RealClock(time_scale={self.time_scale})"
 
 
 class PartyRuntime:
@@ -203,15 +167,6 @@ class RunResult:
         self.instances = instances
 
     @property
-    def simulator(self):
-        """The underlying :class:`Simulator` under ``SimBackend``.
-
-        Kept for the historical ``result.simulator.*`` call sites; other
-        backends return themselves (they carry the same query surface).
-        """
-        return getattr(self.backend, "simulator", self.backend)
-
-    @property
     def metrics(self):
         return self.backend.metrics
 
@@ -250,7 +205,7 @@ class ExecutionBackend:
     """
 
     # Annotations, not properties: implementations choose plain attributes
-    # or computed properties (SimBackend delegates to its Simulator).
+    # or computed properties.
     n: int
     corrupt_parties: Set[int]
     parties: Dict[int, Any]

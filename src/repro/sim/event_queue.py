@@ -3,8 +3,7 @@
 The :class:`~repro.sim.simulator.Simulator` -- the one scheduler, which the
 :class:`~repro.runtime.asyncio_backend.AsyncioBackend` paces by the wall
 clock -- keeps its events here and drains them with the collector setting
-below.  Standard library only: this module sits below both halves of the
-``repro.sim`` <-> ``repro.runtime`` cycle.
+below.  Standard library only.
 """
 
 from __future__ import annotations

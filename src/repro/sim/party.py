@@ -8,7 +8,7 @@ by hierarchical tags so that sub-protocol composition mirrors the paper's
 
 A party is execution-backend agnostic: everything it needs from its host --
 channels, timers, the clock, the static execution parameters -- goes through
-the :class:`~repro.runtime.api.PartyRuntime` context API, implemented by
+the :class:`~repro.sim.api.PartyRuntime` context API, implemented by
 the discrete-event :class:`~repro.sim.simulator.Simulator` -- the one
 scheduler, which the :class:`~repro.runtime.asyncio_backend.AsyncioBackend`
 paces by the wall clock.
@@ -20,7 +20,7 @@ import random
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.api import PartyRuntime
+    from repro.sim.api import PartyRuntime
     from repro.sim.adversary import Behavior
 
 

@@ -1,4 +1,5 @@
-"""The discrete-event simulator driving all protocol executions."""
+"""The discrete-event simulator driving all protocol executions: the one
+scheduler and the ``"sim"`` execution backend."""
 
 from __future__ import annotations
 
@@ -7,8 +8,15 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from repro.faults.plan import FaultGate, FaultPlan
 from repro.field.gf import GF, default_field
-from repro.runtime.api import PartyRuntime, account_dispatch, incarnation_timer
-from repro.runtime.event_queue import MESSAGE, TIMER, EventQueue, full_collections_deferred
+from repro.sim.adversary import Behavior
+from repro.sim.api import (
+    ExecutionBackend,
+    PartyRuntime,
+    RunResult,
+    account_dispatch,
+    incarnation_timer,
+)
+from repro.sim.event_queue import MESSAGE, TIMER, EventQueue, full_collections_deferred
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel, SynchronousNetwork
 from repro.sim.party import Party
@@ -55,14 +63,14 @@ class SimulationMetrics:
         self.messages_delivered += 1
 
 
-class Simulator(PartyRuntime):
+class Simulator(PartyRuntime, ExecutionBackend):
     """Discrete-event simulator: one scheduler slot per simulated instant.
 
     Events are message deliveries and local timers.  Parties share a global
     simulated clock (the paper's synchronous model assumes synchronised
     clocks; in the asynchronous model only message delays change).
 
-    Events wait in an :class:`~repro.runtime.event_queue.EventQueue` under
+    Events wait in an :class:`~repro.sim.event_queue.EventQueue` under
     the key ``(time, priority)``, deliveries before timers at one timestamp
     and first queued, first served within a key.  The drawn delivery times
     alone decide what shares a key: on a synchronous network without jitter
@@ -71,17 +79,18 @@ class Simulator(PartyRuntime):
     event is queued bare under a key of its own.  :meth:`step` handles one
     event per call and looks the next one up afresh, so ``until``,
     ``max_events`` and a crash take effect between any two events of an
-    instant.  :meth:`run` loops with the collector's full passes held off
-    (:func:`~repro.runtime.event_queue.full_collections_deferred`).
+    instant.  :meth:`run_until` loops with the collector's full passes held
+    off (:func:`~repro.sim.event_queue.full_collections_deferred`).
 
     ``faults`` is a :class:`~repro.faults.plan.FaultPlan`: its extra latency
     is added at dispatch, and its :class:`~repro.faults.plan.FaultGate`
     applies the delivery contract as each message is handed out.
 
-    This is the only scheduler: the
+    This is the only scheduler and the ``"sim"`` execution backend:
+    :meth:`run` instantiates a protocol at every party and drives it.  The
     :class:`~repro.runtime.asyncio_backend.AsyncioBackend` is this class
     paced by the wall clock, optionally over sockets.  Protocols see only
-    the :class:`~repro.runtime.api.PartyRuntime` interface.
+    the :class:`~repro.sim.api.PartyRuntime` interface.
     """
 
     def __init__(
@@ -90,14 +99,14 @@ class Simulator(PartyRuntime):
         network: Optional[NetworkModel] = None,
         field: Optional[GF] = None,
         seed: int = 0,
-        corrupt_parties: Optional[Set[int]] = None,
+        corrupt: Optional[Dict[int, Behavior]] = None,
         faults: Optional[FaultPlan] = None,
     ):
         self.n = n
         self.network = network or SynchronousNetwork()
         self.field = field or default_field()
         self.rng = random.Random(seed)
-        self.corrupt_parties: Set[int] = set(corrupt_parties or set())
+        self.corrupt_parties: Set[int] = set(corrupt or ())
         self.now = 0.0
         self.metrics = SimulationMetrics()
         self._queue = EventQueue()
@@ -108,6 +117,8 @@ class Simulator(PartyRuntime):
         self._gate = None if faults is None else FaultGate(faults, self.crashed)
         self.parties: Dict[int, Party] = {i: Party(i, self) for i in range(1, n + 1)}
         self._events_processed = 0
+        for party_id, behavior in (corrupt or {}).items():
+            self.set_behavior(party_id, behavior)
 
     # -- configuration ------------------------------------------------------
     @property
@@ -211,6 +222,20 @@ class Simulator(PartyRuntime):
         self.parties[message.recipient].deliver(message.sender, message.tag, message.payload)
 
     def run(
+        self,
+        factory: Callable[[Party], Any],
+        max_time: Optional[float] = None,
+        max_events: Optional[int] = None,
+        wait_for_all_honest: bool = True,
+        extra_predicate: Optional[Callable[[], bool]] = None,
+    ) -> RunResult:
+        """Instantiate, start and run the protocol to completion."""
+        instances = self._instantiate(factory)
+        done = self._done_predicate(instances, wait_for_all_honest, extra_predicate)
+        self.run_until(done, max_time, max_events)
+        return RunResult(self, instances)
+
+    def run_until(
         self,
         until: Optional[Callable[[], bool]] = None,
         max_time: Optional[float] = None,

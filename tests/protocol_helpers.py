@@ -11,7 +11,7 @@ from typing import Callable, Dict, List, Optional
 from repro.broadcast.acast import AcastProtocol
 from repro.broadcast.bc import BroadcastCarrier, Bundle, carrier_tag
 from repro.field import Polynomial, default_field
-from repro.sim import ProtocolRunner, SynchronousNetwork
+from repro.sim import Simulator, SynchronousNetwork
 from repro.sim.adversary import Behavior
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel
@@ -142,8 +142,8 @@ def run_dealer_protocol(
     ``wait_for_all_honest=False`` runs on past the outputs, until no message
     is in flight (or ``max_time``).
     """
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
     count = num_polynomials if num_polynomials is not None else (
         len(polynomials) if polynomials else 1
     )
@@ -160,7 +160,7 @@ def run_dealer_protocol(
             anchor=0.0,
         )
 
-    return runner.run(factory, max_time=max_time, wait_for_all_honest=wait_for_all_honest)
+    return sim.run(factory, max_time=max_time, wait_for_all_honest=wait_for_all_honest)
 
 
 def shares_match_polynomials(result, polynomials: List[Polynomial]) -> bool:

@@ -7,20 +7,20 @@ from repro.ba.common_coin import CommonCoin
 from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
-    ProtocolRunner,
+    Simulator,
     SynchronousNetwork,
     WrongValueBehavior,
 )
 
 
 def _run_aba(n, t, inputs, network=None, corrupt=None, seed=0, max_time=5_000.0):
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
 
     def factory(party):
         return BrachaABA(party, "aba", faults=t, value=inputs.get(party.id))
 
-    return runner.run(factory, max_time=max_time)
+    return sim.run(factory, max_time=max_time)
 
 
 def test_common_coin_is_shared_and_binary():
@@ -104,12 +104,12 @@ def test_agreement_over_many_seeds():
 
 
 def test_late_input_supported():
-    runner = ProtocolRunner(4, network=SynchronousNetwork())
-    instances = {pid: BrachaABA(party, "aba", faults=1) for pid, party in runner.parties.items()}
+    sim = Simulator(4, network=SynchronousNetwork())
+    instances = {pid: BrachaABA(party, "aba", faults=1) for pid, party in sim.parties.items()}
     for inst in instances.values():
         inst.start()
     for pid, inst in instances.items():
-        runner.simulator.schedule_timer(1.0, lambda inst=inst: inst.provide_input(1))
-    runner.simulator.run(until=lambda: all(i.has_output for i in instances.values()),
+        sim.schedule_timer(1.0, lambda inst=inst: inst.provide_input(1))
+    sim.run_until(until=lambda: all(i.has_output for i in instances.values()),
                          max_time=1_000.0)
     assert all(i.output == 1 for i in instances.values())

@@ -18,8 +18,9 @@ from repro.ba.aba import MAX_ROUNDS, AbaCarrier, BrachaABA
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.broadcast.acast import Bundle
 from repro.broadcast.bc import bc_time_bound
+from repro.runtime import AsyncioBackend
 from repro.runtime.wire import decode_message, encode_message
-from repro.sim import AsynchronousNetwork, ProtocolRunner, SynchronousNetwork
+from repro.sim import AsynchronousNetwork, Simulator, SynchronousNetwork
 from repro.sim.messages import Message
 from repro.sim.party import ProtocolInstance
 from repro.sim.simulator import SimulationMetrics
@@ -121,10 +122,10 @@ class Banks(ProtocolInstance):
 
 
 def _run_banks(specs, network=None, seed=0, corrupt=None):
-    runner = ProtocolRunner(N, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(N, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
     return _recording_sends(
-        lambda: runner.run(lambda party: Banks(party, "root", specs), max_time=5_000.0))
+        lambda: sim.run(lambda party: Banks(party, "root", specs), max_time=5_000.0))
 
 
 def test_two_banks_at_one_anchor_share_one_carrier_and_one_fan_out_per_step():
@@ -169,8 +170,8 @@ def test_entry_j_of_a_senders_vectors_is_what_its_slot_j_machine_emits(network, 
 
     monkeypatch.setattr(AbaCarrier, "_say", recording)
     votes = {pid: [pid % 2, (pid // 2) % 2] for pid in range(1, N + 1)}
-    runner = ProtocolRunner(N, network=network, seed=seed)
-    result, sent = _recording_sends(lambda: runner.run(
+    sim = Simulator(N, network=network, seed=seed)
+    result, sent = _recording_sends(lambda: sim.run(
         lambda party: Banks(party, "root", {"x": (0.0, votes[party.id]),
                                              "y": (0.0, [(party.id + 1) % 2])}),
         max_time=5_000.0))
@@ -301,8 +302,8 @@ def test_a_vector_delivered_before_the_launch_timer_is_held_until_the_launch():
     def send_early(tag, payload):
         return [(f"ba/{LAUNCH}", early), (tag, payload)] if payload[0] == "init" else [(tag, payload)]
 
-    runner = ProtocolRunner(N, network=SynchronousNetwork(), seed=2, backend="asyncio",
-                            corrupt={4: RewriteBehavior({r"ba/bc@0\[4\]/acast": send_early})})
+    backend = AsyncioBackend(N, network=SynchronousNetwork(), seed=2,
+                             corrupt={4: RewriteBehavior({r"ba/bc@0\[4\]/acast": send_early})})
 
     def factory(party):
         def probe():
@@ -311,7 +312,7 @@ def test_a_vector_delivered_before_the_launch_timer_is_held_until_the_launch():
         party.schedule_at(5.0, probe)
         return BestOfBothWorldsBA(party, "ba", faults=T, value=1, anchor=0.0)
 
-    result = runner.run(factory, max_time=5_000.0)
+    result = backend.run(factory, max_time=5_000.0)
     assert result.honest_outputs() == {1: 1, 2: 1, 3: 1}
     for pid in (1, 2, 3):
         assert seen[pid] == (None, [(4, early)])

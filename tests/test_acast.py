@@ -7,14 +7,14 @@ from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
     EquivocatingBehavior,
-    ProtocolRunner,
+    Simulator,
     SilentBehavior,
     SynchronousNetwork,
 )
 
 
 def _run_acast(n, t, sender, message, network, corrupt=None, seed=0, max_time=500.0):
-    runner = ProtocolRunner(n, network=network, seed=seed, corrupt=corrupt or {})
+    sim = Simulator(n, network=network, seed=seed, corrupt=corrupt or {})
 
     def factory(party):
         return AcastProtocol(
@@ -25,7 +25,7 @@ def _run_acast(n, t, sender, message, network, corrupt=None, seed=0, max_time=50
             message=message if party.id == sender else None,
         )
 
-    return runner.run(factory, max_time=max_time)
+    return sim.run(factory, max_time=max_time)
 
 
 def test_sync_honest_sender_validity_and_liveness():
@@ -148,7 +148,7 @@ def test_equivocating_sender_with_packed_vectors_stays_consistent():
 
 
 def test_late_input_via_provide_input():
-    runner = ProtocolRunner(4, network=SynchronousNetwork())
+    sim = Simulator(4, network=SynchronousNetwork())
     instances = {}
 
     def factory(party):
@@ -156,10 +156,10 @@ def test_late_input_via_provide_input():
         instances[party.id] = inst
         return inst
 
-    for pid, party in runner.parties.items():
+    for pid, party in sim.parties.items():
         instances[pid] = factory(party)
     for inst in instances.values():
         inst.start()
-    runner.simulator.schedule_timer(2.0, lambda: instances[1].provide_input("late"))
-    runner.simulator.run(until=lambda: all(i.has_output for i in instances.values()), max_time=50.0)
+    sim.schedule_timer(2.0, lambda: instances[1].provide_input("late"))
+    sim.run_until(until=lambda: all(i.has_output for i in instances.values()), max_time=50.0)
     assert all(i.output == "late" for i in instances.values())

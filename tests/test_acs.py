@@ -7,7 +7,7 @@ from repro.field.polynomial import lagrange_interpolate
 from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
-    ProtocolRunner,
+    Simulator,
     SynchronousNetwork,
     WrongValueBehavior,
 )
@@ -18,8 +18,8 @@ from protocol_helpers import FIELD, random_polynomial, silent_in
 def _run_acs(n, ts, ta, secrets, network=None, corrupt=None, seed=0, max_time=200_000.0,
              truncate_to=None):
     """Run ΠACS where party i inputs one polynomial with constant term secrets[i]."""
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
     polynomials = {
         pid: [random_polynomial(ts, secrets.get(pid, 0), seed=seed * 100 + pid)]
         for pid in range(1, n + 1)
@@ -37,7 +37,7 @@ def _run_acs(n, ts, ta, secrets, network=None, corrupt=None, seed=0, max_time=20
             truncate_to=truncate_to,
         )
 
-    result = runner.run(factory, max_time=max_time)
+    result = sim.run(factory, max_time=max_time)
     return result, polynomials
 
 
@@ -47,7 +47,7 @@ def _check_shares(result, polynomials):
         subset, shares = output
         for dealer in subset:
             expected = polynomials[dealer][0].evaluate(FIELD.alpha(pid))
-            if dealer not in result.simulator.corrupt_parties:
+            if dealer not in result.backend.corrupt_parties:
                 assert shares[dealer][0] == expected
 
 

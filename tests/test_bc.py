@@ -8,7 +8,7 @@ from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
     EquivocatingBehavior,
-    ProtocolRunner,
+    Simulator,
     SilentBehavior,
     SynchronousNetwork,
 )
@@ -16,7 +16,7 @@ from repro.sim import (
 
 def _run_bc(n, t, sender, message, network, corrupt=None, seed=0, max_time=2_000.0,
             wait_for_all=True):
-    runner = ProtocolRunner(n, network=network, seed=seed, corrupt=corrupt or {})
+    sim = Simulator(n, network=network, seed=seed, corrupt=corrupt or {})
 
     def factory(party):
         return BroadcastProtocol(
@@ -28,7 +28,7 @@ def _run_bc(n, t, sender, message, network, corrupt=None, seed=0, max_time=2_000
             anchor=0.0,
         )
 
-    result = runner.run(factory, max_time=max_time, wait_for_all_honest=wait_for_all)
+    result = sim.run(factory, max_time=max_time, wait_for_all_honest=wait_for_all)
     return result
 
 
@@ -139,16 +139,16 @@ def test_communication_scales_quadratically():
 
 
 def test_on_delivery_helper_fires_for_regular_and_fallback():
-    runner = ProtocolRunner(4, network=SynchronousNetwork())
+    sim = Simulator(4, network=SynchronousNetwork())
     seen = []
     instances = {}
-    for pid, party in runner.parties.items():
+    for pid, party in sim.parties.items():
         inst = BroadcastProtocol(party, "bc", sender=1, faults=1,
                                  message="v" if pid == 1 else None, anchor=0.0)
         inst.on_delivery(lambda value, pid=pid: seen.append((pid, value)))
         instances[pid] = inst
     for inst in instances.values():
         inst.start()
-    runner.simulator.run(until=lambda: len(seen) >= 4, max_time=100.0)
+    sim.run_until(until=lambda: len(seen) >= 4, max_time=100.0)
     assert sorted(pid for pid, _ in seen) == [1, 2, 3, 4]
     assert all(value == "v" for _, value in seen)

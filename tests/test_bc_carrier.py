@@ -32,7 +32,7 @@ from repro.sim import (
     AsynchronousNetwork,
     DelayBehavior,
     EquivocatingBehavior,
-    ProtocolRunner,
+    Simulator,
     SilentBehavior,
     SynchronousNetwork,
 )
@@ -84,12 +84,12 @@ class Broadcasts(ProtocolInstance):
 
 def _run(specs, sender=1, network=None, corrupt=None, seed=0, max_time=2_000.0,
          wait_for_all=True, before_run=None):
-    runner = ProtocolRunner(N, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(N, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
     if before_run:
-        for party in runner.parties.values():
+        for party in sim.parties.values():
             before_run(party)
-    return runner.run(lambda party: Broadcasts(party, "root", sender, specs),
+    return sim.run(lambda party: Broadcasts(party, "root", sender, specs),
                       max_time=max_time, wait_for_all_honest=wait_for_all)
 
 
@@ -138,8 +138,8 @@ def test_same_sender_at_two_anchors_is_two_carriers():
 def test_carrier_tag_is_relative_to_the_root_anchor_not_to_the_clock():
     """A root anchored at its local now + slack (the supervised children) names
     its carriers like one anchored at 0."""
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
-    result = runner.run(
+    sim = Simulator(N, network=SynchronousNetwork())
+    result = sim.run(
         lambda party: Broadcasts(party, "root", 2, {"a": (3.004, "m")}, anchor=17.25),
         max_time=200.0)
     for root in result.instances.values():
@@ -148,16 +148,16 @@ def test_carrier_tag_is_relative_to_the_root_anchor_not_to_the_clock():
 
 
 def test_an_endpoint_started_after_the_anchor_timer_fired_is_a_typed_error():
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
+    sim = Simulator(N, network=SynchronousNetwork())
     roots = {pid: Broadcasts(party, "root", 1, {"a": (0.0, "m")})
-             for pid, party in runner.parties.items()}
+             for pid, party in sim.parties.items()}
     for root in roots.values():
         root.start()
-    runner.simulator.run(max_time=1.0)
-    late = BroadcastProtocol(runner.parties[2], "root/late", sender=1, faults=T, anchor=0.0)
+    sim.run_until(max_time=1.0)
+    late = BroadcastProtocol(sim.parties[2], "root/late", sender=1, faults=T, anchor=0.0)
     with pytest.raises(CarrierError, match="root/late cannot join"):
         late.start()
-    orphan = BroadcastProtocol(runner.parties[2], "nowhere/bc", sender=1, faults=T, anchor=0.0)
+    orphan = BroadcastProtocol(sim.parties[2], "nowhere/bc", sender=1, faults=T, anchor=0.0)
     with pytest.raises(CarrierError, match="no anchor"):
         orphan.start()
 
@@ -221,14 +221,14 @@ def test_on_delivery_fires_per_entry_for_regular_and_fallback():
     for network in (SynchronousNetwork(),
                     AdversarialAsynchronousNetwork(slow_parties=frozenset({1}),
                                                    slow_delay=80.0, fast_delay=0.2)):
-        runner = ProtocolRunner(N, network=network)
+        sim = Simulator(N, network=network)
         seen = []
-        roots = {pid: Broadcasts(party, "root", 1, TWO) for pid, party in runner.parties.items()}
+        roots = {pid: Broadcasts(party, "root", 1, TWO) for pid, party in sim.parties.items()}
         for pid, root in roots.items():
             root.start()
             for name, bc in root.bc.items():
                 bc.on_delivery(lambda value, pid=pid, name=name: seen.append((pid, name, value)))
-        runner.simulator.run(max_time=500.0)
+        sim.run_until(max_time=500.0)
         assert sorted(seen) == sorted((pid, name, TWO[name][1])
                                       for pid in range(1, N + 1) for name in TWO)
 
@@ -241,16 +241,16 @@ def test_late_input_is_delivered_in_fallback_mode_only_and_only_after_the_bundle
     """``b`` gets its input after the bundle went out: it rides the carrier's
     first late carrier and counts once the bundle is in (regular mode at T_BC)
     and lacks it."""
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
+    sim = Simulator(N, network=SynchronousNetwork())
     roots = {pid: Broadcasts(party, "root", 1, {"a": (0.0, "on time"), "b": (0.0, None)})
-             for pid, party in runner.parties.items()}
+             for pid, party in sim.parties.items()}
     delivered = {}
     for pid, root in roots.items():
         root.start()
         root.bc["b"].on_delivery(lambda value, root=root: delivered.setdefault(root.me, root.now))
-    runner.parties[1].schedule_at(when, lambda: roots[1].bc["b"].provide_input("late"))
-    runner.simulator.run(max_time=100.0)
-    assert runner.simulator.metrics.messages_sent == 81 + 27
+    sim.parties[1].schedule_at(when, lambda: roots[1].bc["b"].provide_input("late"))
+    sim.run_until(max_time=100.0)
+    assert sim.metrics.messages_sent == 81 + 27
     for pid, root in roots.items():
         a, b = root.bc["a"], root.bc["b"]
         assert a.regular_output == "on time" and a.output_time == pytest.approx(T_BC)
@@ -272,18 +272,18 @@ def test_input_given_before_the_anchor_rides_the_bundle():
 
 
 def test_at_anchor_callbacks_run_inside_the_anchor_timer_before_the_bundle_goes_out():
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
+    sim = Simulator(N, network=SynchronousNetwork())
     roots = {pid: Broadcasts(party, "root", 1, {"a": (2.0, None), "b": (2.0, None)})
-             for pid, party in runner.parties.items()}
+             for pid, party in sim.parties.items()}
     order = []
     for root in roots.values():
         root.start()
     sender = roots[1]
     sender.bc["b"].at_anchor(lambda: (order.append(sender.now), sender.bc["b"].provide_input("B")))
     sender.bc["a"].at_anchor(lambda: (order.append(sender.now), sender.bc["a"].provide_input("A")))
-    runner.simulator.run(max_time=100.0)
+    sim.run_until(max_time=100.0)
     assert order == [2.0, 2.0]
-    assert runner.simulator.metrics.messages_sent == 81
+    assert sim.metrics.messages_sent == 81
     for root in roots.values():
         assert (root.bc["a"].regular_output, root.bc["b"].regular_output) == ("A", "B")
 

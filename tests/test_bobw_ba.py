@@ -7,20 +7,20 @@ from repro.sim import (
     AdversarialAsynchronousNetwork,
     AsynchronousNetwork,
     CrashBehavior,
-    ProtocolRunner,
+    Simulator,
     SynchronousNetwork,
     WrongValueBehavior,
 )
 
 
 def _run_ba(n, t, inputs, network=None, corrupt=None, seed=0, max_time=20_000.0):
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
 
     def factory(party):
         return BestOfBothWorldsBA(party, "ba", faults=t, value=inputs.get(party.id), anchor=0.0)
 
-    return runner.run(factory, max_time=max_time)
+    return sim.run(factory, max_time=max_time)
 
 
 # -- synchronous network: ΠBA is a t-perfectly-secure SBA ------------------------------------

@@ -18,7 +18,7 @@ from repro.broadcast.acast import AcastProtocol, Bundle
 from repro.broadcast.bc import BroadcastCarrier, carrier_tag
 from repro.sharing.vss import VerifiableSecretSharing
 from repro.sharing.wps import WeakPolynomialSharing
-from repro.sim import AsynchronousNetwork, ProtocolRunner, SynchronousNetwork
+from repro.sim import AsynchronousNetwork, Simulator, SynchronousNetwork
 
 from protocol_helpers import (
     RewriteBehavior,
@@ -43,20 +43,20 @@ def _sharing(party, cls=WeakPolynomialSharing):
 
 
 def test_late_bc_input_builds_the_acast_at_the_sender_then_at_each_receiver_and_reads_bundle_first():
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
+    sim = Simulator(N, network=SynchronousNetwork())
     roots = {pid: Broadcasts(party, "root", 1, {"a": (0.0, "on time"), "b": (0.0, None)})
-             for pid, party in runner.parties.items()}
+             for pid, party in sim.parties.items()}
     delivered = {}
     for root in roots.values():
         root.start()
         root.bc["b"].on_delivery(lambda value, root=root: delivered.setdefault(root.me, root.now))
-    runner.parties[1].schedule_at(4.0, lambda: roots[1].bc["b"].provide_input("late"))
-    runner.simulator.run(max_time=4.0)
+    sim.parties[1].schedule_at(4.0, lambda: roots[1].bc["b"].provide_input("late"))
+    sim.run_until(max_time=4.0)
     # The input built it at the sender; nobody else has had a message for it yet.
-    assert f"{CARRIER}/late[0]" in runner.parties[1].instances
-    assert all(f"{CARRIER}/late[0]" not in runner.parties[pid].instances for pid in (2, 3, 4))
-    runner.simulator.run(max_time=100.0)
-    assert runner.simulator.metrics.messages_sent == 81 + 27
+    assert f"{CARRIER}/late[0]" in sim.parties[1].instances
+    assert all(f"{CARRIER}/late[0]" not in sim.parties[pid].instances for pid in (2, 3, 4))
+    sim.run_until(max_time=100.0)
+    assert sim.metrics.messages_sent == 81 + 27
     for pid, root in roots.items():
         late = root.party.instances[f"{CARRIER}/late[0]"]
         assert type(late) is AcastProtocol and (late.sender, late.faults) == (1, 1)
@@ -117,25 +117,25 @@ def test_asynchronous_vss_on_the_late_carriers_outputs_what_the_per_pair_acasts_
 
 
 def test_message_before_the_parent_exists_or_has_started_is_buffered_then_handed_over():
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
-    party = runner.parties[2]
+    sim = Simulator(N, network=SynchronousNetwork())
+    party = sim.parties[2]
     party.deliver(3, f"{CARRIER}/late[0]", ("echo", "x"))     # no carrier at all yet
     root = Broadcasts(party, "root", 1, {"a": (0.0, "m")})
     root.start()
     party.deliver(4, f"{CARRIER}/late[3]", ("echo", "x"))     # carrier built, not frozen
     assert party.load()[1] == 2
     assert not any(LATE.search(tag) for tag in party.instances)
-    runner.simulator.run(max_time=0.0)  # the anchor timer freezes it; the replay follows
+    sim.run_until(max_time=0.0)  # the anchor timer freezes it; the replay follows
     first, last = (party.instances[f"{CARRIER}/late[{k}]"] for k in (0, 3))
     assert party.load()[1] == 0
     assert first._echo_counts == {"x": {3}} and last._echo_counts == {"x": {4}}
 
 
 def test_retired_or_crashed_and_revived_parent_builds_nothing():
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
-    party = runner.parties[2]
+    sim = Simulator(N, network=SynchronousNetwork())
+    party = sim.parties[2]
     Broadcasts(party, "root", 1, {"a": (0.0, "m")}).start()
-    runner.simulator.run(max_time=0.0)
+    sim.run_until(max_time=0.0)
     party.retire(lambda tag: tag.startswith("root"))
     assert party.load() == (0, 0)
     party.deliver(3, f"{CARRIER}/late[0]", ("init", "x"))
@@ -143,10 +143,10 @@ def test_retired_or_crashed_and_revived_parent_builds_nothing():
     party.retire(lambda tag: tag.startswith("root"))
     assert party.load() == (0, 0)
 
-    Broadcasts(runner.parties[3], "root", 1, {"a": (0.0, "m")}).start()
-    runner.simulator.run(max_time=0.0)
-    runner.simulator.crash_party(3)
-    revived = runner.simulator.revive_party(3)
+    Broadcasts(sim.parties[3], "root", 1, {"a": (0.0, "m")}).start()
+    sim.run_until(max_time=0.0)
+    sim.crash_party(3)
+    revived = sim.revive_party(3)
     revived.deliver(1, f"{CARRIER}/late[0]", ("init", "x"))
     assert revived.load() == (0, 1)
 
@@ -161,12 +161,12 @@ def test_retired_or_crashed_and_revived_parent_builds_nothing():
 def test_a_demand_builds_a_late_carrier_only_below_the_width(cls, anchor, entries):
     """P_1's carrier of its verdict vectors at ``anchor``: no late carrier before
     it froze, then exactly ``late[0..n * entries - 1]``, each once, P_1's Acasts."""
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
-    sharing = _sharing(runner.parties[2], cls)
+    sim = Simulator(N, network=SynchronousNetwork())
+    sharing = _sharing(sim.parties[2], cls)
     sharing.start()
     carrier = sharing.party.instances[carrier_tag("prot", anchor, 1, 1.0)]
     assert type(carrier) is BroadcastCarrier and carrier.demand_child("late[0]") is None
-    runner.simulator.run(max_time=anchor)
+    sim.run_until(max_time=anchor)
     assert carrier.frozen and len(carrier.entries) == entries
     assert carrier.late_width == N * entries
     before = len(sharing.party.instances)
@@ -216,13 +216,13 @@ def test_byzantine_child_names_build_nothing_and_raise_nothing(cls, n, ts, ta):
 
 
 def test_flood_of_distinct_bogus_child_tags_allocates_no_instance():
-    runner = ProtocolRunner(N, network=SynchronousNetwork())
+    sim = Simulator(N, network=SynchronousNetwork())
     roots = {pid: Broadcasts(party, "root", 1, {"a": (0.0, "m")})
-             for pid, party in runner.parties.items()}
+             for pid, party in sim.parties.items()}
     for root in roots.values():
         root.start()
-    runner.simulator.run(max_time=0.0)
-    party = runner.parties[2]
+    sim.run_until(max_time=0.0)
+    party = sim.parties[2]
     before = len(party.instances)
     for k in range(2_000):
         for tag in (f"{CARRIER}/late[{k + N}]", f"{CARRIER}/late[{k}]/acast", f"{CARRIER}/{k}",

@@ -52,9 +52,10 @@ from repro.faults.campaign import (
     repro_command,
 )
 from repro.faults.plan import DELIVER, DROP, DUPLICATE, HOLD
-from repro.runtime import AsyncioBackend, SimBackend
+from repro.runtime import AsyncioBackend
 from repro.runtime.tcp_transport import TcpTransport
 from repro.sim.party import ProtocolInstance
+from repro.sim.simulator import Simulator
 
 
 # -- rule validation ---------------------------------------------------------
@@ -291,7 +292,7 @@ def test_partition_plan_replays_identically_across_transports():
     partitions are exact on both, so the heal point lands on the identical
     message."""
     in_plan = _partition_plan()
-    in_got = _stream_on(SimBackend(3, seed=1, faults=in_plan))
+    in_got = _stream_on(Simulator(3, seed=1, faults=in_plan))
     tcp_plan = _partition_plan()
     tcp_got = _stream_on(AsyncioBackend(3, seed=1, time_scale=0.001,
                                         transport=TcpTransport(), faults=tcp_plan))
@@ -392,7 +393,7 @@ def test_a_plan_runs_the_same_on_the_simulator_and_the_paced_backend(name):
             metrics.messages_sent,
             metrics.messages_delivered,
             metrics.honest_bits,
-            result.run.simulator.events_processed,
+            result.run.backend.events_processed,
             len(plan.log),
         ) == expected, backend_name
         logs.append(plan.log)

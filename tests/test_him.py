@@ -135,10 +135,10 @@ def test_offline_mode_dispatch_and_validation():
 def test_preprocessing_mode_him_constructs_him_subclass():
     """``Preprocessing(mode="him")`` must hand back a fully-initialised
     HimPreprocessing -- the mode knob is the only API change callers see."""
-    from repro.sim import ProtocolRunner
+    from repro.sim import Simulator
 
-    runner = ProtocolRunner(4, seed=3)
-    result = runner.run(
+    sim = Simulator(4, seed=3)
+    result = sim.run(
         lambda party: Preprocessing(
             party, "preproc", ts=1, ta=0, num_triples=2, anchor=0.0, mode="him"
         ),

@@ -16,7 +16,7 @@ import pytest
 from repro.broadcast.acast import Bundle
 from repro.broadcast.bc import bc_time_bound, carrier_tag
 from repro.sharing.wps import WeakPolynomialSharing, wps_time_bound
-from repro.sim import ProtocolRunner
+from repro.sim import Simulator
 from repro.sim.network import NetworkModel
 
 from protocol_helpers import (
@@ -128,21 +128,21 @@ def test_a_late_verdict_waits_for_its_vector():
     carrier: the late OK is held, not recorded, until the vector is in."""
     scheduler = TagScheduler({None: (carrier_tag("prot", ANCHOR, N, 1.0) + "/acast",)},
                              delay=20.0)
-    runner = ProtocolRunner(N, network=scheduler,
-                            corrupt={N: _p5_late({0: Bundle((_slots(s1=OK),), N)})})
+    sim = Simulator(N, network=scheduler,
+                    corrupt={N: _p5_late({0: Bundle((_slots(s1=OK),), N)})})
     poly = random_polynomial(TS, 22, seed=72)
     sharings = {pid: WeakPolynomialSharing(party, "prot", dealer=1, ts=TS, ta=TA,
                                            polynomials=[poly] if pid == 1 else None, anchor=0.0)
-                for pid, party in runner.parties.items()}
+                for pid, party in sim.parties.items()}
     for sharing in sharings.values():
         sharing.start()
-    runner.simulator.run(max_time=ANCHOR + 10.0)
+    sim.run_until(max_time=ANCHOR + 10.0)
     for pid in range(1, N):
         sharing = sharings[pid]
         assert sharing.party.instances[LATE[0]].has_output
         assert sharing._late_verdicts[N] == {1: OK} and N not in sharing._vectors_seen
         assert (N, 1) not in sharing._verdicts
-    runner.simulator.run(max_time=300.0)
+    sim.run_until(max_time=300.0)
     for pid in range(1, N):
         assert N in sharings[pid]._vectors_seen and sharings[pid]._verdicts[(N, 1)] == OK
 

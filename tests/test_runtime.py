@@ -3,8 +3,8 @@ reproducibility, and the protocols-never-touch-the-Simulator contract.
 
 The acceptance bar for the runtime:
 
-* ``SimBackend`` is the historical simulator bit for bit (the scenario
-  matrix in ``test_scenario_matrix.py`` runs through it unchanged).
+* The ``"sim"`` backend is the ``Simulator`` itself (the scenario matrix in
+  ``test_scenario_matrix.py`` runs on it).
 * ``AsyncioBackend`` is that simulator paced by the wall clock: it runs the
   scenario-matrix diagonal (honest + crash, sync + async network) with the
   simulator's honest outputs and transcript fingerprint, because it is the
@@ -14,7 +14,7 @@ The acceptance bar for the runtime:
   changes.
 * A seeded run replays identically.
 * No protocol module imports the Simulator: protocols depend only on the
-  :class:`~repro.runtime.api.PartyRuntime` context API.
+  :class:`~repro.sim.api.PartyRuntime` context API.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.circuits import multiplication_circuit
 from repro.faults import FaultPlan, LinkFault
 from repro.field import default_field
 from repro.mpc import run_mpc
-from repro.runtime import AsyncioBackend, SimBackend, make_backend
+from repro.runtime import AsyncioBackend, make_backend
 from repro.runtime.tcp_transport import TcpTransport
 from repro.service import MpcService, ServiceConfig
 from repro.sim import SynchronousNetwork
@@ -124,7 +124,7 @@ def test_asyncio_real_clock_completes_correctly():
     assert result.outputs == sim.outputs == circuit.evaluate(
         {pid: FIELD(v) for pid, v in inputs.items()})
     assert digest(result, result.common_subset) == digest(sim, sim.common_subset)
-    assert result.run.simulator.events_processed == sim.run.simulator.events_processed == 7964
+    assert result.run.backend.events_processed == sim.run.backend.events_processed == 7964
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert result.run.backend.schedule_misses == []
 
@@ -278,7 +278,7 @@ def run_echo_chatter(backend_name, max_events=None):
     )
     metrics = result.metrics
     counts = (metrics.messages_sent, metrics.messages_delivered, metrics.honest_bits)
-    return result.simulator.events_processed, counts, log
+    return result.backend.events_processed, counts, log
 
 
 def test_a_delivery_lost_to_a_crash_is_one_event_on_both_backends():
@@ -387,7 +387,7 @@ def test_real_clock_flushes_envelopes_and_every_channel_stays_fifo():
             result.metrics.honest_bits) == (
         sim.metrics.messages_sent, sim.metrics.messages_delivered,
         sim.metrics.honest_bits)
-    assert backend.events_processed == sim.simulator.events_processed
+    assert backend.events_processed == sim.backend.events_processed
     assert backend.schedule_misses == []
 
 
@@ -497,9 +497,9 @@ def test_nested_simulator_runs_restore_to_the_enclosing_state():
     inner = Simulator(2)
     inner.schedule_timer(1.0, lambda: seen.append(("inner", gc.get_threshold())))
     outer = Simulator(2)
-    outer.schedule_timer(1.0, inner.run)
+    outer.schedule_timer(1.0, inner.run_until)
     outer.schedule_timer(2.0, lambda: seen.append(("outer", gc.get_threshold())))
-    outer.run()
+    outer.run_until()
     assert [where for where, _ in seen] == ["inner", "outer"]
     assert seen[0][1] == seen[1][1] != before[1]
     assert collector_state() == before
@@ -559,6 +559,42 @@ def test_the_simulator_is_the_only_scheduler():
     assert issubclass(AsyncioBackend, Simulator)
     for name in ("submit_message", "step", "crash_party", "revive_party"):
         assert name not in vars(AsyncioBackend), name
+
+
+def test_the_simulator_package_is_the_core():
+    """``runtime -> sim`` is the only direction of import: no module under
+    ``repro/sim`` imports ``repro.runtime`` (at module level, in a function
+    or under ``TYPE_CHECKING``), no package resolves names lazily through a
+    module-level ``__getattr__``, and no facade over the simulator is left."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    upward = []
+    for path in sorted((src / "repro" / "sim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = "repro.sim".rsplit(".", node.level - 1)[0] if node.level else ""
+                base = ".".join(filter(None, (package, node.module)))
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(module == "repro.runtime" or module.startswith("repro.runtime.")
+                   for module in modules):
+                upward.append(f"{path.name}:{node.lineno}")
+    assert not upward
+    lazy = [
+        str(path.relative_to(src))
+        for path in sorted((src / "repro").rglob("__init__.py"))
+        if any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+               for node in ast.parse(path.read_text(encoding="utf-8")).body)
+    ]
+    assert not lazy
+    facades = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if re.search(r"ProtocolRunner|SimBackend", path.read_text(encoding="utf-8"))
+    ]
+    assert not facades
 
 
 def test_the_party_pool_is_the_only_multiprocess_driver():

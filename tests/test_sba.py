@@ -7,20 +7,20 @@ from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
     EquivocatingBehavior,
-    ProtocolRunner,
+    Simulator,
     SynchronousNetwork,
     WrongValueBehavior,
 )
 
 
 def _run_sba(n, t, inputs, network=None, corrupt=None, seed=0):
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
 
     def factory(party):
         return PhaseKingSBA(party, "sba", faults=t, value=inputs.get(party.id))
 
-    return runner.run(factory, max_time=10_000.0)
+    return sim.run(factory, max_time=10_000.0)
 
 
 def test_validity_unanimous_inputs():
@@ -93,14 +93,14 @@ def test_multivalued_inputs_agreement():
 
 
 def test_late_input_still_produces_output():
-    runner = ProtocolRunner(4, network=SynchronousNetwork())
+    sim = Simulator(4, network=SynchronousNetwork())
     instances = {}
-    for pid, party in runner.parties.items():
+    for pid, party in sim.parties.items():
         instances[pid] = PhaseKingSBA(party, "sba", faults=1, value=None)
     for inst in instances.values():
         inst.start()
     # Provide inputs a moment later (before round 1 closes they are unused;
     # liveness still yields an output for every party).
-    runner.simulator.run(until=lambda: all(i.has_output for i in instances.values()),
+    sim.run_until(until=lambda: all(i.has_output for i in instances.values()),
                          max_time=1_000.0)
     assert all(i.has_output for i in instances.values())

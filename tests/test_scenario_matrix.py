@@ -32,7 +32,7 @@ from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
     EquivocatingBehavior,
-    ProtocolRunner,
+    Simulator,
     RandomDropBehavior,
     SynchronousNetwork,
 )
@@ -150,7 +150,7 @@ def bad_dealer_triples(scenario: Scenario):
 
 
 def run_preprocessing(scenario: Scenario):
-    runner = ProtocolRunner(
+    sim = Simulator(
         scenario.n,
         network=scenario.build_network(),
         seed=scenario.scenario_seed,
@@ -172,7 +172,7 @@ def run_preprocessing(scenario: Scenario):
             **kwargs,
         )
 
-    return runner.run(factory, max_time=5_000_000.0)
+    return sim.run(factory, max_time=5_000_000.0)
 
 
 def heaviest_messages(run):

@@ -155,22 +155,22 @@ class TestCheckpointRestore:
         for k in range(4):
             original.evaluate(circuit, streams[k])
         version = original.checkpoint()
-        sent_at_checkpoint = original.sim.metrics.messages_sent
+        sent_at_checkpoint = original.backend.metrics.messages_sent
         tail = [original.evaluate(circuit, streams[k]) for k in range(4, 8)]
-        sent_tail = original.sim.metrics.messages_sent - sent_at_checkpoint
+        sent_tail = original.backend.metrics.messages_sent - sent_at_checkpoint
 
         restored = MpcService.restore(original.store, version=version, config=cfg)
-        assert restored.sim.now == original.store.load(version).now
+        assert restored.backend.now == original.store.load(version).now
         replay = [restored.evaluate(circuit, streams[k]) for k in range(4, 8)]
 
         assert [r.output_values for r in replay] == [r.output_values for r in tail]
         assert [r.sim_time for r in replay] == [r.sim_time for r in tail]
-        assert restored.sim.metrics.messages_sent == sent_tail
-        assert restored.sim.now == original.sim.now
-        assert restored.sim.rng.getstate() == original.sim.rng.getstate()
+        assert restored.backend.metrics.messages_sent == sent_tail
+        assert restored.backend.now == original.backend.now
+        assert restored.backend.rng.getstate() == original.backend.rng.getstate()
         for pid in range(1, 5):
-            assert (restored.sim.parties[pid].rng.getstate()
-                    == original.sim.parties[pid].rng.getstate())
+            assert (restored.backend.parties[pid].rng.getstate()
+                    == original.backend.parties[pid].rng.getstate())
         assert restored.reservoir.watermarks() == original.reservoir.watermarks()
 
     def test_restored_results_log_replays_history(self):
@@ -282,6 +282,42 @@ class TestCrashRejoin:
         assert svc.reservoir.produced >= produced_after_rejoin
         report3 = svc.rejoin_party(3)
         assert report3.party_id == 3
+        clean = svc.evaluate(product_circuit(), INPUTS)
+        assert not clean.degraded
+        assert clean.output_values == [PRODUCT]
+
+    def test_a_round_written_off_at_rejoin_deposits_nothing_when_it_finishes_late(self):
+        """The deposit guard itself: the rejoin's settle pass is cut short
+        (a tiny ``stall_margin``) so it writes off a refill round that is
+        still running; the crash outlasts the pass, the party is revived,
+        and the round then finishes among the survivors -- but none of its
+        outputs reach the reservoir, whose heads stay aligned."""
+        cfg = small_config(low_watermark=8, high_watermark=10)
+        svc = MpcService(4, 1, 0, config=cfg, seed=14)
+        svc.evaluate(product_circuit(), INPUTS)
+        svc.checkpoint()
+        svc.evaluate(product_circuit(), INPUTS)
+        round_instances, round_index = svc._inflight, svc._inflight_round
+        assert round_instances is not None  # background refill in flight
+        deposited = []
+        deposit = svc.reservoir.deposit
+        svc.reservoir.deposit = lambda pid, base, triples: (
+            deposited.append(triples), deposit(pid, base, triples))[1]
+        svc.crash_party(4)
+        cfg.stall_margin = 0.01
+        svc.rejoin_party(4)
+        cfg.stall_margin = ServiceConfig.stall_margin
+        assert round_index in svc._abandoned_rounds
+        assert not any(instance.has_output for instance in round_instances.values())
+
+        survivors = (1, 2, 3)
+        svc.backend.run_until(
+            until=lambda: all(round_instances[pid].has_output for pid in survivors),
+            max_time=svc.now + 1_000.0,
+        )
+        assert all(round_instances[pid].has_output for pid in survivors)
+        late = [round_instances[pid].output for pid in survivors]
+        assert not any(triples is output for triples in deposited for output in late)
         clean = svc.evaluate(product_circuit(), INPUTS)
         assert not clean.degraded
         assert clean.output_values == [PRODUCT]
@@ -428,8 +464,8 @@ class TestStreamHygiene:
         counts = []
         for _ in range(6):
             svc.evaluate(circuit, INPUTS)
-            counts.append(len(svc.sim.parties[1].instances))
+            counts.append(len(svc.backend.parties[1].instances))
         # Steady state: the live tail's instances, not a growing history.
         assert counts[-1] <= counts[1] + 5
-        tags = list(svc.sim.parties[1].instances)
+        tags = list(svc.backend.parties[1].instances)
         assert not any(tag.startswith("eval[0]") for tag in tags)

@@ -9,10 +9,10 @@ import pytest
 
 from repro.broadcast.bc import BroadcastProtocol
 from repro.field import Polynomial, default_field
-from repro.runtime import event_queue
-from repro.runtime.api import account_dispatch, incarnation_timer
+from repro.sim import event_queue
 from repro.sim import messages as messages_module
 from repro.sim import simulator as simulator_module
+from repro.sim.api import account_dispatch, incarnation_timer
 from repro.sim.adversary import (
     Behavior,
     CompositeBehavior,
@@ -31,7 +31,6 @@ from repro.sim.network import (
     SynchronousNetwork,
 )
 from repro.sim.party import Party, ProtocolInstance
-from repro.sim.runner import ProtocolRunner
 from repro.sim.simulator import SimulationMetrics, Simulator
 
 F = default_field()
@@ -141,12 +140,12 @@ def test_partitioned_synchronous_network_violates_delta():
     assert not net.is_synchronous
 
 
-# -- simulator / runner ---------------------------------------------------------------------
+# -- simulator ------------------------------------------------------------------------------
 
 
 def test_ping_pong_runs_and_measures():
-    runner = ProtocolRunner(4, network=SynchronousNetwork(delta=1.0), seed=0)
-    result = runner.run(lambda p: PingPong(p, "ping"))
+    sim = Simulator(4, network=SynchronousNetwork(delta=1.0), seed=0)
+    result = sim.run(lambda p: PingPong(p, "ping"))
     assert result.all_honest_done()
     assert all(v == F(7) for v in result.honest_outputs().values())
     # 4 sends from party 1, of which one is a free self-delivery.
@@ -157,15 +156,15 @@ def test_ping_pong_runs_and_measures():
 
 
 def test_echo_collector_all_parties():
-    runner = ProtocolRunner(5, network=AsynchronousNetwork(), seed=3)
-    result = runner.run(lambda p: EchoCollector(p, "echo"))
+    sim = Simulator(5, network=AsynchronousNetwork(), seed=3)
+    result = sim.run(lambda p: EchoCollector(p, "echo"))
     assert result.all_honest_done()
     assert all(v == [1, 2, 3, 4, 5] for v in result.honest_outputs().values())
 
 
 def test_metrics_exclude_corrupt_senders_from_honest_bits():
-    runner = ProtocolRunner(3, corrupt={1: HonestBehavior()})
-    result = runner.run(lambda p: EchoCollector(p, "echo"))
+    sim = Simulator(3, corrupt={1: HonestBehavior()})
+    result = sim.run(lambda p: EchoCollector(p, "echo"))
     assert result.metrics.total_bits > result.metrics.honest_bits
 
 
@@ -173,7 +172,7 @@ def test_simulator_timer_and_step():
     sim = Simulator(2)
     fired = []
     sim.schedule_timer(5.0, lambda: fired.append(sim.now))
-    sim.run()
+    sim.run_until()
     assert fired == [5.0]
     assert sim.events_processed == 1
     assert not sim.step()
@@ -183,12 +182,12 @@ def test_simulator_max_time_and_events():
     sim = Simulator(2)
     for i in range(10):
         sim.schedule_timer(float(i), lambda: None)
-    sim.run(max_time=4.5)
+    sim.run_until(max_time=4.5)
     assert sim.now <= 4.5
     sim2 = Simulator(2)
     for i in range(10):
         sim2.schedule_timer(float(i), lambda: None)
-    sim2.run(max_events=3)
+    sim2.run_until(max_events=3)
     assert sim2.events_processed == 3
 
 
@@ -205,27 +204,26 @@ def test_messages_processed_before_timers_at_same_time():
         def receive(self, sender, payload):
             order.append("message")
 
-    runner = ProtocolRunner(2, network=SynchronousNetwork(delta=1.0))
-    runner.run(lambda p: Recorder(p, "rec"), wait_for_all_honest=False)
+    sim = Simulator(2, network=SynchronousNetwork(delta=1.0))
+    sim.run(lambda p: Recorder(p, "rec"), wait_for_all_honest=False)
     assert order == ["message", "timer"]
 
 
 def test_duplicate_tag_rejected():
-    runner = ProtocolRunner(2)
-    party = runner.parties[1]
+    sim = Simulator(2)
+    party = sim.parties[1]
     PingPong(party, "dup")
     with pytest.raises(ValueError):
         PingPong(party, "dup")
 
 
 def test_buffered_messages_replayed_after_registration():
-    runner = ProtocolRunner(2, network=SynchronousNetwork(delta=1.0))
-    sim = runner.simulator
+    sim = Simulator(2, network=SynchronousNetwork(delta=1.0))
     # Party 1 sends to a tag party 2 has not registered yet.
     sim.submit_message(1, 2, "late", ("ping", F(9)))
-    sim.run(max_time=2.0)
+    sim.run_until(max_time=2.0)
     instance = PingPong(sim.parties[2], "late")
-    sim.run(max_time=3.0)
+    sim.run_until(max_time=3.0)
     assert instance.output == F(9)
 
 
@@ -233,8 +231,8 @@ def test_buffered_messages_replayed_after_registration():
 
 
 def _run_echo_with_behavior(behavior, n=4):
-    runner = ProtocolRunner(n, network=SynchronousNetwork(), seed=1, corrupt={2: behavior})
-    return runner.run(lambda p: EchoCollector(p, "echo"), max_time=50.0)
+    sim = Simulator(n, network=SynchronousNetwork(), seed=1, corrupt={2: behavior})
+    return sim.run(lambda p: EchoCollector(p, "echo"), max_time=50.0)
 
 
 def test_crash_behavior_silences_party():
@@ -266,8 +264,8 @@ def test_wrong_value_behavior_perturbs_field_elements():
             if not self.has_output:
                 self.set_output(payload)
 
-    runner = ProtocolRunner(3, corrupt={2: WrongValueBehavior(offset=1)})
-    result = runner.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
+    sim = Simulator(3, corrupt={2: WrongValueBehavior(offset=1)})
+    result = sim.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
     received = result.output_of(1)
     assert received[1] == F(11)
     assert received[2][0] == F(21)
@@ -286,8 +284,8 @@ def test_wrong_value_behavior_targets_recipients():
             if not self.has_output:
                 self.set_output(payload[1])
 
-    runner = ProtocolRunner(3, corrupt={2: behavior})
-    result = runner.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
+    sim = Simulator(3, corrupt={2: behavior})
+    result = sim.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
     assert result.output_of(1) == F(10)
     assert result.output_of(3) == F(12)
 
@@ -304,8 +302,8 @@ def test_equivocating_behavior_sends_different_values():
             if not self.has_output:
                 self.set_output(payload[1])
 
-    runner = ProtocolRunner(3, corrupt={2: behavior})
-    result = runner.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
+    sim = Simulator(3, corrupt={2: behavior})
+    result = sim.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
     assert result.output_of(1) == F(1)
     assert result.output_of(3) == F(6)
 
@@ -322,8 +320,8 @@ def test_composite_behavior_chains():
             if not self.has_output:
                 self.set_output(payload[1])
 
-    runner = ProtocolRunner(3, corrupt={2: behavior})
-    result = runner.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
+    sim = Simulator(3, corrupt={2: behavior})
+    result = sim.run(lambda p: ShareOnce(p, "share"), wait_for_all_honest=False, max_time=10.0)
     assert result.output_of(1) == F(2)
     assert not behavior.drop_incoming(None, 1, "t", None)
 
@@ -365,7 +363,7 @@ class ReferenceSimulator(Simulator):
             self.parties[item.recipient].deliver(item.sender, item.tag, item.payload)
         return True
 
-    def run(self, until=None, max_time=None, max_events=None):
+    def run_until(self, until=None, max_time=None, max_events=None):
         while self._event_heap:
             if until is not None and until():
                 return
@@ -431,7 +429,7 @@ def chatter_run(
     for party in sim.parties.values():
         for instance in party.instances.values():
             instance.start()
-    sim.run(**run_options)
+    sim.run_until(**run_options)
     return sim, log
 
 
@@ -505,7 +503,7 @@ def test_fabric_matches_reference_when_senders_and_timers_share_an_instant(limit
             # Eight fan-outs of four senders and their eight timers: one
             # instant each for the self-deliveries, the copies and the timers.
             assert sorted(sim._queue.keys) == [(1e-9, 0), (1.0, 0), (1.0, 1)]
-        sim.run(max_events=limit)
+        sim.run_until(max_events=limit)
         runs.append((sim, log))
     assert runs[0][0].events_processed == (210 if limit is None else limit)
     assert_same_run(*runs[0], *runs[1])
@@ -545,15 +543,15 @@ def broadcast_queue_counts(network, monkeypatch):
     monkeypatch.setattr(event_queue, "heappush", counting_heappush)
     monkeypatch.setattr(event_queue, "deque", CountingDeque)
     monkeypatch.setattr(simulator_module, "EventQueue", CountingQueue)
-    runner = ProtocolRunner(4, network=network, seed=0)
-    result = runner.run(lambda party: BroadcastProtocol(
+    sim = Simulator(4, network=network, seed=0)
+    result = sim.run(lambda party: BroadcastProtocol(
         party, "bc", sender=1, faults=1, message=("msg", 9) if party.id == 1 else None,
         anchor=0.0,
     ), wait_for_all_honest=False)
     assert len(result.honest_outputs()) == 4
-    assert not runner.simulator._queue.keys  # ran until nothing was left
-    counts["pushed"] = runner.simulator._queue.pushed
-    assert sum(counts["pushed"]) == runner.simulator.events_processed
+    assert not sim._queue.keys  # ran until nothing was left
+    counts["pushed"] = sim._queue.pushed
+    assert sum(counts["pushed"]) == sim.events_processed
     return counts
 
 
@@ -602,8 +600,8 @@ def test_fabric_stops_and_resumes_inside_a_fan_out():
         assert sim.events_processed == limit
         assert_same_run(sim, log, reference, reference_log)
         if limit % 25 == 0:  # resuming from every point is quadratic: sample
-            sim.run()
-            reference.run()
+            sim.run_until()
+            reference.run_until()
             assert_same_run(sim, log, reference, reference_log)
 
     # An ``until`` that flips after the first copy of the first fan-out.
@@ -614,10 +612,10 @@ def test_fabric_stops_and_resumes_inside_a_fan_out():
         for party in sim.parties.values():
             Chatter(party, "a/x", log, actions=0)
         sim.parties[1].send_all("a/x", ("all", 1, 0))
-        sim.run(until=lambda: any(recipient != 1 for _, recipient, *_ in log))
+        sim.run_until(until=lambda: any(recipient != 1 for _, recipient, *_ in log))
         assert [(entry[0], entry[1]) for entry in log] == [(1e-9, 1), (1.0, 2)]
         stopped.append((sim, list(log)))
-        sim.run()
+        sim.run_until()
         assert [entry[1] for entry in log] == [1, 2, 3, 4]
         stopped.append((sim, log))
     assert_same_run(*stopped[0], *stopped[2])
@@ -639,7 +637,7 @@ def test_fabric_recipient_crashed_between_copies_loses_only_its_copy():
         for party in sim.parties.values():
             CrashNext(party, "a/x", log, actions=0)
         sim.parties[1].send_all("a/x", ("all", 1, 0))
-        sim.run()
+        sim.run_until()
         assert [entry[1] for entry in log] == [1, 2, 4]
         assert sim.events_processed == 4
         assert sim.metrics.messages_delivered == 3
@@ -694,7 +692,7 @@ def test_wrong_value_behavior_rewrites_one_copy_of_a_fan_out():
     for party in sim.parties.values():
         Chatter(party, "a/x", log, actions=0)
     sim.parties[2].send_all("a/x", ("v", F(10)))
-    sim.run()
+    sim.run_until()
     assert {entry[1]: entry[4][1] for entry in log} == {1: F(10), 2: F(10), 3: F(12), 4: F(10)}
 
 
@@ -716,7 +714,7 @@ def test_fabric_resizes_a_payload_mutated_between_sends():
         assert first == 2 * (HEADER_BITS + 2 * 64)
         assert second - first == 2 * (HEADER_BITS + 3 * 64)
         assert sim.metrics.total_bits - second == HEADER_BITS + 4 * 64
-        sim.run()
+        sim.run_until()
         runs.append((sim, log))
     assert_same_run(*runs[0], *runs[1])
 
@@ -753,8 +751,8 @@ def test_fan_out_sizes_once_and_records_every_copy(monkeypatch):
         SimulationMetrics, "record_send", counting("recorded", SimulationMetrics.record_send)
     )
     n = 4
-    runner = ProtocolRunner(n, network=SynchronousNetwork(), seed=0)
-    result = runner.run(lambda party: BroadcastProtocol(
+    sim = Simulator(n, network=SynchronousNetwork(), seed=0)
+    result = sim.run(lambda party: BroadcastProtocol(
         party, "bc", sender=1, faults=1, message=("msg", 9) if party.id == 1 else None,
         anchor=0.0,
     ))

@@ -11,7 +11,7 @@ from repro.field.polynomial import interpolate_at
 from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
-    ProtocolRunner,
+    Simulator,
     SynchronousNetwork,
     WrongValueBehavior,
 )
@@ -52,24 +52,24 @@ def test_extraction_yield_and_per_dealer_counts():
 
 
 def test_triple_sharing_honest_dealer_sync():
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=1)
+    sim = Simulator(4, network=SynchronousNetwork(), seed=1)
 
     def factory(party):
         return TripleSharing(party, "tripsh", dealer=1, ts=1, ta=0, num_triples=1, anchor=0.0)
 
-    result = runner.run(factory, max_time=500_000.0)
+    result = sim.run(factory, max_time=500_000.0)
     assert len(result.honest_outputs()) == 4
     _check_triples(result, ts=1, count=1)
 
 
 def test_triple_sharing_honest_dealer_with_crashed_party():
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=2,
-                            corrupt={4: CrashBehavior()})
+    sim = Simulator(4, network=SynchronousNetwork(), seed=2,
+                    corrupt={4: CrashBehavior()})
 
     def factory(party):
         return TripleSharing(party, "tripsh", dealer=2, ts=1, ta=0, num_triples=1, anchor=0.0)
 
-    result = runner.run(factory, max_time=500_000.0)
+    result = sim.run(factory, max_time=500_000.0)
     assert len(result.honest_outputs()) == 3
     _check_triples(result, ts=1, count=1)
 
@@ -78,7 +78,7 @@ def test_triple_sharing_corrupt_dealer_bad_triple_discarded():
     """A dealer sharing a non-multiplication triple is publicly discarded and
     replaced by the default (0, 0, 0) sharing -- still a valid triple."""
     bad_triples = [(F(2), F(3), F(7))]  # 2*3 != 7
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=3)
+    sim = Simulator(4, network=SynchronousNetwork(), seed=3)
 
     def factory(party):
         return TripleSharing(
@@ -86,7 +86,7 @@ def test_triple_sharing_corrupt_dealer_bad_triple_discarded():
             dealer_triples=bad_triples * 3 if party.id == 1 else None,
         )
 
-    result = runner.run(factory, max_time=500_000.0)
+    result = sim.run(factory, max_time=500_000.0)
     outputs = result.honest_outputs()
     assert len(outputs) == 4
     for index in range(1):
@@ -98,35 +98,35 @@ def test_triple_sharing_corrupt_dealer_bad_triple_discarded():
 
 
 def test_preprocessing_sync():
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=4)
+    sim = Simulator(4, network=SynchronousNetwork(), seed=4)
 
     def factory(party):
         return Preprocessing(party, "preproc", ts=1, ta=0, num_triples=1, anchor=0.0)
 
-    result = runner.run(factory, max_time=800_000.0)
+    result = sim.run(factory, max_time=800_000.0)
     assert len(result.honest_outputs()) == 4
     _check_triples(result, ts=1, count=1)
 
 
 def test_preprocessing_sync_with_byzantine_party():
-    runner = ProtocolRunner(4, network=SynchronousNetwork(), seed=5,
-                            corrupt={3: WrongValueBehavior(offset=2)})
+    sim = Simulator(4, network=SynchronousNetwork(), seed=5,
+                    corrupt={3: WrongValueBehavior(offset=2)})
 
     def factory(party):
         return Preprocessing(party, "preproc", ts=1, ta=0, num_triples=1, anchor=0.0)
 
-    result = runner.run(factory, max_time=800_000.0)
+    result = sim.run(factory, max_time=800_000.0)
     assert len(result.honest_outputs()) == 3
     _check_triples(result, ts=1, count=1)
 
 
 @pytest.mark.slow
 def test_preprocessing_async():
-    runner = ProtocolRunner(4, network=AsynchronousNetwork(max_delay=4.0), seed=6)
+    sim = Simulator(4, network=AsynchronousNetwork(max_delay=4.0), seed=6)
 
     def factory(party):
         return Preprocessing(party, "preproc", ts=1, ta=0, num_triples=1, anchor=0.0)
 
-    result = runner.run(factory, max_time=800_000.0)
+    result = sim.run(factory, max_time=800_000.0)
     assert len(result.honest_outputs()) == 4
     _check_triples(result, ts=1, count=1)

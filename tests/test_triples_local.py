@@ -13,7 +13,7 @@ import pytest
 from repro.field import default_field
 from repro.field.polynomial import interpolate_at
 from repro.sharing.shamir import SharedValue, share_secret
-from repro.sim import ProtocolRunner, SynchronousNetwork, AsynchronousNetwork, WrongValueBehavior
+from repro.sim import Simulator, SynchronousNetwork, AsynchronousNetwork, WrongValueBehavior
 from repro.triples.beaver import BeaverMultiplication
 from repro.triples.extraction import TripleExtraction
 from repro.triples.reconstruction import PublicReconstruction
@@ -46,7 +46,7 @@ def test_public_reconstruction_batch():
     n, ts = 4, 1
     values = [11, 22, 33]
     sharings = [_shared(v, ts, n, 10 + i) for i, v in enumerate(values)]
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
 
     def factory(party):
         return PublicReconstruction(
@@ -54,7 +54,7 @@ def test_public_reconstruction_batch():
             shares=[s.share_of(party.id) for s in sharings],
         )
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     for output in result.honest_outputs().values():
         assert [int(v) for v in output] == values
 
@@ -62,14 +62,14 @@ def test_public_reconstruction_batch():
 def test_public_reconstruction_tolerates_wrong_shares():
     n, ts = 4, 1
     sharing = _shared(99, ts, n, 3)
-    runner = ProtocolRunner(n, network=SynchronousNetwork(),
-                            corrupt={2: WrongValueBehavior(offset=5)})
+    sim = Simulator(n, network=SynchronousNetwork(),
+                    corrupt={2: WrongValueBehavior(offset=5)})
 
     def factory(party):
         return PublicReconstruction(party, "rec", degree=ts, faults=ts,
                                     shares=[sharing.share_of(party.id)])
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     for output in result.honest_outputs().values():
         assert output[0] == F(99)
 
@@ -77,17 +77,17 @@ def test_public_reconstruction_tolerates_wrong_shares():
 def test_public_reconstruction_late_input():
     n, ts = 4, 1
     sharing = _shared(5, ts, n, 4)
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
     instances = {}
-    for pid, party in runner.parties.items():
+    for pid, party in sim.parties.items():
         instances[pid] = PublicReconstruction(party, "rec", degree=ts, faults=ts)
     for inst in instances.values():
         inst.start()
     for pid, inst in instances.items():
-        runner.simulator.schedule_timer(
+        sim.schedule_timer(
             1.0, lambda inst=inst, pid=pid: inst.provide_input([sharing.share_of(pid)])
         )
-    runner.simulator.run(until=lambda: all(i.has_output for i in instances.values()),
+    sim.run_until(until=lambda: all(i.has_output for i in instances.values()),
                          max_time=100.0)
     assert all(inst.output[0] == F(5) for inst in instances.values())
 
@@ -101,14 +101,14 @@ def test_beaver_multiplication_correct(network):
     x = _shared(6, ts, n, 20)
     y = _shared(7, ts, n, 21)
     a, b, c = _shared_triple(13, 17, ts, n, 22)
-    runner = ProtocolRunner(n, network=network, seed=1)
+    sim = Simulator(n, network=network, seed=1)
 
     def factory(party):
         job = (x.share_of(party.id), y.share_of(party.id),
                a.share_of(party.id), b.share_of(party.id), c.share_of(party.id))
         return BeaverMultiplication(party, "beaver", ts=ts, jobs=[job])
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     shares = {pid: out[0] for pid, out in result.honest_outputs().items()}
     assert _reconstruct(shares, ts) == F(42)
 
@@ -119,7 +119,7 @@ def test_beaver_batch_of_multiplications():
     xs = [_shared(p[0], ts, n, 30 + i) for i, p in enumerate(pairs)]
     ys = [_shared(p[1], ts, n, 40 + i) for i, p in enumerate(pairs)]
     triples = [_shared_triple(7 + i, 9 + i, ts, n, 50 + 3 * i) for i in range(len(pairs))]
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
 
     def factory(party):
         jobs = []
@@ -129,7 +129,7 @@ def test_beaver_batch_of_multiplications():
                          a.share_of(party.id), b.share_of(party.id), c.share_of(party.id)))
         return BeaverMultiplication(party, "beaver", ts=ts, jobs=jobs)
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     for index, (px, py) in enumerate(pairs):
         shares = {pid: out[index] for pid, out in result.honest_outputs().items()}
         assert _reconstruct(shares, ts) == F(px * py)
@@ -143,14 +143,14 @@ def test_beaver_wrong_triple_gives_wrong_product():
     a = _shared(5, ts, n, 62)
     b = _shared(6, ts, n, 63)
     c = _shared(31, ts, n, 64)  # 31 != 30, not a multiplication triple
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
 
     def factory(party):
         job = (x.share_of(party.id), y.share_of(party.id),
                a.share_of(party.id), b.share_of(party.id), c.share_of(party.id))
         return BeaverMultiplication(party, "beaver", ts=ts, jobs=[job])
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     shares = {pid: out[0] for pid, out in result.honest_outputs().items()}
     assert _reconstruct(shares, ts) == F(13)  # 12 + (31 - 30)
 
@@ -164,7 +164,7 @@ def test_triple_transformation_properties():
         (2, 3), (4, 5), (6, 7),
     ]
     sharings = [_shared_triple(a, b, ts, n, 70 + 3 * i) for i, (a, b) in enumerate(input_triples)]
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
 
     def factory(party):
         triples = [
@@ -173,7 +173,7 @@ def test_triple_transformation_properties():
         ]
         return TripleTransformation(party, "trans", ts=ts, d=d, triples=triples)
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     outputs = result.honest_outputs()
     # Reconstruct the transformed triples and check X, Y, Z polynomial structure.
     transformed = []
@@ -202,7 +202,7 @@ def test_triple_transformation_bad_input_triple_propagates():
     bad = (_shared(4, ts, n, 83), _shared(5, ts, n, 84), _shared(99, ts, n, 85))
     good2 = _shared_triple(6, 7, ts, n, 86)
     sharings = [good, bad, good2]
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
 
     def factory(party):
         triples = [
@@ -211,7 +211,7 @@ def test_triple_transformation_bad_input_triple_propagates():
         ]
         return TripleTransformation(party, "trans", ts=ts, d=d, triples=triples)
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     outputs = result.honest_outputs()
     x = _reconstruct({pid: out[1][0] for pid, out in outputs.items()}, ts)
     y = _reconstruct({pid: out[1][1] for pid, out in outputs.items()}, ts)
@@ -220,8 +220,8 @@ def test_triple_transformation_bad_input_triple_propagates():
 
 
 def test_triple_transformation_requires_odd_count():
-    runner = ProtocolRunner(4, network=SynchronousNetwork())
-    party = runner.parties[1]
+    sim = Simulator(4, network=SynchronousNetwork())
+    party = sim.parties[1]
     sharing = _shared_triple(1, 2, 1, 4, 90)
     triples = [(sharing[0].share_of(1), sharing[1].share_of(1), sharing[2].share_of(1))] * 2
     instance = TripleTransformation(party, "trans", ts=1, d=1, triples=triples)
@@ -254,7 +254,7 @@ def test_triple_extraction_outputs_multiplication_triples():
     n, ts = 4, 1
     d = 1
     sharings = [_shared_triple(3 + i, 5 + i, ts, n, 100 + 3 * i) for i in range(2 * d + 1)]
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
 
     def factory(party):
         triples = [
@@ -263,7 +263,7 @@ def test_triple_extraction_outputs_multiplication_triples():
         ]
         return TripleExtraction(party, "ext", ts=ts, d=d, triples=triples)
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     outputs = result.honest_outputs()
     count = d + 1 - ts
     assert all(len(out) == count for out in outputs.values())
@@ -278,7 +278,7 @@ def test_triple_extraction_larger_committee():
     n, ts = 7, 2
     d = 2
     sharings = [_shared_triple(2 + i, 3 + i, ts, n, 120 + 3 * i) for i in range(2 * d + 1)]
-    runner = ProtocolRunner(n, network=SynchronousNetwork())
+    sim = Simulator(n, network=SynchronousNetwork())
 
     def factory(party):
         triples = [
@@ -287,7 +287,7 @@ def test_triple_extraction_larger_committee():
         ]
         return TripleExtraction(party, "ext", ts=ts, d=d, triples=triples)
 
-    result = runner.run(factory)
+    result = sim.run(factory)
     outputs = result.honest_outputs()
     for index in range(d + 1 - ts):
         a = _reconstruct({pid: out[index][0] for pid, out in outputs.items()}, ts)

@@ -19,7 +19,7 @@ from repro.sharing.vss import VerifiableSecretSharing
 from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
-    ProtocolRunner,
+    Simulator,
     SynchronousNetwork,
     WrongValueBehavior,
 )
@@ -39,8 +39,8 @@ def _run_bank(n, t, votes, slots=1, network=None, corrupt=None, seed=0, late=Non
     """One bank at every party.  ``votes[pid]`` is that party's vote in slot 0
     (k = 1) or its k-list; ``late[pid] = (time, slot, bit)`` casts one vote by
     a timer; ``probe = (time, callback(party, bank))`` looks at the run."""
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
 
     def factory(party):
         mine = votes.get(party.id)
@@ -57,7 +57,7 @@ def _run_bank(n, t, votes, slots=1, network=None, corrupt=None, seed=0, late=Non
             party.schedule_at(probe[0], lambda: probe[1](party, bank))
         return bank
 
-    return runner.run(factory, max_time=max_time)
+    return sim.run(factory, max_time=max_time)
 
 
 def _children(party, bank_tag, cls):
@@ -115,7 +115,6 @@ def test_n_vote_broadcasts_and_k_abas_per_bank_per_party(n, slots):
 def test_a_late_vote_sends_nothing_on_the_vote_broadcasts(monkeypatch):
     """P_4 votes at 2Δ, after its (empty) vector went out: the transcript is
     the one of the run in which it never votes, message for message."""
-    from repro.sim.simulator import Simulator
 
     def tags_of(late):
         tags = []
@@ -209,10 +208,10 @@ def test_slot_without_a_vote_waits_for_provide_input_and_decides_in_asynchrony(n
 
 
 def _acs_subsets(n, ts, ta, network=None, corrupt=None, seed=0):
-    runner = ProtocolRunner(n, network=network or SynchronousNetwork(), seed=seed,
-                            corrupt=corrupt or {})
+    sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
+                    corrupt=corrupt or {})
     polys = {pid: [random_polynomial(ts, pid, seed=seed * 100 + pid)] for pid in range(1, n + 1)}
-    result = runner.run(
+    result = sim.run(
         lambda party: AgreementOnCommonSubset(
             party, "acs", ts=ts, ta=ta, num_polynomials=1, polynomials=polys[party.id],
             anchor=0.0),
@@ -361,7 +360,7 @@ SBA_TAG, ACAST_TAG = r"ba/bc@0\[\d\]/sba", r"ba/bc@0\[\d\]/acast"
     pytest.param(ACAST_TAG, ("echo", [1, 2]), id="acast-unhashable-value"),
 ])
 def test_malformed_payload_is_absent_not_an_exception(tag, forged):
-    """Each of these escaped ``runner.run`` at 6fb28d1 and took down every honest party."""
+    """Each of these escaped ``sim.run`` at 6fb28d1 and took down every honest party."""
     result = _run_bank(4, 1, {pid: 1 for pid in range(1, 5)}, corrupt=_inject(tag, forged))
     assert result.honest_outputs() == {1: 1, 2: 1, 3: 1}
 
