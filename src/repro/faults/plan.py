@@ -55,11 +55,16 @@ on the wire over sockets (the receiving side then only queues it).
   message, and :meth:`FaultGate.flush`.  A message held *for* a crashed
   party is discarded.
 * **Reordering (adjacent swap).**  A ``hold`` decision parks the message
-  until the **next hand-out to the same recipient** -- whatever that is.
-  The held message is released behind a delivered message, after a dropped
-  one, and behind a self-delivery alike, so a hold can never silently
-  become an unbounded one; at most one message per recipient is held at a
-  time, and what is still held when the queue drains is released then.
+  until the **next hand-out to the same recipient** within its instant --
+  whatever that is -- or the end of the instant's hand-outs, whichever
+  comes first.  The held message is released behind a delivered message,
+  after a dropped one, and behind a self-delivery alike; at most one
+  message per recipient is held at a time, and :meth:`FaultGate.flush`
+  releases every hold once the instant's deliveries are over, before its
+  timers run (in one process), or at the end of the instant's envelope
+  (over sockets).  A held message thus arrives at the instant it was due,
+  only behind its neighbours, which is why reordering does not break
+  synchrony (:meth:`FaultPlan.breaks_synchrony`).
 * **Duplication.**  The duplicate is handed out right behind the original
   (protocols must be idempotent).
 * **Drops** lose the message outright; dropping honest messages violates
@@ -501,7 +506,8 @@ class FaultGate:
         return passed
 
     def flush(self) -> List[Any]:
-        """Release every held item (the queue drained), in recipient order."""
+        """Release every held item (the instant's hand-outs are over), in
+        recipient order."""
         held, self._held = self._held, {}
         return [held[recipient] for recipient in sorted(held)]
 

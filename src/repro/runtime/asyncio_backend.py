@@ -115,9 +115,8 @@ class AsyncioBackend(Simulator):
         #: Whether the event being served is a timer (the schedule-miss rule).
         self._serving_timer = False
         #: What the instant being served sends over the wire, as ``(message,
-        #: due)`` pairs the gate has yet to see; and held pairs it released.
+        #: due)`` pairs the gate has yet to see.
         self._outbox: List[Tuple[Message, float]] = []
-        self._released: List[Tuple[Message, float]] = []
         #: The scheduler's wait, if it is waiting, and the nominal instant
         #: work must be due before to cut it short.
         self._waiter: Optional[asyncio.Future] = None
@@ -137,30 +136,24 @@ class AsyncioBackend(Simulator):
             super()._gated_step(is_timer, item)
         elif is_timer:
             item()
-        elif item.sender != item.recipient:
-            # An arrival: the gate ran over it at the sender.
-            if item.recipient not in self.crashed:
-                self._deliver(item)
-        else:
-            # A self-delivery is a hand-out to its party: a message the gate
-            # holds for that party goes on the wire behind it.
-            for message, due in self._gate.admit(item, (item, None)):
-                if due is None:
-                    self._deliver(message)
-                else:
-                    self._released.append((message, due))
+        elif item.recipient not in self.crashed:
+            # An arrival (the gate ran over it at the sender) or a
+            # self-delivery (never faulted; nothing is held between envelopes).
+            self._deliver(item)
 
     def _send(self) -> None:
         """The instant is over: what it sent leaves, through the gate, as one
-        envelope."""
+        envelope; a message the gate held goes at the envelope's end."""
         envelope, self._outbox = self._outbox, []
-        wire, self._released = self._released, []
         gate = self._gate
+        wire = []
         for message, due in envelope:
             if gate is not None:
                 wire += gate.admit(message, (message, due))
             elif message.recipient not in self.crashed:
                 wire.append((message, due))
+        if gate is not None:
+            wire += gate.flush()
         self.transport.send(wire)
 
     # -- execution ----------------------------------------------------------
@@ -232,7 +225,7 @@ class AsyncioBackend(Simulator):
                     return
                 if max_events is not None and self._events_processed >= max_events:
                     return
-                if (self._outbox or self._released) and (
+                if self._outbox and (
                     not pending or pending[0][0] > self.now
                 ):
                     self._send()
@@ -259,13 +252,6 @@ class AsyncioBackend(Simulator):
                     continue
                 self._serving_timer = priority == TIMER
                 self.step()
-                if (
-                    self._gate is not None and transport is not None
-                    and not pending and not self._outbox and transport.quiescent()
-                ):
-                    # Quiescing: a held message goes, so a fault cannot strand
-                    # the tail of an otherwise-live execution.
-                    self._released += self._gate.flush()
         finally:
             if len(self.schedule_misses) > missed:
                 worst = max(self.schedule_misses[missed:], key=lambda miss: miss.lag)

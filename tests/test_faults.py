@@ -341,18 +341,19 @@ def test_fault_plan_replays_identically_over_tcp_acast():
 # -- the move pinned: one plan, one run, on either backend --------------------
 
 #: Plans A, B and C: outputs, output instants, sent / delivered messages,
-#: honest bits, events and decisions, as recorded when the fault gate still
-#: lived in an in-process transport under a virtual-clock asyncio loop.
+#: honest bits, events and decisions.  A hold goes at the end of its
+#: instant's deliveries, so a reorder never delays a message past its
+#: instant: C, a crash plus reorders, outputs at 147.052 like the crash alone.
 PINNED_PLANS = {
     "A": (lambda: FaultPlan(seed=1, link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([360], {145.052}, 4926, 6680, 2480853, 8320, 4922)),
+          True, ([360], {145.052}, 4677, 6324, 2434896, 7976, 4673)),
     "B": (lambda: FaultPlan(seed=11, link_faults=[
               LinkFault(duplicate=0.15, reorder=0.15, drop=0.05)]),
-          False, (None, set(), 9066, 12573, 2952501, 14019, 9066)),
+          False, (None, set(), 8733, 12093, 2871459, 13559, 8733)),
     "C": (lambda: FaultPlan(seed=3, process_faults=[
               ProcessFault(party=4, sim_time=5.0)],
               link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([0], {149.052}, 4077, 4578, 2159433, 6998, 3257)),
+          True, ([0], {147.052}, 3909, 4385, 2129955, 6765, 3134)),
 }
 
 
@@ -398,6 +399,26 @@ def test_a_plan_runs_the_same_on_the_simulator_and_the_paced_backend(name):
         ) == expected, backend_name
         logs.append(plan.log)
     assert logs[0] == logs[1]
+
+
+#: (plan seed, reorder rate) of the crash + reorder runs that stalled with no
+#: output while a hold waited for the next hand-out to its recipient, which
+#: can come more than Δ later; reordering is synchrony-preserving
+#: (:meth:`FaultPlan.breaks_synchrony`), so each must output.
+_HOLD_STALLS = [(seed, 0.05) for seed in (1, 8, 12, 13, 15, 17, 19, 20)] + [
+    (seed, 0.15) for seed in (3, 4, 5, 6, 7, 10, 11, 13, 14, 15, 16, 18, 19, 20)]
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed,reorder", _HOLD_STALLS,
+                         ids=[f"seed{seed}-r{rate}" for seed, rate in _HOLD_STALLS])
+def test_a_reorder_hold_does_not_outlive_its_instant(seed, reorder):
+    plan = FaultPlan(seed=seed, process_faults=[ProcessFault(party=4, sim_time=5.0)],
+                     link_faults=[LinkFault(reorder=reorder)])
+    assert not plan.breaks_synchrony()
+    result = _pinned_run("sim", plan, True)
+    assert [int(v) for v in result.outputs] == [0]
+    assert {round(time, 3) for time in result.output_times.values()} == {147.052}
 
 
 # -- campaigns vs the guarantee table ----------------------------------------

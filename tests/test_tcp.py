@@ -882,7 +882,7 @@ def _run_rounds(rounds, faults, transport=None):
 @pytest.mark.tcp
 def test_faults_are_decided_per_logical_message_inside_one_envelope():
     """HOLD is released behind the next entry for that recipient, DUPLICATE
-    is two entries, DROP is none, a hold still open when the run quiesces
+    is two entries, DROP is none, a hold still open when the envelope ends
     goes last -- and the log is the simulator's."""
     script = {0: "hold", 2: "duplicate", 3: "drop", 5: "hold"}
     rounds = [[(2, index) for index in range(6)] + [(3, "other")]]
@@ -894,10 +894,10 @@ def test_faults_are_decided_per_logical_message_inside_one_envelope():
     tcp_faults = _ScriptedFaults(script)
     transport = TcpTransport()
     assert _run_rounds(rounds, tcp_faults, transport) == expected
-    # One frame per channel for the envelope -- the duplicate and the
-    # released hold are entries of the same frame as their neighbours --
-    # and one more for the hold released at quiescence.
-    assert (transport.frames_sent, transport.messages_framed) == (3, 7)
+    # One frame per channel for the envelope: the duplicate and both
+    # released holds, the last one at the envelope's end, are entries of
+    # the same frame as their neighbours.
+    assert (transport.frames_sent, transport.messages_framed) == (2, 7)
     assert tcp_faults.log == in_faults.log
     assert [seq for _, s, r, seq in tcp_faults.log if (s, r) == (1, 2)] == list(range(6))
 
