@@ -10,16 +10,32 @@ We implement the classical (non-recursive) multi-valued phase-king protocol,
 which provides exactly that interface with T_BGP = 3 * (t + 1) * Delta.  The
 substitution is listed under "Deviations from the paper" in README.md.
 
-What other parties send passes one total parser: a payload that is not a
-``(round, value)`` pair, or whose round is not one of this instance's own
-3(t+1), is absent (:meth:`PhaseKingSBA.receive`); a value nobody could tally
-because it is unhashable is absent where the tally is taken
-(:func:`_tally`, and the king's in :meth:`PhaseKingSBA._end_round_three`).
+As built: a bank of slots, one vector per round
+-----------------------------------------------
+
+A :class:`PhaseKingSBA` of ``width`` k runs k phase-king instances on one
+schedule -- the same round instants and the same king per phase -- and each
+party sends one ``(round, (v_1, ..., v_k))`` per round instead of k
+``(round, v_s)``.  Tallies, candidate, strong flag and king value are kept
+per slot, and slot s's decision reads the s-th components alone, so each
+slot is a run of the protocol above (the argument for ΠBC's n-slot bank is
+in :mod:`repro.broadcast.bc`).  Input and output are k-tuples.  ``width=None``
+is the textbook single instance: its vector is the bare value, on the wire
+and as input and output.
+
+What other parties send passes one total parser
+(:meth:`PhaseKingSBA.receive`): a payload that is not ``(round, vector)``
+with the round one of this instance's own 3(t+1) and the vector a tuple of
+width k is absent in every slot; the first payload per (sender, round)
+counts.  A slot value nobody could tally because it is unhashable counts
+for nothing in that slot (:func:`_tally`); an absent or unhashable king
+value is :data:`DEFAULT_VALUE` (:meth:`PhaseKingSBA._end_round_three`), so
+an absent king vector is ``DEFAULT_VALUE`` in every slot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.sim.party import Party, ProtocolInstance
 
@@ -47,14 +63,15 @@ def _tally(values) -> Dict[Any, int]:
 
 
 class PhaseKingSBA(ProtocolInstance):
-    """Multi-valued phase-king Byzantine agreement for t < n/3.
+    """Multi-valued phase-king Byzantine agreement for t < n/3, on ``width``
+    slots at once (module docstring; ``None``: one instance on a bare value).
 
     All parties must start the instance at the same local time (the caller
-    controls this; ΠBC starts it at local time 3Δ).  Rounds are driven purely
-    by local timers: messages for round r are sent at ``start + (r-1)Δ`` and
-    the round is evaluated at ``start + rΔ`` using whatever arrived, which is
-    exactly why the protocol is only live (not safe) in an asynchronous
-    network.
+    controls this; ΠBC starts its bank at local time 3Δ + ε).  Rounds are
+    driven purely by local timers: messages for round r are sent at
+    ``start + (r-1)Δ`` and the round is evaluated at ``start + rΔ`` using
+    whatever arrived, which is exactly why the protocol is only live (not
+    safe) in an asynchronous network.
     """
 
     def __init__(
@@ -64,21 +81,37 @@ class PhaseKingSBA(ProtocolInstance):
         faults: int,
         value: Any = None,
         delta: Optional[float] = None,
+        width: Optional[int] = None,
     ):
         super().__init__(party, tag)
         self.faults = faults
         self.delta = delta if delta is not None else party.delta
+        self.width = width
         self.value = value
-        self._round_inbox: Dict[int, Dict[int, Any]] = {}
+        #: round -> sender -> that sender's slot values, a list of the width.
+        self._round_inbox: Dict[int, Dict[int, List[Any]]] = {}
         self._last_round = 3 * (faults + 1)
-        self._phase = 1
-        self._strong = False
-        self._candidate: Any = NO_PREFERENCE
+        slots = 1 if width is None else width
+        self._values: List[Any] = [None] * slots
+        self._strong = [False] * slots
+        self._candidate: List[Any] = [NO_PREFERENCE] * slots
         self._started = False
 
     # -- input --------------------------------------------------------------
     def provide_input(self, value: Any) -> None:
         self.value = value
+
+    # -- vectors ----------------------------------------------------------------
+    def _slots(self, vector: Any) -> Optional[List[Any]]:
+        """The slot values of a vector, or ``None`` if it is not one of my width."""
+        if self.width is None:
+            return [vector]
+        if type(vector) is tuple and len(vector) == self.width:
+            return list(vector)
+        return None
+
+    def _vector(self, slots: List[Any]) -> Any:
+        return slots[0] if self.width is None else tuple(slots)
 
     # -- round bookkeeping ----------------------------------------------------
     @property
@@ -93,60 +126,68 @@ class PhaseKingSBA(ProtocolInstance):
             return
         self._started = True
         self.start_time = self.now
+        self._values = self._slots(self.value) or self._values
         self._begin_phase(1)
 
     def _begin_phase(self, phase: int) -> None:
-        self._phase = phase
         round_one = self._round_index(phase, 1)
-        self._send_round(round_one, self.value)
+        self._send_round(round_one, self._values)
         self.schedule_at(self.start_time + round_one * self.delta, lambda: self._end_round_one(phase))
 
-    def _send_round(self, round_index: int, value: Any) -> None:
-        self.send_all((round_index, value))
+    def _send_round(self, round_index: int, slots: List[Any]) -> None:
+        self.send_all((round_index, self._vector(slots)))
 
-    def _received(self, round_index: int) -> Dict[int, Any]:
-        return self._round_inbox.get(round_index, {})
+    def _columns(self, round_index: int):
+        """Per slot, the values received for ``round_index``."""
+        received = self._round_inbox.get(round_index, {})
+        return zip(*received.values()) if received else ((),) * len(self._values)
 
     def receive(self, sender: int, payload: Any) -> None:
         try:
-            round_index, value = payload
+            round_index, vector = payload
         except (TypeError, ValueError):
             return
         if type(round_index) is not int or not 0 < round_index <= self._last_round:
             return
+        slots = self._slots(vector)
+        if slots is None:
+            return
         inbox = self._round_inbox.setdefault(round_index, {})
         if sender not in inbox:
-            inbox[sender] = value
+            inbox[sender] = slots
 
     # -- per-phase logic -------------------------------------------------------
     def _end_round_one(self, phase: int) -> None:
-        received = self._received(self._round_index(phase, 1))
-        preference = NO_PREFERENCE
-        for value, count in _tally(received.values()).items():
-            if count >= self.n - self.faults:
-                preference = value
-                break
+        preferences = []
+        for column in self._columns(self._round_index(phase, 1)):
+            preference = NO_PREFERENCE
+            for value, count in _tally(column).items():
+                if count >= self.n - self.faults:
+                    preference = value
+                    break
+            preferences.append(preference)
         round_two = self._round_index(phase, 2)
-        self._send_round(round_two, preference)
+        self._send_round(round_two, preferences)
         self.schedule_at(self.start_time + round_two * self.delta, lambda: self._end_round_two(phase))
 
     def _end_round_two(self, phase: int) -> None:
-        received = self._received(self._round_index(phase, 2))
-        self._candidate = NO_PREFERENCE
-        self._strong = False
-        best_count = 0
-        for value, count in _tally(received.values()).items():
-            if value == NO_PREFERENCE:
-                continue
-            if count >= self.faults + 1 and count > best_count:
-                self._candidate = value
-                best_count = count
-        if best_count >= self.n - self.faults:
-            self._strong = True
+        for slot, column in enumerate(self._columns(self._round_index(phase, 2))):
+            candidate = NO_PREFERENCE
+            best_count = 0
+            for value, count in _tally(column).items():
+                if value == NO_PREFERENCE:
+                    continue
+                if count >= self.faults + 1 and count > best_count:
+                    candidate = value
+                    best_count = count
+            self._candidate[slot] = candidate
+            self._strong[slot] = best_count >= self.n - self.faults
         round_three = self._round_index(phase, 3)
         if self.me == self._king_for(phase):
-            king_value = self._candidate if self._candidate != NO_PREFERENCE else DEFAULT_VALUE
-            self._send_round(round_three, king_value)
+            self._send_round(round_three, [
+                DEFAULT_VALUE if candidate == NO_PREFERENCE else candidate
+                for candidate in self._candidate
+            ])
         self.schedule_at(self.start_time + round_three * self.delta, lambda: self._end_round_three(phase))
 
     def _king_for(self, phase: int) -> int:
@@ -154,19 +195,19 @@ class PhaseKingSBA(ProtocolInstance):
         return phase
 
     def _end_round_three(self, phase: int) -> None:
-        received = self._received(self._round_index(phase, 3))
-        king_value = received.get(self._king_for(phase), DEFAULT_VALUE)
-        try:
-            hash(king_value)
-        except TypeError:
-            king_value = DEFAULT_VALUE
-        if king_value == NO_PREFERENCE:
-            king_value = DEFAULT_VALUE
-        if self._strong and self._candidate != NO_PREFERENCE:
-            self.value = self._candidate
-        else:
-            self.value = king_value
+        received = self._round_inbox.get(self._round_index(phase, 3), {})
+        king_values = received.get(self._king_for(phase)) or [DEFAULT_VALUE] * len(self._values)
+        for slot, king_value in enumerate(king_values):
+            try:
+                hash(king_value)
+            except TypeError:
+                king_value = DEFAULT_VALUE
+            if king_value == NO_PREFERENCE:
+                king_value = DEFAULT_VALUE
+            candidate = self._candidate[slot]
+            strong = self._strong[slot] and candidate != NO_PREFERENCE
+            self._values[slot] = candidate if strong else king_value
         if phase >= self.total_phases:
-            self.set_output(self.value)
+            self.set_output(self._vector(self._values))
         else:
             self._begin_phase(phase + 1)

@@ -4,7 +4,9 @@ The sender Acasts its message; at (relative) time 3Δ every party feeds the
 Acast output (or ⊥) into an instance of the phase-king SBA; at time
 3Δ + T_BGP the regular-mode output is the Acast value if it matches the SBA
 output, and ⊥ otherwise.  Parties that output ⊥ in regular mode later switch
-to the Acast value through the fallback mode (needed by the VSS layer).
+to the Acast value through the fallback mode (needed by the VSS layer).  The
+SBA instances of the n senders' runs anchored at one instant share one
+phase-king bank (below).
 
 ⊥ is represented by ``None``.  A field-element vector is packed once into a
 :class:`~repro.broadcast.acast.PackedFieldVector` (one cached digest for the
@@ -29,6 +31,39 @@ the root instance's anchor in units of ε(Δ), an exact integer every party
 computes alike without reading a clock.  The entries are the endpoints
 started before the carrier's anchor timer fires; a later one raises
 :class:`CarrierError`.
+
+The SBA stage: one phase-king bank per instant
+----------------------------------------------
+
+The carriers of all n senders anchored at one instant run their SBAs as one
+:class:`~repro.ba.sba.PhaseKingSBA` of n slots, ``<root>/bc@<ticks>/sba``,
+slot s sender s's: each round a party sends one ``(round, (v_1, ..., v_n))``
+where n runs would send n ``(round, v_s)``.  The first carrier of the
+instant at a party builds the bank; its one timer, at anchor + 3Δ + ε, reads
+slot s from carrier ``[s]``'s Acast output -- ⊥ if that carrier does not
+exist here or has not delivered -- and at anchor + T_BC each carrier
+compares its own slot of the output with its Acast value.  Lemma 3.2 still
+holds slot by slot, so each carrier runs Fig 1 as the reduction below needs:
+
+* Slot s's decision is a function of the slot-s components alone (tallies,
+  candidate, strong flag and king value are per slot), and they follow the
+  schedule of one run -- the same round instants, the same king per phase.
+  Slot s is a run of phase king on carrier s's inputs, so T_BGP and all
+  three properties of Lemma 3.2 hold for it.
+* A corrupt party's options in the bank are a subset of its per-instance
+  options.  One vector is one value per slot, as n instances would take; it
+  can withhold or garble all n of its votes in a round, which it could
+  already do one instance at a time.  A payload that is not a vector of n
+  slots for one of the 3(t+1) rounds is absent in every slot, an unhashable
+  slot value counts in no tally, a malformed king vector is the default in
+  every slot, and the first payload per (sender, round) counts
+  (:mod:`repro.ba.sba`).
+* A slot whose sender has no carrier at a party gets ⊥ from that party: the
+  input of a party whose Acast has not delivered, which any run allows.
+* In asynchrony, liveness still comes from the timers alone: the bank
+  outputs every slot at its start + T_BGP, whatever arrived.
+
+Theorem 3.5 then holds per carrier, as argued below.
 
 After the anchor of a carrier C, what its sender gives C's ΠBCs rides the
 *late carriers*, Acasts ``<C>/late[k]`` it numbers k = 0, 1, ...: a late
@@ -62,7 +97,8 @@ its ``init`` alone.
 
 Why each logical ΠBC still meets Theorem 3.5 and Lemma 2.4, as a reduction
 to k separate runs of Fig 1.  The carrier *is* Fig 1, run in full on the
-bundle, so Theorem 3.5 holds for the bundle as the broadcast value; call
+bundle (its SBA a slot of the instant's bank, above), so Theorem 3.5 holds
+for the bundle as the broadcast value; call
 entry e of the delivered bundle, with the bundle's mode and time, the
 *effective* broadcast of logical ΠBC e -- or, if that entry is ``None``, e's
 late input (its name's Acast, above), in fallback mode, at the later of its
@@ -130,8 +166,9 @@ class CarrierError(RuntimeError):
 
 
 class BroadcastCarrier(ProtocolInstance):
-    """Fig 1, once, for every ΠBC of ``sender`` anchored at ``anchor``; and the
-    numbered late carriers ``late[k]`` for what those ΠBCs are given afterwards."""
+    """Fig 1, once, for every ΠBC of ``sender`` anchored at ``anchor``, its SBA
+    a slot of the instant's phase-king bank; and the numbered late carriers
+    ``late[k]`` for what those ΠBCs are given afterwards."""
 
     #: The late path's state, set on the carriers that take it.  Sender: flush
     #: instant -> position -> entry, the (position, slot)s given, how many went
@@ -158,14 +195,37 @@ class BroadcastCarrier(ProtocolInstance):
         self._acast: AcastProtocol = self.spawn(
             AcastProtocol, "acast", sender=sender, faults=faults
         )
-        self._sba: Optional[PhaseKingSBA] = None
+        self._sba = self._bank()
 
     def start(self) -> None:
         t_bc = bc_time_bound(self.n, self.faults, self.delta)
         self.schedule_at(self.anchor, self._publish)
-        self.schedule_at(self.anchor + 3.0 * self.delta + epsilon(self.delta), self._start_sba)
         self.schedule_at(self.anchor + t_bc, self._decide_regular)
         self._acast.on_output(self._maybe_fallback)
+
+    def _bank(self) -> PhaseKingSBA:
+        """The phase-king bank ``<root>/bc@<ticks>/sba`` of my instant, slot s
+        sender s's: the first carrier of the instant here builds it and sets
+        its one timer."""
+        group = self.tag.rpartition("[")[0]
+        bank = self.party.get_instance(f"{group}/sba")
+        if bank is None:
+            bank = PhaseKingSBA(self.party, f"{group}/sba", self.faults, delta=self.delta,
+                                width=self.n)
+            bank.schedule_at(self.anchor + 3.0 * self.delta + epsilon(self.delta),
+                             lambda: self._start_bank(bank, group))
+        elif (bank.faults, bank.delta) != (self.faults, self.delta):
+            raise CarrierError(f"{self.tag} cannot share {bank!r} (other t/Δ)")
+        return bank
+
+    def _start_bank(self, bank: PhaseKingSBA, group: str) -> None:
+        """anchor + 3Δ + ε: slot s is carrier ``[s]``'s Acast output, or ⊥ if
+        that carrier does not exist here or its Acast has not delivered."""
+        carriers = (self.party.get_instance(f"{group}[{s}]") for s in range(1, self.n + 1))
+        bank.provide_input(tuple(
+            carrier._acast.output if carrier is not None and carrier._acast.has_output
+            else None for carrier in carriers))
+        bank.start()
 
     def _publish(self) -> None:
         """The anchor: inputs due now are given, then all of them ride one Acast."""
@@ -240,16 +300,9 @@ class BroadcastCarrier(ProtocolInstance):
             return bundle.entries
         return (None,) * len(self.entries)
 
-    def _start_sba(self) -> None:
-        self._sba = self.spawn(
-            PhaseKingSBA, "sba", faults=self.faults, delta=self.delta,
-            value=self._acast.output if self._acast.has_output else None,
-        )
-        self._sba.start()
-
     def _decide_regular(self) -> None:
         acast_value = self._acast.output if self._acast.has_output else None
-        sba_value = self._sba.output if (self._sba and self._sba.has_output) else None
+        sba_value = self._sba.output[self.sender - 1] if self._sba.has_output else None
         regular = acast_value if acast_value is not None and sba_value == acast_value else None
         self.set_output(regular)
         decided = self._parse(regular)  # ⊥ hands every entry ⊥, like the empty bundle

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 #: Fault decisions returned by ``decide``: deliver the message, deliver it

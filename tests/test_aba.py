@@ -1,7 +1,5 @@
 """Tests for the randomized asynchronous Byzantine agreement (ΠABA, Lemma 3.3)."""
 
-import pytest
-
 from repro.ba.aba import BrachaABA, aba_unanimous_time_bound
 from repro.ba.common_coin import CommonCoin
 from repro.sim import (

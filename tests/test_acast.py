@@ -1,7 +1,5 @@
 """Tests for Bracha's Acast (Lemma 2.4)."""
 
-import pytest
-
 from repro.broadcast.acast import AcastProtocol, acast_time_bound
 from repro.sim import (
     AsynchronousNetwork,

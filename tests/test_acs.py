@@ -1,7 +1,5 @@
 """Tests for ΠACS, agreement on a common subset (Lemma 5.1)."""
 
-import pytest
-
 from repro.acs.acs import AgreementOnCommonSubset
 from repro.field.polynomial import lagrange_interpolate
 from repro.sim import (

@@ -106,7 +106,8 @@ TWO = {"a": (0.0, ("msg", 9)), "b": (0.0, "other")}
 
 def test_two_broadcasts_of_one_sender_at_one_anchor_share_one_acast_and_one_sba():
     result = _run(TWO)
-    assert result.metrics.messages_sent == 81  # 27 Acast + 54 phase-king: one run of Fig 1
+    # 27 Acast + 54 phase-king: one run of Fig 1, whose bank has one slot in use.
+    assert result.metrics.messages_sent == 81
     for pid, carriers in _instances(result, BroadcastCarrier).items():
         (carrier,) = carriers
         assert carrier.tag == carrier_tag("root", 0.0, 1, 1.0) == "root/bc@0[1]"
@@ -122,6 +123,44 @@ def test_a_lone_broadcast_is_a_one_entry_carrier_and_costs_81_messages():
     result = _run({"a": (0.0, "m")})
     assert result.metrics.messages_sent == 81
     assert all(root.bc["a"].output == "m" for root in result.instances.values())
+
+
+class EverySender(ProtocolInstance):
+    """A root with one logical ΠBC of each of ``senders``, all anchored at 0."""
+
+    def __init__(self, party, tag, senders):
+        super().__init__(party, tag)
+        self.anchor = 0.0
+        self.senders = senders
+
+    def start(self):
+        self.bc = {s: self.spawn(BroadcastProtocol, f"m[{s}]", sender=s, faults=T,
+                                 message=f"from {s}" if self.me == s else None, anchor=0.0)
+                   for s in self.senders}
+        for bc in self.bc.values():
+            bc.start()
+            bc.on_output(self._decided)
+
+    def _decided(self, _value):
+        if all(bc.regular_decided for bc in self.bc.values()):
+            self.set_output({s: bc.regular_output for s, bc in self.bc.items()})
+
+
+def test_the_carriers_of_one_instant_share_one_phase_king_bank():
+    """Three senders' carriers at one anchor: three Acasts and one bank of n
+    slots, slot s sender s's Acast output and ⊥ for the sender with no carrier."""
+    sim = Simulator(N, network=SynchronousNetwork())
+    result = sim.run(lambda party: EverySender(party, "root", (1, 2, 4)), max_time=2_000.0)
+    assert result.metrics.messages_sent == 3 * 27 + 54
+    for pid, root in result.instances.items():
+        assert root.output == {1: "from 1", 2: "from 2", 4: "from 4"}
+        (bank,) = _instances(result, PhaseKingSBA)[pid]
+        assert bank.tag == "root/bc@0/sba" and bank.width == N
+        carriers = {c.sender: c for c in _instances(result, BroadcastCarrier)[pid]}
+        assert sorted(carriers) == [1, 2, 4]
+        assert bank.output == tuple(
+            carriers[s]._acast.output if s in carriers else None for s in range(1, N + 1))
+        assert all(c._sba is bank for c in carriers.values())
 
 
 def test_same_sender_at_two_anchors_is_two_carriers():
@@ -472,7 +511,7 @@ def test_bundle_crosses_the_wire_without_pickle(monkeypatch):
         None,
     ), 4)
     for tag, payload in (("mpc/bc@12004[2]/acast", ("echo", bundle)),
-                         ("mpc/bc@12004[2]/sba", (4, bundle))):
+                         ("mpc/bc@12004/sba", (4, (bundle, None, "__NO_PREF__", bundle)))):
         message = Message(2, 3, tag, payload, 12.004)
         decoded = decode_message(encode_message(message))
         assert decoded.payload == message.payload

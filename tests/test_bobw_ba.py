@@ -1,7 +1,5 @@
 """Tests for ΠBA, the best-of-both-worlds Byzantine agreement (Theorem 3.6)."""
 
-import pytest
-
 from repro.ba.bobw import BestOfBothWorldsBA, ba_time_bound
 from repro.sim import (
     AdversarialAsynchronousNetwork,

@@ -344,16 +344,17 @@ def test_fault_plan_replays_identically_over_tcp_acast():
 #: honest bits, events and decisions.  A hold goes at the end of its
 #: instant's deliveries, so a reorder never delays a message past its
 #: instant: C, a crash plus reorders, outputs at 147.052 like the crash alone.
+#: The carriers of an instant share one phase-king bank (``repro.broadcast.bc``).
 PINNED_PLANS = {
     "A": (lambda: FaultPlan(seed=1, link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([360], {145.052}, 4677, 6324, 2434896, 7976, 4673)),
+          True, ([360], {145.052}, 3378, 4465, 2267424, 5575, 3377)),
     "B": (lambda: FaultPlan(seed=11, link_faults=[
               LinkFault(duplicate=0.15, reorder=0.15, drop=0.05)]),
-          False, (None, set(), 8733, 12093, 2871459, 13559, 8733)),
+          False, (None, set(), 7608, 10506, 2750802, 11392, 7608)),
     "C": (lambda: FaultPlan(seed=3, process_faults=[
               ProcessFault(party=4, sim_time=5.0)],
               link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([0], {147.052}, 3909, 4385, 2129955, 6765, 3134)),
+          True, ([0], {147.052}, 2901, 3310, 2000931, 4892, 2462)),
 }
 
 

@@ -124,7 +124,11 @@ def test_asyncio_real_clock_completes_correctly():
     assert result.outputs == sim.outputs == circuit.evaluate(
         {pid: FIELD(v) for pid, v in inputs.items()})
     assert digest(result, result.common_subset) == digest(sim, sim.common_subset)
-    assert result.run.backend.events_processed == sim.run.backend.events_processed == 7964
+    # 7,964 with a phase-king run per ΠBC carrier: 2,304 deliveries and 896
+    # timers, now 576 and 224 in one bank per anchor instant.
+    events = result.run.backend.events_processed
+    assert events == sim.run.backend.events_processed == 5_564 == (
+        7_964 - (2_304 - 576) - (896 - 224))
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert result.run.backend.schedule_misses == []
 
@@ -708,18 +712,14 @@ def test_missed_regular_mode_deadlines_stall_crash_sync_only(monkeypatch):
     Backend parity for the crash+sync cell on the in-process paced run is
     covered by test_asyncio_backend_matches_sim_backend_on_diagonal.
     """
-    from repro.ba.sba import PhaseKingSBA
     from repro.broadcast.bc import BroadcastCarrier
 
-    def overrun_start_sba(self):
+    def overrun_start_bank(self, bank, group):
         # The timer fires "late" (after the clock ran ahead of computation),
-        # before the Acast delivered: the SBA input defaults to ⊥.
-        self._sba = self.spawn(
-            PhaseKingSBA, "sba", faults=self.faults, value=None, delta=self.delta
-        )
-        self._sba.start()
+        # before any Acast delivered: the bank reads ⊥ in every slot.
+        bank.start()
 
-    monkeypatch.setattr(BroadcastCarrier, "_start_sba", overrun_start_sba)
+    monkeypatch.setattr(BroadcastCarrier, "_start_bank", overrun_start_bank)
 
     honest = run_preprocessing_on(DIAGONAL[0], "sim")
     assert honest.all_honest_done(), (

@@ -1,7 +1,5 @@
 """Tests for the phase-king synchronous Byzantine agreement (ΠBGP stand-in)."""
 
-import pytest
-
 from repro.ba.sba import PhaseKingSBA, sba_time_bound
 from repro.sim import (
     AsynchronousNetwork,

@@ -25,7 +25,6 @@ from repro.mpc.engine import CircuitEvaluationFactory
 from repro.runtime.wire import encode_payload
 from repro.service import (
     BackpressureError,
-    CheckpointStore,
     MpcService,
     PartialResultError,
     PartyCrashedError,

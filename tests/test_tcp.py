@@ -1272,8 +1272,9 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     """Within one process lag never makes a message late: at 0.5 ms per Δ
     every handler runs late, yet the frames to the process's own parties
     land before anything else is handed out, so the evaluation takes the
-    simulator's path -- 4,668 messages, 2,432,232 bits, output at 145.052 Δ
-    -- in 1,152 frames, one per channel per instant a party sends on it."""
+    simulator's path -- 3,372 messages, 2,266,344 bits, output at 145.052 Δ
+    -- in 1,152 frames, one per channel per instant a party sends on it (4,668
+    messages in as many frames while each ΠBC carrier ran its own phase king)."""
     circuit = multiplication_circuit(FIELD, n_parties=4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
     sim = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=1)
@@ -1283,9 +1284,9 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     assert backend.schedule_misses == []
     assert tcp.outputs == sim.outputs and tcp.common_subset == [1, 2, 3, 4]
     assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == \
-        (sim.metrics.messages_sent, sim.metrics.honest_bits) == (4668, 2432232)
+        (sim.metrics.messages_sent, sim.metrics.honest_bits) == (3372, 2266344)
     assert max(tcp.output_times.values()) == pytest.approx(145.052)
-    assert (transport.frames_sent, transport.messages_framed) == (1152, 4668)
+    assert (transport.frames_sent, transport.messages_framed) == (1152, 3372)
     # One session over the run's field: its 2,832 bundle values are 17
     # distinct lines, each parsed once.
     assert transport.modulus == FIELD.modulus

@@ -12,7 +12,7 @@ import pytest
 
 from repro.field import default_field
 from repro.field.polynomial import interpolate_at
-from repro.sharing.shamir import SharedValue, share_secret
+from repro.sharing.shamir import share_secret
 from repro.sim import Simulator, SynchronousNetwork, AsynchronousNetwork, WrongValueBehavior
 from repro.triples.beaver import BeaverMultiplication
 from repro.triples.extraction import TripleExtraction

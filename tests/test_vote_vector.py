@@ -12,6 +12,7 @@ import pytest
 from repro.acs.acs import AgreementOnCommonSubset
 from repro.ba.aba import BrachaABA
 from repro.ba.bobw import BestOfBothWorldsBA
+from repro.ba.sba import DEFAULT_VALUE, PhaseKingSBA, sba_time_bound
 from repro.broadcast.bc import BroadcastProtocol
 from repro.runtime.asyncio_backend import AsyncioBackend
 from repro.runtime.wire import decode_message, encode_message
@@ -135,8 +136,12 @@ def test_a_late_vote_sends_nothing_on_the_vote_broadcasts(monkeypatch):
     late, late_tags = tags_of({4: (2.0, 0, 1)})
     assert late.instances[4].slots[0].vote == 1 and silent.instances[4].slots[0].vote is None
     assert sorted(late_tags) == sorted(silent_tags)
-    assert late.metrics.messages_sent == silent.metrics.messages_sent == 408
-    assert sum(1 for tag in late_tags if tag.startswith("ba/bc@0[")) == 432
+    # 408 = 4 x 81 + 84 messages (432 sends, with the copies to self) while
+    # each of the 4 carriers ran its own phase king: now their 4 Acasts, 27
+    # messages / 36 sends each, and one bank at ba/bc@0/sba, 54 / 72.
+    assert late.metrics.messages_sent == silent.metrics.messages_sent == 246 == 4 * 27 + 54 + 84
+    assert sum(1 for tag in late_tags if tag.startswith("ba/bc@0[")) == 4 * 36
+    assert late_tags.count("ba/bc@0/sba") == 72
     assert not any(tag.startswith("ba/bc[") for tag in late_tags)
 
 
@@ -347,12 +352,13 @@ def _inject(tag_pattern, *forged):
 
 #: The lone slot's ΠABA messages are 1-vectors on the carrier of its launch instant.
 ABA_TAG = r"ba/aba@\d+"
-#: The vote vectors ride the bundles anchored at 0, one carrier per sender.
-SBA_TAG, ACAST_TAG = r"ba/bc@0\[\d\]/sba", r"ba/bc@0\[\d\]/acast"
+#: The vote vectors ride the bundles anchored at 0, one carrier per sender, and
+#: the carriers of that instant share one phase-king bank of n slots.
+SBA_TAG, ACAST_TAG = r"ba/bc@0/sba", r"ba/bc@0\[\d\]/acast"
 
 
 @pytest.mark.parametrize("tag,forged", [
-    pytest.param(SBA_TAG, (1, [1, 2]), id="sba-unhashable-value"),
+    pytest.param(SBA_TAG, (1, ([1, 2],) * 4), id="sba-unhashable-value"),
     pytest.param(SBA_TAG, 5, id="sba-not-a-pair"),
     pytest.param(ABA_TAG, 5, id="aba-not-a-tuple"),
     pytest.param(ABA_TAG, ("bval", [1, 2], (1,)), id="aba-unhashable-round"),
@@ -380,7 +386,7 @@ def test_aba_round_outside_the_schedule_allocates_no_state(forged):
 
 
 def test_sba_round_outside_the_schedule_and_unhashable_king_value_are_absent():
-    forged = [(0, 1), (7, 1), (-1, 1), (True, 1), ("1", 1), (3, [1, 2])]
+    forged = [(r, (1,) * 4) for r in (0, 7, -1, True, "1")] + [(3, ([1, 2],) * 4)]
     for payload in forged:
         result = _run_bank(4, 1, {pid: 1 for pid in range(1, 5)},
                            corrupt=_inject(SBA_TAG, payload))
@@ -390,3 +396,105 @@ def test_sba_round_outside_the_schedule_and_unhashable_king_value_are_absent():
                 if tag.endswith("/sba"):
                     assert set(instance._round_inbox) <= set(range(1, 7))
                     hash(instance.output)
+
+
+def _banks(result, pids):
+    return {pid: result.instances[pid].party.instances["ba/bc@0/sba"] for pid in pids}
+
+
+def _agree_by_t_bgp(result, pids):
+    """Every slot of the bank agrees at the honest ``pids``, output by T_BGP."""
+    banks = _banks(result, pids)
+    assert len({bank.output for bank in banks.values()}) == 1
+    for bank in banks.values():
+        assert bank.has_output and len(bank.output) == 4
+        assert bank.output_time <= bank.start_time + sba_time_bound(4, 1, 1.0) + 1e-9
+        assert all(type(v) is list and len(v) == 4
+                   for inbox in bank._round_inbox.values() for v in inbox.values())
+    return banks[pids[0]].output
+
+
+#: Votes that make every slot of the bank hold a different bundle.
+SLOT_VOTES = {1: [1, 0], 2: [0, 1], 3: [1, 1], 4: [0, 0]}
+
+
+@pytest.fixture(scope="module")
+def clean_bank():
+    """The honest run's ΠBA outputs and bank output."""
+    result = _run_bank(4, 1, SLOT_VOTES, slots=2)
+    return result.honest_outputs(), _agree_by_t_bgp(result, [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("forged", [
+    pytest.param((1, [None] * 4), id="a-list"),
+    pytest.param((1, (None,) * 3), id="too-short"),
+    pytest.param((2, (None,) * 5), id="too-long"),
+    pytest.param((1, None), id="none"),
+    pytest.param((7, (None,) * 4), id="round-past-the-schedule"),
+    pytest.param((0, (None,) * 4), id="round-zero"),
+    pytest.param((1, 2, (None,) * 4), id="a-triple"),
+])
+def test_a_malformed_bank_vector_is_absent_in_every_slot(forged, clean_bank):
+    """P_4's malformed payload ahead of each honest one counts for nothing: its
+    honest vector is the first that counts, and the run is the clean one."""
+    result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt=_inject(SBA_TAG, forged))
+    assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
+    assert _agree_by_t_bgp(result, [1, 2, 3]) == clean_bank[1]
+
+
+@pytest.mark.parametrize("round_index", [1, 2, 3, 4, 5, 6])
+def test_an_unhashable_slot_value_counts_for_nothing_in_that_slot(round_index, clean_bank):
+    """P_4's first payload of the round is a well-formed vector, so it counts,
+    but its unhashable values count in no tally (and, from a king, are the
+    default): every slot still agrees, and the honest slots still win."""
+    forged = (round_index, ([1, 2], None, "__NO_PREF__", {3: 4}))
+    result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt=_inject(SBA_TAG, forged))
+    assert _banks(result, [1])[1]._round_inbox[round_index][4] == list(forged[1])
+    assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
+    assert _agree_by_t_bgp(result, [1, 2, 3])[:3] == clean_bank[1][:3]
+
+
+@pytest.mark.parametrize("king_vector", [
+    pytest.param([0] * 4, id="a-list"),
+    pytest.param((0,) * 3, id="wrong-length"),
+    pytest.param(None, id="none"),
+    pytest.param(([1, 2],) * 4, id="unhashable"),
+])
+def test_a_malformed_king_vector_is_the_default_in_every_slot(king_vector):
+    """A bank of 4 slots on split inputs: P_1, phase 1's king, sends
+    ``king_vector`` as its king round.  Where no candidate is strong the
+    honest parties take ``DEFAULT_VALUE`` from it, phase 2's honest king
+    keeps it, and every slot agrees by T_BGP; the unanimous slot is kept."""
+    inputs = {1: (0, 0, 0, 0), 2: (0, 1, 0, 1), 3: (1, 0, 1, 1), 4: (1, 1, 0, 0)}
+
+    def as_king(tag, payload):
+        return [(tag, (3, king_vector) if payload[0] == 3 else payload)]
+
+    sim = Simulator(4, network=SynchronousNetwork(),
+                    corrupt={1: RewriteBehavior({"sba": as_king})})
+    result = sim.run(lambda party: PhaseKingSBA(party, "sba", faults=1, width=4,
+                                                value=inputs[party.id]), max_time=100.0)
+    assert result.honest_outputs() == {pid: (DEFAULT_VALUE,) * 2 + (0, DEFAULT_VALUE)
+                                       for pid in (2, 3, 4)}
+    for pid in (2, 3, 4):
+        bank = result.instances[pid]
+        assert bank.output_time <= sba_time_bound(4, 1, 1.0)
+        assert (1 in bank._round_inbox.get(3, {})) == (type(king_vector) is tuple
+                                                       and len(king_vector) == 4)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2, 3])
+def test_garbling_one_slot_leaves_every_other_slot_as_in_the_honest_run(slot, clean_bank):
+    """P_4 sends slot ``slot`` of every vector as garbage (another value, or an
+    unhashable one), the other slots as the honest code made them."""
+    def garble(tag, payload):
+        round_index, vector = payload
+        junk = [1, 2] if round_index % 2 else ("forged", round_index)
+        return [(tag, (round_index, vector[:slot] + (junk,) + vector[slot + 1:]))]
+
+    result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt={4: RewriteBehavior({SBA_TAG: garble})})
+    output = _agree_by_t_bgp(result, [1, 2, 3])
+    assert _banks(result, [1])[1]._round_inbox[1][4][slot] == [1, 2]
+    assert [v for s, v in enumerate(output) if s != slot] == [
+        v for s, v in enumerate(clean_bank[1]) if s != slot]
+    assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
