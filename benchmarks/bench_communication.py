@@ -10,14 +10,16 @@ constants are not expected to match the paper (our ΠBGP differs); the
 ``python benchmarks/bench_communication.py`` persists one ``scaling_<label>``
 row per protocol to ``BENCH_communication.json`` and asserts the tolerances.
 Rows measured with this file at an earlier commit's ``src/`` are kept beside
-them: all four with one run of Fig 1 per logical ΠBC as ``@parent_2a4941f``
+them: all four with a phase-king run per ΠBC carrier as ``@parent_2240655``
+(the one bank per anchor instant of ``repro.broadcast.bc`` came after it;
+:data:`PARENT_ROWS`), all four with one run of Fig 1 per logical ΠBC as ``@parent_2a4941f``
 (the broadcast carriers of ``repro.broadcast.bc`` came after it), all four
 with one ΠABA message per slot per step as ``@parent_b8ff26b`` (the ΠABA
 carriers of ``repro.ba.aba`` came after it), all four with a bundle priced as
 the plain tuple it was as ``@parent_a4b1a25`` (``repro.broadcast.acast.Bundle``
 came after it), all four with a ΠABA slot priced at 64 bits as
-``@parent_15b8279`` (the vote vectors on the bundle's vote line came after it;
-:data:`PARENT_ROWS`), ΠWPS/ΠVSS before the verdict-vector ΠBC as
+``@parent_15b8279`` (the vote vectors on the bundle's vote line came after
+it), ΠWPS/ΠVSS before the verdict-vector ΠBC as
 ``@parent_e6099bc``.
 """
 
@@ -43,13 +45,22 @@ SWEEP = [(4, 1), (5, 1), (7, 2)]
 EXPONENT_TOLERANCE = 1.5
 
 #: label -> suffix of the row measured with this file at that commit's
-#: ``src/``.  A ΠABA vote vector priced at 2 bits a slot is the same messages
-#: carrying fewer bits, and a synchronous sweep takes no late path: against
-#: ``@parent_15b8279`` the message counts must be equal and the bits not
-#: higher at any n of the sweep.  (Against ``@parent_b8ff26b`` the ΠABA
-#: vectors took 7-8% of ΠVSS's messages, against ``@parent_2a4941f`` the
-#: carriers half an exponent.)
-PARENT_ROWS = {label: "@parent_15b8279" for label in ("bc", "wps", "vss", "acs")}
+#: ``src/``.  One phase-king bank per anchor instant sends one vector where
+#: each carrier sent its own vote, and a synchronous sweep takes no late path:
+#: against ``@parent_2240655`` neither the messages nor the bits may be higher
+#: at any n of the sweep, except the lone ΠBC's bits (:func:`_lone_bank_bits`).  (Against
+#: ``@parent_15b8279`` the vote vectors were the same messages at fewer
+#: bits, against ``@parent_b8ff26b`` the ΠABA vectors took 7-8% of ΠVSS's
+#: messages, against ``@parent_2a4941f`` the carriers half an exponent.)
+PARENT_ROWS = {label: "@parent_2240655" for label in ("bc", "wps", "vss", "acs")}
+
+
+def _lone_bank_bits(n, t):
+    """What a lone ΠBC's bank adds to its phase king: the n − 1 absent slots
+    of the other senders, 1 bit each, on each of its (t+1)(2n+1)(n−1)
+    messages (2(t+1) rounds from every party and t+1 from a king, to n − 1
+    peers)."""
+    return (n - 1) * (t + 1) * (2 * n + 1) * (n - 1)
 
 
 def _counts(n, factory):
@@ -136,11 +147,18 @@ def main(suffix: str = "") -> None:
         if parent is not None and not suffix:
             # Bits are compared n by n, not by the fit: lowering every point by
             # a lower-order term *raises* the exponent fitted through three small n.
-            assert row["messages_by_n"] == parent["messages_by_n"], (label, row["messages_by_n"])
-            assert all(row["bits_by_n"][n] <= parent["bits_by_n"][n] for n in row["bits_by_n"]), (
-                label, row["bits_by_n"])
-            row["bits_vs_parent_by_n"] = {
-                n: row["bits_by_n"][n] / parent["bits_by_n"][n] for n in row["bits_by_n"]}
+            assert all(row["messages_by_n"][n] <= parent["messages_by_n"][n]
+                       for n in row["messages_by_n"]), (label, row["messages_by_n"])
+            if label == "bc":
+                assert row["bits_by_n"] == {str(n): parent["bits_by_n"][str(n)] + _lone_bank_bits(n, t)
+                                            for n, t in SWEEP}, row["bits_by_n"]
+            else:
+                assert all(row["bits_by_n"][n] <= parent["bits_by_n"][n]
+                           for n in row["bits_by_n"]), (label, row["bits_by_n"])
+            for count in ("messages", "bits"):
+                row[f"{count}_vs_parent_by_n"] = {
+                    n: row[f"{count}_by_n"][n] / parent[f"{count}_by_n"][n]
+                    for n in row[f"{count}_by_n"]}
         record_bench("communication", f"scaling_{label}{suffix}", row)
         print(f"{label:4s} bits ~ n^{row['fitted_bits_exponent']:.2f} "
               f"(paper n^{row['paper_exponent']:.0f}, its formula on this sweep "

@@ -81,15 +81,18 @@ def bundle_message_bound(
     not on L.  By the bundle's price list the two heaviest
     are the verdict vectors of the n ΠWPS under each ΠVSS (2 bits a slot, at
     most t_s of the n a NOK with its 64-bit index and its value) and the
-    (W, E, F) of the ΠWPS the party deals in each ΠVSS (three n-bit sets);
-    the Acast kind or phase-king round number in front costs at most 64 bits.
+    (W, E, F) of the ΠWPS the party deals in each ΠVSS (three n-bit sets).
+    The Acast sends one bundle behind a 64-bit kind, the instant's
+    phase-king bank one vector of the n senders' bundles behind a 64-bit
+    round number: the bank's vector is the heavier.
 
-    A late carrier's entries are no heavier.  The third term is a ΠABA vector
+    A late carrier's entries are no heavier.  The other term is a ΠABA vector
     (:class:`repro.ba.aba.AbaCarrier`): 2 bits per slot launched at one
     instant, at most the n slots of each of the ``sharings`` ``wps_ba`` banks,
     behind a step name and a round number (96 bits).
     """
-    verdicts = sharings * n * (2 * n + ts * (64 + element_bits)) + 64
-    stars = sharings * 3 * n + 64
+    verdicts = sharings * n * (2 * n + ts * (64 + element_bits))
+    stars = sharings * 3 * n
+    bank_vector = n * max(verdicts, stars) + 64
     aba_vector = sharings * n * 2 + 96
-    return max(verdicts, stars, aba_vector) + header_bits
+    return max(bank_vector, aba_vector) + header_bits

@@ -213,19 +213,20 @@ class BroadcastCarrier(ProtocolInstance):
             bank = PhaseKingSBA(self.party, f"{group}/sba", self.faults, delta=self.delta,
                                 width=self.n)
             bank.schedule_at(self.anchor + 3.0 * self.delta + epsilon(self.delta),
-                             lambda: self._start_bank(bank, group))
+                             self._start_bank)
         elif (bank.faults, bank.delta) != (self.faults, self.delta):
             raise CarrierError(f"{self.tag} cannot share {bank!r} (other t/Δ)")
         return bank
 
-    def _start_bank(self, bank: PhaseKingSBA, group: str) -> None:
+    def _start_bank(self) -> None:
         """anchor + 3Δ + ε: slot s is carrier ``[s]``'s Acast output, or ⊥ if
         that carrier does not exist here or its Acast has not delivered."""
+        group = self.tag.rpartition("[")[0]
         carriers = (self.party.get_instance(f"{group}[{s}]") for s in range(1, self.n + 1))
-        bank.provide_input(tuple(
+        self._sba.provide_input(tuple(
             carrier._acast.output if carrier is not None and carrier._acast.has_output
             else None for carrier in carriers))
-        bank.start()
+        self._sba.start()
 
     def _publish(self) -> None:
         """The anchor: inputs due now are given, then all of them ride one Acast."""

@@ -714,10 +714,10 @@ def test_missed_regular_mode_deadlines_stall_crash_sync_only(monkeypatch):
     """
     from repro.broadcast.bc import BroadcastCarrier
 
-    def overrun_start_bank(self, bank, group):
+    def overrun_start_bank(self):
         # The timer fires "late" (after the clock ran ahead of computation),
         # before any Acast delivered: the bank reads ⊥ in every slot.
-        bank.start()
+        self._sba.start()
 
     monkeypatch.setattr(BroadcastCarrier, "_start_bank", overrun_start_bank)
 

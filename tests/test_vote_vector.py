@@ -440,13 +440,17 @@ def test_a_malformed_bank_vector_is_absent_in_every_slot(forged, clean_bank):
     result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt=_inject(SBA_TAG, forged))
     assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
     assert _agree_by_t_bgp(result, [1, 2, 3]) == clean_bank[1]
+    for bank in _banks(result, [1, 2, 3]).values():
+        # Every Acast delivered in time and every slot is unanimous: no vote of
+        # rounds 1-2, P_4's included, holds ⊥.
+        assert all(None not in bank._round_inbox[r][pid] for r in (1, 2) for pid in range(1, 5))
 
 
 @pytest.mark.parametrize("round_index", [1, 2, 3, 4, 5, 6])
 def test_an_unhashable_slot_value_counts_for_nothing_in_that_slot(round_index, clean_bank):
     """P_4's first payload of the round is a well-formed vector, so it counts,
-    but its unhashable values count in no tally (and, from a king, are the
-    default): every slot still agrees, and the honest slots still win."""
+    but its unhashable values count in no tally: every slot still agrees, and
+    the honest senders' slots decide as in the clean run."""
     forged = (round_index, ([1, 2], None, "__NO_PREF__", {3: 4}))
     result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt=_inject(SBA_TAG, forged))
     assert _banks(result, [1])[1]._round_inbox[round_index][4] == list(forged[1])
