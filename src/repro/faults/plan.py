@@ -55,16 +55,19 @@ on the wire over sockets (the receiving side then only queues it).
   message, and :meth:`FaultGate.flush`.  A message held *for* a crashed
   party is discarded.
 * **Reordering (adjacent swap).**  A ``hold`` decision parks the message
-  until the **next hand-out to the same recipient** within its instant --
-  whatever that is -- or the end of the instant's hand-outs, whichever
-  comes first.  The held message is released behind a delivered message,
-  after a dropped one, and behind a self-delivery alike; at most one
+  until the **next hand-out to the same recipient** -- whatever that is.
+  The held message is released behind a delivered message, after a dropped
+  one, and (in one process) behind a self-delivery alike; at most one
   message per recipient is held at a time, and :meth:`FaultGate.flush`
-  releases every hold once the instant's deliveries are over, before its
-  timers run (in one process), or at the end of the instant's envelope
-  (over sockets).  A held message thus arrives at the instant it was due,
-  only behind its neighbours, which is why reordering does not break
-  synchrony (:meth:`FaultPlan.breaks_synchrony`).
+  releases every hold once nothing more is queued (over sockets: once the
+  transport is quiescent).  On a synchronous network a hold also never
+  outlives its instant: the flush comes once the instant's deliveries are
+  over, before its timers run (in one process), or at the end of the
+  instant's envelope (over sockets).  There a held message arrives at the
+  instant it was due, only behind its neighbours, which is why reordering
+  does not break synchrony (:meth:`FaultPlan.breaks_synchrony`); on an
+  asynchronous network, where each copy is due at an instant of its own,
+  it waits for the next hand-out, a delay like any other.
 * **Duplication.**  The duplicate is handed out right behind the original
   (protocols must be idempotent).
 * **Drops** lose the message outright; dropping honest messages violates

@@ -138,12 +138,15 @@ class AsyncioBackend(Simulator):
             item()
         elif item.recipient not in self.crashed:
             # An arrival (the gate ran over it at the sender) or a
-            # self-delivery (never faulted; nothing is held between envelopes).
+            # self-delivery (never faulted, and over sockets not a hand-out
+            # that releases a hold: :meth:`_send`).
             self._deliver(item)
 
     def _send(self) -> None:
         """The instant is over: what it sent leaves, through the gate, as one
-        envelope; a message the gate held goes at the envelope's end."""
+        envelope.  On a synchronous network a message the gate held goes at
+        the envelope's end; on an asynchronous one it waits for the next
+        message to its recipient, or for quiescence (:meth:`drive`)."""
         envelope, self._outbox = self._outbox, []
         gate = self._gate
         wire = []
@@ -152,7 +155,7 @@ class AsyncioBackend(Simulator):
                 wire += gate.admit(message, (message, due))
             elif message.recipient not in self.crashed:
                 wire.append((message, due))
-        if gate is not None:
+        if gate is not None and self.network.is_synchronous:
             wire += gate.flush()
         self.transport.send(wire)
 
@@ -230,8 +233,16 @@ class AsyncioBackend(Simulator):
                 ):
                     self._send()
                 if not pending or (max_time is not None and pending[0][0] > max_time):
-                    if transport is None or transport.quiescent():
+                    if transport is None:
                         return
+                    if transport.quiescent():
+                        # Quiescing: a held message goes, so a fault cannot
+                        # strand the tail of an otherwise-live execution.
+                        held = [] if self._gate is None else self._gate.flush()
+                        if not held:
+                            return
+                        transport.send(held)
+                        continue
                     # A socket may still bring work due before max_time.
                     now = self._loop.time()
                     until = now + _IDLE_POLL_S

@@ -207,15 +207,16 @@ class Simulator(PartyRuntime, ExecutionBackend):
 
     def _gated_step(self, is_timer: bool, item: Any) -> None:
         """:meth:`step` under a fault plan: the gate hands each message out,
-        and what it still holds goes once the instant's deliveries are over,
-        before its timers."""
+        and what it still holds goes once the queue has drained -- on a
+        synchronous network already once the instant's deliveries are over,
+        before its timers, so a hold never outlives Δ."""
         if is_timer:
             item()
         else:
             for message in self._gate.admit(item):
                 self._deliver(message)
         keys = self._queue.keys
-        if not keys or keys[0] != (self.now, MESSAGE):
+        if not keys or (self.network.is_synchronous and keys[0] != (self.now, MESSAGE)):
             for message in self._gate.flush():
                 self._deliver(message)
 

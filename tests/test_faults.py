@@ -54,6 +54,7 @@ from repro.faults.campaign import (
 from repro.faults.plan import DELIVER, DROP, DUPLICATE, HOLD
 from repro.runtime import AsyncioBackend
 from repro.runtime.tcp_transport import TcpTransport
+from repro.sim import AsynchronousNetwork
 from repro.sim.party import ProtocolInstance
 from repro.sim.simulator import Simulator
 
@@ -341,16 +342,17 @@ def test_fault_plan_replays_identically_over_tcp_acast():
 # -- the move pinned: one plan, one run, on either backend --------------------
 
 #: Plans A, B and C: outputs, output instants, sent / delivered messages,
-#: honest bits, events and decisions.  A hold goes at the end of its
-#: instant's deliveries, so a reorder never delays a message past its
-#: instant: C, a crash plus reorders, outputs at 147.052 like the crash alone.
-#: The carriers of an instant share one phase-king bank (``repro.broadcast.bc``).
+#: honest bits, events and decisions.  On the synchronous network of A and C
+#: a hold goes at the end of its instant's deliveries, so a reorder never
+#: delays a message past its instant: C, a crash plus reorders, outputs at
+#: 147.052 like the crash alone.  On B's asynchronous network a hold waits
+#: for the next hand-out to its recipient.
 PINNED_PLANS = {
     "A": (lambda: FaultPlan(seed=1, link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
           True, ([360], {145.052}, 3378, 4465, 2267424, 5575, 3377)),
     "B": (lambda: FaultPlan(seed=11, link_faults=[
               LinkFault(duplicate=0.15, reorder=0.15, drop=0.05)]),
-          False, (None, set(), 7608, 10506, 2750802, 11392, 7608)),
+          False, (None, set(), 8031, 11099, 2834793, 11975, 8031)),
     "C": (lambda: FaultPlan(seed=3, process_faults=[
               ProcessFault(party=4, sim_time=5.0)],
               link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
@@ -420,6 +422,39 @@ def test_a_reorder_hold_does_not_outlive_its_instant(seed, reorder):
     result = _pinned_run("sim", plan, True)
     assert [int(v) for v in result.outputs] == [0]
     assert {round(time, 3) for time in result.output_times.values()} == {147.052}
+
+
+class _TimedStream(_ScriptedStream):
+    """The scripted stream, each delivery recorded with its instant."""
+
+    def receive(self, sender, payload):
+        self.got.setdefault(self.me, []).append((self.now, payload))
+
+
+def test_an_asynchronous_reorder_hold_waits_for_the_next_hand_out():
+    """On an asynchronous network every copy is due at an instant of its own,
+    so a hold is not released at the end of its instant: it waits for the
+    next hand-out to its recipient, arrives later than it was due and
+    behind a message due after it -- the same messages, in another order."""
+    def stream(faults):
+        got = {}
+        Simulator(3, network=AsynchronousNetwork(), seed=1, faults=faults).run(
+            lambda party: _TimedStream(party, "chaos", got),
+            wait_for_all_honest=False, max_time=100.0)
+        return got
+
+    plan = FaultPlan(seed=2, link_faults=[LinkFault(reorder=0.3)])
+    clean, reordered = stream(None), stream(plan)
+    assert any(cause == HOLD for cause, *_ in plan.log)
+    due = {payload: time for got in clean.values() for time, payload in got}
+    late = [payload for got in reordered.values() for time, payload in got
+            if time > due[payload]]
+    assert late
+    for pid in (1, 2, 3):
+        order = [payload for _, payload in reordered[pid]]
+        assert sorted(order) == sorted(payload for _, payload in clean[pid])
+    assert any([payload for _, payload in reordered[pid]]
+               != [payload for _, payload in clean[pid]] for pid in (1, 2, 3))
 
 
 # -- campaigns vs the guarantee table ----------------------------------------
