@@ -10,23 +10,22 @@ We implement the classical (non-recursive) multi-valued phase-king protocol,
 which provides exactly that interface with T_BGP = 3 * (t + 1) * Delta.  The
 substitution is listed under "Deviations from the paper" in README.md.
 
-As built: a bank of slots, one vector per round
------------------------------------------------
+As built: a bank of n slots, one vector per round
+-------------------------------------------------
 
-A :class:`PhaseKingSBA` of ``width`` k runs k phase-king instances on one
-schedule -- the same round instants and the same king per phase -- and each
-party sends one ``(round, (v_1, ..., v_k))`` per round instead of k
-``(round, v_s)``.  Tallies, candidate, strong flag and king value are kept
-per slot, and slot s's decision reads the s-th components alone, so each
-slot is a run of the protocol above (the argument for ΠBC's n-slot bank is
-in :mod:`repro.broadcast.bc`).  Input and output are k-tuples.  ``width=None``
-is the textbook single instance: its vector is the bare value, on the wire
-and as input and output.
+A :class:`PhaseKingSBA` runs n phase-king instances on one schedule -- the
+same round instants and the same king per phase -- and each party sends one
+``(round, (v_1, ..., v_n))`` per round instead of n ``(round, v_s)``.
+Tallies, candidate, strong flag and king value are kept per slot, and slot
+s's decision reads the s-th components alone, so each slot is a run of the
+protocol above (the argument for ΠBC's bank, slot s for sender s, is in
+:mod:`repro.broadcast.bc`).  Input and output are n-tuples; an input that
+is not one is ⊥ (``None``) in every slot.
 
 What other parties send passes one total parser
 (:meth:`PhaseKingSBA.receive`): a payload that is not ``(round, vector)``
-with the round one of this instance's own 3(t+1) and the vector a tuple of
-width k is absent in every slot; the first payload per (sender, round)
+with the round one of this instance's own 3(t+1) and the vector an n-tuple
+is absent in every slot; the first payload per (sender, round)
 counts.  A slot value nobody could tally because it is unhashable counts
 for nothing in that slot (:func:`_tally`); an absent or unhashable king
 value is :data:`DEFAULT_VALUE` (:meth:`PhaseKingSBA._end_round_three`), so
@@ -63,8 +62,8 @@ def _tally(values) -> Dict[Any, int]:
 
 
 class PhaseKingSBA(ProtocolInstance):
-    """Multi-valued phase-king Byzantine agreement for t < n/3, on ``width``
-    slots at once (module docstring; ``None``: one instance on a bare value).
+    """Multi-valued phase-king Byzantine agreement for t < n/3, on n slots at
+    once (module docstring).
 
     All parties must start the instance at the same local time (the caller
     controls this; ΠBC starts its bank at local time 3Δ + ε).  Rounds are
@@ -81,20 +80,17 @@ class PhaseKingSBA(ProtocolInstance):
         faults: int,
         value: Any = None,
         delta: Optional[float] = None,
-        width: Optional[int] = None,
     ):
         super().__init__(party, tag)
         self.faults = faults
         self.delta = delta if delta is not None else party.delta
-        self.width = width
         self.value = value
-        #: round -> sender -> that sender's slot values, a list of the width.
+        #: round -> sender -> that sender's n slot values, as a list.
         self._round_inbox: Dict[int, Dict[int, List[Any]]] = {}
         self._last_round = 3 * (faults + 1)
-        slots = 1 if width is None else width
-        self._values: List[Any] = [None] * slots
-        self._strong = [False] * slots
-        self._candidate: List[Any] = [NO_PREFERENCE] * slots
+        self._values: List[Any] = [None] * self.n
+        self._strong = [False] * self.n
+        self._candidate: List[Any] = [NO_PREFERENCE] * self.n
         self._started = False
 
     # -- input --------------------------------------------------------------
@@ -103,15 +99,10 @@ class PhaseKingSBA(ProtocolInstance):
 
     # -- vectors ----------------------------------------------------------------
     def _slots(self, vector: Any) -> Optional[List[Any]]:
-        """The slot values of a vector, or ``None`` if it is not one of my width."""
-        if self.width is None:
-            return [vector]
-        if type(vector) is tuple and len(vector) == self.width:
+        """The slot values of a vector, or ``None`` if it is not an n-tuple."""
+        if type(vector) is tuple and len(vector) == self.n:
             return list(vector)
         return None
-
-    def _vector(self, slots: List[Any]) -> Any:
-        return slots[0] if self.width is None else tuple(slots)
 
     # -- round bookkeeping ----------------------------------------------------
     @property
@@ -135,12 +126,12 @@ class PhaseKingSBA(ProtocolInstance):
         self.schedule_at(self.start_time + round_one * self.delta, lambda: self._end_round_one(phase))
 
     def _send_round(self, round_index: int, slots: List[Any]) -> None:
-        self.send_all((round_index, self._vector(slots)))
+        self.send_all((round_index, tuple(slots)))
 
     def _columns(self, round_index: int):
         """Per slot, the values received for ``round_index``."""
         received = self._round_inbox.get(round_index, {})
-        return zip(*received.values()) if received else ((),) * len(self._values)
+        return zip(*received.values()) if received else ((),) * self.n
 
     def receive(self, sender: int, payload: Any) -> None:
         try:
@@ -196,7 +187,7 @@ class PhaseKingSBA(ProtocolInstance):
 
     def _end_round_three(self, phase: int) -> None:
         received = self._round_inbox.get(self._round_index(phase, 3), {})
-        king_values = received.get(self._king_for(phase)) or [DEFAULT_VALUE] * len(self._values)
+        king_values = received.get(self._king_for(phase)) or [DEFAULT_VALUE] * self.n
         for slot, king_value in enumerate(king_values):
             try:
                 hash(king_value)
@@ -208,6 +199,6 @@ class PhaseKingSBA(ProtocolInstance):
             strong = self._strong[slot] and candidate != NO_PREFERENCE
             self._values[slot] = candidate if strong else king_value
         if phase >= self.total_phases:
-            self.set_output(self._vector(self._values))
+            self.set_output(tuple(self._values))
         else:
             self._begin_phase(phase + 1)

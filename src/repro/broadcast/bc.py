@@ -210,8 +210,7 @@ class BroadcastCarrier(ProtocolInstance):
         group = self.tag.rpartition("[")[0]
         bank = self.party.get_instance(f"{group}/sba")
         if bank is None:
-            bank = PhaseKingSBA(self.party, f"{group}/sba", self.faults, delta=self.delta,
-                                width=self.n)
+            bank = PhaseKingSBA(self.party, f"{group}/sba", self.faults, delta=self.delta)
             bank.schedule_at(self.anchor + 3.0 * self.delta + epsilon(self.delta),
                              self._start_bank)
         elif (bank.faults, bank.delta) != (self.faults, self.delta):

@@ -155,7 +155,7 @@ def test_the_carriers_of_one_instant_share_one_phase_king_bank():
     for pid, root in result.instances.items():
         assert root.output == {1: "from 1", 2: "from 2", 4: "from 4"}
         (bank,) = _instances(result, PhaseKingSBA)[pid]
-        assert bank.tag == "root/bc@0/sba" and bank.width == N
+        assert bank.tag == "root/bc@0/sba"
         carriers = {c.sender: c for c in _instances(result, BroadcastCarrier)[pid]}
         assert sorted(carriers) == [1, 2, 4]
         assert bank.output == tuple(

@@ -476,7 +476,7 @@ def test_a_malformed_king_vector_is_the_default_in_every_slot(king_vector):
 
     sim = Simulator(4, network=SynchronousNetwork(),
                     corrupt={1: RewriteBehavior({"sba": as_king})})
-    result = sim.run(lambda party: PhaseKingSBA(party, "sba", faults=1, width=4,
+    result = sim.run(lambda party: PhaseKingSBA(party, "sba", faults=1,
                                                 value=inputs[party.id]), max_time=100.0)
     assert result.honest_outputs() == {pid: (DEFAULT_VALUE,) * 2 + (0, DEFAULT_VALUE)
                                        for pid in (2, 3, 4)}
