@@ -16,6 +16,7 @@ from repro.analysis.metrics import (
     per_round_bits,
     max_round_bits,
     max_message_bits,
+    bank_message_bound,
     bundle_message_bound,
     sibling_sharings,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "per_round_bits",
     "max_round_bits",
     "max_message_bits",
+    "bank_message_bound",
     "bundle_message_bound",
     "sibling_sharings",
 ]

@@ -73,7 +73,9 @@ def sibling_sharings(n: int, offline: str = "tripsh", inputs: bool = True) -> in
 def bundle_message_bound(
     n: int, ts: int, sharings: int, element_bits: int, header_bits: int = 64
 ) -> int:
-    """Upper bound on any message an honest party sends on a carrier's tags.
+    """Upper bound on any message an honest party sends on a carrier's own
+    tags (its Acast, its late carriers, a ΠABA carrier); the phase-king bank
+    the carriers of an instant share is :func:`bank_message_bound`.
 
     All ΠBCs one party owes at one instant ride one bundle
     (:mod:`repro.broadcast.bc`), whose size depends on n and on ``sharings``,
@@ -81,18 +83,29 @@ def bundle_message_bound(
     not on L.  By the bundle's price list the two heaviest
     are the verdict vectors of the n ΠWPS under each ΠVSS (2 bits a slot, at
     most t_s of the n a NOK with its 64-bit index and its value) and the
-    (W, E, F) of the ΠWPS the party deals in each ΠVSS (three n-bit sets).
-    The Acast sends one bundle behind a 64-bit kind, the instant's
-    phase-king bank one vector of the n senders' bundles behind a 64-bit
-    round number: the bank's vector is the heavier.
+    (W, E, F) of the ΠWPS the party deals in each ΠVSS (three n-bit sets);
+    the Acast kind in front costs at most 64 bits.
 
-    A late carrier's entries are no heavier.  The other term is a ΠABA vector
+    A late carrier's entries are no heavier.  The third term is a ΠABA vector
     (:class:`repro.ba.aba.AbaCarrier`): 2 bits per slot launched at one
     instant, at most the n slots of each of the ``sharings`` ``wps_ba`` banks,
     behind a step name and a round number (96 bits).
     """
+    aba_vector = sharings * n * 2 + 96
+    return max(_bundle_bits(n, ts, sharings, element_bits) + 64, aba_vector) + header_bits
+
+
+def bank_message_bound(
+    n: int, ts: int, sharings: int, element_bits: int, header_bits: int = 64
+) -> int:
+    """Upper bound on a phase-king bank vector (``<root>/bc@<ticks>/sba``):
+    one slot per sender, each at most a bundle (:func:`bundle_message_bound`,
+    without the Acast kind), behind a 64-bit round number."""
+    return n * _bundle_bits(n, ts, sharings, element_bits) + 64 + header_bits
+
+
+def _bundle_bits(n: int, ts: int, sharings: int, element_bits: int) -> int:
+    """The heavier of a bundle's verdict vectors and its (W, E, F) sets."""
     verdicts = sharings * n * (2 * n + ts * (64 + element_bits))
     stars = sharings * 3 * n
-    bank_vector = n * max(verdicts, stars) + 64
-    aba_vector = sharings * n * 2 + 96
-    return max(bank_vector, aba_vector) + header_bits
+    return max(verdicts, stars)

@@ -79,11 +79,7 @@ def test_late_bc_input_builds_the_acast_at_the_sender_then_at_each_receiver_and_
 #: how many of those.  Which verdicts go late, how many, and every output instant
 #: are those of the per-pair Acasts (one per verdict and per star2: 3,549 /
 #: 547,041 and 7,672 / 1,204,972 at 27 and 44 messages each); now every
-#: (sender's carrier, instant) is one numbered Acast.  With a phase-king run
-#: per ΠBC carrier it was 2,730 / 359,658 and 5,420 / 740,160, and 37 late
-#: carriers at n = 5: the network draws fewer delays now, and the same 82
-#: late verdicts leave at 36 flush instants (the anchor-3,000 carriers of P_2,
-#: P_3, P_5 flush 5, 6, 6 times where they flushed 6, 5, 7).
+#: (sender's carrier, instant) is one numbered Acast.
 ASYNC_VSS = [
     pytest.param(4, 1, 0, 41, 1_944, 267_075, 30, 56, {1: 9, 2: 11, 3: 12, 4: 12}, id="n4"),
     pytest.param(5, 1, 1, 42, 3_608, 525_880, 36, 82, {1: 11, 2: 9, 3: 18, 4: 8, 5: 16},

@@ -71,17 +71,16 @@ def test_sync_product_all_honest(monkeypatch):
     # each one Acast of 27 messages; the 4 carriers of an instant share one
     # phase-king bank, 54 messages of 4-vectors; the rest is point-to-point
     # (1,836) and ΠABA: the 144 slots per party launch at 4 instants and speak
-    # in 20 vectors, each to 3 peers.  It was 4,668 / 2,432,232 bits with a
-    # phase-king run per carrier (81 messages per carrier), 11,916 /
-    # 15,781,608 with 13 messages per slot per party, and 70,560 / 22,732,008
-    # with one run of Fig 1 per logical ΠBC on top.  The bits: a sender's 8
+    # in 20 vectors, each to 3 peers.  It was 11,916 / 15,781,608 bits with 13
+    # messages per slot per party, and 70,560 / 22,732,008 with one run of
+    # Fig 1 per logical ΠBC on top.  The bits: a sender's 8
     # bundles cost 1,608 bits by the price list of ``Bundle`` (38,136 as plain
     # tuples: 14,731,560 in all), each sent 81 times, and the 240 ΠABA
     # vectors' 7,488 slots 2 bits each on its vote line (64 as plain ints:
     # 2,896,488 in all, and the 96-slot vector was the heaviest message at
-    # 96 * 64 + 160); a bank's 432 vectors each save 3 x (64-bit header +
-    # 64-bit round) of the four per-carrier messages they replace.  The
-    # heaviest is now a dealer's 27 rows of 2 coefficients.
+    # 96 * 64 + 160), less the 432 bank vectors' 3 x (64-bit header + 64-bit
+    # round): one header and one round carry 4 slots.  The heaviest is a
+    # dealer's 27 rows of 2 coefficients.
     assert result.metrics.messages_sent == 3_372 == 27 * 32 + 54 * 8 + 1_836 + 20 * 3 * 4
     assert result.metrics.honest_bits == 2_266_344 == (
         14_731_560 - 81 * 4 * (38_136 - 1_608) - (64 - 2) * 7_488 - 432 * 3 * 128)
@@ -113,10 +112,9 @@ def test_sync_product_all_honest(monkeypatch):
         assert sorted(b.tag for b in banks) == sorted(
             {c.tag.rpartition("[")[0] + "/sba" for c in carriers})
         assert len(banks) == 8 and all(len(b.output) == 4 for b in banks)
-    # 4,924 before the ΠABA carriers (16), and 128 phase-king runs before the
-    # 32 banks.
+    # The ΠABA carriers (16) and the phase-king banks (32) on top of the rest.
     instances = sum(len(p.instances) for p in result.run.backend.parties.values())
-    assert instances == 4_844 == 4_924 + 16 - 128 + 32
+    assert instances == 4_844 == 4_796 + 16 + 32
 
 
 #: The tag of a late carrier, ``<carrier>/late[k]``.
@@ -154,8 +152,6 @@ def test_async_product_him_late_carriers(monkeypatch):
         assert sum(1 if type(entry[0]) is frozenset else sum(s is not None for s in entry)
                    for entry in entries) == 820
     assert on_late[True] == 44 * 41 == acast * 41
-    # 8,248 / 3,024,360 with a phase-king run per carrier (35 at each party,
-    # 88 messages each), now one bank per anchor instant (7).
     assert result.metrics.messages_sent == 5_808 == on_late[False] + 44 * 41
     assert result.metrics.honest_bits == 2_749_136
 

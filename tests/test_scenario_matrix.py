@@ -24,7 +24,7 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis.metrics import bundle_message_bound, sibling_sharings
+from repro.analysis.metrics import bank_message_bound, bundle_message_bound, sibling_sharings
 from repro.field import default_field
 from repro.field.polynomial import interpolate_at
 from repro.sim.simulator import SimulationMetrics
@@ -176,21 +176,29 @@ def run_preprocessing(scenario: Scenario):
 
 
 def heaviest_messages(run):
-    """``run()``'s result, its largest message on a carrier's tags (a broadcast
-    bundle, ``repro.broadcast.bc``, or a ΠABA vector, ``repro.ba.aba``: sized by n
-    and the siblings per instant) and its largest on any other tag."""
-    heaviest = {True: 0, False: 0}
+    """``run()``'s result, its largest message on a carrier's own tags (a
+    broadcast bundle, ``repro.broadcast.bc``, or a ΠABA vector,
+    ``repro.ba.aba``: sized by n and the siblings per instant), its largest
+    on a phase-king bank's (``<root>/bc@<ticks>/sba``: n bundles) and its
+    largest on any other tag."""
+    heaviest = {"carrier": 0, "bank": 0, "other": 0}
     record = SimulationMetrics.record_send
 
     def recording(metrics, message, *args, **kwargs):
-        on_carrier = "/bc@" in message.tag or "/aba@" in message.tag
-        heaviest[on_carrier] = max(heaviest[on_carrier], message.bits)
+        tag = message.tag
+        if "/bc@" in tag and tag.endswith("/sba"):
+            kind = "bank"
+        elif "/bc@" in tag or "/aba@" in tag:
+            kind = "carrier"
+        else:
+            kind = "other"
+        heaviest[kind] = max(heaviest[kind], message.bits)
         return record(metrics, message, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SimulationMetrics, "record_send", recording)
         result = run()
-    return result, heaviest[True], heaviest[False]
+    return result, heaviest["carrier"], heaviest["bank"], heaviest["other"]
 
 
 def canonical_outputs(result) -> Dict[int, list]:
@@ -334,22 +342,24 @@ def dealer_row_bound(polynomials: int, ts: int, header_bits: int = 64) -> int:
 def test_heaviest_messages_are_bounded(offline):
     """The heaviest message is a dealer's rows, bounded by the size of the
     dealt bank; whatever a carrier sends (a broadcast bundle or a ΠABA
-    vector) is bounded by :func:`bundle_message_bound`, which depends on n
-    and the sibling sharings per instant, not on the bank."""
+    vector) is bounded by :func:`bundle_message_bound`, and a phase-king
+    bank's vector by :func:`bank_message_bound`, both of which depend on n
+    and the sibling sharings per instant, not on the dealt bank."""
     scenario = Scenario(4, 1, 0, "honest", "sync", num_triples=3, offline=offline)
-    result, bundle, payload = heaviest_messages(lambda: run_preprocessing(scenario))
+    result, bundle, bank, payload = heaviest_messages(lambda: run_preprocessing(scenario))
     if offline == "tripsh":
         per_dealer = triples_per_dealer(4, 1, 3)
         assert per_dealer >= 3  # a real bank: several triples per dealer
         polynomials = per_dealer * 3 * (2 * 1 + 1)
     else:
         polynomials = him_slots(4, 1, 3) * POLYNOMIALS_PER_SLOT
-    bundle_bound = bundle_message_bound(
-        4, 1, sibling_sharings(4, offline, inputs=False), FIELD.element_bits())
-    assert 0 < bundle <= bundle_bound
+    sharings = sibling_sharings(4, offline, inputs=False)
+    assert 0 < bundle <= bundle_message_bound(4, 1, sharings, FIELD.element_bits())
+    assert bundle < bank <= bank_message_bound(4, 1, sharings, FIELD.element_bits())
     # One n = 7, t_s = 2 evaluation measured 6,302 bits on a carrier (a
-    # verdict bundle).
+    # verdict bundle) and 43,346 on a phase-king bank (seven bundles).
     assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 6_302
+    assert bank_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 43_346
     assert bundle < payload <= dealer_row_bound(polynomials, 1)
     assert result.metrics.max_message_bits == payload
     assert triples_are_valid(result, 1)

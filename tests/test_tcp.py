@@ -1273,8 +1273,7 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     every handler runs late, yet the frames to the process's own parties
     land before anything else is handed out, so the evaluation takes the
     simulator's path -- 3,372 messages, 2,266,344 bits, output at 145.052 Δ
-    -- in 1,152 frames, one per channel per instant a party sends on it (4,668
-    messages in as many frames while each ΠBC carrier ran its own phase king)."""
+    -- in 1,152 frames, one per channel per instant a party sends on it."""
     circuit = multiplication_circuit(FIELD, n_parties=4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
     sim = run_mpc(circuit, inputs, n=4, ts=1, ta=0, seed=1)
@@ -1322,8 +1321,7 @@ def test_multiprocess_evaluation_frames_carry_several_messages_each():
     """The count guard on the ``tcp_n4_tripsh`` shape: four party processes,
     one frame per channel per instant a party sends on it, not one per
     message.  With no schedule miss it is the simulator's evaluation: 3,372
-    messages in 1,152 frames (~3 each; 4,668, ~4 each, while each ΠBC carrier
-    ran its own phase king).  While the real clock stamped wall
+    messages in 1,152 frames (~3 each).  While the real clock stamped wall
     time it was ~2,000-2,400 frames for 5,700-9,200 messages (2.5-4 each),
     the late carriers' fallback included, and 19-23 each before them."""
     circuit = multiplication_circuit(FIELD, n_parties=4)
