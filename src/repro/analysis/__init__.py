@@ -16,7 +16,6 @@ from repro.analysis.metrics import (
     per_round_bits,
     max_round_bits,
     max_message_bits,
-    bank_message_bound,
     bundle_message_bound,
     sibling_sharings,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "per_round_bits",
     "max_round_bits",
     "max_message_bits",
-    "bank_message_bound",
     "bundle_message_bound",
     "sibling_sharings",
 ]

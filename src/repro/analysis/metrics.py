@@ -74,8 +74,8 @@ def bundle_message_bound(
     n: int, ts: int, sharings: int, element_bits: int, header_bits: int = 64
 ) -> int:
     """Upper bound on any message an honest party sends on a carrier's own
-    tags (its Acast, its late carriers, a ΠABA carrier); the phase-king bank
-    the carriers of an instant share is :func:`bank_message_bound`.
+    tags (its Acast, its late carriers, the phase-king bank of its instant, a
+    ΠABA carrier).
 
     All ΠBCs one party owes at one instant ride one bundle
     (:mod:`repro.broadcast.bc`), whose size depends on n and on ``sharings``,
@@ -89,23 +89,11 @@ def bundle_message_bound(
     A late carrier's entries are no heavier.  The third term is a ΠABA vector
     (:class:`repro.ba.aba.AbaCarrier`): 2 bits per slot launched at one
     instant, at most the n slots of each of the ``sharings`` ``wps_ba`` banks,
-    behind a step name and a round number (96 bits).
+    behind a step name and a round number (96 bits).  It also covers a
+    phase-king bank vector (``<root>/bc@<ticks>/sba``, :mod:`repro.ba.sba`):
+    n votes at 2 bits a slot behind a 64-bit round number.
     """
-    aba_vector = sharings * n * 2 + 96
-    return max(_bundle_bits(n, ts, sharings, element_bits) + 64, aba_vector) + header_bits
-
-
-def bank_message_bound(
-    n: int, ts: int, sharings: int, element_bits: int, header_bits: int = 64
-) -> int:
-    """Upper bound on a phase-king bank vector (``<root>/bc@<ticks>/sba``):
-    one slot per sender, each at most a bundle (:func:`bundle_message_bound`,
-    without the Acast kind), behind a 64-bit round number."""
-    return n * _bundle_bits(n, ts, sharings, element_bits) + 64 + header_bits
-
-
-def _bundle_bits(n: int, ts: int, sharings: int, element_bits: int) -> int:
-    """The heavier of a bundle's verdict vectors and its (W, E, F) sets."""
     verdicts = sharings * n * (2 * n + ts * (64 + element_bits))
     stars = sharings * 3 * n
-    return max(verdicts, stars)
+    aba_vector = sharings * n * 2 + 96
+    return max(max(verdicts, stars) + 64, aba_vector) + header_bits

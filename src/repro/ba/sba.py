@@ -6,43 +6,50 @@ for t < n/3, all honest parties output by a publicly-known time T_BGP in a
 synchronous network, and in an asynchronous network all honest parties still
 output *something* by local time T_BGP (guaranteed liveness only).
 
-We implement the classical (non-recursive) multi-valued phase-king protocol,
-which provides exactly that interface with T_BGP = 3 * (t + 1) * Delta.  The
+We implement the classical (non-recursive) phase-king protocol, which
+provides exactly that interface with T_BGP = 3 * (t + 1) * Delta.  The
 substitution is listed under "Deviations from the paper" in README.md.
 
-As built: a bank of n slots, one vector per round
--------------------------------------------------
+As built: a binary bank of n slots, one vector per round
+--------------------------------------------------------
 
-A :class:`PhaseKingSBA` runs n phase-king instances on one schedule -- the
-same round instants and the same king per phase -- and each party sends one
-``(round, (v_1, ..., v_n))`` per round instead of n ``(round, v_s)``.
-Tallies, candidate, strong flag and king value are kept per slot, and slot
-s's decision reads the s-th components alone, so each slot is a run of the
-protocol above (the argument for ΠBC's bank, slot s for sender s, is in
-:mod:`repro.broadcast.bc`).  Input and output are n-tuples; an input that
-is not one is ⊥ (``None``) in every slot.
+ΠBC only asks its SBA to confirm a value the party already holds, so each
+instance agrees on one bit (:mod:`repro.broadcast.bc` says which, and why
+that suffices).  Binary phase king is the multi-valued protocol on the
+domain {0, 1}: "no preference" is ``None`` and the king's default is
+:data:`DEFAULT_BIT`.
+
+A :class:`PhaseKingSBA` runs n such instances on one schedule -- the same
+round instants and the same king per phase -- and each party sends one
+``(round, Bundle(((v_1, ..., v_n),), n))`` per round instead of n
+``(round, v_s)``: the votes ride a bundle's vote line at 2 bits a slot, as
+the ΠABA carriers' vectors do (:mod:`repro.ba.aba`).  Tallies, candidate,
+strong flag and king value are kept per slot, and slot s's decision reads
+the s-th components alone, so each slot is a run of the protocol above.
+Input and output are n-tuples of bits; an input that is not one is 0 in
+every slot.
 
 What other parties send passes one total parser
-(:meth:`PhaseKingSBA.receive`): a payload that is not ``(round, vector)``
-with the round one of this instance's own 3(t+1) and the vector an n-tuple
-is absent in every slot; the first payload per (sender, round)
-counts.  A slot value nobody could tally because it is unhashable counts
-for nothing in that slot (:func:`_tally`); an absent or unhashable king
-value is :data:`DEFAULT_VALUE` (:meth:`PhaseKingSBA._end_round_three`), so
-an absent king vector is ``DEFAULT_VALUE`` in every slot.
+(:meth:`PhaseKingSBA.receive`): a payload that is not ``(round, vector)``,
+with the round one of this instance's own 3(t+1) and the vector a
+:class:`~repro.broadcast.acast.Bundle` of one n-slot line over {``None``,
+0, 1} (exact types: ``True`` is not a vote), is absent in every slot; the
+first payload per (sender, round) counts.  An absent king vector, or a
+``None`` king slot, is :data:`DEFAULT_BIT`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.broadcast.acast import Bundle
 from repro.sim.party import Party, ProtocolInstance
 
-#: Internal "no preference" marker; never a legal input value.
-NO_PREFERENCE = "__NO_PREF__"
+#: What the king sends, and what a party adopts from it, in a slot where the
+#: king has no candidate.
+DEFAULT_BIT = 0
 
-#: Value adopted from the king when the king reports no preference.
-DEFAULT_VALUE = None
+_VOTE_TYPES = frozenset((int, type(None)))
 
 
 def sba_time_bound(n: int, t: int, delta: float) -> float:
@@ -50,20 +57,17 @@ def sba_time_bound(n: int, t: int, delta: float) -> float:
     return 3.0 * (t + 1) * delta
 
 
-def _tally(values) -> Dict[Any, int]:
-    """How often each value occurs; one that cannot be a key counts for nothing."""
-    counts: Dict[Any, int] = {}
-    for value in values:
-        try:
-            counts[value] = counts.get(value, 0) + 1
-        except TypeError:
-            continue
-    return counts
+def _votes(vector: Any, n: int) -> Optional[Tuple]:
+    """``vector`` if it is an n-tuple over {``None``, 0, 1}, exact types, else ``None``."""
+    if (type(vector) is tuple and len(vector) == n and _VOTE_TYPES.issuperset(map(type, vector))
+            and vector.count(0) + vector.count(1) + vector.count(None) == n):
+        return vector
+    return None
 
 
 class PhaseKingSBA(ProtocolInstance):
-    """Multi-valued phase-king Byzantine agreement for t < n/3, on n slots at
-    once (module docstring).
+    """Binary phase-king Byzantine agreement for t < n/3, on n slots at once
+    (module docstring).
 
     All parties must start the instance at the same local time (the caller
     controls this; ΠBC starts its bank at local time 3Δ + ε).  Rounds are
@@ -85,24 +89,17 @@ class PhaseKingSBA(ProtocolInstance):
         self.faults = faults
         self.delta = delta if delta is not None else party.delta
         self.value = value
-        #: round -> sender -> that sender's n slot values, as a list.
-        self._round_inbox: Dict[int, Dict[int, List[Any]]] = {}
+        #: round -> sender -> that sender's n votes.
+        self._round_inbox: Dict[int, Dict[int, Tuple]] = {}
         self._last_round = 3 * (faults + 1)
-        self._values: List[Any] = [None] * self.n
+        self._values: List[int] = [DEFAULT_BIT] * self.n
         self._strong = [False] * self.n
-        self._candidate: List[Any] = [NO_PREFERENCE] * self.n
+        self._candidate: List[Optional[int]] = [None] * self.n
         self._started = False
 
     # -- input --------------------------------------------------------------
     def provide_input(self, value: Any) -> None:
         self.value = value
-
-    # -- vectors ----------------------------------------------------------------
-    def _slots(self, vector: Any) -> Optional[List[Any]]:
-        """The slot values of a vector, or ``None`` if it is not an n-tuple."""
-        if type(vector) is tuple and len(vector) == self.n:
-            return list(vector)
-        return None
 
     # -- round bookkeeping ----------------------------------------------------
     @property
@@ -117,7 +114,9 @@ class PhaseKingSBA(ProtocolInstance):
             return
         self._started = True
         self.start_time = self.now
-        self._values = self._slots(self.value) or self._values
+        bits = _votes(self.value, self.n)
+        if bits is not None and None not in bits:
+            self._values = list(bits)
         self._begin_phase(1)
 
     def _begin_phase(self, phase: int) -> None:
@@ -125,11 +124,11 @@ class PhaseKingSBA(ProtocolInstance):
         self._send_round(round_one, self._values)
         self.schedule_at(self.start_time + round_one * self.delta, lambda: self._end_round_one(phase))
 
-    def _send_round(self, round_index: int, slots: List[Any]) -> None:
-        self.send_all((round_index, tuple(slots)))
+    def _send_round(self, round_index: int, slots: List[Optional[int]]) -> None:
+        self.send_all((round_index, Bundle((tuple(slots),), self.n)))
 
     def _columns(self, round_index: int):
-        """Per slot, the values received for ``round_index``."""
+        """Per slot, the votes received for ``round_index``."""
         received = self._round_inbox.get(round_index, {})
         return zip(*received.values()) if received else ((),) * self.n
 
@@ -140,44 +139,40 @@ class PhaseKingSBA(ProtocolInstance):
             return
         if type(round_index) is not int or not 0 < round_index <= self._last_round:
             return
-        slots = self._slots(vector)
-        if slots is None:
+        if type(vector) is not Bundle or vector.n != self.n or len(vector.entries) != 1:
+            return
+        votes = _votes(vector.entries[0], self.n)
+        if votes is None:
             return
         inbox = self._round_inbox.setdefault(round_index, {})
         if sender not in inbox:
-            inbox[sender] = slots
+            inbox[sender] = votes
 
     # -- per-phase logic -------------------------------------------------------
     def _end_round_one(self, phase: int) -> None:
+        quorum = self.n - self.faults
         preferences = []
         for column in self._columns(self._round_index(phase, 1)):
-            preference = NO_PREFERENCE
-            for value, count in _tally(column).items():
-                if count >= self.n - self.faults:
-                    preference = value
-                    break
-            preferences.append(preference)
+            if column.count(1) >= quorum:
+                preferences.append(1)
+            elif column.count(0) >= quorum:
+                preferences.append(0)
+            else:
+                preferences.append(None)
         round_two = self._round_index(phase, 2)
         self._send_round(round_two, preferences)
         self.schedule_at(self.start_time + round_two * self.delta, lambda: self._end_round_two(phase))
 
     def _end_round_two(self, phase: int) -> None:
         for slot, column in enumerate(self._columns(self._round_index(phase, 2))):
-            candidate = NO_PREFERENCE
-            best_count = 0
-            for value, count in _tally(column).items():
-                if value == NO_PREFERENCE:
-                    continue
-                if count >= self.faults + 1 and count > best_count:
-                    candidate = value
-                    best_count = count
-            self._candidate[slot] = candidate
-            self._strong[slot] = best_count >= self.n - self.faults
+            ones, zeros = column.count(1), column.count(0)
+            candidate, count = (1, ones) if ones >= zeros else (0, zeros)
+            self._candidate[slot] = candidate if count > self.faults else None
+            self._strong[slot] = count >= self.n - self.faults
         round_three = self._round_index(phase, 3)
         if self.me == self._king_for(phase):
             self._send_round(round_three, [
-                DEFAULT_VALUE if candidate == NO_PREFERENCE else candidate
-                for candidate in self._candidate
+                DEFAULT_BIT if candidate is None else candidate for candidate in self._candidate
             ])
         self.schedule_at(self.start_time + round_three * self.delta, lambda: self._end_round_three(phase))
 
@@ -187,17 +182,12 @@ class PhaseKingSBA(ProtocolInstance):
 
     def _end_round_three(self, phase: int) -> None:
         received = self._round_inbox.get(self._round_index(phase, 3), {})
-        king_values = received.get(self._king_for(phase)) or [DEFAULT_VALUE] * self.n
-        for slot, king_value in enumerate(king_values):
-            try:
-                hash(king_value)
-            except TypeError:
-                king_value = DEFAULT_VALUE
-            if king_value == NO_PREFERENCE:
-                king_value = DEFAULT_VALUE
-            candidate = self._candidate[slot]
-            strong = self._strong[slot] and candidate != NO_PREFERENCE
-            self._values[slot] = candidate if strong else king_value
+        king_votes = received.get(self._king_for(phase)) or (DEFAULT_BIT,) * self.n
+        for slot, king_vote in enumerate(king_votes):
+            if self._strong[slot]:
+                self._values[slot] = self._candidate[slot]
+            else:
+                self._values[slot] = DEFAULT_BIT if king_vote is None else king_vote
         if phase >= self.total_phases:
             self.set_output(tuple(self._values))
         else:

@@ -4,9 +4,10 @@ The sender Acasts its message; at (relative) time 3Δ every party feeds the
 Acast output (or ⊥) into an instance of the phase-king SBA; at time
 3Δ + T_BGP the regular-mode output is the Acast value if it matches the SBA
 output, and ⊥ otherwise.  Parties that output ⊥ in regular mode later switch
-to the Acast value through the fallback mode (needed by the VSS layer).  The
-SBA instances of the n senders' runs anchored at one instant share one
-phase-king bank (below).
+to the Acast value through the fallback mode (needed by the VSS layer).  As
+built, the SBA agrees on one bit, "I hold the Acast value", and the SBAs of
+the n senders' runs anchored at one instant share one phase-king bank
+(below).
 
 ⊥ is represented by ``None``.  A field-element vector is packed once into a
 :class:`~repro.broadcast.acast.PackedFieldVector` (one cached digest for the
@@ -32,36 +33,47 @@ computes alike without reading a clock.  The entries are the endpoints
 started before the carrier's anchor timer fires; a later one raises
 :class:`CarrierError`.
 
-The SBA stage: one phase-king bank per instant
-----------------------------------------------
+The SBA stage: one binary phase-king bank per instant
+-----------------------------------------------------
 
 The carriers of all n senders anchored at one instant run their SBAs as one
-:class:`~repro.ba.sba.PhaseKingSBA` of n slots, ``<root>/bc@<ticks>/sba``,
-slot s sender s's: each round a party sends one ``(round, (v_1, ..., v_n))``
-where n runs would send n ``(round, v_s)``.  The first carrier of the
-instant at a party builds the bank; its one timer, at anchor + 3Δ + ε, reads
-slot s from carrier ``[s]``'s Acast output -- ⊥ if that carrier does not
-exist here or has not delivered -- and at anchor + T_BC each carrier
-compares its own slot of the output with its Acast value.  Lemma 3.2 still
-holds slot by slot, so each carrier runs Fig 1 as the reduction below needs:
+binary :class:`~repro.ba.sba.PhaseKingSBA` of n slots,
+``<root>/bc@<ticks>/sba``, slot s sender s's: each round a party sends one
+vector of n votes at 2 bits a slot.  The first carrier of the instant at a
+party builds the bank; its one timer, at anchor + 3Δ + ε, inputs slot s as
+1 if carrier ``[s]``'s Acast has delivered here and 0 otherwise (or if that
+carrier does not exist here).  At anchor + T_BC carrier s outputs its Acast
+value if it holds it *and* slot s decided 1, and ⊥ otherwise.
 
-* Slot s's decision is a function of the slot-s components alone (tallies,
-  candidate, strong flag and king value are per slot), and they follow the
-  schedule of one run -- the same round instants, the same king per phase.
-  Slot s is a run of phase king on carrier s's inputs, so T_BGP and all
-  three properties of Lemma 3.2 hold for it.
+Fig 1 runs the SBA on the Acast value itself, and its regular output is that
+value iff the SBA output equals it.  By Acast consistency (Lemma 2.4) every
+honest slot-s input is one value m_s or ⊥, so the SBA only has to agree on
+which of the two it is: the bit.  The argument uses no hash, so the bank is
+perfectly secure.
+
+* Sync consistency.  If slot s decides 1, then by phase-king validity not
+  every honest party input 0: some honest party held m_s at anchor + 3Δ + ε,
+  and by the 2Δ spread of Lemma 2.4 every honest party holds m_s by
+  anchor + 5Δ + ε, which is ≤ T_BC because T_BGP = 3(t+1)Δ ≥ 6Δ.  So every
+  honest party outputs m_s in regular mode, or all output ⊥.
+* Validity.  An honest sender's Acast delivers by anchor + 3Δ (Lemma 2.4), so
+  every honest party inputs 1, the slot decides 1, and every honest party
+  outputs the sender's value.
+* Asynchrony.  Any non-⊥ regular output is the Acast value, m_s by Acast
+  consistency; liveness comes from the timers alone: the bank outputs every
+  slot at its start + T_BGP, whatever arrived.
+* Lemma 3.2, slot by slot.  Binary phase king is a case of the multi-valued
+  protocol.  Slot s's decision is a function of the slot-s components alone
+  (tallies, candidate, strong flag and king value are per slot), and they
+  follow the schedule of one run -- the same round instants, the same king
+  per phase -- so T_BGP and all three properties of Lemma 3.2 hold for it.
 * A corrupt party's options in the bank are a subset of its per-instance
-  options.  One vector is one value per slot, as n instances would take; it
+  options.  One vector is one vote per slot, as n instances would take; it
   can withhold or garble all n of its votes in a round, which it could
-  already do one instance at a time.  A payload that is not a vector of n
-  slots for one of the 3(t+1) rounds is absent in every slot, an unhashable
-  slot value counts in no tally, a malformed king vector is the default in
-  every slot, and the first payload per (sender, round) counts
-  (:mod:`repro.ba.sba`).
-* A slot whose sender has no carrier at a party gets ⊥ from that party: the
-  input of a party whose Acast has not delivered, which any run allows.
-* In asynchrony, liveness still comes from the timers alone: the bank
-  outputs every slot at its start + T_BGP, whatever arrived.
+  already do one instance at a time.  A payload that is not one vote line
+  of n slots over {``None``, 0, 1} for one of the 3(t+1) rounds is absent in
+  every slot, an absent king vector or king slot is 0, and the first payload
+  per (sender, round) counts (:mod:`repro.ba.sba`).
 
 Theorem 3.5 then holds per carrier, as argued below.
 
@@ -97,8 +109,8 @@ its ``init`` alone.
 
 Why each logical ΠBC still meets Theorem 3.5 and Lemma 2.4, as a reduction
 to k separate runs of Fig 1.  The carrier *is* Fig 1, run in full on the
-bundle (its SBA a slot of the instant's bank, above), so Theorem 3.5 holds
-for the bundle as the broadcast value; call
+bundle (its SBA a slot of the instant's bank, agreeing on the bit above), so
+Theorem 3.5 holds for the bundle as the broadcast value; call
 entry e of the delivered bundle, with the bundle's mode and time, the
 *effective* broadcast of logical ΠBC e -- or, if that entry is ``None``, e's
 late input (its name's Acast, above), in fallback mode, at the later of its
@@ -124,7 +136,7 @@ hand-off and the bundle's.
    of the k (late inputs are then never read), a value that is not a
    :class:`Bundle` of the agreed length the all-``None`` bundle
    (:meth:`BroadcastCarrier._parse`), one with an unhashable entry dropped
-   by Acast and SBA like any unhashable value, and a late input contradicting
+   by Acast like any unhashable value, and a late input contradicting
    a present entry is ignored like a second input to one ΠBC.  All-or-none
    delivery of k inputs is a behaviour k separate ΠBCs allow.  Each entry
    still passes its consumer's own total parser.  Privacy: a bundle reveals
@@ -136,7 +148,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.ba.sba import PhaseKingSBA, sba_time_bound
+from repro.ba import sba
 from repro.broadcast.acast import AcastProtocol, Bundle, maybe_pack_payload
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon
@@ -149,7 +161,7 @@ def bc_time_bound(n: int, t: int, delta: float) -> float:
     phase-king instantiation it is 3Δ + 3(t+1)Δ, plus the simulation's
     tie-breaking epsilon.
     """
-    return 3.0 * delta + sba_time_bound(n, t, delta) + 2 * epsilon(delta)
+    return 3.0 * delta + sba.sba_time_bound(n, t, delta) + 2 * epsilon(delta)
 
 
 def carrier_tag(root: str, offset: float, sender: int, delta: float) -> str:
@@ -203,14 +215,14 @@ class BroadcastCarrier(ProtocolInstance):
         self.schedule_at(self.anchor + t_bc, self._decide_regular)
         self._acast.on_output(self._maybe_fallback)
 
-    def _bank(self) -> PhaseKingSBA:
+    def _bank(self) -> sba.PhaseKingSBA:
         """The phase-king bank ``<root>/bc@<ticks>/sba`` of my instant, slot s
         sender s's: the first carrier of the instant here builds it and sets
         its one timer."""
         group = self.tag.rpartition("[")[0]
         bank = self.party.get_instance(f"{group}/sba")
         if bank is None:
-            bank = PhaseKingSBA(self.party, f"{group}/sba", self.faults, delta=self.delta)
+            bank = sba.PhaseKingSBA(self.party, f"{group}/sba", self.faults, delta=self.delta)
             bank.schedule_at(self.anchor + 3.0 * self.delta + epsilon(self.delta),
                              self._start_bank)
         elif (bank.faults, bank.delta) != (self.faults, self.delta):
@@ -218,13 +230,12 @@ class BroadcastCarrier(ProtocolInstance):
         return bank
 
     def _start_bank(self) -> None:
-        """anchor + 3Δ + ε: slot s is carrier ``[s]``'s Acast output, or ⊥ if
-        that carrier does not exist here or its Acast has not delivered."""
+        """anchor + 3Δ + ε: slot s is 1 if carrier ``[s]``'s Acast has delivered
+        here, 0 if it has not or that carrier does not exist here."""
         group = self.tag.rpartition("[")[0]
         carriers = (self.party.get_instance(f"{group}[{s}]") for s in range(1, self.n + 1))
         self._sba.provide_input(tuple(
-            carrier._acast.output if carrier is not None and carrier._acast.has_output
-            else None for carrier in carriers))
+            int(carrier is not None and carrier._acast.has_output) for carrier in carriers))
         self._sba.start()
 
     def _publish(self) -> None:
@@ -301,9 +312,10 @@ class BroadcastCarrier(ProtocolInstance):
         return (None,) * len(self.entries)
 
     def _decide_regular(self) -> None:
-        acast_value = self._acast.output if self._acast.has_output else None
-        sba_value = self._sba.output[self.sender - 1] if self._sba.has_output else None
-        regular = acast_value if acast_value is not None and sba_value == acast_value else None
+        """anchor + T_BC: the Acast value if it is held here and my slot decided 1."""
+        held = self._acast.output if self._acast.has_output else None
+        confirmed = self._sba.has_output and self._sba.output[self.sender - 1] == 1
+        regular = held if confirmed else None
         self.set_output(regular)
         decided = self._parse(regular)  # ⊥ hands every entry ⊥, like the empty bundle
         if regular is not None:

@@ -9,8 +9,11 @@ implementation" rule.
 """
 
 import ast
+import os
 import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +39,7 @@ from repro.sim import (
     SilentBehavior,
     SynchronousNetwork,
 )
+from repro.sim.adversary import Behavior
 from repro.sim.messages import Message
 from repro.sim.party import ProtocolInstance
 
@@ -147,8 +151,9 @@ class EverySender(ProtocolInstance):
 
 
 def test_the_carriers_of_one_instant_share_one_phase_king_bank():
-    """Three senders' carriers at one anchor: three Acasts and one bank of n
-    slots, slot s sender s's Acast output and ⊥ for the sender with no carrier."""
+    """Three senders' carriers at one anchor: three Acasts and one binary bank
+    of n slots, slot s 1 where sender s's Acast delivered and 0 for the sender
+    with no carrier."""
     sim = Simulator(N, network=SynchronousNetwork())
     result = sim.run(lambda party: EverySender(party, "root", (1, 2, 4)), max_time=2_000.0)
     assert result.metrics.messages_sent == 3 * 27 + 54
@@ -158,8 +163,8 @@ def test_the_carriers_of_one_instant_share_one_phase_king_bank():
         assert bank.tag == "root/bc@0/sba"
         carriers = {c.sender: c for c in _instances(result, BroadcastCarrier)[pid]}
         assert sorted(carriers) == [1, 2, 4]
-        assert bank.output == tuple(
-            carriers[s]._acast.output if s in carriers else None for s in range(1, N + 1))
+        assert bank.output == (1, 1, 0, 1)
+        assert all(carriers[s]._acast.has_output for s in (1, 2, 4))
         assert all(c._sba is bank for c in carriers.values())
 
 
@@ -270,6 +275,63 @@ def test_on_delivery_fires_per_entry_for_regular_and_fallback():
         sim.run_until(max_time=500.0)
         assert sorted(seen) == sorted((pid, name, TWO[name][1])
                                       for pid in range(1, N + 1) for name in TWO)
+
+
+class SkewedSender(Behavior):
+    """A corrupt sender that runs the honest code, but its Acast messages to
+    recipient r leave ``delays[r]`` late, and as phase 1's king (round 3) it
+    votes ``king_says`` for its own slot if that is not ``None``."""
+
+    def __init__(self, delays, king_says=None):
+        self.delays, self.king_says = delays, king_says
+
+    def filter_send(self, party, message):
+        if message.tag.endswith("/sba") and message.payload[0] == 3 and self.king_says is not None:
+            votes = (self.king_says,) + message.payload[1].entries[0][1:]
+            message = Message(message.sender, message.recipient, message.tag,
+                              (3, Bundle((votes,), N)), message.send_time)
+        extra = self.delays.get(message.recipient) if message.tag.endswith("/acast") else None
+        if not extra:
+            return [message]
+        party.runtime.schedule_timer(party.now + extra,
+                                     lambda: party.runtime.dispatch(message))
+        return []
+
+
+@pytest.mark.parametrize("delays,king_says,held,decided,by_t_bc", [
+    # P_2 alone holds the value at 3Δ + ε; the king's 1 carries the slot.
+    pytest.param({3: 1.0, 4: 1.0}, 1, (1, 0, 0), 1, (1, 1, 1), id="one-holds-king-says-1"),
+    pytest.param({3: 0.5, 4: 0.5}, 1, (1, 0, 0), 1, (1, 1, 1),
+                 id="one-holds-half-a-delta-ahead"),
+    # P_3 alone holds it at 3Δ + ε; the king's default is 0.
+    pytest.param({2: 1.0, 4: 1.0}, None, (0, 1, 0), 0, (1, 1, 1), id="one-holds-king-honest"),
+    # Nobody holds it at 3Δ + ε; P_2 holds it just before T_BC, P_3 and P_4
+    # only after: a decision on "held here" alone would split.
+    pytest.param({3: 7.0, 4: 7.0}, None, (0, 0, 0), 0, (1, 0, 0),
+                 id="one-holds-just-before-t-bc"),
+])
+def test_a_slot_decides_1_only_if_every_honest_party_holds_the_value_by_t_bc(
+        delays, king_says, held, decided, by_t_bc):
+    """Sync consistency of the binary bank (module docstring of
+    ``repro.broadcast.bc``): wherever slot s decides 1, every honest carrier
+    ``[s]`` has its Acast output by anchor + T_BC, and the honest regular
+    outputs agree."""
+    sim = Simulator(N, network=SynchronousNetwork(),
+                    corrupt={1: SkewedSender(delays, king_says)})
+    result = sim.run(lambda party: Broadcasts(party, "root", 1, {"a": (0.0, "m")}),
+                     max_time=2_000.0)
+    honest = (2, 3, 4)
+    carriers = {pid: result.instances[pid].party.instances["root/bc@0[1]"] for pid in honest}
+    banks = {pid: result.instances[pid].party.instances["root/bc@0/sba"] for pid in honest}
+    assert tuple(banks[pid].value[0] for pid in honest) == held
+    assert {banks[pid].output[0] for pid in honest} == {decided}
+    holds = tuple(int(c._acast.has_output and c._acast.output_time <= T_BC)
+                  for c in carriers.values())
+    assert holds == by_t_bc
+    if decided == 1:
+        assert holds == (1, 1, 1)
+    regular = {result.instances[pid].bc["a"].regular_output for pid in honest}
+    assert regular == {"m" if decided else None}
 
 
 # -- Fig 1's late sender -------------------------------------------------------------------------
@@ -511,7 +573,7 @@ def test_bundle_crosses_the_wire_without_pickle(monkeypatch):
         None,
     ), 4)
     for tag, payload in (("mpc/bc@12004[2]/acast", ("echo", bundle)),
-                         ("mpc/bc@12004/sba", (4, (bundle, None, "__NO_PREF__", bundle)))):
+                         ("mpc/bc@12004/sba", (4, Bundle(((1, 0, None, 1),), 4)))):
         message = Message(2, 3, tag, payload, 12.004)
         decoded = decode_message(encode_message(message))
         assert decoded.payload == message.payload
@@ -533,7 +595,21 @@ def test_phase_king_is_constructed_nowhere_in_src_but_broadcast_bc():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and any(
                 isinstance(part, ast.Name) and part.id == "PhaseKingSBA"
+                or isinstance(part, ast.Attribute) and part.attr == "PhaseKingSBA"
                 for part in [node.func, *node.args, *(k.value for k in node.keywords)]
             ):
                 users.add(str(path.relative_to(src)))
     assert users == {"broadcast/bc.py"}
+
+
+@pytest.mark.parametrize("module", ["repro.ba", "repro.ba.sba", "repro.broadcast",
+                                    "repro.broadcast.bc"])
+def test_the_ba_and_broadcast_packages_import_in_either_order(module):
+    """``repro.ba.sba`` imports ``repro.broadcast.acast`` (the bank's vectors are
+    bundles) and ``repro.broadcast.bc`` imports ``repro.ba`` (its bank): each
+    of the four, imported first in a fresh interpreter, must load."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

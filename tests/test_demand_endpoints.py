@@ -81,8 +81,8 @@ def test_late_bc_input_builds_the_acast_at_the_sender_then_at_each_receiver_and_
 #: 547,041 and 7,672 / 1,204,972 at 27 and 44 messages each); now every
 #: (sender's carrier, instant) is one numbered Acast.
 ASYNC_VSS = [
-    pytest.param(4, 1, 0, 41, 1_944, 267_075, 30, 56, {1: 9, 2: 11, 3: 12, 4: 12}, id="n4"),
-    pytest.param(5, 1, 1, 42, 3_608, 525_880, 36, 82, {1: 11, 2: 9, 3: 18, 4: 8, 5: 16},
+    pytest.param(4, 1, 0, 41, 1_944, 236_925, 30, 56, {1: 9, 2: 11, 3: 12, 4: 12}, id="n4"),
+    pytest.param(5, 1, 1, 42, 3_608, 447_008, 36, 82, {1: 11, 2: 9, 3: 18, 4: 8, 5: 16},
                  id="n5"),
 ]
 

@@ -69,21 +69,14 @@ def test_sync_product_all_honest(monkeypatch):
     # sharings x (n verdict vectors + star) + 39 ΠBA banks x n vote vectors
     # = 756 logical ΠBCs, riding 32 carriers (8 anchor instants x 4 senders),
     # each one Acast of 27 messages; the 4 carriers of an instant share one
-    # phase-king bank, 54 messages of 4-vectors; the rest is point-to-point
-    # (1,836) and ΠABA: the 144 slots per party launch at 4 instants and speak
-    # in 20 vectors, each to 3 peers.  It was 11,916 / 15,781,608 bits with 13
-    # messages per slot per party, and 70,560 / 22,732,008 with one run of
-    # Fig 1 per logical ΠBC on top.  The bits: a sender's 8
-    # bundles cost 1,608 bits by the price list of ``Bundle`` (38,136 as plain
-    # tuples: 14,731,560 in all), each sent 81 times, and the 240 ΠABA
-    # vectors' 7,488 slots 2 bits each on its vote line (64 as plain ints:
-    # 2,896,488 in all, and the 96-slot vector was the heaviest message at
-    # 96 * 64 + 160), less the 432 bank vectors' 3 x (64-bit header + 64-bit
-    # round): one header and one round carry 4 slots.  The heaviest is a
-    # dealer's 27 rows of 2 coefficients.
+    # binary phase-king bank, 54 messages of 4 votes; the rest is
+    # point-to-point (1,836) and ΠABA: the 144 slots per party launch at 4
+    # instants and speak in 20 vectors, each to 3 peers.  The bits: 2,266,344
+    # while a bank vector carried the 4 senders' bundles (402,624 bits over
+    # the 432 vectors), now each costs a 64-bit header, a 64-bit round and 4
+    # votes at 2 bits.  The heaviest is a dealer's 27 rows of 2 coefficients.
     assert result.metrics.messages_sent == 3_372 == 27 * 32 + 54 * 8 + 1_836 + 20 * 3 * 4
-    assert result.metrics.honest_bits == 2_266_344 == (
-        14_731_560 - 81 * 4 * (38_136 - 1_608) - (64 - 2) * 7_488 - 432 * 3 * 128)
+    assert result.metrics.honest_bits == 1_922_472 == 2_266_344 - 402_624 + 432 * (64 + 64 + 8)
     assert result.metrics.max_message_bits == 3_398 == 64 + 8 * len("polys") + 54 * 61
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert delivered_at_start == [0] * (4 * 756)
@@ -153,7 +146,7 @@ def test_async_product_him_late_carriers(monkeypatch):
                    for entry in entries) == 820
     assert on_late[True] == 44 * 41 == acast * 41
     assert result.metrics.messages_sent == 5_808 == on_late[False] + 44 * 41
-    assert result.metrics.honest_bits == 2_749_136
+    assert result.metrics.honest_bits == 2_470_368  # 2,749,136 while a bank vector carried bundles
 
 
 def test_sync_linear_circuit_no_multiplications():

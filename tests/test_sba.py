@@ -1,6 +1,9 @@
-"""Tests for the phase-king synchronous Byzantine agreement (ΠBGP stand-in)."""
+"""Tests for the binary phase-king synchronous Byzantine agreement (ΠBGP stand-in)."""
+
+import pytest
 
 from repro.ba.sba import PhaseKingSBA, sba_time_bound
+from repro.broadcast.acast import Bundle
 from repro.sim import (
     AsynchronousNetwork,
     CrashBehavior,
@@ -10,11 +13,13 @@ from repro.sim import (
     WrongValueBehavior,
 )
 
+from protocol_helpers import RewriteBehavior
+
 
 def _run_sba(n, t, inputs, network=None, corrupt=None, seed=0):
-    """An n-slot bank, as ΠBC runs it, with each party's input in every slot.
+    """An n-slot bank, as ΠBC runs it, with each party's bit in every slot.
 
-    Every slot decides alike; the honest outputs (the slot's value) and output
+    Every slot decides alike; the honest outputs (the slot's bit) and output
     times are returned."""
     sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
                     corrupt=corrupt or {})
@@ -29,15 +34,16 @@ def _run_sba(n, t, inputs, network=None, corrupt=None, seed=0):
     return {pid: output[0] for pid, output in outputs.items()}, result.honest_output_times()
 
 
-def test_validity_unanimous_inputs():
-    outputs, _ = _run_sba(4, 1, {i: "v" for i in range(1, 5)})
-    assert all(v == "v" for v in outputs.values())
+@pytest.mark.parametrize("bit", [0, 1])
+def test_validity_unanimous_inputs(bit):
+    outputs, _ = _run_sba(4, 1, {i: bit for i in range(1, 5)})
+    assert outputs == {i: bit for i in range(1, 5)}
 
 
 def test_consistency_mixed_inputs():
     outputs, _ = _run_sba(4, 1, {1: 1, 2: 1, 3: 0, 4: 0})
     assert len(outputs) == 4
-    assert len(set(map(str, outputs.values()))) == 1
+    assert len(set(outputs.values())) == 1
 
 
 def test_output_time_bound_synchronous():
@@ -48,19 +54,39 @@ def test_output_time_bound_synchronous():
 
 
 def test_validity_with_crashed_corrupt_party():
-    outputs, _ = _run_sba(4, 1, {i: "x" for i in range(1, 5)}, corrupt={4: CrashBehavior()})
-    assert len(outputs) == 3
-    assert all(v == "x" for v in outputs.values())
+    outputs, _ = _run_sba(4, 1, {i: 1 for i in range(1, 5)}, corrupt={4: CrashBehavior()})
+    assert outputs == {1: 1, 2: 1, 3: 1}
 
 
 def test_validity_with_lying_corrupt_party():
-    # Corrupt party perturbs everything it sends; the three honest parties
-    # still agree on their common input.
+    # The corrupt party perturbs everything it sends; the three honest
+    # parties still agree on their common input.
     outputs, _ = _run_sba(
-        4, 1, {1: 5, 2: 5, 3: 5, 4: 5},
+        4, 1, {1: 1, 2: 1, 3: 1, 4: 1},
         corrupt={4: WrongValueBehavior(offset=3)},
     )
-    assert all(v == 5 for v in outputs.values())
+    assert outputs == {1: 1, 2: 1, 3: 1}
+
+
+def _flipping(tag, payload):
+    """Every vote the party sends, flipped; a ``None`` stays ``None``."""
+    round_index, vector = payload
+    votes = tuple(None if v is None else 1 - v for v in vector.entries[0])
+    return [(tag, (round_index, Bundle((votes,), vector.n)))]
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_validity_with_a_party_that_flips_every_vote(bit):
+    outputs, _ = _run_sba(4, 1, {i: bit for i in range(1, 5)},
+                          corrupt={4: RewriteBehavior({"sba": _flipping})})
+    assert outputs == {1: bit, 2: bit, 3: bit}
+
+
+def test_consistency_with_a_flipping_king():
+    """P_1, phase 1's king, flips its votes and its king round on split inputs."""
+    outputs, _ = _run_sba(4, 1, {1: 1, 2: 0, 3: 1, 4: 0},
+                          corrupt={1: RewriteBehavior({"sba": _flipping})})
+    assert len(outputs) == 3 and len(set(outputs.values())) == 1
 
 
 def test_consistency_with_equivocating_party():
@@ -68,13 +94,13 @@ def test_consistency_with_equivocating_party():
         4, 1, {1: 1, 2: 0, 3: 1, 4: 0},
         corrupt={4: EquivocatingBehavior(group_b=[1, 2])},
     )
-    assert len(set(map(str, outputs.values()))) == 1
+    assert len(set(outputs.values())) == 1
 
 
 def test_larger_committee_n7_t2():
-    inputs = {1: "a", 2: "a", 3: "a", 4: "a", 5: "a", 6: "b", 7: "b"}
+    inputs = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 0, 7: 0}
     outputs, _ = _run_sba(7, 2, inputs, corrupt={6: CrashBehavior(), 7: CrashBehavior()})
-    assert all(v == "a" for v in outputs.values())
+    assert outputs == {pid: 1 for pid in range(1, 6)}
 
 
 def test_guaranteed_liveness_in_asynchronous_network():
@@ -83,24 +109,35 @@ def test_guaranteed_liveness_in_asynchronous_network():
     outputs, times = _run_sba(4, 1, {1: 1, 2: 0, 3: 1, 4: 0},
                               network=AsynchronousNetwork(max_delay=30.0), seed=5)
     assert len(outputs) == 4
+    assert set(outputs.values()) <= {0, 1}
     bound = sba_time_bound(4, 1, 1.0)
     assert all(time <= bound + 1e-6 for time in times.values())
 
 
-def test_multivalued_inputs_agreement():
-    outputs, _ = _run_sba(4, 1, {1: ("tuple", 1), 2: ("tuple", 1), 3: ("tuple", 1), 4: ("other", 2)})
-    assert all(v == ("tuple", 1) for v in outputs.values())
+@pytest.mark.parametrize("value", [
+    (1, 1, 1, 2), (True,) * 4, ("1",) * 4, (1, 1, 1), (1, 1, 1, 1, 1), (1, 1, None, 1),
+    [1, 1, 1, 1], Bundle(((1, 1, 1, 1),), 4), 1, None,
+], ids=repr)
+def test_a_non_binary_input_vector_is_0_in_every_slot(value):
+    """Every party inputs ``value``: not an n-tuple of the ints 0 and 1, so
+    each inputs 0 in every slot, and every slot decides 0."""
+    sim = Simulator(4, network=SynchronousNetwork())
+    result = sim.run(lambda party: PhaseKingSBA(party, "sba", faults=1, value=value),
+                     max_time=100.0)
+    assert result.honest_outputs() == {pid: (0,) * 4 for pid in range(1, 5)}
 
 
 def test_late_input_still_produces_output():
     sim = Simulator(4, network=SynchronousNetwork())
     instances = {}
     for pid, party in sim.parties.items():
-        instances[pid] = PhaseKingSBA(party, "sba", faults=1, value=(None,) * 4)
+        instances[pid] = PhaseKingSBA(party, "sba", faults=1)
     for inst in instances.values():
         inst.start()
-    # Provide inputs a moment later (before round 1 closes they are unused;
-    # liveness still yields an output for every party).
+    # An input given after the start is never read; liveness still yields an
+    # output for every party, the inputs' default.
+    for inst in instances.values():
+        inst.provide_input((1,) * 4)
     sim.run_until(until=lambda: all(i.has_output for i in instances.values()),
-                         max_time=1_000.0)
-    assert all(i.output == (None,) * 4 for i in instances.values())
+                  max_time=1_000.0)
+    assert all(i.output == (0,) * 4 for i in instances.values())

@@ -24,9 +24,11 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis.metrics import bank_message_bound, bundle_message_bound, sibling_sharings
+from repro.analysis.metrics import bundle_message_bound, sibling_sharings
+from repro.broadcast.acast import Bundle
 from repro.field import default_field
 from repro.field.polynomial import interpolate_at
+from repro.sim.messages import Message
 from repro.sim.simulator import SimulationMetrics
 from repro.sim import (
     AsynchronousNetwork,
@@ -177,28 +179,21 @@ def run_preprocessing(scenario: Scenario):
 
 def heaviest_messages(run):
     """``run()``'s result, its largest message on a carrier's own tags (a
-    broadcast bundle, ``repro.broadcast.bc``, or a ΠABA vector,
-    ``repro.ba.aba``: sized by n and the siblings per instant), its largest
-    on a phase-king bank's (``<root>/bc@<ticks>/sba``: n bundles) and its
-    largest on any other tag."""
-    heaviest = {"carrier": 0, "bank": 0, "other": 0}
+    broadcast bundle or a phase-king bank vector, ``repro.broadcast.bc``, or a
+    ΠABA vector, ``repro.ba.aba``: sized by n and the siblings per instant)
+    and its largest on any other tag."""
+    heaviest = {"carrier": 0, "other": 0}
     record = SimulationMetrics.record_send
 
     def recording(metrics, message, *args, **kwargs):
-        tag = message.tag
-        if "/bc@" in tag and tag.endswith("/sba"):
-            kind = "bank"
-        elif "/bc@" in tag or "/aba@" in tag:
-            kind = "carrier"
-        else:
-            kind = "other"
+        kind = "carrier" if "/bc@" in message.tag or "/aba@" in message.tag else "other"
         heaviest[kind] = max(heaviest[kind], message.bits)
         return record(metrics, message, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SimulationMetrics, "record_send", recording)
         result = run()
-    return result, heaviest["carrier"], heaviest["bank"], heaviest["other"]
+    return result, heaviest["carrier"], heaviest["other"]
 
 
 def canonical_outputs(result) -> Dict[int, list]:
@@ -341,12 +336,12 @@ def dealer_row_bound(polynomials: int, ts: int, header_bits: int = 64) -> int:
 @pytest.mark.parametrize("offline", ["tripsh", "him"])
 def test_heaviest_messages_are_bounded(offline):
     """The heaviest message is a dealer's rows, bounded by the size of the
-    dealt bank; whatever a carrier sends (a broadcast bundle or a ΠABA
-    vector) is bounded by :func:`bundle_message_bound`, and a phase-king
-    bank's vector by :func:`bank_message_bound`, both of which depend on n
-    and the sibling sharings per instant, not on the dealt bank."""
+    dealt bank; whatever a carrier sends (a broadcast bundle, a phase-king
+    bank vector or a ΠABA vector) is bounded by :func:`bundle_message_bound`,
+    which depends on n and the sibling sharings per instant, not on the
+    dealt bank."""
     scenario = Scenario(4, 1, 0, "honest", "sync", num_triples=3, offline=offline)
-    result, bundle, bank, payload = heaviest_messages(lambda: run_preprocessing(scenario))
+    result, carrier, payload = heaviest_messages(lambda: run_preprocessing(scenario))
     if offline == "tripsh":
         per_dealer = triples_per_dealer(4, 1, 3)
         assert per_dealer >= 3  # a real bank: several triples per dealer
@@ -354,13 +349,16 @@ def test_heaviest_messages_are_bounded(offline):
     else:
         polynomials = him_slots(4, 1, 3) * POLYNOMIALS_PER_SLOT
     sharings = sibling_sharings(4, offline, inputs=False)
-    assert 0 < bundle <= bundle_message_bound(4, 1, sharings, FIELD.element_bits())
-    assert bundle < bank <= bank_message_bound(4, 1, sharings, FIELD.element_bits())
-    # One n = 7, t_s = 2 evaluation measured 6,302 bits on a carrier (a
-    # verdict bundle) and 43,346 on a phase-king bank (seven bundles).
+    assert 0 < carrier <= bundle_message_bound(4, 1, sharings, FIELD.element_bits())
+    # A bank vector: header, round number and 4 votes at 2 bits a slot.
+    bank_vector = Message(1, 2, "mpc/bc@0/sba", (1, Bundle(((1, 0, None, 1),), 4)), 0.0)
+    assert bank_vector.bits == 64 + 64 + 8 == 136 < carrier
+    # One n = 7, t_s = 2 product evaluation (6 multiplications) measured
+    # 6,302 bits on a carrier (a verdict bundle), and 16,574 bits as its
+    # heaviest message, a dealer's rows.
     assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 6_302
-    assert bank_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 43_346
-    assert bundle < payload <= dealer_row_bound(polynomials, 1)
+    assert 16_574 <= dealer_row_bound(triples_per_dealer(7, 2, 6) * 3 * (2 * 2 + 1), 2)
+    assert carrier < payload <= dealer_row_bound(polynomials, 1)
     assert result.metrics.max_message_bits == payload
     assert triples_are_valid(result, 1)
 

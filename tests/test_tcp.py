@@ -1272,7 +1272,7 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     """Within one process lag never makes a message late: at 0.5 ms per Δ
     every handler runs late, yet the frames to the process's own parties
     land before anything else is handed out, so the evaluation takes the
-    simulator's path -- 3,372 messages, 2,266,344 bits, output at 145.052 Δ
+    simulator's path -- 3,372 messages, 1,922,472 bits, output at 145.052 Δ
     -- in 1,152 frames, one per channel per instant a party sends on it."""
     circuit = multiplication_circuit(FIELD, n_parties=4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
@@ -1283,13 +1283,13 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     assert backend.schedule_misses == []
     assert tcp.outputs == sim.outputs and tcp.common_subset == [1, 2, 3, 4]
     assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == \
-        (sim.metrics.messages_sent, sim.metrics.honest_bits) == (3372, 2266344)
+        (sim.metrics.messages_sent, sim.metrics.honest_bits) == (3372, 1922472)
     assert max(tcp.output_times.values()) == pytest.approx(145.052)
     assert (transport.frames_sent, transport.messages_framed) == (1152, 3372)
-    # One session over the run's field: its 2,832 bundle values are 17
+    # One session over the run's field: its 1,536 bundle values are 17
     # distinct lines, each parsed once.
     assert transport.modulus == FIELD.modulus
-    assert (transport.bundles_decoded, transport.bundle_memo_hits) == (2832, 2815)
+    assert (transport.bundles_decoded, transport.bundle_memo_hits) == (1536, 1519)
 
 
 @pytest.mark.tcp(timeout=120)
@@ -1334,6 +1334,6 @@ def test_multiprocess_evaluation_frames_carry_several_messages_each():
     assert 1 <= backend.frames_sent <= backend.messages_framed // 2
     assert 0 < backend.bundle_memo_hits < backend.bundles_decoded
     if not backend.schedule_misses:  # a loaded host may make a child late
-        assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == (3372, 2266344)
+        assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == (3372, 1922472)
         assert (backend.frames_sent, max(tcp.output_times.values())) == \
             (1152, pytest.approx(145.052))

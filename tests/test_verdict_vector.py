@@ -95,19 +95,20 @@ def test_vss_n4_transcript_size_is_pinned():
     one run of Fig 1 per vector (33 per party); now a 27-message Acast per
     carrier, 21 of them: 4 senders x (ΠWPS ok, ΠWPS star, ``wps_ba``, ΠVSS ok, ``ba``) + the
     one dealer's ΠVSS star, and one 54-message phase-king bank per anchor
-    instant, 6 of them (slot s ⊥ where sender s has no carrier there).  The
+    instant, 6 of them (slot s 0 where sender s has no carrier there).  The
     rest was 303 (2,004 / 757,314 in all) while the five ΠABA slots sent 13
     messages each per party; the four of ``wps_ba`` now share their vectors
     (``repro.ba.aba``).  736,578 bits while a bundle was a plain tuple;
     priced as bitmaps (``repro.broadcast.acast.Bundle``) the 21 bundles are
     2% of the total, and so are the 96 ΠABA vectors since they are priced on
     the vote line (29,184 bits at 64 a slot, now 14,304).  The banks' 324
-    phase-king messages cost 55,674 bits."""
+    phase-king messages cost 136 bits each (a 64-bit header, a 64-bit round
+    and 4 votes at 2 bits); 55,674 bits in all while they carried bundles."""
     poly = random_polynomial(1, 6, seed=32)
     result = run_dealer_protocol(VerifiableSecretSharing, n=4, ts=1, ta=0, dealer=1,
                                  polynomials=[poly])
     assert result.metrics.messages_sent == 1_050 == 27 * 21 + 54 * 6 + 159
-    assert result.metrics.honest_bits == 145_140 == 89_466 + 55_674
+    assert result.metrics.honest_bits == 133_530 == 89_466 + 324 * (64 + 64 + 8)
     carriers = [e for e in result.instances[1].party.instances.values()
                 if type(e) is BroadcastCarrier]
     assert len(carriers) == 21 and sum(len(c.entries) for c in carriers) == 33

@@ -12,7 +12,8 @@ import pytest
 from repro.acs.acs import AgreementOnCommonSubset
 from repro.ba.aba import BrachaABA
 from repro.ba.bobw import BestOfBothWorldsBA
-from repro.ba.sba import DEFAULT_VALUE, PhaseKingSBA, sba_time_bound
+from repro.ba.sba import DEFAULT_BIT, PhaseKingSBA, sba_time_bound
+from repro.broadcast.acast import Bundle
 from repro.broadcast.bc import BroadcastProtocol
 from repro.runtime.asyncio_backend import AsyncioBackend
 from repro.runtime.wire import decode_message, encode_message
@@ -353,12 +354,18 @@ def _inject(tag_pattern, *forged):
 #: The lone slot's ΠABA messages are 1-vectors on the carrier of its launch instant.
 ABA_TAG = r"ba/aba@\d+"
 #: The vote vectors ride the bundles anchored at 0, one carrier per sender, and
-#: the carriers of that instant share one phase-king bank of n slots.
+#: the carriers of that instant share one binary phase-king bank of n slots.
 SBA_TAG, ACAST_TAG = r"ba/bc@0/sba", r"ba/bc@0\[\d\]/acast"
+
+
+def _votes(*slots, n=4):
+    """A bank vector's votes as the honest code sends them: one vote line."""
+    return Bundle((slots,), n)
 
 
 @pytest.mark.parametrize("tag,forged", [
     pytest.param(SBA_TAG, (1, ([1, 2],) * 4), id="sba-unhashable-value"),
+    pytest.param(SBA_TAG, (1, _votes(*([1, 2],) * 4)), id="sba-unhashable-slot"),
     pytest.param(SBA_TAG, 5, id="sba-not-a-pair"),
     pytest.param(ABA_TAG, 5, id="aba-not-a-tuple"),
     pytest.param(ABA_TAG, ("bval", [1, 2], (1,)), id="aba-unhashable-round"),
@@ -386,7 +393,8 @@ def test_aba_round_outside_the_schedule_allocates_no_state(forged):
 
 
 def test_sba_round_outside_the_schedule_and_unhashable_king_value_are_absent():
-    forged = [(r, (1,) * 4) for r in (0, 7, -1, True, "1")] + [(3, ([1, 2],) * 4)]
+    forged = [(r, _votes(1, 1, 1, 1)) for r in (0, 7, -1, True, "1")]
+    forged += [(3, ([1, 2],) * 4), (3, _votes(*([1, 2],) * 4))]
     for payload in forged:
         result = _run_bank(4, 1, {pid: 1 for pid in range(1, 5)},
                            corrupt=_inject(SBA_TAG, payload))
@@ -409,7 +417,7 @@ def _agree_by_t_bgp(result, pids):
     for bank in banks.values():
         assert bank.has_output and len(bank.output) == 4
         assert bank.output_time <= bank.start_time + sba_time_bound(4, 1, 1.0) + 1e-9
-        assert all(type(v) is list and len(v) == 4
+        assert all(type(v) is tuple and len(v) == 4 and set(v) <= {None, 0, 1}
                    for inbox in bank._round_inbox.values() for v in inbox.values())
     return banks[pids[0]].output
 
@@ -426,13 +434,22 @@ def clean_bank():
 
 
 @pytest.mark.parametrize("forged", [
-    pytest.param((1, [None] * 4), id="a-list"),
-    pytest.param((1, (None,) * 3), id="too-short"),
-    pytest.param((2, (None,) * 5), id="too-long"),
+    pytest.param((1, _votes(1, 1, 2, 1)), id="a-slot-of-2"),
+    pytest.param((1, _votes(1, True, 1, 1)), id="a-slot-of-True"),
+    pytest.param((1, _votes("1", 1, 1, 1)), id="a-slot-of-str"),
+    pytest.param((1, _votes(1, 1, 1, [1])), id="a-list-slot"),
+    pytest.param((1, _votes(1, _votes(1, 1, 1, 1), 1, 1)), id="a-bundle-slot"),
+    pytest.param((1, (1, 1, 1, 1)), id="a-plain-tuple"),
+    pytest.param((1, [1, 1, 1, 1]), id="a-list"),
+    pytest.param((1, _votes(1, 1, 1)), id="too-short"),
+    pytest.param((2, _votes(1, 1, 1, 1, 1)), id="too-long"),
+    pytest.param((1, _votes(1, 1, 1, 1, n=5)), id="a-bundle-for-n-5"),
+    pytest.param((1, Bundle(((1, 1, 1, 1), (1, 1, 1, 1)), 4)), id="two-entries"),
+    pytest.param((1, Bundle((), 4)), id="no-entry"),
     pytest.param((1, None), id="none"),
-    pytest.param((7, (None,) * 4), id="round-past-the-schedule"),
-    pytest.param((0, (None,) * 4), id="round-zero"),
-    pytest.param((1, 2, (None,) * 4), id="a-triple"),
+    pytest.param((7, _votes(1, 1, 1, 1)), id="round-past-the-schedule"),
+    pytest.param((0, _votes(1, 1, 1, 1)), id="round-zero"),
+    pytest.param((1, 2, _votes(1, 1, 1, 1)), id="a-triple"),
 ])
 def test_a_malformed_bank_vector_is_absent_in_every_slot(forged, clean_bank):
     """P_4's malformed payload ahead of each honest one counts for nothing: its
@@ -441,35 +458,32 @@ def test_a_malformed_bank_vector_is_absent_in_every_slot(forged, clean_bank):
     assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
     assert _agree_by_t_bgp(result, [1, 2, 3]) == clean_bank[1]
     for bank in _banks(result, [1, 2, 3]).values():
-        # Every Acast delivered in time and every slot is unanimous: no vote of
-        # rounds 1-2, P_4's included, holds ⊥.
-        assert all(None not in bank._round_inbox[r][pid] for r in (1, 2) for pid in range(1, 5))
+        # Every Acast delivered in time, so every slot is unanimous: each
+        # vote of rounds 1-2, P_4's included, is the int 1.
+        assert all(list(map(type, bank._round_inbox[r][pid])) == [int] * 4
+                   and bank._round_inbox[r][pid] == (1,) * 4
+                   for r in (1, 2) for pid in range(1, 5))
 
 
-@pytest.mark.parametrize("round_index", [1, 2, 3, 4, 5, 6])
-def test_an_unhashable_slot_value_counts_for_nothing_in_that_slot(round_index, clean_bank):
-    """P_4's first payload of the round is a well-formed vector, so it counts,
-    but its unhashable values count in no tally: every slot still agrees, and
-    the honest senders' slots decide as in the clean run."""
-    forged = (round_index, ([1, 2], None, "__NO_PREF__", {3: 4}))
-    result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt=_inject(SBA_TAG, forged))
-    assert _banks(result, [1])[1]._round_inbox[round_index][4] == list(forged[1])
-    assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
-    assert _agree_by_t_bgp(result, [1, 2, 3])[:3] == clean_bank[1][:3]
-
-
-@pytest.mark.parametrize("king_vector", [
-    pytest.param([0] * 4, id="a-list"),
-    pytest.param((0,) * 3, id="wrong-length"),
-    pytest.param(None, id="none"),
-    pytest.param(([1, 2],) * 4, id="unhashable"),
+@pytest.mark.parametrize("king_vector,reads", [
+    pytest.param([1] * 4, None, id="a-list"),
+    pytest.param((1,) * 4, None, id="a-plain-tuple"),
+    pytest.param(_votes(1, 1, 1), None, id="wrong-length"),
+    pytest.param(None, None, id="none"),
+    pytest.param(_votes(*([1, 2],) * 4), None, id="unhashable"),
+    pytest.param(_votes(2, 2, 2, 2), None, id="slots-of-2"),
+    pytest.param(_votes(True, 1, 1, 1), None, id="a-slot-of-True"),
+    pytest.param(_votes(None, None, None, None), (None,) * 4, id="no-candidate-anywhere"),
+    pytest.param(_votes(1, 1, 1, 1), (1,) * 4, id="ones"),
 ])
-def test_a_malformed_king_vector_is_the_default_in_every_slot(king_vector):
+def test_a_king_slot_outside_0_and_1_reads_as_0(king_vector, reads):
     """A bank of 4 slots on split inputs: P_1, phase 1's king, sends
-    ``king_vector`` as its king round.  Where no candidate is strong the
-    honest parties take ``DEFAULT_VALUE`` from it, phase 2's honest king
-    keeps it, and every slot agrees by T_BGP; the unanimous slot is kept."""
-    inputs = {1: (0, 0, 0, 0), 2: (0, 1, 0, 1), 3: (1, 0, 1, 1), 4: (1, 1, 0, 0)}
+    ``king_vector`` as its king round.  Where no candidate is strong (slots
+    0, 1 and 3) the honest parties take the king's bit, ``DEFAULT_BIT`` where
+    that is not 0 or 1, phase 2's honest king keeps it, and every slot agrees
+    by T_BGP; the unanimous slot 2 is kept.  ``reads`` is what the honest
+    parties hold as the king's vector (``None``: it was absent)."""
+    inputs = {1: (0, 0, 1, 0), 2: (0, 1, 1, 1), 3: (1, 0, 1, 1), 4: (1, 1, 0, 0)}
 
     def as_king(tag, payload):
         return [(tag, (3, king_vector) if payload[0] == 3 else payload)]
@@ -478,27 +492,28 @@ def test_a_malformed_king_vector_is_the_default_in_every_slot(king_vector):
                     corrupt={1: RewriteBehavior({"sba": as_king})})
     result = sim.run(lambda party: PhaseKingSBA(party, "sba", faults=1,
                                                 value=inputs[party.id]), max_time=100.0)
-    assert result.honest_outputs() == {pid: (DEFAULT_VALUE,) * 2 + (0, DEFAULT_VALUE)
+    king_bit = 1 if reads == (1,) * 4 else DEFAULT_BIT
+    assert result.honest_outputs() == {pid: (king_bit, king_bit, 1, king_bit)
                                        for pid in (2, 3, 4)}
     for pid in (2, 3, 4):
         bank = result.instances[pid]
         assert bank.output_time <= sba_time_bound(4, 1, 1.0)
-        assert (1 in bank._round_inbox.get(3, {})) == (type(king_vector) is tuple
-                                                       and len(king_vector) == 4)
+        assert bank._round_inbox.get(3, {}).get(1) == reads
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2, 3])
-def test_garbling_one_slot_leaves_every_other_slot_as_in_the_honest_run(slot, clean_bank):
-    """P_4 sends slot ``slot`` of every vector as garbage (another value, or an
-    unhashable one), the other slots as the honest code made them."""
-    def garble(tag, payload):
+def test_flipping_one_slot_leaves_every_other_slot_as_in_the_honest_run(slot, clean_bank):
+    """P_4 sends slot ``slot`` of every vector flipped (a ``None`` as 1), the
+    other slots as the honest code made them: a vote the honest parties
+    outvote, whatever the slot."""
+    def flip(tag, payload):
         round_index, vector = payload
-        junk = [1, 2] if round_index % 2 else ("forged", round_index)
-        return [(tag, (round_index, vector[:slot] + (junk,) + vector[slot + 1:]))]
+        votes = list(vector.entries[0])
+        votes[slot] = 1 - (votes[slot] or 0)
+        return [(tag, (round_index, _votes(*votes)))]
 
-    result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt={4: RewriteBehavior({SBA_TAG: garble})})
+    result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt={4: RewriteBehavior({SBA_TAG: flip})})
     output = _agree_by_t_bgp(result, [1, 2, 3])
-    assert _banks(result, [1])[1]._round_inbox[1][4][slot] == [1, 2]
-    assert [v for s, v in enumerate(output) if s != slot] == [
-        v for s, v in enumerate(clean_bank[1]) if s != slot]
+    assert _banks(result, [1])[1]._round_inbox[1][4][slot] == 0
+    assert output == clean_bank[1]
     assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
