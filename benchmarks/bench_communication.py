@@ -10,10 +10,13 @@ constants are not expected to match the paper (our ΠBGP differs); the
 ``python benchmarks/bench_communication.py`` persists one ``scaling_<label>``
 row per protocol to ``BENCH_communication.json`` and asserts the tolerances.
 Rows measured with this file at an earlier commit's ``src/`` are kept beside
-them: all four with a phase-king run per ΠBC carrier as ``@parent_2240655``
-(the one bank per anchor instant of ``repro.broadcast.bc`` came after it;
-:data:`PARENT_ROWS`), all four with one run of Fig 1 per logical ΠBC as ``@parent_2a4941f``
-(the broadcast carriers of ``repro.broadcast.bc`` came after it), all four
+them: all four with a phase-king bank that agreed on whole bundles as
+``@parent_2794c4d`` (the binary bank of ``repro.ba.sba`` came after it;
+:data:`PARENT_ROWS`), all four with a phase-king run per ΠBC carrier as
+``@parent_2240655`` (the one bank per anchor instant of
+``repro.broadcast.bc`` came after it), all four with one run of Fig 1 per
+logical ΠBC as ``@parent_2a4941f`` (the broadcast carriers of
+``repro.broadcast.bc`` came after it), all four
 with one ΠABA message per slot per step as ``@parent_b8ff26b`` (the ΠABA
 carriers of ``repro.ba.aba`` came after it), all four with a bundle priced as
 the plain tuple it was as ``@parent_a4b1a25`` (``repro.broadcast.acast.Bundle``
@@ -45,19 +48,15 @@ SWEEP = [(4, 1), (5, 1), (7, 2)]
 EXPONENT_TOLERANCE = 1.5
 
 #: label -> suffix of the row measured with this file at that commit's
-#: ``src/``.  One phase-king bank per anchor instant sends one vector where
-#: each carrier sent its own vote, and a synchronous sweep takes no late path:
-#: against ``@parent_2240655`` neither the messages nor the bits may be higher
-#: at any n of the sweep, but for the lone ΠBC's bits (:data:`LONE_BANK_TOLERANCE`).
-#: (Against ``@parent_15b8279`` the vote vectors were the same messages at
-#: fewer bits, against ``@parent_b8ff26b`` the ΠABA vectors took 7-8% of
-#: ΠVSS's messages, against ``@parent_2a4941f`` the carriers half an exponent.)
-PARENT_ROWS = {label: "@parent_2240655" for label in ("bc", "wps", "vss", "acs")}
-
-#: A lone ΠBC's bank also carries the n − 1 absent slots of the other
-#: senders, 1 bit each, on every phase-king message: its bits may exceed the
-#: parent's by this fraction (1.1%, 1.5% and 2.4% at n = 4, 5 and 7).
-LONE_BANK_TOLERANCE = 0.03
+#: ``src/``.  The binary phase-king bank sends the same vectors with one vote
+#: a slot where each carried the n senders' bundles, and a synchronous sweep
+#: takes no late path: against ``@parent_2794c4d`` neither the messages nor
+#: the bits may be higher at any n of the sweep.  (Against ``@parent_2240655``
+#: the bank sent one vector where each carrier sent its own vote, against
+#: ``@parent_15b8279`` the vote vectors were the same messages at fewer bits,
+#: against ``@parent_b8ff26b`` the ΠABA vectors took 7-8% of ΠVSS's messages,
+#: against ``@parent_2a4941f`` the carriers half an exponent.)
+PARENT_ROWS = {label: "@parent_2794c4d" for label in ("bc", "wps", "vss", "acs")}
 
 
 def _counts(n, factory):
@@ -146,8 +145,7 @@ def main(suffix: str = "") -> None:
             # a lower-order term *raises* the exponent fitted through three small n.
             assert all(row["messages_by_n"][n] <= parent["messages_by_n"][n]
                        for n in row["messages_by_n"]), (label, row["messages_by_n"])
-            slack = 1 + LONE_BANK_TOLERANCE if label == "bc" else 1
-            assert all(row["bits_by_n"][n] <= parent["bits_by_n"][n] * slack
+            assert all(row["bits_by_n"][n] <= parent["bits_by_n"][n]
                        for n in row["bits_by_n"]), (label, row["bits_by_n"])
             for count in ("messages", "bits"):
                 row[f"{count}_vs_parent_by_n"] = {

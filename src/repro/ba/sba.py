@@ -49,8 +49,6 @@ from repro.sim.party import Party, ProtocolInstance
 #: king has no candidate.
 DEFAULT_BIT = 0
 
-_VOTE_TYPES = frozenset((int, type(None)))
-
 
 def sba_time_bound(n: int, t: int, delta: float) -> float:
     """T_BGP for our phase-king instantiation: 3 rounds per phase, t+1 phases."""
@@ -59,10 +57,12 @@ def sba_time_bound(n: int, t: int, delta: float) -> float:
 
 def _votes(vector: Any, n: int) -> Optional[Tuple]:
     """``vector`` if it is an n-tuple over {``None``, 0, 1}, exact types, else ``None``."""
-    if (type(vector) is tuple and len(vector) == n and _VOTE_TYPES.issuperset(map(type, vector))
-            and vector.count(0) + vector.count(1) + vector.count(None) == n):
-        return vector
-    return None
+    if type(vector) is not tuple or len(vector) != n:
+        return None
+    for vote in vector:
+        if vote is not None and (type(vote) is not int or not 0 <= vote <= 1):
+            return None
+    return vector
 
 
 class PhaseKingSBA(ProtocolInstance):

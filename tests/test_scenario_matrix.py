@@ -353,8 +353,8 @@ def test_heaviest_messages_are_bounded(offline):
     # A bank vector: header, round number and 4 votes at 2 bits a slot.
     bank_vector = Message(1, 2, "mpc/bc@0/sba", (1, Bundle(((1, 0, None, 1),), 4)), 0.0)
     assert bank_vector.bits == 64 + 64 + 8 == 136 < carrier
-    # One n = 7, t_s = 2 product evaluation (6 multiplications) measured
-    # 6,302 bits on a carrier (a verdict bundle), and 16,574 bits as its
+    # n = 7, t_s = 2 product evaluations (6 multiplications) measured up to
+    # 6,302 bits on a carrier (a verdict bundle), and 16,574 bits as the
     # heaviest message, a dealer's rows.
     assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 6_302
     assert 16_574 <= dealer_row_bound(triples_per_dealer(7, 2, 6) * 3 * (2 * 2 + 1), 2)

@@ -465,6 +465,20 @@ def test_a_malformed_bank_vector_is_absent_in_every_slot(forged, clean_bank):
                    for r in (1, 2) for pid in range(1, 5))
 
 
+@pytest.mark.parametrize("round_index", [1, 2, 3, 4, 5, 6])
+def test_an_unhashable_slot_value_counts_for_nothing_in_that_slot(round_index, clean_bank):
+    """P_4's first payload of the round has an unhashable value in one slot
+    and values no vote may take in the others: the vector is absent in every
+    slot, P_4's honest vector of the round is the first that counts, and the
+    run is the clean one."""
+    forged = (round_index, _votes([1, 2], None, "__NO_PREF__", {3: 4}))
+    result = _run_bank(4, 1, SLOT_VOTES, slots=2, corrupt=_inject(SBA_TAG, forged))
+    inbox = _banks(result, [1])[1]._round_inbox
+    assert round_index not in inbox or inbox[round_index].get(4) != forged[1].entries[0]
+    assert result.honest_outputs() == {pid: clean_bank[0][pid] for pid in (1, 2, 3)}
+    assert _agree_by_t_bgp(result, [1, 2, 3]) == clean_bank[1]
+
+
 @pytest.mark.parametrize("king_vector,reads", [
     pytest.param([1] * 4, None, id="a-list"),
     pytest.param((1,) * 4, None, id="a-plain-tuple"),
@@ -476,11 +490,11 @@ def test_a_malformed_bank_vector_is_absent_in_every_slot(forged, clean_bank):
     pytest.param(_votes(None, None, None, None), (None,) * 4, id="no-candidate-anywhere"),
     pytest.param(_votes(1, 1, 1, 1), (1,) * 4, id="ones"),
 ])
-def test_a_king_slot_outside_0_and_1_reads_as_0(king_vector, reads):
+def test_a_malformed_king_vector_is_the_default_in_every_slot(king_vector, reads):
     """A bank of 4 slots on split inputs: P_1, phase 1's king, sends
     ``king_vector`` as its king round.  Where no candidate is strong (slots
     0, 1 and 3) the honest parties take the king's bit, ``DEFAULT_BIT`` where
-    that is not 0 or 1, phase 2's honest king keeps it, and every slot agrees
+    that is not 0 or 1 (a king slot outside {0, 1} reads as 0), phase 2's honest king keeps it, and every slot agrees
     by T_BGP; the unanimous slot 2 is kept.  ``reads`` is what the honest
     parties hold as the king's vector (``None``: it was absent)."""
     inputs = {1: (0, 0, 1, 0), 2: (0, 1, 1, 1), 3: (1, 0, 1, 1), 4: (1, 1, 0, 0)}
@@ -502,7 +516,7 @@ def test_a_king_slot_outside_0_and_1_reads_as_0(king_vector, reads):
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2, 3])
-def test_flipping_one_slot_leaves_every_other_slot_as_in_the_honest_run(slot, clean_bank):
+def test_garbling_one_slot_leaves_every_other_slot_as_in_the_honest_run(slot, clean_bank):
     """P_4 sends slot ``slot`` of every vector flipped (a ``None`` as 1), the
     other slots as the honest code made them: a vote the honest parties
     outvote, whatever the slot."""
