@@ -41,8 +41,9 @@ binary :class:`~repro.ba.sba.PhaseKingSBA` of n slots,
 ``<root>/bc@<ticks>/sba``, slot s sender s's: each round a party sends one
 vector of n votes at 2 bits a slot.  The first carrier of the instant at a
 party builds the bank; its one timer, at anchor + 3Δ + ε, inputs slot s as
-1 if carrier ``[s]``'s Acast has delivered here and 0 otherwise (or if that
-carrier does not exist here).  At anchor + T_BC carrier s outputs its Acast
+1 if carrier ``[s]``'s Acast has delivered here and 0 otherwise; a party
+where that carrier does not exist inputs 0, as one whose Acast has not
+delivered would, which any run allows.  At anchor + T_BC carrier s outputs its Acast
 value if it holds it *and* slot s decided 1, and ⊥ otherwise.
 
 Fig 1 runs the SBA on the Acast value itself, and its regular output is that
