@@ -63,7 +63,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ba.aba import AbaCarrier, aba_carrier, aba_nominal_time_bound
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
-from repro.sim.party import Party, ProtocolInstance
+from repro.sim.party import Outcome, Party, ProtocolInstance
 from repro.timing import epsilon
 
 
@@ -72,42 +72,24 @@ def ba_time_bound(n: int, t: int, delta: float) -> float:
     return bc_time_bound(n, t, delta) + aba_nominal_time_bound(delta) + epsilon(delta)
 
 
-class BASlot:
-    """One ΠBA of a bank, as the protocol voting in it sees it.
-
-    :meth:`provide_input` casts this party's vote (the first one counts),
-    :meth:`on_output` reports the decision; ``output`` / ``has_output`` read
-    as on a :class:`~repro.sim.party.ProtocolInstance`.
-    """
-
-    __slots__ = ("bank", "index", "vote", "output", "has_output", "_callbacks",
-                 "_awaiting_vote")
+class BASlot(Outcome):
+    """One ΠBA of a bank, as the protocol voting in it sees it: a record its
+    bank owns.  :meth:`provide_input` casts this party's vote (the first one
+    counts), the output is the slot's decision."""
 
     def __init__(self, bank: "BestOfBothWorldsBA", index: int):
+        super().__init__(bank.party)
         self.bank = bank
         self.index = index
         self.vote: Optional[int] = None
-        self.output: Optional[int] = None
-        self.has_output = False
-        self._callbacks: List[Callable[[int], None]] = []
         #: T_BC passed with neither n - t effective broadcasts nor a vote.
         self._awaiting_vote = False
 
     def provide_input(self, value: int) -> None:
         self.bank._cast(self, int(value))
 
-    def on_output(self, callback: Callable[[int], None]) -> None:
-        if self.has_output:
-            callback(self.output)
-        else:
-            self._callbacks.append(callback)
-
     def _decide(self, value: int) -> None:
-        self.output = value
-        self.has_output = True
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(value)
+        self.set_output(value)
         self.bank._slot_decided()
 
 

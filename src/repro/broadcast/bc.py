@@ -24,12 +24,13 @@ faults, Δ) at each party, by a :class:`BroadcastCarrier` whose value is the
 every logical :class:`BroadcastProtocol` of that sender anchored at that
 instant, in the order of their tags (``None`` = "no input by the anchor"),
 sent at the anchor even if all ``None``.  A logical ΠBC is an entry of its
-carrier: it gets its regular-mode output at anchor + T_BC and its fallback
-output when the carrier's Acast delivers, exactly when its own Fig 1 run
-would have.  The carrier's tag is ``<root>/bc@<ticks>[<sender>]``: ``root``
-the first component of the logical tags, ``ticks`` the anchor's distance from
-the root instance's anchor in units of ε(Δ), an exact integer every party
-computes alike without reading a clock.  The entries are the endpoints
+carrier, a record the carrier owns and not a registered instance: it gets its
+regular-mode output at anchor + T_BC and its fallback output when the
+carrier's Acast delivers, exactly when its own Fig 1 run would have.  The
+carrier's tag is ``<root>/bc@<ticks>[<sender>]``: ``root`` the first component
+of the logical tags (a lone ΠBC is its own root), ``ticks`` the anchor's
+distance from the root's anchor in units of ε(Δ), an exact integer every
+party computes alike without reading a clock.  The entries are the endpoints
 started before the carrier's anchor timer fires; a later one raises
 :class:`CarrierError`.
 
@@ -151,7 +152,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ba import sba
 from repro.broadcast.acast import AcastProtocol, Bundle, maybe_pack_payload
-from repro.sim.party import Party, ProtocolInstance
+from repro.sim.party import Outcome, Party, ProtocolInstance
 from repro.timing import epsilon
 
 
@@ -337,10 +338,11 @@ class BroadcastCarrier(ProtocolInstance):
             endpoint._fallback(entry)
 
 
-class BroadcastProtocol(ProtocolInstance):
-    """One logical ΠBC with a designated sender, an entry of its carrier.
+class BroadcastProtocol(Outcome):
+    """One logical ΠBC with a designated sender: an entry of its carrier, a
+    record the carrier owns, not a registered instance.
 
-    ``anchor`` is the commonly-known local time at which the instance starts
+    ``anchor`` is the commonly-known local time at which the ΠBC starts
     counting (all its time-outs are relative to it); the enclosing protocol
     fixes it so that every honest party uses the same anchor.  The sender
     supplies its message at construction or via :meth:`provide_input`, by
@@ -363,7 +365,8 @@ class BroadcastProtocol(ProtocolInstance):
         anchor: Optional[float] = None,
         delta: Optional[float] = None,
     ):
-        super().__init__(party, tag)
+        super().__init__(party)
+        self.tag = tag
         self.sender = sender
         self.faults = faults
         self.delta = delta if delta is not None else party.delta
@@ -400,8 +403,8 @@ class BroadcastProtocol(ProtocolInstance):
     def start(self) -> None:
         if self.anchor is None:
             self.anchor = self.now
-        root = self.tag.partition("/")[0]
-        origin = getattr(self.party.get_instance(root), "anchor", None)
+        root, nested, _ = self.tag.partition("/")
+        origin = getattr(self.party.get_instance(root), "anchor", None) if nested else self.anchor
         if origin is None:
             raise CarrierError(f"{self.tag}: root instance {root!r} has no anchor")
         tag = carrier_tag(root, self.anchor - origin, self.sender, self.delta)

@@ -7,7 +7,8 @@ whose :class:`FaultGate` applies it with order-independent hash-keyed
 decisions (chaos failures replay bit-identically on the simulator).
 :mod:`repro.faults.campaign` samples plans from a seed and checks runs
 against the paper's guarantee table, dumping a replayable artifact on any
-violation.
+violation; it is imported from there (not re-exported here, so that
+``python -m repro.faults.campaign`` runs it once).
 """
 
 from repro.faults.plan import (
@@ -20,13 +21,6 @@ from repro.faults.plan import (
     Partition,
     ProcessFault,
 )
-from repro.faults.campaign import (
-    ChaosCampaignFailure,
-    ThresholdExceededAbort,
-    run_campaign,
-    run_case,
-    sample_plan,
-)
 
 __all__ = [
     "FaultPlan",
@@ -37,9 +31,4 @@ __all__ = [
     "ProcessFault",
     "PARTITIONED",
     "CORRUPTED",
-    "ChaosCampaignFailure",
-    "ThresholdExceededAbort",
-    "sample_plan",
-    "run_case",
-    "run_campaign",
 ]

@@ -4,7 +4,9 @@ Every protocol from the paper is implemented as a :class:`ProtocolInstance`
 state machine.  A party runs many instances concurrently (e.g. all the
 ``Pi_WPS^(j)`` and ``Pi_BA`` instances inside a VSS); instances are addressed
 by hierarchical tags so that sub-protocol composition mirrors the paper's
-"the parties participate in instance Pi^(j)" phrasing.
+"the parties participate in instance Pi^(j)" phrasing.  A logical ΠBC and a
+ΠBA slot are records that their carrier or bank owns, not instances; all
+three publish their output through one :class:`Outcome`.
 
 A party is execution-backend agnostic: everything it needs from its host --
 channels, timers, the clock, the static execution parameters -- goes through
@@ -133,29 +135,17 @@ class Party:
         return f"Party({self.id})"
 
 
-class ProtocolInstance:
-    """Base class for all protocol state machines.
+class Outcome:
+    """What a protocol instance, a logical ΠBC (an entry of its carrier) or a
+    ΠBA slot (of its bank) outputs at a party: the value, when, and who waits
+    for it.  Completion callbacks fire exactly once."""
 
-    Subclasses implement :meth:`start` and :meth:`receive`.  Outputs are
-    published via :meth:`set_output`; completion callbacks fire exactly once.
-    Protocols keep running after producing an output (the paper's protocols
-    have no termination criteria of their own), but the simulation harness
-    normally stops once every honest party has an output.
-    """
-
-    def __init__(self, party: Party, tag: str):
+    def __init__(self, party: Party):
         self.party = party
-        self.tag = tag
         self.output: Any = None
         self.has_output = False
         self.output_time: Optional[float] = None
         self._output_callbacks: List[Callable[[Any], None]] = []
-        party.register_instance(self)
-
-    # -- conveniences -------------------------------------------------------
-    @property
-    def field(self):
-        return self.party.field
 
     @property
     def n(self) -> int:
@@ -168,6 +158,60 @@ class ProtocolInstance:
     @property
     def now(self) -> float:
         return self.party.now
+
+    def on_output(self, callback: Callable[[Any], None]) -> None:
+        """Register a callback fired when this instance first outputs."""
+        if self.has_output:
+            callback(self.output)
+        else:
+            self._output_callbacks.append(callback)
+
+    def set_output(self, value: Any) -> None:
+        """Publish the protocol output (only the first call has effect)."""
+        if self.has_output:
+            return
+        self.output = value
+        self.has_output = True
+        self.output_time = self.now
+        callbacks, self._output_callbacks = self._output_callbacks, []
+        for callback in callbacks:
+            callback(value)
+
+    def update_output(self, value: Any) -> None:
+        """Switch an already-published output (used by fallback modes).
+
+        Pi_BC allows parties that output bottom through the regular mode to
+        later switch to the sender's value through the fallback mode; this
+        helper records the switch without re-firing completion callbacks
+        already delivered (new callbacks see the new value).
+        """
+        self.output = value
+        if not self.has_output:
+            self.has_output = True
+            self.output_time = self.now
+        callbacks, self._output_callbacks = self._output_callbacks, []
+        for callback in callbacks:
+            callback(value)
+
+
+class ProtocolInstance(Outcome):
+    """Base class for all protocol state machines.
+
+    Subclasses implement :meth:`start` and :meth:`receive`, and publish their
+    output through :meth:`set_output`.  Protocols keep running after an output
+    (the paper's protocols have no termination criteria of their own), but
+    the simulation harness normally stops once every honest party has one.
+    """
+
+    def __init__(self, party: Party, tag: str):
+        super().__init__(party)
+        self.tag = tag
+        party.register_instance(self)
+
+    # -- conveniences -------------------------------------------------------
+    @property
+    def field(self):
+        return self.party.field
 
     @property
     def rng(self) -> random.Random:
@@ -213,40 +257,6 @@ class ProtocolInstance:
 
     def receive(self, sender: int, payload: Any) -> None:
         """Handle an incoming message for this instance."""
-
-    def on_output(self, callback: Callable[[Any], None]) -> None:
-        """Register a callback fired when this instance first outputs."""
-        if self.has_output:
-            callback(self.output)
-        else:
-            self._output_callbacks.append(callback)
-
-    def set_output(self, value: Any) -> None:
-        """Publish the protocol output (only the first call has effect)."""
-        if self.has_output:
-            return
-        self.output = value
-        self.has_output = True
-        self.output_time = self.now
-        callbacks, self._output_callbacks = self._output_callbacks, []
-        for callback in callbacks:
-            callback(value)
-
-    def update_output(self, value: Any) -> None:
-        """Switch an already-published output (used by fallback modes).
-
-        Pi_BC allows parties that output bottom through the regular mode to
-        later switch to the sender's value through the fallback mode; this
-        helper records the switch without re-firing completion callbacks
-        already delivered (new callbacks see the new value).
-        """
-        self.output = value
-        if not self.has_output:
-            self.has_output = True
-            self.output_time = self.now
-        callbacks, self._output_callbacks = self._output_callbacks, []
-        for callback in callbacks:
-            callback(value)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(party={self.party.id}, tag={self.tag!r})"

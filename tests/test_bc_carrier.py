@@ -550,8 +550,8 @@ def test_real_clock_vss_no_honest_bundle_misses_an_input_due_at_the_anchor():
         assert len(due) == 5 + 2 and None not in due.values(), sent
         # No input missed its bundle, so no ΠBC was ever given a late input (its
         # late carriers, if any, carry verdicts a real clock made late).
-        assert not any(type(e) is BroadcastProtocol and e.late_input is not None
-                       for e in instance.party.instances.values())
+        assert not any(e.late_input is not None for c in instance.party.instances.values()
+                       if type(c) is BroadcastCarrier for e in c.entries)
 
 
 # -- the wire -------------------------------------------------------------------------------------------

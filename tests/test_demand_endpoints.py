@@ -215,6 +215,30 @@ def test_byzantine_child_names_build_nothing_and_raise_nothing(cls, n, ts, ta):
         assert party.load()[1] == len(names)
 
 
+def test_a_message_to_an_endpoint_tag_is_buffered_like_any_unbuilt_tag():
+    """A logical ΠBC is a record of its carrier, not an instance, so nothing is
+    registered at ``prot/ok[1]``: corrupt P_4's message there waits in the
+    buffer like one for any tag never built, and changes no honest output."""
+    anchor = WeakPolynomialSharing.ok_anchor_at(0.0, 4, 1, 1.0)
+
+    def also_to_an_endpoint(tag, payload):
+        extra = [("prot/ok[1]", ("init", OK))] if payload[0] == "init" else []
+        return [(tag, payload)] + extra
+
+    poly = random_polynomial(1, 15, seed=44)
+    clean, attacked = (
+        run_dealer_protocol(WeakPolynomialSharing, n=4, ts=1, ta=0, dealer=1, polynomials=[poly],
+                            corrupt={4: RewriteBehavior({bundle_tag("prot", anchor, 4): edit})})
+        for edit in (lambda tag, payload: [(tag, payload)], also_to_an_endpoint)
+    )
+    assert attacked.metrics.messages_sent == clean.metrics.messages_sent + 3
+    assert attacked.honest_outputs() == clean.honest_outputs()
+    assert attacked.honest_output_times() == clean.honest_output_times()
+    for pid in clean.backend.honest_party_ids():
+        party = attacked.instances[pid].party
+        assert "prot/ok[1]" not in party.instances and party.load()[1] == 1
+
+
 def test_flood_of_distinct_bogus_child_tags_allocates_no_instance():
     sim = Simulator(N, network=SynchronousNetwork())
     roots = {pid: Broadcasts(party, "root", 1, {"a": (0.0, "m")})

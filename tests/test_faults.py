@@ -27,6 +27,9 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,18 +41,18 @@ from repro.faults import (
     PARTITIONED,
     Partition,
     ProcessFault,
-    ThresholdExceededAbort,
-    run_campaign,
-    run_case,
-    sample_plan,
 )
 from repro.faults.campaign import (
     OK,
     STALLED_ALLOWED,
     THRESHOLD_ABORT,
+    ThresholdExceededAbort,
     dump_artifact,
     main as campaign_main,
     repro_command,
+    run_campaign,
+    run_case,
+    sample_plan,
 )
 from repro.faults.plan import DELIVER, DROP, DUPLICATE, HOLD
 from repro.runtime import AsyncioBackend
@@ -538,6 +541,17 @@ def test_campaign_cli_replays_an_artifact(tmp_path, capsys):
     replay = json.loads(capsys.readouterr().out)
     assert replay["replayed"] == "synthetic failure"
     assert replay["record"]["outcome"] == OK
+
+
+def test_campaign_module_runs_once_under_dash_m():
+    """``repro.faults`` does not import the campaign, so ``-m`` executes it
+    once, as ``__main__``, and Python has nothing to warn about."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "repro.faults.campaign", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 @pytest.mark.chaos

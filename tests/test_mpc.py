@@ -10,6 +10,7 @@ import re
 import pytest
 
 from repro.ba.aba import AbaCarrier
+from repro.ba.bobw import BASlot, BestOfBothWorldsBA
 from repro.ba.sba import PhaseKingSBA
 from repro.broadcast.acast import AcastProtocol
 from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol
@@ -30,6 +31,7 @@ from repro.sim import (
     SynchronousNetwork,
     WrongValueBehavior,
 )
+from repro.sim.party import Outcome
 from repro.sim.simulator import SimulationMetrics
 
 from golden import assert_matches_golden
@@ -81,12 +83,11 @@ def test_sync_product_all_honest(monkeypatch):
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert delivered_at_start == [0] * (4 * 756)
     for party in result.run.backend.parties.values():
-        broadcasts = [e for e in party.instances.values() if type(e) is BroadcastProtocol]
-        assert len(broadcasts) == 120 * 5 + 39 * 4
         carriers = [e for e in party.instances.values() if type(e) is BroadcastCarrier]
         assert sorted({round(c.anchor, 3) for c in carriers}) == [
             3.0, 12.004, 21.008, 42.014, 51.018, 60.022, 81.029, 127.049]
-        assert len(carriers) == 32 and sum(len(c.entries) for c in carriers) == 756
+        assert len(carriers) == 32
+        assert sum(len(c.entries) for c in carriers) == 756 == 120 * 5 + 39 * 4
         # No input missed its bundle (the three publishers at an anchor really
         # go through at_anchor) and nobody took the late path, so the carriers'
         # Acasts are the only ones: the late carriers are built on first use.
@@ -105,9 +106,30 @@ def test_sync_product_all_honest(monkeypatch):
         assert sorted(b.tag for b in banks) == sorted(
             {c.tag.rpartition("[")[0] + "/sba" for c in carriers})
         assert len(banks) == 8 and all(len(b.output) == 4 for b in banks)
-    # The ΠABA carriers (16) and the phase-king banks (32) on top of the rest.
+    # The logical ΠBCs are records their carriers own, not registered
+    # instances: 4,844 while each of the 756 per party was one.
     instances = sum(len(p.instances) for p in result.run.backend.parties.values())
-    assert instances == 4_844 == 4_796 + 16 + 32
+    assert instances == 1_820 == 4_844 - 4 * 756
+
+
+def test_endpoints_and_slots_are_records_their_owners_hold():
+    """A logical ΠBC is an entry of its carrier and a ΠBA slot one of its bank:
+    neither is a registered instance, and both output through ``Outcome`` --
+    a slot's output time included, the last of which is its bank's."""
+    result = run_mpc(multiplication_circuit(F, 4), {1: 3, 2: 5, 3: 7, 4: 11},
+                     n=4, ts=1, ta=0, seed=1)
+    assert result.outputs == [F(1155)]
+    for party in result.run.backend.parties.values():
+        instances = list(party.instances.values())
+        assert not any(isinstance(e, (BroadcastProtocol, BASlot)) for e in instances)
+        entries = [e for c in instances if type(c) is BroadcastCarrier for e in c.entries]
+        assert len(entries) == 756
+        assert all(isinstance(e, Outcome) and e.output_time is not None for e in entries)
+        banks = [e for e in instances if isinstance(e, BestOfBothWorldsBA)]
+        assert banks
+        for bank in banks:
+            assert all(isinstance(slot, Outcome) and slot.has_output for slot in bank.slots)
+            assert bank.output_time == max(slot.output_time for slot in bank.slots)
 
 
 #: The tag of a late carrier, ``<carrier>/late[k]``.

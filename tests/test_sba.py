@@ -4,14 +4,8 @@ import pytest
 
 from repro.ba.sba import PhaseKingSBA, sba_time_bound
 from repro.broadcast.acast import Bundle
-from repro.sim import (
-    AsynchronousNetwork,
-    CrashBehavior,
-    EquivocatingBehavior,
-    Simulator,
-    SynchronousNetwork,
-    WrongValueBehavior,
-)
+from repro.sim import AsynchronousNetwork, Behavior, CrashBehavior, Simulator, SynchronousNetwork
+from repro.sim.messages import Message
 
 from protocol_helpers import RewriteBehavior
 
@@ -58,16 +52,6 @@ def test_validity_with_crashed_corrupt_party():
     assert outputs == {1: 1, 2: 1, 3: 1}
 
 
-def test_validity_with_lying_corrupt_party():
-    # The corrupt party perturbs everything it sends; the three honest
-    # parties still agree on their common input.
-    outputs, _ = _run_sba(
-        4, 1, {1: 1, 2: 1, 3: 1, 4: 1},
-        corrupt={4: WrongValueBehavior(offset=3)},
-    )
-    assert outputs == {1: 1, 2: 1, 3: 1}
-
-
 def _flipping(tag, payload):
     """Every vote the party sends, flipped; a ``None`` stays ``None``."""
     round_index, vector = payload
@@ -89,12 +73,30 @@ def test_consistency_with_a_flipping_king():
     assert len(outputs) == 3 and len(set(outputs.values())) == 1
 
 
+class _FlipTo(Behavior):
+    """Votes as the protocol says, except that what goes to ``recipients`` is
+    flipped; keeps each (recipient, round)'s vote line as sent."""
+
+    def __init__(self, recipients):
+        self.recipients = set(recipients)
+        self.sent = {}
+
+    def filter_send(self, party, message):
+        if message.recipient in self.recipients:
+            ((tag, payload),) = _flipping(message.tag, message.payload)
+            message = Message(message.sender, message.recipient, tag, payload, message.send_time)
+        round_index, vector = message.payload
+        self.sent[message.recipient, round_index] = vector.entries[0]
+        return [message]
+
+
 def test_consistency_with_equivocating_party():
-    outputs, _ = _run_sba(
-        4, 1, {1: 1, 2: 0, 3: 1, 4: 0},
-        corrupt={4: EquivocatingBehavior(group_b=[1, 2])},
-    )
-    assert len(set(outputs.values())) == 1
+    """P_4 tells P_1 and P_2 the flip of what it tells P_3, on split inputs."""
+    equivocator = _FlipTo({1, 2})
+    outputs, _ = _run_sba(4, 1, {1: 1, 2: 0, 3: 1, 4: 0}, corrupt={4: equivocator})
+    assert len(outputs) == 3 and len(set(outputs.values())) == 1
+    rounds = {r for _, r in equivocator.sent}
+    assert any(equivocator.sent[1, r] != equivocator.sent[3, r] for r in rounds)
 
 
 def test_larger_committee_n7_t2():

@@ -1,8 +1,10 @@
 """Tests for the discrete-event simulator, network models and adversary behaviours."""
 
+import ast
 import collections
 import heapq
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -225,6 +227,39 @@ def test_buffered_messages_replayed_after_registration():
     instance = PingPong(sim.parties[2], "late")
     sim.run_until(max_time=3.0)
     assert instance.output == F(9)
+
+
+# -- one output mechanism --------------------------------------------------------------------
+
+OUTPUT_METHODS = {"on_output", "set_output", "update_output"}
+
+
+def _output_twins(src):
+    """(module, class) for every class under ``src`` but ``sim/party.py`` that
+    defines an output method or keeps a ``self.*callbacks`` list of its own."""
+    twins = set()
+    for path in src.rglob("*.py"):
+        module = path.relative_to(src).as_posix()
+        if module == "sim/party.py":
+            continue
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name in OUTPUT_METHODS
+                        or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr.endswith("callbacks")):
+                    twins.add((module, cls.name))
+    return twins
+
+
+def test_outputs_are_published_by_party_py_alone():
+    """Instances, ΠBC endpoints and ΠBA slots share ``Outcome``: no class
+    elsewhere re-implements its output methods or its callback list."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    assert _output_twins(src) == set()
 
 
 # -- behaviours ------------------------------------------------------------------------------

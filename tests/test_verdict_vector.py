@@ -81,8 +81,11 @@ def test_bc_endpoints_per_sharing_and_no_late_message_in_honest_synchrony(
             if isinstance(instance.party.instances.get(tag.rpartition("/")[0]),
                           BivariateSharingMixin)
         ]
-        broadcasts = [e for e in children if isinstance(e, BroadcastProtocol)]
+        broadcasts = [bc for e in instance.party.instances.values()
+                      if isinstance(e, BivariateSharingMixin)
+                      for bc in (*e._ok_bc.values(), e._star_bc)]
         assert len(broadcasts) == sharings * (n + 1)
+        assert all(type(bc) is BroadcastProtocol for bc in broadcasts)
         assert not any(type(e) is AcastProtocol for e in children)
         assert not any(LATE_TAG.search(tag) for tag in instance.party.instances)
         assert not any(instance._late_verdicts.values()) and instance._star2 is None

@@ -5,7 +5,6 @@ The reference values (``*_AT_PARENT``) are what the per-BA protocol -- one
 """
 
 import pickle
-import re
 
 import pytest
 
@@ -67,6 +66,13 @@ def _children(party, bank_tag, cls):
             if tag.rpartition("/")[0] == bank_tag and isinstance(e, cls)]
 
 
+def _vote_broadcasts(party, bank_tag):
+    """The bank's vote ΠBCs, records their carriers own: read from the bank."""
+    broadcasts = list(party.instances[bank_tag]._bc.values())
+    assert all(type(bc) is BroadcastProtocol for bc in broadcasts)
+    return broadcasts
+
+
 # -- k = 1 is Fig 2 -------------------------------------------------------------------------
 
 FIG2_AT_PARENT = [
@@ -105,7 +111,7 @@ def test_n_vote_broadcasts_and_k_abas_per_bank_per_party(n, slots):
     result = _run_bank(n, 1, votes, slots=slots, seed=3)
     assert len(result.honest_outputs()) == n
     for instance in result.instances.values():
-        broadcasts = _children(instance.party, "ba", BroadcastProtocol)
+        broadcasts = _vote_broadcasts(instance.party, "ba")
         assert sorted(bc.tag for bc in broadcasts) == [f"ba/bc[{i}]" for i in range(1, n + 1)]
         abas = _children(instance.party, "ba", BrachaABA)
         assert sorted(aba.tag for aba in abas) == [f"ba/aba[{j}]" for j in range(slots)]
@@ -245,11 +251,11 @@ def test_acs_common_subset_equals_the_per_ba_protocols(n, ts, ta, options, seed,
     for pid in honest:
         party = result.instances[pid].party
         # Two banks per ΠACS, one per ΠVSS: n vote ΠBCs each, whatever n.
-        assert len(_children(party, "acs/ba", BroadcastProtocol)) == n
-        assert len(_children(party, "acs/vss_ba", BroadcastProtocol)) == n
-        assert len(_children(party, "acs/vss[1]/wps_ba", BroadcastProtocol)) == n
-        votes = [e for tag, e in party.instances.items()
-                 if re.search(r"ba/bc\[\d+\]$", tag)]
+        assert len(_vote_broadcasts(party, "acs/ba")) == n
+        assert len(_vote_broadcasts(party, "acs/vss_ba")) == n
+        assert len(_vote_broadcasts(party, "acs/vss[1]/wps_ba")) == n
+        votes = [bc for e in party.instances.values() if isinstance(e, BestOfBothWorldsBA)
+                 for bc in e._bc.values()]
         assert len(votes) == (2 + n) * n
 
 
