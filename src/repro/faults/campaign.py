@@ -6,11 +6,12 @@ plan on the deterministic simulator, and checks the run
 against the paper's guarantee matrix:
 
 * **Safety always.**  If the run completes, every honest party must agree
-  and the outputs must equal the fault-free reference -- the circuit
-  evaluated in the clear, with the inputs of any crash-killed subset
-  defaulted to 0 (a party crashed before its input enters the common subset
-  contributes 0; one crashed *after* still contributes, so any zeroed
-  subset of the killed parties is a legal reference).
+  and the outputs must equal the circuit evaluated in the clear on the
+  inputs of the agreed common subset CS, every input outside it 0 (Theorem
+  7.1: a party crashed, partitioned or slowed past its ΠVSS may be left
+  out, and then contributes 0).  CS holds at least n - t_s parties, and
+  every party that was not killed when the plan loses no message on a
+  network that stays synchronous.
 * **Liveness per the threshold of the *effective* network model.**  A
   plan that preserves delivery (no drops/corruption/partitions) must
   complete when its kills fit the threshold: ``t_s`` for a synchronous
@@ -157,16 +158,6 @@ def sample_plan(
     )
 
 
-def _reference_candidates(circuit, inputs: Dict[int, int], killed: List[int]):
-    """Legal output vectors: inputs of any killed subset defaulted to 0."""
-    candidates = set()
-    for mask in range(1 << len(killed)):
-        zeroed = {killed[i] for i in range(len(killed)) if mask & (1 << i)}
-        effective = {pid: val for pid, val in inputs.items() if pid not in zeroed}
-        candidates.add(tuple(int(v) for v in circuit.evaluate(effective)))
-    return candidates
-
-
 def run_case(
     plan: FaultPlan,
     n: int = 4,
@@ -223,7 +214,6 @@ def run_case(
     # (t_a) via the best-of-both fallback paths.
     effective_sync = synchronous and not plan.breaks_synchrony()
     threshold = ts if effective_sync else ta
-    candidates = _reference_candidates(circuit, inputs, killed)
     record: Dict[str, Any] = {
         "plan_seed": plan.seed,
         "plan_hash": plan.plan_hash(),
@@ -246,10 +236,21 @@ def run_case(
         )
         outputs = tuple(int(v) for v in result.outputs)
         record["outputs"] = list(outputs)
-        assert outputs in candidates, (
-            f"plan {plan.plan_hash()}: outputs {list(outputs)} match no "
-            f"fault-free reference (killed={killed}, candidates="
-            f"{sorted(candidates)})"
+        common = result.common_subset or []
+        record["common_subset"] = common
+        assert len(common) >= n - ts, (
+            f"plan {plan.plan_hash()}: common subset {common} has fewer than n - t_s parties"
+        )
+        if effective_sync and not plan.loses_messages():
+            assert set(common) >= set(inputs) - set(killed), (
+                f"plan {plan.plan_hash()}: common subset {common} leaves out a party "
+                f"that was not killed (killed={killed}) on a lossless synchronous plan"
+            )
+        reference = tuple(int(v) for v in circuit.evaluate(
+            {pid: value if pid in common else 0 for pid, value in inputs.items()}))
+        assert outputs == reference, (
+            f"plan {plan.plan_hash()}: outputs {list(outputs)} are not the circuit on "
+            f"the inputs of the common subset {common} ({list(reference)})"
         )
         record["outcome"] = OK
         return record

@@ -91,6 +91,40 @@ All payloads from other parties pass one total parser
 element of this field)``, a star payload a tuple of the right arity of
 party-id sets; anything else is "absent", a vector of the wrong length or
 type -- a late carrier's entry included -- the empty vector.
+
+Phases I-II as built: one post per root
+---------------------------------------
+
+Fig 3 (and Fig 4) sends each row and each pair's points as a message of its
+own.  Here every ΠWPS and ΠVSS under one root instance (the first component
+of its tag) hands its point-to-point sends to the :class:`SharingPost`
+``<root>/post``, and what a party owes one peer at one instant leaves as one
+message: a tuple of lines ``(kind, vector)``, one per kind (``"polys"``,
+``"points"``), each vector positional over the root's sharings in sorted tag
+order with ``None`` where a sharing sent nothing.  A receiver hands entry p
+of a line to sharing p as the message ``(kind, value)`` from that sender, so
+the sharing's own checks (the sender is the dealer, the rows are valid, there
+are L points) still judge every entry.  Theorems 4.8 and 4.16 hold sharing by
+sharing, as a reduction to separate messages:
+
+1. Honest sender.  The entries of its post messages are, over the run,
+   exactly the messages its sharings send, each once, each to its recipient.
+   Entries arriving together is a schedule the asynchronous adversary could
+   impose anyway, and in a synchronous network each still arrives within Δ
+   of being sent: the post flushes in a timer at the instant of the sends
+   (an instant's sends come from the start cascade or from timers that a
+   delivery queued, and deliveries run before timers, so the one flush sees
+   all of them).  A second word for the same (recipient, kind, sharing) in one
+   instant flushes the first: a message more, never a merge.
+2. Corrupt sender.  Any message is, entry by entry, messages it could have
+   sent on the separate sharings; a payload that is not a tuple of ``(str,
+   tuple of the root's width)`` lines is nothing sent in any slot.
+3. Same instants.  The positions freeze in a timer at the instant the post is
+   built, which is the root's start cascade, where every sharing under it is
+   built; a sharing built later raises :class:`~repro.broadcast.bc.CarrierError`.
+   A message that arrives before the freeze (a peer's clock ahead) is held
+   until it, as ``Party.deliver`` holds one for a tag not built yet.  A
+   self-send skips the post: self-delivery stays local, as it was.
 """
 
 from __future__ import annotations
@@ -100,7 +134,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.ba.aba import aba_nominal_time_bound
 from repro.ba.bobw import BASlot, BestOfBothWorldsBA
 from repro.broadcast.acast import PackedFieldVector
-from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
+from repro.broadcast.bc import BroadcastProtocol, CarrierError, bc_time_bound
 from repro.codes.oec import BatchOnlineErrorCorrector
 from repro.field.array import batch_evaluate
 from repro.field.bivariate import BatchSymmetricBivariate
@@ -254,6 +288,91 @@ def wps_time_bound(n: int, ts: int, delta: float) -> float:
     return 2.0 * delta + 2.0 * t_bc + t_ba + 8 * epsilon(delta)
 
 
+def sharing_post(sharing: ProtocolInstance) -> "SharingPost":
+    """The post of ``sharing``'s root, which ``sharing`` joins; the first
+    sharing of a root builds it and sets its freeze timer."""
+    party = sharing.party
+    tag = f"{sharing.tag.partition('/')[0]}/post"
+    post = party.get_instance(tag)
+    if post is None:
+        post = SharingPost(party, tag)
+        post.schedule_at(party.now, post._freeze)
+    post.join(sharing)
+    return post
+
+
+class SharingPost(ProtocolInstance):
+    """The ΠWPS/ΠVSS under one root: what a party owes one peer at one
+    instant, one message (module docstring)."""
+
+    def __init__(self, party: Party, tag: str):
+        super().__init__(party, tag)
+        #: The sharings; sorted by tag, hence positional, once frozen.
+        self.sharings: List[ProtocolInstance] = []
+        self._position: Optional[Dict[str, int]] = None
+        self._early: List[Tuple[int, Any]] = []
+        #: recipient -> kind -> sharing tag -> what this instant owes it.
+        self._pending: Dict[int, Dict[str, Dict[str, Any]]] = {}
+        self._flush_queued = False
+
+    def join(self, sharing: ProtocolInstance) -> None:
+        if self._position is not None:
+            raise CarrierError(f"{sharing.tag} joins {self.tag} after its freeze")
+        self.sharings.append(sharing)
+
+    def _freeze(self) -> None:
+        self.sharings.sort(key=lambda sharing: sharing.tag)
+        self._position = {sharing.tag: p for p, sharing in enumerate(self.sharings)}
+        early, self._early = self._early, []
+        for sender, payload in early:
+            self.receive(sender, payload)
+
+    def put(self, recipient: int, tag: str, payload: Tuple[str, Any]) -> None:
+        """Sharing ``tag`` sends ``payload`` = ``(kind, value)`` to ``recipient``."""
+        kind, value = payload
+        owed = self._pending.setdefault(recipient, {}).setdefault(kind, {})
+        if tag in owed:  # its second word this instant: the first goes first
+            self._flush()
+            owed = self._pending.setdefault(recipient, {}).setdefault(kind, {})
+        owed[tag] = value
+        if not self._flush_queued:
+            self._flush_queued = True
+            self.schedule_at(self.now, self._flush_timer)
+
+    def _flush_timer(self) -> None:
+        self._flush_queued = False
+        self._flush()
+
+    def _flush(self) -> None:
+        pending, self._pending = self._pending, {}
+        width = len(self.sharings)
+        for recipient, owed in pending.items():
+            lines = []
+            for kind, values in owed.items():
+                vector: List[Any] = [None] * width
+                for tag, value in values.items():
+                    vector[self._position[tag]] = value
+                lines.append((kind, tuple(vector)))
+            self.send(recipient, tuple(lines))
+
+    def receive(self, sender: int, payload: Any) -> None:
+        """Total: a tuple of ``(str, tuple of the width)`` lines, or nothing."""
+        if self._position is None:
+            self._early.append((sender, payload))
+            return
+        width = len(self.sharings)
+        if type(payload) is not tuple or not all(
+            type(line) is tuple and len(line) == 2 and type(line[0]) is str
+            and type(line[1]) is tuple and len(line[1]) == width
+            for line in payload
+        ):
+            return
+        for kind, vector in payload:
+            for sharing, value in zip(self.sharings, vector):
+                if value is not None:
+                    sharing.receive(sender, (kind, value))
+
+
 class BivariateSharingMixin:
     """What ΠWPS and ΠVSS share: Phase I, and Phases III-V on the verdicts.
 
@@ -319,6 +438,14 @@ class BivariateSharingMixin:
         self._star_bc: Optional[BroadcastProtocol] = None
         self._late_verdicts: Dict[int, Dict[int, Tuple]] = {}
         self._star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
+        self._post = sharing_post(self)
+
+    def send(self, recipient: int, payload: Any) -> None:
+        """Phases I-II: a self-send stays local, any other rides the root's post."""
+        if recipient == self.me:
+            super().send(recipient, payload)
+        else:
+            self._post.put(recipient, self.tag, payload)
 
     @property
     def t_bc(self) -> float:
@@ -698,7 +825,8 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
                 self._publish_late_verdicts()
         elif kind == "points":
             values = payload[1]
-            if sender not in self.received_points and len(values) == self.num_polynomials:
+            if (sender not in self.received_points and isinstance(values, (list, tuple))
+                    and len(values) == self.num_polynomials):
                 self.received_points[sender] = list(values)
                 self._publish_late_verdicts()
                 self._feed_oec(sender)

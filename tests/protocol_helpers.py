@@ -11,6 +11,7 @@ from typing import Callable, Dict, List, Optional
 from repro.broadcast.acast import AcastProtocol
 from repro.broadcast.bc import BroadcastCarrier, Bundle, carrier_tag
 from repro.field import Polynomial, default_field
+from repro.sharing.wps import SharingPost
 from repro.sim import Simulator, SynchronousNetwork
 from repro.sim.adversary import Behavior
 from repro.sim.messages import Message
@@ -42,15 +43,21 @@ class RewriteBehavior(Behavior):
     ``late`` does the same to what the party gives late: the present entries of
     the bundles on its late carriers ``<carrier>/late[k]`` (a late input, a
     partial verdict vector, a dealer's (E', F')); an edit to ``None`` there
-    gives nothing late.
+    gives nothing late.  ``posts`` addresses the rows and points a sharing
+    sends: they are entries of the messages of its root's post
+    (``repro.sharing.wps.SharingPost``), so ``posts`` maps a regex on sharing
+    tags to ``edit(kind, value) -> value``, applied to each present entry of
+    that sharing (``None``: the sharing sends nothing there).
     """
 
     def __init__(self, rules: Optional[Dict[str, Callable]] = None,
                  entries: Optional[Dict[str, Callable]] = None,
-                 late: Optional[Dict[str, Callable]] = None):
+                 late: Optional[Dict[str, Callable]] = None,
+                 posts: Optional[Dict[str, Callable]] = None):
         self.rules = [(re.compile(p), edit) for p, edit in (rules or {}).items()]
         self.entries = [(re.compile(p), edit) for p, edit in (entries or {}).items()]
         self.late = [(re.compile(p), edit) for p, edit in (late or {}).items()]
+        self.posts = [(re.compile(p), edit) for p, edit in (posts or {}).items()]
 
     def filter_send(self, party, message):
         sent = [(message.tag, message.payload)]
@@ -65,6 +72,9 @@ class RewriteBehavior(Behavior):
         ]
 
     def _edit_entries(self, party, tag, payload):
+        post = party.instances.get(tag)
+        if self.posts and isinstance(post, SharingPost):
+            return self._edit_post(post, payload)
         parent, _, name = tag.rpartition("/")
         carrier = party.instances.get(parent)
         rules = self.entries if name == "acast" else self.late
@@ -78,6 +88,18 @@ class RewriteBehavior(Behavior):
                     bundle[index] = edit(bundle[index])
                     break
         return ("init", Bundle(bundle, payload[1].n))
+
+    def _edit_post(self, post, payload):
+        lines = []
+        for kind, vector in payload:
+            vector = list(vector)
+            for index, sharing in enumerate(post.sharings):
+                for pattern, edit in self.posts:
+                    if vector[index] is not None and pattern.fullmatch(sharing.tag):
+                        vector[index] = edit(kind, vector[index])
+                        break
+            lines.append((kind, tuple(vector)))
+        return tuple(lines)
 
 
 def bundle_tag(root: str, anchor: float, sender: int) -> str:
@@ -93,10 +115,12 @@ def late_tag(root: str, anchor: float, sender: int, k: int) -> str:
 
 def silent_in(prefix: str) -> RewriteBehavior:
     """A party that takes no part in anything under the tag ``prefix``: it
-    sends nothing on those tags and gives the ΠBCs there no input."""
+    sends nothing on those tags, no row or point of the sharings there, and
+    gives the ΠBCs there no input."""
     under = re.escape(prefix) + ".*"
     return RewriteBehavior({under: lambda tag, payload: []}, entries={under: lambda value: None},
-                           late={under: lambda value: None})
+                           late={under: lambda value: None},
+                           posts={under: lambda kind, value: None})
 
 
 def bundle_entries(edit: Callable[[tuple], object]):

@@ -464,7 +464,7 @@ def _bundles_sent(monkeypatch, **run):
     # ``star2``, with most verdicts.
     pytest.param(dict(n=5, ts=1, ta=1, seed=7, offline="him",
                       network=AsynchronousNetwork(max_delay=3.0)),
-                 (35, 41), ({ABSENT, VOTES, VERDICTS}, {ABSENT, VERDICTS, STAR}),
+                 (35, 37), ({ABSENT, VOTES, VERDICTS}, {ABSENT, VERDICTS, STAR}),
                  id="async-n5-him"),
 ])
 def test_every_bundle_of_an_evaluation_costs_on_the_wire_what_it_is_charged(

@@ -76,13 +76,16 @@ def test_late_bc_input_builds_the_acast_at_the_sender_then_at_each_receiver_and_
 
 #: n, t_s, t_a, seed -> messages, honest bits, late carriers at each party, late
 #: verdicts delivered per party (the ΠVSS and its n ΠWPS), and at P_1, per ΠWPS,
-#: how many of those.  Which verdicts go late, how many, and every output instant
-#: are those of the per-pair Acasts (one per verdict and per star2: 3,549 /
-#: 547,041 and 7,672 / 1,204,972 at 27 and 44 messages each); now every
-#: (sender's carrier, instant) is one numbered Acast.
+#: how many of those.  Every (sender's carrier, instant) is one numbered Acast.
+#: While each row and point was a message of its own the network drew other
+#: delays: 1,944 / 236,925 and 3,608 / 447,008, with 30 and 36 carriers
+#: carrying 56 and 82 late verdicts -- which verdicts went late, and every
+#: output instant, those of the per-pair Acasts (one per verdict and per
+#: star2: 3,549 / 547,041 and 7,672 / 1,204,972 at 27 and 44 messages each).
+#: The output instants are still those.
 ASYNC_VSS = [
-    pytest.param(4, 1, 0, 41, 1_944, 236_925, 30, 56, {1: 9, 2: 11, 3: 12, 4: 12}, id="n4"),
-    pytest.param(5, 1, 1, 42, 3_608, 447_008, 36, 82, {1: 11, 2: 9, 3: 18, 4: 8, 5: 16},
+    pytest.param(4, 1, 0, 41, 1_767, 216_513, 25, 55, {1: 9, 2: 11, 3: 12, 4: 11}, id="n4"),
+    pytest.param(5, 1, 1, 42, 3_788, 474_232, 40, 95, {1: 10, 2: 15, 3: 18, 4: 16, 5: 16},
                  id="n5"),
 ]
 

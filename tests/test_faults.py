@@ -349,17 +349,19 @@ def test_fault_plan_replays_identically_over_tcp_acast():
 #: a hold goes at the end of its instant's deliveries, so a reorder never
 #: delays a message past its instant: C, a crash plus reorders, outputs at
 #: 147.052 like the crash alone.  On B's asynchronous network a hold waits
-#: for the next hand-out to its recipient.
+#: for the next hand-out to its recipient.  The counts are those of the
+#: sharings' rows and points riding their root's post; outputs and instants
+#: are what they were when each row and point was a message of its own.
 PINNED_PLANS = {
     "A": (lambda: FaultPlan(seed=1, link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([360], {145.052}, 3378, 4465, 1923552, 5575, 3377)),
+          True, ([360], {145.052}, 1935, 2876, 1771944, 4159, 1934)),
     "B": (lambda: FaultPlan(seed=11, link_faults=[
               LinkFault(duplicate=0.15, reorder=0.15, drop=0.05)]),
-          False, (None, set(), 8031, 11099, 2778627, 11975, 8031)),
+          False, (None, set(), 3900, 5638, 2173428, 6861, 3900)),
     "C": (lambda: FaultPlan(seed=3, process_faults=[
               ProcessFault(party=4, sim_time=5.0)],
               link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([0], {147.052}, 2901, 3310, 1768461, 4892, 2462)),
+          True, ([0], {147.052}, 1464, 1707, 1617933, 3484, 1024)),
 }
 
 
@@ -473,6 +475,21 @@ def test_run_case_benign_plan_completes_with_reference_outputs():
 
 
 @pytest.mark.chaos
+def test_run_case_judges_the_outputs_by_the_agreed_common_subset():
+    """Plan seed 102 of the tier-2 soak: P_2 is partitioned from {1, 3, 4}
+    until seq 29, slowed and lossy on its links, and no one is killed.  The
+    run completes with P_2 outside the common subset, so its input counts as
+    0 and the product is 0: the circuit on the inputs of CS, which a
+    reference that zeroed only the killed parties' inputs refused."""
+    plan = sample_plan(102, 4, include_loss=True, include_kills=True, max_kills=2)
+    assert plan.plan_hash() == "83068701755c1724"
+    assert plan.loses_messages() and plan.breaks_synchrony()
+    record = run_case(plan, n=4, ts=1, ta=0)
+    assert (record["outcome"], record["killed"]) == (OK, [])
+    assert (record["outputs"], record["common_subset"]) == ([0], [1, 3, 4])
+
+
+@pytest.mark.chaos
 def test_run_case_tolerates_within_threshold_crash():
     plan = FaultPlan(
         seed=3,
@@ -481,6 +498,9 @@ def test_run_case_tolerates_within_threshold_crash():
     record = run_case(plan, n=4, ts=1, ta=0)
     assert record["outcome"] == OK
     assert record["killed"] == [4]
+    # A lossless synchronous plan: the common subset holds every party that
+    # was not killed (P_4, killed at 5Δ, is left out).
+    assert record["common_subset"] == [1, 2, 3]
 
 
 @pytest.mark.chaos

@@ -71,15 +71,20 @@ def test_sync_product_all_honest(monkeypatch):
     # sharings x (n verdict vectors + star) + 39 ΠBA banks x n vote vectors
     # = 756 logical ΠBCs, riding 32 carriers (8 anchor instants x 4 senders),
     # each one Acast of 27 messages; the 4 carriers of an instant share one
-    # binary phase-king bank, 54 messages of 4 votes; the rest is
-    # point-to-point (1,836) and ΠABA: the 144 slots per party launch at 4
-    # instants and speak in 20 vectors, each to 3 peers.  The bits: 2,266,344
-    # while a bank vector carried the 4 senders' bundles (402,624 bits over
-    # the 432 vectors), now each costs a 64-bit header, a 64-bit round and 4
-    # votes at 2 bits.  The heaviest is a dealer's 27 rows of 2 coefficients.
-    assert result.metrics.messages_sent == 3_372 == 27 * 32 + 54 * 8 + 1_836 + 20 * 3 * 4
-    assert result.metrics.honest_bits == 1_922_472 == 2_266_344 - 402_624 + 432 * (64 + 64 + 8)
-    assert result.metrics.max_message_bits == 3_398 == 64 + 8 * len("polys") + 54 * 61
+    # binary phase-king bank, 54 messages of 4 votes, each a 64-bit header, a
+    # 64-bit round and 4 votes at 2 bits; the ΠABA slots, 144 per party,
+    # launch at 4 instants and speak in 20 vectors, each to 3 peers.  The
+    # rows and points of the 120 sharings (1,512 messages while each was its
+    # own) ride the root's post: one message per sender, peer and instant
+    # they are sent at, 6 instants (0, Δ and 2Δ, each split by the 1e-9 of
+    # self-delivery) x 12 ordered pairs.  The rest is point-to-point (324).
+    # The heaviest is the points a party owes one peer at 2Δ: 54 vectors (9
+    # of 27 values, 36 of 9, 9 of 1) and 120 - 54 absent slots at 1 bit.
+    assert result.metrics.messages_sent == 1_932 == 3_372 - 1_512 + 72
+    assert result.metrics.messages_sent == 27 * 32 + 54 * 8 + 20 * 3 * 4 + 72 + 324
+    assert result.metrics.honest_bits == 1_770_912
+    assert result.metrics.max_message_bits == 35_314 == (
+        64 + 8 * len("points") + 66 + 61 * (9 * 27 + 36 * 9 + 9 * 1))
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert delivered_at_start == [0] * (4 * 756)
     for party in result.run.backend.parties.values():
@@ -107,9 +112,9 @@ def test_sync_product_all_honest(monkeypatch):
             {c.tag.rpartition("[")[0] + "/sba" for c in carriers})
         assert len(banks) == 8 and all(len(b.output) == 4 for b in banks)
     # The logical ΠBCs are records their carriers own, not registered
-    # instances: 4,844 while each of the 756 per party was one.
+    # instances: 4,844 while each of the 756 per party was one; one post each.
     instances = sum(len(p.instances) for p in result.run.backend.parties.values())
-    assert instances == 1_820 == 4_844 - 4 * 756
+    assert instances == 1_824 == 4_844 - 4 * 756 + 4
 
 
 def test_endpoints_and_slots_are_records_their_owners_hold():
@@ -138,11 +143,12 @@ LATE = re.compile(r"/late\[\d+\]$")
 
 def test_async_product_him_late_carriers(monkeypatch):
     """The asynchronous twin (``async_n5_him`` at seed 7): most verdicts and every
-    ``star2`` miss their anchors.  Before the late carriers each of those 820
-    was its own Acast, 44 messages at n = 5 (36,080 of 42,584 messages); now
-    what a sender gives late for one carrier at one instant is one numbered
-    Acast: 41 of them, carrying 493 entries (a partial verdict vector or an
-    (E', F')) and the same 820 slots."""
+    ``star2`` miss their anchors.  Before the late carriers each late verdict
+    and ``star2`` was its own Acast, 44 messages at n = 5 (36,080 of 42,584
+    messages); now what a sender gives late for one carrier at one instant is
+    one numbered Acast: 37 of them, carrying 466 entries (a partial verdict
+    vector or an (E', F')) and 770 slots -- 41, 493 and 820 while every row
+    and point was a message of its own, not an entry of its root's post."""
     on_late = {True: 0, False: 0}
     record = SimulationMetrics.record_send
 
@@ -161,14 +167,14 @@ def test_async_product_him_late_carriers(monkeypatch):
     acast = (5 - 1) + 2 * 5 * (5 - 1)  # init, then every party's echo and ready
     for party in result.run.backend.parties.values():
         late = [e for tag, e in party.instances.items() if LATE.search(tag)]
-        assert len(late) == 41 and all(type(e) is AcastProtocol for e in late)
+        assert len(late) == 37 and all(type(e) is AcastProtocol for e in late)
         entries = [entry for e in late for entry in e.output.entries if entry is not None]
-        assert len(entries) == 493
+        assert len(entries) == 466
         assert sum(1 if type(entry[0]) is frozenset else sum(s is not None for s in entry)
-                   for entry in entries) == 820
-    assert on_late[True] == 44 * 41 == acast * 41
-    assert result.metrics.messages_sent == 5_808 == on_late[False] + 44 * 41
-    assert result.metrics.honest_bits == 2_470_368  # 2,749,136 while a bank vector carried bundles
+                   for entry in entries) == 770
+    assert on_late[True] == 44 * 37 == acast * 37
+    assert result.metrics.messages_sent == 4_592 == on_late[False] + 44 * 37
+    assert result.metrics.honest_bits == 2_333_860
 
 
 def test_sync_linear_circuit_no_multiplications():

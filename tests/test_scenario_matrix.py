@@ -181,7 +181,7 @@ def heaviest_messages(run):
     """``run()``'s result, its largest message on a carrier's own tags (a
     broadcast bundle or a phase-king bank vector, ``repro.broadcast.bc``, or a
     ΠABA vector, ``repro.ba.aba``: sized by n and the siblings per instant)
-    and its largest on any other tag."""
+    and its largest on any other tag (a sharing post's, ``repro.sharing.wps``)."""
     heaviest = {"carrier": 0, "other": 0}
     record = SimulationMetrics.record_send
 
@@ -333,13 +333,22 @@ def dealer_row_bound(polynomials: int, ts: int, header_bits: int = 64) -> int:
     return polynomials * (ts + 1) * FIELD.element_bits() + header_bits + 8 * 16
 
 
+def post_message_bound(width: int, polynomials: int, ts: int) -> int:
+    """Bits of a message of a sharing post (``repro.sharing.wps.SharingPost``)
+    over ``width`` sharings of at most ``polynomials`` polynomials each: a
+    header and at most two lines (rows, points) of ``width`` entries, none
+    heavier than a dealer's row message."""
+    return 64 + 2 * width * dealer_row_bound(polynomials, ts)
+
+
 @pytest.mark.parametrize("offline", ["tripsh", "him"])
 def test_heaviest_messages_are_bounded(offline):
-    """The heaviest message is a dealer's rows, bounded by the size of the
-    dealt bank; whatever a carrier sends (a broadcast bundle, a phase-king
-    bank vector or a ΠABA vector) is bounded by :func:`bundle_message_bound`,
-    which depends on n and the sibling sharings per instant, not on the
-    dealt bank."""
+    """The heaviest message is one of a sharing post: the rows and points a
+    party owes one peer at one instant, bounded by the root's sharings and the
+    size of the dealt bank; whatever a carrier sends (a broadcast bundle, a
+    phase-king bank vector or a ΠABA vector) is bounded by
+    :func:`bundle_message_bound`, which depends on n and the sibling sharings
+    per instant, not on the dealt bank."""
     scenario = Scenario(4, 1, 0, "honest", "sync", num_triples=3, offline=offline)
     result, carrier, payload = heaviest_messages(lambda: run_preprocessing(scenario))
     if offline == "tripsh":
@@ -354,11 +363,15 @@ def test_heaviest_messages_are_bounded(offline):
     bank_vector = Message(1, 2, "mpc/bc@0/sba", (1, Bundle(((1, 0, None, 1),), 4)), 0.0)
     assert bank_vector.bits == 64 + 64 + 8 == 136 < carrier
     # n = 7, t_s = 2 product evaluations (6 multiplications) measured up to
-    # 6,302 bits on a carrier (a verdict bundle), and 16,574 bits as the
-    # heaviest message, a dealer's rows.
+    # 6,302 bits on a carrier (a verdict bundle), and 476,824 bits as the
+    # heaviest message, a post message (16,574, a dealer's rows, while each
+    # row and point was a message of its own).  Each ΠVSS and its n ΠWPS
+    # share their root's post.
     assert bundle_message_bound(7, 2, sibling_sharings(7), FIELD.element_bits()) >= 6_302
-    assert 16_574 <= dealer_row_bound(triples_per_dealer(7, 2, 6) * 3 * (2 * 2 + 1), 2)
-    assert carrier < payload <= dealer_row_bound(polynomials, 1)
+    assert 476_824 <= post_message_bound(
+        sibling_sharings(7) * (7 + 1), triples_per_dealer(7, 2, 6) * 3 * (2 * 2 + 1), 2)
+    assert dealer_row_bound(polynomials, 1) < payload <= post_message_bound(
+        sharings * (4 + 1), polynomials, 1)
     assert result.metrics.max_message_bits == payload
     assert triples_are_valid(result, 1)
 

@@ -106,12 +106,19 @@ def test_vss_n4_transcript_size_is_pinned():
     2% of the total, and so are the 96 ΠABA vectors since they are priced on
     the vote line (29,184 bits at 64 a slot, now 14,304).  The banks' 324
     phase-king messages cost 136 bits each (a 64-bit header, a 64-bit round
-    and 4 votes at 2 bits); 55,674 bits in all while they carried bundles."""
+    and 4 votes at 2 bits); 55,674 bits in all while they carried bundles.
+    The 63 row and point messages of the five sharings ride the root's post
+    ``prot/post``: 39 messages, one per sender, peer and instant (the
+    dealer's at 0, 1e-9 and 2e-9, the others' at Δ and Δ + 1e-9, everyone's
+    at 2Δ), 24 headers and "points" names fewer and 132 absent slots at a
+    bit each more."""
     poly = random_polynomial(1, 6, seed=32)
     result = run_dealer_protocol(VerifiableSecretSharing, n=4, ts=1, ta=0, dealer=1,
                                  polynomials=[poly])
-    assert result.metrics.messages_sent == 1_050 == 27 * 21 + 54 * 6 + 159
-    assert result.metrics.honest_bits == 133_530 == 89_466 + 324 * (64 + 64 + 8)
+    assert result.metrics.messages_sent == 1_026 == 27 * 21 + 54 * 6 + 96 + 39
+    assert result.metrics.messages_sent == 1_050 - 63 + 39
+    assert result.metrics.honest_bits == 130_974 == (
+        133_530 - 24 * (64 + 8 * len("points")) + 132)
     carriers = [e for e in result.instances[1].party.instances.values()
                 if type(e) is BroadcastCarrier]
     assert len(carriers) == 21 and sum(len(c.entries) for c in carriers) == 33
@@ -179,7 +186,7 @@ def test_late_verdict_in_synchrony_travels_by_acast(cls, n, ts, ta):
     """Corrupt P_n's points arrive 5Δ late: the honest verdicts on P_n miss the
     vectors, go out as slot n of P_i's late carrier, are in no regular-mode
     snapshot and in every honest graph afterwards."""
-    corrupt = {n: DelayBehavior(5.0, tag_predicate=lambda tag: tag == "prot")}
+    corrupt = {n: DelayBehavior(5.0, tag_predicate=lambda tag: tag == "prot/post")}
     poly = random_polynomial(ts, 10, seed=35)
     result = run_dealer_protocol(cls, n=n, ts=ts, ta=ta, dealer=1, polynomials=[poly],
                                  corrupt=corrupt)

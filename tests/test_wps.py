@@ -118,9 +118,33 @@ def test_corrupt_dealer_weak_commitment_sync():
     """A dealer distributing perturbed rows to one party: any produced
     honest outputs must still lie on a single degree-ts polynomial."""
     poly = random_polynomial(1, 50, seed=14)
-    corrupt = {2: EquivocatingBehavior(group_b=[4], tag_predicate=lambda tag: "/points" not in tag)}
+    corrupt = {2: EquivocatingBehavior(group_b=[4], tag_predicate=lambda tag: True)}
     result = _run_wps(n=4, ts=1, ta=0, dealer=2, polynomials=[poly], corrupt=corrupt,
                       seed=15, max_time=20_000.0)
+    assert honest_outputs_consistent(result, ts=1)
+
+
+class _ToP4(RewriteBehavior):
+    """A :class:`RewriteBehavior` whose edits reach P_4 only."""
+
+    def filter_send(self, party, message):
+        return super().filter_send(party, message) if message.recipient == 4 else [message]
+
+
+def test_corrupt_dealer_perturbing_only_the_rows_to_one_party_weak_commitment_sync():
+    """The dealer perturbs the rows it sends P_4 and nothing else (its own
+    points included): the rows are the ``polys`` entries of the dealer's post
+    messages.  Every honest party judges P_4 inconsistent with it, and any
+    honest outputs still lie on one degree-t_s polynomial."""
+    poly = random_polynomial(1, 50, seed=14)
+    perturb = WrongValueBehavior(offset=1)._perturb
+    corrupt = {2: _ToP4(posts={"prot": lambda kind, value:
+                               perturb(value) if kind == "polys" else value})}
+    result = _run_wps(n=4, ts=1, ta=0, dealer=2, polynomials=[poly], corrupt=corrupt,
+                      seed=15, max_time=20_000.0)
+    for pid in (1, 3):
+        assert result.instances[pid]._verdicts[(pid, 4)][0] == "NOK"
+        assert result.instances[4]._verdicts[(4, pid)][0] == "NOK"
     assert honest_outputs_consistent(result, ts=1)
 
 
