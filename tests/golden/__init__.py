@@ -52,8 +52,13 @@ PRODUCED_BY = (
     "instant), what a sender gives late (verdicts, star2, a late PiBC input) on "
     "the numbered late carriers of that broadcast carrier, one per flush instant, "
     "and the PiABAs of the slots launched at one instant speaking in one vector "
-    "per step (the AbaCarrier of repro.ba.aba), priced on the bundle's vote line: "
-    "all 76 outputs digests are byte-identical to those recorded at e6099bc (one "
+    "per step (the AbaCarrier of repro.ba.aba), priced on the bundle's vote line, "
+    "and the rows and points every PiWPS/PiVSS under one root owes one peer at one "
+    "instant leaving as one message of the root's SharingPost (repro.sharing.wps): "
+    "every outputs digest is byte-identical to the one recorded at 322462e (one "
+    "message per row and per pair's points; the transcript digests of every cell "
+    "with two or more sharings under one root moved, those of the lone-PiWPS cells "
+    "did not), e6099bc (one "
     "PiBC per ordered pair), 6fb28d1 (one PiBC per PiBA and voter), 2a4941f (one "
     "run of Fig 1 per logical PiBC), b8ff26b (one PiABA message per slot per "
     "step) and 15b8279 (one Acast per late verdict, star2 and late input, and a "
