@@ -10,9 +10,11 @@ constants are not expected to match the paper (our ΠBGP differs); the
 ``python benchmarks/bench_communication.py`` persists one ``scaling_<label>``
 row per protocol to ``BENCH_communication.json`` and asserts the tolerances.
 Rows measured with this file at an earlier commit's ``src/`` are kept beside
-them: all four with a phase-king bank that agreed on whole bundles as
-``@parent_2794c4d`` (the binary bank of ``repro.ba.sba`` came after it;
-:data:`PARENT_ROWS`), all four with a phase-king run per ΠBC carrier as
+them: all four with one message per row and per pair's points as
+``@parent_322462e`` (the sharing post of ``repro.sharing.wps`` came after it;
+:data:`PARENT_ROWS`), all four with a phase-king bank that agreed on whole
+bundles as ``@parent_2794c4d`` (the binary bank of ``repro.ba.sba`` came
+after it), all four with a phase-king run per ΠBC carrier as
 ``@parent_2240655`` (the one bank per anchor instant of
 ``repro.broadcast.bc`` came after it), all four with one run of Fig 1 per
 logical ΠBC as ``@parent_2a4941f`` (the broadcast carriers of
@@ -48,15 +50,17 @@ SWEEP = [(4, 1), (5, 1), (7, 2)]
 EXPONENT_TOLERANCE = 1.5
 
 #: label -> suffix of the row measured with this file at that commit's
-#: ``src/``.  The binary phase-king bank sends the same vectors with one vote
-#: a slot where each carried the n senders' bundles, and a synchronous sweep
-#: takes no late path: against ``@parent_2794c4d`` neither the messages nor
-#: the bits may be higher at any n of the sweep.  (Against ``@parent_2240655``
+#: ``src/``.  The sharing post sends the rows and points one party owes one
+#: peer at one instant as one message, and a synchronous sweep takes no late
+#: path: against ``@parent_322462e`` neither the messages nor the bits may be
+#: higher at any n of the sweep (a lone ΠWPS, one sharing per root, sends the
+#: same messages and bits).  (Against ``@parent_2794c4d`` the bank vectors
+#: carried the n senders' bundles, against ``@parent_2240655``
 #: the bank sent one vector where each carrier sent its own vote, against
 #: ``@parent_15b8279`` the vote vectors were the same messages at fewer bits,
 #: against ``@parent_b8ff26b`` the ΠABA vectors took 7-8% of ΠVSS's messages,
 #: against ``@parent_2a4941f`` the carriers half an exponent.)
-PARENT_ROWS = {label: "@parent_2794c4d" for label in ("bc", "wps", "vss", "acs")}
+PARENT_ROWS = {label: "@parent_322462e" for label in ("bc", "wps", "vss", "acs")}
 
 
 def _counts(n, factory):

@@ -330,21 +330,16 @@ class SharingPost(ProtocolInstance):
     def put(self, recipient: int, tag: str, payload: Tuple[str, Any]) -> None:
         """Sharing ``tag`` sends ``payload`` = ``(kind, value)`` to ``recipient``."""
         kind, value = payload
-        owed = self._pending.setdefault(recipient, {}).setdefault(kind, {})
-        if tag in owed:  # its second word this instant: the first goes first
-            self._flush()
-            owed = self._pending.setdefault(recipient, {}).setdefault(kind, {})
-        owed[tag] = value
+        if tag in self._pending.get(recipient, {}).get(kind, ()):
+            self._flush()  # its second word this instant: the first goes first
+        self._pending.setdefault(recipient, {}).setdefault(kind, {})[tag] = value
         if not self._flush_queued:
             self._flush_queued = True
-            self.schedule_at(self.now, self._flush_timer)
-
-    def _flush_timer(self) -> None:
-        self._flush_queued = False
-        self._flush()
+            self.schedule_at(self.now, self._flush)
 
     def _flush(self) -> None:
         pending, self._pending = self._pending, {}
+        self._flush_queued = False
         width = len(self.sharings)
         for recipient, owed in pending.items():
             lines = []

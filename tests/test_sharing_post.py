@@ -83,6 +83,19 @@ def test_a_malformed_post_message_is_nothing_sent_in_any_slot(payload_of):
         assert all(4 not in wps.received_points for wps in vss._wps.values())
 
 
+def test_points_that_are_not_a_sequence_are_dropped_by_the_sharing():
+    """A well-formed post message whose ``points`` entries are ints: each
+    sharing's own L-points check drops them (``len`` of an int used to raise
+    inside the handler), as if P_4 had sent no points at all."""
+    def ints_for_points(payload):
+        return tuple((kind, tuple(7 if kind == "points" and value is not None else value
+                                  for value in vector)) for kind, vector in payload)
+
+    no_points = _vss({4: RewriteBehavior(posts={".*": lambda kind, value:
+                                                None if kind == "points" else value})})
+    assert _state(_vss(_forging(ints_for_points))) == _state(no_points)
+
+
 def test_a_well_formed_post_message_reaches_every_slot_it_fills():
     """The same P_4 behind an identity rewrite is the honest run."""
     assert _state(_vss(_forging(lambda payload: payload))) == _state(_vss())
