@@ -128,10 +128,9 @@ class VerifiableSecretSharing(BivariateSharingMixin, ProtocolInstance):
             self._distribute_at_anchor()
 
     # -- message handling ------------------------------------------------------------------
-    def receive(self, sender: int, payload: Any) -> None:
-        kind = payload[0]
+    def _handle(self, sender: int, kind: Any, value: Any) -> None:
         if kind == "polys" and sender == self.dealer and self.my_rows is None:
-            rows = unpack_rows(payload[1])
+            rows = unpack_rows(value)
             if self._valid_rows(rows):
                 self.my_rows = rows
                 self._schedule_my_wps_input()

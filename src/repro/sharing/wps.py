@@ -442,6 +442,12 @@ class BivariateSharingMixin:
         else:
             self._post.put(recipient, self.tag, payload)
 
+    def receive(self, sender: int, payload: Any) -> None:
+        """Phases I-II: ``(kind, value)`` -- an entry of a post message, a
+        self-send or a peer's message on this tag; anything else is nothing."""
+        if type(payload) is tuple and len(payload) == 2:
+            self._handle(sender, *payload)
+
     @property
     def t_bc(self) -> float:
         return bc_time_bound(self.n, self.ts, self.delta)
@@ -810,19 +816,17 @@ class WeakPolynomialSharing(BivariateSharingMixin, ProtocolInstance):
             self._dealer_distribute()
 
     # -- message handling -----------------------------------------------------------------
-    def receive(self, sender: int, payload: Any) -> None:
-        kind = payload[0]
+    def _handle(self, sender: int, kind: Any, value: Any) -> None:
         if kind == "polys" and sender == self.dealer and self.my_rows is None:
-            rows = unpack_rows(payload[1])
+            rows = unpack_rows(value)
             if self._valid_rows(rows):
                 self.my_rows = rows
                 self._schedule_point_sending()
                 self._publish_late_verdicts()
         elif kind == "points":
-            values = payload[1]
-            if (sender not in self.received_points and isinstance(values, (list, tuple))
-                    and len(values) == self.num_polynomials):
-                self.received_points[sender] = list(values)
+            if (sender not in self.received_points and isinstance(value, (list, tuple))
+                    and len(value) == self.num_polynomials):
+                self.received_points[sender] = list(value)
                 self._publish_late_verdicts()
                 self._feed_oec(sender)
 

@@ -60,8 +60,9 @@ def payload_bits(payload: Any) -> int:
     """
     if type(payload) is tuple:
         # Nearly every payload is a flat tuple of ints and strs (or one
-        # nested in another): add those up without recursing or walking the
-        # isinstance chain.  Exact types only, so a bool still costs 1 bit.
+        # nested in another), and a sharing post's vectors are mostly None:
+        # add those up without recursing or walking the isinstance chain.
+        # Exact types only, so a bool still costs 1 bit.
         total = 0
         for item in payload:
             kind = type(item)
@@ -69,6 +70,8 @@ def payload_bits(payload: Any) -> int:
                 total += 64
             elif kind is str:
                 total += 8 * len(item)
+            elif item is None:
+                total += 1
             else:
                 total += payload_bits(item)
         return total

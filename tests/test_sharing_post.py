@@ -96,6 +96,16 @@ def test_points_that_are_not_a_sequence_are_dropped_by_the_sharing():
     assert _state(_vss(_forging(ints_for_points))) == _state(no_points)
 
 
+@pytest.mark.parametrize("payload", [7, (), ("points",), ("points", [FIELD(0)], None)],
+                         ids=["int", "empty", "kind-only", "three-parts"])
+def test_a_malformed_message_on_a_sharings_own_tag_is_nothing(payload):
+    """P_4 also sends a payload that is not ``(kind, value)`` straight to the
+    sharing's tag, where only self-sends come from honest code: the sharing's
+    ``receive`` drops it (it used to index into it and raise)."""
+    extra = {4: RewriteBehavior({r"prot/post": lambda tag, post: [(tag, post), ("prot", payload)]})}
+    assert _state(_vss(extra)) == _state(_vss())
+
+
 def test_a_well_formed_post_message_reaches_every_slot_it_fills():
     """The same P_4 behind an identity rewrite is the honest run."""
     assert _state(_vss(_forging(lambda payload: payload))) == _state(_vss())
