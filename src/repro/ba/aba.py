@@ -23,15 +23,15 @@ As built: the slots launched at one instant speak in one vector per step
 
 ΠBA banks (:mod:`repro.ba.bobw`) launch their slots' ΠABAs at vote anchor +
 T_BC + ε, and banks share anchors.  An :class:`AbaCarrier` -- one per (root
-instance, launch instant), tag ``<root>/aba@<ticks>``, ``ticks`` as in
-:func:`repro.broadcast.bc.carrier_tag` -- holds the K slots of every bank
+instance, launch instant), tag ``<root>/aba@<ticks>`` (``ticks`` as for
+:func:`repro.broadcast.bc.carrier_tag`) -- gathers the K slots of every bank
 launching then, in the order of their tags ``<bank>/aba[j]``.  Each slot is a
 :class:`BrachaABA` with its own state, quorums and coin key; what the K
 machines emit during one activation of the carrier (its launch timer, a
 delivery, a late vote) leaves as one fan-out per step -- ``("bval", r, v)``,
 ``("aux", r, v)``, ``("final", v)``, ``v`` a K-tuple holding the bit of every
 slot that speaks in that step and ``None`` elsewhere, sent as a
-:class:`~repro.broadcast.acast.Bundle` of runs of at most 255 slots (2 bits a
+:func:`~repro.broadcast.acast.vote_line` (runs of at most 255 slots, 2 bits a
 slot, priced and on the wire) -- and a receiver hands entry j to slot j as
 the logical message ``(kind, r, bit)`` of that sender.  Lemma 3.3 holds slot
 by slot, as a reduction to K separate ΠABAs:
@@ -47,15 +47,13 @@ by slot, as a reduction to K separate ΠABAs:
    the :mod:`repro.ba.bobw` docstring) uses.
 2. A corrupt sender gains nothing.  Any vector is, entry by entry, a set of
    logical messages it could have sent on K instances; a payload that is not
-   ``(kind, [round,] v)`` with the runs of ``v`` making K slots is nothing
+   ``(kind, [round,] v)`` with ``v`` a vote line of K slots is nothing
    sent in any slot, an entry that is not ``None`` or the ``int`` 0/1 nothing
    in that slot alone (:meth:`BrachaABA.handle`); repeats are suppressed per
    slot as ever, and one vector triggers at most K slot activations.
-3. Same instants.  The carrier's one timer is the banks' launch timer.  A
-   vector that comes before it (a real clock, a peer's clock ahead) is held
-   until the positions are frozen, an entry for a slot not launched here yet
-   (a deferred vote) until it is: what ``Party.deliver`` does for a tag
-   nobody has registered.
+3. Same instants: the carrier is a :class:`~repro.sim.party.Gathering` frozen
+   at the banks' launch timer.  An entry for a slot not launched here yet (a
+   deferred vote) is held until it is, as ``Party.deliver`` holds messages.
 """
 
 from __future__ import annotations
@@ -65,9 +63,8 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ba.common_coin import CommonCoin
-from repro.broadcast.acast import MAX_SLOTS, Bundle
-from repro.sim.party import Party, ProtocolInstance
-from repro.timing import epsilon
+from repro.broadcast.acast import read_vote_line, vote_line
+from repro.sim.party import Gathering, Party, ProtocolInstance
 
 _GLOBAL_COIN = CommonCoin()
 
@@ -250,72 +247,40 @@ class BrachaABA(ProtocolInstance):
             self._halted = True
 
 
-def aba_carrier(party: Party, bank_tag: str, time: float, delta: float) -> "AbaCarrier":
-    """The carrier of the ΠABAs launched at local ``time`` under ``bank_tag``'s root."""
-    root = bank_tag.partition("/")[0]
-    offset = time - party.get_instance(root).anchor
-    tag = f"{root}/aba@{round(offset / epsilon(delta))}"
-    carrier = party.get_instance(tag)
-    if carrier is None:
-        carrier = AbaCarrier(party, tag)
-        carrier.schedule_at(time, carrier._launch)
-    return carrier
-
-
-class AbaCarrier(ProtocolInstance):
-    """The ΠABA slots launched at one instant: one vector per step for all of them."""
+class AbaCarrier(Gathering):
+    """The ΠABA slots launched at one instant (members: the banks' slots, by
+    their ΠABAs' tags; freeze: that instant): one vector per step for all."""
 
     def __init__(self, party: Party, tag: str):
         super().__init__(party, tag)
-        self._launchers: List[Callable[[], None]] = []
-        #: Slot tags; sorted, hence positional, once the launch timer has fired.
-        self._tags: List[str] = []
-        self._position: Optional[Dict[str, int]] = None
-        self._early: List[Tuple[int, Any]] = []
         #: position of a slot not launched yet -> the logical messages waiting for it.
         self._waiting: Dict[int, List[tuple]] = {}
         #: (kind[, round]) -> the vector the running activation has filled in so far.
         self._pending: Dict[tuple, List[Optional[int]]] = {}
         self._active = 0  # activations on the stack; the outermost one flushes
 
-    def join(self, tags: List[str], launcher: Callable[[], None]) -> None:
-        """A bank's slots, before the instant (its vote ΠBCs refuse a later start);
-        ``launcher`` runs at the instant and :meth:`launch`es those due."""
-        self._tags += tags
-        self._launchers.append(launcher)
-
-    def _launch(self) -> None:
-        self._tags.sort()
-        self._position = {tag: index for index, tag in enumerate(self._tags)}
+    def _freeze(self) -> None:
+        """The launch instant, one activation: the banks launch, the held vectors count."""
         self._active += 1
-        launchers, self._launchers = self._launchers, []
-        for launcher in launchers:
-            launcher()
-        early, self._early = self._early, []
-        for sender, payload in early:
-            self.receive(sender, payload)
+        super()._freeze()
         self._end_activation()
 
-    def launch(self, tag: str, faults: int, value: int, on_output: Callable) -> None:
-        """Slot ``tag`` joins its ΠABA with input ``value``, now."""
-        index = self._position[tag]
-        slot = BrachaABA(self.party, tag, faults, value, emit=partial(self._say, index))
-        slot.on_output(on_output)
+    def launch(self, slot: Any, faults: int, value: int, on_output: Callable) -> None:
+        """``slot`` joins its ΠABA with input ``value``, now."""
+        index = self.position[slot.tag]
+        aba = BrachaABA(self.party, slot.tag, faults, value, emit=partial(self._say, index))
+        aba.on_output(on_output)
         self._active += 1
-        slot.start()
+        aba.start()
         for message in self._waiting.pop(index, ()):
-            slot.handle(*message)
+            aba.handle(*message)
         self._end_activation()
 
-    def receive(self, sender: int, payload: Any) -> None:
+    def take(self, sender: int, payload: Any) -> None:
         """Total on what a peer may send: ``(kind, [round,] votes)`` or nothing."""
-        if self._position is None:
-            self._early.append((sender, payload))
-            return
         parsed = _parse(payload)
-        runs = parsed[2].entries if parsed and type(parsed[2]) is Bundle else ()
-        vector = sum(runs, ()) if all(type(run) is tuple for run in runs) else ()
-        if len(vector) != len(self._tags):
+        vector = parsed and read_vote_line(parsed[2], self.n, len(self.entries))
+        if vector is None:
             return
         kind, round_index, _ = parsed
         launched = self.party.instances  # a slot is held by its tag alone: no cycle with it
@@ -323,9 +288,9 @@ class AbaCarrier(ProtocolInstance):
         for index, bit in enumerate(vector):
             if bit is None:
                 continue
-            slot = launched.get(self._tags[index])
-            if slot is not None:
-                slot.handle(sender, kind, round_index, bit)
+            aba = launched.get(self.entries[index].tag)
+            if aba is not None:
+                aba.handle(sender, kind, round_index, bit)
             else:
                 self._waiting.setdefault(index, []).append((sender, kind, round_index, bit))
         self._end_activation()
@@ -337,7 +302,7 @@ class AbaCarrier(ProtocolInstance):
         if vector is None or vector[index] is not None:
             if vector is not None:
                 self._flush()  # this slot's second word in one step: the first goes first
-            vector = self._pending[step] = [None] * len(self._tags)
+            vector = self._pending[step] = [None] * len(self.entries)
         vector[index] = message[-1]
         if not self._active:
             self._flush()
@@ -350,5 +315,4 @@ class AbaCarrier(ProtocolInstance):
     def _flush(self) -> None:
         pending, self._pending = self._pending, {}
         for step, vector in pending.items():
-            runs = tuple(tuple(vector[i:i + MAX_SLOTS]) for i in range(0, len(vector), MAX_SLOTS))
-            self.send_all(step + (Bundle(runs, self.n),))
+            self.send_all(step + (vote_line(vector, self.n),))

@@ -61,10 +61,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.ba.aba import AbaCarrier, aba_carrier, aba_nominal_time_bound
+from repro.ba.aba import AbaCarrier, aba_nominal_time_bound
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 from repro.sim.party import Outcome, Party, ProtocolInstance
-from repro.timing import epsilon
+from repro.timing import epsilon, ticks
 
 
 def ba_time_bound(n: int, t: int, delta: float) -> float:
@@ -81,6 +81,7 @@ class BASlot(Outcome):
         super().__init__(bank.party)
         self.bank = bank
         self.index = index
+        self.tag = bank.subtag(f"aba[{index}]")
         self.vote: Optional[int] = None
         #: T_BC passed with neither n - t effective broadcasts nor a vote.
         self._awaiting_vote = False
@@ -152,12 +153,13 @@ class BestOfBothWorldsBA(ProtocolInstance):
             )
         for bc in self._bc.values():
             bc.start()
-        t_bc = bc_time_bound(self.n, self.faults, self.delta)
         self._bc[self.me].at_anchor(self._publish_vector)
-        self._abas = aba_carrier(
-            self.party, self.tag, self.anchor + t_bc + epsilon(self.delta), self.delta
-        )
-        self._abas.join([self.subtag(f"aba[{slot.index}]") for slot in self.slots], self._start_abas)
+        launch = self.anchor + bc_time_bound(self.n, self.faults, self.delta) + epsilon(self.delta)
+        root = self.party.get_instance(self.tag.partition("/")[0])
+        self._abas = AbaCarrier.at(  # <root>/aba@<ticks>: the ΠABAs launched then (repro.ba.aba)
+            self.party, f"{root.tag}/aba@{ticks(launch - root.anchor, self.delta)}", launch)
+        self._abas.join(*self.slots)
+        self._abas.at_freeze(self._start_abas)
 
     def _publish_vector(self) -> None:
         """The anchor: the votes due now are cast, then all of them ride one ΠBC."""
@@ -195,7 +197,7 @@ class BestOfBothWorldsBA(ProtocolInstance):
                 slot._awaiting_vote = True
 
     def _launch_aba(self, slot: BASlot, my_input: int) -> None:
-        self._abas.launch(self.subtag(f"aba[{slot.index}]"), self.faults, my_input, slot._decide)
+        self._abas.launch(slot, self.faults, my_input, slot._decide)
 
     def _slot_decided(self) -> None:
         if all(slot.has_output for slot in self.slots):

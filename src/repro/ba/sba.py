@@ -21,7 +21,7 @@ domain {0, 1}: "no preference" is ``None`` and the king's default is
 
 A :class:`PhaseKingSBA` runs n such instances on one schedule -- the same
 round instants and the same king per phase -- and each party sends one
-``(round, Bundle(((v_1, ..., v_n),), n))`` per round instead of n
+``(round, vote_line((v_1, ..., v_n), n))`` per round instead of n
 ``(round, v_s)``: the votes ride a bundle's vote line at 2 bits a slot, as
 the ΠABA carriers' vectors do (:mod:`repro.ba.aba`).  Tallies, candidate,
 strong flag and king value are kept per slot, and slot s's decision reads
@@ -32,9 +32,9 @@ every slot.
 What other parties send passes one total parser
 (:meth:`PhaseKingSBA.receive`): a payload that is not ``(round, vector)``,
 with the round one of this instance's own 3(t+1) and the vector a
-:class:`~repro.broadcast.acast.Bundle` of one n-slot line over {``None``,
-0, 1} (exact types: ``True`` is not a vote), is absent in every slot; the
-first payload per (sender, round) counts.  An absent king vector, or a
+:func:`~repro.broadcast.acast.vote_line` of n slots over {``None``, 0, 1}
+(exact types: ``True`` is not a vote; one bad slot, unlike in ΠABA, voids
+all) is absent in every slot; the first payload per (sender, round) counts.  An absent king vector, or a
 ``None`` king slot, is :data:`DEFAULT_BIT`.
 """
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.broadcast.acast import Bundle
+from repro.broadcast.acast import read_vote_line, vote_line
 from repro.sim.party import Party, ProtocolInstance
 
 #: What the king sends, and what a party adopts from it, in a slot where the
@@ -125,7 +125,7 @@ class PhaseKingSBA(ProtocolInstance):
         self.schedule_at(self.start_time + round_one * self.delta, lambda: self._end_round_one(phase))
 
     def _send_round(self, round_index: int, slots: List[Optional[int]]) -> None:
-        self.send_all((round_index, Bundle((tuple(slots),), self.n)))
+        self.send_all((round_index, vote_line(slots, self.n)))
 
     def _columns(self, round_index: int):
         """Per slot, the votes received for ``round_index``."""
@@ -139,9 +139,7 @@ class PhaseKingSBA(ProtocolInstance):
             return
         if type(round_index) is not int or not 0 < round_index <= self._last_round:
             return
-        if type(vector) is not Bundle or vector.n != self.n or len(vector.entries) != 1:
-            return
-        votes = _votes(vector.entries[0], self.n)
+        votes = _votes(read_vote_line(vector, self.n, self.n), self.n)
         if votes is None:
             return
         inbox = self._round_inbox.setdefault(round_index, {})

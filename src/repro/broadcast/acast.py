@@ -233,6 +233,19 @@ class Bundle:
         return f"Bundle({len(self.entries)} entries, n={self.n})"
 
 
+def vote_line(votes: Sequence[Optional[int]], n: int) -> Bundle:
+    """ΠABA's and phase king's vote vectors: runs of at most :data:`MAX_SLOTS` slots."""
+    return Bundle(tuple(tuple(votes[i:i + MAX_SLOTS]) for i in range(0, len(votes), MAX_SLOTS)), n)
+
+
+def read_vote_line(value: Any, n: int, width: int) -> Optional[Tuple]:
+    """A :func:`vote_line`'s ``width`` slots (their values unchecked), else ``None``."""
+    if type(value) is not Bundle or value.n != n or not all(type(r) is tuple for r in value.entries):
+        return None
+    votes = tuple(vote for run in value.entries for vote in run)
+    return votes if len(votes) == width else None
+
+
 class AcastProtocol(ProtocolInstance):
     """One Acast instance.
 

@@ -29,10 +29,8 @@ regular-mode output at anchor + T_BC and its fallback output when the
 carrier's Acast delivers, exactly when its own Fig 1 run would have.  The
 carrier's tag is ``<root>/bc@<ticks>[<sender>]``: ``root`` the first component
 of the logical tags (a lone ΠBC is its own root), ``ticks`` the anchor's
-distance from the root's anchor in units of ε(Δ), an exact integer every
-party computes alike without reading a clock.  The entries are the endpoints
-started before the carrier's anchor timer fires; a later one raises
-:class:`CarrierError`.
+:func:`~repro.timing.ticks` from the root's anchor.  It is a
+:class:`~repro.sim.party.Gathering` frozen at the anchor (same instants).
 
 The SBA stage: one binary phase-king bank per instant
 -----------------------------------------------------
@@ -148,12 +146,12 @@ hand-off and the bundle's.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.ba import sba
 from repro.broadcast.acast import AcastProtocol, Bundle, maybe_pack_payload
-from repro.sim.party import Outcome, Party, ProtocolInstance
-from repro.timing import epsilon
+from repro.sim.party import CarrierError, Gathering, Outcome, Party
+from repro.timing import epsilon, ticks
 
 
 def bc_time_bound(n: int, t: int, delta: float) -> float:
@@ -168,21 +166,17 @@ def bc_time_bound(n: int, t: int, delta: float) -> float:
 
 def carrier_tag(root: str, offset: float, sender: int, delta: float) -> str:
     """Tag of ``sender``'s carrier anchored ``offset`` after the ``root`` instance."""
-    return f"{root}/bc@{round(offset / epsilon(delta))}[{sender}]"
+    return f"{root}/bc@{ticks(offset, delta)}[{sender}]"
 
 
 #: The name of a late carrier, ``late[k]`` with k in plain decimal.
 _LATE_NAME = re.compile(r"late\[(0|[1-9][0-9]*)\]")
 
 
-class CarrierError(RuntimeError):
-    """A logical ΠBC cannot join the carrier of its (sender, anchor)."""
-
-
-class BroadcastCarrier(ProtocolInstance):
-    """Fig 1, once, for every ΠBC of ``sender`` anchored at ``anchor``, its SBA
-    a slot of the instant's phase-king bank; and the numbered late carriers
-    ``late[k]`` for what those ΠBCs are given afterwards."""
+class BroadcastCarrier(Gathering):
+    """Fig 1, once, for every ΠBC (member) of ``sender`` anchored at ``anchor``
+    (the freeze), its SBA a slot of the instant's phase-king bank; and the
+    numbered late carriers ``late[k]`` for what those ΠBCs are given afterwards."""
 
     #: The late path's state, set on the carriers that take it.  Sender: flush
     #: instant -> position -> entry, the (position, slot)s given, how many went
@@ -200,12 +194,8 @@ class BroadcastCarrier(ProtocolInstance):
         self.faults = faults
         self.anchor = anchor
         self.delta = delta
-        #: The logical endpoints; positional (by tag) once :attr:`frozen`.
-        self.entries: List[BroadcastProtocol] = []
-        self.frozen = False
         #: The bundle as delivered, in either mode, entry per endpoint.
         self.bundle: Optional[Tuple] = None
-        self._at_anchor: List[Callable[[], None]] = []
         self._acast: AcastProtocol = self.spawn(
             AcastProtocol, "acast", sender=sender, faults=faults
         )
@@ -213,7 +203,6 @@ class BroadcastCarrier(ProtocolInstance):
 
     def start(self) -> None:
         t_bc = bc_time_bound(self.n, self.faults, self.delta)
-        self.schedule_at(self.anchor, self._publish)
         self.schedule_at(self.anchor + t_bc, self._decide_regular)
         self._acast.on_output(self._maybe_fallback)
 
@@ -240,12 +229,9 @@ class BroadcastCarrier(ProtocolInstance):
             int(carrier is not None and carrier._acast.has_output) for carrier in carriers))
         self._sba.start()
 
-    def _publish(self) -> None:
-        """The anchor: inputs due now are given, then all of them ride one Acast."""
-        for callback in self._at_anchor:
-            callback()
-        self.entries.sort(key=lambda endpoint: endpoint.tag)
-        self.frozen = True
+    def _freeze(self) -> None:
+        """The anchor: positions, then the inputs due now, then one Acast for all."""
+        super()._freeze()
         if self.me == self.sender:
             # Set, not provide_input: a bundle is never packed as one vector.
             self._acast.message = Bundle(
@@ -262,7 +248,7 @@ class BroadcastCarrier(ProtocolInstance):
                   at: float) -> None:
         """Sender: ``value`` is ``endpoint``'s entry -- or slot ``slot`` (1..n) of
         it, an n-tuple -- of the late carrier flushed at ``at``, if the first."""
-        position = self.entries.index(endpoint)
+        position = self.position[endpoint.tag]
         if self._late_out is None:
             self._late_out, self._late_given = {}, set()
         if (position, slot) in self._late_given:
@@ -287,7 +273,7 @@ class BroadcastCarrier(ProtocolInstance):
     def demand_child(self, name: str) -> Optional[AcastProtocol]:
         """``late[k]``: once frozen, k in plain decimal and below the width."""
         match = _LATE_NAME.fullmatch(name)
-        if not (self.frozen and match and int(match[1]) < self.late_width):
+        if not (self.position is not None and match and int(match[1]) < self.late_width):
             return None
         k = int(match[1])
         late = self.spawn(AcastProtocol, name, sender=self.sender, faults=self.faults)
@@ -378,9 +364,10 @@ class BroadcastProtocol(Outcome):
 
     # -- input ---------------------------------------------------------------
     def provide_input(self, message: Any) -> None:
-        """Sender-side: supply the message (field-element vectors are packed)."""
+        """Sender-side: supply the message (field-element vectors are packed); it
+        is late once the bundle went out, not when given at the carrier's freeze."""
         self.message = maybe_pack_payload(message)
-        if self.me == self.sender and self._carrier is not None and self._carrier.frozen:
+        if self.me == self.sender and self._carrier and self._carrier._acast.message is not None:
             self.give_late(self.message)
 
     def give_late(self, value: Any, slot: Optional[int] = None,
@@ -397,7 +384,7 @@ class BroadcastProtocol(Outcome):
     def at_anchor(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the anchor, before the bundle goes out (after
         :meth:`start`): how an input determined *at* the anchor is given."""
-        self._carrier._at_anchor.append(callback)
+        self._carrier.at_freeze(callback)
 
     # -- protocol --------------------------------------------------------------
     def start(self) -> None:
@@ -408,15 +395,11 @@ class BroadcastProtocol(Outcome):
         if origin is None:
             raise CarrierError(f"{self.tag}: root instance {root!r} has no anchor")
         tag = carrier_tag(root, self.anchor - origin, self.sender, self.delta)
-        carrier = self.party.get_instance(tag)
-        if carrier is None:
-            carrier = BroadcastCarrier(
-                self.party, tag, self.sender, self.faults, self.anchor, self.delta
-            )
-            carrier.start()
-        if carrier.frozen or (carrier.faults, carrier.delta) != (self.faults, self.delta):
-            raise CarrierError(f"{self.tag} cannot join {carrier!r} (started late, or other t/Δ)")
-        carrier.entries.append(self)
+        carrier = BroadcastCarrier.at(self.party, tag, self.anchor, self.sender, self.faults,
+                                      self.anchor, self.delta)
+        if (carrier.faults, carrier.delta) != (self.faults, self.delta):
+            raise CarrierError(f"{self.tag} cannot join {carrier!r} (other t/Δ)")
+        carrier.join(self)
         self._carrier = carrier
 
     def _decide(self, entry: Any) -> None:

@@ -119,12 +119,9 @@ sharing, as a reduction to separate messages:
 2. Corrupt sender.  Any message is, entry by entry, messages it could have
    sent on the separate sharings; a payload that is not a tuple of ``(str,
    tuple of the root's width)`` lines is nothing sent in any slot.
-3. Same instants.  The positions freeze in a timer at the instant the post is
-   built, which is the root's start cascade, where every sharing under it is
-   built; a sharing built later raises :class:`~repro.broadcast.bc.CarrierError`.
-   A message that arrives before the freeze (a peer's clock ahead) is held
-   until it, as ``Party.deliver`` holds one for a tag not built yet.  A
-   self-send skips the post: self-delivery stays local, as it was.
+3. Same instants: the post is a :class:`~repro.sim.party.Gathering` frozen at
+   the instant it is built, the root's start cascade, where every sharing
+   under it is built.  A self-send skips the post: self-delivery stays local.
 """
 
 from __future__ import annotations
@@ -134,7 +131,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.ba.aba import aba_nominal_time_bound
 from repro.ba.bobw import BASlot, BestOfBothWorldsBA
 from repro.broadcast.acast import PackedFieldVector
-from repro.broadcast.bc import BroadcastProtocol, CarrierError, bc_time_bound
+from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
 from repro.codes.oec import BatchOnlineErrorCorrector
 from repro.field.array import batch_evaluate
 from repro.field.bivariate import BatchSymmetricBivariate
@@ -142,7 +139,7 @@ from repro.field.gf import FieldElement
 from repro.field.polynomial import Polynomial
 from repro.graph.consistency import ConsistencyGraph
 from repro.graph.star import find_star, verify_star, Star
-from repro.sim.party import Party, ProtocolInstance
+from repro.sim.party import Gathering, Party, ProtocolInstance
 from repro.timing import epsilon, next_multiple_of_delta
 
 OK_VERDICT = "OK"
@@ -288,44 +285,15 @@ def wps_time_bound(n: int, ts: int, delta: float) -> float:
     return 2.0 * delta + 2.0 * t_bc + t_ba + 8 * epsilon(delta)
 
 
-def sharing_post(sharing: ProtocolInstance) -> "SharingPost":
-    """The post of ``sharing``'s root, which ``sharing`` joins; the first
-    sharing of a root builds it and sets its freeze timer."""
-    party = sharing.party
-    tag = f"{sharing.tag.partition('/')[0]}/post"
-    post = party.get_instance(tag)
-    if post is None:
-        post = SharingPost(party, tag)
-        post.schedule_at(party.now, post._freeze)
-    post.join(sharing)
-    return post
-
-
-class SharingPost(ProtocolInstance):
-    """The ΠWPS/ΠVSS under one root: what a party owes one peer at one
-    instant, one message (module docstring)."""
+class SharingPost(Gathering):
+    """The ΠWPS/ΠVSS under one root (its members, frozen where it is built):
+    what a party owes one peer at one instant, one message (module docstring)."""
 
     def __init__(self, party: Party, tag: str):
         super().__init__(party, tag)
-        #: The sharings; sorted by tag, hence positional, once frozen.
-        self.sharings: List[ProtocolInstance] = []
-        self._position: Optional[Dict[str, int]] = None
-        self._early: List[Tuple[int, Any]] = []
         #: recipient -> kind -> sharing tag -> what this instant owes it.
         self._pending: Dict[int, Dict[str, Dict[str, Any]]] = {}
         self._flush_queued = False
-
-    def join(self, sharing: ProtocolInstance) -> None:
-        if self._position is not None:
-            raise CarrierError(f"{sharing.tag} joins {self.tag} after its freeze")
-        self.sharings.append(sharing)
-
-    def _freeze(self) -> None:
-        self.sharings.sort(key=lambda sharing: sharing.tag)
-        self._position = {sharing.tag: p for p, sharing in enumerate(self.sharings)}
-        early, self._early = self._early, []
-        for sender, payload in early:
-            self.receive(sender, payload)
 
     def put(self, recipient: int, tag: str, payload: Tuple[str, Any]) -> None:
         """Sharing ``tag`` sends ``payload`` = ``(kind, value)`` to ``recipient``."""
@@ -340,30 +308,21 @@ class SharingPost(ProtocolInstance):
     def _flush(self) -> None:
         pending, self._pending = self._pending, {}
         self._flush_queued = False
-        width = len(self.sharings)
         for recipient, owed in pending.items():
-            lines = []
-            for kind, values in owed.items():
-                vector: List[Any] = [None] * width
-                for tag, value in values.items():
-                    vector[self._position[tag]] = value
-                lines.append((kind, tuple(vector)))
-            self.send(recipient, tuple(lines))
+            self.send(recipient, tuple(
+                (kind, tuple(values.get(sharing.tag) for sharing in self.entries))
+                for kind, values in owed.items()))
 
-    def receive(self, sender: int, payload: Any) -> None:
+    def take(self, sender: int, payload: Any) -> None:
         """Total: a tuple of ``(str, tuple of the width)`` lines, or nothing."""
-        if self._position is None:
-            self._early.append((sender, payload))
-            return
-        width = len(self.sharings)
         if type(payload) is not tuple or not all(
             type(line) is tuple and len(line) == 2 and type(line[0]) is str
-            and type(line[1]) is tuple and len(line[1]) == width
+            and type(line[1]) is tuple and len(line[1]) == len(self.entries)
             for line in payload
         ):
             return
         for kind, vector in payload:
-            for sharing, value in zip(self.sharings, vector):
+            for sharing, value in zip(self.entries, vector):
                 if value is not None:
                     sharing.receive(sender, (kind, value))
 
@@ -433,7 +392,8 @@ class BivariateSharingMixin:
         self._star_bc: Optional[BroadcastProtocol] = None
         self._late_verdicts: Dict[int, Dict[int, Tuple]] = {}
         self._star2: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
-        self._post = sharing_post(self)
+        self._post = SharingPost.at(party, f"{tag.partition('/')[0]}/post", party.now)
+        self._post.join(self)
 
     def send(self, recipient: int, payload: Any) -> None:
         """Phases I-II: a self-send stays local, any other rides the root's post."""

@@ -6,7 +6,7 @@ state machine.  A party runs many instances concurrently (e.g. all the
 by hierarchical tags so that sub-protocol composition mirrors the paper's
 "the parties participate in instance Pi^(j)" phrasing.  A logical ΠBC and a
 ΠBA slot are records that their carrier or bank owns, not instances; all
-three publish their output through one :class:`Outcome`.
+three publish their output through one :class:`Outcome`.  A carrier is a :class:`Gathering`.
 
 A party is execution-backend agnostic: everything it needs from its host --
 channels, timers, the clock, the static execution parameters -- goes through
@@ -260,3 +260,73 @@ class ProtocolInstance(Outcome):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(party={self.party.id}, tag={self.tag!r})"
+
+
+class CarrierError(RuntimeError):
+    """A member cannot join its :class:`Gathering`: it froze, or runs on other terms."""
+
+
+class Gathering(ProtocolInstance):
+    """A sibling group started at one instant, run as one instance whose
+    messages are positional over its members (the carriers of
+    :mod:`repro.broadcast.bc` and :mod:`repro.ba.aba`, the post of
+    :mod:`repro.sharing.wps`).  Members :meth:`join` until the freeze, the one
+    timer :meth:`at` sets, which sorts them by tag into :attr:`position`, runs
+    the :meth:`at_freeze` callbacks (inputs due then) and hands the messages
+    held so far to :meth:`take`, the gathering's own total parser.
+
+    Same instants.  The freeze instant is commonly known (an anchor, a launch
+    instant, a root's start cascade), so honest parties that built the same
+    members give them the same positions; a later member would not, and raises
+    :class:`CarrierError`.  A message that comes before the freeze (a peer's
+    clock ahead) is held until it, as ``Party.deliver`` holds one for a tag
+    nobody has registered: no member sees it before it exists here."""
+
+    def __init__(self, party: Party, tag: str):
+        super().__init__(party, tag)
+        #: The members; sorted by tag, hence positional, once frozen.
+        self.entries: List[Any] = []
+        self.position: Optional[Dict[str, int]] = None
+        self._held: List[Tuple[int, Any]] = []
+        self._at_freeze: Optional[List[Callable[[], None]]] = []
+
+    @classmethod
+    def at(cls, party: Party, tag: str, instant: float, *args: Any) -> "Gathering":
+        """Gathering ``tag``: the first caller builds, freezes at ``instant``, starts."""
+        gathering = party.get_instance(tag)
+        if gathering is None:
+            gathering = cls(party, tag, *args)
+            gathering.schedule_at(instant, gathering._freeze)
+            gathering.start()
+        return gathering
+
+    def join(self, *members: Any) -> None:
+        """``members`` (anything with a ``tag``) take positions at the freeze."""
+        if self.position is not None:
+            raise CarrierError(f"{members[0].tag} joins {self.tag} after its freeze")
+        self.entries += members
+
+    def at_freeze(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at the freeze, once the positions are set."""
+        if self._at_freeze is None:
+            raise CarrierError(f"{callback!r} is due at {self.tag}'s freeze, which is over")
+        self._at_freeze.append(callback)
+
+    def _freeze(self) -> None:
+        self.entries.sort(key=lambda member: member.tag)
+        self.position = {member.tag: p for p, member in enumerate(self.entries)}
+        for callback in self._at_freeze:
+            callback()
+        self._at_freeze = None
+        held, self._held = self._held, []
+        for sender, payload in held:
+            self.take(sender, payload)
+
+    def receive(self, sender: int, payload: Any) -> None:
+        if self.position is None:
+            self._held.append((sender, payload))
+        else:
+            self.take(sender, payload)
+
+    def take(self, sender: int, payload: Any) -> None:
+        """A peer's message, from the freeze on: the gathering's total parser."""

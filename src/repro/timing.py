@@ -17,6 +17,11 @@ def epsilon(delta: float) -> float:
     return delta * 1e-3
 
 
+def ticks(offset: float, delta: float) -> int:
+    """``offset`` in ε(Δ), an exact integer that names a carrier's instant."""
+    return round(offset / epsilon(delta))
+
+
 def next_multiple_of_delta(now: float, delta: float) -> float:
     """Smallest multiple of Delta that is >= now (with epsilon tolerance).
 

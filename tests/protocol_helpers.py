@@ -24,6 +24,22 @@ def random_polynomial(degree: int, secret: int, seed: int = 0) -> Polynomial:
     return Polynomial.random(FIELD, degree, constant_term=secret, rng=random.Random(seed))
 
 
+class CountedTags:
+    """A ``tag_predicate`` that counts the messages it matched.  A predicate
+    naming a tag nothing is sent on any more (a sharing's own tag, whose rows
+    and points ride ``<root>/post``) matches none, and the test using it then
+    tests nothing: such a test asserts ``matches > 0``."""
+
+    def __init__(self, predicate: Callable[[str], bool]):
+        self.predicate = predicate
+        self.matches = 0
+
+    def __call__(self, tag: str) -> bool:
+        matched = self.predicate(tag)
+        self.matches += bool(matched)
+        return matched
+
+
 class RewriteBehavior(Behavior):
     """A corrupt party that runs the honest code but edits what it sends.
 
@@ -93,7 +109,7 @@ class RewriteBehavior(Behavior):
         lines = []
         for kind, vector in payload:
             vector = list(vector)
-            for index, sharing in enumerate(post.sharings):
+            for index, sharing in enumerate(post.entries):
                 for pattern, edit in self.posts:
                     if vector[index] is not None and pattern.fullmatch(sharing.tag):
                         vector[index] = edit(kind, vector[index])

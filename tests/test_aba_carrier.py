@@ -18,7 +18,6 @@ from repro.ba.aba import MAX_ROUNDS, AbaCarrier, BrachaABA
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.broadcast.acast import Bundle
 from repro.broadcast.bc import bc_time_bound
-from repro.runtime import AsyncioBackend
 from repro.runtime.wire import decode_message, encode_message
 from repro.sim import AsynchronousNetwork, Simulator, SynchronousNetwork
 from repro.sim.messages import Message
@@ -84,7 +83,7 @@ def test_a_lone_bank_is_a_one_slot_carrier_and_outputs_what_fig_2_did(
     ticks = round((bc_time_bound(n, t, 1.0) + 0.001) / 0.001)
     for pid in expected:
         (carrier,) = _carriers(result.instances[pid].party)
-        assert carrier.tag == f"ba/aba@{ticks}" and carrier._tags == ["ba/aba[0]"]
+        assert carrier.tag == f"ba/aba@{ticks}" and [slot.tag for slot in carrier.entries] == ["ba/aba[0]"]
         assert type(result.instances[pid].party.instances["ba/aba[0]"]) is BrachaABA
     # The slot keeps its tag (the coin's key) and sends nothing under it.
     aba_tags = {tag for sender, tag, _ in sent if sender in expected and "/aba" in tag}
@@ -135,10 +134,11 @@ def test_two_banks_at_one_anchor_share_one_carrier_and_one_fan_out_per_step():
     for pid, root in result.instances.items():
         alone, shared = _carriers(root.party)
         assert (shared.tag, alone.tag) == (f"root/{LAUNCH}", "root/aba@11503")
-        assert shared._tags == ["root/x/aba[0]", "root/x/aba[1]", "root/y/aba[0]"]
-        assert alone._tags == ["root/z/aba[0]"]
-        assert all(type(root.party.instances[tag]) is BrachaABA
-                   for carrier in (shared, alone) for tag in carrier._tags)
+        assert [slot.tag for slot in shared.entries] == [
+            "root/x/aba[0]", "root/x/aba[1]", "root/y/aba[0]"]
+        assert [slot.tag for slot in alone.entries] == ["root/z/aba[0]"]
+        assert all(type(root.party.instances[slot.tag]) is BrachaABA
+                   for carrier in (shared, alone) for slot in carrier.entries)
         # Unanimous votes in synchrony: the three slots move in lockstep, so every
         # step is one full vector, sent once -- not one message per slot.
         steps = _fan_outs(sent, pid, shared.tag)
@@ -288,37 +288,6 @@ def test_a_peer_that_still_speaks_per_slot_is_heard_and_answered_on_the_carrier(
     for pid in (1, 2, 3):
         slot = result.instances[pid].party.instances["ba/aba[0]"]
         assert 4 in slot._rounds[1].bval_senders[1]
-
-
-# -- before the positions are frozen ----------------------------------------------------------------
-
-
-def test_a_vector_delivered_before_the_launch_timer_is_held_until_the_launch():
-    """P_4 sends BVAL(1, 0) at time 0, nine Δ before anyone launches (a peer whose
-    clock runs ahead): it waits in the carrier, and counts once the slot exists."""
-    early = ("bval", 1, _v((0,)))
-    seen = {}
-
-    def send_early(tag, payload):
-        return [(f"ba/{LAUNCH}", early), (tag, payload)] if payload[0] == "init" else [(tag, payload)]
-
-    backend = AsyncioBackend(N, network=SynchronousNetwork(), seed=2,
-                             corrupt={4: RewriteBehavior({r"ba/bc@0\[4\]/acast": send_early})})
-
-    def factory(party):
-        def probe():
-            carrier = party.instances[f"ba/{LAUNCH}"]
-            seen[party.id] = (carrier._position, list(carrier._early))
-        party.schedule_at(5.0, probe)
-        return BestOfBothWorldsBA(party, "ba", faults=T, value=1, anchor=0.0)
-
-    result = backend.run(factory, max_time=5_000.0)
-    assert result.honest_outputs() == {1: 1, 2: 1, 3: 1}
-    for pid in (1, 2, 3):
-        assert seen[pid] == (None, [(4, early)])
-        party = result.instances[pid].party
-        assert party.instances[f"ba/{LAUNCH}"]._early == []
-        assert 4 in party.instances["ba/aba[0]"]._rounds[1].bval_senders[0]
 
 
 # -- the wire ------------------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.sim.party import ProtocolInstance
 
 from protocol_helpers import (
     FIELD,
+    CountedTags,
     RewriteBehavior,
     acast_input,
     bundle_entries,
@@ -191,17 +192,15 @@ def test_carrier_tag_is_relative_to_the_root_anchor_not_to_the_clock():
         assert root.bc["a"].output_time == pytest.approx(17.25 + 3.004 + T_BC)
 
 
-def test_an_endpoint_started_after_the_anchor_timer_fired_is_a_typed_error():
+def test_an_endpoint_on_other_terms_or_without_an_anchored_root_is_a_typed_error():
+    """Joining after the freeze is the carriers' common error (``tests/test_sim.py``)."""
     sim = Simulator(N, network=SynchronousNetwork())
-    roots = {pid: Broadcasts(party, "root", 1, {"a": (0.0, "m")})
-             for pid, party in sim.parties.items()}
-    for root in roots.values():
-        root.start()
-    sim.run_until(max_time=1.0)
-    late = BroadcastProtocol(sim.parties[2], "root/late", sender=1, faults=T, anchor=0.0)
-    with pytest.raises(CarrierError, match="root/late cannot join"):
-        late.start()
-    orphan = BroadcastProtocol(sim.parties[2], "nowhere/bc", sender=1, faults=T, anchor=0.0)
+    party = sim.parties[2]
+    Broadcasts(party, "root", 1, {"a": (0.0, "m")}).start()
+    other = BroadcastProtocol(party, "root/other", sender=1, faults=0, anchor=0.0)
+    with pytest.raises(CarrierError, match=r"root/other cannot join .*\(other t/Δ\)"):
+        other.start()
+    orphan = BroadcastProtocol(party, "nowhere/bc", sender=1, faults=T, anchor=0.0)
     with pytest.raises(CarrierError, match="no anchor"):
         orphan.start()
 
@@ -470,8 +469,10 @@ def test_late_acast_contradicting_a_present_entry_is_ignored():
 
 
 def test_bundle_delivered_only_in_fallback_mode_hands_out_every_entry_then():
-    corrupt = {1: DelayBehavior(20.0, tag_predicate=lambda tag: tag == "root/bc@0[1]/acast")}
-    result = _run(TWO, corrupt=corrupt, wait_for_all=False, max_time=200.0)
+    bundle = CountedTags(lambda tag: tag == "root/bc@0[1]/acast")
+    result = _run(TWO, corrupt={1: DelayBehavior(20.0, tag_predicate=bundle)},
+                  wait_for_all=False, max_time=200.0)
+    assert bundle.matches > 0
     for pid in (2, 3, 4):
         root = result.instances[pid]
         for name, (_, message) in TWO.items():
@@ -501,8 +502,8 @@ BUNDLE_ATTACKS = [
     pytest.param(_every_bundle(lambda e: tuple((frozenset({1, 9}), frozenset({True})) for _ in e)),
                  id="id-sets-out-of-range"),
     pytest.param(RewriteBehavior({EVERY_BUNDLE: lambda tag, payload: []}), id="withheld"),
-    pytest.param(DelayBehavior(20.0, tag_predicate=lambda tag: "/bc@" in tag
-                               and tag.endswith("[4]/acast")), id="fallback-mode-only"),
+    pytest.param(DelayBehavior(20.0, tag_predicate=CountedTags(
+        lambda tag: "/bc@" in tag and tag.endswith("[4]/acast"))), id="fallback-mode-only"),
     pytest.param(RewriteBehavior(entries={".*": lambda value: None}), id="every-entry-blank"),
 ]
 
@@ -519,6 +520,8 @@ def test_vss_n4_guarantees_survive_what_a_corrupt_party_does_to_its_bundles(atta
                                  polynomials=[poly], corrupt={4: attack}, max_time=2_000.0,
                                  wait_for_all_honest=False)
     assert honest_outputs_consistent(result, ts=1)
+    counted = getattr(attack, "tag_predicate", None)
+    assert not isinstance(counted, CountedTags) or counted.matches > 0
 
 
 # -- a real clock gives timers due at one instant no order ------------------------------------------

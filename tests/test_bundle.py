@@ -439,14 +439,14 @@ def test_a_bundle_holding_a_mutable_container_is_decoded_fresh_every_time():
 def _bundles_sent(monkeypatch, **run):
     """The bundles the parties' carriers sent, then those their late carriers sent."""
     sent = []
-    publish = BroadcastCarrier._publish
+    freeze = BroadcastCarrier._freeze
 
     def recording(carrier):
-        publish(carrier)
+        freeze(carrier)
         if carrier.me == carrier.sender:
             sent.append(carrier._acast.message)
 
-    monkeypatch.setattr(BroadcastCarrier, "_publish", recording)
+    monkeypatch.setattr(BroadcastCarrier, "_freeze", recording)
     n = run["n"]
     result = run_mpc(multiplication_circuit(FIELD, n), {pid: pid + 2 for pid in range(1, n + 1)},
                      **run)

@@ -170,7 +170,7 @@ def test_a_demand_builds_a_late_carrier_only_below_the_width(cls, anchor, entrie
     carrier = sharing.party.instances[carrier_tag("prot", anchor, 1, 1.0)]
     assert type(carrier) is BroadcastCarrier and carrier.demand_child("late[0]") is None
     sim.run_until(max_time=anchor)
-    assert carrier.frozen and len(carrier.entries) == entries
+    assert carrier.position is not None and len(carrier.entries) == entries
     assert carrier.late_width == N * entries
     before = len(sharing.party.instances)
     for k in range(carrier.late_width):

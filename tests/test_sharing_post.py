@@ -5,7 +5,6 @@ message, and one total parser reads what a peer sends there."""
 import pytest
 
 from repro.broadcast.acast import Bundle
-from repro.broadcast.bc import CarrierError
 from repro.sharing.vss import VerifiableSecretSharing
 from repro.sharing.wps import SharingPost, WeakPolynomialSharing
 from repro.sim import Simulator, SynchronousNetwork
@@ -51,7 +50,7 @@ def test_a_vss_has_one_post_of_its_five_sharings_in_tag_order():
     for vss in result.instances.values():
         post = vss.party.instances["prot/post"]
         assert type(post) is SharingPost and vss._post is post
-        assert [s.tag for s in post.sharings] == [
+        assert [s.tag for s in post.entries] == [
             "prot", "prot/wps[1]", "prot/wps[2]", "prot/wps[3]", "prot/wps[4]"]
     assert shares_match_polynomials(result, [POLY])
 
@@ -116,56 +115,27 @@ def _lone_wps(deliver_early=None):
     as each honest party builds it, before its post froze.  P_4 is corrupt but
     runs the honest code."""
     sim = Simulator(4, network=SynchronousNetwork(), seed=0, corrupt={4: RewriteBehavior()})
-    seen = {}
 
     def factory(party):
         wps = WeakPolynomialSharing(party, "prot", dealer=1, ts=1, ta=0, num_polynomials=1,
                                     polynomials=[POLY] if party.id == 1 else None, anchor=0.0)
         if deliver_early is not None and party.id != 4:
             deliver_early(party)
-            seen[party.id] = list(party.instances["prot/post"]._early)
         return wps
 
-    return sim.run(factory, max_time=5_000.0), seen
-
-
-def test_a_message_before_the_freeze_is_held_and_handed_over_at_it():
-    """P_4's points reach the honest parties before their posts froze (a
-    peer's clock ahead): held, then handed to the sharing at the freeze, where
-    they are first -- so P_4's real points later count for nothing, and the
-    wrong value makes every honest verdict on P_4 a NOK."""
-    early = (("points", ([FIELD(0)],)),)
-    result, seen = _lone_wps(lambda party: party.deliver(4, "prot/post", early))
-    assert seen == {pid: [(4, early)] for pid in (1, 2, 3)}
-    assert shares_match_polynomials(result, [POLY])
-    for pid, wps in _honest(result):
-        assert wps.party.instances["prot/post"]._early == []
-        assert wps.received_points[4] == [FIELD(0)]
-        assert wps._verdicts[(pid, 4)][0] == "NOK"
+    return sim.run(factory, max_time=5_000.0)
 
 
 def test_rows_from_a_party_that_is_not_the_dealer_are_dropped_by_the_sharing():
     """A ``polys`` entry from P_4, well-formed rows, arriving before the
     dealer's: the sharing's own ``sender == dealer`` check drops it."""
     forged = [random_polynomial(1, 99, seed=51)]
-    result, _ = _lone_wps(lambda party: party.deliver(4, "prot/post", (("polys", (forged,)),)))
-    honest, _ = _lone_wps()
+    result = _lone_wps(lambda party: party.deliver(4, "prot/post", (("polys", (forged,)),)))
+    honest = _lone_wps()
     assert shares_match_polynomials(result, [POLY])
     for pid in (1, 2, 3):
         assert result.instances[pid].my_rows == honest.instances[pid].my_rows != forged
         assert result.instances[pid].output == honest.instances[pid].output
-
-
-def test_a_sharing_built_after_the_freeze_raises():
-    sim = Simulator(4, network=SynchronousNetwork())
-    party = sim.parties[2]
-    WeakPolynomialSharing(party, "prot", dealer=1, ts=1, ta=0, anchor=0.0)
-    WeakPolynomialSharing(party, "prot/also", dealer=3, ts=1, ta=0, anchor=0.0)  # same instant
-    sim.run_until(max_time=0.5)
-    post = party.instances["prot/post"]
-    assert [s.tag for s in post.sharings] == ["prot", "prot/also"]
-    with pytest.raises(CarrierError, match="prot/late joins prot/post after its freeze"):
-        WeakPolynomialSharing(party, "prot/late", dealer=1, ts=1, ta=0, anchor=0.0)
 
 
 def test_a_second_word_for_one_slot_in_one_instant_sends_the_first_at_once(monkeypatch):

@@ -6,11 +6,15 @@ import heapq
 import itertools
 import pathlib
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 
-from repro.broadcast.bc import BroadcastProtocol
+from repro.ba.aba import AbaCarrier
+from repro.broadcast.bc import BroadcastCarrier, BroadcastProtocol
 from repro.field import Polynomial, default_field
+from repro.sharing.wps import SharingPost
 from repro.sim import event_queue
 from repro.sim import messages as messages_module
 from repro.sim import simulator as simulator_module
@@ -32,7 +36,7 @@ from repro.sim.network import (
     NetworkModel,
     SynchronousNetwork,
 )
-from repro.sim.party import Party, ProtocolInstance
+from repro.sim.party import CarrierError, Party, ProtocolInstance
 from repro.sim.simulator import SimulationMetrics, Simulator
 
 F = default_field()
@@ -260,6 +264,91 @@ def test_outputs_are_published_by_party_py_alone():
     elsewhere re-implements its output methods or its callback list."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
     assert _output_twins(src) == set()
+
+
+# -- one gathering mechanism ------------------------------------------------------------------
+
+#: Each carrier type, built at a party through ``Gathering.at`` with its freeze at 1.0.
+GATHERINGS = [
+    pytest.param(lambda party: SharingPost.at(party, "root/post", 1.0), id="sharing-post"),
+    pytest.param(lambda party: AbaCarrier.at(party, "root/aba@0", 1.0), id="aba-carrier"),
+    pytest.param(lambda party: BroadcastCarrier.at(party, "root/bc@0[1]", 1.0, 1, 1, 1.0, 1.0),
+                 id="broadcast-carrier"),
+]
+
+
+@pytest.mark.parametrize("build", GATHERINGS)
+def test_a_member_that_joins_after_the_freeze_is_a_typed_error(build):
+    """Members take positions by tag at the freeze; a later one would have a
+    position its peers do not give it."""
+    sim = Simulator(4, network=SynchronousNetwork())
+    carrier = build(sim.parties[2])
+    for tag in ("root/b", "root/a"):
+        carrier.join(SimpleNamespace(tag=tag))
+    sim.run_until(max_time=1.5)
+    assert [member.tag for member in carrier.entries] == ["root/a", "root/b"]
+    assert carrier.position == {"root/a": 0, "root/b": 1}
+    with pytest.raises(CarrierError,
+                       match=re.escape(f"root/late joins {carrier.tag} after its freeze")):
+        carrier.join(SimpleNamespace(tag="root/late"))
+    with pytest.raises(CarrierError, match=re.escape(f"{carrier.tag}'s freeze, which is over")):
+        carrier.at_freeze(lambda: None)
+    assert len(carrier.entries) == 2
+
+
+@pytest.mark.parametrize("build", GATHERINGS)
+def test_a_message_before_the_freeze_is_held_and_handed_over_at_it(build, monkeypatch):
+    """Messages that come before the freeze (a peer's clock ahead) reach the
+    carrier's parser at the freeze, in arrival order, after the callbacks due
+    then; later ones reach it on arrival."""
+    sim = Simulator(4, network=SynchronousNetwork())
+    party = sim.parties[2]
+    carrier = build(party)
+    taken = []
+    monkeypatch.setattr(type(carrier), "take",
+                        lambda self, sender, payload: taken.append((self.now, sender, payload)))
+    carrier.at_freeze(lambda: taken.append((party.now, "at freeze")))
+    party.deliver(4, carrier.tag, "early")
+    party.schedule_at(0.5, lambda: party.deliver(3, carrier.tag, "also early"))
+    party.schedule_at(1.5, lambda: party.deliver(4, carrier.tag, "after"))
+    sim.run_until(max_time=2.0)
+    assert taken == [(1.0, "at freeze"), (1.0, 4, "early"), (1.0, 3, "also early"),
+                     (1.5, 4, "after")]
+
+
+def _gathering_twins(src):
+    """(module, class) for every class under ``src`` but ``Gathering`` that holds
+    messages in a list of its own (``self.<list>.append(...)`` of something
+    built from a ``payload``) or builds a position map (a dict comprehension
+    over ``enumerate``)."""
+    twins = set()
+    for path in src.rglob("*.py"):
+        module = path.relative_to(src).as_posix()
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "Gathering":
+                continue
+            for node in ast.walk(cls):
+                held = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "append" and node.args
+                        and isinstance(node.func.value, ast.Attribute)
+                        and isinstance(node.func.value.value, ast.Name)
+                        and node.func.value.value.id == "self"
+                        and any(isinstance(name, ast.Name) and name.id == "payload"
+                                for name in ast.walk(node.args[0])))
+                positions = isinstance(node, ast.DictComp) and any(
+                    isinstance(loop.iter, ast.Call) and isinstance(loop.iter.func, ast.Name)
+                    and loop.iter.func.id == "enumerate" for loop in node.generators)
+                if held or positions:
+                    twins.add((module, cls.name))
+    return twins
+
+
+def test_members_are_held_and_positioned_by_gathering_alone():
+    """The post, the ΠABA carriers and the broadcast carriers join, hold and
+    freeze through ``Gathering``: no other class keeps early messages or
+    builds a tag -> position map, so the next per-instant carrier reuses it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    assert _gathering_twins(src) == set()
 
 
 # -- behaviours ------------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.sim.simulator import Simulator
 
 from protocol_helpers import (
     FIELD,
+    CountedTags,
     RewriteBehavior,
     bundle_tag,
     late_tag,
@@ -186,10 +187,11 @@ def test_late_verdict_in_synchrony_travels_by_acast(cls, n, ts, ta):
     """Corrupt P_n's points arrive 5Δ late: the honest verdicts on P_n miss the
     vectors, go out as slot n of P_i's late carrier, are in no regular-mode
     snapshot and in every honest graph afterwards."""
-    corrupt = {n: DelayBehavior(5.0, tag_predicate=lambda tag: tag == "prot/post")}
+    points = CountedTags(lambda tag: tag == "prot/post")
     poly = random_polynomial(ts, 10, seed=35)
     result = run_dealer_protocol(cls, n=n, ts=ts, ta=ta, dealer=1, polynomials=[poly],
-                                 corrupt=corrupt)
+                                 corrupt={n: DelayBehavior(5.0, tag_predicate=points)})
+    assert points.matches > 0
     assert len(result.honest_outputs()) == n - 1
     assert shares_match_polynomials(result, [poly])
     for instance in _honest(result):
