@@ -283,7 +283,7 @@ class AbaCarrier(Gathering):
         if vector is None:
             return
         kind, round_index, _ = parsed
-        launched = self.party.instances  # a slot is held by its tag alone: no cycle with it
+        launched = self.party.instances  # a ΠABA is held by its tag alone: no cycle with it
         self._active += 1
         for index, bit in enumerate(vector):
             if bit is None:

@@ -18,6 +18,7 @@ from repro.ba.aba import MAX_ROUNDS, AbaCarrier, BrachaABA
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.broadcast.acast import Bundle
 from repro.broadcast.bc import bc_time_bound
+from repro.runtime import AsyncioBackend
 from repro.runtime.wire import decode_message, encode_message
 from repro.sim import AsynchronousNetwork, Simulator, SynchronousNetwork
 from repro.sim.messages import Message
@@ -288,6 +289,27 @@ def test_a_peer_that_still_speaks_per_slot_is_heard_and_answered_on_the_carrier(
     for pid in (1, 2, 3):
         slot = result.instances[pid].party.instances["ba/aba[0]"]
         assert 4 in slot._rounds[1].bval_senders[1]
+
+
+# -- before the positions are frozen ----------------------------------------------------------------
+
+
+def test_a_vector_delivered_before_the_launch_timer_is_held_until_the_launch():
+    """P_4 sends BVAL(1, 0) at time 0, nine Δ before anyone launches (a peer whose
+    clock runs ahead): it waits in the carrier, and counts once the slot exists.
+    (The hold itself, for every carrier type: ``tests/test_sim.py``.)"""
+    early = ("bval", 1, _v((0,)))
+
+    def send_early(tag, payload):
+        return [(f"ba/{LAUNCH}", early), (tag, payload)] if payload[0] == "init" else [(tag, payload)]
+
+    backend = AsyncioBackend(N, network=SynchronousNetwork(), seed=2,
+                             corrupt={4: RewriteBehavior({r"ba/bc@0\[4\]/acast": send_early})})
+    result = backend.run(lambda party: BestOfBothWorldsBA(party, "ba", faults=T, value=1, anchor=0.0),
+                         max_time=5_000.0)
+    assert result.honest_outputs() == {1: 1, 2: 1, 3: 1}
+    for pid in (1, 2, 3):
+        assert 4 in result.instances[pid].party.instances["ba/aba[0]"]._rounds[1].bval_senders[0]
 
 
 # -- the wire ------------------------------------------------------------------------------------

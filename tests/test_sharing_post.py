@@ -126,6 +126,20 @@ def _lone_wps(deliver_early=None):
     return sim.run(factory, max_time=5_000.0)
 
 
+def test_a_message_before_the_freeze_is_held_and_handed_over_at_it():
+    """P_4's points reach the honest parties before their posts froze (a
+    peer's clock ahead): held, then handed to the sharing at the freeze, where
+    they are first -- so P_4's real points later count for nothing, and the
+    wrong value makes every honest verdict on P_4 a NOK.  (The hold itself,
+    for every carrier type: ``tests/test_sim.py``.)"""
+    early = (("points", ([FIELD(0)],)),)
+    result = _lone_wps(lambda party: party.deliver(4, "prot/post", early))
+    assert shares_match_polynomials(result, [POLY])
+    for pid, wps in _honest(result):
+        assert wps.received_points[4] == [FIELD(0)]
+        assert wps._verdicts[(pid, 4)][0] == "NOK"
+
+
 def test_rows_from_a_party_that_is_not_the_dealer_are_dropped_by_the_sharing():
     """A ``polys`` entry from P_4, well-formed rows, arriving before the
     dealer's: the sharing's own ``sender == dealer`` check drops it."""
