@@ -272,8 +272,8 @@ def test_outputs_are_published_by_party_py_alone():
 GATHERINGS = [
     pytest.param(lambda party: SharingPost.at(party, "root/post", 1.0), id="sharing-post"),
     pytest.param(lambda party: AbaCarrier.at(party, "root/aba@0", 1.0), id="aba-carrier"),
-    pytest.param(lambda party: BroadcastCarrier.at(party, "root/bc@0[1]", 1.0, 1, 1, 1.0, 1.0),
-                 id="broadcast-carrier"),
+    pytest.param(lambda party: BroadcastCarrier.at(  # sender 1, t = 1, anchor 1.0, Δ = 1.0
+        party, "root/bc@0[1]", 1.0, 1, 1, 1.0, 1.0), id="broadcast-carrier"),
 ]
 
 
