@@ -119,7 +119,7 @@ sharing, as a reduction to separate messages:
 2. Corrupt sender.  Any message is, entry by entry, messages it could have
    sent on the separate sharings; a payload that is not a tuple of ``(str,
    tuple of the root's width)`` lines is nothing sent in any slot.
-3. Same instants: the post is a :class:`~repro.sim.party.Gathering` frozen at
+3. Same instants: the post is a :class:`~repro.sim.party.Post` frozen at
    the instant it is built, the root's start cascade, where every sharing
    under it is built.  A self-send skips the post: self-delivery stays local.
 """
@@ -139,7 +139,7 @@ from repro.field.gf import FieldElement
 from repro.field.polynomial import Polynomial
 from repro.graph.consistency import ConsistencyGraph
 from repro.graph.star import find_star, verify_star, Star
-from repro.sim.party import Gathering, Party, ProtocolInstance
+from repro.sim.party import Party, Post, ProtocolInstance
 from repro.timing import epsilon, next_multiple_of_delta
 
 OK_VERDICT = "OK"
@@ -285,46 +285,12 @@ def wps_time_bound(n: int, ts: int, delta: float) -> float:
     return 2.0 * delta + 2.0 * t_bc + t_ba + 8 * epsilon(delta)
 
 
-class SharingPost(Gathering):
+class SharingPost(Post):
     """The ΠWPS/ΠVSS under one root (its members, frozen where it is built):
     what a party owes one peer at one instant, one message (module docstring)."""
 
-    def __init__(self, party: Party, tag: str):
-        super().__init__(party, tag)
-        #: recipient -> kind -> sharing tag -> what this instant owes it.
-        self._pending: Dict[int, Dict[str, Dict[str, Any]]] = {}
-        self._flush_queued = False
-
-    def put(self, recipient: int, tag: str, payload: Tuple[str, Any]) -> None:
-        """Sharing ``tag`` sends ``payload`` = ``(kind, value)`` to ``recipient``."""
-        kind, value = payload
-        if tag in self._pending.get(recipient, {}).get(kind, ()):
-            self._flush()  # its second word this instant: the first goes first
-        self._pending.setdefault(recipient, {}).setdefault(kind, {})[tag] = value
-        if not self._flush_queued:
-            self._flush_queued = True
-            self.schedule_at(self.now, self._flush)
-
-    def _flush(self) -> None:
-        pending, self._pending = self._pending, {}
-        self._flush_queued = False
-        for recipient, owed in pending.items():
-            self.send(recipient, tuple(
-                (kind, tuple(values.get(sharing.tag) for sharing in self.entries))
-                for kind, values in owed.items()))
-
-    def take(self, sender: int, payload: Any) -> None:
-        """Total: a tuple of ``(str, tuple of the width)`` lines, or nothing."""
-        if type(payload) is not tuple or not all(
-            type(line) is tuple and len(line) == 2 and type(line[0]) is str
-            and type(line[1]) is tuple and len(line[1]) == len(self.entries)
-            for line in payload
-        ):
-            return
-        for kind, vector in payload:
-            for sharing, value in zip(self.entries, vector):
-                if value is not None:
-                    sharing.receive(sender, (kind, value))
+    def hand(self, sharing: Any, sender: int, kind: str, value: Any) -> None:
+        sharing.receive(sender, (kind, value))
 
 
 class BivariateSharingMixin:

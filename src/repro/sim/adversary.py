@@ -58,7 +58,8 @@ class SilentBehavior(Behavior):
 
     Models, e.g., a corrupt dealer that never invokes its VSS instance while
     still participating in everything else.
-    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``.
+    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``,
+    the shares a ΠTripSh opens ``<preproc>/openings``.
     """
 
     def __init__(self, tag_predicate: Callable[[str], bool]):
@@ -75,7 +76,8 @@ class DelayBehavior(Behavior):
 
     The messages are still (eventually) sent, so asynchronous liveness is
     preserved; used to model slow-but-honest-looking corrupt parties.
-    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``.
+    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``,
+    the shares a ΠTripSh opens ``<preproc>/openings``.
     """
 
     def __init__(self, extra_delay: float, tag_predicate: Optional[Callable[[str], bool]] = None):
@@ -98,7 +100,8 @@ class WrongValueBehavior(Behavior):
 
     Turns correct shares/points into incorrect ones, modelling a party that
     lies during pair-wise consistency checks or reconstruction.
-    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``.
+    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``,
+    the shares a ΠTripSh opens ``<preproc>/openings``.
     """
 
     def __init__(
@@ -161,7 +164,8 @@ class EquivocatingBehavior(Behavior):
 
     Recipients in ``group_b`` receive a perturbed payload; everyone else the
     original.  Models an equivocating Acast sender or broadcaster.
-    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``.
+    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``,
+    the shares a ΠTripSh opens ``<preproc>/openings``.
     """
 
     def __init__(
@@ -195,7 +199,8 @@ class RandomDropBehavior(Behavior):
     module-global ``random`` state, so a scenario seeded with
     ``RandomDropBehavior(0.3, random.Random(seed))`` replays identically
     across runs.
-    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``.
+    ``tag_predicate`` sees wire tags: a sharing's rows and points ride ``<root>/post``,
+    the shares a ΠTripSh opens ``<preproc>/openings``.
     """
 
     def __init__(

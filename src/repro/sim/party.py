@@ -6,7 +6,8 @@ state machine.  A party runs many instances concurrently (e.g. all the
 by hierarchical tags so that sub-protocol composition mirrors the paper's
 "the parties participate in instance Pi^(j)" phrasing.  A logical ΠBC and a
 ΠBA slot are records that their carrier or bank owns, not instances; all
-three publish their output through one :class:`Outcome`.  A carrier is a :class:`Gathering`.
+three publish their output through one :class:`Outcome`.  A carrier is a :class:`Gathering`,
+and a post (one message per peer per instant for its members) a :class:`Post`.
 
 A party is execution-backend agnostic: everything it needs from its host --
 channels, timers, the clock, the static execution parameters -- goes through
@@ -269,11 +270,12 @@ class CarrierError(RuntimeError):
 class Gathering(ProtocolInstance):
     """A sibling group started at one instant, run as one instance whose
     messages are positional over its members (the carriers of
-    :mod:`repro.broadcast.bc` and :mod:`repro.ba.aba`, the post of
-    :mod:`repro.sharing.wps`).  Members :meth:`join` until the freeze, the one
-    timer :meth:`at` sets, which sorts them by tag into :attr:`position`, runs
-    the :meth:`at_freeze` callbacks (inputs due then) and hands the messages
-    held so far to :meth:`take`, the gathering's own total parser.
+    :mod:`repro.broadcast.bc` and :mod:`repro.ba.aba`, the posts of
+    :mod:`repro.sharing.wps` and :mod:`repro.triples.reconstruction`).
+    Members :meth:`join` until the freeze, the one timer :meth:`at` sets,
+    which sorts them by tag into :attr:`position`, runs the :meth:`at_freeze`
+    callbacks (inputs due then) and hands the messages held so far to
+    :meth:`take`, the gathering's own total parser.
 
     Same instants.  The freeze instant is commonly known (an anchor, a launch
     instant, a root's start cascade), so honest parties that built the same
@@ -330,3 +332,53 @@ class Gathering(ProtocolInstance):
 
     def take(self, sender: int, payload: Any) -> None:
         """A peer's message, from the freeze on: the gathering's total parser."""
+
+
+class Post(Gathering):
+    """A gathering whose members' words to one peer at one instant leave as one
+    message (the sharing post of :mod:`repro.sharing.wps`, the opening post of
+    :mod:`repro.triples.reconstruction`): a tuple of lines ``(kind, vector)``,
+    one per kind said, each vector positional over the members with ``None``
+    where a member said nothing.  The flush is a timer at the instant of the
+    words; a member's second word of one kind to one peer in one instant
+    flushes the first, a message more, never a merge."""
+
+    def __init__(self, party: Party, tag: str):
+        super().__init__(party, tag)
+        #: recipient -> kind -> member tag -> what this instant owes it.
+        self._pending: Dict[int, Dict[str, Dict[str, Any]]] = {}
+        self._flush_queued = False
+
+    def put(self, recipient: int, tag: str, payload: Tuple[str, Any]) -> None:
+        """Member ``tag`` says ``payload`` = ``(kind, value)`` to ``recipient``."""
+        kind, value = payload
+        if tag in self._pending.get(recipient, {}).get(kind, ()):
+            self._flush()  # its second word this instant: the first goes first
+        self._pending.setdefault(recipient, {}).setdefault(kind, {})[tag] = value
+        if not self._flush_queued:
+            self._flush_queued = True
+            self.schedule_at(self.now, self._flush)
+
+    def _flush(self) -> None:
+        pending, self._pending = self._pending, {}
+        self._flush_queued = False
+        for recipient, owed in pending.items():
+            self.send(recipient, tuple(
+                (kind, tuple(values.get(member.tag) for member in self.entries))
+                for kind, values in owed.items()))
+
+    def take(self, sender: int, payload: Any) -> None:
+        """Total: a tuple of ``(str, tuple of the width)`` lines, or nothing."""
+        if type(payload) is not tuple or not all(
+            type(line) is tuple and len(line) == 2 and type(line[0]) is str
+            and type(line[1]) is tuple and len(line[1]) == len(self.entries)
+            for line in payload
+        ):
+            return
+        for kind, vector in payload:
+            for member, value in zip(self.entries, vector):
+                if value is not None:
+                    self.hand(member, sender, kind, value)
+
+    def hand(self, member: Any, sender: int, kind: str, value: Any) -> None:
+        """An entry of a peer's message: ``member``'s word ``(kind, value)``."""

@@ -9,7 +9,7 @@ public-reconstruction round for the whole batch).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.field.gf import FieldElement
 from repro.sim.party import Party, ProtocolInstance
@@ -27,44 +27,23 @@ class BeaverMultiplication(ProtocolInstance):
     is a correct multiplication triple).
     """
 
-    def __init__(
-        self,
-        party: Party,
-        tag: str,
-        ts: int,
-        jobs: Optional[Sequence[BeaverInput]] = None,
-    ):
+    def __init__(self, party: Party, tag: str, ts: int, jobs: Sequence[BeaverInput]):
         super().__init__(party, tag)
         self.ts = ts
-        self.jobs = list(jobs) if jobs is not None else None
-        self._reconstruction: Optional[PublicReconstruction] = None
-        self._started = False
-
-    def provide_input(self, jobs: Sequence[BeaverInput]) -> None:
         self.jobs = list(jobs)
-        if self._started:
-            self._begin()
 
     def start(self) -> None:
-        self._started = True
-        if self.jobs is not None:
-            self._begin()
-
-    def _begin(self) -> None:
-        if self._reconstruction is not None or self.jobs is None:
-            return
         masked: List[FieldElement] = []
         for x_share, y_share, a_share, b_share, _c_share in self.jobs:
             masked.append(x_share - a_share)  # e = x - a
             masked.append(y_share - b_share)  # d = y - b
-        self._reconstruction = self.spawn(
+        reconstruction = self.spawn(
             PublicReconstruction, "open", degree=self.ts, faults=self.ts, shares=masked
         )
-        self._reconstruction.on_output(self._finish)
-        self._reconstruction.start()
+        reconstruction.on_output(self._finish)
+        reconstruction.start()
 
     def _finish(self, opened: List[FieldElement]) -> None:
-        assert self.jobs is not None
         outputs: List[FieldElement] = []
         for index, (_x, _y, a_share, b_share, c_share) in enumerate(self.jobs):
             e_value = opened[2 * index]

@@ -6,13 +6,18 @@ locally output the shares of d+1-t_s *new* points (at the public beta
 points) on the underlying polynomials -- multiplication triples that are
 random from the adversary's point of view, because it knows at most t_s of
 the input triples.
+
+Fig 10 runs L such extractions in parallel, one per group of 2d+1 triples.
+Here one instance takes all L groups and runs one ΠTripTrans over them, so
+their ΠBeaver masks are opened in one public reconstruction: the same values
+to the same parties with the same OEC(t_s, t_s), in one message per peer
+instead of L.  Each group's output is the one its own instance would give.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.field.gf import FieldElement
 from repro.sim.party import Party, ProtocolInstance
 from repro.triples.transform import (
     TripleTransformation,
@@ -22,57 +27,37 @@ from repro.triples.transform import (
 
 
 class TripleExtraction(ProtocolInstance):
-    """One ΠTripExt instance.
+    """ΠTripExt over ``groups``, each this party's shares of 2d+1 input
+    triples (ordered by the public ordering of CS).
 
-    ``triples`` are this party's shares of the 2d+1 input triples (ordered
-    by the public ordering of CS).  The output is the list of d+1-t_s
-    extracted triple shares.
+    The output has one entry per group: its d+1-t_s extracted triple shares.
+    All groups are transformed by one ΠTripTrans, hence open their masks in
+    one public reconstruction.
     """
 
     def __init__(
-        self,
-        party: Party,
-        tag: str,
-        ts: int,
-        d: int,
-        triples: Optional[Sequence[TripleShares]] = None,
+        self, party: Party, tag: str, ts: int, d: int, groups: Sequence[Sequence[TripleShares]]
     ):
         super().__init__(party, tag)
         self.ts = ts
         self.d = d
-        self.triples = list(triples) if triples is not None else None
-        self._transformation: Optional[TripleTransformation] = None
-        self._started = False
-
-    def provide_input(self, triples: Sequence[TripleShares]) -> None:
-        self.triples = list(triples)
-        if self._started:
-            self._begin()
+        self.groups = groups
 
     def start(self) -> None:
-        self._started = True
-        if self.triples is not None:
-            self._begin()
-
-    def _begin(self) -> None:
-        if self._transformation is not None or self.triples is None:
-            return
-        self._transformation = self.spawn(
-            TripleTransformation, "trans", ts=self.ts, d=self.d, triples=self.triples
+        transformation = self.spawn(
+            TripleTransformation, "trans", ts=self.ts, d=self.d, groups=self.groups
         )
-        self._transformation.on_output(self._finish)
-        self._transformation.start()
+        transformation.on_output(self._finish)
+        transformation.start()
 
-    def _finish(self, transformed: List[TripleShares]) -> None:
-        x_shares = [triple[0] for triple in transformed]
-        y_shares = [triple[1] for triple in transformed]
-        z_shares = [triple[2] for triple in transformed]
+    def _finish(self, transformed: List[List[TripleShares]]) -> None:
         count = self.d + 1 - self.ts
         betas = [self.field.beta(j) for j in range(1, count + 1)]
-        # One cached Lagrange matrix per degree evaluates every beta at once.
-        a_row, b_row = extend_shares_batch(
-            self.field, [x_shares, y_shares], self.d, betas
-        )
-        (c_row,) = extend_shares_batch(self.field, [z_shares], 2 * self.d, betas)
-        outputs: List[TripleShares] = list(zip(a_row, b_row, c_row))
-        self.set_output(outputs)
+        # One cached Lagrange matrix per degree evaluates every beta of every group.
+        xy_rows = [[triple[c] for triple in group] for group in transformed for c in (0, 1)]
+        z_rows = [[triple[2] for triple in group] for group in transformed]
+        xy_out = extend_shares_batch(self.field, xy_rows, self.d, betas)
+        z_out = extend_shares_batch(self.field, z_rows, 2 * self.d, betas)
+        self.set_output([
+            list(zip(xy_out[2 * k], xy_out[2 * k + 1], z_out[k])) for k in range(len(transformed))
+        ])

@@ -32,9 +32,9 @@ implements the hyper-invertible-matrix alternative, wired as
    amortized reconstructions per triple, against ΠTripSh's per-dealer
    transformation + supervised Beaver machinery.
 4. **Wash** -- the surviving dealers' verified candidates feed the existing
-   ΠTripExt (:class:`repro.triples.extraction.TripleExtraction`) per slot,
-   so the output triples are unknown to everyone (a corrupt dealer knows its
-   own candidate, so verified triples cannot be consumed directly).
+   ΠTripExt (:class:`repro.triples.extraction.TripleExtraction`), one group
+   per slot, so the output triples are unknown to everyone (a corrupt dealer
+   knows its own candidate, so verified triples cannot be consumed directly).
 
 When discards leave fewer than 2*t_s + 1 survivors -- or shrink the yield
 below the requested target -- the phase aborts loudly with
@@ -177,7 +177,6 @@ class HimPreprocessing(Preprocessing):
         self._rhos: List[FieldElement] = []
         #: Dealers publicly caught by the sacrifice checks.
         self.discarded_dealers: List[int] = []
-        self._extraction_outputs: Dict[int, List[TripleShares]] = {}
 
     # -- phase 1: share -------------------------------------------------------------
     def start(self) -> None:
@@ -293,23 +292,13 @@ class HimPreprocessing(Preprocessing):
             )
         d = (len(survivors) - 1) // 2
         providers = survivors[: 2 * d + 1]
-        for k in range(self.slots):
-            triples = [tuple(self._slot_bank(j, k)[:3]) for j in providers]
-            extraction = self.spawn(
-                TripleExtraction, f"ext[{k}]", ts=self.ts, d=d, triples=triples
-            )
-            extraction.on_output(
-                lambda out, k=k: self._extraction_completed(k, out)
-            )
-            extraction.start()
+        groups = [[tuple(self._slot_bank(j, k)[:3]) for j in providers] for k in range(self.slots)]
+        extraction = self.spawn(TripleExtraction, "ext", ts=self.ts, d=d, groups=groups)
+        extraction.on_output(self._extracted)
+        extraction.start()
 
-    def _extraction_completed(self, index: int, output: List[TripleShares]) -> None:
-        self._extraction_outputs[index] = output
-        if len(self._extraction_outputs) < self.slots or self.has_output:
-            return
-        triples: List[TripleShares] = []
-        for position in sorted(self._extraction_outputs):
-            triples.extend(self._extraction_outputs[position])
+    def _extracted(self, outputs: List[List[TripleShares]]) -> None:
+        triples = [triple for output in outputs for triple in output]
         if len(triples) < self.num_triples:
             raise HimExtractionAbort(
                 self.tag,

@@ -3,9 +3,16 @@
 Every party acts as a ΠTripSh dealer so that L multiplication triples are
 shared on its behalf; a bank of n ΠBA instances
 (:class:`~repro.ba.bobw.CommonSubsetBA`) fixes a common subset CS of
-exactly n - t_s triple providers; and L instances of ΠTripExt squeeze out
+exactly n - t_s triple providers; and ΠTripExt squeezes out of L groups
 c_M random t_s-shared multiplication triples that no party (and hence no
 adversary) knows.
+
+The L extractions of Fig 10 run as one :class:`TripleExtraction` over L
+groups (one public reconstruction, :mod:`repro.triples.transform`), and the
+openings of the n ΠTripSh leave through one
+:class:`~repro.triples.reconstruction.OpeningPost` ``<preproc>/openings``,
+built at the start with the ΠTripSh as its members: one message per peer
+per instant for all of them (:mod:`repro.triples.reconstruction`).
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from repro.broadcast.bc import bc_time_bound
 from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon
 from repro.triples.extraction import TripleExtraction
+from repro.triples.reconstruction import OpeningPost
 from repro.triples.sharing import TripleSharing, triple_sharing_time_bound
 from repro.triples.transform import TripleShares
 
@@ -119,7 +127,6 @@ class Preprocessing(ProtocolInstance):
         self._ba: Optional[CommonSubsetBA] = None
         self.common_subset: Optional[List[int]] = None
         self._extracting = False
-        self._extraction_outputs: Dict[int, List[TripleShares]] = {}
 
     # -- phase I: every party deals its L triples -----------------------------------
     def start(self) -> None:
@@ -127,6 +134,7 @@ class Preprocessing(ProtocolInstance):
             self.anchor = self.now
         eps = epsilon(self.delta)
         t_tripsh = triple_sharing_time_bound(self.n, self.ts, self.delta)
+        openings = OpeningPost.at(self.party, self.subtag("openings"), self.now)
         tripsh_instances = []
         for j in self.party.all_party_ids():
             tripsh = self.spawn(
@@ -141,6 +149,7 @@ class Preprocessing(ProtocolInstance):
             )
             tripsh.on_output(lambda out, j=j: self._tripsh_completed(j, out))
             tripsh_instances.append(tripsh)
+        openings.join(*tripsh_instances)
         self._ba = self.spawn(
             CommonSubsetBA, "ba", faults=self.ts, delta=self.delta,
             anchor=self.anchor + (t_tripsh + eps),
@@ -179,20 +188,9 @@ class Preprocessing(ProtocolInstance):
         self._extracting = True
         d = (len(self.common_subset) - 1) // 2
         providers = self.common_subset[: 2 * d + 1]
-        for index in range(self.per_dealer):
-            triples = [self._tripsh_outputs[j][index] for j in providers]
-            extraction = self.spawn(
-                TripleExtraction, f"ext[{index}]", ts=self.ts, d=d, triples=triples
-            )
-            extraction.on_output(
-                lambda out, index=index: self._extraction_completed(index, out)
-            )
-            extraction.start()
-
-    def _extraction_completed(self, index: int, output: List[TripleShares]) -> None:
-        self._extraction_outputs[index] = output
-        if len(self._extraction_outputs) == self.per_dealer and not self.has_output:
-            triples: List[TripleShares] = []
-            for position in sorted(self._extraction_outputs):
-                triples.extend(self._extraction_outputs[position])
-            self.set_output(triples)
+        groups = [
+            [self._tripsh_outputs[j][index] for j in providers] for index in range(self.per_dealer)
+        ]
+        extraction = self.spawn(TripleExtraction, "ext", ts=self.ts, d=d, groups=groups)
+        extraction.on_output(lambda outputs: self.set_output([t for out in outputs for t in out]))
+        extraction.start()

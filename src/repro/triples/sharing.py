@@ -10,6 +10,12 @@ protocol with that party's verification triple.  If every check passes
 parties output the shares of L fresh points (X(beta), Y(beta), Z(beta)) --
 multiplication triples shared on D's behalf that the adversary knows nothing
 about; otherwise D is discarded and a default (0, 0, 0) sharing is output.
+
+The L ΠTripTrans of Fig 8 run as one :class:`TripleTransformation` over L
+groups, so they open their masks in one public reconstruction
+(:mod:`repro.triples.transform`).  Under a ΠPreProcessing the four batches a
+ΠTripSh opens ride its preprocessing's opening post, with those of the other
+n - 1 (:mod:`repro.triples.reconstruction`).
 """
 
 from __future__ import annotations
@@ -91,8 +97,8 @@ class TripleSharing(ProtocolInstance):
         self._acs: Optional[AgreementOnCommonSubset] = None
         self._vss_shares: Optional[List[FieldElement]] = None
         self._acs_result: Optional[Tuple[List[int], Dict[int, List[FieldElement]]]] = None
-        self._transformations: Dict[int, TripleTransformation] = {}
-        self._transformed: Dict[int, List[TripleShares]] = {}
+        self._transformation: Optional[TripleTransformation] = None
+        self._transformed: List[List[TripleShares]] = []
         self._extended: Dict[int, List[TripleShares]] = {}
         self._beaver: Optional[BeaverMultiplication] = None
         self._beaver_jobs_index: List[Tuple[int, int]] = []
@@ -162,28 +168,19 @@ class TripleSharing(ProtocolInstance):
 
     # -- Phase II: transform the dealer's triples --------------------------------------
     def _maybe_transform(self) -> None:
-        if self._vss_shares is None or self._acs_result is None or self._transformations:
+        if self._vss_shares is None or self._acs_result is None or self._transformation is not None:
             return
         per_triple = 2 * self.ts + 1
-        for index in range(self.num_triples):
-            triples: List[TripleShares] = []
-            base = index * per_triple * 3
-            for j in range(per_triple):
-                x_share = self._vss_shares[base + 3 * j]
-                y_share = self._vss_shares[base + 3 * j + 1]
-                z_share = self._vss_shares[base + 3 * j + 2]
-                triples.append((x_share, y_share, z_share))
-            transformation = self.spawn(
-                TripleTransformation, f"trans[{index}]", ts=self.ts, d=self.ts, triples=triples
-            )
-            self._transformations[index] = transformation
-            transformation.on_output(lambda out, index=index: self._record_transformed(index, out))
-            transformation.start()
-
-    def _record_transformed(self, index: int, transformed: List[TripleShares]) -> None:
-        self._transformed[index] = transformed
-        if len(self._transformed) == self.num_triples:
-            self._verify()
+        shares = self._vss_shares
+        groups = [
+            [tuple(shares[base + 3 * j : base + 3 * j + 3]) for j in range(per_triple)]
+            for base in range(0, self.num_triples * per_triple * 3, per_triple * 3)
+        ]
+        self._transformation = self.spawn(
+            TripleTransformation, "trans", ts=self.ts, d=self.ts, groups=groups
+        )
+        self._transformation.on_output(self._verify)
+        self._transformation.start()
 
     # -- Phase III: supervised verification ----------------------------------------------
     def _share_rows(self) -> Tuple[List[List[FieldElement]], List[List[FieldElement]]]:
@@ -224,8 +221,9 @@ class TripleSharing(ProtocolInstance):
                 )
             self._extended[index] = extended
 
-    def _verify(self) -> None:
+    def _verify(self, transformed: List[List[TripleShares]]) -> None:
         assert self._acs_result is not None
+        self._transformed = transformed
         subset, verification_shares = self._acs_result
         jobs = []
         self._beaver_jobs_index = []

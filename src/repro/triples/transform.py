@@ -6,11 +6,17 @@ X(alpha_i) = x(i), Y(alpha_i) = y(i), Z(alpha_i) = z(i): the first d+1
 triples define X and Y, the remaining d products are recomputed with
 Beaver's protocol using the remaining d input triples.  Z = X*Y holds iff
 every input triple is a multiplication triple.
+
+ΠTripSh (Fig 8) and ΠTripExt (Fig 9) run L transformations in parallel, one
+per group of 2d+1 triples.  One instance here takes all L groups: their L·d
+products are the jobs of one ΠBeaver, whose masks are opened in one public
+reconstruction.  Every group is transformed on its own polynomials and
+opens the values its own instance would, so Lemma 6.2 holds group by group.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.field.array import lagrange_matrix, lagrange_row
 from repro.field.gf import GF, FieldElement
@@ -66,70 +72,46 @@ def extend_shares_batch(
 
 
 class TripleTransformation(ProtocolInstance):
-    """One ΠTripTrans instance over 2d+1 shared triples.
+    """ΠTripTrans over ``groups``, each a list of 2d+1 shared triples.
 
-    The output is the list of 2d+1 transformed triple shares
-    [(x(1), y(1), z(1)), ..., (x(2d+1), y(2d+1), z(2d+1))] held by this party.
+    The output has one entry per group: the 2d+1 transformed triple shares
+    [(x(1), y(1), z(1)), ..., (x(2d+1), y(2d+1), z(2d+1))] this party holds.
+    The groups' d recomputed products each run as jobs of one ΠBeaver, so all
+    groups open their masks in one public reconstruction.
     """
 
     def __init__(
-        self,
-        party: Party,
-        tag: str,
-        ts: int,
-        d: int,
-        triples: Optional[Sequence[TripleShares]] = None,
+        self, party: Party, tag: str, ts: int, d: int, groups: Sequence[Sequence[TripleShares]]
     ):
         super().__init__(party, tag)
         self.ts = ts
         self.d = d
-        self.triples = list(triples) if triples is not None else None
-        self._started = False
-        self._beaver: Optional[BeaverMultiplication] = None
-
-    def provide_input(self, triples: Sequence[TripleShares]) -> None:
-        self.triples = list(triples)
-        if self._started:
-            self._begin()
+        self.groups = [list(group) for group in groups]
 
     def start(self) -> None:
-        self._started = True
-        if self.triples is not None:
-            self._begin()
-
-    def _begin(self) -> None:
-        if self._beaver is not None or self.triples is None:
-            return
-        if len(self.triples) != 2 * self.d + 1:
-            raise ValueError("ΠTripTrans needs exactly 2d+1 input triples")
         d = self.d
-        # The first d+1 triples define X(.) and Y(.) directly.
-        self._x_shares = [triple[0] for triple in self.triples[: d + 1]]
-        self._y_shares = [triple[1] for triple in self.triples[: d + 1]]
-        self._z_head = [triple[2] for triple in self.triples[: d + 1]]
-        # New points x(i), y(i) for i = d+2 .. 2d+1 are local Lagrange evaluations.
+        if any(len(group) != 2 * d + 1 for group in self.groups):
+            raise ValueError("ΠTripTrans needs exactly 2d+1 input triples per group")
+        # The first d+1 triples define X(.) and Y(.) directly; the new points
+        # x(i), y(i) for i = d+2 .. 2d+1 are local Lagrange evaluations.
+        heads = [[triple[c] for triple in group[: d + 1]] for group in self.groups for c in (0, 1)]
+        ats = [self.field.alpha(i) for i in range(d + 2, 2 * d + 2)]
+        self._tails = extend_shares_batch(self.field, heads, d, ats) if ats else [[]] * len(heads)
         jobs = []
-        self._x_tail: List[FieldElement] = []
-        self._y_tail: List[FieldElement] = []
-        for i in range(d + 2, 2 * d + 2):
-            at = self.field.alpha(i)
-            x_share = extend_shares(self.field, self._x_shares, d, at)
-            y_share = extend_shares(self.field, self._y_shares, d, at)
-            self._x_tail.append(x_share)
-            self._y_tail.append(y_share)
-            a_share, b_share, c_share = self.triples[i - 1]
-            jobs.append((x_share, y_share, a_share, b_share, c_share))
+        for k, group in enumerate(self.groups):
+            x_tail, y_tail = self._tails[2 * k], self._tails[2 * k + 1]
+            jobs += [(x, y) + tuple(triple) for x, y, triple in zip(x_tail, y_tail, group[d + 1:])]
         if not jobs:
             self._finish([])
             return
-        self._beaver = self.spawn(BeaverMultiplication, "beaver", ts=self.ts, jobs=jobs)
-        self._beaver.on_output(self._finish)
-        self._beaver.start()
+        beaver = self.spawn(BeaverMultiplication, "beaver", ts=self.ts, jobs=jobs)
+        beaver.on_output(self._finish)
+        beaver.start()
 
     def _finish(self, z_tail: List[FieldElement]) -> None:
-        outputs: List[TripleShares] = []
-        for i in range(self.d + 1):
-            outputs.append((self._x_shares[i], self._y_shares[i], self._z_head[i]))
-        for offset, z_share in enumerate(z_tail):
-            outputs.append((self._x_tail[offset], self._y_tail[offset], z_share))
+        d = self.d
+        outputs: List[List[TripleShares]] = []
+        for k, group in enumerate(self.groups):
+            tail = zip(self._tails[2 * k], self._tails[2 * k + 1], z_tail[k * d : (k + 1) * d])
+            outputs.append([tuple(triple) for triple in group[: d + 1]] + list(tail))
         self.set_output(outputs)

@@ -54,8 +54,14 @@ PRODUCED_BY = (
     "and the PiABAs of the slots launched at one instant speaking in one vector "
     "per step (the AbaCarrier of repro.ba.aba), priced on the bundle's vote line, "
     "and the rows and points every PiWPS/PiVSS under one root owes one peer at one "
-    "instant leaving as one message of the root's SharingPost (repro.sharing.wps): "
-    "every outputs digest is byte-identical to the one recorded at 322462e (one "
+    "instant leaving as one message of the root's SharingPost (repro.sharing.wps), "
+    "the L groups of a PiTripSh's PiTripTrans and of a preprocessing's PiTripExt "
+    "opening their masks in one PiBeaver, and the shares the n PiTripSh of a "
+    "preprocessing open to one peer at one instant leaving as one message of its "
+    "OpeningPost (repro.triples.reconstruction): every outputs digest is "
+    "byte-identical to the one recorded at 52f183b (one PiBeaver per group and "
+    "one message per opening; the transcript digests of every cell with a "
+    "PiTripSh or PiTripExt moved), 322462e (one "
     "message per row and per pair's points; the transcript digests of every cell "
     "with two or more sharings under one root moved, those of the lone-PiWPS cells "
     "did not), e6099bc (one "

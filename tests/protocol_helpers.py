@@ -11,11 +11,11 @@ from typing import Callable, Dict, List, Optional
 from repro.broadcast.acast import AcastProtocol
 from repro.broadcast.bc import BroadcastCarrier, Bundle, carrier_tag
 from repro.field import Polynomial, default_field
-from repro.sharing.wps import SharingPost
 from repro.sim import Simulator, SynchronousNetwork
 from repro.sim.adversary import Behavior
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel
+from repro.sim.party import Post
 
 FIELD = default_field()
 
@@ -27,8 +27,9 @@ def random_polynomial(degree: int, secret: int, seed: int = 0) -> Polynomial:
 class CountedTags:
     """A ``tag_predicate`` that counts the messages it matched.  A predicate
     naming a tag nothing is sent on any more (a sharing's own tag, whose rows
-    and points ride ``<root>/post``) matches none, and the test using it then
-    tests nothing: such a test asserts ``matches > 0``."""
+    and points ride ``<root>/post``; a ΠTripSh opening's, which rides
+    ``<preproc>/openings``) matches none, and the test using it then tests
+    nothing: such a test asserts ``matches > 0``."""
 
     def __init__(self, predicate: Callable[[str], bool]):
         self.predicate = predicate
@@ -60,10 +61,13 @@ class RewriteBehavior(Behavior):
     the bundles on its late carriers ``<carrier>/late[k]`` (a late input, a
     partial verdict vector, a dealer's (E', F')); an edit to ``None`` there
     gives nothing late.  ``posts`` addresses the rows and points a sharing
-    sends: they are entries of the messages of its root's post
-    (``repro.sharing.wps.SharingPost``), so ``posts`` maps a regex on sharing
-    tags to ``edit(kind, value) -> value``, applied to each present entry of
-    that sharing (``None``: the sharing sends nothing there).
+    sends and the shares a ΠTripSh opens: they are entries of the messages of
+    a post (``repro.sim.party.Post``: its root's ``SharingPost``, its
+    preprocessing's ``OpeningPost``), so ``posts`` maps a regex on member tags
+    (a sharing's, a ΠTripSh's) to ``edit(kind, value) -> value``, applied to
+    each present entry of that member -- ``kind`` is ``"polys"`` /
+    ``"points"`` for a sharing, the opening's name (``"gamma"``, ...) for a
+    ΠTripSh (``None``: the member sends nothing there).
     """
 
     def __init__(self, rules: Optional[Dict[str, Callable]] = None,
@@ -89,7 +93,7 @@ class RewriteBehavior(Behavior):
 
     def _edit_entries(self, party, tag, payload):
         post = party.instances.get(tag)
-        if self.posts and isinstance(post, SharingPost):
+        if self.posts and isinstance(post, Post):
             return self._edit_post(post, payload)
         parent, _, name = tag.rpartition("/")
         carrier = party.instances.get(parent)
@@ -109,9 +113,9 @@ class RewriteBehavior(Behavior):
         lines = []
         for kind, vector in payload:
             vector = list(vector)
-            for index, sharing in enumerate(post.entries):
+            for index, member in enumerate(post.entries):
                 for pattern, edit in self.posts:
-                    if vector[index] is not None and pattern.fullmatch(sharing.tag):
+                    if vector[index] is not None and pattern.fullmatch(member.tag):
                         vector[index] = edit(kind, vector[index])
                         break
             lines.append((kind, tuple(vector)))

@@ -350,18 +350,20 @@ def test_fault_plan_replays_identically_over_tcp_acast():
 #: delays a message past its instant: C, a crash plus reorders, outputs at
 #: 147.052 like the crash alone.  On B's asynchronous network a hold waits
 #: for the next hand-out to its recipient.  The counts are those of the
-#: sharings' rows and points riding their root's post; outputs and instants
-#: are what they were when each row and point was a message of its own.
+#: sharings' rows and points riding their root's post and of the ΠTripSh
+#: openings riding the preprocessing's opening post (B, which stalls before
+#: any opening, only gains the 4 freeze timers of those posts); outputs and
+#: instants are what they were when each row and point was a message of its own.
 PINNED_PLANS = {
     "A": (lambda: FaultPlan(seed=1, link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([360], {145.052}, 1935, 2876, 1771944, 4159, 1934)),
+          True, ([360], {145.052}, 1710, 2589, 1748424, 3908, 1706)),
     "B": (lambda: FaultPlan(seed=11, link_faults=[
               LinkFault(duplicate=0.15, reorder=0.15, drop=0.05)]),
-          False, (None, set(), 3900, 5638, 2173428, 6861, 3900)),
+          False, (None, set(), 3900, 5638, 2173428, 6865, 3900)),
     "C": (lambda: FaultPlan(seed=3, process_faults=[
               ProcessFault(party=4, sim_time=5.0)],
               link_faults=[LinkFault(duplicate=0.1, reorder=0.1)]),
-          True, ([0], {147.052}, 1464, 1707, 1617933, 3484, 1024)),
+          True, ([0], {147.052}, 1344, 1594, 1605984, 3355, 944)),
 }
 
 

@@ -77,12 +77,18 @@ def test_sync_product_all_honest(monkeypatch):
     # rows and points of the 120 sharings (1,512 messages while each was its
     # own) ride the root's post: one message per sender, peer and instant
     # they are sent at, 6 instants (0, Δ and 2Δ, each split by the 1e-9 of
-    # self-delivery) x 12 ordered pairs.  The rest is point-to-point (324).
+    # self-delivery) x 12 ordered pairs.  The rest is point-to-point (96):
+    # the shares the 4 ΠTripSh open ride the preprocessing's opening post, one
+    # message per sender, peer and instant, 3 instants x 12 ordered pairs (240
+    # while each of their 20 reconstructions per party sent its own); one
+    # reconstruction each for the ΠTripExt of all 3 groups (36 while each
+    # group had its own), the 2 ΠBeaver rounds and the output, 4 x 12; and 12
+    # on the evaluation's own tag.
     # The heaviest is the points a party owes one peer at 2Δ: 54 vectors (9
     # of 27 values, 36 of 9, 9 of 1) and 120 - 54 absent slots at 1 bit.
-    assert result.metrics.messages_sent == 1_932 == 3_372 - 1_512 + 72
-    assert result.metrics.messages_sent == 27 * 32 + 54 * 8 + 20 * 3 * 4 + 72 + 324
-    assert result.metrics.honest_bits == 1_770_912
+    assert result.metrics.messages_sent == 1_704 == 1_932 - 240 - 24 + 36
+    assert result.metrics.messages_sent == 27 * 32 + 54 * 8 + 20 * 3 * 4 + 72 + 96
+    assert result.metrics.honest_bits == 1_746_816
     assert result.metrics.max_message_bits == 35_314 == (
         64 + 8 * len("points") + 66 + 61 * (9 * 27 + 36 * 9 + 9 * 1))
     assert max(result.output_times.values()) == pytest.approx(145.052)
@@ -113,8 +119,12 @@ def test_sync_product_all_honest(monkeypatch):
         assert len(banks) == 8 and all(len(b.output) == 4 for b in banks)
     # The logical ΠBCs are records their carriers own, not registered
     # instances: 4,844 while each of the 756 per party was one; one post each.
+    # Per party, one ΠTripTrans per ΠTripSh and one ΠTripExt for all groups
+    # leave out 2 of 3 transformations of each of the 4 ΠTripSh, with their
+    # ΠBeaver and reconstruction (24), and 2 of 3 extractions, with theirs
+    # (8); the opening post is one more.
     instances = sum(len(p.instances) for p in result.run.backend.parties.values())
-    assert instances == 1_824 == 4_844 - 4 * 756 + 4
+    assert instances == 1_700 == 1_824 - 4 * (24 + 8) + 4
 
 
 def test_endpoints_and_slots_are_records_their_owners_hold():
@@ -148,7 +158,9 @@ def test_async_product_him_late_carriers(monkeypatch):
     messages); now what a sender gives late for one carrier at one instant is
     one numbered Acast: 37 of them, carrying 466 entries (a partial verdict
     vector or an (E', F')) and 770 slots -- 41, 493 and 820 while every row
-    and point was a message of its own, not an entry of its root's post."""
+    and point was a message of its own, not an entry of its root's post.  The
+    HIM extraction's slots share one ΠTripExt: 4,532 messages, 4,592 while
+    each slot's opened its own masks."""
     on_late = {True: 0, False: 0}
     record = SimulationMetrics.record_send
 
@@ -173,8 +185,8 @@ def test_async_product_him_late_carriers(monkeypatch):
         assert sum(1 if type(entry[0]) is frozenset else sum(s is not None for s in entry)
                    for entry in entries) == 770
     assert on_late[True] == 44 * 37 == acast * 37
-    assert result.metrics.messages_sent == 4_592 == on_late[False] + 44 * 37
-    assert result.metrics.honest_bits == 2_333_860
+    assert result.metrics.messages_sent == 4_532 == on_late[False] + 44 * 37
+    assert result.metrics.honest_bits == 2_327_140
 
 
 def test_sync_linear_circuit_no_multiplications():

@@ -125,9 +125,13 @@ def test_asyncio_real_clock_completes_correctly():
         {pid: FIELD(v) for pid, v in inputs.items()})
     assert digest(result, result.common_subset) == digest(sim, sim.common_subset)
     # 5,564 while every row and point was its own message: 1,440 deliveries
-    # fewer, 24 flush timers and 4 freeze timers of the posts more.
-    assert result.run.backend.events_processed == sim.run.backend.events_processed == 4_152
-    assert 4_152 == 5_564 - 1_440 + 24 + 4
+    # fewer, 24 flush timers and 4 freeze timers of the posts more.  4,152
+    # while each ΠTripSh opening and each group's ΠTripExt was its own
+    # message: 268 deliveries fewer (228 messages and the self-deliveries of
+    # 10 reconstructions per party), 12 flush timers and 4 freeze timers of
+    # the opening posts more.
+    assert result.run.backend.events_processed == sim.run.backend.events_processed == 3_900
+    assert 3_900 == 5_564 - 1_440 + 24 + 4 - 268 + 12 + 4
     assert max(result.output_times.values()) == pytest.approx(145.052)
     assert result.run.backend.schedule_misses == []
 

@@ -1272,7 +1272,7 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     """Within one process lag never makes a message late: at 0.5 ms per Δ
     every handler runs late, yet the frames to the process's own parties
     land before anything else is handed out, so the evaluation takes the
-    simulator's path -- 1,932 messages, 1,770,912 bits, output at 145.052 Δ
+    simulator's path -- 1,704 messages, 1,746,816 bits, output at 145.052 Δ
     -- in 1,152 frames, one per channel per instant a party sends on it."""
     circuit = multiplication_circuit(FIELD, n_parties=4)
     inputs = {1: 3, 2: 5, 3: 7, 4: 11}
@@ -1283,9 +1283,9 @@ def test_one_process_over_sockets_never_misses_and_sends_the_simulators_messages
     assert backend.schedule_misses == []
     assert tcp.outputs == sim.outputs and tcp.common_subset == [1, 2, 3, 4]
     assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == \
-        (sim.metrics.messages_sent, sim.metrics.honest_bits) == (1932, 1770912)
+        (sim.metrics.messages_sent, sim.metrics.honest_bits) == (1704, 1746816)
     assert max(tcp.output_times.values()) == pytest.approx(145.052)
-    assert (transport.frames_sent, transport.messages_framed) == (1152, 1932)
+    assert (transport.frames_sent, transport.messages_framed) == (1152, 1704)
     # One session over the run's field: its 1,536 bundle values are 17
     # distinct lines, each parsed once.
     assert transport.modulus == FIELD.modulus
@@ -1320,11 +1320,13 @@ def test_party_processes_that_fall_behind_record_attributed_schedule_misses():
 def test_multiprocess_evaluation_frames_carry_several_messages_each():
     """The count guard on the ``tcp_n4_tripsh`` shape: four party processes,
     one frame per channel per instant a party sends on it, not one per
-    message.  With no schedule miss it is the simulator's evaluation: 1,932
+    message.  With no schedule miss it is the simulator's evaluation: 1,704
     messages in 1,152 frames.  That frame count is pinned exactly: the rows
     and points of one channel-instant, which one frame already held, are one
-    message of the root's post now, so frames no longer hold two messages
-    each on average (3,372 in the same 1,152 frames before the post).  While
+    message of the root's post now, and so are the ΠTripSh openings of one,
+    in the preprocessing's opening post, so frames no longer hold two
+    messages each on average (3,372 in the same 1,152 frames before the
+    sharing post, 1,932 before the opening post).  While
     the real clock stamped wall time it was ~2,000-2,400 frames for
     5,700-9,200 messages (2.5-4 each), the late carriers' fallback included,
     and 19-23 each before them."""
@@ -1338,6 +1340,6 @@ def test_multiprocess_evaluation_frames_carry_several_messages_each():
     assert 1 <= backend.frames_sent <= backend.messages_framed
     assert 0 < backend.bundle_memo_hits < backend.bundles_decoded
     if not backend.schedule_misses:  # a loaded host may make a child late
-        assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == (1932, 1770912)
+        assert (tcp.metrics.messages_sent, tcp.metrics.honest_bits) == (1704, 1746816)
         assert (backend.frames_sent, max(tcp.output_times.values())) == \
             (1152, pytest.approx(145.052))

@@ -171,10 +171,10 @@ def test_triple_transformation_properties():
             (a.share_of(party.id), b.share_of(party.id), c.share_of(party.id))
             for a, b, c in sharings
         ]
-        return TripleTransformation(party, "trans", ts=ts, d=d, triples=triples)
+        return TripleTransformation(party, "trans", ts=ts, d=d, groups=[triples])
 
     result = sim.run(factory)
-    outputs = result.honest_outputs()
+    outputs = {pid: out[0] for pid, out in result.honest_outputs().items()}
     # Reconstruct the transformed triples and check X, Y, Z polynomial structure.
     transformed = []
     for index in range(2 * d + 1):
@@ -209,10 +209,10 @@ def test_triple_transformation_bad_input_triple_propagates():
             (a.share_of(party.id), b.share_of(party.id), c.share_of(party.id))
             for a, b, c in sharings
         ]
-        return TripleTransformation(party, "trans", ts=ts, d=d, triples=triples)
+        return TripleTransformation(party, "trans", ts=ts, d=d, groups=[triples])
 
     result = sim.run(factory)
-    outputs = result.honest_outputs()
+    outputs = {pid: out[0] for pid, out in result.honest_outputs().items()}
     x = _reconstruct({pid: out[1][0] for pid, out in outputs.items()}, ts)
     y = _reconstruct({pid: out[1][1] for pid, out in outputs.items()}, ts)
     z = _reconstruct({pid: out[1][2] for pid, out in outputs.items()}, 2 * ts)
@@ -224,7 +224,7 @@ def test_triple_transformation_requires_odd_count():
     party = sim.parties[1]
     sharing = _shared_triple(1, 2, 1, 4, 90)
     triples = [(sharing[0].share_of(1), sharing[1].share_of(1), sharing[2].share_of(1))] * 2
-    instance = TripleTransformation(party, "trans", ts=1, d=1, triples=triples)
+    instance = TripleTransformation(party, "trans", ts=1, d=1, groups=[triples])
     with pytest.raises(ValueError):
         instance.start()
 
@@ -261,10 +261,10 @@ def test_triple_extraction_outputs_multiplication_triples():
             (a.share_of(party.id), b.share_of(party.id), c.share_of(party.id))
             for a, b, c in sharings
         ]
-        return TripleExtraction(party, "ext", ts=ts, d=d, triples=triples)
+        return TripleExtraction(party, "ext", ts=ts, d=d, groups=[triples])
 
     result = sim.run(factory)
-    outputs = result.honest_outputs()
+    outputs = {pid: out[0] for pid, out in result.honest_outputs().items()}
     count = d + 1 - ts
     assert all(len(out) == count for out in outputs.values())
     for index in range(count):
@@ -285,12 +285,43 @@ def test_triple_extraction_larger_committee():
             (a.share_of(party.id), b.share_of(party.id), c.share_of(party.id))
             for a, b, c in sharings
         ]
-        return TripleExtraction(party, "ext", ts=ts, d=d, triples=triples)
+        return TripleExtraction(party, "ext", ts=ts, d=d, groups=[triples])
 
     result = sim.run(factory)
-    outputs = result.honest_outputs()
+    outputs = {pid: out[0] for pid, out in result.honest_outputs().items()}
     for index in range(d + 1 - ts):
         a = _reconstruct({pid: out[index][0] for pid, out in outputs.items()}, ts)
         b = _reconstruct({pid: out[index][1] for pid, out in outputs.items()}, ts)
         c = _reconstruct({pid: out[index][2] for pid, out in outputs.items()}, 2 * ts)
         assert a * b == c
+
+
+# -- one ΠBeaver for many groups ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [TripleTransformation, TripleExtraction])
+def test_batching_groups_changes_no_value(cls):
+    """Three groups through one instance (one ΠBeaver, one reconstruction)
+    give, group by group, element-wise what a one-group instance gives; the
+    middle group holds a non-multiplication triple, so a mix-up would show."""
+    n, ts, d = 7, 2, 2
+    groups = [
+        [_shared_triple(2 + 3 * g + i, 5 + g + i, ts, n, 200 + 30 * g + 3 * i)
+         for i in range(2 * d + 1)]
+        for g in range(3)
+    ]
+    groups[1][3] = (_shared(4, ts, n, 290), _shared(5, ts, n, 291), _shared(21, ts, n, 292))
+
+    def run(chosen):
+        def factory(party):
+            return cls(party, "batch", ts=ts, d=d, groups=[
+                [(a.share_of(party.id), b.share_of(party.id), c.share_of(party.id))
+                 for a, b, c in group] for group in chosen])
+        return Simulator(n, network=SynchronousNetwork(), seed=3).run(factory).honest_outputs()
+
+    batched = run(groups)
+    for g, group in enumerate(groups):
+        alone = run([group])
+        for pid, out in batched.items():
+            assert len(out) == 3
+            assert out[g] == alone[pid][0]
