@@ -344,7 +344,8 @@ def _gathering_twins(src):
                 outbox = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                           and node.func.attr == "schedule_at" and node.args
                           and ast.unparse(node.args[0]) == "self.now")
-                if (held or positions) and cls.name != "Gathering" or outbox and cls.name != "Post":
+                if ((held or positions) and cls.name != "Gathering"
+                        or (outbox and cls.name != "Post")):
                     twins.add((module, cls.name))
     return twins
 
