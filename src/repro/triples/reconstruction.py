@@ -57,7 +57,9 @@ class OpeningPost(Post):
     what a party opens to one peer at one instant, one message (module docstring)."""
 
     @staticmethod
-    def serving(reconstruction: "PublicReconstruction") -> Optional[Tuple["OpeningPost", str, str]]:
+    def serving(
+        reconstruction: "PublicReconstruction",
+    ) -> Optional[Tuple["OpeningPost", str, str]]:
         """(post, member tag, line name) of a ΠTripSh opening under a post, else None."""
         for name in OPENINGS:
             member = reconstruction.tag.removesuffix("/" + name)
