@@ -11,7 +11,11 @@ Records to ``BENCH_service.json`` via :func:`bench_common.record_bench`:
   clock), the snapshot size, and the reservoir work discarded by the
   rejoin reconciliation;
 * ``checkpoint_n4`` -- checkpoint and restore wall costs and the snapshot
-  blob size as the reservoir level grows.
+  blob size as the reservoir level grows;
+* ``heap_n4_stream`` -- the heap per refill cycle of the e2e
+  ``service_n4_stream`` configuration: tracked objects after a full
+  collection, tracemalloc current and peak, ``ru_maxrss``, and the
+  collector's generation-2 passes and their pause time.
 
 Throughput is end-to-end: it includes the refill rounds the stream
 triggers, so the evals/s figure is the *sustained* service rate, not the
@@ -20,8 +24,11 @@ burst rate off a pre-filled reservoir.
 
 from __future__ import annotations
 
+import gc
+import resource
 import time
-from typing import Dict
+import tracemalloc
+from typing import Dict, List
 
 from bench_common import FIELD, record_bench
 from repro.circuits import multiplication_circuit
@@ -141,6 +148,82 @@ def bench_checkpoint() -> Dict[str, float]:
     return payload
 
 
+class _FullPasses:
+    """Generation-2 collections and their pause time, from ``gc.callbacks``."""
+
+    def __init__(self):
+        self.count = 0
+        self.pause_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.count += 1
+            self.pause_s += time.perf_counter() - self._started
+
+
+def bench_heap(cycles: int = 3) -> List[Dict[str, float]]:
+    """The heap at the end of each refill cycle of a service stream.
+
+    The stream is the e2e ``service_n4_stream`` workload's (watermarks 6/24,
+    3 triples per evaluation).  A cycle runs until a refill round has landed
+    and the next evaluation has finished, the first boundary at which the
+    round can have been retired.  The table's own ``gc.collect()`` falls
+    between two cycles' pass counts.  Tracemalloc slows the stream, so the
+    pause times are relative, and no throughput is recorded; ``ru_maxrss``
+    is the process's high-water mark, tracemalloc's own tables included, so
+    :func:`main` runs this table first.
+    """
+    n, ts, ta = 4, 1, 0
+    circuit = multiplication_circuit(FIELD, n)
+    config = ServiceConfig(low_watermark=6, high_watermark=24)
+    service = MpcService(n, ts, ta, config=config, seed=0)
+    inputs = {pid: pid + 2 for pid in range(1, n + 1)}
+    passes = _FullPasses()
+    rows: List[Dict[str, float]] = []
+    tracemalloc.start()
+    gc.callbacks.append(passes)
+    try:
+        service.evaluate(circuit, inputs)  # the initial fill
+        for _ in range(cycles):
+            tracemalloc.reset_peak()
+            count0, pause0 = passes.count, passes.pause_s
+            produced0, evaluations = service.reservoir.produced, 0
+            while service.reservoir.produced == produced0:
+                service.evaluate(circuit, inputs)
+                evaluations += 1
+            service.evaluate(circuit, inputs)
+            evaluations += 1
+            row = {
+                "evaluations": float(evaluations),
+                "gen2_passes": float(passes.count - count0),
+                "gen2_pause_s": passes.pause_s - pause0,
+            }
+            gc.collect()  # after the row's passes are read, before the next cycle's
+            current, peak = tracemalloc.get_traced_memory()
+            row.update({
+                "tracked_objects": float(len(gc.get_objects())),
+                "instances_per_party": float(service.backend.parties[1].load()[0]),
+                "tracemalloc_current_mb": current / 2**20,
+                "tracemalloc_peak_mb": peak / 2**20,
+                "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            })
+            rows.append(row)
+    finally:
+        gc.callbacks.remove(passes)
+        tracemalloc.stop()
+    payload: Dict[str, float] = {"n": float(n), "cycles": float(cycles)}
+    for index, row in enumerate(rows, start=1):
+        for key, value in row.items():
+            payload[f"cycle{index}_{key}"] = value
+    record_bench("service", f"heap_n{n}_stream", payload)
+    return rows
+
+
 def smoke():
     """Tiny-size rot check used by the bench_smoke tier-1 marker."""
     store = CheckpointStore()
@@ -161,6 +244,14 @@ def smoke():
 
 
 def main() -> None:
+    print("service: heap per refill cycle (n=4, watermarks 6/24) ...")
+    print("  cycle  evals  tracked obj  instances  tm cur MB  tm peak MB  "
+          "maxrss MB  gen2  pause s")
+    for index, row in enumerate(bench_heap(), start=1):
+        print(f"  {index:5d}  {row['evaluations']:5.0f}  {row['tracked_objects']:11.0f}  "
+              f"{row['instances_per_party']:9.0f}  {row['tracemalloc_current_mb']:9.1f}  "
+              f"{row['tracemalloc_peak_mb']:10.1f}  {row['ru_maxrss_mb']:9.1f}  "
+              f"{row['gen2_passes']:4.0f}  {row['gen2_pause_s']:7.3f}")
     print("service: 1000-evaluation sustained stream (n=4) ...")
     for name, row in bench_stream().items():
         print(f"  {name:32s} {row['evals_per_s']:8.2f} evals/s   "

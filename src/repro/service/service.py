@@ -98,7 +98,9 @@ class ServiceConfig:
     #: Safety multiple of the nominal time bound before declaring a stall.
     stall_margin: float = 20.0
     #: Completed evaluations kept un-retired (their instances still accept
-    #: residual termination chatter); older ones are garbage-collected.
+    #: residual termination chatter); older ones are dropped from every
+    #: party.  Refill rounds do not use it: a landed round is dropped at the
+    #: first evaluation boundary after a whole evaluation (see ``_retire``).
     retire_lag: int = 2
 
 
@@ -502,15 +504,23 @@ class MpcService:
     def _retire(self, completed_eval_id: int) -> None:
         """Purge protocol instances and buffers of long-finished work.
 
-        Instances of evaluation ``k`` (and refill rounds that completed
-        before it) still exchange residual termination chatter for a short
-        while after the output, so retirement lags ``retire_lag``
-        evaluations behind; without this a 1000-evaluation stream would hold
-        every instance tree it ever ran.
+        Instances of evaluation ``k`` still exchange residual termination
+        chatter for a short while after the output, so their retirement lags
+        ``retire_lag`` evaluations behind; without this a 1000-evaluation
+        stream would hold every instance tree it ever ran.
+
+        A refill round is retired at the first boundary where it is no longer
+        in flight.  That is safe: ``_inflight`` is cleared only once every
+        live party has deposited (or a rejoin wrote the round off), and only
+        before an evaluation runs -- at its start, in a blocking await, in a
+        rejoin's settle pass or in a checkpoint's drain -- so a landed round
+        outlives one whole evaluation before this cut.  No message reaches
+        its root afterwards (``tests/test_service.py`` counts them), and
+        snapshots never held the tree: its triples live in the reservoir.
         """
         eval_cut = completed_eval_id - self.config.retire_lag
-        preproc_cut = (self._preproc_round - 1) if self._inflight is None else (
-            self._preproc_round - 2
+        preproc_cut = (
+            self._preproc_round if self._inflight is None else self._preproc_round - 1
         )
 
         def stale(tag: str) -> bool:

@@ -11,10 +11,15 @@ Covers the service layer end to end on the deterministic sim backend:
   running degraded, the party rejoins from the latest snapshot, and the
   post-rejoin outputs equal the uninterrupted seeded run's,
 * explicit degradation: backpressure, rejoin timeout (re-crash), refusing
-  non-degraded streams, and the engine-level unknown-party-id validation.
+  non-degraded streams, and the engine-level unknown-party-id validation,
+* stream hygiene: finished evaluations and landed refill rounds leave every
+  party, and no message arrives for a root it no longer holds.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +41,7 @@ from repro.service import (
     SnapshotVersionError,
     TripleReservoir,
 )
+from repro.sim.party import Party
 
 pytestmark = pytest.mark.service
 
@@ -468,3 +474,99 @@ class TestStreamHygiene:
         assert counts[-1] <= counts[1] + 5
         tags = list(svc.backend.parties[1].instances)
         assert not any(tag.startswith("eval[0]") for tag in tags)
+
+
+#: The initial fill and three refill cycles of the e2e ``service_n4_stream``
+#: configuration (watermarks 6/24, 3 triples per evaluation): rounds 1-3 spawn
+#: at evaluations 7, 14 and 21 and land within them.
+REFILL_STREAM_EVALS = 23
+
+
+def _root(tag: str) -> str:
+    return tag.split("/", 1)[0]
+
+
+@pytest.fixture(scope="module")
+def refill_stream():
+    """A refill stream observed from outside the service: each delivery is
+    checked against the recipient's live roots, each party's held roots and
+    load are read at every evaluation boundary, together with the refill
+    rounds that had landed (every party deposited) before that evaluation
+    began and the round still in flight after it."""
+    svc = MpcService(4, 1, 0, config=small_config(low_watermark=6, high_watermark=24),
+                     seed=1)
+    orphans = []
+    deliver = Party.deliver
+
+    def checked(party, sender, tag, payload):
+        if _root(tag) not in party.instances:
+            orphans.append((party.id, tag))
+        return deliver(party, sender, tag, payload)
+
+    deposits = Counter()
+    deposit = svc._deposit
+
+    def counted(round_index, pid, base, triples):
+        deposits[round_index] += 1
+        deposit(round_index, pid, base, triples)
+
+    svc._deposit = counted
+    boundaries = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Party, "deliver", checked)
+        for k in range(REFILL_STREAM_EVALS):
+            landed = {r for r, count in deposits.items() if count == svc.n}
+            svc.evaluate(product_circuit(), {1: 3 + k, 2: 5, 3: 7, 4: 11})
+            parties = svc.backend.parties.values()
+            boundaries.append(SimpleNamespace(
+                landed=landed,
+                inflight=svc._inflight_round if svc._inflight is not None else None,
+                roots={p.id: {_root(tag) for tag in p.instances} for p in parties},
+                buffered={p.id: {_root(tag) for tag in p._buffered} for p in parties},
+                loads={p.id: p.load() for p in parties},
+            ))
+    metrics = svc.backend.metrics
+    return SimpleNamespace(
+        orphans=orphans, deposits=deposits, boundaries=boundaries,
+        messages=metrics.messages_sent, honest_bits=metrics.honest_bits,
+    )
+
+
+class TestRefillRetirement:
+    def test_no_message_reaches_a_retired_root(self, refill_stream):
+        """Retiring a landed refill round at the next evaluation boundary
+        cuts off no protocol traffic: no delivery arrives for a root the
+        recipient no longer holds, and no party keeps an instance or a
+        buffered message of a round that had landed before the evaluation
+        just finished began."""
+        assert refill_stream.deposits == {r: 4 for r in range(4)}
+        assert refill_stream.orphans == []
+        assert sum(len(b.landed) for b in refill_stream.boundaries) > 0
+        for boundary in refill_stream.boundaries:
+            dead = {f"svc-preproc[{r}]" for r in boundary.landed}
+            for pid in boundary.roots:
+                assert not dead & (boundary.roots[pid] | boundary.buffered[pid])
+
+    def test_the_live_set_is_the_lagged_evaluations_and_the_inflight_round(
+        self, refill_stream,
+    ):
+        """At every evaluation boundary a party holds the last ``retire_lag``
+        evaluation trees and at most the refill round still in flight; the
+        stream's traffic is pinned so that a retirement which cut protocol
+        messages would show."""
+        lag = ServiceConfig.retire_lag
+        for k, boundary in enumerate(refill_stream.boundaries):
+            expected = {f"eval[{e}]" for e in range(max(0, k - lag + 1), k + 1)}
+            if boundary.inflight is not None:
+                expected.add(f"svc-preproc[{boundary.inflight}]")
+            for pid in boundary.roots:
+                assert boundary.roots[pid] == expected
+                assert not boundary.buffered[pid]
+        steady = refill_stream.boundaries[lag - 1:]
+        assert {b.inflight for b in steady} == {None, 1, 2, 3}
+        # Per party: 124 instances per evaluation tree, 360 in a round in flight.
+        assert {load for b in steady if b.inflight is None
+                for load in b.loads.values()} == {(248, 0)}
+        assert {load for b in steady if b.inflight is not None
+                for load in b.loads.values()} == {(608, 0)}
+        assert (refill_stream.messages, refill_stream.honest_bits) == (39_330, 44_995_332)
