@@ -18,23 +18,25 @@ message complexity of every instance.
 
 The common coin is an ideal functionality (see :mod:`repro.ba.common_coin`).
 
-As built: the slots launched at one instant speak in one vector per step
-------------------------------------------------------------------------
+As built: a slot is a record, its carrier speaks one vector per step
+-------------------------------------------------------------------
 
 ΠBA banks (:mod:`repro.ba.bobw`) launch their slots' ΠABAs at vote anchor +
 T_BC + ε, and banks share anchors.  An :class:`AbaCarrier` -- one per (root
 instance, launch instant), tag ``<root>/aba@<ticks>`` (``ticks`` as for
-:func:`repro.broadcast.bc.carrier_tag`) -- gathers the K slots of every bank
-launching then, in the order of their tags ``<bank>/aba[j]``.  Each slot is a
-:class:`BrachaABA` with its own state, quorums and coin key; what the K
+:func:`repro.broadcast.bc.carrier_tag`) -- is the only registered instance of
+the K slots of every bank launching then, and holds them by position, in the
+order of their tags ``<bank>/aba[j]``.  Each slot is a :class:`BrachaABA`
+record with its own state, quorums and coin key (its tag); what the K
 machines emit during one activation of the carrier (its launch timer, a
 delivery, a late vote) leaves as one fan-out per step -- ``("bval", r, v)``,
 ``("aux", r, v)``, ``("final", v)``, ``v`` a K-tuple holding the bit of every
 slot that speaks in that step and ``None`` elsewhere, sent as a
 :func:`~repro.broadcast.acast.vote_line` (runs of at most 255 slots, 2 bits a
-slot, priced and on the wire) -- and a receiver hands entry j to slot j as
-the logical message ``(kind, r, bit)`` of that sender.  Lemma 3.3 holds slot
-by slot, as a reduction to K separate ΠABAs:
+slot, priced and on the wire) -- and a receiver hands entry j to the slot at
+position j as the logical message ``(kind, r, bit)`` of that sender.  Nothing
+reaches a slot any other way.  Lemma 3.3 holds slot by slot, as a reduction
+to K separate ΠABAs:
 
 1. Per slot it is a run of the same ΠABA.  The entries j of an honest
    sender's vectors are, over the run, exactly the logical messages its slot-j
@@ -54,6 +56,8 @@ by slot, as a reduction to K separate ΠABAs:
 3. Same instants: the carrier is a :class:`~repro.sim.party.Gathering` frozen
    at the banks' launch timer.  An entry for a slot not launched here yet (a
    deferred vote) is held until it is, as ``Party.deliver`` holds messages.
+
+A standalone ΠABA is a one-slot carrier.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ba.common_coin import CommonCoin
 from repro.broadcast.acast import read_vote_line, vote_line
-from repro.sim.party import Gathering, Party, ProtocolInstance
+from repro.sim.party import Gathering, Outcome, Party
 
 _GLOBAL_COIN = CommonCoin()
 
@@ -111,39 +115,33 @@ class MMRRoundState:
         self.done = False
 
 
-class BrachaABA(ProtocolInstance):
-    """One randomized binary agreement: MMR's BV-broadcast + AUX rounds, ideal coin."""
+class BrachaABA(Outcome):
+    """One randomized binary agreement: MMR's BV-broadcast + AUX rounds, ideal coin.
 
-    def __init__(
-        self,
-        party: Party,
-        tag: str,
-        faults: int,
-        value: Optional[int] = None,
-        emit: Optional[Callable[[tuple], None]] = None,
-    ):
-        super().__init__(party, tag)
-        self._emit = emit or self.send_all
+    A record, not an instance: the :class:`AbaCarrier` of its launch instant
+    holds it by position, :meth:`begin` runs it on this party's input, the
+    carrier hands it each peer's entry as a logical message (:meth:`handle`)
+    and sends what it emits.  ``tag`` is the common coin's key."""
+
+    def __init__(self, party: Party, tag: str, faults: int):
+        super().__init__(party)
+        self.tag = tag
         self.faults = faults
         self._weak_quorum, self._strong_quorum = faults + 1, 2 * faults + 1
         self._aux_quorum = self.n - faults
-        self.estimate = None if value is None else int(value)
+        self.estimate: Optional[int] = None  # an int from the launch on
+        self._emit: Optional[Callable[[tuple], None]] = None
         self._rounds: Dict[int, MMRRoundState] = defaultdict(MMRRoundState)
         self._round = 0
-        self._started = False
         self._final_senders: Dict[int, Set[int]] = {0: set(), 1: set()}
         self._halted = False
 
-    # -- input / lifecycle -------------------------------------------------------
-    def provide_input(self, value: int) -> None:
+    # -- launch ----------------------------------------------------------------------
+    def begin(self, value: int, emit: Callable[[tuple], None]) -> None:
+        """Join with input ``value``; every logical message leaves through ``emit``."""
+        self._emit = emit
         self.estimate = int(value)
-        if self._started and self._round == 0:
-            self._begin_round(1)
-
-    def start(self) -> None:
-        self._started = True
-        if self.estimate is not None and self._round == 0:
-            self._begin_round(1)
+        self._begin_round(1)
 
     def _begin_round(self, round_index: int) -> None:
         if self._halted or round_index > MAX_ROUNDS:
@@ -161,11 +159,6 @@ class BrachaABA(ProtocolInstance):
         self._emit(("bval", round_index, value))
 
     # -- message handling -----------------------------------------------------------
-    def receive(self, sender: int, payload: Any) -> None:
-        parsed = _parse(payload)
-        if parsed is not None:
-            self.handle(sender, *parsed)
-
     def handle(self, sender: int, kind: Any, round_index: int, value: Any) -> None:
         """``sender``'s logical message.  A bit is the ``int`` 0 or 1: a peer's
         ``1.0`` or ``True`` would else become the estimate, the output and be relayed."""
@@ -192,7 +185,7 @@ class BrachaABA(ProtocolInstance):
 
     # -- round evaluation -----------------------------------------------------------
     def _evaluate_round(self, round_index: int) -> None:
-        if self._halted or round_index != self._round or self.estimate is None:
+        if self._halted or round_index != self._round:
             return
         state = self._rounds[round_index]
         if state.done or not state.bin_values:
@@ -237,7 +230,11 @@ class BrachaABA(ProtocolInstance):
         """Output ``value`` and say so to everyone, once."""
         if not self.has_output:
             self.set_output(value)
+            self._decided()
             self._emit(("final", value))
+
+    def _decided(self) -> None:
+        """The output's callbacks have run; the ``final`` word goes out next."""
 
     def _handle_final(self, sender: int, value: int) -> None:
         self._final_senders[value].add(sender)
@@ -248,8 +245,8 @@ class BrachaABA(ProtocolInstance):
 
 
 class AbaCarrier(Gathering):
-    """The ΠABA slots launched at one instant (members: the banks' slots, by
-    their ΠABAs' tags; freeze: that instant): one vector per step for all."""
+    """The ΠABA slots launched at one instant (members: the banks'
+    :class:`BrachaABA` records; freeze: that instant): one vector per step for all."""
 
     def __init__(self, party: Party, tag: str):
         super().__init__(party, tag)
@@ -265,15 +262,13 @@ class AbaCarrier(Gathering):
         super()._freeze()
         self._end_activation()
 
-    def launch(self, slot: Any, faults: int, value: int, on_output: Callable) -> None:
+    def launch(self, slot: BrachaABA, value: int) -> None:
         """``slot`` joins its ΠABA with input ``value``, now."""
         index = self.position[slot.tag]
-        aba = BrachaABA(self.party, slot.tag, faults, value, emit=partial(self._say, index))
-        aba.on_output(on_output)
         self._active += 1
-        aba.start()
+        slot.begin(value, partial(self._say, index))
         for message in self._waiting.pop(index, ()):
-            aba.handle(*message)
+            slot.handle(*message)
         self._end_activation()
 
     def take(self, sender: int, payload: Any) -> None:
@@ -283,14 +278,13 @@ class AbaCarrier(Gathering):
         if vector is None:
             return
         kind, round_index, _ = parsed
-        launched = self.party.instances  # a ΠABA is held by its tag alone: no cycle with it
         self._active += 1
         for index, bit in enumerate(vector):
             if bit is None:
                 continue
-            aba = launched.get(self.entries[index].tag)
-            if aba is not None:
-                aba.handle(sender, kind, round_index, bit)
+            slot = self.entries[index]
+            if slot.estimate is not None:  # launched
+                slot.handle(sender, kind, round_index, bit)
             else:
                 self._waiting.setdefault(index, []).append((sender, kind, round_index, bit))
         self._end_activation()

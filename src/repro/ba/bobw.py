@@ -13,12 +13,15 @@ groups at one commonly known anchor.  :class:`BestOfBothWorldsBA` is such a
 group, a *bank* of k >= 1 slots: party P_i publishes its votes for all k
 slots as **one** ΠBC ``bc[i]`` whose value is a k-tuple (entry j: ``None``
 for "no vote in slot j yet", else the bit), sent at the anchor even if
-empty, and slot j runs its own ΠABA ``aba[j]`` (one vector per step with all
-launched at that instant, :class:`~repro.ba.aba.AbaCarrier`), taking its input
-at T_BC from entry j of the regular-mode vectors exactly as Fig 2 does from
-the regular-mode bits.  k = 1 is Fig 2 verbatim.  A vote cast after the vector
-went out is not broadcast at all: Fig 2 reads the vote ΠBCs through their
-regular mode only, which promises nothing for an input given after the
+empty.  Slot j is one record, :class:`BASlot`: its vote and its own ΠABA
+machine (a :class:`~repro.ba.aba.BrachaABA`, tag ``<bank>/aba[j]``, the
+coin's key), which the :class:`~repro.ba.aba.AbaCarrier` of its launch
+instant holds by position and drives with all launched then, one vector per
+step.  The slot takes its ΠABA input at T_BC from entry j of the
+regular-mode vectors exactly as Fig 2 does from the regular-mode bits, and
+its decision is its output.  k = 1 is Fig 2 verbatim.  A vote cast after the
+vector went out is not broadcast at all: Fig 2 reads the vote ΠBCs through
+their regular mode only, which promises nothing for an input given after the
 anchor, so such a vote only becomes the slot's own ΠABA input.
 
 Why Theorem 3.6 still holds, as a reduction to k runs of Fig 2.  Call entry
@@ -61,9 +64,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.ba.aba import AbaCarrier, aba_nominal_time_bound
+from repro.ba.aba import AbaCarrier, BrachaABA, aba_nominal_time_bound
 from repro.broadcast.bc import BroadcastProtocol, bc_time_bound
-from repro.sim.party import Outcome, Party, ProtocolInstance
+from repro.sim.party import Party, ProtocolInstance
 from repro.timing import epsilon, ticks
 
 
@@ -72,16 +75,16 @@ def ba_time_bound(n: int, t: int, delta: float) -> float:
     return bc_time_bound(n, t, delta) + aba_nominal_time_bound(delta) + epsilon(delta)
 
 
-class BASlot(Outcome):
-    """One ΠBA of a bank, as the protocol voting in it sees it: a record its
-    bank owns.  :meth:`provide_input` casts this party's vote (the first one
-    counts), the output is the slot's decision."""
+class BASlot(BrachaABA):
+    """One ΠBA of a bank, as the protocol voting in it sees it: its ΠABA, a
+    record the bank owns and its launch instant's carrier holds, plus this
+    party's vote.  :meth:`provide_input` casts the vote (the first one counts),
+    the output is the ΠABA's decision."""
 
     def __init__(self, bank: "BestOfBothWorldsBA", index: int):
-        super().__init__(bank.party)
+        super().__init__(bank.party, bank.subtag(f"aba[{index}]"), bank.faults)
         self.bank = bank
         self.index = index
-        self.tag = bank.subtag(f"aba[{index}]")
         self.vote: Optional[int] = None
         #: T_BC passed with neither n - t effective broadcasts nor a vote.
         self._awaiting_vote = False
@@ -89,8 +92,7 @@ class BASlot(Outcome):
     def provide_input(self, value: int) -> None:
         self.bank._cast(self, int(value))
 
-    def _decide(self, value: int) -> None:
-        self.set_output(value)
+    def _decided(self) -> None:
         self.bank._slot_decided()
 
 
@@ -140,7 +142,7 @@ class BestOfBothWorldsBA(ProtocolInstance):
         slot.vote = value
         if slot._awaiting_vote:
             slot._awaiting_vote = False
-            self._launch_aba(slot, value)
+            self._abas.launch(slot, value)
 
     # -- protocol -----------------------------------------------------------------
     def start(self) -> None:
@@ -184,9 +186,9 @@ class BestOfBothWorldsBA(ProtocolInstance):
             delivered = [v[slot.index] for v in vectors if v[slot.index] is not None]
             if len(delivered) >= self.n - self.faults:
                 ones = sum(delivered)
-                self._launch_aba(slot, 1 if ones >= len(delivered) - ones else 0)
+                self._abas.launch(slot, 1 if ones >= len(delivered) - ones else 0)
             elif slot.vote is not None:
-                self._launch_aba(slot, slot.vote)
+                self._abas.launch(slot, slot.vote)
             else:
                 # No vote yet (ΠACS / ΠPreProcessing vote on completion, which
                 # in an asynchronous network comes late): joining the ABA with
@@ -195,9 +197,6 @@ class BestOfBothWorldsBA(ProtocolInstance):
                 # subset would come out empty.  Defer until the vote is cast;
                 # early ABA messages wait in the carrier until then.
                 slot._awaiting_vote = True
-
-    def _launch_aba(self, slot: BASlot, my_input: int) -> None:
-        self._abas.launch(slot, self.faults, my_input, slot._decide)
 
     def _slot_decided(self) -> None:
         if all(slot.has_output for slot in self.slots):

@@ -1,6 +1,6 @@
 """Tests for the randomized asynchronous Byzantine agreement (ΠABA, Lemma 3.3)."""
 
-from repro.ba.aba import BrachaABA, aba_unanimous_time_bound
+from repro.ba.aba import AbaCarrier, BrachaABA, aba_unanimous_time_bound
 from repro.ba.common_coin import CommonCoin
 from repro.sim import (
     AsynchronousNetwork,
@@ -11,14 +11,29 @@ from repro.sim import (
 )
 
 
+class LoneABA(BrachaABA):
+    """A standalone ΠABA: the one slot of a one-slot carrier (``aba@0``, frozen
+    at time 0), launched there with this party's ``value``, or by a later
+    :meth:`provide_input`."""
+
+    def __init__(self, party, faults, value=None):
+        super().__init__(party, "aba", faults)
+        self.value = value
+        self.carrier = AbaCarrier.at(party, "aba@0", 0.0)
+        self.carrier.join(self)
+
+    def start(self):
+        if self.value is not None:
+            self.carrier.at_freeze(lambda: self.provide_input(self.value))
+
+    def provide_input(self, value):
+        self.carrier.launch(self, value)
+
+
 def _run_aba(n, t, inputs, network=None, corrupt=None, seed=0, max_time=5_000.0):
     sim = Simulator(n, network=network or SynchronousNetwork(), seed=seed,
                     corrupt=corrupt or {})
-
-    def factory(party):
-        return BrachaABA(party, "aba", faults=t, value=inputs.get(party.id))
-
-    return sim.run(factory, max_time=max_time)
+    return sim.run(lambda party: LoneABA(party, t, inputs.get(party.id)), max_time=max_time)
 
 
 def test_common_coin_is_shared_and_binary():
@@ -103,9 +118,7 @@ def test_agreement_over_many_seeds():
 
 def test_late_input_supported():
     sim = Simulator(4, network=SynchronousNetwork())
-    instances = {pid: BrachaABA(party, "aba", faults=1) for pid, party in sim.parties.items()}
-    for inst in instances.values():
-        inst.start()
+    instances = {pid: LoneABA(party, faults=1) for pid, party in sim.parties.items()}
     for pid, inst in instances.items():
         sim.schedule_timer(1.0, lambda inst=inst: inst.provide_input(1))
     sim.run_until(until=lambda: all(i.has_output for i in instances.values()),

@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.ba.aba import MAX_ROUNDS, AbaCarrier, BrachaABA
+from repro.ba.aba import MAX_ROUNDS, AbaCarrier
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.broadcast.acast import Bundle
 from repro.broadcast.bc import bc_time_bound
@@ -85,7 +85,7 @@ def test_a_lone_bank_is_a_one_slot_carrier_and_outputs_what_fig_2_did(
     for pid in expected:
         (carrier,) = _carriers(result.instances[pid].party)
         assert carrier.tag == f"ba/aba@{ticks}" and [slot.tag for slot in carrier.entries] == ["ba/aba[0]"]
-        assert type(result.instances[pid].party.instances["ba/aba[0]"]) is BrachaABA
+        assert carrier.entries == result.instances[pid].slots
     # The slot keeps its tag (the coin's key) and sends nothing under it.
     aba_tags = {tag for sender, tag, _ in sent if sender in expected and "/aba" in tag}
     assert aba_tags == {f"ba/aba@{ticks}"}
@@ -138,8 +138,9 @@ def test_two_banks_at_one_anchor_share_one_carrier_and_one_fan_out_per_step():
         assert [slot.tag for slot in shared.entries] == [
             "root/x/aba[0]", "root/x/aba[1]", "root/y/aba[0]"]
         assert [slot.tag for slot in alone.entries] == ["root/z/aba[0]"]
-        assert all(type(root.party.instances[slot.tag]) is BrachaABA
-                   for carrier in (shared, alone) for slot in carrier.entries)
+        banks = root.banks
+        assert shared.entries == banks["x"].slots + banks["y"].slots
+        assert alone.entries == banks["z"].slots
         # Unanimous votes in synchrony: the three slots move in lockstep, so every
         # step is one full vector, sent once -- not one message per slot.
         steps = _fan_outs(sent, pid, shared.tag)
@@ -203,7 +204,7 @@ def test_a_late_vote_launches_its_slot_and_sends_a_sparse_vector():
     def probe(party, bank):
         carrier = party.instances[f"ba/{LAUNCH}"]
         seen[party.id] = (sorted(carrier._waiting), [w[0] for w in carrier._waiting.get(1, ())],
-                          "ba/aba[1]" in party.instances)
+                          bank.slots[1].estimate is not None)
 
     late = {pid: (60.0 if pid < 4 else 70.0, 1, 1) for pid in range(1, 5)}
     result, sent = _recording_sends(lambda: _run_bank(
@@ -266,17 +267,18 @@ def test_a_malformed_vector_is_nothing_sent_and_a_bad_entry_nothing_in_that_slot
     forged_run, result = _three_slots(forged)
     assert forged_run == honest
     for pid in (1, 2, 3):
-        party = result.instances[pid].party
-        assert "ba/aba[2]" not in party.instances
-        for tag in ("ba/aba[0]", "ba/aba[1]"):
-            aba = party.instances[tag]
+        slots = result.instances[pid].slots
+        assert slots[2].estimate is None  # never launched
+        for aba in slots[:2]:
             assert type(aba.output) is int and set(aba._rounds) <= {1, 2, 3}
 
 
-def test_a_peer_that_still_speaks_per_slot_is_heard_and_answered_on_the_carrier():
-    """P_4 sends its logical messages straight to the slots' own tags, as before the
-    carriers: each is that logical message (a vector could have carried it), and
-    what an honest slot says in reply leaves on the carrier at once."""
+def test_a_peer_that_speaks_on_the_slots_own_tags_is_not_heard():
+    """The carrier is the only wire entry to a slot.  P_4 sends its logical
+    messages straight to the slots' own tags, as before the carriers: no slot
+    hears them (Lemma 3.3's reduction covers vectors only, and a corrupt peer
+    not heard on a side channel is one that sent nothing), the honest parties
+    still decide, and none of them says anything on a slot's tag."""
     def per_slot(tag, payload):
         return [(f"ba/aba[{index}]", payload[:-1] + (bit,))
                 for index, bit in enumerate(_votes(payload)) if bit is not None]
@@ -286,9 +288,12 @@ def test_a_peer_that_still_speaks_per_slot_is_heard_and_answered_on_the_carrier(
         4, 1, votes, slots=2, corrupt={4: RewriteBehavior({r"ba/aba@\d+": per_slot})}))
     assert result.honest_outputs() == {pid: (1, 0) for pid in (1, 2, 3)}
     assert {tag for sender, tag, _ in sent if sender != 4 and "/aba" in tag} == {f"ba/{LAUNCH}"}
+    assert {tag for sender, tag, _ in sent if sender == 4 and "/aba" in tag} == {
+        "ba/aba[0]", "ba/aba[1]"}
     for pid in (1, 2, 3):
-        slot = result.instances[pid].party.instances["ba/aba[0]"]
-        assert 4 in slot._rounds[1].bval_senders[1]
+        for slot in result.instances[pid].slots:
+            assert not any(4 in state.bval_senders[bit]
+                           for state in slot._rounds.values() for bit in (0, 1))
 
 
 # -- before the positions are frozen ----------------------------------------------------------------
@@ -309,7 +314,7 @@ def test_a_vector_delivered_before_the_launch_timer_is_held_until_the_launch():
                          max_time=5_000.0)
     assert result.honest_outputs() == {1: 1, 2: 1, 3: 1}
     for pid in (1, 2, 3):
-        assert 4 in result.instances[pid].party.instances["ba/aba[0]"]._rounds[1].bval_senders[0]
+        assert 4 in result.instances[pid].slots[0]._rounds[1].bval_senders[0]
 
 
 # -- the wire ------------------------------------------------------------------------------------
@@ -351,5 +356,5 @@ def test_a_peers_float_bits_never_become_an_estimate_or_an_output():
         outputs = result.honest_outputs()
         assert outputs == {2: 1, 3: 1, 4: 1} and all(type(bit) is int for bit in outputs.values())
         for pid in outputs:
-            aba = result.instances[pid].party.instances["ba/aba[0]"]
+            aba = result.instances[pid].slots[0]
             assert type(aba.estimate) is int

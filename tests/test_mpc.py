@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from repro.ba.aba import AbaCarrier
+from repro.ba.aba import AbaCarrier, BrachaABA
 from repro.ba.bobw import BASlot, BestOfBothWorldsBA
 from repro.ba.sba import PhaseKingSBA
 from repro.broadcast.acast import AcastProtocol
@@ -31,7 +31,7 @@ from repro.sim import (
     SynchronousNetwork,
     WrongValueBehavior,
 )
-from repro.sim.party import Outcome
+from repro.sim.party import Outcome, ProtocolInstance
 from repro.sim.simulator import SimulationMetrics
 
 from golden import assert_matches_golden
@@ -122,21 +122,26 @@ def test_sync_product_all_honest(monkeypatch):
     # Per party, one ΠTripTrans per ΠTripSh and one ΠTripExt for all groups
     # leave out 2 of 3 transformations of each of the 4 ΠTripSh, with their
     # ΠBeaver and reconstruction (24), and 2 of 3 extractions, with theirs
-    # (8); the opening post is one more.
+    # (8); the opening post is one more.  The 144 ΠABA slots per party are
+    # records their carriers hold: 1,700 while each was a registered machine.
     instances = sum(len(p.instances) for p in result.run.backend.parties.values())
-    assert instances == 1_700 == 1_824 - 4 * (24 + 8) + 4
+    assert instances == 1_124 == 1_700 - 4 * 144
+    assert 1_700 == 1_824 - 4 * (24 + 8) + 4
 
 
 def test_endpoints_and_slots_are_records_their_owners_hold():
-    """A logical ΠBC is an entry of its carrier and a ΠBA slot one of its bank:
-    neither is a registered instance, and both output through ``Outcome`` --
-    a slot's output time included, the last of which is its bank's."""
+    """A logical ΠBC is an entry of its carrier and a ΠBA slot one of its bank,
+    its ΠABA machine included: none is a registered instance, and all output
+    through ``Outcome`` -- a slot's output time included, the last of which is
+    its bank's."""
+    assert not issubclass(BrachaABA, ProtocolInstance) and issubclass(BASlot, BrachaABA)
     result = run_mpc(multiplication_circuit(F, 4), {1: 3, 2: 5, 3: 7, 4: 11},
                      n=4, ts=1, ta=0, seed=1)
     assert result.outputs == [F(1155)]
     for party in result.run.backend.parties.values():
         instances = list(party.instances.values())
-        assert not any(isinstance(e, (BroadcastProtocol, BASlot)) for e in instances)
+        assert not any(isinstance(e, (BroadcastProtocol, BrachaABA)) for e in instances)
+        assert not any(SLOT.search(tag) for tag in party.instances)
         entries = [e for c in instances if type(c) is BroadcastCarrier for e in c.entries]
         assert len(entries) == 756
         assert all(isinstance(e, Outcome) and e.output_time is not None for e in entries)
@@ -145,10 +150,15 @@ def test_endpoints_and_slots_are_records_their_owners_hold():
         for bank in banks:
             assert all(isinstance(slot, Outcome) and slot.has_output for slot in bank.slots)
             assert bank.output_time == max(slot.output_time for slot in bank.slots)
+        slots = [e for c in instances if type(c) is AbaCarrier for e in c.entries]
+        assert sorted(slot.tag for slot in slots) == sorted(
+            slot.tag for bank in banks for slot in bank.slots)
 
 
 #: The tag of a late carrier, ``<carrier>/late[k]``.
 LATE = re.compile(r"/late\[\d+\]$")
+#: The tag of a ΠABA slot, ``<bank>/aba[j]``: a record, never a registered instance.
+SLOT = re.compile(r"/aba\[\d+\]$")
 
 
 def test_async_product_him_late_carriers(monkeypatch):

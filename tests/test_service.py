@@ -18,6 +18,7 @@ Covers the service layer end to end on the deterministic sim backend:
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -482,6 +483,10 @@ class TestStreamHygiene:
 REFILL_STREAM_EVALS = 23
 
 
+#: The tag of a ΠABA slot, ``<bank>/aba[j]``: a record its carrier holds.
+SLOT = re.compile(r"/aba\[\d+\]$")
+
+
 def _root(tag: str) -> str:
     return tag.split("/", 1)[0]
 
@@ -524,6 +529,7 @@ def refill_stream():
                 roots={p.id: {_root(tag) for tag in p.instances} for p in parties},
                 buffered={p.id: {_root(tag) for tag in p._buffered} for p in parties},
                 loads={p.id: p.load() for p in parties},
+                slot_tags=[tag for p in parties for tag in p.instances if SLOT.search(tag)],
             ))
     metrics = svc.backend.metrics
     return SimpleNamespace(
@@ -564,9 +570,11 @@ class TestRefillRetirement:
                 assert not boundary.buffered[pid]
         steady = refill_stream.boundaries[lag - 1:]
         assert {b.inflight for b in steady} == {None, 1, 2, 3}
-        # Per party: 124 instances per evaluation tree, 360 in a round in flight.
+        # Per party: 100 instances per evaluation tree, 244 in a round in flight
+        # (124 and 360 while every ΠABA slot was a registered instance).
         assert {load for b in steady if b.inflight is None
-                for load in b.loads.values()} == {(248, 0)}
+                for load in b.loads.values()} == {(200, 0)}
         assert {load for b in steady if b.inflight is not None
-                for load in b.loads.values()} == {(608, 0)}
+                for load in b.loads.values()} == {(444, 0)}
+        assert not any(b.slot_tags for b in refill_stream.boundaries)
         assert (refill_stream.messages, refill_stream.honest_bits) == (39_330, 44_995_332)

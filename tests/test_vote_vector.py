@@ -9,7 +9,6 @@ import pickle
 import pytest
 
 from repro.acs.acs import AgreementOnCommonSubset
-from repro.ba.aba import BrachaABA
 from repro.ba.bobw import BestOfBothWorldsBA
 from repro.ba.sba import DEFAULT_BIT, PhaseKingSBA, sba_time_bound
 from repro.broadcast.acast import Bundle
@@ -61,11 +60,6 @@ def _run_bank(n, t, votes, slots=1, network=None, corrupt=None, seed=0, late=Non
     return sim.run(factory, max_time=max_time)
 
 
-def _children(party, bank_tag, cls):
-    return [e for tag, e in party.instances.items()
-            if tag.rpartition("/")[0] == bank_tag and isinstance(e, cls)]
-
-
 def _vote_broadcasts(party, bank_tag):
     """The bank's vote ΠBCs, records their carriers own: read from the bank."""
     broadcasts = list(party.instances[bank_tag]._bc.values())
@@ -113,7 +107,8 @@ def test_n_vote_broadcasts_and_k_abas_per_bank_per_party(n, slots):
     for instance in result.instances.values():
         broadcasts = _vote_broadcasts(instance.party, "ba")
         assert sorted(bc.tag for bc in broadcasts) == [f"ba/bc[{i}]" for i in range(1, n + 1)]
-        abas = _children(instance.party, "ba", BrachaABA)
+        abas = instance._abas.entries  # the slots, records their carrier holds
+        assert abas == instance.slots and not any("/aba[" in tag for tag in instance.party.instances)
         assert sorted(aba.tag for aba in abas) == [f"ba/aba[{j}]" for j in range(slots)]
         assert instance._bc[instance.me].message == tuple(
             votes[instance.me] if slots > 1 else [votes[instance.me]]
@@ -202,7 +197,7 @@ def test_slot_without_a_vote_waits_for_provide_input_and_decides_in_asynchrony(n
     seen = {}
 
     def probe(party, bank):
-        seen[party.id] = (bank.slots[1]._awaiting_vote, "ba/aba[1]" in party.instances)
+        seen[party.id] = (bank.slots[1]._awaiting_vote, bank.slots[1].estimate is not None)
 
     votes = {pid: [pid % 2] for pid in range(1, n + 1)}
     result = _run_bank(n, 1, votes, slots=2, network=AsynchronousNetwork(max_delay=6.0),
@@ -394,7 +389,7 @@ def test_aba_round_outside_the_schedule_allocates_no_state(forged):
                        corrupt=_inject(ABA_TAG, vector))
     assert result.honest_outputs() == {1: 0, 2: 0, 3: 0}
     for pid in (1, 2, 3):
-        aba = result.instances[pid].party.instances["ba/aba[0]"]
+        aba = result.instances[pid].slots[0]
         assert set(aba._rounds) <= {1, 2}
 
 
