@@ -19,6 +19,10 @@ from repro.sim.party import Post
 
 FIELD = default_field()
 
+#: The tag of a ΠABA slot, ``<bank>/aba[j]``: a record its carrier holds, never a
+#: registered instance.
+SLOT_TAG = re.compile(r"/aba\[\d+\]$")
+
 
 def random_polynomial(degree: int, secret: int, seed: int = 0) -> Polynomial:
     return Polynomial.random(FIELD, degree, constant_term=secret, rng=random.Random(seed))

@@ -35,6 +35,7 @@ from repro.sim.party import Outcome, ProtocolInstance
 from repro.sim.simulator import SimulationMetrics
 
 from golden import assert_matches_golden
+from protocol_helpers import SLOT_TAG
 
 F = default_field()
 
@@ -122,11 +123,10 @@ def test_sync_product_all_honest(monkeypatch):
     # Per party, one ΠTripTrans per ΠTripSh and one ΠTripExt for all groups
     # leave out 2 of 3 transformations of each of the 4 ΠTripSh, with their
     # ΠBeaver and reconstruction (24), and 2 of 3 extractions, with theirs
-    # (8); the opening post is one more.  The 144 ΠABA slots per party are
-    # records their carriers hold: 1,700 while each was a registered machine.
+    # (8); the opening post is one more: 1,700 = 1,824 - 4 * (24 + 8) + 4.  The
+    # 144 ΠABA slots per party are records their carriers hold, not instances.
     instances = sum(len(p.instances) for p in result.run.backend.parties.values())
     assert instances == 1_124 == 1_700 - 4 * 144
-    assert 1_700 == 1_824 - 4 * (24 + 8) + 4
 
 
 def test_endpoints_and_slots_are_records_their_owners_hold():
@@ -141,7 +141,7 @@ def test_endpoints_and_slots_are_records_their_owners_hold():
     for party in result.run.backend.parties.values():
         instances = list(party.instances.values())
         assert not any(isinstance(e, (BroadcastProtocol, BrachaABA)) for e in instances)
-        assert not any(SLOT.search(tag) for tag in party.instances)
+        assert not any(SLOT_TAG.search(tag) for tag in party.instances)
         entries = [e for c in instances if type(c) is BroadcastCarrier for e in c.entries]
         assert len(entries) == 756
         assert all(isinstance(e, Outcome) and e.output_time is not None for e in entries)
@@ -157,8 +157,6 @@ def test_endpoints_and_slots_are_records_their_owners_hold():
 
 #: The tag of a late carrier, ``<carrier>/late[k]``.
 LATE = re.compile(r"/late\[\d+\]$")
-#: The tag of a ΠABA slot, ``<bank>/aba[j]``: a record, never a registered instance.
-SLOT = re.compile(r"/aba\[\d+\]$")
 
 
 def test_async_product_him_late_carriers(monkeypatch):

@@ -18,7 +18,6 @@ Covers the service layer end to end on the deterministic sim backend:
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -43,6 +42,8 @@ from repro.service import (
     TripleReservoir,
 )
 from repro.sim.party import Party
+
+from protocol_helpers import SLOT_TAG
 
 pytestmark = pytest.mark.service
 
@@ -483,10 +484,6 @@ class TestStreamHygiene:
 REFILL_STREAM_EVALS = 23
 
 
-#: The tag of a ΠABA slot, ``<bank>/aba[j]``: a record its carrier holds.
-SLOT = re.compile(r"/aba\[\d+\]$")
-
-
 def _root(tag: str) -> str:
     return tag.split("/", 1)[0]
 
@@ -529,7 +526,7 @@ def refill_stream():
                 roots={p.id: {_root(tag) for tag in p.instances} for p in parties},
                 buffered={p.id: {_root(tag) for tag in p._buffered} for p in parties},
                 loads={p.id: p.load() for p in parties},
-                slot_tags=[tag for p in parties for tag in p.instances if SLOT.search(tag)],
+                slot_tags=[tag for p in parties for tag in p.instances if SLOT_TAG.search(tag)],
             ))
     metrics = svc.backend.metrics
     return SimpleNamespace(

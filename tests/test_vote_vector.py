@@ -26,6 +26,7 @@ from repro.sim import (
 from repro.sim.messages import Message
 
 from protocol_helpers import (
+    SLOT_TAG,
     RewriteBehavior,
     random_polynomial,
     run_dealer_protocol,
@@ -108,7 +109,8 @@ def test_n_vote_broadcasts_and_k_abas_per_bank_per_party(n, slots):
         broadcasts = _vote_broadcasts(instance.party, "ba")
         assert sorted(bc.tag for bc in broadcasts) == [f"ba/bc[{i}]" for i in range(1, n + 1)]
         abas = instance._abas.entries  # the slots, records their carrier holds
-        assert abas == instance.slots and not any("/aba[" in tag for tag in instance.party.instances)
+        assert abas == instance.slots
+        assert not any(SLOT_TAG.search(tag) for tag in instance.party.instances)
         assert sorted(aba.tag for aba in abas) == [f"ba/aba[{j}]" for j in range(slots)]
         assert instance._bc[instance.me].message == tuple(
             votes[instance.me] if slots > 1 else [votes[instance.me]]
